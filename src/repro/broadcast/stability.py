@@ -7,13 +7,16 @@ may discard them.  Each member keeps, per view:
 * ``delivered[s]`` — the highest (contiguous, thanks to FIFO channels)
   sender-sequence it has received from each sender ``s``;
 * a log of the messages above the group-wide stable floor;
-* its peers' reported watermarks, refreshed by periodic
-  :class:`~repro.membership.events.StabilityGossip`.
+* its peers' reported watermarks, refreshed by
+  :class:`~repro.membership.events.StabilityGossip` — sent to every
+  member, but only when the sender's watermarks have moved since it last
+  sent them (docs/comms.md), so the tracker must never assume a peer
+  reports periodically.
 
 The unstable suffix (everything above the floor) is exactly what the flush
 protocol must reconcile — keeping it small is what makes view changes
 cheap, and is why the paper worries about the cost of "ever larger
-broadcasts" in big flat groups: the gossip is all-to-all.
+broadcasts" in big flat groups: a busy group's gossip is all-to-all.
 
 The tracker sits on the per-message hot path (every delivery records, every
 gossip updates watermarks), so the group-wide floors are cached and

@@ -104,6 +104,15 @@ class HeartbeatDetector(FailureDetector):
         process.every(interval, self._tick)
         if suppression:
             process.add_traffic_listener(self._on_traffic)
+        process.add_recover_listener(self._after_recovery)
+
+    def _after_recovery(self) -> None:
+        # Silence is measured from now: what was heard before the crash
+        # says nothing about who is alive after it.
+        now = self._process.env.now
+        for address in self._last_heard:
+            self._last_heard[address] = now
+        self._suspected.clear()
 
     def watch(self, address: Address) -> None:
         if address == self._process.address:
@@ -129,19 +138,20 @@ class HeartbeatDetector(FailureDetector):
         now = process.env.now
         last_heard = self._last_heard
         suspected = self._suspected
-        suspect_after = self._suspect_after
-        # Fast path (the overwhelmingly common case): nobody is overdue,
-        # so no listener can fire and nothing can mutate our dicts —
-        # iterate them directly, no defensive copy, no allocation.
-        overdue = False
+        interval = self._interval
+        # Fast path (the overwhelmingly common case): every peer was heard
+        # recently enough that its deadline lies beyond the next tick, so
+        # no listener can fire and nothing can mutate our dicts — iterate
+        # them directly, no defensive copy, no allocation.
+        horizon = now + interval - self._suspect_after
+        near = False
         for address, last in last_heard.items():
-            if now - last >= suspect_after and address not in suspected:
-                overdue = True
+            if last < horizon and address not in suspected:
+                near = True
                 break
         suppression = self._suppression
-        interval = self._interval
         stats = process.env.network.stats
-        if not overdue:
+        if not near:
             send = process.send
             if suspected:
                 for address, last in last_heard.items():
@@ -163,26 +173,43 @@ class HeartbeatDetector(FailureDetector):
                 for address in last_heard:
                     send(address, _HEARTBEAT)
             return
-        # Slow path: at least one suspicion will fire this tick, and
-        # suspicion listeners may watch/unwatch — keep the defensive copy.
+        # Slow path: some peer's deadline falls before the next tick.  One
+        # already past it is suspected now; otherwise a one-shot is armed
+        # for the deadline itself, so detection takes ``suspect_after``
+        # and not up to an interval more.  Suspicion listeners may
+        # watch/unwatch — keep the defensive copy.
         for address in list(last_heard):
-            if address in suspected:
+            last = last_heard.get(address)
+            if last is None or address in suspected:
                 continue
-            if suppression and now - last_heard[address] < interval:
+            if suppression and now - last < interval:
                 stats.record_suppressed_heartbeat()
             else:
                 process.send(address, _HEARTBEAT)
-            if now - last_heard[address] >= self._suspect_after:
-                suspected.add(address)
-                trace = process.env.network.trace
-                if trace is not None:
-                    trace.local(
-                        "suspicion", category="failure",
-                        process=process.address, peer=address,
-                        silent_for=now - last_heard[address],
-                    )
-                for listener in list(self._listeners):
-                    listener(address)
+            if now - last >= self._suspect_after:
+                self._suspect(address, last)
+            elif last < horizon:
+                process.set_timer(
+                    last + self._suspect_after - now,
+                    lambda address=address, last=last: self._suspect(address, last),
+                )
+
+    def _suspect(self, address: Address, last: float) -> None:
+        """Suspect ``address`` unless it was heard from (or unwatched, or
+        suspected) since ``last`` was read."""
+        if self._last_heard.get(address) != last or address in self._suspected:
+            return
+        self._suspected.add(address)
+        process = self._process
+        trace = process.env.network.trace
+        if trace is not None:
+            trace.local(
+                "suspicion", category="failure",
+                process=process.address, peer=address,
+                silent_for=process.env.now - last,
+            )
+        for listener in list(self._listeners):
+            listener(address)
 
     def _on_ping(self, ping: Heartbeat, sender: Address) -> None:
         self._process.send(sender, _HEARTBEAT_ACK)

@@ -118,6 +118,10 @@ class NewView:
     next_global_seq: int = 1
     app_state: Any = None  # state-transfer snapshot for joiners
 
+    @property
+    def group(self) -> str:
+        return self.view.group
+
 
 @dataclass
 class JoinRequest:

@@ -19,11 +19,17 @@ flush`.  Failures come from a pluggable failure detector; suspicion is
 converted to membership exclusion, the classical ISIS fail-stop
 conversion.
 
-This module is deliberately the *flat* implementation whose costs grow
-with group size — every member watches every other, stability gossip is
-all-to-all, and every view change touches everyone.  The paper's
-contribution (bounding these costs with hierarchy) is built on top in
-:mod:`repro.core`.
+This is the *flat* implementation: a multicast reaches every member and
+every view change touches everyone, so those costs grow with group size,
+and the paper's contribution (bounding them with hierarchy) is built on
+top in :mod:`repro.core`.  The two *background* planes, however, cost a
+member the same whatever the size of its group (docs/comms.md):
+
+* failure monitoring is a ring — a member watches its
+  :data:`MONITOR_K` nearest rank-predecessors that it does not suspect,
+  and reports a suspicion to the acting coordinator;
+* stability gossip is quiescent — a member gossips its watermarks only
+  when they differ from the ones it last sent in this view.
 """
 
 from __future__ import annotations
@@ -60,6 +66,13 @@ from repro.proc.process import Process
 from repro.proc.rpc import Rpc, RpcError
 from repro.transport.reliable import ReliableTransport
 
+MONITOR_K = 3
+"""How many rank-predecessors each member monitors: a member is reported
+unless it and its ``MONITOR_K`` successors fail within one detection
+period (and even then, one period later — see ``GroupMember._rewatch``).
+Matches the ``resiliency`` every hierarchy in the repo runs with; groups
+of up to ``MONITOR_K + 1`` members are monitored all-to-all."""
+
 DeliveryListener = Callable[[DeliveryEvent], None]
 ViewListener = Callable[[ViewEvent], None]
 
@@ -90,6 +103,7 @@ class GroupMember:
         self._future_orders: List[SetOrder] = []
 
         self._suspects: Set[Address] = set()
+        self._watching: Set[Address] = set()
         self._pending_joins: List[Address] = []
         self._pending_leaves: Set[Address] = set()
         self._leave_requested = False
@@ -99,6 +113,7 @@ class GroupMember:
         self._join_timer = None
 
         self._last_gossip_at = float("-inf")
+        self._gossiped: Dict[Address, int] = {}
 
         self._delivery_listeners: List[DeliveryListener] = []
         self._view_listeners: List[ViewListener] = []
@@ -258,7 +273,7 @@ class GroupMember:
                 # interval keeps steady-state data traffic from carrying
                 # (and re-carrying) identical maps.
                 if now - self._last_gossip_at >= runtime.gossip_interval * 0.5:
-                    data.gossip = self._stability.watermarks()
+                    data.gossip = self._gossiped = self._stability.watermarks()
                     self._last_gossip_at = now
                     runtime.process.env.network.stats.record_piggyback(
                         "gossip", len(others)
@@ -331,6 +346,12 @@ class GroupMember:
     def _gossip_tick(self) -> None:
         if not self.is_member or self._blocked or self.view is None:
             return
+        # Quiescence: channels are reliable and FIFO, so every peer holds
+        # (or will hold) the watermarks last sent in this view; repeating
+        # them tells nobody anything.  An idle group sends no gossip.
+        watermarks = self._stability.watermarks()
+        if watermarks == self._gossiped:
+            return
         others = self.view.others(self.me)
         if not others:
             return
@@ -342,12 +363,13 @@ class GroupMember:
             if now - self._last_gossip_at < runtime.gossip_interval * 0.5:
                 return
             self._last_gossip_at = now
+        self._gossiped = watermarks
         self.runtime.transport.send_many(
             others,
             StabilityGossip(
                 group=self.group,
                 view_seq=self.view.seq,
-                delivered=self._stability.watermarks(),
+                delivered=watermarks,
             ),
         )
 
@@ -372,11 +394,13 @@ class GroupMember:
     # --------------------------------------------------------- membership plane
 
     def _on_suspect(self, address: Address) -> None:
-        if self.view is None or not self.view.contains(address):
+        if not self.is_member or not self.view.contains(address):
             return
         if address == self.me or address in self._suspects:
             return
+        reported_to = self.acting_coordinator()
         self._suspects.add(address)
+        self._rewatch()
         trace = self.runtime.process.env.network.trace
         if trace is not None:
             trace.local(
@@ -390,16 +414,55 @@ class GroupMember:
                 self._broadcast_flush()
                 self._check_flush_complete()
             return
+        # Whoever takes over from a suspected coordinator monitors its own
+        # predecessors only, so it is told everything this member knows.
+        self._report(
+            sorted(self._suspects) if address == reported_to else [address]
+        )
+
+    def _report(self, suspects: List[Address]) -> None:
+        """Bring ``suspects`` to the acting coordinator: start the view
+        change if that is this member, send it reports otherwise."""
         coordinator = self.acting_coordinator()
         if coordinator == self.me:
             self._maybe_start_view_change()
         elif coordinator is not None:
-            self.runtime.transport.send(
-                coordinator, SuspectReport(group=self.group, suspect=address)
-            )
+            for suspect in suspects:
+                self.runtime.transport.send(
+                    coordinator, SuspectReport(group=self.group, suspect=suspect)
+                )
+
+    def _rewatch(self) -> None:
+        """Point failure detection at the ``MONITOR_K`` nearest
+        rank-predecessors (the ring wraps) this member does not suspect.
+
+        Every member is thus watched by its K successors, and rank 1
+        watches the coordinator itself.  Skipping suspects is what makes
+        the ring *complete*: when a member and all K of its watchers die
+        together, the next live successor suspects those watchers, its
+        watch set moves past them onto the member nobody was left to
+        report, and so on round the ring until a live member is reached.
+        """
+        members = self.view.members
+        rank = self.view.rank_of(self.me)
+        wanted: Set[Address] = set()
+        for step in range(1, len(members)):
+            candidate = members[rank - step]
+            if candidate not in self._suspects:
+                wanted.add(candidate)
+                if len(wanted) == MONITOR_K:
+                    break
+        for address in sorted(self._watching - wanted):
+            self.runtime.unwatch(address, self.group)
+        for address in members:
+            if address in wanted and address not in self._watching:
+                self.runtime.watch(address, self.group)
+        self._watching = wanted
 
     def _on_suspect_report(self, report: SuspectReport, sender: Address) -> None:
-        if self.view is not None and self.view.contains(report.suspect):
+        # A member that was removed without learning of it (partitioned
+        # away when the view changed) still reports on its old view.
+        if self.view is not None and self.view.contains(sender):
             self._on_suspect(report.suspect)
 
     def _handle_join_request(self, request: JoinRequest, sender: Address) -> Any:
@@ -517,6 +580,7 @@ class GroupMember:
         for address in missing:
             self._suspects.add(address)
             self._flush.drop_member(address)
+        self._rewatch()
         self._flush.attempt += 1
         self._broadcast_flush()
         self._arm_flush_timer()
@@ -671,6 +735,7 @@ class GroupMember:
         for engine in self._engines.values():
             engine.network = self.runtime.process.env.network
         self._stability = StabilityTracker(self.me, new_view.members)
+        self._gossiped = self._stability.watermarks()
         self._blocked = False
         self._flush = None
         if self._flush_timer is not None:
@@ -684,16 +749,25 @@ class GroupMember:
             if self.state_receiver is not None and message.app_state is not None:
                 self.state_receiver(message.app_state)
 
-        # Failure detection follows the view.
+        # Only the members that watched a departed one ever suspected it;
+        # everybody else stops retransmitting to it here.  It may be alive
+        # (false suspicion, graceful leave, leaf move), so the channel is
+        # abandoned, not forgotten, and the one message of this group it
+        # still needs — the view that removes it — is carried over.
+        def still_wanted(payload: Any) -> bool:
+            return (
+                payload is message
+                or getattr(payload, "group", None) != self.group
+            )
+
         old_members = set(old_view.members) if old_view else set()
         for departed in sorted(old_members - set(new_view.members)):
-            self.runtime.unwatch(departed, self.group)
-        for member in new_view.members:
-            if member != self.me:
-                self.runtime.watch(member, self.group)
+            self.runtime.transport.abandon(departed, keep=still_wanted)
 
-        # Clear satisfied/void membership intentions.
+        # Clear satisfied/void membership intentions; failure detection
+        # follows the view.
         self._suspects &= set(new_view.members)
+        self._rewatch()
         self._pending_joins = [
             j for j in self._pending_joins if not new_view.contains(j)
         ]
@@ -713,7 +787,9 @@ class GroupMember:
             if self.is_member:
                 self._send_data(payload, ordering)
 
-        self._maybe_start_view_change()
+        # Suspicions that outlived the view change (reported, perhaps, to
+        # a coordinator that died with them) go to the new coordinator.
+        self._report(sorted(self._suspects))
 
     def _emit_view_event(
         self,
@@ -732,10 +808,9 @@ class GroupMember:
             listener(event)
 
     def _teardown_watches(self) -> None:
-        if self.view is not None:
-            for member in self.view.members:
-                if member != self.me:
-                    self.runtime.unwatch(member, self.group)
+        for address in sorted(self._watching):
+            self.runtime.unwatch(address, self.group)
+        self._watching = set()
 
 
 class GroupRuntime:
@@ -784,7 +859,7 @@ class GroupRuntime:
         )
         process.on(Flush, self._route(lambda m, p, s: m._on_flush(p, s)))
         process.on(FlushOk, self._route(lambda m, p, s: m._on_flush_ok(p, s)))
-        process.on(NewView, self._route_new_view)
+        process.on(NewView, self._route(lambda m, p, s: m._on_new_view(p, s)))
         process.on(
             SuspectReport, self._route(lambda m, p, s: m._on_suspect_report(p, s))
         )
@@ -869,11 +944,6 @@ class GroupRuntime:
 
         return handler
 
-    def _route_new_view(self, payload: NewView, sender: Address) -> None:
-        member = self._groups.get(payload.view.group)
-        if member is not None:
-            member._on_new_view(payload, sender)
-
     def _serve_join(self, request: JoinRequest, sender: Address):
         member = self._groups.get(request.group)
         if member is None:
@@ -908,6 +978,6 @@ class GroupRuntime:
             del self._watch_refs[address]
 
     def _on_suspect(self, address: Address) -> None:
-        self.transport.forget_peer(address)
+        self.transport.abandon(address)
         for member in list(self._groups.values()):
             member._on_suspect(address)

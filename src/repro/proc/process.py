@@ -11,8 +11,10 @@ class knowing about any of it.
 
 Crash semantics follow the fail-stop model the paper assumes: a crashed
 process stops sending, stops receiving (its endpoint disappears from the
-network), and all of its timers are cancelled.  Recovery creates fresh
-protocol state (a recovered process rejoins groups like a new member).
+network), and all of its timers stop.  Recovery creates fresh protocol
+state (a recovered process rejoins groups like a new member) and restarts
+the periodic timers of the layers attached to it; one-shot timers belong
+to the protocol state that died and are not revived.
 """
 
 from __future__ import annotations
@@ -62,21 +64,28 @@ class Timer:
         self._fn = fn
         self._periodic = periodic
         self._cancelled = False
+        self._handle: Optional[TimerHandle] = None
+        self._arm()
+
+    def _arm(self) -> None:
+        process = self._process
         scheduler = process.env.scheduler
-        if periodic:
+        if self._periodic:
             keyed = getattr(scheduler, "after_call_keyed", None)
-            self._handle: Optional[TimerHandle] = (
-                scheduler.after_call(delay, Timer._fire, self)
+            self._handle = (
+                scheduler.after_call(self._delay, Timer._fire, self)
                 if keyed is None
-                else keyed(delay, Timer._fire, self, process.address)
+                else keyed(self._delay, Timer._fire, self, process.address)
             )
         else:
             keyed_once = getattr(scheduler, "after_call_keyed_once", None)
             if keyed_once is not None:
-                self._handle = keyed_once(delay, Timer._fire, self, process.address)
+                self._handle = keyed_once(
+                    self._delay, Timer._fire, self, process.address
+                )
             else:
                 once = getattr(scheduler, "after_call_once", scheduler.after_call)
-                self._handle = once(delay, Timer._fire, self)
+                self._handle = once(self._delay, Timer._fire, self)
 
     def _fire(self) -> None:
         if self._cancelled or not self._process.alive:
@@ -211,7 +220,8 @@ class Process:
         return timer
 
     def every(self, interval: float, fn: Callable[[], None]) -> Timer:
-        """Run ``fn`` every ``interval`` until cancelled or crash."""
+        """Run ``fn`` every ``interval`` until cancelled; ticks stop while
+        the process is crashed and resume one interval after recovery."""
         timer = Timer(self, interval, fn, periodic=True)
         self._timers.append(timer)
         self._prune_timers()
@@ -229,9 +239,15 @@ class Process:
             return
         self.alive = False
         self.env.network.unregister(self.address)
+        # One-shots die with the protocol state that armed them.  Periodic
+        # timers belong to the attached layers, which outlive the crash:
+        # only their engine handle is cancelled, and recover() re-arms them.
         for timer in self._timers:
-            timer.cancel()
-        self._timers = []
+            if timer._periodic and not timer.cancelled:
+                timer._handle.cancel()
+            else:
+                timer.cancel()
+        self._timers = [t for t in self._timers if not t.cancelled]
         self.on_crash()
         self.env.notify_crash(self.address)
 
@@ -242,6 +258,10 @@ class Process:
         self.alive = True
         self.incarnation += 1
         self.env.network.register(self.address, self._on_envelope)
+        for timer in self._timers:
+            if timer._periodic and not timer.cancelled:
+                timer._handle.cancel()  # idempotent; live only if armed while down
+                timer._arm()
         self.on_recover()
         for listener in list(self._recover_listeners):
             listener()

@@ -11,8 +11,10 @@ Received payloads re-enter the owning process's normal dispatch
 they simply register handlers for their own payload types.
 
 Reliability comes from sequence numbers + cumulative acks + a single
-periodic retransmission sweep per process (one timer, not one per
-segment, which keeps large simulations cheap).
+retransmission sweep per process (one timer, not one per segment, which
+keeps large simulations cheap).  The sweep runs on a fixed ``rto`` grid
+but only while something is unacked: a process with nothing in flight
+has no transport timer at all.
 
 Crash recovery is handled with incarnations and channel epochs (see
 :mod:`repro.transport.channel`): a recovered process sends under a new
@@ -25,10 +27,10 @@ fast for any failure detector to notice.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.net.message import Address
-from repro.proc.process import Process
+from repro.proc.process import Process, Timer
 from repro.transport.channel import ReceiveState, Segment, SegmentAck, SendState
 
 DEFAULT_RTO = 0.05
@@ -67,11 +69,12 @@ class ReliableTransport:
         self._send: Dict[Address, SendState] = {}
         self._recv: Dict[Address, ReceiveState] = {}
         # Number of channels with unacked segments outstanding.  The
-        # periodic retransmission sweep fires every rto for the whole
-        # life of the process; with delayed acks well below rto the
-        # steady state is "everything acked", and this counter lets the
-        # sweep return without touching per-channel state at all.
+        # retransmission sweep is armed when this leaves zero and re-arms
+        # itself only while it stays positive; with delayed acks well
+        # below rto the steady state is "everything acked", i.e. no timer.
         self._inflight = 0
+        self._sweep_timer: Optional[Timer] = None
+        self._sweep_origin = process.env.now
         self._peer_incarnation: Dict[Address, int] = {}
         # Delayed-ack state: segments received per peer since the last
         # ack (standalone or ridden), and the idle-fallback timer.
@@ -79,7 +82,6 @@ class ReliableTransport:
         self._ack_timers: Dict[Address, Any] = {}
         process.on(Segment, self._on_segment)
         process.on(SegmentAck, self._on_ack)
-        process.every(rto, self._retransmit_sweep)
         process.add_recover_listener(self.reset)
 
     @property
@@ -92,7 +94,7 @@ class ReliableTransport:
         """Reliably send ``payload`` to ``dst`` (FIFO per destination)."""
         state = self._send.setdefault(dst, SendState())
         if not state.unacked:
-            self._inflight += 1
+            self._note_inflight()
         segment = state.admit(payload, self._process.env.now, self._incarnation)
         self._send_segment(dst, segment)
 
@@ -113,7 +115,7 @@ class ReliableTransport:
         for dst in dst_list:
             state = self._send.setdefault(dst, SendState())
             if not state.unacked:
-                self._inflight += 1
+                self._note_inflight()
             segments.append((dst, state.admit(payload, now, self._incarnation)))
         identities = {(s.seq, s.epoch) for _, s in segments}
         if len(identities) == 1 and self._process.env.network.hardware_multicast:
@@ -145,23 +147,43 @@ class ReliableTransport:
         state = self._send.get(dst)
         return len(state.unacked) if state else 0
 
-    def forget_peer(self, dst: Address) -> None:
-        """Drop state for a peer known to have failed (stops retransmits)."""
-        state = self._send.pop(dst, None)
-        if state is not None and state.unacked:
-            self._inflight -= 1
-        self._recv.pop(dst, None)
-        self._peer_incarnation.pop(dst, None)
-        self._ack_pending.pop(dst, None)
-        timer = self._ack_timers.pop(dst, None)
-        if timer is not None:
-            timer.cancel()
+    def abandon(
+        self, dst: Address, keep: Optional[Callable[[Any], bool]] = None
+    ) -> None:
+        """Give up on what is unacked towards ``dst`` — a peer suspected
+        of having failed, or removed from a group view.
+
+        Only the send side is touched: the channel restarts in a new
+        epoch, so nothing more is retransmitted to a dead peer, while a
+        peer that is in fact alive (false suspicion, graceful leave) is
+        not black-holed — its receive state follows our new epoch, and
+        ours for *its* channel is left alone, so what it sends next is
+        still in sequence.  Payloads ``keep`` accepts are carried over
+        into the new epoch in order; when it accepts all of them the
+        channel is left as it is.
+        """
+        state = self._send.get(dst)
+        if state is None or not state.unacked:
+            return
+        # ``unacked`` is in admission, i.e. sequence, order.
+        kept = [] if keep is None else [
+            payload for payload, _at in state.unacked.values() if keep(payload)
+        ]
+        if len(kept) == len(state.unacked):
+            return
+        self._inflight -= 1
+        state.restart(self._process.env.now)
+        for payload in kept:
+            self.send(dst, payload)
 
     def reset(self) -> None:
         """Drop all channel state (fail-stop recovery: this process comes
         back with fresh sequence numbers under a new incarnation)."""
         self._send.clear()
         self._inflight = 0
+        if self._sweep_timer is not None:
+            self._sweep_timer.cancel()
+            self._sweep_timer = None
         self._recv.clear()
         self._peer_incarnation.clear()
         self._ack_pending.clear()
@@ -169,9 +191,26 @@ class ReliableTransport:
             timer.cancel()
         self._ack_timers.clear()
 
+    def _note_inflight(self) -> None:
+        """A channel gained its first unacked segment.  If it is the only
+        such channel, arm the sweep for the next point of the ``rto``
+        grid (counted from this transport's creation), so a segment is
+        retransmitted between one and two ``rto`` after it was sent
+        whether or not the process was idle before."""
+        self._inflight += 1
+        if self._sweep_timer is None:
+            elapsed = self._process.env.now - self._sweep_origin
+            self._sweep_timer = self._process.set_timer(
+                self._rto - elapsed % self._rto, self._retransmit_sweep
+            )
+
     def _retransmit_sweep(self) -> None:
         if not self._inflight:
-            return  # every channel fully acked: nothing can be due
+            self._sweep_timer = None  # all acked: sleep until the next send
+            return
+        self._sweep_timer = self._process.set_timer(
+            self._rto, self._retransmit_sweep
+        )
         now = self._process.env.now
         trace = self._process.env.network.trace
         for dst, state in self._send.items():

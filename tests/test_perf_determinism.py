@@ -10,8 +10,8 @@ module pins that down three ways:
    produce identical stats snapshots, event counts and delivery digests;
 2. the digest of a flat churn scenario that consumes *no* randomness
    (fixed latency, no loss — the flat stack draws nothing from the RNG)
-   matches a constant frozen from the pre-optimisation code, so it is
-   stable across machines, processes and hash seeds;
+   matches a frozen constant (last re-recorded by the protocol change
+   of PR 14), so it is stable across machines, processes and hash seeds;
 3. different seeds diverge (the digest actually discriminates).
 
 Note the hierarchical scenario is compared within one process only: the
@@ -93,7 +93,7 @@ def run_flat_churn_scenario(seed: int = 23, instrument=None):
 
     Fixed latency, no loss, no duplicates: the run consumes zero RNG
     draws, so its aggregate counters are machine-independent constants —
-    frozen below from the seed code.  The exact delivery *order* still
+    frozen below.  The exact delivery *order* still
     varies with Python's per-process hash randomization (set iteration in
     the flush protocol), so the frozen order digest is checked in a
     ``PYTHONHASHSEED=0`` subprocess.
@@ -119,14 +119,20 @@ def run_flat_churn_scenario(seed: int = 23, instrument=None):
     )
 
 
-# Frozen from the pre-optimisation event core (PR 1 baseline).  If an
-# "optimisation" changes these, the optimisation changed simulation
-# behaviour — that is a bug, not a baseline refresh.
-FROZEN_DIGEST = "2223771b75816b6c31653ec0dc3247d4d766b9af5c8e2160e15732eb87c8d849"
-FROZEN_DELIVERIES = 103067
-FROZEN_MESSAGES = 104773
-FROZEN_BYTES = 9151824
-FROZEN_EVENTS = 110588
+# Re-recorded in PR 14, which changed the *protocol* this scenario runs:
+# ring failure monitoring (74,462 -> 7,323 heartbeats), quiescent
+# stability gossip (15,779 -> 0 gossips and their acks), reports from the
+# three watchers only (30 -> 3), no idle retransmit sweep.  The view
+# change itself is untouched (30 flush, 30 flush-ok, 31 new-view, as
+# before).  The values frozen from the PR 1 baseline until then were
+# 103067 / 104773 / 9151824 / 110588.  The constants still guard
+# event-core work: if an "optimisation" changes these, it changed
+# simulation behaviour — that is a bug, not a baseline refresh.
+FROZEN_DIGEST = "76a78022656665504cd1c5b631d0a18b1165d2eb6d844476443066981076d073"
+FROZEN_DELIVERIES = 7494
+FROZEN_MESSAGES = 7510
+FROZEN_BYTES = 612528
+FROZEN_EVENTS = 9289
 
 
 def test_same_seed_identical_digest_and_stats():

@@ -87,13 +87,13 @@ def test_unacked_drains_to_zero():
     assert a.transport.unacked_count("b") == 0
 
 
-def test_retransmit_stops_after_forget_peer():
+def test_retransmit_stops_after_abandon():
     env, a, b = make_pair()
     b.crash()
     a.transport.send("b", AppMsg(1))
     env.run_for(1.0)
     assert a.transport.unacked_count("b") == 1
-    a.transport.forget_peer("b")
+    a.transport.abandon("b")
     before = env.network.stats.snapshot()
     env.run_for(1.0)
     delta = env.network.stats.since(before)

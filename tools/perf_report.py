@@ -467,22 +467,30 @@ def _comm_measure(
     }
 
 
+def _comm_off_fingerprints() -> Dict[str, Dict]:
+    """``hier_steady`` at the comm report's sizes with default (all-off)
+    CommsParams — the reference ``--guard --update`` records."""
+    return {
+        f"hier_steady_n{n}": scenario_hier_steady(n, sim_s)["fingerprint"]
+        for n, sim_s in COMM_SIZES
+    }
+
+
 def _comm_guard(core_path: str = "BENCH_core.json") -> Dict:
     """Prove the all-off default is byte-identical to the frozen core
-    baselines: rerun ``hier_steady_n{64,256}`` with default CommsParams
-    and compare fingerprints against ``BENCH_core.json``."""
+    reference: rerun ``hier_steady_n{64,256}`` with default CommsParams
+    and compare fingerprints against the ``guard`` entry of
+    ``BENCH_core.json``."""
     try:
         with open(core_path) as fh:
             core = json.load(fh)
     except (OSError, ValueError):
         core = {}
-    frozen = core.get("runs", {}).get("optimized", {}).get("scenarios", {})
+    frozen = core.get("runs", {}).get("guard", {}).get("comm_off", {})
     guard: Dict[str, Dict] = {}
-    for n, sim_s in COMM_SIZES:
-        name = f"hier_steady_n{n}"
-        print(f"  guard {name} (packing off vs {core_path}) ...", flush=True)
-        fp = scenario_hier_steady(n, sim_s)["fingerprint"]
-        expected = frozen.get(name, {}).get("fingerprint")
+    print(f"  guard hier_steady (packing off vs {core_path}) ...", flush=True)
+    for name, fp in _comm_off_fingerprints().items():
+        expected = frozen.get(name)
         guard[name] = {
             "fingerprint": fp,
             "matches_core_baseline": (
@@ -1319,6 +1327,7 @@ def run_guard(
     if update:
         report.setdefault("runs", {})["guard"] = {
             "scenarios": results,
+            "comm_off": _comm_off_fingerprints(),
             "quick": True,
             "calibration_ops_per_sec": round(_calibrate()),
         }
