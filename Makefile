@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-baseline analyze sanitize smoke-asyncio smoke-socket trace bench bench-report bench-guard bench-quick bench-scale bench-claims bench-tables bench-comm bench-wire bench-parallel perf-smoke clean
+.PHONY: test lint lint-baseline analyze sanitize smoke-asyncio smoke-socket e2e-smoke trace bench bench-e2e bench-report bench-guard bench-quick bench-scale bench-claims bench-tables bench-wire bench-parallel perf-smoke clean
 
 ## Tier-1: unit + integration tests (includes the quick perf smoke and
 ## the backend smokes, markers: asyncio_smoke, socket_smoke).
@@ -43,6 +43,12 @@ smoke-socket:
 	timeout 60 $(PYTHON) -m repro deploy --nodes 3 --scenario flat
 	timeout 60 $(PYTHON) -m repro deploy --nodes 3 --scenario hier
 
+## End-to-end harness self-test (benchmarks/e2e/test_smoke.py, ~22 s;
+## tier-1 does not collect it): every workload at a small scale, both
+## passes, catalog vs BENCHMARK.json.
+e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --self-test
+
 ## Causal-trace demo: one request + one treecast through a hierarchical
 ## service, audited against E1 (2n messages) and E8 (log-depth stages);
 ## writes a Chrome trace-event JSON (chrome://tracing / perfetto).
@@ -62,12 +68,20 @@ bench:
 bench-claims:
 	$(PYTHON) -m pytest benchmarks/bench_scale_claims.py -q --benchmark-only -s -m scale_claims
 
-## Wall-clock perf suite: re-measures the current tree and merges the
-## numbers into BENCH_core.json next to the recorded baseline.  The
-## --lint preflight refuses to benchmark a nondeterministic tree.
+## The end-to-end request benchmark BENCHMARK.json declares: both
+## passes of all four workloads, one JSON document each, the per-layer
+## table on stderr (benchmarks/e2e/README.md).  Every perf or simplicity
+## claim is made with this, not with the event-core numbers below.
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py --all
+
+## Re-record the guard reference: BENCH_core.json (which holds nothing
+## else) and the guard entries of BENCH_scale.json / BENCH_para.json when
+## those files exist.  Run after a deliberate behaviour change, with the
+## per-category reason for every changed fingerprint in EXPERIMENTS.md.
+## The --lint preflight refuses to record a nondeterministic tree.
 bench-report:
-	$(PYTHON) -m tools.perf_report --lint --label optimized --out BENCH_core.json --merge
-	$(PYTHON) -m tools.perf_report --guard --update
+	$(PYTHON) -m tools.perf_report --lint --guard --update
 
 ## Perf regression gate: flow-clean lint preflight, then rerun the
 ## quick guard scenarios against the reference recorded in
@@ -78,9 +92,9 @@ bench-guard:
 	$(PYTHON) -m tools.lint src/repro --flow
 	$(PYTHON) -m tools.perf_report --guard
 
-## Fast variant of the perf suite for local iteration (no JSON merge).
+## Fast variant of the perf suite for local iteration (prints only).
 bench-quick:
-	$(PYTHON) -m tools.perf_report --quick --label quick --out /dev/null
+	$(PYTHON) -m tools.perf_report --quick
 
 ## Scaling-curve report (docs/hierarchy.md): the load-driven recursive
 ## hierarchy at n=1024/2048/4096 with heartbeats off — events/sec, tree
@@ -90,23 +104,17 @@ bench-quick:
 bench-scale:
 	$(PYTHON) -m tools.perf_report --scale
 
-## Wire-packing/piggyback report (docs/comms.md): packing on vs off over
-## byte-identical hierarchical steady-state windows, the comms-off
-## fingerprint guard against BENCH_core.json, and the sanitizer sweep on
-## both engines.  Writes BENCH_comm.json.
-bench-comm:
-	$(PYTHON) -m tools.perf_report --comm
-
 ## Multi-core parallel-engine report (docs/simulator.md, "Parallel
 ## execution"): the statically placed hierarchy at n=2048 across
-## W ∈ {1,2,4} worker processes vs the serial sharded baseline —
-## digest parity at every W, per-worker CPU seconds and events/sec,
-## the sanitized parallel run, and the W=4 speedup gate (>= 2.5x;
-## wall-clock on a >= 5-core host, critical-path otherwise).  Writes
-## BENCH_para.json, whose guard fingerprints `make bench-guard`
-## re-checks whenever the file is present.
+## W ∈ {1,2,4} worker processes vs the plain serial run — digest
+## parity at every W, per-worker CPU seconds and events/sec, the
+## sanitized parallel run, and the W=4 speedup gate (>= 2.5x;
+## wall-clock on a >= 5-core host, critical-path otherwise, with the
+## W=2 wall-clock figure beside it).  Writes BENCH_para.json, whose
+## guard fingerprints `make bench-guard` re-checks whenever the file
+## is present.
 bench-parallel:
-	$(PYTHON) -m tools.perf_report --parallel --out BENCH_para.json
+	$(PYTHON) -m tools.perf_report --parallel
 
 ## Real-UDP wire report (docs/deployment.md): the hierarchical parity
 ## scenario (16 workers) as a 4-node loopback cluster, frames/bytes on

@@ -42,7 +42,7 @@ from repro.core.naming import (
     UnregisterName,
     build_name_service,
 )
-from repro.core.params import CommsParams, LargeGroupParams, ReorgPolicy
+from repro.core.params import LargeGroupParams, ReorgPolicy
 from repro.core.router import ServiceRouter
 from repro.core.treecast import (
     TreeBroadcastRequest,
@@ -65,7 +65,6 @@ from repro.core.views import (
 __all__ = [
     "AddLeaf",
     "BranchInfo",
-    "CommsParams",
     "GetHierarchyInfo",
     "GetLeafAssignment",
     "HierarchyError",

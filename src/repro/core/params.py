@@ -20,12 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Re-exported so experiment configs can pull every tuning-knob bundle
-# from one place: LargeGroupParams shapes the group hierarchy, and
-# CommsParams (home: repro.net.packer) shapes the wire-level comms
-# optimisations measured against it (packing + piggybacking, PR 5).
-from repro.net.packer import CommsParams  # noqa: F401
-
 
 @dataclass(frozen=True)
 class ReorgPolicy:

@@ -25,7 +25,7 @@ the fail-stop conversion classical ISIS performed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Set
 
 from repro.net.message import Address
 from repro.proc.env import Environment
@@ -69,41 +69,25 @@ class FailureDetector:
 
 
 class HeartbeatDetector(FailureDetector):
-    """Ping/ack failure detection over the network (any engine).
-
-    With ``suppression`` on (docs/comms.md; default follows the
-    environment's :class:`~repro.net.packer.CommsParams`), *any* inbound
-    datagram from a watched peer counts as liveness evidence, and a tick
-    skips pinging peers heard from within the last interval — protocol
-    traffic replaces most monitoring traffic in a busy group.  A crashed
-    peer stops sending everything at once, so detection time is
-    unchanged.
-    """
+    """Ping/ack failure detection over the network (any engine)."""
 
     def __init__(
         self,
         process: Process,
         interval: float = 0.2,
         suspect_after: float = 1.0,
-        suppression: Optional[bool] = None,
     ) -> None:
         if interval <= 0 or suspect_after <= interval:
             raise ValueError("require 0 < interval < suspect_after")
-        if suppression is None:
-            comms = getattr(process.env, "comms", None)
-            suppression = bool(comms is not None and comms.heartbeat_suppression)
         self._process = process
         self._interval = interval
         self._suspect_after = suspect_after
-        self._suppression = suppression
         self._last_heard: Dict[Address, float] = {}
         self._suspected: Set[Address] = set()
         self._listeners: List[SuspectFn] = []
         process.on(Heartbeat, self._on_ping)
         process.on(HeartbeatAck, self._on_ack)
         process.every(interval, self._tick)
-        if suppression:
-            process.add_traffic_listener(self._on_traffic)
         process.add_recover_listener(self._after_recovery)
 
     def _after_recovery(self) -> None:
@@ -149,28 +133,10 @@ class HeartbeatDetector(FailureDetector):
             if last < horizon and address not in suspected:
                 near = True
                 break
-        suppression = self._suppression
-        stats = process.env.network.stats
         if not near:
             send = process.send
-            if suspected:
-                for address, last in last_heard.items():
-                    if address in suspected:
-                        continue
-                    if suppression and now - last < interval:
-                        stats.record_suppressed_heartbeat()
-                    else:
-                        send(address, _HEARTBEAT)
-            elif suppression:
-                for address, last in last_heard.items():
-                    if now - last < interval:
-                        # Heard from this peer within the last interval
-                        # (any traffic counts): the ping is redundant.
-                        stats.record_suppressed_heartbeat()
-                    else:
-                        send(address, _HEARTBEAT)
-            else:
-                for address in last_heard:
+            for address in last_heard:
+                if address not in suspected:
                     send(address, _HEARTBEAT)
             return
         # Slow path: some peer's deadline falls before the next tick.  One
@@ -182,10 +148,7 @@ class HeartbeatDetector(FailureDetector):
             last = last_heard.get(address)
             if last is None or address in suspected:
                 continue
-            if suppression and now - last < interval:
-                stats.record_suppressed_heartbeat()
-            else:
-                process.send(address, _HEARTBEAT)
+            process.send(address, _HEARTBEAT)
             if now - last >= self._suspect_after:
                 self._suspect(address, last)
             elif last < horizon:
@@ -218,14 +181,6 @@ class HeartbeatDetector(FailureDetector):
         if sender in self._last_heard:
             self._last_heard[sender] = self._process.env.now
             self._suspected.discard(sender)
-
-    def _on_traffic(self, src: Address) -> None:
-        # Suppression mode: every inbound datagram is liveness evidence.
-        # (This also sees pings/acks before their handlers run, which is
-        # harmless — both paths record the same instant.)
-        if src in self._last_heard:
-            self._last_heard[src] = self._process.env.now
-            self._suspected.discard(src)
 
 
 class OracleDetector(FailureDetector):

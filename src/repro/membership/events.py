@@ -29,15 +29,10 @@ MessageId = Tuple[Address, int]
 
 @dataclass
 class GroupData:
-    """An application multicast within one view of one group.
-
-    When gossip piggybacking is on (docs/comms.md), outgoing data can
-    additionally carry the sender's stability watermarks in ``gossip`` —
-    the same per-sender delivered map a standalone
-    :class:`StabilityGossip` would have sent, added to the frame size.
-    """
+    """An application multicast within one view of one group."""
 
     category = "group-data"
+    size_bytes = DEFAULT_PAYLOAD_BYTES
     group: str
     view_seq: int
     sender: Address
@@ -45,18 +40,10 @@ class GroupData:
     ordering: str
     payload: Any
     stamp: Optional[VectorClock] = None  # set for CAUSAL
-    gossip: Optional[Dict[Address, int]] = None
 
     @property
     def message_id(self) -> MessageId:
         return (self.sender, self.sender_seq)
-
-    @property
-    def size_bytes(self) -> int:
-        size = DEFAULT_PAYLOAD_BYTES
-        if self.gossip:
-            size += 12 * len(self.gossip)  # riding watermark entries
-        return size
 
 
 @dataclass

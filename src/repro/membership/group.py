@@ -112,7 +112,6 @@ class GroupMember:
         self._join_contact: Optional[Address] = None
         self._join_timer = None
 
-        self._last_gossip_at = float("-inf")
         self._gossiped: Dict[Address, int] = {}
 
         self._delivery_listeners: List[DeliveryListener] = []
@@ -266,19 +265,7 @@ class GroupMember:
         self._stability.record(data)
         others = view.others(self.me)
         if others:
-            runtime = self.runtime
-            if runtime.gossip_piggyback:
-                now = runtime.process.env.now
-                # Rate-limited: one watermark ride per half gossip
-                # interval keeps steady-state data traffic from carrying
-                # (and re-carrying) identical maps.
-                if now - self._last_gossip_at >= runtime.gossip_interval * 0.5:
-                    data.gossip = self._gossiped = self._stability.watermarks()
-                    self._last_gossip_at = now
-                    runtime.process.env.network.stats.record_piggyback(
-                        "gossip", len(others)
-                    )
-            runtime.transport.send_many(others, data)
+            self.runtime.transport.send_many(others, data)
         if ordering in (FIFO, CAUSAL):
             # ISIS delivers a process's own fbcast/cbcast locally at send.
             self._deliver(data)
@@ -313,10 +300,6 @@ class GroupMember:
         if data.view_seq > self.view.seq:
             self._future.append(data)
             return
-        if data.gossip is not None and self._stability is not None:
-            # Watermarks riding on the data (docs/comms.md) are merged
-            # exactly as a standalone gossip from the sender would be.
-            self._stability.on_gossip(sender, data.gossip)
         if data.message_id in self._delivered[self.view.seq]:
             return
         self._stability.record(data)
@@ -355,14 +338,6 @@ class GroupMember:
         others = self.view.others(self.me)
         if not others:
             return
-        runtime = self.runtime
-        if runtime.gossip_piggyback:
-            # Idle fallback only: skip the standalone round if outgoing
-            # data carried our watermarks recently.
-            now = runtime.process.env.now
-            if now - self._last_gossip_at < runtime.gossip_interval * 0.5:
-                return
-            self._last_gossip_at = now
         self._gossiped = watermarks
         self.runtime.transport.send_many(
             others,
@@ -833,16 +808,6 @@ class GroupRuntime:
         self.transport = ReliableTransport(process, rto=rto)
         self.rpc = Rpc(process)
         self.flush_timeout = flush_timeout
-        # Gossip piggybacking (docs/comms.md): ride stability watermarks
-        # on outgoing group data, demoting the periodic standalone gossip
-        # to an idle fallback.  Follows the environment's CommsParams.
-        self.gossip_interval = gossip_interval
-        comms = getattr(process.env, "comms", None)
-        self.gossip_piggyback = bool(
-            comms is not None
-            and comms.gossip_piggyback
-            and gossip_interval is not None
-        )
         # §5 extension: refuse minority view changes during partitions.
         self.primary_partition = primary_partition
         self.detector = detector if detector is not None else OracleDetector(

@@ -18,7 +18,6 @@ from repro.net.message import (
     payload_size,
 )
 from repro.net.network import Network
-from repro.net.packer import CommsParams, Packer, default_pack_window
 from repro.net.partition import PartitionManager
 from repro.net.stats import NetworkStats, StatsSnapshot
 from repro.net.wire import (
@@ -34,7 +33,6 @@ from repro.net.wire import (
 __all__ = [
     "Address",
     "CodecError",
-    "CommsParams",
     "DEFAULT_PAYLOAD_BYTES",
     "Envelope",
     "FixedLatency",
@@ -45,13 +43,11 @@ __all__ = [
     "LatencyModel",
     "Network",
     "NetworkStats",
-    "Packer",
     "PartitionManager",
     "SiteLatency",
     "StatsSnapshot",
     "UniformLatency",
     "decode_frame",
-    "default_pack_window",
     "encode_control_frame",
     "encode_data_frames",
     "register_kind",

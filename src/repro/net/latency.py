@@ -25,8 +25,8 @@ class LatencyModel(ABC):
         """Return the one-way delay in seconds."""
 
     def floor(self) -> float:
-        """Smallest delay the model can produce (pre-jitter) — the scale
-        the packing window defaults against (see repro.net.packer)."""
+        """Smallest delay the model can produce — the conservative
+        lookahead of the parallel engine (see repro.sim.parallel)."""
         return 0.0
 
 

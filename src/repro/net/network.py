@@ -35,7 +35,6 @@ from repro.net.message import (
     HEADER_BYTES,
     payload_meta,
 )
-from repro.net.packer import Packer
 from repro.net.partition import PartitionManager
 from repro.net.stats import NetworkStats
 from repro.runtime.api import MessageFabric, SimRandom, TimerService
@@ -63,14 +62,11 @@ class Network:
         duplicate_probability: float = 0.0,
         hardware_multicast: bool = False,
         fabric: Optional[MessageFabric] = None,
-        pack_window: float = 0.0,
     ) -> None:
         if not 0 <= drop_probability < 1:
             raise ValueError("drop_probability must be in [0, 1)")
         if not 0 <= duplicate_probability < 1:
             raise ValueError("duplicate_probability must be in [0, 1)")
-        if pack_window < 0:
-            raise ValueError("pack_window must be nonnegative")
         self._fabric = fabric if fabric is not None else timers
         self._rng = rng
         self._latency = latency if latency is not None else FixedLatency(0.001)
@@ -86,17 +82,6 @@ class Network:
         self._endpoints: Dict[Address, DeliverFn] = {}
         self.partitions = PartitionManager()
         self.stats = NetworkStats()
-        # Wire-level packing (docs/comms.md): with a positive window,
-        # unicast datagrams are held briefly and coalesced per
-        # destination into one wire packet with a shared header.  Window
-        # 0 (the default) keeps the classic one-datagram-one-packet path
-        # below, byte-identical to the frozen baselines.
-        self.pack_window = pack_window
-        self._packer: Optional[Packer] = (
-            Packer(pack_window, self._fabric, self._flush_packed)
-            if pack_window > 0
-            else None
-        )
         self._tap_entries: list = []
         self._taps: list = []
         self._send_taps: list = []
@@ -119,9 +104,7 @@ class Network:
         self._fan_out = self._deliver_batch
         # Envelope free list: a delivered (or dropped-in-transmit)
         # envelope is recycled for the next datagram, so the steady-state
-        # send path allocates no envelope objects.  Anything that may
-        # legally retain an envelope past the scheduling point (the
-        # packer holds them until flush) simply never recycles it.
+        # send path allocates no envelope objects.
         self._env_pool: list = []
         self._fresh_envelopes = 0
 
@@ -134,11 +117,6 @@ class Network:
             "fresh_envelopes": self._fresh_envelopes,
             "pooled_envelopes": len(self._env_pool),
         }
-
-    @property
-    def packer(self) -> Optional[Packer]:
-        """The packing queue when ``pack_window > 0``, else ``None``."""
-        return self._packer
 
     # -- observation -----------------------------------------------------------
 
@@ -250,9 +228,7 @@ class Network:
             sent_by[src] += 1
         except KeyError:
             sent_by[src] = 1
-        packer = self._packer
-        if wire_packets and packer is None:
-            stats.wire_packets += wire_packets
+        stats.wire_packets += wire_packets
         fabric = self._fabric
         now = fabric.now
         pool = self._env_pool
@@ -287,20 +263,6 @@ class Network:
             self._drop(envelope)
             self._recycle(envelope)
             return False
-        duplicate_probability = self.duplicate_probability
-        if wire_packets and packer is not None:
-            # Packing on: hold the datagram for the pack window; wire
-            # accounting and the (single, shared) latency draw happen at
-            # flush.  Partition/loss above stay per logical message, so
-            # delivery semantics are untouched.  The packer retains the
-            # envelope until flush, so nothing is recycled here.
-            packer.enqueue(envelope)
-            if duplicate_probability and rng.chance(duplicate_probability):
-                self._fresh_envelopes += 1
-                duplicate = Envelope(src, dst, payload, now, 0.0, size)
-                duplicate.trace = envelope.trace
-                packer.enqueue(duplicate)
-            return True
         delay = self._fixed_delay
         if delay is None:
             delay = self._latency.sample(rng, src, dst, total)
@@ -310,10 +272,10 @@ class Network:
         if group is not None:
             # Sim fabric: all deliveries landing on one timestamp drain
             # through a single heap pop and one _deliver_batch fan-out.
-            # ``dst`` is the locality key for the sharded engine.
-            group(deliver_time, self._fan_out, envelope, dst)
+            group(deliver_time, self._fan_out, envelope)
         else:
             fabric.at_call(deliver_time, self._deliver, envelope)
+        duplicate_probability = self.duplicate_probability
         if duplicate_probability and rng.chance(duplicate_probability):
             # The duplicate gets its own latency draw and envelope (the
             # two copies are independently in flight).
@@ -323,13 +285,10 @@ class Network:
             # Both copies stem from the same logical send span.
             duplicate.trace = envelope.trace
             if group is not None:
-                group(duplicate.deliver_time, self._fan_out, duplicate, dst)
+                group(duplicate.deliver_time, self._fan_out, duplicate)
             else:
                 fabric.at_call(duplicate.deliver_time, self._deliver, duplicate)
         return True
-
-    # Historical internal name, kept for symmetry with older call sites.
-    _transmit = send
 
     def multicast(self, src: Address, dsts: Iterable[Address], payload: Any) -> None:
         """Send the same payload to several destinations.
@@ -354,38 +313,6 @@ class Network:
         else:
             for dst in dst_list:
                 send(src, dst, payload, 1)
-
-    def _flush_packed(
-        self, src: Address, dst: Address, envelopes: list
-    ) -> None:
-        """Put one coalesced wire packet in flight: a shared header, one
-        latency draw over the combined frame, one scheduled delivery
-        event that fans back out into per-datagram deliveries."""
-        stats = self.stats
-        stats.record_wire(1)
-        count = len(envelopes)
-        total = HEADER_BYTES
-        for envelope in envelopes:
-            total += envelope.size_bytes
-        if count > 1:
-            stats.record_packed(count, (count - 1) * HEADER_BYTES)
-        fabric = self._fabric
-        delay = self._latency.sample(self._rng, src, dst, total)
-        deliver_time = fabric.now + delay
-        for envelope in envelopes:
-            envelope.deliver_time = deliver_time
-        if count == 1:
-            fabric.at_call(deliver_time, self._deliver, envelopes[0])
-        else:
-            fabric.at_call(deliver_time, self._deliver_packed, envelopes)
-
-    def _deliver_packed(self, envelopes: list) -> None:
-        # Unpack: each coalesced datagram keeps its own envelope (and its
-        # own trace span), so upper layers and the tracer see exactly the
-        # per-logical-message events they would without packing.
-        deliver = self._deliver
-        for envelope in envelopes:
-            deliver(envelope)
 
     def _drop(self, envelope: Envelope) -> None:
         self.stats.record_drop()

@@ -50,20 +50,8 @@ class StatsSnapshot:
     by_category: Dict[str, int] = field(default_factory=dict)
     sent_by: Dict[Address, int] = field(default_factory=dict)
     received_by: Dict[Address, int] = field(default_factory=dict)
-    # Comms-optimisation counters (PR 5); all zero with the default
-    # CommsParams, so pre-existing snapshot comparisons are unaffected.
     bytes_by_category: Dict[str, int] = field(default_factory=dict)
-    packed_packets: int = 0
-    packed_messages: int = 0
-    bytes_saved: int = 0
-    heartbeats_suppressed: int = 0
-    piggybacked: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes that actually crossed the wire: logical bytes minus the
-        per-message headers merged away by packing."""
-        return self.bytes - self.bytes_saved
+    acks_piggybacked: int = 0
 
 
 class NetworkStats:
@@ -78,11 +66,7 @@ class NetworkStats:
         "sent_by",
         "received_by",
         "bytes_by_category",
-        "packed_packets",
-        "packed_messages",
-        "bytes_saved",
-        "heartbeats_suppressed",
-        "piggybacked",
+        "acks_piggybacked",
     )
 
     def __init__(self) -> None:
@@ -94,16 +78,11 @@ class NetworkStats:
         self.sent_by: Tally = Tally()
         self.received_by: Tally = Tally()
         self.bytes_by_category: Tally = Tally()
-        # Packing: wire packets that carried >1 datagram, how many
-        # datagrams rode in them, and the header bytes merged away.
-        self.packed_packets = 0
-        self.packed_messages = 0
-        self.bytes_saved = 0
-        # Piggybacking: control messages that rode on other traffic
-        # instead of burning their own datagram, bucketed by kind
-        # ("ack", "gossip"), plus heartbeats proven by passive traffic.
-        self.heartbeats_suppressed = 0
-        self.piggybacked: Tally = Tally()
+        # Transport acks that cost no datagram of their own: they rode
+        # on a reverse segment or were absorbed into one cumulative
+        # standalone ack (docs/comms.md).  Segments received ==
+        # standalone "transport-ack" messages + this counter.
+        self.acks_piggybacked = 0
 
     def record_send(self, src: Address, category: str, total_bytes: int) -> None:
         """Count one logical message (one destination) leaving ``src``."""
@@ -123,45 +102,6 @@ class NetworkStats:
         hardware-multicast send regardless of destination count)."""
         self.wire_packets += packets
 
-    def record_packed(self, datagrams: int, saved_bytes: int) -> None:
-        """One wire packet carried ``datagrams`` coalesced datagrams,
-        merging away ``saved_bytes`` of per-message header overhead."""
-        self.packed_packets += 1
-        self.packed_messages += datagrams
-        self.bytes_saved += saved_bytes
-
-    def record_piggyback(self, kind: str, count: int = 1) -> None:
-        """``count`` control messages of ``kind`` rode on other traffic."""
-        piggybacked = self.piggybacked
-        piggybacked[kind] = piggybacked.get(kind, 0) + count
-
-    def record_suppressed_heartbeat(self) -> None:
-        """A heartbeat ping was skipped because recent traffic from the
-        peer already proved it alive (so its ack never happens either)."""
-        self.heartbeats_suppressed += 1
-
-    def piggyback_ratio(self) -> Dict[str, float]:
-        """Fraction of each control-traffic kind that avoided its own
-        datagram: piggybacked / (piggybacked + standalone)."""
-        standalone = {
-            "ack": self.by_category["transport-ack"],
-            "gossip": self.by_category["group-stability"],
-            "heartbeat": self.by_category["heartbeat"],
-        }
-        riding = {
-            "ack": self.piggybacked["ack"],
-            "gossip": self.piggybacked["gossip"],
-            # A suppressed ping removes the ping *and* the ack it would
-            # have drawn — both counted against the heartbeat category.
-            "heartbeat": 2 * self.heartbeats_suppressed,
-        }
-        out: Dict[str, float] = {}
-        for kind, rode in riding.items():
-            total = rode + standalone[kind]
-            if total:
-                out[kind] = rode / total
-        return out
-
     def record_delivery(self, dst: Address) -> None:
         received_by = self.received_by
         received_by[dst] = received_by.get(dst, 0) + 1
@@ -179,11 +119,7 @@ class NetworkStats:
             sent_by=dict(self.sent_by),
             received_by=dict(self.received_by),
             bytes_by_category=dict(self.bytes_by_category),
-            packed_packets=self.packed_packets,
-            packed_messages=self.packed_messages,
-            bytes_saved=self.bytes_saved,
-            heartbeats_suppressed=self.heartbeats_suppressed,
-            piggybacked=dict(self.piggybacked),
+            acks_piggybacked=self.acks_piggybacked,
         )
 
     def since(self, before: StatsSnapshot) -> StatsSnapshot:
@@ -200,13 +136,7 @@ class NetworkStats:
             bytes_by_category=_diff(
                 now.bytes_by_category, before.bytes_by_category
             ),
-            packed_packets=now.packed_packets - before.packed_packets,
-            packed_messages=now.packed_messages - before.packed_messages,
-            bytes_saved=now.bytes_saved - before.bytes_saved,
-            heartbeats_suppressed=(
-                now.heartbeats_suppressed - before.heartbeats_suppressed
-            ),
-            piggybacked=_diff(now.piggybacked, before.piggybacked),
+            acks_piggybacked=now.acks_piggybacked - before.acks_piggybacked,
         )
 
     def reset(self) -> None:

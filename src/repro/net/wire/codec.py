@@ -13,8 +13,8 @@ offset size     field
 ====== ======== ==========================================================
 
 A *data* body is ``varint count`` followed by ``count`` envelope records
-(src, dst, send_time, deliver_time, size_bytes, payload) — so a PR-5
-packer flush of k coalesced envelopes becomes one real k-record frame.
+(src, dst, send_time, deliver_time, size_bytes, payload) — the parallel
+engine ships a window's cross-partition envelopes as k-record frames.
 A *control* body is a single encoded value (the deploy tracker's
 register/peer-list/shutdown messages).
 
@@ -43,7 +43,9 @@ MAGIC = b"RW"
 # v2: recursive-hierarchy refactor extended the field lists of the
 # hierarchy kinds (level-tagged directives, load-rate reports, AddLeaf
 # attach points) and added ResolvePlacement (id 90).
-WIRE_VERSION = 2
+# v3: GroupData lost its ``gossip`` field (watermarks travel only in
+# StabilityGossip).
+WIRE_VERSION = 3
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2
@@ -361,8 +363,8 @@ def encode_data_frames(
 ) -> Tuple[List[bytes], List[Tuple[Any, str]]]:
     """Encode envelopes into as few frames as fit.
 
-    Records pack greedily: a packer flush of k envelopes usually becomes
-    one k-record frame, splitting only past ``max_bytes``.  Returns
+    Records pack greedily: k envelopes usually become one k-record
+    frame, splitting only past ``max_bytes``.  Returns
     ``(frames, rejects)`` where each reject is ``(envelope, reason)`` —
     an unencodable payload or a single record bigger than a frame never
     poisons its batchmates.

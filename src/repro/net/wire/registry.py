@@ -92,7 +92,8 @@ def ensure_registered() -> None:
     register_kind(1, Segment)
     register_kind(2, SegmentAck)
 
-    # Membership / broadcast (10-29).
+    # Membership / broadcast (10-29).  GroupData dropped its ``gossip``
+    # field in WIRE_VERSION 3; the id stays put.
     register_kind(10, GroupData)
     register_kind(11, SetOrder)
     register_kind(12, StabilityGossip)

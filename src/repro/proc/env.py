@@ -23,7 +23,6 @@ from typing import Dict, Iterable, Optional, TYPE_CHECKING
 
 from repro.net.latency import LatencyModel
 from repro.net.network import Network
-from repro.net.packer import CommsParams
 from repro.net.stats import StatsSnapshot
 from repro.runtime.api import Runtime
 from repro.runtime.sim_backend import SimRuntime
@@ -43,26 +42,16 @@ class Environment:
         duplicate_probability: float = 0.0,
         hardware_multicast: bool = False,
         runtime: Optional[Runtime] = None,
-        comms: Optional[CommsParams] = None,
-        sim: Optional["SimParams"] = None,
     ) -> None:
         # ``seed`` feeds the default sim engine; an explicitly supplied
         # runtime brings its own root RNG (one seed per run, regardless
-        # of engine).  ``sim`` (a repro.sim.SimParams, passed through
-        # opaquely — this layer never imports the simulator) shapes the
-        # default engine, e.g. ``SimParams(shards=4)`` for the
-        # locality-sharded scheduler; ignored when ``runtime`` is given.
-        self.runtime = runtime if runtime is not None else SimRuntime(seed, params=sim)
+        # of engine).
+        self.runtime = runtime if runtime is not None else SimRuntime(seed)
         self.rng = self.runtime.rng
         # The engine's TimerService.  Kept under the historical name:
         # every layer reaches timers through ``env.scheduler``, and under
         # SimRuntime this is literally the Scheduler instance.
         self.scheduler = self.runtime.timers
-        # Comms-optimisation knobs (docs/comms.md): packing + piggyback
-        # switches read by the network here and by the transport,
-        # stability and failure-detection layers at attach time.  The
-        # default (all off) is the frozen-baseline behaviour.
-        self.comms = comms if comms is not None else CommsParams()
         self.network = Network(
             self.scheduler,
             self.rng.fork("network"),
@@ -71,7 +60,6 @@ class Environment:
             duplicate_probability=duplicate_probability,
             hardware_multicast=hardware_multicast,
             fabric=self.runtime.fabric,
-            pack_window=self.comms.pack_window,
         )
         # A deployment fabric (the socket backend) needs the network for
         # its receive path — inbound frames enter the normal delivery

@@ -44,10 +44,6 @@ class Timer:
     The recycled handle is never touched after firing — a one-shot marks
     itself cancelled on fire, and :meth:`cancel` bails out on that flag
     before ever reaching the engine handle.
-
-    On the sharded engine both flavours route to the owning process's
-    home shard via the keyed entry points, keeping leaf-local timer
-    traffic leaf-local.
     """
 
     __slots__ = ("_process", "_delay", "_fn", "_periodic", "_cancelled", "_handle")
@@ -68,24 +64,12 @@ class Timer:
         self._arm()
 
     def _arm(self) -> None:
-        process = self._process
-        scheduler = process.env.scheduler
+        scheduler = self._process.env.scheduler
         if self._periodic:
-            keyed = getattr(scheduler, "after_call_keyed", None)
-            self._handle = (
-                scheduler.after_call(self._delay, Timer._fire, self)
-                if keyed is None
-                else keyed(self._delay, Timer._fire, self, process.address)
-            )
+            self._handle = scheduler.after_call(self._delay, Timer._fire, self)
         else:
-            keyed_once = getattr(scheduler, "after_call_keyed_once", None)
-            if keyed_once is not None:
-                self._handle = keyed_once(
-                    self._delay, Timer._fire, self, process.address
-                )
-            else:
-                once = getattr(scheduler, "after_call_once", scheduler.after_call)
-                self._handle = once(self._delay, Timer._fire, self)
+            once = getattr(scheduler, "after_call_once", scheduler.after_call)
+            self._handle = once(self._delay, Timer._fire, self)
 
     def _fire(self) -> None:
         if self._cancelled or not self._process.alive:
@@ -135,7 +119,6 @@ class Process:
         self._handlers: Dict[Type, Handler] = {}
         self._timers: List[Timer] = []
         self._recover_listeners: List[Callable[[], None]] = []
-        self._traffic_listeners: List[Callable[[Address], None]] = []
         self._unhandled: List[Any] = []
         # env.network is assigned once in Environment.__init__ and never
         # replaced, so the per-send attribute chain can be cached here.
@@ -174,25 +157,13 @@ class Process:
     def _on_envelope(self, envelope: Envelope) -> None:
         if not self.alive:
             return
-        src = envelope.src
-        if self._traffic_listeners:
-            # Passive liveness evidence (docs/comms.md): *any* inbound
-            # datagram proves its sender was up when it was sent, which
-            # lets the failure detector skip redundant heartbeats.
-            for fn in self._traffic_listeners:
-                fn(src)
         # deliver(), inlined — this is the per-delivery hot path.
         payload = envelope.payload
         handler = self._handlers.get(type(payload))
         if handler is None:
-            self.unhandled(payload, src)
+            self.unhandled(payload, envelope.src)
         else:
-            handler(payload, src)
-
-    def add_traffic_listener(self, fn: Callable[[Address], None]) -> None:
-        """Register ``fn(src)`` to observe every inbound datagram's sender
-        (before dispatch).  Listeners must be cheap and must not send."""
-        self._traffic_listeners.append(fn)
+            handler(payload, envelope.src)
 
     def deliver(self, payload: Any, sender: Address) -> None:
         """Dispatch a payload to its registered handler (or ``unhandled``)."""

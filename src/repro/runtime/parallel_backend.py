@@ -11,14 +11,13 @@ fabric is the single seam between "this partition's discrete-event
 world" and "everything across the barrier".
 
 The capture test mirrors :class:`~repro.runtime.socket_backend.
-SocketFabric` exactly — ``arg.__class__ is Envelope`` (or a packer
-flush, a list of them) with a remote destination — so sim, socket and
-parallel backends intercept at the identical point in the network's
-send path.  Everything else (timers, packer flushes, local deliveries)
-delegates to the scheduler unchanged, including the grouped
-same-timestamp bucket path, which keeps local batched dispatch — and
-therefore the frozen per-partition delivery digests — byte-identical
-to a plain sharded run of the same partition slice.
+SocketFabric` exactly — ``arg.__class__ is Envelope`` with a remote
+destination — so sim, socket and parallel backends intercept at the
+identical point in the network's send path.  Everything else (timers,
+local deliveries) delegates to the scheduler unchanged, including the
+grouped same-timestamp bucket path, which keeps local batched dispatch —
+and therefore the frozen per-partition delivery digests — byte-identical
+to a plain serial run of the same partition slice.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.message import Address, Envelope
 from repro.runtime.sim_backend import SimRuntime
-from repro.sim.params import SimParams
 from repro.sim.scheduler import Scheduler
 
 
@@ -74,27 +72,14 @@ class PartitionFabric:
         return self._scheduler.now
 
     def at_call(self, time: float, fn: Callable[[Any], None], arg: Any) -> Any:
-        cls = arg.__class__
-        if cls is Envelope:
-            if self._is_remote(arg.dst):
-                self._outbox.append(arg)
-                self.captured += 1
-                return None
-        elif cls is list and arg and arg[0].__class__ is Envelope:
-            # A packer flush: one destination, many envelopes — captured
-            # individually, each already stamped with its deliver time.
-            if self._is_remote(arg[0].dst):
-                self._outbox.extend(arg)
-                self.captured += len(arg)
-                return None
+        if arg.__class__ is Envelope and self._is_remote(arg.dst):
+            self._outbox.append(arg)
+            self.captured += 1
+            return None
         return self._scheduler.at_call(time, fn, arg)
 
     def at_call_grouped(
-        self,
-        time: float,
-        fn: Callable[[Any], None],
-        arg: Any,
-        key: Any = None,
+        self, time: float, fn: Callable[[Any], None], arg: Any
     ) -> None:
         """The network's batched-dispatch path: local deliveries keep the
         scheduler's same-timestamp bucket (and its exact FIFO order);
@@ -103,7 +88,7 @@ class PartitionFabric:
             self._outbox.append(arg)
             self.captured += 1
             return
-        self._scheduler.at_call_grouped(time, fn, arg, key=key)
+        self._scheduler.at_call_grouped(time, fn, arg)
 
     # -- window-barrier seam -------------------------------------------------
 
@@ -158,7 +143,6 @@ class ParallelRuntime(SimRuntime):
         partition: int = 0,
         owners: Optional[Dict[Address, int]] = None,
         scheduler: Optional[Scheduler] = None,
-        params: Optional[SimParams] = None,
     ) -> None:
-        super().__init__(seed=seed, scheduler=scheduler, params=params)
+        super().__init__(seed=seed, scheduler=scheduler)
         self.fabric = PartitionFabric(self.scheduler, partition, owners or {})

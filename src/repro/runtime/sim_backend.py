@@ -18,32 +18,19 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.runtime.api import Runtime
-from repro.sim.params import SimParams
 from repro.sim.rand import SimRandom
 from repro.sim.scheduler import Scheduler
 
 
 class SimRuntime(Runtime):
-    """Deterministic simulated-time engine over one :class:`Scheduler`.
-
-    ``params`` (a :class:`~repro.sim.params.SimParams`) selects the
-    engine flavour — ``shards=1`` (default) builds the classic
-    single-queue scheduler, more builds the locality-sharded one.  An
-    explicit ``scheduler`` wins over ``params``.
-    """
+    """Deterministic simulated-time engine over one :class:`Scheduler`."""
 
     def __init__(
         self,
         seed: int = 0,
         scheduler: Optional[Scheduler] = None,
-        params: Optional[SimParams] = None,
     ) -> None:
-        if scheduler is not None:
-            self.scheduler = scheduler
-        elif params is not None:
-            self.scheduler = params.make_scheduler()
-        else:
-            self.scheduler = Scheduler()
+        self.scheduler = scheduler if scheduler is not None else Scheduler()
         # The scheduler natively satisfies both engine protocols; exposing
         # it directly keeps the message/timer hot paths free of adapters.
         self.timers = self.scheduler

@@ -15,10 +15,7 @@ The fabric honours the ``MessageFabric`` contract the network relies on:
 
 * ``at_call`` defers both local deliveries and wire transmissions to the
   envelope's deliver time, with in-flight accounting and ``drain()``;
-* a PR-5 packer flush (a *list* of envelopes for one destination)
-  becomes one multi-record wire frame — packing survives the seam;
-* non-envelope callbacks (the packer's own flush timers) relay through
-  plain timers, untouched.
+* non-envelope callbacks relay through plain timers, untouched.
 
 Failure containment: an unencodable or oversized payload, a truncated
 datagram, a byte-flipped frame — each counts as a drop in the bound
@@ -32,7 +29,7 @@ are funnelled into the timer service's error list and re-raised out of
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.net.message import Address, Envelope
 from repro.net.wire.codec import (
@@ -159,15 +156,8 @@ class SocketFabric:
     ) -> AsyncioTimerHandle:
         self.dispatched += 1
         self._in_flight += 1
-        cls = arg.__class__
-        if cls is Envelope:
-            if arg.dst in self._peers:
-                return self._timers.at_call(time, self._transmit_one, arg)
-        elif cls is list and arg and arg[0].__class__ is Envelope:
-            # A packer flush: one destination, many envelopes — held as a
-            # batch so it leaves as one multi-record frame.
-            if arg[0].dst in self._peers:
-                return self._timers.at_call(time, self._transmit_batch, arg)
+        if arg.__class__ is Envelope and arg.dst in self._peers:
+            return self._timers.at_call(time, self._transmit, arg)
         return self._timers.at_call(time, self._relay, (fn, arg))
 
     def _relay(self, pair: Tuple[Callable[[Any], None], Any]) -> None:
@@ -182,30 +172,27 @@ class SocketFabric:
 
     # -- transmit ------------------------------------------------------------
 
-    def _transmit_one(self, envelope: Envelope) -> None:
+    def _transmit(self, envelope: Envelope) -> None:
         self._in_flight -= 1
-        self._send_frames((envelope,), self._peers.get(envelope.dst))
-
-    def _transmit_batch(self, envelopes: List[Envelope]) -> None:
-        self._in_flight -= 1
-        self._send_frames(envelopes, self._peers.get(envelopes[0].dst))
-
-    def _send_frames(self, envelopes, endpoint: Optional[Endpoint]) -> None:
         transport = self._transport
+        endpoint = self._peers.get(envelope.dst)
         if transport is None or endpoint is None:
             # Socket closed or peer withdrawn between schedule and fire:
-            # the datagrams vanish, as on a real LAN.
-            self._count_drops(len(envelopes))
+            # the datagram vanishes, as on a real LAN.
+            self._count_drops(1)
             return
-        frames, rejects = encode_data_frames(envelopes, self._max_frame_bytes)
+        frames, rejects = encode_data_frames(
+            (envelope,), self._max_frame_bytes
+        )
         if rejects:
-            self.encode_drops += len(rejects)
-            self._count_drops(len(rejects))
+            self.encode_drops += 1
+            self._count_drops(1)
+            return
         for frame in frames:
             transport.sendto(frame, endpoint)
             self.frames_sent += 1
             self.wire_bytes_sent += len(frame)
-        self.envelopes_sent += len(envelopes) - len(rejects)
+        self.envelopes_sent += 1
 
     def _count_drops(self, count: int) -> None:
         network = self._network

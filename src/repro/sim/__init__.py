@@ -1,15 +1,11 @@
 """Discrete-event simulation kernel: scheduler, timers, deterministic RNG."""
 
-from repro.sim.params import SimParams
 from repro.sim.rand import SimRandom
 from repro.sim.scheduler import EventHandle, Scheduler, SimulationError
-from repro.sim.sharded import ShardedScheduler
 
 __all__ = [
     "EventHandle",
     "Scheduler",
-    "ShardedScheduler",
-    "SimParams",
     "SimRandom",
     "SimulationError",
 ]

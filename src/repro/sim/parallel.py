@@ -1,9 +1,8 @@
 """Conservative-window parallel simulation across OS processes.
 
-The :class:`~repro.sim.sharded.ShardedScheduler` is an exact K-way merge
-on one core; this module is the multi-core step the ROADMAP's "Raw
-speed" item left open.  The node population is partitioned by a scenario
-plan (:mod:`repro.deploy.scenarios` — ``addresses()`` / ``owners()`` /
+The :class:`~repro.sim.scheduler.Scheduler` runs on one core; this
+module is the multi-core engine.  The node population is partitioned by a
+scenario plan (:mod:`repro.deploy.scenarios` — ``addresses()`` / ``owners()`` /
 ``build()``); each partition runs a full private ``Environment`` (its
 own scheduler, network shard, protocol state) inside one of W worker
 processes, and the engine advances everyone in lockstep windows of the
@@ -11,7 +10,9 @@ cross-partition lookahead (Chandy-Misra-Bryant, with the window barrier
 playing the null message):
 
 1.  **Window j**: every partition runs ``scheduler.run(until=(j+1)·L)``
-    where ``L = cross_shard_lookahead(latency)``.  Any envelope whose
+    where ``L`` is the latency model's floor (a message takes at least
+    that long to arrive, so no partition can affect another sooner).  Any
+    envelope whose
     destination lives on another partition was captured by the
     :class:`~repro.runtime.parallel_backend.PartitionFabric` instead of
     entering the local heap.
@@ -72,9 +73,6 @@ from repro.net.wire.parallel import (  # registers kinds 91-95 on import
     WorkerFault,
     WorkerReport,
 )
-from repro.sim.params import SimParams
-from repro.sim.scheduler import SimulationError
-from repro.sim.sharded import cross_shard_lookahead
 
 # Hard ceiling on waiting for children to exit after the run completes
 # (mirrors repro.deploy.launcher).
@@ -196,7 +194,7 @@ def _scenario_latency(scenario) -> Any:
 class _Partition:
     """One partition's world inside a worker: env, digest, counters."""
 
-    def __init__(self, scenario, pid: int, plan: PartitionPlan, params) -> None:
+    def __init__(self, scenario, pid: int, plan: PartitionPlan) -> None:
         from repro.metrics.digest import DeliveryDigest
         from repro.proc.env import Environment
         from repro.runtime.parallel_backend import ParallelRuntime
@@ -206,7 +204,6 @@ class _Partition:
             seed=scenario.seed + pid,
             partition=pid,
             owners=plan.owners,
-            params=params,
         )
         self.env = Environment(
             latency=_scenario_latency(scenario), runtime=self.runtime
@@ -237,7 +234,6 @@ def _worker_main(
     worker: int,
     scenario,
     plan: PartitionPlan,
-    params,
     lookahead: float,
     conn,
     clock,
@@ -253,7 +249,7 @@ def _worker_main(
     try:
         targets = _window_targets(scenario.duration, lookahead)
         owned = list(plan.block(worker))
-        parts = [_Partition(scenario, pid, plan, params) for pid in owned]
+        parts = [_Partition(scenario, pid, plan) for pid in owned]
         by_pid = {part.pid: part for part in parts}
         worker_by_pid = [
             plan.worker_of(pid) for pid in range(plan.partitions)
@@ -473,7 +469,6 @@ def run_parallel(
     scenario,
     partitions: int = 4,
     workers: int = 2,
-    params: Optional[SimParams] = None,
     lookahead: Optional[float] = None,
     clock: Optional[Callable[[], float]] = None,
     cpu_clock: Optional[Callable[[], float]] = None,
@@ -487,20 +482,24 @@ def run_parallel(
 
     Raises :class:`ParallelError` on structural failure (worker death,
     barrier timeout, unusable plan); scenario-level anomalies land in
-    ``outcome.errors``.  ``clock`` (e.g. ``time.perf_counter``) plus
-    ``measure_from`` turn on wall-clock measurement of the window run
-    from the first barrier at/after ``measure_from``; ``cpu_clock``
+    ``outcome.errors``.  ``lookahead`` defaults to the latency model's
+    floor; a zero-floor model has no conservative window and must be run
+    single-process (or with an explicit ``lookahead``).  ``clock`` (e.g.
+    ``time.perf_counter``) plus ``measure_from`` turn on wall-clock
+    measurement of the window run from the first barrier at/after
+    ``measure_from``; ``cpu_clock``
     (e.g. ``time.process_time``) additionally records per-process CPU
     seconds over that window — both injected, so the engine itself
     never reads a clock.
     """
-    params = params if params is not None else SimParams()
     plan = PartitionPlan(partitions, workers, scenario.owners(partitions))
     if lookahead is None:
-        try:
-            lookahead = cross_shard_lookahead(_scenario_latency(scenario), params)
-        except SimulationError as exc:
-            raise ParallelError(str(exc)) from None
+        lookahead = _scenario_latency(scenario).floor()
+    if lookahead <= 0.0:
+        raise ParallelError(
+            "no conservative lookahead: the latency model's floor is zero "
+            "and no lookahead was given"
+        )
     targets = _window_targets(scenario.duration, lookahead)
 
     context = multiprocessing.get_context("spawn")
@@ -518,7 +517,6 @@ def run_parallel(
                     worker,
                     scenario,
                     plan,
-                    params,
                     lookahead,
                     pipes[worker][1],
                     clock,
@@ -699,21 +697,19 @@ def _merge_outcome(
 
 def run_serial(
     scenario,
-    params: Optional[SimParams] = None,
     clock: Optional[Callable[[], float]] = None,
     cpu_clock: Optional[Callable[[], float]] = None,
     measure_from: Optional[float] = None,
 ) -> Dict[str, Any]:
     """The single-process comparator: one Environment owning every
-    address, no windows, no codec — the sharded-run baseline the
-    speedup target is measured against (``params=SimParams(shards=K)``
-    for the sharded flavour).  Reports the same measurement shape as a
-    worker so the bench can divide like for like."""
+    address, no windows, no codec — the baseline the speedup target is
+    measured against.  Reports the same measurement shape as a worker so
+    the bench can divide like for like."""
     from repro.metrics.digest import DeliveryDigest
     from repro.proc.env import Environment
     from repro.runtime.sim_backend import SimRuntime
 
-    runtime = SimRuntime(seed=scenario.seed, params=params)
+    runtime = SimRuntime(seed=scenario.seed)
     env = Environment(latency=_scenario_latency(scenario), runtime=runtime)
     digest = DeliveryDigest(env.network)
     state = scenario.build(env, scenario.addresses())

@@ -9,8 +9,7 @@ a given seed and workload.
 The scheduler deliberately knows nothing about networks or processes; it is
 a minimal priority-queue event loop that the rest of the library composes.
 
-Performance notes (see docs/simulator.md, "Sharded scheduler & allocation
-discipline"):
+Performance notes (see docs/simulator.md, "Allocation discipline"):
 
 * Heap entries are plain ``(time, seq, event)`` tuples.  ``(time, seq)``
   is unique per entry, so every heap sift comparison resolves inside the
@@ -274,7 +273,7 @@ class Scheduler:
         return self.at_call_once(self._now + delay, fn, arg)
 
     def at_call_grouped(
-        self, time: float, fn: Callable[[list], None], arg: Any, key: Any = None
+        self, time: float, fn: Callable[[list], None], arg: Any
     ) -> None:
         """Batch ``fn`` calls sharing a timestamp into one bucket event.
 
@@ -292,8 +291,7 @@ class Scheduler:
         No handle is returned: grouped events cannot be cancelled, which
         is what makes their bucket event and argument list recyclable.
         ``fn`` must consume ``args`` synchronously and not retain the
-        list.  ``key`` is a locality hint ignored here (the sharded
-        scheduler routes on it).
+        list.
         """
         bucket = self._bucket
         if bucket is not None and self._bucket_time == time and bucket.fn is fn:

@@ -28,10 +28,10 @@ class Segment:
     category and size, so protocol-level message accounting (flush
     messages, group data, ...) is unaffected by the transport wrapping.
 
-    When the comms optimisations are on (docs/comms.md) a segment can
-    additionally carry a piggybacked cumulative ack for the *reverse*
-    channel — ``ack_cum_seq``/``ack_epoch`` mirror a standalone
-    :class:`SegmentAck` and add its bytes to the frame when present.
+    A segment can additionally carry a piggybacked cumulative ack for
+    the *reverse* channel (docs/comms.md) — ``ack_cum_seq``/``ack_epoch``
+    mirror a standalone :class:`SegmentAck` and add its bytes to the
+    frame when present.
     """
 
     seq: int

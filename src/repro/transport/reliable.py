@@ -16,6 +16,13 @@ keeps large simulations cheap).  The sweep runs on a fixed ``rto`` grid
 but only while something is unacked: a process with nothing in flight
 has no transport timer at all.
 
+Acks are cumulative and delayed (docs/comms.md): an ack rides on the
+next segment to that peer, and only if the reverse direction stays idle
+for ``rto / 5`` does one standalone :class:`SegmentAck` go out, covering
+everything received in the meantime.  The delay is derived from ``rto``
+rather than set, so it is below ``rto`` by construction and a held ack
+cannot by itself provoke a retransmission.
+
 Crash recovery is handled with incarnations and channel epochs (see
 :mod:`repro.transport.channel`): a recovered process sends under a new
 incarnation, receivers discard channel state from its previous life, and
@@ -37,40 +44,19 @@ DEFAULT_RTO = 0.05
 
 
 class ReliableTransport:
-    """Per-peer reliable FIFO channels multiplexed onto one process.
+    """Per-peer reliable FIFO channels multiplexed onto one process."""
 
-    With a positive ``ack_delay`` (docs/comms.md; default comes from the
-    environment's :class:`~repro.net.packer.CommsParams`), acks are not
-    sent immediately per segment: they ride on the next outgoing segment
-    to the same peer, and only if the reverse direction stays idle for
-    ``ack_delay`` does a standalone cumulative :class:`SegmentAck` go
-    out.  ``ack_delay`` must stay well below ``rto`` so a delayed ack can
-    never provoke a spurious retransmission.
-    """
-
-    def __init__(
-        self,
-        process: Process,
-        rto: float = DEFAULT_RTO,
-        ack_delay: Optional[float] = None,
-    ) -> None:
+    def __init__(self, process: Process, rto: float = DEFAULT_RTO) -> None:
         if rto <= 0:
             raise ValueError("rto must be positive")
-        if ack_delay is None:
-            comms = getattr(process.env, "comms", None)
-            ack_delay = comms.delayed_ack if comms is not None else 0.0
-        if ack_delay < 0:
-            raise ValueError("ack_delay must be nonnegative")
-        if ack_delay >= rto:
-            raise ValueError("ack_delay must stay below rto")
         self._process = process
         self._rto = rto
-        self._ack_delay = ack_delay
+        self._ack_delay = rto / 5
         self._send: Dict[Address, SendState] = {}
         self._recv: Dict[Address, ReceiveState] = {}
         # Number of channels with unacked segments outstanding.  The
         # retransmission sweep is armed when this leaves zero and re-arms
-        # itself only while it stays positive; with delayed acks well
+        # itself only while it stays positive; with the ack delay well
         # below rto the steady state is "everything acked", i.e. no timer.
         self._inflight = 0
         self._sweep_timer: Optional[Timer] = None
@@ -138,9 +124,7 @@ class ReliableTransport:
             if state is not None:
                 segment.ack_cum_seq = state.cum_seq
                 segment.ack_epoch = state.channel_id[1]
-                self._process.env.network.stats.record_piggyback(
-                    "ack", pending
-                )
+                self._process.env.network.stats.acks_piggybacked += pending
         self._process.send(dst, segment)
 
     def unacked_count(self, dst: Address) -> int:
@@ -249,24 +233,16 @@ class ReliableTransport:
         elif state.channel_id > segment.channel_id:
             return  # a straggler from a dead channel: ignore entirely
         ready = state.accept(segment)
-        if self._ack_delay > 0:
-            self._note_ack_needed(sender)
-        else:
-            self._process.send(
-                sender,
-                SegmentAck(
-                    cum_seq=state.cum_seq,
-                    incarnation=self._incarnation,
-                    epoch=segment.epoch,
-                ),
-            )
+        self._note_ack_needed(sender)
         for payload in ready:
             self._process.deliver(payload, sender)
 
     def _note_ack_needed(self, peer: Address) -> None:
         """Queue an ack for ``peer``: it rides on the next outgoing
-        segment, or goes standalone after ``ack_delay`` of reverse-path
-        idleness."""
+        segment, or goes standalone after ``rto / 5`` of reverse-path
+        idleness.  Nothing but a reboot of either end discards it — a
+        peer we abandoned or that a view removed may be alive and needs
+        the ack to stop retransmitting."""
         self._ack_pending[peer] = self._ack_pending.get(peer, 0) + 1
         if peer not in self._ack_timers:
             # Raw engine timer, not process.set_timer: acks are armed per
@@ -288,13 +264,10 @@ class ReliableTransport:
             return
         state = self._recv.get(peer)
         if state is None:
-            return  # peer was forgotten while the timer was armed
-        if pending > 1:
-            # One cumulative ack covers ``pending`` segments; all but the
-            # ack actually sent were absorbed into it.
-            self._process.env.network.stats.record_piggyback(
-                "ack", pending - 1
-            )
+            return  # the peer rebooted meanwhile: that channel is gone
+        # One cumulative ack covers ``pending`` segments; all but the
+        # ack actually sent were absorbed into it.
+        self._process.env.network.stats.acks_piggybacked += pending - 1
         self._process.send(
             peer,
             SegmentAck(

@@ -1,27 +1,27 @@
-"""Comms optimisations (docs/comms.md): wire-level packing, delayed and
-piggybacked acks, gossip-on-data and heartbeat suppression.
+"""What is always on below the protocols (docs/comms.md): cumulative
+delayed acks in the reliable transport, per-category byte accounting,
+hardware-multicast wire counting and the latency floor the parallel
+engine's lookahead reads.
 
-The shared contract under test: logical message counts and delivery
-semantics are unchanged — only wire packets, header bytes and standalone
-control datagrams shrink.  Everything defaults off, which is the frozen
-baseline behaviour (guarded separately by test_perf_determinism)."""
+The ack contract under test: every received segment is acknowledged
+exactly once — riding a reverse segment, absorbed into a cumulative
+standalone ack, or standalone after ``rto / 5`` of reverse idleness —
+and nothing short of a reboot discards a pending ack."""
 
 from dataclasses import dataclass
 
 import pytest
 
-from repro import trace
-from repro.failure import HeartbeatDetector
-from repro.membership import FIFO, build_group
+from repro.membership import FIFO, TOTAL, build_group
 from repro.metrics.sanitizer import install_sanitizer
 from repro.net import FixedLatency, LanLatency, Network, UniformLatency
 from repro.net.message import HEADER_BYTES
-from repro.net.packer import CommsParams, Packer, default_pack_window
-from repro.net.stats import NetworkStats
 from repro.proc import Environment, Process
 from repro.runtime import AsyncioRuntime
 from repro.sim import Scheduler, SimRandom
 from repro.transport import ReliableTransport
+
+LATENCY = 0.005
 
 
 @dataclass
@@ -48,197 +48,23 @@ def collector(inbox):
     return lambda env: inbox.append((env.payload, env.src, env.deliver_time))
 
 
-# ------------------------------------------------------------ CommsParams
+def sends(env, category):
+    """Record (time, src, dst) of every ``category`` datagram sent from
+    now on."""
+    log = []
 
+    def tap(_event, envelope):
+        if envelope.category == category:
+            log.append((env.now, envelope.src, envelope.dst))
 
-def test_comms_params_default_is_all_off():
-    params = CommsParams()
-    assert params.pack_window == 0.0
-    assert params.delayed_ack == 0.0
-    assert not params.gossip_piggyback
-    assert not params.heartbeat_suppression
-
-
-def test_comms_params_validation():
-    with pytest.raises(ValueError):
-        CommsParams(pack_window=-0.001)
-    with pytest.raises(ValueError):
-        CommsParams(delayed_ack=-0.001)
-
-
-def test_enabled_tunes_pack_window_to_latency_floor():
-    params = CommsParams.enabled(latency_floor=0.002)
-    assert params.pack_window == pytest.approx(0.0005)
-    assert params.delayed_ack > 0
-    assert params.gossip_piggyback and params.heartbeat_suppression
-    assert default_pack_window(0.0) == 0.0
+    env.network.add_tap(tap, events=("send",))
+    return log
 
 
 def test_latency_models_expose_their_floor():
     assert FixedLatency(0.01).floor() == 0.01
     assert UniformLatency(0.001, 0.002).floor() == 0.001
     assert LanLatency(base=0.001, jitter=0.1).floor() == pytest.approx(0.0009)
-
-
-# ----------------------------------------------------------- wire packing
-
-
-def test_window_zero_means_no_packer():
-    _sched, net = make_net()
-    assert net.packer is None
-    env = Environment(seed=1)  # default CommsParams: packing off
-    assert env.network.packer is None
-    assert env.comms == CommsParams()
-
-
-def test_packer_rejects_nonpositive_window():
-    sched = Scheduler()
-    with pytest.raises(ValueError):
-        Packer(0.0, sched, lambda src, dst, envs: None)
-
-
-def test_packing_coalesces_same_destination():
-    sched, net = make_net(pack_window=0.001, latency=FixedLatency(0.004))
-    inbox = []
-    net.register("a", collector([]))
-    net.register("b", collector(inbox))
-    net.send("a", "b", Ping(1))
-    net.send("a", "b", Ping(2))
-    assert net.packer.pending == 2  # held for the window, not yet on wire
-    sched.run()
-    # Two logical messages crossed in one wire packet, sharing a header.
-    assert len(inbox) == 2
-    assert [p.n for p, _, _ in inbox] == [1, 2]
-    stats = net.stats.snapshot()
-    assert stats.messages == 2
-    assert stats.wire_packets == 1
-    assert stats.packed_packets == 1
-    assert stats.packed_messages == 2
-    assert stats.bytes_saved == HEADER_BYTES
-    assert stats.wire_bytes == stats.bytes - HEADER_BYTES
-    # The batch shares a single latency draw: identical arrival instants,
-    # offset by window + latency.
-    assert inbox[0][2] == inbox[1][2] == pytest.approx(0.005)
-
-
-def test_packing_keeps_destinations_separate():
-    sched, net = make_net(pack_window=0.001)
-    box_b, box_c = [], []
-    net.register("a", collector([]))
-    net.register("b", collector(box_b))
-    net.register("c", collector(box_c))
-    net.send("a", "b", Ping())
-    net.send("a", "c", Ping())
-    sched.run()
-    assert len(box_b) == 1 and len(box_c) == 1
-    # Different destinations cannot share a packet (or a header).
-    assert net.stats.wire_packets == 2
-    assert net.stats.packed_packets == 0
-    assert net.stats.bytes_saved == 0
-
-
-def test_lone_datagram_in_window_is_not_counted_as_packed():
-    sched, net = make_net(pack_window=0.001)
-    inbox = []
-    net.register("a", collector([]))
-    net.register("b", collector(inbox))
-    net.send("a", "b", Ping())
-    sched.run()
-    assert len(inbox) == 1
-    assert net.stats.wire_packets == 1
-    assert net.stats.packed_packets == 0
-
-
-def test_packing_respects_partitions():
-    sched, net = make_net(pack_window=0.001)
-    net.register("a", collector([]))
-    net.register("b", collector([]))
-    net.partitions.partition({"a"}, {"b"})
-    net.send("a", "b", Ping())
-    assert net.packer.pending == 0  # dropped before the queue
-    sched.run()
-    assert net.stats.dropped == 1
-    assert net.stats.wire_packets == 0
-
-
-def test_packing_under_loss_and_duplication():
-    sched, net = make_net(
-        pack_window=0.001, drop_probability=0.3, duplicate_probability=0.3
-    )
-    inbox = []
-    net.register("a", collector([]))
-    net.register("b", collector(inbox))
-    for i in range(200):
-        net.send("a", "b", Ping(i))
-    sched.run()
-    stats = net.stats.snapshot()
-    assert stats.dropped > 0
-    # Loss is per logical message (pre-queue), duplicates only add copies.
-    assert len(inbox) >= 200 - stats.dropped
-    assert len(inbox) == stats.received_by["b"]
-    # Coalescing actually happened: fewer packets than surviving messages.
-    assert stats.wire_packets < stats.messages - stats.dropped
-
-
-def test_flush_all_drains_queues_immediately():
-    sched, net = make_net(pack_window=0.5)
-    inbox = []
-    net.register("a", collector([]))
-    net.register("b", collector(inbox))
-    net.send("a", "b", Ping(1))
-    net.send("a", "b", Ping(2))
-    assert net.packer.pending == 2
-    net.packer.flush_all()
-    assert net.packer.pending == 0
-    assert net.stats.wire_packets == 1
-    sched.run()
-    assert len(inbox) == 2
-
-
-def test_packed_stats_appear_in_since_deltas():
-    sched, net = make_net(pack_window=0.001)
-    net.register("a", collector([]))
-    net.register("b", collector([]))
-    net.send("a", "b", Ping())
-    net.send("a", "b", Ping())
-    sched.run()
-    before = net.stats.snapshot()
-    net.send("a", "b", Ping())
-    net.send("a", "b", Ping())
-    net.send("a", "b", Ping())
-    sched.run()
-    delta = net.stats.since(before)
-    assert delta.packed_packets == 1
-    assert delta.packed_messages == 3
-    assert delta.bytes_saved == 2 * HEADER_BYTES
-    assert delta.wire_packets == 1
-
-
-# ------------------------------------- trace invariant under packing (E1)
-
-
-def test_packed_wire_packet_keeps_one_span_per_logical_message():
-    env = Environment(
-        seed=1,
-        latency=FixedLatency(0.002),
-        comms=CommsParams(pack_window=0.0005),
-    )
-    a = Process(env, "a")
-    b = Process(env, "b")
-    received = []
-    b.on(Ping, lambda msg, sender: received.append(msg.n))
-    sink = trace.attach(env)
-    with sink.root("burst", process="a"):
-        for i in range(3):
-            a.send("b", Ping(i))
-    env.run_for(1.0)
-    assert received == [0, 1, 2]
-    assert env.network.stats.wire_packets == 1  # one packed frame...
-    spans = sink.collector.spans
-    # ...but the tracer still sees every logical message individually, so
-    # audits phrased in message counts (E1's 2n) are packing-agnostic.
-    assert len([s for s in spans if s.kind == "send" and s.name == "ping"]) == 3
-    assert len([s for s in spans if s.kind == "deliver" and s.name == "ping"]) == 3
 
 
 # ----------------------------------------------------------- delayed acks
@@ -251,24 +77,35 @@ class Peer(Process):
         self.inbox = []
         self.on(App, lambda m, s: self.inbox.append((m.n, s)))
 
+    def quiet(self):
+        """Nothing unacked, no sweep armed, no ack held back."""
+        t = self.transport
+        return (
+            not any(state.unacked for state in t._send.values())
+            and t._sweep_timer is None
+            and not t._ack_timers
+            and not t._ack_pending
+        )
 
-def make_transport_pair(comms=None, seed=1):
-    env = Environment(seed=seed, latency=FixedLatency(0.005), comms=comms)
-    return env, Peer(env, "a"), Peer(env, "b")
+
+def make_transport_pair(seed=1, rto=0.05, **env_kwargs):
+    env = Environment(seed=seed, latency=FixedLatency(LATENCY), **env_kwargs)
+    return env, Peer(env, "a", rto), Peer(env, "b", rto)
 
 
 def test_ack_delay_must_stay_below_rto():
-    env = Environment(seed=1)
-    p = Process(env, "p")
-    with pytest.raises(ValueError):
-        ReliableTransport(p, rto=0.05, ack_delay=0.05)
-    q = Process(env, "q")
-    with pytest.raises(ValueError):
-        ReliableTransport(q, rto=0.05, ack_delay=-0.01)
+    # The delay is derived (rto / 5), not set, so it cannot reach rto.
+    for rto in (0.02, 0.05, 0.2):
+        env, a, b = make_transport_pair(rto=rto)
+        acks = sends(env, "transport-ack")
+        a.transport.send("b", App(1))
+        env.run_for(2 * rto)
+        assert acks == [(pytest.approx(LATENCY + rto / 5), "b", "a")]
+        assert acks[0][0] - LATENCY < rto
 
 
 def test_idle_reverse_path_falls_back_to_standalone_ack():
-    env, a, b = make_transport_pair(comms=CommsParams(delayed_ack=0.01))
+    env, a, b = make_transport_pair()
     a.transport.send("b", App(1))
     env.run_for(0.012)  # delivered, but the ack is still being held back
     assert b.inbox == [(1, "a")]
@@ -279,14 +116,14 @@ def test_idle_reverse_path_falls_back_to_standalone_ack():
 
 
 def test_ack_rides_on_reverse_segment():
-    env, a, b = make_transport_pair(comms=CommsParams(delayed_ack=0.01))
+    env, a, b = make_transport_pair()
     a.transport.send("b", App(1))
     # b answers within the ack window: its segment carries the ack.
     env.scheduler.after(0.01, lambda: b.transport.send("a", App(2)))
     env.run_for(0.5)
     assert b.inbox == [(1, "a")] and a.inbox == [(2, "b")]
     stats = env.network.stats
-    assert stats.piggybacked["ack"] == 1
+    assert stats.acks_piggybacked == 1
     # The only standalone ack is a's (nothing flowed a->b afterwards).
     assert stats.by_category["transport-ack"] == 1
     assert a.transport.unacked_count("b") == 0
@@ -294,7 +131,7 @@ def test_ack_rides_on_reverse_segment():
 
 
 def test_one_cumulative_ack_covers_a_burst():
-    env, a, b = make_transport_pair(comms=CommsParams(delayed_ack=0.01))
+    env, a, b = make_transport_pair()
     for i in range(10):
         a.transport.send("b", App(i))
     env.run_for(1.0)
@@ -303,22 +140,22 @@ def test_one_cumulative_ack_covers_a_burst():
     # All ten segments arrived inside one ack window: one standalone
     # cumulative ack absorbed the other nine.
     assert stats.by_category["transport-ack"] == 1
-    assert stats.piggybacked["ack"] == 9
+    assert stats.acks_piggybacked == 9
     assert a.transport.unacked_count("b") == 0
 
 
 def test_delayed_acks_never_provoke_retransmission():
-    env, a, b = make_transport_pair(comms=CommsParams(delayed_ack=0.01))
+    env, a, b = make_transport_pair()
     for i in range(20):
         env.scheduler.after(0.02 * i, lambda i=i: a.transport.send("b", App(i)))
     env.run_for(3.0)
     assert [n for n, _ in b.inbox] == list(range(20))
-    # Clean network + ack_delay << rto: every segment crossed exactly once.
+    # Clean network + ack delay << rto: every segment crossed exactly once.
     assert env.network.stats.by_category["app"] == 20
 
 
 def test_pending_ack_dies_with_a_crashed_receiver():
-    env, a, b = make_transport_pair(comms=CommsParams(delayed_ack=0.01))
+    env, a, b = make_transport_pair()
     a.transport.send("b", App(1))
     env.scheduler.after(0.007, b.crash)  # after delivery, before the ack
     env.run_for(0.2)
@@ -327,130 +164,112 @@ def test_pending_ack_dies_with_a_crashed_receiver():
     assert env.network.stats.by_category["transport-ack"] == 0
 
 
-# ---------------------------------------------------- heartbeat suppression
-
-
-class Plain(Process):
-    pass
-
-
-def make_watch_pair(suppression=None, comms=None, seed=1):
-    env = Environment(seed=seed, latency=FixedLatency(0.005), comms=comms)
-    a, b = Plain(env, "a"), Plain(env, "b")
-    b.on(App, lambda m, s: None)
-    detectors = [
-        HeartbeatDetector(
-            p, interval=0.2, suspect_after=1.0, suppression=suppression
+def test_lossy_duplicating_link_delivers_exactly_once_and_goes_quiet():
+    env, a, b = make_transport_pair(
+        seed=3, drop_probability=0.05, duplicate_probability=0.05
+    )
+    for i in range(200):
+        env.scheduler.after(0.003 * i, lambda i=i: a.transport.send("b", App(i)))
+        env.scheduler.after(
+            0.004 * i, lambda i=i: b.transport.send("a", App(1000 + i))
         )
-        for p in (a, b)
-    ]
-    detectors[0].watch("b")
-    detectors[1].watch("a")
-    return env, a, b, detectors
-
-
-def test_ambient_traffic_suppresses_pings_without_false_suspicion():
-    env, a, b, (det_a, det_b) = make_watch_pair(suppression=True)
-    suspects_a, suspects_b = [], []
-    det_a.add_listener(suspects_a.append)
-    det_b.add_listener(suspects_b.append)
-    # One-way flood: a talks, b only listens.  b's pings to a are
-    # redundant (a's traffic proves it alive); a still pings the silent b
-    # whenever its evidence goes stale, and b's acks keep it trusted.
-    a.every(0.05, lambda: a.send("b", App()))
     env.run_for(5.0)
-    assert suspects_a == [] and suspects_b == []
+    assert env.network.stats.dropped > 0
+    assert b.inbox == [(i, "a") for i in range(200)]
+    assert a.inbox == [(1000 + i, "b") for i in range(200)]
+    assert a.transport.unacked_count("b") == 0
+    assert b.transport.unacked_count("a") == 0
+    assert a.quiet() and b.quiet()
+
+
+@pytest.mark.parametrize("rto", [0.02, 0.05, 0.2])
+def test_lossless_link_acks_ride_or_go_out_once_per_burst(rto):
+    # While segments flow both ways within rto / 5 of each other every
+    # ack rides; only the last segment of the exchange has nothing to
+    # ride on.
+    env, a, b = make_transport_pair(rto=rto)
+    a.on(Ping, lambda m, s: m.n < 50 and a.transport.send(s, Ping(m.n + 1)))
+    b.on(Ping, lambda m, s: b.transport.send(s, Ping(m.n + 1)))
+    a.transport.send("b", Ping(0))
+    env.run_for(52 * LATENCY + 2 * rto)
     stats = env.network.stats
-    assert stats.heartbeats_suppressed > 0
-    # The receive-only side still proved liveness with real heartbeats.
-    assert stats.by_category["heartbeat"] > 0
+    assert stats.by_category["ping"] == 52  # 0 retransmissions
+    assert stats.acks_piggybacked == 51
+    assert stats.by_category["transport-ack"] == 1
+    assert a.quiet() and b.quiet()
+
+    # One-way bursts with an idle reverse path: one standalone
+    # cumulative ack per burst, whatever the burst size.
+    env, a, b = make_transport_pair(rto=rto)
+    for burst in range(8):
+        def fire(burst=burst):
+            for i in range(5):
+                a.transport.send("b", App(5 * burst + i))
+        env.scheduler.after(2 * rto * burst, fire)
+    env.run_for(2 * rto * 8 + 2 * rto)
+    stats = env.network.stats
+    assert [n for n, _ in b.inbox] == list(range(40))
+    assert stats.by_category["app"] == 40  # 0 retransmissions
+    assert stats.by_category["transport-ack"] == 8
+    assert stats.acks_piggybacked == 32
+    assert a.quiet() and b.quiet()
 
 
-def test_suppression_follows_environment_comms_params():
-    env, a, b, (det_a, det_b) = make_watch_pair(
-        comms=CommsParams(heartbeat_suppression=True)
-    )
-    a.every(0.05, lambda: a.send("b", App()))
-    env.run_for(2.0)
-    assert env.network.stats.heartbeats_suppressed > 0
-
-
-def test_suppression_does_not_delay_crash_detection():
-    env, a, b, (det_a, det_b) = make_watch_pair(suppression=True)
-    suspects_a = []
-    det_a.add_listener(suspects_a.append)
-    a.every(0.05, lambda: a.send("b", App()))
-    env.scheduler.after(2.0, b.crash)
-    env.run_for(2.0)
-    assert suspects_a == []
-    # A crashed peer stops *all* traffic at once, so suppression adds
-    # nothing to detection time: suspect_after plus one interval of slack.
-    env.run_for(1.4)
-    assert suspects_a == ["b"]
-
-
-def test_suppression_off_is_the_default_and_pings_every_interval():
-    env, a, b, (det_a, det_b) = make_watch_pair()
-    a.every(0.05, lambda: a.send("b", App()))
-    env.run_for(2.0)
-    assert env.network.stats.heartbeats_suppressed == 0
-    assert env.network.stats.by_category["heartbeat"] > 10
-
-
-# ------------------------------------------------------- gossip piggyback
-
-
-def run_gossiping_group(comms, seed=5):
-    env = Environment(seed=seed, latency=FixedLatency(0.002), comms=comms)
-    _nodes, members = build_group(env, "g", 4, gossip_interval=0.4)
-    sanitizer = install_sanitizer(members)
-    logs = {m.me: [] for m in members}
-    for m in members:
-        m.add_delivery_listener(
-            lambda e, me=m.me: logs[me].append((e.sender, e.payload))
+def test_abcast_leaf_draws_one_standalone_ack_per_message_per_receiver():
+    # kv_write in the small: the sequencer's data segment and the
+    # set-order that follows it reach a receiver together and share one
+    # cumulative ack (immediate acks drew two).  Gossip is off so that
+    # every ack in the count answers the sequencer.
+    env = Environment(seed=1, latency=FixedLatency(0.002))
+    _nodes, members = build_group(env, "g", 16, gossip_interval=None)
+    got = []
+    members[7].add_delivery_listener(lambda e: got.append(e.payload.n))
+    for i in range(100):
+        env.scheduler.after(
+            0.02 * (i + 1), lambda i=i: members[0].multicast(App(i), TOTAL)
         )
-    # Every member keeps sending, so watermarks always have a ride.
-    def burst(k):
-        for j, m in enumerate(members):
-            m.multicast(f"m{k}-{j}", FIFO)
-    for k in range(16):
-        env.scheduler.after(0.1 + 0.15 * k, lambda k=k: burst(k))
     env.run_for(3.0)
-    counters = sanitizer.check(at_quiescence=True)
-    per_sender = {
-        me: {
-            sender: [p for s, p in log if s == sender]
-            for sender in {s for s, _ in log}
-        }
-        for me, log in logs.items()
-    }
-    return env.network.stats.snapshot(), per_sender, counters
+    assert got == list(range(100))
+    stats = env.network.stats
+    assert stats.by_category["group-data"] == 100 * 15
+    assert stats.by_category["group-setorder"] == 100 * 15
+    assert stats.by_category["transport-ack"] <= 100 * 15
+    assert stats.by_category["transport-ack"] + stats.acks_piggybacked == 2 * 100 * 15
 
 
-def test_gossip_rides_on_group_data():
-    off, off_seqs, off_counters = run_gossiping_group(None)
-    on, on_seqs, on_counters = run_gossiping_group(
-        CommsParams(gossip_piggyback=True)
+def test_member_removed_by_a_view_still_gets_its_ack():
+    # g-3 is alive but falsely suspected, and multicasts just as the
+    # view that removes it is being agreed.  The others install that
+    # view — abandoning their channels to g-3 — while still holding the
+    # ack for its segment; dropping it would leave a live process
+    # retransmitting to peers that will never answer.
+    env = Environment(seed=1, latency=FixedLatency(0.002))
+    nodes, members = build_group(env, "g", 4, gossip_interval=None)
+    data = sends(env, "group-data")
+    held_at_install = []
+    for node, member in zip(nodes[:3], members[:3]):
+        member.add_view_listener(
+            lambda _event, t=node.runtime.transport: held_at_install.append(
+                "g-3" in t._ack_pending
+            )
+        )
+
+    def suspect():
+        for member in members[:3]:
+            member._on_suspect("g-3")
+
+    env.scheduler.after(0.499, suspect)
+    env.scheduler.after(0.5, lambda: members[3].multicast(App(1), FIFO))
+    env.run_for(2.0)
+    assert [m.view.members for m in members[:3]] == [("g-0", "g-1", "g-2")] * 3
+    assert any(held_at_install)
+    assert all(
+        nodes[3].runtime.transport.unacked_count(f"g-{i}") == 0 for i in range(3)
     )
-    assert off_counters["violations"] == 0 and on_counters["violations"] == 0
-    # Same logical deliveries, per sender, at every member.
-    assert on_seqs == off_seqs
-    # Watermarks rode on data; the standalone all-to-all round shrank.
-    assert on.piggybacked["gossip"] > 0
-    assert on.by_category["group-stability"] < off.by_category["group-stability"]
-
-
-def test_idle_group_falls_back_to_standalone_gossip():
-    env = Environment(
-        seed=5,
-        latency=FixedLatency(0.002),
-        comms=CommsParams(gossip_piggyback=True),
-    )
-    _nodes, members = build_group(env, "g", 4, gossip_interval=0.4)
-    members[0].multicast("only", FIFO)
-    env.run_for(2.5)
-    # With no data to ride on, stability still propagates periodically.
-    assert env.network.stats.by_category["group-stability"] > 0
+    # One transmission per peer: every ack arrived before the first sweep.
+    assert sorted(dst for _t, src, dst in data if src == "g-3") == [
+        "g-0", "g-1", "g-2",
+    ]
 
 
 # ------------------------------------------- stats breakdown & accounting
@@ -468,22 +287,6 @@ def test_bytes_by_category_breakdown():
     assert stats.bytes_by_category["ping"] == 2 * (32 + HEADER_BYTES)
     assert stats.bytes_by_category["app"] == 32 + HEADER_BYTES
     assert sum(stats.bytes_by_category.values()) == stats.bytes
-    # No packing: every byte counted was a wire byte.
-    assert stats.wire_bytes == stats.bytes
-
-
-def test_piggyback_ratio_accounting():
-    stats = NetworkStats()
-    # One standalone ping survived; one ping (and its ack) was suppressed.
-    stats.record_send("a", "heartbeat", 80)
-    stats.record_suppressed_heartbeat()
-    # Three acks rode on segments for every standalone ack sent.
-    stats.record_send("a", "transport-ack", 80)
-    stats.record_piggyback("ack", 3)
-    ratios = stats.piggyback_ratio()
-    assert ratios["heartbeat"] == pytest.approx(2 / 3)
-    assert ratios["ack"] == pytest.approx(3 / 4)
-    assert "gossip" not in ratios  # no gossip traffic at all
 
 
 # ---------------------------------------- hardware-multicast wire counting
@@ -520,10 +323,9 @@ def test_hardware_multicast_partial_partition_costs_one_packet():
 # ----------------------------------- end-to-end: logical identity, parity
 
 
-def run_flat_group(comms, seed=7, runtime=None):
+def run_flat_group(seed=7, runtime=None):
     env = Environment(
         latency=FixedLatency(0.002),
-        comms=comms,
         **({"runtime": runtime} if runtime is not None else {"seed": seed}),
     )
     _nodes, members = build_group(env, "g", 4)
@@ -556,39 +358,32 @@ def run_flat_group(comms, seed=7, runtime=None):
     return env.network.stats.snapshot(), per_sender, counters
 
 
-def test_packing_and_delayed_acks_preserve_logical_traffic():
-    comms_on = CommsParams(
-        pack_window=default_pack_window(0.002), delayed_ack=0.01
-    )
-    off, off_seqs, off_counters = run_flat_group(None)
-    on, on_seqs, on_counters = run_flat_group(comms_on)
-    assert off_counters["violations"] == 0 and on_counters["violations"] == 0
-    assert on_seqs == off_seqs
-    # Per-category logical identity: fold the acks that rode on segments
-    # back into the ack category and the two runs must match exactly.
-    logical = dict(on.by_category)
-    logical["transport-ack"] = (
-        logical.get("transport-ack", 0) + on.piggybacked.get("ack", 0)
-    )
-    assert logical == dict(off.by_category)
-    # And the whole point: the same protocol run cost fewer wire packets.
-    assert on.wire_packets < off.wire_packets
-    assert on.wire_bytes < off.wire_bytes
-    assert on.packed_packets > 0
+def test_delayed_acks_preserve_logical_traffic():
+    stats, seqs, counters = run_flat_group()
+    assert counters["violations"] == 0
+    for seqs_at in seqs.values():
+        assert seqs_at["g-0"] == ["f0", "f1", "f2"]
+        assert seqs_at["g-3"] == ["g0", "g1"]
+    # Everything this group sends but the acks themselves is a reliable
+    # segment, and on a lossless link every segment is acknowledged
+    # exactly once: standalone, ridden or absorbed.
+    standalone = stats.by_category["transport-ack"]
+    segments = stats.messages - standalone
+    assert standalone + stats.acks_piggybacked == segments
+    assert stats.acks_piggybacked > 0
+    assert stats.wire_packets == stats.messages
 
 
-def test_flat_group_sanitizer_clean_with_all_comms_on_asyncio():
+def test_flat_group_sanitizer_clean_on_asyncio():
     runtime = AsyncioRuntime(seed=7, time_scale=0.05)
     try:
-        stats, seqs, counters = run_flat_group(
-            CommsParams.enabled(latency_floor=0.002), runtime=runtime
-        )
+        stats, seqs, counters = run_flat_group(runtime=runtime)
     finally:
         runtime.close()
     assert counters["violations"] == 0
     assert counters["deliveries_checked"] > 0
-    # Every member saw every burst, in sender order, despite packing.
+    # Every member saw every burst, in sender order.
     for seqs_at in seqs.values():
         assert seqs_at["g-0"] == ["f0", "f1", "f2"]
         assert seqs_at["g-3"] == ["g0", "g1"]
-    assert stats.packed_packets > 0
+    assert stats.acks_piggybacked > 0

@@ -228,7 +228,7 @@ def test_rl011_non_escaping_allocations_stay_quiet():
         path=HOT,
     ) == []
     # The amortised compaction idiom — rebuild a list and swap it into
-    # an existing local slot (sim/sharded.py _compact) — is the escape
+    # an existing local slot — is the escape
     # analysis's headline false-positive kill.
     assert codes(
         "for i in range(n):\n"

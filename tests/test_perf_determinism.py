@@ -11,7 +11,7 @@ module pins that down three ways:
 2. the digest of a flat churn scenario that consumes *no* randomness
    (fixed latency, no loss — the flat stack draws nothing from the RNG)
    matches a frozen constant (last re-recorded by the protocol change
-   of PR 14), so it is stable across machines, processes and hash seeds;
+   of PR 17), so it is stable across machines, processes and hash seeds;
 3. different seeds diverge (the digest actually discriminates).
 
 Note the hierarchical scenario is compared within one process only: the
@@ -38,7 +38,7 @@ def _hb(node):
 
 
 def run_hier_churn_scenario(
-    seed: int, latency=None, drop: float = 0.0, instrument=None, sim=None
+    seed: int, latency=None, drop: float = 0.0, instrument=None
 ):
     """A mid-size hierarchical service with heartbeats, gossip, a crash
     and a recovery — exercising every path the perf rewrite touched.
@@ -46,15 +46,12 @@ def run_hier_churn_scenario(
     ``instrument``, if given, is called with the environment before the
     run starts — how tests bolt observation-only instrumentation (e.g.
     ``repro.trace.attach``) onto the frozen scenario to prove it changes
-    nothing.  ``sim`` (a :class:`repro.sim.SimParams`) selects the engine
-    flavour — the sharded-scheduler parity tests run the same scenario at
-    ``shards=1`` and ``shards=2`` and demand identical tuples.
+    nothing.
     """
     env = Environment(
         seed=seed,
         latency=latency if latency is not None else FixedLatency(0.002),
         drop_probability=drop,
-        sim=sim,
     )
     params = LargeGroupParams(resiliency=3, fanout=6)
     leaders = build_leader_group(
@@ -119,20 +116,25 @@ def run_flat_churn_scenario(seed: int = 23, instrument=None):
     )
 
 
-# Re-recorded in PR 14, which changed the *protocol* this scenario runs:
-# ring failure monitoring (74,462 -> 7,323 heartbeats), quiescent
-# stability gossip (15,779 -> 0 gossips and their acks), reports from the
-# three watchers only (30 -> 3), no idle retransmit sweep.  The view
-# change itself is untouched (30 flush, 30 flush-ok, 31 new-view, as
-# before).  The values frozen from the PR 1 baseline until then were
-# 103067 / 104773 / 9151824 / 110588.  The constants still guard
-# event-core work: if an "optimisation" changes these, it changed
-# simulation behaviour — that is a bug, not a baseline refresh.
-FROZEN_DIGEST = "76a78022656665504cd1c5b631d0a18b1165d2eb6d844476443066981076d073"
-FROZEN_DELIVERIES = 7494
-FROZEN_MESSAGES = 7510
-FROZEN_BYTES = 612528
-FROZEN_EVENTS = 9289
+# Re-recorded in PR 17, which made cumulative delayed acks the
+# transport's only ack mode (docs/comms.md): of the 93 acks the view
+# change drew, 61 now ride on the flush-ok / new-view segment going the
+# other way (+16 bytes each), 2 are absorbed into a cumulative ack, and
+# 30 go standalone (93 -> 30 ``transport-ack``), so 63 fewer messages
+# and deliveries, 4,064 fewer bytes, and 33 fewer events (63 ack
+# deliveries gone, 30 ack timers fired).  Heartbeats (7,323) and the
+# view change itself (30 flush, 30 flush-ok, 31 new-view, 3 suspect
+# reports) are untouched.  Before that PR 14 re-recorded them for ring
+# monitoring and quiescent gossip (7494 / 7510 / 612528 / 9289), and
+# the PR 1 baseline was 103067 / 104773 / 9151824 / 110588.  The
+# constants still guard event-core work: if an "optimisation" changes
+# these, it changed simulation behaviour — that is a bug, not a
+# baseline refresh.
+FROZEN_DIGEST = "adda5143841ba444ff89651ced8d33fd69cecec660a520c9c4fe4f9a1ddd3d14"
+FROZEN_DELIVERIES = 7431
+FROZEN_MESSAGES = 7447
+FROZEN_BYTES = 608464
+FROZEN_EVENTS = 9256
 
 
 def test_same_seed_identical_digest_and_stats():
@@ -242,17 +244,10 @@ def test_rearm_after_recycle_raises():
         sched.rearm(handle, 0.1)
 
 
-def test_envelope_reuse_across_packed_wire_packets():
-    """With wire packing on, envelopes held by the packer across flushes
-    still return to the free list: after warm-up a steady-state window
-    constructs zero fresh envelopes."""
-    from repro.net.packer import CommsParams
-
-    env = Environment(
-        seed=7,
-        latency=FixedLatency(0.002),
-        comms=CommsParams.enabled(latency_floor=0.002),
-    )
+def test_envelope_reuse_in_steady_state():
+    """Delivered envelopes return to the free list: after warm-up a
+    steady-state window constructs zero fresh envelopes."""
+    env = Environment(seed=7, latency=FixedLatency(0.002))
     build_group(env, "svc", 8, detector_factory=_hb, gossip_interval=0.5)
     env.run_for(3.0)  # warm-up: pools grow to the steady-state peak
     stats = env.network.alloc_stats
@@ -260,44 +255,3 @@ def test_envelope_reuse_across_packed_wire_packets():
     assert stats["pooled_envelopes"] > 0
     env.run_for(3.0)
     assert env.network.alloc_stats["fresh_envelopes"] == fresh_before
-
-
-# -- sharded scheduler parity ------------------------------------------------
-
-
-def test_sharded_scheduler_digest_parity():
-    """shards=2 must replay the exact shards=1 run: same delivery digest,
-    same counts, same event total, same final time."""
-    from repro.sim import SimParams
-
-    base = run_hier_churn_scenario(23)
-    sharded = run_hier_churn_scenario(23, sim=SimParams(shards=2))
-    assert sharded == base
-
-
-def test_sharded_scheduler_sanitizer_clean():
-    """A small flat group on shards=2 passes the virtual-synchrony
-    sanitizer (strict mode raises on any VS violation)."""
-    from repro.membership import FIFO
-    from repro.metrics.sanitizer import install_sanitizer
-    from repro.sim import SimParams
-
-    env = Environment(
-        seed=7, latency=FixedLatency(0.002), sim=SimParams(shards=2)
-    )
-    _nodes, members = build_group(
-        env, "g", 4, detector_factory=_hb, gossip_interval=0.5
-    )
-    sanitizer = install_sanitizer(members)
-    for start, member, payloads in (
-        (0.1, members[0], ("a0", "a1")),
-        (0.2, members[2], ("b0", "b1")),
-    ):
-        def burst(member=member, payloads=payloads):
-            for payload in payloads:
-                member.multicast(payload, FIFO)
-
-        env.scheduler.after(start, burst)
-    env.run_for(2.0)
-    report = sanitizer.check(at_quiescence=True)
-    assert report["deliveries_checked"] > 0

@@ -123,9 +123,6 @@ def _group_data(rng: SimRandom) -> GroupData:
         ordering=rng.choice(["fifo", "causal", "total"]),
         payload=_primitive(rng),
         stamp=None if rng.chance(0.5) else _vector_clock(rng),
-        gossip=None
-        if rng.chance(0.5)
-        else {_address(rng): rng.randint(0, 20) for _ in range(2)},
     )
 
 
@@ -332,7 +329,7 @@ def test_envelope_batch_round_trips():
     ]
     frames, rejects = encode_data_frames(envelopes)
     assert not rejects
-    assert len(frames) == 1  # packer output stays one frame
+    assert len(frames) == 1  # a small batch stays one frame
     frame_kind, decoded = decode_frame(frames[0])
     assert frame_kind == FRAME_DATA
     assert len(decoded) == len(envelopes)
@@ -512,5 +509,6 @@ def test_wire_ids_are_unique_and_stable():
     assert kinds[91].__name__ == "WindowData"
     assert kinds[95].__name__ == "WorkerFault"
     # v2: the recursive-hierarchy refactor evolved the hierarchy kinds'
-    # field lists (a format change even with ids unchanged).
-    assert WIRE_VERSION == 2
+    # field lists (a format change even with ids unchanged).  v3:
+    # GroupData lost its ``gossip`` field.
+    assert WIRE_VERSION == 3

@@ -49,12 +49,10 @@ def _context_for(path: str) -> LintContext:
         path=posix,
         is_protocol=package in PROTOCOL_PACKAGES,
         allow_random=posix.endswith("sim/rand.py"),
-        allow_scheduler_internals=posix.endswith(("sim/scheduler.py", "sim/sharded.py")),
+        allow_scheduler_internals=posix.endswith("sim/scheduler.py"),
         # RL011 scope: the event-core hot loops where per-event
         # allocations are a measured regression, not a style nit.
-        hot_event_loop=posix.endswith(
-            ("sim/scheduler.py", "sim/sharded.py", "net/network.py")
-        ),
+        hot_event_loop=posix.endswith(("sim/scheduler.py", "net/network.py")),
         # RL009 boundary: the simulator itself and the runtime backends
         # are the only homes of repro.sim imports.
         allow_sim_import=package in ("sim", "runtime"),

@@ -2,10 +2,9 @@
 
 Under the discrete-event simulator every callback runs to completion, so
 read-modify-write sequences on runtime state are atomic by construction.
-On the asyncio backend — and on any future multi-core ShardedScheduler
-host — an ``await`` is a suspension point: another task can interleave
-between the read and the write, and the write clobbers the concurrent
-update.  The classic shape::
+On the asyncio backend an ``await`` is a suspension point: another task
+can interleave between the read and the write, and the write clobbers
+the concurrent update.  The classic shape::
 
     async def drain_one(self):
         n = self._in_flight          # read

@@ -44,8 +44,6 @@ CALLBACK_REGISTRARS = {
     "after_call",
     "at_call_once",
     "after_call_once",
-    "after_call_keyed",
-    "after_call_keyed_once",
     "at_call_grouped",
     "call_at",
     "call_later",
@@ -57,7 +55,6 @@ CALLBACK_REGISTRARS = {
     "on",
     "replace_handler",
     "add_recover_listener",
-    "add_traffic_listener",
     "add_delivery_listener",
     "add_listener",
     "partial",

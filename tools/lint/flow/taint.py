@@ -15,7 +15,7 @@ catches the same nondeterminism laundered through helpers at any depth.
 behaviour):
 
 * scheduler deadlines — the time/delay argument of ``at`` / ``after`` /
-  ``at_call`` / ``after_call`` (+ ``_once`` / ``_keyed`` / ``_grouped``
+  ``at_call`` / ``after_call`` (+ ``_once`` / ``_grouped``
   variants) / ``call_at`` / ``call_later`` / ``set_timer`` / ``every`` /
   ``rearm``;
 * message payloads — the payload argument of ``send`` / ``multicast`` /
@@ -79,8 +79,6 @@ SCHED_SINKS = {
     "after_call": 0,
     "at_call_once": 0,
     "after_call_once": 0,
-    "after_call_keyed": 0,
-    "after_call_keyed_once": 0,
     "at_call_grouped": 0,
     "call_at": 0,
     "call_later": 0,

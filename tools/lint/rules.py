@@ -93,7 +93,7 @@ class LintContext:
     # (RL010 boundary — ack policy, incl. delayed/piggybacked acks,
     # lives entirely inside the transport).
     allow_segment_ack: bool = False
-    # Event-core hot-loop files (scheduler, sharded scheduler, network):
+    # Event-core hot-loop files (scheduler, network):
     # RL011 polices per-event allocations inside their loops.
     hot_event_loop: bool = False
     # repro/net/wire/, repro/runtime/socket_backend.py and repro/deploy/:
@@ -573,7 +573,7 @@ class SegmentAckRule(Rule):
     title = "SegmentAck constructed outside repro/transport/"
     hint = (
         "never hand-build transport acks: send through ReliableTransport "
-        "and let its ack policy (immediate, delayed or piggybacked) "
+        "and let its ack policy (delayed, piggybacked, cumulative) "
         "answer segments — only repro/transport/ may construct SegmentAck"
     )
 
@@ -663,15 +663,15 @@ _ALLOC_WHAT = {
 class HotLoopAllocationRule(Rule):
     """RL011: no *escaping* per-event allocations in the event-core hot loops.
 
-    The zero-allocation discipline (docs/simulator.md, "Sharded scheduler
-    & allocation discipline") is a measured property: the scheduler and
+    The zero-allocation discipline (docs/simulator.md, "Allocation
+    discipline") is a measured property: the scheduler and
     network steady state must not hand freshly built objects to the rest
     of the system per event, or the free lists are pure overhead and the
     allocation probe in ``tools/perf_report.py`` regresses.
 
     The rule flags closures (lambda / nested def) and container literals
     or comprehensions inside a ``for``/``while`` loop of a hot-loop file
-    (scheduler, sharded scheduler, network) — but only when the object
+    (scheduler, network) — but only when the object
     *escapes* the iteration: passed to a non-consuming call (a scheduled
     callback, ``append`` into a surviving container, a wire send), stored
     onto an attribute or attribute-held container, or returned.  Loop-

@@ -1,8 +1,10 @@
 """Wall-clock performance report for the discrete-event core.
 
 Measures what the simulator actually costs per event — the number every
-experiment in EXPERIMENTS.md is bottlenecked by — and records the
-trajectory in ``BENCH_core.json`` so perf work is visible across PRs.
+experiment in EXPERIMENTS.md is bottlenecked by — and keeps the guard
+reference in ``BENCH_core.json`` that ``--guard`` holds the tree to.
+(The PR 1 → PR 6 speedup trajectory this file used to carry is prose in
+EXPERIMENTS.md now; end-to-end claims belong to ``benchmarks/e2e``.)
 
 Scenarios:
 
@@ -32,20 +34,17 @@ Scenarios:
 
 Each scenario reports wall seconds, events fired, events/sec and peak
 heap size, plus a behaviour fingerprint (message/byte/drop counters and a
-delivery-order digest) that must be identical between the ``baseline``
-and ``optimized`` labels — perf work must not change simulation output.
+delivery-order digest) that ``--guard`` requires to be identical to the
+recorded reference — perf work must not change simulation output.
 
 Usage::
 
     PYTHONPATH=src python -m tools.perf_report                # full suite
     PYTHONPATH=src python -m tools.perf_report --quick        # CI smoke
-    PYTHONPATH=src python -m tools.perf_report --label optimized --merge
+    PYTHONPATH=src python -m tools.perf_report --out x.json   # ... saved
     PYTHONPATH=src python -m tools.perf_report --guard        # regression gate
     PYTHONPATH=src python -m tools.perf_report --guard --update  # new reference
     PYTHONPATH=src python -m tools.perf_report --scale        # scaling curve
-
-``--merge`` updates the existing JSON in place (keeping other labels) and
-recomputes baseline→optimized speedups when both are present.
 """
 
 from __future__ import annotations
@@ -153,6 +152,22 @@ def pin_hash_seed() -> None:
     os.execve(sys.executable, [sys.executable, "-m", "tools.perf_report"] + sys.argv[1:], env)
 
 
+def _read_report(path: str) -> Dict:
+    """A recorded report, or ``{}`` when absent or unreadable."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
+        return {}
+
+
+def _write_report(report: Dict, out_path: str) -> None:
+    with open(out_path, "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {out_path}")
+
+
 class _HeapWatch:
     """Samples the scheduler's live event count every ``interval`` sim
     seconds (cheap probe events; identical overhead for every label).
@@ -234,19 +249,6 @@ def _timed_run(env: Environment, duration: float) -> Dict:
         result["allocs_per_1k_events"] = (
             round(1000.0 * allocs / events, 3) if events else 0.0
         )
-    stats = getattr(env.scheduler, "alloc_stats", None)
-    if stats is not None and "shards" in stats:
-        # Sharded engine: fleet-wide per-shard telemetry (the shared
-        # free lists already make the alloc counters fleet totals).
-        result["shard_stats"] = {
-            key: stats[key]
-            for key in (
-                "shards",
-                "shard_switches",
-                "shard_heap_total",
-                "shard_heap_max",
-            )
-        }
     return result
 
 
@@ -321,16 +323,14 @@ def scenario_flat_steady(n: int, sim_s: float, seed: int = 11) -> Dict:
     return result
 
 
-def _build_hier(
-    n: int, seed: int, join_stagger: float, comms=None
-) -> Environment:
+def _build_hier(n: int, seed: int, join_stagger: float) -> Environment:
     from repro.core import (
         LargeGroupParams,
         build_large_group,
         build_leader_group,
     )
 
-    env = Environment(seed=seed, latency=FixedLatency(0.002), comms=comms)
+    env = Environment(seed=seed, latency=FixedLatency(0.002))
     params = LargeGroupParams(resiliency=3, fanout=8)
     leaders = build_leader_group(
         env,
@@ -400,267 +400,6 @@ def scenario_churn(sim_s: float, n: int = 24, seed: int = 17) -> Dict:
     result = _timed_run(env, sim_s)
     result["fingerprint"] = _fingerprint(env, digest)
     return result
-
-
-# -- comms report (docs/comms.md) --------------------------------------------
-
-# (n, timed sim seconds) — matches hier_steady_n64 / hier_steady_n256.
-COMM_SIZES = ((64, 6.0), (256, 3.0))
-
-
-def _comm_logical(delta) -> Dict[str, int]:
-    """Logical per-category message counts with piggybacked control
-    traffic added back — the accounting identity of docs/comms.md: this
-    dict must be equal for a packing-on and a packing-off run of the
-    same loss-free steady-state window."""
-    logical = dict(delta.by_category)
-    if delta.heartbeats_suppressed:
-        # A suppressed ping removes the ping and the ack it would draw.
-        logical["heartbeat"] = (
-            logical.get("heartbeat", 0) + 2 * delta.heartbeats_suppressed
-        )
-    pig = delta.piggybacked
-    if pig.get("ack"):
-        logical["transport-ack"] = (
-            logical.get("transport-ack", 0) + pig["ack"]
-        )
-    if pig.get("gossip"):
-        logical["group-stability"] = (
-            logical.get("group-stability", 0) + pig["gossip"]
-        )
-    return logical
-
-
-def _comm_measure(
-    n: int, sim_s: float, comms, seed: int = 13, settle: float = 9.0
-) -> Dict:
-    """One aligned steady-state measurement window over the hierarchy.
-
-    The settle (3 s longer than ``scenario_hier_steady``'s) outlasts the
-    final post-join view change, so the window holds only steady-state
-    traffic; the +0.016 offset parks both window boundaries in the quiet
-    zone between periodic ticks (heartbeats/gossip at 0.02-multiples,
-    their arrivals +0.002, delayed acks +0.012).  Together these make
-    the packing-on and packing-off windows count exactly the same
-    protocol rounds — the logical-identity check depends on it."""
-    env = _build_hier(n, seed, join_stagger=0.02, comms=comms)
-    env.run_for(settle + 0.02 * n + 0.016)
-    before = env.network.stats.snapshot()
-    timing = _timed_run(env, sim_s)
-    delta = env.network.stats.since(before)
-    return {
-        "wall_s": timing["wall_s"],
-        "sim_s": sim_s,
-        "events": timing["events"],
-        "events_per_sec": timing["events_per_sec"],
-        "messages": delta.messages,
-        "wire_packets": delta.wire_packets,
-        "bytes": delta.bytes,
-        "wire_bytes": delta.wire_bytes,
-        "dropped": delta.dropped,
-        "packed_packets": delta.packed_packets,
-        "packed_messages": delta.packed_messages,
-        "bytes_saved": delta.bytes_saved,
-        "heartbeats_suppressed": delta.heartbeats_suppressed,
-        "piggybacked": dict(delta.piggybacked),
-        "logical_by_category": _comm_logical(delta),
-    }
-
-
-def _comm_off_fingerprints() -> Dict[str, Dict]:
-    """``hier_steady`` at the comm report's sizes with default (all-off)
-    CommsParams — the reference ``--guard --update`` records."""
-    return {
-        f"hier_steady_n{n}": scenario_hier_steady(n, sim_s)["fingerprint"]
-        for n, sim_s in COMM_SIZES
-    }
-
-
-def _comm_guard(core_path: str = "BENCH_core.json") -> Dict:
-    """Prove the all-off default is byte-identical to the frozen core
-    reference: rerun ``hier_steady_n{64,256}`` with default CommsParams
-    and compare fingerprints against the ``guard`` entry of
-    ``BENCH_core.json``."""
-    try:
-        with open(core_path) as fh:
-            core = json.load(fh)
-    except (OSError, ValueError):
-        core = {}
-    frozen = core.get("runs", {}).get("guard", {}).get("comm_off", {})
-    guard: Dict[str, Dict] = {}
-    print(f"  guard hier_steady (packing off vs {core_path}) ...", flush=True)
-    for name, fp in _comm_off_fingerprints().items():
-        expected = frozen.get(name)
-        guard[name] = {
-            "fingerprint": fp,
-            "matches_core_baseline": (
-                fp == expected if expected is not None else None
-            ),
-        }
-        if expected is not None and fp != expected:
-            raise SystemExit(
-                f"perf_report: comms-off fingerprint for {name} diverged "
-                f"from {core_path} — the packing layer is not inert at "
-                "pack_window=0"
-            )
-    return guard
-
-
-def _comm_sanitize(comms) -> Dict:
-    """Virtual-synchrony sanitizer sweep with the comms optimisations on:
-    flat and hierarchical scenarios, sim and asyncio engines, all must
-    finish VS001–VS006 clean (strict mode raises on violation)."""
-    from repro.core import LargeGroupParams, build_large_group, build_leader_group
-    from repro.membership import CAUSAL, FIFO, TOTAL, build_group
-    from repro.metrics.sanitizer import install_sanitizer
-    from repro.runtime import AsyncioRuntime, SimRuntime
-
-    def flat(runtime) -> int:
-        env = Environment(
-            latency=FixedLatency(0.002), runtime=runtime, comms=comms
-        )
-        _nodes, members = build_group(
-            env, "g", 4,
-            detector_factory=_heartbeat_factory,
-            gossip_interval=GOSSIP_INTERVAL,
-        )
-        sanitizer = install_sanitizer(members)
-        traffic = [
-            (0.10, members[0], FIFO, ("f0", "f1", "f2")),
-            (0.15, members[1], CAUSAL, ("c0", "c1")),
-            (0.20, members[2], TOTAL, ("t0", "t1")),
-            (0.25, members[3], FIFO, ("g0", "g1")),
-        ]
-        for start, member, ordering, payloads in traffic:
-            def burst(member=member, ordering=ordering, payloads=payloads):
-                for payload in payloads:
-                    member.multicast(payload, ordering)
-            env.scheduler.after(start, burst)
-        env.run_for(2.0)
-        return sanitizer.check(at_quiescence=True)["deliveries_checked"]
-
-    def hier(runtime, heartbeats: bool) -> int:
-        env = Environment(
-            latency=FixedLatency(0.002), runtime=runtime, comms=comms
-        )
-        params = LargeGroupParams(resiliency=2, fanout=3)
-        kwargs = (
-            dict(
-                detector_factory=_heartbeat_factory,
-                gossip_interval=GOSSIP_INTERVAL,
-            )
-            if heartbeats
-            else {}
-        )
-        leaders = build_leader_group(env, "svc", params, **kwargs)
-        contacts = tuple(r.node.address for r in leaders)
-        members = build_large_group(
-            env, "svc", 6, params, contacts, join_stagger=0.2, **kwargs
-        )
-        env.run_for(4.0)
-        placed = [m for m in members if m.is_member]
-        sanitizer = install_sanitizer(m.leaf_member for m in placed)
-        for offset, sender in enumerate((placed[0], placed[-1])):
-            def burst(sender=sender):
-                for i in range(3):
-                    sender.leaf_multicast(f"{sender.me}/m{i}", FIFO)
-            env.scheduler.after(0.1 + 0.2 * offset, burst)
-        env.run_for(3.0)
-        return sanitizer.check(at_quiescence=True)["deliveries_checked"]
-
-    results: Dict[str, Dict] = {}
-    for name, run in (
-        ("sim_flat", lambda: flat(SimRuntime(seed=7))),
-        ("sim_hier", lambda: hier(SimRuntime(seed=11), heartbeats=True)),
-    ):
-        print(f"  sanitize {name} (comms on) ...", flush=True)
-        results[name] = {"clean": True, "deliveries_checked": run()}
-    for name, make, run in (
-        (
-            "asyncio_flat",
-            lambda: AsyncioRuntime(seed=7, time_scale=0.05),
-            flat,
-        ),
-        (
-            "asyncio_hier",
-            lambda: AsyncioRuntime(seed=11, time_scale=0.1),
-            lambda rt: hier(rt, heartbeats=False),
-        ),
-    ):
-        print(f"  sanitize {name} (comms on) ...", flush=True)
-        runtime = make()
-        try:
-            results[name] = {"clean": True, "deliveries_checked": run(runtime)}
-        finally:
-            runtime.close()
-    return results
-
-
-def run_comm_suite(quick: bool = False) -> Dict:
-    """The ``--comm`` report: packing/piggybacking on vs off (docs/comms.md).
-
-    Per size: one packing-off and one packing-on aligned window over the
-    steady-state hierarchy, the wire-packet reduction between them, and
-    the logical-count identity check; plus the comms-off fingerprint
-    guard against ``BENCH_core.json`` and the sanitizer sweep."""
-    from repro.net.packer import CommsParams
-
-    comms_on = CommsParams.enabled(latency_floor=0.002)
-    sizes = COMM_SIZES[:1] if quick else COMM_SIZES
-    report: Dict = {
-        "benchmark": "bench_comm_packing",
-        "comms_params": {
-            "pack_window": comms_on.pack_window,
-            "delayed_ack": comms_on.delayed_ack,
-            "gossip_piggyback": comms_on.gossip_piggyback,
-            "heartbeat_suppression": comms_on.heartbeat_suppression,
-        },
-        "scenarios": {},
-    }
-    for n, sim_s in sizes:
-        name = f"hier_steady_n{n}"
-        print(f"  running {name} packing off ...", flush=True)
-        off = _comm_measure(n, sim_s, comms=None)
-        print(f"  running {name} packing on ...", flush=True)
-        on = _comm_measure(n, sim_s, comms=comms_on)
-        reduction = (
-            1.0 - on["wire_packets"] / off["wire_packets"]
-            if off["wire_packets"]
-            else 0.0
-        )
-        identical = off["logical_by_category"] == on["logical_by_category"]
-        report["scenarios"][name] = {
-            "off": off,
-            "on": on,
-            "wire_packet_reduction": round(reduction, 4),
-            "wire_byte_reduction": round(
-                1.0 - on["wire_bytes"] / off["wire_bytes"], 4
-            ) if off["wire_bytes"] else 0.0,
-            # Same simulated window on both sides, so time-to-solution
-            # is the honest throughput metric (events/sec alone drops
-            # when the optimisation removes events faster than wall).
-            "wall_speedup": round(off["wall_s"] / on["wall_s"], 3)
-            if on["wall_s"]
-            else None,
-            "logical_counts_identical": identical,
-        }
-        print(
-            f"    wire packets {off['wire_packets']} -> {on['wire_packets']} "
-            f"(-{reduction:.1%}), logical identical: {identical}"
-        )
-        if not identical:
-            raise SystemExit(
-                f"perf_report: logical message counts diverged for {name} — "
-                "the comms optimisations changed protocol behaviour"
-            )
-        if reduction < 0.30:
-            raise SystemExit(
-                f"perf_report: wire-packet reduction {reduction:.1%} for "
-                f"{name} is below the 30% target"
-            )
-    report["guard"] = _comm_guard()
-    report["sanitizer"] = _comm_sanitize(comms_on)
-    return report
 
 
 def run_wire_suite(quick: bool = False) -> Dict:
@@ -944,10 +683,9 @@ def run_parallel_suite(quick: bool = False) -> Dict:
 
     Measures the statically-placed hierarchy (whole leaves per
     partition — the locality the window protocol converts into
-    speedup) at W ∈ {1, 2, 4} workers against two serial comparators:
-    the plain scheduler and the 4-shard serial merge (the "one core,
-    same partitioning" baseline the ROADMAP item calls out).  Two
-    speedup figures are recorded per W:
+    speedup) at W ∈ {1, 2, 4} workers against the plain serial run —
+    one Environment, one scheduler, the fastest single-process engine
+    there is.  Two speedup figures are recorded per W:
 
     * ``speedup_wall`` — hub wall-clock over the measured window.  Only
       meaningful when the host has at least W+1 free cores.
@@ -961,7 +699,6 @@ def run_parallel_suite(quick: bool = False) -> Dict:
     be identical at every W, and a sanitizer-attached 2-worker run must
     be violation-free.
     """
-    from repro.sim.params import SimParams
     from repro.sim.parallel import run_serial
 
     n = PARA_QUICK_N if quick else PARA_N
@@ -979,29 +716,22 @@ def run_parallel_suite(quick: bool = False) -> Dict:
             "gossip_interval": scn.gossip_interval,
             "sim_s": scn.sim_s,
         },
-        "serial": {},
         "parallel": {},
     }
-    clocks = dict(
+    print(f"  running serial reference (n={n}) ...", flush=True)
+    m = run_serial(
+        scn,
         clock=time.perf_counter,
         cpu_clock=time.process_time,
         measure_from=scn.settle_time,
-    )
-    for label, params in (
-        ("plain", SimParams()),
-        ("sharded", SimParams(shards=PARA_PARTITIONS)),
-    ):
-        print(f"  running serial reference ({label}, n={n}) ...", flush=True)
-        serial = run_serial(scn, params=params, **clocks)
-        m = serial["measured"]
-        report["serial"][label] = {
-            "wall_s": round(m["wall_s"], 4),
-            "cpu_s": round(m["cpu_s"], 4),
-            "events": m["events"],
-            "events_per_sec": round(m["events"] / m["wall_s"]),
-        }
-    serial_wall = report["serial"]["sharded"]["wall_s"]
-    plain_wall = report["serial"]["plain"]["wall_s"]
+    )["measured"]
+    report["serial"] = {
+        "wall_s": round(m["wall_s"], 4),
+        "cpu_s": round(m["cpu_s"], 4),
+        "events": m["events"],
+        "events_per_sec": round(m["events"] / m["wall_s"]),
+    }
+    serial_wall = report["serial"]["wall_s"]
     reference_fp = None
     for w in PARA_WORKERS:
         print(f"  running parallel W={w} (P={PARA_PARTITIONS}) ...", flush=True)
@@ -1041,13 +771,6 @@ def run_parallel_suite(quick: bool = False) -> Dict:
             "digest_parity_with_w1": parity,
             "speedup_wall": round(serial_wall / hub["wall_s"], 3),
             "speedup_critical_path": round(serial_wall / critical_path, 3),
-            # The sharded serial is the like-for-like baseline (same
-            # 4-way partitioning, one core); the plain-scheduler pair
-            # keeps the comparison honest about shard-merge overhead.
-            "speedup_wall_vs_plain": round(plain_wall / hub["wall_s"], 3),
-            "speedup_critical_path_vs_plain": round(
-                plain_wall / critical_path, 3
-            ),
         }
         entry = report["parallel"][f"w{w}"]
         print(
@@ -1091,6 +814,9 @@ def run_parallel_suite(quick: bool = False) -> Dict:
         "metric": metric,
         "value": top[metric],
         "target": PARA_TARGET_SPEEDUP,
+        # What this host can show on the wall clock: W=2 needs 3 cores
+        # to overlap fully, so on fewer it is a lower bound.
+        "wall_w2": report["parallel"]["w2"]["speedup_wall"],
         "note": (
             "wall-clock, host has enough cores"
             if metric == "speedup_wall"
@@ -1128,12 +854,9 @@ def _parallel_guard(para_path: str = "BENCH_para.json") -> List[str]:
     exists).  Two gates: W=1 and W=2 must still agree with each other
     (W-invariance), and both must equal the recorded reference
     (behaviour drift shows up here as surely as in the core guard)."""
-    try:
-        with open(para_path) as fh:
-            reference = json.load(fh)
-    except (OSError, ValueError):
-        return []
-    recorded = reference.get("runs", {}).get("guard", {}).get("fingerprints")
+    recorded = (
+        _read_report(para_path).get("runs", {}).get("guard", {}).get("fingerprints")
+    )
     if not recorded:
         return []
     print(f"  running parallel guard (n={PARA_GUARD_N}, W=1 vs W=2) ...", flush=True)
@@ -1297,8 +1020,8 @@ def run_guard(
     ``guard`` reference label in ``BENCH_core.json``: every behaviour
     fingerprint (delivery digest included) must be byte-identical, and
     events/sec must stay within ``GUARD_EPS_FLOOR`` of the reference.
-    ``--guard --update`` records the current tree as the new reference
-    (done automatically by ``make bench-report``).
+    ``--guard --update`` (``make bench-report``) records the current
+    tree as the new reference.
 
     When ``BENCH_scale.json`` exists (``make bench-scale``), its own
     quick-size guard entry rides the same gate — the scale reference
@@ -1311,58 +1034,39 @@ def run_guard(
     for name in GUARD_SCENARIOS:
         print(f"  running {name} (quick) ...", flush=True)
         results[name] = scenarios[name]()
-    try:
-        with open(out_path) as fh:
-            report = json.load(fh)
-    except (OSError, ValueError):
-        report = {"benchmark": "bench_perf_core", "runs": {}}
-    try:
-        with open(scale_path) as fh:
-            scale_report = json.load(fh)
-    except (OSError, ValueError):
-        scale_report = None
+    scale_report = _read_report(scale_path)
     scale_n, scale_sim_s = SCALE_GUARD
     scale_name = f"scale_n{scale_n}"
     scale_fns = {scale_name: lambda: scenario_scale(scale_n, scale_sim_s)}
     if update:
-        report.setdefault("runs", {})["guard"] = {
+        # The guard reference is all BENCH_core.json holds.
+        guard_entry = {
             "scenarios": results,
-            "comm_off": _comm_off_fingerprints(),
             "quick": True,
             "calibration_ops_per_sec": round(_calibrate()),
         }
-        with open(out_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"perf_report: guard reference updated in {out_path}")
-        if scale_report is not None:
+        _write_report(
+            {"benchmark": "bench_perf_core", "runs": {"guard": guard_entry}},
+            out_path,
+        )
+        if scale_report:
             print(f"  running {scale_name} (guard) ...", flush=True)
             scale_report.setdefault("runs", {})["guard"] = {
                 "scenarios": {scale_name: scale_fns[scale_name]()},
                 "quick": True,
                 "calibration_ops_per_sec": round(_calibrate()),
             }
-            with open(scale_path, "w") as fh:
-                json.dump(scale_report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"perf_report: guard reference updated in {scale_path}")
+            _write_report(scale_report, scale_path)
         para_path = "BENCH_para.json"
-        try:
-            with open(para_path) as fh:
-                para_report = json.load(fh)
-        except (OSError, ValueError):
-            para_report = None
-        if para_report is not None:
+        para_report = _read_report(para_path)
+        if para_report:
             print(f"  running parallel guard (n={PARA_GUARD_N}) ...", flush=True)
             para_report.setdefault("runs", {})["guard"] = {
                 "fingerprints": _parallel_guard_fingerprints()
             }
-            with open(para_path, "w") as fh:
-                json.dump(para_report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"perf_report: guard reference updated in {para_path}")
+            _write_report(para_report, para_path)
         return 0
-    guard_entry = report.get("runs", {}).get("guard", {})
+    guard_entry = _read_report(out_path).get("runs", {}).get("guard", {})
     if not guard_entry.get("scenarios"):
         print(
             f"perf_report: no guard reference in {out_path}; "
@@ -1370,9 +1074,7 @@ def run_guard(
         )
         return 2
     failures = _guard_check(results, guard_entry, scenarios)
-    scale_entry = (
-        (scale_report or {}).get("runs", {}).get("guard", {})
-    )
+    scale_entry = scale_report.get("runs", {}).get("guard", {})
     if scale_entry.get("scenarios"):
         print(f"  running {scale_name} (guard) ...", flush=True)
         scale_results = {scale_name: scale_fns[scale_name]()}
@@ -1409,37 +1111,13 @@ def run_suite(quick: bool, only: Optional[List[str]] = None) -> Dict[str, Dict]:
     return results
 
 
-def compute_speedups(report: Dict) -> None:
-    runs = report.get("runs", {})
-    base = runs.get("baseline", {}).get("scenarios")
-    opt = runs.get("optimized", {}).get("scenarios")
-    if not base or not opt:
-        report.pop("speedup", None)
-        return
-    speedup = {}
-    for name, b in base.items():
-        o = opt.get(name)
-        if not o or not b.get("events_per_sec") or not o.get("events_per_sec"):
-            continue
-        speedup[name] = round(o["events_per_sec"] / b["events_per_sec"], 3)
-    report["speedup"] = speedup
-    fp_match = {}
-    for name, b in base.items():
-        o = opt.get(name)
-        if o and "fingerprint" in b and "fingerprint" in o:
-            fp_match[name] = b["fingerprint"] == o["fingerprint"]
-    report["fingerprints_identical"] = fp_match
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true", help="small CI sizes")
-    parser.add_argument("--out", default="BENCH_core.json")
-    parser.add_argument("--label", default="optimized")
     parser.add_argument(
-        "--merge",
-        action="store_true",
-        help="update an existing report in place, keeping other labels",
+        "--out",
+        help="where to write the report: defaults to the suite's own "
+        "BENCH_*.json; the core suite only prints unless this is given",
     )
     parser.add_argument(
         "--scenario", action="append", help="run only the named scenario(s)"
@@ -1455,12 +1133,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="PATH",
         help="instead of benchmarking, regenerate the experiment-table "
         "capture (docs/bench_tables.txt) and exit",
-    )
-    parser.add_argument(
-        "--comm",
-        action="store_true",
-        help="instead of the core suite, run the wire-packing/piggyback "
-        "report (docs/comms.md) and write BENCH_comm.json",
     )
     parser.add_argument(
         "--wire",
@@ -1504,58 +1176,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.tables:
         return capture_experiment_tables(args.tables)
 
-    if args.guard:
-        if argv is None:
-            pin_hash_seed()
-        return run_guard(args.out, update=args.update)
-
-    if args.parallel:
-        if argv is None:
-            pin_hash_seed()
-        out = args.out if args.out != "BENCH_core.json" else "BENCH_para.json"
-        print(f"perf_report: parallel report quick={args.quick}")
-        report = run_parallel_suite(args.quick)
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {out}")
-        return 0
-
-    if args.scale:
-        if argv is None:
-            pin_hash_seed()
-        out = args.out if args.out != "BENCH_core.json" else "BENCH_scale.json"
-        print(f"perf_report: scale report quick={args.quick}")
-        report = run_scale_suite(args.quick)
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {out}")
-        return 0
-
-    if args.wire:
-        if argv is None:
-            pin_hash_seed()
-        out = args.out if args.out != "BENCH_core.json" else "BENCH_wire.json"
-        print(f"perf_report: wire report quick={args.quick}")
-        report = run_wire_suite(args.quick)
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {out}")
-        return 0
-
-    if args.comm:
-        if argv is None:
-            pin_hash_seed()
-        out = args.out if args.out != "BENCH_core.json" else "BENCH_comm.json"
-        print(f"perf_report: comm report quick={args.quick}")
-        report = run_comm_suite(args.quick)
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {out}")
-        return 0
+    if argv is None:
+        pin_hash_seed()
 
     if args.lint:
         # Benchmark numbers (and their behaviour fingerprints) are only
@@ -1574,36 +1196,30 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         print("perf_report: repro-lint preflight ok")
 
-    if argv is None:
-        pin_hash_seed()
-    print(f"perf_report: label={args.label} quick={args.quick}")
+    if args.guard:
+        return run_guard(args.out or "BENCH_core.json", update=args.update)
+
+    for flag, default_out, suite in (
+        ("parallel", "BENCH_para.json", run_parallel_suite),
+        ("scale", "BENCH_scale.json", run_scale_suite),
+        ("wire", "BENCH_wire.json", run_wire_suite),
+    ):
+        if getattr(args, flag):
+            print(f"perf_report: {flag} report quick={args.quick}")
+            _write_report(suite(args.quick), args.out or default_out)
+            return 0
+
+    print(f"perf_report: core suite quick={args.quick}")
     scenarios = run_suite(args.quick, args.scenario)
-
-    report: Dict = {"benchmark": "bench_perf_core", "runs": {}}
-    if args.merge:
-        try:
-            with open(args.out) as fh:
-                report = json.load(fh)
-        except (OSError, ValueError):
-            pass
-    report.setdefault("runs", {})
-    entry = report["runs"].setdefault(args.label, {"scenarios": {}})
-    if args.scenario:
-        entry.setdefault("scenarios", {}).update(scenarios)
-    else:
-        entry["scenarios"] = scenarios
-    entry["quick"] = args.quick
-    compute_speedups(report)
-
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out}")
-    if "speedup" in report:
-        for name, ratio in sorted(report["speedup"].items()):
-            match = report.get("fingerprints_identical", {}).get(name)
-            tag = "" if match is None else (" [identical]" if match else " [DIVERGED]")
-            print(f"  {name}: {ratio}x{tag}")
+    if args.out:
+        _write_report(
+            {
+                "benchmark": "bench_perf_core",
+                "quick": args.quick,
+                "scenarios": scenarios,
+            },
+            args.out,
+        )
     return 0
 
 
