@@ -1,10 +1,11 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-baseline analyze sanitize smoke-asyncio smoke-socket e2e-smoke trace bench bench-e2e bench-report bench-guard bench-quick bench-scale bench-claims bench-tables bench-wire bench-parallel perf-smoke clean
+.PHONY: test lint lint-baseline analyze sanitize smoke-asyncio smoke-socket e2e-smoke trace bench bench-e2e bench-report bench-guard bench-scale bench-claims bench-tables bench-wire bench-parallel clean
 
-## Tier-1: unit + integration tests (includes the quick perf smoke and
-## the backend smokes, markers: asyncio_smoke, socket_smoke).
+## Tier-1: unit + integration tests (includes the behaviour guard below
+## and the backend smokes, markers: asyncio_smoke, socket_smoke,
+## parallel_smoke).
 test:
 	$(PYTHON) -m pytest -x -q
 
@@ -29,9 +30,10 @@ analyze:
 sanitize:
 	$(PYTHON) -m pytest tests/test_sanitizer.py -q
 
-## Wall-clock smoke: the hierarchical demo live on the asyncio engine,
-## strict sanitizer attached, under a hard timeout (a wall-clock run can
-## hang in ways the simulator cannot — never let CI wait on it).
+## Wall-clock smoke: the hier parity plan live on the asyncio engine,
+## strict sanitizer attached, checked against its sim reference, under a
+## hard timeout (a wall-clock run can hang in ways the simulator cannot
+## — never let CI wait on it).
 smoke-asyncio:
 	timeout 60 $(PYTHON) -m repro live --workers 6 --time-scale 0.1
 
@@ -55,9 +57,8 @@ e2e-smoke:
 trace:
 	$(PYTHON) -m tools.trace_report --out trace_demo.json
 
-## Paper experiments + event-core perf scenarios under pytest-benchmark.
-## (The thousand-node claim tables take minutes each — run those with
-## `make bench-claims`.)
+## Paper experiments under pytest-benchmark.  (The thousand-node claim
+## tables take minutes each — run those with `make bench-claims`.)
 bench:
 	$(PYTHON) -m pytest benchmarks -q --benchmark-only -m "not scale_claims"
 
@@ -71,36 +72,33 @@ bench-claims:
 ## The end-to-end request benchmark BENCHMARK.json declares: both
 ## passes of all four workloads, one JSON document each, the per-layer
 ## table on stderr (benchmarks/e2e/README.md).  Every perf or simplicity
-## claim is made with this, not with the event-core numbers below.
+## claim is made with this; nothing below gates speed.
 bench-e2e:
 	$(PYTHON) benchmarks/e2e/run.py --all
 
-## Re-record the guard reference: BENCH_core.json (which holds nothing
-## else) and the guard entries of BENCH_scale.json / BENCH_para.json when
-## those files exist.  Run after a deliberate behaviour change, with the
-## per-category reason for every changed fingerprint in EXPERIMENTS.md.
-## The --lint preflight refuses to record a nondeterministic tree.
+## Re-record the guard reference: all seven fingerprints, into
+## BENCH_core.json and nowhere else.  Run after a deliberate behaviour
+## change, with the per-category reason for every changed fingerprint in
+## EXPERIMENTS.md.  The lint preflight refuses to record a
+## nondeterministic tree.
 bench-report:
-	$(PYTHON) -m tools.perf_report --lint --guard --update
+	$(PYTHON) -m tools.lint src/repro --flow
+	$(PYTHON) -m tools.perf_report --guard --update
 
-## Perf regression gate: flow-clean lint preflight, then rerun the
-## quick guard scenarios against the reference recorded in
-## BENCH_core.json — fails on any behaviour-fingerprint change or a
-## >10% events/sec regression.  Suitable as a CI preflight alongside
-## `make lint`.
+## Behaviour gate: flow-clean lint preflight, then rerun the seven quick
+## guard scenarios (four core, scale_n256, the W=1/W=2 parallel pair)
+## against BENCH_core.json — fails on any fingerprint change and names
+## the counter that moved.  Tier-1 runs the same check; speed is gated
+## by `make bench-e2e` pairs, not here.
 bench-guard:
 	$(PYTHON) -m tools.lint src/repro --flow
 	$(PYTHON) -m tools.perf_report --guard
 
-## Fast variant of the perf suite for local iteration (prints only).
-bench-quick:
-	$(PYTHON) -m tools.perf_report --quick
-
 ## Scaling-curve report (docs/hierarchy.md): the load-driven recursive
 ## hierarchy at n=1024/2048/4096 with heartbeats off — events/sec, tree
 ## shape, reorg counts and routing-disruption windows per size, plus the
-## sanitized n=1024 acceptance run and the n=256 guard reference that
-## `make bench-guard` re-measures whenever BENCH_scale.json is present.
+## sanitized n=1024 acceptance run.  Writes BENCH_scale.json, a pure
+## report (its n=256 guard fingerprint lives in BENCH_core.json).
 bench-scale:
 	$(PYTHON) -m tools.perf_report --scale
 
@@ -110,9 +108,8 @@ bench-scale:
 ## parity at every W, per-worker CPU seconds and events/sec, the
 ## sanitized parallel run, and the W=4 speedup gate (>= 2.5x;
 ## wall-clock on a >= 5-core host, critical-path otherwise, with the
-## W=2 wall-clock figure beside it).  Writes BENCH_para.json, whose
-## guard fingerprints `make bench-guard` re-checks whenever the file
-## is present.
+## W=2 wall-clock figure beside it).  Writes BENCH_para.json, a pure
+## report (the W=1/W=2 guard pair lives in BENCH_core.json).
 bench-parallel:
 	$(PYTHON) -m tools.perf_report --parallel
 
@@ -128,10 +125,6 @@ bench-wire:
 ## bench_tables.txt from a raw pytest redirect is scratch — gitignored.
 bench-tables:
 	$(PYTHON) -m tools.perf_report --tables docs/bench_tables.txt
-
-## Just the event-core perf benchmarks (marker: perf).
-perf-smoke:
-	$(PYTHON) -m pytest benchmarks -q --benchmark-only -m perf
 
 clean:
 	rm -rf .pytest_cache .benchmarks

@@ -26,7 +26,7 @@ See ``examples/`` for the full tour and ``DESIGN.md`` for the system map.
 
 from repro.core.params import LargeGroupParams
 from repro.membership.events import CAUSAL, FIFO, TOTAL
-from repro.membership.service import GroupNode, build_group, build_nodes
+from repro.membership.service import GroupNode, build_group
 from repro.net.latency import FixedLatency, LanLatency, UniformLatency
 from repro.proc.env import Environment
 from repro.runtime import AsyncioRuntime, SimRuntime
@@ -46,6 +46,5 @@ __all__ = [
     "TOTAL",
     "UniformLatency",
     "build_group",
-    "build_nodes",
     "__version__",
 ]

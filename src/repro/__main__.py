@@ -119,62 +119,50 @@ def cmd_scale(args: argparse.Namespace) -> int:
 def cmd_live(args: argparse.Namespace) -> int:
     """Hierarchical service on the wall-clock asyncio engine.
 
-    The exact protocol stack the simulator runs — leaders, leaf
-    subgroups, FIFO leaf multicast — on real asyncio timers, with the
-    strict virtual-synchrony sanitizer attached.  Exits non-zero if any
-    worker is left unplaced, any delivery goes missing, or the sanitizer
-    trips (a violation raises out of the run).
+    The ``hier`` parity plan — leaders, staggered worker joins, FIFO
+    leaf multicast, strict virtual-synchrony sanitizer — on real asyncio
+    timers, checked against a sim-engine run of the same plan like
+    ``repro deploy``.  Exits non-zero if any worker is left unplaced,
+    placement or a per-sender delivery sequence diverges, or the
+    sanitizer trips (a violation raises out of the run).
     """
-    from repro.core import LargeGroupParams, build_large_group, build_leader_group
-    from repro.metrics.sanitizer import install_sanitizer
-    from repro.net import FixedLatency
+    from repro.deploy.scenarios import HierScenario, run_reference
     from repro.runtime import AsyncioRuntime
 
+    scenario = HierScenario(workers=args.workers)
     runtime = AsyncioRuntime(seed=args.seed, time_scale=args.time_scale)
     try:
-        env = Environment(latency=FixedLatency(0.002), runtime=runtime)
-        params = LargeGroupParams(resiliency=2, fanout=3)
-        leaders = build_leader_group(env, "svc", params)
-        contacts = tuple(r.node.address for r in leaders)
-        members = build_large_group(
-            env, "svc", args.workers, params, contacts, join_stagger=0.2
-        )
-        env.run_for(4.0)
-
-        placed = [m for m in members if m.is_member]
-        if len(placed) != args.workers:
-            print(f"FAIL: {args.workers - len(placed)} worker(s) unplaced")
-            return 1
-        sanitizer = install_sanitizer(m.leaf_member for m in placed)
-        deliveries = []
-        for m in placed:
-            m.add_delivery_listener(
-                lambda e, me=m.me: deliveries.append((me, e.sender, e.payload))
-            )
-        sender = placed[0]
-        env.scheduler.after(
-            0.1, lambda: [sender.leaf_multicast(f"m{i}", FIFO) for i in range(3)]
-        )
-        env.run_for(2.0)
-        counters = sanitizer.check(at_quiescence=True)
-
-        leaf_size = sum(
-            1 for m in placed if m.leaf_member.group == sender.leaf_member.group
-        )
-        expected = 3 * leaf_size
-        print(f"workers placed:       {len(placed)}/{args.workers}")
-        print(f"leaf deliveries:      {len(deliveries)}/{expected}")
-        print(f"sanitizer deliveries: {counters['deliveries_checked']} checked, "
-              f"{counters['violations']} violations")
-        print(f"logical time:         {env.now:.2f}s "
-              f"(time_scale={args.time_scale})")
-        if len(deliveries) != expected:
-            print("FAIL: delivery count mismatch")
-            return 1
-        print("wall-clock run sanitizer-clean: virtual synchrony held on asyncio.")
-        return 0
+        live = run_reference(scenario, runtime=runtime)
     finally:
         runtime.close()
+    errors = scenario.check(run_reference(scenario), live)
+    placed = sum(1 for slot in live["placement"].values() if slot is not None)
+    print(f"scenario:  {scenario.name}  (asyncio, {scenario.duration:.2f} "
+          f"logical s at time_scale={args.time_scale})")
+    print(f"placed:    {placed}/{args.workers} workers")
+    return _parity_verdict(
+        live["counters"],
+        errors,
+        "wall-clock run",
+        "parity with the sim reference held: sanitizer-clean on asyncio.",
+    )
+
+
+def _parity_verdict(counters, errors, what: str, held: str) -> int:
+    """Shared tail of ``live`` and ``deploy``: sanitizer counts, then
+    the parity errors against the sim reference or the all-clear."""
+    if counters:
+        print(
+            f"sanitizer: {counters.get('deliveries_checked', 0)} deliveries "
+            f"checked, {counters.get('violations', 0)} violations"
+        )
+    if errors:
+        print(f"FAIL: {what} diverged from the sim reference")
+        for error in errors:
+            print(f"  - {error}")
+        return 1
+    print(held)
+    return 0
 
 
 def cmd_deploy(args: argparse.Namespace) -> int:
@@ -202,19 +190,12 @@ def cmd_deploy(args: argparse.Namespace) -> int:
             f"{wire.get('envelopes_sent', 0)} envelopes, "
             f"{wire.get('decode_errors', 0)} decode errors"
         )
-    counters = outcome.live.get("counters", {})
-    if counters:
-        print(
-            f"sanitizer: {counters.get('deliveries_checked', 0)} deliveries "
-            f"checked, {counters.get('violations', 0)} violations"
-        )
-    if outcome.errors:
-        print("FAIL: deployment diverged from the sim reference")
-        for error in outcome.errors:
-            print(f"  - {error}")
-        return 1
-    print("deployment parity held: sanitizer-clean across real processes.")
-    return 0
+    return _parity_verdict(
+        outcome.live.get("counters", {}),
+        outcome.errors,
+        "deployment",
+        "deployment parity held: sanitizer-clean across real processes.",
+    )
 
 
 def main(argv=None) -> int:

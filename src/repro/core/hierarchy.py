@@ -90,13 +90,11 @@ class LargeGroupMember:
         # the first reorganisation teaches us where we sit).
         self.leaf_level = 0
         self.leaf_path: Tuple[str, ...] = ()
-        # Load accounting (load-driven policy only): raw per-interval
-        # counters, turned into rate samples by the report tick; the
-        # leader folds the samples into its EWMAs.
+        # Load accounting (load-driven policy only): a raw per-interval
+        # counter, turned into a rate sample by the report tick; the
+        # leader folds the samples into its EWMA.
         self._deliveries = 0
-        self._requests = 0
         self._last_delivery_rate = -1.0  # negative = no sample yet
-        self._last_request_rate = -1.0
         self._tick_gen = 0  # invalidates stale tick timers across recovery
 
         runtime = node.runtime
@@ -118,9 +116,7 @@ class LargeGroupMember:
         self.leaf_level = 0
         self.leaf_path = ()
         self._deliveries = 0
-        self._requests = 0
         self._last_delivery_rate = -1.0
-        self._last_request_rate = -1.0
         if self.params.reorg.load_driven:
             self._arm_tick()
 
@@ -134,24 +130,17 @@ class LargeGroupMember:
         )
 
     def _load_tick(self, gen: int) -> None:
-        """Per-interval load sampling: turn the raw counters into rate
-        samples and, when this process is the leaf coordinator, report
-        them to the leader (which folds them into its per-leaf EWMAs)."""
+        """Per-interval load sampling: turn the raw counter into a rate
+        sample and, when this process is the leaf coordinator, report it
+        to the leader (which folds it into its per-leaf EWMA)."""
         if gen != self._tick_gen or not self.node.alive:
             return
         interval = self.params.reorg.report_interval
         self._last_delivery_rate = self._deliveries / interval
-        self._last_request_rate = self._requests / interval
         self._deliveries = 0
-        self._requests = 0
         if self.is_leaf_coordinator:
             self._report_status()
         self.node.set_timer(interval, lambda: self._load_tick(gen))
-
-    def note_request(self) -> None:
-        """Count one application-level request against this member's leaf
-        (servers call this as they serve; feeds the request-rate EWMA)."""
-        self._requests += 1
 
     # ------------------------------------------------------------------ public
 
@@ -324,7 +313,6 @@ class LargeGroupMember:
             level=self.leaf_level,
             path=self.leaf_path,
             delivery_rate=self._last_delivery_rate if load_driven else -1.0,
-            request_rate=self._last_request_rate if load_driven else -1.0,
         )
         contacts = self.leader_contacts
         contact = contacts[attempt % len(contacts)]

@@ -63,8 +63,8 @@ class ReportLeafStatus:
 
     ``level``/``path`` echo the coordinator's placement as it learned it
     from directives (telemetry; the replicated state's tree remains the
-    authority).  Negative rates mean "no load sample" — the size-only
-    deployments always send -1 and the leader never touches the EWMAs.
+    authority).  A negative rate means "no load sample" — the size-only
+    deployments always send -1 and the leader never touches the EWMA.
     """
 
     service: str
@@ -74,7 +74,6 @@ class ReportLeafStatus:
     level: int = 0
     path: Tuple[str, ...] = ()
     delivery_rate: float = -1.0
-    request_rate: float = -1.0
 
 
 @dataclass
@@ -346,7 +345,6 @@ class LeaderReplica:
                 size=body.size,
                 contacts=tuple(body.contacts),
                 delivery_rate=body.delivery_rate,
-                request_rate=body.request_rate,
             )
             if body.leaf_id in self.state.leaves
             else AddLeaf(

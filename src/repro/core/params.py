@@ -31,10 +31,10 @@ class ReorgPolicy:
     the canonical bottom-up packing of the sorted leaf-id set.
 
     ``mode="load"`` makes reorganisation *load-driven*: leaf coordinators
-    report delivery-rate and request-rate EWMAs every
-    ``report_interval`` seconds, a leaf whose smoothed rates exceed the
-    hot thresholds splits even while comfortably sized, two *sibling*
-    leaves that are both cold merge back together, and new leaves attach
+    report a delivery-rate sample every ``report_interval`` seconds, a
+    leaf whose smoothed rate exceeds the hot threshold splits even while
+    comfortably sized, two *sibling* leaves that are both cold merge
+    back together, and new leaves attach
     under their parent's branch so the tree deepens where the load is —
     the recursive self-organising shape sVIRGO argues for.  Size bounds
     stay on as safety rails (an oversized leaf still splits, an
@@ -42,16 +42,14 @@ class ReorgPolicy:
     """
 
     mode: str = "size"  # "size" | "load"
-    # EWMA smoothing for the per-leaf rates: rate' = alpha*sample +
+    # EWMA smoothing for the per-leaf rate: rate' = alpha*sample +
     # (1-alpha)*rate, sampled once per report interval.
     ewma_alpha: float = 0.4
-    # A leaf is *hot* when either smoothed rate crosses its threshold
-    # (deliveries resp. application requests per second, leaf-wide).
+    # A leaf is *hot* when its smoothed delivery rate (deliveries per
+    # second, leaf-wide) crosses this threshold.
     hot_delivery_rate: float = 30.0
-    hot_request_rate: float = 20.0
-    # A leaf is *cold* below both of these; two cold siblings merge.
+    # A leaf is *cold* below this; two cold siblings merge.
     cold_delivery_rate: float = 2.0
-    cold_request_rate: float = 2.0
     # Leaf coordinators report load this often (load mode only — in size
     # mode reports ride on view changes exactly as before).
     report_interval: float = 0.5
@@ -68,8 +66,6 @@ class ReorgPolicy:
             raise ValueError("ewma_alpha must be in (0, 1]")
         if self.hot_delivery_rate <= self.cold_delivery_rate:
             raise ValueError("hot_delivery_rate must exceed cold_delivery_rate")
-        if self.hot_request_rate <= self.cold_request_rate:
-            raise ValueError("hot_request_rate must exceed cold_request_rate")
         if self.report_interval <= 0.0:
             raise ValueError("report_interval must be positive")
         if self.cooldown < 0.0:
@@ -85,10 +81,9 @@ class ReorgPolicy:
         if not self.load_driven:
             return "reorg=size"
         return (
-            f"reorg=load hot=[{self.hot_delivery_rate}d/"
-            f"{self.hot_request_rate}r] cold=[{self.cold_delivery_rate}d/"
-            f"{self.cold_request_rate}r] report={self.report_interval}s "
-            f"cooldown={self.cooldown}s"
+            f"reorg=load hot={self.hot_delivery_rate}d "
+            f"cold={self.cold_delivery_rate}d "
+            f"report={self.report_interval}s cooldown={self.cooldown}s"
         )
 
 

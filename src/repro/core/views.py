@@ -39,9 +39,8 @@ class LeafInfo:
     contacts: Tuple[Address, ...]  # first <= resiliency members, rank order
     # Smoothed load (EWMA, leaf-wide events/sec) from the coordinator's
     # periodic reports; 0.0 until the first load report arrives (size-only
-    # deployments never report load, so these stay 0.0 there).
+    # deployments never report load, so it stays 0.0 there).
     delivery_rate: float = 0.0
-    request_rate: float = 0.0
 
     @property
     def coordinator(self) -> Optional[Address]:
@@ -78,9 +77,8 @@ class UpdateLeaf:
     size: int
     contacts: Tuple[Address, ...]
     # Load-report piggyback: negative means "no load sample" (view-change
-    # reports in size mode), so frozen deployments never touch the rates.
+    # reports in size mode), so frozen deployments never touch the rate.
     delivery_rate: float = -1.0
-    request_rate: float = -1.0
 
 
 @dataclass(frozen=True)
@@ -269,7 +267,6 @@ class HierarchyState:
                 "level": self.level_of(leaf_id),
                 "path": list(self.path_to(leaf_id)),
                 "delivery_rate": round(leaf.delivery_rate, 6),
-                "request_rate": round(leaf.request_rate, 6),
             }
         return {
             "leaves": leaves,
@@ -304,23 +301,19 @@ class HierarchyState:
     # -- load-policy queries ------------------------------------------------------
 
     def hot_leaves(self, policy) -> List[LeafInfo]:
-        """Leaves whose smoothed load crosses a hot threshold (load-driven
+        """Leaves whose smoothed load crosses the hot threshold (load-driven
         splits; size splits remain a separate safety rail)."""
         return sorted(
             (
                 l
                 for l in self.leaves.values()
                 if l.delivery_rate >= policy.hot_delivery_rate
-                or l.request_rate >= policy.hot_request_rate
             ),
             key=lambda l: l.leaf_id,
         )
 
     def is_cold(self, leaf: LeafInfo, policy) -> bool:
-        return (
-            leaf.delivery_rate < policy.cold_delivery_rate
-            and leaf.request_rate < policy.cold_request_rate
-        )
+        return leaf.delivery_rate < policy.cold_delivery_rate
 
     def cold_sibling_pairs(self, policy) -> List[Tuple[LeafInfo, LeafInfo]]:
         """(absorbed, target) pairs: a cold leaf and its smallest cold
@@ -377,16 +370,12 @@ class HierarchyState:
                 size=op.size,
                 contacts=tuple(op.contacts[: self.params.resiliency]),
             )
-            if op.delivery_rate >= 0.0 or op.request_rate >= 0.0:
+            if op.delivery_rate >= 0.0:
                 alpha = self.params.reorg.ewma_alpha
                 updated = replace(
                     updated,
-                    delivery_rate=self._ewma(
-                        leaf.delivery_rate, op.delivery_rate, alpha
-                    ),
-                    request_rate=self._ewma(
-                        leaf.request_rate, op.request_rate, alpha
-                    ),
+                    delivery_rate=alpha * op.delivery_rate
+                    + (1.0 - alpha) * leaf.delivery_rate,
                 )
             self.leaves[op.leaf_id] = updated
         elif isinstance(op, RemoveLeaf):
@@ -399,12 +388,6 @@ class HierarchyState:
         if not self._explicit:
             self._rebuild_tree()
         self.applied_ops += 1
-
-    @staticmethod
-    def _ewma(previous: float, sample: float, alpha: float) -> float:
-        if sample < 0.0:
-            return previous
-        return alpha * sample + (1.0 - alpha) * previous
 
     # -- explicit (load-adaptive) tree maintenance --------------------------------
 

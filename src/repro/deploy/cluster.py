@@ -14,11 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.deploy.scenarios import (
-    DEFAULT_TIME_SCALE,
-    LATENCY,
-    merge_results,
-)
+from repro.deploy.scenarios import DEFAULT_TIME_SCALE, merge_results
 from repro.proc.env import Environment
 from repro.runtime.socket_backend import SocketRuntime, run_cluster
 
@@ -63,7 +59,7 @@ class LoopbackCluster:
                     }
                 )
             environments = [
-                Environment(latency=LATENCY, runtime=runtime)
+                Environment(latency=scenario.latency, runtime=runtime)
                 for runtime in runtimes
             ]
             states = []

@@ -19,7 +19,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.deploy.scenarios import (
     DEFAULT_TIME_SCALE,
-    LATENCY,
     make_scenario,
     merge_results,
     run_reference,
@@ -73,7 +72,7 @@ def _node_main(
                 if owner != node
             }
         )
-        env = Environment(latency=LATENCY, runtime=runtime)
+        env = Environment(latency=scenario.latency, runtime=runtime)
         local = [a for a, owner in owners.items() if owner == node]
         # t=0 is the barrier release on every node, so the scenario's
         # absolute-time schedule lines up across the deployment.

@@ -30,12 +30,14 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core import LargeGroupParams, ReorgPolicy, build_leader_group
 from repro.core.hierarchy import LargeGroupMember
+from repro.failure.detector import HeartbeatDetector
 from repro.membership import CAUSAL, FIFO, TOTAL
 from repro.membership.service import GroupNode
 from repro.metrics.sanitizer import install_sanitizer
 from repro.net.latency import FixedLatency
 
-# Every scenario runs the parity suite's LAN model.
+# Every plan runs the parity suite's LAN model; its floor is also the
+# conservative window of a parallel run (repro.sim.parallel).
 LATENCY = FixedLatency(0.002)
 DEFAULT_TIME_SCALE = 0.25
 
@@ -73,12 +75,13 @@ class FlatScenario:
 
     name = "flat"
     group = "g"
+    seed = 7
+    latency = LATENCY
 
-    def __init__(self, members: int = 4, seed: int = 7) -> None:
+    def __init__(self, members: int = 4) -> None:
         if members < 3:
             raise ValueError("flat parity needs at least 3 members")
         self.members = members
-        self.seed = seed
 
     # -- plan ----------------------------------------------------------------
 
@@ -156,24 +159,48 @@ class FlatScenario:
         return errors
 
 
-class HierScenario:
+class _HierPlan:
+    """Address plumbing of the hierarchical plans: ``leaders`` leader
+    addresses that stay together on one node, ``workers`` numbered
+    workers."""
+
+    service = "svc"
+    latency = LATENCY
+
+    def leader_addresses(self) -> Tuple[str, ...]:
+        return tuple(f"{self.service}-ldr-{i}" for i in range(self.leaders))
+
+    def worker_addresses(self) -> List[str]:
+        return [f"{self.service}-w-{i}" for i in range(self.workers)]
+
+    def addresses(self) -> List[str]:
+        return list(self.leader_addresses()) + self.worker_addresses()
+
+    def _hosts_leaders(self, local_set) -> bool:
+        """Whether this node builds the leader tier (all of it or none:
+        the leader subgroup is one statically bootstrapped group)."""
+        leader_addresses = self.leader_addresses()
+        if not local_set.intersection(leader_addresses):
+            return False
+        if not local_set.issuperset(leader_addresses):
+            raise ValueError("the leader subgroup cannot be split")
+        return True
+
+
+class HierScenario(_HierPlan):
     """A hierarchical service: static leaders, staggered worker joins,
     one leaf burst from the first and last worker."""
 
     name = "hier"
-    service = "svc"
+    seed = 11
     join_stagger = 0.2
 
     def __init__(
-        self,
-        workers: int = 6,
-        seed: int = 11,
-        reorg: Optional[ReorgPolicy] = None,
+        self, workers: int = 6, reorg: Optional[ReorgPolicy] = None
     ) -> None:
         if workers < 2:
             raise ValueError("hier parity needs at least 2 workers")
         self.workers = workers
-        self.seed = seed
         # The optional reorg knob: a load-driven policy turns on leaf
         # load reporting and rate-triggered splits/merges on every
         # engine this scenario runs on; the default stays the frozen
@@ -183,6 +210,7 @@ class HierScenario:
             fanout=3,
             reorg=reorg if reorg is not None else ReorgPolicy(),
         )
+        self.leaders = self.params.leader_group_size
 
     # -- plan ----------------------------------------------------------------
 
@@ -196,22 +224,9 @@ class HierScenario:
     def duration(self) -> float:
         return self.place_time + 3.0
 
-    def leader_addresses(self) -> Tuple[str, ...]:
-        return tuple(
-            f"{self.service}-ldr-{i}"
-            for i in range(self.params.leader_group_size)
-        )
-
-    def worker_addresses(self) -> List[str]:
-        return [f"{self.service}-w-{i}" for i in range(self.workers)]
-
-    def addresses(self) -> List[str]:
-        return list(self.leader_addresses()) + self.worker_addresses()
-
     def owners(self, nodes: int) -> Dict[str, int]:
-        """Leaders stay together on node 0 (the leader subgroup is one
-        statically bootstrapped group); workers round-robin across the
-        remaining nodes."""
+        """Leaders stay together on node 0; workers round-robin across
+        the remaining nodes."""
         owners = {address: 0 for address in self.leader_addresses()}
         for i, address in enumerate(self.worker_addresses()):
             owners[address] = (i % (nodes - 1)) + 1 if nodes > 1 else 0
@@ -223,9 +238,7 @@ class HierScenario:
         local_set = set(local)
         state = _Slice()
         leader_addresses = self.leader_addresses()
-        if local_set.intersection(leader_addresses):
-            if not local_set.issuperset(leader_addresses):
-                raise ValueError("the leader subgroup cannot be split")
+        if self._hosts_leaders(local_set):
             build_leader_group(env, self.service, self.params)
         placed_members: List[LargeGroupMember] = []
         for i, address in enumerate(self.worker_addresses()):
@@ -302,249 +315,18 @@ class HierScenario:
         return errors
 
 
-class SteadyHierScenario:
-    """Steady-state hierarchy under heartbeat monitoring: the parallel
-    engine's bench plan (tools/perf_report.py ``--parallel``).
+class StaticHierScenario(_HierPlan):
+    """Statically placed hierarchy in a steady state: the parallel
+    engine's speedup bench (tools/perf_report.py ``--parallel``).
 
-    Same shape as ``perf_report``'s ``hier_steady`` scenario — static
-    leaders, staggered worker joins, then a quiet settle after which the
-    only traffic is periodic (leaf heartbeats, gossip, leader reports) —
-    expressed as a deployment-style plan so the *same definition* runs
-    single-process, as a loopback cluster, or partitioned across the
-    conservative-window workers.  ``owners()`` partitions workers by
-    *predicted leaf*: a one-shot probe run of the join phase (periodic
-    traffic off — placement is load-independent in a fixed-latency DES)
-    reveals which leaf each worker lands in, and whole leaves are packed
-    onto partitions.  Leaf traffic (heartbeats, intra-leaf multicast)
-    dominates the steady state, so keeping each leaf on one partition is
-    the locality the window engine converts into parallel speedup.
-    """
-
-    name = "hier-steady"
-    service = "svc"
-
-    def __init__(
-        self,
-        workers: int = 256,
-        seed: int = 13,
-        join_stagger: float = 0.01,
-        sim_s: float = 3.0,
-        settle: float = 6.0,
-        heartbeat: Optional[float] = 0.1,
-        suspect_after: float = 1.0,
-        gossip_interval: Optional[float] = 0.5,
-        resiliency: int = 3,
-        fanout: int = 8,
-        latency_delay: float = 0.002,
-        sanitize: bool = False,
-    ) -> None:
-        if workers < 2:
-            raise ValueError("hier-steady needs at least 2 workers")
-        self.workers = workers
-        self.seed = seed
-        self.join_stagger = join_stagger
-        self.sim_s = sim_s
-        self.settle = settle
-        self.heartbeat = heartbeat
-        self.suspect_after = suspect_after
-        self.gossip_interval = gossip_interval
-        self.sanitize = sanitize
-        self.params = LargeGroupParams(resiliency=resiliency, fanout=fanout)
-        # The latency model is part of the plan: its floor is the
-        # conservative window of a parallel run (repro.sim.parallel).
-        self.latency_delay = latency_delay
-        self.latency = FixedLatency(latency_delay)
-        self._leaf_groups: Optional[List[List[str]]] = None
-
-    # -- plan ----------------------------------------------------------------
-
-    @property
-    def settle_time(self) -> float:
-        """All joins done plus slack: the steady state starts here (and
-        so does the bench's measured window)."""
-        return self.join_stagger * self.workers + self.settle
-
-    @property
-    def duration(self) -> float:
-        return self.settle_time + self.sim_s
-
-    def leader_addresses(self) -> Tuple[str, ...]:
-        return tuple(
-            f"{self.service}-ldr-{i}"
-            for i in range(self.params.leader_group_size)
-        )
-
-    def worker_addresses(self) -> List[str]:
-        return [f"{self.service}-w-{i}" for i in range(self.workers)]
-
-    def addresses(self) -> List[str]:
-        return list(self.leader_addresses()) + self.worker_addresses()
-
-    def owners(self, nodes: int) -> Dict[str, int]:
-        """Leaders on partition 0; workers packed whole-leaf-at-a-time
-        into ``nodes`` roughly equal partitions.
-
-        Leaf membership is *not* contiguous in join order — once several
-        leaves exist the leaders balance later joiners across all of
-        them — so index-block partitioning would strand a third of each
-        leaf on foreign partitions and turn its heartbeats into
-        cross-partition traffic.  Instead :meth:`leaf_groups` predicts
-        the real placement and each leaf lands on exactly one partition.
-        """
-        owners = {address: 0 for address in self.leader_addresses()}
-        addresses = self.worker_addresses()
-        if nodes <= 1:
-            for address in addresses:
-                owners[address] = 0
-            return owners
-        total = len(addresses)
-        pid = 0
-        filled = 0
-        for members in self.leaf_groups():
-            if pid < nodes - 1 and filled >= (pid + 1) * total / nodes:
-                pid += 1
-            for address in members:
-                owners[address] = pid
-            filled += len(members)
-        return owners
-
-    def leaf_groups(self) -> List[List[str]]:
-        """Predicted leaf composition, one address list per leaf, ordered
-        by each leaf's earliest joiner.
-
-        Runs the join phase once with periodic traffic off (no
-        heartbeats, no gossip) and reads where every worker landed.  The
-        probe is exact, not a heuristic: assignment decisions depend only
-        on join RPC timing, which a fixed-latency DES keeps independent
-        of background load, so the quiet run places workers identically
-        to the monitored one.  Cached — the plan is computed once and
-        shipped to every partition worker.
-        """
-        if self._leaf_groups is not None:
-            return self._leaf_groups
-        from repro.proc.env import Environment
-        from repro.runtime.sim_backend import SimRuntime
-
-        probe = SteadyHierScenario(
-            workers=self.workers,
-            seed=self.seed,
-            join_stagger=self.join_stagger,
-            sim_s=0.0,
-            settle=self.settle,
-            heartbeat=None,
-            gossip_interval=None,
-            resiliency=self.params.resiliency,
-            fanout=self.params.fanout,
-            latency_delay=self.latency_delay,
-        )
-        env = Environment(
-            latency=probe.latency, runtime=SimRuntime(seed=probe.seed)
-        )
-        state = probe.build(env, probe.addresses())
-        env.scheduler.run(until=probe.settle_time)
-        leaves: Dict[Any, List[str]] = {}
-        strays: List[str] = []
-        for member in state.members:
-            if member.is_member:
-                leaves.setdefault(member.leaf_member.group, []).append(
-                    member.me
-                )
-            else:
-                strays.append(member.me)
-        self._leaf_groups = list(leaves.values())
-        self._leaf_groups.extend([address] for address in strays)
-        return self._leaf_groups
-
-    # -- execution -----------------------------------------------------------
-
-    def _detector(self):
-        if self.heartbeat is None:
-            return None
-        from repro.failure.detector import HeartbeatDetector
-
-        interval, suspect_after = self.heartbeat, self.suspect_after
-
-        def factory(node):
-            return HeartbeatDetector(
-                node, interval=interval, suspect_after=suspect_after
-            )
-
-        return factory
-
-    def build(self, env, local: Iterable[str]) -> _Slice:
-        local_set = set(local)
-        state = _Slice()
-        leader_addresses = self.leader_addresses()
-        detector = self._detector()
-        if local_set.intersection(leader_addresses):
-            if not local_set.issuperset(leader_addresses):
-                raise ValueError("the leader subgroup cannot be split")
-            build_leader_group(
-                env,
-                self.service,
-                self.params,
-                detector_factory=detector,
-                gossip_interval=self.gossip_interval,
-            )
-        placed_members: List[LargeGroupMember] = []
-        for i, address in enumerate(self.worker_addresses()):
-            if address not in local_set:
-                continue
-            node = GroupNode(
-                env,
-                address,
-                detector_factory=detector,
-                gossip_interval=self.gossip_interval,
-            )
-            member = LargeGroupMember(
-                node, self.service, leader_addresses, params=self.params
-            )
-            placed_members.append(member)
-            state.members.append(member)
-            env.scheduler.at(self.join_stagger * (i + 1), member.join)
-        if self.sanitize and placed_members:
-
-            def install():
-                state.sanitizer = install_sanitizer(
-                    m.leaf_member for m in placed_members if m.is_member
-                )
-
-            env.scheduler.at(self.settle_time, install)
-        return state
-
-    def results(self, state: _Slice) -> Dict[str, Any]:
-        return {
-            "placed": {m.me: bool(m.is_member) for m in state.members},
-            "counters": state.counters(),
-        }
-
-    # -- parity --------------------------------------------------------------
-
-    def check(self, reference: Dict, live: Dict) -> List[str]:
-        errors = []
-        unplaced = sorted(
-            me for me, ok in live.get("placed", {}).items() if not ok
-        )
-        if unplaced:
-            errors.append(f"workers never placed in a leaf: {unplaced}")
-        if len(live.get("placed", {})) != self.workers:
-            errors.append(
-                f"live run reported {len(live.get('placed', {}))}/"
-                f"{self.workers} workers"
-            )
-        return errors
-
-
-class StaticHierScenario:
-    """Statically placed hierarchy: the parallel engine's speedup bench.
-
-    Same steady-state traffic shape as :class:`SteadyHierScenario` —
-    all-to-all heartbeat monitoring inside each leaf, stability gossip,
-    a liveness link from every leaf coordinator to the leader tier —
-    but the leaves are bootstrapped from configuration
-    (``create_group``: the common-configuration-file start) instead of
-    leader-assigned.  Dynamic assignment balances late joiners across
-    every existing leaf, and under the windowed engine that balance is
+    The only traffic is periodic: ring heartbeat monitoring inside each
+    leaf (every member pings a few rank-predecessors), stability gossip,
+    a small FIFO multicast from each leaf coordinator, and a liveness
+    link from every leaf coordinator to the leader tier.  The leaves are
+    bootstrapped from configuration (``create_group``: the
+    common-configuration-file start) instead of leader-assigned:
+    dynamic assignment balances late joiners across every existing
+    leaf, and under the windowed engine that balance is
     partition-sensitive (injection order at the leaders shifts with the
     owners map), so *no* static owners map can keep dynamically built
     leaves partition-local.  Pinning placement is what a locality-aware
@@ -556,21 +338,19 @@ class StaticHierScenario:
     """
 
     name = "hier-static"
-    service = "svc"
+    seed = 17
+    leaders = 3
+    heartbeat = 0.1
+    suspect_after = 1.0
+    gossip_interval = 0.5
 
     def __init__(
         self,
         workers: int = 256,
         leaf_size: int = 16,
-        seed: int = 17,
         sim_s: float = 3.0,
         settle: float = 2.0,
-        heartbeat: Optional[float] = 0.1,
-        suspect_after: float = 1.0,
-        gossip_interval: Optional[float] = 0.5,
         multicast_interval: Optional[float] = 0.5,
-        leaders: int = 3,
-        latency_delay: float = 0.002,
         sanitize: bool = False,
     ) -> None:
         if leaf_size < 2:
@@ -582,17 +362,10 @@ class StaticHierScenario:
             )
         self.workers = workers
         self.leaf_size = leaf_size
-        self.seed = seed
         self.sim_s = sim_s
         self.settle = settle
-        self.heartbeat = heartbeat
-        self.suspect_after = suspect_after
-        self.gossip_interval = gossip_interval
         self.multicast_interval = multicast_interval
-        self.leaders = leaders
         self.sanitize = sanitize
-        self.latency_delay = latency_delay
-        self.latency = FixedLatency(latency_delay)
 
     # -- plan ----------------------------------------------------------------
 
@@ -607,15 +380,6 @@ class StaticHierScenario:
     @property
     def duration(self) -> float:
         return self.settle + self.sim_s
-
-    def leader_addresses(self) -> Tuple[str, ...]:
-        return tuple(f"{self.service}-ldr-{i}" for i in range(self.leaders))
-
-    def worker_addresses(self) -> List[str]:
-        return [f"{self.service}-w-{i}" for i in range(self.workers)]
-
-    def addresses(self) -> List[str]:
-        return list(self.leader_addresses()) + self.worker_addresses()
 
     def leaf_block(self, leaf: int) -> List[str]:
         base = leaf * self.leaf_size
@@ -637,19 +401,18 @@ class StaticHierScenario:
 
     # -- execution -----------------------------------------------------------
 
-    def _detector(self):
-        if self.heartbeat is None:
-            return None
-        from repro.failure.detector import HeartbeatDetector
+    def _detector(self, node) -> HeartbeatDetector:
+        return HeartbeatDetector(
+            node, interval=self.heartbeat, suspect_after=self.suspect_after
+        )
 
-        interval, suspect_after = self.heartbeat, self.suspect_after
-
-        def factory(node):
-            return HeartbeatDetector(
-                node, interval=interval, suspect_after=suspect_after
-            )
-
-        return factory
+    def _node(self, env, address: str) -> GroupNode:
+        return GroupNode(
+            env,
+            address,
+            detector_factory=self._detector,
+            gossip_interval=self.gossip_interval,
+        )
 
     def _start_multicast(self, env, node, member, leaf: int) -> None:
         """Leaf-local ordered traffic: the coordinator multicasts a small
@@ -677,20 +440,11 @@ class StaticHierScenario:
     def build(self, env, local: Iterable[str]) -> _Slice:
         local_set = set(local)
         state = _Slice()
-        detector = self._detector()
         leader_addresses = self.leader_addresses()
-        if local_set.intersection(leader_addresses):
-            if not local_set.issuperset(leader_addresses):
-                raise ValueError("the leader subgroup cannot be split")
+        if self._hosts_leaders(local_set):
             for address in leader_addresses:
-                node = GroupNode(
-                    env,
-                    address,
-                    detector_factory=detector,
-                    gossip_interval=self.gossip_interval,
-                )
                 state.members.append(
-                    node.runtime.create_group(
+                    self._node(env, address).runtime.create_group(
                         f"{self.service}::leaders", list(leader_addresses)
                     )
                 )
@@ -707,22 +461,16 @@ class StaticHierScenario:
                 )
             group = f"{self.service}::leaf-{leaf}"
             for rank, address in enumerate(block):
-                node = GroupNode(
-                    env,
-                    address,
-                    detector_factory=detector,
-                    gossip_interval=self.gossip_interval,
-                )
+                node = self._node(env, address)
                 member = node.runtime.create_group(group, list(block))
                 state.members.append(member)
                 leaf_members.append(member)
                 if rank == 0:
-                    if node.runtime.detector is not None:
-                        # The coordinator's liveness link to the leader
-                        # tier: the scenario's only cross-leaf traffic.
-                        node.runtime.detector.watch(
-                            leader_addresses[leaf % len(leader_addresses)]
-                        )
+                    # The coordinator's liveness link to the leader
+                    # tier: the scenario's only cross-leaf traffic.
+                    node.runtime.detector.watch(
+                        leader_addresses[leaf % len(leader_addresses)]
+                    )
                     if self.multicast_interval is not None:
                         self._start_multicast(env, node, member, leaf)
         if self.sanitize and leaf_members:
@@ -779,9 +527,7 @@ def make_scenario(name: str, size: Optional[int] = None):
                 report_interval=0.5,
                 cooldown=4.0,
                 hot_delivery_rate=10.0,
-                hot_request_rate=8.0,
                 cold_delivery_rate=0.5,
-                cold_request_rate=0.5,
             ),
         )
     raise ValueError(
@@ -804,13 +550,17 @@ def merge_results(per_node: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     return merged
 
 
-def run_reference(scenario) -> Dict[str, Any]:
-    """The sim engine runs the identical plan in one Environment — the
-    parity baseline every deployment is checked against."""
+def run_reference(scenario, runtime=None) -> Dict[str, Any]:
+    """The identical plan in one Environment owning every address: on
+    the sim engine — the parity baseline every deployment is checked
+    against — or on another single-process ``runtime`` (which the caller
+    closes)."""
     from repro.proc.env import Environment
     from repro.runtime.sim_backend import SimRuntime
 
-    env = Environment(latency=LATENCY, runtime=SimRuntime(seed=scenario.seed))
+    if runtime is None:
+        runtime = SimRuntime(seed=scenario.seed)
+    env = Environment(latency=scenario.latency, runtime=runtime)
     state = scenario.build(env, scenario.addresses())
     env.run_for(scenario.duration)
     return scenario.results(state)

@@ -19,7 +19,7 @@ from repro.membership.events import (
 )
 from repro.membership.flush import FlushController
 from repro.membership.group import GroupMember, GroupRuntime, NotMemberError
-from repro.membership.service import GroupNode, build_group, build_nodes
+from repro.membership.service import GroupNode, build_group
 from repro.membership.view import GroupView, ViewId
 
 __all__ = [
@@ -46,5 +46,4 @@ __all__ = [
     "ViewEvent",
     "ViewId",
     "build_group",
-    "build_nodes",
 ]

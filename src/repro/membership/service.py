@@ -57,10 +57,3 @@ def build_group(
     nodes = [GroupNode(env, address, **node_kwargs) for address in addresses]
     members = [node.runtime.create_group(name, addresses) for node in nodes]
     return nodes, members
-
-
-def build_nodes(
-    env: Environment, addresses: List[str], **node_kwargs
-) -> List[GroupNode]:
-    """Create bare group-capable nodes (no group yet)."""
-    return [GroupNode(env, address, **node_kwargs) for address in addresses]

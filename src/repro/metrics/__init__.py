@@ -8,7 +8,6 @@ from repro.metrics.counters import (
     view_storage_entries,
 )
 from repro.metrics.digest import DeliveryDigest
-from repro.metrics.recorder import TimeSeriesRecorder
 from repro.metrics.sanitizer import (
     Violation,
     VirtualSynchronySanitizer,
@@ -20,7 +19,6 @@ from repro.metrics.tables import format_table, print_table
 __all__ = [
     "DeliveryDigest",
     "LatencySample",
-    "TimeSeriesRecorder",
     "Violation",
     "VirtualSynchronySanitizer",
     "VirtualSynchronyViolation",

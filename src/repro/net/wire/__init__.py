@@ -18,7 +18,6 @@ from repro.net.wire.codec import (
     encode_control_frame,
     encode_data_frames,
     register_kind,
-    registered_classes,
     registered_kinds,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "encode_control_frame",
     "encode_data_frames",
     "register_kind",
-    "registered_classes",
     "registered_kinds",
 ]

@@ -45,7 +45,9 @@ MAGIC = b"RW"
 # attach points) and added ResolvePlacement (id 90).
 # v3: GroupData lost its ``gossip`` field (watermarks travel only in
 # StabilityGossip).
-WIRE_VERSION = 3
+# v4: ReportLeafStatus and UpdateLeaf lost their request-rate field
+# (nothing ever fed it).
+WIRE_VERSION = 4
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2
@@ -145,10 +147,6 @@ def register_kind(
 def registered_kinds() -> Dict[int, type]:
     """Snapshot of ``{wire id: class}`` — test/introspection surface."""
     return {kind_id: kind.cls for kind_id, kind in sorted(_KIND_BY_ID.items())}
-
-
-def registered_classes() -> Tuple[type, ...]:
-    return tuple(kind.cls for _, kind in sorted(_KIND_BY_ID.items()))
 
 
 # -- value encoding ----------------------------------------------------------

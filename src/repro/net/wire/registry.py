@@ -164,11 +164,12 @@ def ensure_registered() -> None:
     register_kind(84, BranchInfo)
 
     # Recursive-hierarchy routing (90+).  The level-tagged fields grown
-    # by the PR 9 refactor (ReportLeafStatus level/path/rates,
+    # by the PR 9 refactor (ReportLeafStatus level/path/rate,
     # Split/MergeDirective + Split/MergeCmd levels and paths, AddLeaf
-    # ``under``, UpdateLeaf rates, GetHierarchyInfo ``subtree``) extend
+    # ``under``, UpdateLeaf rate, GetHierarchyInfo ``subtree``) extend
     # the field lists of already-registered kinds — ids stay put, and
-    # WIRE_VERSION bumped to 2 per the codec's evolution contract.
+    # WIRE_VERSION bumped to 2 per the codec's evolution contract (and
+    # to 4 when the never-fed request-rate field left both kinds).
     register_kind(90, ResolvePlacement)
 
     # 91-95 are the parallel-engine barrier frames (WindowData/Done/Go,

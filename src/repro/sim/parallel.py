@@ -179,15 +179,6 @@ def _window_targets(duration: float, lookahead: float) -> List[float]:
         j += 1
 
 
-def _scenario_latency(scenario) -> Any:
-    latency = getattr(scenario, "latency", None)
-    if latency is None:
-        from repro.deploy.scenarios import LATENCY
-
-        latency = LATENCY
-    return latency
-
-
 # -- worker side -------------------------------------------------------------
 
 
@@ -205,9 +196,7 @@ class _Partition:
             partition=pid,
             owners=plan.owners,
         )
-        self.env = Environment(
-            latency=_scenario_latency(scenario), runtime=self.runtime
-        )
+        self.env = Environment(latency=scenario.latency, runtime=self.runtime)
         self.fabric = self.runtime.fabric
         self.digest = DeliveryDigest(self.env.network)
         local = [a for a, owner in plan.owners.items() if owner == pid]
@@ -494,7 +483,7 @@ def run_parallel(
     """
     plan = PartitionPlan(partitions, workers, scenario.owners(partitions))
     if lookahead is None:
-        lookahead = _scenario_latency(scenario).floor()
+        lookahead = scenario.latency.floor()
     if lookahead <= 0.0:
         raise ParallelError(
             "no conservative lookahead: the latency model's floor is zero "
@@ -710,7 +699,7 @@ def run_serial(
     from repro.runtime.sim_backend import SimRuntime
 
     runtime = SimRuntime(seed=scenario.seed)
-    env = Environment(latency=_scenario_latency(scenario), runtime=runtime)
+    env = Environment(latency=scenario.latency, runtime=runtime)
     digest = DeliveryDigest(env.network)
     state = scenario.build(env, scenario.addresses())
     measured = None

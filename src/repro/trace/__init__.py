@@ -21,10 +21,8 @@ Usage::
 
 from repro.trace.analysis import (
     CriticalPath,
-    ReorgWindow,
     TraceSummary,
     critical_path,
-    reorg_windows,
     summarize,
 )
 from repro.trace.api import TraceSink, attach, detach
@@ -46,7 +44,6 @@ __all__ = [
     "KIND_LOCAL",
     "KIND_SEND",
     "KINDS",
-    "ReorgWindow",
     "Span",
     "TraceCollector",
     "TraceSink",
@@ -55,7 +52,6 @@ __all__ = [
     "critical_path",
     "detach",
     "render_tree",
-    "reorg_windows",
     "summarize",
     "to_chrome_trace",
 ]

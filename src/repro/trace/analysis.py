@@ -139,54 +139,3 @@ def critical_path(collector: TraceCollector, trace_id: int) -> CriticalPath:
     result.duration = completion(tail) - chain[0].begin
     result.hops = sum(1 for s in chain if s.kind == KIND_SEND)
     return result
-
-
-@dataclass
-class ReorgWindow:
-    """One reorganisation's cost, assembled from the reorg spans.
-
-    ``directed`` is when the leader issued the directive, ``handoff``
-    when the movers installed their new leaf (state handed over), and
-    ``converged`` when the leader saw the new leaf become routable again
-    — so ``disruption`` is the window during which requests for the
-    moving members could not be routed."""
-
-    leaf_id: str
-    new_leaf_id: str
-    directed: float
-    handoff: Optional[float] = None
-    converged: Optional[float] = None
-
-    @property
-    def disruption(self) -> Optional[float]:
-        if self.converged is None:
-            return None
-        return self.converged - self.directed
-
-
-def reorg_windows(collector: TraceCollector) -> List[ReorgWindow]:
-    """Pair split-directed / state-handoff / routing-converged spans into
-    per-reorg windows (sorted by directive time, then new leaf id)."""
-    windows: Dict[str, ReorgWindow] = {}
-    for span in collector.spans():
-        if span.kind != KIND_LOCAL or not span.attrs:
-            continue
-        if span.name == "split-directed":
-            new_id = span.attrs.get("new_leaf_id")
-            if new_id is not None and new_id not in windows:
-                windows[new_id] = ReorgWindow(
-                    leaf_id=span.attrs.get("leaf_id", ""),
-                    new_leaf_id=new_id,
-                    directed=span.begin,
-                )
-        elif span.name == "reorg-state-handoff":
-            window = windows.get(span.attrs.get("new_leaf_id"))
-            if window is not None and window.handoff is None:
-                window.handoff = span.begin
-        elif span.name == "reorg-routing-converged":
-            window = windows.get(span.attrs.get("leaf_id"))
-            if window is not None and window.converged is None:
-                window.converged = span.begin
-    return sorted(
-        windows.values(), key=lambda w: (w.directed, w.new_leaf_id)
-    )

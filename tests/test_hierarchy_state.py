@@ -317,32 +317,27 @@ def test_update_leaf_folds_load_ewma():
     state, _ = make_load(ewma_alpha=0.5)
     add(state, 0)
     state.apply(
-        UpdateLeaf("leaf-000", size=8, contacts=("c",), delivery_rate=40.0,
-                   request_rate=10.0)
+        UpdateLeaf("leaf-000", size=8, contacts=("c",), delivery_rate=40.0)
     )
     leaf = state.leaf("leaf-000")
     assert leaf.delivery_rate == pytest.approx(20.0)  # 0.5*40 + 0.5*0
-    assert leaf.request_rate == pytest.approx(5.0)
     state.apply(
-        UpdateLeaf("leaf-000", size=8, contacts=("c",), delivery_rate=40.0,
-                   request_rate=10.0)
+        UpdateLeaf("leaf-000", size=8, contacts=("c",), delivery_rate=40.0)
     )
     assert state.leaf("leaf-000").delivery_rate == pytest.approx(30.0)
-    # Negative rates mean "no sample": the EWMA is left untouched.
+    # A negative rate means "no sample": the EWMA is left untouched.
     state.apply(UpdateLeaf("leaf-000", size=7, contacts=("c",)))
     assert state.leaf("leaf-000").delivery_rate == pytest.approx(30.0)
 
 
 def test_hot_and_cold_queries():
     state, params = make_load(
-        hot_delivery_rate=10.0, cold_delivery_rate=1.0,
-        hot_request_rate=10.0, cold_request_rate=1.0, ewma_alpha=1.0,
+        hot_delivery_rate=10.0, cold_delivery_rate=1.0, ewma_alpha=1.0,
     )
     for i in range(3):
         add(state, i, size=4)
     state.apply(
-        UpdateLeaf("leaf-000", size=4, contacts=("c",), delivery_rate=50.0,
-                   request_rate=0.0)
+        UpdateLeaf("leaf-000", size=4, contacts=("c",), delivery_rate=50.0)
     )
     assert [l.leaf_id for l in state.hot_leaves(params.reorg)] == ["leaf-000"]
     cold = state.cold_sibling_pairs(params.reorg)
@@ -360,8 +355,7 @@ def test_replicas_agree_in_load_mode():
         for i in range(9)
     ]
     ops += [
-        UpdateLeaf("l2", size=5, contacts=("x",), delivery_rate=33.0,
-                   request_rate=3.0),
+        UpdateLeaf("l2", size=5, contacts=("x",), delivery_rate=33.0),
         RemoveLeaf("l4"),
         AddLeaf("l9", size=2, contacts=("c9",), under="svc/b1"),
         RemoveLeaf("l1"),
@@ -438,7 +432,7 @@ def test_property_explicit_tree_invariants(ops, fanout):
             else:
                 state.apply(
                     UpdateLeaf(leaf_id, size=i + 2, contacts=(f"d{i}",),
-                               delivery_rate=float(i), request_rate=1.0)
+                               delivery_rate=float(i))
                 )
         except HierarchyError:
             continue

@@ -95,77 +95,3 @@ def test_format_table_float_formats():
 def test_format_table_empty_rows():
     text = format_table("t", ["a", "b"], [])
     assert "== t ==" in text
-
-
-# -- time-series recorder --------------------------------------------------------
-
-
-def test_recorder_samples_at_interval():
-    from repro.metrics import TimeSeriesRecorder
-    from repro.proc import Environment
-
-    env = Environment(seed=1)
-    recorder = TimeSeriesRecorder(env, interval=0.5)
-    clock = {"n": 0}
-    recorder.probe("n", lambda: clock["n"])
-    recorder.start()
-    for step in range(6):
-        env.scheduler.at(step * 0.5 + 0.01, lambda: clock.__setitem__("n", clock["n"] + 1))
-    env.run(until=3.0)
-    values = recorder.values("n")
-    assert len(values) == 6
-    assert values == sorted(values)
-    assert recorder.last("n") == 6
-
-
-def test_recorder_summary_and_rate():
-    from repro.metrics import TimeSeriesRecorder
-    from repro.proc import Environment
-
-    env = Environment(seed=1)
-    recorder = TimeSeriesRecorder(env, interval=1.0)
-    total = {"v": 0}
-    recorder.probe("total", lambda: total["v"])
-    recorder.start()
-    env.scheduler.at(0.5, lambda: total.__setitem__("v", 10))
-    env.scheduler.at(1.5, lambda: total.__setitem__("v", 30))
-    env.run(until=3.0)
-    summary = recorder.summary("total")
-    assert summary["count"] == 3
-    assert summary["min"] == 10 and summary["max"] == 30
-    rates = recorder.rate_series("total")
-    assert [r for _t, r in rates] == [20, 0]
-
-
-def test_recorder_stop_and_validation():
-    import pytest
-    from repro.metrics import TimeSeriesRecorder
-    from repro.proc import Environment
-
-    env = Environment(seed=1)
-    with pytest.raises(ValueError):
-        TimeSeriesRecorder(env, interval=0)
-    recorder = TimeSeriesRecorder(env, interval=0.5)
-    recorder.probe("x", lambda: 1.0)
-    with pytest.raises(ValueError):
-        recorder.probe("x", lambda: 2.0)
-    recorder.start()
-    env.run(until=1.2)
-    recorder.stop()
-    env.run(until=5.0)
-    assert recorder.summary("x")["count"] == 2
-    assert recorder.summary("missing")["count"] == 0
-
-
-def test_recorder_broken_probe_does_not_kill_run():
-    from repro.metrics import TimeSeriesRecorder
-    from repro.proc import Environment
-
-    env = Environment(seed=1)
-    recorder = TimeSeriesRecorder(env, interval=0.5)
-    recorder.probe("bad", lambda: 1 / 0)
-    recorder.probe("good", lambda: 7.0)
-    recorder.start()
-    env.run(until=2.0)
-    assert recorder.values("bad") == []
-    assert recorder.values("good") == [7.0] * 4

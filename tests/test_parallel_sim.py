@@ -92,8 +92,10 @@ def test_window_targets_end_exactly_at_duration():
 
 def test_static_scenario_owners_never_split_a_leaf():
     scn = _scenario()
-    for partitions in (1, 2, 3, 4):
+    # More nodes than leaves (5..8 over 4 leaves) must not split one either.
+    for partitions in range(1, 9):
         owners = scn.owners(partitions)
+        assert set(owners) == set(scn.addresses())
         assert set(owners.values()) <= set(range(partitions))
         for leaf in range(scn.leaf_count):
             block_owners = {owners[a] for a in scn.leaf_block(leaf)}
@@ -141,7 +143,7 @@ def test_narrower_lookahead_adds_windows_without_changing_results():
         scn,
         partitions=2,
         workers=1,
-        lookahead=scn.latency_delay / 2,  # half the derived floor
+        lookahead=derived.lookahead / 2,  # half the derived floor
         barrier_timeout=SMOKE_TIMEOUT,
     )
     assert narrow.windows > derived.windows

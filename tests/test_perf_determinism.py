@@ -18,7 +18,10 @@ Note the hierarchical scenario is compared within one process only: the
 hierarchy layer consumes forked ``SimRandom`` streams whose seeds are
 derived with ``hash()``, so its exact trace varies with Python's
 per-process hash randomization (pin ``PYTHONHASHSEED`` to compare across
-processes — ``tools/perf_report.py`` does exactly that).
+processes — ``tools/perf_report.py --guard`` does exactly that: its
+seven pinned-seed fingerprints live in ``BENCH_core.json`` and
+``tests/test_perf_smoke.py`` runs it; the ``FROZEN_*`` constants here
+are the hash-seed-independent counterpart and stay in this file).
 """
 
 from repro.core import (

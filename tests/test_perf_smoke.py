@@ -1,26 +1,39 @@
-"""Quick smoke test over the perf harness scenarios.
+"""The behaviour guard, and a smoke test over its scenarios.
 
-Runs miniature versions of the ``tools/perf_report.py`` scenarios inside
-the default test suite so the harness itself cannot rot.  Deliberately no
-wall-clock assertions — CI machines vary; the speed floor lives in
-``BENCH_core.json`` (written by ``make bench-report``, checked by
-``make bench-guard``).  What *is* asserted is structural: each scenario completes, processes a plausible
-number of events, reports a behaviour fingerprint, and keeps the event
-heap bounded.
+``tools/perf_report.py --guard`` is the repo's one frozen-behaviour
+check: seven quick scenarios whose fingerprints must equal
+``BENCH_core.json`` exactly.  This module runs it (so behaviour drift
+fails ``pytest``, not a make target someone has to remember), tests the
+comparison that names the counter that moved, and pins the layout of
+the reference file.  Deliberately no wall-clock assertions — this host
+cannot resolve a speed regression on a sub-second run; speed is measured
+by ``benchmarks/e2e``.  The structural checks keep the harness from
+rotting: each scenario completes, processes a plausible number of
+events, reports a fingerprint, and keeps the event heap bounded.
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent.parent))
+import pytest
 
-from tools.perf_report import GUARD_SCENARIOS, build_scenarios, run_suite
+REPO = Path(__file__).parent.parent
+sys.path.insert(0, str(REPO))
+
+from tools.perf_report import (
+    build_guards,
+    build_scenarios,
+    compare_fingerprints,
+    run_suite,
+)
 
 
 def test_quick_suite_runs_all_scenarios():
-    scenarios = build_scenarios(quick=True)
-    results = run_suite(quick=True)
+    scenarios = build_scenarios()
+    results = run_suite()
     assert set(results) == set(scenarios)
     for name, result in results.items():
         assert result["events"] > 1000, name
@@ -29,7 +42,7 @@ def test_quick_suite_runs_all_scenarios():
 
 
 def test_scenarios_keep_heap_bounded():
-    results = run_suite(quick=True, only=["hier_steady_n64", "churn"])
+    results = run_suite(only=["hier_steady_n64", "churn"])
     for name, result in results.items():
         # The heap watermark must stay far below the number of events
         # processed — cancelled timers are compacted, not accumulated.
@@ -37,21 +50,90 @@ def test_scenarios_keep_heap_bounded():
 
 
 def test_scenario_fingerprints_are_deterministic():
-    a = run_suite(quick=True, only=["churn"])["churn"]["fingerprint"]
-    b = run_suite(quick=True, only=["churn"])["churn"]["fingerprint"]
+    a = run_suite(only=["churn"])["churn"]["fingerprint"]
+    b = run_suite(only=["churn"])["churn"]["fingerprint"]
     assert a == b
+
+
+# -- the one guard -------------------------------------------------------------
+
+
+def _guard(*args, cwd=REPO):
+    """``python -m tools.perf_report --guard ...`` as CI runs it (the
+    tool pins ``PYTHONHASHSEED=0`` itself by re-exec)."""
+    env = dict(os.environ)
+    env.pop("PYTHONHASHSEED", None)
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO)])
+    return subprocess.run(
+        [sys.executable, "-m", "tools.perf_report", "--guard", *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parallel_smoke
+def test_guard_passes_against_the_committed_reference():
+    proc = _guard()
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "7 fingerprints identical" in proc.stdout
+
+
+@pytest.mark.parallel_smoke
+def test_guard_update_writes_only_the_file_it_then_accepts(tmp_path):
+    out = tmp_path / "reference.json"
+    recorded = _guard("--update", "--out", str(out), cwd=tmp_path)
+    assert recorded.returncode == 0, recorded.stdout + recorded.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["reference.json"]
+    checked = _guard("--out", str(out), cwd=tmp_path)
+    assert checked.returncode == 0, checked.stdout + checked.stderr
+    assert _guard("--out", str(tmp_path / "absent.json")).returncode == 2
+
+
+def test_compare_names_the_scenario_and_every_counter_that_moved():
+    recorded = {
+        "churn": {"messages": 3272, "bytes": 10, "delivery_digest": "aa"},
+        "flat_steady_n64": {"messages": 4608},
+    }
+    current = {
+        "churn": {"messages": 3273, "bytes": 10, "delivery_digest": "bb"},
+        "flat_steady_n64": {"messages": 4608},
+    }
+    assert compare_fingerprints(recorded, recorded) == []
+    assert compare_fingerprints(recorded, current) == [
+        "churn: delivery_digest 'bb' != recorded 'aa'",
+        "churn: messages 3273 != recorded 3272",
+    ]
+    # A guard without a reference (or the reverse) is a failure too.
+    del current["flat_steady_n64"]
+    current["new"] = {"messages": 1}
+    failures = compare_fingerprints(recorded, current)
+    assert any(f.startswith("flat_steady_n64: no such") for f in failures)
+    assert any(f.startswith("new: no such") for f in failures)
 
 
 def test_bench_core_json_holds_only_the_guard_reference():
     """The committed BENCH_core.json is what ``--guard --update`` writes
-    and nothing else, so ``make bench-report`` can be re-run at any time
-    without a stale label beside the fresh one."""
-    path = Path(__file__).parent.parent / "BENCH_core.json"
-    report = json.loads(path.read_text())
-    assert set(report) == {"benchmark", "runs"}
-    assert set(report["runs"]) == {"guard"}
-    guard = report["runs"]["guard"]
-    assert set(guard["scenarios"]) == set(GUARD_SCENARIOS)
-    assert guard["calibration_ops_per_sec"] > 0
-    for name, scenario in guard["scenarios"].items():
-        assert scenario["fingerprint"]["events_processed"] > 0, name
+    and nothing else — one fingerprint per guard, no timings — and it is
+    the only frozen-behaviour store: the scale and parallel reports
+    carry no guard entries of their own."""
+    text = (REPO / "BENCH_core.json").read_text()
+    report = json.loads(text)
+    assert set(report) == {"benchmark", "guard"}
+    assert set(report["guard"]) == set(build_guards()) == {
+        "scheduler_micro",
+        "flat_steady_n64",
+        "hier_steady_n64",
+        "churn",
+        "scale_n256",
+        "para_w1",
+        "para_w2",
+    }
+    for name, fingerprint in report["guard"].items():
+        assert fingerprint and "fingerprint" not in fingerprint, name
+    # No timing or calibration reading anywhere in the store.
+    assert "per_sec" not in text and "wall_s" not in text
+    for other in ("BENCH_scale.json", "BENCH_para.json"):
+        assert "runs" not in json.loads((REPO / other).read_text()), other

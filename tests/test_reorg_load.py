@@ -30,9 +30,7 @@ POLICY = ReorgPolicy(
     cooldown=6.0,
     ewma_alpha=0.6,
     hot_delivery_rate=8.0,
-    hot_request_rate=6.0,
     cold_delivery_rate=0.5,
-    cold_request_rate=0.5,
 )
 PARAMS = LargeGroupParams(resiliency=2, fanout=3, reorg=POLICY)
 WORKERS = 24  # four full leaves of six (leaf_min=3, split threshold 6)

@@ -37,11 +37,7 @@ import sys
 import pytest
 
 from repro.deploy.cluster import LoopbackCluster
-from repro.deploy.scenarios import (
-    LATENCY,
-    make_scenario,
-    run_reference,
-)
+from repro.deploy.scenarios import make_scenario, run_reference
 from repro.membership import CAUSAL, TOTAL, build_group
 from repro.metrics.digest import DeliveryDigest
 from repro.net import FixedLatency
@@ -75,10 +71,7 @@ def run_on_asyncio(scenario):
     """The identical plan in one wall-clock Environment."""
     runtime = AsyncioRuntime(seed=scenario.seed, time_scale=_TEST_TIME_SCALE)
     try:
-        env = Environment(latency=LATENCY, runtime=runtime)
-        state = scenario.build(env, scenario.addresses())
-        env.run_for(scenario.duration)
-        return scenario.results(state)
+        return run_reference(scenario, runtime=runtime)
     finally:
         runtime.close()
 
@@ -165,9 +158,12 @@ def _run_cli(args, timeout=60):
 @pytest.mark.asyncio_smoke
 def test_live_demo_cli_smoke():
     """Tier-1 gate for `make smoke-asyncio`: the wall-clock hierarchical
-    demo completes sanitizer-clean well inside the 60 s hard timeout."""
+    demo matches the sim reference and completes sanitizer-clean well
+    inside the 60 s hard timeout."""
     proc = _run_cli(["live", "--workers", "6"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "6/6 workers" in proc.stdout
+    assert "parity with the sim reference held" in proc.stdout
     assert "sanitizer-clean" in proc.stdout
 
 

@@ -13,7 +13,6 @@ Three guarantees, each the regression guard for one acceptance claim:
 """
 
 from repro import trace
-from repro.metrics import TimeSeriesRecorder
 
 from tests.test_perf_determinism import (
     FROZEN_BYTES,
@@ -79,23 +78,3 @@ def test_ring_buffer_capacity_does_not_perturb_behaviour():
     collector = ringed_tracer.sink.collector
     assert len(collector) == 256
     assert collector.evicted == collector.recorded - 256
-
-
-def test_recorder_probe_trace_samples_span_counts():
-    tracer = _Tracer(capacity=128)
-    recorder_box = {}
-
-    def instrument(env):
-        tracer(env)
-        recorder = TimeSeriesRecorder(env, interval=0.5)
-        recorder.probe_trace(tracer.sink.collector)
-        recorder.start()
-        recorder_box["recorder"] = recorder
-
-    result = run_flat_churn_scenario(23, instrument=instrument)
-    assert result[1] == FROZEN_DELIVERIES  # recording changed nothing
-    recorder = recorder_box["recorder"]
-    recorded_series = recorder.values("trace.recorded")
-    assert recorded_series == sorted(recorded_series)  # monotone
-    assert recorded_series[-1] <= tracer.sink.collector.recorded
-    assert recorder.last("trace.retained") == 128.0

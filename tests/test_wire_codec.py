@@ -296,7 +296,7 @@ def test_level_tagged_hierarchy_payloads_round_trip():
             service="svc", leaf_id="leaf-a", size=9,
             contacts=("svc-w-0",), level=3,
             path=("branch-root", "svc/b2"),
-            delivery_rate=41.5, request_rate=12.25,
+            delivery_rate=41.5,
         ),
         AddLeaf(
             leaf_id="leaf-b", size=4, contacts=("svc-w-2",),
@@ -304,7 +304,7 @@ def test_level_tagged_hierarchy_payloads_round_trip():
         ),
         UpdateLeaf(
             leaf_id="leaf-a", size=9, contacts=("svc-w-0",),
-            delivery_rate=33.0, request_rate=0.5,
+            delivery_rate=33.0,
         ),
         GetHierarchyInfo(service="svc", subtree="svc/b2"),
         ResolvePlacement(service="svc", key="orders/EU/1234"),
@@ -415,9 +415,12 @@ def test_bad_magic_version_kind_and_length():
     good = encode_control_frame(1)
     with pytest.raises(CodecError):
         decode_frame(b"XX" + good[2:])
-    bumped = bytes([good[0], good[1], WIRE_VERSION + 1]) + good[3:]
-    with pytest.raises(CodecError):
-        decode_frame(bumped)
+    # Skew in either direction: a newer peer, and a v3 peer whose
+    # ReportLeafStatus / UpdateLeaf still carry a request-rate field.
+    for version in (WIRE_VERSION + 1, WIRE_VERSION - 1):
+        skewed = bytes([good[0], good[1], version]) + good[3:]
+        with pytest.raises(CodecError):
+            decode_frame(skewed)
     with pytest.raises(CodecError):
         decode_frame(good[:3] + b"\x07" + good[4:])  # unknown frame kind
     with pytest.raises(CodecError):
@@ -510,5 +513,6 @@ def test_wire_ids_are_unique_and_stable():
     assert kinds[95].__name__ == "WorkerFault"
     # v2: the recursive-hierarchy refactor evolved the hierarchy kinds'
     # field lists (a format change even with ids unchanged).  v3:
-    # GroupData lost its ``gossip`` field.
-    assert WIRE_VERSION == 3
+    # GroupData lost its ``gossip`` field.  v4: ReportLeafStatus and
+    # UpdateLeaf lost their request-rate field.
+    assert WIRE_VERSION == 4

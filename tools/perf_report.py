@@ -1,50 +1,46 @@
-"""Wall-clock performance report for the discrete-event core.
+"""Behaviour guard and wall-clock reports for the discrete-event core.
 
-Measures what the simulator actually costs per event — the number every
-experiment in EXPERIMENTS.md is bottlenecked by — and keeps the guard
-reference in ``BENCH_core.json`` that ``--guard`` holds the tree to.
-(The PR 1 → PR 6 speedup trajectory this file used to carry is prose in
-EXPERIMENTS.md now; end-to-end claims belong to ``benchmarks/e2e``.)
+``--guard`` is the repo's one frozen-behaviour check: it re-runs seven
+quick scenarios and compares each behaviour fingerprint (message / byte
+/ drop / event counters and a delivery-order digest) *exactly* against
+``BENCH_core.json``, naming every counter that moved.  Tier-1 runs it
+(``tests/test_perf_smoke.py``).  Speed is not gated here — this host
+cannot resolve 10% on a sub-second run (EXPERIMENTS.md, "One guard") —
+it is measured by ``benchmarks/e2e`` over ten alternating pairs.
 
-Scenarios:
+Guard scenarios:
 
 ``scheduler_micro``
     Pure scheduler churn: self-rescheduling chains, batch scheduling and
-    mass cancellation, no network.  Isolates heap + event-object cost.
+    mass cancellation, no network.
 
-``flat_steady_n64`` / ``flat_steady_n256``
-    A flat group of n members with heartbeat failure detection and
-    stability gossip on — every member pings every other, the paper's
-    "costs grow with the square of the group" regime (§2).
+``flat_steady_n64``
+    A flat group of 64 members under heartbeat failure detection.
 
-``hier_steady_n64`` / ``hier_steady_n256``
+``hier_steady_n64``
     The same steady state under the paper's hierarchy: members heartbeat
     only within their leaf group, leaders within the leader group.
-
-``hier_steady_n64_traced``
-    ``hier_steady_n64`` with the causal tracer attached
-    (:mod:`repro.trace`, ring-buffer capture): the events/sec delta
-    against ``hier_steady_n64`` is the cost of tracing *on*; its
-    fingerprint must be identical (tracing is observation-only).
 
 ``churn``
     A flat heartbeat-monitored group with a rolling crash/recover cycle:
     exercises suspicion, flush, rejoin, and the scheduler's lazily
     cancelled timer events (the heap-compaction path).
 
-Each scenario reports wall seconds, events fired, events/sec and peak
-heap size, plus a behaviour fingerprint (message/byte/drop counters and a
-delivery-order digest) that ``--guard`` requires to be identical to the
-recorded reference — perf work must not change simulation output.
+``scale_n256``
+    The load-driven recursive hierarchy (``--scale``) at its quick size.
+
+``para_w1`` / ``para_w2``
+    The statically placed hierarchy (``--parallel``) at n=64 on the
+    conservative-window engine with one and two worker processes.
 
 Usage::
 
-    PYTHONPATH=src python -m tools.perf_report                # full suite
-    PYTHONPATH=src python -m tools.perf_report --quick        # CI smoke
-    PYTHONPATH=src python -m tools.perf_report --out x.json   # ... saved
-    PYTHONPATH=src python -m tools.perf_report --guard        # regression gate
+    PYTHONPATH=src python -m tools.perf_report                # print readings
+    PYTHONPATH=src python -m tools.perf_report --guard        # behaviour gate
     PYTHONPATH=src python -m tools.perf_report --guard --update  # new reference
     PYTHONPATH=src python -m tools.perf_report --scale        # scaling curve
+    PYTHONPATH=src python -m tools.perf_report --parallel     # speedup curve
+    PYTHONPATH=src python -m tools.perf_report --wire         # UDP wire cost
 """
 
 from __future__ import annotations
@@ -255,11 +251,11 @@ def _timed_run(env: Environment, duration: float) -> Dict:
 # -- scenarios ---------------------------------------------------------------
 
 
-def scenario_scheduler_micro(quick: bool) -> Dict:
+def scenario_scheduler_micro() -> Dict:
     """Scheduler-only churn: chains, batches, and mass cancellation."""
-    n_chain = 20_000 if quick else 150_000
-    n_batch = 20_000 if quick else 100_000
-    n_cancel = 10_000 if quick else 50_000
+    n_chain = 20_000
+    n_batch = 20_000
+    n_cancel = 10_000
 
     sched = Scheduler()
     remaining = [n_chain]
@@ -364,25 +360,6 @@ def scenario_hier_steady(
     return result
 
 
-def scenario_hier_steady_traced(
-    n: int, sim_s: float, seed: int = 13, settle: float = 6.0
-) -> Dict:
-    """``hier_steady`` with the causal tracer attached — measures what
-    tracing *on* costs per event.  Ring-buffer capture bounds memory;
-    the behaviour fingerprint must equal the untraced scenario's (the
-    tracer is observation-only)."""
-    from repro import trace
-
-    env = _build_hier(n, seed, join_stagger=0.02)
-    env.run_for(settle + 0.02 * n)  # identical settle to hier_steady
-    sink = trace.attach(env, capacity=1 << 16)
-    digest = DeliveryDigest(env.network)
-    result = _timed_run(env, sim_s)
-    result["fingerprint"] = _fingerprint(env, digest)
-    result["trace_spans_recorded"] = sink.collector.recorded
-    return result
-
-
 def scenario_churn(sim_s: float, n: int = 24, seed: int = 17) -> Dict:
     """Rolling crash/recover over a heartbeat-monitored flat group."""
     env = _build_flat(n, seed)
@@ -459,8 +436,8 @@ def run_wire_suite(quick: bool = False) -> Dict:
 
 # -- scale report (BENCH_scale.json) -----------------------------------------
 
-# (n, timed sim seconds) for the full scaling sweep; the guard gate
-# re-measures only the quick size.
+# (n, timed sim seconds) for the full scaling sweep; the guard runs
+# only the quick size.
 SCALE_SIZES = ((1024, 3.0), (2048, 2.0), (4096, 1.0))
 SCALE_GUARD = (256, 1.5)
 
@@ -477,9 +454,7 @@ def _scale_policy():
         cooldown=4.0,
         ewma_alpha=0.5,
         hot_delivery_rate=10.0,
-        hot_request_rate=8.0,
         cold_delivery_rate=0.5,
-        cold_request_rate=0.5,
     )
 
 
@@ -494,7 +469,7 @@ def scenario_scale(
     disruption — land inside the measurement.  Heartbeat detectors stay
     off: at n=4096 the per-leaf ping matrices would multiply the event
     count without touching the reorg machinery this scenario measures
-    (``hier_steady_n*`` keeps them on)."""
+    (``hier_steady_n64`` keeps them on)."""
     from repro.core import (
         LargeGroupParams,
         build_large_group,
@@ -583,9 +558,7 @@ def scenario_scale(
 def run_scale_suite(quick: bool = False) -> Dict:
     """The ``--scale`` report: the load-driven recursive hierarchy's
     scaling curve (docs/hierarchy.md).  Per size: events/sec, tree shape,
-    reorg counts and routing-disruption windows; plus the quick-size
-    guard reference that ``--guard`` re-measures whenever
-    ``BENCH_scale.json`` is present."""
+    reorg counts and routing-disruption windows."""
     sizes = (SCALE_GUARD,) if quick else SCALE_SIZES
     report: Dict = {
         "benchmark": "bench_scale_hierarchy",
@@ -632,19 +605,6 @@ def run_scale_suite(quick: bool = False) -> Dict:
                 "perf_report: sanitized n=1024 fingerprint diverged — the "
                 "sanitizer is not observation-only"
             )
-    n, sim_s = SCALE_GUARD
-    guard_name = f"scale_n{n}"
-    guard_result = report["scenarios"].get(guard_name)
-    if guard_result is None:
-        print(f"  running {guard_name} (guard reference) ...", flush=True)
-        guard_result = scenario_scale(n, sim_s)
-    report["runs"] = {
-        "guard": {
-            "scenarios": {guard_name: guard_result},
-            "calibration_ops_per_sec": round(_calibrate()),
-            "quick": True,
-        }
-    }
     return report
 
 
@@ -711,7 +671,7 @@ def run_parallel_suite(quick: bool = False) -> Dict:
             "workers_n": n,
             "leaf_size": scn.leaf_size,
             "partitions": PARA_PARTITIONS,
-            "latency_delay": scn.latency_delay,
+            "latency_delay": scn.latency.floor(),
             "heartbeat": scn.heartbeat,
             "gossip_interval": scn.gossip_interval,
             "sim_s": scn.sim_s,
@@ -831,268 +791,99 @@ def run_parallel_suite(quick: bool = False) -> Dict:
             f"perf_report: parallel speedup x{top[metric]} below the "
             f"x{PARA_TARGET_SPEEDUP} target"
         )
-    print(f"  running parallel guard reference (n={PARA_GUARD_N}) ...", flush=True)
-    report["runs"] = {
-        "guard": {"fingerprints": _parallel_guard_fingerprints()}
-    }
     return report
 
 
-def _parallel_guard_fingerprints() -> Dict[str, str]:
-    """Quick-size W=1/W=2 fingerprints: the digest-parity guard pair."""
+def build_scenarios() -> Dict[str, Callable[[], Dict]]:
+    """The timed quick scenarios: what a bare run prints and what
+    ``tests/test_perf_smoke.py`` keeps from rotting."""
+    return {
+        "scheduler_micro": scenario_scheduler_micro,
+        "flat_steady_n64": lambda: scenario_flat_steady(64, 1.0),
+        "hier_steady_n64": lambda: scenario_hier_steady(64, 1.5, settle=4.0),
+        "churn": lambda: scenario_churn(3.0),
+    }
+
+
+# -- behaviour guard ---------------------------------------------------------
+
+
+def build_guards() -> Dict[str, Callable[[], Dict]]:
+    """Guard name -> callable returning that scenario's behaviour
+    fingerprint: everything ``BENCH_core.json`` holds."""
+    timed = build_scenarios()
+    timed[f"scale_n{SCALE_GUARD[0]}"] = lambda: scenario_scale(*SCALE_GUARD)
+    guards: Dict[str, Callable[[], Dict]] = {
+        name: (lambda fn=fn: fn()["fingerprint"]) for name, fn in timed.items()
+    }
     scn = _parallel_scenario(PARA_GUARD_N)
-    return {
-        f"w{w}": _parallel_run(scn, w, measure=False).fingerprint
-        for w in (1, 2)
-    }
-
-
-def _parallel_guard(para_path: str = "BENCH_para.json") -> List[str]:
-    """Re-check windowed digest parity against ``BENCH_para.json``.
-
-    Returns failure strings (empty when clean or when no reference
-    exists).  Two gates: W=1 and W=2 must still agree with each other
-    (W-invariance), and both must equal the recorded reference
-    (behaviour drift shows up here as surely as in the core guard)."""
-    recorded = (
-        _read_report(para_path).get("runs", {}).get("guard", {}).get("fingerprints")
-    )
-    if not recorded:
-        return []
-    print(f"  running parallel guard (n={PARA_GUARD_N}, W=1 vs W=2) ...", flush=True)
-    current = _parallel_guard_fingerprints()
-    failures = []
-    if current["w1"] != current["w2"]:
-        failures.append(
-            "parallel: W=1 and W=2 fingerprints diverged "
-            f"({current['w1'][:16]} != {current['w2'][:16]})"
-        )
-    for key in ("w1", "w2"):
-        if current[key] != recorded.get(key):
-            failures.append(
-                f"parallel: {key} fingerprint {current[key][:16]} != "
-                f"recorded {str(recorded.get(key))[:16]} in {para_path}"
-            )
-    return failures
-
-
-def build_scenarios(quick: bool) -> Dict[str, Callable[[], Dict]]:
-    if quick:
-        return {
-            "scheduler_micro": lambda: scenario_scheduler_micro(True),
-            "flat_steady_n64": lambda: scenario_flat_steady(64, 1.0),
-            "hier_steady_n64": lambda: scenario_hier_steady(64, 1.5, settle=4.0),
-            "hier_steady_n64_traced": lambda: scenario_hier_steady_traced(
-                64, 1.5, settle=4.0
-            ),
-            "churn": lambda: scenario_churn(3.0),
+    for w in (1, 2):
+        guards[f"para_w{w}"] = lambda w=w: {
+            "merged_digest": _parallel_run(scn, w, measure=False).fingerprint
         }
-    return {
-        "scheduler_micro": lambda: scenario_scheduler_micro(False),
-        "flat_steady_n64": lambda: scenario_flat_steady(64, 4.0),
-        "flat_steady_n256": lambda: scenario_flat_steady(256, 1.0),
-        "hier_steady_n64": lambda: scenario_hier_steady(64, 6.0),
-        "hier_steady_n64_traced": lambda: scenario_hier_steady_traced(64, 6.0),
-        "hier_steady_n256": lambda: scenario_hier_steady(256, 3.0),
-        "churn": lambda: scenario_churn(10.0),
-    }
+    return guards
 
 
-# -- regression guard --------------------------------------------------------
-
-# Quick-size scenarios the guard re-measures; the traced variant is
-# excluded (it re-runs hier_steady_n64 and would double guard latency
-# without adding a distinct fingerprint).
-GUARD_SCENARIOS = (
-    "scheduler_micro",
-    "flat_steady_n64",
-    "hier_steady_n64",
-    "churn",
-)
-
-# A guard run must be at least this fraction of the reference's
-# machine-normalised events/sec (i.e. >10% slowdowns fail).
-# Fingerprints, by contrast, must match exactly.
-GUARD_EPS_FLOOR = 0.9
-
-
-def _calibrate(target_s: float = 0.1, repeats: int = 3) -> float:
-    """Machine-speed probe: ops/sec of a fixed pure-Python loop.
-
-    A shared box drifts well beyond 10% between a reference recording
-    and a later check, which would make a raw events/sec floor flap on
-    identical code.  The guard therefore compares *calibrated* speeds:
-    this loop is measured alongside the reference and again at check
-    time, and the scenario floor scales by the ratio — machine drift
-    cancels, real per-event regressions do not.  Best-of-``repeats``
-    (the probe itself is subject to the same noise).
-    """
-    n = 200_000
-    best = 0.0
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        done = 0
-        while time.perf_counter() - t0 < target_s:
-            acc = 0
-            for i in range(n):
-                acc += i & 7
-            done += n
-        ops = done / (time.perf_counter() - t0)
-        if ops > best:
-            best = ops
-    return best
-
-
-def _guard_check(
-    results: Dict[str, Dict],
-    guard_entry: Dict,
-    scenario_fns: Dict[str, Callable[[], Dict]],
+def compare_fingerprints(
+    recorded: Dict[str, Dict], current: Dict[str, Dict]
 ) -> List[str]:
-    """Compare fresh guard measurements against one recorded reference
-    entry: fingerprints byte-identical, events/sec within the
-    machine-normalised floor.  Returns failure descriptions."""
-    reference = guard_entry.get("scenarios") or {}
-    # Machine drift between recording and checking cancels out of the
-    # speed floor via the calibration ratio (see _calibrate).
-    ref_cal = guard_entry.get("calibration_ops_per_sec")
-    scale = 1.0
-    if ref_cal:
-        cur_cal = _calibrate()
-        scale = cur_cal / ref_cal
-        print(f"    machine speed vs reference recording: {scale:.3f}x")
+    """One failure line per counter that differs: scenario, key, and
+    both values.  Empty when every fingerprint is identical."""
     failures: List[str] = []
-    for name, fresh in results.items():
-        expected = reference.get(name)
-        if expected is None:
-            failures.append(f"{name}: no reference entry")
+    for name in sorted(set(recorded) | set(current)):
+        expected, fresh = recorded.get(name), current.get(name)
+        if expected is None or fresh is None:
+            side = "reference" if expected is None else "guard scenario"
+            failures.append(f"{name}: no such {side}")
             continue
-        if fresh["fingerprint"] != expected["fingerprint"]:
-            failures.append(
-                f"{name}: behaviour fingerprint diverged from reference "
-                "(delivery order / counts changed)"
-            )
-            continue
-        ref_eps = expected.get("events_per_sec")
-        if ref_eps:
-            ref_eps = ref_eps * scale  # reference at today's machine speed
-        eps = fresh.get("events_per_sec")
-        # Wall-clock noise easily exceeds 10% run-to-run on a busy box;
-        # a real regression is reproducible, noise is not, so a scenario
-        # only fails the speed floor if the best of three attempts is
-        # still below it.  Fingerprints must match on every attempt.
-        attempts = 1
-        while (
-            ref_eps and eps and eps < GUARD_EPS_FLOOR * ref_eps and attempts < 3
-        ):
-            attempts += 1
-            print(
-                f"    {name}: {eps:,} events/sec below floor, "
-                f"re-measuring ({attempts}/3) ...", flush=True
-            )
-            retry = scenario_fns[name]()
-            if retry["fingerprint"] != expected["fingerprint"]:
+        for key in sorted(set(expected) | set(fresh)):
+            if expected.get(key) != fresh.get(key):
                 failures.append(
-                    f"{name}: behaviour fingerprint diverged on re-measure"
+                    f"{name}: {key} {fresh.get(key)!r} != recorded "
+                    f"{expected.get(key)!r}"
                 )
-                eps = None
-                break
-            retry_eps = retry.get("events_per_sec")
-            if retry_eps and retry_eps > eps:
-                eps = retry_eps
-        if ref_eps and eps and eps < GUARD_EPS_FLOOR * ref_eps:
-            failures.append(
-                f"{name}: {eps:,} events/sec (best of {attempts}) is more "
-                f"than {round((1 - GUARD_EPS_FLOOR) * 100)}% below the "
-                f"machine-normalised reference {round(ref_eps):,}"
-            )
-        elif eps is not None:
-            ratio = round(eps / ref_eps, 3) if ref_eps and eps else None
-            print(f"    {name}: fingerprint identical, {ratio}x reference speed")
     return failures
 
 
-def run_guard(
-    out_path: str, update: bool, scale_path: str = "BENCH_scale.json"
-) -> int:
-    """``--guard``: fail fast if the working tree regressed the core.
+def run_guard(out_path: str, update: bool) -> int:
+    """``--guard``: fail if the working tree changed simulated behaviour.
 
-    Runs the quick-size guard scenarios and compares them against the
-    ``guard`` reference label in ``BENCH_core.json``: every behaviour
-    fingerprint (delivery digest included) must be byte-identical, and
-    events/sec must stay within ``GUARD_EPS_FLOOR`` of the reference.
-    ``--guard --update`` (``make bench-report``) records the current
-    tree as the new reference.
-
-    When ``BENCH_scale.json`` exists (``make bench-scale``), its own
-    quick-size guard entry rides the same gate — the scale reference
-    lives in that file, and ``BENCH_core.json`` is left untouched.
+    Runs every guard scenario and compares its fingerprint (delivery
+    digest included) byte for byte against the reference in
+    ``out_path``.  ``--guard --update`` (``make bench-report``) records
+    the current tree as the new reference, and writes nothing else.
+    Exit codes: 0 identical, 2 no reference, 3 a fingerprint moved.
     """
     mode = "update" if update else "check"
     print(f"perf_report: guard ({mode}) vs {out_path}")
-    scenarios = build_scenarios(quick=True)
-    results: Dict[str, Dict] = {}
-    for name in GUARD_SCENARIOS:
-        print(f"  running {name} (quick) ...", flush=True)
-        results[name] = scenarios[name]()
-    scale_report = _read_report(scale_path)
-    scale_n, scale_sim_s = SCALE_GUARD
-    scale_name = f"scale_n{scale_n}"
-    scale_fns = {scale_name: lambda: scenario_scale(scale_n, scale_sim_s)}
-    if update:
-        # The guard reference is all BENCH_core.json holds.
-        guard_entry = {
-            "scenarios": results,
-            "quick": True,
-            "calibration_ops_per_sec": round(_calibrate()),
-        }
-        _write_report(
-            {"benchmark": "bench_perf_core", "runs": {"guard": guard_entry}},
-            out_path,
-        )
-        if scale_report:
-            print(f"  running {scale_name} (guard) ...", flush=True)
-            scale_report.setdefault("runs", {})["guard"] = {
-                "scenarios": {scale_name: scale_fns[scale_name]()},
-                "quick": True,
-                "calibration_ops_per_sec": round(_calibrate()),
-            }
-            _write_report(scale_report, scale_path)
-        para_path = "BENCH_para.json"
-        para_report = _read_report(para_path)
-        if para_report:
-            print(f"  running parallel guard (n={PARA_GUARD_N}) ...", flush=True)
-            para_report.setdefault("runs", {})["guard"] = {
-                "fingerprints": _parallel_guard_fingerprints()
-            }
-            _write_report(para_report, para_path)
-        return 0
-    guard_entry = _read_report(out_path).get("runs", {}).get("guard", {})
-    if not guard_entry.get("scenarios"):
+    recorded = _read_report(out_path).get("guard")
+    if not update and not recorded:
         print(
             f"perf_report: no guard reference in {out_path}; "
             "run `python -m tools.perf_report --guard --update` first"
         )
         return 2
-    failures = _guard_check(results, guard_entry, scenarios)
-    scale_entry = scale_report.get("runs", {}).get("guard", {})
-    if scale_entry.get("scenarios"):
-        print(f"  running {scale_name} (guard) ...", flush=True)
-        scale_results = {scale_name: scale_fns[scale_name]()}
-        failures += _guard_check(scale_results, scale_entry, scale_fns)
-    failures += _parallel_guard()
+    current: Dict[str, Dict] = {}
+    for name, fn in build_guards().items():
+        print(f"  running {name} ...", flush=True)
+        current[name] = fn()
+    if update:
+        _write_report({"benchmark": "perf_report_guard", "guard": current}, out_path)
+        return 0
+    failures = compare_fingerprints(recorded, current)
     if failures:
         for line in failures:
             print(f"perf_report: GUARD FAIL {line}")
         return 3
-    print("perf_report: guard ok (fingerprints identical, speed within bounds)")
+    print(f"perf_report: guard ok ({len(current)} fingerprints identical)")
     return 0
 
 
 # -- report assembly ---------------------------------------------------------
 
 
-def run_suite(quick: bool, only: Optional[List[str]] = None) -> Dict[str, Dict]:
-    scenarios = build_scenarios(quick)
+def run_suite(only: Optional[List[str]] = None) -> Dict[str, Dict]:
+    scenarios = build_scenarios()
     if only:
         unknown = set(only) - set(scenarios)
         if unknown:
@@ -1113,20 +904,16 @@ def run_suite(quick: bool, only: Optional[List[str]] = None) -> Dict[str, Dict]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true", help="small CI sizes")
+    parser.add_argument(
+        "--quick",
+        action="store_true",
+        help="small sizes for --scale / --parallel / --wire",
+    )
     parser.add_argument(
         "--out",
-        help="where to write the report: defaults to the suite's own "
-        "BENCH_*.json; the core suite only prints unless this is given",
-    )
-    parser.add_argument(
-        "--scenario", action="append", help="run only the named scenario(s)"
-    )
-    parser.add_argument(
-        "--lint",
-        action="store_true",
-        help="run repro-lint on src/repro first; refuse to benchmark a "
-        "tree with determinism regressions",
+        help="the report file --guard reads or --guard --update / --scale "
+        "/ --parallel / --wire write; defaults to that mode's own "
+        "BENCH_*.json",
     )
     parser.add_argument(
         "--tables",
@@ -1137,33 +924,30 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--wire",
         action="store_true",
-        help="instead of the core suite, run the hierarchical parity "
-        "scenario as a 4-node loopback UDP cluster and write the wire "
-        "frame/byte report to BENCH_wire.json (docs/deployment.md)",
+        help="run the hierarchical parity scenario as a 4-node loopback "
+        "UDP cluster and write the wire frame/byte report to "
+        "BENCH_wire.json (docs/deployment.md)",
     )
     parser.add_argument(
         "--scale",
         action="store_true",
-        help="instead of the core suite, run the load-driven recursive "
-        "hierarchy at n=1024/2048/4096 (n=256 under --quick) and write "
-        "events/sec, reorg counts and routing-disruption windows to "
-        "BENCH_scale.json (docs/hierarchy.md)",
+        help="run the load-driven recursive hierarchy at n=1024/2048/4096 "
+        "(n=256 under --quick) and write events/sec, reorg counts and "
+        "routing-disruption windows to BENCH_scale.json (docs/hierarchy.md)",
     )
     parser.add_argument(
         "--parallel",
         action="store_true",
-        help="instead of the core suite, run the conservative-window "
-        "multi-core engine on the statically-placed hierarchy at n=2048 "
-        "(n=256 under --quick), W in {1,2,4}, and write the speedup "
-        "curve, digest-parity and sanitizer evidence to BENCH_para.json "
-        "(docs/simulator.md)",
+        help="run the conservative-window multi-core engine on the "
+        "statically-placed hierarchy at n=2048 (n=256 under --quick), W in "
+        "{1,2,4}, and write the speedup curve, digest-parity and sanitizer "
+        "evidence to BENCH_para.json (docs/simulator.md)",
     )
     parser.add_argument(
         "--guard",
         action="store_true",
-        help="quick regression guard: rerun the guard scenarios and fail "
-        "on any fingerprint change or a >10%% events/sec regression "
-        "against the reference recorded in BENCH_core.json",
+        help="behaviour gate: rerun the guard scenarios and fail on any "
+        "fingerprint that differs from the reference in BENCH_core.json",
     )
     parser.add_argument(
         "--update",
@@ -1179,23 +963,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         pin_hash_seed()
 
-    if args.lint:
-        # Benchmark numbers (and their behaviour fingerprints) are only
-        # comparable across runs when the tree passes the determinism
-        # lint — a wall-clock read or hash-ordered loop would make the
-        # fingerprints themselves flaky.  flow=True adds the
-        # whole-program passes: interprocedurally laundered wall-clock
-        # or set-order taint flakes fingerprints just as surely as the
-        # per-file patterns.
-        from tools.lint import run as lint_run
-
-        lint_code, lint_report = lint_run(["src/repro"], flow=True)
-        if lint_code != 0:
-            print(lint_report)
-            print("perf_report: refusing to benchmark a nondeterministic tree")
-            return 2
-        print("perf_report: repro-lint preflight ok")
-
     if args.guard:
         return run_guard(args.out or "BENCH_core.json", update=args.update)
 
@@ -1209,17 +976,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             _write_report(suite(args.quick), args.out or default_out)
             return 0
 
-    print(f"perf_report: core suite quick={args.quick}")
-    scenarios = run_suite(args.quick, args.scenario)
-    if args.out:
-        _write_report(
-            {
-                "benchmark": "bench_perf_core",
-                "quick": args.quick,
-                "scenarios": scenarios,
-            },
-            args.out,
-        )
+    print("perf_report: guard scenario readings (printed, recorded nowhere)")
+    run_suite()
     return 0
 
 
