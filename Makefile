@@ -52,7 +52,7 @@ e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --self-test
 
 ## Causal-trace demo: one request + one treecast through a hierarchical
-## service, audited against E1 (2n messages) and E8 (log-depth stages);
+## service, audited against E1 (2r messages on a leaf) and E8 (log-depth stages);
 ## writes a Chrome trace-event JSON (chrome://tracing / perfetto).
 trace:
 	$(PYTHON) -m tools.trace_report --out trace_demo.json

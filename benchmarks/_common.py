@@ -35,18 +35,20 @@ ECHO = lambda payload, client: ("ok", payload)  # noqa: E731 - trivial handler
 def flat_service(
     n: int,
     seed: int = 1,
-    cohort_limit: Optional[int] = None,
+    resiliency: Optional[int] = None,
     gossip_interval: Optional[float] = None,
     latency=None,
 ):
-    """A flat coordinator-cohort service of n members plus one client."""
+    """A flat coordinator-cohort service of n members plus one client.
+    With no ``resiliency`` it is the paper's small group (size ==
+    resiliency): every member is in the cohort set."""
     env = Environment(
         seed=seed, latency=latency if latency is not None else FixedLatency(0.002)
     )
     nodes, members = build_group(
         env, "svc", n, gossip_interval=gossip_interval
     )
-    servers = attach_service(members, ECHO, cohort_limit=cohort_limit)
+    servers = attach_service(members, ECHO, resiliency=resiliency)
     client_node = GroupNode(env, "client")
     client = CoordinatorCohortClient(
         client_node,

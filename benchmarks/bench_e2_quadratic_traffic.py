@@ -5,7 +5,8 @@ In the flat design the serving group must grow with its client population
 (each request occupies every member), so with group size proportional to
 clients and each client issuing R requests, total traffic is
 clients * R * 2n = Θ(clients²).  The hierarchical design routes each
-request to one bounded leaf, so traffic is Θ(clients).
+request to the cohort set of one leaf (2r messages whatever the leaf or
+the service has grown to), so traffic is Θ(clients), exactly.
 
 A centralized server (the §1 strawman the workstation movement replaced)
 is also measured: its total traffic is linear but every message funnels

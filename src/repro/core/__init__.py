@@ -28,7 +28,6 @@ from repro.core.leader import (
     LeafProbe,
     MergeDirective,
     ReportLeafStatus,
-    ResolvePlacement,
     SplitDirective,
     build_leader_group,
     leader_group_name,
@@ -85,7 +84,6 @@ __all__ = [
     "RemoveLeaf",
     "ReorgPolicy",
     "ReportLeafStatus",
-    "ResolvePlacement",
     "ServiceRouter",
     "SplitCmd",
     "SplitDirective",

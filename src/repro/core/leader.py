@@ -85,21 +85,12 @@ class GetLeafAssignment:
 
 @dataclass
 class GetHierarchyInfo:
-    """Introspection for tests, benchmarks and operators; ``subtree``
-    restricts the reply to one branch's recursive summary ("" = root)."""
+    """The tree as the leader holds it — for routers (which place keys
+    with it), tests, benchmarks and operators; ``subtree`` restricts the
+    reply to one branch's recursive summary ("" = root)."""
 
     service: str
     subtree: str = ""
-
-
-@dataclass
-class ResolvePlacement:
-    """A router asks which leaf is responsible for ``key`` (hierarchical
-    placement: the manager walks the tree; the router caches the result
-    until the reorg epoch moves)."""
-
-    service: str
-    key: str
 
 
 @dataclass
@@ -144,8 +135,8 @@ class LeaderReplica:
         self.is_manager = False
         # Structural version of the tree: bumps on every applied op that
         # adds or removes a leaf (split, merge, total failure).  Routers
-        # cache per-key placements against this and drop them when it
-        # moves — the "invalidate on reorg" half of hierarchical routing.
+        # hold the tree they place keys with as of one epoch (the
+        # ``GetHierarchyInfo`` reply carries both).
         self.reorg_epoch = 0
         # Reorganisation telemetry (manager-side): directive times and
         # the routing-disruption window each reorg caused.  Kept apart
@@ -176,7 +167,6 @@ class LeaderReplica:
         runtime.rpc.serve(ReportLeafStatus, self._serve_report)
         runtime.rpc.serve(GetLeafAssignment, self._serve_assignment)
         runtime.rpc.serve(GetHierarchyInfo, self._serve_info)
-        runtime.rpc.serve(ResolvePlacement, self._serve_placement)
         runtime.detector.add_listener(self._on_suspect)
         self._refresh_role()
 
@@ -385,23 +375,6 @@ class LeaderReplica:
         info = self.state.summary(getattr(body, "subtree", ""))
         info["reorg_epoch"] = self.reorg_epoch
         return info
-
-    def _serve_placement(self, body: ResolvePlacement, sender: Address):
-        if not self.is_manager:
-            return ("redirect", self.member.acting_coordinator())
-        leaf_id = self.state.place_key(body.key)
-        if leaf_id is None or leaf_id not in self.state.leaves:
-            raise RpcError(f"service {self.service} has no placement yet")
-        leaf = self.state.leaves[leaf_id]
-        if not leaf.contacts:
-            raise RpcError(f"leaf {leaf_id} not routable yet")
-        return (
-            "placement",
-            self.reorg_epoch,
-            list(self.state.path_to(leaf_id)),
-            leaf_group_name(self.service, leaf_id),
-            leaf.contacts,
-        )
 
     # ----------------------------------------------------- split / merge policy
 

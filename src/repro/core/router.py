@@ -6,14 +6,20 @@ A :class:`ServiceRouter` resolves a service name to the leader (via the
 name service or static contacts), obtains a leaf assignment from the
 manager, caches it, and invalidates it when requests start failing — so a
 client only ever talks to one bounded subgroup, never to all n members.
+
+Per-key placement (:meth:`ServiceRouter.resolve_key`) costs the leader
+one round trip per reorg epoch, not one per key: the router fetches the
+branch tree once and walks it with the leader's own rule
+(:func:`repro.core.views.walk_key`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.leader import GetLeafAssignment, ResolvePlacement
+from repro.core.leader import GetHierarchyInfo, GetLeafAssignment, leaf_group_name
 from repro.core.naming import NameClient
+from repro.core.views import walk_key
 from repro.net.message import Address
 from repro.proc.process import Process
 from repro.proc.rpc import Rpc
@@ -44,16 +50,17 @@ class ServiceRouter:
         self._timeout = rpc_timeout
         self._assignment: Optional[Assignment] = None
         self.lookups = 0
-        # Hierarchical placement cache: key -> (leaf group, contacts),
-        # valid for one reorg epoch.  When a placement reply carries a
-        # newer epoch than the cache was filled under, the whole subtree
-        # placement is stale (a split or merge moved leaves) and is
-        # dropped — the "invalidate on reorg" contract.
-        self._placements: Dict[str, Assignment] = {}
+        # Hierarchical placement: the leader's tree (branch -> children,
+        # leaf -> contacts) as of one reorg epoch, walked locally.  A
+        # failure on a placement drops it (``invalidate_key``); the next
+        # fetch shows whether a split or merge had moved the epoch.
+        self._tree: Optional[Dict[str, List[str]]] = None
+        self._leaf_contacts: Dict[str, Tuple[Address, ...]] = {}
         self._placement_epoch: Optional[int] = None
-        self.placement_lookups = 0
-        self.placement_hits = 0
-        self.placement_invalidations = 0
+        self._tree_waiters: List[Tuple[str, AssignmentFn]] = []
+        self.placement_lookups = 0  # tree fetches asked of the leader
+        self.placement_hits = 0  # keys placed without asking anybody
+        self.placement_invalidations = 0  # fetches that found a new epoch
 
     @property
     def rpc(self) -> Rpc:
@@ -63,14 +70,10 @@ class ServiceRouter:
     def cached_assignment(self) -> Optional[Assignment]:
         return self._assignment
 
-    @property
-    def cached_placements(self) -> Dict[str, Assignment]:
-        return dict(self._placements)
-
     def invalidate(self) -> None:
         """Drop the cached leaf (call after repeated request failures)."""
         self._assignment = None
-        self._placements.clear()
+        self._tree = None
         self._placement_epoch = None
         if self._name_client is not None:
             self._name_client.invalidate(self.service)
@@ -86,21 +89,24 @@ class ServiceRouter:
 
     def resolve_key(self, key: str, on_ready: AssignmentFn) -> None:
         """Hierarchical placement: yield the (leaf group, contacts) the
-        tree walk assigns to ``key``.  The manager walks its replicated
-        tree once; this router caches the answer until a reply shows the
-        reorg epoch has moved."""
-        cached = self._placements.get(key)
-        if cached is not None:
-            self.placement_hits += 1
-            on_ready(cached)
-            return
-        self._resolve_leader(
-            lambda contacts: self._ask_placement(contacts, 0, key, on_ready)
-        )
+        tree walk assigns to ``key`` — the leaf the manager's
+        ``place_key`` names, worked out here from the tree this router
+        holds.  The tree is fetched when there is none."""
+        if self._tree is not None:
+            placement = self._place(key)
+            if placement is not None:
+                self.placement_hits += 1
+                on_ready(placement)
+                return
+            self._tree = None  # empty, or the leaf is not routable yet
+        self._tree_waiters.append((key, on_ready))
+        if len(self._tree_waiters) == 1:
+            self._resolve_leader(lambda contacts: self._ask_tree(contacts, 0))
 
     def invalidate_key(self, key: str) -> None:
-        """Drop one cached placement (call after request failures on it)."""
-        self._placements.pop(key, None)
+        """Requests to ``key``'s placement are failing: the tree that
+        placed it is out of date, so the next resolve fetches it again."""
+        self._tree = None
 
     # -- internals ----------------------------------------------------------------
 
@@ -158,61 +164,54 @@ class ServiceRouter:
             on_timeout=lambda: self._ask_leader(contacts, index + 1, on_ready),
         )
 
-    def _ask_placement(
-        self,
-        contacts: Tuple[Address, ...],
-        index: int,
-        key: str,
-        on_ready: AssignmentFn,
-    ) -> None:
+    def _place(self, key: str) -> Optional[Assignment]:
+        leaf_id = walk_key(self._tree.get, key)
+        contacts = self._leaf_contacts.get(leaf_id)
+        if not contacts:
+            return None
+        return leaf_group_name(self.service, leaf_id), contacts
+
+    def _ask_tree(self, contacts: Tuple[Address, ...], index: int) -> None:
         if not contacts or index >= 3 * len(contacts):
-            on_ready(None)
+            self._tree_fetched()
             return
         self.placement_lookups += 1
         contact = contacts[index % len(contacts)]
 
         def reply(value, sender) -> None:
-            if value is None:
-                self._ask_placement(contacts, index + 1, key, on_ready)
-            elif value[0] == "redirect":
-                target = value[1]
-                new_contacts = (
-                    contacts if target in contacts else contacts + (target,)
+            if not isinstance(value, dict):
+                self._ask_tree(contacts, index + 1)
+                return
+            epoch = value["reorg_epoch"]
+            if self._placement_epoch not in (None, epoch):
+                # The tree changed shape since the last one was fetched.
+                self.placement_invalidations += 1
+            self._placement_epoch = epoch
+            self._tree = value["tree"]
+            self._leaf_contacts = {
+                leaf_id: tuple(info["contacts"])
+                for leaf_id, info in value["leaves"].items()
+            }
+            trace = self._process.env.network.trace
+            if trace is not None:
+                trace.local(
+                    "placement-tree-fetched", category="routing",
+                    process=self._process.address, service=self.service,
+                    leaves=len(self._leaf_contacts), epoch=epoch,
                 )
-                self._ask_placement(
-                    new_contacts, new_contacts.index(target), key, on_ready
-                )
-            elif value[0] == "placement":
-                _, epoch, path, group, leaf_contacts = value
-                self._note_epoch(epoch)
-                placement = (group, tuple(leaf_contacts))
-                self._placements[key] = placement
-                trace = self._process.env.network.trace
-                if trace is not None:
-                    trace.local(
-                        "placement-resolved", category="routing",
-                        process=self._process.address,
-                        service=self.service, key=key, leaf_group=group,
-                        depth=len(path) + 1, epoch=epoch,
-                    )
-                on_ready(placement)
-            else:
-                self._ask_placement(contacts, index + 1, key, on_ready)
+            self._tree_fetched()
 
         self._rpc.call(
             contact,
-            ResolvePlacement(service=self.service, key=key),
+            GetHierarchyInfo(service=self.service),
             on_reply=reply,
             timeout=self._timeout,
-            on_timeout=lambda: self._ask_placement(
-                contacts, index + 1, key, on_ready
-            ),
+            on_timeout=lambda: self._ask_tree(contacts, index + 1),
         )
 
-    def _note_epoch(self, epoch: int) -> None:
-        if self._placement_epoch is not None and epoch != self._placement_epoch:
-            # The tree changed shape since this cache was filled: every
-            # cached placement may now point at the wrong leaf.
-            self._placements.clear()
-            self.placement_invalidations += 1
-        self._placement_epoch = epoch
+    def _tree_fetched(self) -> None:
+        """Answer every resolve that waited for the fetch (``None`` if the
+        leader could not be reached or cannot place the key yet)."""
+        waiters, self._tree_waiters = self._tree_waiters, []
+        for key, on_ready in waiters:
+            on_ready(self._place(key) if self._tree is not None else None)

@@ -21,12 +21,35 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.params import LargeGroupParams
 from repro.net.message import Address
 
 ROOT_BRANCH = "branch-root"
+
+
+def walk_key(
+    children_of: Callable[[str], Optional[Sequence[str]]], key: str
+) -> Optional[str]:
+    """The key -> leaf rule of hierarchical placement: from the root, hash
+    the key (salted with the level so deep trees spread keys) against each
+    branch's child list and descend.  ``children_of(node)`` is the child
+    list of a branch and ``None`` for a leaf.  A pure function of (key,
+    tree shape), and crc32 keeps it independent of the process hash seed —
+    the manager (:meth:`HierarchyState.place_key`) and every router that
+    holds the tree (``ServiceRouter.resolve_key``) resolve a key alike."""
+    node = ROOT_BRANCH
+    level = 0
+    while True:
+        children = children_of(node)
+        if children is None:
+            return node
+        if not children:
+            return None
+        digest = zlib.crc32(f"{key}#{level}".encode("utf-8"))
+        node = children[digest % len(children)]
+        level += 1
 
 
 @dataclass(frozen=True)
@@ -248,10 +271,22 @@ class HierarchyState:
             if c != leaf_id and c in self.leaves
         ]
 
+    def branch_children_under(self, node_id: str) -> Dict[str, List[str]]:
+        """Branch id -> child ids, in placement order, for every branch in
+        the subtree rooted at ``node_id``: what :func:`walk_key` needs."""
+        out: Dict[str, List[str]] = {}
+        stack = [node_id]
+        while stack:
+            node = self.branches.get(stack.pop())
+            if node is not None:
+                out[node.branch_id] = list(node.children)
+                stack.extend(node.children)
+        return out
+
     def summary(self, subtree: str = "") -> Dict:
         """Recursive introspection dict (the ``GetHierarchyInfo`` reply):
-        true depth, per-level leaf counts, and per-leaf level/path/load
-        instead of the old flat two-level summary."""
+        true depth, per-level leaf counts, per-leaf level/path/load, and
+        the branch tree a router walks to place keys by itself."""
         root = subtree or ROOT_BRANCH
         leaf_ids = (
             self.leaf_ids_under(root)
@@ -270,6 +305,7 @@ class HierarchyState:
             }
         return {
             "leaves": leaves,
+            "tree": self.branch_children_under(root),
             "total_size": sum(self.leaves[l].size for l in leaf_ids),
             "depth": self.depth(),
             "levels": self.leaves_per_level(),
@@ -279,24 +315,15 @@ class HierarchyState:
         }
 
     def place_key(self, key: str) -> Optional[str]:
-        """Walk the tree from the root to the leaf responsible for
-        ``key``: at each branch, hash the key (salted with the level so
-        deep trees spread keys) against the sorted child list and
-        descend.  A pure function of (key, tree shape) — every replica
-        and every router resolves a key identically, and crc32 keeps it
-        independent of the process hash seed."""
-        if not self.leaves:
-            return None
-        node = ROOT_BRANCH
-        level = 0
-        while node in self.branches:
-            children = self.branches[node].children  # kept sorted
-            if not children:
-                return None
-            digest = zlib.crc32(f"{key}#{level}".encode("utf-8"))
-            node = children[digest % len(children)]
-            level += 1
-        return node
+        """The leaf responsible for ``key`` (:func:`walk_key` over this
+        replica's tree)."""
+        branches = self.branches
+
+        def children_of(node: str) -> Optional[Tuple[str, ...]]:
+            branch = branches.get(node)
+            return branch.children if branch is not None else None
+
+        return walk_key(children_of, key)
 
     # -- load-policy queries ------------------------------------------------------
 

@@ -47,7 +47,11 @@ MAGIC = b"RW"
 # StabilityGossip).
 # v4: ReportLeafStatus and UpdateLeaf lost their request-rate field
 # (nothing ever fed it).
-WIRE_VERSION = 4
+# v5: the coordinator-cohort set travels with the requests it bounds
+# (CCRequest.view_seq, CCReply.view_seq/cohorts; the GetMembers reply is
+# (view seq, cohort set, other members)), the GetHierarchyInfo reply
+# carries the branch tree, and ResolvePlacement (id 90) is retired.
+WIRE_VERSION = 5
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

@@ -25,7 +25,6 @@ from repro.core.leader import (
     LeafProbe,
     MergeDirective,
     ReportLeafStatus,
-    ResolvePlacement,
     SplitDirective,
 )
 from repro.core.naming import (
@@ -147,7 +146,8 @@ def ensure_registered() -> None:
     register_kind(63, ReplicateEntry)
 
     # Toolkit (70-79).  64-69 are the deploy control plane
-    # (repro.deploy.messages).
+    # (repro.deploy.messages).  CCRequest/CCReply grew the cohort-set
+    # fields (view_seq, cohorts) in WIRE_VERSION 5; the ids stay put.
     register_kind(70, CCRequest)
     register_kind(71, CCReply)
     register_kind(72, CCResultNote)
@@ -163,14 +163,15 @@ def ensure_registered() -> None:
     register_kind(83, LeafInfo)
     register_kind(84, BranchInfo)
 
-    # Recursive-hierarchy routing (90+).  The level-tagged fields grown
-    # by the PR 9 refactor (ReportLeafStatus level/path/rate,
-    # Split/MergeDirective + Split/MergeCmd levels and paths, AddLeaf
-    # ``under``, UpdateLeaf rate, GetHierarchyInfo ``subtree``) extend
-    # the field lists of already-registered kinds — ids stay put, and
-    # WIRE_VERSION bumped to 2 per the codec's evolution contract (and
-    # to 4 when the never-fed request-rate field left both kinds).
-    register_kind(90, ResolvePlacement)
+    # The level-tagged fields grown by the PR 9 refactor
+    # (ReportLeafStatus level/path/rate, Split/MergeDirective +
+    # Split/MergeCmd levels and paths, AddLeaf ``under``, UpdateLeaf
+    # rate, GetHierarchyInfo ``subtree``) extend the field lists of
+    # already-registered kinds — ids stay put, and WIRE_VERSION bumped
+    # to 2 per the codec's evolution contract (and to 4 when the
+    # never-fed request-rate field left both kinds).  Id 90 was
+    # ResolvePlacement until WIRE_VERSION 5 (routers walk the tree
+    # themselves now); ids are append-only, so it stays retired.
 
     # 91-95 are the parallel-engine barrier frames (WindowData/Done/Go,
     # WorkerReport, WorkerFault), registered by repro.net.wire.parallel

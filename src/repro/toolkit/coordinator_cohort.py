@@ -1,4 +1,4 @@
-"""The coordinator-cohort tool (paper §2), on flat groups.
+"""The coordinator-cohort tool (paper §2).
 
     "A client of such a service broadcasts its request to all members of
     the group, one of whose members is chosen to handle the request.  This
@@ -8,12 +8,28 @@
     has completed the request, the result is returned to the client, and
     copies of the result are broadcast to the cohorts."
 
-Message accounting for a group of n (the paper's E1 claim): n request
-messages (client to every member) + 1 reply to the client + n-1 result
-copies to the cohorts = **2n messages** per request, with all n members
-doing work — which is exactly why this style "does not scale up very
-well", and why ``cohort_limit`` (experiment E7) caps how many cohorts
-retain the result.
+and, of the n-1 cohorts, "there is no practical advantage to having more
+than perhaps five cohorts for a request".  So a request involves the
+**cohort set** only: the first ``resiliency`` members of the group's
+current view in rank order — the coordinator and its r-1 cohorts, the
+same rule the group leader applies to ``LeafInfo.contacts``.  The set is
+a function of the view: every server recomputes it when a view installs
+and clients are told it by the servers (the ``GetMembers`` reply, and
+any ``CCReply`` to a request that was addressed under another view), so
+nobody configures it and a client is never more than one reply behind.
+
+Message accounting (the paper's E1 claim): r request messages (client to
+the set) + 1 reply to the client + r-1 result copies to the cohorts =
+**2r messages** per request, with r members doing work.  A group that
+states no resiliency is the paper's *small group* (size == resiliency):
+the set is the whole view and the cost is E1's 2n — which is exactly why
+this style "does not scale up very well" without the bound.
+
+Survivors of a view change keep their relative order and joiners go to
+the back, so what is left of a stale set is a prefix of the current one:
+takeover, pending requests and retained results all stay inside the set.
+A request that reaches a member outside the set all the same (a client
+whose whole set has since left the group) is forwarded to the set once.
 
 A process may host several servers (different groups) and several client
 stubs; a per-process :class:`_CCDispatch` demultiplexes the shared wire
@@ -23,16 +39,27 @@ types.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from weakref import WeakValueDictionary
 
 from repro.membership.events import ViewEvent
 from repro.membership.group import GroupMember
+from repro.membership.view import GroupView
 from repro.net.message import Address
-from repro.proc.process import Process
+from repro.proc.process import Process, Timer
 
 Handler = Callable[[Any, Address], Any]
+
+RESULTS_KEPT = 4096
+"""How many finished requests a cohort-set member remembers, oldest
+evicted first.  A result is kept to answer a client's retry without
+executing again, and a retry comes within ``timeout * max_retries``
+seconds of the first attempt (4 s at the client's defaults), which this
+covers up to a thousand requests a second at one group.  A retry that
+arrives after eviction re-executes — at-least-once, as after a leaf
+change."""
 
 
 @dataclass
@@ -42,6 +69,8 @@ class CCRequest:
     request_id: str
     payload: Any = None
     client: Address = ""
+    # Seq of the view the client's cohort set came from (0 = none yet).
+    view_seq: int = 0
 
 
 @dataclass
@@ -49,6 +78,10 @@ class CCReply:
     category = "cc-reply"
     request_id: str
     result: Any = None
+    view_seq: int = 0
+    # The current cohort set, sent only when the request was addressed
+    # under another view: the correction a stale client needs.
+    cohorts: Tuple[Address, ...] = ()
 
 
 @dataclass
@@ -64,7 +97,8 @@ class CCResultNote:
 
 @dataclass
 class GetMembers:
-    """RPC body: a client asks any member for the current membership."""
+    """RPC body: a client asks any member for the group's cohort set; the
+    reply is ``(view seq, cohort set, remaining members)``."""
 
     group: str
 
@@ -107,7 +141,7 @@ class _CCDispatch:
             server._on_request(request, sender)
 
     def _on_reply(self, reply: CCReply, sender: Address) -> None:
-        client = self.outstanding.pop(reply.request_id, None)
+        client = self.outstanding.get(reply.request_id)
         if client is not None:
             client._on_reply(reply, sender)
 
@@ -120,33 +154,57 @@ class _CCDispatch:
         server = self.servers.get(body.group)
         if server is None or not server.member.is_member:
             return None
-        return tuple(server.member.view.members)
+        cohorts = server._cohorts
+        return (
+            server._view_seq,
+            cohorts,
+            server.member.view.members[len(cohorts):],
+        )
 
 
 class CoordinatorCohortServer:
-    """Attach to every member of the serving group."""
+    """Attach to every member of the serving group.
+
+    ``resiliency`` is the size of the cohort set; ``None`` makes the
+    group a small group, whose set is its whole view.
+    """
 
     def __init__(
         self,
         member: GroupMember,
         handler: Handler,
-        cohort_limit: Optional[int] = None,
+        resiliency: Optional[int] = None,
     ) -> None:
         self.member = member
         self.handler = handler
-        self.cohort_limit = cohort_limit
+        self.resiliency = resiliency
         self.requests_executed = 0
         self.takeovers = 0
-        # request_id -> (payload, client); dropped once a result is known.
-        self._pending: Dict[str, Tuple[Any, Address]] = {}
-        self._results: Dict[str, Any] = {}
+        # Both held by cohort-set members only.  request_id -> request,
+        # dropped once a result is known; request_id -> result, bounded.
+        self._pending: Dict[str, CCRequest] = {}
+        self._results: "OrderedDict[str, Any]" = OrderedDict()
+        # The cohort set of the view this member last saw, and the rest
+        # of it as seen from here (who gets a result copy).
+        self._view_seq = 0
+        self._cohorts: Tuple[Address, ...] = ()
+        self._fellow_cohorts: Tuple[Address, ...] = ()
         self._dispatch = _CCDispatch.for_process(
             member.runtime.process, rpc=member.runtime.rpc
         )
         self._dispatch.servers[member.group] = self
         member.add_view_listener(self._on_view)
+        if member.view is not None:
+            self._derive_cohorts(member.view)
 
     # -- protocol ------------------------------------------------------------------
+
+    def _derive_cohorts(self, view: GroupView) -> None:
+        self._view_seq = view.seq
+        self._cohorts = view.members[: self.resiliency]
+        self._fellow_cohorts = tuple(
+            c for c in self._cohorts if c != self.member.me
+        )
 
     def _is_coordinator(self) -> bool:
         return (
@@ -154,35 +212,40 @@ class CoordinatorCohortServer:
             and self.member.acting_coordinator() == self.member.me
         )
 
-    def _cohorts(self) -> Tuple[Address, ...]:
-        others = self.member.view.others(self.member.me)
-        if self.cohort_limit is not None:
-            others = others[: max(0, self.cohort_limit - 1)]
-        return others
-
     def _on_request(self, request: CCRequest, sender: Address) -> None:
-        if not self.member.is_member:
-            return
-        if request.request_id in self._results:
+        if self.member.me not in self._cohorts:
+            # Outside the set (or out of the group, knowing the view that
+            # removed us): pass a client's request on to the set, whose
+            # reply corrects the client.  Never pass on a forwarded one.
+            if sender == request.client:
+                self.member.runtime.process.multicast(self._cohorts, request)
+        elif request.request_id in self._results:
             # Retransmitted request already served: coordinator re-replies.
             if self._is_coordinator():
-                self.member.runtime.process.send(
-                    request.client,
-                    CCReply(
-                        request_id=request.request_id,
-                        result=self._results[request.request_id],
-                    ),
-                )
-            return
-        self._pending[request.request_id] = (request.payload, request.client)
-        if self._is_coordinator():
-            self._execute(request.request_id)
+                self._reply(request, self._results[request.request_id])
+        elif self._is_coordinator():
+            self._execute(request)
+        else:
+            self._pending[request.request_id] = request
 
-    def _execute(self, request_id: str) -> None:
-        payload, client = self._pending.pop(request_id)
-        result = self.handler(payload, client)
+    def _reply(self, request: CCRequest, result: Any) -> None:
+        behind = request.view_seq != self._view_seq
+        self.member.runtime.process.send(
+            request.client,
+            CCReply(
+                request_id=request.request_id,
+                result=result,
+                view_seq=self._view_seq,
+                cohorts=self._cohorts if behind else (),
+            ),
+        )
+
+    def _execute(self, request: CCRequest) -> None:
+        request_id = request.request_id
+        self._pending.pop(request_id, None)
+        result = self.handler(request.payload, request.client)
         self.requests_executed += 1
-        self._results[request_id] = result
+        self._remember(request_id, result)
         process = self.member.runtime.process
         trace = process.env.network.trace
         if trace is not None:
@@ -190,27 +253,40 @@ class CoordinatorCohortServer:
                 "cc-execute", category="toolkit", process=self.member.me,
                 group=self.member.group, request_id=request_id,
             )
-        process.send(client, CCReply(request_id=request_id, result=result))
-        cohorts = self._cohorts()
-        if cohorts:
+        self._reply(request, result)
+        if self._fellow_cohorts:
             process.multicast(
-                cohorts,
+                self._fellow_cohorts,
                 CCResultNote(
                     group=self.member.group,
                     request_id=request_id,
                     result=result,
-                    client=client,
+                    client=request.client,
                 ),
             )
 
+    def _remember(self, request_id: str, result: Any) -> None:
+        self._results[request_id] = result
+        if len(self._results) > RESULTS_KEPT:
+            self._results.popitem(last=False)
+
     def _on_result_note(self, note: CCResultNote, sender: Address) -> None:
-        self._results[note.request_id] = note.result
+        self._remember(note.request_id, note.result)
         self._pending.pop(note.request_id, None)
 
     def _on_view(self, event: ViewEvent) -> None:
-        """Cohort takeover: if the coordinator died holding requests we
-        know about but never published results for, the new coordinator
-        re-executes them."""
+        """Recompute the cohort set; then cohort takeover: if the
+        coordinator died holding requests we know about but never
+        published results for, the new coordinator re-executes them."""
+        self._derive_cohorts(event.view)
+        if self.member.me not in self._cohorts:
+            # Never in the set and holding nothing, or — ranks only
+            # improve — out of the group now.  The rest of the old set is
+            # still in the new one and holds the same entries; if none of
+            # it is, a retry re-executes.
+            self._pending.clear()
+            self._results.clear()
+            return
         if not self._is_coordinator():
             return
         for request_id in sorted(self._pending):
@@ -221,11 +297,22 @@ class CoordinatorCohortServer:
                     "cc-takeover", category="toolkit", process=self.member.me,
                     group=self.member.group, request_id=request_id,
                 )
-            self._execute(request_id)
+            self._execute(self._pending[request_id])
+
+
+@dataclass
+class _Call:
+    """One outstanding client request."""
+
+    payload: Any
+    on_reply: Callable[[Any], None]
+    on_failure: Optional[Callable[[], None]]
+    retries_left: int
+    timer: Optional[Timer] = None
 
 
 class CoordinatorCohortClient:
-    """Client stub: membership discovery + request broadcast + retry."""
+    """Client stub: cohort-set discovery + request to the set + retry."""
 
     _ids = itertools.count(1)
 
@@ -238,7 +325,6 @@ class CoordinatorCohortClient:
         rpc=None,
         timeout: float = 1.0,
         max_retries: int = 4,
-        request_fanout: Optional[int] = None,
     ) -> None:
         self.process = process
         self.group = group
@@ -246,17 +332,15 @@ class CoordinatorCohortClient:
         if not any(self.contacts):
             raise ValueError("need a contact or contacts")
         self._contact_index = 0
-        # How many members receive each request (None = all, the classic
-        # behaviour).  The paper argues a handful of cohorts gives all the
-        # resiliency there is to get (experiment E7).
-        self.request_fanout = request_fanout
         self.timeout = timeout
         self.max_retries = max_retries
         self._dispatch = _CCDispatch.for_process(process, rpc=rpc)
         self.rpc = self._dispatch.rpc
+        # The cohort set as the servers last told it, and its view.
         self._members: Optional[Tuple[Address, ...]] = None
+        self._view_seq = 0
         self.replies_received = 0
-        self._callbacks: Dict[str, Callable[[Any], None]] = {}
+        self._calls: Dict[str, _Call] = {}
 
     def request(
         self,
@@ -265,63 +349,80 @@ class CoordinatorCohortClient:
         on_failure: Optional[Callable[[], None]] = None,
     ) -> str:
         request_id = f"{self.process.address}/cc{next(self._ids)}"
-        self._callbacks[request_id] = on_reply
+        self._calls[request_id] = _Call(
+            payload, on_reply, on_failure, self.max_retries
+        )
         self._dispatch.outstanding[request_id] = self
-        self._send(request_id, payload, self.max_retries, on_failure)
+        self._send(request_id)
         return request_id
 
     # -- internals ---------------------------------------------------------------
 
-    def _send(self, request_id, payload, retries_left, on_failure) -> None:
-        if request_id not in self._callbacks:
+    def _send(self, request_id: str) -> None:
+        call = self._calls.get(request_id)
+        if call is None:
             return
         if self._members is None:
             self._fetch_members(
-                lambda: self._send(request_id, payload, retries_left, on_failure),
-                retries_left,
-                lambda: self._maybe_retry(
-                    request_id, payload, retries_left, on_failure
-                ),
+                lambda: self._send(request_id),
+                lambda: self._maybe_retry(request_id),
             )
             return
-        targets = self._members
-        if self.request_fanout is not None:
-            targets = targets[: max(1, self.request_fanout)]
         self.process.multicast(
-            targets,
+            self._members,
             CCRequest(
                 group=self.group,
                 request_id=request_id,
-                payload=payload,
+                payload=call.payload,
                 client=self.process.address,
+                view_seq=self._view_seq,
             ),
         )
-        self.process.set_timer(
-            self.timeout,
-            lambda: self._maybe_retry(request_id, payload, retries_left, on_failure),
+        call.timer = self.process.set_timer(
+            self.timeout, lambda: self._maybe_retry(request_id)
         )
 
-    def _maybe_retry(self, request_id, payload, retries_left, on_failure) -> None:
-        if request_id not in self._callbacks:
+    def _maybe_retry(self, request_id: str) -> None:
+        call = self._calls.get(request_id)
+        if call is None:
             return
-        if retries_left <= 0:
-            self._callbacks.pop(request_id, None)
-            self._dispatch.outstanding.pop(request_id, None)
-            if on_failure is not None:
-                on_failure()
+        if call.retries_left <= 0:
+            self._finish(request_id)
+            if call.on_failure is not None:
+                call.on_failure()
             return
-        self._members = None  # refresh membership: it may have changed
-        self._send(request_id, payload, retries_left - 1, on_failure)
+        call.retries_left -= 1
+        self._members = None  # refresh the set: it may have changed
+        self._send(request_id)
 
-    def _fetch_members(self, then, retries_left, on_give_up) -> None:
+    def _finish(self, request_id: str) -> Optional[_Call]:
+        self._dispatch.outstanding.pop(request_id, None)
+        call = self._calls.pop(request_id, None)
+        if call is not None and call.timer is not None:
+            call.timer.cancel()
+        return call
+
+    def _learn(
+        self,
+        view_seq: int,
+        cohorts: Tuple[Address, ...],
+        others: Tuple[Address, ...] = (),
+    ) -> None:
+        if self._members is not None and view_seq <= self._view_seq:
+            return
+        self._view_seq = view_seq
+        self._members = cohorts
+        # Prefer the freshest membership as future contacts.
+        known = cohorts + others
+        self.contacts = known + tuple(c for c in self.contacts if c not in known)
+        self._contact_index = 0
+
+    def _fetch_members(self, then, on_give_up) -> None:
         contact = self.contacts[self._contact_index % len(self.contacts)]
 
         def reply(value, sender) -> None:
             if value:
-                self._members = tuple(value)
-                # Prefer the freshest membership as future contacts.
-                self.contacts = tuple(value)
-                self._contact_index = 0
+                self._learn(*value)
                 then()
             else:
                 self._contact_index += 1
@@ -340,19 +441,21 @@ class CoordinatorCohortClient:
         )
 
     def _on_reply(self, reply: CCReply, sender: Address) -> None:
-        on_reply = self._callbacks.pop(reply.request_id, None)
-        if on_reply is not None:
+        if reply.cohorts:
+            self._learn(reply.view_seq, reply.cohorts)
+        call = self._finish(reply.request_id)
+        if call is not None:
             self.replies_received += 1
-            on_reply(reply.result)
+            call.on_reply(reply.result)
 
 
 def attach_service(
     members: List[GroupMember],
     handler: Handler,
-    cohort_limit: Optional[int] = None,
+    resiliency: Optional[int] = None,
 ) -> List[CoordinatorCohortServer]:
     """Attach a coordinator-cohort service to every group member."""
     return [
-        CoordinatorCohortServer(m, handler, cohort_limit=cohort_limit)
+        CoordinatorCohortServer(m, handler, resiliency=resiliency)
         for m in members
     ]

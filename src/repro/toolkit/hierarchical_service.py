@@ -2,11 +2,12 @@
 
 The same reliable-service abstraction as :mod:`repro.toolkit.
 coordinator_cohort`, but the serving group is a *large group*: a client's
-request is broadcast only to the members of **one leaf subgroup**, so the
-per-request cost is ``2 * leaf_size`` messages — bounded by the split
-threshold — no matter how many thousands of processes implement the
-service.  This is the paper's scaling fix: "requests are broadcast to
-individual subgroups."
+request goes only to the cohort set of **one leaf subgroup** — the first
+``resiliency`` members of the leaf's view, the contacts the group leader
+already keeps for it — so the per-request cost is ``2 * resiliency``
+messages no matter how large the leaf is or how many thousands of
+processes implement the service.  This is the paper's scaling fix:
+"requests are broadcast to individual subgroups."
 
 Servers re-attach automatically when their process moves between leaves
 (splits/merges), so the application code is identical to the flat case —
@@ -32,15 +33,9 @@ from repro.toolkit.coordinator_cohort import (
 class HierarchicalServer:
     """Per-worker server: follows its process across leaf reorganisations."""
 
-    def __init__(
-        self,
-        member: LargeGroupMember,
-        handler: Handler,
-        cohort_limit: Optional[int] = None,
-    ) -> None:
+    def __init__(self, member: LargeGroupMember, handler: Handler) -> None:
         self.member = member
         self.handler = handler
-        self.cohort_limit = cohort_limit
         self._current: Optional[CoordinatorCohortServer] = None
         member.add_leaf_change_listener(self._on_leaf_change)
 
@@ -50,8 +45,14 @@ class HierarchicalServer:
         # retry after a reorganisation re-executes (at-least-once, as in
         # classical ISIS).
         self._current = CoordinatorCohortServer(
-            leaf_member, self.handler, cohort_limit=self.cohort_limit
+            leaf_member, self.handler, resiliency=self.member.params.resiliency
         )
+
+    @property
+    def current(self) -> Optional[CoordinatorCohortServer]:
+        """The coordinator-cohort server of the leaf this worker is in now
+        (a leaf change replaces it)."""
+        return self._current
 
     @property
     def requests_executed(self) -> int:
@@ -128,10 +129,6 @@ class HierarchicalClient:
 
 
 def attach_hierarchical_service(
-    members: List[LargeGroupMember],
-    handler: Handler,
-    cohort_limit: Optional[int] = None,
+    members: List[LargeGroupMember], handler: Handler
 ) -> List[HierarchicalServer]:
-    return [
-        HierarchicalServer(m, handler, cohort_limit=cohort_limit) for m in members
-    ]
+    return [HierarchicalServer(m, handler) for m in members]

@@ -64,6 +64,11 @@ class PartitionedStoreServer:
             return ("ok",)
         return ("error", f"unknown op {op!r}")
 
+    @property
+    def service(self) -> HierarchicalServer:
+        """The hierarchical coordinator-cohort server behind this store."""
+        return self._service
+
     def local_value(self, key: Any) -> Any:
         return self._table.get(key) if self._table is not None else None
 

@@ -35,6 +35,27 @@ def test_request_served_normally():
     assert got == [("served", "x")]
 
 
+def test_request_to_a_sixteen_member_leaf_costs_2r():
+    """The e2e leaf shape: resiliency 3, fanout 8, one full leaf of 16.
+    A request involves the leaf's cohort set only — 3 requests in, 1
+    reply, 2 result copies — not the 32 messages of the whole leaf."""
+    env, params, leaders, members, client, router = build(
+        workers=16, fanout=8, resiliency=3
+    )
+    assert {m.leaf_size for m in members} == {16}
+    got = []
+    client.request("warm-up", got.append)  # assignment + GetMembers
+    env.run_for(3.0)
+    before = env.network.stats.snapshot()
+    client.request("x", got.append)
+    env.run_for(3.0)
+    assert got == [("served", "warm-up"), ("served", "x")]
+    delta = env.network.stats.since(before).by_category
+    assert {c: n for c, n in delta.items() if c.startswith("cc-")} == {
+        "cc-request": 3, "cc-reply": 1, "cc-result": 2,
+    }
+
+
 def test_client_fails_over_when_assigned_leaf_dies():
     env, params, leaders, members, client, router = build(workers=10)
     got = []

@@ -156,8 +156,9 @@ def test_load_driven_reorg_deterministic():
 
 
 def test_router_placement_cache_invalidated_by_reorg():
-    """resolve_key caches subtree placement per reorg epoch; a split
-    moves the epoch and the next resolve drops the stale cache."""
+    """resolve_key walks the tree the router fetched for one reorg epoch;
+    a reorg moves the epoch, a failure on the stale placement drops the
+    tree and the next resolve fetches the new one."""
     result = run_scenario()
     env, manager = result["env"], result["manager"]
     node = GroupNode(env, "placement-client")
@@ -170,11 +171,11 @@ def test_router_placement_cache_invalidated_by_reorg():
     assert got and got[0] is not None
     group, leaf_contacts = got[0]
     assert group.startswith("svc::") and leaf_contacts
-    # Warm cache: a second resolve is answered locally.
-    lookups_before = router.placement_lookups
+    assert (router.placement_lookups, router.placement_hits) == (1, 0)
+    # The tree is held: every further key is placed without a message.
     router.resolve_key("orders/17", got.append)
-    assert router.placement_hits == 1
-    assert router.placement_lookups == lookups_before
+    router.resolve_key("a-different-key", got.append)
+    assert (router.placement_lookups, router.placement_hits) == (1, 2)
     assert got[1] == got[0]
 
     # Force a structural change directly through the replicated op
@@ -182,22 +183,21 @@ def test_router_placement_cache_invalidated_by_reorg():
     # test); any applied AddLeaf/RemoveLeaf moves the reorg epoch.
     from repro.core import RemoveLeaf
 
-    victim_leaf = sorted(manager.state.leaves)[0]
+    victim_leaf = group.split("::", 1)[1]
     epoch_before = manager.reorg_epoch
     manager._propose(RemoveLeaf(leaf_id=victim_leaf))
     env.run_for(1.0)
     assert manager.reorg_epoch > epoch_before
 
-    # The next placement resolve observes the new epoch and drops the
-    # entire cached subtree placement.
-    router.resolve_key("a-different-key", got.append)
-    env.run_for(1.0)
-    assert router.placement_invalidations == 1
-    assert "orders/17" not in router.cached_placements
-    # ...and the old key re-resolves against the new tree.
+    # Requests to the removed leaf fail; the client says so, and the next
+    # resolve fetches the tree of the new epoch and re-places the key.
+    router.invalidate_key("orders/17")
     router.resolve_key("orders/17", got.append)
     env.run_for(1.0)
-    assert got[-1] is not None
+    assert router.placement_invalidations == 1
+    assert router.placement_lookups == 2
+    assert got[-1] is not None and got[-1][0] != group
+    assert got[-1][0] == f"svc::{manager.state.place_key('orders/17')}"
 
 
 @pytest.mark.asyncio_smoke

@@ -1,6 +1,6 @@
-"""tools/trace_report.py: the traced hierarchy demo audits E1's 2n
-message claim, exports valid Chrome trace-event JSON, and is
-reproducible from the seed alone."""
+"""tools/trace_report.py: the traced hierarchy demo audits E1's message
+claim (2r on a hierarchical leaf, 2n on a flat group), exports valid
+Chrome trace-event JSON, and is reproducible from the seed alone."""
 
 import hashlib
 import json
@@ -17,15 +17,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 def test_demo_audits_e1_and_e8():
     report = run_demo(seed=7, workers=12)
     request = report["request"]
-    # E1: a coordinator-cohort request to an n-member leaf costs exactly
-    # 2n messages (n requests + 1 reply + n-1 result copies).
-    assert request["leaf_size"] >= 2
-    assert request["cc_messages"] == 2 * request["leaf_size"]
+    # E1 with the paper's cohort bound: the request involves the leaf's
+    # cohort set (its first r = resiliency members), not the whole leaf —
+    # 2r messages (r requests + 1 reply + r-1 result copies).
+    assert request["leaf_size"] > request["cohort_set"] == 3
+    assert request["cc_messages"] == 2 * request["cohort_set"]
     assert request["e1_match"] is True
     by_category = request["sends_by_category"]
-    assert by_category["cc-request"] == request["leaf_size"]
+    assert by_category["cc-request"] == 3
     assert by_category["cc-reply"] == 1
-    assert by_category["cc-result"] == request["leaf_size"] - 1
+    assert by_category["cc-result"] == 2
     assert set(by_category) <= set(CC_CATEGORIES)
     # The request's critical path is client -> coordinator -> fan-out.
     assert request["hops"] == 2

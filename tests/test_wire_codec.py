@@ -267,7 +267,6 @@ def test_level_tagged_hierarchy_payloads_round_trip():
         GetHierarchyInfo,
         MergeDirective,
         ReportLeafStatus,
-        ResolvePlacement,
         SplitDirective,
     )
     from repro.core.views import AddLeaf, UpdateLeaf
@@ -307,7 +306,37 @@ def test_level_tagged_hierarchy_payloads_round_trip():
             delivery_rate=33.0,
         ),
         GetHierarchyInfo(service="svc", subtree="svc/b2"),
-        ResolvePlacement(service="svc", key="orders/EU/1234"),
+    ]
+    for original in payloads:
+        decoded = _round_trip(original)
+        assert decoded == original, f"{type(original).__name__} diverged"
+
+
+def test_cohort_set_and_tree_replies_round_trip():
+    """Wire v5: the cohort set rides on the request path (view seq on the
+    request, seq + set on a correcting reply and on the GetMembers reply)
+    and the GetHierarchyInfo reply carries the branch tree routers walk."""
+    from repro.core import HierarchyState, LargeGroupParams
+    from repro.core.views import AddLeaf
+    from repro.proc.rpc import RpcReply
+    from repro.toolkit import CCReply, CCRequest
+
+    state = HierarchyState("svc", LargeGroupParams(resiliency=2, fanout=2))
+    for i in range(5):
+        state.apply(AddLeaf(f"leaf-{i}", 4, (f"w-{i}a", f"w-{i}b")))
+    info = dict(state.summary(), reorg_epoch=5)
+    assert len(info["tree"]) > 1  # deeper than the root alone
+    payloads = [
+        CCRequest(
+            group="svc::leaf-0", request_id="client/cc9",
+            payload={"op": "get", "key": "k"}, client="client", view_seq=7,
+        ),
+        CCReply(
+            request_id="client/cc9", result=("value", 1), view_seq=8,
+            cohorts=("w-0b", "w-0c", "w-0d"),
+        ),
+        RpcReply(request_id="client#3", value=(8, ("w-0b", "w-0c"), ("w-0d",))),
+        RpcReply(request_id="client#4", value=info),
     ]
     for original in payloads:
         decoded = _round_trip(original)
@@ -508,11 +537,13 @@ def test_wire_ids_are_unique_and_stable():
     assert kinds[1].__name__ == "Segment"
     assert kinds[10].__name__ == "GroupData"
     assert kinds[64].__name__ == "NodeRegister"
-    assert kinds[90].__name__ == "ResolvePlacement"
+    assert 90 not in kinds  # ResolvePlacement, retired in v5: never reused
     assert kinds[91].__name__ == "WindowData"
     assert kinds[95].__name__ == "WorkerFault"
     # v2: the recursive-hierarchy refactor evolved the hierarchy kinds'
     # field lists (a format change even with ids unchanged).  v3:
     # GroupData lost its ``gossip`` field.  v4: ReportLeafStatus and
-    # UpdateLeaf lost their request-rate field.
-    assert WIRE_VERSION == 4
+    # UpdateLeaf lost their request-rate field.  v5: CCRequest/CCReply
+    # carry the cohort set's view, the info reply carries the branch tree,
+    # ResolvePlacement is gone.
+    assert WIRE_VERSION == 5

@@ -5,9 +5,10 @@ coordinator-cohort service, attach the causal tracer, issue one traced
 client request and one traced treecast, and report:
 
 * the request's critical path and its message count, audited against the
-  paper's E1 claim (a coordinator-cohort request to an n-member leaf
-  costs exactly ``2n`` messages: n requests + 1 reply + n-1 result
-  copies);
+  paper's E1 claim with its own cohort bound applied (a coordinator-cohort
+  request involves the leaf's cohort set, its first r = ``resiliency``
+  members, and costs exactly ``2r`` messages: r requests + 1 reply + r-1
+  result copies — a flat group with no stated resiliency pays 2n);
 * the treecast's critical path, audited against E8 (stage count bounded
   by the fanout tree's depth);
 * a Chrome trace-event JSON export (open in chrome://tracing or
@@ -69,8 +70,8 @@ def run_demo(
     client = HierarchicalClient(client_node, router, timeout=1.0)
     replies = []
     # Warm-up (untraced): resolve the leaf assignment and leaf membership
-    # so the traced request is pure E1 traffic — n requests, 1 reply,
-    # n-1 result copies — with no discovery RPCs mixed in.
+    # so the traced request is pure E1 traffic — r requests, 1 reply,
+    # r-1 result copies — with no discovery RPCs mixed in.
     client.request("warm-up", replies.append)
     env.run_for(2.0)
     if not replies:
@@ -90,7 +91,7 @@ def run_demo(
         manager_root.broadcast("announce")
     env.run_for(3.0)
 
-    # --- E1 audit: the traced request against the 2n prediction ----------
+    # --- E1 audit: the traced request against the 2r prediction ----------
     assert router.cached_assignment is not None
     leaf_group = router.cached_assignment[0]
     leaf_size = sum(
@@ -99,6 +100,7 @@ def run_demo(
         if m.is_member and m.leaf_member is not None
         and m.leaf_member.group == leaf_group
     )
+    cohort_set = min(resiliency, leaf_size)
     request_summary = trace.summarize(collector, request_root.trace_id)
     request_path = trace.critical_path(collector, request_root.trace_id)
     cc_messages = request_summary.messages(CC_CATEGORIES)
@@ -120,9 +122,10 @@ def run_demo(
             "trace_id": request_root.trace_id,
             "leaf_group": leaf_group,
             "leaf_size": leaf_size,
+            "cohort_set": cohort_set,
             "cc_messages": cc_messages,
-            "e1_prediction": 2 * leaf_size,
-            "e1_match": cc_messages == 2 * leaf_size,
+            "e1_prediction": 2 * cohort_set,
+            "e1_match": cc_messages == 2 * cohort_set,
             "sends_by_category": dict(
                 sorted(request_summary.sends_by_category.items())
             ),
@@ -173,9 +176,10 @@ def main(argv=None) -> int:
           f"{report['spans_recorded']} spans recorded")
     print()
     print("== E1 audit: one coordinator-cohort request ==")
-    print(f"  leaf {request['leaf_group']} has n={request['leaf_size']} members")
+    print(f"  leaf {request['leaf_group']} has n={request['leaf_size']} members, "
+          f"cohort set r={request['cohort_set']}")
     print(f"  cc messages in trace: {request['cc_messages']} "
-          f"(prediction 2n = {request['e1_prediction']}) "
+          f"(prediction 2r = {request['e1_prediction']}) "
           f"-> {'MATCH' if request['e1_match'] else 'MISMATCH'}")
     print(f"  per category: {request['sends_by_category']}")
     print(report["request_path_text"])
