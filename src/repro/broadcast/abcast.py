@@ -1,17 +1,24 @@
 """abcast: totally ordered group multicast via a ranked sequencer.
 
-The rank-0 member of the current view is the *sequencer*.  Everyone sends
-``total``-ordered data normally; on delivery of each such message (including
-its own) the sequencer multicasts a :class:`~repro.membership.events.
-SetOrder` assigning the next global sequence number.  Receivers hold total
-data until both the data *and* its order are known, then deliver strictly
-in global-sequence order — so every member delivers the same totally
-ordered stream.
+The rank-0 member of the current view is the *sequencer*.  Its own
+``total``-ordered multicasts carry their global sequence number
+(``GroupData.global_seq``, stamped at send), so an abcast from the
+sequencer is one message per receiver.  Everyone else sends ``total``
+data unstamped; on receiving such a message the sequencer multicasts a
+:class:`~repro.membership.events.SetOrder` assigning it the next number.
+Receivers hold total data until both the data *and* its order are known —
+from the data itself or from a ``SetOrder`` — then deliver strictly in
+global-sequence order, so every member delivers the same totally ordered
+stream.
 
 On a view change the flush reconciles: order assignments known anywhere
 survive; flushed-but-unordered data is assigned a deterministic order by
 the view-change coordinator (sorted by message id), so survivors still
 agree.  The next view's sequencer starts from the agreed next global seq.
+Assignments at or below the position every member has delivered can never
+be needed again and are forgotten as the stability plane announces that
+position (:meth:`TotalEngine.forget_orders`), so what a view change ships
+is bounded by recent traffic, not by the age of the view.
 """
 
 from __future__ import annotations
@@ -33,44 +40,53 @@ class TotalEngine(OrderingEngine):
         self._next_assign = next_global_seq  # sequencer only
         self._next_deliver = next_global_seq
         self._order: Dict[int, MessageId] = {}
-        # Every assignment seen this view, delivered or not: flush must be
-        # able to report orders for already-delivered messages, otherwise a
-        # member that missed the SetOrder could be given a conflicting
-        # order at the view change.
+        # Every assignment seen this view that some member may not have
+        # delivered yet: flush must be able to report orders for messages
+        # delivered *here*, otherwise a member that missed the assignment
+        # could be given a conflicting order at the view change.
         self._history: Dict[int, MessageId] = {}
         self._pending: Dict[MessageId, GroupData] = {}
         self._delivered_ids: set = set()
 
     # -- sequencer side ----------------------------------------------------------
 
-    def assign_order(self, data: GroupData) -> Optional[SetOrder]:
-        """Called at the sequencer for each total-order message it receives
-        (or sends); returns the SetOrder to multicast, or None if this
-        member is not the sequencer."""
-        if not self.is_sequencer:
-            return None
-        order = SetOrder(
-            group=self.view.group,
-            view_seq=self.view.seq,
-            orders=[(self._next_assign, data.message_id)],
-        )
+    def _assign(self, data: GroupData) -> int:
+        """Give ``data`` the next global sequence number."""
+        global_seq = self._next_assign
         trace = self._trace()
         if trace is not None:
             trace.local(
                 "order-assign", category="ordering", process=self.me,
-                group=self.view.group, global_seq=self._next_assign,
+                group=self.view.group, global_seq=global_seq,
                 sender=data.sender, sender_seq=data.sender_seq,
             )
-        self._history[self._next_assign] = data.message_id
-        self._next_assign += 1
-        return order
+        self._history[global_seq] = data.message_id
+        self._next_assign = global_seq + 1
+        return global_seq
+
+    def stamp_outgoing(self, data: GroupData) -> None:
+        """The sequencer's own multicast carries its order; anyone else's
+        waits for the sequencer's SetOrder."""
+        if self.is_sequencer:
+            data.global_seq = self._assign(data)
+
+    def assign_order(self, data: GroupData) -> Optional[SetOrder]:
+        """Called at every member for each total-order message it receives;
+        returns the SetOrder to multicast, or None if this member is not
+        the sequencer or the data already carries its order."""
+        if not self.is_sequencer or data.global_seq is not None:
+            return None
+        return SetOrder(
+            group=self.view.group,
+            view_seq=self.view.seq,
+            orders=[(self._assign(data), data.message_id)],
+        )
 
     # -- every member ----------------------------------------------------------
 
-    def stamp_outgoing(self, data: GroupData) -> None:
-        pass  # order comes from the sequencer, not the sender
-
     def on_receive(self, data: GroupData) -> List[GroupData]:
+        if data.global_seq is not None:
+            self._learn(data.global_seq, data.message_id)
         if data.message_id not in self._delivered_ids:
             self._pending.setdefault(data.message_id, data)
         ready = self._drain()
@@ -85,9 +101,15 @@ class TotalEngine(OrderingEngine):
 
     def on_set_order(self, set_order: SetOrder) -> List[GroupData]:
         for global_seq, message_id in set_order.orders:
+            self._learn(global_seq, message_id)
+        return self._drain()
+
+    def _learn(self, global_seq: int, message_id: MessageId) -> None:
+        """Note an assignment, unless it is a duplicate of one already
+        delivered past (which must leave nothing behind)."""
+        if global_seq >= self._next_deliver:
             self._order.setdefault(global_seq, message_id)
             self._history.setdefault(global_seq, message_id)
-        return self._drain()
 
     def _drain(self) -> List[GroupData]:
         ready: List[GroupData] = []
@@ -107,8 +129,22 @@ class TotalEngine(OrderingEngine):
     # -- flush support ----------------------------------------------------------
 
     def known_orders(self) -> List[Tuple[int, MessageId]]:
-        """Every order assignment seen this view (delivered or not)."""
+        """Every order assignment seen this view and not forgotten."""
         return sorted(self._history.items())
+
+    @property
+    def delivered_through(self) -> int:
+        """Highest global sequence number delivered here (the frontier
+        this member reports to the stability plane)."""
+        return self._next_deliver - 1
+
+    def forget_orders(self, through: int) -> None:
+        """Drop assignments every member has delivered: no survivor of a
+        view change can need them (``next_global_seq`` falls back to the
+        delivery frontier, which is above ``through`` everywhere)."""
+        history = self._history
+        for global_seq in [s for s in history if s <= through]:
+            del history[global_seq]
 
     @property
     def next_global_seq(self) -> int:

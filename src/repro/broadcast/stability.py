@@ -1,60 +1,95 @@
 """Message stability tracking.
 
-A multicast is *stable* once every member of the view has delivered it;
+A multicast is *stable* once every member of the view has received it;
 stable messages can never need retransmission at a view change, so members
-may discard them.  Each member keeps, per view:
+may discard them.  Stability is agreed through the view's coordinator
+(rank 0), not all-to-all (docs/comms.md): members *report* to it, it
+announces *floors* back.  Each member keeps, per view:
 
 * ``delivered[s]`` — the highest (contiguous, thanks to FIFO channels)
   sender-sequence it has received from each sender ``s``;
 * a log of the messages above the group-wide stable floor;
-* its peers' reported watermarks, refreshed by
-  :class:`~repro.membership.events.StabilityGossip` — sent to every
-  member, but only when the sender's watermarks have moved since it last
-  sent them (docs/comms.md), so the tracker must never assume a peer
-  reports periodically.
+* the floors themselves, and which of its watermarks the coordinator has
+  not been told yet.
+
+That is O(members).  Only the coordinator keeps the members × senders
+table of reported watermarks; it takes the minimum per sender and, on its
+own gossip tick, announces the floors that moved.  A report carries only
+the entries that moved and is sent only when some did, and likewise an
+announcement, so an idle group sends nothing in either direction and a
+tracker must never assume a peer reports periodically.
+
+The same two messages carry the abcast *delivery frontier* (the highest
+global sequence number a member has delivered) and its minimum, which is
+what lets :class:`~repro.broadcast.abcast.TotalEngine` forget order
+assignments nobody can need again.
+
+A floor is a minimum over watermarks that were true when reported, and
+watermarks only rise, so a floor can lag the true minimum (by the report
+and announcement in flight: about one gossip interval more than
+all-to-all gossip did) but never lead it.  Lagging is safe — a member
+merely keeps, and at a view change re-sends, a little more than it had
+to; leading would discard a message some member still lacks.
 
 The unstable suffix (everything above the floor) is exactly what the flush
 protocol must reconcile — keeping it small is what makes view changes
 cheap, and is why the paper worries about the cost of "ever larger
-broadcasts" in big flat groups: a busy group's gossip is all-to-all.
+broadcasts" in big flat groups.
 
-The tracker sits on the per-message hot path (every delivery records, every
-gossip updates watermarks), so the group-wide floors are cached and
-maintained incrementally: watermarks only ever rise, and raising an entry
-can move ``min`` over the peers only when the old entry sat *at* the
-current floor.  Most updates therefore skip the O(members) rescan, and
-truncation touches only senders whose floor actually moved.
+The tracker sits on the per-message hot path (every receipt records), so
+the coordinator maintains its floors incrementally: watermarks only ever
+rise, and raising an entry can move ``min`` over the members only when
+the old entry sat *at* the current floor.  Most updates therefore skip
+the O(members) rescan, and truncation touches only senders whose floor
+actually moved.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.membership.events import GroupData
 from repro.net.message import Address
 
+Moved = Tuple[Dict[Address, int], int]
+"""One hop of the stability plane: (per-sender entries that moved, abcast
+delivery frontier) — a report towards the coordinator, floors from it."""
+
 
 class StabilityTracker:
-    """Per-view unstable-message log and watermark bookkeeping."""
+    """Per-view unstable-message log and watermark bookkeeping.
 
-    def __init__(self, me: Address, members: Iterable[Address]) -> None:
+    ``members`` is the view in rank order: whoever is first keeps the
+    table and announces floors, everyone else reports to it.  ``ordered``
+    is the abcast delivery frontier the view starts from.
+    """
+
+    def __init__(
+        self, me: Address, members: Iterable[Address], ordered: int = 0
+    ) -> None:
         self._me = me
-        self._members = tuple(members)
-        self._delivered: Dict[Address, int] = {m: 0 for m in self._members}
-        self._peer_view: Dict[Address, Dict[Address, int]] = {
-            m: {s: 0 for s in self._members} for m in self._members
-        }
-        self._log: Dict[Address, Dict[int, GroupData]] = {
-            m: {} for m in self._members
-        }
-        # Cached min-over-peers watermark per sender, plus the senders whose
-        # log may hold entries at or below their floor (pending truncation).
-        self._floor: Dict[Address, int] = {m: 0 for m in self._members}
+        members = tuple(members)
+        self._delivered: Dict[Address, int] = {m: 0 for m in members}
+        self._log: Dict[Address, Dict[int, GroupData]] = {m: {} for m in members}
+        # Stable floor per sender, plus the senders whose log may hold
+        # entries at or below their floor (pending truncation).
+        self._floor: Dict[Address, int] = {m: 0 for m in members}
         self._dirty: Set[Address] = set()
-        # record() keeps our own peer-view row synced to ``_delivered`` one
-        # key at a time; gossip naming *us* as the peer can push the row
-        # ahead, after which the next record() falls back to a full resync.
-        self._me_row_synced = True
+        self.ordered_floor = ordered
+        # Senders whose watermark (coordinator: floor) moved since the
+        # last report (announcement), and the frontier last sent.
+        self._unsent: Set[Address] = set()
+        self._ordered_sent = ordered
+        # Coordinator only: every member's reported watermarks (our own
+        # row *is* ``_delivered``) and delivery frontier.
+        self._peer_view: Optional[Dict[Address, Dict[Address, int]]] = None
+        self._peer_ordered: Dict[Address, int] = {}
+        if members and members[0] == me:
+            self._peer_view = {
+                m: {s: 0 for s in members} for m in members if m != me
+            }
+            self._peer_view[me] = self._delivered
+            self._peer_ordered = {m: ordered for m in members}
 
     # -- recording -------------------------------------------------------------
 
@@ -62,54 +97,85 @@ class StabilityTracker:
         """Record a message this member has received (or sent: senders
         record their own multicasts so in-flight copies survive a flush)."""
         sender = data.sender
-        if sender not in self._delivered:
+        old = self._delivered.get(sender)
+        if old is None:
             return  # departed sender; flush handles its fate
-        if data.sender_seq > self._delivered[sender]:
-            self._delivered[sender] = data.sender_seq
-        self._log[sender][data.sender_seq] = data
-        if self._me_row_synced:
-            mine = self._peer_view[self._me]
-            old = mine[sender]
-            new = self._delivered[sender]
-            if new > old:
-                mine[sender] = new
-                if old == self._floor[sender]:
-                    self._refloor(sender)
-        else:
-            self._peer_view[self._me] = dict(self._delivered)
-            self._me_row_synced = True
-            for s in self._members:
-                self._refloor(s)
-        if data.sender_seq <= self._floor[sender]:
-            self._dirty.add(sender)  # logged at/below floor; truncate later
+        seq = data.sender_seq
+        self._log[sender][seq] = data
+        if seq > old:
+            self._delivered[sender] = seq
+            if self._peer_view is None:
+                self._unsent.add(sender)
+            elif old == self._floor[sender]:
+                self._refloor(sender)
 
     def watermarks(self) -> Dict[Address, int]:
         return dict(self._delivered)
 
-    def on_gossip(self, peer: Address, delivered: Dict[Address, int]) -> None:
-        if peer not in self._peer_view:
-            return
-        mine = self._peer_view[peer]
-        mine_get = mine.get
+    # -- report side (every member but the coordinator) ----------------------------
+
+    def take_report(self, ordered: int) -> Optional[Moved]:
+        """What the coordinator has not been told yet — the watermarks
+        that moved since the last report and this member's delivery
+        frontier ``ordered`` — or None when nothing moved.  The caller
+        must send it: it is not offered again."""
+        return self._take(self._delivered, ordered)
+
+    def _take(self, values: Dict[Address, int], ordered: int) -> Optional[Moved]:
+        if not self._unsent and ordered == self._ordered_sent:
+            return None
+        moved = {s: values[s] for s in sorted(self._unsent)}
+        self._unsent.clear()
+        self._ordered_sent = ordered
+        return moved, ordered
+
+    def on_floors(self, floors: Dict[Address, int], ordered: int) -> None:
+        """Adopt the coordinator's announcement and truncate."""
+        floor = self._floor
+        for sender, seq in floors.items():
+            if seq > floor.get(sender, seq):
+                floor[sender] = seq
+                self._dirty.add(sender)
+        if ordered > self.ordered_floor:
+            self.ordered_floor = ordered
+        self._truncate()
+
+    # -- floor side (the coordinator) -------------------------------------------------
+
+    def on_report(
+        self, peer: Address, delivered: Dict[Address, int], ordered: int
+    ) -> None:
+        row = self._peer_view.get(peer)
+        if row is None:
+            return  # not a member of this view
+        row_get = row.get
         floor = self._floor
         for sender, seq in delivered.items():
-            old = mine_get(sender)
+            old = row_get(sender)
             if old is not None and seq > old:
-                mine[sender] = seq
+                row[sender] = seq
                 if old == floor[sender]:
                     self._refloor(sender)
-        if peer == self._me:
-            self._me_row_synced = False
+        if ordered > self._peer_ordered[peer]:
+            self._peer_ordered[peer] = ordered
         self._truncate()
+
+    def take_floors(self, ordered: int) -> Optional[Moved]:
+        """The coordinator's tick: fold in its own delivery frontier
+        ``ordered``, then return the floors that moved since the last
+        announcement and the minimum frontier — or None when nothing
+        moved.  The caller must send it: it is not offered again."""
+        self._truncate()
+        self._peer_ordered[self._me] = ordered
+        self.ordered_floor = min(self._peer_ordered.values())
+        return self._take(self._floor, self.ordered_floor)
 
     # -- queries ----------------------------------------------------------------
 
     def stable_floor(self, sender: Address) -> int:
-        """Highest seq from ``sender`` known delivered by *every* member."""
-        cached = self._floor.get(sender)
-        if cached is not None:
-            return cached
-        return min(view.get(sender, 0) for view in self._peer_view.values())
+        """Highest seq from ``sender`` known received by *every* member
+        (0 for a stranger)."""
+        return self._floor.get(sender, 0)
 
     def unstable(self) -> List[GroupData]:
         """All logged messages above the stable floor (flush payload)."""
@@ -130,6 +196,7 @@ class StabilityTracker:
         if new != self._floor[sender]:
             self._floor[sender] = new
             self._dirty.add(sender)
+            self._unsent.add(sender)
 
     def _truncate(self) -> None:
         if not self._dirty:

@@ -29,7 +29,14 @@ MessageId = Tuple[Address, int]
 
 @dataclass
 class GroupData:
-    """An application multicast within one view of one group."""
+    """An application multicast within one view of one group.
+
+    ``message_id`` is built once, here: every member that logs, orders or
+    de-duplicates the message keeps a reference to it, and on the sim
+    engine all of them are handed this one object, so one tuple serves
+    the whole group (it is not a field, so it never travels; a decoded
+    copy rebuilds its own).
+    """
 
     category = "group-data"
     size_bytes = DEFAULT_PAYLOAD_BYTES
@@ -40,15 +47,19 @@ class GroupData:
     ordering: str
     payload: Any
     stamp: Optional[VectorClock] = None  # set for CAUSAL
+    # Set for TOTAL data multicast by the sequencer itself: the message
+    # carries its own position and no SetOrder follows it.
+    global_seq: Optional[int] = None
 
-    @property
-    def message_id(self) -> MessageId:
-        return (self.sender, self.sender_seq)
+    def __post_init__(self) -> None:
+        self.message_id: MessageId = (self.sender, self.sender_seq)
 
 
 @dataclass
 class SetOrder:
-    """abcast sequencer decision: global delivery positions for messages."""
+    """abcast sequencer decision: global delivery positions for total-order
+    data that some *other* member multicast (the sequencer's own data
+    carries its position in ``GroupData.global_seq``)."""
 
     category = "group-setorder"
     size_bytes = 48
@@ -59,13 +70,20 @@ class SetOrder:
 
 @dataclass
 class StabilityGossip:
-    """Periodic exchange of per-sender delivered watermarks."""
+    """One hop of the stability plane; which one follows from who receives
+    it.  Sent *to* the view's coordinator it is a member's report: the
+    per-sender delivered watermarks that moved since its last report, and
+    ``ordered``, the highest abcast global sequence number it has
+    delivered.  Sent *by* the coordinator it is the announcement: the
+    per-sender stable floors that moved since the last one, and the
+    minimum of the reported ``ordered``."""
 
     category = "group-stability"
     size_bytes = 48
     group: str
     view_seq: int
     delivered: Dict[Address, int] = field(default_factory=dict)
+    ordered: int = 0
 
 
 @dataclass

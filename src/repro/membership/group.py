@@ -28,8 +28,15 @@ member the same whatever the size of its group (docs/comms.md):
 * failure monitoring is a ring — a member watches its
   :data:`MONITOR_K` nearest rank-predecessors that it does not suspect,
   and reports a suspicion to the acting coordinator;
-* stability gossip is quiescent — a member gossips its watermarks only
-  when they differ from the ones it last sent in this view.
+* stability is agreed through the coordinator and quiescent — a member
+  reports the watermarks that moved since its last report to
+  ``view.coordinator`` alone, and the coordinator announces the floors
+  that moved; nobody sends anything while nothing is delivered.
+
+An abcast costs one message per receiver when the sequencer (rank 0, also
+the coordinator of a coordinator–cohort service) originates it, because
+the data carries its own global order; only a total-order multicast from
+some other member draws the sequencer's ``SetOrder`` round.
 """
 
 from __future__ import annotations
@@ -99,8 +106,9 @@ class GroupMember:
         self._delivered: Dict[int, Set[MessageId]] = {}
         self._blocked = False
         self._outbox: List[Tuple[Any, str]] = []
-        self._future: List[GroupData] = []
-        self._future_orders: List[SetOrder] = []
+        # Traffic of a view not installed here yet, as (handler, payload,
+        # sender) in arrival order; replayed by ``_install``.
+        self._future: List[Tuple[Callable[[Any, Address], None], Any, Address]] = []
 
         self._suspects: Set[Address] = set()
         self._watching: Set[Address] = set()
@@ -111,8 +119,6 @@ class GroupMember:
         self._flush_timer = None
         self._join_contact: Optional[Address] = None
         self._join_timer = None
-
-        self._gossiped: Dict[Address, int] = {}
 
         self._delivery_listeners: List[DeliveryListener] = []
         self._view_listeners: List[ViewListener] = []
@@ -215,6 +221,15 @@ class GroupMember:
         self._join_contact = contact
         self._send_join(contact, retry)
 
+    def _end_join(self) -> None:
+        """Admitted, or given up on (``GroupRuntime.forget_group``): stop
+        asking.  The RPC in flight finds ``joining`` cleared and does not
+        re-arm."""
+        self.joining = False
+        if self._join_timer is not None:
+            self._join_timer.cancel()
+            self._join_timer = None
+
     def _send_join(self, contact: Address, retry: float) -> None:
         if not self.joining or not self.runtime.process.alive:
             return
@@ -270,13 +285,14 @@ class GroupMember:
             # ISIS delivers a process's own fbcast/cbcast locally at send.
             self._deliver(data)
         else:
-            ready = engine.on_receive(data)
-            self._sequence_if_needed(data, engine)
-            for each in self._engine_ready(ready, engine):
+            # At the sequencer the stamp makes this deliverable now; anyone
+            # else holds its own data until the sequencer's SetOrder.
+            for each in engine.on_receive(data):
                 self._deliver(each)
 
     def _sequence_if_needed(self, data: GroupData, engine: TotalEngine) -> None:
-        """At the sequencer: assign and publish the global order."""
+        """At the sequencer, for data that does not carry its order (some
+        other member's): assign and publish the global order."""
         set_order = engine.assign_order(data)
         if set_order is None:
             return
@@ -286,20 +302,15 @@ class GroupMember:
         for each in engine.on_set_order(set_order):
             self._deliver(each)
 
-    def _engine_ready(self, first: List[GroupData], engine) -> List[GroupData]:
-        return first
-
     def _on_data(self, data: GroupData, sender: Address) -> None:
         if self.left or self.excluded:
             return
-        if self.view is None:
-            self._future.append(data)  # joining: view will arrive
+        if self.view is None or data.view_seq > self.view.seq:
+            # joining, or the sender installed the next view first
+            self._future.append((self._on_data, data, sender))
             return
         if data.view_seq < self.view.seq:
             return  # old view: reconciled by that view's flush
-        if data.view_seq > self.view.seq:
-            self._future.append(data)
-            return
         if data.message_id in self._delivered[self.view.seq]:
             return
         self._stability.record(data)
@@ -316,35 +327,52 @@ class GroupMember:
         if set_order.view_seq < self.view.seq:
             return
         if set_order.view_seq > self.view.seq:
-            self._future_orders.append(set_order)
+            self._future.append((self._on_set_order, set_order, sender))
             return
         for each in self._engines[TOTAL].on_set_order(set_order):
             self._deliver(each)
 
     def _on_gossip(self, gossip: StabilityGossip, sender: Address) -> None:
-        if self.view is not None and gossip.view_seq == self.view.seq:
-            if self._stability is not None:
-                self._stability.on_gossip(sender, gossip.delivered)
+        view = self.view
+        if view is None or gossip.view_seq < view.seq:
+            return
+        if gossip.view_seq > view.seq:
+            # A report is a delta and is not repeated, so one that outruns
+            # this member's install of the view it coordinates must wait.
+            self._future.append((self._on_gossip, gossip, sender))
+        elif view.coordinator == self.me:
+            self._stability.on_report(sender, gossip.delivered, gossip.ordered)
+        elif sender == view.coordinator:
+            self._stability.on_floors(gossip.delivered, gossip.ordered)
+            self._engines[TOTAL].forget_orders(self._stability.ordered_floor)
 
     def _gossip_tick(self) -> None:
+        """One round of the stability plane (docs/comms.md): everyone but
+        the coordinator reports what moved to it, the coordinator announces
+        the floors that moved to everyone else.  Channels are reliable and
+        FIFO, so what was sent once in this view need never be repeated:
+        an idle group sends nothing in either direction."""
         if not self.is_member or self._blocked or self.view is None:
             return
-        # Quiescence: channels are reliable and FIFO, so every peer holds
-        # (or will hold) the watermarks last sent in this view; repeating
-        # them tells nobody anything.  An idle group sends no gossip.
-        watermarks = self._stability.watermarks()
-        if watermarks == self._gossiped:
+        view = self.view
+        engine: TotalEngine = self._engines[TOTAL]
+        if view.coordinator == self.me:
+            moved = self._stability.take_floors(engine.delivered_through)
+            engine.forget_orders(self._stability.ordered_floor)
+            targets = view.others(self.me)
+        else:
+            moved = self._stability.take_report(engine.delivered_through)
+            targets = (view.coordinator,)
+        if moved is None or not targets:
             return
-        others = self.view.others(self.me)
-        if not others:
-            return
-        self._gossiped = watermarks
+        delivered, ordered = moved
         self.runtime.transport.send_many(
-            others,
+            targets,
             StabilityGossip(
                 group=self.group,
-                view_seq=self.view.seq,
-                delivered=watermarks,
+                view_seq=view.seq,
+                delivered=delivered,
+                ordered=ordered,
             ),
         )
 
@@ -709,18 +737,16 @@ class GroupMember:
         }
         for engine in self._engines.values():
             engine.network = self.runtime.process.env.network
-        self._stability = StabilityTracker(self.me, new_view.members)
-        self._gossiped = self._stability.watermarks()
+        self._stability = StabilityTracker(
+            self.me, new_view.members, ordered=message.next_global_seq - 1
+        )
         self._blocked = False
         self._flush = None
         if self._flush_timer is not None:
             self._flush_timer.cancel()
             self._flush_timer = None
         if self.joining:
-            self.joining = False
-            if self._join_timer is not None:
-                self._join_timer.cancel()
-                self._join_timer = None
+            self._end_join()
             if self.state_receiver is not None and message.app_state is not None:
                 self.state_receiver(message.app_state)
 
@@ -752,11 +778,8 @@ class GroupMember:
 
         # Replay buffered traffic for this view, then queued sends.
         future, self._future = self._future, []
-        for data in future:
-            self._on_data(data, data.sender)
-        future_orders, self._future_orders = self._future_orders, []
-        for set_order in future_orders:
-            self._on_set_order(set_order, new_view.coordinator)
+        for handler, payload, sender in future:
+            handler(payload, sender)
         outbox, self._outbox = self._outbox, []
         for payload, ordering in outbox:
             if self.is_member:
@@ -878,6 +901,7 @@ class GroupRuntime:
         """Drop local state for a group (after leave/exclusion)."""
         member = self._groups.pop(name, None)
         if member is not None:
+            member._end_join()
             member._teardown_watches()
 
     def rejoin_group(

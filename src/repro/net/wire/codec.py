@@ -51,7 +51,10 @@ MAGIC = b"RW"
 # (CCRequest.view_seq, CCReply.view_seq/cohorts; the GetMembers reply is
 # (view seq, cohort set, other members)), the GetHierarchyInfo reply
 # carries the branch tree, and ResolvePlacement (id 90) is retired.
-WIRE_VERSION = 5
+# v6: GroupData carries the sequencer's stamp (``global_seq``, None off
+# the sequencer) and StabilityGossip the abcast delivery frontier
+# (``ordered``); its ``delivered`` holds only the entries that moved.
+WIRE_VERSION = 6
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

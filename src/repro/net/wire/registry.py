@@ -92,7 +92,8 @@ def ensure_registered() -> None:
     register_kind(2, SegmentAck)
 
     # Membership / broadcast (10-29).  GroupData dropped its ``gossip``
-    # field in WIRE_VERSION 3; the id stays put.
+    # field in WIRE_VERSION 3 and grew ``global_seq`` in 6, when
+    # StabilityGossip grew ``ordered``; the ids stay put.
     register_kind(10, GroupData)
     register_kind(11, SetOrder)
     register_kind(12, StabilityGossip)

@@ -92,7 +92,63 @@ def test_total_engine_sequencer_assigns_in_order():
 def test_total_engine_non_sequencer_does_not_assign():
     engine = TotalEngine(VIEW, "b")
     assert not engine.is_sequencer
-    assert engine.assign_order(data("b", 1, "total")) is None
+    m = data("b", 1, "total")
+    engine.stamp_outgoing(m)
+    assert m.global_seq is None  # waits for the sequencer's SetOrder
+    assert engine.assign_order(m) is None
+
+
+def test_sequencer_stamps_its_own_data_and_sends_no_set_order():
+    seq_engine = TotalEngine(VIEW, "a", next_global_seq=4)
+    m1, m2 = data("a", 1, "total"), data("a", 2, "total")
+    seq_engine.stamp_outgoing(m1)
+    assert m1.global_seq == 4
+    assert seq_engine.assign_order(m1) is None  # already carries its order
+    assert seq_engine.on_receive(m1) == [m1]
+    # a foreign message in between takes the next number by SetOrder
+    foreign = data("c", 1, "total")
+    assert seq_engine.assign_order(foreign).orders == [(5, ("c", 1))]
+    seq_engine.stamp_outgoing(m2)
+    assert m2.global_seq == 6
+    assert seq_engine.known_orders() == [(4, ("a", 1)), (5, ("c", 1)), (6, ("a", 2))]
+    assert seq_engine.next_global_seq == 7
+
+
+def test_receiver_takes_the_order_from_stamped_data():
+    engine = TotalEngine(VIEW, "b")
+    m1, m2 = data("a", 1, "total"), data("a", 2, "total")
+    m1.global_seq, m2.global_seq = 1, 2
+    assert engine.on_receive(m2) == []  # position 1 not here yet
+    assert engine.held() == [m2]
+    assert engine.on_receive(m1) == [m1, m2]
+    assert engine.known_orders() == [(1, ("a", 1)), (2, ("a", 2))]
+    assert engine.next_global_seq == 3
+    # a duplicate of delivered stamped data leaves nothing behind
+    assert engine.on_receive(m1) == []
+    assert engine.known_orders() == [(1, ("a", 1)), (2, ("a", 2))]
+    assert engine._order == {} and engine.held() == []
+
+
+def test_forget_orders_drops_what_everyone_delivered_and_keeps_the_frontier():
+    engine = TotalEngine(VIEW, "b")
+    for i in (1, 2, 3):
+        m = data("a", i, "total")
+        m.global_seq = i
+        engine.on_receive(m)
+    assert engine.delivered_through == 3
+    engine.forget_orders(2)
+    assert engine.known_orders() == [(3, ("a", 3))]
+    engine.forget_orders(3)
+    assert engine.known_orders() == []
+    assert engine.next_global_seq == 4  # falls back to the delivery frontier
+
+
+def test_message_id_is_built_once():
+    # Every holder (history, delivered-id sets, the stability log) shares
+    # the one tuple; tests/test_wire_codec.py covers the wire round trip.
+    m = data("a", 7, "total")
+    assert m.message_id == ("a", 7)
+    assert m.message_id is m.message_id
 
 
 def test_total_engine_delivers_only_with_data_and_order():
@@ -168,49 +224,115 @@ def test_property_total_delivery_follows_global_sequence(order_arrival):
 
 
 # -- stability ----------------------------------------------------------------------
+#
+# "a" is rank 0: its tracker is the floor side (keeps the table, computes
+# and announces floors).  Everyone else's is the report side.
 
 
 def test_stability_tracks_watermarks_and_unstable():
-    tracker = StabilityTracker("a", ("a", "b", "c"))
-    m1, m2 = data("b", 1), data("b", 2)
-    tracker.record(m1)
-    tracker.record(m2)
-    assert tracker.watermarks()["b"] == 2
-    # nobody else has confirmed: everything unstable
-    assert len(tracker.unstable()) == 2
-    assert tracker.stable_floor("b") == 0
+    for me in ("a", "b"):  # coordinator and not
+        tracker = StabilityTracker(me, ("a", "b", "c"))
+        m1, m2 = data("b", 1), data("b", 2)
+        tracker.record(m1)
+        tracker.record(m2)
+        assert tracker.watermarks()["b"] == 2
+        # nobody else has confirmed: everything unstable
+        assert len(tracker.unstable()) == 2
+        assert tracker.stable_floor("b") == 0
 
 
 def test_stability_gossip_truncates():
     tracker = StabilityTracker("a", ("a", "b", "c"))
     tracker.record(data("b", 1))
     tracker.record(data("b", 2))
-    tracker.on_gossip("b", {"b": 2})
-    tracker.on_gossip("c", {"b": 1})
-    # min across peers: a=2 (self), b=2, c=1 -> floor 1
+    tracker.on_report("b", {"b": 2}, 0)
+    tracker.on_report("c", {"b": 1}, 0)
+    # min across members: a=2 (self), b=2, c=1 -> floor 1
     assert tracker.stable_floor("b") == 1
     unstable = tracker.unstable()
     assert [d.sender_seq for d in unstable] == [2]
     assert tracker.log_size() == 1
+    # the announcement carries the floor that moved, once
+    assert tracker.take_floors(0) == ({"b": 1}, 0)
+    assert tracker.take_floors(0) is None
+
+
+def test_stability_announced_floor_truncates_at_a_member():
+    tracker = StabilityTracker("b", ("a", "b", "c"))
+    assert tracker._peer_view is None  # O(k): no table off the coordinator
+    tracker.record(data("b", 1))
+    tracker.record(data("b", 2))
+    tracker.on_floors({"b": 1}, 0)
+    assert tracker.stable_floor("b") == 1
+    assert [d.sender_seq for d in tracker.unstable()] == [2]
+    assert tracker.log_size() == 1
+    tracker.on_floors({"b": 0}, 0)  # floors never fall
+    assert tracker.stable_floor("b") == 1
+
+
+def test_stability_report_carries_only_what_moved_and_only_once():
+    tracker = StabilityTracker("b", ("a", "b", "c"))
+    assert tracker.take_report(0) is None  # idle: nothing to say
+    tracker.record(data("c", 1))
+    tracker.record(data("c", 2))
+    tracker.record(data("b", 1))
+    assert tracker.take_report(0) == ({"b": 1, "c": 2}, 0)
+    assert tracker.take_report(0) is None
+    tracker.record(data("c", 3))
+    assert tracker.take_report(0) == ({"c": 3}, 0)
+    # the abcast frontier alone is worth a report
+    assert tracker.take_report(5) == ({}, 5)
+    assert tracker.take_report(5) is None
+
+
+def test_stability_ordered_floor_is_the_minimum_frontier():
+    tracker = StabilityTracker("a", ("a", "b", "c"), ordered=10)
+    assert tracker.take_floors(10) is None  # the view starts level
+    tracker.on_report("b", {}, 14)
+    assert tracker.take_floors(15) is None  # c still at 10
+    tracker.on_report("c", {}, 12)
+    assert tracker.take_floors(15) == ({}, 12)
+    assert tracker.ordered_floor == 12
+    member = StabilityTracker("b", ("a", "b", "c"), ordered=10)
+    member.on_floors({}, 12)
+    assert member.ordered_floor == 12
 
 
 def test_stability_fully_stable_empties_log():
     tracker = StabilityTracker("a", ("a", "b"))
     tracker.record(data("b", 1))
-    tracker.on_gossip("b", {"b": 1})
+    tracker.on_report("b", {"b": 1}, 0)
     assert tracker.unstable() == []
     assert tracker.log_size() == 0
+    member = StabilityTracker("b", ("a", "b"))
+    member.record(data("b", 1))
+    member.on_floors({"b": 1}, 0)
+    assert member.unstable() == []
+    assert member.log_size() == 0
 
 
 def test_stability_ignores_departed_sender_and_stranger_gossip():
     tracker = StabilityTracker("a", ("a", "b"))
     tracker.record(data("z", 1))  # not a member
     assert tracker.unstable() == []
-    tracker.on_gossip("zz", {"b": 9})  # stranger gossip ignored
+    tracker.on_report("zz", {"b": 9}, 0)  # stranger's report ignored
+    tracker.on_report("b", {"zz": 9}, 0)  # and a report about a stranger
     assert tracker.stable_floor("b") == 0
+    assert tracker.stable_floor("zz") == 0
+    assert tracker.take_floors(0) is None
+    member = StabilityTracker("b", ("a", "b"))
+    member.on_floors({"zz": 9}, 0)
+    assert member.stable_floor("zz") == 0
 
 
 def test_stability_own_sends_recorded():
     tracker = StabilityTracker("a", ("a", "b"))
     tracker.record(data("a", 1))
     assert [d.sender for d in tracker.unstable()] == ["a"]
+
+
+def test_stability_single_member_view_truncates_on_its_tick():
+    tracker = StabilityTracker("a", ("a",))
+    tracker.record(data("a", 1))
+    assert tracker.take_floors(0) == ({"a": 1}, 0)  # nobody to send it to
+    assert tracker.log_size() == 0

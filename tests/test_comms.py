@@ -215,25 +215,43 @@ def test_lossless_link_acks_ride_or_go_out_once_per_burst(rto):
     assert a.quiet() and b.quiet()
 
 
-def test_abcast_leaf_draws_one_standalone_ack_per_message_per_receiver():
-    # kv_write in the small: the sequencer's data segment and the
-    # set-order that follows it reach a receiver together and share one
-    # cumulative ack (immediate acks drew two).  Gossip is off so that
-    # every ack in the count answers the sequencer.
+def abcast_leaf(sender_rank):
+    """kv_write in the small: 100 ABCASTs from one member of a 16-member
+    leaf, 20 ms apart.  Gossip is off so that every ack in the count
+    answers a data or set-order segment."""
     env = Environment(seed=1, latency=FixedLatency(0.002))
     _nodes, members = build_group(env, "g", 16, gossip_interval=None)
-    got = []
-    members[7].add_delivery_listener(lambda e: got.append(e.payload.n))
+    sanitizer = install_sanitizer(members, strict=True)
+    got = {m.me: [] for m in members}
+    for m in members:
+        m.add_delivery_listener(lambda e, me=m.me: got[me].append(e.payload.n))
     for i in range(100):
         env.scheduler.after(
-            0.02 * (i + 1), lambda i=i: members[0].multicast(App(i), TOTAL)
+            0.02 * (i + 1),
+            lambda i=i: members[sender_rank].multicast(App(i), TOTAL),
         )
     env.run_for(3.0)
-    assert got == list(range(100))
-    stats = env.network.stats
+    assert sanitizer.check(at_quiescence=True)["violations"] == 0
+    assert all(seen == list(range(100)) for seen in got.values())
+    return env.network.stats
+
+
+def test_abcast_leaf_draws_one_standalone_ack_per_message_per_receiver():
+    # From the sequencer the data carries its own order: one segment per
+    # receiver per message, and one ack each (the reverse path is idle).
+    stats = abcast_leaf(sender_rank=0)
+    assert stats.by_category["group-data"] == 100 * 15
+    assert stats.by_category["group-setorder"] == 0
+    assert stats.by_category["transport-ack"] == 100 * 15
+    assert stats.acks_piggybacked == 0
+    # From anyone else the sequencer's set-order round follows the data.
+    # A receiver owes the sender and the sequencer an ack each; only the
+    # sequencer's own, for the data, has a segment (the set-order it
+    # multicasts on receipt) to ride on.
+    stats = abcast_leaf(sender_rank=5)
     assert stats.by_category["group-data"] == 100 * 15
     assert stats.by_category["group-setorder"] == 100 * 15
-    assert stats.by_category["transport-ack"] <= 100 * 15
+    assert stats.acks_piggybacked == 100
     assert stats.by_category["transport-ack"] + stats.acks_piggybacked == 2 * 100 * 15
 
 
@@ -346,7 +364,9 @@ def run_flat_group(seed=7, runtime=None):
             for payload in payloads:
                 member.multicast(payload, FIFO)
         env.scheduler.after(start, burst)
-    env.run_for(2.0)
+    # Past the coordinator's floor announcement (it leaves at 2.0 s, one
+    # gossip interval after the reports) and the acks that answer it.
+    env.run_for(2.5)
     counters = sanitizer.check(at_quiescence=True)
     per_sender = {
         me: {

@@ -191,3 +191,57 @@ def test_view_listener_exception_isolation():
     env.run_for(2.0)
     # remote members unaffected
     assert "boom" in logs["g-1"] and "boom" in logs["g-2"]
+
+
+def join_requests(env):
+    """(time, dst) of every JoinRequest RPC sent from now on."""
+    from repro.membership import JoinRequest
+
+    log = []
+
+    def tap(_event, envelope):
+        body = getattr(envelope.payload, "body", None)
+        if isinstance(body, JoinRequest):
+            log.append((env.now, envelope.dst))
+
+    env.network.add_tap(tap, events=("send",))
+    return log
+
+
+def test_forgotten_joiner_stops_asking_and_can_rejoin():
+    """An abandoned join (the hierarchy re-places a worker whose leaf never
+    admitted it) must end with ``forget_group``: the contact hears no more
+    JoinRequests, whichever of the three retry paths was armed."""
+    env, nodes, members, logs = make(3)
+    bystander = GroupNode(env, "x")  # answers "no such group here"
+    asked = join_requests(env)
+    # (a) contact has no such group: the back-off timer re-asks every second
+    no_group = GroupNode(env, "j0")
+    no_group.runtime.join_group("elsewhere", contact="x", retry=1.0)
+    # (b) contact is dead: the RPC timeout re-asks
+    silent = GroupNode(env, "j1")
+    silent.runtime.join_group("g", contact="nobody-home", retry=1.0)
+    # (c) "pending": the coordinator admitted it, but the view that says so
+    # cannot reach it, so the 4 x retry guard is what would re-ask
+    build_group(env, "h", 2)
+    pending = GroupNode(env, "j2")
+    pending.runtime.join_group("h", contact="h-0", retry=1.0)
+    env.scheduler.at(0.005, lambda: env.network.partitions.cut_link("h-0", "j2"))
+    env.run_for(3.5)
+    # one a second to the two that never admit, one in all to the third
+    assert sorted(dst for _at, dst in asked) == (
+        ["h-0"] + ["nobody-home"] * 4 + ["x"] * 4
+    )
+    assert pending.runtime.group("h")._join_timer is not None
+    for node, group in ((no_group, "elsewhere"), (silent, "g"), (pending, "h")):
+        node.runtime.forget_group(group)
+        assert not node.runtime.has_group(group)
+    del asked[:]
+    env.run_for(10.0)
+    assert asked == []
+    assert bystander.alive
+    # ... and forgetting is not final: the same process can join afresh.
+    rejoined = no_group.runtime.rejoin_group("g", contact="g-1")
+    env.run_for(3.0)
+    assert rejoined.is_member and members[0].view.contains("j0")
+    assert [dst for _at, dst in asked][:1] == ["g-1"]

@@ -10,9 +10,20 @@ and gossip on as in a real service and the strict sanitizer attached,
 and holds ``NetworkStats.by_category`` to the same twenty names.  The
 table is copied here, not imported: the harness is not on tier-1's path,
 and a name added there must be added here by hand, on purpose.
+
+The harness is also the only place a per-put message budget is visible,
+so the second test pins it on the benchmark's leaf shape (one full leaf
+of 16): a put is the request path's 6 ``cc-*`` messages plus one
+``group-data`` per other member — the coordinator is the sequencer, so
+its abcast carries its own order and draws no ``group-setorder``.
 """
 
-from repro.core import LargeGroupParams, build_large_group, build_leader_group
+from repro.core import (
+    LargeGroupMember,
+    LargeGroupParams,
+    build_large_group,
+    build_leader_group,
+)
 from repro.failure.detector import HeartbeatDetector
 from repro.membership import GroupNode
 from repro.metrics.sanitizer import VirtualSynchronySanitizer
@@ -120,6 +131,85 @@ def test_requests_takeover_and_stale_set_stay_in_the_known_categories():
     for category in ("cc-request", "cc-reply", "cc-result", "group-data",
                      "heartbeat", "group-new-view", "rpc-request"):
         assert by_category[category] > 0, category
+    env.run_for(3.0)
+    sanitizer.check(at_quiescence=True)
+    assert sanitizer.deliveries_checked > 0 and not sanitizer.violations
+
+
+def test_a_put_into_a_sixteen_member_leaf_is_15_data_and_6_cc():
+    params = LargeGroupParams(resiliency=3, fanout=8)  # the e2e cluster's
+    env = Environment(seed=5, latency=FixedLatency(0.002))
+    leaders = build_leader_group(env, "svc", params, **node_kwargs())
+    contacts = tuple(r.node.address for r in leaders)
+    members = build_large_group(env, "svc", 16, params, contacts, **node_kwargs())
+    stores = [PartitionedStoreServer(m) for m in members]
+    sanitizer = VirtualSynchronySanitizer(strict=True)
+    for member in members:
+        member.add_leaf_change_listener(sanitizer.attach)
+    env.run_for(5.0 + 0.3 * 16)
+    assert {m.leaf_size for m in members} == {16}
+    node = GroupNode(env, "store-client", **node_kwargs())
+    client = PartitionedStoreClient(node, node.runtime.rpc, contacts, "svc")
+    done = []
+    client.put("warm-up", 0, done.append)  # leaf directory + GetMembers
+    env.run_for(2.0)
+
+    def puts(count, start):
+        """``count`` puts 50 ms apart; the window's per-category counts."""
+        before = env.network.stats.snapshot()
+        for i in range(count):
+            env.scheduler.after(
+                0.05 * i, lambda i=i: client.put(f"k{start + i}", i, done.append)
+            )
+        env.run_for(0.05 * count + 2.0)
+        delta = env.network.stats.since(before).by_category
+        assert set(delta) <= KNOWN_CATEGORIES, sorted(set(delta) - KNOWN_CATEGORIES)
+        return delta
+
+    # -- puts ----------------------------------------------------------------------
+    delta = puts(20, start=0)
+    assert done == [True] * 21
+    assert delta["group-data"] == 20 * 15
+    assert delta.get("group-setorder", 0) == 0
+    assert (delta["cc-request"], delta["cc-reply"], delta["cc-result"]) == (60, 20, 40)
+    # 15 reports and 15 floors per busy gossip round, whatever the put
+    # count; the puts span three ticks and the last floors follow a tick
+    # later.
+    assert 0 < delta["group-stability"] <= 4 * 2 * 15
+    assert delta["transport-ack"] <= 20 * 15 + delta["group-stability"]
+
+    # -- a takeover: the next rank both coordinates and sequences -----------------------
+    coordinator = members[0].leaf_member.view.coordinator
+    before = env.network.stats.snapshot()
+    client.put("in-flight", 1, done.append)
+    env.crash(coordinator)
+    env.run_for(5.0)
+    assert done == [True] * 22
+    survivors = [(m, s) for m, s in zip(members, stores) if m.me != coordinator]
+    assert sum(s.service.current.takeovers for _, s in survivors) >= 1
+    assert set(env.network.stats.since(before).by_category) <= KNOWN_CATEGORIES
+    delta = puts(20, start=100)
+    assert delta["group-data"] == 20 * 14
+    assert delta.get("group-setorder", 0) == 0
+    assert (delta["cc-request"], delta["cc-reply"], delta["cc-result"]) == (60, 20, 40)
+
+    # -- a join ---------------------------------------------------------------------
+    before = env.network.stats.snapshot()
+    joiner_node = GroupNode(env, "svc-r-1", **node_kwargs())
+    joiner = LargeGroupMember(joiner_node, "svc", contacts, params=params)
+    joiner.add_leaf_change_listener(sanitizer.attach)
+    joined_store = PartitionedStoreServer(joiner)
+    joiner.join()
+    env.run_for(5.0)
+    assert joiner.is_member and joiner.leaf_size == 16
+    assert set(env.network.stats.since(before).by_category) <= KNOWN_CATEGORIES
+    delta = puts(20, start=200)
+    assert delta["group-data"] == 20 * 15
+    assert delta.get("group-setorder", 0) == 0
+    assert len(done) == 62 and all(done)
+    assert joined_store.local_value("k219") == 19  # state transfer + live puts
+    assert joined_store.local_value("k19") == 19
+
     env.run_for(3.0)
     sanitizer.check(at_quiescence=True)
     assert sanitizer.deliveries_checked > 0 and not sanitizer.violations

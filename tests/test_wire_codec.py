@@ -123,6 +123,7 @@ def _group_data(rng: SimRandom) -> GroupData:
         ordering=rng.choice(["fifo", "causal", "total"]),
         payload=_primitive(rng),
         stamp=None if rng.chance(0.5) else _vector_clock(rng),
+        global_seq=None if rng.chance(0.5) else rng.randint(1, 2**20),
     )
 
 
@@ -343,6 +344,30 @@ def test_cohort_set_and_tree_replies_round_trip():
         assert decoded == original, f"{type(original).__name__} diverged"
 
 
+def test_stamped_data_and_stability_plane_round_trip():
+    """Wire v6: the sequencer's own abcast carries its global order (None
+    off the sequencer), ``message_id`` is rebuilt rather than shipped, and
+    both hops of the stability plane — entries that moved plus the abcast
+    delivery frontier — are one kind."""
+    from repro.membership.events import StabilityGossip
+
+    for global_seq in (None, 1, 2**33):
+        original = GroupData(
+            group="g", view_seq=3, sender="g-0", sender_seq=7,
+            ordering="total", payload={"op": "put"}, global_seq=global_seq,
+        )
+        decoded = _round_trip(original)
+        assert decoded == original and decoded.global_seq == global_seq
+        assert decoded.message_id == ("g-0", 7)
+        assert decoded.message_id is decoded.message_id
+    for original in (
+        StabilityGossip(group="g", view_seq=3, delivered={"g-0": 41}, ordered=40),
+        StabilityGossip(group="g", view_seq=3, delivered={}, ordered=41),
+        StabilityGossip(group="g", view_seq=3, delivered={"g-0": 9, "g-5": 2}),
+    ):
+        assert _round_trip(original) == original
+
+
 def test_envelope_batch_round_trips():
     rng = SimRandom(7)
     envelopes = [
@@ -545,5 +570,6 @@ def test_wire_ids_are_unique_and_stable():
     # GroupData lost its ``gossip`` field.  v4: ReportLeafStatus and
     # UpdateLeaf lost their request-rate field.  v5: CCRequest/CCReply
     # carry the cohort set's view, the info reply carries the branch tree,
-    # ResolvePlacement is gone.
-    assert WIRE_VERSION == 5
+    # ResolvePlacement is gone.  v6: GroupData carries the sequencer's
+    # stamp, StabilityGossip the abcast delivery frontier.
+    assert WIRE_VERSION == 6
