@@ -320,7 +320,7 @@ class StaticHierScenario(_HierPlan):
     engine's speedup bench (tools/perf_report.py ``--parallel``).
 
     The only traffic is periodic: ring heartbeat monitoring inside each
-    leaf (every member pings a few rank-predecessors), stability gossip,
+    leaf (every member watches a few rank-predecessors), stability gossip,
     a small FIFO multicast from each leaf coordinator, and a liveness
     link from every leaf coordinator to the leader tier.  The leaves are
     bootstrapped from configuration (``create_group``: the

@@ -3,9 +3,10 @@
 from repro.failure.detector import (
     FailureDetector,
     Heartbeat,
-    HeartbeatAck,
     HeartbeatDetector,
     OracleDetector,
+    Subscribe,
+    Unsubscribe,
 )
 from repro.failure.injector import CrashInjector, InjectionRecord
 
@@ -13,8 +14,9 @@ __all__ = [
     "CrashInjector",
     "FailureDetector",
     "Heartbeat",
-    "HeartbeatAck",
     "HeartbeatDetector",
     "InjectionRecord",
     "OracleDetector",
+    "Subscribe",
+    "Unsubscribe",
 ]

@@ -3,9 +3,16 @@
 Two interchangeable implementations of the same interface:
 
 :class:`HeartbeatDetector`
-    The realistic one: watched peers are pinged periodically; a peer that
-    misses ``suspect_after`` worth of heartbeats is suspected.  Its traffic
-    appears in network statistics under the ``"heartbeat"`` category so
+    The realistic one, and one-way: a process says "alive" on its own
+    tick to whoever subscribed, nobody replies, and a watcher that has
+    heard nothing from a watched peer for ``suspect_after`` suspects it.
+    ``watch(a)`` sends ``a`` a :class:`Subscribe`; ``a`` answers a new
+    subscriber with one :class:`Heartbeat` at once and then pushes one
+    every tick for :data:`LEASE_TICKS` of its own ticks; the watcher
+    renews every :data:`RENEW_TICKS`, re-subscribes to a peer that has
+    gone quiet for two intervals, and answers a push it does not want
+    with :class:`Unsubscribe`.  A watched peer thus costs one datagram
+    per tick.  All of it travels under the ``"heartbeat"`` category so
     benchmarks can separate steady-state monitoring cost from
     failure-handling cost.
 
@@ -33,23 +40,46 @@ from repro.proc.process import Process
 
 SuspectFn = Callable[[Address], None]
 
+LEASE_TICKS = 50
+"""How many of its own ticks a process keeps pushing to a subscriber that
+does not renew: what a watcher that died outside any shared group (the
+leader's manager, seen from the leaf coordinators it watched) can still
+cost each peer it watched."""
+
+RENEW_TICKS = LEASE_TICKS // 2
+"""A watcher renews at half the lease, so one lost renewal is made good
+by the next before the lease runs out."""
+
 
 @dataclass
 class Heartbeat:
+    """"Alive", pushed to a subscriber; never answered."""
+
     category = "heartbeat"
     size_bytes = 16
 
 
 @dataclass
-class HeartbeatAck:
+class Subscribe:
+    """Push me your heartbeats for the next :data:`LEASE_TICKS` ticks."""
+
     category = "heartbeat"
     size_bytes = 16
 
 
-# Heartbeat payloads are stateless, so every ping/ack on the network can
-# share one instance — monitoring n peers allocates nothing per tick.
+@dataclass
+class Unsubscribe:
+    """Stop pushing: the sender does not watch you (any more)."""
+
+    category = "heartbeat"
+    size_bytes = 16
+
+
+# The payloads are stateless, so every one on the network can share an
+# instance — monitoring n peers allocates nothing per tick.
 _HEARTBEAT = Heartbeat()
-_HEARTBEAT_ACK = HeartbeatAck()
+_SUBSCRIBE = Subscribe()
+_UNSUBSCRIBE = Unsubscribe()
 
 
 class FailureDetector:
@@ -67,9 +97,14 @@ class FailureDetector:
     def add_listener(self, fn: SuspectFn) -> None:
         raise NotImplementedError
 
+    def forget(self, address: Address) -> None:
+        """``address`` has left a group it shared with this process: stop
+        volunteering liveness to it.  If it still watches this process
+        for another reason it asks again."""
+
 
 class HeartbeatDetector(FailureDetector):
-    """Ping/ack failure detection over the network (any engine)."""
+    """One-way heartbeats under a lease, over the network (any engine)."""
 
     def __init__(
         self,
@@ -77,34 +112,62 @@ class HeartbeatDetector(FailureDetector):
         interval: float = 0.2,
         suspect_after: float = 1.0,
     ) -> None:
-        if interval <= 0 or suspect_after <= interval:
-            raise ValueError("require 0 < interval < suspect_after")
+        if interval <= 0 or suspect_after <= 3 * interval:
+            # A lost subscription is noticed on the first tick that finds
+            # the peer silent for two intervals — up to three after it
+            # was last heard — and repaired a round trip later; that must
+            # happen before the silence becomes a suspicion.
+            raise ValueError(
+                "require 0 < 3 * interval < suspect_after: a peer silent "
+                "for two intervals is re-subscribed on the next tick and "
+                "must be able to answer before it is suspected"
+            )
         self._process = process
         self._interval = interval
         self._suspect_after = suspect_after
+        self._ticks = 0
+        # Whom this process watches and when each was last heard; the
+        # tick at which all their subscriptions are next renewed.
         self._last_heard: Dict[Address, float] = {}
+        self._renew_at = 0
         self._suspected: Set[Address] = set()
+        # Who watches this process: the last tick of each one's lease.
+        self._subscribers: Dict[Address, int] = {}
         self._listeners: List[SuspectFn] = []
-        process.on(Heartbeat, self._on_ping)
-        process.on(HeartbeatAck, self._on_ack)
+        process.on(Heartbeat, self._on_heartbeat)
+        process.on(Subscribe, self._on_subscribe)
+        process.on(Unsubscribe, self._on_unsubscribe)
         process.every(interval, self._tick)
         process.add_recover_listener(self._after_recovery)
 
     def _after_recovery(self) -> None:
         # Silence is measured from now: what was heard before the crash
-        # says nothing about who is alive after it.
+        # says nothing about who is alive after it.  The subscriber table
+        # died with the old incarnation; whoever still watches this
+        # process finds it quiet and subscribes again.
         now = self._process.env.now
         for address in self._last_heard:
             self._last_heard[address] = now
         self._suspected.clear()
+        self._subscribers.clear()
 
     def watch(self, address: Address) -> None:
         if address == self._process.address:
             return
-        self._last_heard.setdefault(address, self._process.env.now)
+        if address in self._last_heard and address not in self._suspected:
+            return
+        # Also for a peer this detector suspects: the watch starts afresh.
         self._suspected.discard(address)
+        if not self._last_heard:
+            # Renewals are counted from the first watch, so detectors
+            # that started watching at different times renew at
+            # different ticks; a later watch is renewed early, never late.
+            self._renew_at = self._ticks + RENEW_TICKS
+        self._last_heard[address] = self._process.env.now
+        self._process.send(address, _SUBSCRIBE)
 
     def unwatch(self, address: Address) -> None:
+        # Nothing is sent: the peer's next push is answered Unsubscribe.
         self._last_heard.pop(address, None)
         self._suspected.discard(address)
 
@@ -114,41 +177,69 @@ class HeartbeatDetector(FailureDetector):
     def add_listener(self, fn: SuspectFn) -> None:
         self._listeners.append(fn)
 
+    def forget(self, address: Address) -> None:
+        self._subscribers.pop(address, None)
+
     def is_suspected(self, address: Address) -> bool:
         return address in self._suspected
 
     def _tick(self) -> None:
         process = self._process
+        send = process.send
+        tick = self._ticks = self._ticks + 1
+
+        # Outbound: "alive" to every subscriber whose lease still runs.
+        lapsed = False
+        for address, lease_end in self._subscribers.items():
+            if tick <= lease_end:
+                send(address, _HEARTBEAT)
+            else:
+                lapsed = True
+        if lapsed:
+            self._subscribers = {
+                address: lease_end
+                for address, lease_end in self._subscribers.items()
+                if tick <= lease_end
+            }
+
+        # Inbound.  The overwhelmingly common case: every watched peer
+        # was heard within the last two intervals and no renewal is due,
+        # so nothing is sent, no listener can fire and nothing can mutate
+        # our dicts — iterate them directly, no defensive copy, no
+        # allocation.
         now = process.env.now
         last_heard = self._last_heard
         suspected = self._suspected
-        interval = self._interval
-        # Fast path (the overwhelmingly common case): every peer was heard
-        # recently enough that its deadline lies beyond the next tick, so
-        # no listener can fire and nothing can mutate our dicts — iterate
-        # them directly, no defensive copy, no allocation.
-        horizon = now + interval - self._suspect_after
+        renew = tick >= self._renew_at
+        if renew:
+            self._renew_at = tick + RENEW_TICKS
+        quiet = now - 2 * self._interval
+        horizon = now + self._interval - self._suspect_after
         near = False
         for address, last in last_heard.items():
-            if last < horizon and address not in suspected:
-                near = True
-                break
+            if address in suspected:
+                continue
+            # One rule repairs a lost Subscribe, a lease that lapsed or
+            # was dropped, and a peer that recovered with an empty table:
+            # a watched peer gone quiet is asked again, every tick, well
+            # inside ``suspect_after``.
+            if renew or last <= quiet:
+                send(address, _SUBSCRIBE)
+                # (3 * interval < suspect_after: whoever is this near
+                # its deadline has been quiet for longer than that.)
+                if last < horizon:
+                    near = True
         if not near:
-            send = process.send
-            for address in last_heard:
-                if address not in suspected:
-                    send(address, _HEARTBEAT)
             return
-        # Slow path: some peer's deadline falls before the next tick.  One
-        # already past it is suspected now; otherwise a one-shot is armed
-        # for the deadline itself, so detection takes ``suspect_after``
-        # and not up to an interval more.  Suspicion listeners may
-        # watch/unwatch — keep the defensive copy.
+        # Some peer's deadline falls before the next tick.  One already
+        # past it is suspected now; otherwise a one-shot is armed for the
+        # deadline itself, so detection takes ``suspect_after`` and not
+        # up to an interval more.  Suspicion listeners may watch/unwatch
+        # — take the defensive copy.
         for address in list(last_heard):
             last = last_heard.get(address)
             if last is None or address in suspected:
                 continue
-            process.send(address, _HEARTBEAT)
             if now - last >= self._suspect_after:
                 self._suspect(address, last)
             elif last < horizon:
@@ -174,13 +265,27 @@ class HeartbeatDetector(FailureDetector):
         for listener in list(self._listeners):
             listener(address)
 
-    def _on_ping(self, ping: Heartbeat, sender: Address) -> None:
-        self._process.send(sender, _HEARTBEAT_ACK)
+    def _on_subscribe(self, _subscribe: Subscribe, sender: Address) -> None:
+        # A new subscriber is answered at once, so a watcher hears its
+        # peer a round trip after ``watch`` or after a repair.  A renewal
+        # is not: the next tick's push answers it.
+        if sender not in self._subscribers:
+            self._process.send(sender, _HEARTBEAT)
+        self._subscribers[sender] = self._ticks + LEASE_TICKS
 
-    def _on_ack(self, ack: HeartbeatAck, sender: Address) -> None:
+    def _on_unsubscribe(self, _unsubscribe: Unsubscribe, sender: Address) -> None:
+        self._subscribers.pop(sender, None)
+
+    def _on_heartbeat(self, _heartbeat: Heartbeat, sender: Address) -> None:
         if sender in self._last_heard:
             self._last_heard[sender] = self._process.env.now
+            # Heard is alive: a peer suspected while a partition lasted
+            # is watched again from here, so a later crash is reported.
             self._suspected.discard(sender)
+        else:
+            # A subscription this process no longer wants (``unwatch``
+            # says nothing) costs its holder exactly one push.
+            self._process.send(sender, _UNSUBSCRIBE)
 
 
 class OracleDetector(FailureDetector):

@@ -27,7 +27,10 @@ member the same whatever the size of its group (docs/comms.md):
 
 * failure monitoring is a ring — a member watches its
   :data:`MONITOR_K` nearest rank-predecessors that it does not suspect,
-  and reports a suspicion to the acting coordinator;
+  each of which pushes it one heartbeat a tick that nobody answers
+  (:mod:`repro.failure.detector`), and reports a suspicion to the acting
+  coordinator; a member a view removes is dropped from the push lists of
+  the members that stay;
 * stability is agreed through the coordinator and quiescent — a member
   reports the watermarks that moved since its last report to
   ``view.coordinator`` alone, and the coordinator announces the floors
@@ -78,7 +81,10 @@ MONITOR_K = 3
 unless it and its ``MONITOR_K`` successors fail within one detection
 period (and even then, one period later — see ``GroupMember._rewatch``).
 Matches the ``resiliency`` every hierarchy in the repo runs with; groups
-of up to ``MONITOR_K + 1`` members are monitored all-to-all."""
+of up to ``MONITOR_K + 1`` members are monitored all-to-all.  It is also
+what monitoring costs a member per tick: ``MONITOR_K`` heartbeats out to
+the successors that watch it, for as long as they keep renewing
+(``repro.failure.detector.LEASE_TICKS`` / ``RENEW_TICKS``)."""
 
 DeliveryListener = Callable[[DeliveryEvent], None]
 ViewListener = Callable[[ViewEvent], None]
@@ -764,6 +770,9 @@ class GroupMember:
         old_members = set(old_view.members) if old_view else set()
         for departed in sorted(old_members - set(new_view.members)):
             self.runtime.transport.abandon(departed, keep=still_wanted)
+            # Nor is it told "alive" any more: a crashed member cannot
+            # unsubscribe, and its lease would outlive this view.
+            self.runtime.detector.forget(departed)
 
         # Clear satisfied/void membership intentions; failure detection
         # follows the view.

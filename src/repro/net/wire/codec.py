@@ -54,7 +54,9 @@ MAGIC = b"RW"
 # v6: GroupData carries the sequencer's stamp (``global_seq``, None off
 # the sequencer) and StabilityGossip the abcast delivery frontier
 # (``ordered``); its ``delivered`` holds only the entries that moved.
-WIRE_VERSION = 6
+# v7: heartbeats are one-way — HeartbeatAck (id 33) is retired, and
+# Subscribe (34) / Unsubscribe (35) say who is pushed to.
+WIRE_VERSION = 7
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

@@ -52,7 +52,7 @@ from repro.core.views import (
     RemoveLeaf,
     UpdateLeaf,
 )
-from repro.failure.detector import Heartbeat, HeartbeatAck
+from repro.failure.detector import Heartbeat, Subscribe, Unsubscribe
 from repro.membership.events import (
     Flush,
     FlushOk,
@@ -112,11 +112,14 @@ def ensure_registered() -> None:
         build=lambda parts: VectorClock(parts[0]),
     )
 
-    # Process plumbing (30-39).
+    # Process plumbing (30-39).  Id 33 was HeartbeatAck until
+    # WIRE_VERSION 7, when the heartbeat became a one-way push to
+    # whoever subscribed; like 90 it stays retired.
     register_kind(30, RpcRequest)
     register_kind(31, RpcReply)
     register_kind(32, Heartbeat)
-    register_kind(33, HeartbeatAck)
+    register_kind(34, Subscribe)
+    register_kind(35, Unsubscribe)
 
     # Hierarchy: treecast, leader, hierarchy ops (40-59).
     register_kind(40, TreeCastRelay)

@@ -11,7 +11,7 @@ module pins that down three ways:
 2. the digest of a flat churn scenario that consumes *no* randomness
    (fixed latency, no loss — the flat stack draws nothing from the RNG)
    matches a frozen constant (last re-recorded by the protocol change
-   of PR 17), so it is stable across machines, processes and hash seeds;
+   of PR 21), so it is stable across machines, processes and hash seeds;
 3. different seeds diverge (the digest actually discriminates).
 
 Note the hierarchical scenario is compared within one process only: the
@@ -29,7 +29,7 @@ from repro.core import (
     build_large_group,
     build_leader_group,
 )
-from repro.failure.detector import HeartbeatDetector
+from repro.failure.detector import RENEW_TICKS, HeartbeatDetector, Subscribe
 from repro.membership import build_group
 from repro.metrics.digest import DeliveryDigest
 from repro.net import FixedLatency, LanLatency
@@ -119,25 +119,26 @@ def run_flat_churn_scenario(seed: int = 23, instrument=None):
     )
 
 
-# Re-recorded in PR 17, which made cumulative delayed acks the
-# transport's only ack mode (docs/comms.md): of the 93 acks the view
-# change drew, 61 now ride on the flush-ok / new-view segment going the
-# other way (+16 bytes each), 2 are absorbed into a cumulative ack, and
-# 30 go standalone (93 -> 30 ``transport-ack``), so 63 fewer messages
-# and deliveries, 4,064 fewer bytes, and 33 fewer events (63 ack
-# deliveries gone, 30 ack timers fired).  Heartbeats (7,323) and the
-# view change itself (30 flush, 30 flush-ok, 31 new-view, 3 suspect
-# reports) are untouched.  Before that PR 14 re-recorded them for ring
-# monitoring and quiescent gossip (7494 / 7510 / 612528 / 9289), and
-# the PR 1 baseline was 103067 / 104773 / 9151824 / 110588.  The
-# constants still guard event-core work: if an "optimisation" changes
-# these, it changed simulation behaviour — that is a bug, not a
-# baseline refresh.
-FROZEN_DIGEST = "adda5143841ba444ff89651ced8d33fd69cecec660a520c9c4fe4f9a1ddd3d14"
-FROZEN_DELIVERIES = 7431
-FROZEN_MESSAGES = 7447
-FROZEN_BYTES = 608464
-FROZEN_EVENTS = 9256
+# Re-recorded in PR 21, which made heartbeats one-way (docs/comms.md,
+# "Ring monitoring"): ``heartbeat`` 7,323 -> 3,969 and nothing else
+# moved.  The 7,323 were pings and their acks; the 3,969 are 3,768
+# Heartbeats (14 ticks x 96 watches, 25 ticks x 93 once svc-5 is down,
+# 96 + 3 immediate answers to new subscribers) and 201 Subscribes (96
+# at t = 0, 9 repairs from svc-5's three watchers while it was silent
+# but not yet suspected, 3 for the watches its suspicion moved, 93
+# renewals at tick 25).  The view change itself (30 flush, 30
+# flush-ok, 31 new-view, 3 suspect reports, 30 ``transport-ack``) is
+# untouched.  Before that PR 17 re-recorded them for cumulative delayed
+# acks (7431 / 7447 / 608464 / 9256), PR 14 for ring monitoring and
+# quiescent gossip (7494 / 7510 / 612528 / 9289), and the PR 1 baseline
+# was 103067 / 104773 / 9151824 / 110588.  The constants still guard
+# event-core work: if an "optimisation" changes these, it changed
+# simulation behaviour — that is a bug, not a baseline refresh.
+FROZEN_DIGEST = "669b0d22e52306fc46c8d4742a838cb639de54c19a77893e8d5b32711320aaff"
+FROZEN_DELIVERIES = 4068
+FROZEN_MESSAGES = 4093
+FROZEN_BYTES = 340144
+FROZEN_EVENTS = 5902
 
 
 def test_same_seed_identical_digest_and_stats():
@@ -166,16 +167,13 @@ def test_counts_match_pre_optimisation_baseline():
     assert now == 8.0
 
 
-def test_digest_matches_pre_optimisation_baseline():
-    """Delivery *order* digest, compared under a pinned hash seed."""
+def pinned_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter under ``PYTHONHASHSEED=0`` with
+    ``src`` and the repo root importable; its stripped stdout."""
     import os
     import subprocess
     import sys
 
-    code = (
-        "from tests.test_perf_determinism import run_flat_churn_scenario;"
-        "print(run_flat_churn_scenario(23)[0])"
-    )
     env = dict(os.environ, PYTHONHASHSEED="0")
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env["PYTHONPATH"] = (
@@ -190,7 +188,16 @@ def test_digest_matches_pre_optimisation_baseline():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == FROZEN_DIGEST
+    return out.stdout.strip()
+
+
+def test_digest_matches_pre_optimisation_baseline():
+    """Delivery *order* digest, compared under a pinned hash seed."""
+    code = (
+        "from tests.test_perf_determinism import run_flat_churn_scenario;"
+        "print(run_flat_churn_scenario(23)[0])"
+    )
+    assert pinned_python(code) == FROZEN_DIGEST
 
 
 def test_different_seeds_diverge():
@@ -249,12 +256,25 @@ def test_rearm_after_recycle_raises():
 
 def test_envelope_reuse_in_steady_state():
     """Delivered envelopes return to the free list: after warm-up a
-    steady-state window constructs zero fresh envelopes."""
+    steady-state window constructs zero fresh envelopes.
+
+    The steady-state peak is the tick on which every watch renews its
+    subscription beside the regular pushes (``RENEW_TICKS`` after the
+    watches were made, here t = 5.0 and every 5.0 s after), so the
+    warm-up runs past the first renewal and the window holds the second.
+    """
+    interval = 0.2
     env = Environment(seed=7, latency=FixedLatency(0.002))
     build_group(env, "svc", 8, detector_factory=_hb, gossip_interval=0.5)
-    env.run_for(3.0)  # warm-up: pools grow to the steady-state peak
+    env.run(until=RENEW_TICKS * interval + 1.0)  # pools grow to the peak
     stats = env.network.alloc_stats
     fresh_before = stats["fresh_envelopes"]
     assert stats["pooled_envelopes"] > 0
-    env.run_for(3.0)
+    subscribes = []
+    env.network.add_tap(
+        lambda _event, envelope: subscribes.append(envelope.payload),
+        events=("send",),
+    )
+    env.run(until=2 * RENEW_TICKS * interval + 1.0)
+    assert any(isinstance(payload, Subscribe) for payload in subscribes)
     assert env.network.alloc_stats["fresh_envelopes"] == fresh_before

@@ -16,7 +16,18 @@ so the second test pins it on the benchmark's leaf shape (one full leaf
 of 16): a put is the request path's 6 ``cc-*`` messages plus one
 ``group-data`` per other member — the coordinator is the sequencer, so
 its abcast carries its own order and draws no ``group-setorder``.
+
+Nor has the harness a per-member metric for the background budget yet
+(ROADMAP item 1(b)); the third test is its tier-1 stand-in: an idle
+hierarchy with the benchmark's parameters sends ``MONITOR_K`` heartbeats
+per worker per tick plus the leader tier's own watches, one renewal per
+watch per ``RENEW_TICKS``, and nothing else — the same per worker at
+n = 64 and n = 256.
 """
+
+from collections import Counter
+
+import pytest
 
 from repro.core import (
     LargeGroupMember,
@@ -24,8 +35,9 @@ from repro.core import (
     build_large_group,
     build_leader_group,
 )
-from repro.failure.detector import HeartbeatDetector
+from repro.failure.detector import RENEW_TICKS, HeartbeatDetector
 from repro.membership import GroupNode
+from repro.membership.group import MONITOR_K
 from repro.metrics.sanitizer import VirtualSynchronySanitizer
 from repro.net import FixedLatency
 from repro.proc import Environment
@@ -213,3 +225,40 @@ def test_a_put_into_a_sixteen_member_leaf_is_15_data_and_6_cc():
     env.run_for(3.0)
     sanitizer.check(at_quiescence=True)
     assert sanitizer.deliveries_checked > 0 and not sanitizer.violations
+
+
+@pytest.mark.parametrize("workers", [64, 256])
+def test_an_idle_hierarchy_costs_k_heartbeats_per_worker_per_tick(workers):
+    params = LargeGroupParams(resiliency=3, fanout=8)  # the e2e cluster's
+    interval = 0.2
+    env = Environment(seed=5, latency=FixedLatency(0.002))
+    leaders = build_leader_group(env, "svc", params, **node_kwargs())
+    contacts = tuple(r.node.address for r in leaders)
+    members = build_large_group(
+        env, "svc", workers, params, contacts, **node_kwargs()
+    )
+    env.run_for(5.0 + 0.3 * workers)
+    assert all(m.is_member for m in members)
+    leaves = {m.leaf_id for m in members}
+    assert len(leaves) == workers // 16
+
+    kinds = Counter()
+
+    def tap(_event, envelope):
+        kinds[type(envelope.payload).__name__] += 1
+
+    env.network.add_tap(tap, events=("send",))
+    before = env.network.stats.snapshot()
+    ticks = 2 * RENEW_TICKS  # every watch renews exactly twice
+    env.run_for(ticks * interval)
+    assert set(env.network.stats.since(before).by_category) == {"heartbeat"}
+    # Who is watched: every worker by its K ring successors, the leaders
+    # by one another, each leaf's coordinator by the manager.
+    leader_tier = len(leaders) * (len(leaders) - 1) + len(leaves)
+    watches = MONITOR_K * workers + leader_tier
+    assert kinds == {
+        "Heartbeat": watches * ticks,
+        "Subscribe": watches * ticks // RENEW_TICKS,
+    }
+    per_worker_per_tick = (kinds["Heartbeat"] / ticks - leader_tier) / workers
+    assert per_worker_per_tick == MONITOR_K

@@ -10,7 +10,7 @@ from math import ceil
 
 import pytest
 
-from repro.failure.detector import HeartbeatDetector
+from repro.failure.detector import RENEW_TICKS, HeartbeatDetector
 from repro.membership import TOTAL, build_group
 from repro.membership.group import MONITOR_K
 from repro.metrics.sanitizer import install_sanitizer
@@ -44,12 +44,16 @@ def make(n, seed=1, **env_kwargs):
 
 
 def sends(env, category=None):
-    """Record (time, src, dst, category) of every datagram sent from now on."""
+    """Record (time, src, dst, category, kind) of every datagram sent from
+    now on."""
     log = []
 
     def tap(_event, envelope):
         if category is None or envelope.category == category:
-            log.append((env.now, envelope.src, envelope.dst, envelope.category))
+            log.append((
+                env.now, envelope.src, envelope.dst, envelope.category,
+                type(envelope.payload).__name__,
+            ))
 
     env.network.add_tap(tap, events=("send",))
     return log
@@ -98,17 +102,27 @@ def test_every_crash_set_is_excluded_within_the_bound(failures):
 @pytest.mark.parametrize("size", [8, 16, 32])
 def test_heartbeat_sends_per_member_do_not_grow_with_the_group(size):
     env, nodes, members = make(size)
-    env.run_for(1.1)  # between two ticks
+    env.run_for(1.1)  # between two ticks, long before the first renewal
     log = sends(env, "heartbeat")
     ticks = 10
     env.run_for(ticks * INTERVAL)
-    per_member = {}
-    for _at, src, _dst, _category in log:
-        per_member[src] = per_member.get(src, 0) + 1
-    # K pings to the predecessors it watches, K acks to its watchers.
-    assert set(per_member) == {m.me for m in members}
-    assert all(count <= 2 * MONITOR_K * ticks for count in per_member.values())
-    assert len(log) == size * 2 * MONITOR_K * ticks
+    per_tick = {}
+    for at, src, _dst, _category, kind in log:
+        assert kind == "Heartbeat"
+        per_tick[at, src] = per_tick.get((at, src), 0) + 1
+    # K pushes to the successors that watch it, and nobody replies.
+    assert {src for _at, src in per_tick} == {m.me for m in members}
+    assert all(count <= MONITOR_K for count in per_tick.values())
+    assert len(log) == size * MONITOR_K * ticks
+    # The same ten ticks round the renewal (every watch was made at
+    # t = 0): one Subscribe per watch more, unanswered.
+    env.run(until=RENEW_TICKS * INTERVAL - 0.1)
+    del log[:]
+    env.run_for(ticks * INTERVAL)
+    kinds = [kind for *_rest, kind in log]
+    assert kinds.count("Heartbeat") == size * MONITOR_K * ticks
+    assert kinds.count("Subscribe") == size * MONITOR_K
+    assert len(log) == size * MONITOR_K * (ticks + 1)
 
 
 def test_watch_set_is_the_nearest_unsuspected_predecessors():

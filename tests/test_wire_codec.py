@@ -563,6 +563,9 @@ def test_wire_ids_are_unique_and_stable():
     assert kinds[10].__name__ == "GroupData"
     assert kinds[64].__name__ == "NodeRegister"
     assert 90 not in kinds  # ResolvePlacement, retired in v5: never reused
+    assert kinds[32].__name__ == "Heartbeat"
+    assert 33 not in kinds  # HeartbeatAck, retired in v7: never reused
+    assert (kinds[34].__name__, kinds[35].__name__) == ("Subscribe", "Unsubscribe")
     assert kinds[91].__name__ == "WindowData"
     assert kinds[95].__name__ == "WorkerFault"
     # v2: the recursive-hierarchy refactor evolved the hierarchy kinds'
@@ -571,5 +574,22 @@ def test_wire_ids_are_unique_and_stable():
     # UpdateLeaf lost their request-rate field.  v5: CCRequest/CCReply
     # carry the cohort set's view, the info reply carries the branch tree,
     # ResolvePlacement is gone.  v6: GroupData carries the sequencer's
-    # stamp, StabilityGossip the abcast delivery frontier.
-    assert WIRE_VERSION == 6
+    # stamp, StabilityGossip the abcast delivery frontier.  v7: heartbeats
+    # are one-way; HeartbeatAck is gone, Subscribe / Unsubscribe are new.
+    assert WIRE_VERSION == 7
+
+
+def test_a_v6_heartbeat_ack_is_refused_by_version_not_by_kind():
+    """What a v6 peer still sends: kind 33, empty field list.  The frame
+    is turned away at the header — nothing looks the kind up, so nothing
+    can mistake it for whatever v7 or later puts near that id."""
+    from repro.failure.detector import Subscribe
+
+    frame = bytearray(encode_control_frame(Subscribe()))
+    assert frame[2] == WIRE_VERSION and frame.count(34) == 1
+    frame[frame.index(34)] = 33
+    with pytest.raises(CodecError, match="unknown wire kind id 33"):
+        decode_frame(bytes(frame))
+    frame[2] = 6
+    with pytest.raises(CodecError, match="version"):
+        decode_frame(bytes(frame))

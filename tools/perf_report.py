@@ -310,7 +310,7 @@ def scenario_flat_steady(n: int, sim_s: float, seed: int = 11) -> Dict:
     # Stability gossip off: a flat group's all-to-all gossip is dominated
     # by O(n)-wide ordering metadata (protocol-layer cost), which would
     # drown the event-core cost this scenario isolates.  Heartbeats stay
-    # on — every member pings every other, the paper's n^2 regime.
+    # on: ring monitoring, MONITOR_K one-way pushes per member per tick.
     env = _build_flat(n, seed, gossip=None)
     env.run_for(1.5)  # settle (untimed)
     digest = DeliveryDigest(env.network)
