@@ -1,11 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-baseline analyze sanitize smoke-asyncio smoke-socket e2e-smoke trace bench bench-e2e bench-report bench-guard bench-scale bench-claims bench-tables bench-wire bench-parallel clean
+.PHONY: test lint lint-baseline analyze sanitize smoke-asyncio smoke-socket e2e-smoke trace bench bench-e2e bench-report bench-guard bench-scale bench-claims bench-tables bench-wire clean
 
 ## Tier-1: unit + integration tests (includes the behaviour guard below
-## and the backend smokes, markers: asyncio_smoke, socket_smoke,
-## parallel_smoke).
+## and the backend smokes, markers: asyncio_smoke, socket_smoke).
 test:
 	$(PYTHON) -m pytest -x -q
 
@@ -76,7 +75,7 @@ bench-claims:
 bench-e2e:
 	$(PYTHON) benchmarks/e2e/run.py --all
 
-## Re-record the guard reference: all seven fingerprints, into
+## Re-record the guard reference: all five fingerprints, into
 ## BENCH_core.json and nowhere else.  Run after a deliberate behaviour
 ## change, with the per-category reason for every changed fingerprint in
 ## EXPERIMENTS.md.  The lint preflight refuses to record a
@@ -85,11 +84,11 @@ bench-report:
 	$(PYTHON) -m tools.lint src/repro --flow
 	$(PYTHON) -m tools.perf_report --guard --update
 
-## Behaviour gate: flow-clean lint preflight, then rerun the seven quick
-## guard scenarios (four core, scale_n256, the W=1/W=2 parallel pair)
-## against BENCH_core.json — fails on any fingerprint change and names
-## the counter that moved.  Tier-1 runs the same check; speed is gated
-## by `make bench-e2e` pairs, not here.
+## Behaviour gate: flow-clean lint preflight, then rerun the five quick
+## guard scenarios (four core, scale_n256) against BENCH_core.json —
+## fails on any fingerprint change and names the counter that moved.
+## Tier-1 runs the same check; speed is gated by `make bench-e2e` pairs,
+## not here.
 bench-guard:
 	$(PYTHON) -m tools.lint src/repro --flow
 	$(PYTHON) -m tools.perf_report --guard
@@ -101,17 +100,6 @@ bench-guard:
 ## report (its n=256 guard fingerprint lives in BENCH_core.json).
 bench-scale:
 	$(PYTHON) -m tools.perf_report --scale
-
-## Multi-core parallel-engine report (docs/simulator.md, "Parallel
-## execution"): the statically placed hierarchy at n=2048 across
-## W ∈ {1,2,4} worker processes vs the plain serial run — digest
-## parity at every W, per-worker CPU seconds and events/sec, the
-## sanitized parallel run, and the W=4 speedup gate (>= 2.5x;
-## wall-clock on a >= 5-core host, critical-path otherwise, with the
-## W=2 wall-clock figure beside it).  Writes BENCH_para.json, a pure
-## report (the W=1/W=2 guard pair lives in BENCH_core.json).
-bench-parallel:
-	$(PYTHON) -m tools.perf_report --parallel
 
 ## Real-UDP wire report (docs/deployment.md): the hierarchical parity
 ## scenario (16 workers) as a 4-node loopback cluster, frames/bytes on

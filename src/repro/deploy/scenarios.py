@@ -30,14 +30,12 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core import LargeGroupParams, ReorgPolicy, build_leader_group
 from repro.core.hierarchy import LargeGroupMember
-from repro.failure.detector import HeartbeatDetector
 from repro.membership import CAUSAL, FIFO, TOTAL
 from repro.membership.service import GroupNode
 from repro.metrics.sanitizer import install_sanitizer
 from repro.net.latency import FixedLatency
 
-# Every plan runs the parity suite's LAN model; its floor is also the
-# conservative window of a parallel run (repro.sim.parallel).
+# Every plan runs the parity suite's LAN model.
 LATENCY = FixedLatency(0.002)
 DEFAULT_TIME_SCALE = 0.25
 
@@ -159,40 +157,15 @@ class FlatScenario:
         return errors
 
 
-class _HierPlan:
-    """Address plumbing of the hierarchical plans: ``leaders`` leader
-    addresses that stay together on one node, ``workers`` numbered
-    workers."""
-
-    service = "svc"
-    latency = LATENCY
-
-    def leader_addresses(self) -> Tuple[str, ...]:
-        return tuple(f"{self.service}-ldr-{i}" for i in range(self.leaders))
-
-    def worker_addresses(self) -> List[str]:
-        return [f"{self.service}-w-{i}" for i in range(self.workers)]
-
-    def addresses(self) -> List[str]:
-        return list(self.leader_addresses()) + self.worker_addresses()
-
-    def _hosts_leaders(self, local_set) -> bool:
-        """Whether this node builds the leader tier (all of it or none:
-        the leader subgroup is one statically bootstrapped group)."""
-        leader_addresses = self.leader_addresses()
-        if not local_set.intersection(leader_addresses):
-            return False
-        if not local_set.issuperset(leader_addresses):
-            raise ValueError("the leader subgroup cannot be split")
-        return True
-
-
-class HierScenario(_HierPlan):
-    """A hierarchical service: static leaders, staggered worker joins,
-    one leaf burst from the first and last worker."""
+class HierScenario:
+    """A hierarchical service: static leaders that stay together on one
+    node, staggered worker joins, one leaf burst from the first and last
+    worker."""
 
     name = "hier"
+    service = "svc"
     seed = 11
+    latency = LATENCY
     join_stagger = 0.2
 
     def __init__(
@@ -224,6 +197,15 @@ class HierScenario(_HierPlan):
     def duration(self) -> float:
         return self.place_time + 3.0
 
+    def leader_addresses(self) -> Tuple[str, ...]:
+        return tuple(f"{self.service}-ldr-{i}" for i in range(self.leaders))
+
+    def worker_addresses(self) -> List[str]:
+        return [f"{self.service}-w-{i}" for i in range(self.workers)]
+
+    def addresses(self) -> List[str]:
+        return list(self.leader_addresses()) + self.worker_addresses()
+
     def owners(self, nodes: int) -> Dict[str, int]:
         """Leaders stay together on node 0; workers round-robin across
         the remaining nodes."""
@@ -233,6 +215,16 @@ class HierScenario(_HierPlan):
         return owners
 
     # -- execution -----------------------------------------------------------
+
+    def _hosts_leaders(self, local_set) -> bool:
+        """Whether this node builds the leader tier (all of it or none:
+        the leader subgroup is one statically bootstrapped group)."""
+        leader_addresses = self.leader_addresses()
+        if not local_set.intersection(leader_addresses):
+            return False
+        if not local_set.issuperset(leader_addresses):
+            raise ValueError("the leader subgroup cannot be split")
+        return True
 
     def build(self, env, local: Iterable[str]) -> _Slice:
         local_set = set(local)
@@ -311,202 +303,6 @@ class HierScenario(_HierPlan):
             errors.append(
                 f"per-sender delivery sequences diverge: "
                 f"sim {reference['seqs']!r} != live {live['seqs']!r}"
-            )
-        return errors
-
-
-class StaticHierScenario(_HierPlan):
-    """Statically placed hierarchy in a steady state: the parallel
-    engine's speedup bench (tools/perf_report.py ``--parallel``).
-
-    The only traffic is periodic: ring heartbeat monitoring inside each
-    leaf (every member watches a few rank-predecessors), stability gossip,
-    a small FIFO multicast from each leaf coordinator, and a liveness
-    link from every leaf coordinator to the leader tier.  The leaves are
-    bootstrapped from configuration (``create_group``: the
-    common-configuration-file start) instead of leader-assigned:
-    dynamic assignment balances late joiners across every existing
-    leaf, and under the windowed engine that balance is
-    partition-sensitive (injection order at the leaders shifts with the
-    owners map), so *no* static owners map can keep dynamically built
-    leaves partition-local.  Pinning placement is what a locality-aware
-    deployment does anyway — the paper's premise is precisely that
-    communicating processes belong on the same workstation — and it
-    makes whole-leaf locality a property of the plan: every leaf lives
-    on exactly one partition at any partition count, so the only
-    cross-partition traffic is the thin coordinator-to-leader tier.
-    """
-
-    name = "hier-static"
-    seed = 17
-    leaders = 3
-    heartbeat = 0.1
-    suspect_after = 1.0
-    gossip_interval = 0.5
-
-    def __init__(
-        self,
-        workers: int = 256,
-        leaf_size: int = 16,
-        sim_s: float = 3.0,
-        settle: float = 2.0,
-        multicast_interval: Optional[float] = 0.5,
-        sanitize: bool = False,
-    ) -> None:
-        if leaf_size < 2:
-            raise ValueError("leaves need at least 2 members")
-        if workers < leaf_size or workers % leaf_size:
-            raise ValueError(
-                f"workers ({workers}) must be a positive multiple of "
-                f"leaf_size ({leaf_size})"
-            )
-        self.workers = workers
-        self.leaf_size = leaf_size
-        self.sim_s = sim_s
-        self.settle = settle
-        self.multicast_interval = multicast_interval
-        self.sanitize = sanitize
-
-    # -- plan ----------------------------------------------------------------
-
-    @property
-    def leaf_count(self) -> int:
-        return self.workers // self.leaf_size
-
-    @property
-    def settle_time(self) -> float:
-        return self.settle
-
-    @property
-    def duration(self) -> float:
-        return self.settle + self.sim_s
-
-    def leaf_block(self, leaf: int) -> List[str]:
-        base = leaf * self.leaf_size
-        return [
-            f"{self.service}-w-{i}"
-            for i in range(base, base + self.leaf_size)
-        ]
-
-    def owners(self, nodes: int) -> Dict[str, int]:
-        """Leaders on partition 0; whole leaves in contiguous blocks —
-        a leaf is never split, at any partition count."""
-        owners = {address: 0 for address in self.leader_addresses()}
-        count = self.leaf_count
-        for leaf in range(count):
-            pid = leaf * nodes // count
-            for address in self.leaf_block(leaf):
-                owners[address] = pid
-        return owners
-
-    # -- execution -----------------------------------------------------------
-
-    def _detector(self, node) -> HeartbeatDetector:
-        return HeartbeatDetector(
-            node, interval=self.heartbeat, suspect_after=self.suspect_after
-        )
-
-    def _node(self, env, address: str) -> GroupNode:
-        return GroupNode(
-            env,
-            address,
-            detector_factory=self._detector,
-            gossip_interval=self.gossip_interval,
-        )
-
-    def _start_multicast(self, env, node, member, leaf: int) -> None:
-        """Leaf-local ordered traffic: the coordinator multicasts a small
-        FIFO payload every ``multicast_interval``, staggered per leaf so
-        ticks don't burst on the same instant.  The traffic never leaves
-        the leaf, so it stays partition-local under any owners map — and
-        it gives the delivery sanitizer real ordered deliveries to
-        check."""
-        interval = self.multicast_interval
-        counter = [0]
-
-        def tick(member=member):
-            member.multicast(f"{member.group}/r{counter[0]}", FIFO)
-            counter[0] += 1
-
-        offset = interval * leaf / self.leaf_count
-        # The last tick lands well before the quiescence cut, so every
-        # multicast is fully delivered leaf-wide when the sanitizer's
-        # at-quiescence check (VS004) compares delivery sets.
-        t = interval + offset
-        while t < self.duration - 0.1:
-            env.scheduler.at(t, tick)
-            t += interval
-
-    def build(self, env, local: Iterable[str]) -> _Slice:
-        local_set = set(local)
-        state = _Slice()
-        leader_addresses = self.leader_addresses()
-        if self._hosts_leaders(local_set):
-            for address in leader_addresses:
-                state.members.append(
-                    self._node(env, address).runtime.create_group(
-                        f"{self.service}::leaders", list(leader_addresses)
-                    )
-                )
-        leaf_members = []
-        for leaf in range(self.leaf_count):
-            block = self.leaf_block(leaf)
-            present = [a for a in block if a in local_set]
-            if not present:
-                continue
-            if len(present) != len(block):
-                raise ValueError(
-                    f"leaf {leaf} split across nodes: "
-                    f"{len(present)}/{len(block)} local"
-                )
-            group = f"{self.service}::leaf-{leaf}"
-            for rank, address in enumerate(block):
-                node = self._node(env, address)
-                member = node.runtime.create_group(group, list(block))
-                state.members.append(member)
-                leaf_members.append(member)
-                if rank == 0:
-                    # The coordinator's liveness link to the leader
-                    # tier: the scenario's only cross-leaf traffic.
-                    node.runtime.detector.watch(
-                        leader_addresses[leaf % len(leader_addresses)]
-                    )
-                    if self.multicast_interval is not None:
-                        self._start_multicast(env, node, member, leaf)
-        if self.sanitize and leaf_members:
-
-            def install():
-                state.sanitizer = install_sanitizer(leaf_members)
-
-            env.scheduler.at(self.settle_time, install)
-        return state
-
-    def results(self, state: _Slice) -> Dict[str, Any]:
-        views = {
-            f"{member.group}|{member.me}": (
-                member.view.size if member.view is not None else 0
-            )
-            for member in state.members
-        }
-        return {"views": views, "counters": state.counters()}
-
-    # -- parity --------------------------------------------------------------
-
-    def check(self, reference: Dict, live: Dict) -> List[str]:
-        errors = []
-        views = live.get("views", {})
-        leaders_group = f"{self.service}::leaders"
-        for key, size in views.items():
-            group = key.split("|", 1)[0]
-            expected = (
-                self.leaders if group == leaders_group else self.leaf_size
-            )
-            if size != expected:
-                errors.append(f"{key}: view size {size} != {expected}")
-        expected_count = self.workers + self.leaders
-        if len(views) != expected_count:
-            errors.append(
-                f"live run reported {len(views)}/{expected_count} members"
             )
         return errors
 

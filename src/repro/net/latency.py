@@ -24,11 +24,6 @@ class LatencyModel(ABC):
     ) -> float:
         """Return the one-way delay in seconds."""
 
-    def floor(self) -> float:
-        """Smallest delay the model can produce — the conservative
-        lookahead of the parallel engine (see repro.sim.parallel)."""
-        return 0.0
-
 
 class FixedLatency(LatencyModel):
     """Constant delay; useful for fully deterministic protocol tests."""
@@ -37,9 +32,6 @@ class FixedLatency(LatencyModel):
         if delay < 0:
             raise ValueError("delay must be nonnegative")
         self.delay = delay
-
-    def floor(self) -> float:
-        return self.delay
 
     def sample(
         self, rng: SimRandom, src: Address, dst: Address, size_bytes: int
@@ -55,9 +47,6 @@ class UniformLatency(LatencyModel):
             raise ValueError("require 0 <= lo <= hi")
         self.lo = lo
         self.hi = hi
-
-    def floor(self) -> float:
-        return self.lo
 
     def sample(
         self, rng: SimRandom, src: Address, dst: Address, size_bytes: int
@@ -88,9 +77,6 @@ class SiteLatency(LatencyModel):
         self.wan_delay = wan_delay
         self.wan_jitter = wan_jitter
         self._site_of = site_of if site_of is not None else _prefix_site
-
-    def floor(self) -> float:
-        return self.local.floor()
 
     def site_of(self, address: Address) -> str:
         return self._site_of(address)
@@ -130,9 +116,6 @@ class LanLatency(LatencyModel):
         self.base = base
         self.per_byte = per_byte
         self.jitter = jitter
-
-    def floor(self) -> float:
-        return self.base * (1.0 - self.jitter)
 
     def sample(
         self, rng: SimRandom, src: Address, dst: Address, size_bytes: int

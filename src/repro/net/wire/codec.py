@@ -13,8 +13,7 @@ offset size     field
 ====== ======== ==========================================================
 
 A *data* body is ``varint count`` followed by ``count`` envelope records
-(src, dst, send_time, deliver_time, size_bytes, payload) — the parallel
-engine ships a window's cross-partition envelopes as k-record frames.
+(src, dst, send_time, deliver_time, size_bytes, payload).
 A *control* body is a single encoded value (the deploy tracker's
 register/peer-list/shutdown messages).
 
@@ -415,14 +414,14 @@ def encode_data_frames(
     return frames, rejects
 
 
-def encode_control_frame(payload: Any, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+def encode_control_frame(payload: Any) -> bytes:
     """One control-plane value as a single frame; raises on oversize."""
     body = bytearray()
     _write_value(body, payload)
     frame = _frame(FRAME_CONTROL, bytes(body))
-    if len(frame) > max_bytes:
+    if len(frame) > MAX_FRAME_BYTES:
         raise FrameTooLarge(
-            f"control frame of {len(frame)} bytes exceeds {max_bytes}"
+            f"control frame of {len(frame)} bytes exceeds {MAX_FRAME_BYTES}"
         )
     return frame
 

@@ -177,6 +177,6 @@ def ensure_registered() -> None:
     # ResolvePlacement until WIRE_VERSION 5 (routers walk the tree
     # themselves now); ids are append-only, so it stays retired.
 
-    # 91-95 are the parallel-engine barrier frames (WindowData/Done/Go,
-    # WorkerReport, WorkerFault), registered by repro.net.wire.parallel
-    # on import — same layering as the deploy control plane above.
+    # Ids 91-95 were the parallel engine's barrier frames (hub <-> the
+    # workers it spawned, over a pipe) until that engine was deleted;
+    # like 33 and 90 they stay retired.

@@ -1,7 +1,7 @@
 """Engine-agnostic runtime layer: the contract the protocol stack runs on.
 
 ``repro.runtime`` defines *what an engine is* (:mod:`repro.runtime.api`)
-and ships two of them:
+and ships three of them:
 
 * :class:`SimRuntime` — the deterministic discrete-event engine
   (default; a thin adapter over ``repro.sim``);
@@ -9,11 +9,7 @@ and ships two of them:
   with an in-memory asyncio message fabric;
 * :class:`SocketRuntime` — the asyncio engine with a UDP
   :class:`SocketFabric`: remote destinations (per its address book) go
-  over real sockets as :mod:`repro.net.wire` frames (docs/deployment.md);
-* :class:`ParallelRuntime` — one partition's slice of a conservative-
-  window multi-core run: a :class:`SimRuntime` whose
-  :class:`PartitionFabric` captures cross-partition envelopes for the
-  window barrier (:mod:`repro.sim.parallel`, docs/simulator.md).
+  over real sockets as :mod:`repro.net.wire` frames (docs/deployment.md).
 
 Everything above this layer (processes, network, transport, membership,
 broadcast, hierarchy, toolkit, workloads) is engine-agnostic; rule RL009
@@ -39,7 +35,6 @@ from repro.runtime.asyncio_backend import (
     AsyncioTimers,
     WallClockError,
 )
-from repro.runtime.parallel_backend import ParallelRuntime, PartitionFabric
 from repro.runtime.sim_backend import SimRuntime
 from repro.runtime.socket_backend import SocketFabric, SocketRuntime, run_cluster
 from repro.sim.rand import SimRandom
@@ -48,8 +43,6 @@ __all__ = [
     "AsyncioFabric",
     "AsyncioRuntime",
     "AsyncioTimers",
-    "ParallelRuntime",
-    "PartitionFabric",
     "SocketFabric",
     "SocketRuntime",
     "run_cluster",

@@ -1,7 +1,6 @@
 """What is always on below the protocols (docs/comms.md): cumulative
-delayed acks in the reliable transport, per-category byte accounting,
-hardware-multicast wire counting and the latency floor the parallel
-engine's lookahead reads.
+delayed acks in the reliable transport, per-category byte accounting
+and hardware-multicast wire counting.
 
 The ack contract under test: every received segment is acknowledged
 exactly once — riding a reverse segment, absorbed into a cumulative
@@ -14,7 +13,7 @@ import pytest
 
 from repro.membership import FIFO, TOTAL, build_group
 from repro.metrics.sanitizer import install_sanitizer
-from repro.net import FixedLatency, LanLatency, Network, UniformLatency
+from repro.net import FixedLatency, Network
 from repro.net.message import HEADER_BYTES
 from repro.proc import Environment, Process
 from repro.runtime import AsyncioRuntime
@@ -59,12 +58,6 @@ def sends(env, category):
 
     env.network.add_tap(tap, events=("send",))
     return log
-
-
-def test_latency_models_expose_their_floor():
-    assert FixedLatency(0.01).floor() == 0.01
-    assert UniformLatency(0.001, 0.002).floor() == 0.001
-    assert LanLatency(base=0.001, jitter=0.1).floor() == pytest.approx(0.0009)
 
 
 # ----------------------------------------------------------- delayed acks

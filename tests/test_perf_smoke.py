@@ -1,7 +1,7 @@
 """The behaviour guard, and a smoke test over its scenarios.
 
 ``tools/perf_report.py --guard`` is the repo's one frozen-behaviour
-check: seven quick scenarios whose fingerprints must equal
+check: five quick scenarios whose fingerprints must equal
 ``BENCH_core.json`` exactly.  This module runs it (so behaviour drift
 fails ``pytest``, not a make target someone has to remember), tests the
 comparison that names the counter that moved, and pins the layout of
@@ -14,11 +14,10 @@ events, reports a fingerprint, and keeps the event heap bounded.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 REPO = Path(__file__).parent.parent
 sys.path.insert(0, str(REPO))
@@ -74,14 +73,12 @@ def _guard(*args, cwd=REPO):
     )
 
 
-@pytest.mark.parallel_smoke
 def test_guard_passes_against_the_committed_reference():
     proc = _guard()
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "7 fingerprints identical" in proc.stdout
+    assert "5 fingerprints identical" in proc.stdout
 
 
-@pytest.mark.parallel_smoke
 def test_guard_update_writes_only_the_file_it_then_accepts(tmp_path):
     out = tmp_path / "reference.json"
     recorded = _guard("--update", "--out", str(out), cwd=tmp_path)
@@ -117,8 +114,8 @@ def test_compare_names_the_scenario_and_every_counter_that_moved():
 def test_bench_core_json_holds_only_the_guard_reference():
     """The committed BENCH_core.json is what ``--guard --update`` writes
     and nothing else — one fingerprint per guard, no timings — and it is
-    the only frozen-behaviour store: the scale and parallel reports
-    carry no guard entries of their own."""
+    the only frozen-behaviour store: the scale report carries no guard
+    entries of its own."""
     text = (REPO / "BENCH_core.json").read_text()
     report = json.loads(text)
     assert set(report) == {"benchmark", "guard"}
@@ -128,12 +125,27 @@ def test_bench_core_json_holds_only_the_guard_reference():
         "hier_steady_n64",
         "churn",
         "scale_n256",
-        "para_w1",
-        "para_w2",
     }
     for name, fingerprint in report["guard"].items():
         assert fingerprint and "fingerprint" not in fingerprint, name
     # No timing or calibration reading anywhere in the store.
     assert "per_sec" not in text and "wall_s" not in text
-    for other in ("BENCH_scale.json", "BENCH_para.json"):
-        assert "runs" not in json.loads((REPO / other).read_text()), other
+    assert "runs" not in json.loads((REPO / "BENCH_scale.json").read_text())
+
+
+def test_every_make_target_the_docs_name_exists():
+    """A deleted target leaves `make <target>` behind in prose that
+    nothing else reads: every one named in the docs must be a target of
+    the Makefile."""
+    targets = set(
+        re.findall(r"^([a-z][\w-]*):", (REPO / "Makefile").read_text(), re.M)
+    )
+    docs = [
+        REPO / "README.md",
+        REPO / "DESIGN.md",
+        REPO / ".claude" / "skills" / "verify" / "SKILL.md",
+        *sorted((REPO / "docs").glob("*.md")),
+    ]
+    for doc in docs:
+        named = set(re.findall(r"`make ([a-z][\w-]*)`", doc.read_text()))
+        assert named <= targets, f"{doc.name}: no such target {sorted(named - targets)}"

@@ -23,7 +23,6 @@ from pathlib import Path
 import pytest
 
 import repro.deploy.messages  # noqa: F401  -- registers control kinds 64-68
-import repro.net.wire.parallel  # noqa: F401  -- parallel-engine kinds 91-95
 from repro.clocks.vector import VectorClock
 from repro.core.treecast import LeafTarget, RelaySpec
 from repro.membership.events import GroupData
@@ -566,8 +565,11 @@ def test_wire_ids_are_unique_and_stable():
     assert kinds[32].__name__ == "Heartbeat"
     assert 33 not in kinds  # HeartbeatAck, retired in v7: never reused
     assert (kinds[34].__name__, kinds[35].__name__) == ("Subscribe", "Unsubscribe")
-    assert kinds[91].__name__ == "WindowData"
-    assert kinds[95].__name__ == "WorkerFault"
+    # The deleted parallel engine's barrier frames: never reused.  They
+    # only ever travelled on a pipe between a hub and the workers it
+    # spawned from the same tree, so no frame a deployed node sends or
+    # accepts changed and WIRE_VERSION stays where it was.
+    assert not set(range(91, 96)) & set(kinds)
     # v2: the recursive-hierarchy refactor evolved the hierarchy kinds'
     # field lists (a format change even with ids unchanged).  v3:
     # GroupData lost its ``gossip`` field.  v4: ReportLeafStatus and

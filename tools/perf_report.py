@@ -1,6 +1,6 @@
 """Behaviour guard and wall-clock reports for the discrete-event core.
 
-``--guard`` is the repo's one frozen-behaviour check: it re-runs seven
+``--guard`` is the repo's one frozen-behaviour check: it re-runs five
 quick scenarios and compares each behaviour fingerprint (message / byte
 / drop / event counters and a delivery-order digest) *exactly* against
 ``BENCH_core.json``, naming every counter that moved.  Tier-1 runs it
@@ -29,17 +29,12 @@ Guard scenarios:
 ``scale_n256``
     The load-driven recursive hierarchy (``--scale``) at its quick size.
 
-``para_w1`` / ``para_w2``
-    The statically placed hierarchy (``--parallel``) at n=64 on the
-    conservative-window engine with one and two worker processes.
-
 Usage::
 
     PYTHONPATH=src python -m tools.perf_report                # print readings
     PYTHONPATH=src python -m tools.perf_report --guard        # behaviour gate
     PYTHONPATH=src python -m tools.perf_report --guard --update  # new reference
     PYTHONPATH=src python -m tools.perf_report --scale        # scaling curve
-    PYTHONPATH=src python -m tools.perf_report --parallel     # speedup curve
     PYTHONPATH=src python -m tools.perf_report --wire         # UDP wire cost
 """
 
@@ -608,192 +603,6 @@ def run_scale_suite(quick: bool = False) -> Dict:
     return report
 
 
-# -- parallel report (BENCH_para.json) ---------------------------------------
-
-PARA_N = 2048
-PARA_QUICK_N = 256
-PARA_GUARD_N = 64
-PARA_PARTITIONS = 4
-PARA_WORKERS = (1, 2, 4)
-PARA_TARGET_SPEEDUP = 2.5
-
-
-def _parallel_scenario(n: int, sanitize: bool = False):
-    from repro.deploy.scenarios import StaticHierScenario
-
-    return StaticHierScenario(workers=n, sanitize=sanitize)
-
-
-def _parallel_run(scn, workers: int, measure: bool = True):
-    from repro.sim.parallel import run_parallel
-
-    return run_parallel(
-        scn,
-        partitions=PARA_PARTITIONS,
-        workers=workers,
-        clock=time.perf_counter if measure else None,
-        cpu_clock=time.process_time if measure else None,
-        measure_from=scn.settle_time if measure else None,
-    )
-
-
-def run_parallel_suite(quick: bool = False) -> Dict:
-    """The ``--parallel`` report: the conservative-window multi-core
-    engine's speedup curve (docs/simulator.md, "Parallel execution").
-
-    Measures the statically-placed hierarchy (whole leaves per
-    partition — the locality the window protocol converts into
-    speedup) at W ∈ {1, 2, 4} workers against the plain serial run —
-    one Environment, one scheduler, the fastest single-process engine
-    there is.  Two speedup figures are recorded per W:
-
-    * ``speedup_wall`` — hub wall-clock over the measured window.  Only
-      meaningful when the host has at least W+1 free cores.
-    * ``speedup_critical_path`` — serial wall over ``max(worker CPU) +
-      hub CPU``.  Process CPU time excludes barrier waits, so this is
-      the wall-clock a ≥W+1-core host reaches; it is the honest figure
-      on a smaller host (this box: see ``host_cpus``), measured, not
-      extrapolated.
-
-    The determinism evidence rides along: the merged fingerprint must
-    be identical at every W, and a sanitizer-attached 2-worker run must
-    be violation-free.
-    """
-    from repro.sim.parallel import run_serial
-
-    n = PARA_QUICK_N if quick else PARA_N
-    scn = _parallel_scenario(n)
-    report: Dict = {
-        "benchmark": "bench_parallel_windows",
-        "host_cpus": os.cpu_count(),
-        "scenario": {
-            "name": scn.name,
-            "workers_n": n,
-            "leaf_size": scn.leaf_size,
-            "partitions": PARA_PARTITIONS,
-            "latency_delay": scn.latency.floor(),
-            "heartbeat": scn.heartbeat,
-            "gossip_interval": scn.gossip_interval,
-            "sim_s": scn.sim_s,
-        },
-        "parallel": {},
-    }
-    print(f"  running serial reference (n={n}) ...", flush=True)
-    m = run_serial(
-        scn,
-        clock=time.perf_counter,
-        cpu_clock=time.process_time,
-        measure_from=scn.settle_time,
-    )["measured"]
-    report["serial"] = {
-        "wall_s": round(m["wall_s"], 4),
-        "cpu_s": round(m["cpu_s"], 4),
-        "events": m["events"],
-        "events_per_sec": round(m["events"] / m["wall_s"]),
-    }
-    serial_wall = report["serial"]["wall_s"]
-    reference_fp = None
-    for w in PARA_WORKERS:
-        print(f"  running parallel W={w} (P={PARA_PARTITIONS}) ...", flush=True)
-        out = _parallel_run(scn, w)
-        if not out.ok:
-            raise SystemExit(
-                f"perf_report: parallel W={w} failed: {out.errors}"
-            )
-        worker_measured = out.measured["workers"]
-        hub = out.measured["hub"]
-        max_cpu = max(m["cpu_s"] for m in worker_measured.values())
-        critical_path = max_cpu + hub["cpu_s"]
-        if reference_fp is None:
-            reference_fp = out.fingerprint
-        parity = out.fingerprint == reference_fp
-        report["parallel"][f"w{w}"] = {
-            "workers": w,
-            "windows": out.windows,
-            "lookahead": out.lookahead,
-            "wall_s": round(hub["wall_s"], 4),
-            "hub_cpu_s": round(hub["cpu_s"], 4),
-            "max_worker_cpu_s": round(max_cpu, 4),
-            "cpu_s_per_worker": {
-                str(i): round(m["cpu_s"], 4)
-                for i, m in sorted(worker_measured.items())
-            },
-            "events_per_worker": {
-                str(i): m["events"]
-                for i, m in sorted(worker_measured.items())
-            },
-            "events_per_sec_per_worker": {
-                str(i): round(m["events"] / m["cpu_s"])
-                for i, m in sorted(worker_measured.items())
-            },
-            "envelopes_crossed": out.envelopes_crossed,
-            "fingerprint": out.fingerprint,
-            "digest_parity_with_w1": parity,
-            "speedup_wall": round(serial_wall / hub["wall_s"], 3),
-            "speedup_critical_path": round(serial_wall / critical_path, 3),
-        }
-        entry = report["parallel"][f"w{w}"]
-        print(
-            f"    wall {entry['wall_s']}s, max worker cpu "
-            f"{entry['max_worker_cpu_s']}s, crossed "
-            f"{entry['envelopes_crossed']}, parity {parity}, "
-            f"x{entry['speedup_wall']} wall / "
-            f"x{entry['speedup_critical_path']} critical-path"
-        )
-        if not parity:
-            raise SystemExit(
-                f"perf_report: W={w} fingerprint diverged from W=1 — "
-                "the windowed engine is not W-invariant"
-            )
-    print("  running sanitized parallel run (W=2) ...", flush=True)
-    sanitized = _parallel_run(_parallel_scenario(PARA_QUICK_N, True), 2)
-    counters = sanitized.results.get("counters", {})
-    violations = counters.get("violations", 0)
-    report["sanitized"] = {
-        "workers": 2,
-        "workers_n": PARA_QUICK_N,
-        "counters": counters,
-        "clean": violations == 0,
-    }
-    print(
-        f"    sanitizer clean: {violations == 0} "
-        f"({counters.get('deliveries_checked', 0)} deliveries checked)"
-    )
-    if violations:
-        raise SystemExit(
-            "perf_report: sanitizer violations under the parallel engine"
-        )
-    top = report["parallel"][f"w{PARA_WORKERS[-1]}"]
-    cores_for_wall = PARA_WORKERS[-1] + 1
-    metric = (
-        "speedup_wall"
-        if (os.cpu_count() or 1) >= cores_for_wall
-        else "speedup_critical_path"
-    )
-    report["speedup"] = {
-        "metric": metric,
-        "value": top[metric],
-        "target": PARA_TARGET_SPEEDUP,
-        # What this host can show on the wall clock: W=2 needs 3 cores
-        # to overlap fully, so on fewer it is a lower bound.
-        "wall_w2": report["parallel"]["w2"]["speedup_wall"],
-        "note": (
-            "wall-clock, host has enough cores"
-            if metric == "speedup_wall"
-            else f"critical-path (max worker CPU + hub CPU): host has "
-            f"{os.cpu_count()} CPU(s), < {cores_for_wall} needed to "
-            "overlap workers; equals wall-clock on a multi-core host"
-        ),
-    }
-    print(f"  speedup: x{top[metric]} ({metric})")
-    if not quick and top[metric] < PARA_TARGET_SPEEDUP:
-        raise SystemExit(
-            f"perf_report: parallel speedup x{top[metric]} below the "
-            f"x{PARA_TARGET_SPEEDUP} target"
-        )
-    return report
-
-
 def build_scenarios() -> Dict[str, Callable[[], Dict]]:
     """The timed quick scenarios: what a bare run prints and what
     ``tests/test_perf_smoke.py`` keeps from rotting."""
@@ -813,15 +622,9 @@ def build_guards() -> Dict[str, Callable[[], Dict]]:
     fingerprint: everything ``BENCH_core.json`` holds."""
     timed = build_scenarios()
     timed[f"scale_n{SCALE_GUARD[0]}"] = lambda: scenario_scale(*SCALE_GUARD)
-    guards: Dict[str, Callable[[], Dict]] = {
+    return {
         name: (lambda fn=fn: fn()["fingerprint"]) for name, fn in timed.items()
     }
-    scn = _parallel_scenario(PARA_GUARD_N)
-    for w in (1, 2):
-        guards[f"para_w{w}"] = lambda w=w: {
-            "merged_digest": _parallel_run(scn, w, measure=False).fingerprint
-        }
-    return guards
 
 
 def compare_fingerprints(
@@ -907,12 +710,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small sizes for --scale / --parallel / --wire",
+        help="small sizes for --scale / --wire",
     )
     parser.add_argument(
         "--out",
         help="the report file --guard reads or --guard --update / --scale "
-        "/ --parallel / --wire write; defaults to that mode's own "
+        "/ --wire write; defaults to that mode's own "
         "BENCH_*.json",
     )
     parser.add_argument(
@@ -934,14 +737,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="run the load-driven recursive hierarchy at n=1024/2048/4096 "
         "(n=256 under --quick) and write events/sec, reorg counts and "
         "routing-disruption windows to BENCH_scale.json (docs/hierarchy.md)",
-    )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run the conservative-window multi-core engine on the "
-        "statically-placed hierarchy at n=2048 (n=256 under --quick), W in "
-        "{1,2,4}, and write the speedup curve, digest-parity and sanitizer "
-        "evidence to BENCH_para.json (docs/simulator.md)",
     )
     parser.add_argument(
         "--guard",
@@ -967,7 +762,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_guard(args.out or "BENCH_core.json", update=args.update)
 
     for flag, default_out, suite in (
-        ("parallel", "BENCH_para.json", run_parallel_suite),
         ("scale", "BENCH_scale.json", run_scale_suite),
         ("wire", "BENCH_wire.json", run_wire_suite),
     ):
