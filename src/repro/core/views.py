@@ -119,10 +119,11 @@ class HierarchyError(RuntimeError):
 class HierarchyState:
     """Deterministic branch/leaf bookkeeping for one large group.
 
-    Branch restructuring is *derived*: after every op the tree is
-    re-balanced so no branch exceeds ``fanout`` children.  Because the
-    rebalancing is a deterministic function of the op sequence, replicas
-    applying the same totally ordered ops hold identical trees.
+    Branch restructuring is *derived*: after every op that adds or
+    removes a leaf the tree is re-balanced so no branch exceeds
+    ``fanout`` children.  Because the rebalancing is a deterministic
+    function of the op sequence, replicas applying the same totally
+    ordered ops hold identical trees.
     """
 
     def __init__(self, name: str, params: LargeGroupParams) -> None:
@@ -137,8 +138,8 @@ class HierarchyState:
         # Load-driven deployments keep an *explicit* tree: leaves attach
         # under the branch named by the op and branches split/collapse
         # incrementally (B-tree style), so depth grows where load lives.
-        # Size-only deployments re-derive the canonical packing after
-        # every op, exactly as before — byte-identical frozen behaviour.
+        # Size-only deployments re-derive the canonical packing whenever
+        # the leaf set changes — byte-identical frozen behaviour.
         self._explicit = params.reorg.load_driven
 
     # -- queries --------------------------------------------------------------------
@@ -374,8 +375,10 @@ class HierarchyState:
     def apply(self, op: HierarchyOp) -> None:
         """Apply one replicated op.
 
-        Size mode re-derives the canonical branch tree afterwards (frozen
-        behaviour); load mode mutates the explicit tree incrementally.
+        Size mode re-derives the canonical branch tree when the op changes
+        the leaf-id set — the tree is a function of the sorted ids alone,
+        so an ``UpdateLeaf`` (which keeps the leaf's parent) leaves it as
+        it was; load mode mutates the explicit tree incrementally.
         Either way the post-state is a deterministic function of the op
         sequence, so replicas stay identical.
         """
@@ -412,7 +415,7 @@ class HierarchyState:
             del self.leaves[op.leaf_id]
         else:
             raise HierarchyError(f"unknown op {op!r}")
-        if not self._explicit:
+        if not self._explicit and not isinstance(op, UpdateLeaf):
             self._rebuild_tree()
         self.applied_ops += 1
 

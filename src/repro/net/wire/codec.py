@@ -55,7 +55,9 @@ MAGIC = b"RW"
 # (``ordered``); its ``delivered`` holds only the entries that moved.
 # v7: heartbeats are one-way — HeartbeatAck (id 33) is retired, and
 # Subscribe (34) / Unsubscribe (35) say who is pushed to.
-WIRE_VERSION = 7
+# v8: CCHedge (77) — a client asks the next rank of a cohort set to
+# answer a read its coordinator has left unanswered.
+WIRE_VERSION = 8
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

@@ -68,6 +68,7 @@ from repro.membership.view import GroupView, ViewId
 from repro.net.wire.codec import register_kind
 from repro.proc.rpc import RpcReply, RpcRequest
 from repro.toolkit.coordinator_cohort import (
+    CCHedge,
     CCReply,
     CCRequest,
     CCResultNote,
@@ -152,6 +153,7 @@ def ensure_registered() -> None:
     # Toolkit (70-79).  64-69 are the deploy control plane
     # (repro.deploy.messages).  CCRequest/CCReply grew the cohort-set
     # fields (view_seq, cohorts) in WIRE_VERSION 5; the ids stay put.
+    # CCHedge (77) is new in WIRE_VERSION 8.
     register_kind(70, CCRequest)
     register_kind(71, CCReply)
     register_kind(72, CCResultNote)
@@ -159,6 +161,7 @@ def ensure_registered() -> None:
     register_kind(74, ScatterTask)
     register_kind(75, PartialResult)
     register_kind(76, SMCommand)
+    register_kind(77, CCHedge)
 
     # Hierarchy state structs carried inside HOp / RPC replies (80-89).
     register_kind(80, AddLeaf)

@@ -2,6 +2,7 @@
 (paper §2/§4), on both flat and hierarchical groups."""
 
 from repro.toolkit.coordinator_cohort import (
+    CCHedge,
     CCReply,
     CCRequest,
     CCResultNote,
@@ -38,6 +39,7 @@ from repro.toolkit.transactions import (
 )
 
 __all__ = [
+    "CCHedge",
     "CCReply",
     "CCRequest",
     "CCResultNote",

@@ -31,11 +31,19 @@ from repro.toolkit.coordinator_cohort import (
 
 
 class HierarchicalServer:
-    """Per-worker server: follows its process across leaf reorganisations."""
+    """Per-worker server: follows its process across leaf reorganisations.
+    ``is_read`` is handed to every per-leaf server (see
+    :class:`CoordinatorCohortServer`)."""
 
-    def __init__(self, member: LargeGroupMember, handler: Handler) -> None:
+    def __init__(
+        self,
+        member: LargeGroupMember,
+        handler: Handler,
+        is_read: Optional[Callable[[Any], bool]] = None,
+    ) -> None:
         self.member = member
         self.handler = handler
+        self.is_read = is_read
         self._current: Optional[CoordinatorCohortServer] = None
         member.add_leaf_change_listener(self._on_leaf_change)
 
@@ -45,7 +53,10 @@ class HierarchicalServer:
         # retry after a reorganisation re-executes (at-least-once, as in
         # classical ISIS).
         self._current = CoordinatorCohortServer(
-            leaf_member, self.handler, resiliency=self.member.params.resiliency
+            leaf_member,
+            self.handler,
+            resiliency=self.member.params.resiliency,
+            is_read=self.is_read,
         )
 
     @property

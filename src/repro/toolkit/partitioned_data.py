@@ -37,6 +37,13 @@ def owner_of(key: Any, leaf_ids: List[str]) -> str:
     return ordered[int.from_bytes(digest[:4], "big") % len(ordered)]
 
 
+def _is_get(payload: Any) -> bool:
+    """A get only reads the leaf's replica, which every cohort keeps in
+    the same total order: a cohort may answer it when the coordinator is
+    silent.  Puts and deletes run on the coordinator only."""
+    return payload.get("op") == "get"
+
+
 class PartitionedStoreServer:
     """Per-worker server: a leaf-replicated table + a request handler."""
 
@@ -44,7 +51,7 @@ class PartitionedStoreServer:
         self.member = member
         self.store = store
         self._table: Optional[ReplicatedDict] = None
-        self._service = HierarchicalServer(member, self._handle)
+        self._service = HierarchicalServer(member, self._handle, is_read=_is_get)
         member.add_leaf_change_listener(self._on_leaf_change)
 
     def _on_leaf_change(self, leaf_member: GroupMember) -> None:

@@ -223,6 +223,43 @@ def test_property_tree_invariants_under_random_ops(ops, fanout):
                 assert branch_id in state.branches[branch.parent].children
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["add", "remove", "update", "report"]),
+            st.integers(0, 19),
+        ),
+        max_size=80,
+    ),
+    st.integers(2, 6),
+)
+def test_property_size_mode_tree_equals_a_fresh_rebuild(ops, fanout):
+    """Size mode re-derives the tree only when the leaf-id set changes;
+    after any op sequence the tree is what a rebuild from scratch gives."""
+    import copy
+
+    state = HierarchyState("svc", LargeGroupParams(resiliency=2, fanout=fanout))
+    for kind, i in ops:
+        leaf_id = f"leaf-{i:03d}"
+        try:
+            if kind == "add":
+                state.apply(AddLeaf(leaf_id, size=i + 1, contacts=(f"c{i}",)))
+            elif kind == "remove":
+                state.apply(RemoveLeaf(leaf_id))
+            else:
+                state.apply(UpdateLeaf(
+                    leaf_id, size=i + 2, contacts=(f"d{i}", f"e{i}"),
+                    delivery_rate=float(i) if kind == "report" else -1.0,
+                ))
+        except HierarchyError:
+            continue
+        fresh = copy.deepcopy(state)
+        fresh._rebuild_tree()
+        assert fresh.branches == state.branches
+        assert fresh.leaves == state.leaves
+
+
 # -- reorg policy (load-adaptive trees) --------------------------------------------
 
 

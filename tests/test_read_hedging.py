@@ -1,0 +1,316 @@
+"""Reads outlive their coordinator: the client's hedge and the cohort's
+answer from its own replica (docs/hierarchy.md, "Reads during a
+coordinator outage").
+
+A client that has heard nothing for ``HEDGE_MEDIANS`` x its median reply
+time sends one ``CCHedge`` to rank 1 of the cohort set; rank 1 answers a
+request it holds if the server declared the payload a read.  These tests
+hold the pieces the benchmark cannot see on its own: no hedge without a
+fault, gets answered by rank 1 within the hedge delay plus one round
+trip while puts wait for the takeover, no write ever executed off the
+coordinator, a hedged read executed once across a later takeover, and
+what a hedged read may return.
+"""
+
+import pytest
+
+from repro.core import LargeGroupParams, build_large_group, build_leader_group
+from repro.failure.detector import HeartbeatDetector
+from repro.membership import GroupNode, build_group
+from repro.net import FixedLatency, LanLatency
+from repro.proc import Environment
+from repro.sim.rand import SimRandom
+from repro.toolkit import (
+    CCHedge,
+    CoordinatorCohortClient,
+    CoordinatorCohortServer,
+    PartitionedStoreClient,
+    PartitionedStoreServer,
+    ReplicatedDict,
+)
+from repro.toolkit.coordinator_cohort import HEDGE_SAMPLES, _CCDispatch
+
+RTT = 0.004  # FixedLatency(0.002), there and back
+
+
+def node_kwargs():
+    # The benchmark's detector: a crash is suspected after a full second,
+    # so the outage a hedge shortens is long and easy to see.
+    return dict(
+        detector_factory=lambda node: HeartbeatDetector(
+            node, interval=0.2, suspect_after=1.0
+        ),
+        gossip_interval=0.5,
+    )
+
+
+def hedges_sent(env):
+    """A list that fills with (destination, request id) of every hedge."""
+    sent = []
+
+    def tap(_event, envelope):
+        if isinstance(envelope.payload, CCHedge):
+            sent.append((envelope.dst, envelope.payload.request_id))
+
+    env.network.add_tap(tap, events=("send",))
+    return sent
+
+
+# -- a flat replicated table behind the coordinator-cohort tool ----------------------
+
+
+def is_get(payload):
+    return payload[0] == "get"
+
+
+def flat_store(n=6, latency=None, seed=1, is_read=is_get):
+    env = Environment(seed=seed, latency=latency or FixedLatency(0.002))
+    nodes, members = build_group(env, "svc", n, **node_kwargs())
+    servers = []
+    for member in members:
+        table = ReplicatedDict(member, "t")
+
+        def handle(payload, client, table=table):
+            if payload[0] == "put":
+                table.put(payload[1], payload[2])
+                return "ok"
+            return table.get(payload[1])
+
+        servers.append(
+            CoordinatorCohortServer(member, handle, resiliency=3, is_read=is_read)
+        )
+    client_node = GroupNode(env, "client", **node_kwargs())
+    client = CoordinatorCohortClient(
+        client_node, "svc", contacts=("svc-0",), rpc=client_node.runtime.rpc
+    )
+    return env, members, servers, client
+
+
+def warm_up(env, client, count=HEDGE_SAMPLES):
+    """Enough clean replies for the client to derive its hedge delay."""
+    for i in range(count):
+        client.request(("put", "k", 0) if i == 0 else ("get", "k"), lambda r: None)
+    env.run_for(1.0)
+    delay = client._dispatch.hedge_delay
+    assert delay is not None
+    return delay
+
+
+def test_a_put_is_never_executed_off_the_coordinator():
+    env, members, servers, client = flat_store()
+    warm_up(env, client)
+    executed = [s.requests_executed for s in servers]
+    sent = hedges_sent(env)
+    env.crash("svc-0")
+    put_reply, get_reply = [], []
+    put_id = client.request(("put", "k", 1), put_reply.append)
+    get_id = client.request(("get", "k"), get_reply.append)
+    env.run_for(0.1)
+    # Both were hedged to rank 1; only the get was answered by it.
+    assert sorted(sent) == sorted([("svc-1", put_id), ("svc-1", get_id)])
+    assert get_reply == [0] and put_reply == []
+    # A hedge for the put sent to every cohort, by hand: still nothing.
+    for rank in (1, 2):
+        client.process.send(f"svc-{rank}", CCHedge(group="svc", request_id=put_id))
+    env.run_for(0.5)
+    assert put_reply == []
+    assert [s.requests_executed - e for s, e in zip(servers, executed)] == [
+        0, 1, 0, 0, 0, 0,
+    ]
+    # The takeover, after detection and the view change, runs the put once.
+    env.run_for(2.0)
+    assert put_reply == ["ok"]
+    assert servers[1].takeovers == 1
+    assert [s.requests_executed - e for s, e in zip(servers, executed)] == [
+        0, 2, 0, 0, 0, 0,
+    ]
+
+
+def test_hedged_or_not_an_answered_request_leaves_no_timer_behind():
+    """The hedge timer and the retry timer that follows it are one timer
+    at a time, and the reply cancels whichever is armed."""
+    env, members, servers, client = flat_store()
+    warm_up(env, client)
+
+    def one_shots():
+        return [t for t in client.process._timers if not t.cancelled and not t._periodic]
+
+    replies = []
+    for _ in range(50):
+        client.request(("get", "k"), replies.append)
+    env.run_for(0.5)
+    assert len(replies) == 50 and one_shots() == []
+    env.crash("svc-0")
+    for _ in range(50):
+        client.request(("get", "k"), replies.append)
+    env.run_for(0.1)  # every one hedged and answered by rank 1
+    assert len(replies) == 100 and one_shots() == []
+
+
+def test_a_service_that_declares_no_reads_waits_for_the_takeover():
+    env, members, servers, client = flat_store(is_read=None)
+    warm_up(env, client)
+    env.crash("svc-0")
+    replies = []
+    client.request(("get", "k"), replies.append)
+    env.run_for(0.5)
+    assert replies == []
+    env.run_for(2.0)
+    assert replies == [0]
+    assert servers[1].takeovers == 1
+
+
+def test_a_hedged_get_is_executed_once_across_a_later_takeover():
+    env, members, servers, client = flat_store()
+    warm_up(env, client)
+    before = sum(s.requests_executed for s in servers)
+    env.crash("svc-0")
+    replies = []
+    for i in range(10):
+        env.scheduler.after(0.005 * i, lambda: client.request(("get", "k"), replies.append))
+    env.run_for(0.2)
+    assert replies == [0] * 10
+    assert servers[1].requests_executed == 10
+    # Rank 2 still holds them until rank 1 coordinates and sends the
+    # result copies it kept.
+    assert len(servers[2]._pending) == 10
+    env.run_for(2.0)
+    assert members[1].view.coordinator == "svc-1"
+    assert not servers[2]._pending and not servers[1]._hedge_notes
+    assert servers[1].takeovers == 0
+    # The next crash makes rank 2 coordinator: it has nothing to re-run.
+    env.crash("svc-1")
+    env.run_for(3.0)
+    assert members[2].view.coordinator == "svc-2"
+    assert servers[2].takeovers == 0
+    assert sum(s.requests_executed for s in servers) - before == 10
+
+
+def test_no_hedged_get_reads_older_than_a_put_acknowledged_before_it():
+    """Lossless links with jitter: a put is acknowledged after the
+    coordinator multicast it, so every cohort has it before a get issued
+    after the acknowledgement can be hedged to one."""
+    env, members, servers, client = flat_store(latency=LanLatency(), seed=3)
+    warm_up(env, client)
+    keys = [f"k{i}" for i in range(4)]
+    acked = {key: 0 for key in keys}
+    for key in keys:
+        client.request(("put", key, 0), lambda r: None)
+    env.run_for(0.5)
+    sent = hedges_sent(env)
+    reads = {}  # request id -> (key, newest value acknowledged at issue, reply)
+    rng = SimRandom(7)
+    counter = [0]
+
+    def put(key):
+        counter[0] += 1
+        value = counter[0]
+
+        def done(reply):
+            assert reply == "ok"
+            acked[key] = max(acked[key], value)
+
+        client.request(("put", key, value), done)
+
+    def get(key):
+        entry = [key, acked[key], None]
+        request_id = client.request(("get", key), lambda r: entry.__setitem__(2, r))
+        reads[request_id] = entry
+
+    for step in range(600):
+        key = keys[rng.randint(0, len(keys) - 1)]
+        op = put if step % 3 == 0 else get
+        env.scheduler.after(0.005 * step, lambda op=op, key=key: op(key))
+    env.scheduler.after(1.0, lambda: env.crash("svc-0"))
+    env.run_for(6.0)
+    assert all(entry[2] is not None for entry in reads.values())
+    hedged = [reads[rid] for _dst, rid in sent if rid in reads]
+    assert len(hedged) > 20
+    stale = [(key, floor, value) for key, floor, value in hedged if value < floor]
+    assert not stale
+
+
+# -- the hierarchical store -------------------------------------------------------
+
+
+def store(latency, workers=24, seed=5):
+    params = LargeGroupParams(resiliency=3, fanout=4)  # leaves of 4..8
+    env = Environment(seed=seed, latency=latency)
+    leaders = build_leader_group(env, "svc", params, **node_kwargs())
+    contacts = tuple(r.node.address for r in leaders)
+    members = build_large_group(env, "svc", workers, params, contacts, **node_kwargs())
+    stores = [PartitionedStoreServer(m) for m in members]
+    env.run_for(5.0 + 0.3 * workers)
+    assert all(m.is_member for m in members)
+    return env, contacts, members, stores
+
+
+def store_client(env, contacts, name="store-client"):
+    node = GroupNode(env, name, **node_kwargs())
+    return PartitionedStoreClient(node, node.runtime.rpc, contacts, "svc")
+
+
+def test_no_hedge_is_sent_in_a_failure_free_store_under_load():
+    env, contacts, members, stores = store(LanLatency())
+    clients = [store_client(env, contacts, f"client-{i}") for i in range(3)]
+    sent = hedges_sent(env)
+    rng = SimRandom(11)
+    answers = []
+    for i in range(1500):  # 500 requests a second, one in five a put
+        client = clients[i % len(clients)]
+        key = f"k{rng.randint(0, 199)}"
+        if rng.chance(0.2):
+            action = lambda c=client, k=key, i=i: c.put(k, i, answers.append)
+        else:
+            action = lambda c=client, k=key: c.get(k, answers.append)
+        env.scheduler.after(0.002 * i, action)
+    env.run_for(5.0)
+    assert len(answers) == 1500
+    assert all(_CCDispatch.for_process(c.process).hedge_delay for c in clients)
+    assert sent == []
+
+
+def test_with_the_coordinator_crashed_rank_1_answers_gets_and_the_takeover_puts():
+    env, contacts, members, stores = store(FixedLatency(0.002))
+    client = store_client(env, contacts)
+    client.refresh(lambda ok: None)
+    env.run_for(0.1)
+    leaf_id = members[0].leaf_id
+    leaf_keys = [k for k in (f"k{i}" for i in range(400)) if client.owner_leaf(k) == leaf_id]
+    for key in leaf_keys[:8]:
+        client.put(key, key, lambda ok: None)
+    env.run_for(0.5)
+    for i in range(HEDGE_SAMPLES):
+        client.get(leaf_keys[i % 8], lambda value: None)
+    env.run_for(0.5)
+    delay = _CCDispatch.for_process(client.process).hedge_delay
+    assert delay == pytest.approx(4 * RTT)  # every clean reply took one round trip
+
+    in_leaf = [(m, s) for m, s in zip(members, stores) if m.leaf_id == leaf_id]
+    view = in_leaf[0][0].leaf_member.view
+    rank1 = next(s for m, s in in_leaf if m.me == view.members[1])
+    executed_before = rank1.service.current.requests_executed
+    env.crash(view.coordinator)
+    gets, puts = [], []
+    for i, key in enumerate(leaf_keys[:8]):
+
+        def issue(key=key, i=i):
+            if i % 2:
+                client.put(key, -i, lambda ok, t=env.now: puts.append((ok, env.now - t)))
+            else:
+                client.get(key, lambda value, t=env.now, key=key: gets.append(
+                    (value, key, env.now - t)))
+
+        env.scheduler.after(0.02 * i, issue)
+    env.run_for(0.3)
+    # Every get: rank 1, one hedge delay plus one round trip after it was sent.
+    assert sorted(k for _, k, _ in gets) == sorted(leaf_keys[0:8:2])
+    assert all(value == key for value, key, _ in gets)
+    assert max(latency for _, _, latency in gets) <= delay + RTT + 1e-9
+    assert rank1.service.current.requests_executed - executed_before == 4
+    assert puts == []  # still waiting for detection and the view change
+    env.run_for(3.0)
+    assert [ok for ok, _ in puts] == [True] * 4
+    assert min(latency for _, latency in puts) > 0.5
+    assert rank1.service.current.takeovers == 4
+

@@ -213,6 +213,42 @@ def test_whole_cohort_set_crashes_retry_reaches_new_set():
     assert client._members == ("svc-3", "svc-4", "svc-5")
 
 
+def test_a_timer_retry_asks_the_next_rank_before_the_dead_coordinator():
+    """The client learned the set with the coordinator at contacts[0].
+    A request the whole set leaves unanswered past the timeout means that
+    coordinator is the likeliest casualty: the retry's GetMembers goes to
+    rank 1, which answers, instead of spending a timeout on the corpse."""
+    from repro.toolkit import GetMembers
+
+    env, nodes, members, servers, _ = build(6, resiliency=3)
+    node = GroupNode(env, "hasty")
+    # A timeout shorter than failure detection, so the retry timer fires
+    # before any takeover can answer.
+    client = CoordinatorCohortClient(
+        node, "svc", contacts=("svc-0",), rpc=node.runtime.rpc, timeout=0.02
+    )
+    client.request("warm-up", lambda r: None)
+    env.run_for(1.0)
+    assert client.contacts[:3] == ("svc-0", "svc-1", "svc-2")
+    asked = []
+
+    def tap(_event, envelope):
+        body = getattr(envelope.payload, "body", None)
+        if envelope.src == "hasty" and isinstance(body, GetMembers):
+            asked.append(envelope.dst)
+
+    env.network.add_tap(tap, events=("send",))
+    env.crash("svc-0")
+    replies = []
+    client.request("after-crash", replies.append)
+    env.run_for(0.021)  # the retry timer has fired, and no other
+    assert asked == ["svc-1"]
+    env.run_for(3.0)
+    assert replies == [("done", "after-crash")]
+    assert "svc-0" not in asked
+    assert total_executed(servers) == 2
+
+
 def test_three_successive_coordinator_crashes_never_wait_for_the_timer():
     """Each takeover reply carries the new set, so the client is never
     more than one view behind and no request waits out its retry timer."""

@@ -315,11 +315,12 @@ def test_level_tagged_hierarchy_payloads_round_trip():
 def test_cohort_set_and_tree_replies_round_trip():
     """Wire v5: the cohort set rides on the request path (view seq on the
     request, seq + set on a correcting reply and on the GetMembers reply)
-    and the GetHierarchyInfo reply carries the branch tree routers walk."""
+    and the GetHierarchyInfo reply carries the branch tree routers walk.
+    Wire v8: a hedge names the request, not its payload."""
     from repro.core import HierarchyState, LargeGroupParams
     from repro.core.views import AddLeaf
     from repro.proc.rpc import RpcReply
-    from repro.toolkit import CCReply, CCRequest
+    from repro.toolkit import CCHedge, CCReply, CCRequest
 
     state = HierarchyState("svc", LargeGroupParams(resiliency=2, fanout=2))
     for i in range(5):
@@ -336,6 +337,7 @@ def test_cohort_set_and_tree_replies_round_trip():
             cohorts=("w-0b", "w-0c", "w-0d"),
         ),
         RpcReply(request_id="client#3", value=(8, ("w-0b", "w-0c"), ("w-0d",))),
+        CCHedge(group="svc::leaf-0", request_id="client/cc9"),
         RpcReply(request_id="client#4", value=info),
     ]
     for original in payloads:
@@ -565,6 +567,8 @@ def test_wire_ids_are_unique_and_stable():
     assert kinds[32].__name__ == "Heartbeat"
     assert 33 not in kinds  # HeartbeatAck, retired in v7: never reused
     assert (kinds[34].__name__, kinds[35].__name__) == ("Subscribe", "Unsubscribe")
+    assert kinds[70].__name__ == "CCRequest"
+    assert kinds[77].__name__ == "CCHedge"
     # The deleted parallel engine's barrier frames: never reused.  They
     # only ever travelled on a pipe between a hub and the workers it
     # spawned from the same tree, so no frame a deployed node sends or
@@ -578,7 +582,9 @@ def test_wire_ids_are_unique_and_stable():
     # ResolvePlacement is gone.  v6: GroupData carries the sequencer's
     # stamp, StabilityGossip the abcast delivery frontier.  v7: heartbeats
     # are one-way; HeartbeatAck is gone, Subscribe / Unsubscribe are new.
-    assert WIRE_VERSION == 7
+    # v8: CCHedge is new; CCRequest is unchanged, so a failure-free
+    # request is the same bytes as under v7 apart from the version byte.
+    assert WIRE_VERSION == 8
 
 
 def test_a_v6_heartbeat_ack_is_refused_by_version_not_by_kind():
