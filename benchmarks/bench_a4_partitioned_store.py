@@ -4,9 +4,11 @@ Paper §3: "The leader may perform group-wide application-level functions
 such as partitioning data ... between subgroups."  The partitioned store
 assigns each key to one leaf, replicates it inside that leaf, and routes
 client operations to the owning leaf only — to its cohort set, the first
-``resiliency`` members — so the request costs 2r messages and the
-replication one leaf's worth, independent of how large the store's
-serving group grows.
+``resiliency`` members — so a put costs 2r messages and the replication
+one leaf's worth, independent of how large the store's serving group
+grows.  A get goes to the leaf's coordinator alone and costs 2: one
+request, one reply, nothing held or copied, since a read has nothing for
+a cohort to take over.
 """
 
 import sys
@@ -43,34 +45,45 @@ def run_one(n: int):
     env.run_for(10.0)
     delta = env.stats_since(before)
     assert oks == [True] * OPS
-    per_op = data_messages(delta, CC_CATEGORIES) / OPS
+    per_put = data_messages(delta, CC_CATEGORIES) / OPS
     # replication inside the owning leaf (abcast of the table update)
     repl = delta.by_category.get("group-data", 0) / OPS
+    before = env.stats_snapshot()
+    values = []
+    for i in range(OPS):
+        client.get(f"key-{i}", values.append)
+    env.run_for(10.0)
+    delta = env.stats_since(before)
+    assert values == list(range(OPS))
+    per_get = data_messages(delta, CC_CATEGORIES) / OPS
     leaves = len(
         next(r for r in leaders if r.is_manager).state.leaves
     )
-    return leaves, round(per_op, 1), round(repl, 1), 2 * params.resiliency
+    return leaves, round(per_put, 1), round(per_get, 1), round(repl, 1), 2 * params.resiliency
 
 
 def run_experiment():
     rows = []
-    per_op_series = []
+    per_put_series = []
     for n in SIZES:
-        leaves, per_op, repl, bound = run_one(n)
-        per_op_series.append(per_op)
-        rows.append((n, leaves, per_op, repl, bound))
-        assert per_op <= bound, f"n={n}: {per_op} msgs/op exceeds {bound}"
+        leaves, per_put, per_get, repl, bound = run_one(n)
+        per_put_series.append(per_put)
+        rows.append((n, leaves, per_put, per_get, repl, bound))
+        assert per_put <= bound, f"n={n}: {per_put} msgs/put exceeds {bound}"
+        assert per_get == 2, f"n={n}: {per_get} msgs/get, not 2"
     # per-op cost does not grow with n
-    assert max(per_op_series) <= min(per_op_series) * 1.8 + 2
+    assert max(per_put_series) <= min(per_put_series) * 1.8 + 2
     return rows
 
 
 def test_a4_partitioned_store_flat_cost(benchmark):
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     print_table(
-        f"A4: partitioned store, {OPS} puts per run",
-        ["workers", "leaves", "cc msgs/op", "replication msgs/op", "bound 2r"],
+        f"A4: partitioned store, {OPS} puts then {OPS} gets per run",
+        ["workers", "leaves", "cc msgs/put", "cc msgs/get",
+         "replication msgs/put", "bound 2r"],
         rows,
-        note="each operation touches one leaf: the request costs 2r, the "
-        "replication one leaf's worth, flat as the store grows",
+        note="each operation touches one leaf: a put costs 2r plus the "
+        "replication, one leaf's worth; a get costs 2 (coordinator only); "
+        "flat as the store grows",
     )

@@ -57,7 +57,9 @@ MAGIC = b"RW"
 # Subscribe (34) / Unsubscribe (35) say who is pushed to.
 # v8: CCHedge (77) — a client asks the next rank of a cohort set to
 # answer a read its coordinator has left unanswered.
-WIRE_VERSION = 8
+# v9: CCHedge (77) is retired — a read goes to the coordinator alone as a
+# CCRead (78), and its hedge is the same CCRead, sent to the next rank.
+WIRE_VERSION = 9
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

@@ -68,7 +68,7 @@ from repro.membership.view import GroupView, ViewId
 from repro.net.wire.codec import register_kind
 from repro.proc.rpc import RpcReply, RpcRequest
 from repro.toolkit.coordinator_cohort import (
-    CCHedge,
+    CCRead,
     CCReply,
     CCRequest,
     CCResultNote,
@@ -153,7 +153,8 @@ def ensure_registered() -> None:
     # Toolkit (70-79).  64-69 are the deploy control plane
     # (repro.deploy.messages).  CCRequest/CCReply grew the cohort-set
     # fields (view_seq, cohorts) in WIRE_VERSION 5; the ids stay put.
-    # CCHedge (77) is new in WIRE_VERSION 8.
+    # Id 77 was CCHedge in WIRE_VERSION 8 only; like 33 and 90 it stays
+    # retired.  CCRead (78), a read sent to one member, is new in v9.
     register_kind(70, CCRequest)
     register_kind(71, CCReply)
     register_kind(72, CCResultNote)
@@ -161,7 +162,7 @@ def ensure_registered() -> None:
     register_kind(74, ScatterTask)
     register_kind(75, PartialResult)
     register_kind(76, SMCommand)
-    register_kind(77, CCHedge)
+    register_kind(78, CCRead)
 
     # Hierarchy state structs carried inside HOp / RPC replies (80-89).
     register_kind(80, AddLeaf)

@@ -2,7 +2,7 @@
 (paper §2/§4), on both flat and hierarchical groups."""
 
 from repro.toolkit.coordinator_cohort import (
-    CCHedge,
+    CCRead,
     CCReply,
     CCRequest,
     CCResultNote,
@@ -39,7 +39,7 @@ from repro.toolkit.transactions import (
 )
 
 __all__ = [
-    "CCHedge",
+    "CCRead",
     "CCReply",
     "CCRequest",
     "CCResultNote",

@@ -18,30 +18,32 @@ and clients are told it by the servers (the ``GetMembers`` reply, and
 any ``CCReply`` to a request that was addressed under another view), so
 nobody configures it and a client is never more than one reply behind.
 
-Message accounting (the paper's E1 claim): r request messages (client to
-the set) + 1 reply to the client + r-1 result copies to the cohorts =
-**2r messages** per request, with r members doing work.  A group that
-states no resiliency is the paper's *small group* (size == resiliency):
-the set is the whole view and the cost is E1's 2n — which is exactly why
-this style "does not scale up very well" without the bound.
+Message accounting (the paper's E1 claim): a write costs r request
+messages (client to the set) + 1 reply to the client + r-1 result copies
+to the cohorts = **2r messages**, with r members doing work.  A group
+that states no resiliency is the paper's *small group* (size ==
+resiliency): the set is the whole view and the cost is E1's 2n — which
+is exactly why this style "does not scale up very well" without the
+bound.  A *read* costs **2**: it has nothing to take over.  Client and
+server both declare the reads (``is_read``); the client sends one to the
+coordinator alone as a :class:`CCRead`, and whichever set member gets it
+runs it and replies, keeping nothing.  A plain :class:`CCRequest` takes
+the write path, so an undeclaring client never runs a read twice.
 
 Survivors of a view change keep their relative order and joiners go to
 the back, so what is left of a stale set is a prefix of the current one:
-takeover, pending requests and retained results all stay inside the set.
+takeover, pending writes and retained results all stay inside the set.
 A request that reaches a member outside the set all the same (a client
-whose whole set has since left the group) is forwarded to the set once.
+whose whole set has since left the group) is forwarded once: a write to
+the set, a read to its coordinator.
 
 **Reads outlive their coordinator.**  A takeover waits for the failure
 detector and the view change (``suspect_after``); a read need not.  A
-client that has heard nothing after
-:data:`HEDGE_MEDIANS` times the median of its recent replies sends the
-*next rank* of the set one :class:`CCHedge`; that member, if it holds the
-request and the server declared the payload a read (``is_read``),
-answers from its own replica — a read any cohort can serve, since every
-cohort keeps the same totally ordered state.  Anything else is executed
-by the coordinator only, so at-most-once is unchanged.  The member that
-answers drops the request from its pending set and, once it coordinates,
-tells its fellow cohorts the result, so no later takeover runs it again.
+client that has heard nothing for a read after :data:`HEDGE_MEDIANS`
+times the median of its recent replies sends the same read to the *next
+rank* of the set, which answers from its own replica, the same totally
+ordered state.  Each retry of a read, hedged or not, moves one rank on.
+A write is executed by the coordinator only; it is never hedged.
 
 A process may host several servers (different groups) and several client
 stubs; a per-process :class:`_CCDispatch` demultiplexes the shared wire
@@ -65,27 +67,27 @@ from repro.proc.process import Process, Timer
 Handler = Callable[[Any, Address], Any]
 
 RESULTS_KEPT = 4096
-"""How many finished requests a cohort-set member remembers, oldest
-evicted first.  A result is kept to answer a client's retry without
-executing again, and a retry comes within ``timeout * max_retries``
-seconds of the first attempt (4 s at the client's defaults), which this
-covers up to a thousand requests a second at one group.  A retry that
-arrives after eviction re-executes — at-least-once, as after a leaf
-change."""
+"""How many finished writes a cohort-set member remembers, oldest
+evicted first (a read is never remembered: a retry reads again).  A
+result is kept to answer a client's retry without executing again, and
+a retry comes within ``timeout * max_retries`` seconds of the first
+attempt (4 s at the client's defaults), which this covers up to a
+thousand writes a second at one group.  A retry that arrives after
+eviction re-executes — at-least-once, as after a leaf change."""
 
 HEDGE_SAMPLES = 64
 HEDGE_MEDIANS = 4.0
-"""A client hedges a request still unanswered after ``HEDGE_MEDIANS``
+"""A client hedges a read still unanswered after ``HEDGE_MEDIANS``
 times the median reply time of its process's latest batch of
 ``HEDGE_SAMPLES`` first-attempt, unhedged requests (recomputed as each
 batch fills), and never before the first batch.  Derived, never set, and
 safe at any value: a hedge makes at most one more member execute a
-*read*, never a write.  Four medians sit far above a failure-free tail
-(p99 / p50 is under 2.1 on the three failure-free benchmark workloads,
-and no hedge fires on them) and far below a takeover, which waits for
-the failure detector: a hedged get is answered about four medians plus
-one round trip after it was sent, where a takeover takes
-``suspect_after``."""
+*read*; a write is never hedged.  Four medians sit far above a
+failure-free tail (p99 / p50 is under 2.1 on the three failure-free
+benchmark workloads, and no hedge fires on them) and far below a
+takeover, which waits for the failure detector: a hedged get is answered
+about four medians plus one round trip after it was sent, where a
+takeover takes ``suspect_after``."""
 
 
 @dataclass
@@ -97,6 +99,11 @@ class CCRequest:
     client: Address = ""
     # Seq of the view the client's cohort set came from (0 = none yet).
     view_seq: int = 0
+
+
+@dataclass
+class CCRead(CCRequest):
+    """A declared read, sent to one set member, which runs it and replies."""
 
 
 @dataclass
@@ -119,16 +126,6 @@ class CCResultNote:
     request_id: str = ""
     result: Any = None
     client: Address = ""
-
-
-@dataclass
-class CCHedge:
-    """A client's second ask, to the next rank of the set: answer this
-    request yourself if you hold it and it is a read."""
-
-    category = "cc-request"
-    group: str
-    request_id: str = ""
 
 
 @dataclass
@@ -167,7 +164,7 @@ class _CCDispatch:
         self._batch: List[float] = []
         self.hedge_delay: Optional[float] = None
         process.on(CCRequest, self._on_request)
-        process.on(CCHedge, self._on_hedge)
+        process.on(CCRead, self._on_request)
         process.on(CCReply, self._on_reply)
         process.on(CCResultNote, self._on_result_note)
         self.rpc = rpc if rpc is not None else Rpc(process)
@@ -189,11 +186,6 @@ class _CCDispatch:
         server = self.servers.get(request.group)
         if server is not None:
             server._on_request(request, sender)
-
-    def _on_hedge(self, hedge: CCHedge, sender: Address) -> None:
-        server = self.servers.get(hedge.group)
-        if server is not None:
-            server._on_hedge(hedge)
 
     def _on_reply(self, reply: CCReply, sender: Address) -> None:
         client = self.outstanding.get(reply.request_id)
@@ -222,9 +214,8 @@ class CoordinatorCohortServer:
 
     ``resiliency`` is the size of the cohort set; ``None`` makes the
     group a small group, whose set is its whole view.  ``is_read(payload)``
-    declares which requests only read the replicated state: a cohort
-    answers those itself when the client hedges.  Without it every
-    request waits for the coordinator.
+    declares the reads: any set member runs one that arrives as a
+    :class:`CCRead` and replies.  Writes run on the coordinator only.
     """
 
     def __init__(
@@ -240,13 +231,11 @@ class CoordinatorCohortServer:
         self.is_read = is_read
         self.requests_executed = 0
         self.takeovers = 0
-        # All held by cohort-set members only.  request_id -> request,
-        # dropped once a result is known; request_id -> result, bounded;
-        # the result copies of reads this member answered on a hedge, kept
-        # until a coordinator's copy arrives or this member coordinates.
+        # Writes only, held by cohort-set members only: request_id ->
+        # request, dropped once a result is known; request_id -> result,
+        # bounded.
         self._pending: Dict[str, CCRequest] = {}
         self._results: "OrderedDict[str, Any]" = OrderedDict()
-        self._hedge_notes: Dict[str, CCResultNote] = {}
         # The cohort set of the view this member last saw, and the rest
         # of it as seen from here (who gets a result copy).
         self._view_seq = 0
@@ -276,12 +265,17 @@ class CoordinatorCohortServer:
         )
 
     def _on_request(self, request: CCRequest, sender: Address) -> None:
+        read = type(request) is CCRead and self.is_read and self.is_read(request.payload)
         if self.member.me not in self._cohorts:
             # Outside the set (or out of the group, knowing the view that
-            # removed us): pass a client's request on to the set, whose
-            # reply corrects the client.  Never pass on a forwarded one.
+            # removed us): pass a client's request on — a write to the
+            # set, a read to its coordinator alone — whose reply corrects
+            # the client.  Never pass on a forwarded one.
             if sender == request.client:
-                self.member.runtime.process.multicast(self._cohorts, request)
+                to = self._cohorts[:1] if read else self._cohorts
+                self.member.runtime.process.multicast(to, request)
+        elif read:
+            self._reply(request, self._run(request))
         elif request.request_id in self._results:
             # Retransmitted request already served: coordinator re-replies.
             if self._is_coordinator():
@@ -303,43 +297,35 @@ class CoordinatorCohortServer:
             ),
         )
 
-    def _execute(self, request: CCRequest, hedged: bool = False) -> None:
-        """Run the request here and reply.  The coordinator sends the
-        result copy to its fellow cohorts now; a member answering a hedge
-        keeps it until it next coordinates (a coordinator's own copy
-        makes it moot)."""
-        request_id = request.request_id
-        self._pending.pop(request_id, None)
+    def _run(self, request: CCRequest) -> Any:
         result = self.handler(request.payload, request.client)
         self.requests_executed += 1
-        self._remember(request_id, result)
-        process = self.member.runtime.process
-        trace = process.env.network.trace
+        trace = self.member.runtime.process.env.network.trace
         if trace is not None:
             trace.local(
-                "cc-hedge-execute" if hedged else "cc-execute",
-                category="toolkit", process=self.member.me,
-                group=self.member.group, request_id=request_id,
+                "cc-execute", category="toolkit", process=self.member.me,
+                group=self.member.group, request_id=request.request_id,
             )
-        self._reply(request, result)
-        note = CCResultNote(
-            group=self.member.group,
-            request_id=request_id,
-            result=result,
-            client=request.client,
-        )
-        if hedged:
-            self._hedge_notes[request_id] = note
-        elif self._fellow_cohorts:
-            process.multicast(self._fellow_cohorts, note)
+        return result
 
-    def _on_hedge(self, hedge: CCHedge) -> None:
-        """The client heard nothing for several of its usual reply times:
-        a read this member holds is answered from its own replica."""
-        request = self._pending.get(hedge.request_id)
-        if request is None or self.is_read is None or not self.is_read(request.payload):
-            return
-        self._execute(request, hedged=True)
+    def _execute(self, request: CCRequest) -> None:
+        """Run a write here, reply, and send the result copy to the
+        fellow cohorts, so no takeover runs it again."""
+        request_id = request.request_id
+        self._pending.pop(request_id, None)
+        result = self._run(request)
+        self._remember(request_id, result)
+        self._reply(request, result)
+        if self._fellow_cohorts:
+            self.member.runtime.process.multicast(
+                self._fellow_cohorts,
+                CCResultNote(
+                    group=self.member.group,
+                    request_id=request_id,
+                    result=result,
+                    client=request.client,
+                ),
+            )
 
     def _remember(self, request_id: str, result: Any) -> None:
         self._results[request_id] = result
@@ -349,14 +335,11 @@ class CoordinatorCohortServer:
     def _on_result_note(self, note: CCResultNote, sender: Address) -> None:
         self._remember(note.request_id, note.result)
         self._pending.pop(note.request_id, None)
-        self._hedge_notes.pop(note.request_id, None)
 
     def _on_view(self, event: ViewEvent) -> None:
         """Recompute the cohort set; then cohort takeover: if the
-        coordinator died holding requests we know about but never
-        published results for, the new coordinator re-executes them —
-        after telling the other cohorts which reads it already answered
-        on a hedge, which they still hold."""
+        coordinator died holding writes we know about but never published
+        results for, the new coordinator re-executes them."""
         self._derive_cohorts(event.view)
         if self.member.me not in self._cohorts:
             # Never in the set and holding nothing, or — ranks only
@@ -365,14 +348,9 @@ class CoordinatorCohortServer:
             # it is, a retry re-executes.
             self._pending.clear()
             self._results.clear()
-            self._hedge_notes.clear()
             return
         if not self._is_coordinator():
             return
-        if self._fellow_cohorts:
-            for note in self._hedge_notes.values():
-                self.member.runtime.process.multicast(self._fellow_cohorts, note)
-        self._hedge_notes.clear()
         for request_id in sorted(self._pending):
             self.takeovers += 1
             trace = self.member.runtime.process.env.network.trace
@@ -392,14 +370,16 @@ class _Call:
     on_reply: Callable[[Any], None]
     on_failure: Optional[Callable[[], None]]
     retries_left: int
+    read: bool
     timer: Optional[Timer] = None
-    # When the first attempt went out; None once hedged or retried, so
-    # that only clean replies feed the hedge delay.
+    # When the first attempt went out; None past the hedge delay or once
+    # retried, so that only clean replies feed the hedge delay.
     sent_at: Optional[float] = None
 
 
 class CoordinatorCohortClient:
-    """Client stub: cohort-set discovery + request to the set + retry."""
+    """Client stub: cohort-set discovery + request to the set + retry.
+    ``is_read`` is the serving group's own (see the module docstring)."""
 
     _ids = itertools.count(1)
 
@@ -412,9 +392,11 @@ class CoordinatorCohortClient:
         rpc=None,
         timeout: float = 1.0,
         max_retries: int = 4,
+        is_read: Optional[Callable[[Any], bool]] = None,
     ) -> None:
         self.process = process
         self.group = group
+        self.is_read = is_read
         self.contacts = tuple(contacts) if contacts else (contact,)
         if not any(self.contacts):
             raise ValueError("need a contact or contacts")
@@ -436,8 +418,9 @@ class CoordinatorCohortClient:
         on_failure: Optional[Callable[[], None]] = None,
     ) -> str:
         request_id = f"{self.process.address}/cc{next(self._ids)}"
+        read = self.is_read is not None and self.is_read(payload)
         self._calls[request_id] = _Call(
-            payload, on_reply, on_failure, self.max_retries
+            payload, on_reply, on_failure, self.max_retries, read
         )
         self._dispatch.outstanding[request_id] = self
         self._send(request_id)
@@ -455,16 +438,14 @@ class CoordinatorCohortClient:
                 lambda: self._maybe_retry(request_id),
             )
             return
-        self.process.multicast(
-            self._members,
-            CCRequest(
-                group=self.group,
-                request_id=request_id,
-                payload=call.payload,
-                client=self.process.address,
-                view_seq=self._view_seq,
-            ),
-        )
+        request = self._request(request_id, call)
+        if call.read:
+            # Each retry to the next rank: the last one may be silent
+            # while the set this retry fetched still names it.
+            attempt = self.max_retries - call.retries_left
+            self.process.send(self._members[attempt % len(self._members)], request)
+        else:
+            self.process.multicast(self._members, request)
         if call.retries_left == self.max_retries:
             call.sent_at = self.process.env.now
             delay = self._dispatch.hedge_delay
@@ -479,15 +460,25 @@ class CoordinatorCohortClient:
             self.timeout, lambda: self._maybe_retry(request_id)
         )
 
+    def _request(self, request_id: str, call: _Call) -> CCRequest:
+        fields = dict(
+            group=self.group,
+            request_id=request_id,
+            payload=call.payload,
+            client=self.process.address,
+            view_seq=self._view_seq,
+        )
+        return CCRead(**fields) if call.read else CCRequest(**fields)
+
     def _hedge(self, request_id: str, delay: float) -> None:
+        """A read goes to the next rank, which answers from its replica;
+        a write only stops feeding the hedge delay."""
         call = self._calls.get(request_id)
         if call is None:
             return
         call.sent_at = None
-        if self._members is not None and len(self._members) > 1:
-            self.process.send(
-                self._members[1], CCHedge(group=self.group, request_id=request_id)
-            )
+        if call.read and self._members is not None and len(self._members) > 1:
+            self.process.send(self._members[1], self._request(request_id, call))
         call.timer = self.process.set_timer(
             self.timeout - delay, lambda: self._maybe_retry(request_id)
         )

@@ -4,8 +4,8 @@ The same reliable-service abstraction as :mod:`repro.toolkit.
 coordinator_cohort`, but the serving group is a *large group*: a client's
 request goes only to the cohort set of **one leaf subgroup** — the first
 ``resiliency`` members of the leaf's view, the contacts the group leader
-already keeps for it — so the per-request cost is ``2 * resiliency``
-messages no matter how large the leaf is or how many thousands of
+already keeps for it — so a write costs ``2 * resiliency`` messages and
+a declared read 2, no matter how large the leaf is or how many thousands of
 processes implement the service.  This is the paper's scaling fix:
 "requests are broadcast to individual subgroups."
 

@@ -39,8 +39,9 @@ def owner_of(key: Any, leaf_ids: List[str]) -> str:
 
 def _is_get(payload: Any) -> bool:
     """A get only reads the leaf's replica, which every cohort keeps in
-    the same total order: a cohort may answer it when the coordinator is
-    silent.  Puts and deletes run on the coordinator only."""
+    the same total order: the client sends it to the coordinator alone
+    and any cohort it reaches may answer it.  Puts and deletes run on the
+    coordinator only.  Server and client both declare this predicate."""
     return payload.get("op") == "get"
 
 
@@ -147,6 +148,7 @@ class PartitionedStoreClient:
                 rpc=self.rpc,
                 timeout=self.timeout,
                 max_retries=3,
+                is_read=_is_get,
             )
             self._cc[leaf_id] = cc
 

@@ -78,10 +78,12 @@ def test_grand_tour():
     new_root.broadcast({"recipe": "tour"}, atomic=True)
     env.run_for(8.0)
 
-    # phase 4: more store traffic after all the churn
-    got = []
+    # phase 4: more store traffic after all the churn.  A get whose cached
+    # set names a member that has since left the set is forwarded once,
+    # so replies need not come back in issue order.
+    got = [None] * 10
     for i in range(10):
-        store_client.get(f"key-{i}", got.append)
+        store_client.get(f"key-{i}", lambda value, i=i: got.__setitem__(i, value))
     env.run_for(10.0)
 
     # ---- invariants across every subsystem ----

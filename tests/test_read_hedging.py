@@ -1,16 +1,22 @@
-"""Reads outlive their coordinator: the client's hedge and the cohort's
-answer from its own replica (docs/hierarchy.md, "Reads during a
-coordinator outage").
+"""Reads outlive their coordinator, and a read costs 2 messages
+(docs/hierarchy.md, "Reads during a coordinator outage").
 
-A client that has heard nothing for ``HEDGE_MEDIANS`` x its median reply
-time sends one ``CCHedge`` to rank 1 of the cohort set; rank 1 answers a
-request it holds if the server declared the payload a read.  These tests
-hold the pieces the benchmark cannot see on its own: no hedge without a
-fault, gets answered by rank 1 within the hedge delay plus one round
-trip while puts wait for the takeover, no write ever executed off the
-coordinator, a hedged read executed once across a later takeover, and
-what a hedged read may return.
+A client sends a declared read to the coordinator alone.  If it has heard
+nothing for ``HEDGE_MEDIANS`` x its median reply time, it sends the same
+request, payload and all, to rank 1 of the cohort set, which answers from
+its own replica.  A read is never pending, never taken over, never copied
+and never remembered.  A write still goes to the whole set and is
+executed by the coordinator only.  These tests hold the pieces the
+benchmark cannot see on its own: no hedge without a fault, gets answered
+by rank 1 within the hedge delay plus one round trip while puts wait for
+the takeover, no write ever executed off the coordinator, a hedged read
+executed once across a later takeover, what a hedged read may return,
+that no get is ever held, that a forwarded read runs once, that a read
+retried before the first hedge delay moves to the next rank, and that a
+client declaring no reads gets one execution from a server that does.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -21,7 +27,7 @@ from repro.net import FixedLatency, LanLatency
 from repro.proc import Environment
 from repro.sim.rand import SimRandom
 from repro.toolkit import (
-    CCHedge,
+    CCRequest,
     CoordinatorCohortClient,
     CoordinatorCohortServer,
     PartitionedStoreClient,
@@ -44,12 +50,13 @@ def node_kwargs():
     )
 
 
-def hedges_sent(env):
-    """A list that fills with (destination, request id) of every hedge."""
+def requests_sent(env, client_address):
+    """A list that fills with (destination, request id) of every request
+    the client sends; a forwarded copy is not the client's."""
     sent = []
 
     def tap(_event, envelope):
-        if isinstance(envelope.payload, CCHedge):
+        if isinstance(envelope.payload, CCRequest) and envelope.src == client_address:
             sent.append((envelope.dst, envelope.payload.request_id))
 
     env.network.add_tap(tap, events=("send",))
@@ -63,7 +70,9 @@ def is_get(payload):
     return payload[0] == "get"
 
 
-def flat_store(n=6, latency=None, seed=1, is_read=is_get):
+def flat_store(n=6, latency=None, seed=1, is_read=is_get, client_is_read=None,
+               **client_kwargs):
+    """``client_is_read`` defaults to the servers' own ``is_read``."""
     env = Environment(seed=seed, latency=latency or FixedLatency(0.002))
     nodes, members = build_group(env, "svc", n, **node_kwargs())
     servers = []
@@ -81,7 +90,8 @@ def flat_store(n=6, latency=None, seed=1, is_read=is_get):
         )
     client_node = GroupNode(env, "client", **node_kwargs())
     client = CoordinatorCohortClient(
-        client_node, "svc", contacts=("svc-0",), rpc=client_node.runtime.rpc
+        client_node, "svc", contacts=("svc-0",), rpc=client_node.runtime.rpc,
+        is_read=client_is_read or is_read, **client_kwargs,
     )
     return env, members, servers, client
 
@@ -100,18 +110,23 @@ def test_a_put_is_never_executed_off_the_coordinator():
     env, members, servers, client = flat_store()
     warm_up(env, client)
     executed = [s.requests_executed for s in servers]
-    sent = hedges_sent(env)
+    sent = requests_sent(env, "client")
     env.crash("svc-0")
     put_reply, get_reply = [], []
     put_id = client.request(("put", "k", 1), put_reply.append)
     get_id = client.request(("get", "k"), get_reply.append)
     env.run_for(0.1)
-    # Both were hedged to rank 1; only the get was answered by it.
-    assert sorted(sent) == sorted([("svc-1", put_id), ("svc-1", get_id)])
+    # The put went to the whole set, the get to the coordinator and, as
+    # its hedge, to rank 1, which answered it.  The put was not hedged.
+    assert sorted(sent) == sorted([
+        ("svc-0", put_id), ("svc-1", put_id), ("svc-2", put_id),
+        ("svc-0", get_id), ("svc-1", get_id),
+    ])
     assert get_reply == [0] and put_reply == []
-    # A hedge for the put sent to every cohort, by hand: still nothing.
-    for rank in (1, 2):
-        client.process.send(f"svc-{rank}", CCHedge(group="svc", request_id=put_id))
+    # The put sent again to every cohort, by hand: still nothing.
+    request = CCRequest(group="svc", request_id=put_id, payload=("put", "k", 1),
+                        client="client", view_seq=client._view_seq)
+    client.process.multicast(("svc-1", "svc-2"), request)
     env.run_for(0.5)
     assert put_reply == []
     assert [s.requests_executed - e for s, e in zip(servers, executed)] == [
@@ -124,6 +139,35 @@ def test_a_put_is_never_executed_off_the_coordinator():
     assert [s.requests_executed - e for s, e in zip(servers, executed)] == [
         0, 2, 0, 0, 0, 0,
     ]
+
+
+def test_a_read_sent_outside_the_set_is_executed_once_and_answered_once():
+    """A member outside the set forwards a read to the coordinator alone
+    (every set member would run it) and a write to the whole set."""
+    env, members, servers, client = flat_store()
+    env.run_for(0.5)
+    client._fetch_members(lambda: None, lambda: None)
+    env.run_for(0.1)
+    client._members = ("svc-4", "svc-5")  # a stale set, wholly outside
+    client._view_seq -= 1
+    sent = requests_sent(env, "svc-4")
+    before = env.network.stats.snapshot()
+    replies = []
+    get_id = client.request(("get", "k"), replies.append)
+    env.run_for(0.1)
+    assert replies == [None]
+    assert sent == [("svc-0", get_id)]
+    assert [s.requests_executed for s in servers] == [1, 0, 0, 0, 0, 0]
+    assert env.network.stats.since(before).by_category["cc-reply"] == 1
+    assert client._members == ("svc-0", "svc-1", "svc-2")  # corrected
+
+    client._members = ("svc-4", "svc-5")
+    client._view_seq -= 1
+    put_id = client.request(("put", "k", 1), replies.append)
+    env.run_for(0.1)
+    assert replies == [None, "ok"]
+    assert sorted(sent[1:]) == [("svc-0", put_id), ("svc-1", put_id), ("svc-2", put_id)]
+    assert [s.requests_executed for s in servers] == [2, 0, 0, 0, 0, 0]
 
 
 def test_hedged_or_not_an_answered_request_leaves_no_timer_behind():
@@ -160,6 +204,40 @@ def test_a_service_that_declares_no_reads_waits_for_the_takeover():
     assert servers[1].takeovers == 1
 
 
+def test_a_read_retried_before_the_first_hedge_delay_goes_to_the_next_rank():
+    """No hedge before a process's first batch of replies, and a timeout
+    shorter than detection: the retry's set still names the crashed
+    coordinator, so the retry must not go there again."""
+    env, members, servers, client = flat_store(timeout=0.5, max_retries=1)
+    client.request(("get", "k"), lambda r: None)  # learn the set
+    env.run_for(0.5)
+    assert client._dispatch.hedge_delay is None
+    env.crash("svc-0")
+    sent = requests_sent(env, "client")
+    replies = []
+    get_id = client.request(("get", "k"), replies.append)
+    env.run_for(0.6)
+    assert members[1].view.coordinator == "svc-0"  # not yet detected
+    assert replies == [None]
+    assert sent == [("svc-0", get_id), ("svc-1", get_id)]
+    assert servers[1].requests_executed == 1
+
+
+def test_a_client_that_declares_no_reads_gets_one_execution():
+    """A get sent as a plain request to the whole set takes the write path
+    at a server that declares reads: the coordinator runs it once."""
+    env, members, servers, client = flat_store(client_is_read=lambda p: False)
+    env.run_for(0.5)
+    before = env.network.stats.snapshot()
+    replies = []
+    client.request(("get", "k"), replies.append)
+    env.run_for(0.5)
+    assert replies == [None]
+    assert [s.requests_executed for s in servers] == [1, 0, 0, 0, 0, 0]
+    window = env.network.stats.since(before).by_category
+    assert (window["cc-request"], window["cc-reply"], window["cc-result"]) == (3, 1, 2)
+
+
 def test_a_hedged_get_is_executed_once_across_a_later_takeover():
     env, members, servers, client = flat_store()
     warm_up(env, client)
@@ -171,12 +249,10 @@ def test_a_hedged_get_is_executed_once_across_a_later_takeover():
     env.run_for(0.2)
     assert replies == [0] * 10
     assert servers[1].requests_executed == 10
-    # Rank 2 still holds them until rank 1 coordinates and sends the
-    # result copies it kept.
-    assert len(servers[2]._pending) == 10
+    # Nobody holds them: there is nothing for a takeover to run.
+    assert not any(s._pending for s in servers)
     env.run_for(2.0)
     assert members[1].view.coordinator == "svc-1"
-    assert not servers[2]._pending and not servers[1]._hedge_notes
     assert servers[1].takeovers == 0
     # The next crash makes rank 2 coordinator: it has nothing to re-run.
     env.crash("svc-1")
@@ -197,7 +273,7 @@ def test_no_hedged_get_reads_older_than_a_put_acknowledged_before_it():
     for key in keys:
         client.request(("put", key, 0), lambda r: None)
     env.run_for(0.5)
-    sent = hedges_sent(env)
+    sent = requests_sent(env, "client")
     reads = {}  # request id -> (key, newest value acknowledged at issue, reply)
     rng = SimRandom(7)
     counter = [0]
@@ -224,7 +300,8 @@ def test_no_hedged_get_reads_older_than_a_put_acknowledged_before_it():
     env.scheduler.after(1.0, lambda: env.crash("svc-0"))
     env.run_for(6.0)
     assert all(entry[2] is not None for entry in reads.values())
-    hedged = [reads[rid] for _dst, rid in sent if rid in reads]
+    sends = Counter(rid for _dst, rid in sent if rid in reads)
+    hedged = [reads[rid] for rid, count in sends.items() if count > 1]
     assert len(hedged) > 20
     stale = [(key, floor, value) for key, floor, value in hedged if value < floor]
     assert not stale
@@ -250,13 +327,10 @@ def store_client(env, contacts, name="store-client"):
     return PartitionedStoreClient(node, node.runtime.rpc, contacts, "svc")
 
 
-def test_no_hedge_is_sent_in_a_failure_free_store_under_load():
-    env, contacts, members, stores = store(LanLatency())
-    clients = [store_client(env, contacts, f"client-{i}") for i in range(3)]
-    sent = hedges_sent(env)
+def mixed_load(env, clients, count, answers):
+    """``count`` requests at 500 a second, one in five a put."""
     rng = SimRandom(11)
-    answers = []
-    for i in range(1500):  # 500 requests a second, one in five a put
+    for i in range(count):
         client = clients[i % len(clients)]
         key = f"k{rng.randint(0, 199)}"
         if rng.chance(0.2):
@@ -264,10 +338,57 @@ def test_no_hedge_is_sent_in_a_failure_free_store_under_load():
         else:
             action = lambda c=client, k=key: c.get(k, answers.append)
         env.scheduler.after(0.002 * i, action)
+
+
+def test_no_hedge_is_sent_in_a_failure_free_store_under_load():
+    env, contacts, members, stores = store(LanLatency())
+    clients = [store_client(env, contacts, f"client-{i}") for i in range(3)]
+    sent = []
+
+    def tap(_event, envelope):
+        if isinstance(envelope.payload, CCRequest):
+            sent.append((envelope.payload.request_id, envelope.payload.payload["op"]))
+
+    env.network.add_tap(tap, events=("send",))
+    answers = []
+    mixed_load(env, clients, 1500, answers)
     env.run_for(5.0)
     assert len(answers) == 1500
     assert all(_CCDispatch.for_process(c.process).hedge_delay for c in clients)
-    assert sent == []
+    # Every get went once, to its coordinator; every put once to the set.
+    per_request = Counter(sent)
+    assert len(per_request) == 1500
+    assert all(count == (1 if op == "get" else 3) for (_, op), count in per_request.items())
+
+
+def test_no_get_ever_enters_pending_or_results_at_any_member():
+    env, contacts, members, stores = store(LanLatency())
+    clients = [store_client(env, contacts, f"client-{i}") for i in range(3)]
+    gets = set()
+
+    def tap(_event, envelope):
+        payload = envelope.payload
+        if isinstance(payload, CCRequest) and payload.payload["op"] == "get":
+            gets.add(payload.request_id)
+
+    env.network.add_tap(tap, events=("send",))
+    held = []
+
+    def check():
+        for s in stores:
+            server = s.service.current
+            held.extend(gets & (set(server._pending) | set(server._results)))
+        env.scheduler.after(0.01, check)
+
+    check()
+    answers = []
+    mixed_load(env, clients, 1500, answers)
+    # A coordinator crash mid-load: hedged gets, a takeover of puts.
+    env.scheduler.after(1.0, lambda: env.crash(members[0].leaf_member.view.coordinator))
+    env.run_for(5.0)
+    assert len(answers) == 1500 and len(gets) > 1000
+    assert held == []
+    assert sum(s.service.current.takeovers for s in stores if s.member.node.alive) >= 1
 
 
 def test_with_the_coordinator_crashed_rank_1_answers_gets_and_the_takeover_puts():
@@ -313,4 +434,3 @@ def test_with_the_coordinator_crashed_rank_1_answers_gets_and_the_takeover_puts(
     assert [ok for ok, _ in puts] == [True] * 4
     assert min(latency for _, latency in puts) > 0.5
     assert rank1.service.current.takeovers == 4
-

@@ -11,11 +11,13 @@ and holds ``NetworkStats.by_category`` to the same twenty names.  The
 table is copied here, not imported: the harness is not on tier-1's path,
 and a name added there must be added here by hand, on purpose.
 
-The harness is also the only place a per-put message budget is visible,
-so the second test pins it on the benchmark's leaf shape (one full leaf
-of 16): a put is the request path's 6 ``cc-*`` messages plus one
-``group-data`` per other member — the coordinator is the sequencer, so
-its abcast carries its own order and draws no ``group-setorder``.
+The harness is also the only place a per-request message budget is
+visible, so the second test pins it on the benchmark's leaf shape (one
+full leaf of 16): a put is the request path's 3 + 1 + 2 ``cc-*``
+messages (the set, the reply, the result copies) plus one ``group-data``
+per other member — the coordinator is the sequencer, so its abcast
+carries its own order and draws no ``group-setorder`` — and a get is
+1 + 1: one request to the coordinator, one reply, nothing else.
 
 Nor has the harness a per-member metric for the background budget yet
 (ROADMAP item 1(b)); the third test is its tier-1 stand-in: an idle
@@ -114,12 +116,15 @@ def test_requests_takeover_and_stale_set_stay_in_the_known_categories():
     leaf_id = client.owner_leaf("k0")
     victim = by_leaf[leaf_id][0][0].leaf_member.acting_coordinator()
     leaf_keys = [k for k in keys if client.owner_leaf(k) == leaf_id]
-    got = []
-    client.get(leaf_keys[0], got.append)  # in flight when the coordinator dies
+    got, rewritten = [], []
+    # A put in flight when the coordinator dies is the takeover's to run;
+    # the gets behind it are answered by the next rank.
+    client.put(leaf_keys[0], keys.index(leaf_keys[0]), rewritten.append)
     env.crash(victim)
-    for key in leaf_keys[1:]:
+    for key in leaf_keys:
         client.get(key, got.append)
     env.run_for(5.0)
+    assert rewritten == [True]
     assert sorted(got) == sorted(keys.index(k) for k in leaf_keys)
     survivors = [(m, s) for m, s in by_leaf[leaf_id] if m.me != victim]
     assert sum(s.service.current.takeovers for _, s in survivors) >= 1
@@ -166,17 +171,30 @@ def test_a_put_into_a_sixteen_member_leaf_is_15_data_and_6_cc():
     client.put("warm-up", 0, done.append)  # leaf directory + GetMembers
     env.run_for(2.0)
 
-    def puts(count, start):
-        """``count`` puts 50 ms apart; the window's per-category counts."""
+    def window(count, op):
+        """``count`` calls of ``op(i)`` 50 ms apart; the window's
+        per-category counts."""
         before = env.network.stats.snapshot()
         for i in range(count):
-            env.scheduler.after(
-                0.05 * i, lambda i=i: client.put(f"k{start + i}", i, done.append)
-            )
+            env.scheduler.after(0.05 * i, lambda i=i: op(i))
         env.run_for(0.05 * count + 2.0)
         delta = env.network.stats.since(before).by_category
         assert set(delta) <= KNOWN_CATEGORIES, sorted(set(delta) - KNOWN_CATEGORIES)
         return delta
+
+    def puts(count, start):
+        return window(count, lambda i: client.put(f"k{start + i}", i, done.append))
+
+    got = []
+
+    def gets(count, start):
+        """Gets only read: no abcast, no stability, no result copies."""
+        delta = window(count, lambda i: client.get(f"k{start + i}", got.append))
+        assert (delta["cc-request"], delta["cc-reply"], delta.get("cc-result", 0)) == (
+            count, count, 0,
+        )
+        assert delta.get("group-data", 0) == 0
+        assert got[-count:] == list(range(count))
 
     # -- puts ----------------------------------------------------------------------
     delta = puts(20, start=0)
@@ -189,6 +207,7 @@ def test_a_put_into_a_sixteen_member_leaf_is_15_data_and_6_cc():
     # later.
     assert 0 < delta["group-stability"] <= 4 * 2 * 15
     assert delta["transport-ack"] <= 20 * 15 + delta["group-stability"]
+    gets(20, start=0)
 
     # -- a takeover: the next rank both coordinates and sequences -----------------------
     coordinator = members[0].leaf_member.view.coordinator
@@ -204,6 +223,7 @@ def test_a_put_into_a_sixteen_member_leaf_is_15_data_and_6_cc():
     assert delta["group-data"] == 20 * 14
     assert delta.get("group-setorder", 0) == 0
     assert (delta["cc-request"], delta["cc-reply"], delta["cc-result"]) == (60, 20, 40)
+    gets(20, start=100)
 
     # -- a join ---------------------------------------------------------------------
     before = env.network.stats.snapshot()

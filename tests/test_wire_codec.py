@@ -316,11 +316,12 @@ def test_cohort_set_and_tree_replies_round_trip():
     """Wire v5: the cohort set rides on the request path (view seq on the
     request, seq + set on a correcting reply and on the GetMembers reply)
     and the GetHierarchyInfo reply carries the branch tree routers walk.
-    Wire v8: a hedge names the request, not its payload."""
+    Wire v9: a declared read is a CCRead, and its hedge the same CCRead
+    sent to the next rank."""
     from repro.core import HierarchyState, LargeGroupParams
     from repro.core.views import AddLeaf
     from repro.proc.rpc import RpcReply
-    from repro.toolkit import CCHedge, CCReply, CCRequest
+    from repro.toolkit import CCRead, CCReply, CCRequest
 
     state = HierarchyState("svc", LargeGroupParams(resiliency=2, fanout=2))
     for i in range(5):
@@ -329,6 +330,11 @@ def test_cohort_set_and_tree_replies_round_trip():
     assert len(info["tree"]) > 1  # deeper than the root alone
     payloads = [
         CCRequest(
+            group="svc::leaf-0", request_id="client/cc8",
+            payload={"op": "put", "key": "k", "value": 1}, client="client",
+            view_seq=7,
+        ),
+        CCRead(
             group="svc::leaf-0", request_id="client/cc9",
             payload={"op": "get", "key": "k"}, client="client", view_seq=7,
         ),
@@ -337,7 +343,6 @@ def test_cohort_set_and_tree_replies_round_trip():
             cohorts=("w-0b", "w-0c", "w-0d"),
         ),
         RpcReply(request_id="client#3", value=(8, ("w-0b", "w-0c"), ("w-0d",))),
-        CCHedge(group="svc::leaf-0", request_id="client/cc9"),
         RpcReply(request_id="client#4", value=info),
     ]
     for original in payloads:
@@ -568,7 +573,8 @@ def test_wire_ids_are_unique_and_stable():
     assert 33 not in kinds  # HeartbeatAck, retired in v7: never reused
     assert (kinds[34].__name__, kinds[35].__name__) == ("Subscribe", "Unsubscribe")
     assert kinds[70].__name__ == "CCRequest"
-    assert kinds[77].__name__ == "CCHedge"
+    assert 77 not in kinds  # CCHedge, retired in v9: never reused
+    assert kinds[78].__name__ == "CCRead"
     # The deleted parallel engine's barrier frames: never reused.  They
     # only ever travelled on a pipe between a hub and the workers it
     # spawned from the same tree, so no frame a deployed node sends or
@@ -584,7 +590,10 @@ def test_wire_ids_are_unique_and_stable():
     # are one-way; HeartbeatAck is gone, Subscribe / Unsubscribe are new.
     # v8: CCHedge is new; CCRequest is unchanged, so a failure-free
     # request is the same bytes as under v7 apart from the version byte.
-    assert WIRE_VERSION == 8
+    # v9: CCHedge is gone — a read is a CCRead, and its hedge the same
+    # CCRead sent to the next rank — so a v8 peer's hedge is refused at
+    # the header.
+    assert WIRE_VERSION == 9
 
 
 def test_a_v6_heartbeat_ack_is_refused_by_version_not_by_kind():
