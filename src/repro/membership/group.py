@@ -298,7 +298,14 @@ class GroupMember:
 
     def _sequence_if_needed(self, data: GroupData, engine: TotalEngine) -> None:
         """At the sequencer, for data that does not carry its order (some
-        other member's): assign and publish the global order."""
+        other member's): assign and publish the global order — but not
+        during a flush.  This member's flush reply has already reported
+        every order it assigned, and the view change positions flushed
+        data nobody ordered after those; an order given now would be
+        missing from that merge and could contradict it (a retransmitted
+        abcast can reach the sequencer after its reply)."""
+        if self._blocked:
+            return
         set_order = engine.assign_order(data)
         if set_order is None:
             return
@@ -638,8 +645,13 @@ class GroupMember:
             ]
             if 2 * len(old_survivors) <= self.view.size:
                 # Mid-flush drops took us below quorum: abandon the view
-                # change rather than install a minority view.
+                # change rather than install a minority view.  No merge
+                # will place what reached the sequencer meanwhile, so it
+                # orders that now.
                 self._blocked = False
+                engine: TotalEngine = self._engines[TOTAL]
+                for data in engine.held():
+                    self._sequence_if_needed(data, engine)
                 return
         unstable = flush.merged_unstable()
         orders, next_global_seq = flush.merged_orders()
@@ -864,6 +876,11 @@ class GroupRuntime:
         self.rpc.serve(LeaveRequest, self._serve_leave)
         if gossip_interval is not None:
             process.every(gossip_interval, self._gossip_all)
+            # Each round a member that delivered data reports it to the
+            # coordinator, and a coordinator that heard reports announces
+            # floors: the acks for data and reports ride on those, or
+            # leave on their own a round late (docs/comms.md).
+            self.transport.hold_acks((GroupData, StabilityGossip), gossip_interval)
         process.add_recover_listener(self._after_recovery)
 
     def _after_recovery(self) -> None:

@@ -59,7 +59,9 @@ MAGIC = b"RW"
 # answer a read its coordinator has left unanswered.
 # v9: CCHedge (77) is retired — a read goes to the coordinator alone as a
 # CCRead (78), and its hedge is the same CCRead, sent to the next rank.
-WIRE_VERSION = 9
+# v10: SegmentAck (2) grew ``high`` — a receiver with a gap reports where
+# the gap ends, and the sender resends everything below it.
+WIRE_VERSION = 10
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

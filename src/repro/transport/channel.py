@@ -2,7 +2,9 @@
 
 The network gives us lossy unordered datagrams; :mod:`repro.transport.
 reliable` builds per-peer reliable FIFO channels on top using sequence
-numbers, cumulative acknowledgements and timeout-driven retransmission.
+numbers, cumulative acknowledgements, timeout-driven retransmission and
+a receiver-side gap report (the idea of TCP SACK, RFC 2018: a receiver
+with a gap says where the gap ends).
 
 Channels are additionally tagged with the sender's process *incarnation*
 (bumped on crash recovery) and a per-channel *epoch* (bumped whenever the
@@ -63,7 +65,10 @@ class SegmentAck:
 
     Carries the acker's incarnation (so a sender notices the receiver
     rebooted) and echoes the channel epoch being acknowledged (so acks
-    from a dead epoch are ignored).
+    from a dead epoch are ignored).  ``high`` is non-zero only when the
+    receiver has a gap: it is the gap's upper edge, the first seq the
+    receiver holds beyond ``cum_seq``, so every seq below it is missing
+    and the sender resends at once every unacked segment below it.
     """
 
     category = "transport-ack"
@@ -71,54 +76,84 @@ class SegmentAck:
     cum_seq: int
     incarnation: int = 0
     epoch: int = 0
+    high: int = 0
 
 
 @dataclass
 class SendState:
-    """Sender-side state for one destination."""
+    """Sender-side state for one destination.
+
+    ``unacked`` maps seq -> (payload, last transmission time, lazy).  Its
+    keys are always the contiguous run ``first_unacked .. next_seq - 1``
+    in insertion, i.e. seq, order: segments are admitted in sequence and
+    only a cumulative ack removes any, from the front.  A *lazy* segment
+    is one whose receiver may hold the ack for ``hold`` (docs/comms.md,
+    "Acks ride the stability round"), so it is resent only after
+    ``rto + hold``; every other segment after ``rto``.
+    """
 
     epoch: int = 0
     next_seq: int = 1
-    # seq -> (payload, last transmission time)
-    unacked: Dict[int, Tuple[Any, float]] = field(default_factory=dict)
+    unacked: Dict[int, Tuple[Any, float, bool]] = field(default_factory=dict)
 
-    def admit(self, payload: Any, now: float, incarnation: int = 0) -> Segment:
+    @property
+    def first_unacked(self) -> int:
+        return self.next_seq - len(self.unacked)
+
+    def admit(
+        self, payload: Any, now: float, incarnation: int = 0, lazy: bool = False
+    ) -> Segment:
         segment = Segment(
             seq=self.next_seq,
             payload=payload,
             incarnation=incarnation,
             epoch=self.epoch,
         )
-        self.unacked[segment.seq] = (payload, now)
+        self.unacked[segment.seq] = (payload, now, lazy)
         self.next_seq += 1
         return segment
 
     def acknowledge(self, cum_seq: int) -> None:
-        for seq in [s for s in self.unacked if s <= cum_seq]:
-            del self.unacked[seq]
+        unacked = self.unacked
+        for seq in range(self.first_unacked, min(cum_seq, self.next_seq - 1) + 1):
+            del unacked[seq]
 
     def due_for_retransmit(
-        self, now: float, rto: float, incarnation: int = 0
+        self, now: float, rto: float, incarnation: int = 0, hold: float = 0.0
     ) -> List[Segment]:
+        """Segments to resend now, in seq order, each restamped ``now``: a
+        prompt segment is due ``rto`` after its last transmission, a lazy
+        one ``rto + hold`` after it — or together with a due prompt
+        segment behind it, which the receiver could not deliver before
+        it."""
+        unacked = self.unacked
+        pull = 0
+        for seq, (_payload, sent_at, lazy) in unacked.items():
+            if not lazy and now - sent_at >= rto:
+                pull = seq
         due = []
-        for seq, (payload, sent_at) in sorted(self.unacked.items()):
-            if now - sent_at >= rto:
-                self.unacked[seq] = (payload, now)
-                due.append(
-                    Segment(
-                        seq=seq,
-                        payload=payload,
-                        incarnation=incarnation,
-                        epoch=self.epoch,
-                    )
-                )
+        for seq, (payload, sent_at, lazy) in unacked.items():
+            if (lazy and seq < pull) or now - sent_at >= (rto + hold if lazy else rto):
+                unacked[seq] = (payload, now, lazy)
+                due.append(Segment(seq, payload, incarnation, self.epoch))
+        return due
+
+    def resend_below(self, high: int, now: float, incarnation: int = 0) -> List[Segment]:
+        """The receiver reported a gap ending at ``high``: every unacked
+        segment below it — all missing there — restamped ``now``."""
+        unacked = self.unacked
+        due = []
+        for seq in range(self.first_unacked, min(high, self.next_seq)):
+            payload, _sent_at, lazy = unacked[seq]
+            unacked[seq] = (payload, now, lazy)
+            due.append(Segment(seq, payload, incarnation, self.epoch))
         return due
 
     def restart(self, now: float) -> List[Any]:
         """Begin a new epoch (the receiver lost its state): unacked
         payloads are carried over in order to be re-admitted by the
         caller.  Returns those payloads."""
-        pending = [payload for _seq, (payload, _at) in sorted(self.unacked.items())]
+        pending = [payload for payload, _at, _lazy in self.unacked.values()]
         self.epoch += 1
         self.next_seq = 1
         self.unacked = {}
@@ -147,3 +182,10 @@ class ReceiveState:
     @property
     def cum_seq(self) -> int:
         return self.expected - 1
+
+    @property
+    def high(self) -> int:
+        """The upper edge of the gap after ``cum_seq`` — the first seq held
+        beyond it — or 0 when there is no gap.  Only what is missing lies
+        below it, so a resend of that range repeats nothing held here."""
+        return min(self.out_of_order) if self.out_of_order else 0

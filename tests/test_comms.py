@@ -1,11 +1,13 @@
 """What is always on below the protocols (docs/comms.md): cumulative
-delayed acks in the reliable transport, per-category byte accounting
+held acks in the reliable transport, per-category byte accounting
 and hardware-multicast wire counting.
 
 The ack contract under test: every received segment is acknowledged
 exactly once — riding a reverse segment, absorbed into a cumulative
-standalone ack, or standalone after ``rto / 5`` of reverse idleness —
-and nothing short of a reboot discards a pending ack."""
+standalone ack, or standalone after ``rto / 5`` of reverse idleness (a
+round of the stability plane for group data and stability messages) —
+a gap is reported at once, and nothing short of a reboot discards a
+pending ack."""
 
 from dataclasses import dataclass
 
@@ -63,6 +65,17 @@ def sends(env, category):
 # ----------------------------------------------------------- delayed acks
 
 
+def quiet(t):
+    """Nothing unacked, no sweep armed, no ack or gap held back."""
+    return (
+        not any(state.unacked for state in t._send.values())
+        and t._sweep_timer is None
+        and not t._ack_timers
+        and not t._ack_pending
+        and not t._gap_since
+    )
+
+
 class Peer(Process):
     def __init__(self, env, address, rto=0.05):
         super().__init__(env, address)
@@ -71,14 +84,7 @@ class Peer(Process):
         self.on(App, lambda m, s: self.inbox.append((m.n, s)))
 
     def quiet(self):
-        """Nothing unacked, no sweep armed, no ack held back."""
-        t = self.transport
-        return (
-            not any(state.unacked for state in t._send.values())
-            and t._sweep_timer is None
-            and not t._ack_timers
-            and not t._ack_pending
-        )
+        return quiet(self.transport)
 
 
 def make_transport_pair(seed=1, rto=0.05, **env_kwargs):
@@ -208,12 +214,13 @@ def test_lossless_link_acks_ride_or_go_out_once_per_burst(rto):
     assert a.quiet() and b.quiet()
 
 
-def abcast_leaf(sender_rank):
+def abcast_leaf(sender_rank, gossip_interval=None):
     """kv_write in the small: 100 ABCASTs from one member of a 16-member
-    leaf, 20 ms apart.  Gossip is off so that every ack in the count
-    answers a data or set-order segment."""
+    leaf, 20 ms apart.  Gossip is off unless asked for, so that every ack
+    in the count answers a data or set-order segment.  With gossip on the
+    run lasts until the stability plane and its held acks are quiet."""
     env = Environment(seed=1, latency=FixedLatency(0.002))
-    _nodes, members = build_group(env, "g", 16, gossip_interval=None)
+    nodes, members = build_group(env, "g", 16, gossip_interval=gossip_interval)
     sanitizer = install_sanitizer(members, strict=True)
     got = {m.me: [] for m in members}
     for m in members:
@@ -223,9 +230,11 @@ def abcast_leaf(sender_rank):
             0.02 * (i + 1),
             lambda i=i: members[sender_rank].multicast(App(i), TOTAL),
         )
-    env.run_for(3.0)
+    env.run_for(3.0 if gossip_interval is None else 4.0)
     assert sanitizer.check(at_quiescence=True)["violations"] == 0
     assert all(seen == list(range(100)) for seen in got.values())
+    if gossip_interval is not None:
+        assert all(quiet(node.runtime.transport) for node in nodes)
     return env.network.stats
 
 
@@ -246,6 +255,246 @@ def test_abcast_leaf_draws_one_standalone_ack_per_message_per_receiver():
     assert stats.by_category["group-setorder"] == 100 * 15
     assert stats.acks_piggybacked == 100
     assert stats.by_category["transport-ack"] + stats.acks_piggybacked == 2 * 100 * 15
+
+
+def test_abcast_leaf_with_the_stability_plane_draws_no_ack_per_message():
+    # The same puts with gossip on: each receiver's report goes to the
+    # coordinator, which is the sequencer, once a round and carries the
+    # ack for every abcast since the last one; the coordinator's floors
+    # carry its acks for the reports.  Only acks with nothing left to
+    # ride on go standalone — those for the last floors of the run.
+    stats = abcast_leaf(sender_rank=0, gossip_interval=0.5)
+    assert stats.by_category["group-data"] == 100 * 15
+    assert stats.by_category["group-setorder"] == 0
+    standalone = stats.by_category["transport-ack"]
+    assert standalone <= 100  # 1,500 with gossip off (above)
+    # The ack identity of the gossip-off tests holds exactly.
+    assert standalone + stats.acks_piggybacked == stats.messages - standalone
+
+
+# Gossip off, lossless, but reordering: 200 multicasts of 1,400-byte and
+# 8-byte payloads 0.5 ms apart in an 8-member group under LanLatency's
+# per-byte cost and jitter, so a small segment often overtakes a large one
+# sent just before it.  Every segment and ack datagram as (event, time,
+# src, dst, seq, cumulative ack) is hashed; the digest and the counts are
+# those of the transport before acks could be held for a stability round
+# or a gap reported — a gap that closes within ``rto / 5`` changes nothing.
+REORDERING_GOSSIP_OFF = """
+import hashlib, json
+from dataclasses import dataclass
+from repro.membership import FIFO, TOTAL, build_group
+from repro.net import LanLatency
+from repro.proc import Environment
+from repro.transport.channel import Segment, SegmentAck
+
+@dataclass
+class Big:
+    category = "app"
+    size_bytes = 1400
+    n: int = 0
+
+@dataclass
+class Small:
+    category = "app"
+    size_bytes = 8
+    n: int = 0
+
+env = Environment(seed=1, latency=LanLatency())
+_nodes, members = build_group(env, "g", 8, gossip_interval=None)
+digest, last, reorders = hashlib.sha256(), {}, 0
+
+def tap(event, envelope):
+    global reorders
+    p = envelope.payload
+    if isinstance(p, Segment):
+        fields = (p.seq, p.ack_cum_seq)
+        if event == "deliver":
+            key = (envelope.src, envelope.dst)
+            reorders += p.seq < last.get(key, 0)
+            last[key] = max(last.get(key, 0), p.seq)
+    elif isinstance(p, SegmentAck):
+        fields = (p.cum_seq,)
+    else:
+        return
+    digest.update(repr(
+        (event, round(env.now, 9), envelope.src, envelope.dst) + fields
+    ).encode())
+
+env.network.add_tap(tap)
+for i in range(200):
+    env.scheduler.after(
+        0.5 + 0.0005 * i,
+        lambda i=i: members[i % 3].multicast(
+            (Big if i % 2 == 0 else Small)(i), TOTAL if i % 4 < 2 else FIFO
+        ),
+    )
+env.run_for(3.0)
+s = env.network.stats
+print(json.dumps([reorders, s.messages, s.by_category["transport-ack"],
+                  s.acks_piggybacked, s.bytes, digest.hexdigest()[:16]]))
+"""
+
+
+def test_gossip_off_reordering_places_every_ack_as_before():
+    import json
+
+    from tests.test_perf_determinism import pinned_python
+
+    reorders, *placement = json.loads(pinned_python(REORDERING_GOSSIP_OFF))
+    assert reorders == 90
+    assert placement == [2023, 154, 1715, 369488, "1868a1e19d886d22"]
+
+
+def repairs(env, latency, rto, hold):
+    """Watch every reliable segment; at the end, for each one whose first
+    transmission was lost, how it was repaired: ``("gap", late)`` when a
+    later segment of its channel arrived first — ``late`` is how far the
+    repair missed ``rto / 5 + 2 × latency`` after that arrival, or after
+    every earlier segment had arrived if that was later (a gap report
+    covers the first gap only) — or ``("tail", late)`` for the sweep's
+    resend against ``hold + 2 × rto`` (``2 × rto`` for a prompt payload)
+    after the loss.  A gap repair is only judged when no datagram between
+    the two peers was lost in its window: a lost gap report or resend is
+    repaired again later."""
+    from repro.membership.events import GroupData, StabilityGossip
+    from repro.transport.channel import Segment
+
+    log = []
+
+    def tap(event, envelope):
+        segment = envelope.payload
+        pair = frozenset((envelope.src, envelope.dst))
+        if isinstance(segment, Segment):
+            log.append((env.now, event, envelope.src, envelope.dst, pair,
+                        segment.seq, type(segment.payload)))
+        elif event == "drop":
+            log.append((env.now, event, envelope.src, envelope.dst, pair, None, None))
+
+    env.network.add_tap(tap)
+
+    def judge():
+        window = rto / 5 + 2 * latency
+        drops = {}
+        for t, event, _src, _dst, pair, _seq, _kind in log:
+            if event == "drop":
+                drops.setdefault(pair, []).append(t)
+        arrivals = {}
+        first_arrival = {}
+        sends = {}
+        lost = []
+        for t, event, src, dst, _pair, seq, kind in log:
+            if seq is None:
+                continue
+            key = (src, dst, seq)
+            if event == "send":
+                sends.setdefault(key, []).append(t)
+            elif event == "deliver":
+                arrivals.setdefault((src, dst), []).append((t, seq))
+                first_arrival.setdefault(key, t)
+            elif len(sends[key]) == 1:  # the first transmission was lost
+                lost.append((t, key, kind))
+        verdicts = []
+        for t, (src, dst, seq), kind in lost:
+            on_channel = arrivals[(src, dst)]
+            repaired = min(at for at, s in on_channel if s == seq and at > t)
+            later = [at for at, s in on_channel if s > seq and t < at < repaired]
+            if later:
+                before = (first_arrival[(src, dst, s)] for s in range(1, seq))
+                opened = max(min(later), max(before, default=0.0))
+                if not any(opened <= d <= opened + window for d in drops[frozenset((src, dst))]):
+                    verdicts.append(("gap", repaired - (opened + window)))
+            else:
+                lazy = kind in (GroupData, StabilityGossip)
+                first_resend = sends[(src, dst, seq)][1]
+                bound = (hold if lazy else 0.0) + 2 * rto
+                verdicts.append(("tail", first_resend - (t + bound)))
+        return verdicts
+
+    return judge
+
+
+def test_a_lossy_leaf_repairs_gaps_at_once_and_lazy_tails_within_a_round():
+    latency, rto, gossip = 0.002, 0.05, 0.5
+    env = Environment(
+        seed=1, latency=FixedLatency(latency),
+        drop_probability=0.05, duplicate_probability=0.05,
+    )
+    nodes, members = build_group(env, "g", 16, gossip_interval=gossip)
+    sanitizer = install_sanitizer(members, strict=True)
+    judge = repairs(env, latency, rto, gossip)
+    got = {m.me: [] for m in members}
+    for m in members:
+        m.add_delivery_listener(lambda e, me=m.me: got[me].append(e.payload.n))
+    # Bursts of abcasts from the sequencer (rank 0) and from rank 5, each
+    # followed by an idle second, so that channels go quiet with their
+    # last segments lost as well as losing segments mid-stream.
+    sent = []
+    for burst in range(6):
+        for i in range(10):
+            at = 1.2 * burst + 0.02 * (i + 1)
+            for rank, n in ((0, 100 * burst + i), (5, 1000 + 100 * burst + i)):
+                sent.append(n)
+                env.scheduler.after(
+                    at + 0.01 * (rank == 5),
+                    lambda rank=rank, n=n: members[rank].multicast(App(n), TOTAL),
+                )
+    env.run_for(12.0)
+    assert env.network.stats.dropped > 0
+    assert env.network.stats.by_category["transport-ack"] > 0
+    assert sanitizer.check(at_quiescence=True)["violations"] == 0
+    # Exactly once, in one total order, everywhere.
+    assert sorted(got["g-0"]) == sorted(sent)
+    assert all(seen == got["g-0"] for seen in got.values())
+    assert all(quiet(node.runtime.transport) for node in nodes)
+    verdicts = judge()
+    gaps = [late for how, late in verdicts if how == "gap"]
+    tails = [late for how, late in verdicts if how == "tail"]
+    assert len(gaps) >= 20 and tails
+    assert max(gaps) <= 1e-9, sorted(gaps)[-5:]
+    assert max(tails) <= 1e-9, sorted(tails)[-5:]
+
+
+def test_wan_jitter_reorders_without_a_gap_report_or_resend():
+    """Two sites 30 ms ± 25% apart, no loss, gossip on, ``rto`` above the
+    round trip: WAN jitter reorders segments by up to 15 ms, so gaps open
+    all the time, but each closes well within ``rto / 5`` (40 ms).  No gap
+    is reported and nothing is resent — not even by a standalone ack that
+    falls due while a gap has just opened."""
+    from repro.membership import GroupNode
+    from repro.net import SiteLatency
+    from repro.transport.channel import Segment, SegmentAck
+
+    env = Environment(seed=1, latency=SiteLatency())
+    addresses = [f"{site}.{i}" for site in ("nyc", "sfo") for i in range(4)]
+    nodes = [GroupNode(env, a, gossip_interval=0.5, rto=0.2) for a in addresses]
+    members = [node.runtime.create_group("wan", addresses) for node in nodes]
+    seen, resent, reports, overtaken, last = set(), [], [], [0], {}
+
+    def tap(event, envelope):
+        p = envelope.payload
+        if isinstance(p, Segment):
+            key = (envelope.src, envelope.dst)
+            if event == "send":
+                if (key, p.epoch, p.seq) in seen:
+                    resent.append((key, p.seq))
+                seen.add((key, p.epoch, p.seq))
+            elif event == "deliver":
+                overtaken[0] += p.seq < last.get(key, 0)
+                last[key] = max(last.get(key, 0), p.seq)
+        elif isinstance(p, SegmentAck) and p.high:
+            reports.append(p)
+
+    env.network.add_tap(tap)
+    for i in range(150):
+        for rank in (0, 5):
+            env.scheduler.after(
+                0.5 + 0.01 * i,
+                lambda rank=rank, i=i: members[rank].multicast(App(i), TOTAL),
+            )
+    env.run_for(4.0)
+    assert overtaken[0] > 50
+    assert reports == [] and resent == []
+    assert all(quiet(node.runtime.transport) for node in nodes)
 
 
 def test_member_removed_by_a_view_still_gets_its_ack():
@@ -358,8 +607,9 @@ def run_flat_group(seed=7, runtime=None):
                 member.multicast(payload, FIFO)
         env.scheduler.after(start, burst)
     # Past the coordinator's floor announcement (it leaves at 2.0 s, one
-    # gossip interval after the reports) and the acks that answer it.
-    env.run_for(2.5)
+    # gossip interval after the reports) and the acks that answer it: a
+    # floor is lazy, so its ack is held for up to a round, until 3.0 s.
+    env.run_for(3.5)
     counters = sanitizer.check(at_quiescence=True)
     per_sender = {
         me: {

@@ -4,7 +4,7 @@ partition rule) and long-distance (multi-site) links."""
 from dataclasses import dataclass
 
 from repro.failure import HeartbeatDetector
-from repro.membership import FIFO, GroupNode, build_group
+from repro.membership import FIFO, TOTAL, GroupNode, build_group
 from repro.net import FixedLatency, SiteLatency
 from repro.proc import Environment
 from repro.sim import SimRandom
@@ -120,6 +120,31 @@ def test_primary_partition_still_handles_real_crashes():
     env.run_for(10.0)
     for i in (0, 2, 4):
         assert members[i].view.members == ("g-0", "g-2", "g-4")
+
+
+def test_abcast_reaching_the_sequencer_during_an_abandoned_flush_is_ordered():
+    """g-1's abcast reaches the sequencer g-0 only while g-0 is flushing
+    g-4 out.  The sequencer orders nothing mid-flush — the view change
+    places such data — but this flush is abandoned: g-2 and g-3 go silent
+    towards g-0, so the survivors fall below quorum and no view is
+    installed.  The sequencer must then order the abcast itself."""
+    env, nodes, members = build_partitionable(5, primary_partition=True)
+    network = env.network.partitions
+    got = {m.me: [] for m in members}
+    for m in members:
+        m.add_delivery_listener(lambda e, me=m.me: got[me].append(e.payload.tag))
+    network.cut_link("g-1", "g-0")
+    members[1].multicast(App("late"), TOTAL)
+    nodes[4].crash()  # g-0 suspects it, and starts the flush, at ~1.5 s
+    env.scheduler.after(
+        0.3, lambda: [network.cut_link(m, "g-0") for m in ("g-2", "g-3")]
+    )
+    # g-1's retransmission reaches the flushing sequencer; g-0 then drops
+    # g-2 and g-3 from the flush at ~1.7 s and abandons it.
+    env.scheduler.after(0.6, lambda: network.restore_link("g-1", "g-0"))
+    env.run_for(2.0)
+    assert all(m.view.seq == 1 for m in members)
+    assert all(got[f"g-{i}"] == ["late"] for i in range(4)), got
 
 
 # -- long-distance links ------------------------------------------------------------

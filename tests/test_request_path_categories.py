@@ -17,10 +17,12 @@ full leaf of 16): a put is the request path's 3 + 1 + 2 ``cc-*``
 messages (the set, the reply, the result copies) plus one ``group-data``
 per other member — the coordinator is the sequencer, so its abcast
 carries its own order and draws no ``group-setorder`` — and a get is
-1 + 1: one request to the coordinator, one reply, nothing else.
+1 + 1: one request to the coordinator, one reply, nothing else.  The
+third test holds a steady put stream to that budget with no
+``transport-ack`` at all: the acks ride the stability round.
 
 Nor has the harness a per-member metric for the background budget yet
-(ROADMAP item 1(b)); the third test is its tier-1 stand-in: an idle
+(ROADMAP item 1(b)); the fourth test is its tier-1 stand-in: an idle
 hierarchy with the benchmark's parameters sends ``MONITOR_K`` heartbeats
 per worker per tick plus the leader tier's own watches, one renewal per
 watch per ``RENEW_TICKS``, and nothing else — the same per worker at
@@ -153,7 +155,9 @@ def test_requests_takeover_and_stale_set_stay_in_the_known_categories():
     assert sanitizer.deliveries_checked > 0 and not sanitizer.violations
 
 
-def test_a_put_into_a_sixteen_member_leaf_is_15_data_and_6_cc():
+def sixteen_member_leaf():
+    """The benchmark's leaf shape: one full leaf of 16 with a store, a
+    client that has already found it, and the strict sanitizer."""
     params = LargeGroupParams(resiliency=3, fanout=8)  # the e2e cluster's
     env = Environment(seed=5, latency=FixedLatency(0.002))
     leaders = build_leader_group(env, "svc", params, **node_kwargs())
@@ -170,6 +174,13 @@ def test_a_put_into_a_sixteen_member_leaf_is_15_data_and_6_cc():
     done = []
     client.put("warm-up", 0, done.append)  # leaf directory + GetMembers
     env.run_for(2.0)
+    return env, params, contacts, members, stores, sanitizer, client, done
+
+
+def test_a_put_into_a_sixteen_member_leaf_is_15_data_and_6_cc():
+    env, params, contacts, members, stores, sanitizer, client, done = (
+        sixteen_member_leaf()
+    )
 
     def window(count, op):
         """``count`` calls of ``op(i)`` 50 ms apart; the window's
@@ -243,6 +254,41 @@ def test_a_put_into_a_sixteen_member_leaf_is_15_data_and_6_cc():
     assert joined_store.local_value("k19") == 19
 
     env.run_for(3.0)
+    sanitizer.check(at_quiescence=True)
+    assert sanitizer.deliveries_checked > 0 and not sanitizer.violations
+
+
+def test_a_steady_put_stream_draws_no_transport_ack():
+    """kv_write's shape in tier-1: puts keep flowing into the leaf, so every
+    member reports each gossip round and the coordinator announces floors
+    each round.  The acks for the data ride on the reports and those for
+    reports and floors on the next floors and reports — over a 2 s window
+    a put is its 3 + 1 + 2 ``cc-*`` messages, 15 ``group-data`` and no
+    ``transport-ack`` at all (1 per receiver per put without the
+    stability plane: ``tests/test_comms.py``)."""
+    env, _params, _contacts, _members, _stores, sanitizer, client, done = (
+        sixteen_member_leaf()
+    )
+    gap, puts = 0.05, 100
+    for i in range(puts):
+        env.scheduler.after(gap * i, lambda i=i: client.put(f"s{i}", i, done.append))
+    # Window edges fall midway between puts: 40 whole puts, 2 s, starting
+    # once the stream has run for a gossip round.
+    env.run_for(gap * 20 - gap / 2)
+    before = env.network.stats.snapshot()
+    env.run_for(gap * 40)
+    delta = env.network.stats.since(before).by_category
+    per_put = {
+        category: delta.get(category, 0) / 40
+        for category in ("cc-request", "cc-reply", "cc-result", "group-data",
+                         "transport-ack", "group-setorder")
+    }
+    assert per_put == {
+        "cc-request": 3, "cc-reply": 1, "cc-result": 2, "group-data": 15,
+        "transport-ack": 0, "group-setorder": 0,
+    }
+    env.run_for(gap * puts)
+    assert len(done) == 1 + puts and all(done)
     sanitizer.check(at_quiescence=True)
     assert sanitizer.deliveries_checked > 0 and not sanitizer.violations
 

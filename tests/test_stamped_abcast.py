@@ -183,6 +183,40 @@ def test_sequencer_crash_mid_stream_survivors_agree():
     assert all(m.view.members == tuple(s.me for s in survivors) for m in survivors)
 
 
+def test_abcast_reaching_a_flushing_sequencer_is_ordered_by_the_view_change():
+    """Two abcasts the sequencer first receives in the middle of a flush —
+    retransmitted, after its own flush reply: if it ordered them there
+    (A, then B), members that already hold both would deliver A, B while
+    the view change, which never heard of those orders, positions them
+    by message id (B, A) for a member still missing A's data."""
+    env = Environment(seed=1, latency=FixedLatency(0.002))
+    nodes, members = build_group(env, "g", 5, gossip_interval=None)
+    survivors = [members[i] for i in (0, 1, 2, 4)]
+    sanitizer = install_sanitizer(survivors, strict=True)
+    logs = listen(members)
+    network = env.network.partitions
+
+    def cut_and_send():
+        for src, dst in (("g-2", "g-0"), ("g-2", "g-4"), ("g-1", "g-0")):
+            network.cut_link(src, dst)
+        members[2].multicast(App(1), TOTAL)  # A: g-0 and g-4 miss it
+        members[1].multicast(App(2), TOTAL)  # B: g-0 misses it
+
+    env.scheduler.at(0.30, cut_and_send)
+    env.scheduler.at(0.40, nodes[3].crash)  # the flush starts at 0.45
+    # A reaches the flushing sequencer before B; g-4 gets A's data only
+    # after the new view is in.
+    env.scheduler.at(0.49, lambda: network.restore_link("g-2", "g-0"))
+    env.scheduler.at(0.53, lambda: network.restore_link("g-1", "g-0"))
+    env.scheduler.at(0.70, lambda: network.restore_link("g-2", "g-4"))
+    env.run_for(2.0)
+    assert all(m.view.members == ("g-0", "g-1", "g-2", "g-4") for m in survivors)
+    orders = {m.me: [n for _o, _s, n in logs[m.me]] for m in survivors}
+    assert sorted(orders["g-0"]) == [1, 2]
+    assert all(order == orders["g-0"] for order in orders.values()), orders
+    assert sanitizer.check(at_quiescence=True)["violations"] == 0
+
+
 # ------------------------------------- a view change ships recent orders only
 
 

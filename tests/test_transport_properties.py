@@ -60,6 +60,67 @@ def test_property_send_state_ack_prefix(acked):
     assert all(seq > acked for seq in state.unacked)
 
 
+RTO, HOLD = 0.05, 0.5
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from([0.0, 0.01, 0.05, 0.1, 0.5, 0.55]),
+    st.sampled_from(["prompt", "lazy", "ack", "gap", "sweep"]),
+    st.integers(min_value=0, max_value=30),
+), max_size=60))
+def test_property_unacked_stays_one_contiguous_run_in_seq_order(steps):
+    """``acknowledge`` and ``resend_below`` walk seq ranges and the sweep
+    walks the dict unsorted: all rely on ``unacked`` being the run
+    ``first_unacked .. next_seq - 1`` in seq order, whatever mix of
+    admissions, cumulative acks, gap resends and sweeps came before."""
+    state, now = SendState(), 0.0
+    for advance, op, arg in steps:
+        now += advance
+        if op in ("prompt", "lazy"):
+            state.admit(f"p{state.next_seq}", now, lazy=op == "lazy")
+        elif op == "ack":
+            state.acknowledge(arg)
+        elif op == "gap":
+            state.resend_below(arg, now)
+        else:
+            swept = state.due_for_retransmit(now, RTO, hold=HOLD)
+            assert [s.seq for s in swept] == sorted(s.seq for s in swept)
+        assert list(state.unacked) == list(range(state.first_unacked, state.next_seq))
+
+
+def test_send_state_resend_rules():
+    state = SendState()
+    state.admit("lazy-1", 0.0, lazy=True)
+    state.admit("prompt-2", 0.0)
+    state.admit("lazy-3", 0.0, lazy=True)
+    # A prompt segment is due at rto; the lazy one ahead of it comes too,
+    # the lazy one behind it waits for rto + hold.
+    assert state.due_for_retransmit(0.01, RTO, hold=HOLD) == []
+    assert [s.seq for s in state.due_for_retransmit(RTO, RTO, hold=HOLD)] == [1, 2]
+    state.acknowledge(2)
+    assert list(state.unacked) == [3] and state.first_unacked == 3
+    assert [s.seq for s in state.due_for_retransmit(0.54, RTO, hold=HOLD)] == []
+    assert [s.seq for s in state.due_for_retransmit(0.55, RTO, hold=HOLD)] == [3]
+    # A gap report resends everything below where the gap ends.
+    state.admit("prompt-4", 0.56)
+    state.admit("lazy-5", 0.56, lazy=True)
+    assert [s.seq for s in state.resend_below(5, 0.57)] == [3, 4]
+
+
+def test_receive_state_reports_where_its_first_gap_ends():
+    state = ReceiveState(channel_id=(0, 0))
+    assert state.high == 0
+    for seq in (1, 4, 5, 8):  # 2 and 3 missing, then 6 and 7
+        state.accept(Segment(seq=seq, payload=seq))
+    assert (state.cum_seq, state.high) == (1, 4)
+    for seq in (2, 3):
+        state.accept(Segment(seq=seq, payload=seq))
+    assert (state.cum_seq, state.high) == (5, 8)
+    for seq in (6, 7):
+        state.accept(Segment(seq=seq, payload=seq))
+    assert (state.cum_seq, state.high) == (8, 0)
+
+
 def test_send_state_restart_preserves_payload_order():
     state = SendState()
     for i in range(5):

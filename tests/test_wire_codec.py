@@ -592,8 +592,48 @@ def test_wire_ids_are_unique_and_stable():
     # request is the same bytes as under v7 apart from the version byte.
     # v9: CCHedge is gone — a read is a CCRead, and its hedge the same
     # CCRead sent to the next rank — so a v8 peer's hedge is refused at
-    # the header.
-    assert WIRE_VERSION == 9
+    # the header.  v10: SegmentAck grew ``high`` (the gap report).
+    assert WIRE_VERSION == 10
+
+
+def test_a_gap_report_round_trips():
+    from repro.transport.channel import SegmentAck
+
+    for ack in (
+        SegmentAck(cum_seq=41, incarnation=2, epoch=3, high=57),
+        SegmentAck(cum_seq=0),  # no gap: high stays 0
+    ):
+        kind, value = decode_frame(encode_control_frame(ack))
+        assert (kind, value) == (FRAME_CONTROL, ack)
+    envelope = Envelope(
+        "a", "b", SegmentAck(cum_seq=7, high=9), send_time=1.0, deliver_time=1.5
+    )
+    frames, rejects = encode_data_frames([envelope])
+    assert not rejects
+    (decoded,) = decode_frame(frames[0])[1]
+    assert decoded.payload == SegmentAck(cum_seq=7, high=9)
+
+
+def test_a_v9_segment_ack_is_refused_at_the_header():
+    """A v9 peer's ack has three fields.  Its frame is turned away by the
+    version byte; were the header skipped, the field count would refuse
+    it again rather than build an ack with a made-up ``high``."""
+    from repro.net.wire.codec import HEADER_BYTES
+    from repro.transport.channel import SegmentAck
+
+    frame = bytearray(encode_control_frame(SegmentAck(cum_seq=5, epoch=1)))
+    # The body: tag KIND, kind id 2, 4 fields, then cum_seq, incarnation,
+    # epoch and high (0: tag INT, zigzag 0) — drop the last field.
+    assert frame[HEADER_BYTES:HEADER_BYTES + 3] == bytes([10, 2, 4])
+    assert frame[-2:] == bytes([3, 0])
+    v9 = frame[:HEADER_BYTES] + bytes([10, 2, 3]) + frame[HEADER_BYTES + 3:-2]
+    v9[4:HEADER_BYTES] = (len(v9) - HEADER_BYTES).to_bytes(4, "big")
+    v9[2] = 9
+    with pytest.raises(CodecError, match="version"):
+        decode_frame(bytes(v9))
+    v9[2] = WIRE_VERSION
+    with pytest.raises(CodecError, match="got 3 fields, expected 4"):
+        decode_frame(bytes(v9))
 
 
 def test_a_v6_heartbeat_ack_is_refused_by_version_not_by_kind():
