@@ -5,6 +5,7 @@ from repro.failure.detector import (
     Heartbeat,
     HeartbeatDetector,
     OracleDetector,
+    Probe,
     Subscribe,
     Unsubscribe,
 )
@@ -17,6 +18,7 @@ __all__ = [
     "HeartbeatDetector",
     "InjectionRecord",
     "OracleDetector",
+    "Probe",
     "Subscribe",
     "Unsubscribe",
 ]

@@ -16,6 +16,15 @@ Two interchangeable implementations of the same interface:
     benchmarks can separate steady-state monitoring cost from
     failure-handling cost.
 
+    ``probe(a)`` is the fault path's shortcut.  It is called when a
+    layer above holds evidence that ``a`` may be dead: a cohort that
+    gets a client's hedged copy of a write the coordinator has left
+    unanswered.  The detector sends ``a`` a :class:`Probe`, which ``a``
+    answers at once with one :class:`Heartbeat`, and re-probes every
+    quarter interval.  After :data:`PROBES` unanswered probes it
+    suspects ``a``, but only if nothing at all was heard from ``a``
+    since the first one.  A failure-free run sends no probe.
+
 :class:`OracleDetector`
     Simulator scaffolding: learns of crashes from the environment hook and
     reports them after a configurable detection delay, with *no* network
@@ -26,7 +35,9 @@ Two interchangeable implementations of the same interface:
 Both are *complete* (a crashed watched peer is eventually suspected).  The
 heartbeat detector is only *eventually accurate*: message loss can cause
 false suspicion, which the membership layer treats as a failure — exactly
-the fail-stop conversion classical ISIS performed.
+the fail-stop conversion classical ISIS performed.  A probe suspects a
+live peer only if every probe round and every push in its window were
+lost (docs/hierarchy.md, "Requests during a coordinator outage").
 """
 
 from __future__ import annotations
@@ -49,6 +60,15 @@ cost each peer it watched."""
 RENEW_TICKS = LEASE_TICKS // 2
 """A watcher renews at half the lease, so one lost renewal is made good
 by the next before the lease runs out."""
+
+PROBES = 4
+"""How many unanswered probes, a quarter interval apart, make a suspicion:
+``PROBES * interval / 4`` after the first, one whole interval (0.2 s at
+the benchmark's interval).  The window thus holds one push of a
+subscribed peer, so a live peer is suspected only if four probe rounds
+and that push were all lost.  Three rounds (0.15 s, a window that can
+miss the push) doubled the false suspicions of a loaded 16-member group
+at 10% loss (tests/test_heartbeat_push.py)."""
 
 
 @dataclass
@@ -75,11 +95,20 @@ class Unsubscribe:
     size_bytes = 16
 
 
+@dataclass
+class Probe:
+    """Answer with one :class:`Heartbeat` now; no subscription changes."""
+
+    category = "heartbeat"
+    size_bytes = 16
+
+
 # The payloads are stateless, so every one on the network can share an
 # instance — monitoring n peers allocates nothing per tick.
 _HEARTBEAT = Heartbeat()
 _SUBSCRIBE = Subscribe()
 _UNSUBSCRIBE = Unsubscribe()
+_PROBE = Probe()
 
 
 class FailureDetector:
@@ -101,6 +130,10 @@ class FailureDetector:
         """``address`` has left a group it shared with this process: stop
         volunteering liveness to it.  If it still watches this process
         for another reason it asks again."""
+
+    def probe(self, address: Address) -> None:
+        """Evidence that ``address`` may be dead: check it now rather
+        than at the next silence deadline.  No-op unless overridden."""
 
 
 class HeartbeatDetector(FailureDetector):
@@ -131,12 +164,15 @@ class HeartbeatDetector(FailureDetector):
         self._last_heard: Dict[Address, float] = {}
         self._renew_at = 0
         self._suspected: Set[Address] = set()
+        # Peers being probed now (at most one probe run each).
+        self._probing: Set[Address] = set()
         # Who watches this process: the last tick of each one's lease.
         self._subscribers: Dict[Address, int] = {}
         self._listeners: List[SuspectFn] = []
         process.on(Heartbeat, self._on_heartbeat)
         process.on(Subscribe, self._on_subscribe)
         process.on(Unsubscribe, self._on_unsubscribe)
+        process.on(Probe, self._on_probe)
         process.every(interval, self._tick)
         process.add_recover_listener(self._after_recovery)
 
@@ -144,12 +180,14 @@ class HeartbeatDetector(FailureDetector):
         # Silence is measured from now: what was heard before the crash
         # says nothing about who is alive after it.  The subscriber table
         # died with the old incarnation; whoever still watches this
-        # process finds it quiet and subscribes again.
+        # process finds it quiet and subscribes again.  So did the probe
+        # timers: nothing is being probed any more.
         now = self._process.env.now
         for address in self._last_heard:
             self._last_heard[address] = now
         self._suspected.clear()
         self._subscribers.clear()
+        self._probing.clear()
 
     def watch(self, address: Address) -> None:
         if address == self._process.address:
@@ -182,6 +220,28 @@ class HeartbeatDetector(FailureDetector):
 
     def is_suspected(self, address: Address) -> bool:
         return address in self._suspected
+
+    def probe(self, address: Address) -> None:
+        last = self._last_heard.get(address)
+        if last is None or address in self._suspected or address in self._probing:
+            return
+        self._probing.add(address)
+        self._probe_round(address, last, PROBES)
+
+    def _probe_round(self, address: Address, last: float, left: int) -> None:
+        """Probe ``address`` again, or, ``left`` rounds later with nothing
+        heard since ``last``, suspect it."""
+        if self._last_heard.get(address) != last or address in self._suspected:
+            self._probing.discard(address)  # answered, unwatched or suspected
+        elif not left:
+            self._probing.discard(address)
+            self._suspect(address, last)
+        else:
+            self._process.send(address, _PROBE)
+            self._process.set_timer(
+                self._interval / 4,
+                lambda: self._probe_round(address, last, left - 1),
+            )
 
     def _tick(self) -> None:
         process = self._process
@@ -275,6 +335,9 @@ class HeartbeatDetector(FailureDetector):
 
     def _on_unsubscribe(self, _unsubscribe: Unsubscribe, sender: Address) -> None:
         self._subscribers.pop(sender, None)
+
+    def _on_probe(self, _probe: Probe, sender: Address) -> None:
+        self._process.send(sender, _HEARTBEAT)
 
     def _on_heartbeat(self, _heartbeat: Heartbeat, sender: Address) -> None:
         if sender in self._last_heard:

@@ -61,7 +61,9 @@ MAGIC = b"RW"
 # CCRead (78), and its hedge is the same CCRead, sent to the next rank.
 # v10: SegmentAck (2) grew ``high`` — a receiver with a gap reports where
 # the gap ends, and the sender resends everything below it.
-WIRE_VERSION = 10
+# v11: Probe (36) — a cohort holding a write the client hedged asks the
+# coordinator for one Heartbeat now.
+WIRE_VERSION = 11
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

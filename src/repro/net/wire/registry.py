@@ -52,7 +52,7 @@ from repro.core.views import (
     RemoveLeaf,
     UpdateLeaf,
 )
-from repro.failure.detector import Heartbeat, Subscribe, Unsubscribe
+from repro.failure.detector import Heartbeat, Probe, Subscribe, Unsubscribe
 from repro.membership.events import (
     Flush,
     FlushOk,
@@ -115,12 +115,14 @@ def ensure_registered() -> None:
 
     # Process plumbing (30-39).  Id 33 was HeartbeatAck until
     # WIRE_VERSION 7, when the heartbeat became a one-way push to
-    # whoever subscribed; like 90 it stays retired.
+    # whoever subscribed; like 90 it stays retired.  Probe (36), a
+    # one-shot liveness check answered by a Heartbeat, is new in v11.
     register_kind(30, RpcRequest)
     register_kind(31, RpcReply)
     register_kind(32, Heartbeat)
     register_kind(34, Subscribe)
     register_kind(35, Unsubscribe)
+    register_kind(36, Probe)
 
     # Hierarchy: treecast, leader, hierarchy ops (40-59).
     register_kind(40, TreeCastRelay)

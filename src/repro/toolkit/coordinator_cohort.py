@@ -37,13 +37,21 @@ A request that reaches a member outside the set all the same (a client
 whose whole set has since left the group) is forwarded once: a write to
 the set, a read to its coordinator.
 
-**Reads outlive their coordinator.**  A takeover waits for the failure
-detector and the view change (``suspect_after``); a read need not.  A
-client that has heard nothing for a read after :data:`HEDGE_MEDIANS`
-times the median of its recent replies sends the same read to the *next
-rank* of the set, which answers from its own replica, the same totally
-ordered state.  Each retry of a read, hedged or not, moves one rank on.
-A write is executed by the coordinator only; it is never hedged.
+**Requests outlive their coordinator.**  A client that has heard nothing
+for a request after :data:`HEDGE_MEDIANS` times the median of its recent
+replies sends the same request to the *next rank* of the set.
+- A read is answered there from the rank's own replica, the same
+  totally ordered state.  Each retry of a read, hedged or not, moves one
+  rank on.
+- A write is still executed by the coordinator only.  Rank 1 already
+  holds it pending, so a second copy is evidence that the coordinator is
+  silent.  Rank 1 probes it (``FailureDetector.probe``), and if the
+  probes go unanswered it suspects the coordinator.  Its own view change
+  then makes it coordinator, and the takeover runs the write once.  The
+  client's hedge never suspects anyone; only rank 1's failed probe does.
+  So a put caught by a crash waits about ``PROBES * interval / 4`` plus
+  one flush, not ``suspect_after`` (docs/hierarchy.md, "Requests during
+  a coordinator outage").
 
 A process may host several servers (different groups) and several client
 stubs; a per-process :class:`_CCDispatch` demultiplexes the shared wire
@@ -77,17 +85,18 @@ eviction re-executes — at-least-once, as after a leaf change."""
 
 HEDGE_SAMPLES = 64
 HEDGE_MEDIANS = 4.0
-"""A client hedges a read still unanswered after ``HEDGE_MEDIANS``
+"""A client hedges a request still unanswered after ``HEDGE_MEDIANS``
 times the median reply time of its process's latest batch of
 ``HEDGE_SAMPLES`` first-attempt, unhedged requests (recomputed as each
 batch fills), and never before the first batch.  Derived, never set, and
 safe at any value: a hedge makes at most one more member execute a
-*read*; a write is never hedged.  Four medians sit far above a
-failure-free tail (p99 / p50 is under 2.1 on the three failure-free
-benchmark workloads, and no hedge fires on them) and far below a
-takeover, which waits for the failure detector: a hedged get is answered
-about four medians plus one round trip after it was sent, where a
-takeover takes ``suspect_after``."""
+*read*, and a hedged write only makes rank 1 probe the coordinator — no
+member but the coordinator ever executes one.  Four medians sit far
+above a failure-free tail (p99 / p50 is under 2.1 on the three
+failure-free benchmark workloads, and no hedge fires on them) and far
+below the failure detector's ``suspect_after``: a hedged get is answered
+about four medians plus one round trip after it was sent, a hedged put
+about ``PROBES * interval / 4`` plus one flush after that."""
 
 
 @dataclass
@@ -282,6 +291,12 @@ class CoordinatorCohortServer:
                 self._reply(request, self._results[request.request_id])
         elif self._is_coordinator():
             self._execute(request)
+        elif request.request_id in self._pending:
+            # A second copy is the client's hedge: the coordinator has
+            # left it unanswered.  Check the coordinator now; the takeover
+            # after the view change still runs the write, so nobody here
+            # does.
+            self.member.runtime.detector.probe(self.member.acting_coordinator())
         else:
             self._pending[request.request_id] = request
 
@@ -471,13 +486,13 @@ class CoordinatorCohortClient:
         return CCRead(**fields) if call.read else CCRequest(**fields)
 
     def _hedge(self, request_id: str, delay: float) -> None:
-        """A read goes to the next rank, which answers from its replica;
-        a write only stops feeding the hedge delay."""
+        """The same request goes to the next rank: a read is answered
+        from its replica, a write makes it probe the coordinator."""
         call = self._calls.get(request_id)
         if call is None:
             return
         call.sent_at = None
-        if call.read and self._members is not None and len(self._members) > 1:
+        if self._members is not None and len(self._members) > 1:
             self.process.send(self._members[1], self._request(request_id, call))
         call.timer = self.process.set_timer(
             self.timeout - delay, lambda: self._maybe_retry(request_id)

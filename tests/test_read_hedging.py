@@ -1,18 +1,24 @@
-"""Reads outlive their coordinator, and a read costs 2 messages
-(docs/hierarchy.md, "Reads during a coordinator outage").
+"""Requests outlive their coordinator, and a read costs 2 messages
+(docs/hierarchy.md, "Requests during a coordinator outage").
 
-A client sends a declared read to the coordinator alone.  If it has heard
-nothing for ``HEDGE_MEDIANS`` x its median reply time, it sends the same
-request, payload and all, to rank 1 of the cohort set, which answers from
-its own replica.  A read is never pending, never taken over, never copied
-and never remembered.  A write still goes to the whole set and is
-executed by the coordinator only.  These tests hold the pieces the
-benchmark cannot see on its own: no hedge without a fault, gets answered
-by rank 1 within the hedge delay plus one round trip while puts wait for
-the takeover, no write ever executed off the coordinator, a hedged read
-executed once across a later takeover, what a hedged read may return,
-that no get is ever held, that a forwarded read runs once, that a read
-retried before the first hedge delay moves to the next rank, and that a
+A client sends a declared read to the coordinator alone and a write to
+the whole cohort set.  If it has heard nothing for ``HEDGE_MEDIANS`` x
+its median reply time, it sends the same request, payload and all, to
+rank 1 of the set.  A read is answered there from rank 1's own replica;
+it is never pending, never taken over, never copied and never
+remembered.  A write is executed by the coordinator only: rank 1, which
+holds it pending, takes the second copy as evidence and probes the
+coordinator, and only its own failed probe suspects it.  The view change
+then makes rank 1 coordinator, and its takeover runs the write once.
+
+These tests hold the pieces the benchmark cannot see on its own: no
+hedge without a fault; gets answered by rank 1 within the hedge delay
+plus one round trip, puts within the hedge delay plus ``PROBES`` probe
+rounds plus one flush; no write ever executed off the coordinator; a
+slow but live coordinator neither suspected nor replaced; a hedged read
+executed once across a later takeover; what a hedged read may return;
+that no get is ever held; that a forwarded read runs once; that a read
+retried before the first hedge delay moves to the next rank; and that a
 client declaring no reads gets one execution from a server that does.
 """
 
@@ -21,7 +27,7 @@ from collections import Counter
 import pytest
 
 from repro.core import LargeGroupParams, build_large_group, build_leader_group
-from repro.failure.detector import HeartbeatDetector
+from repro.failure.detector import PROBES, HeartbeatDetector, Probe
 from repro.membership import GroupNode, build_group
 from repro.net import FixedLatency, LanLatency
 from repro.proc import Environment
@@ -35,8 +41,12 @@ from repro.toolkit import (
     ReplicatedDict,
 )
 from repro.toolkit.coordinator_cohort import HEDGE_SAMPLES, _CCDispatch
+from tests.test_heartbeat_push import Detour
 
 RTT = 0.004  # FixedLatency(0.002), there and back
+INTERVAL = 0.2
+PROBE_WINDOW = PROBES * INTERVAL / 4  # first probe to suspicion: 0.2 s
+FLUSH = 3 * RTT  # suspicion to the takeover's reply: flush, install, reply
 
 
 def node_kwargs():
@@ -44,7 +54,7 @@ def node_kwargs():
     # so the outage a hedge shortens is long and easy to see.
     return dict(
         detector_factory=lambda node: HeartbeatDetector(
-            node, interval=0.2, suspect_after=1.0
+            node, interval=INTERVAL, suspect_after=1.0
         ),
         gossip_interval=0.5,
     )
@@ -58,6 +68,18 @@ def requests_sent(env, client_address):
     def tap(_event, envelope):
         if isinstance(envelope.payload, CCRequest) and envelope.src == client_address:
             sent.append((envelope.dst, envelope.payload.request_id))
+
+    env.network.add_tap(tap, events=("send",))
+    return sent
+
+
+def probes_sent(env):
+    """A list that fills with (time, prober, probed) of every Probe."""
+    sent = []
+
+    def tap(_event, envelope):
+        if isinstance(envelope.payload, Probe):
+            sent.append((env.now, envelope.src, envelope.dst))
 
     env.network.add_tap(tap, events=("send",))
     return sent
@@ -107,38 +129,90 @@ def warm_up(env, client, count=HEDGE_SAMPLES):
 
 
 def test_a_put_is_never_executed_off_the_coordinator():
+    """A put caught by a crash is hedged to rank 1, which probes and
+    executes nothing; the takeover after the view change runs it once, at
+    rank 1 as the new coordinator, well inside ``suspect_after``."""
     env, members, servers, client = flat_store()
-    warm_up(env, client)
+    delay = warm_up(env, client)
     executed = [s.requests_executed for s in servers]
+    at_execution = []  # (op, rank 1's coordinator when rank 1 ran it)
+    inner = servers[1].handler
+
+    def handler(payload, sender):
+        at_execution.append((payload[0], members[1].view.coordinator))
+        return inner(payload, sender)
+
+    servers[1].handler = handler
     sent = requests_sent(env, "client")
+    probes = probes_sent(env)
     env.crash("svc-0")
+    start = env.now
     put_reply, get_reply = [], []
-    put_id = client.request(("put", "k", 1), put_reply.append)
+    put_id = client.request(("put", "k", 1), lambda r: put_reply.append((r, env.now - start)))
     get_id = client.request(("get", "k"), get_reply.append)
-    env.run_for(0.1)
-    # The put went to the whole set, the get to the coordinator and, as
-    # its hedge, to rank 1, which answered it.  The put was not hedged.
+    env.run_for(delay + RTT)
+    # The put went to the whole set and, as its hedge, to rank 1 again; the
+    # get to the coordinator and then to rank 1, which answered it.
     assert sorted(sent) == sorted([
-        ("svc-0", put_id), ("svc-1", put_id), ("svc-2", put_id),
+        ("svc-0", put_id), ("svc-1", put_id), ("svc-2", put_id), ("svc-1", put_id),
         ("svc-0", get_id), ("svc-1", get_id),
     ])
     assert get_reply == [0] and put_reply == []
-    # The put sent again to every cohort, by hand: still nothing.
+    assert probes == [(pytest.approx(start + delay + RTT / 2), "svc-1", "svc-0")]
+    # The put sent again to both cohorts, by hand: rank 2 probes too (rank
+    # 1 already is), and still nobody executes it.
     request = CCRequest(group="svc", request_id=put_id, payload=("put", "k", 1),
                         client="client", view_seq=client._view_seq)
     client.process.multicast(("svc-1", "svc-2"), request)
-    env.run_for(0.5)
+    env.run_for(PROBE_WINDOW - RTT)
     assert put_reply == []
     assert [s.requests_executed - e for s, e in zip(servers, executed)] == [
         0, 1, 0, 0, 0, 0,
     ]
-    # The takeover, after detection and the view change, runs the put once.
+    # Rank 1's last probe went unanswered: it suspects, installs the view
+    # without the coordinator and takes the put over, once.
     env.run_for(2.0)
-    assert put_reply == ["ok"]
+    assert [r for r, _ in put_reply] == ["ok"]
+    assert PROBE_WINDOW < put_reply[0][1] <= delay + RTT / 2 + PROBE_WINDOW + FLUSH
+    assert put_reply[0][1] < 0.25  # was suspect_after and more: 0.95 s
+    assert Counter(prober for _, prober, _ in probes) == {
+        "svc-1": PROBES, "svc-2": PROBES,
+    }
     assert servers[1].takeovers == 1
     assert [s.requests_executed - e for s, e in zip(servers, executed)] == [
         0, 2, 0, 0, 0, 0,
     ]
+    assert at_execution == [("get", "svc-0"), ("put", "svc-1")]
+
+
+def test_a_slow_but_live_coordinator_answers_the_probe_and_keeps_its_place():
+    """The coordinator hears the put late, long after the client's hedge:
+    rank 1's probe is answered at once, nobody suspects anyone, no view
+    changes, and the coordinator runs the put when it arrives."""
+    latency = Detour()
+    env, members, servers, client = flat_store(latency=latency)
+    delay = warm_up(env, client)
+    suspicions = []
+    for member in members:
+        member.runtime.detector.add_listener(suspicions.append)
+    views = [m.view.seq for m in members]
+    executed = [s.requests_executed for s in servers]
+    probes = probes_sent(env)
+    latency.slow["client", "svc-0"] = 0.3
+    start = env.now
+    put_reply = []
+    client.request(("put", "k", 1), lambda r: put_reply.append((r, env.now - start)))
+    env.run_for(0.1)
+    assert probes == [(pytest.approx(start + delay + RTT / 2), "svc-1", "svc-0")]
+    assert put_reply == [] and servers[1]._pending
+    env.run_for(2.0)
+    assert put_reply == [("ok", pytest.approx(0.3 + RTT / 2))]
+    assert len(probes) == 1 and suspicions == []
+    assert [m.view.seq for m in members] == views
+    assert [s.requests_executed - e for s, e in zip(servers, executed)] == [
+        1, 0, 0, 0, 0, 0,
+    ]
+    assert not any(s.takeovers for s in servers)
 
 
 def test_a_read_sent_outside_the_set_is_executed_once_and_answered_once():
@@ -192,16 +266,20 @@ def test_hedged_or_not_an_answered_request_leaves_no_timer_behind():
 
 
 def test_a_service_that_declares_no_reads_waits_for_the_takeover():
+    """A get the service does not declare a read takes the write path:
+    rank 1 probes on its hedge and answers only as the new coordinator."""
     env, members, servers, client = flat_store(is_read=None)
-    warm_up(env, client)
+    delay = warm_up(env, client)
     env.crash("svc-0")
     replies = []
     client.request(("get", "k"), replies.append)
-    env.run_for(0.5)
+    env.run_for(delay + PROBE_WINDOW)
     assert replies == []
-    env.run_for(2.0)
+    assert servers[1].requests_executed == 0
+    env.run_for(FLUSH + RTT)
     assert replies == [0]
-    assert servers[1].takeovers == 1
+    assert members[1].view.coordinator == "svc-1"
+    assert servers[1].takeovers == 1 and servers[1].requests_executed == 1
 
 
 def test_a_read_retried_before_the_first_hedge_delay_goes_to_the_next_rank():
@@ -392,6 +470,7 @@ def test_no_get_ever_enters_pending_or_results_at_any_member():
 
 
 def test_with_the_coordinator_crashed_rank_1_answers_gets_and_the_takeover_puts():
+    """Gets in about four medians, puts in about the probe window."""
     env, contacts, members, stores = store(FixedLatency(0.002))
     client = store_client(env, contacts)
     client.refresh(lambda ok: None)
@@ -428,9 +507,11 @@ def test_with_the_coordinator_crashed_rank_1_answers_gets_and_the_takeover_puts(
     assert sorted(k for _, k, _ in gets) == sorted(leaf_keys[0:8:2])
     assert all(value == key for value, key, _ in gets)
     assert max(latency for _, _, latency in gets) <= delay + RTT + 1e-9
-    assert rank1.service.current.requests_executed - executed_before == 4
-    assert puts == []  # still waiting for detection and the view change
-    env.run_for(3.0)
+    # Every put: the takeover, once rank 1's probe of the first one's
+    # hedge went unanswered and its view installed.
     assert [ok for ok, _ in puts] == [True] * 4
-    assert min(latency for _, latency in puts) > 0.5
+    assert max(latency for _, latency in puts) <= delay + RTT / 2 + PROBE_WINDOW + FLUSH
     assert rank1.service.current.takeovers == 4
+    assert rank1.service.current.requests_executed - executed_before == 8
+    env.run_for(3.0)
+    assert len(puts) == 4 and rank1.service.current.takeovers == 4

@@ -17,9 +17,13 @@ full leaf of 16): a put is the request path's 3 + 1 + 2 ``cc-*``
 messages (the set, the reply, the result copies) plus one ``group-data``
 per other member — the coordinator is the sequencer, so its abcast
 carries its own order and draws no ``group-setorder`` — and a get is
-1 + 1: one request to the coordinator, one reply, nothing else.  The
-third test holds a steady put stream to that budget with no
-``transport-ack`` at all: the acks ride the stability round.
+1 + 1: one request to the coordinator, one reply, nothing else.  No
+failure-free window sends a ``Probe``.  A put whose coordinator has
+crashed is 3 ``cc-request`` plus the client's one hedge to rank 1, then
+at most ``PROBES`` probes from rank 1 and one view change, after which
+the takeover answers it.  The third test holds a steady put stream to
+the failure-free budget with no ``transport-ack`` at all: the acks ride
+the stability round.
 
 Nor has the harness a per-member metric for the background budget yet
 (ROADMAP item 1(b)); the fourth test is its tier-1 stand-in: an idle
@@ -39,13 +43,14 @@ from repro.core import (
     build_large_group,
     build_leader_group,
 )
-from repro.failure.detector import RENEW_TICKS, HeartbeatDetector
+from repro.failure.detector import PROBES, RENEW_TICKS, HeartbeatDetector
 from repro.membership import GroupNode
 from repro.membership.group import MONITOR_K
 from repro.metrics.sanitizer import VirtualSynchronySanitizer
 from repro.net import FixedLatency
 from repro.proc import Environment
 from repro.toolkit import PartitionedStoreClient, PartitionedStoreServer
+from repro.toolkit.coordinator_cohort import _CCDispatch
 
 KNOWN_CATEGORIES = {
     "heartbeat",
@@ -177,20 +182,34 @@ def sixteen_member_leaf():
     return env, params, contacts, members, stores, sanitizer, client, done
 
 
+def kinds_sent(env):
+    """A Counter that fills with the payload type of every datagram sent."""
+    kinds = Counter()
+    env.network.add_tap(
+        lambda _event, e: kinds.update((type(e.payload).__name__,)),
+        events=("send",),
+    )
+    return kinds
+
+
 def test_a_put_into_a_sixteen_member_leaf_is_15_data_and_6_cc():
     env, params, contacts, members, stores, sanitizer, client, done = (
         sixteen_member_leaf()
     )
 
+    kinds = kinds_sent(env)
+
     def window(count, op):
         """``count`` calls of ``op(i)`` 50 ms apart; the window's
-        per-category counts."""
+        per-category counts.  Failure-free: no probe."""
         before = env.network.stats.snapshot()
+        probes = kinds["Probe"]
         for i in range(count):
             env.scheduler.after(0.05 * i, lambda i=i: op(i))
         env.run_for(0.05 * count + 2.0)
         delta = env.network.stats.since(before).by_category
         assert set(delta) <= KNOWN_CATEGORIES, sorted(set(delta) - KNOWN_CATEGORIES)
+        assert kinds["Probe"] == probes
         return delta
 
     def puts(count, start):
@@ -220,16 +239,28 @@ def test_a_put_into_a_sixteen_member_leaf_is_15_data_and_6_cc():
     assert delta["transport-ack"] <= 20 * 15 + delta["group-stability"]
     gets(20, start=0)
 
+    gets(20, start=0)
+    gets(20, start=0)
+    assert _CCDispatch.for_process(client.process).hedge_delay is not None
+    assert kinds["Probe"] == 0
+
     # -- a takeover: the next rank both coordinates and sequences -----------------------
+    # The put reaches the set, its hedge reaches rank 1, rank 1's probes go
+    # unanswered, and one view change later the takeover answers it.
     coordinator = members[0].leaf_member.view.coordinator
+    view_seq = members[0].leaf_member.view.seq
     before = env.network.stats.snapshot()
     client.put("in-flight", 1, done.append)
     env.crash(coordinator)
     env.run_for(5.0)
     assert done == [True] * 22
     survivors = [(m, s) for m, s in zip(members, stores) if m.me != coordinator]
-    assert sum(s.service.current.takeovers for _, s in survivors) >= 1
-    assert set(env.network.stats.since(before).by_category) <= KNOWN_CATEGORIES
+    assert sum(s.service.current.takeovers for _, s in survivors) == 1
+    delta = env.network.stats.since(before).by_category
+    assert set(delta) <= KNOWN_CATEGORIES
+    assert (delta["cc-request"], delta["cc-reply"], delta["cc-result"]) == (3 + 1, 1, 2)
+    assert 0 < kinds["Probe"] <= PROBES
+    assert {m.leaf_member.view.seq for m, _ in survivors} == {view_seq + 1}
     delta = puts(20, start=100)
     assert delta["group-data"] == 20 * 14
     assert delta.get("group-setorder", 0) == 0

@@ -572,6 +572,7 @@ def test_wire_ids_are_unique_and_stable():
     assert kinds[32].__name__ == "Heartbeat"
     assert 33 not in kinds  # HeartbeatAck, retired in v7: never reused
     assert (kinds[34].__name__, kinds[35].__name__) == ("Subscribe", "Unsubscribe")
+    assert kinds[36].__name__ == "Probe"
     assert kinds[70].__name__ == "CCRequest"
     assert 77 not in kinds  # CCHedge, retired in v9: never reused
     assert kinds[78].__name__ == "CCRead"
@@ -592,8 +593,9 @@ def test_wire_ids_are_unique_and_stable():
     # request is the same bytes as under v7 apart from the version byte.
     # v9: CCHedge is gone — a read is a CCRead, and its hedge the same
     # CCRead sent to the next rank — so a v8 peer's hedge is refused at
-    # the header.  v10: SegmentAck grew ``high`` (the gap report).
-    assert WIRE_VERSION == 10
+    # the header.  v10: SegmentAck grew ``high`` (the gap report).  v11:
+    # Probe is new — a v10 peer would not know kind 36.
+    assert WIRE_VERSION == 11
 
 
 def test_a_gap_report_round_trips():
@@ -648,5 +650,25 @@ def test_a_v6_heartbeat_ack_is_refused_by_version_not_by_kind():
     with pytest.raises(CodecError, match="unknown wire kind id 33"):
         decode_frame(bytes(frame))
     frame[2] = 6
+    with pytest.raises(CodecError, match="version"):
+        decode_frame(bytes(frame))
+
+
+def test_a_probe_round_trips_and_a_v10_frame_is_refused():
+    """Wire v11: a Probe is kind 36 with no fields, alone in a control
+    frame or inside a data frame.  A v10 peer knows no kind 36: a frame
+    stamped v10 is turned away at the header, whatever it carries."""
+    from repro.failure.detector import Probe
+    from repro.net.wire.codec import HEADER_BYTES
+
+    frame = bytearray(encode_control_frame(Probe()))
+    assert decode_frame(bytes(frame)) == (FRAME_CONTROL, Probe())
+    assert frame[HEADER_BYTES:] == bytes([10, 36, 0])  # tag KIND, id 36, 0 fields
+    envelope = Envelope("g-1", "g-0", Probe(), send_time=1.0, deliver_time=1.002)
+    frames, rejects = encode_data_frames([envelope])
+    assert not rejects
+    (decoded,) = decode_frame(frames[0])[1]
+    assert decoded.payload == Probe()
+    frame[2] = 10
     with pytest.raises(CodecError, match="version"):
         decode_frame(bytes(frame))
