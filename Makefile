@@ -1,29 +1,18 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-baseline analyze sanitize smoke-asyncio smoke-socket e2e-smoke trace bench bench-e2e bench-report bench-guard bench-scale bench-claims bench-tables bench-wire clean
+.PHONY: test lint sanitize smoke-asyncio smoke-socket e2e-smoke trace bench bench-e2e bench-report bench-guard bench-scale bench-claims bench-tables bench-wire clean
 
 ## Tier-1: unit + integration tests (includes the behaviour guard below
 ## and the backend smokes, markers: asyncio_smoke, socket_smoke).
 test:
 	$(PYTHON) -m pytest -x -q
 
-## Static determinism & protocol-safety analysis: per-file rules
-## (RL001…RL011) plus the whole-program passes (RL012 taint, RL013
-## handler exhaustiveness, RL014 await-atomicity); --check-baseline
-## keeps the grandfathered-findings file from going stale.
+## Static determinism & protocol-safety analysis (docs/devtools.md):
+## every per-file rule and whole-program pass, one mode, fails on any
+## finding.
 lint:
-	$(PYTHON) -m tools.lint src/repro --flow --check-baseline
-
-## Rewrite the grandfathered-findings baseline from the current tree.
-lint-baseline:
-	$(PYTHON) -m tools.lint src/repro --flow --update-baseline
-
-## Whole-program analysis report: symbol table + call graph stats and
-## every finding (pre-baseline) as JSON under docs/ (docs/devtools.md,
-## "Whole-program analysis").
-analyze:
-	$(PYTHON) -m tools.lint src/repro --flow --json docs/flow_report.json
+	$(PYTHON) -m tools.lint
 
 ## Runtime virtual-synchrony sanitizer suite (VS001…VS006 hooks).
 sanitize:
@@ -81,16 +70,16 @@ bench-e2e:
 ## EXPERIMENTS.md.  The lint preflight refuses to record a
 ## nondeterministic tree.
 bench-report:
-	$(PYTHON) -m tools.lint src/repro --flow
+	$(PYTHON) -m tools.lint
 	$(PYTHON) -m tools.perf_report --guard --update
 
-## Behaviour gate: flow-clean lint preflight, then rerun the five quick
+## Behaviour gate: lint preflight, then rerun the five quick
 ## guard scenarios (four core, scale_n256) against BENCH_core.json —
 ## fails on any fingerprint change and names the counter that moved.
 ## Tier-1 runs the same check; speed is gated by `make bench-e2e` pairs,
 ## not here.
 bench-guard:
-	$(PYTHON) -m tools.lint src/repro --flow
+	$(PYTHON) -m tools.lint
 	$(PYTHON) -m tools.perf_report --guard
 
 ## Scaling-curve report (docs/hierarchy.md): the load-driven recursive

@@ -179,9 +179,7 @@ class PartitionedStoreClient:
                     if info["contacts"]
                 }
                 then(bool(self._leaves))
-            elif isinstance(value, tuple) and value and value[0] == "redirect":
-                self._fetch_leaves(index + 1, then)
-            else:
+            else:  # a redirect, or no leaves yet: ask the next contact
                 self._fetch_leaves(index + 1, then)
 
         self.rpc.call(

@@ -1,15 +1,17 @@
-"""repro-lint: every rule catches its seeded violation fixture, clean
-idioms stay quiet, suppression and baseline work, and the live tree is
-clean modulo the checked-in baseline."""
+"""repro-lint: every rule catches its seeded violation fixture — the
+hazard docs/devtools.md measured it on among them — clean idioms stay
+quiet, any finding fails the run, and the CLI has one mode."""
 
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-from tools.lint import lint_source, load_baseline, new_findings, run
-from tools.lint.engine import DEFAULT_BASELINE
-from tools.lint.rules import ALL_RULES
+import pytest
+
+from tools.lint import lint_source, run
+from tools.lint.__main__ import main
+from tools.lint.rules import ALL_RULES, IMPORT_BOUNDARIES, ImportBoundaryRule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,6 +33,10 @@ def test_rl001_wall_clock_sources():
         "from datetime import datetime\nstamp = datetime.now()\n"
     )
     assert "RL001" in codes("import datetime\nd = datetime.date.today()\n")
+    # The measured hazard: a flush start stamped with the wall clock.
+    assert codes(
+        "import time\nself._flush.started_at = time.monotonic()\n"
+    ) == ["RL001"]
     # Simulated time is the approved clock.
     assert codes("now = env.scheduler.now\n") == []
 
@@ -50,6 +56,12 @@ def test_rl003_unordered_iteration_in_protocol_code():
     assert "RL003" in codes("members = tuple(set(alive))\n")
     assert "RL003" in codes("for k in d.keys() - other:\n    pass\n")
     assert "RL003" in codes("for m in alive.difference(dead):\n    pass\n")
+    # The measured hazard: the leader's coordinator watches, unsorted.
+    assert codes(
+        "for address in set(wanted) - self._watched:\n"
+        "    self.node.runtime.watch(address, tag)\n",
+        path="src/repro/core/leader.py",
+    ) == ["RL003"]
     # sorted() fixes the order; order-insensitive consumers are fine.
     assert codes("for x in sorted(set(items)):\n    use(x)\n") == []
     assert codes("n = len(set(items))\n") == []
@@ -63,22 +75,23 @@ def test_rl004_identity_keys():
     assert "RL004" in codes("existing = table.get(id(process))\n")
     assert "RL004" in codes("order[hash(view)] = 1\n")
     assert "RL004" in codes("first = hash(a) < hash(b)\n")
+    # The measured hazard: the per-process dispatch registry keyed by id().
+    assert codes(
+        "existing = cls._instances.get(id(process))\n",
+        path="src/repro/toolkit/coordinator_cohort.py",
+    ) == ["RL004"]
     # hash() as a return value (defining __hash__) is fine.
     assert codes("def f(self):\n    return hash(frozenset(s))\n") == []
-
-
-def test_rl005_mutable_defaults():
-    assert "RL005" in codes("def f(x, acc=[]):\n    pass\n")
-    assert "RL005" in codes("def f(x, acc={}):\n    pass\n")
-    assert "RL005" in codes("def f(x, acc=set()):\n    pass\n")
-    assert "RL005" in codes("def f(x, *, acc=dict()):\n    pass\n")
-    assert codes("def f(x, acc=None):\n    pass\n") == []
-    assert codes("def f(x, acc=()):\n    pass\n") == []
 
 
 def test_rl006_float_equality_on_time():
     assert "RL006" in codes("if deadline == scheduler.now:\n    pass\n")
     assert "RL006" in codes("ready = t != self._now\n")
+    # The measured hazard: a detector deadline compared with ==.
+    assert codes(
+        "if now == last + self._suspect_after:\n    suspect(address)\n",
+        path="src/repro/failure/detector.py",
+    ) == ["RL006"]
     assert codes("late = scheduler.now >= deadline\n") == []
     assert codes("if self._join_timer == None:\n    pass\n", path=PLAIN) == []
 
@@ -86,8 +99,6 @@ def test_rl006_float_equality_on_time():
 def test_rl007_scheduler_internals():
     assert "RL007" in codes("import heapq\n")
     assert "RL007" in codes("from heapq import heappush\n")
-    assert "RL007" in codes("evts = env.scheduler._heap\n")
-    assert "RL007" in codes("n = scheduler._seq\n")
     # The scheduler itself owns its heap.
     assert codes("import heapq\n", path="src/repro/sim/scheduler.py") == []
     assert codes("t = env.scheduler.now\n") == []
@@ -101,6 +112,12 @@ def test_rl008_trace_internals_in_protocol_code():
     assert "RL008" in codes("from repro import trace\n")
     assert "RL008" in codes("span = collector.new_span('x', 'y', 'z')\n")
     assert "RL008" in codes("spans = network.trace.collector.spans()\n")
+    # The measured hazard: a suspicion span minted through the collector.
+    assert codes(
+        "process.env.network.trace.collector.new_span(\n"
+        "    'local', 'suspicion', src=process.address)\n",
+        path="src/repro/failure/detector.py",
+    ) == ["RL008", "RL008"]
     # The guarded-sink idiom is the approved hook surface.
     assert codes(
         "trace = self.process.env.network.trace\n"
@@ -139,10 +156,8 @@ def test_rl009_sim_imports_outside_runtime():
     # The engine-contract idiom is the approved import surface.
     assert codes("from repro.runtime.api import SimRandom, TimerService\n") == []
     assert codes("from repro.runtime import AsyncioRuntime, SimRuntime\n") == []
-    # Per-line disable still works for judged exceptions.
-    assert codes(
-        "from repro.sim import Scheduler  # repro-lint: disable=RL009\n"
-    ) == []
+    # There is no per-line escape hatch.
+    assert codes("from repro.sim import Scheduler\n") == ["RL009"]
 
 
 def test_rl010_segment_ack_outside_transport():
@@ -166,10 +181,11 @@ def test_rl010_segment_ack_outside_transport():
     # Receiving/forwarding an ack object is fine — only construction is
     # the transport's privilege.
     assert codes("def _on_ack(self, ack, sender):\n    log(ack.cum_seq)\n") == []
-    # Per-line disable still works for judged exceptions.
+    # The measured hazard: a flush acked by hand from membership.
     assert codes(
-        "ack = SegmentAck(cum_seq=0)  # repro-lint: disable=RL010\n"
-    ) == []
+        "self.runtime.process.send(\n"
+        "    sender, SegmentAck(cum_seq=0, incarnation=0, epoch=0))\n",
+    ) == ["RL010"]
 
 
 HOT = "src/repro/net/network.py"  # a hot-event-loop path
@@ -201,12 +217,21 @@ def test_rl011_hot_loop_allocation_escapes():
         "for e in batch:\n    self.q[e.dst] = [e]\n", path=HOT
     )
     assert "RL011" in codes("for e in batch:\n    return [e]\n", path=HOT)
+    # The two measured hazards: a closure per multicast destination, and
+    # a fresh list per bucket where the drained one should be recycled.
+    assert codes(
+        "for dst in dst_list:\n"
+        "    fabric.at_call(fabric.now, lambda d: send(src, d, payload, 1), dst)\n",
+        path=HOT,
+    ) == ["RL011"]
+    assert codes(
+        "while heap:\n    event.fn(arg)\n    arg_pool.append([])\n",
+        path="src/repro/sim/scheduler.py",
+    ) == ["RL011"]
 
 
 def test_rl011_non_escaping_allocations_stay_quiet():
-    # Immediately-invoked nested defs die with their iteration: the old
-    # syntactic rule needed a disable comment here, the escape analysis
-    # does not.
+    # Immediately-invoked nested defs die with their iteration.
     assert codes(
         "while heap:\n"
         "    def fire():\n"
@@ -244,12 +269,8 @@ def test_rl011_non_escaping_allocations_stay_quiet():
     assert codes("meta = {}\nbatch = []\n", path=HOT) == []
     # The rule only polices the event core's hot files.
     assert codes("for e in batch:\n    self.q = [e]\n", path=PLAIN) == []
-    # Judged deliberate escapes are waved through explicitly.
-    assert codes(
-        "for e in batch:\n"
-        "    self.q = [e]  # repro-lint: disable=RL011\n",
-        path=HOT,
-    ) == []
+    # A deliberate escape there is a finding too: no per-line escape hatch.
+    assert codes("for e in batch:\n    self.q = [e]\n", path=HOT) == ["RL011"]
 
 
 def test_rl015_wire_serialization_outside_the_wire_layer():
@@ -272,159 +293,62 @@ def test_rl015_wire_serialization_outside_the_wire_layer():
     assert codes("import socket\n", path="src/repro/deploy/tracker.py") == []
     # Speaking payload objects through the network is the approved idiom.
     assert codes("process.send(peer, GroupData(*fields))\n") == []
-    # Per-line disable still works for judged exceptions.
-    assert codes("import json  # repro-lint: disable=RL015\n") == []
+    # There is no per-line escape hatch.
+    assert codes("import json\n") == ["RL015"]
 
 
 def test_every_rule_has_a_code_and_hint():
+    catalogue = [(row.code, row.hint) for row in IMPORT_BOUNDARIES]
+    catalogue += [
+        (rule.code, rule.hint) for rule in ALL_RULES if rule is not ImportBoundaryRule
+    ]
     seen = set()
-    for rule in ALL_RULES:
-        assert rule.code.startswith("RL") and len(rule.code) == 5
-        assert rule.code not in seen
-        assert rule.hint
-        seen.add(rule.code)
+    for code, hint in catalogue:
+        assert code.startswith("RL") and len(code) == 5
+        assert hint
+        seen.add(code)
+    # RL008's import row and attribute visitor share a code; nothing else does.
+    assert len(catalogue) - len(seen) == 1
 
 
-# ------------------------------------------------- suppression & baseline
+# ------------------------------------------------------------- one mode
 
 
-def test_per_line_suppression():
-    src = "for x in set(items):  # repro-lint: disable=RL003\n    use(x)\n"
-    assert codes(src) == []
-    # Suppressing a different code does not silence the finding.
-    src = "for x in set(items):  # repro-lint: disable=RL004\n    use(x)\n"
-    assert codes(src) == ["RL003"]
-
-
-def test_suppression_covers_multiline_statements():
-    # A disable comment on the first physical line of a wrapped statement
-    # silences findings reported on its continuation lines — rules anchor
-    # findings at the offending sub-expression, which after black-style
-    # wrapping is rarely the line carrying the comment.
-    src = (
-        "table = {  # repro-lint: disable=RL004\n"
-        "    id(member): member\n"
-        "}\n"
-    )
-    assert codes(src) == []
-    # Without the comment the continuation line still fires.
-    src = "table = {\n    id(member): member\n}\n"
-    assert codes(src) == ["RL004"]
-    # The spread stops at the statement: the next statement is not
-    # covered by the previous one's comment.
-    src = (
-        "table = {  # repro-lint: disable=RL004\n"
-        "    id(member): member\n"
-        "}\n"
-        "other = id(peer)\n"
-    )
-    assert codes(src) == ["RL004"]
-    # Compound statements spread only over their own header, never into
-    # the body.
-    src = (
-        "for x in (  # repro-lint: disable=RL003\n"
-        "    set(items)\n"
-        "):\n"
-        "    y = id(x)\n"
-        "    use(y)\n"
-    )
-    assert codes(src) == ["RL004"]
-
-
-def test_baseline_grandfathers_existing_findings(tmp_path):
-    bad = tmp_path / "src" / "repro" / "membership" / "old.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("for x in set(items):\n    use(x)\n")
+def test_any_finding_fails_the_run(tmp_path):
+    tree = tmp_path / "src" / "repro" / "membership"
+    tree.mkdir(parents=True)
+    (tree / "ok.py").write_text("for x in sorted(set(items)):\n    use(x)\n")
     root = [str(tmp_path / "src" / "repro")]
-    # No baseline: the finding is a failure.
-    code, report = run(root, baseline_path=tmp_path / "b.json", repo_root=tmp_path)
-    assert code == 1 and "RL003" in report
-    # Record it, then the same tree passes...
-    code, _ = run(
-        root,
-        baseline_path=tmp_path / "b.json",
-        update_baseline=True,
-        repo_root=tmp_path,
-    )
-    assert code == 0
-    code, report = run(root, baseline_path=tmp_path / "b.json", repo_root=tmp_path)
-    assert code == 0 and "grandfathered" in report
-    # ...until the bucket grows: a second violation in the file fails.
-    bad.write_text(
-        "for x in set(items):\n    use(x)\nfor y in set(more):\n    use(y)\n"
-    )
-    code, report = run(root, baseline_path=tmp_path / "b.json", repo_root=tmp_path)
+    code, report = run(root, repo_root=tmp_path)
+    assert code == 0 and "0 finding(s) — ok" in report
+    (tree / "bad.py").write_text("for x in set(items):\n    use(x)\n")
+    code, report = run(root, repo_root=tmp_path)
     assert code == 1
-
-
-def test_check_baseline_fails_on_stale_entries(tmp_path):
-    # Grandfathered debt that has been paid off must leave the baseline,
-    # or the bucket could silently regrow back up to its stale count.
-    bad = tmp_path / "src" / "repro" / "membership" / "old.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("for x in set(items):\n    use(x)\n")
-    root = [str(tmp_path / "src" / "repro")]
-    run(
-        root,
-        baseline_path=tmp_path / "b.json",
-        update_baseline=True,
-        repo_root=tmp_path,
-    )
-    # Pay off the debt: the plain run passes, but --check-baseline
-    # demands the baseline shrink too.
-    bad.write_text("for x in ordered(items):\n    use(x)\n")
-    code, _ = run(root, baseline_path=tmp_path / "b.json", repo_root=tmp_path)
-    assert code == 0
-    code, report = run(
-        root,
-        baseline_path=tmp_path / "b.json",
-        repo_root=tmp_path,
-        check_baseline=True,
-    )
-    assert code == 1
-    assert "stale baseline entry" in report
-    assert "membership/old.py::RL003" in report
-    # Regenerating the baseline clears the staleness.
-    run(
-        root,
-        baseline_path=tmp_path / "b.json",
-        update_baseline=True,
-        repo_root=tmp_path,
-    )
-    code, _ = run(
-        root,
-        baseline_path=tmp_path / "b.json",
-        repo_root=tmp_path,
-        check_baseline=True,
-    )
-    assert code == 0
-
-
-# ------------------------------------------------------------- live tree
+    assert "src/repro/membership/bad.py:1:9: RL003" in report
+    assert "1 finding(s) — FAIL" in report
 
 
 def test_live_tree_is_clean_modulo_baseline():
-    code, report = run(
-        [str(REPO_ROOT / "src" / "repro")],
-        baseline_path=DEFAULT_BASELINE,
-        repo_root=REPO_ROOT,
-    )
-    assert code == 0, f"repro-lint regressions:\n{report}"
-
-
-def test_checked_in_baseline_is_empty():
-    """The tree was scrubbed in this PR; keep it that way.  If you must
-    grandfather a finding, document it in docs/devtools.md."""
-    assert load_baseline(DEFAULT_BASELINE) == {}
+    """The baseline is gone, so there is nothing to be clean modulo of:
+    the full run, per-file and whole-program, finds nothing on the tree.
+    Its size and time bounds are in test_flow_analysis.py."""
+    code, report = run([str(REPO_ROOT / "src" / "repro")], repo_root=REPO_ROOT)
+    assert code == 0, f"repro-lint findings on the live tree:\n{report}"
+    assert "0 finding(s) — ok" in report
 
 
 def test_cli_smoke():
-    """Tier-1 gate: `python -m tools.lint src/repro` must exit 0."""
+    """`python -m tools.lint` with no arguments is what `make lint`,
+    `make bench-guard` and `make bench-report` run; it takes no options."""
     proc = subprocess.run(
-        [sys.executable, "-m", "tools.lint", "src/repro"],
+        [sys.executable, "-m", "tools.lint"],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "flow:" in proc.stdout and "call edges" in proc.stdout
     assert "repro-lint" in proc.stdout
+    with pytest.raises(SystemExit) as refused:
+        main(["--flow"])
+    assert refused.value.code == 2

@@ -30,6 +30,7 @@ The full multi-OS-process rung of the same ladder is exercised by the
 ``socket_smoke`` CLI test below and ``make smoke-socket``.
 """
 
+import gc
 import os
 import subprocess
 import sys
@@ -99,6 +100,11 @@ _ENGINES = {"asyncio": run_on_asyncio, "socket": run_on_socket}
 def test_engine_parity(name, engine):
     scenario = make_scenario(name)
     reference = reference_for(name)
+    # The live run must not pay for the rest of the suite's garbage: a
+    # full collection landing mid-run stalls the loop for ~0.1 s, two
+    # logical seconds at the test time scale, long enough for timeouts
+    # to fire ahead of the replies they wait for.
+    gc.collect()
     live = _ENGINES[engine](scenario)
     errors = scenario.check(reference, live)
     assert not errors, "\n".join(errors)

@@ -2,35 +2,15 @@
 
 Usage::
 
-    PYTHONPATH=src python -m tools.lint src/repro --flow --check-baseline
+    PYTHONPATH=src python -m tools.lint
 
-Per-file rules RL001…RL011 run always; ``--flow`` adds the
-whole-program passes (RL012 interprocedural determinism taint, RL013
-handler exhaustiveness, RL014 await-atomicity) from
-:mod:`tools.lint.flow`.  See docs/devtools.md for the rule catalogue,
-the per-line suppression syntax, the baseline workflow and the
-"Whole-program analysis" guide.
+One mode: the per-file rules (:mod:`tools.lint.rules`) and the
+whole-program passes (:mod:`tools.lint.flow`) always run, and any
+finding fails.  See docs/devtools.md for the rule catalogue and the
+measurement each rule was kept on.
 """
 
-from tools.lint.engine import (
-    DEFAULT_BASELINE,
-    lint_paths,
-    lint_source,
-    load_baseline,
-    new_findings,
-    run,
-)
-from tools.lint.rules import ALL_RULES, Finding, LintContext, RULES_BY_CODE
+from tools.lint.engine import lint_source, run
+from tools.lint.rules import ALL_RULES, Finding
 
-__all__ = [
-    "ALL_RULES",
-    "DEFAULT_BASELINE",
-    "Finding",
-    "LintContext",
-    "RULES_BY_CODE",
-    "lint_paths",
-    "lint_source",
-    "load_baseline",
-    "new_findings",
-    "run",
-]
+__all__ = ["ALL_RULES", "Finding", "lint_source", "run"]

@@ -1,20 +1,15 @@
-"""CLI: ``python -m tools.lint src/repro [--flow] [--update-baseline]``.
+"""CLI: ``python -m tools.lint [ROOT ...]`` (default: ``src/repro``).
 
-``--flow`` adds the whole-program passes (RL012 interprocedural
-determinism taint, RL013 handler exhaustiveness, RL014 await-atomicity)
-on top of the per-file rules; ``--json`` / ``--sarif`` write
-machine-readable reports for CI; ``--check-baseline`` fails on stale
-grandfathered entries so lint debt can only shrink.
+Runs every rule, per-file and whole-program, and exits 1 on any finding.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
-from tools.lint.engine import DEFAULT_BASELINE, run
+from tools.lint.engine import run
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -28,70 +23,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=["src/repro"],
         help="files or directories to lint (default: src/repro)",
     )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=DEFAULT_BASELINE,
-        help="grandfathered-findings file (default: tools/lint/baseline.json)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current tree and exit 0",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help="fail if the baseline holds stale entries that no longer fire",
-    )
-    parser.add_argument(
-        "--flow",
-        action="store_true",
-        help="run the whole-program passes too (RL012 taint, RL013 handler "
-        "exhaustiveness, RL014 await-atomicity)",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write all findings (per-file + flow) as a JSON report",
-    )
-    parser.add_argument(
-        "--sarif",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write all findings as SARIF 2.1.0 for CI annotation",
-    )
     args = parser.parse_args(argv)
-    roots = args.roots or ["src/repro"]
-    code, report = run(
-        roots,
-        baseline_path=args.baseline,
-        update_baseline=args.update_baseline,
-        flow=args.flow or bool(args.json) or bool(args.sarif),
-        check_baseline=args.check_baseline,
-    )
-    if args.json is not None or args.sarif is not None:
-        # Re-collect the full finding set (pre-baseline) for the report
-        # files: CI wants everything, not just regressions.
-        from tools.lint.engine import lint_paths
-        from tools.lint.flow import analyze_paths
-        from tools.lint.flow.report import write_json, write_sarif
-
-        findings = lint_paths(roots)
-        flow_findings, stats = analyze_paths(roots)
-        findings = sorted(
-            [*findings, *flow_findings],
-            key=lambda f: (f.path, f.line, f.col, f.code),
-        )
-        if args.json is not None:
-            write_json(args.json, findings, stats)
-            print(f"repro-lint: JSON report written to {args.json}")
-        if args.sarif is not None:
-            write_sarif(args.sarif, findings)
-            print(f"repro-lint: SARIF report written to {args.sarif}")
+    code, report = run(args.roots)
     print(report)
     return code
 

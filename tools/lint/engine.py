@@ -1,121 +1,29 @@
-"""repro-lint engine: file walking, suppression, baseline, reporting.
+"""repro-lint engine: read the files, run every rule, report.
 
-The engine parses each file once, runs every rule visitor over the tree,
-drops findings on lines carrying ``# repro-lint: disable=RLxxx`` and then
-compares what remains against a *baseline* file.  The baseline records
-grandfathered findings as ``path::code -> count``; the lint fails only
-when a (path, code) bucket **exceeds** its grandfathered count, so CI
-catches regressions without forcing an archaeology PR first.
+Each file is parsed once for the per-file rules, and the same sources
+feed the whole-program passes (:mod:`tools.lint.flow`).  Any finding
+fails the run: there is no baseline and no per-line suppression — a
+rule that misfires is fixed, not silenced.
 """
 
 from __future__ import annotations
 
 import ast
-import json
-import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
+from tools.lint.flow import analyze_sources
 from tools.lint.rules import ALL_RULES, Finding, LintContext
 
-# Packages whose iteration order is protocol-visible (RL003 scope): a
-# nondeterministic loop here changes which message goes out first.
-PROTOCOL_PACKAGES = {
-    "broadcast",
-    "clocks",
-    "core",
-    "failure",
-    "membership",
-    "net",
-    "toolkit",
-    "transport",
-}
 
-_SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Z0-9,\s]+)")
-
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
+def _order(finding: Finding) -> Tuple:
+    return (finding.path, finding.line, finding.col, finding.code, finding.message)
 
 
-def _context_for(path: str) -> LintContext:
-    """Derive per-file rule switches from the repo-relative path."""
-    posix = path.replace("\\", "/")
-    parts = posix.split("/")
-    package = None
-    if "repro" in parts:
-        idx = parts.index("repro")
-        if idx + 1 < len(parts) - 1:
-            package = parts[idx + 1]
-    return LintContext(
-        path=posix,
-        is_protocol=package in PROTOCOL_PACKAGES,
-        allow_random=posix.endswith("sim/rand.py"),
-        allow_scheduler_internals=posix.endswith("sim/scheduler.py"),
-        # RL011 scope: the event-core hot loops where per-event
-        # allocations are a measured regression, not a style nit.
-        hot_event_loop=posix.endswith(("sim/scheduler.py", "net/network.py")),
-        # RL009 boundary: the simulator itself and the runtime backends
-        # are the only homes of repro.sim imports.
-        allow_sim_import=package in ("sim", "runtime"),
-        # RL010 boundary: only the transport constructs its own acks.
-        allow_segment_ack=package == "transport",
-        # RL015 boundary: raw sockets and byte-level serialization are
-        # confined to the wire codec, the socket backend and the deploy
-        # control plane — one frame format, one place it is written.
-        allow_wire_serialization=(
-            "/net/wire/" in posix
-            or posix.endswith("runtime/socket_backend.py")
-            or package == "deploy"
-        ),
-    )
-
-
-def _suppressed_lines(source: str, tree: Optional[ast.AST] = None) -> Dict[int, set]:
-    """Map line number -> set of codes disabled on that line.
-
-    With a parsed ``tree``, a ``disable=`` comment on the *first physical
-    line* of a multi-line statement covers the statement's continuation
-    lines too — rules report findings at the sub-expression's line, which
-    for a wrapped call is not the line carrying the comment.  Compound
-    statements (``for``/``if``/``def`` …) only extend over their own
-    header, never into their body.
-    """
-    out: Dict[int, set] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _SUPPRESS_RE.search(line)
-        if match:
-            codes = {c.strip() for c in match.group(1).split(",") if c.strip()}
-            out[lineno] = codes
-    if tree is not None and out:
-        _extend_suppressions(tree, out)
-    return out
-
-
-def _extend_suppressions(tree: ast.AST, out: Dict[int, set]) -> None:
-    """Spread first-line ``disable=`` codes over statement continuations."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt):
-            continue
-        codes = out.get(node.lineno)
-        if not codes:
-            continue
-        body = getattr(node, "body", None)
-        if body:  # compound statement: cover the header only
-            first = body[0]
-            end = getattr(first, "lineno", node.lineno) - 1
-        else:
-            end = getattr(node, "end_lineno", node.lineno) or node.lineno
-        for lineno in range(node.lineno + 1, end + 1):
-            out.setdefault(lineno, set()).update(codes)
-
-
-def lint_source(
-    source: str,
-    path: str,
-    ctx: Optional[LintContext] = None,
-) -> List[Finding]:
-    """Lint one file's source text.  Tests feed fixture snippets here."""
-    if ctx is None:
-        ctx = _context_for(path)
+def lint_source(source: str, path: str) -> List[Finding]:
+    """Run the per-file rules over one file's source text.  Tests feed
+    fixture snippets here."""
+    ctx = LintContext.for_path(path)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -129,17 +37,12 @@ def lint_source(
                 hint="fix the syntax error",
             )
         ]
-    suppressed = _suppressed_lines(source, tree)
     findings: List[Finding] = []
     for rule_cls in ALL_RULES:
         rule = rule_cls(ctx)
         rule.visit(tree)
-        for finding in rule.findings:
-            if finding.code in suppressed.get(finding.line, ()):
-                continue
-            findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return findings
+        findings.extend(rule.findings)
+    return sorted(findings, key=_order)
 
 
 def iter_python_files(roots: Sequence[str]) -> Iterable[Path]:
@@ -151,155 +54,36 @@ def iter_python_files(roots: Sequence[str]) -> Iterable[Path]:
             yield from sorted(root_path.rglob("*.py"))
 
 
-def lint_paths(roots: Sequence[str], repo_root: Optional[Path] = None) -> List[Finding]:
-    """Lint every .py file under the given roots."""
-    repo_root = repo_root or Path.cwd()
-    findings: List[Finding] = []
+def read_sources(
+    roots: Sequence[str], repo_root: Optional[Path] = None
+) -> List[Tuple[str, str]]:
+    """``(repo-relative posix path, source)`` for every .py under roots."""
+    repo_root = (repo_root or Path.cwd()).resolve()
+    sources = []
     for file_path in iter_python_files(roots):
         try:
-            relative = file_path.resolve().relative_to(repo_root.resolve())
-            shown = relative.as_posix()
+            shown = file_path.resolve().relative_to(repo_root).as_posix()
         except ValueError:
             shown = file_path.as_posix()
-        source = file_path.read_text(encoding="utf-8")
-        findings.extend(lint_source(source, shown))
-    return findings
+        sources.append((shown, file_path.read_text(encoding="utf-8")))
+    return sources
 
 
-# ----------------------------------------------------------------- baseline
-
-
-def load_baseline(path: Path) -> Dict[str, int]:
-    if not path.exists():
-        return {}
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return {str(k): int(v) for k, v in data.get("grandfathered", {}).items()}
-
-
-def save_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    counts: Dict[str, int] = {}
-    for finding in findings:
-        key = f"{finding.path}::{finding.code}"
-        counts[key] = counts.get(key, 0) + 1
-    payload = {
-        "comment": (
-            "Grandfathered repro-lint findings (path::code -> count). "
-            "CI fails only when a bucket exceeds its count here; shrink "
-            "freely, grow never.  Regenerate with "
-            "`python -m tools.lint src/repro --update-baseline`."
-        ),
-        "grandfathered": dict(sorted(counts.items())),
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def new_findings(
-    findings: Sequence[Finding], baseline: Dict[str, int]
-) -> Tuple[List[Finding], List[str]]:
-    """Split findings into (regressions, fully-grandfathered buckets).
-
-    A bucket at or under its grandfathered count reports nothing; a bucket
-    over it reports *all* its findings (we cannot tell old from new by
-    line number across refactors, so the whole bucket surfaces).
-    """
-    buckets: Dict[str, List[Finding]] = {}
-    for finding in findings:
-        buckets.setdefault(f"{finding.path}::{finding.code}", []).append(finding)
-    regressions: List[Finding] = []
-    grandfathered: List[str] = []
-    for key, bucket in sorted(buckets.items()):
-        allowed = baseline.get(key, 0)
-        if len(bucket) > allowed:
-            regressions.extend(bucket)
-        else:
-            grandfathered.append(f"{key} ({len(bucket)} grandfathered)")
-    return regressions, grandfathered
-
-
-def render_report(
-    regressions: Sequence[Finding],
-    grandfathered: Sequence[str],
-    total_files: int,
-) -> str:
+def run(roots: Sequence[str], repo_root: Optional[Path] = None) -> Tuple[int, str]:
+    """Full lint run; returns (exit code, report text)."""
+    sources = read_sources(roots, repo_root)
+    findings = [f for path, source in sources for f in lint_source(source, path)]
+    flow_findings, stats = analyze_sources(sources)
+    findings = sorted([*findings, *flow_findings], key=_order)
     lines: List[str] = []
-    for finding in regressions:
+    for finding in findings:
         lines.append(finding.render())
         lines.append(f"    hint: {finding.hint}")
-    for note in grandfathered:
-        lines.append(f"grandfathered: {note}")
-    status = "FAIL" if regressions else "ok"
     lines.append(
-        f"repro-lint: {total_files} files, {len(regressions)} new finding(s), "
-        f"{len(grandfathered)} grandfathered bucket(s) — {status}"
+        f"flow: {stats['functions']} functions, {stats['call_edges']} call edges"
     )
-    return "\n".join(lines)
-
-
-def stale_baseline_entries(
-    findings: Sequence[Finding], baseline: Dict[str, int]
-) -> List[str]:
-    """Baseline buckets that no longer fire at all (count 0 in the
-    current tree): grandfathered debt that has been paid off must leave
-    the baseline so it can never silently regrow."""
-    live: Dict[str, int] = {}
-    for finding in findings:
-        key = f"{finding.path}::{finding.code}"
-        live[key] = live.get(key, 0) + 1
-    return sorted(key for key in baseline if live.get(key, 0) == 0)
-
-
-def run(
-    roots: Sequence[str],
-    baseline_path: Optional[Path] = None,
-    update_baseline: bool = False,
-    repo_root: Optional[Path] = None,
-    flow: bool = False,
-    check_baseline: bool = False,
-) -> Tuple[int, str]:
-    """Full lint run; returns (exit_code, report_text).
-
-    ``flow=True`` adds the whole-program passes (RL012–RL014) on top of
-    the per-file rules; their findings ride the same suppression and
-    baseline machinery.  ``check_baseline=True`` additionally fails on
-    stale baseline entries (grandfathered buckets that no longer fire).
-    """
-    baseline_path = baseline_path or DEFAULT_BASELINE
-    files = list(iter_python_files(roots))
-    findings = lint_paths(roots, repo_root=repo_root)
-    flow_note = ""
-    if flow:
-        from tools.lint.flow import analyze_paths
-
-        flow_findings, flow_stats = analyze_paths(roots, repo_root=repo_root)
-        findings = sorted(
-            [*findings, *flow_findings],
-            key=lambda f: (f.path, f.line, f.col, f.code),
-        )
-        flow_note = (
-            f"flow: {flow_stats['functions']} functions, "
-            f"{flow_stats['call_edges']} call edges, "
-            f"{flow_stats['findings']} finding(s) in "
-            f"{flow_stats['elapsed_seconds']}s\n"
-        )
-    if update_baseline:
-        save_baseline(baseline_path, findings)
-        return 0, (
-            f"repro-lint: baseline rewritten with {len(findings)} finding(s) "
-            f"at {baseline_path}"
-        )
-    baseline = load_baseline(baseline_path)
-    regressions, grandfathered = new_findings(findings, baseline)
-    report = render_report(regressions, grandfathered, total_files=len(files))
-    exit_code = 1 if regressions else 0
-    if check_baseline:
-        stale = stale_baseline_entries(findings, baseline)
-        if stale:
-            stale_lines = "\n".join(f"stale baseline entry: {key}" for key in stale)
-            report = (
-                f"{stale_lines}\n"
-                f"{report}\n"
-                "repro-lint: baseline hygiene FAIL — entries above no longer "
-                "fire; shrink the baseline (rerun with --update-baseline)"
-            )
-            exit_code = 1
-    return exit_code, flow_note + report
+    status = "FAIL" if findings else "ok"
+    lines.append(
+        f"repro-lint: {len(sources)} files, {len(findings)} finding(s) — {status}"
+    )
+    return (1 if findings else 0), "\n".join(lines)

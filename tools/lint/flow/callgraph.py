@@ -13,26 +13,18 @@ land in?" for the dispatch shapes the tree actually uses:
   annotations and ``x = Class(...)`` local assignments;
 * ``Class.method`` bound-method references.
 
-On top of resolution the graph records *callback registration* edges:
-a function reference handed to ``at_call`` / ``after_call`` / ``call_at``
-/ ``add_tap`` / ``on`` / ``set_timer`` / ``every`` /
-``functools.partial`` is an eventual call, so taint and reachability
-follow it exactly like a direct call.
+:func:`build_call_graph` also counts *callback registration* edges (a
+function reference handed to ``at_call`` / ``on`` / ``set_timer`` /
+``functools.partial`` … is an eventual call); the CLI prints the edge
+count as evidence that resolution still reaches the tree.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Set, Tuple
 
-from tools.lint.flow.symbols import (
-    ClassInfo,
-    FunctionInfo,
-    ModuleInfo,
-    Project,
-    _dotted,
-)
+from tools.lint.flow.symbols import ClassInfo, FunctionInfo, Project, _dotted
 
 # Methods whose function-reference arguments are eventually invoked:
 # scheduler/timer entry points, network taps, process dispatch, and the
@@ -59,16 +51,6 @@ CALLBACK_REGISTRARS = {
     "add_listener",
     "partial",
 }
-
-
-@dataclass(frozen=True)
-class CallEdge:
-    """One resolved call site: caller -> callee."""
-
-    caller: str  # qname
-    callee: str  # qname
-    line: int
-    kind: str  # "call" | "registered"
 
 
 class Resolver:
@@ -186,50 +168,23 @@ class Resolver:
         return None
 
 
-def build_call_graph(project: Project, resolver: Resolver) -> List[CallEdge]:
-    """Every resolvable call and callback-registration edge in the project."""
-    edges: List[CallEdge] = []
-    seen = set()
-
-    def add(caller: str, callee: FunctionInfo, line: int, kind: str) -> None:
-        key = (caller, callee.qname, line, kind)
-        if key not in seen:
-            seen.add(key)
-            edges.append(CallEdge(caller, callee.qname, line, kind))
-
+def build_call_graph(project: Project, resolver: Resolver) -> Set[Tuple[str, str, int, str]]:
+    """Every resolvable call and callback-registration edge in the
+    project, as ``(caller, callee, line, "call" | "registered")``."""
+    edges: Set[Tuple[str, str, int, str]] = set()
     for fn in project.functions.values():
         for node in ast.walk(fn.node):
             if not isinstance(node, ast.Call):
                 continue
             target = resolver.resolve_call(fn, node)
             if target is not None:
-                add(fn.qname, target, node.lineno, "call")
-            # callback registration: function references among the args
-            callee_name = None
-            if isinstance(node.func, ast.Attribute):
-                callee_name = node.func.attr
-            elif isinstance(node.func, ast.Name):
-                callee_name = node.func.id
-            if callee_name in CALLBACK_REGISTRARS:
-                for arg in [*node.args, *[kw.value for kw in node.keywords]]:
+                edges.add((fn.qname, target.qname, node.lineno, "call"))
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in CALLBACK_REGISTRARS:
+                for arg in [*node.args, *(kw.value for kw in node.keywords)]:
                     if isinstance(arg, (ast.Name, ast.Attribute)):
                         registered = resolver.resolve_funcref(fn, arg)
                         if registered is not None:
-                            add(fn.qname, registered, node.lineno, "registered")
+                            edges.add((fn.qname, registered.qname, node.lineno, "registered"))
     return edges
-
-
-def reachable_from(edges: List[CallEdge], roots: List[str]) -> set:
-    """Transitive closure of qnames reachable from the given roots."""
-    adjacency: Dict[str, List[str]] = {}
-    for edge in edges:
-        adjacency.setdefault(edge.caller, []).append(edge.callee)
-    seen = set()
-    stack = list(roots)
-    while stack:
-        qname = stack.pop()
-        if qname in seen:
-            continue
-        seen.add(qname)
-        stack.extend(adjacency.get(qname, ()))
-    return seen

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from tools.lint.flow.callgraph import Resolver
-from tools.lint.flow.symbols import ClassInfo, FunctionInfo, Project, _dotted
+from tools.lint.flow.symbols import FunctionInfo, Project, _dotted
 from tools.lint.rules import Finding
 
 CODE = "RL013"
@@ -110,21 +110,11 @@ def _receiver_is_wire(
     return last in _WIRE_RECEIVER_NAMES
 
 
-def _payload_class(
-    resolver: Resolver, fn: FunctionInfo, expr: ast.AST
-) -> Optional[ClassInfo]:
-    """Resolve a payload expression to its project class, best effort."""
-    return resolver.value_class(fn, expr)
-
-
 def analyze(project: Project, resolver: Resolver) -> List[Finding]:
     uses: Dict[str, KindUse] = {}
 
     def use(qname: str) -> KindUse:
-        entry = uses.get(qname)
-        if entry is None:
-            entry = uses[qname] = KindUse()
-        return entry
+        return uses.setdefault(qname, KindUse())
 
     for fn in project.functions.values():
         mod = fn.module
@@ -158,7 +148,7 @@ def analyze(project: Project, resolver: Resolver) -> List[Finding]:
                     payload_expr = node.args[1]
                 if payload_expr is None:
                     continue
-                kind = _payload_class(resolver, fn, payload_expr)
+                kind = resolver.value_class(fn, payload_expr)
                 if kind is not None:
                     use(kind.qname).sent.append((fn.path, node.lineno))
 

@@ -1,7 +1,7 @@
 """Project-wide symbol table for the whole-program analysis layer.
 
-The per-file rules (RL001…RL011) see one ``ast`` tree at a time; the
-flow passes (RL012…RL014) need to answer questions *across* files:
+The per-file rules see one ``ast`` tree at a time; the flow passes
+(RL012, RL013) need to answer questions *across* files:
 "which function does this call land in?", "what class is ``self._process``
 an instance of?", "where is this payload class constructed?".  This
 module builds the tables those questions are answered from:
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 
 def module_name_for(path: str) -> str:
@@ -60,7 +59,6 @@ class FunctionInfo:
     module: "ModuleInfo"
     node: ast.AST  # FunctionDef | AsyncFunctionDef
     class_qname: Optional[str] = None
-    is_async: bool = False
     # parameter name -> resolved class qname (from annotations)
     param_types: Dict[str, str] = field(default_factory=dict)
     # positional parameter names, 'self' excluded for methods
@@ -88,14 +86,6 @@ class ClassInfo:
     # instance attribute name -> class qname (best effort)
     attr_types: Dict[str, str] = field(default_factory=dict)
 
-    @property
-    def path(self) -> str:
-        return self.module.path
-
-    @property
-    def line(self) -> int:
-        return self.node.lineno
-
 
 @dataclass
 class ModuleInfo:
@@ -104,15 +94,12 @@ class ModuleInfo:
     name: str
     path: str  # repo-relative posix path
     tree: ast.Module
-    source: str
     # local name -> fully qualified target ("Envelope" -> "repro.net.message.Envelope")
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     # module-level NAME = SomeClass(...) constants -> class qname
     constant_types: Dict[str, str] = field(default_factory=dict)
-    # line -> set of RL codes suppressed on that line (multi-line aware)
-    suppressed: Dict[int, set] = field(default_factory=dict)
 
 
 class Project:
@@ -125,22 +112,15 @@ class Project:
 
     # ------------------------------------------------------------- building
 
-    def add_module(self, path: str, source: str, suppressed: Optional[Dict[int, set]] = None) -> Optional[ModuleInfo]:
+    def add_module(self, path: str, source: str) -> None:
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError:
-            return None
-        mod = ModuleInfo(
-            name=module_name_for(path),
-            path=path,
-            tree=tree,
-            source=source,
-            suppressed=suppressed or {},
-        )
+            return  # the per-file pass reports it as RL000
+        mod = ModuleInfo(name=module_name_for(path), path=path, tree=tree)
         self._collect_imports(mod)
         self._collect_defs(mod)
         self.modules[mod.name] = mod
-        return mod
 
     def _collect_imports(self, mod: ModuleInfo) -> None:
         for node in ast.walk(mod.tree):
@@ -208,7 +188,6 @@ class Project:
             module=mod,
             node=node,
             class_qname=class_qname,
-            is_async=isinstance(node, ast.AsyncFunctionDef),
         )
         args = node.args
         positional = [*args.posonlyargs, *args.args]
@@ -346,15 +325,3 @@ def _annotation_name(node: ast.AST) -> Optional[str]:
         if base in ("Optional", "typing.Optional"):
             return _annotation_name(node.slice)
     return None
-
-
-def build_project(
-    files: Sequence[Tuple[str, str]],
-    suppressions: Optional[Dict[str, Dict[int, set]]] = None,
-) -> Project:
-    """Build a :class:`Project` from ``(repo-relative-path, source)`` pairs."""
-    project = Project()
-    suppressions = suppressions or {}
-    for path, source in files:
-        project.add_module(path, source, suppressed=suppressions.get(path))
-    return project

@@ -45,7 +45,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 
 from tools.lint.flow.callgraph import Resolver
 from tools.lint.flow.symbols import FunctionInfo, Project, _dotted
-from tools.lint.rules import Finding
+from tools.lint.rules import Finding, is_set_expr
 
 CODE = "RL012"
 HINT = (
@@ -128,44 +128,6 @@ class Summary:
             self.param_ret,
             tuple(sorted((i, c) for i, c in self.param_sink.items())),
         )
-
-
-def _is_dict_view(node: ast.AST) -> bool:
-    """Bare ``d.keys()`` / ``d.items()`` — insertion-ordered on their own
-    (so *not* a source), hash-ordered once combined in a set operation."""
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("keys", "items")
-        and not node.args
-    )
-
-
-def _is_set_expr(node: ast.AST) -> bool:
-    """Raw set/frozenset expressions (hash-order iterables)."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-            return True
-        if isinstance(func, ast.Attribute) and func.attr in (
-            "difference",
-            "union",
-            "intersection",
-            "symmetric_difference",
-        ):
-            return True
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.Sub, ast.BitOr, ast.BitAnd, ast.BitXor)
-    ):
-        return (
-            _is_set_expr(node.left)
-            or _is_set_expr(node.right)
-            or _is_dict_view(node.left)
-            or _is_dict_view(node.right)
-        )
-    return False
 
 
 class _FunctionPass:
@@ -257,7 +219,7 @@ class _FunctionPass:
     def _comp(self, node) -> Taint:
         out = _CLEAN
         for gen in node.generators:
-            if _is_set_expr(gen.iter):
+            if is_set_expr(gen.iter):
                 out = self._merge(
                     out, self._source("set-order", "set-iteration order", gen.iter)
                 )
@@ -309,7 +271,7 @@ class _FunctionPass:
             name in ("list", "tuple", "iter")
             and isinstance(func, ast.Name)
             and node.args
-            and _is_set_expr(node.args[0])
+            and is_set_expr(node.args[0])
         ):
             return self._merge(
                 arg_taint,
@@ -322,7 +284,7 @@ class _FunctionPass:
                 and isinstance(inner.func, ast.Name)
                 and inner.func.id == "iter"
                 and inner.args
-                and _is_set_expr(inner.args[0])
+                and is_set_expr(inner.args[0])
             ):
                 return self._merge(
                     arg_taint,
@@ -332,7 +294,7 @@ class _FunctionPass:
             name == "pop"
             and isinstance(func, ast.Attribute)
             and not node.args
-            and _is_set_expr(func.value)
+            and is_set_expr(func.value)
         ):
             return self._merge(
                 arg_taint, self._source("set-order", "set.pop()", node)
@@ -524,7 +486,7 @@ class _FunctionPass:
                     self.summary.param_ret = self.summary.param_ret | params
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             iter_taint = self.eval(stmt.iter)
-            if _is_set_expr(stmt.iter):
+            if is_set_expr(stmt.iter):
                 iter_taint = self._merge(
                     iter_taint,
                     self._source("set-order", "for-loop over a raw set", stmt.iter),
