@@ -1,15 +1,15 @@
 """abcast: totally ordered group multicast via a ranked sequencer.
 
-The rank-0 member of the current view is the *sequencer*.  Its own
-``total``-ordered multicasts carry their global sequence number
-(``GroupData.global_seq``, stamped at send), so an abcast from the
-sequencer is one message per receiver.  Everyone else sends ``total``
-data unstamped; on receiving such a message the sequencer multicasts a
-:class:`~repro.membership.events.SetOrder` assigning it the next number.
-Receivers hold total data until both the data *and* its order are known —
-from the data itself or from a ``SetOrder`` — then deliver strictly in
-global-sequence order, so every member delivers the same totally ordered
-stream.
+The rank-0 member of the current view is the *sequencer*, and a position
+in the total order always travels on its data (``GroupData.global_seq``).
+The sequencer stamps its own ``total`` multicasts at send.  Anyone else
+sends its abcast unstamped to the sequencer alone, which stamps a copy
+with the next number and sends it to every other member, the originator
+included; the originator holds its own copy (for a flush) until the
+stamped one returns.  Either way an abcast is one message per receiver
+plus, when relayed, one to the sequencer: every member receives stamped
+data over the sequencer's FIFO channel, in position order, and delivers
+it on arrival.
 
 On a view change the flush reconciles: order assignments known anywhere
 survive; flushed-but-unordered data is assigned a deterministic order by
@@ -23,10 +23,11 @@ is bounded by recent traffic, not by the age of the view.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import copy
+from typing import Dict, List, Tuple
 
 from repro.broadcast.base import OrderingEngine
-from repro.membership.events import GroupData, MessageId, SetOrder
+from repro.membership.events import GroupData, MessageId
 from repro.membership.view import GroupView
 from repro.net.message import Address
 
@@ -39,14 +40,18 @@ class TotalEngine(OrderingEngine):
         self.is_sequencer = view.coordinator == me
         self._next_assign = next_global_seq  # sequencer only
         self._next_deliver = next_global_seq
-        self._order: Dict[int, MessageId] = {}
         # Every assignment seen this view that some member may not have
         # delivered yet: flush must be able to report orders for messages
         # delivered *here*, otherwise a member that missed the assignment
         # could be given a conflicting order at the view change.
         self._history: Dict[int, MessageId] = {}
-        self._pending: Dict[MessageId, GroupData] = {}
-        self._delivered_ids: set = set()
+        # Total data this member cannot deliver in this view unless a
+        # stamped copy in position arrives, kept for the flush: its own
+        # relayed abcasts, what reached the sequencer while a flush blocked
+        # it, and stamped data past a gap (only an abandoned channel from
+        # the sequencer leaves one, and the view change that follows
+        # removes this member).
+        self._held: Dict[MessageId, GroupData] = {}
 
     # -- sequencer side ----------------------------------------------------------
 
@@ -66,65 +71,43 @@ class TotalEngine(OrderingEngine):
 
     def stamp_outgoing(self, data: GroupData) -> None:
         """The sequencer's own multicast carries its order; anyone else's
-        waits for the sequencer's SetOrder."""
+        goes to the sequencer unstamped."""
         if self.is_sequencer:
             data.global_seq = self._assign(data)
 
-    def assign_order(self, data: GroupData) -> Optional[SetOrder]:
-        """Called at every member for each total-order message it receives;
-        returns the SetOrder to multicast, or None if this member is not
-        the sequencer or the data already carries its order."""
-        if not self.is_sequencer or data.global_seq is not None:
-            return None
-        return SetOrder(
-            group=self.view.group,
-            view_seq=self.view.seq,
-            orders=[(self._assign(data), data.message_id)],
-        )
+    def stamp(self, data: GroupData) -> GroupData:
+        """Sequencer: a copy of another member's relayed abcast carrying
+        the next position.  A copy, because on the sim engine the
+        originator holds the very object the sequencer received."""
+        stamped = copy.copy(data)
+        stamped.global_seq = self._assign(data)
+        return stamped
 
     # -- every member ----------------------------------------------------------
 
     def on_receive(self, data: GroupData) -> List[GroupData]:
-        if data.global_seq is not None:
-            self._learn(data.global_seq, data.message_id)
-        if data.message_id not in self._delivered_ids:
-            self._pending.setdefault(data.message_id, data)
-        ready = self._drain()
+        global_seq = data.global_seq
+        if global_seq == self._next_deliver:
+            self._held.pop(data.message_id, None)
+            self._history[global_seq] = data.message_id
+            self._next_deliver = global_seq + 1
+            return [data]
+        if global_seq is not None:
+            if global_seq < self._next_deliver:
+                return []  # a duplicate of data delivered past
+            self._history.setdefault(global_seq, data.message_id)
+        self._held.setdefault(data.message_id, data)
         trace = self._trace()
-        if trace is not None and data not in ready and data.message_id in self._pending:
+        if trace is not None:
             trace.local(
                 "total-hold", category="ordering", process=self.me,
                 group=self.view.group, sender=data.sender,
                 sender_seq=data.sender_seq,
             )
-        return ready
-
-    def on_set_order(self, set_order: SetOrder) -> List[GroupData]:
-        for global_seq, message_id in set_order.orders:
-            self._learn(global_seq, message_id)
-        return self._drain()
-
-    def _learn(self, global_seq: int, message_id: MessageId) -> None:
-        """Note an assignment, unless it is a duplicate of one already
-        delivered past (which must leave nothing behind)."""
-        if global_seq >= self._next_deliver:
-            self._order.setdefault(global_seq, message_id)
-            self._history.setdefault(global_seq, message_id)
-
-    def _drain(self) -> List[GroupData]:
-        ready: List[GroupData] = []
-        while True:
-            message_id = self._order.get(self._next_deliver)
-            if message_id is None or message_id not in self._pending:
-                break
-            ready.append(self._pending.pop(message_id))
-            self._delivered_ids.add(message_id)
-            del self._order[self._next_deliver]
-            self._next_deliver += 1
-        return ready
+        return []
 
     def held(self) -> List[GroupData]:
-        return list(self._pending.values())
+        return list(self._held.values())
 
     # -- flush support ----------------------------------------------------------
 

@@ -6,8 +6,8 @@ may discard them.  Stability is agreed through the view's coordinator
 (rank 0), not all-to-all (docs/comms.md): members *report* to it, it
 announces *floors* back.  Each member keeps, per view:
 
-* ``delivered[s]`` — the highest (contiguous, thanks to FIFO channels)
-  sender-sequence it has received from each sender ``s``;
+* ``delivered[s]`` — its *watermark* for each sender ``s``: the highest
+  sender-sequence up to which it has received everything ``s`` sent;
 * a log of the messages above the group-wide stable floor;
 * the floors themselves, and which of its watermarks the coordinator has
   not been told yet.
@@ -23,6 +23,15 @@ The same two messages carry the abcast *delivery frontier* (the highest
 global sequence number a member has delivered) and its minimum, which is
 what lets :class:`~repro.broadcast.abcast.TotalEngine` forget order
 assignments nobody can need again.
+
+A watermark is a contiguous prefix, not the highest sequence received:
+a sender's fbcast and cbcast reach a member directly, but its abcast is
+relayed through the sequencer (:mod:`repro.broadcast.abcast`), so a later
+fbcast can overtake an earlier abcast.  Were the watermark the highest
+sequence, a floor could pass a relayed abcast that some member lacks; a
+member that has it would truncate it, and if the sequencer and the sender
+then died, no survivor's flush would carry the message that member has
+delivered.
 
 A floor is a minimum over watermarks that were true when reported, and
 watermarks only rise, so a floor can lag the true minimum (by the report
@@ -101,13 +110,19 @@ class StabilityTracker:
         if old is None:
             return  # departed sender; flush handles its fate
         seq = data.sender_seq
-        self._log[sender][seq] = data
-        if seq > old:
-            self._delivered[sender] = seq
-            if self._peer_view is None:
-                self._unsent.add(sender)
-            elif old == self._floor[sender]:
-                self._refloor(sender)
+        log = self._log[sender]
+        log[seq] = data
+        if seq != old + 1:
+            return  # a duplicate, or past a gap the watermark waits at
+        # Entries above the watermark are never truncated (the floor
+        # cannot pass it), so what arrived past the gap is still logged.
+        while seq + 1 in log:
+            seq += 1
+        self._delivered[sender] = seq
+        if self._peer_view is None:
+            self._unsent.add(sender)
+        elif old == self._floor[sender]:
+            self._refloor(sender)
 
     def watermarks(self) -> Dict[Address, int]:
         return dict(self._delivered)

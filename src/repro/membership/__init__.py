@@ -11,7 +11,6 @@ from repro.membership.events import (
     LeaveRequest,
     NewView,
     ORDERINGS,
-    SetOrder,
     StabilityGossip,
     SuspectReport,
     TOTAL,
@@ -39,7 +38,6 @@ __all__ = [
     "NewView",
     "NotMemberError",
     "ORDERINGS",
-    "SetOrder",
     "StabilityGossip",
     "SuspectReport",
     "TOTAL",

@@ -47,25 +47,13 @@ class GroupData:
     ordering: str
     payload: Any
     stamp: Optional[VectorClock] = None  # set for CAUSAL
-    # Set for TOTAL data multicast by the sequencer itself: the message
-    # carries its own position and no SetOrder follows it.
+    # TOTAL data's position in the view's total order, stamped by the
+    # sequencer: on its own multicasts at send, on anyone else's on the
+    # copy it relays.  None on the way to the sequencer.
     global_seq: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.message_id: MessageId = (self.sender, self.sender_seq)
-
-
-@dataclass
-class SetOrder:
-    """abcast sequencer decision: global delivery positions for total-order
-    data that some *other* member multicast (the sequencer's own data
-    carries its position in ``GroupData.global_seq``)."""
-
-    category = "group-setorder"
-    size_bytes = 48
-    group: str
-    view_seq: int
-    orders: List[Tuple[int, MessageId]] = field(default_factory=list)
 
 
 @dataclass

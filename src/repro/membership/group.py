@@ -36,10 +36,11 @@ member the same whatever the size of its group (docs/comms.md):
   ``view.coordinator`` alone, and the coordinator announces the floors
   that moved; nobody sends anything while nothing is delivered.
 
-An abcast costs one message per receiver when the sequencer (rank 0, also
-the coordinator of a coordinator–cohort service) originates it, because
-the data carries its own global order; only a total-order multicast from
-some other member draws the sequencer's ``SetOrder`` round.
+An abcast carries its global order on its data, stamped by the sequencer
+(rank 0, also the coordinator of a coordinator–cohort service).  From the
+sequencer it is one message per receiver; from any other member it goes
+to the sequencer alone, which stamps a copy and sends it to everyone else,
+the originator included: one more message, one more hop.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from repro.membership.events import (
     MessageId,
     NewView,
     ORDERINGS,
-    SetOrder,
     StabilityGossip,
     SuspectReport,
     TOTAL,
@@ -284,6 +284,12 @@ class GroupMember:
         engine = self._engines[ordering]
         engine.stamp_outgoing(data)
         self._stability.record(data)
+        if ordering == TOTAL and data.global_seq is None:
+            # Relayed: the sequencer stamps it and sends it on, back to
+            # this member too, which holds its own copy until then.
+            self.runtime.transport.send(view.coordinator, data)
+            engine.on_receive(data)
+            return
         others = view.others(self.me)
         if others:
             self.runtime.transport.send_many(others, data)
@@ -291,28 +297,24 @@ class GroupMember:
             # ISIS delivers a process's own fbcast/cbcast locally at send.
             self._deliver(data)
         else:
-            # At the sequencer the stamp makes this deliverable now; anyone
-            # else holds its own data until the sequencer's SetOrder.
+            # The sequencer's stamp makes its own abcast deliverable now.
             for each in engine.on_receive(data):
                 self._deliver(each)
 
-    def _sequence_if_needed(self, data: GroupData, engine: TotalEngine) -> None:
-        """At the sequencer, for data that does not carry its order (some
-        other member's): assign and publish the global order — but not
-        during a flush.  This member's flush reply has already reported
-        every order it assigned, and the view change positions flushed
-        data nobody ordered after those; an order given now would be
-        missing from that merge and could contradict it (a retransmitted
-        abcast can reach the sequencer after its reply)."""
+    def _stamp_and_forward(self, data: GroupData, engine: TotalEngine) -> None:
+        """At the sequencer, for another member's abcast relayed to it:
+        send a copy stamped with the next position to every other member,
+        the originator included, and deliver it here — but not during a
+        flush.  This member's flush reply has already reported every order
+        it assigned, and the view change positions flushed data nobody
+        ordered after those; an order given now would be missing from that
+        merge and could contradict it (a retransmitted abcast can reach the
+        sequencer after its reply)."""
         if self._blocked:
             return
-        set_order = engine.assign_order(data)
-        if set_order is None:
-            return
-        others = self.view.others(self.me)
-        if others:
-            self.runtime.transport.send_many(others, set_order)
-        for each in engine.on_set_order(set_order):
+        stamped = engine.stamp(data)
+        self.runtime.transport.send_many(self.view.others(self.me), stamped)
+        for each in engine.on_receive(stamped):
             self._deliver(each)
 
     def _on_data(self, data: GroupData, sender: Address) -> None:
@@ -329,20 +331,9 @@ class GroupMember:
         self._stability.record(data)
         engine = self._engines[data.ordering]
         ready = engine.on_receive(data)
-        if data.ordering == TOTAL:
-            self._sequence_if_needed(data, engine)
+        if data.global_seq is None and data.ordering == TOTAL:
+            self._stamp_and_forward(data, engine)  # only the sequencer gets these
         for each in ready:
-            self._deliver(each)
-
-    def _on_set_order(self, set_order: SetOrder, sender: Address) -> None:
-        if not self.is_member or self.view is None:
-            return
-        if set_order.view_seq < self.view.seq:
-            return
-        if set_order.view_seq > self.view.seq:
-            self._future.append((self._on_set_order, set_order, sender))
-            return
-        for each in self._engines[TOTAL].on_set_order(set_order):
             self._deliver(each)
 
     def _on_gossip(self, gossip: StabilityGossip, sender: Address) -> None:
@@ -647,11 +638,12 @@ class GroupMember:
                 # Mid-flush drops took us below quorum: abandon the view
                 # change rather than install a minority view.  No merge
                 # will place what reached the sequencer meanwhile, so it
-                # orders that now.
+                # stamps and forwards that now.
                 self._blocked = False
                 engine: TotalEngine = self._engines[TOTAL]
-                for data in engine.held():
-                    self._sequence_if_needed(data, engine)
+                if engine.is_sequencer:
+                    for data in engine.held():
+                        self._stamp_and_forward(data, engine)
                 return
         unstable = flush.merged_unstable()
         orders, next_global_seq = flush.merged_orders()
@@ -862,7 +854,6 @@ class GroupRuntime:
         self._watch_refs: Dict[Address, Set[str]] = {}
 
         process.on(GroupData, self._route(lambda m, p, s: m._on_data(p, s)))
-        process.on(SetOrder, self._route(lambda m, p, s: m._on_set_order(p, s)))
         process.on(
             StabilityGossip, self._route(lambda m, p, s: m._on_gossip(p, s))
         )

@@ -63,7 +63,10 @@ MAGIC = b"RW"
 # the gap ends, and the sender resends everything below it.
 # v11: Probe (36) — a cohort holding a write the client hedged asks the
 # coordinator for one Heartbeat now.
-WIRE_VERSION = 11
+# v12: id 11, the sequencer's order for another member's abcast, is
+# retired — that abcast goes to the sequencer alone, which relays a copy
+# carrying ``GroupData.global_seq``.
+WIRE_VERSION = 12
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

@@ -60,7 +60,6 @@ from repro.membership.events import (
     JoinRequest,
     LeaveRequest,
     NewView,
-    SetOrder,
     StabilityGossip,
     SuspectReport,
 )
@@ -94,9 +93,11 @@ def ensure_registered() -> None:
 
     # Membership / broadcast (10-29).  GroupData dropped its ``gossip``
     # field in WIRE_VERSION 3 and grew ``global_seq`` in 6, when
-    # StabilityGossip grew ``ordered``; the ids stay put.
+    # StabilityGossip grew ``ordered``; the ids stay put.  Id 11 carried
+    # the sequencer's order for someone else's abcast until WIRE_VERSION
+    # 12, when the sequencer began relaying a stamped copy of the data
+    # instead; like 33 and 90 it stays retired.
     register_kind(10, GroupData)
-    register_kind(11, SetOrder)
     register_kind(12, StabilityGossip)
     register_kind(13, Flush)
     register_kind(14, FlushOk)

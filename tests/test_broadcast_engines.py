@@ -9,7 +9,7 @@ from repro.broadcast import (
     TotalEngine,
     causal_sort_key,
 )
-from repro.membership.events import GroupData, SetOrder
+from repro.membership.events import GroupData
 from repro.membership.view import GroupView
 
 
@@ -79,14 +79,24 @@ def test_causal_sort_key_is_linear_extension():
 # -- total --------------------------------------------------------------------------
 
 
+def stamped(message, global_seq):
+    """The copy of ``message`` the sequencer relays, at ``global_seq``."""
+    copy = data(message.sender, message.sender_seq, "total")
+    copy.global_seq = global_seq
+    return copy
+
+
 def test_total_engine_sequencer_assigns_in_order():
     seq_engine = TotalEngine(VIEW, "a")  # rank 0 is the sequencer
     assert seq_engine.is_sequencer
     m1, m2 = data("b", 1, "total"), data("c", 1, "total")
-    order1 = seq_engine.assign_order(m1)
-    order2 = seq_engine.assign_order(m2)
-    assert order1.orders == [(1, ("b", 1))]
-    assert order2.orders == [(2, ("c", 1))]
+    s1, s2 = seq_engine.stamp(m1), seq_engine.stamp(m2)
+    assert (s1.global_seq, s1.message_id) == (1, ("b", 1))
+    assert (s2.global_seq, s2.message_id) == (2, ("c", 1))
+    # copies: the originator's own object is left as it sent it
+    assert m1.global_seq is None and m2.global_seq is None
+    assert seq_engine.on_receive(s1) == [s1]
+    assert seq_engine.on_receive(s2) == [s2]
 
 
 def test_total_engine_non_sequencer_does_not_assign():
@@ -94,8 +104,9 @@ def test_total_engine_non_sequencer_does_not_assign():
     assert not engine.is_sequencer
     m = data("b", 1, "total")
     engine.stamp_outgoing(m)
-    assert m.global_seq is None  # waits for the sequencer's SetOrder
-    assert engine.assign_order(m) is None
+    assert m.global_seq is None  # relayed: the sequencer stamps a copy
+    assert engine.on_receive(m) == []
+    assert engine.held() == [m] and engine.known_orders() == []
 
 
 def test_sequencer_stamps_its_own_data_and_sends_no_set_order():
@@ -103,11 +114,9 @@ def test_sequencer_stamps_its_own_data_and_sends_no_set_order():
     m1, m2 = data("a", 1, "total"), data("a", 2, "total")
     seq_engine.stamp_outgoing(m1)
     assert m1.global_seq == 4
-    assert seq_engine.assign_order(m1) is None  # already carries its order
     assert seq_engine.on_receive(m1) == [m1]
-    # a foreign message in between takes the next number by SetOrder
-    foreign = data("c", 1, "total")
-    assert seq_engine.assign_order(foreign).orders == [(5, ("c", 1))]
+    # a relayed message in between takes the next number on its copy
+    assert seq_engine.stamp(data("c", 1, "total")).global_seq == 5
     seq_engine.stamp_outgoing(m2)
     assert m2.global_seq == 6
     assert seq_engine.known_orders() == [(4, ("a", 1)), (5, ("c", 1)), (6, ("a", 2))]
@@ -118,15 +127,14 @@ def test_receiver_takes_the_order_from_stamped_data():
     engine = TotalEngine(VIEW, "b")
     m1, m2 = data("a", 1, "total"), data("a", 2, "total")
     m1.global_seq, m2.global_seq = 1, 2
-    assert engine.on_receive(m2) == []  # position 1 not here yet
-    assert engine.held() == [m2]
-    assert engine.on_receive(m1) == [m1, m2]
+    assert engine.on_receive(m1) == [m1]
+    assert engine.on_receive(m2) == [m2]
     assert engine.known_orders() == [(1, ("a", 1)), (2, ("a", 2))]
     assert engine.next_global_seq == 3
     # a duplicate of delivered stamped data leaves nothing behind
     assert engine.on_receive(m1) == []
     assert engine.known_orders() == [(1, ("a", 1)), (2, ("a", 2))]
-    assert engine._order == {} and engine.held() == []
+    assert engine.held() == []
 
 
 def test_forget_orders_drops_what_everyone_delivered_and_keeps_the_frontier():
@@ -152,40 +160,36 @@ def test_message_id_is_built_once():
 
 
 def test_total_engine_delivers_only_with_data_and_order():
+    # The originator holds its own relayed abcast until the stamped copy
+    # returns; other members' stamped data is delivered meanwhile.
     engine = TotalEngine(VIEW, "b")
-    m1 = data("a", 1, "total")
-    assert engine.on_receive(m1) == []  # no order yet
-    so = SetOrder(group="g", view_seq=1, orders=[(1, ("a", 1))])
-    assert engine.on_set_order(so) == [m1]
-
-
-def test_total_engine_order_before_data():
-    engine = TotalEngine(VIEW, "b")
-    so = SetOrder(group="g", view_seq=1, orders=[(1, ("a", 1))])
-    assert engine.on_set_order(so) == []
-    m1 = data("a", 1, "total")
-    assert engine.on_receive(m1) == [m1]
+    mine = data("b", 1, "total")
+    assert engine.on_receive(mine) == []  # no order yet
+    other = stamped(data("c", 1, "total"), 1)
+    assert engine.on_receive(other) == [other]
+    back = stamped(mine, 2)
+    assert engine.on_receive(back) == [back]
+    assert engine.held() == []
+    assert engine.known_orders() == [(1, ("c", 1)), (2, ("b", 1))]
 
 
 def test_total_engine_gap_blocks_later_deliveries():
+    # Stamped data past a gap (an abandoned channel from the sequencer)
+    # is held for the view change with its position, not delivered.
     engine = TotalEngine(VIEW, "b")
     m1, m2 = data("a", 1, "total"), data("a", 2, "total")
-    engine.on_receive(m1)
-    engine.on_receive(m2)
-    # order for seq 2 arrives first: must hold until seq 1 resolves
-    assert engine.on_set_order(
-        SetOrder(group="g", view_seq=1, orders=[(2, ("a", 2))])
-    ) == []
-    assert engine.on_set_order(
-        SetOrder(group="g", view_seq=1, orders=[(1, ("a", 1))])
-    ) == [m1, m2]
+    m1.global_seq, m2.global_seq = 1, 2
+    assert engine.on_receive(m2) == []
+    assert engine.held() == [m2]
+    assert engine.known_orders() == [(2, ("a", 2))]
+    assert engine.delivered_through == 0 and engine.next_global_seq == 3
 
 
 def test_total_engine_history_reported_after_delivery():
     engine = TotalEngine(VIEW, "b")
     m1 = data("a", 1, "total")
-    engine.on_receive(m1)
-    engine.on_set_order(SetOrder(group="g", view_seq=1, orders=[(1, ("a", 1))]))
+    m1.global_seq = 1
+    assert engine.on_receive(m1) == [m1]
     # delivered, but flush must still see the assignment
     assert engine.known_orders() == [(1, ("a", 1))]
     assert engine.next_global_seq == 2
@@ -193,34 +197,49 @@ def test_total_engine_history_reported_after_delivery():
 
 def test_total_engine_starts_from_given_global_seq():
     engine = TotalEngine(VIEW, "a", next_global_seq=7)
-    m = data("b", 1, "total")
-    order = engine.assign_order(m)
-    assert order.orders == [(7, ("b", 1))]
+    assert engine.stamp(data("b", 1, "total")).global_seq == 7
+    receiver = TotalEngine(VIEW, "b", next_global_seq=7)
+    m = stamped(data("c", 1, "total"), 7)
+    assert receiver.on_receive(m) == [m]
 
 
 def test_total_engine_duplicate_data_and_order_idempotent():
     engine = TotalEngine(VIEW, "b")
-    m1 = data("a", 1, "total")
-    engine.on_receive(m1)
-    so = SetOrder(group="g", view_seq=1, orders=[(1, ("a", 1))])
-    assert engine.on_set_order(so) == [m1]
-    assert engine.on_receive(data("a", 1, "total")) == []
-    assert engine.on_set_order(so) == []
+    mine = data("b", 1, "total")
+    engine.on_receive(mine)
+    back = stamped(mine, 1)
+    assert engine.on_receive(back) == [back]
+    assert engine.on_receive(stamped(mine, 1)) == []
+    assert engine.held() == [] and engine.delivered_through == 1
 
 
-@given(st.permutations(list(range(1, 7))))
-def test_property_total_delivery_follows_global_sequence(order_arrival):
-    """Whatever order data and SetOrders arrive in, delivery follows the
-    global sequence exactly."""
-    engine = TotalEngine(VIEW, "b")
-    messages = {i: data("a", i, "total") for i in range(1, 7)}
-    delivered = []
-    for i in order_arrival:
-        delivered += engine.on_receive(messages[i])
-        delivered += engine.on_set_order(
-            SetOrder(group="g", view_seq=1, orders=[(i, ("a", i))])
-        )
-    assert [d.sender_seq for d in delivered] == [1, 2, 3, 4, 5, 6]
+@given(st.lists(st.sampled_from("abc"), min_size=1, max_size=12))
+def test_property_total_delivery_follows_global_sequence(senders):
+    """Whatever mix of members multicasts — the sequencer stamping its own,
+    the others relayed — every member delivers exactly the sequencer's
+    stamping order, and an originator delivers its own abcast when the
+    stamped copy returns."""
+    engines = {me: TotalEngine(VIEW, me) for me in "abc"}
+    sequencer = engines["a"]
+    counts = {me: 0 for me in "abc"}
+    delivered = {me: [] for me in "abc"}
+    for sender in senders:
+        counts[sender] += 1
+        m = data(sender, counts[sender], "total")
+        engines[sender].stamp_outgoing(m)
+        delivered[sender] += engines[sender].on_receive(m)
+        if m.global_seq is None:
+            m = sequencer.stamp(m)
+            delivered["a"] += sequencer.on_receive(m)
+        for me in "bc":
+            delivered[me] += engines[me].on_receive(m)
+    order = [d.global_seq for d in delivered["a"]]
+    assert order == list(range(1, len(senders) + 1))
+    for me in "abc":
+        assert [d.message_id for d in delivered[me]] == [
+            d.message_id for d in delivered["a"]
+        ]
+        assert engines[me].held() == []
 
 
 # -- stability ----------------------------------------------------------------------

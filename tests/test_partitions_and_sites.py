@@ -4,7 +4,7 @@ partition rule) and long-distance (multi-site) links."""
 from dataclasses import dataclass
 
 from repro.failure import HeartbeatDetector
-from repro.membership import FIFO, TOTAL, GroupNode, build_group
+from repro.membership import FIFO, TOTAL, GroupData, GroupNode, build_group
 from repro.net import FixedLatency, SiteLatency
 from repro.proc import Environment
 from repro.sim import SimRandom
@@ -127,9 +127,18 @@ def test_abcast_reaching_the_sequencer_during_an_abandoned_flush_is_ordered():
     g-4 out.  The sequencer orders nothing mid-flush — the view change
     places such data — but this flush is abandoned: g-2 and g-3 go silent
     towards g-0, so the survivors fall below quorum and no view is
-    installed.  The sequencer must then order the abcast itself."""
+    installed.  The sequencer must then stamp the abcast itself and
+    forward the stamped copy to the others, g-1 included."""
     env, nodes, members = build_partitionable(5, primary_partition=True)
     network = env.network.partitions
+    stamped = []
+
+    def tap(_event, envelope):
+        payload = getattr(envelope.payload, "payload", envelope.payload)
+        if isinstance(payload, GroupData) and payload.global_seq is not None:
+            stamped.append((envelope.src, envelope.dst, payload.global_seq))
+
+    env.network.add_tap(tap, events=("send",))
     got = {m.me: [] for m in members}
     for m in members:
         m.add_delivery_listener(lambda e, me=m.me: got[me].append(e.payload.tag))
@@ -145,6 +154,10 @@ def test_abcast_reaching_the_sequencer_during_an_abandoned_flush_is_ordered():
     env.run_for(2.0)
     assert all(m.view.seq == 1 for m in members)
     assert all(got[f"g-{i}"] == ["late"] for i in range(4)), got
+    assert {(src, dst) for src, dst, _seq in stamped} == {
+        ("g-0", f"g-{i}") for i in (1, 2, 3, 4)
+    }
+    assert {seq for _src, _dst, seq in stamped} == {1}
 
 
 # -- long-distance links ------------------------------------------------------------

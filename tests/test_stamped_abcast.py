@@ -1,8 +1,11 @@
-"""abcast where the sequencer's own data carries its order (docs/protocols.md
-§abcast): stamped and SetOrder-ordered multicasts mix in one view and every
-member agrees; a sequencer that dies after stamping leaves the survivors
-with one set in one order; and a view change ships recent order history,
-not the whole view's.  Strict sanitizer wherever a group multicasts."""
+"""abcast where a position always travels on its data (docs/protocols.md
+§abcast): the sequencer stamps its own multicasts and relays a stamped copy
+of everyone else's.  Both kinds mix in one view and every member agrees; a
+sequencer that dies after stamping leaves the survivors with one set in one
+order; a sender's fbcast overtaking its relayed abcast cannot let the
+stability floor pass the abcast; and a view change ships recent order
+history, not the whole view's.  Strict sanitizer wherever a group
+multicasts."""
 
 from dataclasses import dataclass
 
@@ -45,9 +48,9 @@ def payloads_sent(env, kind):
     return seen
 
 
-# ------------------------------------------------ stamped + SetOrder, one view
+# ------------------------------------------------ stamped + relayed, one view
 
-SENDERS = (0, 2, 4)  # the sequencer (stamps) and two members that do not
+SENDERS = (0, 2, 3, 4)  # the sequencer (stamps) and three members it relays
 
 
 @settings(max_examples=40, deadline=None)
@@ -64,11 +67,12 @@ SENDERS = (0, 2, 4)  # the sequencer (stamps) and two members that do not
     seed=st.integers(0, 2**16),
     spaced=st.booleans(),
 )
-def test_property_stamped_and_set_order_multicasts_agree(script, seed, spaced):
+def test_property_stamped_and_relayed_multicasts_agree(script, seed, spaced):
     env = Environment(seed=seed, latency=UniformLatency(0.001, 0.004))
     _nodes, members = build_group(env, "g", 5, gossip_interval=0.05)
     sanitizer = install_sanitizer(members, strict=True)
     logs = listen(members)
+    data = payloads_sent(env, GroupData)
     at = 0.1
     for n, (rank, ordering, gap) in enumerate(script):
         # spaced: each multicast finishes before the next starts, so the
@@ -82,6 +86,11 @@ def test_property_stamped_and_set_order_multicasts_agree(script, seed, spaced):
         )
     env.run_for(at + 1.0)
     assert sanitizer.check(at_quiescence=True)["violations"] == 0
+    # An abcast leaves its sender unstamped only towards the sequencer,
+    # and every copy anyone else receives carries its position.
+    unstamped = [(src, dst) for src, dst, p in data
+                 if p.ordering == TOTAL and p.global_seq is None]
+    assert all(src != "g-0" and dst == "g-0" for src, dst in unstamped)
     total = [n for ordering, _s, n in logs["g-0"] if ordering == TOTAL]
     assert sorted(total) == [
         n for n, (_r, ordering, _g) in enumerate(script) if ordering == TOTAL
@@ -119,37 +128,38 @@ def test_sequencer_crash_after_stamping_leaves_one_set_in_one_order():
             cut("g-0", f"g-{rank}")
         members[0].multicast(App(1), TOTAL)  # global seq 2: g-1, g-2 only
 
-    def foreign_data_only_the_sequencer_gets():
-        for rank in (1, 2, 3, 5):
-            cut("g-4", f"g-{rank}")
-        members[4].multicast(App(2), TOTAL)  # ordered 3 by a SetOrder
+    def relayed_through_the_sequencer():
+        members[4].multicast(App(2), TOTAL)  # stamped 3 on the relayed copy
 
     env.scheduler.at(0.60, stamped_for_a_strict_subset)
-    env.scheduler.at(0.61, foreign_data_only_the_sequencer_gets)
+    env.scheduler.at(0.61, relayed_through_the_sequencer)
     env.scheduler.at(0.62, lambda: members[0].multicast(App(3), TOTAL))  # seq 4
     env.run_for(0.63)
-    # g-1 and g-2 delivered seq 2, know seq 3's order but not its data,
-    # and hold seq 4 behind that gap; g-3 and g-5 have seen none of it.
+    # g-1 and g-2 delivered seqs 2–4; g-3 and g-5 have seen none of them,
+    # and g-4 still holds its own abcast, whose stamped copy was cut off.
     held = {m.me: [d.payload.n for d in m._engines[TOTAL].held()] for m in members}
-    assert held["g-1"] == held["g-2"] == [3]
-    assert [n for _o, _s, n in logs["g-1"]] == [0, 1]
+    assert held == {"g-0": [], "g-1": [], "g-2": [], "g-3": [], "g-4": [2], "g-5": []}
+    assert [n for _o, _s, n in logs["g-1"]] == [0, 1, 2, 3]
     assert [n for _o, _s, n in logs["g-3"]] == [0]
     nodes[0].crash()
-    nodes[4].crash()  # the only holder of seq 3's data besides the sequencer
+    nodes[4].crash()  # the originator of seq 3 dies with the sequencer
     env.run_for(3.0)
     want = ("g-1", "g-2", "g-3", "g-5")
     assert all(m.view.members == want for m in survivors)
-    # One set, one order; the position nobody holds data for is skipped.
+    # One set, one order: what g-1 and g-2 delivered reaches everyone.
     for m in survivors:
-        assert [n for _o, _s, n in logs[m.me]] == [0, 1, 3], m.me
-    # The new sequencer continues from the agreed frontier (1..4 are used).
+        assert [n for _o, _s, n in logs[m.me]] == [0, 1, 2, 3], m.me
+    # The new sequencer continues from the agreed frontier (1..4 are used)
+    # and relays g-5's abcast.
     members[1].multicast(App(4), TOTAL)
     members[5].multicast(App(5), TOTAL)
     env.run_for(1.0)
     stamps = {p.payload.n: p.global_seq for _src, _dst, p in data}
-    assert stamps == {0: 1, 1: 2, 2: None, 3: 4, 4: 5, 5: None}
+    assert stamps == {0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 6}
+    relayed = [(src, dst) for src, dst, p in data if p.global_seq is None]
+    assert relayed == [("g-4", "g-0"), ("g-5", "g-1")]
     for m in survivors:
-        assert [n for _o, _s, n in logs[m.me]] == [0, 1, 3, 4, 5], m.me
+        assert [n for _o, _s, n in logs[m.me]] == [0, 1, 2, 3, 4, 5], m.me
         assert m._engines[TOTAL].next_global_seq == 7
     assert sanitizer.check(at_quiescence=True)["violations"] == 0
 
@@ -184,11 +194,11 @@ def test_sequencer_crash_mid_stream_survivors_agree():
 
 
 def test_abcast_reaching_a_flushing_sequencer_is_ordered_by_the_view_change():
-    """Two abcasts the sequencer first receives in the middle of a flush —
-    retransmitted, after its own flush reply: if it ordered them there
-    (A, then B), members that already hold both would deliver A, B while
-    the view change, which never heard of those orders, positions them
-    by message id (B, A) for a member still missing A's data."""
+    """Two relayed abcasts the sequencer first receives in the middle of a
+    flush — retransmitted, after its own flush reply: if it stamped and
+    forwarded them there (A, then B), members would deliver A, B while the
+    view change, which never heard of those orders, positions them by
+    message id (B, A) for every member the copies had not reached."""
     env = Environment(seed=1, latency=FixedLatency(0.002))
     nodes, members = build_group(env, "g", 5, gossip_interval=None)
     survivors = [members[i] for i in (0, 1, 2, 4)]
@@ -197,18 +207,16 @@ def test_abcast_reaching_a_flushing_sequencer_is_ordered_by_the_view_change():
     network = env.network.partitions
 
     def cut_and_send():
-        for src, dst in (("g-2", "g-0"), ("g-2", "g-4"), ("g-1", "g-0")):
+        for src, dst in (("g-2", "g-0"), ("g-1", "g-0")):
             network.cut_link(src, dst)
-        members[2].multicast(App(1), TOTAL)  # A: g-0 and g-4 miss it
-        members[1].multicast(App(2), TOTAL)  # B: g-0 misses it
+        members[2].multicast(App(1), TOTAL)  # A, relayed to g-0
+        members[1].multicast(App(2), TOTAL)  # B, relayed to g-0
 
     env.scheduler.at(0.30, cut_and_send)
     env.scheduler.at(0.40, nodes[3].crash)  # the flush starts at 0.45
-    # A reaches the flushing sequencer before B; g-4 gets A's data only
-    # after the new view is in.
+    # A reaches the flushing sequencer before B.
     env.scheduler.at(0.49, lambda: network.restore_link("g-2", "g-0"))
     env.scheduler.at(0.53, lambda: network.restore_link("g-1", "g-0"))
-    env.scheduler.at(0.70, lambda: network.restore_link("g-2", "g-4"))
     env.run_for(2.0)
     assert all(m.view.members == ("g-0", "g-1", "g-2", "g-4") for m in survivors)
     orders = {m.me: [n for _o, _s, n in logs[m.me]] for m in survivors}
@@ -217,11 +225,54 @@ def test_abcast_reaching_a_flushing_sequencer_is_ordered_by_the_view_change():
     assert sanitizer.check(at_quiescence=True)["violations"] == 0
 
 
+# ------------------------------- a floor waits for a relayed abcast overtaken
+
+
+def test_a_floor_never_passes_a_relayed_abcast_a_later_fbcast_overtook():
+    """g-4 abcasts m, relayed through the sequencer, then fbcasts f, which
+    reaches everyone directly; the sequencer's stamped copy of m reaches
+    g-1 alone.  Every member reports f.  Were a watermark the highest
+    sequence received, g-4's floor would pass m, g-1 would truncate the m
+    it delivered, and once the sequencer and g-4 died no flush would carry
+    m to the other survivors.  A watermark is a contiguous prefix, so the
+    floor waits at m and g-1's flush carries it."""
+    interval = 0.1
+    env = Environment(seed=1, latency=FixedLatency(0.002))
+    nodes, members = build_group(env, "g", 8, gossip_interval=interval)
+    survivors = [m for rank, m in enumerate(members) if rank not in (0, 4)]
+    sanitizer = install_sanitizer(survivors, strict=True)
+    logs = listen(members)
+
+    def m_then_f():
+        for rank in range(2, 8):
+            env.network.partitions.cut_link("g-0", f"g-{rank}")
+        members[4].multicast(App(1), TOTAL)  # m: g-4's seq 1, relayed
+        members[4].multicast(App(2), FIFO)  # f: g-4's seq 2, direct
+
+    env.scheduler.at(0.5, m_then_f)
+    env.run_for(0.5 + 6 * interval)  # reports and the floors they move are in
+    assert [n for _o, _s, n in logs["g-1"]] == [2, 1]  # m takes two hops
+    assert all(
+        [n for _o, _s, n in logs[f"g-{rank}"]] == [2] for rank in (2, 3, 5, 6, 7)
+    )
+    assert members[2]._stability.watermarks()["g-4"] == 0
+    assert members[1]._stability.stable_floor("g-4") == 0
+    assert [d.payload.n for d in members[1]._stability.unstable()] == [1, 2]
+    nodes[0].crash()
+    nodes[4].crash()
+    env.run_for(3.0)
+    want = tuple(m.me for m in survivors)
+    assert all(m.view.members == want for m in survivors)
+    for m in survivors:
+        assert sorted(n for _o, _s, n in logs[m.me]) == [1, 2], m.me
+    assert sanitizer.check(at_quiescence=True)["violations"] == 0
+
+
 # ------------------------------------- a view change ships recent orders only
 
 
 def test_view_change_ships_recent_order_history_not_the_whole_views():
-    """2,000 ABCASTs, stamped and SetOrder-ordered, then one crash while
+    """2,000 ABCASTs, stamped at send and relayed, then one crash while
     traffic still flows: what each FlushOk and the NewView carry is
     bounded by two gossip intervals of traffic, not by the age of the
     view."""

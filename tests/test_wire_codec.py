@@ -567,6 +567,7 @@ def test_wire_ids_are_unique_and_stable():
     # format break (docs/deployment.md) and must bump WIRE_VERSION.
     assert kinds[1].__name__ == "Segment"
     assert kinds[10].__name__ == "GroupData"
+    assert 11 not in kinds  # the sequencer's order message, retired in v12
     assert kinds[64].__name__ == "NodeRegister"
     assert 90 not in kinds  # ResolvePlacement, retired in v5: never reused
     assert kinds[32].__name__ == "Heartbeat"
@@ -594,8 +595,11 @@ def test_wire_ids_are_unique_and_stable():
     # v9: CCHedge is gone — a read is a CCRead, and its hedge the same
     # CCRead sent to the next rank — so a v8 peer's hedge is refused at
     # the header.  v10: SegmentAck grew ``high`` (the gap report).  v11:
-    # Probe is new — a v10 peer would not know kind 36.
-    assert WIRE_VERSION == 11
+    # Probe is new — a v10 peer would not know kind 36.  v12: kind 11 is
+    # gone — a non-sequencer's abcast is relayed through the sequencer,
+    # whose copy carries ``global_seq`` — so a v11 peer's order message
+    # is refused at the header.
+    assert WIRE_VERSION == 12
 
 
 def test_a_gap_report_round_trips():
@@ -670,5 +674,26 @@ def test_a_probe_round_trips_and_a_v10_frame_is_refused():
     (decoded,) = decode_frame(frames[0])[1]
     assert decoded.payload == Probe()
     frame[2] = 10
+    with pytest.raises(CodecError, match="version"):
+        decode_frame(bytes(frame))
+
+
+def test_kind_11_is_unused_and_a_v11_frame_is_refused():
+    """Wire v12: a v11 peer still sends the sequencer's order for another
+    member's abcast as kind 11 and expects no relayed copy.  Its frame is
+    turned away at the header; were the header skipped, kind 11 is
+    unknown."""
+    from repro.membership import GroupData
+    from repro.net.wire.codec import HEADER_BYTES
+
+    data = GroupData(group="g", view_seq=3, sender="g-4", sender_seq=1,
+                     ordering="total", payload=None, global_seq=7)
+    frame = bytearray(encode_control_frame(data))
+    assert decode_frame(bytes(frame)) == (FRAME_CONTROL, data)
+    assert frame[HEADER_BYTES:HEADER_BYTES + 2] == bytes([10, 10])  # tag KIND, id 10
+    frame[HEADER_BYTES + 1] = 11
+    with pytest.raises(CodecError, match="unknown wire kind id 11"):
+        decode_frame(bytes(frame))
+    frame[2] = 11
     with pytest.raises(CodecError, match="version"):
         decode_frame(bytes(frame))
