@@ -10,7 +10,11 @@ client only ever talks to one bounded subgroup, never to all n members.
 Per-key placement (:meth:`ServiceRouter.resolve_key`) costs the leader
 one round trip per reorg epoch, not one per key: the router fetches the
 branch tree once and walks it with the leader's own rule
-(:func:`repro.core.views.walk_key`).
+(:func:`repro.core.views.walk_key`).  Nor does it cost a round trip to
+the leaf: every placement or assignment names the leaf's contacts as a
+:class:`~repro.core.views.CohortSet`, the leaf's cohort set, so a
+coordinator-cohort client built from it sends its first request straight
+to the set, with no ``GetMembers``.
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.leader import GetHierarchyInfo, GetLeafAssignment, leaf_group_name
 from repro.core.naming import NameClient
-from repro.core.views import walk_key
+from repro.core.views import CohortSet, walk_key
 from repro.net.message import Address
 from repro.proc.process import Process
 from repro.proc.rpc import Rpc
 
-Assignment = Tuple[str, Tuple[Address, ...]]  # (leaf group name, contacts)
+Assignment = Tuple[str, CohortSet]  # (leaf group name, its cohort set)
 AssignmentFn = Callable[[Optional[Assignment]], None]
 
 
@@ -55,7 +59,7 @@ class ServiceRouter:
         # failure on a placement drops it (``invalidate_key``); the next
         # fetch shows whether a split or merge had moved the epoch.
         self._tree: Optional[Dict[str, List[str]]] = None
-        self._leaf_contacts: Dict[str, Tuple[Address, ...]] = {}
+        self._leaf_contacts: Dict[str, CohortSet] = {}
         self._placement_epoch: Optional[int] = None
         self._tree_waiters: List[Tuple[str, AssignmentFn]] = []
         self.placement_lookups = 0  # tree fetches asked of the leader
@@ -144,7 +148,7 @@ class ServiceRouter:
                 )
                 self._ask_leader(new_contacts, next_index, on_ready)
             elif value[0] == "leaf":
-                self._assignment = (value[1], tuple(value[2]))
+                self._assignment = (value[1], CohortSet(value[2]))
                 trace = self._process.env.network.trace
                 if trace is not None:
                     trace.local(
@@ -189,7 +193,7 @@ class ServiceRouter:
             self._placement_epoch = epoch
             self._tree = value["tree"]
             self._leaf_contacts = {
-                leaf_id: tuple(info["contacts"])
+                leaf_id: CohortSet(info["contacts"])
                 for leaf_id, info in value["leaves"].items()
             }
             trace = self._process.env.network.trace

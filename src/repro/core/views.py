@@ -70,6 +70,18 @@ class LeafInfo:
         return self.contacts[0] if self.contacts else None
 
 
+class CohortSet(tuple):
+    """A leaf's ``contacts`` as a reader of the leader's directory hands
+    them on: the leaf's cohort set (first ≤ resiliency members, rank
+    order) as of the directory's last report.  A coordinator-cohort client
+    built from one starts with it as its cohort set, so its first request
+    needs no ``GetMembers``; a plain tuple of contacts is only a list of
+    members to ask.  Local to the process that read the directory: it is
+    never sent."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class BranchInfo:
     """A branch group's view: its immediate children (groups, not

@@ -13,10 +13,17 @@ than perhaps five cohorts for a request".  So a request involves the
 **cohort set** only: the first ``resiliency`` members of the group's
 current view in rank order — the coordinator and its r-1 cohorts, the
 same rule the group leader applies to ``LeafInfo.contacts``.  The set is
-a function of the view: every server recomputes it when a view installs
-and clients are told it by the servers (the ``GetMembers`` reply, and
-any ``CCReply`` to a request that was addressed under another view), so
-nobody configures it and a client is never more than one reply behind.
+a function of the view: every server recomputes it when a view installs,
+so nobody configures it.  A client learns it from one of three places:
+- the group leader's directory: a client built from a leaf's entry (a
+  :class:`~repro.core.views.CohortSet`) starts with that set, as of no
+  view, and sends its first request straight to it;
+- a ``GetMembers`` round trip to any member, which is how a client given
+  arbitrary contacts (a flat group's) starts;
+- any ``CCReply`` to a request that was addressed under another view,
+  which carries the current set.
+A directory entry is therefore corrected by the first reply, and a
+client is never more than one reply behind.
 
 Message accounting (the paper's E1 claim): a write costs r request
 messages (client to the set) + 1 reply to the client + r-1 result copies
@@ -66,6 +73,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from weakref import WeakValueDictionary
 
+from repro.core.views import CohortSet
 from repro.membership.events import ViewEvent
 from repro.membership.group import GroupMember
 from repro.membership.view import GroupView
@@ -420,9 +428,13 @@ class CoordinatorCohortClient:
         self.max_retries = max_retries
         self._dispatch = _CCDispatch.for_process(process, rpc=rpc)
         self.rpc = self._dispatch.rpc
-        # The cohort set as the servers last told it, and its view.
+        # The cohort set as the servers last told it, and its view.  A
+        # directory entry is that set already, at no view: the first
+        # reply corrects it if the leaf has moved on.
         self._members: Optional[Tuple[Address, ...]] = None
         self._view_seq = 0
+        if contacts and isinstance(contacts, CohortSet):
+            self._learn(0, self.contacts)
         self.replies_received = 0
         self._calls: Dict[str, _Call] = {}
 

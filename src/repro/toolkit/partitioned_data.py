@@ -19,7 +19,8 @@ import hashlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.hierarchy import LargeGroupMember
-from repro.core.leader import GetHierarchyInfo
+from repro.core.leader import GetHierarchyInfo, leaf_group_name
+from repro.core.views import CohortSet
 from repro.membership.group import GroupMember
 from repro.net.message import Address
 from repro.proc.process import Process
@@ -99,8 +100,12 @@ class PartitionedStoreClient:
         self.service = service
         self.leader_contacts = tuple(leader_contacts)
         self.timeout = timeout
-        self._leaves: Dict[str, Tuple[Address, ...]] = {}
+        # The leader's directory: leaf id -> the leaf's cohort set.
+        self._leaves: Dict[str, CohortSet] = {}
         self._cc: Dict[str, CoordinatorCohortClient] = {}
+        # Callbacks waiting for the directory fetch in flight: one fetch
+        # answers every op issued before it returns.
+        self._leaf_waiters: List[Callable[[bool], None]] = []
 
     # -- public ops ----------------------------------------------------------------
 
@@ -119,8 +124,11 @@ class PartitionedStoreClient:
                  lambda result: on_done(bool(result and result[0] == "ok")))
 
     def refresh(self, then: Callable[[bool], None]) -> None:
-        """Re-fetch the leaf directory from the leader."""
-        self._fetch_leaves(0, then)
+        """Re-fetch the leaf directory from the leader; a fetch already in
+        flight answers ``then`` too."""
+        self._leaf_waiters.append(then)
+        if len(self._leaf_waiters) == 1:
+            self._fetch_leaves(0)
 
     def owner_leaf(self, key: Any) -> Optional[str]:
         if not self._leaves:
@@ -131,16 +139,14 @@ class PartitionedStoreClient:
 
     def _op(self, payload, key, on_result) -> None:
         if not self._leaves:
-            self._fetch_leaves(
-                0, lambda ok: self._op(payload, key, on_result) if ok else on_result(None)
+            self.refresh(
+                lambda ok: self._op(payload, key, on_result) if ok else on_result(None)
             )
             return
         leaf_id = owner_of(key, list(self._leaves))
         contacts = self._leaves[leaf_id]
         cc = self._cc.get(leaf_id)
         if cc is None:
-            from repro.core.leader import leaf_group_name
-
             cc = CoordinatorCohortClient(
                 self.process,
                 leaf_group_name(self.service, leaf_id),
@@ -156,36 +162,38 @@ class PartitionedStoreClient:
             # owner leaf unreachable (dissolved/merged): refresh and retry
             self._cc.pop(leaf_id, None)
             self._leaves = {}
-            self._fetch_leaves(
-                0,
-                lambda ok: self._op(payload, key, on_result)
-                if ok
-                else on_result(None),
+            self.refresh(
+                lambda ok: self._op(payload, key, on_result) if ok else on_result(None)
             )
 
         cc.request(payload, on_result, on_failure=failed)
 
-    def _fetch_leaves(self, index: int, then: Callable[[bool], None]) -> None:
+    def _fetch_leaves(self, index: int) -> None:
         if index >= 3 * len(self.leader_contacts):
-            then(False)
+            self._leaves_fetched(False)
             return
         contact = self.leader_contacts[index % len(self.leader_contacts)]
 
         def reply(value, sender) -> None:
             if isinstance(value, dict) and value.get("leaves"):
                 self._leaves = {
-                    leaf_id: tuple(info["contacts"])
+                    leaf_id: CohortSet(info["contacts"])
                     for leaf_id, info in value["leaves"].items()
                     if info["contacts"]
                 }
-                then(bool(self._leaves))
+                self._leaves_fetched(bool(self._leaves))
             else:  # a redirect, or no leaves yet: ask the next contact
-                self._fetch_leaves(index + 1, then)
+                self._fetch_leaves(index + 1)
 
         self.rpc.call(
             contact,
             GetHierarchyInfo(service=self.service),
             on_reply=reply,
             timeout=self.timeout,
-            on_timeout=lambda: self._fetch_leaves(index + 1, then),
+            on_timeout=lambda: self._fetch_leaves(index + 1),
         )
+
+    def _leaves_fetched(self, ok: bool) -> None:
+        waiters, self._leaf_waiters = self._leaf_waiters, []
+        for then in waiters:
+            then(ok)

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.leader import GetHierarchyInfo, leaf_group_name
+from repro.core.views import CohortSet
 from repro.membership.events import FIFO
 from repro.membership.service import GroupNode
 from repro.proc.env import Environment
@@ -54,28 +55,40 @@ class SymbolFeed:
         self.service = service
         self.leader_contacts = tuple(leader_contacts)
         self.timeout = timeout
-        self._leaves: Dict[str, tuple] = {}
+        self._leaves: Dict[str, CohortSet] = {}
         self._cc: Dict[str, CoordinatorCohortClient] = {}
+        # Callbacks waiting for the directory fetch in flight.
+        self._directory_waiters: List[Callable[[bool], None]] = []
         self.ticks_sent = 0
         self.ticks_acked = 0
 
-    def refresh_directory(self, then=None) -> None:
+    def refresh_directory(self, then: Callable[[bool], None] = lambda ok: None) -> None:
+        """Fetch the leaf directory; a fetch already in flight answers
+        ``then`` too."""
+        self._directory_waiters.append(then)
+        if len(self._directory_waiters) > 1:
+            return
+
+        def fetched(ok: bool) -> None:
+            waiters, self._directory_waiters = self._directory_waiters, []
+            for waiter in waiters:
+                waiter(ok)
+
         def reply(value, sender) -> None:
             if isinstance(value, dict) and value.get("leaves"):
                 self._leaves = {
-                    leaf_id: tuple(info["contacts"])
+                    leaf_id: CohortSet(info["contacts"])
                     for leaf_id, info in value["leaves"].items()
                     if info["contacts"]
                 }
-            if then is not None:
-                then(bool(self._leaves))
+            fetched(bool(self._leaves))
 
         self.rpc.call(
             self.leader_contacts[0],
             GetHierarchyInfo(service=self.service),
             on_reply=reply,
             timeout=self.timeout,
-            on_timeout=lambda: then(False) if then else None,
+            on_timeout=lambda: fetched(False),
         )
 
     def owner_leaf(self, symbol: str) -> Optional[str]:

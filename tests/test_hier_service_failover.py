@@ -1,11 +1,18 @@
 """Failover tests for the hierarchical service client path: leaf death,
 router invalidation, redirect handling."""
 
+import pytest
+
 from repro.core import LargeGroupParams, ServiceRouter, build_large_group, build_leader_group
+from repro.core.views import CohortSet
 from repro.membership import GroupNode
 from repro.net import FixedLatency
 from repro.proc import Environment
-from repro.toolkit import HierarchicalClient, attach_hierarchical_service
+from repro.toolkit import (
+    CoordinatorCohortClient,
+    HierarchicalClient,
+    attach_hierarchical_service,
+)
 from repro.workloads.common import WorkloadResult, build_service_cluster
 
 
@@ -44,7 +51,7 @@ def test_request_to_a_sixteen_member_leaf_costs_2r():
     )
     assert {m.leaf_size for m in members} == {16}
     got = []
-    client.request("warm-up", got.append)  # assignment + GetMembers
+    client.request("warm-up", got.append)  # the assignment, the set with it
     env.run_for(3.0)
     before = env.network.stats.snapshot()
     client.request("x", got.append)
@@ -54,6 +61,50 @@ def test_request_to_a_sixteen_member_leaf_costs_2r():
     assert {c: n for c, n in delta.items() if c.startswith("cc-")} == {
         "cc-request": 3, "cc-reply": 1, "cc-result": 2,
     }
+
+
+@pytest.mark.parametrize("settle", [0.0, 1.0], ids=["takeover", "corrected-reply"])
+def test_a_stale_directory_entry_costs_no_retry_timer(settle):
+    """The leaf's coordinator crashes after the router fetched the tree and
+    before the first request, so the directory entry the client starts
+    from names a dead coordinator.  The request is still answered inside
+    the client's timeout and with no ``GetMembers``: by the takeover when
+    it reaches the set before the view change (``settle`` 0), by a member
+    that is already coordinator otherwise.  Either reply carries the new
+    view's set."""
+    env, params, leaders, members, client, router = build(
+        workers=16, fanout=8, resiliency=3
+    )
+    node = client.process
+    placements = []
+    router.resolve_key("k", placements.append)
+    env.run_for(0.1)
+    (group, contacts), = placements
+    assert isinstance(contacts, CohortSet)
+    env.crash(contacts[0])
+    env.run_for(settle)
+
+    sent = []
+    env.network.add_tap(
+        lambda _event, e: sent.append(type(getattr(e.payload, "body", e.payload)).__name__)
+        if e.src == node.address else None,
+        events=("send",),
+    )
+    timeout = 1.0
+    cc = CoordinatorCohortClient(
+        node, group, contacts=contacts, rpc=router.rpc, timeout=timeout, max_retries=3
+    )
+    got = []
+    t0 = env.now
+    cc.request("first", lambda result: got.append((env.now - t0, result)))
+    env.run_for(2 * timeout)
+    (latency, result), = got
+    assert result == ("served", "first")
+    assert latency < timeout
+    assert sent == ["CCRequest"] * 3  # one attempt, no GetMembers
+    view = next(m for m in members if m.node.alive).leaf_member.view
+    assert contacts[0] not in view.members
+    assert cc._members == view.members[:3]
 
 
 def test_client_fails_over_when_assigned_leaf_dies():

@@ -27,6 +27,14 @@ the takeover answers it.  The third test holds a steady put stream to
 the failure-free budget with no ``transport-ack`` at all: the acks ride
 the stability round.
 
+The harness's echo client is likewise the only thing that saw what a
+tree-routed client's *first* request to a leaf costs.  It resolves the
+key with ``ServiceRouter.resolve_key`` and builds a
+``CoordinatorCohortClient`` from the placement; the placement's contacts
+are the leader's directory entry, the leaf's cohort set, so that first
+request goes straight to the set: 3 + 1 + 2 ``cc-*`` messages and no RPC
+but the one tree fetch the router makes for every leaf.
+
 Nor has the harness a per-member metric for the background budget yet
 (ROADMAP item 1(b)); the fourth test is its tier-1 stand-in: an idle
 hierarchy with the benchmark's parameters sends ``MONITOR_K`` heartbeats
@@ -42,6 +50,7 @@ import pytest
 from repro.core import (
     LargeGroupMember,
     LargeGroupParams,
+    ServiceRouter,
     build_large_group,
     build_leader_group,
 )
@@ -51,7 +60,13 @@ from repro.membership.group import MONITOR_K
 from repro.metrics.sanitizer import VirtualSynchronySanitizer
 from repro.net import FixedLatency
 from repro.proc import Environment
-from repro.toolkit import PartitionedStoreClient, PartitionedStoreServer
+from repro.proc.rpc import RpcRequest
+from repro.toolkit import (
+    CoordinatorCohortClient,
+    PartitionedStoreClient,
+    PartitionedStoreServer,
+    attach_hierarchical_service,
+)
 from repro.toolkit.coordinator_cohort import _CCDispatch
 
 KNOWN_CATEGORIES = {
@@ -178,7 +193,7 @@ def sixteen_member_leaf():
     node = GroupNode(env, "store-client", **node_kwargs())
     client = PartitionedStoreClient(node, node.runtime.rpc, contacts, "svc")
     done = []
-    client.put("warm-up", 0, done.append)  # leaf directory + GetMembers
+    client.put("warm-up", 0, done.append)  # the leaf directory, the set with it
     env.run_for(2.0)
     return env, params, contacts, members, stores, sanitizer, client, done
 
@@ -320,6 +335,64 @@ def test_a_steady_put_stream_draws_no_transport_ack():
     assert len(done) == 1 + puts and all(done)
     sanitizer.check(at_quiescence=True)
     assert sanitizer.deliveries_checked > 0 and not sanitizer.violations
+
+
+def test_a_tree_routed_first_touch_sends_no_get_members():
+    """Built exactly as the benchmark's echo client builds its stubs: the
+    first write to each of two leaves is 3 + 1 + 2 ``cc-*`` messages, and
+    the client's only RPC is the router's one tree fetch."""
+    env = Environment(seed=5, latency=FixedLatency(0.002))
+    leaders = build_leader_group(env, "svc", PARAMS, **node_kwargs())
+    contacts = tuple(r.node.address for r in leaders)
+    members = build_large_group(
+        env, "svc", WORKERS, PARAMS, contacts, **node_kwargs()
+    )
+    attach_hierarchical_service(members, lambda payload, client: ("echo", payload))
+    env.run_for(5.0 + 0.3 * WORKERS)
+    assert all(m.is_member for m in members)
+    manager = next(r for r in leaders if r.is_manager)
+    by_leaf = {}
+    for i in range(100):
+        by_leaf.setdefault(manager.state.place_key(f"k{i}"), f"k{i}")
+    assert len(by_leaf) >= 2
+    keys = list(by_leaf.values())[:2]
+
+    node = GroupNode(env, "echo-client", **node_kwargs())
+    router = ServiceRouter(node, "svc", rpc=node.runtime.rpc, leader_contacts=contacts)
+    stubs = {}
+    rpc_bodies = []
+    env.network.add_tap(
+        lambda _event, e: rpc_bodies.append(type(e.payload.body).__name__)
+        if e.src == node.address and isinstance(e.payload, RpcRequest) else None,
+        events=("send",),
+    )
+
+    def request(key, on_result):
+        def placed(placement):
+            group, leaf_contacts = placement
+            cc = stubs.get(group)
+            if cc is None:
+                cc = CoordinatorCohortClient(
+                    node, group, contacts=leaf_contacts, rpc=router.rpc,
+                    timeout=1.0, max_retries=3,
+                )
+                stubs[group] = cc
+            cc.request(key, on_result, on_failure=lambda: on_result(None))
+
+        router.resolve_key(key, placed)
+
+    got = []
+    for key in keys:
+        before = env.network.stats.snapshot()
+        request(key, got.append)
+        env.run_for(0.5)
+        delta = env.network.stats.since(before).by_category
+        assert got[-1] == ("echo", key)
+        assert {c: n for c, n in delta.items() if c.startswith("cc-")} == {
+            "cc-request": 3, "cc-reply": 1, "cc-result": 2,
+        }
+    assert len(stubs) == 2
+    assert rpc_bodies == ["GetHierarchyInfo"]
 
 
 @pytest.mark.parametrize("workers", [64, 256])

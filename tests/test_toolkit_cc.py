@@ -72,6 +72,36 @@ def test_resiliency_bounds_the_request_to_2r():
     assert all(not s._results and not s._pending for s in servers[3:])
 
 
+def test_a_flat_client_asks_for_the_set_before_its_first_request():
+    """A flat client's ``contacts=`` are whichever members it was given, in
+    no particular order — not a cohort set, as a leader-directory entry
+    is.  So its first request waits one ``GetMembers``, then costs E1's
+    2n."""
+    from repro.toolkit import GetMembers
+
+    env, nodes, members, servers, _ = build(5)
+    env.run_for(1.0)
+    node = GroupNode(env, "flat")
+    client = CoordinatorCohortClient(
+        node, "svc", contacts=("svc-3", "svc-1"), rpc=node.runtime.rpc
+    )
+    sent = []
+    env.network.add_tap(
+        lambda _event, e: sent.append(type(getattr(e.payload, "body", e.payload)))
+        if e.src == "flat" else None,
+        events=("send",),
+    )
+    before = env.network.stats.snapshot()
+    done = []
+    client.request("x", done.append)
+    env.run_for(1.0)
+    assert done == [("done", "x")]
+    assert sent[0] is GetMembers and sent.count(GetMembers) == 1
+    assert len(sent) == 1 + 5
+    assert cc_counts(env.network.stats.since(before)) == (5, 1, 4)
+    assert client._members == tuple(f"svc-{i}" for i in range(5))
+
+
 def test_message_count_is_2n():
     """The paper's claim: a request costs 2n messages (n requests in,
     1 reply, n-1 result copies)."""

@@ -69,9 +69,10 @@ def run_demo(
     )
     client = HierarchicalClient(client_node, router, timeout=1.0)
     replies = []
-    # Warm-up (untraced): resolve the leaf assignment and leaf membership
-    # so the traced request is pure E1 traffic — r requests, 1 reply,
-    # r-1 result copies — with no discovery RPCs mixed in.
+    # Warm-up (untraced): resolve the leaf assignment, whose contacts are
+    # the leaf's cohort set, and let the first reply bring that set up to
+    # the leaf's view, so the traced request is pure E1 traffic — r
+    # requests, 1 reply, r-1 result copies — with no discovery RPC mixed in.
     client.request("warm-up", replies.append)
     env.run_for(2.0)
     if not replies:
