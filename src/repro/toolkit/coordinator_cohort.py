@@ -45,8 +45,8 @@ whose whole set has since left the group) is forwarded once: a write to
 the set, a read to its coordinator.
 
 **Requests outlive their coordinator.**  A client that has heard nothing
-for a request after :data:`HEDGE_MEDIANS` times the median of its recent
-replies sends the same request to the *next rank* of the set.
+for a request after 1.25 times the p95 of its recent replies
+(:data:`HEDGE_SAMPLES`) sends the same request to the *next rank* of the set.
 - A read is answered there from the rank's own replica, the same
   totally ordered state.  Each retry of a read, hedged or not, moves one
   rank on.
@@ -92,19 +92,19 @@ thousand writes a second at one group.  A retry that arrives after
 eviction re-executes — at-least-once, as after a leaf change."""
 
 HEDGE_SAMPLES = 64
-HEDGE_MEDIANS = 4.0
-"""A client hedges a request still unanswered after ``HEDGE_MEDIANS``
-times the median reply time of its process's latest batch of
-``HEDGE_SAMPLES`` first-attempt, unhedged requests (recomputed as each
-batch fills), and never before the first batch.  Derived, never set, and
-safe at any value: a hedge makes at most one more member execute a
-*read*, and a hedged write only makes rank 1 probe the coordinator — no
-member but the coordinator ever executes one.  Four medians sit far
-above a failure-free tail (p99 / p50 is under 2.1 on the three
-failure-free benchmark workloads, and no hedge fires on them) and far
-below the failure detector's ``suspect_after``: a hedged get is answered
-about four medians plus one round trip after it was sent, a hedged put
-about ``PROBES * interval / 4`` plus one flush after that."""
+"""A client hedges a request still unanswered after 1.25 times the p95
+(the 61st of 64) of its process's latest batch of ``HEDGE_SAMPLES``
+first-attempt, unhedged replies, recomputed as each batch fills, and
+never before the first batch: Dean & Barroso's "hedge after the p95
+expected latency".  Derived, never set, and safe at any value: a hedge
+makes at most one more member execute a *read*, and a hedged write only
+makes rank 1 probe the coordinator.  A quantile bounds the hedge *rate*
+on a heavy-tailed engine and ignores three outliers a batch.  On the
+simulator no healthy reply reaches it: the slowest is 1.20 medians, and
+``LanLatency``'s ±20% hop jitter keeps a round trip under 1.06 times its
+p95.  A hedged get is answered about one delay plus one round trip after
+it was sent, a hedged put ``PROBES * interval / 4`` plus one flush after
+that, both far inside the detector's ``suspect_after``."""
 
 
 @dataclass
@@ -195,8 +195,7 @@ class _CCDispatch:
         batch.append(latency)
         if len(batch) == HEDGE_SAMPLES:
             batch.sort()
-            middle = HEDGE_SAMPLES // 2
-            self.hedge_delay = HEDGE_MEDIANS * (batch[middle - 1] + batch[middle]) / 2.0
+            self.hedge_delay = 1.25 * batch[HEDGE_SAMPLES * 19 // 20]  # the p95
             batch.clear()
 
     def _on_request(self, request: CCRequest, sender: Address) -> None:

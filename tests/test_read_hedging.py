@@ -2,24 +2,27 @@
 (docs/hierarchy.md, "Requests during a coordinator outage").
 
 A client sends a declared read to the coordinator alone and a write to
-the whole cohort set.  If it has heard nothing for ``HEDGE_MEDIANS`` x
-its median reply time, it sends the same request, payload and all, to
-rank 1 of the set.  A read is answered there from rank 1's own replica;
-it is never pending, never taken over, never copied and never
-remembered.  A write is executed by the coordinator only: rank 1, which
-holds it pending, takes the second copy as evidence and probes the
-coordinator, and only its own failed probe suspects it.  The view change
-then makes rank 1 coordinator, and its takeover runs the write once.
+the whole cohort set.  If it has heard nothing for its hedge delay, 1.25
+x the p95 of its latest batch of ``HEDGE_SAMPLES`` clean replies, it
+sends the same request, payload and all, to rank 1 of the set.  A read
+is answered there from rank 1's own replica; it is never pending, never
+taken over, never copied and never remembered.  A write is executed by
+the coordinator only: rank 1, which holds it pending, takes the second
+copy as evidence and probes the coordinator, and only its own failed
+probe suspects it.  The view change then makes rank 1 coordinator, and
+its takeover runs the write once.
 
-These tests hold the pieces the benchmark cannot see on its own: no
-hedge without a fault; gets answered by rank 1 within the hedge delay
-plus one round trip, puts within the hedge delay plus ``PROBES`` probe
-rounds plus one flush; no write ever executed off the coordinator; a
-slow but live coordinator neither suspected nor replaced; a hedged read
-executed once across a later takeover; what a hedged read may return;
-that no get is ever held; that a forwarded read runs once; that a read
-retried before the first hedge delay moves to the next rank; and that a
-client declaring no reads gets one execution from a server that does.
+These tests hold the pieces the benchmark cannot see on its own: the
+delay rule itself; no hedge or probe without a fault; gets answered by
+rank 1 within the hedge delay plus one round trip, with the delay close
+to the failure-free tail; puts within the hedge delay plus ``PROBES``
+probe rounds plus one flush; no write ever executed off the coordinator;
+a slow but live coordinator neither suspected nor replaced; a hedged
+read executed once across a later takeover; what a hedged read may
+return; that no get is ever held; that a forwarded read runs once; that
+a read retried before the first hedge delay moves to the next rank; and
+that a client declaring no reads gets one execution from a server that
+does.
 """
 
 from collections import Counter
@@ -30,6 +33,7 @@ from repro.core import LargeGroupParams, build_large_group, build_leader_group
 from repro.failure.detector import PROBES, HeartbeatDetector, Probe
 from repro.membership import GroupNode, build_group
 from repro.net import FixedLatency, LanLatency
+from repro.net.message import DEFAULT_PAYLOAD_BYTES, HEADER_BYTES
 from repro.proc import Environment
 from repro.sim.rand import SimRandom
 from repro.toolkit import (
@@ -128,6 +132,33 @@ def warm_up(env, client, count=HEDGE_SAMPLES):
     return delay
 
 
+def test_the_hedge_delay_is_a_quarter_over_the_p95_of_each_batch():
+    """1.25 x the 61st of 64 clean replies, recomputed as each batch
+    fills; the three slowest replies of a batch never move it."""
+    env = Environment(seed=1, latency=FixedLatency(0.002))
+    node = GroupNode(env, "client")
+    dispatch = _CCDispatch.for_process(node, rpc=node.runtime.rpc)
+    rng = SimRandom(5)
+    batch = [0.001 * (i + 1) for i in range(HEDGE_SAMPLES)]
+    rng.shuffle(batch)
+    for latency in batch[:-1]:
+        dispatch.note_latency(latency)
+    assert dispatch.hedge_delay is None  # no hedge before the first batch
+    dispatch.note_latency(batch[-1])
+    assert dispatch.hedge_delay == pytest.approx(1.25 * 0.061)
+    # Three outliers in place of the three slowest: the delay stays put,
+    # and only a full batch changes it.
+    outliers = [1.0, 5.0, 30.0] + sorted(batch)[: HEDGE_SAMPLES - 3]
+    rng.shuffle(outliers)
+    for latency in outliers:
+        dispatch.note_latency(latency)
+        assert dispatch.hedge_delay == pytest.approx(1.25 * 0.061)
+    # A fourth outlier is the p95: the slowest three are still ignored.
+    for latency in [1.0, 2.0, 5.0, 30.0] + sorted(batch)[: HEDGE_SAMPLES - 4]:
+        dispatch.note_latency(latency)
+    assert dispatch.hedge_delay == pytest.approx(1.25 * 1.0)
+
+
 def test_a_put_is_never_executed_off_the_coordinator():
     """A put caught by a crash is hedged to rank 1, which probes and
     executes nothing; the takeover after the view change runs it once, at
@@ -183,6 +214,45 @@ def test_a_put_is_never_executed_off_the_coordinator():
         0, 2, 0, 0, 0, 0,
     ]
     assert at_execution == [("get", "svc-0"), ("put", "svc-1")]
+
+
+def test_a_get_caught_by_a_crash_waits_one_tail_and_one_round_trip():
+    """With jittered links the hedge delay sits within 1.5 x the slowest
+    failure-free reply, and every get caught by a crash is answered by
+    rank 1 within that delay plus one round trip."""
+    lan = LanLatency()
+    # A coordinator-cohort message is the default payload plus a header;
+    # jitter stretches each hop by at most ``lan.jitter``.
+    longest_rtt = 2 * (1 + lan.jitter) * (
+        lan.base + lan.per_byte * (DEFAULT_PAYLOAD_BYTES + HEADER_BYTES)
+    )
+    env, members, servers, client = flat_store(latency=lan, seed=3)
+    client.request(("put", "k", 0), lambda r: None)
+    env.run_for(0.5)
+    sent = requests_sent(env, "client")
+
+    def get(latencies):
+        start = env.now
+        client.request(("get", "k"), lambda r: latencies.append(env.now - start))
+
+    healthy = []
+    for i in range(2 * HEDGE_SAMPLES):
+        env.scheduler.after(0.005 * i, lambda: get(healthy))
+    env.run_for(1.0)
+    assert len(healthy) == len(sent) == 2 * HEDGE_SAMPLES  # no hedge
+    delay = client._dispatch.hedge_delay
+    assert max(healthy) <= longest_rtt < delay <= 1.5 * max(healthy)
+
+    executed = servers[1].requests_executed
+    env.crash("svc-0")
+    caught = []
+    for i in range(20):
+        env.scheduler.after(0.01 * i, lambda: get(caught))
+    env.run_for(0.3)
+    assert members[1].view.coordinator == "svc-0"  # not yet detected
+    assert len(caught) == 20
+    assert max(caught) <= delay + longest_rtt + 1e-9
+    assert servers[1].requests_executed - executed == 20
 
 
 def test_a_slow_but_live_coordinator_answers_the_probe_and_keeps_its_place():
@@ -419,24 +489,30 @@ def mixed_load(env, clients, count, answers):
 
 
 def test_no_hedge_is_sent_in_a_failure_free_store_under_load():
-    env, contacts, members, stores = store(LanLatency())
-    clients = [store_client(env, contacts, f"client-{i}") for i in range(3)]
-    sent = []
+    for seed in (1, 2, 3):
+        env, contacts, members, stores = store(LanLatency(), seed=seed)
+        clients = [store_client(env, contacts, f"client-{i}") for i in range(3)]
+        sent = []
+        probes = probes_sent(env)
 
-    def tap(_event, envelope):
-        if isinstance(envelope.payload, CCRequest):
-            sent.append((envelope.payload.request_id, envelope.payload.payload["op"]))
+        def tap(_event, envelope):
+            if isinstance(envelope.payload, CCRequest):
+                sent.append((envelope.payload.request_id, envelope.payload.payload["op"]))
 
-    env.network.add_tap(tap, events=("send",))
-    answers = []
-    mixed_load(env, clients, 1500, answers)
-    env.run_for(5.0)
-    assert len(answers) == 1500
-    assert all(_CCDispatch.for_process(c.process).hedge_delay for c in clients)
-    # Every get went once, to its coordinator; every put once to the set.
-    per_request = Counter(sent)
-    assert len(per_request) == 1500
-    assert all(count == (1 if op == "get" else 3) for (_, op), count in per_request.items())
+        env.network.add_tap(tap, events=("send",))
+        answers = []
+        mixed_load(env, clients, 1500, answers)
+        env.run_for(5.0)
+        assert len(answers) == 1500
+        assert all(_CCDispatch.for_process(c.process).hedge_delay for c in clients)
+        # Every get went once, to its coordinator; every put once to the
+        # set; and no cohort probed.
+        per_request = Counter(sent)
+        assert len(per_request) == 1500
+        assert all(
+            count == (1 if op == "get" else 3) for (_, op), count in per_request.items()
+        )
+        assert probes == []
 
 
 def test_no_get_ever_enters_pending_or_results_at_any_member():
@@ -470,7 +546,8 @@ def test_no_get_ever_enters_pending_or_results_at_any_member():
 
 
 def test_with_the_coordinator_crashed_rank_1_answers_gets_and_the_takeover_puts():
-    """Gets in about four medians, puts in about the probe window."""
+    """Gets in about 1.25 round trips plus one, puts in about the probe
+    window."""
     env, contacts, members, stores = store(FixedLatency(0.002))
     client = store_client(env, contacts)
     client.refresh(lambda ok: None)
@@ -484,7 +561,7 @@ def test_with_the_coordinator_crashed_rank_1_answers_gets_and_the_takeover_puts(
         client.get(leaf_keys[i % 8], lambda value: None)
     env.run_for(0.5)
     delay = _CCDispatch.for_process(client.process).hedge_delay
-    assert delay == pytest.approx(4 * RTT)  # every clean reply took one round trip
+    assert delay == pytest.approx(1.25 * RTT)  # every clean reply took one round trip
 
     in_leaf = [(m, s) for m, s in zip(members, stores) if m.leaf_id == leaf_id]
     view = in_leaf[0][0].leaf_member.view
