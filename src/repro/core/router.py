@@ -54,12 +54,13 @@ class ServiceRouter:
         self._timeout = rpc_timeout
         self._assignment: Optional[Assignment] = None
         self.lookups = 0
-        # Hierarchical placement: the leader's tree (branch -> children,
-        # leaf -> contacts) as of one reorg epoch, walked locally.  A
-        # failure on a placement drops it (``invalidate_key``); the next
-        # fetch shows whether a split or merge had moved the epoch.
+        # Hierarchical placement: the leader's tree (branch -> children)
+        # as of one reorg epoch, walked locally, and each routable leaf's
+        # (group name, cohort set), built once per fetch.  A failure on a
+        # placement drops the tree (``invalidate_key``); the next fetch
+        # shows whether a split or merge had moved the epoch.
         self._tree: Optional[Dict[str, List[str]]] = None
-        self._leaf_contacts: Dict[str, CohortSet] = {}
+        self._placements: Dict[str, Assignment] = {}
         self._placement_epoch: Optional[int] = None
         self._tree_waiters: List[Tuple[str, AssignmentFn]] = []
         self.placement_lookups = 0  # tree fetches asked of the leader
@@ -97,7 +98,7 @@ class ServiceRouter:
         ``place_key`` names, worked out here from the tree this router
         holds.  The tree is fetched when there is none."""
         if self._tree is not None:
-            placement = self._place(key)
+            placement = self._placements.get(self.place(key))
             if placement is not None:
                 self.placement_hits += 1
                 on_ready(placement)
@@ -106,6 +107,13 @@ class ServiceRouter:
         self._tree_waiters.append((key, on_ready))
         if len(self._tree_waiters) == 1:
             self._resolve_leader(lambda contacts: self._ask_tree(contacts, 0))
+
+    def place(self, key: str) -> Optional[str]:
+        """The leaf id the tree this router holds names for ``key``, with
+        no message sent; ``None`` while it holds no tree."""
+        if self._tree is None:
+            return None
+        return walk_key(self._tree.get, key)
 
     def invalidate_key(self, key: str) -> None:
         """Requests to ``key``'s placement are failing: the tree that
@@ -168,13 +176,6 @@ class ServiceRouter:
             on_timeout=lambda: self._ask_leader(contacts, index + 1, on_ready),
         )
 
-    def _place(self, key: str) -> Optional[Assignment]:
-        leaf_id = walk_key(self._tree.get, key)
-        contacts = self._leaf_contacts.get(leaf_id)
-        if not contacts:
-            return None
-        return leaf_group_name(self.service, leaf_id), contacts
-
     def _ask_tree(self, contacts: Tuple[Address, ...], index: int) -> None:
         if not contacts or index >= 3 * len(contacts):
             self._tree_fetched()
@@ -192,16 +193,18 @@ class ServiceRouter:
                 self.placement_invalidations += 1
             self._placement_epoch = epoch
             self._tree = value["tree"]
-            self._leaf_contacts = {
-                leaf_id: CohortSet(info["contacts"])
+            self._placements = {
+                leaf_id: (leaf_group_name(self.service, leaf_id),
+                          CohortSet(info["contacts"]))
                 for leaf_id, info in value["leaves"].items()
+                if info["contacts"]
             }
             trace = self._process.env.network.trace
             if trace is not None:
                 trace.local(
                     "placement-tree-fetched", category="routing",
                     process=self._process.address, service=self.service,
-                    leaves=len(self._leaf_contacts), epoch=epoch,
+                    leaves=len(value["leaves"]), epoch=epoch,
                 )
             self._tree_fetched()
 
@@ -218,4 +221,4 @@ class ServiceRouter:
         leader could not be reached or cannot place the key yet)."""
         waiters, self._tree_waiters = self._tree_waiters, []
         for key, on_ready in waiters:
-            on_ready(self._place(key) if self._tree is not None else None)
+            on_ready(self._placements.get(self.place(key)))

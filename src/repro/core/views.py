@@ -19,7 +19,7 @@ can replicate it with abcast and every replica stays identical.
 
 from __future__ import annotations
 
-import zlib
+import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -32,24 +32,26 @@ ROOT_BRANCH = "branch-root"
 def walk_key(
     children_of: Callable[[str], Optional[Sequence[str]]], key: str
 ) -> Optional[str]:
-    """The key -> leaf rule of hierarchical placement: from the root, hash
-    the key (salted with the level so deep trees spread keys) against each
-    branch's child list and descend.  ``children_of(node)`` is the child
-    list of a branch and ``None`` for a leaf.  A pure function of (key,
-    tree shape), and crc32 keeps it independent of the process hash seed —
-    the manager (:meth:`HierarchyState.place_key`) and every router that
-    holds the tree (``ServiceRouter.resolve_key``) resolve a key alike."""
+    """The key -> leaf rule of hierarchical placement: hash the key once
+    (the first 8 bytes of its sha1) and, from the root, let each branch
+    take its child from the next digit of that draw in base
+    ``len(children)``.  ``children_of(node)`` is the child list of a
+    branch and ``None`` for a leaf.  A pure function of (key, tree shape),
+    independent of the process hash seed — the manager
+    (:meth:`HierarchyState.place_key`) and every router that holds the
+    tree (``ServiceRouter.place``) resolve a key alike.  Each level reads
+    fresh bits of one digest, so the levels' picks are independent and a
+    full tree is filled evenly."""
+    draw = int.from_bytes(hashlib.sha1(key.encode("utf-8")).digest()[:8], "big")
     node = ROOT_BRANCH
-    level = 0
     while True:
         children = children_of(node)
         if children is None:
             return node
         if not children:
             return None
-        digest = zlib.crc32(f"{key}#{level}".encode("utf-8"))
-        node = children[digest % len(children)]
-        level += 1
+        draw, index = divmod(draw, len(children))
+        node = children[index]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from repro.toolkit.parallel import ParallelExecutor, partition
 from repro.toolkit.partitioned_data import (
     PartitionedStoreClient,
     PartitionedStoreServer,
-    owner_of,
 )
 from repro.toolkit.replication import (
     ReplicatedCounter,
@@ -66,6 +65,5 @@ __all__ = [
     "TxPrepare",
     "attach_hierarchical_service",
     "attach_service",
-    "owner_of",
     "partition",
 ]

@@ -139,6 +139,67 @@ class HierarchicalClient:
         )
 
 
+class KeyRoutedClient:
+    """Client stub for a partitioned service: each key's leaf through
+    :meth:`ServiceRouter.resolve_key`, then one cached coordinator-cohort
+    stub per leaf group.  A request whose leaf stops answering (dissolved,
+    merged or partitioned away) re-routes once over a freshly fetched tree
+    and is then answered ``None``, so every request is answered."""
+
+    def __init__(
+        self,
+        process: Process,
+        router: ServiceRouter,
+        timeout: float = 1.0,
+        max_retries: int = 4,
+        is_read: Optional[Callable[[Any], bool]] = None,
+    ) -> None:
+        self.process = process
+        self.router = router
+        self.timeout = timeout
+        self.max_retries = max_retries
+        self.is_read = is_read
+        self._cc: Dict[str, CoordinatorCohortClient] = {}
+
+    def request(self, key: str, payload: Any, on_reply: Callable[[Any], None]) -> None:
+        self._route(key, payload, on_reply, rerouted=False)
+
+    def owner_leaf(self, key: str) -> Optional[str]:
+        """The leaf ``key`` is routed to now, or ``None`` before the
+        router holds a tree; no message is sent."""
+        return self.router.place(key)
+
+    def _route(self, key, payload, on_reply, rerouted: bool) -> None:
+        def placed(placement) -> None:
+            if placement is None:
+                on_reply(None)
+                return
+            group, contacts = placement
+            cc = self._cc.get(group)
+            if cc is None:
+                cc = self._cc[group] = CoordinatorCohortClient(
+                    self.process,
+                    group,
+                    contacts=contacts,
+                    rpc=self.router.rpc,
+                    timeout=self.timeout,
+                    max_retries=self.max_retries,
+                    is_read=self.is_read,
+                )
+
+            def failed() -> None:
+                self._cc.pop(group, None)
+                if rerouted:
+                    on_reply(None)
+                    return
+                self.router.invalidate_key(key)
+                self._route(key, payload, on_reply, rerouted=True)
+
+            cc.request(payload, on_reply, on_failure=failed)
+
+        self.router.resolve_key(key, placed)
+
+
 def attach_hierarchical_service(
     members: List[LargeGroupMember], handler: Handler
 ) -> List[HierarchicalServer]:

@@ -2,40 +2,31 @@
 
 Paper §3: "The leader may perform group-wide application-level functions
 such as partitioning data or processing between subgroups."  This tool
-realises that: the key space is partitioned across the leaf subgroups (by
-stable hash over the sorted leaf list), each partition is *replicated
-within its leaf* (abcast, so it survives leaf-member failures), and
-clients route each operation to the owning leaf only — every read or
-write touches one bounded subgroup regardless of total store size.
+realises that: the key space is partitioned across the leaf subgroups by
+the hierarchy's one placement rule (:func:`repro.core.views.walk_key`,
+which the manager and every ``ServiceRouter`` apply to the same tree),
+each partition is *replicated within its leaf* (abcast, so it survives
+leaf-member failures), and clients route each operation to the owning
+leaf only — every read or write touches one bounded subgroup regardless
+of total store size.
 
-Rebalancing on leaf churn is deliberately simple (clients refresh their
-leaf list and re-route; a vanished leaf loses its partition), matching
-the paper-era design point; production systems would add key migration.
+Rebalancing on leaf churn is deliberately simple (a client whose leaf
+stops answering re-fetches the tree and re-routes once; a vanished leaf
+loses its partition), matching the paper-era design point; production
+systems would add key migration.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.core.hierarchy import LargeGroupMember
-from repro.core.leader import GetHierarchyInfo, leaf_group_name
-from repro.core.views import CohortSet
+from repro.core.router import ServiceRouter
 from repro.membership.group import GroupMember
 from repro.net.message import Address
 from repro.proc.process import Process
-from repro.toolkit.coordinator_cohort import CoordinatorCohortClient
-from repro.toolkit.hierarchical_service import HierarchicalServer
+from repro.toolkit.hierarchical_service import HierarchicalServer, KeyRoutedClient
 from repro.toolkit.replication import ReplicatedDict
-
-
-def owner_of(key: Any, leaf_ids: List[str]) -> str:
-    """Stable key -> leaf assignment over the sorted leaf list."""
-    if not leaf_ids:
-        raise ValueError("no leaves to own keys")
-    ordered = sorted(leaf_ids)
-    digest = hashlib.sha1(repr(key).encode()).digest()
-    return ordered[int.from_bytes(digest[:4], "big") % len(ordered)]
 
 
 def _is_get(payload: Any) -> bool:
@@ -82,8 +73,10 @@ class PartitionedStoreServer:
         return self._table.get(key) if self._table is not None else None
 
 
-class PartitionedStoreClient:
-    """Routes each key's operations to the leaf that owns it."""
+class PartitionedStoreClient(KeyRoutedClient):
+    """Routes each key's operations to the leaf that owns it: the leaf
+    :func:`~repro.core.views.walk_key` names over the leader's tree, the
+    one ``HierarchyState.place_key`` names at the manager."""
 
     def __init__(
         self,
@@ -93,107 +86,22 @@ class PartitionedStoreClient:
         service: str = "svc",
         timeout: float = 1.0,
     ) -> None:
-        if not leader_contacts:
-            raise ValueError("need leader contacts")
-        self.process = process
-        self.rpc = rpc
-        self.service = service
-        self.leader_contacts = tuple(leader_contacts)
-        self.timeout = timeout
-        # The leader's directory: leaf id -> the leaf's cohort set.
-        self._leaves: Dict[str, CohortSet] = {}
-        self._cc: Dict[str, CoordinatorCohortClient] = {}
-        # Callbacks waiting for the directory fetch in flight: one fetch
-        # answers every op issued before it returns.
-        self._leaf_waiters: List[Callable[[bool], None]] = []
+        router = ServiceRouter(
+            process, service, rpc=rpc, leader_contacts=leader_contacts,
+            rpc_timeout=timeout,
+        )
+        super().__init__(process, router, timeout=timeout, max_retries=3, is_read=_is_get)
 
-    # -- public ops ----------------------------------------------------------------
+    def put(self, key: str, value: Any, on_done: Callable[[bool], None]) -> None:
+        self.request(key, {"op": "put", "key": key, "value": value},
+                     lambda result: on_done(bool(result and result[0] == "ok")))
 
-    def put(self, key: Any, value: Any, on_done: Callable[[bool], None]) -> None:
-        self._op({"op": "put", "key": key, "value": value}, key,
-                 lambda result: on_done(bool(result and result[0] == "ok")))
-
-    def get(self, key: Any, on_value: Callable[[Any], None]) -> None:
+    def get(self, key: str, on_value: Callable[[Any], None]) -> None:
         def unwrap(result) -> None:
             on_value(result[1] if result and result[0] == "value" else None)
 
-        self._op({"op": "get", "key": key}, key, unwrap)
+        self.request(key, {"op": "get", "key": key}, unwrap)
 
-    def delete(self, key: Any, on_done: Callable[[bool], None]) -> None:
-        self._op({"op": "delete", "key": key}, key,
-                 lambda result: on_done(bool(result and result[0] == "ok")))
-
-    def refresh(self, then: Callable[[bool], None]) -> None:
-        """Re-fetch the leaf directory from the leader; a fetch already in
-        flight answers ``then`` too."""
-        self._leaf_waiters.append(then)
-        if len(self._leaf_waiters) == 1:
-            self._fetch_leaves(0)
-
-    def owner_leaf(self, key: Any) -> Optional[str]:
-        if not self._leaves:
-            return None
-        return owner_of(key, list(self._leaves))
-
-    # -- internals ------------------------------------------------------------------
-
-    def _op(self, payload, key, on_result) -> None:
-        if not self._leaves:
-            self.refresh(
-                lambda ok: self._op(payload, key, on_result) if ok else on_result(None)
-            )
-            return
-        leaf_id = owner_of(key, list(self._leaves))
-        contacts = self._leaves[leaf_id]
-        cc = self._cc.get(leaf_id)
-        if cc is None:
-            cc = CoordinatorCohortClient(
-                self.process,
-                leaf_group_name(self.service, leaf_id),
-                contacts=contacts,
-                rpc=self.rpc,
-                timeout=self.timeout,
-                max_retries=3,
-                is_read=_is_get,
-            )
-            self._cc[leaf_id] = cc
-
-        def failed() -> None:
-            # owner leaf unreachable (dissolved/merged): refresh and retry
-            self._cc.pop(leaf_id, None)
-            self._leaves = {}
-            self.refresh(
-                lambda ok: self._op(payload, key, on_result) if ok else on_result(None)
-            )
-
-        cc.request(payload, on_result, on_failure=failed)
-
-    def _fetch_leaves(self, index: int) -> None:
-        if index >= 3 * len(self.leader_contacts):
-            self._leaves_fetched(False)
-            return
-        contact = self.leader_contacts[index % len(self.leader_contacts)]
-
-        def reply(value, sender) -> None:
-            if isinstance(value, dict) and value.get("leaves"):
-                self._leaves = {
-                    leaf_id: CohortSet(info["contacts"])
-                    for leaf_id, info in value["leaves"].items()
-                    if info["contacts"]
-                }
-                self._leaves_fetched(bool(self._leaves))
-            else:  # a redirect, or no leaves yet: ask the next contact
-                self._fetch_leaves(index + 1)
-
-        self.rpc.call(
-            contact,
-            GetHierarchyInfo(service=self.service),
-            on_reply=reply,
-            timeout=self.timeout,
-            on_timeout=lambda: self._fetch_leaves(index + 1),
-        )
-
-    def _leaves_fetched(self, ok: bool) -> None:
-        waiters, self._leaf_waiters = self._leaf_waiters, []
-        for then in waiters:
-            then(ok)
+    def delete(self, key: str, on_done: Callable[[bool], None]) -> None:
+        self.request(key, {"op": "delete", "key": key},
+                     lambda result: on_done(bool(result and result[0] == "ok")))

@@ -16,16 +16,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.core.leader import GetHierarchyInfo, leaf_group_name
-from repro.core.views import CohortSet
+from repro.core.router import ServiceRouter
 from repro.membership.events import FIFO
 from repro.membership.service import GroupNode
 from repro.proc.env import Environment
-from repro.toolkit.coordinator_cohort import CoordinatorCohortClient
-from repro.toolkit.hierarchical_service import HierarchicalServer
-from repro.toolkit.partitioned_data import owner_of
+from repro.toolkit.hierarchical_service import HierarchicalServer, KeyRoutedClient
 from repro.workloads.common import ServiceCluster, WorkloadResult, build_service_cluster
 from repro.workloads.trading import SYMBOLS, Tick
 
@@ -38,7 +35,7 @@ class TickRelay:
     tick: Tick = None  # type: ignore[assignment]
 
 
-class SymbolFeed:
+class SymbolFeed(KeyRoutedClient):
     """A data feed that routes each tick to the symbol's owning leaf."""
 
     def __init__(
@@ -51,77 +48,22 @@ class SymbolFeed:
     ) -> None:
         self.env = env
         self.node = GroupNode(env, name)
-        self.rpc = self.node.runtime.rpc
-        self.service = service
-        self.leader_contacts = tuple(leader_contacts)
-        self.timeout = timeout
-        self._leaves: Dict[str, CohortSet] = {}
-        self._cc: Dict[str, CoordinatorCohortClient] = {}
-        # Callbacks waiting for the directory fetch in flight.
-        self._directory_waiters: List[Callable[[bool], None]] = []
+        router = ServiceRouter(
+            self.node, service, rpc=self.node.runtime.rpc,
+            leader_contacts=leader_contacts, rpc_timeout=timeout,
+        )
+        super().__init__(self.node, router, timeout=timeout, max_retries=2)
         self.ticks_sent = 0
         self.ticks_acked = 0
 
-    def refresh_directory(self, then: Callable[[bool], None] = lambda ok: None) -> None:
-        """Fetch the leaf directory; a fetch already in flight answers
-        ``then`` too."""
-        self._directory_waiters.append(then)
-        if len(self._directory_waiters) > 1:
-            return
-
-        def fetched(ok: bool) -> None:
-            waiters, self._directory_waiters = self._directory_waiters, []
-            for waiter in waiters:
-                waiter(ok)
-
-        def reply(value, sender) -> None:
-            if isinstance(value, dict) and value.get("leaves"):
-                self._leaves = {
-                    leaf_id: CohortSet(info["contacts"])
-                    for leaf_id, info in value["leaves"].items()
-                    if info["contacts"]
-                }
-            fetched(bool(self._leaves))
-
-        self.rpc.call(
-            self.leader_contacts[0],
-            GetHierarchyInfo(service=self.service),
-            on_reply=reply,
-            timeout=self.timeout,
-            on_timeout=lambda: fetched(False),
-        )
-
-    def owner_leaf(self, symbol: str) -> Optional[str]:
-        if not self._leaves:
-            return None
-        return owner_of(symbol, list(self._leaves))
-
     def publish(self, tick: Tick) -> None:
-        leaf_id = self.owner_leaf(tick.symbol)
-        if leaf_id is None:
-            self.refresh_directory(lambda ok: self.publish(tick) if ok else None)
-            return
-        cc = self._cc.get(leaf_id)
-        if cc is None:
-            cc = CoordinatorCohortClient(
-                self.node,
-                leaf_group_name(self.service, leaf_id),
-                contacts=self._leaves[leaf_id],
-                rpc=self.rpc,
-                timeout=self.timeout,
-                max_retries=2,
-            )
-            self._cc[leaf_id] = cc
         self.ticks_sent += 1
 
-        def acked(_result) -> None:
-            self.ticks_acked += 1
+        def acked(result) -> None:
+            if result is not None:
+                self.ticks_acked += 1
 
-        def failed() -> None:
-            self._leaves = {}
-            self._cc.pop(leaf_id, None)
-
-        cc.request({"tick": tick}, acked, on_failure=failed)
+        self.request(tick.symbol, {"tick": tick}, acked)
 
 
 class SymbolPartitionedTrading:
@@ -189,8 +131,8 @@ class SymbolPartitionedTrading:
 
     def run(self, duration: float = 8.0) -> WorkloadResult:
         start = self.env.now
-        for feed in self.feeds:
-            feed.refresh_directory()
+        for feed in self.feeds:  # fetch the tree before the first tick
+            feed.router.resolve_key(SYMBOLS[0], lambda placement: None)
         self.env.run_for(1.0)
         for index, feed in enumerate(self.feeds):
             rng = self.rng.fork(f"feed-{index}")

@@ -1,5 +1,8 @@
 """Unit + property tests for the hierarchy data model (pure logic)."""
 
+import statistics
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -442,6 +445,22 @@ def test_place_key_deterministic_and_total():
         assert other.place_key(key) == leaf  # replica-agreement
         assert state.place_key(key) == leaf  # stable across calls
     assert make_load(fanout=3)[0].place_key("anything") is None
+
+
+def test_place_key_spreads_keys_over_every_leaf_of_a_full_tree():
+    """4,096 keys on a size-grown fanout-8 tree of 64 leaves (eight
+    branches of eight) reach at least 56 leaves, and every leaf holds
+    between half and twice the median share.  A walk that re-hashes the
+    key at each level with an affine hash (crc32 of ``key#level``) picks
+    correlated children at both levels and reaches 8 of the 64."""
+    state, _ = make(fanout=8)
+    for i in range(64):
+        add(state, i)
+    assert len(state.branches) == 9 and len(state.branches[ROOT_BRANCH].children) == 8
+    shares = Counter(state.place_key(f"k{i}") for i in range(4096))
+    assert len(shares) >= 56
+    median = statistics.median(shares[leaf_id] for leaf_id in state.leaves)
+    assert all(median / 2 <= shares[leaf_id] <= 2 * median for leaf_id in state.leaves)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,13 +4,7 @@ from repro.core import LargeGroupParams, build_large_group, build_leader_group
 from repro.membership import GroupNode
 from repro.net import FixedLatency
 from repro.proc import Environment
-from repro.toolkit import (
-    PartitionedStoreClient,
-    PartitionedStoreServer,
-    owner_of,
-)
-
-import pytest
+from repro.toolkit import PartitionedStoreClient, PartitionedStoreServer
 
 
 def build_store(workers=12, seed=1, fanout=4, resiliency=2, settle=None):
@@ -28,24 +22,63 @@ def build_store(workers=12, seed=1, fanout=4, resiliency=2, settle=None):
     return env, params, leaders, members, servers, client
 
 
-# -- owner_of (pure) ----------------------------------------------------------------
+# -- placement ------------------------------------------------------------------
 
 
-def test_owner_of_stable_and_order_independent():
-    leaves = ["l2", "l0", "l1"]
-    assert owner_of("k", leaves) == owner_of("k", list(reversed(leaves)))
-    assert owner_of("k", leaves) == owner_of("k", leaves)
+def test_the_client_the_router_and_the_manager_place_every_key_alike():
+    """One key -> leaf rule: the store client's owner, the leaf its router
+    resolves the key to, and the manager's ``place_key`` are one leaf."""
+    env, params, leaders, members, servers, client = build_store(workers=16)
+    manager = next(r for r in leaders if r.is_manager)
+    keys = [f"k{i}" for i in range(300)]
+    assert client.owner_leaf(keys[0]) is None  # no tree held yet, no message
+    placements = []
+    for key in keys:
+        client.router.resolve_key(key, placements.append)
+    env.run_for(1.0)
+    assert client.router.placement_lookups == 1
+    owners = [manager.state.place_key(key) for key in keys]
+    assert [client.owner_leaf(key) for key in keys] == owners
+    assert [group for group, _ in placements] == [f"svc::{leaf}" for leaf in owners]
+    assert len(set(owners)) == len(manager.state.leaves) > 1
 
 
-def test_owner_of_distributes_keys():
-    leaves = [f"l{i}" for i in range(4)]
-    owners = {owner_of(f"key-{i}", leaves) for i in range(100)}
-    assert len(owners) == 4  # all partitions used
+def test_a_store_with_no_leaves_answers_none():
+    env = Environment(seed=1, latency=FixedLatency(0.002))
+    leaders = build_leader_group(env, "svc", LargeGroupParams(resiliency=2, fanout=4))
+    env.run_for(3.0)
+    node = GroupNode(env, "store-client")
+    contacts = tuple(r.node.address for r in leaders)
+    client = PartitionedStoreClient(node, node.runtime.rpc, contacts, "svc")
+    got, done = [], []
+    client.get("k", got.append)
+    client.put("k", 1, done.append)
+    env.run_for(3.0)
+    assert (got, done) == ([None], [False])
+    assert client.owner_leaf("k") is None
 
 
-def test_owner_of_requires_leaves():
-    with pytest.raises(ValueError):
-        owner_of("k", [])
+def test_a_client_cut_off_from_the_owner_leaf_is_answered_after_one_reroute():
+    """A request whose leaf stops answering re-routes once over a fresh
+    tree; when the fresh tree names the same unreachable leaf, the client
+    answers ``None`` instead of re-routing for as long as it stays cut off."""
+    env, params, leaders, members, servers, client = build_store()
+    client.put("cut", 1, lambda ok: None)
+    env.run_for(2.0)
+    leaf_id = client.owner_leaf("cut")
+    for member in members:
+        if member.leaf_id == leaf_id:
+            env.network.partitions.cut_link(client.process.address, member.me)
+            env.network.partitions.cut_link(member.me, client.process.address)
+    lookups = client.router.placement_lookups
+    got, start = [], env.now
+    client.get("cut", lambda value: got.append((value, env.now - start)))
+    env.run_for(60.0)
+    assert [value for value, _ in got] == [None]
+    # two coordinator-cohort give-ups ((max_retries + 1) timeouts each),
+    # and one tree fetch between them
+    assert got[0][1] <= 2 * 4 * 1.0 + 1.0
+    assert client.router.placement_lookups == lookups + 1
 
 
 # -- end to end ----------------------------------------------------------------------

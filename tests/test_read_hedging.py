@@ -550,7 +550,7 @@ def test_with_the_coordinator_crashed_rank_1_answers_gets_and_the_takeover_puts(
     window."""
     env, contacts, members, stores = store(FixedLatency(0.002))
     client = store_client(env, contacts)
-    client.refresh(lambda ok: None)
+    client.router.resolve_key("k0", lambda placement: None)
     env.run_for(0.1)
     leaf_id = members[0].leaf_id
     leaf_keys = [k for k in (f"k{i}" for i in range(400)) if client.owner_leaf(k) == leaf_id]

@@ -153,7 +153,9 @@ def test_requests_takeover_and_stale_set_stay_in_the_known_categories():
     assert sum(s.service.current.takeovers for _, s in survivors) >= 1
 
     # -- a request addressed to a stale cohort set --------------------------------
-    cc = client._cc[leaf_id]
+    placement = []
+    client.router.resolve_key(leaf_keys[0], placement.append)
+    cc = client._cc[placement[0][0]]
     view = survivors[0][0].leaf_member.view
     assert cc._members == view.members[:3]
     cc._members = view.members[3:]  # nobody in the set hears it first-hand

@@ -59,3 +59,14 @@ def test_feed_acks_match_sends():
     workload.run(duration=4.0)
     for feed in workload.feeds:
         assert feed.ticks_acked == feed.ticks_sent > 0
+
+
+def test_ticks_are_acked_with_the_first_leader_contact_crashed():
+    """A feed fetches the leaf tree through its router, which tries each
+    leader contact in turn: losing the first costs one timeout, not the
+    feed."""
+    workload = build(analysts=12, seed=7)
+    workload.env.crash(workload.cluster.leader_contacts[0])
+    workload.run(duration=4.0)
+    for feed in workload.feeds:
+        assert feed.ticks_acked == feed.ticks_sent > 0
