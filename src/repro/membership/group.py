@@ -25,12 +25,11 @@ and the paper's contribution (bounding them with hierarchy) is built on
 top in :mod:`repro.core`.  The two *background* planes, however, cost a
 member the same whatever the size of its group (docs/comms.md):
 
-* failure monitoring is a ring — a member watches its
-  :data:`MONITOR_K` nearest rank-predecessors that it does not suspect,
-  each of which pushes it one heartbeat a tick that nobody answers
-  (:mod:`repro.failure.detector`), and reports a suspicion to the acting
-  coordinator; a member a view removes is dropped from the push lists of
-  the members that stay;
+* failure monitoring is a ring — a member watches its nearest
+  rank-predecessor that it does not suspect, which pushes it one
+  heartbeat a tick that nobody answers (:mod:`repro.failure.detector`),
+  and reports a suspicion to the acting coordinator; a member a view
+  removes is dropped from the push list of the member that stays;
 * stability is agreed through the coordinator and quiescent — a member
   reports the watermarks that moved since its last report to
   ``view.coordinator`` alone, and the coordinator announces the floors
@@ -76,16 +75,6 @@ from repro.proc.process import Process
 from repro.proc.rpc import Rpc, RpcError
 from repro.transport.reliable import ReliableTransport
 
-MONITOR_K = 3
-"""How many rank-predecessors each member monitors: a member is reported
-unless it and its ``MONITOR_K`` successors fail within one detection
-period (and even then, one period later — see ``GroupMember._rewatch``).
-Matches the ``resiliency`` every hierarchy in the repo runs with; groups
-of up to ``MONITOR_K + 1`` members are monitored all-to-all.  It is also
-what monitoring costs a member per tick: ``MONITOR_K`` heartbeats out to
-the successors that watch it, for as long as they keep renewing
-(``repro.failure.detector.LEASE_TICKS`` / ``RENEW_TICKS``)."""
-
 DeliveryListener = Callable[[DeliveryEvent], None]
 ViewListener = Callable[[ViewEvent], None]
 
@@ -117,7 +106,7 @@ class GroupMember:
         self._future: List[Tuple[Callable[[Any, Address], None], Any, Address]] = []
 
         self._suspects: Set[Address] = set()
-        self._watching: Set[Address] = set()
+        self._watching: Optional[Address] = None
         self._pending_joins: List[Address] = []
         self._pending_leaves: Set[Address] = set()
         self._leave_requested = False
@@ -422,7 +411,7 @@ class GroupMember:
                 self._check_flush_complete()
             return
         # Whoever takes over from a suspected coordinator monitors its own
-        # predecessors only, so it is told everything this member knows.
+        # predecessor only, so it is told everything this member knows.
         self._report(
             sorted(self._suspects) if address == reported_to else [address]
         )
@@ -440,31 +429,35 @@ class GroupMember:
                 )
 
     def _rewatch(self) -> None:
-        """Point failure detection at the ``MONITOR_K`` nearest
-        rank-predecessors (the ring wraps) this member does not suspect.
+        """Point failure detection at the nearest rank-predecessor (the
+        ring wraps) this member does not suspect.
 
-        Every member is thus watched by its K successors, and rank 1
-        watches the coordinator itself.  Skipping suspects is what makes
-        the ring *complete*: when a member and all K of its watchers die
-        together, the next live successor suspects those watchers, its
-        watch set moves past them onto the member nobody was left to
-        report, and so on round the ring until a live member is reached.
+        Every member is thus watched by its successor alone, and rank 1
+        watches the coordinator itself: monitoring costs a member one
+        heartbeat a tick, whatever the size of its group.  Skipping
+        suspects is what makes the ring *complete*: when a member dies
+        together with its watcher, the next live successor suspects the
+        watcher and moves on to the member nobody was left to report.
+        That member is probed (``FailureDetector.probe``) rather than
+        given a fresh ``suspect_after``, so f adjacent crashes are all
+        suspected within ``suspect_after`` plus f - 1 probe windows.
         """
         members = self.view.members
         rank = self.view.rank_of(self.me)
-        wanted: Set[Address] = set()
+        wanted = None
         for step in range(1, len(members)):
-            candidate = members[rank - step]
-            if candidate not in self._suspects:
-                wanted.add(candidate)
-                if len(wanted) == MONITOR_K:
-                    break
-        for address in sorted(self._watching - wanted):
-            self.runtime.unwatch(address, self.group)
-        for address in members:
-            if address in wanted and address not in self._watching:
-                self.runtime.watch(address, self.group)
+            if members[rank - step] not in self._suspects:
+                wanted = members[rank - step]
+                break
+        if wanted == self._watching:
+            return
+        if self._watching is not None:
+            self.runtime.unwatch(self._watching, self.group)
         self._watching = wanted
+        if wanted is not None:
+            self.runtime.watch(wanted, self.group)
+            if wanted != members[rank - 1]:  # the walk skipped a suspect
+                self.runtime.detector.probe(wanted)
 
     def _on_suspect_report(self, report: SuspectReport, sender: Address) -> None:
         # A member that was removed without learning of it (partitioned
@@ -819,9 +812,9 @@ class GroupMember:
             listener(event)
 
     def _teardown_watches(self) -> None:
-        for address in sorted(self._watching):
-            self.runtime.unwatch(address, self.group)
-        self._watching = set()
+        if self._watching is not None:
+            self.runtime.unwatch(self._watching, self.group)
+            self._watching = None
 
 
 class GroupRuntime:

@@ -94,49 +94,42 @@ class HierarchicalClient:
         on_failure: Optional[Callable[[], None]] = None,
     ) -> None:
         self.requests_sent += 1
+        self._send(payload, on_reply, on_failure, retried=False)
+
+    def _send(self, payload, on_reply, on_failure, retried: bool) -> None:
+        """Through the assigned leaf.  One that stops answering (dissolved
+        or partitioned) is dropped and the request sent once more over a
+        fresh assignment; if that fails too, ``on_failure``."""
+
+        def failed() -> None:
+            self._cc = None
+            if retried:
+                if on_failure is not None:
+                    on_failure()
+                return
+            self.router.invalidate()
+            self._send(payload, on_reply, on_failure, retried=True)
+
+        def assigned(assignment) -> None:
+            if assignment is None:
+                if on_failure is not None:
+                    on_failure()
+                return
+            leaf_group, contacts = assignment
+            self._cc = CoordinatorCohortClient(
+                self.process,
+                leaf_group,
+                contacts=contacts,
+                rpc=self.router.rpc,
+                timeout=self.timeout,
+                max_retries=self.max_retries,
+            )
+            self._cc.request(payload, on_reply, on_failure=failed)
+
         if self._cc is not None:
-            self._cc.request(
-                payload,
-                on_reply,
-                on_failure=lambda: self._retry_fresh(payload, on_reply, on_failure),
-            )
-            return
-        self.router.assignment(
-            lambda assignment: self._with_assignment(
-                assignment, payload, on_reply, on_failure
-            )
-        )
-
-    def _with_assignment(self, assignment, payload, on_reply, on_failure) -> None:
-        if assignment is None:
-            if on_failure is not None:
-                on_failure()
-            return
-        leaf_group, contacts = assignment
-        self._cc = CoordinatorCohortClient(
-            self.process,
-            leaf_group,
-            contacts=contacts,
-            rpc=self.router.rpc,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-        )
-        self._cc.request(
-            payload,
-            on_reply,
-            on_failure=lambda: self._retry_fresh(payload, on_reply, on_failure),
-        )
-
-    def _retry_fresh(self, payload, on_reply, on_failure) -> None:
-        """The assigned leaf stopped answering (dissolved or partitioned):
-        invalidate and get a fresh assignment once."""
-        self._cc = None
-        self.router.invalidate()
-        self.router.assignment(
-            lambda assignment: self._with_assignment(
-                assignment, payload, on_reply, on_failure
-            )
-        )
+            self._cc.request(payload, on_reply, on_failure=failed)
+        else:
+            self.router.assignment(assigned)
 
 
 class KeyRoutedClient:

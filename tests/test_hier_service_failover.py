@@ -142,6 +142,31 @@ def test_client_failure_callback_when_service_gone():
     assert failed == [1]
 
 
+def test_a_client_cut_off_from_every_leaf_fails_after_one_fresh_assignment():
+    """The leader still answers, so a client that re-asked on every
+    failure would ask for as long as the cut lasts: it asks once for a
+    fresh assignment, then reports the failure and sends nothing more."""
+    env, params, leaders, members, client, router = build(workers=10)
+    got = []
+    client.request("warm-up", got.append)
+    env.run_for(3.0)
+    assert got
+    for member in members:
+        env.network.partitions.cut_link("hclient", member.node.address)
+        env.network.partitions.cut_link(member.node.address, "hclient")
+    sent = []
+    env.network.add_tap(
+        lambda _event, envelope: envelope.src == "hclient" and sent.append(env.now),
+        events=("send",),
+    )
+    failed = []
+    client.request("cut-off", got.append, on_failure=lambda: failed.append(env.now))
+    env.run_for(30.0)
+    assert got == [("served", "warm-up")]
+    assert len(failed) == 1
+    assert max(sent) < failed[0]
+
+
 def test_requests_spread_over_reassignments():
     env, params, leaders, members, client, router = build(workers=12)
     got = []

@@ -119,26 +119,27 @@ def run_flat_churn_scenario(seed: int = 23, instrument=None):
     )
 
 
-# Re-recorded in PR 21, which made heartbeats one-way (docs/comms.md,
-# "Ring monitoring"): ``heartbeat`` 7,323 -> 3,969 and nothing else
-# moved.  The 7,323 were pings and their acks; the 3,969 are 3,768
-# Heartbeats (14 ticks x 96 watches, 25 ticks x 93 once svc-5 is down,
-# 96 + 3 immediate answers to new subscribers) and 201 Subscribes (96
-# at t = 0, 9 repairs from svc-5's three watchers while it was silent
-# but not yet suspected, 3 for the watches its suspicion moved, 93
-# renewals at tick 25).  The view change itself (30 flush, 30
-# flush-ok, 31 new-view, 3 suspect reports, 30 ``transport-ack``) is
-# untouched.  Before that PR 17 re-recorded them for cumulative delayed
-# acks (7431 / 7447 / 608464 / 9256), PR 14 for ring monitoring and
-# quiescent gossip (7494 / 7510 / 612528 / 9289), and the PR 1 baseline
-# was 103067 / 104773 / 9151824 / 110588.  The constants still guard
-# event-core work: if an "optimisation" changes these, it changed
-# simulation behaviour — that is a bug, not a baseline refresh.
-FROZEN_DIGEST = "669b0d22e52306fc46c8d4742a838cb639de54c19a77893e8d5b32711320aaff"
-FROZEN_DELIVERIES = 4068
-FROZEN_MESSAGES = 4093
-FROZEN_BYTES = 340144
-FROZEN_EVENTS = 5902
+# Re-recorded when a member came to watch one predecessor, not three
+# (docs/comms.md, "Ring monitoring"): ``heartbeat`` 3,969 -> 1,324 —
+# 3,768 -> 1,257 Heartbeats and 201 -> 66 Subscribes, a third of the
+# watches, plus the one Probe svc-6 sends as its watch walks past svc-5
+# onto svc-4 — and ``group-suspect`` 3 -> 1, since svc-5 has one watcher
+# to report it.  Deliveries 4,068 -> 1,437, messages 4,093 -> 1,446,
+# bytes 340,144 -> 128,320, events 5,902 -> 3,254; the rest of the view
+# change (30 flush, 30 flush-ok, 31 new-view, 30 ``transport-ack``) is
+# untouched.  Before that they were re-recorded for one-way heartbeats
+# (``heartbeat`` 7,323 pings and acks -> 3,969 pushes and subscriptions,
+# nothing else moved), for cumulative delayed acks (7431 / 7447 / 608464
+# / 9256) and for ring monitoring and quiescent gossip (7494 / 7510 /
+# 612528 / 9289); the first baseline was 103067 / 104773 / 9151824 /
+# 110588.  The constants still guard event-core
+# work: if an "optimisation" changes these, it changed simulation
+# behaviour — that is a bug, not a baseline refresh.
+FROZEN_DIGEST = "b2f85547e98e57e7c2a345c26b4365300ada222a26d935b6609371d746e39e4e"
+FROZEN_DELIVERIES = 1437
+FROZEN_MESSAGES = 1446
+FROZEN_BYTES = 128320
+FROZEN_EVENTS = 3254
 
 
 def test_same_seed_identical_digest_and_stats():

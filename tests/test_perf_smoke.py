@@ -8,8 +8,9 @@ comparison that names the counter that moved, and pins the layout of
 the reference file.  Deliberately no wall-clock assertions — this host
 cannot resolve a speed regression on a sub-second run; speed is measured
 by ``benchmarks/e2e``.  The structural checks keep the harness from
-rotting: each scenario completes, processes a plausible number of
-events, reports a fingerprint, and keeps the event heap bounded.
+rotting: each scenario completes, processes events, reports a
+fingerprint, and compacts the timers it cancels instead of accumulating
+them.
 """
 
 import json
@@ -22,11 +23,15 @@ from pathlib import Path
 REPO = Path(__file__).parent.parent
 sys.path.insert(0, str(REPO))
 
+from repro.proc import Environment, Process
 from tools.perf_report import (
+    _timed_run,
     build_guards,
     build_scenarios,
     compare_fingerprints,
     run_suite,
+    scenario_churn,
+    scenario_hier_steady,
 )
 
 
@@ -35,17 +40,38 @@ def test_quick_suite_runs_all_scenarios():
     results = run_suite()
     assert set(results) == set(scenarios)
     for name, result in results.items():
-        assert result["events"] > 1000, name
+        assert result["events"] > 0, name
         assert result["wall_s"] > 0.0, name
-        assert result["fingerprint"]["events_processed"] > 0, name
+        assert result["fingerprint"]["events_processed"] >= result["events"], name
+
+
+def watchdog(seconds):
+    """A one-shot re-armed every tick with the old one cancelled, ten
+    seconds out — the shape of a request's retry timer."""
+    env = Environment(seed=1)
+    process = Process(env, "p")
+    timer = [process.set_timer(10.0, lambda: None)]
+
+    def rearm():
+        timer[0].cancel()
+        timer[0] = process.set_timer(10.0, lambda: None)
+
+    process.every(0.01, rearm)
+    return _timed_run(env, seconds)
 
 
 def test_scenarios_keep_heap_bounded():
-    results = run_suite(only=["hier_steady_n64", "churn"])
-    for name, result in results.items():
-        # The heap watermark must stay far below the number of events
-        # processed — cancelled timers are compacted, not accumulated.
-        assert result["peak_heap"] < result["events"] / 10, name
+    """Cancelled timers are compacted, not accumulated: run twice as long,
+    a scenario peaks at no larger a heap, lazily cancelled entries
+    included.  Neither protocol scenario cancels enough long-lived timers
+    to need compaction, so the watchdog runs beside them."""
+    for name, (run, seconds) in {
+        "hier_steady_n64": (lambda s: scenario_hier_steady(64, s, settle=4.0), 1.5),
+        "churn": (scenario_churn, 3.0),
+        "watchdog": (watchdog, 3.0),
+    }.items():
+        short, long = run(seconds), run(2 * seconds)
+        assert long["peak_raw_heap"] <= short["peak_raw_heap"], name
 
 
 def test_scenario_fingerprints_are_deterministic():

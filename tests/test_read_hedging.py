@@ -190,8 +190,9 @@ def test_a_put_is_never_executed_off_the_coordinator():
     ])
     assert get_reply == [0] and put_reply == []
     assert probes == [(pytest.approx(start + delay + RTT / 2), "svc-1", "svc-0")]
-    # The put sent again to both cohorts, by hand: rank 2 probes too (rank
-    # 1 already is), and still nobody executes it.
+    # The put sent again to both cohorts, by hand: rank 1 already probes,
+    # rank 2 watches rank 1 and not the coordinator, so its probe is a
+    # no-op, and still nobody executes it.
     request = CCRequest(group="svc", request_id=put_id, payload=("put", "k", 1),
                         client="client", view_seq=client._view_seq)
     client.process.multicast(("svc-1", "svc-2"), request)
@@ -206,8 +207,9 @@ def test_a_put_is_never_executed_off_the_coordinator():
     assert [r for r, _ in put_reply] == ["ok"]
     assert PROBE_WINDOW < put_reply[0][1] <= delay + RTT / 2 + PROBE_WINDOW + FLUSH
     assert put_reply[0][1] < 0.25  # was suspect_after and more: 0.95 s
-    assert Counter(prober for _, prober, _ in probes) == {
-        "svc-1": PROBES, "svc-2": PROBES,
+    # Walking past the coordinator, rank 1 probes its new predecessor once.
+    assert Counter((prober, probed) for _, prober, probed in probes) == {
+        ("svc-1", "svc-0"): PROBES, ("svc-1", "svc-5"): 1,
     }
     assert servers[1].takeovers == 1
     assert [s.requests_executed - e for s, e in zip(servers, executed)] == [

@@ -22,8 +22,9 @@ carries its own order and goes straight to every member — and a get is
 1 + 1: one request to the coordinator, one reply, nothing else.  No
 failure-free window sends a ``Probe``.  A put whose coordinator has
 crashed is 3 ``cc-request`` plus the client's one hedge to rank 1, then
-at most ``PROBES`` probes from rank 1 and one view change, after which
-the takeover answers it.  The third test holds a steady put stream to
+``PROBES`` probes from rank 1, one more as rank 1's watch walks past the
+coordinator to the last rank, and one view change, after which the
+takeover answers it.  The third test holds a steady put stream to
 the failure-free budget with no ``transport-ack`` at all: the acks ride
 the stability round.
 
@@ -37,10 +38,10 @@ but the one tree fetch the router makes for every leaf.
 
 Nor has the harness a per-member metric for the background budget yet
 (ROADMAP item 1(b)); the fourth test is its tier-1 stand-in: an idle
-hierarchy with the benchmark's parameters sends ``MONITOR_K`` heartbeats
-per worker per tick plus the leader tier's own watches, one renewal per
-watch per ``RENEW_TICKS``, and nothing else — the same per worker at
-n = 64 and n = 256.
+hierarchy with the benchmark's parameters sends one heartbeat per worker
+per tick plus the leader tier's own watches, one renewal per watch per
+``RENEW_TICKS``, and nothing else — the same per worker at n = 64 and
+n = 256.
 """
 
 from collections import Counter
@@ -56,7 +57,6 @@ from repro.core import (
 )
 from repro.failure.detector import PROBES, RENEW_TICKS, HeartbeatDetector
 from repro.membership import GroupNode
-from repro.membership.group import MONITOR_K
 from repro.metrics.sanitizer import VirtualSynchronySanitizer
 from repro.net import FixedLatency
 from repro.proc import Environment
@@ -263,7 +263,8 @@ def test_a_put_into_a_sixteen_member_leaf_is_15_data_and_6_cc():
 
     # -- a takeover: the next rank both coordinates and sequences -----------------------
     # The put reaches the set, its hedge reaches rank 1, rank 1's probes go
-    # unanswered, and one view change later the takeover answers it.
+    # unanswered, its watch walks on to the last rank with one probe more,
+    # and one view change later the takeover answers it.
     coordinator = members[0].leaf_member.view.coordinator
     view_seq = members[0].leaf_member.view.seq
     before = env.network.stats.snapshot()
@@ -276,7 +277,7 @@ def test_a_put_into_a_sixteen_member_leaf_is_15_data_and_6_cc():
     delta = env.network.stats.since(before).by_category
     assert set(delta) <= KNOWN_CATEGORIES
     assert (delta["cc-request"], delta["cc-reply"], delta["cc-result"]) == (3 + 1, 1, 2)
-    assert 0 < kinds["Probe"] <= PROBES
+    assert kinds["Probe"] == PROBES + 1
     assert {m.leaf_member.view.seq for m, _ in survivors} == {view_seq + 1}
     delta = puts(20, start=100)
     assert delta["group-data"] == 20 * 14
@@ -398,7 +399,7 @@ def test_a_tree_routed_first_touch_sends_no_get_members():
 
 
 @pytest.mark.parametrize("workers", [64, 256])
-def test_an_idle_hierarchy_costs_k_heartbeats_per_worker_per_tick(workers):
+def test_idle_hierarchy_costs_one_heartbeat_per_worker_per_tick(workers):
     params = LargeGroupParams(resiliency=3, fanout=8)  # the e2e cluster's
     interval = 0.2
     env = Environment(seed=5, latency=FixedLatency(0.002))
@@ -422,13 +423,14 @@ def test_an_idle_hierarchy_costs_k_heartbeats_per_worker_per_tick(workers):
     ticks = 2 * RENEW_TICKS  # every watch renews exactly twice
     env.run_for(ticks * interval)
     assert set(env.network.stats.since(before).by_category) == {"heartbeat"}
-    # Who is watched: every worker by its K ring successors, the leaders
-    # by one another, each leaf's coordinator by the manager.
-    leader_tier = len(leaders) * (len(leaders) - 1) + len(leaves)
-    watches = MONITOR_K * workers + leader_tier
+    # Who is watched: every worker by its ring successor, every leader by
+    # its successor in the leader group, each leaf's coordinator by the
+    # manager.
+    leader_tier = len(leaders) + len(leaves)
+    watches = workers + leader_tier
     assert kinds == {
         "Heartbeat": watches * ticks,
         "Subscribe": watches * ticks // RENEW_TICKS,
     }
     per_worker_per_tick = (kinds["Heartbeat"] / ticks - leader_tier) / workers
-    assert per_worker_per_tick == MONITOR_K
+    assert per_worker_per_tick == 1

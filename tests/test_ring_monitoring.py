@@ -10,9 +10,8 @@ from math import ceil
 
 import pytest
 
-from repro.failure.detector import RENEW_TICKS, HeartbeatDetector
+from repro.failure.detector import PROBES, RENEW_TICKS, HeartbeatDetector
 from repro.membership import TOTAL, build_group
-from repro.membership.group import MONITOR_K
 from repro.metrics.sanitizer import install_sanitizer
 from repro.net import FixedLatency
 from repro.proc import Environment, Process
@@ -63,17 +62,18 @@ def sends(env, category=None):
 
 
 def detection_bound(failures):
-    """Suspicion walks the ring MONITOR_K members per detection period; a
-    coordinator that was not told of every casualty finds the rest when
-    its flush times out."""
-    rounds = ceil(failures / MONITOR_K)
+    """The bound a ring of three watchers a member met: suspicion walked
+    it three members per detection period, and a coordinator that was not
+    told of every casualty found the rest when its flush timed out.  One
+    watcher and a probing walk stay inside it."""
+    rounds = ceil(failures / 3)
     return rounds * SUSPECT_AFTER + FLUSH_TIMEOUT + INTERVAL
 
 
 @pytest.mark.parametrize("failures", range(1, 8))
 def test_every_crash_set_is_excluded_within_the_bound(failures):
     """All C(8, f) crash sets, 254 over f = 1..7 — the coordinator together
-    with all K of its watchers (0-3), K+1 consecutive ranks, everyone but
+    with its watcher (0-1), up to seven consecutive ranks, everyone but
     one — end with the survivors in one view of exactly the survivors,
     virtual synchrony intact."""
     for dead in combinations(range(8), failures):
@@ -96,6 +96,21 @@ def test_every_crash_set_is_excluded_within_the_bound(failures):
         assert sanitizer.check(at_quiescence=True)["violations"] == 0, dead
 
 
+def test_a_watch_chain_cut_by_a_crash_is_walked_by_probe():
+    """The coordinator dies with rank 1, its only watcher.  Rank 2
+    suspects rank 1 at ``suspect_after``, walks on to the coordinator and
+    probes it: one probe window later, not a second ``suspect_after``, it
+    takes over and every survivor installs the view without both."""
+    env, nodes, members = make(8)
+    survivors = members[2:]
+    env.run_for(0.5)
+    nodes[0].crash()
+    nodes[1].crash()
+    env.run_for(SUSPECT_AFTER + PROBES * INTERVAL / 4 + 0.1)
+    want = tuple(m.me for m in survivors)
+    assert all(m.view.members == want for m in survivors)
+
+
 # ------------------------------------------------------- monitoring topology
 
 
@@ -110,35 +125,38 @@ def test_heartbeat_sends_per_member_do_not_grow_with_the_group(size):
     for at, src, _dst, _category, kind in log:
         assert kind == "Heartbeat"
         per_tick[at, src] = per_tick.get((at, src), 0) + 1
-    # K pushes to the successors that watch it, and nobody replies.
+    # One push to the successor that watches it, and nobody replies.
     assert {src for _at, src in per_tick} == {m.me for m in members}
-    assert all(count <= MONITOR_K for count in per_tick.values())
-    assert len(log) == size * MONITOR_K * ticks
+    assert all(count == 1 for count in per_tick.values())
+    assert len(log) == size * ticks
     # The same ten ticks round the renewal (every watch was made at
     # t = 0): one Subscribe per watch more, unanswered.
     env.run(until=RENEW_TICKS * INTERVAL - 0.1)
     del log[:]
     env.run_for(ticks * INTERVAL)
     kinds = [kind for *_rest, kind in log]
-    assert kinds.count("Heartbeat") == size * MONITOR_K * ticks
-    assert kinds.count("Subscribe") == size * MONITOR_K
-    assert len(log) == size * MONITOR_K * (ticks + 1)
+    assert kinds.count("Heartbeat") == size * ticks
+    assert kinds.count("Subscribe") == size
+    assert len(log) == size * (ticks + 1)
 
 
 def test_watch_set_is_the_nearest_unsuspected_predecessors():
     env, nodes, members = make(8)
     watched = nodes[4].runtime.detector.watched
-    assert watched() == {"g-3", "g-2", "g-1"}
-    assert nodes[1].runtime.detector.watched() == {"g-0", "g-7", "g-6"}
-    members[4]._on_suspect("g-2")
-    assert watched() == {"g-3", "g-1", "g-0"}
+    assert watched() == {"g-3"}
+    assert nodes[1].runtime.detector.watched() == {"g-0"}
+    assert nodes[0].runtime.detector.watched() == {"g-7"}
+    members[4]._on_suspect("g-2")  # not the one it watches: no change
+    assert watched() == {"g-3"}
+    members[4]._on_suspect("g-3")
+    assert watched() == {"g-1"}
 
 
-def test_small_groups_are_monitored_all_to_all():
-    env, nodes, members = make(MONITOR_K + 1)
-    for node in nodes:
-        others = {n.address for n in nodes} - {node.address}
-        assert node.runtime.detector.watched() == others
+def test_small_groups_are_one_ring_too():
+    for size in (2, 3, 4):
+        env, nodes, members = make(size)
+        for rank, node in enumerate(nodes):
+            assert node.runtime.detector.watched() == {nodes[rank - 1].address}
 
 
 def test_suspicion_fires_at_the_deadline_not_the_next_tick():

@@ -46,9 +46,9 @@ def test_traced_flat_run_keeps_frozen_counters():
     assert events == FROZEN_EVENTS  # tracing schedules zero events
     assert now == 8.0
     # ...and the run was actually traced, heavily: a send span and a
-    # deliver span per delivered datagram — but for the 96 Subscribes the
+    # deliver span per delivered datagram — but for the 32 Subscribes the
     # group's first watches sent before the tracer was attached.
-    assert tracer.sink.collector.recorded > 2 * (FROZEN_DELIVERIES - 96)
+    assert tracer.sink.collector.recorded > 2 * (FROZEN_DELIVERIES - 32)
 
 
 def test_traced_and_untraced_flat_digests_identical():

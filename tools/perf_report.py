@@ -160,25 +160,27 @@ def _write_report(report: Dict, out_path: str) -> None:
 
 
 class _HeapWatch:
-    """Samples the scheduler's live event count every ``interval`` sim
-    seconds (cheap probe events; identical overhead for every label).
+    """Samples the scheduler's live event count and raw heap length every
+    ``interval`` sim seconds (cheap probe events; identical overhead for
+    every label).
 
     ``pending`` (live, non-cancelled events) is the honest backlog
-    metric: the raw heap length it used to sample also counted lazily
-    cancelled entries and counted a whole grouped bucket as one, so
-    cancellation-heavy runs inflated the peak and batched runs deflated
-    it."""
+    metric: the raw heap length also counts lazily cancelled entries and
+    counts a whole grouped bucket as one, so cancellation-heavy runs
+    inflate it and batched runs deflate it.  That inflation is what
+    ``peak_raw`` is for: it stays flat only while cancelled timers are
+    compacted away."""
 
     def __init__(self, scheduler: Scheduler, interval: float = 0.05) -> None:
         self._scheduler = scheduler
         self._interval = interval
         self.peak = 0
+        self.peak_raw = 0
         scheduler.after(interval, self._probe)
 
     def _probe(self) -> None:
-        size = self._scheduler.pending
-        if size > self.peak:
-            self.peak = size
+        self.peak = max(self.peak, self._scheduler.pending)
+        self.peak_raw = max(self.peak_raw, self._scheduler.heap_size)
         self._scheduler.after(self._interval, self._probe)
 
 
@@ -233,6 +235,7 @@ def _timed_run(env: Environment, duration: float) -> Dict:
         "events": events,
         "events_per_sec": round(events / wall) if wall > 0 else None,
         "peak_heap": watch.peak,
+        "peak_raw_heap": watch.peak_raw,
     }
     if before_allocs is not None:
         allocs = _fresh_allocs(env) - before_allocs
@@ -305,7 +308,7 @@ def scenario_flat_steady(n: int, sim_s: float, seed: int = 11) -> Dict:
     # Stability gossip off: a flat group's all-to-all gossip is dominated
     # by O(n)-wide ordering metadata (protocol-layer cost), which would
     # drown the event-core cost this scenario isolates.  Heartbeats stay
-    # on: ring monitoring, MONITOR_K one-way pushes per member per tick.
+    # on: ring monitoring, one one-way push per member per tick.
     env = _build_flat(n, seed, gossip=None)
     env.run_for(1.5)  # settle (untimed)
     digest = DeliveryDigest(env.network)
