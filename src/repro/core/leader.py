@@ -37,6 +37,11 @@ from repro.net.message import Address
 from repro.proc.rpc import RpcError
 
 
+# A leaf born for joiners that no joiner has been sent to for this long
+# (logical s) has stopped growing: below leaf_min, the size rail merges it.
+FILL_GRACE = 1.0
+
+
 def leader_group_name(service: str) -> str:
     return f"{service}/leader"
 
@@ -144,9 +149,19 @@ class LeaderReplica:
         self.reorg_log: List[Dict[str, Any]] = []
 
         self._leaf_counter = 0
-        self._creating: Dict[str, Address] = {}  # leaf_id -> designated creator
+        # leaf_id -> the joiner that creates it, for a leaf not yet routable
+        # (no reported contacts); None for a split-born leaf, which takes no
+        # joiner until its AddLeaf carries contacts.
+        self._creating: Dict[str, Optional[Address]] = {}
         self._inflight: Dict[str, int] = {}  # leaf_id -> joiners routed, unreported
-        self._directed: Set[str] = set()  # leaf_id with split/merge in flight
+        # Leaves born for joiners that have not yet reached leaf_min, with
+        # the time a joiner was last routed to each: the size-merge rail
+        # leaves them be while joiners keep arriving.
+        self._filling: Dict[str, float] = {}
+        self._fill_timer = False
+        # leaf_id with a split or merge in flight -> the coordinator told to
+        # split it, None for a merge.
+        self._directed: Dict[str, Optional[Address]] = {}
         self._watched: Set[Address] = set()
         self._coordinator_of: Dict[Address, str] = {}
         self._assign_cursor = 0
@@ -208,25 +223,46 @@ class LeaderReplica:
         payload = event.payload
         if not isinstance(payload, HOp):
             return
+        op = payload.op
+        before = self.state.leaves.get(op.leaf_id)
         try:
-            self.state.apply(payload.op)
+            self.state.apply(op)
         except HierarchyError:
             # Deterministic skip: every replica sees the same op sequence,
             # so every replica skips the same stale/duplicate ops.
-            self.events.append(("op-skipped", payload.op))
+            self.events.append(("op-skipped", op))
             return
-        self.events.append(("op", payload.op))
-        if isinstance(payload.op, (AddLeaf, RemoveLeaf)):
+        self.events.append(("op", op))
+        leaf_id = op.leaf_id
+        if isinstance(op, (AddLeaf, RemoveLeaf)):
             self.reorg_epoch += 1
-        if isinstance(payload.op, (AddLeaf, UpdateLeaf)):
-            self._inflight[payload.op.leaf_id] = 0
-            self._creating.pop(payload.op.leaf_id, None)
-            self._directed.discard(payload.op.leaf_id)
-            self._note_routable(payload.op.leaf_id)
-        if isinstance(payload.op, RemoveLeaf):
-            self._inflight.pop(payload.op.leaf_id, None)
-            self._creating.pop(payload.op.leaf_id, None)
-            self._directed.discard(payload.op.leaf_id)
+        if isinstance(op, (AddLeaf, UpdateLeaf)):
+            # A report covers as many routed joiners as the leaf grew by;
+            # the ones routed after its view stay counted.
+            joined = op.size - (before.size if before is not None else 0)
+            if joined > 0 and leaf_id in self._inflight:
+                self._inflight[leaf_id] = max(0, self._inflight[leaf_id] - joined)
+            if op.contacts:
+                self._creating.pop(leaf_id, None)
+            if op.size >= self.params.leaf_min:
+                self._filling.pop(leaf_id, None)
+            # A split stays directed while the leaf reports itself still
+            # oversized under the coordinator told to split it, so the views
+            # a merge lands one mover at a time direct one split, not one
+            # each.  A merged leaf stays directed until its RemoveLeaf.
+            split_at = self._directed.get(leaf_id)
+            leaf = self.state.leaves[leaf_id]
+            if split_at is not None and (
+                leaf.size <= self.params.leaf_split_threshold
+                or leaf.coordinator != split_at
+            ):
+                del self._directed[leaf_id]
+            self._note_routable(leaf_id)
+        if isinstance(op, RemoveLeaf):
+            self._inflight.pop(leaf_id, None)
+            self._creating.pop(leaf_id, None)
+            self._filling.pop(leaf_id, None)
+            self._directed.pop(leaf_id, None)
         if self.is_manager:
             self._rewatch_coordinators()
             self._check_thresholds()
@@ -275,13 +311,41 @@ class LeaderReplica:
             leaf_id = self._new_leaf_id()
             self._creating[leaf_id] = body.joiner
             self._inflight[leaf_id] = 1
+            self._note_filling(leaf_id)
             self._propose(AddLeaf(leaf_id=leaf_id, size=0, contacts=()))
             self.events.append(("leaf-created", leaf_id))
             self._trace_event("leaf-created", leaf_id=leaf_id)
             return ("create", leaf_id, leaf_group_name(self.service, leaf_id))
         leaf_id, contacts = target
         self._inflight[leaf_id] = self._inflight.get(leaf_id, 0) + 1
+        if leaf_id in self._filling:
+            self._note_filling(leaf_id)
         return ("join", leaf_group_name(self.service, leaf_id), contacts)
+
+    def _note_filling(self, leaf_id: str) -> None:
+        """A joiner was routed to a leaf still filling: the size-merge rail
+        leaves it be until no joiner has come for FILL_GRACE."""
+        self._filling[leaf_id] = self.node.env.now
+        if not self._fill_timer:
+            self._fill_timer = True
+            self.node.set_timer(FILL_GRACE / 2, self._fill_tick)
+
+    def _fill_tick(self) -> None:
+        """Every FILL_GRACE / 2 while leaves fill: one that has stopped
+        growing loses its exemption, and below leaf_min it merges."""
+        now = self.node.env.now
+        stopped = [
+            leaf_id
+            for leaf_id, routed_at in self._filling.items()
+            if now - routed_at >= FILL_GRACE
+        ]
+        for leaf_id in stopped:
+            del self._filling[leaf_id]
+        if stopped and self.is_manager:
+            self._check_thresholds()
+        self._fill_timer = bool(self._filling)
+        if self._fill_timer:
+            self.node.set_timer(FILL_GRACE / 2, self._fill_tick)
 
     def _pick_leaf_for_join(self) -> Optional[Tuple[str, Tuple[Address, ...]]]:
         """Least-loaded routable leaf, counting in-flight assignments, and
@@ -298,9 +362,9 @@ class LeaderReplica:
             candidates.append((leaf.leaf_id, leaf.size, contacts))
         # Leaves whose AddLeaf op is still in flight are routable via their
         # designated creator (otherwise a burst of joiners would spawn one
-        # singleton leaf each).
+        # singleton leaf each); a split-born one has none.
         for leaf_id, creator in self._creating.items():
-            if leaf_id not in self.state.leaves:
+            if creator is not None and leaf_id not in self.state.leaves:
                 candidates.append((leaf_id, 0, (creator,)))
         best: Optional[Tuple[int, str, Tuple[Address, ...]]] = None
         for leaf_id, size, contacts in candidates:
@@ -415,7 +479,12 @@ class LeaderReplica:
                     continue
                 self._direct_merge(absorbed, target, "cold")
         for leaf in self.state.leaves_needing_merge():
-            if leaf.leaf_id in self._directed or not leaf.contacts:
+            # A leaf born for joiners is exempt while it fills.
+            if (
+                leaf.leaf_id in self._directed
+                or leaf.leaf_id in self._filling
+                or not leaf.contacts
+            ):
                 continue
             target = self.state.merge_target_for(leaf.leaf_id)
             if target is None or not target.contacts:
@@ -427,9 +496,9 @@ class LeaderReplica:
         return last is None or now - last >= self.params.reorg.cooldown
 
     def _direct_split(self, leaf, reason: str) -> None:
-        self._directed.add(leaf.leaf_id)
+        self._directed[leaf.leaf_id] = leaf.coordinator
         new_leaf_id = self._new_leaf_id()
-        self._creating[new_leaf_id] = leaf.contacts[0]
+        self._creating[new_leaf_id] = None
         now = self.node.env.now
         parent_path = self.state.path_to(leaf.leaf_id)
         if self.params.reorg.load_driven:
@@ -467,7 +536,7 @@ class LeaderReplica:
         )
 
     def _direct_merge(self, leaf, target, reason: str) -> None:
-        self._directed.add(leaf.leaf_id)
+        self._directed[leaf.leaf_id] = None
         now = self.node.env.now
         if self.params.reorg.load_driven:
             self._last_reorg[leaf.leaf_id] = now

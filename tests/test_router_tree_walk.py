@@ -21,7 +21,7 @@ from repro.core.views import walk_key
 from repro.membership import GroupNode
 from repro.net import FixedLatency
 from repro.proc import Environment
-from tests.test_reorg_load import run_scenario
+from tests.test_reorg_load import PARAMS as LOAD_PARAMS, run_scenario
 
 # Leaves of 2..4 under fanout 3: a dozen-odd leaves, a canonical tree
 # three branch levels deep.
@@ -62,6 +62,14 @@ def size_mode_router():
 @functools.lru_cache(maxsize=None)
 def load_mode_router():
     result = run_scenario()
+    env, contacts = result["env"], result["contacts"]
+    # The hot split and its cold merge leave every leaf two levels under
+    # the grown root; leaf_min late joiners open a leaf under the root
+    # itself, a level above them.
+    for i in range(LOAD_PARAMS.leaf_min):
+        node = GroupNode(env, f"svc-late-{i}")
+        LargeGroupMember(node, "svc", contacts, params=LOAD_PARAMS).join()
+    env.run_for(5.0)
     manager = result["manager"]
     levels = manager.state.leaves_per_level()
     assert len(levels) > 1, f"the load-mode tree should be ragged: {levels}"
@@ -137,9 +145,15 @@ def test_split_moves_the_epoch_and_the_router_fetches_again():
         router.resolve_key(key, lambda p, key=key: before.__setitem__(key, p[0]))
     epoch = manager.reorg_epoch
 
-    # Grow the group until the leader directs a size split.
+    # Grow the group until the leader directs a size split: the first
+    # joiner past full leaves opens a leaf that stops growing below
+    # leaf_min, which merges into a full leaf, which splits.
+    def splits():
+        return sum(1 for e in manager.events if e[0] == "split-directed")
+
+    splits_before = splits()
     joiners = 0
-    while manager.reorg_epoch == epoch:
+    while splits() == splits_before:
         joiners += 1
         assert joiners <= 2 * SIZE_WORKERS, "no split was directed"
         node = GroupNode(env, f"svc-extra-{joiners}")
@@ -147,6 +161,7 @@ def test_split_moves_the_epoch_and_the_router_fetches_again():
         env.run_for(2.0)
     env.run_for(5.0)
     assert any(e[0] == "split-directed" for e in manager.events)
+    assert manager.reorg_epoch > epoch
 
     moved = [
         k for k in keys if before[k] != f"svc::{manager.state.place_key(k)}"
