@@ -1,7 +1,6 @@
-"""Logical clocks: Lamport stamps, vector clocks, causal delivery buffer."""
+"""Logical clocks: vector clocks and the causal delivery buffer."""
 
 from repro.clocks.causal_buffer import CausalBuffer
-from repro.clocks.lamport import LamportClock, LamportStamp
 from repro.clocks.vector import VectorClock
 
-__all__ = ["CausalBuffer", "LamportClock", "LamportStamp", "VectorClock"]
+__all__ = ["CausalBuffer", "VectorClock"]

@@ -10,8 +10,8 @@ Public surface:
   membership in a large group;
 * :class:`TreecastRoot` / :class:`TreecastParticipant` — bounded-fanout
   whole-group (atomic) broadcast (§5);
-* :class:`ServiceRouter`, :class:`NameServer`, :class:`NameClient` —
-  name-to-address mapping and client-side leaf routing.
+* :class:`ServiceRouter` — client-side leaf routing from the service's
+  leader contacts.
 """
 
 from repro.core.hierarchy import (
@@ -32,14 +32,6 @@ from repro.core.leader import (
     build_leader_group,
     leader_group_name,
     leaf_group_name,
-)
-from repro.core.naming import (
-    LookupName,
-    NameClient,
-    NameServer,
-    RegisterName,
-    UnregisterName,
-    build_name_service,
 )
 from repro.core.params import LargeGroupParams, ReorgPolicy
 from repro.core.router import ServiceRouter
@@ -74,13 +66,9 @@ __all__ = [
     "LeaderReplica",
     "LeafInfo",
     "LeafProbe",
-    "LookupName",
     "MergeCmd",
     "MergeDirective",
-    "NameClient",
-    "NameServer",
     "ROOT_BRANCH",
-    "RegisterName",
     "RemoveLeaf",
     "ReorgPolicy",
     "ReportLeafStatus",
@@ -90,12 +78,10 @@ __all__ = [
     "TreeBroadcastRequest",
     "TreecastParticipant",
     "TreecastRoot",
-    "UnregisterName",
     "UpdateLeaf",
     "attach_treecast",
     "build_large_group",
     "build_leader_group",
-    "build_name_service",
     "build_spec",
     "leader_group_name",
     "leaf_group_name",

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.naming import RegisterName
 from repro.core.params import LargeGroupParams
 from repro.core.views import (
     AddLeaf,
@@ -127,13 +126,11 @@ class LeaderReplica:
         service: str,
         leader_members: Tuple[Address, ...],
         params: LargeGroupParams,
-        name_servers: Tuple[Address, ...] = (),
         probe_timeout: float = 0.5,
     ) -> None:
         self.node = node
         self.service = service
         self.params = params
-        self.name_servers = tuple(name_servers)
         self.probe_timeout = probe_timeout
         self.state = HierarchyState(service, params)
         self.events: List[Tuple[str, Any]] = []
@@ -198,20 +195,7 @@ class LeaderReplica:
         )
         if self.is_manager and not was_manager:
             self.events.append(("manager", self.node.address))
-            self._register_name()
             self._rewatch_coordinators()
-
-    def _register_name(self) -> None:
-        if not self.name_servers or not self.member.is_member:
-            return
-        contacts = self.member.view.members
-        for server in self.name_servers:
-            self.node.runtime.rpc.call(
-                server,
-                RegisterName(name=self.service, contacts=contacts),
-                on_reply=lambda value, sender: None,
-                timeout=1.0,
-            )
 
     # ------------------------------------------------------------- replication
 
@@ -678,7 +662,6 @@ def build_leader_group(
     env,
     service: str,
     params: LargeGroupParams,
-    name_servers: Tuple[Address, ...] = (),
     prefix: Optional[str] = None,
     **node_kwargs,
 ) -> List[LeaderReplica]:
@@ -690,13 +673,5 @@ def build_leader_group(
     replicas = []
     for address in addresses:
         node = GroupNode(env, address, **node_kwargs)
-        replicas.append(
-            LeaderReplica(
-                node,
-                service,
-                addresses,
-                params,
-                name_servers=name_servers,
-            )
-        )
+        replicas.append(LeaderReplica(node, service, addresses, params))
     return replicas

@@ -132,13 +132,3 @@ class LargeGroupParams:
     def leader_group_size(self) -> int:
         """Members of the resilient group-leader subgroup."""
         return self.leader_size if self.leader_size else self.resiliency
-
-    def describe(self) -> str:
-        base = (
-            f"resiliency={self.resiliency} fanout={self.fanout} "
-            f"leaf=[{self.leaf_min}..{self.leaf_split_threshold}] "
-            f"leader={self.leader_group_size}"
-        )
-        if self.reorg.load_driven:
-            base += f" {self.reorg.describe()}"
-        return base

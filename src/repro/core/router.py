@@ -2,10 +2,10 @@
 
 The paper's request path: "The large group is used for naming purposes to
 identify the service, but requests are broadcast to individual subgroups."
-A :class:`ServiceRouter` resolves a service name to the leader (via the
-name service or static contacts), obtains a leaf assignment from the
-manager, caches it, and invalidates it when requests start failing — so a
-client only ever talks to one bounded subgroup, never to all n members.
+A :class:`ServiceRouter` is given the service's leader contacts, obtains a
+leaf assignment from the manager, caches it, and invalidates it when
+requests start failing — so a client only ever talks to one bounded
+subgroup, never to all n members.
 
 Per-key placement (:meth:`ServiceRouter.resolve_key`) costs the leader
 one round trip per reorg epoch, not one per key: the router fetches the
@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.leader import GetHierarchyInfo, GetLeafAssignment, leaf_group_name
-from repro.core.naming import NameClient
 from repro.core.views import CohortSet, walk_key
 from repro.net.message import Address
 from repro.proc.process import Process
@@ -41,16 +40,14 @@ class ServiceRouter:
         service: str,
         rpc: Optional[Rpc] = None,
         leader_contacts: Tuple[Address, ...] = (),
-        name_client: Optional[NameClient] = None,
         rpc_timeout: float = 0.5,
     ) -> None:
-        if not leader_contacts and name_client is None:
-            raise ValueError("need leader contacts or a name client")
+        if not leader_contacts:
+            raise ValueError("need leader contacts")
         self._process = process
         self.service = service
         self._rpc = rpc if rpc is not None else Rpc(process)
-        self._static_contacts = tuple(leader_contacts)
-        self._name_client = name_client
+        self._leader_contacts = tuple(leader_contacts)
         self._timeout = rpc_timeout
         self._assignment: Optional[Assignment] = None
         self.lookups = 0
@@ -80,17 +77,13 @@ class ServiceRouter:
         self._assignment = None
         self._tree = None
         self._placement_epoch = None
-        if self._name_client is not None:
-            self._name_client.invalidate(self.service)
 
     def assignment(self, on_ready: AssignmentFn) -> None:
         """Yield a (leaf group, contacts) assignment, from cache if warm."""
         if self._assignment is not None:
             on_ready(self._assignment)
             return
-        self._resolve_leader(
-            lambda contacts: self._ask_leader(contacts, 0, on_ready)
-        )
+        self._ask_leader(self._leader_contacts, 0, on_ready)
 
     def resolve_key(self, key: str, on_ready: AssignmentFn) -> None:
         """Hierarchical placement: yield the (leaf group, contacts) the
@@ -106,7 +99,7 @@ class ServiceRouter:
             self._tree = None  # empty, or the leaf is not routable yet
         self._tree_waiters.append((key, on_ready))
         if len(self._tree_waiters) == 1:
-            self._resolve_leader(lambda contacts: self._ask_tree(contacts, 0))
+            self._ask_tree(self._leader_contacts, 0)
 
     def place(self, key: str) -> Optional[str]:
         """The leaf id the tree this router holds names for ``key``, with
@@ -121,15 +114,6 @@ class ServiceRouter:
         self._tree = None
 
     # -- internals ----------------------------------------------------------------
-
-    def _resolve_leader(self, then: Callable[[Tuple[Address, ...]], None]) -> None:
-        if self._name_client is not None:
-            def resolved(contacts: Optional[Tuple[Address, ...]]) -> None:
-                then(contacts if contacts else self._static_contacts)
-
-            self._name_client.resolve(self.service, resolved)
-        else:
-            then(self._static_contacts)
 
     def _ask_leader(
         self,

@@ -176,12 +176,6 @@ class HierarchyState:
         except KeyError:
             raise HierarchyError(f"unknown branch {branch_id!r}") from None
 
-    def smallest_leaf(self) -> Optional[LeafInfo]:
-        """Join target: the least-populated leaf (deterministic tie-break)."""
-        if not self.leaves:
-            return None
-        return min(self.leaves.values(), key=lambda l: (l.size, l.leaf_id))
-
     def leaves_needing_split(self) -> List[LeafInfo]:
         threshold = self.params.leaf_split_threshold
         return sorted(

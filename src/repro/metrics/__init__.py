@@ -4,8 +4,6 @@ from repro.metrics.counters import (
     LatencySample,
     data_messages,
     fit_power_law,
-    processes_touched,
-    view_storage_entries,
 )
 from repro.metrics.digest import DeliveryDigest
 from repro.metrics.sanitizer import (
@@ -27,6 +25,4 @@ __all__ = [
     "fit_power_law",
     "format_table",
     "print_table",
-    "processes_touched",
-    "view_storage_entries",
 ]

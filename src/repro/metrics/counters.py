@@ -2,15 +2,14 @@
 
 Network statistics live in :mod:`repro.net.stats`; this module adds the
 derived quantities the paper argues in terms of: messages per request,
-processes touched by an event, per-process view-storage, and latency
-percentile summaries.
+latency percentile summaries, and the growth exponent of a cost curve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 from repro.net.stats import StatsSnapshot
 
@@ -18,17 +17,6 @@ from repro.net.stats import StatsSnapshot
 def data_messages(delta: StatsSnapshot, categories: Iterable[str]) -> int:
     """Sum of logical messages in the given stat categories."""
     return sum(delta.by_category.get(c, 0) for c in categories)
-
-
-def processes_touched(delta: StatsSnapshot, categories: Optional[Iterable[str]] = None) -> int:
-    """How many distinct processes received at least one message.
-
-    With ``categories=None``, counts any traffic; the E5 benchmark passes
-    the failure-handling categories to isolate who a failure disturbs.
-    Note: receiver counts in snapshots are not split per category, so
-    category filtering applies to a delta taken around an isolated event.
-    """
-    return sum(1 for _addr, count in delta.received_by.items() if count > 0)
 
 
 @dataclass
@@ -67,11 +55,6 @@ class LatencySample:
     @property
     def max(self) -> float:
         return max(self.samples) if self.samples else 0.0
-
-
-def view_storage_entries(view_members: Sequence[str]) -> int:
-    """Entries one process stores for a flat group view: the full list."""
-    return len(view_members)
 
 
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> float:

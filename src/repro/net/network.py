@@ -83,7 +83,6 @@ class Network:
         self.partitions = PartitionManager()
         self.stats = NetworkStats()
         self._tap_entries: list = []
-        self._taps: list = []
         self._send_taps: list = []
         self._deliver_taps: list = []
         self._drop_taps: list = []
@@ -147,7 +146,6 @@ class Network:
         # Per-kind dispatch lists, consulted directly by the hot paths
         # (one truthiness check each when no taps are attached).
         entries = self._tap_entries
-        self._taps = [fn for fn, _ in entries]
         self._send_taps = [
             fn for fn, ev in entries if ev is None or "send" in ev
         ]
@@ -158,10 +156,6 @@ class Network:
             fn for fn, ev in entries if ev is None or "drop" in ev
         ]
 
-    def _tap(self, event: str, envelope: "Envelope") -> None:
-        for fn in self._taps:
-            fn(event, envelope)
-
     # -- endpoint management -------------------------------------------------
 
     def register(self, address: Address, deliver: DeliverFn) -> None:
@@ -171,13 +165,6 @@ class Network:
     def unregister(self, address: Address) -> None:
         """Detach an endpoint; in-flight datagrams to it are dropped."""
         self._endpoints.pop(address, None)
-
-    def is_registered(self, address: Address) -> bool:
-        return address in self._endpoints
-
-    @property
-    def endpoints(self) -> Iterable[Address]:
-        return self._endpoints.keys()
 
     # -- sending -------------------------------------------------------------
 
@@ -192,8 +179,7 @@ class Network:
 
         This is the hottest function in any run, so it trades a little
         repetition for speed: the payload meta lookup and the stats
-        bookkeeping (``NetworkStats.record_send`` — keep the two in
-        lockstep) are inlined, the envelope is drawn from the free list,
+        bookkeeping are inlined, the envelope is drawn from the free list,
         and delivery is scheduled through the fabric's grouped bucket
         when it offers one.
         """

@@ -84,19 +84,6 @@ class NetworkStats:
         # standalone "transport-ack" messages + this counter.
         self.acks_piggybacked = 0
 
-    def record_send(self, src: Address, category: str, total_bytes: int) -> None:
-        """Count one logical message (one destination) leaving ``src``."""
-        self.messages += 1
-        self.bytes += total_bytes
-        by_category = self.by_category
-        by_category[category] = by_category.get(category, 0) + 1
-        bytes_by_category = self.bytes_by_category
-        bytes_by_category[category] = (
-            bytes_by_category.get(category, 0) + total_bytes
-        )
-        sent_by = self.sent_by
-        sent_by[src] = sent_by.get(src, 0) + 1
-
     def record_wire(self, packets: int = 1) -> None:
         """Count physical packets on the wire (1 per unicast; 1 per
         hardware-multicast send regardless of destination count)."""

@@ -66,7 +66,11 @@ MAGIC = b"RW"
 # v12: id 11, the sequencer's order for another member's abcast, is
 # retired — that abcast goes to the sequencer alone, which relays a copy
 # carrying ``GroupData.global_seq``.
-WIRE_VERSION = 12
+# v13: the name service's kinds (60-63) and the parallel executor's
+# ScatterTask (74) / PartialResult (75) are retired with the code that
+# sent them — a v12 peer could still send one, so it is refused at the
+# header rather than as an unknown kind.
+WIRE_VERSION = 13
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

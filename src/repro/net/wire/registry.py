@@ -27,12 +27,6 @@ from repro.core.leader import (
     ReportLeafStatus,
     SplitDirective,
 )
-from repro.core.naming import (
-    LookupName,
-    RegisterName,
-    ReplicateEntry,
-    UnregisterName,
-)
 from repro.core.treecast import (
     LeafCastAck,
     LeafCastPayload,
@@ -73,7 +67,6 @@ from repro.toolkit.coordinator_cohort import (
     CCResultNote,
     GetMembers,
 )
-from repro.toolkit.parallel import PartialResult, ScatterTask
 from repro.toolkit.replication import SMCommand
 from repro.transport.channel import Segment, SegmentAck
 
@@ -147,23 +140,21 @@ def ensure_registered() -> None:
     register_kind(58, SplitCmd)
     register_kind(59, MergeCmd)
 
-    # Naming service (60-63).
-    register_kind(60, RegisterName)
-    register_kind(61, UnregisterName)
-    register_kind(62, LookupName)
-    register_kind(63, ReplicateEntry)
+    # Ids 60-63 were the name service's kinds (RegisterName,
+    # UnregisterName, LookupName, ReplicateEntry) until WIRE_VERSION 13,
+    # when the service was deleted; like 33 and 90 they stay retired.
 
     # Toolkit (70-79).  64-69 are the deploy control plane
     # (repro.deploy.messages).  CCRequest/CCReply grew the cohort-set
     # fields (view_seq, cohorts) in WIRE_VERSION 5; the ids stay put.
     # Id 77 was CCHedge in WIRE_VERSION 8 only; like 33 and 90 it stays
     # retired.  CCRead (78), a read sent to one member, is new in v9.
+    # Ids 74 and 75 were the parallel executor's ScatterTask and
+    # PartialResult until WIRE_VERSION 13; they stay retired too.
     register_kind(70, CCRequest)
     register_kind(71, CCReply)
     register_kind(72, CCResultNote)
     register_kind(73, GetMembers)
-    register_kind(74, ScatterTask)
-    register_kind(75, PartialResult)
     register_kind(76, SMCommand)
     register_kind(78, CCRead)
 

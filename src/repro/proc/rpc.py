@@ -46,12 +46,12 @@ class Rpc:
     Caller side::
 
         rpc = Rpc(process)
-        rpc.call(server, LookupName("trading"), on_reply=handle,
+        rpc.call(server, GetLeafAssignment("trading"), on_reply=handle,
                  timeout=1.0, on_timeout=retry)
 
     Server side::
 
-        rpc.serve(LookupName, lambda body, sender: directory[body.name])
+        rpc.serve(GetLeafAssignment, lambda body, sender: assign(body.service))
     """
 
     _ids = itertools.count(1)

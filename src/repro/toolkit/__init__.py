@@ -17,19 +17,15 @@ from repro.toolkit.hierarchical_service import (
     attach_hierarchical_service,
 )
 from repro.toolkit.mutex import DistributedMutex, MutexOp
-from repro.toolkit.news import News, NewsPost
-from repro.toolkit.parallel import ParallelExecutor, partition
 from repro.toolkit.partitioned_data import (
     PartitionedStoreClient,
     PartitionedStoreServer,
 )
 from repro.toolkit.replication import (
-    ReplicatedCounter,
     ReplicatedDict,
     ReplicatedStateMachine,
     SMCommand,
 )
-from repro.toolkit.state_transfer import StateTransferHub
 from repro.toolkit.transactions import (
     TransactionCoordinator,
     TransactionResource,
@@ -49,21 +45,15 @@ __all__ = [
     "HierarchicalClient",
     "HierarchicalServer",
     "MutexOp",
-    "News",
-    "NewsPost",
-    "ParallelExecutor",
     "PartitionedStoreClient",
     "PartitionedStoreServer",
-    "ReplicatedCounter",
     "ReplicatedDict",
     "ReplicatedStateMachine",
     "SMCommand",
-    "StateTransferHub",
     "TransactionCoordinator",
     "TransactionResource",
     "TxDecision",
     "TxPrepare",
     "attach_hierarchical_service",
     "attach_service",
-    "partition",
 ]

@@ -140,38 +140,3 @@ class ReplicatedDict:
 
     def add_listener(self, fn: Callable[[Any, Any], None]) -> None:
         self._machine.add_listener(fn)
-
-
-class ReplicatedCounter:
-    """A replicated counter (e.g. inventory levels in the factory
-    workload)."""
-
-    def __init__(self, member: GroupMember, name: str = "counter") -> None:
-        self._machine = ReplicatedStateMachine(
-            member,
-            machine=name,
-            initial_state=lambda: {"value": 0},
-            apply_fn=self._apply,
-            snapshot_fn=dict,
-            restore_fn=dict,
-        )
-
-    @staticmethod
-    def _apply(state: Dict, command: Tuple) -> int:
-        if command[0] == "add":
-            state["value"] += command[1]
-        elif command[0] == "set":
-            state["value"] = command[1]
-        else:
-            raise ValueError(f"unknown command {command!r}")
-        return state["value"]
-
-    def add(self, delta: int) -> None:
-        self._machine.submit(("add", delta))
-
-    def set(self, value: int) -> None:
-        self._machine.submit(("set", value))
-
-    @property
-    def value(self) -> int:
-        return self._machine.state["value"]

@@ -4,35 +4,7 @@ from hypothesis import given, strategies as st
 
 import pytest
 
-from repro.clocks import CausalBuffer, LamportClock, LamportStamp, VectorClock
-
-
-# -- Lamport ------------------------------------------------------------------
-
-
-def test_lamport_tick_increments():
-    clock = LamportClock()
-    assert clock.tick() == 1
-    assert clock.tick() == 2
-
-
-def test_lamport_observe_jumps_ahead():
-    clock = LamportClock()
-    clock.tick()
-    assert clock.observe(10) == 11
-    assert clock.observe(3) == 12  # older stamp still advances locally
-
-
-def test_lamport_negative_start_rejected():
-    with pytest.raises(ValueError):
-        LamportClock(-1)
-
-
-def test_lamport_stamp_total_order():
-    assert LamportStamp(1, "a") < LamportStamp(2, "a")
-    assert LamportStamp(1, "a") < LamportStamp(1, "b")
-    assert not LamportStamp(2, "a") < LamportStamp(1, "b")
-    assert LamportStamp(1, "a") == LamportStamp(1, "a")
+from repro.clocks import CausalBuffer, VectorClock
 
 
 # -- Vector clocks ---------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.net import (
     payload_category,
     payload_size,
 )
-from repro.net.stats import NetworkStats
 from repro.proc import Environment, Process
 
 
@@ -25,6 +24,14 @@ class Tagged:
 @dataclass
 class Bare:
     pass
+
+
+class InX:
+    category = "x"
+
+
+class InY:
+    category = "y"
 
 
 def test_payload_category_defaults_to_class_name():
@@ -68,8 +75,9 @@ def test_environment_run_until_and_now():
 
 
 def test_stats_reset():
-    stats = NetworkStats()
-    stats.record_send("a", "x", 100)
+    network = Environment(seed=1).network
+    stats = network.stats
+    network.send("a", "b", InX())
     stats.record_wire(1)
     stats.record_drop()
     stats.reset()
@@ -80,10 +88,11 @@ def test_stats_reset():
 
 
 def test_stats_diff_drops_zero_entries():
-    stats = NetworkStats()
-    stats.record_send("a", "x", 10)
+    network = Environment(seed=1).network
+    stats = network.stats
+    network.send("a", "b", InX())
     before = stats.snapshot()
-    stats.record_send("b", "y", 10)
+    network.send("b", "a", InY())
     delta = stats.since(before)
     assert delta.by_category == {"y": 1}
     assert "x" not in delta.sent_by.get("a", {}) if isinstance(delta.sent_by, dict) else True

@@ -1,12 +1,14 @@
 """Grand-tour integration test: every major subsystem composed in one
 scenario, surviving churn.
 
-A 24-worker hierarchical service runs simultaneously: per-symbol news
-inside leaves, a partitioned replicated store, atomic whole-group
+A 24-worker hierarchical service runs simultaneously: a causal status
+post inside one leaf, a partitioned replicated store, atomic whole-group
 reconfiguration via treecast, and client request traffic — while workers
 crash, a worker recovers and rejoins, and the leader manager fails over.
 The test then checks every subsystem's invariants at once.
 """
+
+from dataclasses import dataclass
 
 from repro.core import (
     LargeGroupParams,
@@ -15,14 +17,16 @@ from repro.core import (
     build_large_group,
     build_leader_group,
 )
-from repro.membership import GroupNode
+from repro.membership import CAUSAL, GroupNode
 from repro.net import FixedLatency
 from repro.proc import Environment
-from repro.toolkit import (
-    News,
-    PartitionedStoreClient,
-    PartitionedStoreServer,
-)
+from repro.toolkit import PartitionedStoreClient, PartitionedStoreServer
+
+
+@dataclass
+class StatusPost:
+    category = "status-post"
+    body: str
 
 
 def test_grand_tour():
@@ -36,16 +40,18 @@ def test_grand_tour():
     stores = [PartitionedStoreServer(m) for m in members]
     env.run_for(15.0)
 
-    # per-leaf news: attach to each worker's current leaf group
-    news = {}
-    heard = {}
+    # a leaf-local status post: listen on each worker's current leaf group
+    heard = {m.me: [] for m in members}
+
+    def listener(me):
+        def on_delivery(event):
+            if isinstance(event.payload, StatusPost):
+                heard[me].append(event.payload.body)
+
+        return on_delivery
+
     for m in members:
-        service = News(m.leaf_member, claim_state_hooks=False)
-        news[m.me] = service
-        heard[m.me] = []
-        service.subscribe(
-            "status", lambda s, b, p, me=m.me: heard[me].append(b)
-        )
+        m.leaf_member.add_delivery_listener(listener(m.me))
 
     client_node = GroupNode(env, "tour-client")
     store_client = PartitionedStoreClient(
@@ -56,7 +62,7 @@ def test_grand_tour():
     oks = []
     for i in range(10):
         store_client.put(f"key-{i}", i * i, oks.append)
-    news[members[0].me].post("status", "leaf-0-hello")
+    members[0].leaf_member.multicast(StatusPost("leaf-0-hello"), CAUSAL)
     env.run_for(5.0)
     assert oks == [True] * 10
 
@@ -114,7 +120,7 @@ def test_grand_tour():
             payloads = [x for _b, x in p.delivered]
             assert payloads.count({"recipe": "tour"}) == 1
 
-    # news stayed leaf-local: only leaf-0's original members heard it
+    # the post stayed leaf-local: only leaf-0's original members heard it
     hearers = {me for me, msgs in heard.items() if "leaf-0-hello" in msgs}
     assert hearers  # someone heard it
     assert len(hearers) <= params.leaf_split_threshold

@@ -150,13 +150,6 @@ def test_replicas_agree_applying_same_ops():
 # -- policy queries ---------------------------------------------------------------
 
 
-def test_smallest_leaf_deterministic_tiebreak():
-    state, _ = make()
-    add(state, 1, size=5)
-    add(state, 0, size=5)
-    assert state.smallest_leaf().leaf_id == "leaf-000"
-
-
 def test_split_and_merge_detection():
     state, params = make(resiliency=2, fanout=4)  # leaf_min=4, split at >8
     add(state, 0, size=9)

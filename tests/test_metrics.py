@@ -9,32 +9,24 @@ from repro.metrics import (
     data_messages,
     fit_power_law,
     format_table,
-    processes_touched,
-    view_storage_entries,
 )
-from repro.net.stats import NetworkStats
+from repro.proc import Environment
 
 
-def make_delta(categories=None, received=None):
-    stats = NetworkStats()
-    for category, count in (categories or {}).items():
+def make_delta(categories):
+    """A stats snapshot after ``count`` real sends in each category."""
+    network = Environment(seed=1).network
+    for category, count in categories.items():
+        payload = type(f"Payload_{category}", (), {"category": category})()
         for _ in range(count):
-            stats.record_send("x", category, 10)
-    for addr, count in (received or {}).items():
-        for _ in range(count):
-            stats.record_delivery(addr)
-    return stats.snapshot()
+            network.send("x", "y", payload)
+    return network.stats.snapshot()
 
 
 def test_data_messages_sums_categories():
     delta = make_delta({"a": 3, "b": 2, "c": 9})
     assert data_messages(delta, ["a", "b"]) == 5
     assert data_messages(delta, ["missing"]) == 0
-
-
-def test_processes_touched():
-    delta = make_delta(received={"p1": 2, "p2": 1})
-    assert processes_touched(delta) == 2
 
 
 def test_latency_sample_percentiles():
@@ -51,10 +43,6 @@ def test_latency_sample_percentiles():
 def test_latency_sample_empty():
     sample = LatencySample()
     assert sample.p50 == 0.0 and sample.mean == 0.0 and sample.max == 0.0
-
-
-def test_view_storage_entries():
-    assert view_storage_entries(["a", "b", "c"]) == 3
 
 
 def test_fit_power_law_recovers_exponents():

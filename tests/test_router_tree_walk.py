@@ -2,7 +2,9 @@
 leader's tree once per reorg epoch and walks it with the leader's own
 rule, so for every key it names the leaf ``HierarchyState.place_key``
 names — on the canonical size-mode tree and on the ragged load-mode tree
-alike — at one leader round trip per client per epoch."""
+alike — at one leader round trip per client per epoch.  The last two
+tests cover the router's other path, a cached leaf assignment from the
+service's leader contacts."""
 
 import functools
 
@@ -174,3 +176,46 @@ def test_split_moves_the_epoch_and_the_router_fetches_again():
         assert_walk_agrees(manager, router, key, env=env)
     assert router.placement_invalidations == 1
     assert router.placement_lookups == 2
+
+
+def test_router_static_contacts_and_invalidation():
+    env = Environment(seed=2, latency=FixedLatency(0.002))
+    params = LargeGroupParams(resiliency=2, fanout=4)
+    leaders = build_leader_group(env, "svc", params)
+    contacts = tuple(r.node.address for r in leaders)
+    members = build_large_group(env, "svc", 6, params, contacts)
+    env.run_for(8.0)
+    client = GroupNode(env, "client")
+    router = ServiceRouter(
+        client, "svc", rpc=client.runtime.rpc, leader_contacts=contacts
+    )
+    got = []
+    router.assignment(got.append)
+    env.run_for(2.0)
+    assert got[0] is not None
+    router.invalidate()
+    assert router.cached_assignment is None
+    router.assignment(got.append)
+    env.run_for(2.0)
+    assert got[-1] is not None
+
+
+def test_router_round_robins_across_leaves():
+    env = Environment(seed=3, latency=FixedLatency(0.002))
+    params = LargeGroupParams(resiliency=2, fanout=2)  # small leaves
+    leaders = build_leader_group(env, "svc", params)
+    contacts = tuple(r.node.address for r in leaders)
+    members = build_large_group(env, "svc", 10, params, contacts)
+    env.run_for(20.0)
+    seen_leaves = set()
+    for i in range(6):
+        client = GroupNode(env, f"client-{i}")
+        router = ServiceRouter(
+            client, "svc", rpc=client.runtime.rpc, leader_contacts=contacts
+        )
+        got = []
+        router.assignment(got.append)
+        env.run_for(1.0)
+        if got and got[0]:
+            seen_leaves.add(got[0][0])
+    assert len(seen_leaves) >= 2

@@ -1,18 +1,13 @@
-"""Tests for replication, mutex, parallel computation, transactions and
-state transfer."""
+"""Tests for replication, mutex and transactions."""
 
 from repro.membership import GroupNode, build_group
 from repro.net import FixedLatency
 from repro.proc import Environment
 from repro.toolkit import (
     DistributedMutex,
-    ParallelExecutor,
-    ReplicatedCounter,
     ReplicatedDict,
-    StateTransferHub,
     TransactionCoordinator,
     TransactionResource,
-    partition,
 )
 
 import pytest
@@ -92,18 +87,6 @@ def test_replicated_dict_state_transfer_to_joiner():
     assert joiner_dict.get("post") == 9
 
 
-def test_replicated_counter():
-    env, nodes, members = make_group(3)
-    counters = [ReplicatedCounter(m) for m in members]
-    counters[0].add(5)
-    counters[1].add(-2)
-    env.run_for(2.0)
-    assert all(c.value == 3 for c in counters)
-    counters[2].set(100)
-    env.run_for(2.0)
-    assert all(c.value == 100 for c in counters)
-
-
 # -- mutex -------------------------------------------------------------------------
 
 
@@ -177,46 +160,6 @@ def test_two_named_locks_independent():
     b1.acquire(lambda: got.append("b@1"))
     env.run_for(2.0)
     assert sorted(got) == ["a@0", "b@1"]
-
-
-# -- parallel ----------------------------------------------------------------------
-
-
-def test_partition_covers_all_indices():
-    indices = set()
-    for rank in range(4):
-        indices.update(partition(10, 4, rank))
-    assert indices == set(range(10))
-
-
-def test_parallel_scatter_gather():
-    env, nodes, members = make_group(4)
-    execs = [ParallelExecutor(m, lambda x: x * x) for m in members]
-    results = []
-    execs[0].run(list(range(10)), results.append)
-    env.run_for(3.0)
-    assert results == [[i * i for i in range(10)]]
-    # work was actually subdivided
-    assert all(e.items_processed > 0 for e in execs)
-
-
-def test_parallel_worker_crash_reassigned():
-    env, nodes, members = make_group(4)
-    execs = [ParallelExecutor(m, lambda x: x + 100) for m in members]
-    results = []
-    execs[0].run(list(range(12)), results.append)
-    nodes[2].crash()  # before its partials can arrive
-    env.run_for(10.0)
-    assert results == [[i + 100 for i in range(12)]]
-
-
-def test_parallel_single_member_does_everything():
-    env, nodes, members = make_group(1)
-    ex = ParallelExecutor(members[0], lambda x: -x)
-    results = []
-    ex.run([1, 2, 3], results.append)
-    env.run_for(2.0)
-    assert results == [[-1, -2, -3]]
 
 
 # -- transactions -------------------------------------------------------------------
@@ -301,42 +244,3 @@ def test_transaction_timeout_participant_dead_aborts():
     assert outcome == [False]
     assert all(r.get("m") is None for r in ra)
     assert all(not r.locked_keys for r in ra)
-
-
-# -- state transfer hub --------------------------------------------------------------
-
-
-def test_state_transfer_hub_multiplexes_sections():
-    env, nodes, members = make_group(2)
-    hubs = [StateTransferHub(m) for m in members]
-    tables = [{"x": 1}, {"x": 1}]
-    logs = [[10], [10]]
-    for hub, table, log in zip(hubs, tables, logs):
-        hub.register("table", lambda t=table: dict(t), lambda s, t=table: t.update(s))
-        hub.register("log", lambda l=log: list(l), lambda s, l=log: l.extend(s))
-    joiner_node = GroupNode(env, "joiner")
-    joiner = joiner_node.runtime.join_group("g", contact="g-0")
-    jt, jl = {}, []
-    hub_j = StateTransferHub(joiner)
-    hub_j.register("table", lambda: dict(jt), jt.update)
-    hub_j.register("log", lambda: list(jl), jl.extend)
-    env.run_for(5.0)
-    assert joiner.is_member
-    assert jt == {"x": 1}
-    assert jl == [10]
-    assert hub_j.transfers_received == 1
-
-
-def test_state_transfer_hub_claims_hooks_exclusively():
-    env, nodes, members = make_group(2)
-    StateTransferHub(members[0])
-    with pytest.raises(ValueError):
-        StateTransferHub(members[0])
-
-
-def test_state_transfer_hub_duplicate_section_rejected():
-    env, nodes, members = make_group(2)
-    hub = StateTransferHub(members[0])
-    hub.register("s", dict, lambda s: None)
-    with pytest.raises(ValueError):
-        hub.register("s", dict, lambda s: None)

@@ -574,7 +574,11 @@ def test_wire_ids_are_unique_and_stable():
     assert 33 not in kinds  # HeartbeatAck, retired in v7: never reused
     assert (kinds[34].__name__, kinds[35].__name__) == ("Subscribe", "Unsubscribe")
     assert kinds[36].__name__ == "Probe"
+    for retired in (60, 61, 62, 63):
+        assert retired not in kinds  # the name service, retired in v13: never reused
     assert kinds[70].__name__ == "CCRequest"
+    for retired in (74, 75):
+        assert retired not in kinds  # ScatterTask / PartialResult, retired in v13: never reused
     assert 77 not in kinds  # CCHedge, retired in v9: never reused
     assert kinds[78].__name__ == "CCRead"
     # The deleted parallel engine's barrier frames: never reused.  They
@@ -598,8 +602,10 @@ def test_wire_ids_are_unique_and_stable():
     # Probe is new — a v10 peer would not know kind 36.  v12: kind 11 is
     # gone — a non-sequencer's abcast is relayed through the sequencer,
     # whose copy carries ``global_seq`` — so a v11 peer's order message
-    # is refused at the header.
-    assert WIRE_VERSION == 12
+    # is refused at the header.  v13: the name service's kinds (60-63)
+    # and the parallel executor's (74, 75) are gone with their code, so a
+    # v12 peer's lookup or scatter is refused at the header.
+    assert WIRE_VERSION == 13
 
 
 def test_a_gap_report_round_trips():
