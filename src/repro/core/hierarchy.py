@@ -29,6 +29,7 @@ from repro.membership.events import DeliveryEvent, FIFO, TOTAL, ViewEvent
 from repro.membership.group import GroupMember
 from repro.membership.service import GroupNode
 from repro.net.message import Address
+from repro.proc.process import Timer
 
 
 @dataclass
@@ -85,6 +86,7 @@ class LargeGroupMember:
         self._leaf_change_listeners: List[Callable[[GroupMember], None]] = []
         self._joining = False
         self._moving = False  # split/merge transition in progress
+        self._placement_check: Optional[Timer] = None  # _watch_placement
         self.reorganisations = 0
         # Level-tagged placement as learned from directives (0/() until
         # the first reorganisation teaches us where we sit).
@@ -241,10 +243,7 @@ class LargeGroupMember:
                 group_name, contact=contacts[0], retry=self.assign_retry
             )
             self._install_leaf(leaf_id, member, pending=True)
-            # If placement stalls (contact died, leaf dissolved), start over.
-            self.node.set_timer(
-                6 * self.assign_retry, lambda: self._check_placement(group_name)
-            )
+            self._watch_placement(group_name)
         else:
             self._retry_join(contact_index + 1)
 
@@ -252,6 +251,21 @@ class LargeGroupMember:
         self.node.set_timer(
             self.assign_retry, lambda: self._request_assignment(next_index)
         )
+
+    def _watch_placement(self, group_name: str) -> None:
+        """If placement in ``group_name`` stalls (contact died, leaf
+        dissolved), start over; :meth:`_placed` calls the check off."""
+        if self._placement_check is not None:
+            self._placement_check.cancel()
+        self._placement_check = self.node.set_timer(
+            6 * self.assign_retry, lambda: self._check_placement(group_name)
+        )
+
+    def _placed(self) -> None:
+        self._joining = False
+        self._moving = False
+        if self._placement_check is not None:
+            self._placement_check.cancel()
 
     def _check_placement(self, group_name: str) -> None:
         if self.is_member or not self._joining:
@@ -270,8 +284,7 @@ class LargeGroupMember:
         for listener in list(self._leaf_change_listeners):
             listener(member)
         if not pending:
-            self._joining = False
-            self._moving = False
+            self._placed()
             self._report_status()
 
     # ---------------------------------------------------------------- leaf events
@@ -290,8 +303,7 @@ class LargeGroupMember:
 
     def _on_leaf_view(self, event: ViewEvent) -> None:
         if self._joining and event.view.contains(self.me):
-            self._joining = False
-            self._moving = False
+            self._placed()
         for listener in list(self._view_listeners):
             listener(event)
         # "When a process fails, or leaves the large group, only the other
@@ -472,9 +484,7 @@ class LargeGroupMember:
         )
         self._joining = True
         self._install_leaf(target_leaf_id, member, pending=True)
-        self.node.set_timer(
-            6 * self.assign_retry, lambda: self._check_placement(cmd.target_group)
-        )
+        self._watch_placement(cmd.target_group)
 
 
 def build_large_group(

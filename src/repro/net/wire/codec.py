@@ -8,22 +8,33 @@ offset size     field
 0      2        magic ``b"RW"``
 2      1        wire version (:data:`WIRE_VERSION`)
 3      1        frame kind — :data:`FRAME_DATA` or :data:`FRAME_CONTROL`
-4      4        body length, big-endian u32 (must equal the remaining bytes)
-8      n        body
+4      n        body, up to the end of the datagram
 ====== ======== ==========================================================
 
-A *data* body is ``varint count`` followed by ``count`` envelope records
-(src, dst, send_time, deliver_time, size_bytes, payload).
+The header carries no body length: UDP already delimits the datagram,
+and the body encoding is prefix-free, so a truncated frame overruns and
+a padded one leaves trailing bytes — both :class:`CodecError`.
+
+A *data* body is ``varint count`` followed by ``count`` envelope records:
+src and dst (each a varint length plus UTF-8, untagged), then the
+payload value.  Nothing else of the envelope travels: each node runs its
+own clock, so the receiving fabric stamps send and deliver time at
+arrival, and ``size_bytes`` is the payload's size model
+(:func:`repro.net.message.payload_size`), recomputed on decode.
 A *control* body is a single encoded value (the deploy tracker's
 register/peer-list/shutdown messages).
 
 Values are tag-prefixed: ``None``/bools/ints (zigzag varint)/floats
 (IEEE-754 f64)/str/bytes/tuple/list/dict nest freely, and any class
-registered through :func:`register_kind` encodes as its wire id plus its
-dataclass fields in declaration order.  The codec is self-describing at
-the value level (a reader never needs the schema to skip a value) and
-versioned at the frame level; evolving a kind's field list bumps
-:data:`WIRE_VERSION`.
+registered through :func:`register_kind` encodes as its wire id, a field
+count, and that many dataclass fields in declaration order.  A kind stops
+at its last non-default field: trailing fields equal to their declared
+default (same value *and* same class, so ``False`` never stands in for a
+default ``0``) are not written, and the decoder fills them from the
+defaults.  A field with no default, or with a ``default_factory``, is
+always written.  The codec is self-describing at the value level (a
+reader never needs the schema to skip a value) and versioned at the
+frame level; evolving a kind's field list bumps :data:`WIRE_VERSION`.
 
 Robustness contract: :func:`decode_frame` raises :class:`CodecError` —
 and nothing else — on any malformed input (bad magic, truncation, stray
@@ -35,7 +46,7 @@ a node down.
 from __future__ import annotations
 
 import struct
-from dataclasses import fields as dataclass_fields, is_dataclass
+from dataclasses import MISSING, fields as dataclass_fields, is_dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 MAGIC = b"RW"
@@ -70,12 +81,16 @@ MAGIC = b"RW"
 # ScatterTask (74) / PartialResult (75) are retired with the code that
 # sent them — a v12 peer could still send one, so it is refused at the
 # header rather than as an unknown kind.
-WIRE_VERSION = 13
+# v14: a frame carries only what its receiver uses — the header loses
+# its u32 body length (8 -> 4 bytes), an envelope record is src, dst
+# (untagged) and payload, with no sender clock readings and no size
+# model, and a kind stops at its last non-default field.
+WIRE_VERSION = 14
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2
 
-_HEADER = struct.Struct(">2sBBI")
+_HEADER = struct.Struct(">2sBB")
 HEADER_BYTES = _HEADER.size
 
 # Safe single-datagram budget for UDP over loopback/LAN without relying
@@ -109,21 +124,32 @@ class FrameTooLarge(CodecError):
 
 
 class _Kind:
-    """One registered payload class: wire id + field-by-field codec."""
+    """One registered payload class: wire id + field-by-field codec.
 
-    __slots__ = ("kind_id", "cls", "field_names", "encode_fields", "build")
+    ``defaults[i]`` is field i's declared default; ``required`` counts
+    the leading fields always written — up to and including the last one
+    with no plain default (none, or a ``default_factory``)."""
+
+    __slots__ = (
+        "kind_id", "cls", "field_names", "defaults", "required",
+        "encode_fields", "build",
+    )
 
     def __init__(
         self,
         kind_id: int,
         cls: type,
         field_names: Tuple[str, ...],
+        defaults: Tuple[Any, ...],
+        required: int,
         encode_fields: Optional[Callable[[Any], Sequence[Any]]],
         build: Optional[Callable[[Sequence[Any]], Any]],
     ) -> None:
         self.kind_id = kind_id
         self.cls = cls
         self.field_names = field_names
+        self.defaults = defaults
+        self.required = required
         self.encode_fields = encode_fields
         self.build = build
 
@@ -141,8 +167,9 @@ def register_kind(
 ) -> type:
     """Bind ``cls`` to stable wire id ``kind_id``.
 
-    Dataclasses need no adapter: their fields encode in declaration order
-    and decode back through the constructor.  Non-dataclasses (e.g.
+    Dataclasses need no adapter: their fields encode in declaration order,
+    less the trailing ones left at their plain default, and decode back
+    through the constructor.  Non-dataclasses (e.g.
     ``VectorClock``) supply ``encode_fields(obj) -> sequence`` and
     ``build(fields) -> obj``.  Ids are append-only across PRs — reusing
     or renumbering one is a wire-format break and requires a
@@ -158,10 +185,16 @@ def register_kind(
             raise TypeError(
                 f"{cls.__name__} is not a dataclass; pass encode_fields/build"
             )
-        names = tuple(f.name for f in dataclass_fields(cls))
+        declared = dataclass_fields(cls)
+        names = tuple(f.name for f in declared)
+        defaults = tuple(f.default for f in declared)
+        required = max(
+            (i + 1 for i, default in enumerate(defaults) if default is MISSING),
+            default=0,
+        )
     else:
-        names = ()
-    _kind = _Kind(kind_id, cls, names, encode_fields, build)
+        names, defaults, required = (), (), 0
+    _kind = _Kind(kind_id, cls, names, defaults, required, encode_fields, build)
     _KIND_BY_ID[kind_id] = _kind
     _KIND_BY_CLASS[cls] = _kind
     return cls
@@ -183,6 +216,12 @@ def _write_varint(out: bytearray, value: int) -> None:
     out.append(value)
 
 
+def _write_utf8(out: bytearray, text: str) -> None:
+    raw = text.encode("utf-8")
+    _write_varint(out, len(raw))
+    out += raw
+
+
 def _write_value(out: bytearray, value: Any) -> None:
     if value is None:
         out.append(_T_NONE)
@@ -198,10 +237,8 @@ def _write_value(out: bytearray, value: Any) -> None:
         out.append(_T_FLOAT)
         out += _F64.pack(value)
     elif cls is str:
-        raw = value.encode("utf-8")
         out.append(_T_STR)
-        _write_varint(out, len(raw))
-        out += raw
+        _write_utf8(out, value)
     elif cls is bytes:
         out.append(_T_BYTES)
         _write_varint(out, len(value))
@@ -232,11 +269,21 @@ def _write_value(out: bytearray, value: Any) -> None:
         _write_varint(out, kind.kind_id)
         if kind.encode_fields is not None:
             parts = kind.encode_fields(value)
+            count = len(parts)
         else:
             parts = [getattr(value, name) for name in kind.field_names]
-        _write_varint(out, len(parts))
-        for part in parts:
-            _write_value(out, part)
+            count = len(parts)
+            required = kind.required
+            defaults = kind.defaults
+            while count > required:
+                part = parts[count - 1]
+                default = defaults[count - 1]
+                if part.__class__ is not default.__class__ or part != default:
+                    break
+                count -= 1
+        _write_varint(out, count)
+        for index in range(count):
+            _write_value(out, parts[index])
 
 
 class _Reader:
@@ -274,8 +321,8 @@ class _Reader:
                 return value
             shift += 7
             # Python ints are arbitrary precision; bound the width only
-            # against pathological continuation-bit streams (frame length
-            # already bounds the byte count).
+            # against pathological continuation-bit streams (the datagram's
+            # length already bounds the byte count).
             if shift > 700:
                 raise CodecError("varint too long")
 
@@ -284,6 +331,13 @@ class _Reader:
         if self.pos + n > self.end:
             raise CodecError("length overruns frame body")
         return n
+
+
+def _read_utf8(reader: _Reader) -> str:
+    try:
+        return reader.take(reader.length()).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"invalid utf-8 in string: {exc}") from None
 
 
 def _read_value(reader: _Reader) -> Any:
@@ -300,11 +354,7 @@ def _read_value(reader: _Reader) -> Any:
     if tag == _T_FLOAT:
         return _F64.unpack(reader.take(8))[0]
     if tag == _T_STR:
-        raw = reader.take(reader.length())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid utf-8 in string: {exc}") from None
+        return _read_utf8(reader)
     if tag == _T_BYTES:
         return reader.take(reader.length())
     if tag == _T_TUPLE:
@@ -330,10 +380,10 @@ def _read_value(reader: _Reader) -> Any:
         try:
             if kind.build is not None:
                 return kind.build(parts)
-            if count != len(kind.field_names):
+            if not kind.required <= count <= len(kind.field_names):
                 raise CodecError(
-                    f"{kind.cls.__name__}: got {count} fields, "
-                    f"expected {len(kind.field_names)}"
+                    f"{kind.cls.__name__}: got {count} fields, expected "
+                    f"{kind.required} to {len(kind.field_names)}"
                 )
             return kind.cls(**dict(zip(kind.field_names, parts)))
         except CodecError:
@@ -349,33 +399,31 @@ def _read_value(reader: _Reader) -> Any:
 
 
 def _write_envelope(out: bytearray, envelope: Any) -> None:
-    _write_value(out, envelope.src)
-    _write_value(out, envelope.dst)
-    out += _F64.pack(envelope.send_time)
-    out += _F64.pack(envelope.deliver_time)
-    _write_varint(out, envelope.size_bytes)
+    src, dst = envelope.src, envelope.dst
+    if src.__class__ is not str or dst.__class__ is not str:
+        raise CodecError("envelope src/dst must be addresses")
+    _write_utf8(out, src)
+    _write_utf8(out, dst)
     _write_value(out, envelope.payload)
 
 
 def _read_envelope(reader: _Reader):
-    from repro.net.message import Envelope
+    """An envelope as its record left it: both times 0.0 until the
+    receiving fabric stamps them with its own clock, and ``size_bytes``
+    the payload's size model, as the sender's network computed it."""
+    from repro.net.message import Envelope, payload_size
 
-    src = _read_value(reader)
-    dst = _read_value(reader)
-    if not isinstance(src, str) or not isinstance(dst, str):
-        raise CodecError("envelope src/dst must be addresses")
-    send_time = _F64.unpack(reader.take(8))[0]
-    deliver_time = _F64.unpack(reader.take(8))[0]
-    size_bytes = reader.varint()
+    src = _read_utf8(reader)
+    dst = _read_utf8(reader)
     payload = _read_value(reader)
-    return Envelope(src, dst, payload, send_time, deliver_time, size_bytes)
+    return Envelope(src, dst, payload, 0.0, 0.0, payload_size(payload))
 
 
 # -- frames ------------------------------------------------------------------
 
 
 def _frame(kind: int, body: bytes) -> bytes:
-    return _HEADER.pack(MAGIC, WIRE_VERSION, kind, len(body)) + body
+    return _HEADER.pack(MAGIC, WIRE_VERSION, kind) + body
 
 
 def encode_data_frames(
@@ -448,16 +496,11 @@ def decode_frame(data: bytes) -> Tuple[int, Any]:
     try:
         if len(data) < HEADER_BYTES:
             raise CodecError(f"frame shorter than header ({len(data)} bytes)")
-        magic, version, frame_kind, body_len = _HEADER.unpack_from(data)
+        magic, version, frame_kind = _HEADER.unpack_from(data)
         if magic != MAGIC:
             raise CodecError(f"bad magic {magic!r}")
         if version != WIRE_VERSION:
             raise CodecError(f"unsupported wire version {version}")
-        if body_len != len(data) - HEADER_BYTES:
-            raise CodecError(
-                f"length mismatch: header says {body_len}, "
-                f"body has {len(data) - HEADER_BYTES}"
-            )
         reader = _Reader(bytes(data), HEADER_BYTES, len(data))
         if frame_kind == FRAME_DATA:
             count = reader.varint()

@@ -16,6 +16,7 @@ black-holed by sequence numbers from its previous life.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -90,11 +91,21 @@ class SendState:
     is one whose receiver may hold the ack for ``hold`` (docs/comms.md,
     "Acks ride the stability round"), so it is resent only after
     ``rto + hold``; every other segment after ``rto``.
+
+    ``prompt_since`` / ``lazy_since`` bound from below the last
+    transmission time of the oldest prompt / lazy segment unacked: they
+    are the channel's earliest deadline, less ``rto`` / ``rto + hold``.
+    Admission lowers them, a sweep recomputes them, a restart clears
+    them; an ack or a gap resend only makes them stale on the early
+    side.  So a sweep that finds both deadlines ahead skips the scan,
+    and the test it skips is the scan's own arithmetic.
     """
 
     epoch: int = 0
     next_seq: int = 1
     unacked: Dict[int, Tuple[Any, float, bool]] = field(default_factory=dict)
+    prompt_since: float = math.inf
+    lazy_since: float = math.inf
 
     @property
     def first_unacked(self) -> int:
@@ -111,6 +122,11 @@ class SendState:
         )
         self.unacked[segment.seq] = (payload, now, lazy)
         self.next_seq += 1
+        if lazy:
+            if now < self.lazy_since:
+                self.lazy_since = now
+        elif now < self.prompt_since:
+            self.prompt_since = now
         return segment
 
     def acknowledge(self, cum_seq: int) -> None:
@@ -126,16 +142,27 @@ class SendState:
         one ``rto + hold`` after it — or together with a due prompt
         segment behind it, which the receiver could not deliver before
         it."""
+        if now - self.prompt_since < rto and now - self.lazy_since < rto + hold:
+            return []  # neither deadline has come: no segment can be due
         unacked = self.unacked
         pull = 0
         for seq, (_payload, sent_at, lazy) in unacked.items():
             if not lazy and now - sent_at >= rto:
                 pull = seq
         due = []
+        prompt_since = lazy_since = math.inf
         for seq, (payload, sent_at, lazy) in unacked.items():
             if (lazy and seq < pull) or now - sent_at >= (rto + hold if lazy else rto):
+                sent_at = now
                 unacked[seq] = (payload, now, lazy)
                 due.append(Segment(seq, payload, incarnation, self.epoch))
+            if lazy:
+                if sent_at < lazy_since:
+                    lazy_since = sent_at
+            elif sent_at < prompt_since:
+                prompt_since = sent_at
+        self.prompt_since = prompt_since
+        self.lazy_since = lazy_since
         return due
 
     def resend_below(self, high: int, now: float, incarnation: int = 0) -> List[Segment]:
@@ -157,6 +184,7 @@ class SendState:
         self.epoch += 1
         self.next_seq = 1
         self.unacked = {}
+        self.prompt_since = self.lazy_since = math.inf
         return pending
 
 

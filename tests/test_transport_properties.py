@@ -88,6 +88,46 @@ def test_property_unacked_stays_one_contiguous_run_in_seq_order(steps):
         assert list(state.unacked) == list(range(state.first_unacked, state.next_seq))
 
 
+def _due_by_full_scan(unacked, now):
+    """Which seqs a sweep at ``now`` resends, by the rule alone: every
+    unacked segment looked at, nothing skipped, nothing restamped."""
+    pull = max(
+        (seq for seq, (_p, at, lazy) in unacked.items() if not lazy and now - at >= RTO),
+        default=0,
+    )
+    return [
+        seq for seq, (_p, at, lazy) in unacked.items()
+        if (lazy and seq < pull) or now - at >= (RTO + HOLD if lazy else RTO)
+    ]
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from([0.0, 0.01, 0.05, 0.1, 0.5, 0.55]),
+    st.sampled_from(["prompt", "lazy", "ack", "gap", "sweep", "restart"]),
+    st.integers(min_value=0, max_value=30),
+), max_size=60))
+def test_property_a_skipped_scan_is_one_that_finds_nothing(steps):
+    """The sweep skips a channel whose earliest deadline has not come.
+    Whatever admissions, acks, gap resends and restarts came before, it
+    resends exactly what a scan of every unacked segment would."""
+    state, now = SendState(), 0.0
+    for advance, op, arg in steps:
+        now += advance
+        if op in ("prompt", "lazy"):
+            state.admit(f"p{state.next_seq}", now, lazy=op == "lazy")
+        elif op == "ack":
+            state.acknowledge(arg)
+        elif op == "gap":
+            state.resend_below(arg, now)
+        elif op == "restart":
+            for payload in state.restart(now):
+                state.admit(payload, now, lazy=arg % 2 == 0)
+        else:
+            expected = _due_by_full_scan(state.unacked, now)
+            swept = state.due_for_retransmit(now, RTO, hold=HOLD)
+            assert [s.seq for s in swept] == expected
+
+
 def test_send_state_resend_rules():
     state = SendState()
     state.admit("lazy-1", 0.0, lazy=True)

@@ -4,7 +4,8 @@ Three obligations, per docs/deployment.md:
 
 * **Round-trip** — every registered payload kind survives
   encode -> decode across seeded fuzzing (values generated from each
-  dataclass's field type hints), as do envelope batches through the
+  dataclass's field type hints) and with every suffix of its defaulted
+  fields left at the default, as do envelope batches through the
   data-frame packer.
 * **Rejection** — truncated, corrupted, or alien bytes raise
   :class:`CodecError` and nothing else; no exception escapes the socket
@@ -27,7 +28,7 @@ from repro.clocks.vector import VectorClock
 from repro.core.treecast import LeafTarget, RelaySpec
 from repro.membership.events import GroupData
 from repro.membership.view import GroupView
-from repro.net.message import Envelope
+from repro.net.message import Envelope, payload_size
 from repro.net.wire import (
     CodecError,
     FRAME_CONTROL,
@@ -239,6 +240,101 @@ def test_every_registered_kind_round_trips(kind_id):
         assert decoded == original, f"{cls.__name__} diverged on round-trip"
 
 
+def _has_plain_default(field) -> bool:
+    return field.default is not dataclasses.MISSING
+
+
+def _kinds_with_defaults():
+    return [
+        (kind_id, cls) for kind_id, cls in sorted(registered_kinds().items())
+        if dataclasses.is_dataclass(cls)
+        and any(_has_plain_default(f) for f in dataclasses.fields(cls))
+    ]
+
+
+def _equals_of_another_class(default):
+    """``default`` as each other numeric class that still compares equal:
+    ``0`` -> ``0.0`` and ``False``, ``-1.0`` -> ``-1``, ``True`` -> ``1``..."""
+    return [
+        other(default) for other in (int, float, bool)
+        if other is not default.__class__ and other(default) == default
+    ]
+
+
+def _numeric_defaults():
+    return [
+        (kind_id, cls, index)
+        for kind_id, cls in _kinds_with_defaults()
+        for index, f in enumerate(dataclasses.fields(cls))
+        if _has_plain_default(f) and f.default.__class__ in (int, float, bool)
+    ]
+
+
+def _written_field_count(frame: bytes) -> int:
+    from repro.net.wire.codec import HEADER_BYTES
+
+    # Control body: tag KIND, kind id, field count (ids and counts < 128).
+    assert frame[HEADER_BYTES] == 10
+    return frame[HEADER_BYTES + 2]
+
+
+@pytest.mark.parametrize(
+    "kind_id,cls", _kinds_with_defaults(),
+    ids=[cls.__name__ for _, cls in _kinds_with_defaults()],
+)
+def test_every_suffix_of_default_fields_round_trips(kind_id, cls):
+    """Wire v14: a kind stops at its last non-default field.  Set the
+    first k fields, leave the rest at their defaults, for every k the
+    dataclass allows: the value round-trips, nothing past field k is
+    written, and field k itself is written whenever it differs from its
+    default.  A ``default_factory`` field is always written."""
+    fields = dataclasses.fields(cls)
+    required = max(
+        (i + 1 for i, f in enumerate(fields) if not _has_plain_default(f)),
+        default=0,
+    )
+    rng = SimRandom(2000 + kind_id)
+    for set_count in range(required, len(fields) + 1):
+        for _ in range(5):
+            kwargs = {
+                f.name: _value_for(rng, f.type) for f in fields[:set_count]
+            }
+            original = cls(**kwargs)
+            frame = encode_control_frame(original)
+            decoded = decode_frame(frame)[1]
+            assert decoded.__class__ is cls and decoded == original
+            written = _written_field_count(frame)
+            assert required <= written <= set_count
+            if set_count > required:
+                last = fields[set_count - 1]
+                value = kwargs[last.name]
+                if value.__class__ is not last.default.__class__ or value != last.default:
+                    assert written == set_count
+
+
+@pytest.mark.parametrize(
+    "kind_id,cls,index", _numeric_defaults(),
+    ids=[f"{cls.__name__}.{dataclasses.fields(cls)[index].name}"
+         for _, cls, index in _numeric_defaults()],
+)
+def test_a_default_of_another_class_is_written(kind_id, cls, index):
+    """``False`` equals a default ``0`` and ``0`` a default ``0.0``, but the
+    decoder would hand back the default's class: such a value is written,
+    and comes back as the class it was sent as."""
+    fields = dataclasses.fields(cls)
+    field = fields[index]
+    rng = SimRandom(3000 + kind_id)
+    values = _equals_of_another_class(field.default)
+    assert values
+    for value in values:
+        kwargs = {f.name: _value_for(rng, f.type) for f in fields[:index]}
+        kwargs[field.name] = value
+        frame = encode_control_frame(cls(**kwargs))
+        assert _written_field_count(frame) == index + 1
+        decoded = getattr(decode_frame(frame)[1], field.name)
+        assert decoded == value and decoded.__class__ is value.__class__
+
+
 def test_primitive_values_round_trip():
     rng = SimRandom(42)
     for _ in range(300):
@@ -375,6 +471,9 @@ def test_stamped_data_and_stability_plane_round_trip():
 
 
 def test_envelope_batch_round_trips():
+    """Only src, dst and payload travel: the decoded envelope's times are
+    left for the receiving fabric to stamp, and its ``size_bytes`` is the
+    payload's size model, whatever the sender's envelope said."""
     rng = SimRandom(7)
     envelopes = [
         Envelope(
@@ -395,10 +494,37 @@ def test_envelope_batch_round_trips():
     assert len(decoded) == len(envelopes)
     for original, copy in zip(envelopes, decoded):
         assert (copy.src, copy.dst) == (original.src, original.dst)
-        assert copy.send_time == original.send_time
-        assert copy.deliver_time == original.deliver_time
-        assert copy.size_bytes == original.size_bytes
+        assert (copy.send_time, copy.deliver_time) == (0.0, 0.0)
+        assert copy.size_bytes == payload_size(original.payload)
         assert copy.payload == original.payload
+
+
+def test_the_receiving_fabric_stamps_arrival_with_its_own_clock():
+    from repro.net.latency import FixedLatency
+    from repro.proc.env import Environment
+    from repro.runtime.socket_backend import SocketRuntime
+
+    runtime = SocketRuntime(seed=3)
+    try:
+        env = Environment(latency=FixedLatency(0.001), runtime=runtime)
+        arrived = []
+        env.network.register(
+            "b", lambda e: arrived.append(
+                (e.send_time, e.deliver_time, e.size_bytes, e.payload)
+            )
+        )
+        sent = Envelope("a", "b", GroupView("g", 2, ("a", "b")),
+                        send_time=123.5, deliver_time=124.0, size_bytes=9999)
+        (frame,), _ = encode_data_frames([sent])
+        before = runtime.timers.now
+        runtime.fabric._on_datagram(frame, ("127.0.0.1", 1))
+        after = runtime.timers.now
+        ((send_time, deliver_time, size, payload),) = arrived
+        assert before <= send_time == deliver_time <= after < 1.0
+        assert (size, payload) == (payload_size(sent.payload), sent.payload)
+        assert runtime.timers.take_error() is None
+    finally:
+        runtime.close()
 
 
 def test_oversized_batch_splits_into_frames():
@@ -429,6 +555,65 @@ def test_unencodable_and_oversized_records_reject_without_poisoning():
     assert len(rejects) == 2
     decoded = [e for f in frames for e in decode_frame(f)[1]]
     assert [e.payload for e in decoded] == ["fine", "also fine"]
+
+
+# -- wire budget ----------------------------------------------------------------
+
+_LEAF = "svc::leaf-svc-ldr-0-2"
+_PUT = {"op": "put", "key": "k17", "value": 17}
+
+
+def _budget_cases():
+    from repro.failure.detector import Heartbeat
+    from repro.toolkit.coordinator_cohort import CCRequest
+    from repro.transport.channel import Segment, SegmentAck
+
+    return {
+        "heartbeat": (
+            Envelope("svc-w-517", "svc-w-516", Heartbeat(), 0.0),
+            "52570e0101097376632d772d353137097376632d772d3531360a2000",
+        ),
+        "group-data": (
+            Envelope("svc-w-16", "svc-w-17", Segment(41, GroupData(
+                _LEAF, 16, "svc-w-16", 57, "total", _PUT, global_seq=312,
+            )), 0.0),
+            "52570e0101087376632d772d3136087376632d772d31370a010203520a0a08"
+            "05157376633a3a6c6561662d7376632d6c64722d302d32032005087376632d"
+            "772d313603720505746f74616c090305026f70050370757405036b65790503"
+            "6b3137050576616c756503220003f004",
+        ),
+        "cc-request": (
+            Envelope("client-0", "svc-w-16", CCRequest(
+                _LEAF, "client-0/cc10", _PUT, "client-0", 16,
+            ), 0.0),
+            "52570e010108636c69656e742d30087376632d772d31360a46050515737663"
+            "3a3a6c6561662d7376632d6c64722d302d32050d636c69656e742d302f6363"
+            "3130090305026f70050370757405036b657905036b3137050576616c756503"
+            "220508636c69656e742d300320",
+        ),
+        "transport-ack": (
+            Envelope("svc-w-17", "svc-w-16", SegmentAck(cum_seq=41), 0.0),
+            "52570e0101087376632d772d3137087376632d772d31360a02010352",
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "name,size", [("heartbeat", 28), ("group-data", 109),
+                  ("cc-request", 106), ("transport-ack", 28)],
+)
+def test_wire_budget(name, size):
+    """The exact bytes of the four frames that dominate the e2e workloads,
+    as a data frame of one record (v13 wrote them in 52, 140, 130 and 58
+    bytes).  A change that grows one fails here first: re-pin it with the
+    bytes it adds and why."""
+    envelope, expected = _budget_cases()[name]
+    (frame,), rejects = encode_data_frames([envelope])
+    assert not rejects
+    assert len(frame) == size
+    assert frame.hex() == expected
+    (decoded,) = decode_frame(frame)[1]
+    assert decoded.payload == envelope.payload
 
 
 # -- rejection properties -----------------------------------------------------
@@ -475,8 +660,8 @@ def test_bad_magic_version_kind_and_length():
     good = encode_control_frame(1)
     with pytest.raises(CodecError):
         decode_frame(b"XX" + good[2:])
-    # Skew in either direction: a newer peer, and a v3 peer whose
-    # ReportLeafStatus / UpdateLeaf still carry a request-rate field.
+    # Skew in either direction: a newer peer, and a v13 peer whose
+    # header still carries a body length.
     for version in (WIRE_VERSION + 1, WIRE_VERSION - 1):
         skewed = bytes([good[0], good[1], version]) + good[3:]
         with pytest.raises(CodecError):
@@ -484,7 +669,7 @@ def test_bad_magic_version_kind_and_length():
     with pytest.raises(CodecError):
         decode_frame(good[:3] + b"\x07" + good[4:])  # unknown frame kind
     with pytest.raises(CodecError):
-        decode_frame(good + b"\x00")  # length mismatch
+        decode_frame(good + b"\x00")  # padding: trailing bytes
     with pytest.raises(CodecError):
         decode_frame(b"")
 
@@ -604,8 +789,10 @@ def test_wire_ids_are_unique_and_stable():
     # whose copy carries ``global_seq`` — so a v11 peer's order message
     # is refused at the header.  v13: the name service's kinds (60-63)
     # and the parallel executor's (74, 75) are gone with their code, so a
-    # v12 peer's lookup or scatter is refused at the header.
-    assert WIRE_VERSION == 13
+    # v12 peer's lookup or scatter is refused at the header.  v14: the
+    # header drops its body length, an envelope record is src, dst and
+    # payload alone, and a kind stops at its last non-default field.
+    assert WIRE_VERSION == 14
 
 
 def test_a_gap_report_round_trips():
@@ -627,25 +814,57 @@ def test_a_gap_report_round_trips():
 
 
 def test_a_v9_segment_ack_is_refused_at_the_header():
-    """A v9 peer's ack has three fields.  Its frame is turned away by the
-    version byte; were the header skipped, the field count would refuse
-    it again rather than build an ack with a made-up ``high``."""
+    """A v9 peer's ack has three fields, and so, since v14, does an ack
+    with no gap: ``high`` is left at its default and not written.  The
+    count on the wire is the count written, so the v9 frame is turned
+    away by the version byte alone, and a body with more fields than the
+    kind declares is refused by the count."""
     from repro.net.wire.codec import HEADER_BYTES
     from repro.transport.channel import SegmentAck
 
-    frame = bytearray(encode_control_frame(SegmentAck(cum_seq=5, epoch=1)))
-    # The body: tag KIND, kind id 2, 4 fields, then cum_seq, incarnation,
-    # epoch and high (0: tag INT, zigzag 0) — drop the last field.
-    assert frame[HEADER_BYTES:HEADER_BYTES + 3] == bytes([10, 2, 4])
-    assert frame[-2:] == bytes([3, 0])
-    v9 = frame[:HEADER_BYTES] + bytes([10, 2, 3]) + frame[HEADER_BYTES + 3:-2]
-    v9[4:HEADER_BYTES] = (len(v9) - HEADER_BYTES).to_bytes(4, "big")
-    v9[2] = 9
+    ack = SegmentAck(cum_seq=5, epoch=1)
+    frame = bytearray(encode_control_frame(ack))
+    # The body: tag KIND, kind id 2, 3 fields, then cum_seq (zigzag 10),
+    # incarnation (0) and epoch (zigzag 2) — ``high`` is not written.
+    assert frame[HEADER_BYTES:] == bytes([10, 2, 3, 3, 10, 3, 0, 3, 2])
+    assert decode_frame(bytes(frame)) == (FRAME_CONTROL, ack)
+    frame[2] = 9
     with pytest.raises(CodecError, match="version"):
-        decode_frame(bytes(v9))
-    v9[2] = WIRE_VERSION
-    with pytest.raises(CodecError, match="got 3 fields, expected 4"):
-        decode_frame(bytes(v9))
+        decode_frame(bytes(frame))
+    frame[2] = WIRE_VERSION
+    five = frame[:HEADER_BYTES] + bytes([10, 2, 5]) + frame[HEADER_BYTES + 3:] + bytes([3, 0, 3, 0])
+    with pytest.raises(CodecError, match="got 5 fields, expected 1 to 4"):
+        decode_frame(bytes(five))
+
+
+def test_a_v13_frame_is_a_counted_decode_error():
+    """A v13 peer still writes an 8-byte header (a u32 body length) and
+    both clock readings and the size model in every record.  Its frame
+    is turned away at the version byte, and the socket fabric counts it
+    as a decode error and a drop."""
+    from repro.net.latency import FixedLatency
+    from repro.proc.env import Environment
+    from repro.runtime.socket_backend import SocketRuntime
+
+    def string(text):
+        return bytes([5, len(text)]) + text.encode()
+
+    body = (bytes([1]) + string("g-1") + string("g-0")
+            + bytes(8) + bytes(8) + bytes([16, 10, 32, 0]))
+    v13 = b"RW" + bytes([13, FRAME_DATA]) + len(body).to_bytes(4, "big") + body
+    with pytest.raises(CodecError, match="unsupported wire version 13"):
+        decode_frame(v13)
+    runtime = SocketRuntime(seed=3)
+    try:
+        env = Environment(latency=FixedLatency(0.001), runtime=runtime)
+        env.network.register("g-0", lambda e: pytest.fail("v13 frame delivered"))
+        before = env.network.stats.dropped
+        runtime.fabric._on_datagram(v13, ("127.0.0.1", 1))
+        assert runtime.fabric.decode_errors == 1
+        assert env.network.stats.dropped - before == 1
+        assert runtime.timers.take_error() is None
+    finally:
+        runtime.close()
 
 
 def test_a_v6_heartbeat_ack_is_refused_by_version_not_by_kind():
