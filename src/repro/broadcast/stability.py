@@ -79,7 +79,9 @@ class StabilityTracker:
         self._me = me
         members = tuple(members)
         self._delivered: Dict[Address, int] = {m: 0 for m in members}
-        self._log: Dict[Address, Dict[int, GroupData]] = {m: {} for m in members}
+        # Sender -> its logged messages by seq; only senders with
+        # messages above their floor have one.
+        self._log: Dict[Address, Dict[int, GroupData]] = {}
         # Stable floor per sender, plus the senders whose log may hold
         # entries at or below their floor (pending truncation).
         self._floor: Dict[Address, int] = {m: 0 for m in members}
@@ -110,7 +112,9 @@ class StabilityTracker:
         if old is None:
             return  # departed sender; flush handles its fate
         seq = data.sender_seq
-        log = self._log[sender]
+        log = self._log.get(sender)
+        if log is None:
+            log = self._log[sender] = {}
         log[seq] = data
         if seq != old + 1:
             return  # a duplicate, or past a gap the watermark waits at
@@ -195,11 +199,13 @@ class StabilityTracker:
     def unstable(self) -> List[GroupData]:
         """All logged messages above the stable floor (flush payload)."""
         out: List[GroupData] = []
-        for sender, entries in self._log.items():
-            floor = self._floor[sender]
-            out.extend(
-                data for seq, data in sorted(entries.items()) if seq > floor
-            )
+        log = self._log
+        for sender, floor in self._floor.items():  # view rank order
+            entries = log.get(sender)
+            if entries:
+                out.extend(
+                    data for seq, data in sorted(entries.items()) if seq > floor
+                )
         return out
 
     def log_size(self) -> int:
@@ -216,9 +222,14 @@ class StabilityTracker:
     def _truncate(self) -> None:
         if not self._dirty:
             return
+        log = self._log
         for sender in self._dirty:
-            entries = self._log[sender]
+            entries = log.get(sender)
+            if entries is None:
+                continue
             floor = self._floor[sender]
             for seq in [s for s in entries if s <= floor]:
                 del entries[seq]
+            if not entries:
+                del log[sender]  # a dict keeps its table once grown
         self._dirty.clear()

@@ -51,6 +51,7 @@ from repro.broadcast.cbcast import CausalEngine, causal_sort_key
 from repro.broadcast.fbcast import FifoEngine
 from repro.broadcast.stability import StabilityTracker
 from repro.failure.detector import FailureDetector, OracleDetector
+from repro.membership.delivered import DeliveredIds
 from repro.membership.events import (
     CAUSAL,
     DeliveryEvent,
@@ -60,7 +61,6 @@ from repro.membership.events import (
     GroupData,
     JoinRequest,
     LeaveRequest,
-    MessageId,
     NewView,
     ORDERINGS,
     StabilityGossip,
@@ -98,7 +98,9 @@ class GroupMember:
         self._engines: Dict[str, Any] = {}
         self._stability: Optional[StabilityTracker] = None
         self._sender_seq = 0
-        self._delivered: Dict[int, Set[MessageId]] = {}
+        # View seq -> what this member delivered in it: the current view
+        # and the one before.
+        self._delivered: Dict[int, DeliveredIds] = {}
         self._blocked = False
         self._outbox: List[Tuple[Any, str]] = []
         # Traffic of a view not installed here yet, as (handler, payload,
@@ -315,7 +317,11 @@ class GroupMember:
             return
         if data.view_seq < self.view.seq:
             return  # old view: reconciled by that view's flush
-        if data.message_id in self._delivered[self.view.seq]:
+        delivered = self._delivered[data.view_seq]
+        if (
+            data.sender_seq <= delivered.floor.get(data.sender, 0)
+            or data.message_id in delivered.above
+        ):
             return
         self._stability.record(data)
         engine = self._engines[data.ordering]
@@ -370,12 +376,18 @@ class GroupMember:
         )
 
     def _deliver(self, data: GroupData) -> None:
-        delivered = self._delivered[data.view_seq] if data.view_seq in self._delivered else None
+        delivered = self._delivered.get(data.view_seq)
         if delivered is None:
             return
-        if data.message_id in delivered:
+        floor = delivered.floor
+        watermark = floor.get(data.sender, 0)
+        seq = data.sender_seq
+        if seq <= watermark or data.message_id in delivered.above:
             return
-        delivered.add(data.message_id)
+        if seq == watermark + 1 and not delivered.above:
+            floor[data.sender] = seq
+        else:
+            delivered.add(data.message_id)
         self.deliveries += 1
         event = DeliveryEvent(
             group=self.group,
@@ -730,7 +742,7 @@ class GroupMember:
         self.view = new_view
         self.view_changes += 1
         self._sender_seq = 0
-        self._delivered[new_view.seq] = set()
+        self._delivered[new_view.seq] = DeliveredIds()
         for seq in [s for s in self._delivered if s < new_view.seq - 1]:
             del self._delivered[seq]
         self._engines = {
@@ -846,16 +858,12 @@ class GroupRuntime:
         self._groups: Dict[str, GroupMember] = {}
         self._watch_refs: Dict[Address, Set[str]] = {}
 
-        process.on(GroupData, self._route(lambda m, p, s: m._on_data(p, s)))
-        process.on(
-            StabilityGossip, self._route(lambda m, p, s: m._on_gossip(p, s))
-        )
-        process.on(Flush, self._route(lambda m, p, s: m._on_flush(p, s)))
-        process.on(FlushOk, self._route(lambda m, p, s: m._on_flush_ok(p, s)))
-        process.on(NewView, self._route(lambda m, p, s: m._on_new_view(p, s)))
-        process.on(
-            SuspectReport, self._route(lambda m, p, s: m._on_suspect_report(p, s))
-        )
+        process.on(GroupData, self._on_data)
+        process.on(StabilityGossip, self._on_gossip)
+        process.on(Flush, self._on_flush)
+        process.on(FlushOk, self._on_flush_ok)
+        process.on(NewView, self._on_new_view)
+        process.on(SuspectReport, self._on_suspect_report)
         self.rpc.serve(JoinRequest, self._serve_join)
         self.rpc.serve(LeaveRequest, self._serve_leave)
         if gossip_interval is not None:
@@ -935,13 +943,38 @@ class GroupRuntime:
 
     # -- routing --------------------------------------------------------------------
 
-    def _route(self, fn):
-        def handler(payload, sender):
-            member = self._groups.get(payload.group)
-            if member is not None:
-                fn(member, payload, sender)
+    # One method per group payload kind: hand it to the member of its
+    # group, if this process has one.
 
-        return handler
+    def _on_data(self, payload: GroupData, sender: Address) -> None:
+        member = self._groups.get(payload.group)
+        if member is not None:
+            member._on_data(payload, sender)
+
+    def _on_gossip(self, payload: StabilityGossip, sender: Address) -> None:
+        member = self._groups.get(payload.group)
+        if member is not None:
+            member._on_gossip(payload, sender)
+
+    def _on_flush(self, payload: Flush, sender: Address) -> None:
+        member = self._groups.get(payload.group)
+        if member is not None:
+            member._on_flush(payload, sender)
+
+    def _on_flush_ok(self, payload: FlushOk, sender: Address) -> None:
+        member = self._groups.get(payload.group)
+        if member is not None:
+            member._on_flush_ok(payload, sender)
+
+    def _on_new_view(self, payload: NewView, sender: Address) -> None:
+        member = self._groups.get(payload.group)
+        if member is not None:
+            member._on_new_view(payload, sender)
+
+    def _on_suspect_report(self, payload: SuspectReport, sender: Address) -> None:
+        member = self._groups.get(payload.group)
+        if member is not None:
+            member._on_suspect_report(payload, sender)
 
     def _serve_join(self, request: JoinRequest, sender: Address):
         member = self._groups.get(request.group)

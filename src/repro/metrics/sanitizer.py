@@ -165,7 +165,9 @@ class VirtualSynchronySanitizer:
         # Seed the delivered set exactly; per-stream watermarks stay
         # unknown (we cannot recover which ordering a past message used),
         # so the increasing-order check starts at the next delivery.
-        state.delivered.update(member._delivered.get(view.seq, ()))
+        delivered = member._delivered.get(view.seq)
+        if delivered is not None:
+            state.delivered.update(delivered)
         causal_engine = member._engines.get(CAUSAL)
         if causal_engine is not None:
             state.causal_clock = causal_engine._buffer.delivered_clock

@@ -72,22 +72,25 @@ class Timer:
             self._handle = once(self._delay, Timer._fire, self)
 
     def _fire(self) -> None:
-        if self._cancelled or not self._process.alive:
+        if self._cancelled:
             return
         if self._periodic:
+            if not self._process.alive:
+                return
             # Reschedule *before* running the callback (so events the
             # callback schedules at the same instant order after the next
             # tick, exactly as the closure-per-tick implementation did).
             self._process.env.scheduler.rearm(self._handle, self._delay)
-        else:
-            # A fired one-shot timer is dead: mark it cancelled so the
-            # owner's prune sweep can drop it (and so cancel() never
-            # touches the now-recycled engine handle).  Timer-heavy
-            # features (delayed acks) create thousands of one-shots per
-            # process; without this they survive every prune and the
-            # sweep goes quadratic.
-            self._cancelled = True
-        self._fn()
+            self._fn()
+            return
+        # A fired one-shot timer is dead, whether or not it runs: mark it
+        # cancelled (so cancel() never touches the now-recycled engine
+        # handle) and drop it, and its callback, from the owner's live set.
+        self._cancelled = True
+        del self._process._timers[self]
+        fn, self._fn = self._fn, None
+        if self._process.alive:
+            fn()
 
     def cancel(self) -> None:
         # Idempotent, and the sole guard keeping recycled one-shot
@@ -96,6 +99,8 @@ class Timer:
         if self._cancelled:
             return
         self._cancelled = True
+        self._fn = None
+        self._process._timers.pop(self, None)
         if self._handle is not None:
             self._handle.cancel()
 
@@ -117,7 +122,10 @@ class Process:
         # to discard channel state belonging to a dead incarnation.
         self.incarnation = 0
         self._handlers: Dict[Type, Handler] = {}
-        self._timers: List[Timer] = []
+        # Live timers in arming order (a dict used as an ordered set): a
+        # one-shot leaves when it fires or is cancelled, a periodic timer
+        # when it is cancelled.
+        self._timers: Dict[Timer, None] = {}
         self._recover_listeners: List[Callable[[], None]] = []
         self._unhandled: List[Any] = []
         # env.network is assigned once in Environment.__init__ and never
@@ -186,21 +194,15 @@ class Process:
     def set_timer(self, delay: float, fn: Callable[[], None]) -> Timer:
         """Run ``fn`` once after ``delay`` (unless crashed or cancelled)."""
         timer = Timer(self, delay, fn, periodic=False)
-        self._timers.append(timer)
-        self._prune_timers()
+        self._timers[timer] = None
         return timer
 
     def every(self, interval: float, fn: Callable[[], None]) -> Timer:
         """Run ``fn`` every ``interval`` until cancelled; ticks stop while
         the process is crashed and resume one interval after recovery."""
         timer = Timer(self, interval, fn, periodic=True)
-        self._timers.append(timer)
-        self._prune_timers()
+        self._timers[timer] = None
         return timer
-
-    def _prune_timers(self) -> None:
-        if len(self._timers) > 64:
-            self._timers = [t for t in self._timers if not t.cancelled]
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -213,12 +215,11 @@ class Process:
         # One-shots die with the protocol state that armed them.  Periodic
         # timers belong to the attached layers, which outlive the crash:
         # only their engine handle is cancelled, and recover() re-arms them.
-        for timer in self._timers:
-            if timer._periodic and not timer.cancelled:
+        for timer in list(self._timers):
+            if timer._periodic:
                 timer._handle.cancel()
             else:
                 timer.cancel()
-        self._timers = [t for t in self._timers if not t.cancelled]
         self.on_crash()
         self.env.notify_crash(self.address)
 
@@ -229,8 +230,8 @@ class Process:
         self.alive = True
         self.incarnation += 1
         self.env.network.register(self.address, self._on_envelope)
-        for timer in self._timers:
-            if timer._periodic and not timer.cancelled:
+        for timer in list(self._timers):
+            if timer._periodic:
                 timer._handle.cancel()  # idempotent; live only if armed while down
                 timer._arm()
         self.on_recover()

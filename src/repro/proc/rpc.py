@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Type
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from repro.net.message import Address
-from repro.proc.process import Process
+from repro.proc.process import Process, Timer
 
 ReplyFn = Callable[[Any, Address], None]
 TimeoutFn = Callable[[], None]
@@ -58,7 +58,9 @@ class Rpc:
 
     def __init__(self, process: Process) -> None:
         self._process = process
-        self._pending: Dict[str, ReplyFn] = {}
+        # request id -> (reply callback, its timeout timer or None); the
+        # reply cancels the timer, so no timeout outlives its call.
+        self._pending: Dict[str, Tuple[ReplyFn, Optional[Timer]]] = {}
         self._servers: Dict[Type, ServeFn] = {}
         process.on(RpcRequest, self._on_request)
         process.on(RpcReply, self._on_reply)
@@ -76,12 +78,13 @@ class Rpc:
         """Send ``body`` to ``dst``; invoke ``on_reply(value, sender)`` on the
         reply, or ``on_timeout()`` if none arrives within ``timeout``."""
         request_id = f"{self._process.address}#{next(self._ids)}"
-        self._pending[request_id] = on_reply
+        self._pending[request_id] = (on_reply, None)
         self._process.send(dst, RpcRequest(request_id=request_id, body=body))
-        if timeout is not None:
-            self._process.set_timer(
+        if timeout is not None and request_id in self._pending:
+            timer = self._process.set_timer(
                 timeout, lambda: self._expire(request_id, on_timeout)
             )
+            self._pending[request_id] = (on_reply, timer)
         return request_id
 
     def _expire(self, request_id: str, on_timeout: Optional[TimeoutFn]) -> None:
@@ -89,8 +92,11 @@ class Rpc:
             on_timeout()
 
     def _on_reply(self, reply: RpcReply, sender: Address) -> None:
-        on_reply = self._pending.pop(reply.request_id, None)
-        if on_reply is not None:
+        pending = self._pending.pop(reply.request_id, None)
+        if pending is not None:
+            on_reply, timer = pending
+            if timer is not None:
+                timer.cancel()
             on_reply(reply.value, sender)
 
     # -- server ----------------------------------------------------------------

@@ -111,7 +111,9 @@ class ReliableTransport:
 
     def send(self, dst: Address, payload: Any) -> None:
         """Reliably send ``payload`` to ``dst`` (FIFO per destination)."""
-        state = self._send.setdefault(dst, SendState())
+        state = self._send.get(dst)
+        if state is None:
+            state = self._send[dst] = SendState()
         if not state.unacked:
             self._note_inflight()
         segment = state.admit(
@@ -135,8 +137,11 @@ class ReliableTransport:
         now = self._process.env.now
         lazy = payload.__class__ in self._lazy
         segments = []
+        channels = self._send
         for dst in dst_list:
-            state = self._send.setdefault(dst, SendState())
+            state = channels.get(dst)
+            if state is None:
+                state = channels[dst] = SendState()
             if not state.unacked:
                 self._note_inflight()
             segments.append((dst, state.admit(payload, now, self._incarnation, lazy)))

@@ -289,6 +289,22 @@ def test_stability_announced_floor_truncates_at_a_member():
     assert tracker.stable_floor("b") == 1
 
 
+def test_stability_unstable_lists_senders_in_view_rank_order():
+    """A sender's log is made at its first record, yet the flush payload
+    still lists senders by rank; a log truncation empties is dropped."""
+    tracker = StabilityTracker("b", ("a", "b", "c"))
+    for sender, seq in (("c", 1), ("a", 2), ("b", 1), ("a", 1), ("c", 2)):
+        tracker.record(data(sender, seq))
+    assert [(d.sender, d.sender_seq) for d in tracker.unstable()] == [
+        ("a", 1), ("a", 2), ("b", 1), ("c", 1), ("c", 2),
+    ]
+    tracker.on_floors({"a": 2, "c": 1}, 0)
+    assert sorted(tracker._log) == ["b", "c"]
+    assert [(d.sender, d.sender_seq) for d in tracker.unstable()] == [
+        ("b", 1), ("c", 2),
+    ]
+
+
 def test_stability_report_carries_only_what_moved_and_only_once():
     tracker = StabilityTracker("b", ("a", "b", "c"))
     assert tracker.take_report(0) is None  # idle: nothing to say
