@@ -22,6 +22,8 @@ Quickstart::
     env.run_for(1.0)
 
 See ``examples/`` for the full tour and ``DESIGN.md`` for the system map.
+``AsyncioRuntime`` loads on first access, so a simulated run never imports
+asyncio.
 """
 
 from repro.core.params import LargeGroupParams
@@ -29,9 +31,18 @@ from repro.membership.events import CAUSAL, FIFO, TOTAL
 from repro.membership.service import GroupNode, build_group
 from repro.net.latency import FixedLatency, LanLatency, UniformLatency
 from repro.proc.env import Environment
-from repro.runtime import AsyncioRuntime, SimRuntime
+from repro.runtime import SimRuntime
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    if name == "AsyncioRuntime":
+        from repro.runtime import AsyncioRuntime
+
+        return AsyncioRuntime
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AsyncioRuntime",

@@ -112,10 +112,6 @@ class Tracker:
     def endpoint(self) -> Endpoint:
         return self._endpoint.endpoint
 
-    @property
-    def results(self) -> Dict[int, Any]:
-        return dict(self._results)
-
     # -- handlers ------------------------------------------------------------
 
     def _on_register(self, message: NodeRegister, addr: Endpoint) -> None:

@@ -19,8 +19,13 @@ deterministic random stream with labelled forking — is re-exported here
 because it is part of the engine contract (every backend carries one),
 not a simulator internal.
 
+The wall-clock engines load on first attribute access (PEP 562), so a
+simulated run never imports asyncio, socket, ssl or subprocess.
+
 See docs/runtime.md for the contract and a guide to writing backends.
 """
+
+import importlib
 
 from repro.runtime.api import (
     MessageFabric,
@@ -29,15 +34,27 @@ from repro.runtime.api import (
     TimerHandle,
     TimerService,
 )
-from repro.runtime.asyncio_backend import (
-    AsyncioFabric,
-    AsyncioRuntime,
-    AsyncioTimers,
-    WallClockError,
-)
 from repro.runtime.sim_backend import SimRuntime
-from repro.runtime.socket_backend import SocketFabric, SocketRuntime, run_cluster
 from repro.sim.rand import SimRandom
+
+_LAZY = {
+    "AsyncioFabric": "repro.runtime.asyncio_backend",
+    "AsyncioRuntime": "repro.runtime.asyncio_backend",
+    "AsyncioTimers": "repro.runtime.asyncio_backend",
+    "WallClockError": "repro.runtime.asyncio_backend",
+    "SocketFabric": "repro.runtime.socket_backend",
+    "SocketRuntime": "repro.runtime.socket_backend",
+    "run_cluster": "repro.runtime.socket_backend",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "AsyncioFabric",

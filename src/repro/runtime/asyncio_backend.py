@@ -200,11 +200,6 @@ class AsyncioFabric:
     def now(self) -> float:
         return self._timers.now
 
-    @property
-    def in_flight(self) -> int:
-        """Datagrams accepted but not yet delivered."""
-        return self._in_flight
-
     def at_call(self, time: float, fn: Callable[[Any], None], arg: Any) -> AsyncioTimerHandle:
         self.dispatched += 1
         self._in_flight += 1

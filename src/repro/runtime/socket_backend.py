@@ -146,11 +146,6 @@ class SocketFabric:
     def now(self) -> float:
         return self._timers.now
 
-    @property
-    def in_flight(self) -> int:
-        """Datagrams accepted but not yet delivered or transmitted."""
-        return self._in_flight
-
     def at_call(
         self, time: float, fn: Callable[[Any], None], arg: Any
     ) -> AsyncioTimerHandle:

@@ -30,8 +30,14 @@ Performance notes (see docs/simulator.md, "Allocation discipline"):
   Events whose handles escape (``at`` / ``at_call``) are never recycled:
   a retained handle may legally be cancelled or re-armed later, which
   would hijack a recycled event.
-* :meth:`Scheduler.rearm` re-pushes a *fired* event object at a new time,
-  so periodic timers reuse one event + handle for their whole life.
+* :meth:`Scheduler.rearm` re-queues a *fired* event object at a new time,
+  so periodic timers reuse one event + handle for their whole life.  It
+  queues the handle in a *tick bucket*, one per instant: every periodic
+  handle re-armed for one instant fires from a single heap entry, under
+  the same sealing rule, free lists and per-call count as
+  ``at_call_grouped``.  An idle population of n timers on k phases holds
+  k heap entries, not n.  A handle cancelled while it waits in a bucket
+  is skipped when the bucket fires and not counted.
 * Cancellation stays lazy (O(1)), but the scheduler counts cancelled
   events still sitting in the heap and compacts the heap when they exceed
   :data:`COMPACT_MIN` *and* outnumber the live events — long churn runs
@@ -68,9 +74,18 @@ class _Event:
     ``once`` marks recyclable events (bucket events and
     ``after_call_once`` one-shots): they return to the scheduler's free
     list when they fire, so their handle must not be touched afterwards.
+
+    ``batch`` marks a bucket.  A grouped bucket's ``fn`` takes the list
+    of arguments; a tick bucket has ``fn`` None and ``arg`` the list of
+    re-armed handles, each fired with its own callback.  ``bucketed``
+    marks a handle that ``rearm`` has queued in a tick bucket rather
+    than as a heap entry of its own (``in_heap`` then means "queued").
     """
 
-    __slots__ = ("time", "fn", "arg", "cancelled", "in_heap", "batch", "once", "_sched")
+    __slots__ = (
+        "time", "fn", "arg", "cancelled", "in_heap", "batch", "once", "bucketed",
+        "_sched",
+    )
 
     def __init__(
         self,
@@ -89,6 +104,7 @@ class _Event:
         self.in_heap = True
         self.batch = batch
         self.once = once
+        self.bucketed = False
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent; safe after firing
@@ -97,7 +113,11 @@ class _Event:
             return
         self.cancelled = True
         if self.in_heap:
-            self._sched._note_cancelled()
+            if self.bucketed:
+                # Not a heap entry: its bucket skips it within one period.
+                self._sched._live -= 1
+            else:
+                self._sched._note_cancelled()
 
 
 # Historical name: PR-1 returned a separate handle object; the event now
@@ -131,12 +151,16 @@ class Scheduler:
         # sealed by any same-timestamp seq assignment or by firing.
         self._bucket: Optional[_Event] = None
         self._bucket_time = -1.0
+        # The open tick buckets (rearm), one per instant, sealed the same
+        # way.  At most one bucket of either kind is open at an instant.
+        self._ticks: Dict[float, _Event] = {}
         # Free lists + fresh-construction counters (the allocation probe
         # in tools/perf_report.py reads alloc_stats).
         self._event_pool: List[_Event] = []
         self._arg_pool: List[list] = []
         self._fresh_events = 0
         self._fresh_lists = 0
+        self._spare_list: list = []  # see _fire_ticks
 
     @property
     def now(self) -> float:
@@ -162,7 +186,9 @@ class Scheduler:
     @property
     def heap_size(self) -> int:
         """Raw heap length, including lazily cancelled events.  A bucket
-        of grouped same-timestamp calls occupies a single entry."""
+        of grouped same-timestamp calls occupies a single entry, and so
+        do all the periodic handles re-armed for one instant (a tick
+        bucket), cancelled ones included until the bucket fires."""
         return len(self._heap)
 
     @property
@@ -191,6 +217,8 @@ class Scheduler:
             )
         if self._bucket is not None and self._bucket_time == time:
             self._bucket = None  # seal: keep (time, seq) order exact
+        if time in self._ticks:
+            del self._ticks[time]
         event = _Event(self, time, fn, _NO_ARG, False, False)
         heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
@@ -216,6 +244,8 @@ class Scheduler:
             )
         if self._bucket is not None and self._bucket_time == time:
             self._bucket = None
+        if time in self._ticks:
+            del self._ticks[time]
         event = _Event(self, time, fn, arg, False, False)
         heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
@@ -246,6 +276,8 @@ class Scheduler:
             )
         if self._bucket is not None and self._bucket_time == time:
             self._bucket = None
+        if time in self._ticks:
+            del self._ticks[time]
         pool = self._event_pool
         if pool:
             event = pool.pop()
@@ -302,6 +334,14 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule event at {time:.6f} < now {self._now:.6f}"
             )
+        if time in self._ticks:
+            del self._ticks[time]
+        self._bucket = self._open_bucket(time, fn, arg)
+        self._bucket_time = time
+
+    def _open_bucket(self, time: float, fn: Optional[Callable], arg: Any) -> _Event:
+        """Push a new bucket holding ``arg``, drawn from the free lists.
+        The caller has sealed every other bucket open at ``time``."""
         pool = self._event_pool
         if pool:
             event = pool.pop()
@@ -324,13 +364,19 @@ class Scheduler:
         heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
         self._live += 1
-        self._bucket = event
-        self._bucket_time = time
+        return event
 
     def rearm(self, handle: _Event, delay: float) -> _Event:
-        """Re-push a *fired* event at ``now + delay``, reusing its event
+        """Re-queue a *fired* event at ``now + delay``, reusing its event
         object and handle (no allocation).  Periodic timers use this so a
         million ticks cost one event object, not a million.
+
+        The handle joins the tick bucket open at that instant, or opens
+        one: every handle re-armed for one instant fires from a single
+        heap entry, in re-arm order.  The bucket is sealed exactly as an
+        ``at_call_grouped`` bucket is — by any other seq-consuming
+        schedule at the same instant, or by firing — so the global
+        (time, seq) order is the one a heap entry per handle would give.
 
         The event must not currently be queued; its cancelled flag is
         cleared (re-arming an event is scheduling it anew).  Recyclable
@@ -344,14 +390,18 @@ class Scheduler:
         if handle.once:
             raise SimulationError("cannot rearm a recycled one-shot event")
         time = self._now + delay
-        if self._bucket is not None and self._bucket_time == time:
-            self._bucket = None
         handle.time = time
         handle.cancelled = False
         handle.in_heap = True
-        heapq.heappush(self._heap, (time, self._seq, handle))
-        self._seq += 1
-        self._live += 1
+        handle.bucketed = True
+        bucket = self._ticks.get(time)
+        if bucket is not None:
+            bucket.arg.append(handle)
+            self._live += 1
+            return handle
+        if self._bucket is not None and self._bucket_time == time:
+            self._bucket = None
+        self._ticks[time] = self._open_bucket(time, None, handle)
         return handle
 
     # -- cancellation bookkeeping --------------------------------------------
@@ -390,9 +440,11 @@ class Scheduler:
         """Fire one popped heap entry; returns how many events it counted
         as (a bucket counts each grouped call).  Shared by step() and the
         bounded run loop; the unbounded loop inlines the same logic."""
-        self._now = time
         arg = event.arg
         if event.batch:
+            if event.fn is None:
+                return self._fire_ticks(time, event)
+            self._now = time
             if self._bucket is event:
                 self._bucket = None
             n = len(arg)
@@ -405,6 +457,7 @@ class Scheduler:
             event.arg = None
             self._event_pool.append(event)
             return n
+        self._now = time
         self._events_processed += 1
         self._live -= 1
         if arg is _NO_ARG:
@@ -416,6 +469,41 @@ class Scheduler:
             event.arg = None
             self._event_pool.append(event)
         return 1
+
+    def _fire_ticks(self, time: float, bucket: _Event) -> int:
+        """Fire a tick bucket's handles in re-arm order; returns how many
+        fired.  A handle cancelled while it waited is skipped and not
+        counted, and leaves ``now`` alone, as its own heap entry would."""
+        ticks = self._ticks
+        if ticks.get(time) is bucket:
+            del ticks[time]
+        handles = bucket.arg
+        bucket.arg = None
+        self._event_pool.append(bucket)
+        # Lend the free list the spare in place of the list being walked,
+        # so the callbacks find the pools as full as a heap entry per
+        # handle would leave them.  (The spare is only non-empty if an
+        # earlier bucket's callback raised.)
+        spare = self._spare_list
+        spare.clear()
+        self._arg_pool.append(spare)
+        self._spare_list = handles
+        fired = 0
+        for handle in handles:
+            handle.in_heap = False
+            if handle.cancelled:
+                continue
+            self._now = time
+            self._events_processed += 1
+            self._live -= 1
+            fired += 1
+            arg = handle.arg
+            if arg is _NO_ARG:
+                handle.fn()
+            else:
+                handle.fn(arg)
+        handles.clear()
+        return fired
 
     def step(self) -> bool:
         """Fire the next event (an entire bucket counts as one step).
@@ -433,8 +521,8 @@ class Scheduler:
                     event.arg = None
                     self._event_pool.append(event)
                 continue
-            self._dispatch(entry[0], event)
-            return True
+            if self._dispatch(entry[0], event):
+                return True
         return False
 
     def run(
@@ -475,9 +563,13 @@ class Scheduler:
                             event_pool.append(event)
                         continue
                     event.in_heap = False
-                    self._now = entry[0]
                     arg = event.arg
                     if event.batch:
+                        if event.fn is None:
+                            self._fire_ticks(entry[0], event)
+                            heap = self._heap
+                            continue
+                        self._now = entry[0]
                         if self._bucket is event:
                             self._bucket = None
                         self._events_processed += len(arg)
@@ -489,6 +581,7 @@ class Scheduler:
                         event.arg = None
                         event_pool.append(event)
                     else:
+                        self._now = entry[0]
                         self._events_processed += 1
                         self._live -= 1
                         if arg is no_arg:

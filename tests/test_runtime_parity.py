@@ -213,3 +213,24 @@ def test_sim_runtime_reproduces_frozen_baselines():
     assert snapshot.bytes == FROZEN_BYTES
     assert events == FROZEN_EVENTS
     assert now == 8.0
+
+
+def test_a_sim_run_loads_no_live_engine():
+    """``repro`` and ``repro.runtime`` resolve the asyncio and UDP engines
+    on first access, so a simulated run imports none of their stdlib."""
+    script = (
+        "import sys\n"
+        "from repro import Environment, build_group\n"
+        "env = Environment(seed=1)\n"
+        "build_group(env, 'g', 3)\n"
+        "env.run_for(1.0)\n"
+        "print(sorted({'asyncio', 'socket', 'ssl', 'subprocess'} & set(sys.modules)))\n"
+        "from repro import AsyncioRuntime\n"
+        "from repro.runtime import SocketFabric, run_cluster\n"
+        "print(AsyncioRuntime.__name__, SocketFabric.__name__, run_cluster.__name__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split("\n")
+    assert out[:2] == ["[]", "AsyncioRuntime SocketFabric run_cluster"]

@@ -1,0 +1,308 @@
+"""The scheduler fires in exactly the order of a plain heap.
+
+``Scheduler`` batches work behind single heap entries: ``at_call_grouped``
+buckets and the tick buckets ``rearm`` fills, sealed whenever another
+seq-consuming schedule lands on their instant.  ``PlainHeap`` below is the
+engine those mechanisms must be indistinguishable from: one ``(time,
+seq)`` heap entry per call, lazy cancellation, nothing pooled.  A
+hypothesis script drives both through random interleavings of ``at``,
+``at_call``, ``at_call_once``, ``at_call_grouped``, ``rearm``, ``cancel``
+and a crash (cancel every periodic handle of one owner), on dyadic times
+so that re-arms, grouped deliveries and one-shots keep landing on the
+same instants.  After every run slice the firing order, ``now``,
+``events_processed`` and ``pending`` must be identical, and so must the
+per-call counts every handle callback sees.
+"""
+
+import heapq
+from dataclasses import dataclass
+
+from hypothesis import given, settings, strategies as st
+
+from repro.net import UniformLatency
+from repro.proc import Environment, Process
+from repro.sim.scheduler import Scheduler
+
+# Few dyadic delays: sums stay exact, so re-arms, one-shots and grouped
+# calls keep landing on the instants equal-period handles share.
+DELAYS = (0.0, 0.25, 0.5)
+HORIZON = 3.0  # periodic handles stop re-arming here, so a run drains
+SLICES = [0.125 * i for i in range(1, 33)]  # run(until=...) steps, to 4.0
+
+
+class _RefEvent:
+    __slots__ = ("heap", "fn", "cancelled", "queued")
+
+    def __init__(self, heap, fn):
+        self.heap = heap
+        self.fn = fn
+        self.cancelled = False
+        self.queued = False
+
+    def cancel(self):
+        if self.cancelled:
+            return
+        self.cancelled = True
+        if self.queued:
+            self.heap.pending -= 1
+
+
+class PlainHeap:
+    """The reference engine: a heap entry per call, FIFO among equal
+    times, and a grouped call is just a call with a one-element list."""
+
+    def __init__(self):
+        self._heap = []
+        self._seq = 0
+        self.now = 0.0
+        self.events_processed = 0
+        self.pending = 0
+
+    def _push(self, time, event):
+        assert time >= self.now
+        event.queued = True
+        event.cancelled = False
+        heapq.heappush(self._heap, (time, self._seq, event))
+        self._seq += 1
+        self.pending += 1
+        return event
+
+    def at(self, time, fn):
+        return self._push(time, _RefEvent(self, fn))
+
+    def at_call(self, time, fn, arg):
+        return self._push(time, _RefEvent(self, lambda: fn(arg)))
+
+    at_call_once = at_call
+
+    def at_call_grouped(self, time, fn, arg):
+        self._push(time, _RefEvent(self, lambda: fn([arg])))
+
+    def rearm(self, handle, delay):
+        assert not handle.queued
+        return self._push(self.now + delay, handle)
+
+    def run(self, until=None):
+        heap = self._heap
+        while heap and (until is None or heap[0][0] <= until):
+            time, _seq, event = heapq.heappop(heap)
+            event.queued = False
+            if event.cancelled:
+                continue
+            self.now = time
+            self.events_processed += 1
+            self.pending -= 1
+            event.fn()
+        if until is not None and until > self.now:
+            self.now = until
+
+
+delay = st.sampled_from((0, 1, 2, 2))  # mostly one common period ahead
+actions = st.one_of(
+    st.tuples(st.just("at"), delay, delay),  # the last field: period, 0 = none
+    st.tuples(st.just("at_call"), delay, delay),
+    st.tuples(st.just("once"), delay, st.just(0)),
+    st.tuples(st.just("grouped"), delay, st.sampled_from((0, 0, 1))),
+    st.tuples(st.just("rearm"), delay, st.integers(0, 50)),
+    st.tuples(st.just("cancel"), st.just(0), st.integers(0, 50)),
+    st.tuples(st.just("crash"), st.just(0), st.integers(0, 2)),
+    st.tuples(st.just("idle"), st.just(0), st.just(0)),
+)
+
+
+class Driver:
+    """Runs one script against one engine and logs what it observes.
+
+    Every fired callback (and every run slice) consumes the next script
+    action, so two engines consume the same actions exactly as long as
+    they fire in the same order.  Labels name handles across engines.
+    """
+
+    def __init__(self, sched, script, periods):
+        self.s = sched
+        self.script = script
+        self.cursor = 0
+        self.log = []
+        self.kinds = {}  # label -> "plain" | "once" | "grouped"
+        self.periods = {}  # label -> re-arm delay of a periodic handle
+        self.handles = {}  # label -> handle, while it may be touched
+        self.queued = {}  # cancellable queued labels, in queueing order
+        self.fired = {}  # fired plain labels, free to re-arm
+        self.grouped = (self._grouped, self._grouped_other)  # stable fns
+        for period in periods:
+            self._schedule("at_call", DELAYS[period], period)
+
+    # -- scheduling -------------------------------------------------------------
+
+    def _label(self, kind):
+        label = len(self.kinds)
+        self.kinds[label] = kind
+        return label
+
+    def _schedule(self, kind, delay, period):
+        s = self.s
+        time = s.now + delay
+        if kind == "grouped":
+            s.at_call_grouped(time, self.grouped[period], self._label("grouped"))
+            return
+        label = self._label("once" if kind == "once" else "plain")
+        if kind == "at":
+            handle = s.at(time, lambda: self.fire(label))
+        elif kind == "at_call":
+            handle = s.at_call(time, self.fire, label)
+        else:
+            handle = s.at_call_once(time, self.fire, label)
+        if kind != "once" and period:
+            self.periods[label] = DELAYS[period]
+        self.handles[label] = handle
+        self.queued[label] = None
+
+    def _rearm(self, label, delay):
+        del self.fired[label]
+        self.s.rearm(self.handles[label], delay)
+        self.queued[label] = None
+
+    def _cancel(self, label):
+        self.handles.pop(label).cancel()
+        del self.queued[label]
+        self.periods.pop(label, None)
+
+    def act(self):
+        if self.cursor >= len(self.script):
+            return
+        kind, delay, pick = self.script[self.cursor]
+        self.cursor += 1
+        if kind in ("at", "at_call", "once", "grouped"):
+            self._schedule(kind, DELAYS[delay], pick)
+        elif kind == "rearm" and self.fired:
+            self._rearm(list(self.fired)[pick % len(self.fired)], DELAYS[delay])
+        elif kind == "cancel" and self.queued:
+            self._cancel(list(self.queued)[pick % len(self.queued)])
+        elif kind == "crash":
+            # A crash cancels one owner's periodic handles wherever they
+            # wait: a heap entry of their own or a tick bucket.
+            for label in list(self.queued):
+                if label % 3 == pick and label in self.periods:
+                    self._cancel(label)
+
+    # -- firing -----------------------------------------------------------------
+
+    def fire(self, label):
+        s = self.s
+        del self.queued[label]
+        self.log.append((label, s.now, s.events_processed, s.pending))
+        if self.kinds[label] == "once":
+            del self.handles[label]  # recycled once fired: never touched again
+        else:
+            self.fired[label] = None
+            period = self.periods.get(label)
+            if period is not None and s.now < HORIZON:
+                # Re-arm before the callback's work, as Process.every does.
+                self._rearm(label, period)
+        self.act()
+
+    def _grouped(self, labels):
+        # A bucket counts all its calls up front; the per-call counts a
+        # grouped callback sees are not the per-call engine's.
+        for label in labels:
+            self.log.append((label, self.s.now))
+            self.act()
+
+    def _grouped_other(self, labels):
+        self._grouped(labels)
+
+    def drive(self):
+        for until in SLICES:
+            self.act()
+            self.s.run(until=until)
+            self.log.append(("slice", self.s.now, self.s.events_processed, self.s.pending))
+        self.s.run()
+        self.log.append(("drained", self.s.now, self.s.events_processed, self.s.pending))
+        return self.log
+
+
+def run_both(script, periods):
+    ours = Driver(Scheduler(), script, periods).drive()
+    reference = Driver(PlainHeap(), script, periods).drive()
+    return ours, reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    script=st.lists(actions, max_size=80),
+    periods=st.lists(st.sampled_from((1, 2, 2)), min_size=2, max_size=6),
+)
+def test_firing_order_and_counts_match_a_plain_heap(script, periods):
+    ours, reference = run_both(script, periods)
+    assert ours == reference
+
+
+def fired_at(log, time):
+    return [entry[0] for entry in log if entry[0] not in ("slice", "drained") and entry[1] == time]
+
+
+IDLE = ("idle", 0, 0)
+
+
+def test_a_same_instant_schedule_seals_the_open_bucket():
+    """Four periodic handles fire at 0.5 and re-arm for 1.0; after each
+    re-arm the handle's action lands a one-shot, a grouped call, a
+    second grouped call and an ``at_call`` on 1.0.  Each must fire right
+    after the handle that scheduled it, as a heap entry per call orders
+    it: every schedule seals the tick bucket open at 1.0, and the third
+    re-arm seals the grouped bucket open there.  (The four idles are the
+    slices' actions up to 0.5.)"""
+    script = [IDLE] * 4 + [("once", 2, 0), ("grouped", 2, 0), ("grouped", 2, 0), ("at_call", 2, 0)]
+    ours, reference = run_both(script, [2, 2, 2, 2])
+    assert ours == reference
+    assert fired_at(ours, 1.0) == [0, 4, 1, 5, 2, 6, 3, 7]
+
+
+def test_a_cancelled_handle_in_a_bucket_is_skipped_and_not_counted():
+    """Three 0.25-s handles fire at 0.25 and wait in one bucket for 0.5;
+    the slice action at 0.375 crashes owner 1, cancelling handle 1 there."""
+    ours, reference = run_both([IDLE] * 5 + [("crash", 0, 1)], [1, 1, 1])
+    assert ours == reference
+    assert fired_at(ours, 0.25) == [0, 1, 2]
+    assert fired_at(ours, 0.5) == [0, 2]
+    # The drained run counted 2 handles a tick after the crash, not 3.
+    assert ours[-1][2] == 3 + 2 * 11
+
+
+# -- an idle population pays once per instant ---------------------------------
+
+
+@dataclass
+class Beat:
+    category = "heartbeat"
+
+
+def test_an_idle_population_holds_one_heap_entry_per_instant():
+    """1,024 processes tick ``every(0.2)`` on one phase and send one
+    jittered heartbeat a tick.  Sampled mid-period from the first tick
+    on, when no heartbeat is in flight, the heap holds the one tick
+    bucket, not 1,024 timers (each timer's first arm is a heap entry of
+    its own); and after the first second no event or argument list is
+    built fresh."""
+    env = Environment(seed=1, latency=UniformLatency(0.001, 0.004))
+    n = 1024
+    procs = [Process(env, f"p{i}") for i in range(n)]
+    received = [0]
+    for i, proc in enumerate(procs):
+        proc.on(Beat, lambda _payload, _src: received.__setitem__(0, received[0] + 1))
+        proc.every(0.2, lambda proc=proc, dst=f"p{(i + 1) % n}": proc.send(dst, Beat()))
+    sched = env.scheduler
+    peak = 0
+    fresh = None
+    for k in range(25):
+        env.run(until=0.1 + 0.2 * k)
+        if k:
+            peak = max(peak, sched.heap_size)
+        if k == 5:
+            stats = sched.alloc_stats
+            fresh = stats["fresh_events"] + stats["fresh_arg_lists"]
+    assert received[0] == 24 * n
+    assert sched.events_processed == 2 * 24 * n
+    assert peak <= 64
+    stats = sched.alloc_stats
+    assert stats["fresh_events"] + stats["fresh_arg_lists"] == fresh

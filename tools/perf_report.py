@@ -166,8 +166,8 @@ class _HeapWatch:
 
     ``pending`` (live, non-cancelled events) is the honest backlog
     metric: the raw heap length also counts lazily cancelled entries and
-    counts a whole grouped bucket as one, so cancellation-heavy runs
-    inflate it and batched runs deflate it.  That inflation is what
+    counts a whole grouped or tick bucket as one, so cancellation-heavy
+    runs inflate it and batched runs deflate it.  That inflation is what
     ``peak_raw`` is for: it stays flat only while cancelled timers are
     compacted away."""
 
