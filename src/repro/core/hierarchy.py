@@ -34,18 +34,11 @@ from repro.proc.process import Timer
 
 @dataclass
 class SplitCmd:
-    """abcast within a leaf: the listed movers depart to form a new leaf.
-
-    ``level``/``parent_path`` carry the leader's level-tagged placement
-    through to the movers (the new leaf is a sibling: same level, same
-    branch chain above), so deep trees need no extra round trip.
-    """
+    """abcast within a leaf: the listed movers depart to form a new leaf."""
 
     new_leaf_id: str
     new_group: str
     movers: Tuple[Address, ...]
-    level: int = 0
-    parent_path: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -54,8 +47,6 @@ class MergeCmd:
 
     target_group: str
     target_contacts: Tuple[Address, ...]
-    level: int = 0
-    target_path: Tuple[str, ...] = ()
 
 
 class LargeGroupMember:
@@ -88,10 +79,6 @@ class LargeGroupMember:
         self._moving = False  # split/merge transition in progress
         self._placement_check: Optional[Timer] = None  # _watch_placement
         self.reorganisations = 0
-        # Level-tagged placement as learned from directives (0/() until
-        # the first reorganisation teaches us where we sit).
-        self.leaf_level = 0
-        self.leaf_path: Tuple[str, ...] = ()
         # Load accounting (load-driven policy only): a raw per-interval
         # counter, turned into a rate sample by the report tick; the
         # leader folds the samples into its EWMA.
@@ -115,8 +102,6 @@ class LargeGroupMember:
         self.leaf_member = None
         self._joining = False
         self._moving = False
-        self.leaf_level = 0
-        self.leaf_path = ()
         self._deliveries = 0
         self._last_delivery_rate = -1.0
         if self.params.reorg.load_driven:
@@ -322,8 +307,6 @@ class LargeGroupMember:
             leaf_id=self.leaf_id,
             size=view.size,
             contacts=view.members[:8],
-            level=self.leaf_level,
-            path=self.leaf_path,
             delivery_rate=self._last_delivery_rate if load_driven else -1.0,
         )
         contacts = self.leader_contacts
@@ -369,15 +352,11 @@ class LargeGroupMember:
         movers = view.members[view.size - half :]
         if not movers:
             return ("too-small",)
-        self.leaf_level = body.level
-        self.leaf_path = tuple(body.parent_path)
         self.leaf_member.multicast(
             SplitCmd(
                 new_leaf_id=body.new_leaf_id,
                 new_group=body.new_group,
                 movers=movers,
-                level=body.level,
-                parent_path=tuple(body.parent_path),
             ),
             TOTAL,
         )
@@ -390,8 +369,6 @@ class LargeGroupMember:
             MergeCmd(
                 target_group=body.target_group,
                 target_contacts=tuple(body.target_contacts),
-                level=body.level,
-                target_path=tuple(body.target_path),
             ),
             TOTAL,
         )
@@ -444,15 +421,7 @@ class LargeGroupMember:
         old_group = self.leaf_member.group if self.leaf_member else None
         if old_group is not None:
             self.node.runtime.forget_group(old_group)
-        # The new leaf is a sibling of the one it split from: same level,
-        # same branch chain above.
-        self.leaf_level = cmd.level
-        self.leaf_path = tuple(cmd.parent_path)
-        self._trace_reorg(
-            "reorg-state-handoff",
-            new_leaf_id=cmd.new_leaf_id,
-            level=cmd.level,
-        )
+        self._trace_reorg("reorg-state-handoff", new_leaf_id=cmd.new_leaf_id)
         member = self.node.runtime.create_group(cmd.new_group, list(cmd.movers))
         self._install_leaf(cmd.new_leaf_id, member)
 
@@ -463,14 +432,7 @@ class LargeGroupMember:
         old_member.mark_departing()
         self.node.runtime.forget_group(old_group)
         target_leaf_id = cmd.target_group.split("::", 1)[1]
-        # We migrate into the absorbing leaf's place in the tree.
-        self.leaf_level = cmd.level
-        self.leaf_path = tuple(cmd.target_path)
-        self._trace_reorg(
-            "reorg-state-handoff",
-            new_leaf_id=target_leaf_id,
-            level=cmd.level,
-        )
+        self._trace_reorg("reorg-state-handoff", new_leaf_id=target_leaf_id)
         contact = cmd.target_contacts[0] if cmd.target_contacts else None
         if contact is None:
             # No known target contact: fall back to a fresh assignment.

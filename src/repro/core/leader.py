@@ -19,8 +19,8 @@ replica, which resumes from the replicated state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.params import LargeGroupParams
 from repro.core.views import (
@@ -65,18 +65,14 @@ class ReportLeafStatus:
     """A leaf coordinator reports its view after every leaf view change
     (and, in load-driven deployments, every report interval).
 
-    ``level``/``path`` echo the coordinator's placement as it learned it
-    from directives (telemetry; the replicated state's tree remains the
-    authority).  A negative rate means "no load sample" — the size-only
-    deployments always send -1 and the leader never touches the EWMA.
+    A negative rate means "no load sample" — the size-only deployments
+    always send -1 and the leader never touches the EWMA.
     """
 
     service: str
     leaf_id: str
     size: int
     contacts: Tuple[Address, ...]
-    level: int = 0
-    path: Tuple[str, ...] = ()
     delivery_rate: float = -1.0
 
 
@@ -162,10 +158,9 @@ class LeaderReplica:
         self._watched: Set[Address] = set()
         self._coordinator_of: Dict[Address, str] = {}
         self._assign_cursor = 0
-        # Load-driven reorg bookkeeping: where a split-born leaf should
-        # attach, when each leaf last reorganised (cooldown), and when
-        # each in-flight split started (for the disruption window).
-        self._pending_parent: Dict[str, str] = {}
+        # Load-driven reorg bookkeeping: when each leaf last reorganised
+        # (cooldown), and when each in-flight split started (for the
+        # disruption window).
         self._last_reorg: Dict[str, float] = {}
         self._split_started: Dict[str, float] = {}
 
@@ -389,10 +384,6 @@ class LeaderReplica:
                 leaf_id=body.leaf_id,
                 size=body.size,
                 contacts=tuple(body.contacts),
-                # A split-born leaf attaches under its parent's branch so
-                # the tree deepens where the load is; "" keeps the
-                # canonical placement (size mode, or fresh leaves).
-                under=self._pending_parent.pop(body.leaf_id, ""),
             )
         )
         return ("ok",)
@@ -418,8 +409,7 @@ class LeaderReplica:
         )
 
     def _serve_info(self, body: GetHierarchyInfo, sender: Address):
-        # True recursive shape: per-leaf level/path/load, per-level leaf
-        # counts, depth of the whole tree (or of ``subtree``).
+        # The tree (or ``subtree``), its depth and per-leaf load.
         info = self.state.summary(getattr(body, "subtree", ""))
         info["reorg_epoch"] = self.reorg_epoch
         return info
@@ -436,15 +426,13 @@ class LeaderReplica:
         if policy.load_driven:
             now = self.node.env.now
             # A leaf whose smoothed load crossed a hot threshold splits
-            # even while comfortably sized (soft-capped: splits pause
-            # once overflow has already driven the tree to max_depth).
-            if self.state.depth() < policy.max_depth:
-                for leaf in self.state.hot_leaves(policy):
-                    if leaf.leaf_id in self._directed or not leaf.contacts:
-                        continue
-                    if leaf.size < 2 or not self._cooled(leaf.leaf_id, now):
-                        continue
-                    self._direct_split(leaf, "hot")
+            # even while comfortably sized.
+            for leaf in self.state.hot_leaves(policy):
+                if leaf.leaf_id in self._directed or not leaf.contacts:
+                    continue
+                if leaf.size < 2 or not self._cooled(leaf.leaf_id, now):
+                    continue
+                self._direct_split(leaf, "hot")
             # Two cold *siblings* merge back together (load mode pairs
             # within a branch; the size rail below still catches
             # undersized leaves anywhere).
@@ -484,10 +472,7 @@ class LeaderReplica:
         new_leaf_id = self._new_leaf_id()
         self._creating[new_leaf_id] = None
         now = self.node.env.now
-        parent_path = self.state.path_to(leaf.leaf_id)
         if self.params.reorg.load_driven:
-            if parent_path:
-                self._pending_parent[new_leaf_id] = parent_path[-1]
             self._last_reorg[leaf.leaf_id] = now
             self._last_reorg[new_leaf_id] = now
         self._split_started[new_leaf_id] = now
@@ -514,8 +499,6 @@ class LeaderReplica:
                 leaf_id=leaf.leaf_id,
                 new_leaf_id=new_leaf_id,
                 new_group=leaf_group_name(self.service, new_leaf_id),
-                level=self.state.level_of(leaf.leaf_id),
-                parent_path=parent_path,
             ),
         )
 
@@ -546,8 +529,6 @@ class LeaderReplica:
                 leaf_id=leaf.leaf_id,
                 target_group=leaf_group_name(self.service, target.leaf_id),
                 target_contacts=target.contacts,
-                level=self.state.level_of(target.leaf_id),
-                target_path=self.state.path_to(target.leaf_id),
             ),
         )
         self._propose(RemoveLeaf(leaf_id=leaf.leaf_id))
@@ -640,11 +621,6 @@ class SplitDirective:
     leaf_id: str
     new_leaf_id: str
     new_group: str
-    # Level-tagged placement (recursive trees): the splitting leaf's tree
-    # level and the branch chain above it — the new leaf attaches beside
-    # it, so movers learn their place without another round trip.
-    level: int = 0
-    parent_path: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -653,9 +629,6 @@ class MergeDirective:
     leaf_id: str
     target_group: str
     target_contacts: Tuple[Address, ...] = ()
-    # Placement of the absorbing leaf (level-tagged, like SplitDirective).
-    level: int = 0
-    target_path: Tuple[str, ...] = ()
 
 
 def build_leader_group(

@@ -33,12 +33,12 @@ class ReorgPolicy:
     ``mode="load"`` makes reorganisation *load-driven*: leaf coordinators
     report a delivery-rate sample every ``report_interval`` seconds, a
     leaf whose smoothed rate exceeds the hot threshold splits even while
-    comfortably sized, two *sibling* leaves that are both cold merge
-    back together, and new leaves attach
-    under their parent's branch so the tree deepens where the load is —
-    the recursive self-organising shape sVIRGO argues for.  Size bounds
-    stay on as safety rails (an oversized leaf still splits, an
-    undersized one still merges).
+    comfortably sized, and two *sibling* leaves that are both cold merge
+    back together.  Size bounds stay on as safety rails (an oversized
+    leaf still splits, an undersized one still merges).  The mode
+    changes only *when* the leader splits and merges: the branch tree is
+    the same canonical packing in both, so its depth stays logarithmic
+    in the leaf count however the load moves.
     """
 
     mode: str = "size"  # "size" | "load"
@@ -56,8 +56,6 @@ class ReorgPolicy:
     # Minimum sim-seconds between reorganisations touching one leaf:
     # damps split/merge flapping while an EWMA settles.
     cooldown: float = 3.0
-    # Hard cap on tree depth growth (root counts as one level).
-    max_depth: int = 8
 
     def __post_init__(self) -> None:
         if self.mode not in ("size", "load"):
@@ -70,8 +68,6 @@ class ReorgPolicy:
             raise ValueError("report_interval must be positive")
         if self.cooldown < 0.0:
             raise ValueError("cooldown must be nonnegative")
-        if self.max_depth < 2:
-            raise ValueError("max_depth must allow root + leaves")
 
     @property
     def load_driven(self) -> bool:
@@ -108,8 +104,10 @@ class LargeGroupParams:
     def __post_init__(self) -> None:
         if self.resiliency < 1:
             raise ValueError("resiliency must be >= 1")
-        if self.fanout < 1:
-            raise ValueError("fanout must be >= 1")
+        if self.fanout < 2:
+            # A branch of one child never shrinks a level: the bottom-up
+            # packing would loop forever once a second leaf exists.
+            raise ValueError("fanout must be >= 2")
         if self.split_factor <= 1.0:
             raise ValueError("split_factor must exceed 1")
         if self.min_leaf_size < 0 or self.leader_size < 0:

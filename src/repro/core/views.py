@@ -20,7 +20,7 @@ can replicate it with abcast and every replica stays identical.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.params import LargeGroupParams
@@ -102,10 +102,6 @@ class AddLeaf:
     leaf_id: str
     size: int
     contacts: Tuple[Address, ...]
-    # Explicit attach point for the load-adaptive tree: the branch the new
-    # leaf goes under ("" = the canonical/derived placement).  Size-only
-    # deployments always send "" and keep the frozen derived shape.
-    under: str = ""
 
 
 @dataclass(frozen=True)
@@ -134,10 +130,11 @@ class HierarchyState:
     """Deterministic branch/leaf bookkeeping for one large group.
 
     Branch restructuring is *derived*: after every op that adds or
-    removes a leaf the tree is re-balanced so no branch exceeds
-    ``fanout`` children.  Because the rebalancing is a deterministic
-    function of the op sequence, replicas applying the same totally
-    ordered ops hold identical trees.
+    removes a leaf the tree is re-packed so no branch exceeds ``fanout``
+    children, in both reorganisation modes (load mode differs only in
+    *when* the leader splits and merges, not in the tree's shape).
+    Because the packing is a function of the leaf-id set, replicas
+    applying the same totally ordered ops hold identical trees.
     """
 
     def __init__(self, name: str, params: LargeGroupParams) -> None:
@@ -147,14 +144,8 @@ class HierarchyState:
         self.branches: Dict[str, BranchInfo] = {
             ROOT_BRANCH: BranchInfo(ROOT_BRANCH, None, ())
         }
-        self._branch_counter = 0
         self.applied_ops = 0
-        # Load-driven deployments keep an *explicit* tree: leaves attach
-        # under the branch named by the op and branches split/collapse
-        # incrementally (B-tree style), so depth grows where load lives.
-        # Size-only deployments re-derive the canonical packing whenever
-        # the leaf set changes — byte-identical frozen behaviour.
-        self._explicit = params.reorg.load_driven
+        self._depth = 0
 
     # -- queries --------------------------------------------------------------------
 
@@ -204,19 +195,9 @@ class HierarchyState:
         return min(candidates, key=lambda l: (l.size, l.leaf_id))
 
     def depth(self) -> int:
-        """Longest branch chain from root to a leaf's parent, plus the
-        leaf level itself."""
-        if not self.leaves:
-            return 0
-
-        def branch_depth(branch_id: str) -> int:
-            node = self.branches[branch_id]
-            child_branches = [c for c in node.children if c in self.branches]
-            if not child_branches:
-                return 1
-            return 1 + max(branch_depth(c) for c in child_branches)
-
-        return branch_depth(ROOT_BRANCH) + 1
+        """Tree levels from the root to the leaves, the leaf level
+        included (0 with no leaves): every leaf sits at this level."""
+        return self._depth
 
     def max_branch_children(self) -> int:
         if not self.branches:
@@ -238,38 +219,6 @@ class HierarchyState:
         for child in self.branch(node_id).children:
             out.extend(self.leaf_ids_under(child))
         return sorted(out)
-
-    def path_to(self, leaf_id: str) -> Tuple[str, ...]:
-        """Branch chain from the root down to ``leaf_id``'s parent,
-        inclusive — the leaf's *placement path* carried on level-tagged
-        directives and cached by routers."""
-        node = self.leaf(leaf_id).parent
-        path: List[str] = []
-        while node is not None:
-            path.append(node)
-            node = self.branches[node].parent
-        return tuple(reversed(path))
-
-    def level_of(self, node_id: str) -> int:
-        """Tree level, root = 1 (a leaf directly under the root is 2)."""
-        if node_id in self.leaves:
-            return len(self.path_to(node_id)) + 1
-        level = 1
-        node = self.branch(node_id).parent
-        while node is not None:
-            level += 1
-            node = self.branches[node].parent
-        return level
-
-    def leaves_per_level(self) -> Dict[int, int]:
-        """How many leaves sit at each tree level (the true recursive
-        shape — a load-adapted tree is ragged, unlike the canonical
-        packing)."""
-        counts: Dict[int, int] = {}
-        for leaf_id in self.leaves:
-            level = self.level_of(leaf_id)
-            counts[level] = counts.get(level, 0) + 1
-        return dict(sorted(counts.items()))
 
     def siblings_of(self, leaf_id: str) -> List[LeafInfo]:
         """Other leaves sharing ``leaf_id``'s parent branch (sorted)."""
@@ -293,9 +242,9 @@ class HierarchyState:
         return out
 
     def summary(self, subtree: str = "") -> Dict:
-        """Recursive introspection dict (the ``GetHierarchyInfo`` reply):
-        true depth, per-level leaf counts, per-leaf level/path/load, and
-        the branch tree a router walks to place keys by itself."""
+        """Introspection dict (the ``GetHierarchyInfo`` reply): depth,
+        per-leaf size/contacts/load, and the branch tree a router walks to
+        place keys by itself."""
         root = subtree or ROOT_BRANCH
         leaf_ids = (
             self.leaf_ids_under(root)
@@ -308,16 +257,13 @@ class HierarchyState:
             leaves[leaf_id] = {
                 "size": leaf.size,
                 "contacts": list(leaf.contacts),
-                "level": self.level_of(leaf_id),
-                "path": list(self.path_to(leaf_id)),
                 "delivery_rate": round(leaf.delivery_rate, 6),
             }
         return {
             "leaves": leaves,
             "tree": self.branch_children_under(root),
             "total_size": sum(self.leaves[l].size for l in leaf_ids),
-            "depth": self.depth(),
-            "levels": self.leaves_per_level(),
+            "depth": self._depth,
             "branches": len(self.branches),
             "max_branch_children": self.max_branch_children(),
             "storage_entries": self.storage_entries(),
@@ -383,11 +329,10 @@ class HierarchyState:
     def apply(self, op: HierarchyOp) -> None:
         """Apply one replicated op.
 
-        Size mode re-derives the canonical branch tree when the op changes
-        the leaf-id set — the tree is a function of the sorted ids alone,
-        so an ``UpdateLeaf`` (which keeps the leaf's parent) leaves it as
-        it was; load mode mutates the explicit tree incrementally.
-        Either way the post-state is a deterministic function of the op
+        The canonical branch tree is re-derived when the op changes the
+        leaf-id set — the tree is a function of the sorted ids alone, so
+        an ``UpdateLeaf`` (which keeps the leaf's parent) leaves it as it
+        was.  The post-state is a deterministic function of the op
         sequence, so replicas stay identical.
         """
         if isinstance(op, AddLeaf):
@@ -395,12 +340,10 @@ class HierarchyState:
                 raise HierarchyError(f"duplicate leaf {op.leaf_id!r}")
             self.leaves[op.leaf_id] = LeafInfo(
                 leaf_id=op.leaf_id,
-                parent=ROOT_BRANCH,  # fixed up by _rebuild_tree / _attach
+                parent=ROOT_BRANCH,  # fixed up by _rebuild_tree
                 size=op.size,
                 contacts=tuple(op.contacts[: self.params.resiliency]),
             )
-            if self._explicit:
-                self._attach(op.leaf_id, op.under)
         elif isinstance(op, UpdateLeaf):
             leaf = self.leaf(op.leaf_id)
             updated = replace(
@@ -418,131 +361,12 @@ class HierarchyState:
             self.leaves[op.leaf_id] = updated
         elif isinstance(op, RemoveLeaf):
             self.leaf(op.leaf_id)  # raises if unknown
-            if self._explicit:
-                self._detach(op.leaf_id)
             del self.leaves[op.leaf_id]
         else:
             raise HierarchyError(f"unknown op {op!r}")
-        if not self._explicit and not isinstance(op, UpdateLeaf):
+        if not isinstance(op, UpdateLeaf):
             self._rebuild_tree()
         self.applied_ops += 1
-
-    # -- explicit (load-adaptive) tree maintenance --------------------------------
-
-    def _set_children(self, branch_id: str, children: Tuple[str, ...]) -> None:
-        node = self.branches[branch_id]
-        self.branches[branch_id] = replace(
-            node, children=tuple(sorted(children))
-        )
-
-    def _set_parent(self, node_id: str, parent: str) -> None:
-        if node_id in self.leaves:
-            self.leaves[node_id] = replace(self.leaves[node_id], parent=parent)
-        else:
-            self.branches[node_id] = replace(
-                self.branches[node_id], parent=parent
-            )
-
-    def _new_branch_id(self) -> str:
-        self._branch_counter += 1
-        return f"{self.name}/b{self._branch_counter}"
-
-    def _attach(self, node_id: str, under: str) -> None:
-        """Attach a node under ``under`` (falling back to the root when
-        the named branch is unknown — e.g. it collapsed while the op was
-        in flight), then split any branch the attach overflowed."""
-        branch_id = under if under in self.branches else ROOT_BRANCH
-        self._set_children(
-            branch_id, self.branches[branch_id].children + (node_id,)
-        )
-        self._set_parent(node_id, branch_id)
-        self._split_overflowed(branch_id)
-
-    def _split_overflowed(self, branch_id: str) -> None:
-        """B-tree style overflow: a branch with more than ``fanout``
-        children sheds its upper half into a new sibling (the *root*
-        instead grows a new level), recursing upward.  Every decision is
-        a function of sorted child ids — replicas agree."""
-        fanout = self.params.fanout
-        while True:
-            node = self.branches[branch_id]
-            if len(node.children) <= fanout:
-                return
-            children = tuple(sorted(node.children))
-            half = len(children) // 2
-            lower, upper = children[:half], children[half:]
-            if node.parent is None:  # root: grow one level
-                left, right = self._new_branch_id(), self._new_branch_id()
-                self.branches[left] = BranchInfo(left, branch_id, lower)
-                self.branches[right] = BranchInfo(right, branch_id, upper)
-                for child in lower:
-                    self._set_parent(child, left)
-                for child in upper:
-                    self._set_parent(child, right)
-                self._set_children(branch_id, (left, right))
-                return
-            sibling = self._new_branch_id()
-            self.branches[sibling] = BranchInfo(sibling, node.parent, upper)
-            for child in upper:
-                self._set_parent(child, sibling)
-            self._set_children(branch_id, lower)
-            parent_id = node.parent
-            self._set_children(
-                parent_id, self.branches[parent_id].children + (sibling,)
-            )
-            branch_id = parent_id  # the new sibling may overflow the parent
-
-    def _detach(self, leaf_id: str) -> None:
-        branch_id = self.leaves[leaf_id].parent
-        self._set_children(
-            branch_id,
-            tuple(c for c in self.branches[branch_id].children if c != leaf_id),
-        )
-        self._collapse(branch_id)
-
-    def _collapse(self, branch_id: str) -> None:
-        """Prune empty branches and hoist single children so merges
-        shrink the tree as deliberately as splits grow it."""
-        while branch_id is not None:
-            node = self.branches[branch_id]
-            if node.parent is None:  # the root
-                # A root with one *branch* child loses that level.
-                while True:
-                    children = self.branches[branch_id].children
-                    if len(children) == 1 and children[0] in self.branches:
-                        only = children[0]
-                        grandchildren = self.branches[only].children
-                        self._set_children(branch_id, grandchildren)
-                        for child in grandchildren:
-                            self._set_parent(child, branch_id)
-                        del self.branches[only]
-                    else:
-                        return
-            parent_id = node.parent
-            if not node.children:
-                self._set_children(
-                    parent_id,
-                    tuple(
-                        c
-                        for c in self.branches[parent_id].children
-                        if c != branch_id
-                    ),
-                )
-                del self.branches[branch_id]
-            elif len(node.children) == 1:
-                only = node.children[0]
-                self._set_children(
-                    parent_id,
-                    tuple(
-                        only if c == branch_id else c
-                        for c in self.branches[parent_id].children
-                    ),
-                )
-                self._set_parent(only, parent_id)
-                del self.branches[branch_id]
-            else:
-                return
-            branch_id = parent_id
 
     # -- branch-tree derivation ---------------------------------------------------
 
@@ -552,15 +376,18 @@ class HierarchyState:
         The tree is a *canonical function of the leaf set*: sorted leaf ids
         are packed bottom-up into branches of at most ``fanout`` children
         until one level fits under the root.  Replicas that agree on the
-        leaf set therefore agree on the whole tree, and the depth is
-        ceil(log_fanout(#leaves)) — the multistage-broadcast bound of §3.
+        leaf set therefore agree on the whole tree, and every leaf sits at
+        depth 1 + max(1, ceil(log_fanout(#leaves))) — the
+        multistage-broadcast bound of §3.
         """
         fanout = self.params.fanout
         level: List[str] = sorted(self.leaves)
         branches: Dict[str, BranchInfo] = {}
         parent_of: Dict[str, str] = {}
         counter = 0
+        depth = 2 if level else 0  # the root and the leaf level
         while len(level) > fanout:
+            depth += 1
             next_level: List[str] = []
             for start in range(0, len(level), fanout):
                 counter += 1
@@ -580,5 +407,6 @@ class HierarchyState:
                     node, parent=parent_of[branch_id]
                 )
         self.branches = branches
+        self._depth = depth
         for leaf_id, leaf in list(self.leaves.items()):
             self.leaves[leaf_id] = replace(leaf, parent=parent_of[leaf_id])

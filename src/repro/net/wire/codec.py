@@ -85,7 +85,11 @@ MAGIC = b"RW"
 # its u32 body length (8 -> 4 bytes), an envelope record is src, dst
 # (untagged) and payload, with no sender clock readings and no size
 # model, and a kind stops at its last non-default field.
-WIRE_VERSION = 14
+# v15: the level-tagged placement fields leave the hierarchy kinds —
+# ReportLeafStatus level/path, Split/MergeDirective and Split/MergeCmd
+# levels and paths, AddLeaf ``under`` — as both reorganisation modes
+# share one canonical tree, whose rebuild renumbers every branch.
+WIRE_VERSION = 15
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

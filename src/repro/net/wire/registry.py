@@ -165,13 +165,15 @@ def ensure_registered() -> None:
     register_kind(83, LeafInfo)
     register_kind(84, BranchInfo)
 
-    # The level-tagged fields grown by the PR 9 refactor
-    # (ReportLeafStatus level/path/rate, Split/MergeDirective +
-    # Split/MergeCmd levels and paths, AddLeaf ``under``, UpdateLeaf
-    # rate, GetHierarchyInfo ``subtree``) extend the field lists of
+    # The load-report fields (ReportLeafStatus and UpdateLeaf rate,
+    # GetHierarchyInfo ``subtree``) extend the field lists of
     # already-registered kinds — ids stay put, and WIRE_VERSION bumped
     # to 2 per the codec's evolution contract (and to 4 when the
-    # never-fed request-rate field left both kinds).  Id 90 was
+    # never-fed request-rate field left both kinds).  The level-tagged
+    # placement fields that came with them (ReportLeafStatus level/path,
+    # Split/MergeDirective and Split/MergeCmd levels and paths, AddLeaf
+    # ``under``) left in WIRE_VERSION 15, when both reorganisation modes
+    # came to share one canonical tree.  Id 90 was
     # ResolvePlacement until WIRE_VERSION 5 (routers walk the tree
     # themselves now); ids are append-only, so it stays retired.
 

@@ -52,6 +52,17 @@ def test_params_validation():
         LargeGroupParams(split_factor=1.0)
 
 
+def test_fanout_below_two_is_rejected():
+    """A branch of one child packs no level: at fanout 1 the tree rebuild
+    would spin forever at the second leaf, so the params refuse it."""
+    with pytest.raises(ValueError, match="fanout"):
+        LargeGroupParams(fanout=1)
+    state, _ = make(fanout=2)
+    for i in range(3):
+        add(state, i)
+    assert state.depth() == 3
+
+
 # -- ops ---------------------------------------------------------------------------
 
 
@@ -279,8 +290,6 @@ def test_reorg_policy_validation():
         ReorgPolicy(hot_delivery_rate=1.0, cold_delivery_rate=2.0)
     with pytest.raises(ValueError):
         ReorgPolicy(report_interval=0.0)
-    with pytest.raises(ValueError):
-        ReorgPolicy(max_depth=1)
     assert not ReorgPolicy().load_driven
     assert ReorgPolicy(mode="load").load_driven
     assert "reorg=load" in ReorgPolicy(mode="load").describe()
@@ -288,8 +297,7 @@ def test_reorg_policy_validation():
 
 def test_default_policy_keeps_canonical_tree():
     """Size mode (the default) must keep deriving the canonical packed
-    tree — byte-identical frozen behaviour — while load mode is free to
-    diverge into an explicit shape."""
+    tree — byte-identical frozen behaviour."""
     canonical, _ = make(fanout=3)
     reference, _ = make(fanout=3)
     for i in range(10):
@@ -300,50 +308,6 @@ def test_default_policy_keeps_canonical_tree():
         b.children == tuple(sorted(b.children))
         for b in canonical.branches.values()
     )
-
-
-def test_explicit_tree_grows_depth_on_overflow():
-    state, _ = make_load(fanout=3)
-    for i in range(4):  # 4th attach overflows the fanout-3 root
-        add(state, i)
-    assert state.depth() == 3  # root -> two branches -> leaves
-    assert state.max_branch_children() <= 3
-    for i in range(4, 10):
-        add(state, i)
-    assert state.depth() >= 3
-    assert state.max_branch_children() <= 3
-    assert set(state.leaf_ids_under(ROOT_BRANCH)) == set(state.leaves)
-
-
-def test_explicit_attach_under_named_branch():
-    state, _ = make_load(fanout=3)
-    for i in range(4):
-        add(state, i)
-    # Pick an interior branch and attach a new leaf directly under it.
-    branch = state.leaf("leaf-000").parent
-    assert branch != ROOT_BRANCH
-    state.apply(
-        AddLeaf(leaf_id="leaf-xxx", size=4, contacts=("cx",), under=branch)
-    )
-    assert state.leaf("leaf-xxx").parent == branch
-    # Unknown attach points fall back to the root rather than failing.
-    state.apply(
-        AddLeaf(leaf_id="leaf-yyy", size=4, contacts=("cy",), under="gone")
-    )
-    assert "leaf-yyy" in state.leaves
-
-
-def test_explicit_tree_collapses_on_removal():
-    state, _ = make_load(fanout=3)
-    for i in range(4):
-        add(state, i)
-    assert state.depth() == 3
-    for i in range(1, 4):
-        state.apply(RemoveLeaf(leaf_id=f"leaf-{i:03d}"))
-    # One leaf left: every interior level collapsed back into the root.
-    assert state.depth() == 2
-    assert state.leaf("leaf-000").parent == ROOT_BRANCH
-    assert len(state.branches) == 1
 
 
 def test_update_leaf_folds_load_ewma():
@@ -383,14 +347,11 @@ def test_hot_and_cold_queries():
 
 
 def test_replicas_agree_in_load_mode():
-    ops = [
-        AddLeaf(f"l{i}", size=i + 1, contacts=(f"c{i}",), under="")
-        for i in range(9)
-    ]
+    ops = [AddLeaf(f"l{i}", size=i + 1, contacts=(f"c{i}",)) for i in range(9)]
     ops += [
         UpdateLeaf("l2", size=5, contacts=("x",), delivery_rate=33.0),
         RemoveLeaf("l4"),
-        AddLeaf("l9", size=2, contacts=("c9",), under="svc/b1"),
+        AddLeaf("l9", size=2, contacts=("c9",)),
         RemoveLeaf("l1"),
     ]
     a, _ = make_load(fanout=3)
@@ -405,19 +366,17 @@ def test_replicas_agree_in_load_mode():
 
 def test_summary_reports_recursive_shape():
     """Regression for the old flat two-level _serve_info summary: the
-    reply must carry true depth, per-level leaf counts, and per-leaf
-    level/path."""
+    reply carries the true depth, every leaf's contacts and the branch
+    tree a router walks, for the whole tree or one branch."""
     state, _ = make_load(fanout=3)
     for i in range(7):
         add(state, i)
     info = state.summary()
-    assert info["depth"] == state.depth() >= 3
-    assert sum(info["levels"].values()) == len(state.leaves)
-    for leaf_id, entry in info["leaves"].items():
-        assert entry["level"] == state.level_of(leaf_id)
-        assert entry["level"] == len(entry["path"]) + 1
-        assert entry["path"][0] == ROOT_BRANCH
+    assert info["depth"] == state.depth() == 3
+    assert set(info["leaves"]) == set(state.leaves)
+    for entry in info["leaves"].values():
         assert entry["contacts"]
+    assert set(info["tree"]) == set(state.branches)
     # Subtree summaries restrict to one branch.
     branch = state.leaf("leaf-000").parent
     sub = state.summary(branch)
@@ -456,43 +415,62 @@ def test_place_key_spreads_keys_over_every_leaf_of_a_full_tree():
     assert all(median / 2 <= shares[leaf_id] <= 2 * median for leaf_id in state.leaves)
 
 
-@settings(max_examples=60, deadline=None)
+def _canonical_depth(leaves, fanout):
+    """1 + max(1, ceil(log_fanout(leaves))), by integer arithmetic."""
+    levels, reach = 1, fanout
+    while reach < leaves:
+        levels += 1
+        reach *= fanout
+    return 1 + levels
+
+
+@settings(max_examples=120, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(["add", "remove", "update"]), st.integers(0, 19)),
-        max_size=60,
+        st.tuples(
+            # Adds outnumber removes, so a run reaches past fanout**2 leaves.
+            st.sampled_from(["add", "add", "add", "remove", "update"]),
+            st.integers(0, 79),
+        ),
+        max_size=120,
     ),
-    st.integers(2, 6),
+    st.integers(2, 8),
+    st.sampled_from(["size", "load"]),
 )
-def test_property_explicit_tree_invariants(ops, fanout):
-    """Load mode keeps the same structural invariants as the canonical
-    packing: fanout bound, consistent parent pointers, full coverage."""
+def test_property_tree_shape_in_both_modes(ops, fanout, mode):
+    """Whatever the op sequence, in either mode: no branch holds more than
+    ``fanout`` children, every leaf is reachable from the root, two
+    replicas agree, and every leaf sits at the canonical depth
+    1 + max(1, ceil(log_fanout L)) — the tree never grows a spine."""
     params = LargeGroupParams(
-        resiliency=2, fanout=fanout, reorg=ReorgPolicy(mode="load")
+        resiliency=2, fanout=fanout, reorg=ReorgPolicy(mode=mode)
     )
     state = HierarchyState("svc", params)
+    replica = HierarchyState("svc", params)
     for kind, i in ops:
-        leaf_id = f"leaf-{i:03d}"
+        leaf_id = f"leaf-{i}"
+        if kind == "add":
+            op = AddLeaf(leaf_id, size=i + 1, contacts=(f"c{i}",))
+        elif kind == "remove":
+            op = RemoveLeaf(leaf_id)
+        else:
+            op = UpdateLeaf(leaf_id, size=i + 2, contacts=(f"d{i}",),
+                            delivery_rate=float(i))
         try:
-            if kind == "add":
-                state.apply(AddLeaf(leaf_id, size=i + 1, contacts=(f"c{i}",)))
-            elif kind == "remove":
-                state.apply(RemoveLeaf(leaf_id))
-            else:
-                state.apply(
-                    UpdateLeaf(leaf_id, size=i + 2, contacts=(f"d{i}",),
-                               delivery_rate=float(i))
-                )
+            state.apply(op)
         except HierarchyError:
             continue
+        replica.apply(op)
         assert state.max_branch_children() <= fanout
         assert set(state.leaf_ids_under(ROOT_BRANCH)) == set(state.leaves)
-        for leaf_id2, leaf in state.leaves.items():
-            assert leaf_id2 in state.branches[leaf.parent].children
-        seen = set()
-        for branch_id, branch in state.branches.items():
-            if branch.parent is not None:
-                assert branch_id in state.branches[branch.parent].children
-            for child in branch.children:
-                assert child not in seen  # each node has one parent
-                seen.add(child)
+        assert (state.branches, state.leaves) == (replica.branches, replica.leaves)
+        if not state.leaves:
+            assert state.depth() == 0
+            continue
+        depth = _canonical_depth(len(state.leaves), fanout)
+        assert state.depth() == depth
+        for leaf in state.leaves.values():
+            level, node = 2, state.branches[leaf.parent]
+            while node.parent is not None:
+                level, node = level + 1, state.branches[node.parent]
+            assert level == depth

@@ -32,6 +32,7 @@ from tools.perf_report import (
     run_suite,
     scenario_churn,
     scenario_hier_steady,
+    scenario_scale,
 )
 
 
@@ -135,6 +136,20 @@ def test_compare_names_the_scenario_and_every_counter_that_moved():
     failures = compare_fingerprints(recorded, current)
     assert any(f.startswith("flat_steady_n64: no such") for f in failures)
     assert any(f.startswith("new: no such") for f in failures)
+
+
+def test_scale_tree_stays_log_depth_and_splits_under_heat():
+    """The load-mode tree at n=1024 is the canonical packing: ~66 leaves
+    at fanout 8 sit at depth 4, so the two heated leaves split on load
+    inside the window and each split's routing window closes within
+    10 ms.  A tree that grows a spine instead (depth 10 here) also cuts
+    the hot splits off."""
+    result = scenario_scale(1024, 3.0)
+    assert result["tree"]["depth"] <= 4, result["tree"]
+    assert result["reorgs"]["hot_splits"] >= 2, result["reorgs"]
+    disruption = result["routing_disruption_s"]
+    assert disruption["windows"] == result["reorgs"]["splits"]
+    assert disruption["max"] <= 0.01, disruption
 
 
 def test_bench_core_json_holds_only_the_guard_reference():

@@ -1,8 +1,9 @@
 """ServiceRouter.resolve_key places keys by itself: it fetches the
 leader's tree once per reorg epoch and walks it with the leader's own
 rule, so for every key it names the leaf ``HierarchyState.place_key``
-names — on the canonical size-mode tree and on the ragged load-mode tree
-alike — at one leader round trip per client per epoch.  The last two
+names — on a size-mode tree and on a load-mode tree after a hot split
+and a cold merge alike — at one leader round trip per client per
+epoch.  The last two
 tests cover the router's other path, a cached leaf assignment from the
 service's leader contacts."""
 
@@ -65,16 +66,14 @@ def size_mode_router():
 def load_mode_router():
     result = run_scenario()
     env, contacts = result["env"], result["contacts"]
-    # The hot split and its cold merge leave every leaf two levels under
-    # the grown root; leaf_min late joiners open a leaf under the root
-    # itself, a level above them.
+    # After the hot split and its cold merge, leaf_min late joiners open
+    # one more leaf, and the tree is re-packed around it.
     for i in range(LOAD_PARAMS.leaf_min):
         node = GroupNode(env, f"svc-late-{i}")
         LargeGroupMember(node, "svc", contacts, params=LOAD_PARAMS).join()
     env.run_for(5.0)
     manager = result["manager"]
-    levels = manager.state.leaves_per_level()
-    assert len(levels) > 1, f"the load-mode tree should be ragged: {levels}"
+    assert manager.state.depth() == 3
     return manager, warm_router(result["env"], result["contacts"], "walk-client")
 
 
@@ -99,7 +98,7 @@ def test_local_walk_equals_place_key_on_size_mode_tree(key):
 
 @settings(max_examples=2000, deadline=None)
 @given(key=st.text(max_size=40))
-def test_local_walk_equals_place_key_on_ragged_load_mode_tree(key):
+def test_local_walk_equals_place_key_on_load_mode_tree(key):
     manager, router = load_mode_router()
     assert_walk_agrees(manager, router, key)
     assert router.placement_lookups == 1

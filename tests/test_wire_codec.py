@@ -354,10 +354,12 @@ def test_extreme_ints_round_trip():
         assert _round_trip(value) == value
 
 
-def test_level_tagged_hierarchy_payloads_round_trip():
-    """The recursive-hierarchy fields (wire v2): levels, branch paths,
-    load-rate samples and explicit attach points survive the wire with
-    non-default values."""
+def test_hierarchy_payloads_round_trip():
+    """The hierarchy kinds survive the wire with non-default values: the
+    load-rate samples, the subtree query and the directives.  Wire v15:
+    the directives, split/merge commands, reports and ``AddLeaf`` carry
+    no level or branch path — the canonical tree renumbers its branches
+    on every rebuild, so a carried path would go stale."""
     from repro.core.hierarchy import MergeCmd, SplitCmd
     from repro.core.leader import (
         GetHierarchyInfo,
@@ -370,33 +372,21 @@ def test_level_tagged_hierarchy_payloads_round_trip():
     payloads = [
         SplitDirective(
             service="svc", leaf_id="leaf-a", new_leaf_id="leaf-b",
-            new_group="svc::leaf-b", level=3,
-            parent_path=("branch-root", "svc/b2", "svc/b7"),
+            new_group="svc::leaf-b",
         ),
         MergeDirective(
             service="svc", leaf_id="leaf-a", target_group="svc::leaf-c",
-            target_contacts=("svc-w-0", "svc-w-1"), level=4,
-            target_path=("branch-root", "svc/b1"),
+            target_contacts=("svc-w-0", "svc-w-1"),
         ),
         SplitCmd(
-            new_leaf_id="leaf-b", new_group="svc::leaf-b",
-            movers=("svc-w-2",), level=3,
-            parent_path=("branch-root", "svc/b2"),
+            new_leaf_id="leaf-b", new_group="svc::leaf-b", movers=("svc-w-2",),
         ),
-        MergeCmd(
-            target_group="svc::leaf-c", target_contacts=("svc-w-0",),
-            level=2, target_path=("branch-root",),
-        ),
+        MergeCmd(target_group="svc::leaf-c", target_contacts=("svc-w-0",)),
         ReportLeafStatus(
             service="svc", leaf_id="leaf-a", size=9,
-            contacts=("svc-w-0",), level=3,
-            path=("branch-root", "svc/b2"),
-            delivery_rate=41.5,
+            contacts=("svc-w-0",), delivery_rate=41.5,
         ),
-        AddLeaf(
-            leaf_id="leaf-b", size=4, contacts=("svc-w-2",),
-            under="svc/b2",
-        ),
+        AddLeaf(leaf_id="leaf-b", size=4, contacts=("svc-w-2",)),
         UpdateLeaf(
             leaf_id="leaf-a", size=9, contacts=("svc-w-0",),
             delivery_rate=33.0,
@@ -571,13 +561,13 @@ def _budget_cases():
     return {
         "heartbeat": (
             Envelope("svc-w-517", "svc-w-516", Heartbeat(), 0.0),
-            "52570e0101097376632d772d353137097376632d772d3531360a2000",
+            "52570f0101097376632d772d353137097376632d772d3531360a2000",
         ),
         "group-data": (
             Envelope("svc-w-16", "svc-w-17", Segment(41, GroupData(
                 _LEAF, 16, "svc-w-16", 57, "total", _PUT, global_seq=312,
             )), 0.0),
-            "52570e0101087376632d772d3136087376632d772d31370a010203520a0a08"
+            "52570f0101087376632d772d3136087376632d772d31370a010203520a0a08"
             "05157376633a3a6c6561662d7376632d6c64722d302d32032005087376632d"
             "772d313603720505746f74616c090305026f70050370757405036b65790503"
             "6b3137050576616c756503220003f004",
@@ -586,14 +576,14 @@ def _budget_cases():
             Envelope("client-0", "svc-w-16", CCRequest(
                 _LEAF, "client-0/cc10", _PUT, "client-0", 16,
             ), 0.0),
-            "52570e010108636c69656e742d30087376632d772d31360a46050515737663"
+            "52570f010108636c69656e742d30087376632d772d31360a46050515737663"
             "3a3a6c6561662d7376632d6c64722d302d32050d636c69656e742d302f6363"
             "3130090305026f70050370757405036b657905036b3137050576616c756503"
             "220508636c69656e742d300320",
         ),
         "transport-ack": (
             Envelope("svc-w-17", "svc-w-16", SegmentAck(cum_seq=41), 0.0),
-            "52570e0101087376632d772d3137087376632d772d31360a02010352",
+            "52570f0101087376632d772d3137087376632d772d31360a02010352",
         ),
     }
 
@@ -792,7 +782,11 @@ def test_wire_ids_are_unique_and_stable():
     # v12 peer's lookup or scatter is refused at the header.  v14: the
     # header drops its body length, an envelope record is src, dst and
     # payload alone, and a kind stops at its last non-default field.
-    assert WIRE_VERSION == 14
+    # v15: the hierarchy kinds lose their level-tagged placement fields
+    # (report level/path, directive and command levels and paths,
+    # AddLeaf ``under``): both reorganisation modes share one canonical
+    # tree.
+    assert WIRE_VERSION == 15
 
 
 def test_a_gap_report_round_trips():

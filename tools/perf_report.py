@@ -496,9 +496,10 @@ def scenario_scale(
             # again on every later leaf change).
             member.add_leaf_change_listener(sanitizer.attach)
 
-    # Heat the two highest-sorted leaves: split-born ids sort last, so a
-    # heated leaf keeps its offspring as siblings (the shape the cold
-    # rail later re-merges).  20/sec against the 10/sec hot threshold.
+    # Heat the two highest-sorted leaves, 20/sec against the 10/sec hot
+    # threshold.  Leaf-id counters are not zero-padded, so these are the
+    # ids whose counter sorts last as text (at n=1024 the join-born
+    # leaf-svc-ldr-0-8 and -9: "9" sorts after "64"), not the newest.
     hot = sorted(manager.state.leaves)[-2:]
     senders = [next(m for m in placed if m.leaf_id == leaf) for leaf in hot]
     start = env.now
@@ -525,10 +526,6 @@ def scenario_scale(
     result["tree"] = {
         "depth": manager.state.depth(),
         "leaves": len(manager.state.leaves),
-        "leaves_per_level": {
-            str(level): count
-            for level, count in sorted(manager.state.leaves_per_level().items())
-        },
     }
     result["reorgs"] = {
         "splits": len(splits),
