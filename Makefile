@@ -98,7 +98,7 @@ bench-wire:
 	$(PYTHON) -m tools.perf_report --wire
 
 ## Regenerate the experiment-table capture under docs/ (single pass,
-## timing loop disabled, hash seed pinned).  A root-level
+## timing loop disabled; it repeats to the digit).  A root-level
 ## bench_tables.txt from a raw pytest redirect is scratch — gitignored.
 bench-tables:
 	$(PYTHON) -m tools.perf_report --tables docs/bench_tables.txt

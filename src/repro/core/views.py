@@ -221,12 +221,14 @@ class HierarchyState:
         return sorted(out)
 
     def siblings_of(self, leaf_id: str) -> List[LeafInfo]:
-        """Other leaves sharing ``leaf_id``'s parent branch (sorted)."""
+        """Other leaves sharing ``leaf_id``'s parent branch (sorted): the
+        canonical packing gives a leaf's parent a sorted run of leaf ids
+        and nothing else."""
         leaf = self.leaf(leaf_id)
         return [
             self.leaves[c]
-            for c in sorted(self.branches[leaf.parent].children)
-            if c != leaf_id and c in self.leaves
+            for c in self.branches[leaf.parent].children
+            if c != leaf_id
         ]
 
     def branch_children_under(self, node_id: str) -> Dict[str, List[str]]:

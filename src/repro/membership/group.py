@@ -562,7 +562,7 @@ class GroupMember:
             initiator=self.me,
             proposed=tuple(flush.proposed),
         )
-        others = [t for t in flush.targets if t != self.me]
+        others = [m for m in self.view.members if m in flush.targets and m != self.me]
         if others:
             self.runtime.transport.send_many(others, message)
         if self.me in flush.targets:

@@ -3,14 +3,15 @@
 All stochastic choices in the library (latency jitter, drop decisions,
 workload inter-arrival times, failure injection) draw from a
 :class:`SimRandom` owned by the environment, so a run is reproducible from
-its seed alone.  Subsystems that need independent streams fork child
-generators with :meth:`SimRandom.fork`, which derives a new seed
-deterministically — adding a new subsystem does not perturb the draws seen
-by existing ones.
+its seed alone — in any process, whatever its string-hash seed.
+Subsystems that need independent streams fork child generators with
+:meth:`SimRandom.fork`, which derives a new seed with a stable digest —
+adding a new subsystem does not perturb the draws seen by existing ones.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from typing import List, Sequence, TypeVar
 
@@ -32,11 +33,14 @@ class SimRandom:
     def fork(self, label: str = "") -> "SimRandom":
         """Derive an independent child stream.
 
-        The child seed depends only on the parent seed, the fork index and
-        ``label``, never on how many numbers the parent has drawn.
+        The child seed is a blake2b digest of the parent seed, the fork
+        index and ``label``: it never depends on how many numbers the
+        parent has drawn, nor on the process's string-hash seed.
         """
         self._fork_count += 1
-        child_seed = hash((self._seed, self._fork_count, label)) & 0x7FFFFFFF
+        key = f"{self._seed}/{self._fork_count}/{label}".encode()
+        digest = hashlib.blake2b(key, digest_size=4).digest()
+        child_seed = int.from_bytes(digest, "big") & 0x7FFFFFFF
         return SimRandom(child_seed)
 
     def uniform(self, lo: float, hi: float) -> float:

@@ -45,7 +45,6 @@ from repro.toolkit import (
     CoordinatorCohortServer,
     ReplicatedDict,
 )
-from tests.test_perf_determinism import pinned_python
 
 INTERVAL = 0.2
 SUSPECT_AFTER = 1.0
@@ -395,9 +394,11 @@ def test_a_dead_manager_costs_each_coordinator_at_most_one_lease():
 
 # False suspicions (a live member reported) per seed 1..5 in an idle
 # 16-member group over 120 logical seconds, ping/ack as measured at the
-# parent of the PR that made heartbeats one-way (PYTHONHASHSEED=0: the
-# network's drop stream is a hashed RNG fork).  A round needed two
-# datagrams to survive, a push needs one: ~(2p)^4 against p^4 per window.
+# parent of the PR that made heartbeats one-way, under hash seed 0 when
+# the network's drop stream was still seeded by ``hash()``: the record of
+# a deleted design, drawn from another drop stream than today's.  A round
+# needed two datagrams to survive, a push needs one: ~(2p)^4 against p^4
+# per window.
 DROPS = (0.01, 0.03, 0.05, 0.10)
 PING_ACK_FALSE_SUSPICIONS = {  # 0 on every seed at 1% and 3%
     0.05: [0, 0, 2, 2, 2],
@@ -416,13 +417,10 @@ def false_suspicions(drop, seed, seconds=120.0):
 
 @pytest.fixture(scope="module")
 def loss_table():
-    code = (
-        "import json;"
-        "from tests.test_heartbeat_push import DROPS, false_suspicions;"
-        "print(json.dumps([[false_suspicions(drop, seed)"
-        " for seed in range(1, 6)] for drop in DROPS]))"
-    )
-    return dict(zip(DROPS, json.loads(pinned_python(code))))
+    return {
+        drop: [false_suspicions(drop, seed) for seed in range(1, 6)]
+        for drop in DROPS
+    }
 
 
 @pytest.mark.parametrize("drop", [0.01, 0.03])
@@ -444,7 +442,8 @@ def test_never_more_false_suspicions_than_ping_ack_under_heavy_loss(
 # table.  Under loss a put whose copy to the coordinator is lost is hedged
 # and rank 1, which holds it, probes the coordinator: the one path by which
 # a probe can suspect a live peer.  False suspicions per seed 1..5 at the
-# parent of the PR that added the probe (PYTHONHASHSEED=0, the runs in this
+# parent of the PR that added the probe (under hash seed 0 and the
+# ``hash()``-seeded drop stream, like the table above; the runs in this
 # order in one interpreter).  Every lost datagram, and every extra one,
 # reshuffles which later datagrams the drop stream takes, so single
 # suspicions move between seeds; compare totals.
@@ -494,13 +493,10 @@ def loaded_false_suspicions(drop, seed, seconds=120.0, rate=50.0):
 
 @pytest.fixture(scope="module")
 def loaded_loss_table():
-    code = (
-        "import json;"
-        "from tests.test_heartbeat_push import DROPS, loaded_false_suspicions;"
-        "print(json.dumps([[loaded_false_suspicions(drop, seed)"
-        " for seed in range(1, 6)] for drop in DROPS]))"
-    )
-    return dict(zip(DROPS, json.loads(pinned_python(code))))
+    return {
+        drop: [loaded_false_suspicions(drop, seed) for seed in range(1, 6)]
+        for drop in DROPS
+    }
 
 
 @pytest.mark.parametrize("drop", [0.01, 0.03])
@@ -525,7 +521,8 @@ def test_at_ten_percent_loss_a_probe_suspects_a_live_peer_about_once_in_ten_minu
     false suspicion needs four probe rounds and that push lost, about
     16 p**5; with three rounds (a window that can miss the push) the probes
     made 13 of 20.  The rest come from silence, as before probes, and the
-    reshuffled drop stream moves their count: [1, 3, 2, 3, 0] here against
+    reshuffled drop stream moves their count: [1, 2, 0, 0, 0] here (it read
+    [1, 3, 2, 3, 0] while fork seeds came from ``hash()``) against
     [0, 1, 4, 4, 1] before probes; over seeds 1..20, 43 (6 by a probe, in
     24,195 probe runs) against 39 before probes.  With the hedge at four
     median replies the twenty seeds read 48 (3 by a probe, in 24,361

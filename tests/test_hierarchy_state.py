@@ -474,3 +474,9 @@ def test_property_tree_shape_in_both_modes(ops, fanout, mode):
             while node.parent is not None:
                 level, node = level + 1, state.branches[node.parent]
             assert level == depth
+            # A leaf's parent holds a contiguous sorted run of leaf ids and
+            # nothing else (what ``siblings_of`` relies on).
+            children = list(state.branches[leaf.parent].children)
+            ordered = sorted(state.leaves)
+            start = ordered.index(children[0])
+            assert children == ordered[start : start + len(children)]

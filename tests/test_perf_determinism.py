@@ -4,24 +4,18 @@ The event-core optimisations (scheduler fast paths, timer re-arming,
 envelope reuse, counter rewrites) must be *behaviour-preserving*: for a
 fixed seed the simulation must produce the same messages, between the
 same endpoints, in the same order, at the same simulated times.  This
-module pins that down three ways:
+module pins that down four ways:
 
 1. same-seed reruns of a mid-size hierarchical scenario (with churn)
    produce identical stats snapshots, event counts and delivery digests;
 2. the digest of a flat churn scenario that consumes *no* randomness
    (fixed latency, no loss — the flat stack draws nothing from the RNG)
-   matches a frozen constant (last re-recorded by the protocol change
-   of PR 21), so it is stable across machines, processes and hash seeds;
-3. different seeds diverge (the digest actually discriminates).
-
-Note the hierarchical scenario is compared within one process only: the
-hierarchy layer consumes forked ``SimRandom`` streams whose seeds are
-derived with ``hash()``, so its exact trace varies with Python's
-per-process hash randomization (pin ``PYTHONHASHSEED`` to compare across
-processes — ``tools/perf_report.py --guard`` does exactly that: its
-seven pinned-seed fingerprints live in ``BENCH_core.json`` and
-``tests/test_perf_smoke.py`` runs it; the ``FROZEN_*`` constants here
-are the hash-seed-independent counterpart and stay in this file).
+   matches a frozen constant;
+3. a run is a function of its seed alone: fresh interpreters under
+   different ``PYTHONHASHSEED`` values produce the same flat digest and
+   the same guard fingerprints (``tools/perf_report.py --guard``, whose
+   reference lives in ``BENCH_core.json``);
+4. different seeds diverge (the digest actually discriminates).
 """
 
 from repro.core import (
@@ -92,11 +86,8 @@ def run_flat_churn_scenario(seed: int = 23, instrument=None):
     """A flat heartbeat-monitored group with a crash and a recovery.
 
     Fixed latency, no loss, no duplicates: the run consumes zero RNG
-    draws, so its aggregate counters are machine-independent constants —
-    frozen below.  The exact delivery *order* still
-    varies with Python's per-process hash randomization (set iteration in
-    the flush protocol), so the frozen order digest is checked in a
-    ``PYTHONHASHSEED=0`` subprocess.
+    draws, so its counters and its delivery order are machine-independent
+    constants — frozen below.
     """
     env = Environment(seed=seed, latency=FixedLatency(0.002))
     _nodes, _members = build_group(
@@ -119,7 +110,10 @@ def run_flat_churn_scenario(seed: int = 23, instrument=None):
     )
 
 
-# Re-recorded when a member came to watch one predecessor, not three
+# Re-recorded when the initiator began to send a flush to its targets in
+# view rank order, not in set iteration order (which followed the
+# process's hash seed): only the digest moved.  Before that, re-recorded
+# when a member came to watch one predecessor, not three
 # (docs/comms.md, "Ring monitoring"): ``heartbeat`` 3,969 -> 1,324 —
 # 3,768 -> 1,257 Heartbeats and 201 -> 66 Subscribes, a third of the
 # watches, plus the one Probe svc-6 sends as its watch walks past svc-5
@@ -135,7 +129,7 @@ def run_flat_churn_scenario(seed: int = 23, instrument=None):
 # 110588.  The constants still guard event-core
 # work: if an "optimisation" changes these, it changed simulation
 # behaviour — that is a bug, not a baseline refresh.
-FROZEN_DIGEST = "b2f85547e98e57e7c2a345c26b4365300ada222a26d935b6609371d746e39e4e"
+FROZEN_DIGEST = "896b88ea2e60905fe77ee86235b4584d7d344bac4e6b0f994476eb9d3e1a5d32"
 FROZEN_DELIVERIES = 1437
 FROZEN_MESSAGES = 1446
 FROZEN_BYTES = 128320
@@ -159,7 +153,7 @@ def test_same_seed_identical_under_lossy_lan():
 
 
 def test_counts_match_pre_optimisation_baseline():
-    """Aggregate counters are hash-independent; compare them directly."""
+    """Aggregate counters, compared directly."""
     _digest, deliveries, snapshot, events, now = run_flat_churn_scenario(23)
     assert deliveries == FROZEN_DELIVERIES
     assert snapshot.messages == FROZEN_MESSAGES
@@ -168,14 +162,20 @@ def test_counts_match_pre_optimisation_baseline():
     assert now == 8.0
 
 
-def pinned_python(code: str) -> str:
-    """Run ``code`` in a fresh interpreter under ``PYTHONHASHSEED=0`` with
-    ``src`` and the repo root importable; its stripped stdout."""
+def test_digest_matches_pre_optimisation_baseline():
+    """Delivery *order* digest."""
+    assert run_flat_churn_scenario(23)[0] == FROZEN_DIGEST
+
+
+def python_under_hash_seed(hash_seed: int, code: str) -> str:
+    """Run ``code`` in a fresh interpreter under ``PYTHONHASHSEED`` =
+    ``hash_seed`` with ``src`` and the repo root importable; its stripped
+    stdout."""
     import os
     import subprocess
     import sys
 
-    env = dict(os.environ, PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env["PYTHONPATH"] = (
         os.path.join(repo_root, "src") + os.pathsep + repo_root
@@ -192,13 +192,29 @@ def pinned_python(code: str) -> str:
     return out.stdout.strip()
 
 
-def test_digest_matches_pre_optimisation_baseline():
-    """Delivery *order* digest, compared under a pinned hash seed."""
+def test_one_seed_gives_one_run_under_any_hash_seed():
+    """The flat scenario, the guard's ``churn`` and ``scale_n256``, and
+    the lossy hierarchical scenario read the same digests and counts
+    whatever the process's hash seed: nothing a run does may follow
+    ``hash()`` of a string or the iteration order of a set of strings.
+    The first three draw nothing from the RNG and catch an order that
+    follows the hash seed; the last draws latency and loss from forked
+    streams and catches a fork seed that does."""
     code = (
-        "from tests.test_perf_determinism import run_flat_churn_scenario;"
-        "print(run_flat_churn_scenario(23)[0])"
+        "import json;"
+        "from repro.net import LanLatency;"
+        "from tests.test_perf_determinism import ("
+        " run_flat_churn_scenario, run_hier_churn_scenario);"
+        "from tools.perf_report import build_guards;"
+        "digest, deliveries, snapshot, events, _ = run_flat_churn_scenario(23);"
+        "lossy = run_hier_churn_scenario(29, latency=LanLatency(), drop=0.03);"
+        "guards = build_guards();"
+        "print(json.dumps([digest, deliveries, snapshot.messages, events,"
+        " lossy[0], lossy[1], lossy[3]]"
+        " + [guards[name]() for name in ('churn', 'scale_n256')]))"
     )
-    assert pinned_python(code) == FROZEN_DIGEST
+    runs = [python_under_hash_seed(seed, code) for seed in (0, 1, 2)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_different_seeds_diverge():

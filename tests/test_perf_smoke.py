@@ -85,8 +85,9 @@ def test_scenario_fingerprints_are_deterministic():
 
 
 def _guard(*args, cwd=REPO):
-    """``python -m tools.perf_report --guard ...`` as CI runs it (the
-    tool pins ``PYTHONHASHSEED=0`` itself by re-exec)."""
+    """``python -m tools.perf_report --guard ...`` as CI runs it, under a
+    random string-hash seed: a run depends on its seed alone, so every
+    tier-1 run checks the guard under another one."""
     env = dict(os.environ)
     env.pop("PYTHONHASHSEED", None)
     env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO)])

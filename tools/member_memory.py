@@ -71,13 +71,6 @@ def measure(n: int) -> Dict[str, float]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        env = dict(os.environ, PYTHONHASHSEED="0")
-        os.execve(
-            sys.executable,
-            [sys.executable, "-m", "tools.member_memory"] + sys.argv[1:],
-            env,
-        )
     sizes = [int(a) for a in (argv if argv is not None else sys.argv[1:])] or [256, 1024]
     for n in sizes:
         by_package = measure(n)

@@ -69,14 +69,14 @@ def capture_experiment_tables(out_path: str) -> int:
 
     Runs the benchmark suite once with the timing loop disabled (the
     tables report protocol costs — message counts, latencies, bounds —
-    not wall-clock, so one pass suffices) under a pinned hash seed, then
-    extracts every ``== title ==`` table from the output.  This is how
+    not wall-clock, so one pass suffices), then extracts every
+    ``== title ==`` table from the output.  This is how
     ``docs/bench_tables.txt`` is produced; the raw pytest capture at the
     repo root is a scratch artifact and is gitignored.
     """
     import subprocess
 
-    env = dict(os.environ, PYTHONHASHSEED="0")
+    env = dict(os.environ)
     src = os.path.join(os.getcwd(), "src")
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -119,7 +119,7 @@ def capture_experiment_tables(out_path: str) -> int:
     if block:
         tables.append("\n".join(block))
     header = (
-        "Experiment tables from the benchmark suite (PYTHONHASHSEED=0).\n"
+        "Experiment tables from the benchmark suite.\n"
         "Regenerate with `make bench-tables`; see EXPERIMENTS.md for the\n"
         "narrative around each table.\n"
     )
@@ -127,20 +127,6 @@ def capture_experiment_tables(out_path: str) -> int:
         fh.write(header + "\n" + "\n\n".join(tables) + "\n")
     print(f"perf_report: wrote {len(tables)} table(s) to {out_path}")
     return 0
-
-
-def pin_hash_seed() -> None:
-    """Re-exec with ``PYTHONHASHSEED=0`` so fingerprints are comparable.
-
-    :meth:`SimRandom.fork` derives child seeds with ``hash()`` over a
-    label string, and string hashing is randomized per process — the
-    hierarchical scenarios consume those streams, so their behaviour
-    fingerprints are only stable across runs under a pinned hash seed.
-    """
-    if os.environ.get("PYTHONHASHSEED") == "0":
-        return
-    env = dict(os.environ, PYTHONHASHSEED="0")
-    os.execve(sys.executable, [sys.executable, "-m", "tools.perf_report"] + sys.argv[1:], env)
 
 
 def _read_report(path: str) -> Dict:
@@ -754,9 +740,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.tables:
         return capture_experiment_tables(args.tables)
-
-    if argv is None:
-        pin_hash_seed()
 
     if args.guard:
         return run_guard(args.out or "BENCH_core.json", update=args.update)
