@@ -135,7 +135,6 @@ class TreeAck:
     category = "treecast-ack"
     size_bytes = 32
     broadcast_id: str
-    delivered_leaves: int = 0
 
 
 @dataclass

@@ -77,13 +77,13 @@ class StabilityGossip:
 @dataclass
 class Flush:
     """Coordinator's view-change announcement: stop sending, report
-    unstable messages."""
+    unstable messages.  The proposed view stays at the initiator; a
+    member learns it from the ``NewView``."""
 
     category = "group-flush"
     group: str
     target_seq: int
     initiator: Address
-    proposed: Tuple[Address, ...] = ()
 
 
 @dataclass
@@ -100,16 +100,18 @@ class FlushOk:
 
 @dataclass
 class NewView:
-    """Installs the next view, carrying the reconciled unstable messages
-    (delivered in the *old* view before the switch — virtual synchrony) and
-    the final total-order assignments for them."""
+    """Installs the next view.  A survivor's copy carries the reconciled
+    unstable messages (delivered in the *old* view before the switch —
+    virtual synchrony) and the final total-order assignments for them; a
+    joiner's copy carries neither, since a joiner has no old view to
+    finish, but holds the state snapshot instead."""
 
     category = "group-new-view"
     view: GroupView = None  # type: ignore[assignment]
     unstable: List[GroupData] = field(default_factory=list)
     orders: List[Tuple[int, MessageId]] = field(default_factory=list)
     next_global_seq: int = 1
-    app_state: Any = None  # state-transfer snapshot for joiners
+    app_state: Any = None  # state-transfer snapshot, on a joiner's copy only
 
     @property
     def group(self) -> str:

@@ -4,13 +4,15 @@ A view change is driven by an *initiator* (the lowest-ranked member that
 does not consider itself dead's suspects include it — normally rank 0).
 The initiator:
 
-1. multicasts ``Flush(target_seq, proposed)`` to every old-view member not
-   suspected (members stop initiating multicasts and reply ``FlushOk`` with
-   their unstable messages and abcast order knowledge);
+1. multicasts ``Flush(target_seq, initiator)`` to every old-view member
+   not suspected (members stop initiating multicasts and reply ``FlushOk``
+   with their unstable messages and abcast order knowledge); the proposed
+   view stays here, since no member needs it before the ``NewView``;
 2. if a target is suspected mid-flush, drops it from the proposal and
    re-sends ``Flush`` (same ``target_seq``);
 3. when every remaining target has replied, merges the reports and hands
-   the result to the membership layer, which builds and sends ``NewView``.
+   the result to the membership layer, which builds and sends ``NewView``:
+   the merge to the old view's members, the state snapshot to the joiners.
 
 The merge produces: the union of unstable messages (so every survivor can
 deliver the same old-view message set — virtual synchrony) and the final

@@ -44,6 +44,7 @@ the originator included: one more message, one more hop.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.broadcast.abcast import TotalEngine
@@ -557,10 +558,7 @@ class GroupMember:
         flush = self._flush
         assert flush is not None and self.view is not None
         message = Flush(
-            group=self.group,
-            target_seq=flush.target_seq,
-            initiator=self.me,
-            proposed=tuple(flush.proposed),
+            group=self.group, target_seq=flush.target_seq, initiator=self.me
         )
         others = [m for m in self.view.members if m in flush.targets and m != self.me]
         if others:
@@ -652,21 +650,36 @@ class GroupMember:
                 return
         unstable = flush.merged_unstable()
         orders, next_global_seq = flush.merged_orders()
-        app_state = None
-        if flush.joiners and self.state_provider is not None:
-            app_state = self.state_provider()
         new_view = GroupView(self.group, flush.target_seq, tuple(flush.proposed))
+        # The old view's members get what finishes it; a joiner, which has
+        # no old view, gets the state snapshot instead.  Both copies go out
+        # in address order, the order one shared copy took, so splitting it
+        # moves no latency draw.
         message = NewView(
             view=new_view,
             unstable=unstable,
             orders=orders,
             next_global_seq=next_global_seq,
-            app_state=app_state,
         )
+        joiner_copy = None
+        if flush.joiners:
+            app_state = None
+            if self.state_provider is not None:
+                # The snapshot must hold what the old view delivers last:
+                # deliver it here first (installing the view will not
+                # deliver anything twice).
+                self._deliver_flush_set(message)
+                app_state = self.state_provider()
+            joiner_copy = NewView(
+                view=new_view, next_global_seq=next_global_seq, app_state=app_state
+            )
         recipients = set(new_view.members) | set(flush.targets)
         recipients.discard(self.me)
-        if recipients:
-            self.runtime.transport.send_many(sorted(recipients), message)
+        is_joiner = flush.joiners.__contains__
+        for to_joiners, run in groupby(sorted(recipients), key=is_joiner):
+            self.runtime.transport.send_many(
+                list(run), joiner_copy if to_joiners else message
+            )
         # Excluded old-view members are told too, but best-effort (one
         # unreliable datagram): a falsely suspected, still-live process
         # learns of its exclusion and can rejoin, while a genuinely dead

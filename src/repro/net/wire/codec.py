@@ -89,7 +89,11 @@ MAGIC = b"RW"
 # ReportLeafStatus level/path, Split/MergeDirective and Split/MergeCmd
 # levels and paths, AddLeaf ``under`` — as both reorganisation modes
 # share one canonical tree, whose rebuild renumbers every branch.
-WIRE_VERSION = 15
+# v16: fields no receiver reads leave the wire — Flush ``proposed``,
+# CCResultNote ``client``, TreeAck ``delivered_leaves`` — and a NewView's
+# state snapshot goes to the joiners alone, on a copy without the old
+# view's ``unstable`` and ``orders``.
+WIRE_VERSION = 16
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

@@ -142,7 +142,6 @@ class CCResultNote:
     group: str
     request_id: str = ""
     result: Any = None
-    client: Address = ""
 
 
 @dataclass
@@ -345,7 +344,6 @@ class CoordinatorCohortServer:
                     group=self.member.group,
                     request_id=request_id,
                     result=result,
-                    client=request.client,
                 ),
             )
 

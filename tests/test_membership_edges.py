@@ -62,7 +62,7 @@ def test_messages_sent_during_flush_go_out_in_next_view():
 def test_stale_flush_ignored():
     env, nodes, members, logs = make(3)
     # deliver a bogus flush for an old target seq directly
-    bogus = Flush(group="g", target_seq=1, initiator="g-1", proposed=("g-1",))
+    bogus = Flush(group="g", target_seq=1, initiator="g-1")
     members[0]._on_flush(bogus, "g-1")
     env.run_for(1.0)
     assert members[0].view.seq == 1

@@ -561,13 +561,13 @@ def _budget_cases():
     return {
         "heartbeat": (
             Envelope("svc-w-517", "svc-w-516", Heartbeat(), 0.0),
-            "52570f0101097376632d772d353137097376632d772d3531360a2000",
+            "5257100101097376632d772d353137097376632d772d3531360a2000",
         ),
         "group-data": (
             Envelope("svc-w-16", "svc-w-17", Segment(41, GroupData(
                 _LEAF, 16, "svc-w-16", 57, "total", _PUT, global_seq=312,
             )), 0.0),
-            "52570f0101087376632d772d3136087376632d772d31370a010203520a0a08"
+            "5257100101087376632d772d3136087376632d772d31370a010203520a0a08"
             "05157376633a3a6c6561662d7376632d6c64722d302d32032005087376632d"
             "772d313603720505746f74616c090305026f70050370757405036b65790503"
             "6b3137050576616c756503220003f004",
@@ -576,14 +576,14 @@ def _budget_cases():
             Envelope("client-0", "svc-w-16", CCRequest(
                 _LEAF, "client-0/cc10", _PUT, "client-0", 16,
             ), 0.0),
-            "52570f010108636c69656e742d30087376632d772d31360a46050515737663"
+            "525710010108636c69656e742d30087376632d772d31360a46050515737663"
             "3a3a6c6561662d7376632d6c64722d302d32050d636c69656e742d302f6363"
             "3130090305026f70050370757405036b657905036b3137050576616c756503"
             "220508636c69656e742d300320",
         ),
         "transport-ack": (
             Envelope("svc-w-17", "svc-w-16", SegmentAck(cum_seq=41), 0.0),
-            "52570f0101087376632d772d3137087376632d772d31360a02010352",
+            "5257100101087376632d772d3137087376632d772d31360a02010352",
         ),
     }
 
@@ -785,8 +785,39 @@ def test_wire_ids_are_unique_and_stable():
     # v15: the hierarchy kinds lose their level-tagged placement fields
     # (report level/path, directive and command levels and paths,
     # AddLeaf ``under``): both reorganisation modes share one canonical
-    # tree.
-    assert WIRE_VERSION == 15
+    # tree.  v16: Flush loses ``proposed``, CCResultNote ``client`` and
+    # TreeAck ``delivered_leaves``, which no receiver read; the four
+    # pinned frames changed only in the version byte.
+    assert WIRE_VERSION == 16
+
+
+def test_the_v16_slimmed_kinds_round_trip():
+    """What v16 left of Flush, CCResultNote and TreeAck is all their
+    receivers read, and it survives the codec field for field."""
+    from repro.core.treecast import TreeAck
+    from repro.membership.events import Flush
+    from repro.toolkit.coordinator_cohort import CCResultNote
+
+    assert [f.name for f in dataclasses.fields(Flush)] == [
+        "group", "target_seq", "initiator",
+    ]
+    assert [f.name for f in dataclasses.fields(CCResultNote)] == [
+        "group", "request_id", "result",
+    ]
+    assert [f.name for f in dataclasses.fields(TreeAck)] == ["broadcast_id"]
+    for payload in (
+        Flush(group="svc::leaf-0", target_seq=17, initiator="svc-w-3"),
+        CCResultNote(group="svc::leaf-0", request_id="client-0/cc10",
+                     result={"ok": True, "value": 17}),
+        CCResultNote(group="svc::leaf-0"),
+        TreeAck(broadcast_id="svc-ldr-0/tb4"),
+    ):
+        assert decode_frame(encode_control_frame(payload)) == (FRAME_CONTROL, payload)
+        envelope = Envelope("svc-w-3", "svc-w-4", payload, 0.0)
+        (frame,), rejects = encode_data_frames([envelope])
+        assert not rejects
+        (decoded,) = decode_frame(frame)[1]
+        assert decoded.payload == payload
 
 
 def test_a_gap_report_round_trips():
