@@ -24,7 +24,7 @@ from repro.net import FixedLatency, LanLatency
 from repro.proc import Environment
 from repro.toolkit import (
     CoordinatorCohortClient,
-    HierarchicalClient,
+    KeyRoutedClient,
     attach_hierarchical_service,
     attach_service,
 )
@@ -95,11 +95,13 @@ def hierarchical_service(
 
 
 def hierarchical_client(env, contacts, name="client"):
+    """A client of the hierarchical service; it has no key of its own, so
+    callers pass ``client.process.address`` and reach one leaf."""
     node = GroupNode(env, name)
     router = ServiceRouter(
         node, "svc", rpc=node.runtime.rpc, leader_contacts=contacts
     )
-    return HierarchicalClient(node, router)
+    return KeyRoutedClient(node, router)
 
 
 def manager_of(leaders):

@@ -99,7 +99,7 @@ def run_hierarchical(clients: int) -> int:
     answered = []
     for stub in stubs:
         for r in range(REQUESTS_PER_CLIENT):
-            stub.request(r, answered.append)
+            stub.request(stub.process.address, r, answered.append)
     env.run_for(10.0)
     delta = env.stats_since(before)
     assert len(answered) == clients * REQUESTS_PER_CLIENT

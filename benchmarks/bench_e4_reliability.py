@@ -130,6 +130,7 @@ def run_hier(n, seed):
 
     def send(i, outcomes):
         client.request(
+            client.process.address,
             {"i": i},
             on_reply=lambda v: outcomes.append(True),
             on_failure=lambda: outcomes.append(False),

@@ -95,7 +95,7 @@ def run_e2():
     for i, stub in enumerate(stubs):
         env.scheduler.at(
             env.now + 0.001 * i,
-            lambda s=stub: s.request(0, answered.append),
+            lambda s=stub: s.request(s.process.address, 0, answered.append),
         )
     env.run_for(20.0)
     hier = data_messages(env.stats_since(before), CC_CATEGORIES)

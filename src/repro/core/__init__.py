@@ -22,7 +22,6 @@ from repro.core.hierarchy import (
 )
 from repro.core.leader import (
     GetHierarchyInfo,
-    GetLeafAssignment,
     JoinLarge,
     LeaderReplica,
     LeafProbe,
@@ -57,7 +56,6 @@ __all__ = [
     "AddLeaf",
     "BranchInfo",
     "GetHierarchyInfo",
-    "GetLeafAssignment",
     "HierarchyError",
     "HierarchyState",
     "JoinLarge",

@@ -10,9 +10,10 @@ Each :class:`LeaderReplica` participates in the small group
 ``<service>/leader`` and replicates a :class:`~repro.core.views.
 HierarchyState` by abcasting ops inside that group, so hierarchy state
 survives ``resiliency - 1`` leader failures.  The replica that is the
-leader group's acting coordinator is the *manager*: it answers join and
-client-routing RPCs, issues split/merge directives, watches leaf
-coordinators, and converts silence into total-failure handling.  When the
+leader group's acting coordinator is the *manager*: it answers joins and
+leaf reports, issues split/merge directives, watches leaf coordinators,
+and converts silence into total-failure handling.  Any replica answers a
+router's ``GetHierarchyInfo`` from its copy of the tree.  When the
 manager dies, the leader group's own view change promotes the next
 replica, which resumes from the replicated state.
 """
@@ -33,7 +34,6 @@ from repro.core.views import (
 from repro.membership.events import TOTAL, ViewEvent
 from repro.membership.service import GroupNode
 from repro.net.message import Address
-from repro.proc.rpc import RpcError
 
 
 # A leaf born for joiners that no joiner has been sent to for this long
@@ -77,20 +77,11 @@ class ReportLeafStatus:
 
 
 @dataclass
-class GetLeafAssignment:
-    """A client asks for a leaf to direct requests to."""
-
-    service: str
-
-
-@dataclass
 class GetHierarchyInfo:
     """The tree as the leader holds it — for routers (which place keys
-    with it), tests, benchmarks and operators; ``subtree`` restricts the
-    reply to one branch's recursive summary ("" = root)."""
+    with it), tests, benchmarks and operators."""
 
     service: str
-    subtree: str = ""
 
 
 @dataclass
@@ -157,7 +148,6 @@ class LeaderReplica:
         self._directed: Dict[str, Optional[Address]] = {}
         self._watched: Set[Address] = set()
         self._coordinator_of: Dict[Address, str] = {}
-        self._assign_cursor = 0
         # Load-driven reorg bookkeeping: when each leaf last reorganised
         # (cooldown), and when each in-flight split started (for the
         # disruption window).
@@ -172,7 +162,6 @@ class LeaderReplica:
         self.member.add_view_listener(self._on_leader_view)
         runtime.rpc.serve(JoinLarge, self._serve_join)
         runtime.rpc.serve(ReportLeafStatus, self._serve_report)
-        runtime.rpc.serve(GetLeafAssignment, self._serve_assignment)
         runtime.rpc.serve(GetHierarchyInfo, self._serve_info)
         runtime.detector.add_listener(self._on_suspect)
         self._refresh_role()
@@ -390,27 +379,9 @@ class LeaderReplica:
 
     # ---------------------------------------------------------- client routing
 
-    def _serve_assignment(self, body: GetLeafAssignment, sender: Address):
-        if not self.is_manager:
-            return ("redirect", self.member.acting_coordinator())
-        routable = [
-            leaf
-            for leaf in sorted(self.state.leaves.values(), key=lambda l: l.leaf_id)
-            if leaf.contacts
-        ]
-        if not routable:
-            raise RpcError(f"service {self.service} has no members yet")
-        leaf = routable[self._assign_cursor % len(routable)]
-        self._assign_cursor += 1
-        return (
-            "leaf",
-            leaf_group_name(self.service, leaf.leaf_id),
-            leaf.contacts,
-        )
-
     def _serve_info(self, body: GetHierarchyInfo, sender: Address):
-        # The tree (or ``subtree``), its depth and per-leaf load.
-        info = self.state.summary(getattr(body, "subtree", ""))
+        # The tree, its depth and per-leaf load.
+        info = self.state.summary()
         info["reorg_epoch"] = self.reorg_epoch
         return info
 

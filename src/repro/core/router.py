@@ -2,37 +2,38 @@
 
 The paper's request path: "The large group is used for naming purposes to
 identify the service, but requests are broadcast to individual subgroups."
-A :class:`ServiceRouter` is given the service's leader contacts, obtains a
-leaf assignment from the manager, caches it, and invalidates it when
-requests start failing — so a client only ever talks to one bounded
-subgroup, never to all n members.
+A :class:`ServiceRouter` is given the service's leader contacts, fetches
+the branch tree from any leader replica, and places each key on a leaf
+by walking that tree with the leader's own rule
+(:func:`repro.core.views.walk_key`) — so a client only ever talks to one
+bounded subgroup, never to all n members.  A client with no key of its
+own places itself by its address.
 
-Per-key placement (:meth:`ServiceRouter.resolve_key`) costs the leader
-one round trip per reorg epoch, not one per key: the router fetches the
-branch tree once and walks it with the leader's own rule
-(:func:`repro.core.views.walk_key`).  Nor does it cost a round trip to
-the leaf: every placement or assignment names the leaf's contacts as a
-:class:`~repro.core.views.CohortSet`, the leaf's cohort set, so a
-coordinator-cohort client built from it sends its first request straight
-to the set, with no ``GetMembers``.
+A placement costs the leader one round trip per reorg epoch, not one per
+key: the tree is fetched once, and dropped
+(:meth:`ServiceRouter.invalidate`) when requests to a placement start
+failing.  Nor does it cost a round trip to the leaf: every placement
+names the leaf's contacts as a :class:`~repro.core.views.CohortSet`, the
+leaf's cohort set, so a coordinator-cohort client built from it sends
+its first request straight to the set, with no ``GetMembers``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.leader import GetHierarchyInfo, GetLeafAssignment, leaf_group_name
+from repro.core.leader import GetHierarchyInfo, leaf_group_name
 from repro.core.views import CohortSet, walk_key
 from repro.net.message import Address
 from repro.proc.process import Process
 from repro.proc.rpc import Rpc
 
-Assignment = Tuple[str, CohortSet]  # (leaf group name, its cohort set)
-AssignmentFn = Callable[[Optional[Assignment]], None]
+Placement = Tuple[str, CohortSet]  # (leaf group name, its cohort set)
+PlacementFn = Callable[[Optional[Placement]], None]
 
 
 class ServiceRouter:
-    """Resolves and caches a leaf assignment for one service."""
+    """Places keys on the leaves of one service's branch tree."""
 
     def __init__(
         self,
@@ -49,17 +50,15 @@ class ServiceRouter:
         self._rpc = rpc if rpc is not None else Rpc(process)
         self._leader_contacts = tuple(leader_contacts)
         self._timeout = rpc_timeout
-        self._assignment: Optional[Assignment] = None
-        self.lookups = 0
-        # Hierarchical placement: the leader's tree (branch -> children)
-        # as of one reorg epoch, walked locally, and each routable leaf's
-        # (group name, cohort set), built once per fetch.  A failure on a
-        # placement drops the tree (``invalidate_key``); the next fetch
-        # shows whether a split or merge had moved the epoch.
+        # The leader's tree (branch -> children) as of one reorg epoch,
+        # walked locally, and each routable leaf's (group name, cohort
+        # set), built once per fetch.  A failure on a placement drops the
+        # tree (``invalidate``); the next fetch shows whether a split or
+        # merge had moved the epoch.
         self._tree: Optional[Dict[str, List[str]]] = None
-        self._placements: Dict[str, Assignment] = {}
+        self._placements: Dict[str, Placement] = {}
         self._placement_epoch: Optional[int] = None
-        self._tree_waiters: List[Tuple[str, AssignmentFn]] = []
+        self._tree_waiters: List[Tuple[str, PlacementFn]] = []
         self.placement_lookups = 0  # tree fetches asked of the leader
         self.placement_hits = 0  # keys placed without asking anybody
         self.placement_invalidations = 0  # fetches that found a new epoch
@@ -68,24 +67,7 @@ class ServiceRouter:
     def rpc(self) -> Rpc:
         return self._rpc
 
-    @property
-    def cached_assignment(self) -> Optional[Assignment]:
-        return self._assignment
-
-    def invalidate(self) -> None:
-        """Drop the cached leaf (call after repeated request failures)."""
-        self._assignment = None
-        self._tree = None
-        self._placement_epoch = None
-
-    def assignment(self, on_ready: AssignmentFn) -> None:
-        """Yield a (leaf group, contacts) assignment, from cache if warm."""
-        if self._assignment is not None:
-            on_ready(self._assignment)
-            return
-        self._ask_leader(self._leader_contacts, 0, on_ready)
-
-    def resolve_key(self, key: str, on_ready: AssignmentFn) -> None:
+    def resolve_key(self, key: str, on_ready: PlacementFn) -> None:
         """Hierarchical placement: yield the (leaf group, contacts) the
         tree walk assigns to ``key`` — the leaf the manager's
         ``place_key`` names, worked out here from the tree this router
@@ -108,57 +90,12 @@ class ServiceRouter:
             return None
         return walk_key(self._tree.get, key)
 
-    def invalidate_key(self, key: str) -> None:
-        """Requests to ``key``'s placement are failing: the tree that
-        placed it is out of date, so the next resolve fetches it again."""
+    def invalidate(self) -> None:
+        """Requests to a placement are failing: the tree that placed it is
+        out of date, so the next resolve fetches it again."""
         self._tree = None
 
     # -- internals ----------------------------------------------------------------
-
-    def _ask_leader(
-        self,
-        contacts: Tuple[Address, ...],
-        index: int,
-        on_ready: AssignmentFn,
-    ) -> None:
-        if not contacts or index >= 3 * len(contacts):
-            on_ready(None)
-            return
-        self.lookups += 1
-        contact = contacts[index % len(contacts)]
-
-        def reply(value, sender) -> None:
-            if value is None:
-                self._ask_leader(contacts, index + 1, on_ready)
-            elif value[0] == "redirect":
-                target = value[1]
-                new_contacts = contacts if target in contacts else contacts + (target,)
-                next_index = (
-                    new_contacts.index(target)
-                    if target in new_contacts
-                    else index + 1
-                )
-                self._ask_leader(new_contacts, next_index, on_ready)
-            elif value[0] == "leaf":
-                self._assignment = (value[1], CohortSet(value[2]))
-                trace = self._process.env.network.trace
-                if trace is not None:
-                    trace.local(
-                        "leaf-assigned", category="routing",
-                        process=self._process.address,
-                        service=self.service, leaf_group=value[1],
-                    )
-                on_ready(self._assignment)
-            else:
-                self._ask_leader(contacts, index + 1, on_ready)
-
-        self._rpc.call(
-            contact,
-            GetLeafAssignment(service=self.service),
-            on_reply=reply,
-            timeout=self._timeout,
-            on_timeout=lambda: self._ask_leader(contacts, index + 1, on_ready),
-        )
 
     def _ask_tree(self, contacts: Tuple[Address, ...], index: int) -> None:
         if not contacts or index >= 3 * len(contacts):

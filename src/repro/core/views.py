@@ -243,16 +243,11 @@ class HierarchyState:
                 stack.extend(node.children)
         return out
 
-    def summary(self, subtree: str = "") -> Dict:
+    def summary(self) -> Dict:
         """Introspection dict (the ``GetHierarchyInfo`` reply): depth,
         per-leaf size/contacts/load, and the branch tree a router walks to
         place keys by itself."""
-        root = subtree or ROOT_BRANCH
-        leaf_ids = (
-            self.leaf_ids_under(root)
-            if root in self.branches or root in self.leaves
-            else []
-        )
+        leaf_ids = self.leaf_ids_under(ROOT_BRANCH)
         leaves = {}
         for leaf_id in leaf_ids:
             leaf = self.leaves[leaf_id]
@@ -263,7 +258,7 @@ class HierarchyState:
             }
         return {
             "leaves": leaves,
-            "tree": self.branch_children_under(root),
+            "tree": self.branch_children_under(ROOT_BRANCH),
             "total_size": sum(self.leaves[l].size for l in leaf_ids),
             "depth": self._depth,
             "branches": len(self.branches),

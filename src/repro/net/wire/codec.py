@@ -93,7 +93,10 @@ MAGIC = b"RW"
 # CCResultNote ``client``, TreeAck ``delivered_leaves`` — and a NewView's
 # state snapshot goes to the joiners alone, on a copy without the old
 # view's ``unstable`` and ``orders``.
-WIRE_VERSION = 16
+# v17: GetLeafAssignment (52), the manager's round-robin leaf pick, is
+# retired — every client places itself by walking the branch tree — and
+# GetHierarchyInfo loses ``subtree``, which no request ever set.
+WIRE_VERSION = 17
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

@@ -19,7 +19,6 @@ from repro.clocks.vector import VectorClock
 from repro.core.hierarchy import MergeCmd, SplitCmd
 from repro.core.leader import (
     GetHierarchyInfo,
-    GetLeafAssignment,
     HOp,
     JoinLarge,
     LeafProbe,
@@ -131,7 +130,9 @@ def ensure_registered() -> None:
     register_kind(49, LeafTarget)
     register_kind(50, JoinLarge)
     register_kind(51, ReportLeafStatus)
-    register_kind(52, GetLeafAssignment)
+    # Id 52 was GetLeafAssignment, the manager's round-robin leaf pick,
+    # until WIRE_VERSION 17 (every client places itself on the tree
+    # now); like 33 and 90 it stays retired.
     register_kind(53, GetHierarchyInfo)
     register_kind(54, LeafProbe)
     register_kind(55, HOp)
@@ -165,15 +166,14 @@ def ensure_registered() -> None:
     register_kind(83, LeafInfo)
     register_kind(84, BranchInfo)
 
-    # The load-report fields (ReportLeafStatus and UpdateLeaf rate,
-    # GetHierarchyInfo ``subtree``) extend the field lists of
-    # already-registered kinds — ids stay put, and WIRE_VERSION bumped
-    # to 2 per the codec's evolution contract (and to 4 when the
-    # never-fed request-rate field left both kinds).  The level-tagged
-    # placement fields that came with them (ReportLeafStatus level/path,
-    # Split/MergeDirective and Split/MergeCmd levels and paths, AddLeaf
-    # ``under``) left in WIRE_VERSION 15, when both reorganisation modes
-    # came to share one canonical tree.  Id 90 was
+    # The load-report fields (ReportLeafStatus and UpdateLeaf rate)
+    # extend the field lists of already-registered kinds — ids stay put,
+    # and WIRE_VERSION bumped to 2 per the codec's evolution contract (and
+    # to 4 when the never-fed request-rate field left both kinds).  The
+    # level-tagged placement fields that came with them (ReportLeafStatus
+    # level/path, Split/MergeDirective and Split/MergeCmd levels and
+    # paths, AddLeaf ``under``) left in WIRE_VERSION 15, when both
+    # reorganisation modes came to share one canonical tree.  Id 90 was
     # ResolvePlacement until WIRE_VERSION 5 (routers walk the tree
     # themselves now); ids are append-only, so it stays retired.
 

@@ -46,12 +46,12 @@ class Rpc:
     Caller side::
 
         rpc = Rpc(process)
-        rpc.call(server, GetLeafAssignment("trading"), on_reply=handle,
+        rpc.call(server, GetHierarchyInfo("trading"), on_reply=handle,
                  timeout=1.0, on_timeout=retry)
 
     Server side::
 
-        rpc.serve(GetLeafAssignment, lambda body, sender: assign(body.service))
+        rpc.serve(GetHierarchyInfo, lambda body, sender: state.summary())
     """
 
     _ids = itertools.count(1)

@@ -12,8 +12,8 @@ from repro.toolkit.coordinator_cohort import (
     attach_service,
 )
 from repro.toolkit.hierarchical_service import (
-    HierarchicalClient,
     HierarchicalServer,
+    KeyRoutedClient,
     attach_hierarchical_service,
 )
 from repro.toolkit.mutex import DistributedMutex, MutexOp
@@ -42,8 +42,8 @@ __all__ = [
     "CoordinatorCohortServer",
     "DistributedMutex",
     "GetMembers",
-    "HierarchicalClient",
     "HierarchicalServer",
+    "KeyRoutedClient",
     "MutexOp",
     "PartitionedStoreClient",
     "PartitionedStoreServer",

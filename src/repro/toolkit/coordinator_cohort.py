@@ -407,8 +407,7 @@ class CoordinatorCohortClient:
         self,
         process: Process,
         group: str,
-        contact: Address = "",
-        contacts: Tuple[Address, ...] = (),
+        contacts: Tuple[Address, ...],
         rpc=None,
         timeout: float = 1.0,
         max_retries: int = 4,
@@ -417,9 +416,9 @@ class CoordinatorCohortClient:
         self.process = process
         self.group = group
         self.is_read = is_read
-        self.contacts = tuple(contacts) if contacts else (contact,)
+        self.contacts = tuple(contacts)
         if not any(self.contacts):
-            raise ValueError("need a contact or contacts")
+            raise ValueError("need contacts")
         self._contact_index = 0
         self.timeout = timeout
         self.max_retries = max_retries
@@ -430,7 +429,7 @@ class CoordinatorCohortClient:
         # reply corrects it if the leaf has moved on.
         self._members: Optional[Tuple[Address, ...]] = None
         self._view_seq = 0
-        if contacts and isinstance(contacts, CohortSet):
+        if isinstance(contacts, CohortSet):
             self._learn(0, self.contacts)
         self.replies_received = 0
         self._calls: Dict[str, _Call] = {}

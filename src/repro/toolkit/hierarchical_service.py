@@ -65,79 +65,14 @@ class HierarchicalServer:
         (a leaf change replaces it)."""
         return self._current
 
-    @property
-    def requests_executed(self) -> int:
-        return self._current.requests_executed if self._current else 0
-
-
-class HierarchicalClient:
-    """Client stub: leaf assignment via the router, then leaf-local CC."""
-
-    def __init__(
-        self,
-        process: Process,
-        router: ServiceRouter,
-        timeout: float = 1.0,
-        max_retries: int = 4,
-    ) -> None:
-        self.process = process
-        self.router = router
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self._cc: Optional[CoordinatorCohortClient] = None
-        self.requests_sent = 0
-
-    def request(
-        self,
-        payload: Any,
-        on_reply: Callable[[Any], None],
-        on_failure: Optional[Callable[[], None]] = None,
-    ) -> None:
-        self.requests_sent += 1
-        self._send(payload, on_reply, on_failure, retried=False)
-
-    def _send(self, payload, on_reply, on_failure, retried: bool) -> None:
-        """Through the assigned leaf.  One that stops answering (dissolved
-        or partitioned) is dropped and the request sent once more over a
-        fresh assignment; if that fails too, ``on_failure``."""
-
-        def failed() -> None:
-            self._cc = None
-            if retried:
-                if on_failure is not None:
-                    on_failure()
-                return
-            self.router.invalidate()
-            self._send(payload, on_reply, on_failure, retried=True)
-
-        def assigned(assignment) -> None:
-            if assignment is None:
-                if on_failure is not None:
-                    on_failure()
-                return
-            leaf_group, contacts = assignment
-            self._cc = CoordinatorCohortClient(
-                self.process,
-                leaf_group,
-                contacts=contacts,
-                rpc=self.router.rpc,
-                timeout=self.timeout,
-                max_retries=self.max_retries,
-            )
-            self._cc.request(payload, on_reply, on_failure=failed)
-
-        if self._cc is not None:
-            self._cc.request(payload, on_reply, on_failure=failed)
-        else:
-            self.router.assignment(assigned)
-
 
 class KeyRoutedClient:
-    """Client stub for a partitioned service: each key's leaf through
+    """Client stub for a hierarchical service: each key's leaf through
     :meth:`ServiceRouter.resolve_key`, then one cached coordinator-cohort
-    stub per leaf group.  A request whose leaf stops answering (dissolved,
-    merged or partitioned away) re-routes once over a freshly fetched tree
-    and is then answered ``None``, so every request is answered."""
+    stub per leaf group.  A client with no key of its own passes its
+    address, so that all its requests go to one leaf.  A request whose
+    leaf stops answering (dissolved, merged or partitioned away) re-routes
+    once over a freshly fetched tree; if that fails too, ``on_failure``."""
 
     def __init__(
         self,
@@ -154,18 +89,24 @@ class KeyRoutedClient:
         self.is_read = is_read
         self._cc: Dict[str, CoordinatorCohortClient] = {}
 
-    def request(self, key: str, payload: Any, on_reply: Callable[[Any], None]) -> None:
-        self._route(key, payload, on_reply, rerouted=False)
+    def request(
+        self,
+        key: str,
+        payload: Any,
+        on_reply: Callable[[Any], None],
+        on_failure: Optional[Callable[[], None]] = None,
+    ) -> None:
+        self._route(key, payload, on_reply, on_failure or (lambda: None), rerouted=False)
 
     def owner_leaf(self, key: str) -> Optional[str]:
         """The leaf ``key`` is routed to now, or ``None`` before the
         router holds a tree; no message is sent."""
         return self.router.place(key)
 
-    def _route(self, key, payload, on_reply, rerouted: bool) -> None:
+    def _route(self, key, payload, on_reply, on_failure, rerouted: bool) -> None:
         def placed(placement) -> None:
             if placement is None:
-                on_reply(None)
+                on_failure()
                 return
             group, contacts = placement
             cc = self._cc.get(group)
@@ -183,10 +124,10 @@ class KeyRoutedClient:
             def failed() -> None:
                 self._cc.pop(group, None)
                 if rerouted:
-                    on_reply(None)
+                    on_failure()
                     return
-                self.router.invalidate_key(key)
-                self._route(key, payload, on_reply, rerouted=True)
+                self.router.invalidate()
+                self._route(key, payload, on_reply, on_failure, rerouted=True)
 
             cc.request(payload, on_reply, on_failure=failed)
 

@@ -94,14 +94,16 @@ class PartitionedStoreClient(KeyRoutedClient):
 
     def put(self, key: str, value: Any, on_done: Callable[[bool], None]) -> None:
         self.request(key, {"op": "put", "key": key, "value": value},
-                     lambda result: on_done(bool(result and result[0] == "ok")))
+                     lambda result: on_done(bool(result and result[0] == "ok")),
+                     lambda: on_done(False))
 
     def get(self, key: str, on_value: Callable[[Any], None]) -> None:
         def unwrap(result) -> None:
             on_value(result[1] if result and result[0] == "value" else None)
 
-        self.request(key, {"op": "get", "key": key}, unwrap)
+        self.request(key, {"op": "get", "key": key}, unwrap, lambda: on_value(None))
 
     def delete(self, key: str, on_done: Callable[[bool], None]) -> None:
         self.request(key, {"op": "delete", "key": key},
-                     lambda result: on_done(bool(result and result[0] == "ok")))
+                     lambda result: on_done(bool(result and result[0] == "ok")),
+                     lambda: on_done(False))

@@ -130,7 +130,7 @@ class ManufacturingWorkload:
             current = self.inventory[0].get(part, 0)
             self.inventory[0].put(part, current - 1)
 
-        client.request({"order": order_id, "part": part}, on_reply)
+        client.request(client.process.address, {"order": order_id, "part": part}, on_reply)
 
     # -- factory-wide reconfiguration ------------------------------------------------
 
@@ -158,7 +158,7 @@ class ManufacturingWorkload:
     ) -> WorkloadResult:
         from repro.core.router import ServiceRouter
         from repro.membership.service import GroupNode
-        from repro.toolkit.hierarchical_service import HierarchicalClient
+        from repro.toolkit.hierarchical_service import KeyRoutedClient
 
         start = self.env.now
         # per-cell status chatter
@@ -183,7 +183,7 @@ class ManufacturingWorkload:
                 rpc=node.runtime.rpc,
                 leader_contacts=self.cluster.leader_contacts,
             )
-            clients.append(HierarchicalClient(node, router))
+            clients.append(KeyRoutedClient(node, router))
         for i, client in enumerate(clients):
             rng = self.rng.fork(f"orders-{i}")
             t = 0.0

@@ -116,7 +116,9 @@ class TradingRoomWorkload:
             self.result.requests_answered += 1
             self.result.request_latency.add(self.env.now - sent_at)
 
-        client.request({"symbol": self.rng.choice(SYMBOLS)}, on_reply)
+        client.request(
+            client.process.address, {"symbol": self.rng.choice(SYMBOLS)}, on_reply
+        )
 
     # -- driver -------------------------------------------------------------------
 
@@ -125,7 +127,7 @@ class TradingRoomWorkload:
         client stations issue position queries."""
         from repro.core.router import ServiceRouter
         from repro.membership.service import GroupNode
-        from repro.toolkit.hierarchical_service import HierarchicalClient
+        from repro.toolkit.hierarchical_service import KeyRoutedClient
 
         start = self.env.now
         # feed schedules (poisson per feed)
@@ -147,7 +149,7 @@ class TradingRoomWorkload:
                 rpc=node.runtime.rpc,
                 leader_contacts=self.cluster.leader_contacts,
             )
-            clients.append(HierarchicalClient(node, router))
+            clients.append(KeyRoutedClient(node, router))
         for i, client in enumerate(clients):
             rng = self.rng.fork(f"query-{i}")
             t = 0.0

@@ -10,10 +10,13 @@ from repro.net import FixedLatency
 from repro.proc import Environment
 from repro.toolkit import (
     CoordinatorCohortClient,
-    HierarchicalClient,
+    KeyRoutedClient,
     attach_hierarchical_service,
 )
 from repro.workloads.common import WorkloadResult, build_service_cluster
+
+# The client has no key of its own: it places itself by its address.
+KEY = "hclient"
 
 
 def build(workers=10, seed=1, fanout=2, resiliency=2):
@@ -26,18 +29,18 @@ def build(workers=10, seed=1, fanout=2, resiliency=2):
         members, lambda payload, client: ("served", payload)
     )
     env.run_for(5.0 + 0.4 * workers)
-    node = GroupNode(env, "hclient")
+    node = GroupNode(env, KEY)
     router = ServiceRouter(
         node, "svc", rpc=node.runtime.rpc, leader_contacts=contacts
     )
-    client = HierarchicalClient(node, router, timeout=0.5, max_retries=2)
+    client = KeyRoutedClient(node, router, timeout=0.5, max_retries=2)
     return env, params, leaders, members, client, router
 
 
 def test_request_served_normally():
     env, params, leaders, members, client, router = build()
     got = []
-    client.request("x", got.append)
+    client.request(KEY, "x", got.append)
     env.run_for(3.0)
     assert got == [("served", "x")]
 
@@ -51,10 +54,10 @@ def test_request_to_a_sixteen_member_leaf_costs_2r():
     )
     assert {m.leaf_size for m in members} == {16}
     got = []
-    client.request("warm-up", got.append)  # the assignment, the set with it
+    client.request(KEY, "warm-up", got.append)  # the tree, the set with it
     env.run_for(3.0)
     before = env.network.stats.snapshot()
-    client.request("x", got.append)
+    client.request(KEY, "x", got.append)
     env.run_for(3.0)
     assert got == [("served", "warm-up"), ("served", "x")]
     delta = env.network.stats.since(before).by_category
@@ -110,22 +113,20 @@ def test_a_stale_directory_entry_costs_no_retry_timer(settle):
 def test_client_fails_over_when_assigned_leaf_dies():
     env, params, leaders, members, client, router = build(workers=10)
     got = []
-    client.request("warm-up", got.append)
+    client.request(KEY, "warm-up", got.append)
     env.run_for(3.0)
     assert got, "warm-up request must succeed"
-    leaf_group, _contacts = router.cached_assignment
-    leaf_id = leaf_group.split("::", 1)[1]
+    leaf_id = client.owner_leaf(KEY)
     victims = [m for m in members if m.leaf_id == leaf_id]
     assert victims
     for victim in victims:
         victim.node.crash()
     env.run_for(8.0)  # leader notices the lost leaf
-    client.request("after-leaf-death", got.append)
+    client.request(KEY, "after-leaf-death", got.append)
     env.run_for(20.0)
     assert got[-1] == ("served", "after-leaf-death")
     # the router was re-pointed at a different leaf
-    new_leaf_group, _ = router.cached_assignment
-    assert new_leaf_group != leaf_group
+    assert client.owner_leaf(KEY) not in (None, leaf_id)
 
 
 def test_client_failure_callback_when_service_gone():
@@ -136,7 +137,7 @@ def test_client_failure_callback_when_service_gone():
         r.node.crash()
     env.run_for(3.0)
     got, failed = [], []
-    client.request("void", got.append, on_failure=lambda: failed.append(1))
+    client.request(KEY, "void", got.append, on_failure=lambda: failed.append(1))
     env.run_for(60.0)
     assert got == []
     assert failed == [1]
@@ -144,23 +145,23 @@ def test_client_failure_callback_when_service_gone():
 
 def test_a_client_cut_off_from_every_leaf_fails_after_one_fresh_assignment():
     """The leader still answers, so a client that re-asked on every
-    failure would ask for as long as the cut lasts: it asks once for a
-    fresh assignment, then reports the failure and sends nothing more."""
+    failure would ask for as long as the cut lasts: it fetches the tree
+    once more, then reports the failure and sends nothing more."""
     env, params, leaders, members, client, router = build(workers=10)
     got = []
-    client.request("warm-up", got.append)
+    client.request(KEY, "warm-up", got.append)
     env.run_for(3.0)
     assert got
     for member in members:
-        env.network.partitions.cut_link("hclient", member.node.address)
-        env.network.partitions.cut_link(member.node.address, "hclient")
+        env.network.partitions.cut_link(KEY, member.node.address)
+        env.network.partitions.cut_link(member.node.address, KEY)
     sent = []
     env.network.add_tap(
-        lambda _event, envelope: envelope.src == "hclient" and sent.append(env.now),
+        lambda _event, envelope: envelope.src == KEY and sent.append(env.now),
         events=("send",),
     )
     failed = []
-    client.request("cut-off", got.append, on_failure=lambda: failed.append(env.now))
+    client.request(KEY, "cut-off", got.append, on_failure=lambda: failed.append(env.now))
     env.run_for(30.0)
     assert got == [("served", "warm-up")]
     assert len(failed) == 1
@@ -171,10 +172,35 @@ def test_requests_spread_over_reassignments():
     env, params, leaders, members, client, router = build(workers=12)
     got = []
     for i in range(5):
-        client.request(i, got.append)
+        client.request(KEY, i, got.append)
     env.run_for(5.0)
     assert sorted(r[1] for r in got) == list(range(5))
-    assert client.requests_sent == 5
+
+
+def test_a_client_of_a_service_with_no_workers_fails_once():
+    """No worker has joined, so the tree has no leaf to place on: the
+    request fails once, after one tree fetch, and no ``CCRequest`` is
+    ever sent."""
+    env = Environment(seed=3, latency=FixedLatency(0.002))
+    params = LargeGroupParams(resiliency=2, fanout=4)
+    leaders = build_leader_group(env, "svc", params)
+    contacts = tuple(r.node.address for r in leaders)
+    env.run_for(2.0)
+    node = GroupNode(env, KEY)
+    router = ServiceRouter(node, "svc", rpc=node.runtime.rpc, leader_contacts=contacts)
+    client = KeyRoutedClient(node, router)
+    sent = []
+    env.network.add_tap(
+        lambda _event, e: sent.append(type(getattr(e.payload, "body", e.payload)).__name__)
+        if e.src == KEY else None,
+        events=("send",),
+    )
+    got, failed = [], []
+    client.request(KEY, "void", got.append, on_failure=lambda: failed.append(env.now))
+    env.run_for(10.0)
+    assert got == []
+    assert len(failed) == 1
+    assert sent == ["GetHierarchyInfo"]
 
 
 # -- workloads/common ---------------------------------------------------------------

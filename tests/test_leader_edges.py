@@ -3,7 +3,6 @@ membership corner cases."""
 
 from repro.core import (
     GetHierarchyInfo,
-    GetLeafAssignment,
     JoinLarge,
     LargeGroupParams,
     ReportLeafStatus,
@@ -51,19 +50,17 @@ def test_non_manager_replica_redirects_joins():
     assert replies[0][1] == leaders[0].node.address
 
 
-def test_non_manager_redirects_assignment_and_reports():
+def test_non_manager_redirects_reports():
     env, params, leaders, members = build_service()
     probe = GroupNode(env, "probe")
     target = leaders[2].node.address
-    r1 = rpc_once(env, probe, target, GetLeafAssignment(service="svc"))
-    assert r1 and r1[0][0] == "redirect"
-    r2 = rpc_once(
+    replies = rpc_once(
         env,
         probe,
         target,
         ReportLeafStatus(service="svc", leaf_id="x", size=1, contacts=("probe",)),
     )
-    assert r2 and r2[0][0] == "redirect"
+    assert replies and replies[0][0] == "redirect"
 
 
 def test_stale_leaf_report_acknowledged_as_stale():
@@ -90,31 +87,6 @@ def test_hierarchy_info_served_by_any_replica():
         env, probe, leaders[1].node.address, GetHierarchyInfo(service="svc")
     )
     assert replies and replies[0]["total_size"] == 8
-
-
-def test_assignment_round_robin_cursor():
-    env, params, leaders, members = build_service(n=12, fanout=2, resiliency=2)
-    probe = GroupNode(env, "probe")
-    manager = next(r for r in leaders if r.is_manager)
-    seen = []
-    for _ in range(4):
-        replies = rpc_once(
-            env, probe, manager.node.address, GetLeafAssignment(service="svc")
-        )
-        seen.append(replies[0][1])
-    assert len(set(seen)) >= 2  # rotates across leaves
-
-
-def test_assignment_fails_when_no_members():
-    env = Environment(seed=3, latency=FixedLatency(0.002))
-    params = LargeGroupParams(resiliency=2, fanout=4)
-    leaders = build_leader_group(env, "svc", params)
-    env.run_for(2.0)
-    probe = GroupNode(env, "probe")
-    replies = rpc_once(
-        env, probe, leaders[0].node.address, GetLeafAssignment(service="svc")
-    )
-    assert replies == [None]  # RpcError surfaced as error reply
 
 
 def test_leader_events_record_ops_and_manager():

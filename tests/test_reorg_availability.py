@@ -13,7 +13,7 @@ from repro.core import (
 from repro.membership import GroupNode
 from repro.net import FixedLatency
 from repro.proc import Environment
-from repro.toolkit import HierarchicalClient, attach_hierarchical_service
+from repro.toolkit import KeyRoutedClient, attach_hierarchical_service
 
 
 def build(workers, seed=1):
@@ -30,7 +30,7 @@ def build(workers, seed=1):
     router = ServiceRouter(
         node, "svc", rpc=node.runtime.rpc, leader_contacts=contacts
     )
-    client = HierarchicalClient(node, router, timeout=0.8, max_retries=4)
+    client = KeyRoutedClient(node, router, timeout=0.8, max_retries=4)
     return env, params, leaders, members, contacts, client
 
 
@@ -41,6 +41,7 @@ def steady_stream(env, client, start, duration, rate=4.0):
         env.scheduler.at(
             start + (i + 1) / rate,
             lambda i=i: client.request(
+                client.process.address,
                 i,
                 on_reply=lambda v: got.append(v),
                 on_failure=lambda: failed.append(1),

@@ -186,7 +186,7 @@ def test_router_placement_cache_invalidated_by_reorg():
 
     # Requests to the removed leaf fail; the client says so, and the next
     # resolve fetches the tree of the new epoch and re-places the key.
-    router.invalidate_key("orders/17")
+    router.invalidate()
     router.resolve_key("orders/17", got.append)
     env.run_for(1.0)
     assert router.placement_invalidations == 1

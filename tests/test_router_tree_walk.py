@@ -3,9 +3,8 @@ leader's tree once per reorg epoch and walks it with the leader's own
 rule, so for every key it names the leaf ``HierarchyState.place_key``
 names — on a size-mode tree and on a load-mode tree after a hot split
 and a cold merge alike — at one leader round trip per client per
-epoch.  The last two
-tests cover the router's other path, a cached leaf assignment from the
-service's leader contacts."""
+epoch.  The last two tests cover dropping the tree and clients that
+place themselves by their own address."""
 
 import functools
 
@@ -170,7 +169,7 @@ def test_split_moves_the_epoch_and_the_router_fetches_again():
     assert moved, "a new leaf re-homes some keys"
     # The router still holds the old epoch's tree until a request on one
     # of its placements fails; then it asks the leader once more.
-    router.invalidate_key(moved[0])
+    router.invalidate()
     for key in keys:
         assert_walk_agrees(manager, router, key, env=env)
     assert router.placement_invalidations == 1
@@ -189,17 +188,20 @@ def test_router_static_contacts_and_invalidation():
         client, "svc", rpc=client.runtime.rpc, leader_contacts=contacts
     )
     got = []
-    router.assignment(got.append)
+    router.resolve_key("client", got.append)
     env.run_for(2.0)
     assert got[0] is not None
     router.invalidate()
-    assert router.cached_assignment is None
-    router.assignment(got.append)
+    assert router.place("client") is None
+    router.resolve_key("client", got.append)
     env.run_for(2.0)
-    assert got[-1] is not None
+    assert got[-1] == got[0]
+    assert router.placement_lookups == 2
 
 
 def test_router_round_robins_across_leaves():
+    """Six clients, each placed by its own address, spread over more
+    than one leaf."""
     env = Environment(seed=3, latency=FixedLatency(0.002))
     params = LargeGroupParams(resiliency=2, fanout=2)  # small leaves
     leaders = build_leader_group(env, "svc", params)
@@ -213,7 +215,7 @@ def test_router_round_robins_across_leaves():
             client, "svc", rpc=client.runtime.rpc, leader_contacts=contacts
         )
         got = []
-        router.assignment(got.append)
+        router.resolve_key(client.address, got.append)
         env.run_for(1.0)
         if got and got[0]:
             seen_leaves.add(got[0][0])

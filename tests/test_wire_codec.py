@@ -356,13 +356,12 @@ def test_extreme_ints_round_trip():
 
 def test_hierarchy_payloads_round_trip():
     """The hierarchy kinds survive the wire with non-default values: the
-    load-rate samples, the subtree query and the directives.  Wire v15:
+    load-rate samples and the directives.  Wire v15:
     the directives, split/merge commands, reports and ``AddLeaf`` carry
     no level or branch path — the canonical tree renumbers its branches
     on every rebuild, so a carried path would go stale."""
     from repro.core.hierarchy import MergeCmd, SplitCmd
     from repro.core.leader import (
-        GetHierarchyInfo,
         MergeDirective,
         ReportLeafStatus,
         SplitDirective,
@@ -391,7 +390,6 @@ def test_hierarchy_payloads_round_trip():
             leaf_id="leaf-a", size=9, contacts=("svc-w-0",),
             delivery_rate=33.0,
         ),
-        GetHierarchyInfo(service="svc", subtree="svc/b2"),
     ]
     for original in payloads:
         decoded = _round_trip(original)
@@ -561,13 +559,13 @@ def _budget_cases():
     return {
         "heartbeat": (
             Envelope("svc-w-517", "svc-w-516", Heartbeat(), 0.0),
-            "5257100101097376632d772d353137097376632d772d3531360a2000",
+            "5257110101097376632d772d353137097376632d772d3531360a2000",
         ),
         "group-data": (
             Envelope("svc-w-16", "svc-w-17", Segment(41, GroupData(
                 _LEAF, 16, "svc-w-16", 57, "total", _PUT, global_seq=312,
             )), 0.0),
-            "5257100101087376632d772d3136087376632d772d31370a010203520a0a08"
+            "5257110101087376632d772d3136087376632d772d31370a010203520a0a08"
             "05157376633a3a6c6561662d7376632d6c64722d302d32032005087376632d"
             "772d313603720505746f74616c090305026f70050370757405036b65790503"
             "6b3137050576616c756503220003f004",
@@ -576,14 +574,14 @@ def _budget_cases():
             Envelope("client-0", "svc-w-16", CCRequest(
                 _LEAF, "client-0/cc10", _PUT, "client-0", 16,
             ), 0.0),
-            "525710010108636c69656e742d30087376632d772d31360a46050515737663"
+            "525711010108636c69656e742d30087376632d772d31360a46050515737663"
             "3a3a6c6561662d7376632d6c64722d302d32050d636c69656e742d302f6363"
             "3130090305026f70050370757405036b657905036b3137050576616c756503"
             "220508636c69656e742d300320",
         ),
         "transport-ack": (
             Envelope("svc-w-17", "svc-w-16", SegmentAck(cum_seq=41), 0.0),
-            "5257100101087376632d772d3137087376632d772d31360a02010352",
+            "5257110101087376632d772d3137087376632d772d31360a02010352",
         ),
     }
 
@@ -745,6 +743,7 @@ def test_wire_ids_are_unique_and_stable():
     assert 11 not in kinds  # the sequencer's order message, retired in v12
     assert kinds[64].__name__ == "NodeRegister"
     assert 90 not in kinds  # ResolvePlacement, retired in v5: never reused
+    assert 52 not in kinds  # the manager's leaf assignment, retired in v17: never reused
     assert kinds[32].__name__ == "Heartbeat"
     assert 33 not in kinds  # HeartbeatAck, retired in v7: never reused
     assert (kinds[34].__name__, kinds[35].__name__) == ("Subscribe", "Unsubscribe")
@@ -787,8 +786,11 @@ def test_wire_ids_are_unique_and_stable():
     # AddLeaf ``under``): both reorganisation modes share one canonical
     # tree.  v16: Flush loses ``proposed``, CCResultNote ``client`` and
     # TreeAck ``delivered_leaves``, which no receiver read; the four
-    # pinned frames changed only in the version byte.
-    assert WIRE_VERSION == 16
+    # pinned frames changed only in the version byte.  v17: the
+    # manager's round-robin leaf assignment is gone — every client places
+    # itself on the branch tree — and GetHierarchyInfo loses ``subtree``;
+    # the pinned frames again changed only in the version byte.
+    assert WIRE_VERSION == 17
 
 
 def test_the_v16_slimmed_kinds_round_trip():

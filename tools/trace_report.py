@@ -34,11 +34,12 @@ from repro.core import (
     attach_treecast,
     build_large_group,
     build_leader_group,
+    leaf_group_name,
 )
 from repro.membership import GroupNode
 from repro.net import FixedLatency
 from repro.proc import Environment
-from repro.toolkit import HierarchicalClient, attach_hierarchical_service
+from repro.toolkit import KeyRoutedClient, attach_hierarchical_service
 
 CC_CATEGORIES = ("cc-request", "cc-reply", "cc-result")
 
@@ -67,13 +68,14 @@ def run_demo(
     router = ServiceRouter(
         client_node, "svc", rpc=client_node.runtime.rpc, leader_contacts=contacts
     )
-    client = HierarchicalClient(client_node, router, timeout=1.0)
+    client = KeyRoutedClient(client_node, router, timeout=1.0)
+    key = client_node.address  # no key of its own: it places itself
     replies = []
-    # Warm-up (untraced): resolve the leaf assignment, whose contacts are
-    # the leaf's cohort set, and let the first reply bring that set up to
+    # Warm-up (untraced): fetch the tree, whose placements carry each
+    # leaf's cohort set, and let the first reply bring that set up to
     # the leaf's view, so the traced request is pure E1 traffic — r
     # requests, 1 reply, r-1 result copies — with no discovery RPC mixed in.
-    client.request("warm-up", replies.append)
+    client.request(key, "warm-up", replies.append)
     env.run_for(2.0)
     if not replies:
         raise RuntimeError("warm-up request got no reply; demo misconfigured")
@@ -82,7 +84,7 @@ def run_demo(
     collector = sink.collector
 
     with sink.root("cc-request", process="client") as request_root:
-        client.request("traced", replies.append)
+        client.request(key, "traced", replies.append)
     env.run_for(2.0)
 
     manager_root = next(r for r in roots if r.replica.is_manager)
@@ -93,8 +95,7 @@ def run_demo(
     env.run_for(3.0)
 
     # --- E1 audit: the traced request against the 2r prediction ----------
-    assert router.cached_assignment is not None
-    leaf_group = router.cached_assignment[0]
+    leaf_group = leaf_group_name("svc", client.owner_leaf(key))
     leaf_size = sum(
         1
         for m in members
