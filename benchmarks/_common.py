@@ -87,7 +87,7 @@ def hierarchical_service(
     members = build_large_group(
         env, "svc", n, params, contacts, gossip_interval=gossip_interval
     )
-    participants = attach_treecast(members, resiliency=resiliency) if with_treecast else []
+    participants = attach_treecast(members) if with_treecast else []
     roots = [TreecastRoot(r) for r in leaders] if with_treecast else []
     servers = attach_hierarchical_service(members, ECHO)
     env.run_for(settle if settle is not None else 5.0 + 0.25 * n)

@@ -18,7 +18,7 @@ from _common import hierarchical_service, manager_of
 from repro.core import build_spec
 from repro.metrics import print_table
 
-SIZES = (32, 64, 128)
+SIZES = (32, 64, 128, 256)
 FANOUT = 4
 
 

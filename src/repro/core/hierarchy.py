@@ -306,7 +306,7 @@ class LargeGroupMember:
             service=self.service,
             leaf_id=self.leaf_id,
             size=view.size,
-            contacts=view.members[:8],
+            contacts=view.members[: self.params.resiliency],
             delivery_rate=self._last_delivery_rate if load_driven else -1.0,
         )
         contacts = self.leader_contacts
@@ -342,7 +342,7 @@ class LargeGroupMember:
         if body.leaf_id != self.leaf_id or not self.is_member:
             return None
         view = self.leaf_member.view
-        return (view.size, view.members[:8])
+        return (view.size, view.members[: self.params.resiliency])
 
     def _serve_split(self, body: SplitDirective, sender: Address):
         if body.leaf_id != self.leaf_id or not self.is_leaf_coordinator:

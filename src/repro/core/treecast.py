@@ -13,13 +13,14 @@ no process unicasts to more than ``fanout`` tree children (plus its own
 bounded leaf), and the number of stages is the tree depth —
 ``O(log_fanout(#leaves))``.
 
-Acknowledgements aggregate back up the same tree with per-leaf resiliency
-(a leaf acks once ``min(resiliency, leaf size)`` members hold the
-message).  In *atomic* mode delivery is two-phase: members buffer the
-payload; when the root has every subtree's ack it floods a commit down the
-tree, and only then do members deliver — all-or-nothing across the large
-group (crashes permitting), the companion paper's "large scale atomic
-broadcast".
+The manager's root stage and every relay's stage run the same code: each
+waits for one ack per child stage, then acks its parent (the root, which
+has none, completes).  A leaf acks once ``min(resiliency, leaf size)``
+members hold the message.  In *atomic* mode delivery is two-phase:
+members buffer the payload; when the root has every child's ack it
+passes a commit down the tree, and only then do members deliver —
+all-or-nothing across the large group (crashes permitting), the
+companion paper's "large scale atomic broadcast".
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.core.leader import LeaderReplica
 from repro.core.views import HierarchyState, ROOT_BRANCH
 from repro.membership.events import FIFO
 from repro.net.message import Address
+from repro.proc.process import Process
 from repro.proc.rpc import RpcError
 
 
@@ -43,13 +45,14 @@ from repro.proc.rpc import RpcError
 class LeafTarget:
     leaf_id: str
     coordinator: Address
-    size: int
 
 
 @dataclass(frozen=True)
 class RelaySpec:
-    """One branch node's share of the broadcast tree."""
+    """One branch node's share of the broadcast tree; ``branch`` names
+    the stage."""
 
+    branch: str
     relay: Address
     leaf_targets: Tuple[LeafTarget, ...]
     children: Tuple["RelaySpec", ...]
@@ -71,9 +74,7 @@ def build_spec(state: HierarchyState) -> Optional[RelaySpec]:
             if child in state.leaves:
                 leaf = state.leaves[child]
                 if leaf.coordinator is not None:
-                    leaf_targets.append(
-                        LeafTarget(leaf.leaf_id, leaf.coordinator, leaf.size)
-                    )
+                    leaf_targets.append(LeafTarget(leaf.leaf_id, leaf.coordinator))
             else:
                 sub = spec_for(child)
                 if sub is not None:
@@ -85,7 +86,7 @@ def build_spec(state: HierarchyState) -> Optional[RelaySpec]:
             if leaf_targets
             else children[0].relay
         )
-        return RelaySpec(relay, tuple(leaf_targets), tuple(children))
+        return RelaySpec(node_id, relay, tuple(leaf_targets), tuple(children))
 
     return spec_for(ROOT_BRANCH)
 
@@ -135,6 +136,7 @@ class TreeAck:
     category = "treecast-ack"
     size_bytes = 32
     broadcast_id: str
+    stage: str  # the child stage (branch or leaf id) this ack closes
 
 
 @dataclass
@@ -142,6 +144,7 @@ class TreeCommit:
     category = "treecast-commit"
     size_bytes = 24
     broadcast_id: str
+    stage: str  # the child stage it is addressed to
 
 
 @dataclass
@@ -158,32 +161,103 @@ class TreeBroadcastRequest:
     atomic: bool = False
 
 
+# -- branch stages (the manager's root and every relay) -------------------------------
+
+
+@dataclass
+class _Stage:
+    """One process's part in one broadcast at one branch."""
+
+    spec: RelaySpec
+    parent: Address  # "" at the root
+    atomic: bool
+    waiting: Set[str]  # child stages that have not acked
+
+
+@dataclass
+class _LeafStage:
+    """A leaf coordinator's part in one broadcast."""
+
+    leaf_id: str
+    parent: Address
+    atomic: bool
+    needed: int
+    holders: Set[Address] = field(default_factory=set)
+
+
+class _StageHost:
+    """Runs branch stages, one record per (broadcast, stage): a plain
+    stage ends once it has acked its parent, an atomic one once the
+    commit has passed through it."""
+
+    def __init__(self, node: Process) -> None:
+        self.node = node
+        self._stages: Dict[Tuple[str, str], _Stage] = {}
+        node.on(TreeAck, self._on_tree_ack)
+        node.on(TreeCommit, self._on_commit)
+
+    def _fan_out(
+        self, bid: str, spec: RelaySpec, payload: Any, atomic: bool, parent: Address
+    ) -> None:
+        waiting = {t.leaf_id for t in spec.leaf_targets}
+        waiting.update(child.branch for child in spec.children)
+        self._stages[(bid, spec.branch)] = _Stage(spec, parent, atomic, waiting)
+        me = self.node.address
+        for target in spec.leaf_targets:
+            self.node.send(
+                target.coordinator,
+                TreeCastLeaf(bid, target.leaf_id, payload, atomic, parent=me),
+            )
+        for child in spec.children:
+            self.node.send(
+                child.relay, TreeCastRelay(bid, child, payload, atomic, parent=me)
+            )
+
+    def _on_tree_ack(self, ack: TreeAck, sender: Address) -> None:
+        for (bid, _branch), stage in self._stages.items():
+            if bid == ack.broadcast_id and ack.stage in stage.waiting:
+                break
+        else:
+            return  # a duplicate, or a stage that has ended
+        stage.waiting.remove(ack.stage)
+        if not stage.waiting:
+            self._all_acked(bid, stage)
+
+    def _all_acked(self, bid: str, stage: _Stage) -> None:
+        self.node.send(stage.parent, TreeAck(bid, stage.spec.branch))
+        if not stage.atomic:
+            del self._stages[(bid, stage.spec.branch)]
+
+    def _on_commit(self, commit: TreeCommit, sender: Address) -> None:
+        stage = self._stages.pop((commit.broadcast_id, commit.stage), None)
+        if stage is not None:
+            self._commit(commit.broadcast_id, stage.spec)
+
+    def _commit(self, bid: str, spec: RelaySpec) -> None:
+        for target in spec.leaf_targets:
+            self.node.send(target.coordinator, TreeCommit(bid, target.leaf_id))
+        for child in spec.children:
+            self.node.send(child.relay, TreeCommit(bid, child.branch))
+
+
 # -- participant (runs at every worker) -----------------------------------------------
 
 
-class TreecastParticipant:
-    """Per-worker treecast agent: relays, leaf fan-out, acks, commits."""
+class TreecastParticipant(_StageHost):
+    """Per-worker treecast agent: relay stages, leaf fan-out, delivery."""
 
-    def __init__(self, member: LargeGroupMember, resiliency: int = 3) -> None:
+    def __init__(self, member: LargeGroupMember) -> None:
+        super().__init__(member.node)
         self.member = member
-        self.node = member.node
-        self.resiliency = resiliency
         self._delivered: List[Tuple[str, Any]] = []
         self._listeners: List[Callable[[Any, str], None]] = []
         self._buffered: Dict[str, Any] = {}
-        self._acks_needed: Dict[str, Tuple[int, Address]] = {}
-        self._acks_got: Dict[str, Set[Address]] = {}
-        self._relay_children: Dict[str, Tuple[RelaySpec, Tuple[LeafTarget, ...], Address]] = {}
-        self._relay_acked: Dict[str, int] = {}
-        self._relay_expect: Dict[str, int] = {}
-        self._leaf_parent: Dict[str, Address] = {}
+        self._leaves: Dict[str, _LeafStage] = {}
         self._seen: Set[str] = set()
 
         self.node.on(TreeCastRelay, self._on_relay)
         self.node.on(TreeCastLeaf, self._on_leaf_cast)
         self.node.on(LeafCastAck, self._on_leaf_ack)
-        self.node.on(TreeAck, self._on_tree_ack)
-        self.node.on(TreeCommit, self._on_commit)
         member.add_delivery_listener(self._on_group_delivery)
 
     # -- application surface ----------------------------------------------------
@@ -200,7 +274,6 @@ class TreecastParticipant:
 
     def _on_relay(self, msg: TreeCastRelay, sender: Address) -> None:
         spec = msg.spec
-        expected = len(spec.leaf_targets) + len(spec.children)
         trace = self.node.env.network.trace
         if trace is not None:
             trace.local(
@@ -208,71 +281,29 @@ class TreecastParticipant:
                 process=self.node.address, broadcast_id=msg.broadcast_id,
                 leaves=len(spec.leaf_targets), relays=len(spec.children),
             )
-        self._relay_children[msg.broadcast_id] = (
-            spec,
-            spec.leaf_targets,
-            msg.parent,
-        )
-        self._relay_expect[msg.broadcast_id] = expected
-        self._relay_acked[msg.broadcast_id] = 0
-        for target in spec.leaf_targets:
-            self.node.send(
-                target.coordinator,
-                TreeCastLeaf(
-                    broadcast_id=msg.broadcast_id,
-                    leaf_id=target.leaf_id,
-                    payload=msg.payload,
-                    atomic=msg.atomic,
-                    parent=self.node.address,
-                ),
-            )
-        for child in spec.children:
-            self.node.send(
-                child.relay,
-                TreeCastRelay(
-                    broadcast_id=msg.broadcast_id,
-                    spec=child,
-                    payload=msg.payload,
-                    atomic=msg.atomic,
-                    parent=self.node.address,
-                ),
-            )
-
-    def _on_tree_ack(self, ack: TreeAck, sender: Address) -> None:
-        bid = ack.broadcast_id
-        if bid not in self._relay_expect:
-            return
-        self._relay_acked[bid] += 1
-        if self._relay_acked[bid] >= self._relay_expect[bid]:
-            _spec, _targets, parent = self._relay_children[bid]
-            if parent:
-                self.node.send(parent, TreeAck(broadcast_id=bid))
+        self._fan_out(msg.broadcast_id, spec, msg.payload, msg.atomic, msg.parent)
 
     def _on_commit(self, commit: TreeCommit, sender: Address) -> None:
         bid = commit.broadcast_id
-        entry = self._relay_children.get(bid)
-        if entry is not None:
-            spec, targets, _parent = entry
-            for target in targets:
-                self.node.send(target.coordinator, TreeCommit(broadcast_id=bid))
-            for child in spec.children:
-                self.node.send(child.relay, TreeCommit(broadcast_id=bid))
-        if bid in self._leaf_parent:
-            # We are also this leaf's coordinator: commit within the leaf.
-            if self.member.is_member:
-                self.member.leaf_multicast(
-                    LeafCommitPayload(broadcast_id=bid), FIFO
-                )
+        leaf = self._leaves.get(bid)
+        if leaf is None or leaf.leaf_id != commit.stage:
+            super()._on_commit(commit, sender)
+            return
+        del self._leaves[bid]
+        if self.member.is_member:
+            self.member.leaf_multicast(LeafCommitPayload(broadcast_id=bid), FIFO)
 
     # -- leaf stage -------------------------------------------------------------------
 
     def _on_leaf_cast(self, msg: TreeCastLeaf, sender: Address) -> None:
         if not self.member.is_member:
             return
-        self._leaf_parent[msg.broadcast_id] = msg.parent
-        needed = min(self.resiliency, self.member.leaf_size)
-        self._acks_needed[msg.broadcast_id] = (needed, msg.parent)
-        self._acks_got.setdefault(msg.broadcast_id, set())
+        self._leaves[msg.broadcast_id] = _LeafStage(
+            msg.leaf_id,
+            msg.parent,
+            msg.atomic,
+            min(self.member.params.resiliency, self.member.leaf_size),
+        )
         self.member.leaf_multicast(
             LeafCastPayload(
                 broadcast_id=msg.broadcast_id,
@@ -307,21 +338,22 @@ class TreecastParticipant:
         self._record_leaf_ack(ack.broadcast_id, sender)
 
     def _record_leaf_ack(self, bid: str, who: Address) -> None:
-        if bid not in self._acks_needed:
+        leaf = self._leaves.get(bid)
+        if leaf is None or len(leaf.holders) >= leaf.needed:
+            return  # no stage here, or it has acked already
+        leaf.holders.add(who)
+        if len(leaf.holders) < leaf.needed:
             return
-        got = self._acks_got.setdefault(bid, set())
-        got.add(who)
-        needed, parent = self._acks_needed[bid]
-        if len(got) >= needed:
-            del self._acks_needed[bid]
-            trace = self.node.env.network.trace
-            if trace is not None:
-                trace.local(
-                    "leaf-acked", category="treecast",
-                    process=self.node.address, broadcast_id=bid,
-                    acks=len(got),
-                )
-            self.node.send(parent, TreeAck(broadcast_id=bid))
+        trace = self.node.env.network.trace
+        if trace is not None:
+            trace.local(
+                "leaf-acked", category="treecast",
+                process=self.node.address, broadcast_id=bid,
+                acks=len(leaf.holders),
+            )
+        self.node.send(leaf.parent, TreeAck(bid, leaf.leaf_id))
+        if not leaf.atomic:
+            del self._leaves[bid]
 
     def _deliver(self, bid: str, payload: Any) -> None:
         self._delivered.append((bid, payload))
@@ -332,19 +364,20 @@ class TreecastParticipant:
 # -- root (runs at the leader manager) ------------------------------------------------
 
 
-class TreecastRoot:
-    """Attach to a leader replica; executes broadcasts when manager."""
+class TreecastRoot(_StageHost):
+    """Attach to a leader replica; executes broadcasts when manager.  The
+    root is the stage with no parent: when every child has acked, the
+    broadcast completes."""
 
     _ids = itertools.count(1)
 
     def __init__(self, replica: LeaderReplica, ack_timeout: float = 5.0) -> None:
+        super().__init__(replica.node)
         self.replica = replica
-        self.node = replica.node
         self.ack_timeout = ack_timeout
         self._pending: Dict[str, Dict[str, Any]] = {}
         self.completed: List[Dict[str, Any]] = []
         self.node.runtime.rpc.serve(TreeBroadcastRequest, self._serve_request)
-        self.node.on(TreeAck, self._on_ack)
 
     def broadcast(
         self,
@@ -358,47 +391,23 @@ class TreecastRoot:
         if spec is None:
             return None
         bid = f"bc-{self.node.address}-{next(self._ids)}"
-        expected = len(spec.leaf_targets) + len(spec.children)
+        stages = spec.stage_count() + 1  # tree stages + leaf stage
         trace = self.node.env.network.trace
         if trace is not None:
             trace.local(
                 "treecast-start", category="treecast",
                 process=self.node.address, broadcast_id=bid,
-                stages=spec.stage_count() + 1, atomic=atomic,
+                stages=stages, atomic=atomic,
             )
         self._pending[bid] = {
             "id": bid,
             "atomic": atomic,
-            "expected": expected,
-            "acked": 0,
             "started_at": self.node.env.now,
-            "stages": spec.stage_count() + 1,  # tree stages + leaf stage
-            "spec": spec,
+            "stages": stages,
             "on_complete": on_complete,
             "committed": False,
         }
-        for target in spec.leaf_targets:
-            self.node.send(
-                target.coordinator,
-                TreeCastLeaf(
-                    broadcast_id=bid,
-                    leaf_id=target.leaf_id,
-                    payload=payload,
-                    atomic=atomic,
-                    parent=self.node.address,
-                ),
-            )
-        for child in spec.children:
-            self.node.send(
-                child.relay,
-                TreeCastRelay(
-                    broadcast_id=bid,
-                    spec=child,
-                    payload=payload,
-                    atomic=atomic,
-                    parent=self.node.address,
-                ),
-            )
+        self._fan_out(bid, spec, payload, atomic, parent="")
         self.node.set_timer(self.ack_timeout, lambda: self._timeout(bid))
         return bid
 
@@ -410,13 +419,8 @@ class TreecastRoot:
             raise RpcError("hierarchy is empty")
         return ("started", bid)
 
-    def _on_ack(self, ack: TreeAck, sender: Address) -> None:
-        info = self._pending.get(ack.broadcast_id)
-        if info is None:
-            return
-        info["acked"] += 1
-        if info["acked"] >= info["expected"]:
-            self._complete(ack.broadcast_id, timed_out=False)
+    def _all_acked(self, bid: str, stage: _Stage) -> None:
+        self._complete(bid, timed_out=False)
 
     def _timeout(self, bid: str) -> None:
         if bid in self._pending:
@@ -424,6 +428,7 @@ class TreecastRoot:
 
     def _complete(self, bid: str, timed_out: bool) -> None:
         info = self._pending.pop(bid)
+        stage = self._stages.pop((bid, ROOT_BRANCH))
         info["timed_out"] = timed_out
         info["elapsed"] = self.node.env.now - info["started_at"]
         trace = self.node.env.network.trace
@@ -434,21 +439,14 @@ class TreecastRoot:
                 stages=info["stages"], timed_out=timed_out,
             )
         if info["atomic"] and not timed_out:
-            spec: RelaySpec = info["spec"]
-            for target in spec.leaf_targets:
-                self.node.send(target.coordinator, TreeCommit(broadcast_id=bid))
-            for child in spec.children:
-                self.node.send(child.relay, TreeCommit(broadcast_id=bid))
+            self._commit(bid, stage.spec)
             info["committed"] = True
-        info.pop("spec")
         on_complete = info.pop("on_complete", None)
         self.completed.append(info)
         if on_complete is not None:
             on_complete(info)
 
 
-def attach_treecast(
-    members: List[LargeGroupMember], resiliency: int = 3
-) -> List[TreecastParticipant]:
+def attach_treecast(members: List[LargeGroupMember]) -> List[TreecastParticipant]:
     """Create a treecast participant on every worker."""
-    return [TreecastParticipant(m, resiliency=resiliency) for m in members]
+    return [TreecastParticipant(m) for m in members]

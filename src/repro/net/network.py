@@ -49,8 +49,8 @@ class Network:
     deliveries through a :class:`~repro.runtime.api.MessageFabric`
     (by default the engine's own :class:`~repro.runtime.api.
     TimerService`, which under the sim backend is the Scheduler itself —
-    the PR-1 hot path unchanged).  The asyncio backend binds its
-    in-flight-counting fabric here instead.
+    the PR-1 hot path unchanged).  The socket backend binds its UDP
+    fabric here instead.
     """
 
     def __init__(

@@ -96,7 +96,10 @@ MAGIC = b"RW"
 # v17: GetLeafAssignment (52), the manager's round-robin leaf pick, is
 # retired — every client places itself by walking the branch tree — and
 # GetHierarchyInfo loses ``subtree``, which no request ever set.
-WIRE_VERSION = 17
+# v18: a treecast stage is named — RelaySpec grows ``branch``, TreeAck
+# and TreeCommit carry the child ``stage`` they close or address — and
+# LeafTarget loses ``size``, which no receiver read.
+WIRE_VERSION = 18
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

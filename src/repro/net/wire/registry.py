@@ -117,7 +117,9 @@ def ensure_registered() -> None:
     register_kind(35, Unsubscribe)
     register_kind(36, Probe)
 
-    # Hierarchy: treecast, leader, hierarchy ops (40-59).
+    # Hierarchy: treecast, leader, hierarchy ops (40-59).  The stage
+    # kinds (RelaySpec, TreeAck, TreeCommit) name their stage since
+    # WIRE_VERSION 18, when LeafTarget lost its unread ``size``.
     register_kind(40, TreeCastRelay)
     register_kind(41, TreeCastLeaf)
     register_kind(42, LeafCastPayload)

@@ -29,7 +29,6 @@ import importlib
 
 from repro.runtime.api import (
     MessageFabric,
-    PeriodicHandle,
     Runtime,
     TimerHandle,
     TimerService,
@@ -38,7 +37,6 @@ from repro.runtime.sim_backend import SimRuntime
 from repro.sim.rand import SimRandom
 
 _LAZY = {
-    "AsyncioFabric": "repro.runtime.asyncio_backend",
     "AsyncioRuntime": "repro.runtime.asyncio_backend",
     "AsyncioTimers": "repro.runtime.asyncio_backend",
     "WallClockError": "repro.runtime.asyncio_backend",
@@ -57,14 +55,12 @@ def __getattr__(name):
     return value
 
 __all__ = [
-    "AsyncioFabric",
     "AsyncioRuntime",
     "AsyncioTimers",
     "SocketFabric",
     "SocketRuntime",
     "run_cluster",
     "MessageFabric",
-    "PeriodicHandle",
     "Runtime",
     "SimRandom",
     "SimRuntime",

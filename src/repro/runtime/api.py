@@ -27,13 +27,12 @@ The contract has three parts:
   paths tuned in PR 1 pay nothing for the indirection.
 * :class:`MessageFabric` — the hook the :class:`~repro.net.network.
   Network` binds to for deferred datagram delivery.  A fabric only needs
-  ``now`` and ``at_call``; backends may layer bookkeeping (the asyncio
-  fabric counts in-flight datagrams so services can drain cleanly).
+  ``now`` and ``at_call``; the socket fabric layers UDP transmission
+  on top for envelopes bound to remote peers.
 * :class:`Runtime` — the bundle an :class:`~repro.proc.env.Environment`
   is built from: ``timers`` + ``fabric`` + a deterministic seeded
   ``rng`` (fork children with ``rng.fork(label)``; one seed governs the
-  entire run) + run control (``spawn``, ``run``, ``run_for``,
-  ``run_until``).
+  entire run) + run control (``run``, ``run_for``).
 
 Rule RL009 (tools/lint) enforces the boundary: no module outside
 ``repro/sim/`` and ``repro/runtime/`` may import ``repro.sim``.
@@ -110,8 +109,8 @@ class MessageFabric(Protocol):
 
     The network computes a delivery deadline (send time + modelled
     latency) and hands the envelope to the fabric; the fabric invokes
-    ``fn(arg)`` at that deadline.  The sim fabric *is* the scheduler;
-    the asyncio fabric adds in-flight accounting on top of the loop.
+    ``fn(arg)`` at that deadline.  The sim fabric *is* the scheduler,
+    and the asyncio fabric the loop's timer service.
     """
 
     @property
@@ -151,28 +150,6 @@ class Runtime(ABC):
         """Current engine time (seconds)."""
         return self.timers.now
 
-    # -- convenience timer API ------------------------------------------------
-
-    def call_at(self, time: float, fn: Callable[[], None]) -> TimerHandle:
-        """Schedule ``fn`` at absolute engine time ``time``."""
-        return self.timers.at(time, fn)
-
-    def call_after(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
-        """Schedule ``fn`` to run ``delay`` seconds from now."""
-        return self.timers.after(delay, fn)
-
-    def periodic(self, interval: float, fn: Callable[[], None]) -> "PeriodicHandle":
-        """Run ``fn`` every ``interval`` seconds until cancelled.
-
-        Implemented over :meth:`TimerService.rearm`, so a periodic task
-        owns one timer handle for its whole life on every backend.
-        """
-        return PeriodicHandle(self.timers, interval, fn)
-
-    def spawn(self, fn: Callable[[], None]) -> TimerHandle:
-        """Run ``fn`` as soon as the engine next dispatches events."""
-        return self.timers.after(0.0, fn)
-
     # -- run control ----------------------------------------------------------
 
     @abstractmethod
@@ -191,51 +168,5 @@ class Runtime(ABC):
         """Run for ``duration`` seconds of engine time from now."""
         self.run(until=self.now + duration, max_events=max_events)
 
-    def run_until(self, time: float) -> None:
-        """Run until engine time ``time`` (alias of ``run(until=...)``)."""
-        self.run(until=time)
-
     def close(self) -> None:
         """Release engine resources; the runtime is unusable afterwards."""
-
-
-class PeriodicHandle:
-    """A periodic task built on the engine's ``rearm`` fast path.
-
-    Backend-agnostic: ticks re-arm one underlying timer handle instead
-    of allocating a fresh one, matching the behaviour (and cost) of the
-    per-process :class:`~repro.proc.process.Timer`.
-    """
-
-    __slots__ = ("_timers", "_interval", "_fn", "_cancelled", "_handle")
-
-    def __init__(
-        self, timers: TimerService, interval: float, fn: Callable[[], None]
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self._timers = timers
-        self._interval = interval
-        self._fn = fn
-        self._cancelled = False
-        self._handle = timers.after_call(interval, PeriodicHandle._tick, self)
-
-    def _tick(self) -> None:
-        if self._cancelled:
-            return
-        # Re-arm before running the callback so same-instant events the
-        # callback schedules order after the next tick (sim semantics).
-        self._timers.rearm(self._handle, self._interval)
-        self._fn()
-
-    def cancel(self) -> None:
-        self._cancelled = True
-        self._handle.cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
-    def time(self) -> float:
-        return self._handle.time

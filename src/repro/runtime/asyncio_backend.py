@@ -32,7 +32,7 @@ Design notes:
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.runtime.api import Runtime
 from repro.sim.rand import SimRandom
@@ -179,43 +179,6 @@ class AsyncioTimers:
         return self._errors.pop(0) if self._errors else None
 
 
-class AsyncioFabric:
-    """In-memory asyncio message fabric the network binds to.
-
-    Deferred deliveries go through here rather than the raw timer
-    service so the engine can account for datagrams separately from
-    protocol timers: a live service knows how many datagrams are still
-    in flight and can :meth:`drain` before shutting down — the moral
-    equivalent of the simulator's "run until the heap is empty".
-    """
-
-    __slots__ = ("_timers", "dispatched", "_in_flight")
-
-    def __init__(self, timers: AsyncioTimers) -> None:
-        self._timers = timers
-        self.dispatched = 0  # datagrams ever handed to the fabric
-        self._in_flight = 0
-
-    @property
-    def now(self) -> float:
-        return self._timers.now
-
-    def at_call(self, time: float, fn: Callable[[Any], None], arg: Any) -> AsyncioTimerHandle:
-        self.dispatched += 1
-        self._in_flight += 1
-        return self._timers.at_call(time, self._relay, (fn, arg))
-
-    def _relay(self, pair: Tuple[Callable[[Any], None], Any]) -> None:
-        self._in_flight -= 1
-        fn, arg = pair
-        fn(arg)
-
-    async def drain(self) -> None:
-        """Wait until no datagrams are in flight."""
-        while self._in_flight > 0:
-            await asyncio.sleep(_POLL)
-
-
 class AsyncioRuntime(Runtime):
     """Wall-clock engine: real timers, real concurrency, same protocols.
 
@@ -230,7 +193,7 @@ class AsyncioRuntime(Runtime):
 
     ``run()`` with no bound returns once no timers or datagrams remain
     queued; note that periodic timers (heartbeats, gossip) never drain,
-    so live services use ``run_for`` / ``run_until``.
+    so live services use ``run_for`` / ``run(until=...)``.
     """
 
     def __init__(
@@ -243,7 +206,7 @@ class AsyncioRuntime(Runtime):
         self._owns_loop = loop is None
         self._time_scale = time_scale
         self.timers = AsyncioTimers(self._loop, time_scale)
-        self.fabric = AsyncioFabric(self.timers)
+        self.fabric = self.timers  # a deferred delivery is one loop timer
         self.rng = SimRandom(seed)
 
     @property

@@ -14,7 +14,7 @@ cross-process traffic touches the wire.
 The fabric honours the ``MessageFabric`` contract the network relies on:
 
 * ``at_call`` defers both local deliveries and wire transmissions to the
-  envelope's deliver time, with in-flight accounting and ``drain()``;
+  envelope's deliver time;
 * non-envelope callbacks relay through plain timers, untouched.
 
 Failure containment: an unencodable or oversized payload, a truncated
@@ -82,8 +82,6 @@ class SocketFabric:
         self._peers: Dict[Address, Endpoint] = {}
         self._network = None  # bound by Environment via bind_network()
         self._transport: Optional[asyncio.DatagramTransport] = None
-        self.dispatched = 0  # datagrams ever handed to the fabric
-        self._in_flight = 0
         # Wire telemetry (perf_report --wire; docs/deployment.md).
         self.frames_sent = 0
         self.frames_received = 0
@@ -149,26 +147,13 @@ class SocketFabric:
     def at_call(
         self, time: float, fn: Callable[[Any], None], arg: Any
     ) -> AsyncioTimerHandle:
-        self.dispatched += 1
-        self._in_flight += 1
         if arg.__class__ is Envelope and arg.dst in self._peers:
             return self._timers.at_call(time, self._transmit, arg)
-        return self._timers.at_call(time, self._relay, (fn, arg))
-
-    def _relay(self, pair: Tuple[Callable[[Any], None], Any]) -> None:
-        self._in_flight -= 1
-        fn, arg = pair
-        fn(arg)
-
-    async def drain(self) -> None:
-        """Wait until no local deliveries or transmissions are queued."""
-        while self._in_flight > 0:
-            await asyncio.sleep(_POLL)
+        return self._timers.at_call(time, fn, arg)
 
     # -- transmit ------------------------------------------------------------
 
     def _transmit(self, envelope: Envelope) -> None:
-        self._in_flight -= 1
         transport = self._transport
         endpoint = self._peers.get(envelope.dst)
         if transport is None or endpoint is None:

@@ -15,7 +15,7 @@ Usage::
     sink = trace.attach(env)            # mid-run attach is fine
     with sink.root("request", process="client-0"):
         client.request(...)
-    env.scheduler.run_until(...)
+    env.run_for(2.0)
     report = trace.critical_path(sink.collector, trace_id=1)
 """
 

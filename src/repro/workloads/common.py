@@ -81,7 +81,7 @@ def build_service_cluster(
     leaders = build_leader_group(env, service, params)
     contacts = tuple(r.node.address for r in leaders)
     members = build_large_group(env, service, size, params, contacts)
-    participants = attach_treecast(members, resiliency=resiliency)
+    participants = attach_treecast(members)
     roots = [TreecastRoot(r) for r in leaders]
     env.run_for(settle if settle is not None else 5.0 + 0.25 * size)
     return ServiceCluster(env, params, leaders, members, participants, roots)

@@ -35,7 +35,7 @@ def test_grand_tour():
     leaders = build_leader_group(env, "svc", params)
     contacts = tuple(r.node.address for r in leaders)
     members = build_large_group(env, "svc", 24, params, contacts)
-    participants = attach_treecast(members, resiliency=2)
+    participants = attach_treecast(members)
     roots = [TreecastRoot(r) for r in leaders]
     stores = [PartitionedStoreServer(m) for m in members]
     env.run_for(15.0)

@@ -19,7 +19,7 @@ def build_service(n_workers, resiliency=2, fanout=4, seed=1, settle=None):
     leaders = build_leader_group(env, "svc", params)
     contacts = tuple(r.node.address for r in leaders)
     members = build_large_group(env, "svc", n_workers, params, contacts)
-    participants = attach_treecast(members, resiliency=resiliency)
+    participants = attach_treecast(members)
     roots = [TreecastRoot(r) for r in leaders]
     env.run_for(settle if settle is not None else 5.0 + 0.2 * n_workers)
     manager_root = next(r for r in roots if r.replica.is_manager)

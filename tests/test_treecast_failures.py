@@ -1,5 +1,6 @@
 """Failure injection for the tree broadcast: relay crashes, leaf crashes,
-atomicity under partial dissemination, and determinism properties."""
+atomicity under partial dissemination, duplicated and lost stage
+messages, deep trees, stage cleanup, and determinism properties."""
 
 from repro.core import (
     LargeGroupParams,
@@ -9,6 +10,7 @@ from repro.core import (
     build_leader_group,
     build_spec,
 )
+from repro.core.treecast import TreeAck, TreeCastLeaf
 from repro.net import FixedLatency
 from repro.proc import Environment
 
@@ -19,7 +21,7 @@ def build_service(n_workers, fanout=3, resiliency=2, seed=1, settle=None):
     leaders = build_leader_group(env, "svc", params)
     contacts = tuple(r.node.address for r in leaders)
     members = build_large_group(env, "svc", n_workers, params, contacts)
-    participants = attach_treecast(members, resiliency=resiliency)
+    participants = attach_treecast(members)
     roots = [TreecastRoot(r, ack_timeout=3.0) for r in leaders]
     env.run_for(settle if settle is not None else 5.0 + 0.3 * n_workers)
     root = next(r for r in roots if r.replica.is_manager)
@@ -131,3 +133,119 @@ def test_sequential_atomic_broadcasts_ordered_per_leaf_sender():
     for p in live:
         payloads = [payload for _b, payload in p.delivered]
         assert sorted(payloads) == [f"cfg-{i}" for i in range(4)]
+
+
+def stage_edges(spec):
+    """Parent-to-child edges of the broadcast tree (leaf targets included)."""
+    return len(spec.leaf_targets) + sum(
+        1 + stage_edges(child) for child in spec.children
+    )
+
+
+def delivered_count(participants, payload):
+    return sum(
+        1 for p in participants if payload in [x for _b, x in p.delivered]
+    )
+
+
+def test_an_atomic_broadcast_commits_once_per_edge_then_falls_quiet():
+    env, params, leaders, members, participants, root = build_service(
+        30, fanout=3, settle=25.0
+    )
+    spec = build_spec(root.replica.state)
+    assert spec.children, "need a multi-level tree for this test"
+    acked = []
+    env.network.add_tap(
+        lambda event, envelope: acked.append(envelope.payload.stage)
+        if isinstance(envelope.payload, TreeAck) else None,
+        events=("send",),
+    )
+    before = env.network.stats.snapshot()
+    root.broadcast("once", atomic=True)
+    env.run_for(1.0)
+    sent = env.network.stats.since(before).by_category
+    assert root.completed[0]["committed"]
+    # Every stage acks its parent exactly once; the commit crosses each
+    # edge once.
+    assert sorted(acked) == sorted(set(acked)) and len(acked) == stage_edges(spec)
+    assert sent["treecast-commit"] == stage_edges(spec)
+    assert delivered_count(participants, "once") == 30
+    quiet = env.network.stats.snapshot()
+    env.run_for(1.0)
+    later = env.network.stats.since(quiet).by_category
+    assert not any(
+        later.get(category)
+        for category in (
+            "treecast-relay", "treecast-leaf", "treecast-ack",
+            "treecast-commit", "group-data",
+        )
+    ), later
+
+
+def test_a_three_level_tree_completes_plain_and_atomic():
+    # 10 leaves at fanout 3 need branches under branches: the relay for
+    # the upper branch also runs the stage of its first child branch.
+    env, params, leaders, members, participants, root = build_service(
+        60, fanout=3, settle=40.0
+    )
+    spec = build_spec(root.replica.state)
+    assert spec.stage_count() == 3
+    root.broadcast("plain")
+    env.run_for(2.0)
+    root.broadcast("atomic", atomic=True)
+    env.run_for(2.0)
+    plain, atomic = root.completed
+    assert not plain["timed_out"] and not atomic["timed_out"]
+    assert atomic["committed"]
+    assert delivered_count(participants, "plain") == 60
+    assert delivered_count(participants, "atomic") == 60
+
+
+def test_a_duplicated_ack_does_not_stand_in_for_a_lost_leaf():
+    env, params, leaders, members, participants, root = build_service(
+        30, fanout=3, settle=25.0
+    )
+    spec = build_spec(root.replica.state)
+    assert len(spec.children) >= 2, "need two relays for this test"
+    nodes = {p.node.address: p.node for p in participants}
+    # One relay's ack to the root arrives twice ...
+    doubler = nodes[spec.children[0].relay]
+    send_a = doubler.send
+
+    def send_twice(dst, payload):
+        send_a(dst, payload)
+        if isinstance(payload, TreeAck) and dst == root.node.address:
+            send_a(dst, payload)
+
+    doubler.send = send_twice
+    # ... and another relay's first leaf cast is lost.
+    dropper = nodes[spec.children[1].relay]
+    send_b = dropper.send
+    lost = []
+
+    def lose_one(dst, payload):
+        if isinstance(payload, TreeCastLeaf) and not lost:
+            lost.append(dst)
+            return
+        send_b(dst, payload)
+
+    dropper.send = lose_one
+    root.broadcast("all-or-none", atomic=True)
+    env.run_for(5.0)
+    assert lost
+    info = root.completed[0]
+    assert info["timed_out"] and not info["committed"]
+    assert delivered_count(participants, "all-or-none") == 0
+
+
+def test_stage_tables_are_empty_once_broadcasts_finish():
+    env, params, leaders, members, participants, root = build_service(
+        60, fanout=3, settle=40.0
+    )
+    root.broadcast("plain")
+    root.broadcast("atomic", atomic=True)
+    env.run_for(2.0)
+    assert [c["timed_out"] for c in root.completed] == [False, False]
+    assert not root._stages
+    for p in participants:
+        assert not p._stages and not p._leaves

@@ -105,9 +105,10 @@ def _relay_spec(rng: SimRandom, depth: int = 0) -> RelaySpec:
         else ()
     )
     return RelaySpec(
+        branch=f"svc/b{rng.randint(0, 9)}",
         relay=_address(rng),
         leaf_targets=tuple(
-            LeafTarget(f"leaf{i}", _address(rng), rng.randint(1, 8))
+            LeafTarget(f"leaf{i}", _address(rng))
             for i in range(rng.randint(0, 2))
         ),
         children=children,
@@ -138,9 +139,7 @@ _SPECIAL = {
     "VectorClock": _vector_clock,
     "RelaySpec": _relay_spec,
     "GroupData": _group_data,
-    "LeafTarget": lambda rng: LeafTarget(
-        f"leaf{rng.randint(0, 9)}", _address(rng), rng.randint(1, 8)
-    ),
+    "LeafTarget": lambda rng: LeafTarget(f"leaf{rng.randint(0, 9)}", _address(rng)),
     "MessageId": lambda rng: (_address(rng), rng.randint(1, 99)),
 }
 
@@ -559,13 +558,13 @@ def _budget_cases():
     return {
         "heartbeat": (
             Envelope("svc-w-517", "svc-w-516", Heartbeat(), 0.0),
-            "5257110101097376632d772d353137097376632d772d3531360a2000",
+            "5257120101097376632d772d353137097376632d772d3531360a2000",
         ),
         "group-data": (
             Envelope("svc-w-16", "svc-w-17", Segment(41, GroupData(
                 _LEAF, 16, "svc-w-16", 57, "total", _PUT, global_seq=312,
             )), 0.0),
-            "5257110101087376632d772d3136087376632d772d31370a010203520a0a08"
+            "5257120101087376632d772d3136087376632d772d31370a010203520a0a08"
             "05157376633a3a6c6561662d7376632d6c64722d302d32032005087376632d"
             "772d313603720505746f74616c090305026f70050370757405036b65790503"
             "6b3137050576616c756503220003f004",
@@ -574,14 +573,14 @@ def _budget_cases():
             Envelope("client-0", "svc-w-16", CCRequest(
                 _LEAF, "client-0/cc10", _PUT, "client-0", 16,
             ), 0.0),
-            "525711010108636c69656e742d30087376632d772d31360a46050515737663"
+            "525712010108636c69656e742d30087376632d772d31360a46050515737663"
             "3a3a6c6561662d7376632d6c64722d302d32050d636c69656e742d302f6363"
             "3130090305026f70050370757405036b657905036b3137050576616c756503"
             "220508636c69656e742d300320",
         ),
         "transport-ack": (
             Envelope("svc-w-17", "svc-w-16", SegmentAck(cum_seq=41), 0.0),
-            "5257110101087376632d772d3137087376632d772d31360a02010352",
+            "5257120101087376632d772d3137087376632d772d31360a02010352",
         ),
     }
 
@@ -789,13 +788,18 @@ def test_wire_ids_are_unique_and_stable():
     # pinned frames changed only in the version byte.  v17: the
     # manager's round-robin leaf assignment is gone — every client places
     # itself on the branch tree — and GetHierarchyInfo loses ``subtree``;
-    # the pinned frames again changed only in the version byte.
-    assert WIRE_VERSION == 17
+    # the pinned frames again changed only in the version byte.  v18: a
+    # treecast stage is named (RelaySpec ``branch``, TreeAck and
+    # TreeCommit ``stage``) and LeafTarget loses ``size``; the pinned
+    # frames changed only in the version byte.
+    assert WIRE_VERSION == 18
 
 
 def test_the_v16_slimmed_kinds_round_trip():
     """What v16 left of Flush, CCResultNote and TreeAck is all their
-    receivers read, and it survives the codec field for field."""
+    receivers read, and it survives the codec field for field.  TreeAck
+    gained ``stage`` in v18: the child stage the ack closes, which its
+    receiver reads to count one ack per child."""
     from repro.core.treecast import TreeAck
     from repro.membership.events import Flush
     from repro.toolkit.coordinator_cohort import CCResultNote
@@ -806,13 +810,15 @@ def test_the_v16_slimmed_kinds_round_trip():
     assert [f.name for f in dataclasses.fields(CCResultNote)] == [
         "group", "request_id", "result",
     ]
-    assert [f.name for f in dataclasses.fields(TreeAck)] == ["broadcast_id"]
+    assert [f.name for f in dataclasses.fields(TreeAck)] == [
+        "broadcast_id", "stage",
+    ]
     for payload in (
         Flush(group="svc::leaf-0", target_seq=17, initiator="svc-w-3"),
         CCResultNote(group="svc::leaf-0", request_id="client-0/cc10",
                      result={"ok": True, "value": 17}),
         CCResultNote(group="svc::leaf-0"),
-        TreeAck(broadcast_id="svc-ldr-0/tb4"),
+        TreeAck(broadcast_id="svc-ldr-0/tb4", stage="svc/b2"),
     ):
         assert decode_frame(encode_control_frame(payload)) == (FRAME_CONTROL, payload)
         envelope = Envelope("svc-w-3", "svc-w-4", payload, 0.0)

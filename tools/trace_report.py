@@ -59,7 +59,7 @@ def run_demo(
     members = build_large_group(
         env, "svc", workers, params, contacts, gossip_interval=None
     )
-    attach_treecast(members, resiliency=resiliency)
+    attach_treecast(members)
     roots = [TreecastRoot(r) for r in leaders]
     attach_hierarchical_service(members, lambda payload, client: ("ok", payload))
     env.run_for(5.0 + 0.25 * workers)
