@@ -5,6 +5,7 @@ from repro.membership.events import (
     DeliveryEvent,
     FIFO,
     Flush,
+    FlushAbort,
     FlushOk,
     GroupData,
     JoinRequest,
@@ -16,7 +17,7 @@ from repro.membership.events import (
     TOTAL,
     ViewEvent,
 )
-from repro.membership.flush import FlushController
+from repro.membership.flush import FlushRound, ViewCore, merge_reports
 from repro.membership.group import GroupMember, GroupRuntime, NotMemberError
 from repro.membership.service import GroupNode, build_group
 from repro.membership.view import GroupView, ViewId
@@ -26,8 +27,9 @@ __all__ = [
     "DeliveryEvent",
     "FIFO",
     "Flush",
-    "FlushController",
+    "FlushAbort",
     "FlushOk",
+    "FlushRound",
     "GroupData",
     "GroupMember",
     "GroupNode",
@@ -42,6 +44,8 @@ __all__ = [
     "SuspectReport",
     "TOTAL",
     "ViewEvent",
+    "ViewCore",
     "ViewId",
     "build_group",
+    "merge_reports",
 ]

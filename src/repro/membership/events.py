@@ -99,6 +99,17 @@ class FlushOk:
 
 
 @dataclass
+class FlushAbort:
+    """The initiator abandoned the view change to ``target_seq`` (mid-flush
+    drops left it without a quorum): whoever reported to it goes back to
+    the view it is in."""
+
+    category = "group-flush"
+    group: str
+    target_seq: int
+
+
+@dataclass
 class NewView:
     """Installs the next view.  A survivor's copy carries the reconciled
     unstable messages (delivered in the *old* view before the switch —

@@ -99,7 +99,9 @@ MAGIC = b"RW"
 # v18: a treecast stage is named — RelaySpec grows ``branch``, TreeAck
 # and TreeCommit carry the child ``stage`` they close or address — and
 # LeafTarget loses ``size``, which no receiver read.
-WIRE_VERSION = 18
+# v19: FlushAbort (22) is new — an initiator that abandons a view change
+# for want of a quorum tells the members that reported to it.
+WIRE_VERSION = 19
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

@@ -48,6 +48,7 @@ from repro.core.views import (
 from repro.failure.detector import Heartbeat, Probe, Subscribe, Unsubscribe
 from repro.membership.events import (
     Flush,
+    FlushAbort,
     FlushOk,
     GroupData,
     JoinRequest,
@@ -88,7 +89,8 @@ def ensure_registered() -> None:
     # StabilityGossip grew ``ordered``; the ids stay put.  Id 11 carried
     # the sequencer's order for someone else's abcast until WIRE_VERSION
     # 12, when the sequencer began relaying a stamped copy of the data
-    # instead; like 33 and 90 it stays retired.
+    # instead; like 33 and 90 it stays retired.  FlushAbort (22) is new
+    # in WIRE_VERSION 19.
     register_kind(10, GroupData)
     register_kind(12, StabilityGossip)
     register_kind(13, Flush)
@@ -105,6 +107,7 @@ def ensure_registered() -> None:
         encode_fields=lambda clock: (dict(clock.items()),),
         build=lambda parts: VectorClock(parts[0]),
     )
+    register_kind(22, FlushAbort)
 
     # Process plumbing (30-39).  Id 33 was HeartbeatAck until
     # WIRE_VERSION 7, when the heartbeat became a one-way push to

@@ -66,7 +66,7 @@ def test_stale_flush_ignored():
     members[0]._on_flush(bogus, "g-1")
     env.run_for(1.0)
     assert members[0].view.seq == 1
-    assert not members[0]._blocked
+    assert members[0]._reported is None
 
 
 def test_stale_new_view_ignored():
@@ -245,3 +245,33 @@ def test_forgotten_joiner_stops_asking_and_can_rejoin():
     env.run_for(3.0)
     assert rejoined.is_member and members[0].view.contains("j0")
     assert [dst for _at, dst in asked][:1] == ["g-1"]
+
+
+def test_late_old_view_data_is_held_after_the_flush_reply():
+    """g-4's fbcast m reaches only g-2 before g-2 crashes; g-4's
+    retransmission of m reaches g-1 only after g-1 has sent its FlushOk,
+    and g-4's own FlushOk never reaches the initiator g-0, which drops
+    g-4 at the flush timeout and completes on reports none of which
+    holds m.  g-1 must hold m for the NewView's merge, which leaves it
+    out, instead of delivering it: the survivors then deliver the same
+    view-1 set (the strict sanitizer raises VS004 otherwise)."""
+    from repro.metrics.sanitizer import VirtualSynchronySanitizer
+
+    env, nodes, members, logs = make(5, gossip_interval=None)
+    sanitizer = VirtualSynchronySanitizer(strict=True)
+    sanitizer.attach_all([members[0], members[1], members[3]])
+    links = env.network.partitions
+
+    def cut_and_send():
+        for dst in ("g-0", "g-1", "g-3"):
+            links.cut_link("g-4", dst)
+        members[4].multicast(App("m"), FIFO)
+
+    env.scheduler.at(0.30, cut_and_send)
+    env.scheduler.at(0.40, nodes[2].crash)
+    env.scheduler.at(0.50, lambda: links.restore_link("g-4", "g-1"))
+    env.run_for(3.0)
+    for m in (members[0], members[1], members[3]):
+        assert m.view.members == ("g-0", "g-1", "g-3")
+    assert logs["g-0"] == logs["g-1"] == logs["g-3"] == []
+    sanitizer.check(at_quiescence=True)

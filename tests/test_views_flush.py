@@ -1,10 +1,12 @@
-"""Unit tests for GroupView and the FlushController (pure protocol state)."""
+"""Unit tests for GroupView, the initiator's flush round and the merge of
+flush reports (pure protocol state)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.membership import FlushController, GroupView, ViewId
+from repro.membership import FlushRound, GroupView, ViewId, merge_reports
 from repro.membership.events import FlushOk, GroupData
+from tests.test_flush_enumerated import World
 
 
 # -- GroupView ---------------------------------------------------------------------
@@ -84,7 +86,7 @@ def test_property_successor_membership_algebra(members, removed, added):
     assert len(set(nxt.members)) == len(nxt.members)
 
 
-# -- FlushController ---------------------------------------------------------------
+# -- the flush round and the merge ------------------------------------------------
 
 
 def data(sender, seq, ordering="fifo", view_seq=1):
@@ -108,54 +110,81 @@ def ok(unstable=(), orders=(), next_seq=1, target=2):
     )
 
 
+def flushing(*members, joiner=None):
+    """A group whose coordinator ``members[0]`` has started the view change
+    to seq 2 (adding ``joiner``, or removing the last member), with every
+    message left in flight."""
+    world = World(members, [joiner] if joiner else [])
+    initiator = world.cores[members[0]]
+    if joiner:
+        initiator._pending_joins.append(joiner)
+    else:
+        initiator._pending_leaves.add(members[-1])
+    initiator._maybe_start_view_change()
+    return initiator
+
+
+def merged(*reports):
+    return merge_reports(GroupView("g", 2, ("a", "b")), reports)
+
+
 def test_controller_completes_when_all_respond():
-    fc = FlushController(2, ["a", "b"], ["a", "b"], [])
-    assert not fc.complete
-    fc.record_response("a", ok())
-    assert fc.missing() == {"b"}
-    fc.record_response("b", ok())
-    assert fc.complete
+    initiator = flushing("a", "b", "c")
+    round_ = initiator._flush
+    assert round_.missing() == ["b", "c"]
+    initiator._on_flush_ok(ok(), "b")
+    assert round_.missing() == ["c"]
+    initiator._on_flush_ok(ok(), "c")
+    assert initiator._flush is None
+    assert initiator.view.members == ("a", "b")
 
 
 def test_controller_ignores_wrong_target_and_stranger():
-    fc = FlushController(2, ["a"], ["a"], [])
-    fc.record_response("a", ok(target=99))
-    assert not fc.complete
-    fc.record_response("z", ok())
-    assert not fc.complete
+    initiator = flushing("a", "b", "c")
+    initiator._on_flush_ok(ok(target=99), "b")
+    assert initiator._flush.missing() == ["b", "c"]
+    initiator._on_flush_ok(ok(), "z")
+    assert initiator._flush.missing() == ["b", "c"]
+    assert "z" not in initiator._flush.responses
 
 
 def test_drop_member_removes_everywhere():
-    fc = FlushController(2, ["a", "b", "j"], ["a", "b"], ["j"])
-    fc.record_response("b", ok())
-    assert fc.drop_member("b")
-    assert "b" not in fc.proposed
-    assert "b" not in fc.targets
-    assert "b" not in fc.responses
-    assert fc.drop_member("j")
-    assert fc.joiners == []
-    assert not fc.drop_member("zz")
+    round_ = FlushRound(2, ["a", "b", "j"], ["a", "b"], ["j"])
+    round_.responses["b"] = ok()
+    round_.drop("b")
+    assert "b" not in round_.proposed
+    assert "b" not in round_.targets
+    assert "b" not in round_.responses
+    round_.drop("j")
+    assert round_.joiners == []
+    round_.drop("zz")
+    assert (round_.proposed, round_.targets) == (["a"], ["a"])
+    # An initiator drops a member it suspects mid-flush, and completes on
+    # the reports it holds: nothing is announced again.
+    initiator = flushing("a", "b", "c", joiner="j")
+    initiator._on_flush_ok(ok(), "b")
+    initiator._on_suspect("c")
+    assert initiator._flush is None
+    assert initiator.view.members == ("a", "b", "j")
+    assert [type(p).__name__ for p in initiator.world.channels[("a", "b")]] == [
+        "Flush", "NewView",
+    ]
 
 
 def test_merged_unstable_dedups_by_id():
     m1 = data("a", 1)
     m1_copy = data("a", 1)
     m2 = data("b", 1)
-    fc = FlushController(2, ["a", "b"], ["a", "b"], [])
-    fc.record_response("a", ok(unstable=[m1, m2]))
-    fc.record_response("b", ok(unstable=[m1_copy]))
-    merged = fc.merged_unstable()
-    assert len(merged) == 2
-    assert {(d.sender, d.sender_seq) for d in merged} == {("a", 1), ("b", 1)}
+    merged_view = merged(ok(unstable=[m1, m2]), ok(unstable=[m1_copy]))
+    assert len(merged_view.unstable) == 2
+    assert {(d.sender, d.sender_seq) for d in merged_view.unstable} == {
+        ("a", 1), ("b", 1),
+    }
 
 
 def test_merged_unstable_sorted_deterministically():
-    fc = FlushController(2, ["a"], ["a"], [])
-    fc.record_response(
-        "a", ok(unstable=[data("b", 2), data("a", 1), data("b", 1)])
-    )
-    merged = fc.merged_unstable()
-    assert [(d.sender, d.sender_seq) for d in merged] == [
+    merged_view = merged(ok(unstable=[data("b", 2), data("a", 1), data("b", 1)]))
+    assert [(d.sender, d.sender_seq) for d in merged_view.unstable] == [
         ("a", 1),
         ("b", 1),
         ("b", 2),
@@ -164,24 +193,24 @@ def test_merged_unstable_sorted_deterministically():
 
 def test_merged_orders_keeps_known_assignments():
     total = data("a", 1, ordering="total")
-    fc = FlushController(2, ["a", "b"], ["a", "b"], [])
-    fc.record_response("a", ok(unstable=[total], orders=[(5, ("a", 1))], next_seq=6))
-    fc.record_response("b", ok(unstable=[total]))
-    orders, next_seq = fc.merged_orders()
-    assert orders == [(5, ("a", 1))]
-    assert next_seq == 6
+    merged_view = merged(
+        ok(unstable=[total], orders=[(5, ("a", 1))], next_seq=6),
+        ok(unstable=[total]),
+    )
+    assert merged_view.orders == [(5, ("a", 1))]
+    assert merged_view.next_global_seq == 6
 
 
 def test_merged_orders_assigns_unordered_after_frontier():
     t1 = data("a", 1, ordering="total")
     t2 = data("b", 1, ordering="total")
-    fc = FlushController(2, ["a"], ["a"], [])
-    fc.record_response("a", ok(unstable=[t1, t2], orders=[(3, ("a", 1))], next_seq=4))
-    orders, next_seq = fc.merged_orders()
-    assert (3, ("a", 1)) in orders
+    merged_view = merged(
+        ok(unstable=[t1, t2], orders=[(3, ("a", 1))], next_seq=4)
+    )
+    assert (3, ("a", 1)) in merged_view.orders
     # t2 placed deterministically at the frontier
-    assert (4, ("b", 1)) in orders
-    assert next_seq == 5
+    assert (4, ("b", 1)) in merged_view.orders
+    assert merged_view.next_global_seq == 5
 
 
 def test_merged_orders_conflict_detected():
@@ -191,4 +220,9 @@ def test_merged_orders_conflict_detected():
         merge_flush_orders(
             [([(1, ("a", 1))], 2), ([(1, ("b", 9))], 2)],
             [],
+        )
+    with pytest.raises(AssertionError):
+        merged(
+            ok(orders=[(1, ("a", 1))], next_seq=2),
+            ok(orders=[(1, ("b", 9))], next_seq=2),
         )

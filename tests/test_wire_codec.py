@@ -558,13 +558,13 @@ def _budget_cases():
     return {
         "heartbeat": (
             Envelope("svc-w-517", "svc-w-516", Heartbeat(), 0.0),
-            "5257120101097376632d772d353137097376632d772d3531360a2000",
+            "5257130101097376632d772d353137097376632d772d3531360a2000",
         ),
         "group-data": (
             Envelope("svc-w-16", "svc-w-17", Segment(41, GroupData(
                 _LEAF, 16, "svc-w-16", 57, "total", _PUT, global_seq=312,
             )), 0.0),
-            "5257120101087376632d772d3136087376632d772d31370a010203520a0a08"
+            "5257130101087376632d772d3136087376632d772d31370a010203520a0a08"
             "05157376633a3a6c6561662d7376632d6c64722d302d32032005087376632d"
             "772d313603720505746f74616c090305026f70050370757405036b65790503"
             "6b3137050576616c756503220003f004",
@@ -573,14 +573,14 @@ def _budget_cases():
             Envelope("client-0", "svc-w-16", CCRequest(
                 _LEAF, "client-0/cc10", _PUT, "client-0", 16,
             ), 0.0),
-            "525712010108636c69656e742d30087376632d772d31360a46050515737663"
+            "525713010108636c69656e742d30087376632d772d31360a46050515737663"
             "3a3a6c6561662d7376632d6c64722d302d32050d636c69656e742d302f6363"
             "3130090305026f70050370757405036b657905036b3137050576616c756503"
             "220508636c69656e742d300320",
         ),
         "transport-ack": (
             Envelope("svc-w-17", "svc-w-16", SegmentAck(cum_seq=41), 0.0),
-            "5257120101087376632d772d3137087376632d772d31360a02010352",
+            "5257130101087376632d772d3137087376632d772d31360a02010352",
         ),
     }
 
@@ -739,6 +739,7 @@ def test_wire_ids_are_unique_and_stable():
     # format break (docs/deployment.md) and must bump WIRE_VERSION.
     assert kinds[1].__name__ == "Segment"
     assert kinds[10].__name__ == "GroupData"
+    assert kinds[22].__name__ == "FlushAbort"  # new in v19
     assert 11 not in kinds  # the sequencer's order message, retired in v12
     assert kinds[64].__name__ == "NodeRegister"
     assert 90 not in kinds  # ResolvePlacement, retired in v5: never reused
@@ -791,8 +792,9 @@ def test_wire_ids_are_unique_and_stable():
     # the pinned frames again changed only in the version byte.  v18: a
     # treecast stage is named (RelaySpec ``branch``, TreeAck and
     # TreeCommit ``stage``) and LeafTarget loses ``size``; the pinned
-    # frames changed only in the version byte.
-    assert WIRE_VERSION == 18
+    # frames changed only in the version byte.  v19: FlushAbort (22) is
+    # new; the pinned frames changed only in the version byte.
+    assert WIRE_VERSION == 19
 
 
 def test_the_v16_slimmed_kinds_round_trip():
