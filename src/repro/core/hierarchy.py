@@ -173,7 +173,7 @@ class LargeGroupMember:
         self._joining = True
         self._request_assignment(0)
 
-    def leaf_multicast(self, payload: Any, ordering: str = FIFO) -> None:
+    def leaf_multicast(self, payload: Any, ordering: int = FIFO) -> None:
         """Multicast to this member's leaf subgroup (the common case: the
         paper routes requests to individual subgroups, never the whole
         large group)."""

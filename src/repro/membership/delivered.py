@@ -53,7 +53,7 @@ class DeliveredIds:
         if seq != watermark + 1:
             if message_id in above:
                 return False
-            if above is _NONE_ABOVE:
+            if above.__class__ is frozenset:  # a copy holds its own empty one
                 self.above = above = set()
             above.add(message_id)
             return True

@@ -17,10 +17,11 @@ from repro.membership.view import GroupView
 from repro.net.message import Address, DEFAULT_PAYLOAD_BYTES
 
 # Orderings a multicast can request.  FIFO is the paper's fbcast, CAUSAL is
-# cbcast, TOTAL is abcast.
-FIFO = "fifo"
-CAUSAL = "causal"
-TOTAL = "total"
+# cbcast, TOTAL is abcast.  Small ints: a GroupData's ordering is two
+# bytes on the wire (tag and varint), where a name took up to eight.
+FIFO = 0
+CAUSAL = 1
+TOTAL = 2
 ORDERINGS = (FIFO, CAUSAL, TOTAL)
 
 MessageId = Tuple[Address, int]
@@ -44,7 +45,7 @@ class GroupData:
     view_seq: int
     sender: Address
     sender_seq: int
-    ordering: str
+    ordering: int
     payload: Any
     stamp: Optional[VectorClock] = None  # set for CAUSAL
     # TOTAL data's position in the view's total order, stamped by the
@@ -180,4 +181,4 @@ class DeliveryEvent:
     view_seq: int
     sender: Address
     payload: Any
-    ordering: str
+    ordering: int

@@ -170,7 +170,7 @@ class ViewCore:
                 return member
         return None
 
-    def multicast(self, payload: Any, ordering: str = FIFO) -> None:
+    def multicast(self, payload: Any, ordering: int = FIFO) -> None:
         """Multicast ``payload`` to the group with the given ordering.
 
         During a view change (flush) the send is queued and goes out in
@@ -188,7 +188,7 @@ class ViewCore:
 
     # ------------------------------------------------------------- data plane
 
-    def _send_data(self, payload: Any, ordering: str) -> None:
+    def _send_data(self, payload: Any, ordering: int) -> None:
         view = self.view
         assert view is not None
         self._sender_seq += 1

@@ -229,7 +229,8 @@ class VirtualSynchronySanitizer:
                 "VS002",
                 data.group,
                 member,
-                f"per-sender reordering: delivered {data.ordering} "
+                f"per-sender reordering: delivered "
+                f"{('fifo', 'causal', 'total')[data.ordering]} "
                 f"{sender}#{seq} after #{last} in view seq {data.view_seq}",
             )
         state.watermarks[stream] = seq

@@ -101,7 +101,12 @@ MAGIC = b"RW"
 # LeafTarget loses ``size``, which no receiver read.
 # v19: FlushAbort (22) is new — an initiator that abandons a view change
 # for want of a quorum tells the members that reported to it.
-WIRE_VERSION = 19
+# v20: a request names itself once — CCRequest, CCRead, CCReply and the
+# RPC kinds carry an integer id with no address prefix, CCRequest's
+# ``client`` moves last and is written only on a copy passed on (empty
+# means the sender), CCResultNote names the client again, store ops are
+# positional tuples, and a GroupData's ordering is an int (0, 1 or 2).
+WIRE_VERSION = 20
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

@@ -90,7 +90,7 @@ def ensure_registered() -> None:
     # the sequencer's order for someone else's abcast until WIRE_VERSION
     # 12, when the sequencer began relaying a stamped copy of the data
     # instead; like 33 and 90 it stays retired.  FlushAbort (22) is new
-    # in WIRE_VERSION 19.
+    # in WIRE_VERSION 19.  GroupData's ordering is an int from v20.
     register_kind(10, GroupData)
     register_kind(12, StabilityGossip)
     register_kind(13, Flush)
@@ -155,6 +155,8 @@ def ensure_registered() -> None:
     # fields (view_seq, cohorts) in WIRE_VERSION 5; the ids stay put.
     # Id 77 was CCHedge in WIRE_VERSION 8 only; like 33 and 90 it stays
     # retired.  CCRead (78), a read sent to one member, is new in v9.
+    # In v20 CCRequest's ``client`` moved last (written only on a copy
+    # passed on) and CCResultNote named the client again; ids are ints.
     # Ids 74 and 75 were the parallel executor's ScatterTask and
     # PartialResult until WIRE_VERSION 13; they stay retired too.
     register_kind(70, CCRequest)

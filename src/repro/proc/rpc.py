@@ -5,6 +5,11 @@ reply; this module provides the point-to-point building block: correlation
 ids, per-call timeouts, and a serving side that maps request bodies to reply
 values.  Protocol layers use it for control-plane conversations (join
 requests, name lookups, state transfer).
+
+A correlation id is an integer from one interpreter-wide counter, with
+no address prefix: it only has to be unique among its caller's calls,
+and a server answers each request as it comes, never de-duplicating,
+so nothing keys on it but the caller.
 """
 
 from __future__ import annotations
@@ -24,14 +29,14 @@ ServeFn = Callable[[Any, Address], Any]
 @dataclass
 class RpcRequest:
     category = "rpc-request"
-    request_id: str
+    request_id: int
     body: Any
 
 
 @dataclass
 class RpcReply:
     category = "rpc-reply"
-    request_id: str
+    request_id: int
     value: Any
     error: Optional[str] = None
 
@@ -60,7 +65,7 @@ class Rpc:
         self._process = process
         # request id -> (reply callback, its timeout timer or None); the
         # reply cancels the timer, so no timeout outlives its call.
-        self._pending: Dict[str, Tuple[ReplyFn, Optional[Timer]]] = {}
+        self._pending: Dict[int, Tuple[ReplyFn, Optional[Timer]]] = {}
         self._servers: Dict[Type, ServeFn] = {}
         process.on(RpcRequest, self._on_request)
         process.on(RpcReply, self._on_reply)
@@ -74,10 +79,10 @@ class Rpc:
         on_reply: ReplyFn,
         timeout: Optional[float] = None,
         on_timeout: Optional[TimeoutFn] = None,
-    ) -> str:
+    ) -> int:
         """Send ``body`` to ``dst``; invoke ``on_reply(value, sender)`` on the
         reply, or ``on_timeout()`` if none arrives within ``timeout``."""
-        request_id = f"{self._process.address}#{next(self._ids)}"
+        request_id = next(self._ids)
         self._pending[request_id] = (on_reply, None)
         self._process.send(dst, RpcRequest(request_id=request_id, body=body))
         if timeout is not None and request_id in self._pending:
@@ -87,7 +92,7 @@ class Rpc:
             self._pending[request_id] = (on_reply, timer)
         return request_id
 
-    def _expire(self, request_id: str, on_timeout: Optional[TimeoutFn]) -> None:
+    def _expire(self, request_id: int, on_timeout: Optional[TimeoutFn]) -> None:
         if self._pending.pop(request_id, None) is not None and on_timeout:
             on_timeout()
 

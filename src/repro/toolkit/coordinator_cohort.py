@@ -60,6 +60,14 @@ for a request after 1.25 times the p95 of its recent replies
   one flush, not ``suspect_after`` (docs/hierarchy.md, "Requests during
   a coordinator outage").
 
+**A request names itself once.**  Its id is an integer from one
+interpreter-wide counter, with no address prefix, so a server keys what
+it holds — pending writes and remembered results — by ``(client, id)``.
+The client is the envelope's sender: ``CCRequest.client`` stays empty
+on the client's own copies, and only a member outside the set that
+passes a request on names the client there.  The result copy to the
+cohorts names the client too, as they need it to form the key.
+
 A process may host several servers (different groups) and several client
 stubs; a per-process :class:`_CCDispatch` demultiplexes the shared wire
 types.
@@ -69,7 +77,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from weakref import WeakValueDictionary
 
@@ -107,15 +115,21 @@ it was sent, a hedged put ``PROBES * interval / 4`` plus one flush after
 that, both far inside the detector's ``suspect_after``."""
 
 
+RequestKey = Tuple[Address, int]
+"""What a server holds a write under: (client, request id)."""
+
+
 @dataclass
 class CCRequest:
     category = "cc-request"
     group: str
-    request_id: str
+    request_id: int
     payload: Any = None
-    client: Address = ""
     # Seq of the view the client's cohort set came from (0 = none yet).
     view_seq: int = 0
+    # The client, when it is not the sender: set only on the copy a
+    # member outside the cohort set passes on.
+    client: Address = ""
 
 
 @dataclass
@@ -126,7 +140,7 @@ class CCRead(CCRequest):
 @dataclass
 class CCReply:
     category = "cc-reply"
-    request_id: str
+    request_id: int
     result: Any = None
     view_seq: int = 0
     # The current cohort set, sent only when the request was addressed
@@ -140,8 +154,9 @@ class CCResultNote:
 
     category = "cc-result"
     group: str
-    request_id: str = ""
+    request_id: int = 0
     result: Any = None
+    client: Address = ""
 
 
 @dataclass
@@ -174,7 +189,7 @@ class _CCDispatch:
 
         self.process = process
         self.servers: Dict[str, "CoordinatorCohortServer"] = {}
-        self.outstanding: Dict[str, "CoordinatorCohortClient"] = {}
+        self.outstanding: Dict[int, "CoordinatorCohortClient"] = {}
         # Reply times of this process's first-attempt, unhedged requests
         # since the last full batch, and the hedge delay that batch gave.
         self._batch: List[float] = []
@@ -246,11 +261,11 @@ class CoordinatorCohortServer:
         self.is_read = is_read
         self.requests_executed = 0
         self.takeovers = 0
-        # Writes only, held by cohort-set members only: request_id ->
-        # request, dropped once a result is known; request_id -> result,
-        # bounded.
-        self._pending: Dict[str, CCRequest] = {}
-        self._results: "OrderedDict[str, Any]" = OrderedDict()
+        # Writes only, held by cohort-set members only: (client, id) ->
+        # request, dropped once a result is known; (client, id) ->
+        # result, bounded.
+        self._pending: Dict[RequestKey, CCRequest] = {}
+        self._results: "OrderedDict[RequestKey, Any]" = OrderedDict()
         # The cohort set of the view this member last saw, and the rest
         # of it as seen from here (who gets a result copy).
         self._view_seq = 0
@@ -280,81 +295,83 @@ class CoordinatorCohortServer:
         )
 
     def _on_request(self, request: CCRequest, sender: Address) -> None:
+        client = request.client or sender
         read = type(request) is CCRead and self.is_read and self.is_read(request.payload)
         if self.member.me not in self._cohorts:
             # Outside the set (or out of the group, knowing the view that
             # removed us): pass a client's request on — a write to the
             # set, a read to its coordinator alone — whose reply corrects
             # the client.  Never pass on a forwarded one.
-            if sender == request.client:
+            if not request.client:
                 to = self._cohorts[:1] if read else self._cohorts
-                self.member.runtime.process.multicast(to, request)
-        elif read:
-            self._reply(request, self._run(request))
-        elif request.request_id in self._results:
+                self.member.runtime.process.multicast(to, replace(request, client=sender))
+            return
+        if read:
+            self._reply(request, client, self._run(request, client))
+            return
+        key = (client, request.request_id)
+        if key in self._results:
             # Retransmitted request already served: coordinator re-replies.
             if self._is_coordinator():
-                self._reply(request, self._results[request.request_id])
+                self._reply(request, client, self._results[key])
         elif self._is_coordinator():
-            self._execute(request)
-        elif request.request_id in self._pending:
+            self._execute(request, key)
+        elif key in self._pending:
             # A second copy is the client's hedge: the coordinator has
             # left it unanswered.  Check the coordinator now; the takeover
             # after the view change still runs the write, so nobody here
             # does.
             self.member.runtime.detector.probe(self.member.acting_coordinator())
         else:
-            self._pending[request.request_id] = request
+            self._pending[key] = request
 
-    def _reply(self, request: CCRequest, result: Any) -> None:
+    def _reply(self, request: CCRequest, client: Address, result: Any) -> None:
         behind = request.view_seq != self._view_seq
         self.member.runtime.process.send(
-            request.client,
+            client,
             CCReply(
-                request_id=request.request_id,
-                result=result,
-                view_seq=self._view_seq,
-                cohorts=self._cohorts if behind else (),
+                request.request_id,
+                result,
+                self._view_seq,
+                self._cohorts if behind else (),
             ),
         )
 
-    def _run(self, request: CCRequest) -> Any:
-        result = self.handler(request.payload, request.client)
+    def _run(self, request: CCRequest, client: Address) -> Any:
+        result = self.handler(request.payload, client)
         self.requests_executed += 1
         trace = self.member.runtime.process.env.network.trace
         if trace is not None:
             trace.local(
                 "cc-execute", category="toolkit", process=self.member.me,
-                group=self.member.group, request_id=request.request_id,
+                group=self.member.group, client=client,
+                request_id=request.request_id,
             )
         return result
 
-    def _execute(self, request: CCRequest) -> None:
+    def _execute(self, request: CCRequest, key: RequestKey) -> None:
         """Run a write here, reply, and send the result copy to the
         fellow cohorts, so no takeover runs it again."""
-        request_id = request.request_id
-        self._pending.pop(request_id, None)
-        result = self._run(request)
-        self._remember(request_id, result)
-        self._reply(request, result)
+        client, request_id = key
+        self._pending.pop(key, None)
+        result = self._run(request, client)
+        self._remember(key, result)
+        self._reply(request, client, result)
         if self._fellow_cohorts:
             self.member.runtime.process.multicast(
                 self._fellow_cohorts,
-                CCResultNote(
-                    group=self.member.group,
-                    request_id=request_id,
-                    result=result,
-                ),
+                CCResultNote(self.member.group, request_id, result, client),
             )
 
-    def _remember(self, request_id: str, result: Any) -> None:
-        self._results[request_id] = result
+    def _remember(self, key: RequestKey, result: Any) -> None:
+        self._results[key] = result
         if len(self._results) > RESULTS_KEPT:
             self._results.popitem(last=False)
 
     def _on_result_note(self, note: CCResultNote, sender: Address) -> None:
-        self._remember(note.request_id, note.result)
-        self._pending.pop(note.request_id, None)
+        key = (note.client, note.request_id)
+        self._remember(key, note.result)
+        self._pending.pop(key, None)
 
     def _on_view(self, event: ViewEvent) -> None:
         """Recompute the cohort set; then cohort takeover: if the
@@ -371,15 +388,17 @@ class CoordinatorCohortServer:
             return
         if not self._is_coordinator():
             return
-        for request_id in sorted(self._pending):
+        for key in sorted(self._pending):
+            client, request_id = key
             self.takeovers += 1
             trace = self.member.runtime.process.env.network.trace
             if trace is not None:
                 trace.local(
                     "cc-takeover", category="toolkit", process=self.member.me,
-                    group=self.member.group, request_id=request_id,
+                    group=self.member.group, client=client,
+                    request_id=request_id,
                 )
-            self._execute(self._pending[request_id])
+            self._execute(self._pending[key], key)
 
 
 @dataclass
@@ -432,15 +451,15 @@ class CoordinatorCohortClient:
         if isinstance(contacts, CohortSet):
             self._learn(0, self.contacts)
         self.replies_received = 0
-        self._calls: Dict[str, _Call] = {}
+        self._calls: Dict[int, _Call] = {}
 
     def request(
         self,
         payload: Any,
         on_reply: Callable[[Any], None],
         on_failure: Optional[Callable[[], None]] = None,
-    ) -> str:
-        request_id = f"{self.process.address}/cc{next(self._ids)}"
+    ) -> int:
+        request_id = next(self._ids)
         read = self.is_read is not None and self.is_read(payload)
         self._calls[request_id] = _Call(
             payload, on_reply, on_failure, self.max_retries, read
@@ -451,7 +470,7 @@ class CoordinatorCohortClient:
 
     # -- internals ---------------------------------------------------------------
 
-    def _send(self, request_id: str) -> None:
+    def _send(self, request_id: int) -> None:
         call = self._calls.get(request_id)
         if call is None:
             return
@@ -483,17 +502,12 @@ class CoordinatorCohortClient:
             self.timeout, lambda: self._maybe_retry(request_id)
         )
 
-    def _request(self, request_id: str, call: _Call) -> CCRequest:
-        fields = dict(
-            group=self.group,
-            request_id=request_id,
-            payload=call.payload,
-            client=self.process.address,
-            view_seq=self._view_seq,
-        )
-        return CCRead(**fields) if call.read else CCRequest(**fields)
+    def _request(self, request_id: int, call: _Call) -> CCRequest:
+        if call.read:
+            return CCRead(self.group, request_id, call.payload, self._view_seq)
+        return CCRequest(self.group, request_id, call.payload, self._view_seq)
 
-    def _hedge(self, request_id: str, delay: float) -> None:
+    def _hedge(self, request_id: int, delay: float) -> None:
         """The same request goes to the next rank: a read is answered
         from its replica, a write makes it probe the coordinator."""
         call = self._calls.get(request_id)
@@ -506,7 +520,7 @@ class CoordinatorCohortClient:
             self.timeout - delay, lambda: self._maybe_retry(request_id)
         )
 
-    def _maybe_retry(self, request_id: str) -> None:
+    def _maybe_retry(self, request_id: int) -> None:
         call = self._calls.get(request_id)
         if call is None:
             return
@@ -520,7 +534,7 @@ class CoordinatorCohortClient:
         self._members = None  # refresh the set: it may have changed
         self._send(request_id)
 
-    def _finish(self, request_id: str) -> Optional[_Call]:
+    def _finish(self, request_id: int) -> Optional[_Call]:
         self._dispatch.outstanding.pop(request_id, None)
         call = self._calls.pop(request_id, None)
         if call is not None and call.timer is not None:

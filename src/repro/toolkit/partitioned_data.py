@@ -14,6 +14,11 @@ Rebalancing on leaf churn is deliberately simple (a client whose leaf
 stops answering re-fetches the tree and re-routes once; a vanished leaf
 loses its partition), matching the paper-era design point; production
 systems would add key migration.
+
+An operation is a tuple, positional on the wire: ``("get", key)``,
+``("put", key, value)`` or ``("delete", key)``.  A reply is ``("ok",)``
+to a put or delete, ``("value", v)`` to a get, ``("error", reason)`` to
+anything else.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ def _is_get(payload: Any) -> bool:
     the same total order: the client sends it to the coordinator alone
     and any cohort it reaches may answer it.  Puts and deletes run on the
     coordinator only.  Server and client both declare this predicate."""
-    return payload.get("op") == "get"
+    return payload[0] == "get"
 
 
 class PartitionedStoreServer:
@@ -53,14 +58,14 @@ class PartitionedStoreServer:
         self._table = ReplicatedDict(leaf_member, self.store)
 
     def _handle(self, payload: Any, client: Address) -> Any:
-        op = payload.get("op")
-        if op == "put":
-            self._table.put(payload["key"], payload["value"])
-            return ("ok",)
+        op = payload[0]
         if op == "get":
-            return ("value", self._table.get(payload["key"]))
+            return ("value", self._table.get(payload[1]))
+        if op == "put":
+            self._table.put(payload[1], payload[2])
+            return ("ok",)
         if op == "delete":
-            self._table.delete(payload["key"])
+            self._table.delete(payload[1])
             return ("ok",)
         return ("error", f"unknown op {op!r}")
 
@@ -93,7 +98,7 @@ class PartitionedStoreClient(KeyRoutedClient):
         super().__init__(process, router, timeout=timeout, max_retries=3, is_read=_is_get)
 
     def put(self, key: str, value: Any, on_done: Callable[[bool], None]) -> None:
-        self.request(key, {"op": "put", "key": key, "value": value},
+        self.request(key, ("put", key, value),
                      lambda result: on_done(bool(result and result[0] == "ok")),
                      lambda: on_done(False))
 
@@ -101,9 +106,9 @@ class PartitionedStoreClient(KeyRoutedClient):
         def unwrap(result) -> None:
             on_value(result[1] if result and result[0] == "value" else None)
 
-        self.request(key, {"op": "get", "key": key}, unwrap, lambda: on_value(None))
+        self.request(key, ("get", key), unwrap, lambda: on_value(None))
 
     def delete(self, key: str, on_done: Callable[[bool], None]) -> None:
-        self.request(key, {"op": "delete", "key": key},
+        self.request(key, ("delete", key),
                      lambda result: on_done(bool(result and result[0] == "ok")),
                      lambda: on_done(False))

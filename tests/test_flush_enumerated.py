@@ -26,7 +26,6 @@ again.
 
 from __future__ import annotations
 
-import io
 import pickle
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -42,7 +41,6 @@ from repro.membership import (
     SuspectReport,
     ViewCore,
 )
-from repro.membership.delivered import _NONE_ABOVE
 
 Event = Tuple[str, ...]
 
@@ -298,22 +296,9 @@ def fingerprint(world: World) -> tuple:
     )
 
 
-class _Pickler(pickle.Pickler):
-    def persistent_id(self, obj):
-        return "none-above" if obj is _NONE_ABOVE else None
-
-
-class _Unpickler(pickle.Unpickler):
-    def persistent_load(self, pid):
-        return _NONE_ABOVE
-
-
 def clone(world: World) -> World:
-    """A deep copy that keeps DeliveredIds' shared empty set shared."""
-    buffer = io.BytesIO()
-    _Pickler(buffer, pickle.HIGHEST_PROTOCOL).dump(world)
-    buffer.seek(0)
-    return _Unpickler(buffer).load()
+    """A deep copy: one pickle round trip."""
+    return pickle.loads(pickle.dumps(world, pickle.HIGHEST_PROTOCOL))
 
 
 def replay(scenario: Scenario, trace: Sequence[Event]) -> Optional[World]:

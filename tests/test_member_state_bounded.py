@@ -129,6 +129,20 @@ def test_property_watermarks_match_a_plain_set(deliveries):
         assert set(delivered) == reference
 
 
+def test_a_copied_set_takes_an_id_past_a_gap():
+    """A copy holds its own empty ``above``, not the module's shared one:
+    its first id past a gap must still go in."""
+    import copy
+    import pickle
+
+    for dup in (copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))):
+        delivered = dup(DeliveredIds())
+        assert delivered.add(("a", 1)) and delivered.add(("a", 3))
+        assert delivered.above == {("a", 3)}
+        assert delivered.add(("a", 2)) and not delivered.above
+        assert list(delivered) == [("a", 1), ("a", 2), ("a", 3)]
+
+
 # ------------------------------------------------------------------ sanitizer
 
 

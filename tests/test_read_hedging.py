@@ -499,7 +499,7 @@ def test_no_hedge_is_sent_in_a_failure_free_store_under_load():
 
         def tap(_event, envelope):
             if isinstance(envelope.payload, CCRequest):
-                sent.append((envelope.payload.request_id, envelope.payload.payload["op"]))
+                sent.append((envelope.payload.request_id, envelope.payload.payload[0]))
 
         env.network.add_tap(tap, events=("send",))
         answers = []
@@ -524,7 +524,7 @@ def test_no_get_ever_enters_pending_or_results_at_any_member():
 
     def tap(_event, envelope):
         payload = envelope.payload
-        if isinstance(payload, CCRequest) and payload.payload["op"] == "get":
+        if isinstance(payload, CCRequest) and payload.payload[0] == "get":
             gets.add(payload.request_id)
 
     env.network.add_tap(tap, events=("send",))

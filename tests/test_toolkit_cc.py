@@ -1,9 +1,11 @@
 """Tests for the coordinator-cohort tool (flat groups)."""
 
+import itertools
+
 from repro.membership import GroupNode, build_group
 from repro.net import FixedLatency
 from repro.proc import Environment
-from repro.toolkit import CoordinatorCohortClient, attach_service
+from repro.toolkit import CCReply, CCRequest, CoordinatorCohortClient, attach_service
 from repro.toolkit.coordinator_cohort import RESULTS_KEPT
 
 
@@ -200,6 +202,78 @@ def test_two_clients_independent():
     env.run_for(3.0)
     assert r1 == [("done", "a")]
     assert r2 == [("done", "b")]
+
+
+# -- a write is held under (client, request id) ---------------------------------
+
+
+def two_clients_with_equal_ids():
+    """A group of 5 with a cohort set of 3, and two warmed-up clients whose
+    next requests are both numbered 7, as two processes' own counters
+    would number them.  The handler answers with who asked for what."""
+    executed = []
+
+    def handler(payload, client):
+        executed.append((client, payload))
+        return (client, payload)
+
+    env, nodes, members, servers, a = build(5, resiliency=3, handler=handler)
+    b_node = GroupNode(env, "client-b")
+    b = CoordinatorCohortClient(
+        b_node, "svc", contacts=("svc-0",), rpc=b_node.runtime.rpc
+    )
+    for client in (a, b):
+        client.request("warm-up", lambda r: None)  # learns the set
+    env.run_for(1.0)
+    executed.clear()
+    a._ids = itertools.count(7)
+    b._ids = itertools.count(7)
+    return env, servers, a, b, executed
+
+
+def test_two_clients_with_equal_ids_each_get_their_own_write():
+    env, servers, a, b, executed = two_clients_with_equal_ids()
+    ra, rb = [], []
+    assert a.request("a", ra.append) == b.request("b", rb.append) == 7
+    env.run_for(1.0)
+    assert ra == [("client", "a")] and rb == [("client-b", "b")]
+    assert sorted(executed) == [("client", "a"), ("client-b", "b")]
+    for server in servers[:3]:
+        assert {("client", 7), ("client-b", 7)} <= set(server._results)
+
+
+def test_a_write_passed_on_outside_the_set_is_answered_to_its_client():
+    """Both members of a stale set pass the write on, naming the client:
+    it runs once, and the reply goes to the client, not to a forwarder."""
+    env, servers, a, b, executed = two_clients_with_equal_ids()
+    a._members = ("svc-3", "svc-4")  # a stale set, wholly outside
+    a._view_seq -= 1
+    ra, rb = [], []
+    a.request("a", ra.append)
+    env.run_for(0.1)
+    b.request("b", rb.append)
+    env.run_for(1.0)
+    assert ra == [("client", "a")] and rb == [("client-b", "b")]
+    assert sorted(executed) == [("client", "a"), ("client-b", "b")]
+    assert a._members == ("svc-0", "svc-1", "svc-2")  # corrected
+
+
+def test_a_write_retried_after_execution_is_answered_from_its_result():
+    env, servers, a, b, executed = two_clients_with_equal_ids()
+    a.request("a", lambda r: None)
+    b.request("b", lambda r: None)
+    env.run_for(1.0)
+    replies = []
+
+    def tap(_event, envelope):
+        if envelope.dst == "client" and isinstance(envelope.payload, CCReply):
+            replies.append((envelope.payload.request_id, envelope.payload.result))
+
+    env.network.add_tap(tap, events=("send",))
+    a.process.multicast(a._members, CCRequest("svc", 7, "a", a._view_seq))
+    env.run_for(1.0)
+    assert replies == [(7, ("client", "a"))]  # the coordinator's, once
+    assert sorted(executed) == [("client", "a"), ("client-b", "b")]
 
 
 # -- the cohort set under failures ---------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.membership import FlushRound, GroupView, ViewId, merge_reports
-from repro.membership.events import FlushOk, GroupData
+from repro.membership.events import FIFO, TOTAL, FlushOk, GroupData
 from tests.test_flush_enumerated import World
 
 
@@ -89,7 +89,7 @@ def test_property_successor_membership_algebra(members, removed, added):
 # -- the flush round and the merge ------------------------------------------------
 
 
-def data(sender, seq, ordering="fifo", view_seq=1):
+def data(sender, seq, ordering=FIFO, view_seq=1):
     return GroupData(
         group="g",
         view_seq=view_seq,
@@ -192,7 +192,7 @@ def test_merged_unstable_sorted_deterministically():
 
 
 def test_merged_orders_keeps_known_assignments():
-    total = data("a", 1, ordering="total")
+    total = data("a", 1, ordering=TOTAL)
     merged_view = merged(
         ok(unstable=[total], orders=[(5, ("a", 1))], next_seq=6),
         ok(unstable=[total]),
@@ -202,8 +202,8 @@ def test_merged_orders_keeps_known_assignments():
 
 
 def test_merged_orders_assigns_unordered_after_frontier():
-    t1 = data("a", 1, ordering="total")
-    t2 = data("b", 1, ordering="total")
+    t1 = data("a", 1, ordering=TOTAL)
+    t2 = data("b", 1, ordering=TOTAL)
     merged_view = merged(
         ok(unstable=[t1, t2], orders=[(3, ("a", 1))], next_seq=4)
     )

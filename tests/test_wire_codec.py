@@ -26,7 +26,7 @@ import pytest
 import repro.deploy.messages  # noqa: F401  -- registers control kinds 64-68
 from repro.clocks.vector import VectorClock
 from repro.core.treecast import LeafTarget, RelaySpec
-from repro.membership.events import GroupData
+from repro.membership.events import ORDERINGS, TOTAL, GroupData
 from repro.membership.view import GroupView
 from repro.net.message import Envelope, payload_size
 from repro.net.wire import (
@@ -121,7 +121,7 @@ def _group_data(rng: SimRandom) -> GroupData:
         view_seq=rng.randint(1, 20),
         sender=_address(rng),
         sender_seq=rng.randint(1, 100),
-        ordering=rng.choice(["fifo", "causal", "total"]),
+        ordering=rng.choice(ORDERINGS),
         payload=_primitive(rng),
         stamp=None if rng.chance(0.5) else _vector_clock(rng),
         global_seq=None if rng.chance(0.5) else rng.randint(1, 2**20),
@@ -400,7 +400,8 @@ def test_cohort_set_and_tree_replies_round_trip():
     request, seq + set on a correcting reply and on the GetMembers reply)
     and the GetHierarchyInfo reply carries the branch tree routers walk.
     Wire v9: a declared read is a CCRead, and its hedge the same CCRead
-    sent to the next rank."""
+    sent to the next rank.  Wire v20: ids are integers, a store op is a
+    tuple, and ``client`` is written only on a copy passed on."""
     from repro.core import HierarchyState, LargeGroupParams
     from repro.core.views import AddLeaf
     from repro.proc.rpc import RpcReply
@@ -413,20 +414,23 @@ def test_cohort_set_and_tree_replies_round_trip():
     assert len(info["tree"]) > 1  # deeper than the root alone
     payloads = [
         CCRequest(
-            group="svc::leaf-0", request_id="client/cc8",
-            payload={"op": "put", "key": "k", "value": 1}, client="client",
+            group="svc::leaf-0", request_id=8, payload=("put", "k", 1),
             view_seq=7,
         ),
+        CCRequest(  # passed on by a member outside the set
+            group="svc::leaf-0", request_id=8, payload=("put", "k", 1),
+            view_seq=7, client="client",
+        ),
         CCRead(
-            group="svc::leaf-0", request_id="client/cc9",
-            payload={"op": "get", "key": "k"}, client="client", view_seq=7,
+            group="svc::leaf-0", request_id=9, payload=("get", "k"),
+            view_seq=7,
         ),
         CCReply(
-            request_id="client/cc9", result=("value", 1), view_seq=8,
+            request_id=9, result=("value", 1), view_seq=8,
             cohorts=("w-0b", "w-0c", "w-0d"),
         ),
-        RpcReply(request_id="client#3", value=(8, ("w-0b", "w-0c"), ("w-0d",))),
-        RpcReply(request_id="client#4", value=info),
+        RpcReply(request_id=3, value=(8, ("w-0b", "w-0c"), ("w-0d",))),
+        RpcReply(request_id=4, value=info),
     ]
     for original in payloads:
         decoded = _round_trip(original)
@@ -443,7 +447,7 @@ def test_stamped_data_and_stability_plane_round_trip():
     for global_seq in (None, 1, 2**33):
         original = GroupData(
             group="g", view_seq=3, sender="g-0", sender_seq=7,
-            ordering="total", payload={"op": "put"}, global_seq=global_seq,
+            ordering=TOTAL, payload={"op": "put"}, global_seq=global_seq,
         )
         decoded = _round_trip(original)
         assert decoded == original and decoded.global_seq == global_seq
@@ -547,53 +551,67 @@ def test_unencodable_and_oversized_records_reject_without_poisoning():
 # -- wire budget ----------------------------------------------------------------
 
 _LEAF = "svc::leaf-svc-ldr-0-2"
-_PUT = {"op": "put", "key": "k17", "value": 17}
+_PUT = ("put", "k17", 17)
 
 
 def _budget_cases():
     from repro.failure.detector import Heartbeat
-    from repro.toolkit.coordinator_cohort import CCRequest
+    from repro.toolkit.coordinator_cohort import CCRead, CCReply, CCRequest
     from repro.transport.channel import Segment, SegmentAck
 
     return {
         "heartbeat": (
             Envelope("svc-w-517", "svc-w-516", Heartbeat(), 0.0),
-            "5257130101097376632d772d353137097376632d772d3531360a2000",
+            "5257140101097376632d772d353137097376632d772d3531360a2000",
         ),
         "group-data": (
             Envelope("svc-w-16", "svc-w-17", Segment(41, GroupData(
-                _LEAF, 16, "svc-w-16", 57, "total", _PUT, global_seq=312,
+                _LEAF, 16, "svc-w-16", 57, TOTAL, _PUT, global_seq=312,
             )), 0.0),
-            "5257130101087376632d772d3136087376632d772d31370a010203520a0a08"
+            "5257140101087376632d772d3136087376632d772d31370a010203520a0a08"
             "05157376633a3a6c6561662d7376632d6c64722d302d32032005087376632d"
-            "772d313603720505746f74616c090305026f70050370757405036b65790503"
-            "6b3137050576616c756503220003f004",
+            "772d3136037203040703050370757405036b313703220003f004",
         ),
         "cc-request": (
-            Envelope("client-0", "svc-w-16", CCRequest(
-                _LEAF, "client-0/cc10", _PUT, "client-0", 16,
-            ), 0.0),
-            "525713010108636c69656e742d30087376632d772d31360a46050515737663"
-            "3a3a6c6561662d7376632d6c64722d302d32050d636c69656e742d302f6363"
-            "3130090305026f70050370757405036b657905036b3137050576616c756503"
-            "220508636c69656e742d300320",
+            Envelope("client-0", "svc-w-16", CCRequest(_LEAF, 10, _PUT, 16), 0.0),
+            "525714010108636c69656e742d30087376632d772d31360a46040515737663"
+            "3a3a6c6561662d7376632d6c64722d302d3203140703050370757405036b31"
+            "3703220320",
+        ),
+        "cc-read": (
+            Envelope("client-0", "svc-w-16", CCRead(_LEAF, 4097, ("get", "k17"), 16), 0.0),
+            "525714010108636c69656e742d30087376632d772d31360a4e040515737663"
+            "3a3a6c6561662d7376632d6c64722d302d320382400702050367657405036b"
+            "31370320",
+        ),
+        "cc-reply": (
+            Envelope("svc-w-16", "client-0", CCReply(4097, ("value", 17), 16), 0.0),
+            "5257140101087376632d772d313608636c69656e742d300a47030382400702"
+            "050576616c756503220320",
         ),
         "transport-ack": (
             Envelope("svc-w-17", "svc-w-16", SegmentAck(cum_seq=41), 0.0),
-            "5257130101087376632d772d3137087376632d772d31360a02010352",
+            "5257140101087376632d772d3137087376632d772d31360a02010352",
         ),
     }
 
 
 @pytest.mark.parametrize(
-    "name,size", [("heartbeat", 28), ("group-data", 109),
-                  ("cc-request", 106), ("transport-ack", 28)],
+    "name,size", [("heartbeat", 28), ("group-data", 88), ("cc-request", 67),
+                  ("cc-read", 66), ("cc-reply", 42), ("transport-ack", 28)],
 )
 def test_wire_budget(name, size):
-    """The exact bytes of the four frames that dominate the e2e workloads,
-    as a data frame of one record (v13 wrote them in 52, 140, 130 and 58
-    bytes).  A change that grows one fails here first: re-pin it with the
-    bytes it adds and why."""
+    """The exact bytes of the frames that dominate the e2e workloads, as a
+    data frame of one record (v13 wrote the first four in 52, 140, 130
+    and 58 bytes).  A change that grows one fails here first: re-pin it
+    with the bytes it adds and why.  Wire v20 cut, against v19:
+    ``group-data`` 109 -> 88 (5 B for the ordering, an int not the
+    string ``"total"``; 16 B for the put as a tuple, not a dict);
+    ``cc-request`` 106 -> 67 (13 B for the integer id, 10 B for the
+    client the envelope already names, 16 B for the tuple); ``cc-read``
+    99 -> 66 (14, 10 and 9 B the same ways) and ``cc-reply`` 56 -> 42
+    (14 B, the id): the two frames of a get, 88% of the e2e ``kv_read``
+    workload's wire bytes (91% under v19)."""
     envelope, expected = _budget_cases()[name]
     (frame,), rejects = encode_data_frames([envelope])
     assert not rejects
@@ -793,15 +811,20 @@ def test_wire_ids_are_unique_and_stable():
     # treecast stage is named (RelaySpec ``branch``, TreeAck and
     # TreeCommit ``stage``) and LeafTarget loses ``size``; the pinned
     # frames changed only in the version byte.  v19: FlushAbort (22) is
-    # new; the pinned frames changed only in the version byte.
-    assert WIRE_VERSION == 19
+    # new; the pinned frames changed only in the version byte.  v20: a
+    # request names itself once — integer ids, ``client`` only on a copy
+    # passed on, store ops as tuples, the ordering an int — and
+    # CCResultNote names the client again.
+    assert WIRE_VERSION == 20
 
 
 def test_the_v16_slimmed_kinds_round_trip():
     """What v16 left of Flush, CCResultNote and TreeAck is all their
     receivers read, and it survives the codec field for field.  TreeAck
     gained ``stage`` in v18: the child stage the ack closes, which its
-    receiver reads to count one ack per child."""
+    receiver reads to count one ack per child.  CCResultNote gained
+    ``client`` back in v20: with integer ids a cohort holds a write under
+    (client, id), and the note's sender is the coordinator."""
     from repro.core.treecast import TreeAck
     from repro.membership.events import Flush
     from repro.toolkit.coordinator_cohort import CCResultNote
@@ -810,15 +833,15 @@ def test_the_v16_slimmed_kinds_round_trip():
         "group", "target_seq", "initiator",
     ]
     assert [f.name for f in dataclasses.fields(CCResultNote)] == [
-        "group", "request_id", "result",
+        "group", "request_id", "result", "client",
     ]
     assert [f.name for f in dataclasses.fields(TreeAck)] == [
         "broadcast_id", "stage",
     ]
     for payload in (
         Flush(group="svc::leaf-0", target_seq=17, initiator="svc-w-3"),
-        CCResultNote(group="svc::leaf-0", request_id="client-0/cc10",
-                     result={"ok": True, "value": 17}),
+        CCResultNote(group="svc::leaf-0", request_id=10, result=("ok",),
+                     client="client-0"),
         CCResultNote(group="svc::leaf-0"),
         TreeAck(broadcast_id="svc-ldr-0/tb4", stage="svc/b2"),
     ):
@@ -947,7 +970,7 @@ def test_kind_11_is_unused_and_a_v11_frame_is_refused():
     from repro.net.wire.codec import HEADER_BYTES
 
     data = GroupData(group="g", view_seq=3, sender="g-4", sender_seq=1,
-                     ordering="total", payload=None, global_seq=7)
+                     ordering=TOTAL, payload=None, global_seq=7)
     frame = bytearray(encode_control_frame(data))
     assert decode_frame(bytes(frame)) == (FRAME_CONTROL, data)
     assert frame[HEADER_BYTES:HEADER_BYTES + 2] == bytes([10, 10])  # tag KIND, id 10
