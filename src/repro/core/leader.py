@@ -13,7 +13,7 @@ survives ``resiliency - 1`` leader failures.  The replica that is the
 leader group's acting coordinator is the *manager*: it answers joins and
 leaf reports, issues split/merge directives, watches leaf coordinators,
 and converts silence into total-failure handling.  Any replica answers a
-router's ``GetHierarchyInfo`` from its copy of the tree.  When the
+router's ``GetHierarchyInfo`` from its copy of the leaves.  When the
 manager dies, the leader group's own view change promotes the next
 replica, which resumes from the replicated state.
 """
@@ -78,8 +78,9 @@ class ReportLeafStatus:
 
 @dataclass
 class GetHierarchyInfo:
-    """The tree as the leader holds it — for routers (which place keys
-    with it), tests, benchmarks and operators."""
+    """Ask a leader replica for the service's directory
+    (:func:`directory_reply`), from which a router packs the branch tree
+    it places keys with."""
 
     service: str
 
@@ -90,6 +91,24 @@ class LeafProbe:
 
     service: str
     leaf_id: str
+
+
+def directory_reply(state: HierarchyState, reorg_epoch: int) -> Dict[str, Any]:
+    """The ``GetHierarchyInfo`` reply: every leaf's contacts by leaf id
+    (sorted; a leaf with no contacts yet is listed too, as the packing
+    counts it), the fanout that packs those ids into the leader's tree
+    (:func:`~repro.core.views.pack_tree`), the tree's depth and its reorg
+    epoch.  Sizes, loads and the branch lists stay at the leader: the ids
+    and the fanout name the tree."""
+    return {
+        "leaves": {
+            leaf_id: state.leaves[leaf_id].contacts
+            for leaf_id in sorted(state.leaves)
+        },
+        "fanout": state.params.fanout,
+        "depth": state.depth(),
+        "reorg_epoch": reorg_epoch,
+    }
 
 
 # -- replicated op envelope ----------------------------------------------------------
@@ -125,7 +144,7 @@ class LeaderReplica:
         # Structural version of the tree: bumps on every applied op that
         # adds or removes a leaf (split, merge, total failure).  Routers
         # hold the tree they place keys with as of one epoch (the
-        # ``GetHierarchyInfo`` reply carries both).
+        # ``GetHierarchyInfo`` reply carries the leaves and the epoch).
         self.reorg_epoch = 0
         # Reorganisation telemetry (manager-side): directive times and
         # the routing-disruption window each reorg caused.  Kept apart
@@ -162,7 +181,10 @@ class LeaderReplica:
         self.member.add_view_listener(self._on_leader_view)
         runtime.rpc.serve(JoinLarge, self._serve_join)
         runtime.rpc.serve(ReportLeafStatus, self._serve_report)
-        runtime.rpc.serve(GetHierarchyInfo, self._serve_info)
+        runtime.rpc.serve(
+            GetHierarchyInfo,
+            lambda body, sender: directory_reply(self.state, self.reorg_epoch),
+        )
         runtime.detector.add_listener(self._on_suspect)
         self._refresh_role()
 
@@ -376,14 +398,6 @@ class LeaderReplica:
             )
         )
         return ("ok",)
-
-    # ---------------------------------------------------------- client routing
-
-    def _serve_info(self, body: GetHierarchyInfo, sender: Address):
-        # The tree, its depth and per-leaf load.
-        info = self.state.summary()
-        info["reorg_epoch"] = self.reorg_epoch
-        return info
 
     # ----------------------------------------------------- split / merge policy
 

@@ -3,8 +3,10 @@
 The paper's request path: "The large group is used for naming purposes to
 identify the service, but requests are broadcast to individual subgroups."
 A :class:`ServiceRouter` is given the service's leader contacts, fetches
-the branch tree from any leader replica, and places each key on a leaf
-by walking that tree with the leader's own rule
+the leaf directory from any leader replica, packs the branch tree from
+its leaf ids with the leader's own function
+(:func:`repro.core.views.pack_tree`), and places each key on a leaf by
+walking that tree with the leader's own rule
 (:func:`repro.core.views.walk_key`) — so a client only ever talks to one
 bounded subgroup, never to all n members.  A client with no key of its
 own places itself by its address.
@@ -23,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.leader import GetHierarchyInfo, leaf_group_name
-from repro.core.views import CohortSet, walk_key
+from repro.core.views import CohortSet, pack_tree, walk_key
 from repro.net.message import Address
 from repro.proc.process import Process
 from repro.proc.rpc import Rpc
@@ -51,11 +53,11 @@ class ServiceRouter:
         self._leader_contacts = tuple(leader_contacts)
         self._timeout = rpc_timeout
         # The leader's tree (branch -> children) as of one reorg epoch,
-        # walked locally, and each routable leaf's (group name, cohort
-        # set), built once per fetch.  A failure on a placement drops the
+        # packed from the directory and walked locally, and each routable
+        # leaf's (group name, cohort set), built once per fetch.  A failure on a placement drops the
         # tree (``invalidate``); the next fetch shows whether a split or
         # merge had moved the epoch.
-        self._tree: Optional[Dict[str, List[str]]] = None
+        self._tree: Optional[Dict[str, Tuple[str, ...]]] = None
         self._placements: Dict[str, Placement] = {}
         self._placement_epoch: Optional[int] = None
         self._tree_waiters: List[Tuple[str, PlacementFn]] = []
@@ -108,25 +110,7 @@ class ServiceRouter:
             if not isinstance(value, dict):
                 self._ask_tree(contacts, index + 1)
                 return
-            epoch = value["reorg_epoch"]
-            if self._placement_epoch not in (None, epoch):
-                # The tree changed shape since the last one was fetched.
-                self.placement_invalidations += 1
-            self._placement_epoch = epoch
-            self._tree = value["tree"]
-            self._placements = {
-                leaf_id: (leaf_group_name(self.service, leaf_id),
-                          CohortSet(info["contacts"]))
-                for leaf_id, info in value["leaves"].items()
-                if info["contacts"]
-            }
-            trace = self._process.env.network.trace
-            if trace is not None:
-                trace.local(
-                    "placement-tree-fetched", category="routing",
-                    process=self._process.address, service=self.service,
-                    leaves=len(value["leaves"]), epoch=epoch,
-                )
+            self._hold(value)
             self._tree_fetched()
 
         self._rpc.call(
@@ -136,6 +120,31 @@ class ServiceRouter:
             timeout=self._timeout,
             on_timeout=lambda: self._ask_tree(contacts, index + 1),
         )
+
+    def _hold(self, directory: Dict) -> None:
+        """Take a ``GetHierarchyInfo`` reply
+        (:func:`~repro.core.leader.directory_reply`): pack its leaf ids
+        into the leader's tree with the leader's own function, and name
+        each leaf that has contacts as a placement."""
+        epoch = directory["reorg_epoch"]
+        if self._placement_epoch not in (None, epoch):
+            # The tree changed shape since the last one was fetched.
+            self.placement_invalidations += 1
+        self._placement_epoch = epoch
+        leaves = directory["leaves"]
+        self._tree, _ = pack_tree(self.service, leaves, directory["fanout"])
+        self._placements = {
+            leaf_id: (leaf_group_name(self.service, leaf_id), CohortSet(contacts))
+            for leaf_id, contacts in leaves.items()
+            if contacts
+        }
+        trace = self._process.env.network.trace
+        if trace is not None:
+            trace.local(
+                "placement-tree-fetched", category="routing",
+                process=self._process.address, service=self.service,
+                leaves=len(leaves), epoch=epoch,
+            )
 
     def _tree_fetched(self) -> None:
         """Answer every resolve that waited for the fetch (``None`` if the

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.params import LargeGroupParams
 from repro.net.message import Address
@@ -52,6 +52,36 @@ def walk_key(
             return None
         draw, index = divmod(draw, len(children))
         node = children[index]
+
+
+def pack_tree(
+    name: str, leaf_ids: Iterable[str], fanout: int
+) -> Tuple[Dict[str, Tuple[str, ...]], int]:
+    """The canonical branch tree of a leaf-id set: branch id -> children
+    in placement order, and the depth.
+
+    The sorted ids are packed bottom-up into branches of at most
+    ``fanout`` children (``{name}/b1``, ``/b2``, ... in creation order)
+    until one level fits under the root.  The tree is a function of the
+    id set alone, so leader replicas that agree on the leaves agree on
+    the whole tree, and a router packs the leader's tree from the ids the
+    directory lists.  Every leaf sits at depth 1 + max(1,
+    ceil(log_fanout(#leaves))) — the multistage-broadcast bound of §3;
+    the depth is 0 with no leaves.
+    """
+    level: List[str] = sorted(leaf_ids)
+    tree: Dict[str, Tuple[str, ...]] = {}
+    depth = 2 if level else 0  # the root and the leaf level
+    while len(level) > fanout:
+        depth += 1
+        next_level: List[str] = []
+        for start in range(0, len(level), fanout):
+            branch_id = f"{name}/b{len(tree) + 1}"
+            tree[branch_id] = tuple(level[start : start + fanout])
+            next_level.append(branch_id)
+        level = next_level
+    tree[ROOT_BRANCH] = tuple(level)
+    return tree, depth
 
 
 @dataclass(frozen=True)
@@ -231,41 +261,6 @@ class HierarchyState:
             if c != leaf_id
         ]
 
-    def branch_children_under(self, node_id: str) -> Dict[str, List[str]]:
-        """Branch id -> child ids, in placement order, for every branch in
-        the subtree rooted at ``node_id``: what :func:`walk_key` needs."""
-        out: Dict[str, List[str]] = {}
-        stack = [node_id]
-        while stack:
-            node = self.branches.get(stack.pop())
-            if node is not None:
-                out[node.branch_id] = list(node.children)
-                stack.extend(node.children)
-        return out
-
-    def summary(self) -> Dict:
-        """Introspection dict (the ``GetHierarchyInfo`` reply): depth,
-        per-leaf size/contacts/load, and the branch tree a router walks to
-        place keys by itself."""
-        leaf_ids = self.leaf_ids_under(ROOT_BRANCH)
-        leaves = {}
-        for leaf_id in leaf_ids:
-            leaf = self.leaves[leaf_id]
-            leaves[leaf_id] = {
-                "size": leaf.size,
-                "contacts": list(leaf.contacts),
-                "delivery_rate": round(leaf.delivery_rate, 6),
-            }
-        return {
-            "leaves": leaves,
-            "tree": self.branch_children_under(ROOT_BRANCH),
-            "total_size": sum(self.leaves[l].size for l in leaf_ids),
-            "depth": self._depth,
-            "branches": len(self.branches),
-            "max_branch_children": self.max_branch_children(),
-            "storage_entries": self.storage_entries(),
-        }
-
     def place_key(self, key: str) -> Optional[str]:
         """The leaf responsible for ``key`` (:func:`walk_key` over this
         replica's tree)."""
@@ -368,42 +363,15 @@ class HierarchyState:
     # -- branch-tree derivation ---------------------------------------------------
 
     def _rebuild_tree(self) -> None:
-        """Re-derive the branch tree from the sorted leaf-id set.
-
-        The tree is a *canonical function of the leaf set*: sorted leaf ids
-        are packed bottom-up into branches of at most ``fanout`` children
-        until one level fits under the root.  Replicas that agree on the
-        leaf set therefore agree on the whole tree, and every leaf sits at
-        depth 1 + max(1, ceil(log_fanout(#leaves))) — the
-        multistage-broadcast bound of §3.
-        """
-        fanout = self.params.fanout
-        level: List[str] = sorted(self.leaves)
-        branches: Dict[str, BranchInfo] = {}
-        parent_of: Dict[str, str] = {}
-        counter = 0
-        depth = 2 if level else 0  # the root and the leaf level
-        while len(level) > fanout:
-            depth += 1
-            next_level: List[str] = []
-            for start in range(0, len(level), fanout):
-                counter += 1
-                branch_id = f"{self.name}/b{counter}"
-                chunk = tuple(level[start : start + fanout])
-                branches[branch_id] = BranchInfo(branch_id, None, chunk)
-                for child in chunk:
-                    parent_of[child] = branch_id
-                next_level.append(branch_id)
-            level = next_level
-        branches[ROOT_BRANCH] = BranchInfo(ROOT_BRANCH, None, tuple(level))
-        for child in level:
-            parent_of[child] = ROOT_BRANCH
-        for branch_id, node in list(branches.items()):
-            if branch_id != ROOT_BRANCH:
-                branches[branch_id] = replace(
-                    node, parent=parent_of[branch_id]
-                )
-        self.branches = branches
-        self._depth = depth
+        """Re-derive the branch tree from the leaf-id set
+        (:func:`pack_tree`) and point every node at its parent."""
+        tree, self._depth = pack_tree(self.name, self.leaves, self.params.fanout)
+        parent_of = {
+            child: branch for branch, children in tree.items() for child in children
+        }
+        self.branches = {
+            branch: BranchInfo(branch, parent_of.get(branch), children)
+            for branch, children in tree.items()
+        }
         for leaf_id, leaf in list(self.leaves.items()):
             self.leaves[leaf_id] = replace(leaf, parent=parent_of[leaf_id])

@@ -106,7 +106,11 @@ MAGIC = b"RW"
 # ``client`` moves last and is written only on a copy passed on (empty
 # means the sender), CCResultNote names the client again, store ops are
 # positional tuples, and a GroupData's ordering is an int (0, 1 or 2).
-WIRE_VERSION = 20
+# v21: the GetHierarchyInfo reply is the leaf directory — each leaf's
+# contacts by id, the fanout, the depth and the reorg epoch — and no
+# longer carries the branch tree, which a router packs from the ids, nor
+# per-leaf sizes and loads or the leader's totals.
+WIRE_VERSION = 21
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

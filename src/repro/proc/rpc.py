@@ -56,7 +56,8 @@ class Rpc:
 
     Server side::
 
-        rpc.serve(GetHierarchyInfo, lambda body, sender: state.summary())
+        rpc.serve(GetHierarchyInfo,
+                  lambda body, sender: directory_reply(state, epoch))
     """
 
     _ids = itertools.count(1)

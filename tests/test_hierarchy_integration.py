@@ -221,8 +221,10 @@ def test_hierarchy_info_rpc():
         on_reply=lambda value, sender: infos.append(value),
     )
     env.run_for(1.0)
-    assert infos and infos[0]["total_size"] == 8
-    assert infos[0]["depth"] >= 2
+    state = manager(leaders).state
+    assert state.total_size == 8
+    assert infos and infos[0]["depth"] == state.depth() >= 2
+    assert list(infos[0]["leaves"]) == sorted(state.leaves)
 
 
 def test_larger_scale_hundred_workers():

@@ -15,6 +15,8 @@ from repro.core import (
     RemoveLeaf,
     UpdateLeaf,
 )
+from repro.core.leader import directory_reply
+from repro.core.views import pack_tree
 
 
 def make(resiliency=3, fanout=4, **kw):
@@ -364,19 +366,26 @@ def test_replicas_agree_in_load_mode():
     assert a.depth() == b.depth()
 
 
-def test_summary_reports_recursive_shape():
-    """Regression for the old flat two-level _serve_info summary: the
-    reply carries the true depth, every leaf's contacts and the branch
-    tree a router walks."""
-    state, _ = make_load(fanout=3)
+def test_directory_reply_lists_every_leaf_and_nothing_else():
+    """The GetHierarchyInfo reply is what its readers use: every leaf's
+    contacts by sorted id (a leaf that has not reported contacts too, as
+    the packing counts it), the fanout, the true depth and the epoch —
+    no sizes, loads, totals or branch lists."""
+    state, params = make_load(fanout=3)
     for i in range(7):
         add(state, i)
-    info = state.summary()
+    state.apply(AddLeaf(leaf_id="leaf-new", size=0, contacts=()))
+    info = directory_reply(state, 9)
+    assert set(info) == {"leaves", "fanout", "depth", "reorg_epoch"}
+    assert list(info["leaves"]) == sorted(state.leaves)
+    assert info["leaves"] == {l: s.contacts for l, s in state.leaves.items()}
+    assert info["leaves"]["leaf-new"] == ()
+    assert (info["fanout"], info["reorg_epoch"]) == (params.fanout, 9)
     assert info["depth"] == state.depth() == 3
-    assert set(info["leaves"]) == set(state.leaves)
-    for entry in info["leaves"].values():
-        assert entry["contacts"]
-    assert set(info["tree"]) == set(state.branches)
+    assert pack_tree(state.name, info["leaves"], info["fanout"]) == (
+        {b: n.children for b, n in state.branches.items()},
+        state.depth(),
+    )
 
 
 def test_place_key_deterministic_and_total():

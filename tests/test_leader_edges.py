@@ -86,7 +86,9 @@ def test_hierarchy_info_served_by_any_replica():
     replies = rpc_once(
         env, probe, leaders[1].node.address, GetHierarchyInfo(service="svc")
     )
-    assert replies and replies[0]["total_size"] == 8
+    state = leaders[1].state
+    assert state.total_size == 8
+    assert replies and list(replies[0]["leaves"]) == sorted(state.leaves)
 
 
 def test_leader_events_record_ops_and_manager():

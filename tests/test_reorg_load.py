@@ -91,7 +91,8 @@ def run_scenario(seed=11, runtime=None):
 
     live = [m for m in members if m.node.alive]
     return {
-        "summary": manager.state.summary(),
+        "leaves": dict(manager.state.leaves),
+        "depth": manager.state.depth(),
         "depth_grown": depth_grown,
         "depth_hot": depth_hot,
         "reorgs": [
@@ -125,7 +126,7 @@ def _assert_full_arc(result):
     # and the leaves, before, during and after the heat.
     assert result["depth_grown"] == 3, "four leaves must overflow the root"
     assert result["depth_hot"] == 3
-    assert result["summary"]["depth"] == 3
+    assert result["depth"] == 3
     assert result["violations"] == 0
     assert result["deliveries_checked"] > 0, "sanitizer must have been live"
     assert result["members_settled"]
@@ -143,7 +144,8 @@ def test_load_driven_reorg_full_arc_sim():
 def test_load_driven_reorg_deterministic():
     first = run_scenario()
     second = run_scenario()
-    assert first["summary"] == second["summary"]
+    assert first["leaves"] == second["leaves"]
+    assert first["depth"] == second["depth"]
     assert first["reorgs"] == second["reorgs"]
     assert first["windows"] == second["windows"]
     assert first["epoch"] == second["epoch"]
@@ -210,7 +212,7 @@ def test_load_driven_reorg_asyncio_engine():
         assert result["violations"] == 0
         assert result["deliveries_checked"] > 0
         assert result["members_settled"]
-        assert result["summary"]["depth"] >= 3
+        assert result["depth"] >= 3
         assert any(
             e == "split-directed" and r == "hot"
             for e, r, _ in result["reorgs"]

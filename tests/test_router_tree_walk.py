@@ -3,8 +3,10 @@ leader's tree once per reorg epoch and walks it with the leader's own
 rule, so for every key it names the leaf ``HierarchyState.place_key``
 names — on a size-mode tree and on a load-mode tree after a hot split
 and a cold merge alike — at one leader round trip per client per
-epoch.  The last two tests cover dropping the tree and clients that
-place themselves by their own address."""
+epoch.  The router packs that tree from the reply's leaf ids with the
+leader's own function, for any id set and fanout.  The last two tests
+cover dropping the tree and clients that place themselves by their own
+address."""
 
 import functools
 
@@ -19,10 +21,15 @@ from repro.core import (
     build_large_group,
     build_leader_group,
 )
+from repro.core.leader import directory_reply
 from repro.core.views import walk_key
 from repro.membership import GroupNode
 from repro.net import FixedLatency
+from repro.net.message import Envelope
+from repro.net.wire import decode_frame, encode_data_frames
+from repro.net.wire.registry import ensure_registered
 from repro.proc import Environment
+from repro.proc.rpc import RpcReply
 from tests.test_reorg_load import PARAMS as LOAD_PARAMS, run_scenario
 
 # Leaves of 2..4 under fanout 3: a dozen-odd leaves, a canonical tree
@@ -103,14 +110,61 @@ def test_local_walk_equals_place_key_on_load_mode_tree(key):
     assert router.placement_lookups == 1
 
 
+@functools.lru_cache(maxsize=None)
+def offline_router():
+    """A router that is handed directory replies and never sends."""
+    node = GroupNode(Environment(seed=0), "offline-client")
+    return ServiceRouter(
+        node, "svc", rpc=node.runtime.rpc, leader_contacts=("svc-ldr-0",)
+    )
+
+
+def router_holding(state):
+    """The offline router after it took ``state``'s directory reply, as
+    the codec delivers it."""
+    ensure_registered()
+    router = offline_router()
+    (frame,), rejects = encode_data_frames([Envelope(
+        "svc-ldr-0", "offline-client",
+        RpcReply(request_id=1, value=directory_reply(state, 0)), 0.0,
+    )])
+    assert not rejects
+    (envelope,) = decode_frame(frame)[1]
+    router._hold(envelope.payload.value)
+    return router
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    leaves=st.dictionaries(
+        st.text(alphabet="abcdefghij0123456789-", min_size=1, max_size=12),
+        st.lists(st.sampled_from(["w-1", "w-2", "w-3", "w-4"]), max_size=3),
+        max_size=200,
+    ),
+    fanout=st.integers(min_value=2, max_value=8),
+)
+def test_router_packs_the_leaders_tree_from_the_reply(leaves, fanout):
+    """Any leaf-id set, with some leaves not yet reporting contacts: the
+    tree the router packs from the directory reply is the leader's tree,
+    child order included, and every key lands on ``place_key``'s leaf."""
+    state = HierarchyState("svc", LargeGroupParams(resiliency=3, fanout=fanout))
+    for leaf_id, contacts in leaves.items():
+        state.apply(AddLeaf(leaf_id, len(contacts), tuple(contacts)))
+    router = router_holding(state)
+    assert router._tree == {b: n.children for b, n in state.branches.items()}
+    for i in range(50):
+        assert router.place(f"key/{i}") == state.place_key(f"key/{i}")
+    assert set(router._placements) == {l for l, c in leaves.items() if c}
+
+
 def test_info_reply_tree_keeps_placement_order_past_b9():
-    """Size mode lists a branch's children in creation order, which stops
-    being sorted order at b10: the walk over the info reply must follow
-    the list as the leader holds it, not re-derive it from leaf paths."""
+    """A branch lists its children in creation order, which stops being
+    sorted order at b10: the tree a router packs from the info reply
+    must keep that order, as the leader's does."""
     state = HierarchyState("svc", LargeGroupParams(resiliency=2, fanout=5))
     for i in range(40):
         state.apply(AddLeaf(f"leaf-{i:02d}", 4, (f"w-{i}",)))
-    tree = state.summary()["tree"]
+    tree = router_holding(state)._tree
     assert any(list(c) != sorted(c) for c in tree.values())
     assert set(tree) == set(state.branches)
     keys = [f"key/{i}" for i in range(2000)]

@@ -398,11 +398,12 @@ def test_hierarchy_payloads_round_trip():
 def test_cohort_set_and_tree_replies_round_trip():
     """Wire v5: the cohort set rides on the request path (view seq on the
     request, seq + set on a correcting reply and on the GetMembers reply)
-    and the GetHierarchyInfo reply carries the branch tree routers walk.
-    Wire v9: a declared read is a CCRead, and its hedge the same CCRead
-    sent to the next rank.  Wire v20: ids are integers, a store op is a
-    tuple, and ``client`` is written only on a copy passed on."""
+    and the GetHierarchyInfo reply names the leaves routers pack the tree
+    from.  Wire v9: a declared read is a CCRead, and its hedge the same
+    CCRead sent to the next rank.  Wire v20: ids are integers, a store op
+    is a tuple, and ``client`` is written only on a copy passed on."""
     from repro.core import HierarchyState, LargeGroupParams
+    from repro.core.leader import directory_reply
     from repro.core.views import AddLeaf
     from repro.proc.rpc import RpcReply
     from repro.toolkit import CCRead, CCReply, CCRequest
@@ -410,8 +411,9 @@ def test_cohort_set_and_tree_replies_round_trip():
     state = HierarchyState("svc", LargeGroupParams(resiliency=2, fanout=2))
     for i in range(5):
         state.apply(AddLeaf(f"leaf-{i}", 4, (f"w-{i}a", f"w-{i}b")))
-    info = dict(state.summary(), reorg_epoch=5)
-    assert len(info["tree"]) > 1  # deeper than the root alone
+    state.apply(AddLeaf("leaf-5", 0, ()))  # listed before it has contacts
+    info = directory_reply(state, 5)
+    assert state.depth() > 2  # deeper than the root alone
     payloads = [
         CCRequest(
             group="svc::leaf-0", request_id=8, payload=("put", "k", 1),
@@ -562,36 +564,36 @@ def _budget_cases():
     return {
         "heartbeat": (
             Envelope("svc-w-517", "svc-w-516", Heartbeat(), 0.0),
-            "5257140101097376632d772d353137097376632d772d3531360a2000",
+            "5257150101097376632d772d353137097376632d772d3531360a2000",
         ),
         "group-data": (
             Envelope("svc-w-16", "svc-w-17", Segment(41, GroupData(
                 _LEAF, 16, "svc-w-16", 57, TOTAL, _PUT, global_seq=312,
             )), 0.0),
-            "5257140101087376632d772d3136087376632d772d31370a010203520a0a08"
+            "5257150101087376632d772d3136087376632d772d31370a010203520a0a08"
             "05157376633a3a6c6561662d7376632d6c64722d302d32032005087376632d"
             "772d3136037203040703050370757405036b313703220003f004",
         ),
         "cc-request": (
             Envelope("client-0", "svc-w-16", CCRequest(_LEAF, 10, _PUT, 16), 0.0),
-            "525714010108636c69656e742d30087376632d772d31360a46040515737663"
+            "525715010108636c69656e742d30087376632d772d31360a46040515737663"
             "3a3a6c6561662d7376632d6c64722d302d3203140703050370757405036b31"
             "3703220320",
         ),
         "cc-read": (
             Envelope("client-0", "svc-w-16", CCRead(_LEAF, 4097, ("get", "k17"), 16), 0.0),
-            "525714010108636c69656e742d30087376632d772d31360a4e040515737663"
+            "525715010108636c69656e742d30087376632d772d31360a4e040515737663"
             "3a3a6c6561662d7376632d6c64722d302d320382400702050367657405036b"
             "31370320",
         ),
         "cc-reply": (
             Envelope("svc-w-16", "client-0", CCReply(4097, ("value", 17), 16), 0.0),
-            "5257140101087376632d772d313608636c69656e742d300a47030382400702"
+            "5257150101087376632d772d313608636c69656e742d300a47030382400702"
             "050576616c756503220320",
         ),
         "transport-ack": (
             Envelope("svc-w-17", "svc-w-16", SegmentAck(cum_seq=41), 0.0),
-            "5257140101087376632d772d3137087376632d772d31360a02010352",
+            "5257150101087376632d772d3137087376632d772d31360a02010352",
         ),
     }
 
@@ -618,6 +620,41 @@ def test_wire_budget(name, size):
     assert len(frame) == size
     assert frame.hex() == expected
     (decoded,) = decode_frame(frame)[1]
+    assert decoded.payload == envelope.payload
+
+
+def _directory_frame(leaf_count: int):
+    """The GetHierarchyInfo reply of a leader holding ``leaf_count`` leaves
+    of three contacts each (r = 3, fanout 8, ids as a leader names them),
+    encoded as one data frame's envelope."""
+    from repro.core import HierarchyState, LargeGroupParams
+    from repro.core.leader import directory_reply
+    from repro.core.views import AddLeaf
+    from repro.proc.rpc import RpcReply
+
+    state = HierarchyState("svc", LargeGroupParams(resiliency=3, fanout=8))
+    for i in range(leaf_count):
+        contacts = tuple(f"svc-w-{3 * i + k}" for k in range(3))
+        state.apply(AddLeaf(f"leaf-svc-ldr-0-{i + 1}", 8, contacts))
+    reply = RpcReply(request_id=4097, value=directory_reply(state, 64))
+    return Envelope("svc-ldr-0", "client-0", reply, 0.0)
+
+
+@pytest.mark.parametrize(
+    "leaf_count,size", [(64, 3414), (256, 13940), (1024, 58277)],
+)
+def test_directory_reply_budget(leaf_count, size):
+    """A directory fetch's exact bytes.  Wire v21 sends each leaf's id and
+    contacts and the fanout, depth and epoch; v20 also sent per-leaf size
+    and load, the leader's totals and the branch tree a router now packs
+    itself: 7,664 and 31,001 bytes at 64 and 256 leaves, and at 1,024 a
+    126,807-byte record that no frame took, so no router could place a
+    key on such a service over UDP."""
+    envelope = _directory_frame(leaf_count)
+    frames, rejects = encode_data_frames([envelope])
+    assert not rejects
+    assert [len(frame) for frame in frames] == [size]
+    (decoded,) = decode_frame(frames[0])[1]
     assert decoded.payload == envelope.payload
 
 
@@ -814,8 +851,11 @@ def test_wire_ids_are_unique_and_stable():
     # new; the pinned frames changed only in the version byte.  v20: a
     # request names itself once — integer ids, ``client`` only on a copy
     # passed on, store ops as tuples, the ordering an int — and
-    # CCResultNote names the client again.
-    assert WIRE_VERSION == 20
+    # CCResultNote names the client again.  v21: the GetHierarchyInfo
+    # reply is the leaf directory (contacts by id, fanout, depth, epoch),
+    # and a router packs the tree from the ids; the pinned frames changed
+    # only in the version byte.
+    assert WIRE_VERSION == 21
 
 
 def test_the_v16_slimmed_kinds_round_trip():
