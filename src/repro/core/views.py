@@ -234,22 +234,6 @@ class HierarchyState:
             return 0
         return max(len(b.children) for b in self.branches.values())
 
-    def storage_entries(self) -> int:
-        """Entries a leader replica stores: bounded leaf summaries plus
-        branch child lists — the E6 measurement."""
-        leaf_entries = sum(2 + len(l.contacts) for l in self.leaves.values())
-        branch_entries = sum(1 + len(b.children) for b in self.branches.values())
-        return leaf_entries + branch_entries
-
-    def leaf_ids_under(self, node_id: str) -> List[str]:
-        """All leaf ids in the subtree rooted at ``node_id`` (sorted)."""
-        if node_id in self.leaves:
-            return [node_id]
-        out: List[str] = []
-        for child in self.branch(node_id).children:
-            out.extend(self.leaf_ids_under(child))
-        return sorted(out)
-
     def siblings_of(self, leaf_id: str) -> List[LeafInfo]:
         """Other leaves sharing ``leaf_id``'s parent branch (sorted): the
         canonical packing gives a leaf's parent a sorted run of leaf ids

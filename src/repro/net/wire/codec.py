@@ -110,7 +110,11 @@ MAGIC = b"RW"
 # contacts by id, the fanout, the depth and the reorg epoch — and no
 # longer carries the branch tree, which a router packs from the ids, nor
 # per-leaf sizes and loads or the leader's totals.
-WIRE_VERSION = 21
+# v22: CCRequest grows ``lag``, declared before ``client`` — the request
+# id minus the oldest id the client still waits on, so a set member
+# drops the results of its client's finished writes.  It is 0, and so
+# not written, on a CCRead and on a write with nothing older in flight.
+WIRE_VERSION = 22
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2

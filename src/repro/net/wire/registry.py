@@ -157,6 +157,7 @@ def ensure_registered() -> None:
     # retired.  CCRead (78), a read sent to one member, is new in v9.
     # In v20 CCRequest's ``client`` moved last (written only on a copy
     # passed on) and CCResultNote named the client again; ids are ints.
+    # In v22 CCRequest grew ``lag`` (the client's finished writes).
     # Ids 74 and 75 were the parallel executor's ScatterTask and
     # PartialResult until WIRE_VERSION 13; they stay retired too.
     register_kind(70, CCRequest)

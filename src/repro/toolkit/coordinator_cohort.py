@@ -61,12 +61,25 @@ for a request after 1.25 times the p95 of its recent replies
   a coordinator outage").
 
 **A request names itself once.**  Its id is an integer from one
-interpreter-wide counter, with no address prefix, so a server keys what
-it holds — pending writes and remembered results — by ``(client, id)``.
-The client is the envelope's sender: ``CCRequest.client`` stays empty
-on the client's own copies, and only a member outside the set that
-passes a request on names the client there.  The result copy to the
-cohorts names the client too, as they need it to form the key.
+interpreter-wide counter, with no address prefix, so a server holds a
+write under its client and its id.  The client is the envelope's
+sender: ``CCRequest.client`` stays empty on the client's own copies,
+and only a member outside the set that passes a request on names the
+client there.  The result copy to the cohorts names the client too.
+
+**A result is kept until its client has the answer** (Birrell &
+Nelson's at-most-once RPC: a client's next call acknowledges its
+earlier results).  A set member keeps a write's result so that a retry
+or hedge is answered without running it again.  ``CCRequest.lag`` is
+the write's id minus the oldest id its client's process still waits
+on, so every id of the client below ``request_id - lag`` is finished.
+Per client, a member keeps that *floor* and the results at or above
+it: a write raises the floor and drops the results below it, and a
+write below the floor, a late copy of a finished one, is neither run,
+answered nor held.  This relies on one invariant: no client address
+reuses a request id.  It holds on every engine here, as one counter per
+interpreter numbers every request and ``Process.recover`` does not
+reset it.  A read never moves a floor and is never kept.
 
 A process may host several servers (different groups) and several client
 stubs; a per-process :class:`_CCDispatch` demultiplexes the shared wire
@@ -90,14 +103,13 @@ from repro.proc.process import Process, Timer
 
 Handler = Callable[[Any, Address], Any]
 
-RESULTS_KEPT = 4096
-"""How many finished writes a cohort-set member remembers, oldest
-evicted first (a read is never remembered: a retry reads again).  A
-result is kept to answer a client's retry without executing again, and
-a retry comes within ``timeout * max_retries`` seconds of the first
-attempt (4 s at the client's defaults), which this covers up to a
-thousand writes a second at one group.  A retry that arrives after
-eviction re-executes — at-least-once, as after a leaf change."""
+CLIENTS_KEPT = 4096
+"""How many clients a cohort-set member keeps a record for, least
+recently heard evicted first.  A record holds only the client's
+unfinished writes, so the table is bounded by the clients a group
+serves at once, not by the writes it has run.  Only a retry whose
+client's record was evicted (4,096 other clients heard since) runs a
+write twice."""
 
 HEDGE_SAMPLES = 64
 """A client hedges a request still unanswered after 1.25 times the p95
@@ -116,7 +128,29 @@ that, both far inside the detector's ``suspect_after``."""
 
 
 RequestKey = Tuple[Address, int]
-"""What a server holds a write under: (client, request id)."""
+"""What a server holds a pending write under: (client, request id)."""
+
+
+class _ClientResults:
+    """A client's record at a set member: every id below ``floor`` is
+    finished at the client; ``results`` holds the ones at or above it."""
+
+    __slots__ = ("floor", "results")
+
+    def __init__(self) -> None:
+        self.floor = 0
+        self.results: Dict[int, Any] = {}
+
+    def raise_floor(self, floor: int) -> None:
+        if floor > self.floor:
+            self.floor = floor
+            results = self.results
+            for request_id in [i for i in results if i < floor]:
+                del results[request_id]
+
+    def keep(self, request_id: int, result: Any) -> None:
+        if request_id >= self.floor:
+            self.results[request_id] = result
 
 
 @dataclass
@@ -127,6 +161,10 @@ class CCRequest:
     payload: Any = None
     # Seq of the view the client's cohort set came from (0 = none yet).
     view_seq: int = 0
+    # This id minus the oldest one the client's process still waits on:
+    # every id of the client below ``request_id - lag`` is finished.
+    # Always 0 on a CCRead.
+    lag: int = 0
     # The client, when it is not the sender: set only on the copy a
     # member outside the cohort set passes on.
     client: Address = ""
@@ -262,10 +300,10 @@ class CoordinatorCohortServer:
         self.requests_executed = 0
         self.takeovers = 0
         # Writes only, held by cohort-set members only: (client, id) ->
-        # request, dropped once a result is known; (client, id) ->
-        # result, bounded.
+        # request, dropped once a result is known; client -> its
+        # unfinished writes' results, least recently heard first.
         self._pending: Dict[RequestKey, CCRequest] = {}
-        self._results: "OrderedDict[RequestKey, Any]" = OrderedDict()
+        self._results: "OrderedDict[Address, _ClientResults]" = OrderedDict()
         # The cohort set of the view this member last saw, and the rest
         # of it as seen from here (who gets a result copy).
         self._view_seq = 0
@@ -309,13 +347,21 @@ class CoordinatorCohortServer:
         if read:
             self._reply(request, client, self._run(request, client))
             return
-        key = (client, request.request_id)
-        if key in self._results:
+        request_id = request.request_id
+        record = self._record(client)
+        if type(request) is CCRequest:
+            # A CCRead on the write path (a read this server does not
+            # declare) says nothing of the client's writes.
+            record.raise_floor(request_id - request.lag)
+        if request_id < record.floor:
+            return  # a late copy of a write its client has finished
+        key = (client, request_id)
+        if request_id in record.results:
             # Retransmitted request already served: coordinator re-replies.
             if self._is_coordinator():
-                self._reply(request, client, self._results[key])
+                self._reply(request, client, record.results[request_id])
         elif self._is_coordinator():
-            self._execute(request, key)
+            self._execute(request, key, record)
         elif key in self._pending:
             # A second copy is the client's hedge: the coordinator has
             # left it unanswered.  Check the coordinator now; the takeover
@@ -349,13 +395,15 @@ class CoordinatorCohortServer:
             )
         return result
 
-    def _execute(self, request: CCRequest, key: RequestKey) -> None:
+    def _execute(
+        self, request: CCRequest, key: RequestKey, record: _ClientResults
+    ) -> None:
         """Run a write here, reply, and send the result copy to the
         fellow cohorts, so no takeover runs it again."""
         client, request_id = key
         self._pending.pop(key, None)
         result = self._run(request, client)
-        self._remember(key, result)
+        record.keep(request_id, result)
         self._reply(request, client, result)
         if self._fellow_cohorts:
             self.member.runtime.process.multicast(
@@ -363,15 +411,21 @@ class CoordinatorCohortServer:
                 CCResultNote(self.member.group, request_id, result, client),
             )
 
-    def _remember(self, key: RequestKey, result: Any) -> None:
-        self._results[key] = result
-        if len(self._results) > RESULTS_KEPT:
-            self._results.popitem(last=False)
+    def _record(self, client: Address) -> _ClientResults:
+        """The client's record, now the most recently heard."""
+        records = self._results
+        record = records.get(client)
+        if record is None:
+            record = records[client] = _ClientResults()
+            if len(records) > CLIENTS_KEPT:
+                records.popitem(last=False)
+        else:
+            records.move_to_end(client)
+        return record
 
     def _on_result_note(self, note: CCResultNote, sender: Address) -> None:
-        key = (note.client, note.request_id)
-        self._remember(key, note.result)
-        self._pending.pop(key, None)
+        self._record(note.client).keep(note.request_id, note.result)
+        self._pending.pop((note.client, note.request_id), None)
 
     def _on_view(self, event: ViewEvent) -> None:
         """Recompute the cohort set; then cohort takeover: if the
@@ -398,7 +452,7 @@ class CoordinatorCohortServer:
                     group=self.member.group, client=client,
                     request_id=request_id,
                 )
-            self._execute(self._pending[key], key)
+            self._execute(self._pending[key], key, self._record(client))
 
 
 @dataclass
@@ -505,7 +559,13 @@ class CoordinatorCohortClient:
     def _request(self, request_id: int, call: _Call) -> CCRequest:
         if call.read:
             return CCRead(self.group, request_id, call.payload, self._view_seq)
-        return CCRequest(self.group, request_id, call.payload, self._view_seq)
+        # ``outstanding`` is in id order: one counter numbers every
+        # request, and a finished one leaves it.
+        oldest = next(iter(self._dispatch.outstanding))
+        return CCRequest(
+            self.group, request_id, call.payload, self._view_seq,
+            request_id - oldest,
+        )
 
     def _hedge(self, request_id: int, delay: float) -> None:
         """The same request goes to the next rank: a read is answered

@@ -133,6 +133,18 @@ def test_depth_is_logarithmic():
     assert state.depth() == 4
 
 
+def leaves_reachable(state):
+    """The leaf ids a walk from the root's child lists reaches."""
+    found, stack = set(), [ROOT_BRANCH]
+    while stack:
+        node = stack.pop()
+        if node in state.leaves:
+            found.add(node)
+        else:
+            stack.extend(state.branches[node].children)
+    return found
+
+
 def test_parent_pointers_consistent_after_churn():
     state, _ = make(fanout=3)
     for i in range(30):
@@ -144,7 +156,7 @@ def test_parent_pointers_consistent_after_churn():
     for branch_id, branch in state.branches.items():
         if branch.parent is not None:
             assert branch_id in state.branches[branch.parent].children
-    assert set(state.leaf_ids_under(ROOT_BRANCH)) == set(state.leaves)
+    assert leaves_reachable(state) == set(state.leaves)
 
 
 def test_replicas_agree_applying_same_ops():
@@ -187,14 +199,18 @@ def test_merge_target_is_smallest_other():
     assert state.merge_target_for("leaf-000").leaf_id != "leaf-000"
 
 
-def test_storage_entries_bounded_per_leaf():
-    state, params = make(resiliency=3, fanout=8)
+def test_each_entry_is_bounded_by_resiliency_and_fanout():
+    """What a leader replica stores is O(1) per entry: a leaf lists at
+    most ``resiliency`` contacts, whatever its size, and a branch at
+    most ``fanout`` children."""
+    state, _ = make(resiliency=3, fanout=8)
     for i in range(40):
         add(state, i, size=12)
-    # each leaf contributes at most 2 + resiliency entries
-    assert state.storage_entries() <= 40 * (2 + 3) + sum(
-        1 + len(b.children) for b in state.branches.values()
+    assert all(len(leaf.contacts) == 3 for leaf in state.leaves.values())
+    assert all(
+        1 <= len(branch.children) <= 8 for branch in state.branches.values()
     )
+    assert len(state.branches) == 1 + 5  # the root over 5 branches of 8 leaves
 
 
 # -- properties --------------------------------------------------------------------
@@ -224,7 +240,7 @@ def test_property_tree_invariants_under_random_ops(ops, fanout):
             continue
         # invariants hold after every applied op
         assert state.max_branch_children() <= fanout
-        assert set(state.leaf_ids_under(ROOT_BRANCH)) == set(state.leaves)
+        assert leaves_reachable(state) == set(state.leaves)
         for leaf_id2, leaf in state.leaves.items():
             assert leaf_id2 in state.branches[leaf.parent].children
         for branch_id, branch in state.branches.items():
@@ -466,7 +482,7 @@ def test_property_tree_shape_in_both_modes(ops, fanout, mode):
             continue
         replica.apply(op)
         assert state.max_branch_children() <= fanout
-        assert set(state.leaf_ids_under(ROOT_BRANCH)) == set(state.leaves)
+        assert leaves_reachable(state) == set(state.leaves)
         assert (state.branches, state.leaves) == (replica.branches, replica.leaves)
         if not state.leaves:
             assert state.depth() == 0

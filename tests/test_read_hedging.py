@@ -354,6 +354,34 @@ def test_a_service_that_declares_no_reads_waits_for_the_takeover():
     assert servers[1].takeovers == 1 and servers[1].requests_executed == 1
 
 
+def test_a_read_on_the_write_path_leaves_the_clients_older_write_answerable():
+    """A get the service does not declare a read runs as a write, but its
+    ``lag`` (always 0 on a CCRead) says nothing of the client's older
+    writes: a put whose first reply was lost is still answered from its
+    result by the retry, and runs once."""
+    env, members, servers, client = flat_store(is_read=None, client_is_read=is_get)
+    client.request(("get", "k"), lambda r: None)  # learn the set
+    env.run_for(0.5)
+    replies = []
+    put = client.request(("put", "k", 1), replies.append)
+    answer = client._on_reply
+
+    def lose_first_reply(reply, sender):
+        if reply.request_id == put and not hasattr(lose_first_reply, "done"):
+            lose_first_reply.done = True
+            return
+        answer(reply, sender)
+
+    client._on_reply = lose_first_reply
+    env.run_for(0.1)
+    client.request(("get", "k"), replies.append)
+    env.run_for(0.1)
+    assert replies == [1]
+    env.run_for(1.5)  # the put's retry timer fires
+    assert replies == [1, "ok"]
+    assert servers[0].requests_executed == 3  # both gets and the put, once
+
+
 def test_a_read_retried_before_the_first_hedge_delay_goes_to_the_next_rank():
     """No hedge before a process's first batch of replies, and a timeout
     shorter than detection: the retry's set still names the crashed
@@ -525,7 +553,7 @@ def test_no_get_ever_enters_pending_or_results_at_any_member():
     def tap(_event, envelope):
         payload = envelope.payload
         if isinstance(payload, CCRequest) and payload.payload[0] == "get":
-            gets.add(payload.request_id)
+            gets.add((payload.client or envelope.src, payload.request_id))
 
     env.network.add_tap(tap, events=("send",))
     held = []
@@ -533,7 +561,12 @@ def test_no_get_ever_enters_pending_or_results_at_any_member():
     def check():
         for s in stores:
             server = s.service.current
-            held.extend(gets & (set(server._pending) | set(server._results)))
+            results = {
+                (client, request_id)
+                for client, record in server._results.items()
+                for request_id in record.results
+            }
+            held.extend(gets & (set(server._pending) | results))
         env.scheduler.after(0.01, check)
 
     check()

@@ -6,7 +6,6 @@ from repro.membership import GroupNode, build_group
 from repro.net import FixedLatency
 from repro.proc import Environment
 from repro.toolkit import CCReply, CCRequest, CoordinatorCohortClient, attach_service
-from repro.toolkit.coordinator_cohort import RESULTS_KEPT
 
 
 def build(n, seed=1, resiliency=None, handler=None):
@@ -43,12 +42,21 @@ def test_coordinator_executes_exactly_once_normally():
     assert all(s.requests_executed == 0 for s in servers[1:])
 
 
+def held(server):
+    """The (client, request id) of every result a server holds."""
+    return {
+        (client, request_id)
+        for client, record in server._results.items()
+        for request_id in record.results
+    }
+
+
 def test_cohorts_store_results():
     env, nodes, members, servers, client = build(4)
-    client.request("x", lambda r: None)
+    rid = client.request("x", lambda r: None)
     env.run_for(3.0)
     for server in servers[1:]:
-        assert len(server._results) == 1
+        assert server._results["client"].results == {rid: ("done", "x")}
 
 
 def cc_counts(delta):
@@ -61,16 +69,20 @@ def test_resiliency_bounds_the_request_to_2r():
     """With a stated resiliency the request involves the cohort set only:
     r requests + 1 reply + r-1 result copies, whatever the group size."""
     env, nodes, members, servers, client = build(9, resiliency=3)
-    client.request("warm-up", lambda r: None)  # learns the set (GetMembers)
+    warm_up = client.request("warm-up", lambda r: None)  # learns the set (GetMembers)
     env.run_for(1.0)
+    assert [i for i, s in enumerate(servers) if held(s)] == [0, 1, 2]
     before = env.network.stats.snapshot()
     done = []
-    client.request("x", done.append)
+    rid = client.request("x", done.append)
     env.run_for(3.0)
     assert done == [("done", "x")]
     assert cc_counts(env.network.stats.since(before)) == (3, 1, 2)
-    holders = [i for i, s in enumerate(servers) if len(s._results) == 2]
-    assert holders == [0, 1, 2]  # coordinator + 2 cohorts, nobody else
+    # The coordinator + 2 cohorts hold x's result, nobody else; x told
+    # them the warm-up was answered, so they let its result go.
+    holders = [i for i, s in enumerate(servers) if held(s) == {("client", rid)}]
+    assert holders == [0, 1, 2]
+    assert all(("client", warm_up) not in held(s) for s in servers)
     assert all(not s._results and not s._pending for s in servers[3:])
 
 
@@ -210,7 +222,9 @@ def test_two_clients_independent():
 def two_clients_with_equal_ids():
     """A group of 5 with a cohort set of 3, and two warmed-up clients whose
     next requests are both numbered 7, as two processes' own counters
-    would number them.  The handler answers with who asked for what."""
+    would number them.  Each counter is set before its client's first
+    request, as a server drops a write numbered below one its client has
+    finished.  The handler answers with who asked for what."""
     executed = []
 
     def handler(payload, client):
@@ -223,11 +237,10 @@ def two_clients_with_equal_ids():
         b_node, "svc", contacts=("svc-0",), rpc=b_node.runtime.rpc
     )
     for client in (a, b):
+        client._ids = itertools.count(6)
         client.request("warm-up", lambda r: None)  # learns the set
     env.run_for(1.0)
     executed.clear()
-    a._ids = itertools.count(7)
-    b._ids = itertools.count(7)
     return env, servers, a, b, executed
 
 
@@ -239,7 +252,7 @@ def test_two_clients_with_equal_ids_each_get_their_own_write():
     assert ra == [("client", "a")] and rb == [("client-b", "b")]
     assert sorted(executed) == [("client", "a"), ("client-b", "b")]
     for server in servers[:3]:
-        assert {("client", 7), ("client-b", 7)} <= set(server._results)
+        assert {("client", 7), ("client-b", 7)} <= held(server)
 
 
 def test_a_write_passed_on_outside_the_set_is_answered_to_its_client():
@@ -402,26 +415,87 @@ def test_stale_set_with_no_current_member_is_answered_without_the_timer():
     assert all(not s._results and not s._pending for s in servers[:3])
 
 
-def test_results_are_bounded_and_an_evicted_retry_reexecutes():
+def test_a_finished_write_never_runs_again():
+    """Each write tells the set which of its client's writes are finished,
+    so a set member holds the client's outstanding window and nothing
+    older, and a late copy of a finished write runs nowhere."""
     env, nodes, members, servers, client = build(3)
+    window = 0
     first = client.request(0, lambda r: None)
     for i in range(1, 10_000):
         client.request(i, lambda r: None)
+        window = max(window, len(client._dispatch.outstanding))
         if i % 500 == 0:
             env.run_for(0.05)
     env.run_for(1.0)
     assert servers[0].requests_executed == 10_000
-    assert all(len(s._results) == RESULTS_KEPT for s in servers)
+    assert all(0 < len(s._results["client"].results) <= window for s in servers)
     assert all(not s._pending for s in servers)
-    # At-least-once: a retry of a request evicted long ago runs again.
-    from repro.toolkit import CCRequest
+    replies = []
 
+    def tap(_event, envelope):
+        if envelope.dst == "client" and isinstance(envelope.payload, CCReply):
+            replies.append(envelope.payload.request_id)
+
+    env.network.add_tap(tap, events=("send",))
     client.process.multicast(
         members[0].view.members,
         CCRequest(group="svc", request_id=first, payload=0, client="client"),
     )
     env.run_for(1.0)
-    assert servers[0].requests_executed == 10_001
+    assert total_executed(servers) == 10_000
+    assert replies == []  # a stale copy is not answered either
+
+
+def test_a_retried_and_hedged_write_is_answered_from_its_result_while_newer_writes_complete():
+    """The first reply to a write is lost.  While the client waits, its
+    newer writes complete, and each still names the lost one as
+    unfinished, so the set keeps its result: the hedge to rank 1 is
+    ignored there (no probe), and the timer retry is answered by the
+    coordinator from the result, without running the write again.  The
+    next write after that lets every result but its own go."""
+    from repro.failure.detector import Probe
+
+    env, nodes, members, servers, client = build(5, resiliency=3)
+    for i in range(64):  # a batch of clean replies sets the hedge delay
+        client.request(("warm-up", i), lambda r: None)
+    env.run_for(1.0)
+    assert client._dispatch.hedge_delay is not None
+    probes, to_rank_1 = [], []
+
+    def tap(_event, envelope):
+        if isinstance(envelope.payload, Probe):
+            probes.append(envelope)
+        elif isinstance(envelope.payload, CCRequest) and envelope.dst == "svc-1":
+            to_rank_1.append(envelope.payload.request_id)
+
+    env.network.add_tap(tap, events=("send",))
+    answers = []
+    lost = client.request("lost", answers.append)
+    answer = client._on_reply
+
+    def lose_first_reply(reply, sender):
+        if reply.request_id == lost and not hasattr(lose_first_reply, "done"):
+            lose_first_reply.done = True
+            return
+        answer(reply, sender)
+
+    client._on_reply = lose_first_reply
+    env.run_for(0.1)  # executed, answered, the answer lost, hedged
+    assert to_rank_1 == [lost, lost]
+    newer = [client.request(("newer", i), answers.append) for i in range(5)]
+    env.run_for(0.1)
+    assert answers == [("done", ("newer", i)) for i in range(5)]
+    for server in servers[:3]:
+        assert held(server) == {("client", rid) for rid in [lost] + newer}
+    env.run_for(1.0)  # the retry timer fires
+    assert answers[-1] == ("done", "lost")
+    assert total_executed(servers) == 64 + 1 + 5
+    assert probes == []
+    last = client.request("last", answers.append)
+    env.run_for(0.1)
+    assert answers[-1] == ("done", "last")
+    assert all(held(s) == {("client", last)} for s in servers[:3])
 
 
 def test_answered_request_leaves_no_timer_behind():

@@ -401,7 +401,9 @@ def test_cohort_set_and_tree_replies_round_trip():
     and the GetHierarchyInfo reply names the leaves routers pack the tree
     from.  Wire v9: a declared read is a CCRead, and its hedge the same
     CCRead sent to the next rank.  Wire v20: ids are integers, a store op
-    is a tuple, and ``client`` is written only on a copy passed on."""
+    is a tuple, and ``client`` is written only on a copy passed on.  Wire
+    v22: a write carries ``lag``, the distance back to its client's
+    oldest request in flight."""
     from repro.core import HierarchyState, LargeGroupParams
     from repro.core.leader import directory_reply
     from repro.core.views import AddLeaf
@@ -422,6 +424,10 @@ def test_cohort_set_and_tree_replies_round_trip():
         CCRequest(  # passed on by a member outside the set
             group="svc::leaf-0", request_id=8, payload=("put", "k", 1),
             view_seq=7, client="client",
+        ),
+        CCRequest(  # sent with two older requests still in flight
+            group="svc::leaf-0", request_id=8, payload=("put", "k", 1),
+            view_seq=7, lag=2,
         ),
         CCRead(
             group="svc::leaf-0", request_id=9, payload=("get", "k"),
@@ -564,43 +570,50 @@ def _budget_cases():
     return {
         "heartbeat": (
             Envelope("svc-w-517", "svc-w-516", Heartbeat(), 0.0),
-            "5257150101097376632d772d353137097376632d772d3531360a2000",
+            "5257160101097376632d772d353137097376632d772d3531360a2000",
         ),
         "group-data": (
             Envelope("svc-w-16", "svc-w-17", Segment(41, GroupData(
                 _LEAF, 16, "svc-w-16", 57, TOTAL, _PUT, global_seq=312,
             )), 0.0),
-            "5257150101087376632d772d3136087376632d772d31370a010203520a0a08"
+            "5257160101087376632d772d3136087376632d772d31370a010203520a0a08"
             "05157376633a3a6c6561662d7376632d6c64722d302d32032005087376632d"
             "772d3136037203040703050370757405036b313703220003f004",
         ),
         "cc-request": (
             Envelope("client-0", "svc-w-16", CCRequest(_LEAF, 10, _PUT, 16), 0.0),
-            "525715010108636c69656e742d30087376632d772d31360a46040515737663"
+            "525716010108636c69656e742d30087376632d772d31360a46040515737663"
             "3a3a6c6561662d7376632d6c64722d302d3203140703050370757405036b31"
             "3703220320",
         ),
+        "cc-request-lag": (
+            Envelope("client-0", "svc-w-16", CCRequest(_LEAF, 10, _PUT, 16, 3), 0.0),
+            "525716010108636c69656e742d30087376632d772d31360a46050515737663"
+            "3a3a6c6561662d7376632d6c64722d302d3203140703050370757405036b31"
+            "37032203200306",
+        ),
         "cc-read": (
             Envelope("client-0", "svc-w-16", CCRead(_LEAF, 4097, ("get", "k17"), 16), 0.0),
-            "525715010108636c69656e742d30087376632d772d31360a4e040515737663"
+            "525716010108636c69656e742d30087376632d772d31360a4e040515737663"
             "3a3a6c6561662d7376632d6c64722d302d320382400702050367657405036b"
             "31370320",
         ),
         "cc-reply": (
             Envelope("svc-w-16", "client-0", CCReply(4097, ("value", 17), 16), 0.0),
-            "5257150101087376632d772d313608636c69656e742d300a47030382400702"
+            "5257160101087376632d772d313608636c69656e742d300a47030382400702"
             "050576616c756503220320",
         ),
         "transport-ack": (
             Envelope("svc-w-17", "svc-w-16", SegmentAck(cum_seq=41), 0.0),
-            "5257150101087376632d772d3137087376632d772d31360a02010352",
+            "5257160101087376632d772d3137087376632d772d31360a02010352",
         ),
     }
 
 
 @pytest.mark.parametrize(
     "name,size", [("heartbeat", 28), ("group-data", 88), ("cc-request", 67),
-                  ("cc-read", 66), ("cc-reply", 42), ("transport-ack", 28)],
+                  ("cc-request-lag", 69), ("cc-read", 66), ("cc-reply", 42),
+                  ("transport-ack", 28)],
 )
 def test_wire_budget(name, size):
     """The exact bytes of the frames that dominate the e2e workloads, as a
@@ -613,7 +626,11 @@ def test_wire_budget(name, size):
     client the envelope already names, 16 B for the tuple); ``cc-read``
     99 -> 66 (14, 10 and 9 B the same ways) and ``cc-reply`` 56 -> 42
     (14 B, the id): the two frames of a get, 88% of the e2e ``kv_read``
-    workload's wire bytes (91% under v19)."""
+    workload's wire bytes (91% under v19).  Wire v22 changed the six in
+    the version byte only; ``cc-request-lag`` is the same put sent while
+    its process still waits on the request three ids older: 2 B more
+    for ``lag`` (its tag and value; the record's field count stays one
+    byte)."""
     envelope, expected = _budget_cases()[name]
     (frame,), rejects = encode_data_frames([envelope])
     assert not rejects
@@ -854,8 +871,11 @@ def test_wire_ids_are_unique_and_stable():
     # CCResultNote names the client again.  v21: the GetHierarchyInfo
     # reply is the leaf directory (contacts by id, fanout, depth, epoch),
     # and a router packs the tree from the ids; the pinned frames changed
-    # only in the version byte.
-    assert WIRE_VERSION == 21
+    # only in the version byte.  v22: CCRequest grows ``lag`` before
+    # ``client``, so a set member can drop the results of its client's
+    # finished writes; it is not written when 0, so the pinned frames
+    # changed only in the version byte.
+    assert WIRE_VERSION == 22
 
 
 def test_the_v16_slimmed_kinds_round_trip():
