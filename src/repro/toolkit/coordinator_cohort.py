@@ -73,11 +73,15 @@ earlier results).  A set member keeps a write's result so that a retry
 or hedge is answered without running it again.  ``CCRequest.lag`` is
 the write's id minus the oldest id its client's process still waits
 on, so every id of the client below ``request_id - lag`` is finished.
-Per client, a member keeps that *floor* and the results at or above
-it: a write raises the floor and drops the results below it, and a
-write below the floor, a late copy of a finished one, is neither run,
-answered nor held.  This relies on one invariant: no client address
-reuses a request id.  It holds on every engine here, as one counter per
+Per client, a member keeps that *floor* and the writes at or above it,
+pending or answered.  A write raises the floor and drops everything
+below it: a pending write there was answered by a coordinator whose
+result copy never arrived, so no takeover runs it.  A write below the
+floor, a late copy of a finished one, is neither run, answered nor
+held.  A client process that recovers from a crash gives up every call
+the crash stranded (their timers died with it), so no dead call pins
+its floor.  This relies on one invariant: no client address reuses a
+request id.  It holds on every engine here, as one counter per
 interpreter numbers every request and ``Process.recover`` does not
 reset it.  A read never moves a floor and is never kept.
 
@@ -106,10 +110,10 @@ Handler = Callable[[Any, Address], Any]
 CLIENTS_KEPT = 4096
 """How many clients a cohort-set member keeps a record for, least
 recently heard evicted first.  A record holds only the client's
-unfinished writes, so the table is bounded by the clients a group
-serves at once, not by the writes it has run.  Only a retry whose
-client's record was evicted (4,096 other clients heard since) runs a
-write twice."""
+unfinished writes, pending or answered, so the table is bounded by the
+clients a group serves at once, not by the writes it has run.  Only a
+retry whose client's record was evicted (4,096 other clients heard
+since) runs a write twice."""
 
 HEDGE_SAMPLES = 64
 """A client hedges a request still unanswered after 1.25 times the p95
@@ -127,28 +131,39 @@ it was sent, a hedged put ``PROBES * interval / 4`` plus one flush after
 that, both far inside the detector's ``suspect_after``."""
 
 
-RequestKey = Tuple[Address, int]
-"""What a server holds a pending write under: (client, request id)."""
-
-
-class _ClientResults:
+class _ClientRecord:
     """A client's record at a set member: every id below ``floor`` is
-    finished at the client; ``results`` holds the ones at or above it."""
+    finished at the client.  ``results`` holds the results of its writes
+    at or above the floor, and ``pending`` the writes among them whose
+    result this member has not seen yet (the ones a takeover runs)."""
 
-    __slots__ = ("floor", "results")
+    __slots__ = ("floor", "results", "pending")
 
     def __init__(self) -> None:
         self.floor = 0
         self.results: Dict[int, Any] = {}
+        # None while nothing is pending, as at most records most of the
+        # time: a dict emptied of its last entry keeps its table.
+        self.pending: Optional[Dict[int, CCRequest]] = None
+
+    def hold(self, request: CCRequest) -> None:
+        if self.pending is None:
+            self.pending = {}
+        self.pending[request.request_id] = request
 
     def raise_floor(self, floor: int) -> None:
         if floor > self.floor:
             self.floor = floor
-            results = self.results
-            for request_id in [i for i in results if i < floor]:
-                del results[request_id]
+            for held in (self.results, self.pending or {}):
+                for request_id in [i for i in held if i < floor]:
+                    del held[request_id]
+            self.pending = self.pending or None
 
-    def keep(self, request_id: int, result: Any) -> None:
+    def settle(self, request_id: int, result: Any) -> None:
+        """The write has a result: hold that instead of the request."""
+        if self.pending is not None:
+            self.pending.pop(request_id, None)
+            self.pending = self.pending or None
         if request_id >= self.floor:
             self.results[request_id] = result
 
@@ -236,6 +251,7 @@ class _CCDispatch:
         process.on(CCRead, self._on_request)
         process.on(CCReply, self._on_reply)
         process.on(CCResultNote, self._on_result_note)
+        process.add_recover_listener(self._after_recovery)
         self.rpc = rpc if rpc is not None else Rpc(process)
         try:
             self.rpc.serve(GetMembers, self._serve_members)
@@ -249,6 +265,13 @@ class _CCDispatch:
             batch.sort()
             self.hedge_delay = 1.25 * batch[HEDGE_SAMPLES * 19 // 20]  # the p95
             batch.clear()
+
+    def _after_recovery(self) -> None:
+        """The crash cancelled every call's timer, and no reply reaches a
+        crashed process: give every outstanding call up, so that none
+        pins the oldest id the next write names (``CCRequest.lag``)."""
+        for request_id, client in list(self.outstanding.items()):
+            client._give_up(request_id)
 
     def _on_request(self, request: CCRequest, sender: Address) -> None:
         server = self.servers.get(request.group)
@@ -299,11 +322,9 @@ class CoordinatorCohortServer:
         self.is_read = is_read
         self.requests_executed = 0
         self.takeovers = 0
-        # Writes only, held by cohort-set members only: (client, id) ->
-        # request, dropped once a result is known; client -> its
-        # unfinished writes' results, least recently heard first.
-        self._pending: Dict[RequestKey, CCRequest] = {}
-        self._results: "OrderedDict[Address, _ClientResults]" = OrderedDict()
+        # Writes only, held by cohort-set members only: client -> its
+        # unfinished writes, least recently heard first.
+        self._clients: "OrderedDict[Address, _ClientRecord]" = OrderedDict()
         # The cohort set of the view this member last saw, and the rest
         # of it as seen from here (who gets a result copy).
         self._view_seq = 0
@@ -355,21 +376,20 @@ class CoordinatorCohortServer:
             record.raise_floor(request_id - request.lag)
         if request_id < record.floor:
             return  # a late copy of a write its client has finished
-        key = (client, request_id)
         if request_id in record.results:
             # Retransmitted request already served: coordinator re-replies.
             if self._is_coordinator():
                 self._reply(request, client, record.results[request_id])
         elif self._is_coordinator():
-            self._execute(request, key, record)
-        elif key in self._pending:
+            self._execute(request, client, record)
+        elif record.pending and request_id in record.pending:
             # A second copy is the client's hedge: the coordinator has
             # left it unanswered.  Check the coordinator now; the takeover
             # after the view change still runs the write, so nobody here
             # does.
             self.member.runtime.detector.probe(self.member.acting_coordinator())
         else:
-            self._pending[key] = request
+            record.hold(request)
 
     def _reply(self, request: CCRequest, client: Address, result: Any) -> None:
         behind = request.view_seq != self._view_seq
@@ -396,27 +416,25 @@ class CoordinatorCohortServer:
         return result
 
     def _execute(
-        self, request: CCRequest, key: RequestKey, record: _ClientResults
+        self, request: CCRequest, client: Address, record: _ClientRecord
     ) -> None:
         """Run a write here, reply, and send the result copy to the
         fellow cohorts, so no takeover runs it again."""
-        client, request_id = key
-        self._pending.pop(key, None)
         result = self._run(request, client)
-        record.keep(request_id, result)
+        record.settle(request.request_id, result)
         self._reply(request, client, result)
         if self._fellow_cohorts:
             self.member.runtime.process.multicast(
                 self._fellow_cohorts,
-                CCResultNote(self.member.group, request_id, result, client),
+                CCResultNote(self.member.group, request.request_id, result, client),
             )
 
-    def _record(self, client: Address) -> _ClientResults:
+    def _record(self, client: Address) -> _ClientRecord:
         """The client's record, now the most recently heard."""
-        records = self._results
+        records = self._clients
         record = records.get(client)
         if record is None:
-            record = records[client] = _ClientResults()
+            record = records[client] = _ClientRecord()
             if len(records) > CLIENTS_KEPT:
                 records.popitem(last=False)
         else:
@@ -424,8 +442,7 @@ class CoordinatorCohortServer:
         return record
 
     def _on_result_note(self, note: CCResultNote, sender: Address) -> None:
-        self._record(note.client).keep(note.request_id, note.result)
-        self._pending.pop((note.client, note.request_id), None)
+        self._record(note.client).settle(note.request_id, note.result)
 
     def _on_view(self, event: ViewEvent) -> None:
         """Recompute the cohort set; then cohort takeover: if the
@@ -437,13 +454,14 @@ class CoordinatorCohortServer:
             # improve — out of the group now.  The rest of the old set is
             # still in the new one and holds the same entries; if none of
             # it is, a retry re-executes.
-            self._pending.clear()
-            self._results.clear()
+            self._clients.clear()
             return
         if not self._is_coordinator():
             return
-        for key in sorted(self._pending):
-            client, request_id = key
+        clients = self._clients
+        for client, request_id in sorted(
+            (c, i) for c, record in clients.items() for i in record.pending or ()
+        ):
             self.takeovers += 1
             trace = self.member.runtime.process.env.network.trace
             if trace is not None:
@@ -452,7 +470,8 @@ class CoordinatorCohortServer:
                     group=self.member.group, client=client,
                     request_id=request_id,
                 )
-            self._execute(self._pending[key], key, self._record(client))
+            record = clients[client]
+            self._execute(record.pending[request_id], client, record)
 
 
 @dataclass
@@ -586,9 +605,7 @@ class CoordinatorCohortClient:
             return
         call.sent_at = None
         if call.retries_left <= 0:
-            self._finish(request_id)
-            if call.on_failure is not None:
-                call.on_failure()
+            self._give_up(request_id)
             return
         call.retries_left -= 1
         self._members = None  # refresh the set: it may have changed
@@ -600,6 +617,11 @@ class CoordinatorCohortClient:
         if call is not None and call.timer is not None:
             call.timer.cancel()
         return call
+
+    def _give_up(self, request_id: int) -> None:
+        call = self._finish(request_id)
+        if call is not None and call.on_failure is not None:
+            call.on_failure()
 
     def _learn(
         self,

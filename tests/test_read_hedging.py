@@ -276,7 +276,7 @@ def test_a_slow_but_live_coordinator_answers_the_probe_and_keeps_its_place():
     client.request(("put", "k", 1), lambda r: put_reply.append((r, env.now - start)))
     env.run_for(0.1)
     assert probes == [(pytest.approx(start + delay + RTT / 2), "svc-1", "svc-0")]
-    assert put_reply == [] and servers[1]._pending
+    assert put_reply == [] and servers[1]._clients["client"].pending
     env.run_for(2.0)
     assert put_reply == [("ok", pytest.approx(0.3 + RTT / 2))]
     assert len(probes) == 1 and suspicions == []
@@ -428,7 +428,7 @@ def test_a_hedged_get_is_executed_once_across_a_later_takeover():
     assert replies == [0] * 10
     assert servers[1].requests_executed == 10
     # Nobody holds them: there is nothing for a takeover to run.
-    assert not any(s._pending for s in servers)
+    assert not any(r.pending for s in servers for r in s._clients.values())
     env.run_for(2.0)
     assert members[1].view.coordinator == "svc-1"
     assert servers[1].takeovers == 0
@@ -561,12 +561,13 @@ def test_no_get_ever_enters_pending_or_results_at_any_member():
     def check():
         for s in stores:
             server = s.service.current
-            results = {
-                (client, request_id)
-                for client, record in server._results.items()
-                for request_id in record.results
-            }
-            held.extend(gets & (set(server._pending) | results))
+            held.extend(
+                gets & {
+                    (client, request_id)
+                    for client, record in server._clients.items()
+                    for request_id in (*(record.pending or ()), *record.results)
+                }
+            )
         env.scheduler.after(0.01, check)
 
     check()

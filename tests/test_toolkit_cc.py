@@ -46,8 +46,17 @@ def held(server):
     """The (client, request id) of every result a server holds."""
     return {
         (client, request_id)
-        for client, record in server._results.items()
+        for client, record in server._clients.items()
         for request_id in record.results
+    }
+
+
+def pending(server):
+    """The (client, request id) of every write a server holds unanswered."""
+    return {
+        (client, request_id)
+        for client, record in server._clients.items()
+        for request_id in record.pending or ()
     }
 
 
@@ -56,7 +65,7 @@ def test_cohorts_store_results():
     rid = client.request("x", lambda r: None)
     env.run_for(3.0)
     for server in servers[1:]:
-        assert server._results["client"].results == {rid: ("done", "x")}
+        assert server._clients["client"].results == {rid: ("done", "x")}
 
 
 def cc_counts(delta):
@@ -83,7 +92,7 @@ def test_resiliency_bounds_the_request_to_2r():
     holders = [i for i, s in enumerate(servers) if held(s) == {("client", rid)}]
     assert holders == [0, 1, 2]
     assert all(("client", warm_up) not in held(s) for s in servers)
-    assert all(not s._results and not s._pending for s in servers[3:])
+    assert all(not s._clients for s in servers[3:])
 
 
 def test_a_flat_client_asks_for_the_set_before_its_first_request():
@@ -412,7 +421,7 @@ def test_stale_set_with_no_current_member_is_answered_without_the_timer():
     assert servers[3].requests_executed == 1
     assert client._members == ("svc-3", "svc-4", "svc-5")
     # Members that left the set dropped what they held for it.
-    assert all(not s._results and not s._pending for s in servers[:3])
+    assert all(not s._clients for s in servers[:3])
 
 
 def test_a_finished_write_never_runs_again():
@@ -429,8 +438,8 @@ def test_a_finished_write_never_runs_again():
             env.run_for(0.05)
     env.run_for(1.0)
     assert servers[0].requests_executed == 10_000
-    assert all(0 < len(s._results["client"].results) <= window for s in servers)
-    assert all(not s._pending for s in servers)
+    assert all(0 < len(s._clients["client"].results) <= window for s in servers)
+    assert all(not pending(s) for s in servers)
     replies = []
 
     def tap(_event, envelope):
@@ -496,6 +505,72 @@ def test_a_retried_and_hedged_write_is_answered_from_its_result_while_newer_writ
     env.run_for(0.1)
     assert answers[-1] == ("done", "last")
     assert all(held(s) == {("client", last)} for s in servers[:3])
+
+
+def test_a_client_that_recovers_gives_up_the_writes_its_crash_stranded():
+    """The client crashes with a write in flight: the coordinator runs
+    it, and the answer finds the client down.  The crash cancelled the
+    write's retry timer, so on recovery the client gives the write up.
+    It pins no floor then: the next writes name nothing older, and the
+    set holds only their window."""
+    env, nodes, members, servers, client = build(3)
+    client.request("warm-up", lambda r: None)
+    env.run_for(1.0)
+    answers, failures = [], []
+    client.request("stranded", answers.append, on_failure=lambda: failures.append(1))
+    client.process.crash()
+    env.run_for(1.0)
+    client.process.recover()
+    assert failures == [1] and answers == []
+    assert not client._dispatch.outstanding
+    lags = []
+
+    def tap(_event, envelope):
+        if isinstance(envelope.payload, CCRequest) and envelope.src == "client":
+            lags.append(envelope.payload.lag)
+
+    env.network.add_tap(tap, events=("send",))
+    for i in range(5):
+        last = client.request(i, answers.append)
+        env.run_for(0.1)
+    assert answers == [("done", i) for i in range(5)]
+    assert lags == [0] * 5 * 3
+    assert total_executed(servers) == 1 + 1 + 5
+    assert all(held(s) == {("client", last)} for s in servers)
+
+
+def test_a_write_whose_result_copy_was_lost_is_not_taken_over_once_its_client_moved_on():
+    """Rank 1 misses the result copy of a write and holds it pending.  The
+    client has its answer and sends a newer write, which raises rank 1's
+    floor past the first: when the coordinator then dies, rank 1 takes
+    over and does not run the first write a second time."""
+    env, nodes, members, servers, client = build(3)
+    client.request("warm-up", lambda r: None)
+    env.run_for(1.0)
+    note = servers[1]._on_result_note
+    lost = []
+
+    def lose_first(result_note, sender):
+        if not lost:
+            lost.append(result_note.request_id)
+            return
+        note(result_note, sender)
+
+    servers[1]._on_result_note = lose_first
+    answers = []
+    first = client.request("first", answers.append)
+    env.run_for(0.1)
+    assert lost == [first] and pending(servers[1]) == {("client", first)}
+    client.request("second", answers.append)
+    env.run_for(0.1)
+    assert answers == [("done", "first"), ("done", "second")]
+    assert not pending(servers[1])
+    nodes[0].crash()
+    env.run_for(10.0)
+    assert members[1].view.coordinator == "svc-1"
+    assert servers[1].takeovers == 0
+    assert total_executed(servers) == 1 + 2
+    assert answers == [("done", "first"), ("done", "second")]
 
 
 def test_answered_request_leaves_no_timer_behind():
