@@ -90,10 +90,12 @@ bench-guard:
 bench-scale:
 	$(PYTHON) -m tools.perf_report --scale
 
-## Real-UDP wire report (docs/deployment.md): the hierarchical parity
-## scenario (16 workers) as a 4-node loopback cluster, frames/bytes on
-## the wire per checked delivery, gated on parity with the sim
-## reference.  Writes BENCH_wire.json.
+## Wire report (docs/deployment.md): every envelope of the hierarchical
+## parity scenario's sim run (16 workers) encoded by the real codec —
+## bytes per checked delivery, by category, repeating to the byte — and
+## the same plan as a 4-node loopback UDP cluster, gated on parity with
+## that reference (its host-timed frame count is a probe, not a figure).
+## Writes BENCH_wire.json.
 bench-wire:
 	$(PYTHON) -m tools.perf_report --wire
 

@@ -30,7 +30,6 @@ from repro.core.leader import (
     SplitDirective,
     build_leader_group,
     leader_group_name,
-    leaf_group_name,
 )
 from repro.core.params import LargeGroupParams, ReorgPolicy
 from repro.core.router import ServiceRouter
@@ -82,5 +81,4 @@ __all__ = [
     "build_leader_group",
     "build_spec",
     "leader_group_name",
-    "leaf_group_name",
 ]

@@ -34,10 +34,10 @@ from repro.proc.process import Timer
 
 @dataclass
 class SplitCmd:
-    """abcast within a leaf: the listed movers depart to form a new leaf."""
+    """abcast within a leaf: the listed movers depart to form a new leaf
+    (its group is named by its id)."""
 
     new_leaf_id: str
-    new_group: str
     movers: Tuple[Address, ...]
 
 
@@ -214,21 +214,20 @@ class LargeGroupMember:
                 index = len(self.leader_contacts) - 1
             self._request_assignment(index)
         elif kind == "create":
-            _, leaf_id, group_name = value
+            _, leaf_id = value
             self._install_leaf(
                 leaf_id,
-                self.node.runtime.create_group(group_name, [self.me]),
+                self.node.runtime.create_group(leaf_id, [self.me]),
             )
         elif kind == "join":
-            _, group_name, contacts = value
-            leaf_id = group_name.split("::", 1)[1]
-            if self.node.runtime.has_group(group_name):
-                self.node.runtime.forget_group(group_name)
+            _, leaf_id, contacts = value
+            if self.node.runtime.has_group(leaf_id):
+                self.node.runtime.forget_group(leaf_id)
             member = self.node.runtime.join_group(
-                group_name, contact=contacts[0], retry=self.assign_retry
+                leaf_id, contact=contacts[0], retry=self.assign_retry
             )
             self._install_leaf(leaf_id, member, pending=True)
-            self._watch_placement(group_name)
+            self._watch_placement(leaf_id)
         else:
             self._retry_join(contact_index + 1)
 
@@ -355,7 +354,6 @@ class LargeGroupMember:
         self.leaf_member.multicast(
             SplitCmd(
                 new_leaf_id=body.new_leaf_id,
-                new_group=body.new_group,
                 movers=movers,
             ),
             TOTAL,
@@ -422,7 +420,7 @@ class LargeGroupMember:
         if old_group is not None:
             self.node.runtime.forget_group(old_group)
         self._trace_reorg("reorg-state-handoff", new_leaf_id=cmd.new_leaf_id)
-        member = self.node.runtime.create_group(cmd.new_group, list(cmd.movers))
+        member = self.node.runtime.create_group(cmd.new_leaf_id, list(cmd.movers))
         self._install_leaf(cmd.new_leaf_id, member)
 
     def _execute_merge(self, cmd: MergeCmd) -> None:
@@ -431,8 +429,7 @@ class LargeGroupMember:
         old_group = old_member.group
         old_member.mark_departing()
         self.node.runtime.forget_group(old_group)
-        target_leaf_id = cmd.target_group.split("::", 1)[1]
-        self._trace_reorg("reorg-state-handoff", new_leaf_id=target_leaf_id)
+        self._trace_reorg("reorg-state-handoff", new_leaf_id=cmd.target_group)
         contact = cmd.target_contacts[0] if cmd.target_contacts else None
         if contact is None:
             # No known target contact: fall back to a fresh assignment.
@@ -445,7 +442,7 @@ class LargeGroupMember:
             cmd.target_group, contact=contact, retry=self.assign_retry
         )
         self._joining = True
-        self._install_leaf(target_leaf_id, member, pending=True)
+        self._install_leaf(cmd.target_group, member, pending=True)
         self._watch_placement(cmd.target_group)
 
 

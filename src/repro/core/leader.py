@@ -45,10 +45,6 @@ def leader_group_name(service: str) -> str:
     return f"{service}/leader"
 
 
-def leaf_group_name(service: str, leaf_id: str) -> str:
-    return f"{service}::{leaf_id}"
-
-
 # -- RPC bodies -------------------------------------------------------------------
 
 
@@ -305,12 +301,12 @@ class LeaderReplica:
             self._propose(AddLeaf(leaf_id=leaf_id, size=0, contacts=()))
             self.events.append(("leaf-created", leaf_id))
             self._trace_event("leaf-created", leaf_id=leaf_id)
-            return ("create", leaf_id, leaf_group_name(self.service, leaf_id))
+            return ("create", leaf_id)
         leaf_id, contacts = target
         self._inflight[leaf_id] = self._inflight.get(leaf_id, 0) + 1
         if leaf_id in self._filling:
             self._note_filling(leaf_id)
-        return ("join", leaf_group_name(self.service, leaf_id), contacts)
+        return ("join", leaf_id, contacts)
 
     def _note_filling(self, leaf_id: str) -> None:
         """A joiner was routed to a leaf still filling: the size-merge rail
@@ -372,8 +368,16 @@ class LeaderReplica:
         return leaf_id, contacts
 
     def _new_leaf_id(self) -> str:
+        """``<manager address>/<n>``, which also names the leaf's group:
+        unique across a manager failover (each manager numbers its own
+        leaves), and sorted as ``leaf-<address>-<n>`` was.  Two ids of
+        one manager compare on their counters under either separator;
+        two replicas' addresses (:func:`build_leader_group`'s
+        ``<prefix>-<i>``) differ first in a digit, or one stops where the
+        other goes on with a digit, which sorts after ``-`` and ``/``
+        alike."""
         self._leaf_counter += 1
-        return f"leaf-{self.node.address}-{self._leaf_counter}"
+        return f"{self.node.address}/{self._leaf_counter}"
 
     # ------------------------------------------------------------- leaf reports
 
@@ -483,7 +487,6 @@ class LeaderReplica:
                 service=self.service,
                 leaf_id=leaf.leaf_id,
                 new_leaf_id=new_leaf_id,
-                new_group=leaf_group_name(self.service, new_leaf_id),
             ),
         )
 
@@ -512,7 +515,7 @@ class LeaderReplica:
             MergeDirective(
                 service=self.service,
                 leaf_id=leaf.leaf_id,
-                target_group=leaf_group_name(self.service, target.leaf_id),
+                target_group=target.leaf_id,
                 target_contacts=target.contacts,
             ),
         )
@@ -605,7 +608,6 @@ class SplitDirective:
     service: str
     leaf_id: str
     new_leaf_id: str
-    new_group: str
 
 
 @dataclass

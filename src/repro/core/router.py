@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.leader import GetHierarchyInfo, leaf_group_name
+from repro.core.leader import GetHierarchyInfo
 from repro.core.views import CohortSet, pack_tree, walk_key
 from repro.net.message import Address
 from repro.proc.process import Process
@@ -134,7 +134,7 @@ class ServiceRouter:
         leaves = directory["leaves"]
         self._tree, _ = pack_tree(self.service, leaves, directory["fanout"])
         self._placements = {
-            leaf_id: (leaf_group_name(self.service, leaf_id), CohortSet(contacts))
+            leaf_id: (leaf_id, CohortSet(contacts))
             for leaf_id, contacts in leaves.items()
             if contacts
         }

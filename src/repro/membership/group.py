@@ -436,6 +436,7 @@ class GroupRuntime:
         The recovered process rejoins groups like a new member (the
         classical ISIS recovery story)."""
         for member in list(self._groups.values()):
+            member._end_join()
             member._teardown_watches()
         self._groups.clear()
         for address in list(self._watch_refs):

@@ -24,8 +24,19 @@ arrival, and ``size_bytes`` is the payload's size model
 A *control* body is a single encoded value (the deploy tracker's
 register/peer-list/shutdown messages).
 
+Each data record spells a string once.  Its *string table* starts with
+the record's src and dst and takes, in writing order, every non-empty
+string literal of the payload (dict keys included) while it holds fewer
+than :data:`STRING_TABLE_SIZE` entries; a string already in the table is
+written as a back-reference — the tag and a varint index of at most two
+bytes — never longer than its literal.  The table lives and dies with
+the record: nothing carries over to the next record or frame, so a lost
+or reordered datagram still decodes alone.  A control frame's value has
+a table of its own that starts empty.
+
 Values are tag-prefixed: ``None``/bools/ints (zigzag varint)/floats
-(IEEE-754 f64)/str/bytes/tuple/list/dict nest freely, and any class
+(IEEE-754 f64)/str (or a back-reference)/bytes/tuple/list/dict nest
+freely, and any class
 registered through :func:`register_kind` encodes as its wire id, a field
 count, and that many dataclass fields in declaration order.  A kind stops
 at its last non-default field: trailing fields equal to their declared
@@ -38,7 +49,8 @@ frame level; evolving a kind's field list bumps :data:`WIRE_VERSION`.
 
 Robustness contract: :func:`decode_frame` raises :class:`CodecError` —
 and nothing else — on any malformed input (bad magic, truncation, stray
-trailing bytes, unknown tags/kinds, invalid UTF-8).  The socket fabric
+trailing bytes, unknown tags/kinds, invalid UTF-8, a back-reference past
+the table).  The socket fabric
 turns that into a counted drop; a byte-flipped datagram must never take
 a node down.
 """
@@ -114,7 +126,12 @@ MAGIC = b"RW"
 # id minus the oldest id the client still waits on, so a set member
 # drops the results of its client's finished writes.  It is 0, and so
 # not written, on a CCRead and on a write with nothing older in flight.
-WIRE_VERSION = 22
+# v23: a data record spells each string once — a per-record string table
+# seeded with src and dst, and a back-reference tag (11) for a repeat —
+# and a leaf group is named by its leaf id, ``<manager address>/<n>``,
+# not ``<service>::leaf-<manager address>-<n>``, so SplitDirective and
+# SplitCmd lose ``new_group``, which repeated ``new_leaf_id``.
+WIRE_VERSION = 23
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2
@@ -141,6 +158,11 @@ _T_TUPLE = 7
 _T_LIST = 8
 _T_DICT = 9
 _T_KIND = 10
+_T_REF = 11
+
+# A back-reference's index fits two varint bytes, so it is never longer
+# than the literal it replaces (a non-empty literal takes at least three).
+STRING_TABLE_SIZE = 1 << 14
 
 
 class CodecError(ValueError):
@@ -251,7 +273,9 @@ def _write_utf8(out: bytearray, text: str) -> None:
     out += raw
 
 
-def _write_value(out: bytearray, value: Any) -> None:
+def _write_value(out: bytearray, value: Any, strings: Dict[str, int]) -> None:
+    """Append ``value``; ``strings`` is its string table (string ->
+    index)."""
     if value is None:
         out.append(_T_NONE)
         return
@@ -266,6 +290,13 @@ def _write_value(out: bytearray, value: Any) -> None:
         out.append(_T_FLOAT)
         out += _F64.pack(value)
     elif cls is str:
+        index = strings.get(value)
+        if index is not None:
+            out.append(_T_REF)
+            _write_varint(out, index)
+            return
+        if value and len(strings) < STRING_TABLE_SIZE:
+            strings[value] = len(strings)
         out.append(_T_STR)
         _write_utf8(out, value)
     elif cls is bytes:
@@ -276,18 +307,18 @@ def _write_value(out: bytearray, value: Any) -> None:
         out.append(_T_TUPLE)
         _write_varint(out, len(value))
         for item in value:
-            _write_value(out, item)
+            _write_value(out, item, strings)
     elif cls is list:
         out.append(_T_LIST)
         _write_varint(out, len(value))
         for item in value:
-            _write_value(out, item)
+            _write_value(out, item, strings)
     elif cls is dict:
         out.append(_T_DICT)
         _write_varint(out, len(value))
         for key, item in value.items():
-            _write_value(out, key)
-            _write_value(out, item)
+            _write_value(out, key, strings)
+            _write_value(out, item, strings)
     else:
         kind = _KIND_BY_CLASS.get(cls)
         if kind is None:
@@ -312,7 +343,7 @@ def _write_value(out: bytearray, value: Any) -> None:
                 count -= 1
         _write_varint(out, count)
         for index in range(count):
-            _write_value(out, parts[index])
+            _write_value(out, parts[index], strings)
 
 
 class _Reader:
@@ -369,7 +400,8 @@ def _read_utf8(reader: _Reader) -> str:
         raise CodecError(f"invalid utf-8 in string: {exc}") from None
 
 
-def _read_value(reader: _Reader) -> Any:
+def _read_value(reader: _Reader, strings: List[str]) -> Any:
+    """The next value; ``strings`` is its string table."""
     tag = reader.byte()
     if tag == _T_NONE:
         return None
@@ -383,21 +415,31 @@ def _read_value(reader: _Reader) -> Any:
     if tag == _T_FLOAT:
         return _F64.unpack(reader.take(8))[0]
     if tag == _T_STR:
-        return _read_utf8(reader)
+        text = _read_utf8(reader)
+        if text and len(strings) < STRING_TABLE_SIZE:
+            strings.append(text)
+        return text
+    if tag == _T_REF:
+        index = reader.varint()
+        if index >= len(strings):
+            raise CodecError(
+                f"string back-reference {index} past a table of {len(strings)}"
+            )
+        return strings[index]
     if tag == _T_BYTES:
         return reader.take(reader.length())
     if tag == _T_TUPLE:
         count = reader.varint()
-        return tuple(_read_value(reader) for _ in range(count))
+        return tuple(_read_value(reader, strings) for _ in range(count))
     if tag == _T_LIST:
         count = reader.varint()
-        return [_read_value(reader) for _ in range(count)]
+        return [_read_value(reader, strings) for _ in range(count)]
     if tag == _T_DICT:
         count = reader.varint()
         result = {}
         for _ in range(count):
-            key = _read_value(reader)
-            result[key] = _read_value(reader)
+            key = _read_value(reader, strings)
+            result[key] = _read_value(reader, strings)
         return result
     if tag == _T_KIND:
         kind_id = reader.varint()
@@ -405,7 +447,7 @@ def _read_value(reader: _Reader) -> Any:
         if kind is None:
             raise CodecError(f"unknown wire kind id {kind_id}")
         count = reader.varint()
-        parts = [_read_value(reader) for _ in range(count)]
+        parts = [_read_value(reader, strings) for _ in range(count)]
         try:
             if kind.build is not None:
                 return kind.build(parts)
@@ -433,7 +475,10 @@ def _write_envelope(out: bytearray, envelope: Any) -> None:
         raise CodecError("envelope src/dst must be addresses")
     _write_utf8(out, src)
     _write_utf8(out, dst)
-    _write_value(out, envelope.payload)
+    strings = {src: 0} if src else {}
+    if dst and dst not in strings:
+        strings[dst] = len(strings)
+    _write_value(out, envelope.payload, strings)
 
 
 def _read_envelope(reader: _Reader):
@@ -444,7 +489,10 @@ def _read_envelope(reader: _Reader):
 
     src = _read_utf8(reader)
     dst = _read_utf8(reader)
-    payload = _read_value(reader)
+    strings = [src] if src else []
+    if dst and dst != src:
+        strings.append(dst)
+    payload = _read_value(reader, strings)
     return Envelope(src, dst, payload, 0.0, 0.0, payload_size(payload))
 
 
@@ -509,7 +557,7 @@ def encode_data_frames(
 def encode_control_frame(payload: Any) -> bytes:
     """One control-plane value as a single frame; raises on oversize."""
     body = bytearray()
-    _write_value(body, payload)
+    _write_value(body, payload, {})
     frame = _frame(FRAME_CONTROL, bytes(body))
     if len(frame) > MAX_FRAME_BYTES:
         raise FrameTooLarge(
@@ -538,7 +586,7 @@ def decode_frame(data: bytes) -> Tuple[int, Any]:
                 raise CodecError("trailing bytes after last record")
             return FRAME_DATA, envelopes
         if frame_kind == FRAME_CONTROL:
-            value = _read_value(reader)
+            value = _read_value(reader, [])
             if reader.pos != reader.end:
                 raise CodecError("trailing bytes after control value")
             return FRAME_CONTROL, value

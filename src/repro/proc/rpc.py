@@ -70,6 +70,7 @@ class Rpc:
         self._servers: Dict[Type, ServeFn] = {}
         process.on(RpcRequest, self._on_request)
         process.on(RpcReply, self._on_reply)
+        process.add_recover_listener(self._after_recovery)
 
     # -- caller ----------------------------------------------------------------
 
@@ -96,6 +97,13 @@ class Rpc:
     def _expire(self, request_id: int, on_timeout: Optional[TimeoutFn]) -> None:
         if self._pending.pop(request_id, None) is not None and on_timeout:
             on_timeout()
+
+    def _after_recovery(self) -> None:
+        """No reply reaches a crashed process, so every call it had in
+        flight is dropped.  Like the one-shot timers the crash cancelled,
+        a call dies with the protocol state that made it: its
+        ``on_timeout`` belongs to the old incarnation and never runs."""
+        self._pending.clear()
 
     def _on_reply(self, reply: RpcReply, sender: Address) -> None:
         pending = self._pending.pop(reply.request_id, None)

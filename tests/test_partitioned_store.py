@@ -39,7 +39,7 @@ def test_the_client_the_router_and_the_manager_place_every_key_alike():
     assert client.router.placement_lookups == 1
     owners = [manager.state.place_key(key) for key in keys]
     assert [client.owner_leaf(key) for key in keys] == owners
-    assert [group for group, _ in placements] == [f"svc::{leaf}" for leaf in owners]
+    assert [group for group, _ in placements] == owners
     assert len(set(owners)) == len(manager.state.leaves) > 1
 
 

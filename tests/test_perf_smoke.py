@@ -25,6 +25,7 @@ sys.path.insert(0, str(REPO))
 
 from repro.proc import Environment, Process
 from tools.perf_report import (
+    _census_reference,
     _timed_run,
     build_guards,
     build_scenarios,
@@ -151,6 +152,24 @@ def test_scale_tree_stays_log_depth_and_splits_under_heat():
     disruption = result["routing_disruption_s"]
     assert disruption["windows"] == result["reorgs"]["splits"]
     assert disruption["max"] <= 0.01, disruption
+
+
+def test_the_wire_census_repeats_to_the_byte():
+    """``--wire``'s census encodes every envelope of the sim reference
+    run, so two runs of the plan read the same bytes per category; the
+    committed BENCH_wire.json marks the UDP probe's counts, which follow
+    host timing, as not repeatable."""
+    from repro.deploy.scenarios import HierScenario
+
+    scenario = HierScenario(workers=6)
+    first = _census_reference(scenario)
+    again = _census_reference(scenario)
+    results, census, rejects = first
+    assert not rejects and census and results["counters"]["deliveries_checked"]
+    assert again == first
+    report = json.loads((REPO / "BENCH_wire.json").read_text())
+    assert report["census"]["repeatable"] is True
+    assert report["udp_probe"]["repeatable"] is False
 
 
 def test_bench_core_json_holds_only_the_guard_reference():

@@ -2,10 +2,17 @@
 
 from dataclasses import dataclass
 
-from repro.core import LargeGroupMember, LargeGroupParams, build_large_group, build_leader_group
+from repro.core import (
+    JoinLarge,
+    LargeGroupMember,
+    LargeGroupParams,
+    build_large_group,
+    build_leader_group,
+)
 from repro.membership import FIFO, GroupNode, build_group
+from repro.membership.events import JoinRequest
 from repro.net import FixedLatency
-from repro.proc import Environment, Process
+from repro.proc import Environment, Process, RpcRequest
 from repro.transport import ReliableTransport
 
 
@@ -124,6 +131,74 @@ def test_recovered_worker_rejoins_large_group():
     assert victim.is_member
     manager = next(r for r in leaders if r.is_manager)
     assert manager.state.total_size == 8
+
+
+def _requests_sent(env, src, body_type):
+    """A list that grows by one for each RPC request of ``body_type``
+    that ``src`` puts on the wire."""
+    sent = []
+
+    def tap(event, envelope):
+        payload = envelope.payload
+        if (
+            envelope.src == src
+            and isinstance(payload, RpcRequest)
+            and isinstance(payload.body, body_type)
+        ):
+            sent.append(env.now)
+
+    env.network.add_tap(tap, events=("send",))
+    return sent
+
+
+def test_a_join_in_flight_at_a_crash_is_not_resent_after_recovery():
+    """The joiner's JoinRequest is lost and the joiner crashes before
+    its retry; once recovered it asks for nothing, so no view ever
+    lists a process that holds no group state."""
+    env = Environment(seed=8, latency=FixedLatency(0.002))
+    nodes, members = build_group(env, "g", 3)
+    joiner = GroupNode(env, "j")
+    views = []
+    for member in members:
+        member.add_view_listener(lambda event: views.append(event.view))
+    sent = _requests_sent(env, "j", JoinRequest)
+    env.network.partitions.cut_link("j", "g-0")
+    joiner.runtime.join_group("g", contact="g-0", retry=1.0)
+    env.run_for(0.5)
+    joiner.crash()
+    env.network.partitions.restore_all_links()
+    joiner.recover()
+    assert len(sent) == 1
+    env.run_for(10.0)
+    assert len(sent) == 1
+    assert not joiner.runtime.has_group("g")
+    assert not any(view.contains("j") for view in views)
+    assert all(member.view.members == ("g-0", "g-1", "g-2") for member in members)
+
+
+def test_a_join_after_recovery_asks_the_leader_once():
+    """A worker crashes with its JoinLarge lost and joins again as soon
+    as it is back: the old incarnation's request is not retried, so one
+    assignment runs, not two."""
+    env = Environment(seed=9, latency=FixedLatency(0.002))
+    params = LargeGroupParams(resiliency=2, fanout=4)
+    leaders = build_leader_group(env, "svc", params)
+    contacts = tuple(r.node.address for r in leaders)
+    worker = LargeGroupMember(GroupNode(env, "svc-w-0"), "svc", contacts, params=params)
+    sent = _requests_sent(env, "svc-w-0", JoinLarge)
+    for contact in contacts:
+        env.network.partitions.cut_link("svc-w-0", contact)
+    worker.join()
+    env.run_for(0.5 * worker.assign_retry)
+    worker.node.crash()
+    env.network.partitions.restore_all_links()
+    worker.node.recover()
+    worker.join()
+    env.run_for(15.0)
+    assert len(sent) == 2  # the lost one and the new incarnation's
+    assert worker.is_member
+    manager = next(r for r in leaders if r.is_manager)
+    assert manager.state.total_size == 1
 
 
 def test_repeated_crash_recover_cycles():

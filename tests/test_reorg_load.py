@@ -167,7 +167,7 @@ def test_router_placement_cache_invalidated_by_reorg():
     env.run_for(1.0)
     assert got and got[0] is not None
     group, leaf_contacts = got[0]
-    assert group.startswith("svc::") and leaf_contacts
+    assert group in manager.state.leaves and leaf_contacts
     assert (router.placement_lookups, router.placement_hits) == (1, 0)
     # The tree is held: every further key is placed without a message.
     router.resolve_key("orders/17", got.append)
@@ -180,9 +180,8 @@ def test_router_placement_cache_invalidated_by_reorg():
     # test); any applied AddLeaf/RemoveLeaf moves the reorg epoch.
     from repro.core import RemoveLeaf
 
-    victim_leaf = group.split("::", 1)[1]
     epoch_before = manager.reorg_epoch
-    manager._propose(RemoveLeaf(leaf_id=victim_leaf))
+    manager._propose(RemoveLeaf(leaf_id=group))
     env.run_for(1.0)
     assert manager.reorg_epoch > epoch_before
 
@@ -194,7 +193,7 @@ def test_router_placement_cache_invalidated_by_reorg():
     assert router.placement_invalidations == 1
     assert router.placement_lookups == 2
     assert got[-1] is not None and got[-1][0] != group
-    assert got[-1][0] == f"svc::{manager.state.place_key('orders/17')}"
+    assert got[-1][0] == manager.state.place_key("orders/17")
 
 
 @pytest.mark.asyncio_smoke

@@ -22,7 +22,7 @@ from repro.core import (
     build_leader_group,
 )
 from repro.core.leader import directory_reply
-from repro.core.views import walk_key
+from repro.core.views import pack_tree, walk_key
 from repro.membership import GroupNode
 from repro.net import FixedLatency
 from repro.net.message import Envelope
@@ -91,7 +91,7 @@ def assert_walk_agrees(manager, router, key, env=None):
     if not got and env is not None:
         env.run_for(1.0)
     leaf_id = manager.state.place_key(key)
-    assert got == [(f"svc::{leaf_id}", manager.state.leaves[leaf_id].contacts)]
+    assert got == [(leaf_id, manager.state.leaves[leaf_id].contacts)]
 
 
 @settings(max_examples=2000, deadline=None)
@@ -157,6 +157,40 @@ def test_router_packs_the_leaders_tree_from_the_reply(leaves, fanout):
     assert set(router._placements) == {l for l, c in leaves.items() if c}
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    prefix=st.from_regex(r"[a-z][a-z0-9-]{0,8}", fullmatch=True),
+    leaves=st.sets(
+        st.tuples(st.integers(0, 11), st.integers(1, 300)),
+        min_size=1, max_size=120,
+    ),
+    fanout=st.integers(min_value=2, max_value=8),
+)
+def test_leaf_ids_named_by_manager_and_number_sort_pack_and_place_as_before(
+    prefix, leaves, fanout
+):
+    """A leaf id ``<manager address>/<n>`` for what was
+    ``leaf-<manager address>-<n>``, over any set of (replica, counter)
+    pairs a leader group of ``<prefix>-<i>`` replicas can hand out: the
+    two id sets sort alike, pack into the same tree with each leaf in
+    its old place, and place every key on the corresponding leaf."""
+    renamed = {
+        f"leaf-{prefix}-{i}-{n}": f"{prefix}-{i}/{n}" for i, n in leaves
+    }
+    assert [renamed[old] for old in sorted(renamed)] == sorted(renamed.values())
+    old_tree, old_depth = pack_tree("svc", renamed, fanout)
+    new_tree, new_depth = pack_tree("svc", renamed.values(), fanout)
+    assert new_depth == old_depth
+    assert new_tree == {
+        branch: tuple(renamed.get(child, child) for child in children)
+        for branch, children in old_tree.items()
+    }
+    for k in range(2000):
+        key = f"key/{k}"
+        old_leaf = walk_key(old_tree.get, key)
+        assert walk_key(new_tree.get, key) == renamed[old_leaf]
+
+
 def test_info_reply_tree_keeps_placement_order_past_b9():
     """A branch lists its children in creation order, which stops being
     sorted order at b10: the tree a router packs from the info reply
@@ -186,7 +220,7 @@ def test_concurrent_first_resolves_share_one_fetch():
     env.run_for(1.0)
     assert (router.placement_lookups, router.placement_hits) == (1, 0)
     assert [g[0] for g in got] == [
-        f"svc::{manager.state.place_key(f'key-{i}')}" for i in range(20)
+        manager.state.place_key(f"key-{i}") for i in range(20)
     ]
 
 
@@ -218,7 +252,7 @@ def test_split_moves_the_epoch_and_the_router_fetches_again():
     assert manager.reorg_epoch > epoch
 
     moved = [
-        k for k in keys if before[k] != f"svc::{manager.state.place_key(k)}"
+        k for k in keys if before[k] != manager.state.place_key(k)
     ]
     assert moved, "a new leaf re-homes some keys"
     # The router still holds the old epoch's tree until a request on one

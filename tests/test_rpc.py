@@ -84,6 +84,25 @@ def test_timeout_fires_when_server_dead():
     assert client.timeouts == 1
 
 
+def test_a_call_a_crash_stranded_is_dropped_on_recovery():
+    """The crash cancels the call's timer and no reply reaches a crashed
+    process; on recovery the call leaves the table, and its callbacks,
+    which belong to the old incarnation, never run."""
+    env, server, client = setup()
+    client.ask("server", Add(1, 1), timeout=1.0)
+    client.crash()
+    env.run_for(0.5)
+    client.recover()
+    assert not client.rpc._pending
+    env.run_for(6.0)
+    assert client.replies == []
+    assert client.timeouts == 0
+    client.ask("server", Add(2, 2), timeout=1.0)
+    env.run_for(1.0)
+    assert client.replies == [4]
+    assert not client.rpc._pending
+
+
 def test_no_timeout_after_reply():
     env, server, client = setup()
     client.ask("server", Add(1, 1), timeout=5.0)

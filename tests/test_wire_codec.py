@@ -22,6 +22,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.deploy.messages  # noqa: F401  -- registers control kinds 64-68
 from repro.clocks.vector import VectorClock
@@ -40,6 +41,8 @@ from repro.net.wire import (
     encode_data_frames,
     registered_kinds,
 )
+from repro.net.wire import codec
+from repro.net.wire.codec import HEADER_BYTES, STRING_TABLE_SIZE
 from repro.net.wire.registry import ensure_registered
 from repro.sim.rand import SimRandom
 
@@ -270,8 +273,6 @@ def _numeric_defaults():
 
 
 def _written_field_count(frame: bytes) -> int:
-    from repro.net.wire.codec import HEADER_BYTES
-
     # Control body: tag KIND, kind id, field count (ids and counts < 128).
     assert frame[HEADER_BYTES] == 10
     return frame[HEADER_BYTES + 2]
@@ -369,24 +370,21 @@ def test_hierarchy_payloads_round_trip():
 
     payloads = [
         SplitDirective(
-            service="svc", leaf_id="leaf-a", new_leaf_id="leaf-b",
-            new_group="svc::leaf-b",
+            service="svc", leaf_id="svc-ldr-0/1", new_leaf_id="svc-ldr-0/2",
         ),
         MergeDirective(
-            service="svc", leaf_id="leaf-a", target_group="svc::leaf-c",
+            service="svc", leaf_id="svc-ldr-0/1", target_group="svc-ldr-0/3",
             target_contacts=("svc-w-0", "svc-w-1"),
         ),
-        SplitCmd(
-            new_leaf_id="leaf-b", new_group="svc::leaf-b", movers=("svc-w-2",),
-        ),
-        MergeCmd(target_group="svc::leaf-c", target_contacts=("svc-w-0",)),
+        SplitCmd(new_leaf_id="svc-ldr-0/2", movers=("svc-w-2",)),
+        MergeCmd(target_group="svc-ldr-0/3", target_contacts=("svc-w-0",)),
         ReportLeafStatus(
-            service="svc", leaf_id="leaf-a", size=9,
+            service="svc", leaf_id="svc-ldr-0/1", size=9,
             contacts=("svc-w-0",), delivery_rate=41.5,
         ),
-        AddLeaf(leaf_id="leaf-b", size=4, contacts=("svc-w-2",)),
+        AddLeaf(leaf_id="svc-ldr-0/2", size=4, contacts=("svc-w-2",)),
         UpdateLeaf(
-            leaf_id="leaf-a", size=9, contacts=("svc-w-0",),
+            leaf_id="svc-ldr-0/1", size=9, contacts=("svc-w-0",),
             delivery_rate=33.0,
         ),
     ]
@@ -558,62 +556,119 @@ def test_unencodable_and_oversized_records_reject_without_poisoning():
 
 # -- wire budget ----------------------------------------------------------------
 
-_LEAF = "svc::leaf-svc-ldr-0-2"
+_LEAF = "svc-ldr-0/2"
 _PUT = ("put", "k17", 17)
+_MEMBERS = tuple(f"svc-w-{16 + i}" for i in range(7))
+
+
+def _unstable():
+    """Eight abcasts of one leaf view, by four senders, each stamped: what
+    a churn view change carries when a coordinator dies mid-stream."""
+    return [
+        GroupData(_LEAF, 12, _MEMBERS[i % 4], 40 + i, TOTAL,
+                  ("put", f"k{20 + i}", i), global_seq=300 + i)
+        for i in range(8)
+    ]
 
 
 def _budget_cases():
     from repro.failure.detector import Heartbeat
+    from repro.membership.events import FlushOk, NewView, StabilityGossip
     from repro.toolkit.coordinator_cohort import CCRead, CCReply, CCRequest
     from repro.transport.channel import Segment, SegmentAck
 
+    unstable = _unstable()
+    orders = [(data.global_seq, data.message_id) for data in unstable]
     return {
         "heartbeat": (
             Envelope("svc-w-517", "svc-w-516", Heartbeat(), 0.0),
-            "5257160101097376632d772d353137097376632d772d3531360a2000",
+            "5257170101097376632d772d353137097376632d772d3531360a2000",
         ),
         "group-data": (
             Envelope("svc-w-16", "svc-w-17", Segment(41, GroupData(
                 _LEAF, 16, "svc-w-16", 57, TOTAL, _PUT, global_seq=312,
             )), 0.0),
-            "5257160101087376632d772d3136087376632d772d31370a010203520a0a08"
-            "05157376633a3a6c6561662d7376632d6c64722d302d32032005087376632d"
-            "772d3136037203040703050370757405036b313703220003f004",
+            "5257170101087376632d772d3136087376632d772d31370a010203520a0a08"
+            "050b7376632d6c64722d302f3203200b00037203040703050370757405036b"
+            "313703220003f004",
         ),
         "cc-request": (
             Envelope("client-0", "svc-w-16", CCRequest(_LEAF, 10, _PUT, 16), 0.0),
-            "525716010108636c69656e742d30087376632d772d31360a46040515737663"
-            "3a3a6c6561662d7376632d6c64722d302d3203140703050370757405036b31"
-            "3703220320",
+            "525717010108636c69656e742d30087376632d772d31360a4604050b737663"
+            "2d6c64722d302f3203140703050370757405036b313703220320",
         ),
         "cc-request-lag": (
             Envelope("client-0", "svc-w-16", CCRequest(_LEAF, 10, _PUT, 16, 3), 0.0),
-            "525716010108636c69656e742d30087376632d772d31360a46050515737663"
-            "3a3a6c6561662d7376632d6c64722d302d3203140703050370757405036b31"
-            "37032203200306",
+            "525717010108636c69656e742d30087376632d772d31360a4605050b737663"
+            "2d6c64722d302f3203140703050370757405036b3137032203200306",
         ),
         "cc-read": (
             Envelope("client-0", "svc-w-16", CCRead(_LEAF, 4097, ("get", "k17"), 16), 0.0),
-            "525716010108636c69656e742d30087376632d772d31360a4e040515737663"
-            "3a3a6c6561662d7376632d6c64722d302d320382400702050367657405036b"
-            "31370320",
+            "525717010108636c69656e742d30087376632d772d31360a4e04050b737663"
+            "2d6c64722d302f320382400702050367657405036b31370320",
         ),
         "cc-reply": (
             Envelope("svc-w-16", "client-0", CCReply(4097, ("value", 17), 16), 0.0),
-            "5257160101087376632d772d313608636c69656e742d300a47030382400702"
+            "5257170101087376632d772d313608636c69656e742d300a47030382400702"
             "050576616c756503220320",
         ),
         "transport-ack": (
             Envelope("svc-w-17", "svc-w-16", SegmentAck(cum_seq=41), 0.0),
-            "5257160101087376632d772d3137087376632d772d31360a02010352",
+            "5257170101087376632d772d3137087376632d772d31360a02010352",
+        ),
+        "group-stability": (
+            Envelope("svc-w-17", "svc-w-16", Segment(42, StabilityGossip(
+                _LEAF, 12, {"svc-w-17": 57, "svc-w-18": 12}, 311,
+            )), 0.0),
+            "5257170101087376632d772d3137087376632d772d31360a010203540a0c04"
+            "050b7376632d6c64722d302f32031809020b00037205087376632d772d3138"
+            "031803ee04",
+        ),
+        "group-new-view": (
+            Envelope("svc-w-16", "svc-w-17", Segment(58, NewView(
+                GroupView(_LEAF, 13, _MEMBERS), unstable, orders, 308,
+            )), 0.0),
+            "5257170101087376632d772d3136087376632d772d31370a010203740a0f04"
+            "0a1303050b7376632d6c64722d302f32031a07070b000b0105087376632d77"
+            "2d313805087376632d772d313905087376632d772d323005087376632d772d"
+            "323105087376632d772d323208080a0a080b0203180b000350030407030503"
+            "70757405036b323003000003d8040a0a080b0203180b010352030407030b08"
+            "05036b323103020003da040a0a080b0203180b030354030407030b0805036b"
+            "323203040003dc040a0a080b0203180b040356030407030b0805036b323303"
+            "060003de040a0a080b0203180b000358030407030b0805036b323403080003"
+            "e0040a0a080b0203180b01035a030407030b0805036b3235030a0003e2040a"
+            "0a080b0203180b03035c030407030b0805036b3236030c0003e4040a0a080b"
+            "0203180b04035e030407030b0805036b3237030e0003e6040808070203d804"
+            "07020b000350070203da0407020b010352070203dc0407020b030354070203"
+            "de0407020b040356070203e00407020b000358070203e20407020b01035a07"
+            "0203e40407020b03035c070203e60407020b04035e03e804",
+        ),
+        "group-flush-ok": (
+            Envelope("svc-w-17", "svc-w-16", Segment(43, FlushOk(
+                _LEAF, 13, unstable, orders, 308,
+            )), 0.0),
+            "5257170101087376632d772d3137087376632d772d31360a010203560a0e05"
+            "050b7376632d6c64722d302f32031a08080a0a080b0203180b010350030407"
+            "03050370757405036b323003000003d8040a0a080b0203180b000352030407"
+            "030b0305036b323103020003da040a0a080b02031805087376632d772d3138"
+            "0354030407030b0305036b323203040003dc040a0a080b0203180508737663"
+            "2d772d31390356030407030b0305036b323303060003de040a0a080b020318"
+            "0b010358030407030b0305036b323403080003e0040a0a080b0203180b0003"
+            "5a030407030b0305036b3235030a0003e2040a0a080b0203180b06035c0304"
+            "07030b0305036b3236030c0003e4040a0a080b0203180b08035e030407030b"
+            "0305036b3237030e0003e6040808070203d80407020b010350070203da0407"
+            "020b000352070203dc0407020b060354070203de0407020b080356070203e0"
+            "0407020b010358070203e20407020b00035a070203e40407020b06035c0702"
+            "03e60407020b08035e03e804",
         ),
     }
 
 
 @pytest.mark.parametrize(
-    "name,size", [("heartbeat", 28), ("group-data", 88), ("cc-request", 67),
-                  ("cc-request-lag", 69), ("cc-read", 66), ("cc-reply", 42),
-                  ("transport-ack", 28)],
+    "name,size", [("heartbeat", 28), ("group-data", 70), ("cc-request", 57),
+                  ("cc-request-lag", 59), ("cc-read", 56), ("cc-reply", 42),
+                  ("transport-ack", 28), ("group-stability", 67),
+                  ("group-new-view", 427), ("group-flush-ok", 384)],
 )
 def test_wire_budget(name, size):
     """The exact bytes of the frames that dominate the e2e workloads, as a
@@ -630,7 +685,15 @@ def test_wire_budget(name, size):
     the version byte only; ``cc-request-lag`` is the same put sent while
     its process still waits on the request three ids older: 2 B more
     for ``lag`` (its tag and value; the record's field count stays one
-    byte)."""
+    byte).  Wire v23 names a leaf ``svc-ldr-0/2``, not
+    ``svc::leaf-svc-ldr-0-2`` (10 B off every frame naming its group:
+    ``cc-request`` 67 -> 57, ``cc-request-lag`` 69 -> 59, ``cc-read``
+    66 -> 56), and spells each string of a record once: ``group-data``
+    88 -> 70 (the leaf name, and 8 B for a sender equal to the record's
+    src); the three view-plane frames, new at v23, are the stability
+    report (85 B at v22), and a churn view change's ``NewView`` (770)
+    and ``FlushOk`` (695) of eight unstable abcasts by four senders,
+    whose group, senders and message ids each repeat one literal."""
     envelope, expected = _budget_cases()[name]
     (frame,), rejects = encode_data_frames([envelope])
     assert not rejects
@@ -652,13 +715,13 @@ def _directory_frame(leaf_count: int):
     state = HierarchyState("svc", LargeGroupParams(resiliency=3, fanout=8))
     for i in range(leaf_count):
         contacts = tuple(f"svc-w-{3 * i + k}" for k in range(3))
-        state.apply(AddLeaf(f"leaf-svc-ldr-0-{i + 1}", 8, contacts))
+        state.apply(AddLeaf(f"svc-ldr-0/{i + 1}", 8, contacts))
     reply = RpcReply(request_id=4097, value=directory_reply(state, 64))
     return Envelope("svc-ldr-0", "client-0", reply, 0.0)
 
 
 @pytest.mark.parametrize(
-    "leaf_count,size", [(64, 3414), (256, 13940), (1024, 58277)],
+    "leaf_count,size", [(64, 3094), (256, 12660), (1024, 53157)],
 )
 def test_directory_reply_budget(leaf_count, size):
     """A directory fetch's exact bytes.  Wire v21 sends each leaf's id and
@@ -666,13 +729,162 @@ def test_directory_reply_budget(leaf_count, size):
     and load, the leader's totals and the branch tree a router now packs
     itself: 7,664 and 31,001 bytes at 64 and 256 leaves, and at 1,024 a
     126,807-byte record that no frame took, so no router could place a
-    key on such a service over UDP."""
+    key on such a service over UDP.  Wire v23's leaf ids, ``svc-ldr-0/n``
+    for ``leaf-svc-ldr-0-n``, take 5 B a leaf off v22's 3,414, 13,940 and
+    58,277 B, and the largest directory one frame holds goes from 1,053
+    leaves to 1,150 (nothing repeats in a reply, so the string table
+    saves nothing here)."""
     envelope = _directory_frame(leaf_count)
     frames, rejects = encode_data_frames([envelope])
     assert not rejects
     assert [len(frame) for frame in frames] == [size]
     (decoded,) = decode_frame(frames[0])[1]
     assert decoded.payload == envelope.payload
+
+
+# -- the per-record string table -----------------------------------------------
+
+_ADDRESSES = ("svc-w-16", "svc-w-17", "client-0")
+_WORDS = st.sampled_from(_ADDRESSES + ("", "k", "svc-ldr-0/2", "put", "ключ", "é"))
+_STRINGS = _WORDS | st.text(max_size=6)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _STRINGS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_STRINGS, inner, max_size=4)
+        | st.builds(GroupData, _STRINGS, st.integers(1, 9), _STRINGS,
+                    st.integers(1, 9), st.sampled_from(ORDERINGS), inner)
+    ),
+    max_leaves=16,
+)
+_RECORDS = st.lists(
+    st.tuples(st.sampled_from(_ADDRESSES), st.sampled_from(_ADDRESSES), _VALUES),
+    min_size=1, max_size=4,
+)
+
+
+def _varint_size(value: int) -> int:
+    return max(1, (value.bit_length() + 6) // 7)
+
+
+def _utf8_size(text: str) -> int:
+    raw = len(text.encode("utf-8"))
+    return _varint_size(raw) + raw
+
+
+class _FullTable(dict):
+    """A string table that holds nothing and takes nothing in, so every
+    string is spelled out."""
+
+    def get(self, key, default=None):
+        return default
+
+    def __len__(self) -> int:
+        return STRING_TABLE_SIZE
+
+
+def _spelled_size(value) -> int:
+    """The bytes ``value`` takes with every string spelled out."""
+    out = bytearray()
+    codec._write_value(out, value, _FullTable())
+    return len(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECORDS)
+def test_repeated_strings_round_trip_and_never_grow_a_record(records):
+    """A k-record frame of nested values whose strings repeat each other
+    and the records' src and dst (dict keys, empty and non-ASCII strings
+    too) decodes to what was sent, and no record's payload is longer
+    than the same value with every string spelled out."""
+    envelopes = [Envelope(src, dst, value, 0.0) for src, dst, value in records]
+    frames, rejects = encode_data_frames(envelopes)
+    assert not rejects and len(frames) == 1
+    decoded = decode_frame(frames[0])[1]
+    assert [(e.src, e.dst, e.payload) for e in decoded] == records
+    for src, dst, value in records:
+        (frame,), _ = encode_data_frames([Envelope(src, dst, value, 0.0)])
+        payload = len(frame) - HEADER_BYTES - 1 - _utf8_size(src) - _utf8_size(dst)
+        assert payload <= _spelled_size(value)
+
+
+def test_a_repeat_costs_a_back_reference_and_nothing_carries_across_records():
+    name = "svc-ldr-0/2"
+    once = encode_data_frames([Envelope("a", "b", (name,), 0.0)])[0][0]
+    twice = encode_data_frames([Envelope("a", "b", (name, name), 0.0)])[0][0]
+    assert len(twice) - len(once) == 2  # the tag and a one-byte index
+    echo = encode_data_frames([Envelope("svc-w-16", "b", ("svc-w-16",), 0.0)])[0][0]
+    other = encode_data_frames([Envelope("svc-w-16", "b", ("svc-w-17",), 0.0)])[0][0]
+    assert len(other) - len(echo) == 8  # a 10-byte literal, a 2-byte reference
+    # Each record starts a fresh table: the second record spells the name
+    # again, so either one decodes alone.
+    (frame,), _ = encode_data_frames(
+        [Envelope("a", "b", (name,), 0.0), Envelope("a", "b", (name,), 0.0)]
+    )
+    assert frame.count(name.encode()) == 2
+
+
+def _data_frame(body: bytes) -> bytes:
+    """A one-record data frame from src ``a``, dst ``b`` and a raw
+    payload encoding."""
+    return bytes([0x52, 0x57, WIRE_VERSION, FRAME_DATA, 1, 1]) + b"a\x01b" + body
+
+
+def test_a_back_reference_past_the_table_is_refused():
+    ref, string = 11, 5
+    assert decode_frame(_data_frame(bytes([ref, 1])))[1][0].payload == "b"
+    with pytest.raises(CodecError, match="past a table of 2"):
+        decode_frame(_data_frame(bytes([ref, 2])))
+    # A literal enters the table; a reference then reaches it.
+    body = bytes([7, 2, string, 1]) + b"x" + bytes([ref, 2])
+    assert decode_frame(_data_frame(body))[1][0].payload == ("x", "x")
+    # An empty string does not (its literal is no longer than a reference).
+    body = bytes([7, 2, string, 0, ref, 2])
+    with pytest.raises(CodecError, match="past a table of 2"):
+        decode_frame(_data_frame(body))
+    with pytest.raises(CodecError):
+        decode_frame(_data_frame(bytes([ref, 0x80, 0x80, 0x80, 0x80, 0x01])))
+    # A control frame's table starts empty.
+    control = encode_control_frame(("x", "x"))
+    assert control[HEADER_BYTES:] == bytes([7, 2, string, 1]) + b"x" + bytes([ref, 0])
+    assert decode_frame(control) == (FRAME_CONTROL, ("x", "x"))
+    with pytest.raises(CodecError, match="past a table of 1"):
+        decode_frame(control[:-1] + bytes([1]))
+    with pytest.raises(CodecError, match="past a table of 0"):
+        decode_frame(control[:HEADER_BYTES] + bytes([ref, 0]))
+
+
+def test_the_table_stops_growing_so_an_index_stays_two_bytes():
+    """src and dst take the first two entries and the first words the
+    rest; a word past the table is spelled out each time it comes.  (The
+    record outgrows a UDP frame, so it is packed under a larger budget.)"""
+    words = [f"w{i}" for i in range(STRING_TABLE_SIZE + 1)]
+    (frame,), rejects = encode_data_frames(
+        [Envelope("a", "b", (words, words), 0.0)], max_bytes=1 << 20
+    )
+    assert not rejects
+    assert decode_frame(frame)[1][0].payload == (words, words)
+    spelled = sum(1 + _utf8_size(word) for word in words)
+    kept = STRING_TABLE_SIZE - 2
+    referenced = sum(1 + _varint_size(2 + i) for i in range(kept)) + sum(
+        1 + _utf8_size(word) for word in words[kept:]
+    )
+    container = 1 + _varint_size(len(words))
+    envelope = 1 + 2 * _utf8_size("a")  # record count, src, dst
+    assert len(frame) == (
+        HEADER_BYTES + envelope + 2 + 2 * container + spelled + referenced
+    )
+    # The decoder's table stops where the encoder's does: the last entry
+    # is reachable, one past it is not, though more words were spelled.
+    (frame,), _ = encode_data_frames(
+        [Envelope("a", "b", (words, "tail"), 0.0)], max_bytes=1 << 20
+    )
+    body = frame[: -len(b"\x05\x04tail")]
+    last = decode_frame(body + bytes([11, 0xFF, 0x7F]))[1][0]
+    assert last.payload == (words, words[kept - 1])
+    with pytest.raises(CodecError, match="past a table of 16384"):
+        decode_frame(body + bytes([11, 0x80, 0x80, 0x01]))
 
 
 # -- rejection properties -----------------------------------------------------
@@ -686,23 +898,30 @@ def test_truncated_frames_raise_codec_error_only():
 
 
 def test_corrupted_frames_never_raise_anything_else():
+    """A control frame, and a data frame whose records lean on their
+    string tables (a churn ``NewView`` and ``FlushOk``): a flipped bit
+    that lands on a back-reference must read as bad input too."""
     rng = SimRandom(99)
-    frame = bytearray(
-        encode_control_frame(
-            {"view": _group_view(rng), "clock": _vector_clock(rng)}
-        )
+    cases = _budget_cases()
+    control = encode_control_frame(
+        {"view": _group_view(rng), "clock": _vector_clock(rng)}
     )
-    flips = 0
-    for _ in range(400):
-        index = rng.randint(0, len(frame) - 1)
-        old = frame[index]
-        frame[index] ^= 1 << rng.randint(0, 7)
-        try:
-            decode_frame(bytes(frame))
-        except CodecError:
-            flips += 1
-        frame[index] = old
-    assert flips > 0  # corruption was actually detected, not ignored
+    (data,), _ = encode_data_frames(
+        [cases["group-new-view"][0], cases["group-flush-ok"][0]]
+    )
+    for original in (control, data):
+        frame = bytearray(original)
+        flips = 0
+        for _ in range(400):
+            index = rng.randint(0, len(frame) - 1)
+            old = frame[index]
+            frame[index] ^= 1 << rng.randint(0, 7)
+            try:
+                decode_frame(bytes(frame))
+            except CodecError:
+                flips += 1
+            frame[index] = old
+        assert flips > 0  # corruption was actually detected, not ignored
 
 
 def test_random_garbage_rejected():
@@ -874,8 +1093,10 @@ def test_wire_ids_are_unique_and_stable():
     # only in the version byte.  v22: CCRequest grows ``lag`` before
     # ``client``, so a set member can drop the results of its client's
     # finished writes; it is not written when 0, so the pinned frames
-    # changed only in the version byte.
-    assert WIRE_VERSION == 22
+    # changed only in the version byte.  v23: a data record spells each
+    # string once (a per-record table, back-reference tag 11), and a leaf
+    # group is named by its leaf id, ``<manager address>/<n>``.
+    assert WIRE_VERSION == 23
 
 
 def test_the_v16_slimmed_kinds_round_trip():
@@ -937,7 +1158,6 @@ def test_a_v9_segment_ack_is_refused_at_the_header():
     count on the wire is the count written, so the v9 frame is turned
     away by the version byte alone, and a body with more fields than the
     kind declares is refused by the count."""
-    from repro.net.wire.codec import HEADER_BYTES
     from repro.transport.channel import SegmentAck
 
     ack = SegmentAck(cum_seq=5, epoch=1)
@@ -1006,8 +1226,6 @@ def test_a_probe_round_trips_and_a_v10_frame_is_refused():
     frame or inside a data frame.  A v10 peer knows no kind 36: a frame
     stamped v10 is turned away at the header, whatever it carries."""
     from repro.failure.detector import Probe
-    from repro.net.wire.codec import HEADER_BYTES
-
     frame = bytearray(encode_control_frame(Probe()))
     assert decode_frame(bytes(frame)) == (FRAME_CONTROL, Probe())
     assert frame[HEADER_BYTES:] == bytes([10, 36, 0])  # tag KIND, id 36, 0 fields
@@ -1027,8 +1245,6 @@ def test_kind_11_is_unused_and_a_v11_frame_is_refused():
     turned away at the header; were the header skipped, kind 11 is
     unknown."""
     from repro.membership import GroupData
-    from repro.net.wire.codec import HEADER_BYTES
-
     data = GroupData(group="g", view_seq=3, sender="g-4", sender_seq=1,
                      ordering=TOTAL, payload=None, global_seq=7)
     frame = bytearray(encode_control_frame(data))

@@ -34,7 +34,6 @@ from repro.core import (
     attach_treecast,
     build_large_group,
     build_leader_group,
-    leaf_group_name,
 )
 from repro.membership import GroupNode
 from repro.net import FixedLatency
@@ -95,7 +94,7 @@ def run_demo(
     env.run_for(3.0)
 
     # --- E1 audit: the traced request against the 2r prediction ----------
-    leaf_group = leaf_group_name("svc", client.owner_leaf(key))
+    leaf_group = client.owner_leaf(key)
     leaf_size = sum(
         1
         for m in members
