@@ -6,6 +6,8 @@ Public surface:
 * :class:`HierarchyState` — the leader-replicated branch/leaf model;
 * :class:`LeaderReplica` / :func:`build_leader_group` — the resilient
   group-leader subgroup;
+* :class:`Policy` — the manager's join, split, merge and probe
+  decisions, as a sans-IO core;
 * :class:`LargeGroupMember` / :func:`build_large_group` — worker-side
   membership in a large group;
 * :class:`TreecastRoot` / :class:`TreecastParticipant` — bounded-fanout
@@ -25,13 +27,12 @@ from repro.core.leader import (
     JoinLarge,
     LeaderReplica,
     LeafProbe,
-    MergeDirective,
     ReportLeafStatus,
-    SplitDirective,
     build_leader_group,
     leader_group_name,
 )
 from repro.core.params import LargeGroupParams, ReorgPolicy
+from repro.core.policy import MergeDirective, Policy, SplitDirective
 from repro.core.router import ServiceRouter
 from repro.core.treecast import (
     TreeBroadcastRequest,
@@ -65,6 +66,7 @@ __all__ = [
     "LeafProbe",
     "MergeCmd",
     "MergeDirective",
+    "Policy",
     "ROOT_BRANCH",
     "RemoveLeaf",
     "ReorgPolicy",

@@ -17,14 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.core.leader import (
-    JoinLarge,
-    LeafProbe,
-    MergeDirective,
-    ReportLeafStatus,
-    SplitDirective,
-)
+from repro.core.leader import JoinLarge, LeafProbe, ReportLeafStatus
 from repro.core.params import LargeGroupParams
+from repro.core.policy import MergeDirective, SplitDirective
 from repro.membership.events import DeliveryEvent, FIFO, TOTAL, ViewEvent
 from repro.membership.group import GroupMember
 from repro.membership.service import GroupNode

@@ -197,33 +197,6 @@ class HierarchyState:
         except KeyError:
             raise HierarchyError(f"unknown branch {branch_id!r}") from None
 
-    def leaves_needing_split(self) -> List[LeafInfo]:
-        threshold = self.params.leaf_split_threshold
-        return sorted(
-            (l for l in self.leaves.values() if l.size > threshold),
-            key=lambda l: l.leaf_id,
-        )
-
-    def leaves_needing_merge(self) -> List[LeafInfo]:
-        """Undersized leaves (only meaningful when a sibling can absorb
-        them)."""
-        if len(self.leaves) < 2:
-            return []
-        floor = self.params.leaf_min
-        return sorted(
-            (l for l in self.leaves.values() if l.size < floor),
-            key=lambda l: l.leaf_id,
-        )
-
-    def merge_target_for(self, leaf_id: str) -> Optional[LeafInfo]:
-        """Preferred absorber: the smallest *other* leaf (keeps sizes
-        level and the post-merge size below the split threshold when
-        possible)."""
-        candidates = [l for l in self.leaves.values() if l.leaf_id != leaf_id]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda l: (l.size, l.leaf_id))
-
     def depth(self) -> int:
         """Tree levels from the root to the leaves, the leaf level
         included (0 with no leaves): every leaf sits at this level."""
@@ -255,50 +228,6 @@ class HierarchyState:
             return branch.children if branch is not None else None
 
         return walk_key(children_of, key)
-
-    # -- load-policy queries ------------------------------------------------------
-
-    def hot_leaves(self, policy) -> List[LeafInfo]:
-        """Leaves whose smoothed load crosses the hot threshold (load-driven
-        splits; size splits remain a separate safety rail)."""
-        return sorted(
-            (
-                l
-                for l in self.leaves.values()
-                if l.delivery_rate >= policy.hot_delivery_rate
-            ),
-            key=lambda l: l.leaf_id,
-        )
-
-    def is_cold(self, leaf: LeafInfo, policy) -> bool:
-        return leaf.delivery_rate < policy.cold_delivery_rate
-
-    def cold_sibling_pairs(self, policy) -> List[Tuple[LeafInfo, LeafInfo]]:
-        """(absorbed, target) pairs: a cold leaf and its smallest cold
-        sibling, where the combined size stays under the split threshold.
-        Each leaf appears in at most one pair, so one policy pass never
-        directs conflicting merges."""
-        pairs: List[Tuple[LeafInfo, LeafInfo]] = []
-        taken: set = set()
-        limit = self.params.leaf_split_threshold
-        for leaf_id in sorted(self.leaves):
-            leaf = self.leaves[leaf_id]
-            if leaf_id in taken or not self.is_cold(leaf, policy):
-                continue
-            candidates = [
-                s
-                for s in self.siblings_of(leaf_id)
-                if s.leaf_id not in taken
-                and self.is_cold(s, policy)
-                and leaf.size + s.size <= limit
-            ]
-            if not candidates:
-                continue
-            target = min(candidates, key=lambda s: (s.size, s.leaf_id))
-            pairs.append((leaf, target))
-            taken.add(leaf_id)
-            taken.add(target.leaf_id)
-        return pairs
 
     # -- mutation -------------------------------------------------------------------
 

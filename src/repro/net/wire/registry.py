@@ -22,10 +22,9 @@ from repro.core.leader import (
     HOp,
     JoinLarge,
     LeafProbe,
-    MergeDirective,
     ReportLeafStatus,
-    SplitDirective,
 )
+from repro.core.policy import MergeDirective, SplitDirective
 from repro.core.treecast import (
     LeafCastAck,
     LeafCastPayload,

@@ -11,6 +11,7 @@ from repro.core import (
     HierarchyError,
     HierarchyState,
     LargeGroupParams,
+    Policy,
     ROOT_BRANCH,
     RemoveLeaf,
     UpdateLeaf,
@@ -172,7 +173,11 @@ def test_replicas_agree_applying_same_ops():
     assert a.leaves == b.leaves
 
 
-# -- policy queries ---------------------------------------------------------------
+# -- policy queries (the manager's rails, on a Policy with no port) ------------------
+
+
+def policy_of(state):
+    return Policy("svc-ldr-0", state, port=None)
 
 
 def test_split_and_merge_detection():
@@ -180,14 +185,15 @@ def test_split_and_merge_detection():
     add(state, 0, size=9)
     add(state, 1, size=3)
     add(state, 2, size=5)
-    assert [l.leaf_id for l in state.leaves_needing_split()] == ["leaf-000"]
-    assert [l.leaf_id for l in state.leaves_needing_merge()] == ["leaf-001"]
+    policy = policy_of(state)
+    assert [l.leaf_id for l in policy.oversized()] == ["leaf-000"]
+    assert [l.leaf_id for l in policy.undersized()] == ["leaf-001"]
 
 
 def test_single_leaf_never_merges():
     state, _ = make(resiliency=2, fanout=4)
     add(state, 0, size=1)
-    assert state.leaves_needing_merge() == []
+    assert policy_of(state).undersized() == []
 
 
 def test_merge_target_is_smallest_other():
@@ -195,8 +201,9 @@ def test_merge_target_is_smallest_other():
     add(state, 0, size=2)
     add(state, 1, size=9)
     add(state, 2, size=5)
-    assert state.merge_target_for("leaf-000").leaf_id == "leaf-002"
-    assert state.merge_target_for("leaf-000").leaf_id != "leaf-000"
+    policy = policy_of(state)
+    assert policy.merge_target("leaf-000").leaf_id == "leaf-002"
+    assert policy.merge_target("leaf-000").leaf_id != "leaf-000"
 
 
 def test_each_entry_is_bounded_by_resiliency_and_fanout():
@@ -354,8 +361,9 @@ def test_hot_and_cold_queries():
     state.apply(
         UpdateLeaf("leaf-000", size=4, contacts=("c",), delivery_rate=50.0)
     )
-    assert [l.leaf_id for l in state.hot_leaves(params.reorg)] == ["leaf-000"]
-    cold = state.cold_sibling_pairs(params.reorg)
+    policy = policy_of(state)
+    assert [l.leaf_id for l in policy.hot()] == ["leaf-000"]
+    cold = policy.cold_pairs()
     # leaf-001/leaf-002 both have zero rates -> cold pair (if siblings).
     assert all(
         a.leaf_id != "leaf-000" and b.leaf_id != "leaf-000" for a, b in cold

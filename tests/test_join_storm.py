@@ -79,7 +79,7 @@ def test_no_joiner_is_sent_to_a_split_born_leaf_before_it_is_routable():
     env, leaders, contacts, first = storm(33)
     manager = manager_of(leaders)
     routed = []  # (leaf_id, routable when a joiner was sent there)
-    pick = manager._pick_leaf_for_join
+    pick = manager.policy._pick_leaf_for_join
 
     def recording_pick():
         target = pick()
@@ -88,7 +88,7 @@ def test_no_joiner_is_sent_to_a_split_born_leaf_before_it_is_routable():
             routed.append((target[0], leaf is not None and bool(leaf.contacts)))
         return target
 
-    manager._pick_leaf_for_join = recording_pick
+    manager.policy._pick_leaf_for_join = recording_pick
     run_until_placed(env, first, limit=30.0)
     while not reorgs(manager, "split-directed"):
         assert env.now < 60.0, "the undersized leaf was never merged"

@@ -361,11 +361,8 @@ def test_hierarchy_payloads_round_trip():
     no level or branch path — the canonical tree renumbers its branches
     on every rebuild, so a carried path would go stale."""
     from repro.core.hierarchy import MergeCmd, SplitCmd
-    from repro.core.leader import (
-        MergeDirective,
-        ReportLeafStatus,
-        SplitDirective,
-    )
+    from repro.core.leader import ReportLeafStatus
+    from repro.core.policy import MergeDirective, SplitDirective
     from repro.core.views import AddLeaf, UpdateLeaf
 
     payloads = [
