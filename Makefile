@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint sanitize smoke-asyncio smoke-socket e2e-smoke trace bench bench-e2e bench-report bench-guard bench-scale bench-claims bench-tables bench-wire clean
+.PHONY: test lint count-lines sanitize smoke-asyncio smoke-socket e2e-smoke trace bench bench-e2e bench-report bench-guard bench-scale bench-claims bench-tables bench-wire clean
 
 ## Tier-1: unit + integration tests (includes the behaviour guard below
 ## and the backend smokes, markers: asyncio_smoke, socket_smoke).
@@ -13,6 +13,11 @@ test:
 ## finding.
 lint:
 	$(PYTHON) -m tools.lint
+
+## Counted lines, the number ROADMAP item 8's deletion ledger records:
+## every Python line under src/, tools/ and benchmarks/.
+count-lines:
+	@find src tools benchmarks -name '*.py' | xargs cat | wc -l
 
 ## Runtime virtual-synchrony sanitizer suite (VS001…VS006 hooks).
 sanitize:

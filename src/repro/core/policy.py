@@ -267,9 +267,11 @@ class Policy:
         return self._leaves(lambda l: l.size < floor)
 
     def merge_target(self, leaf_id: str) -> Optional[LeafInfo]:
-        """The smallest other leaf: it keeps sizes level and the merged
-        leaf below the split threshold when it can."""
-        others = [l for l in self.state.leaves.values() if l.leaf_id != leaf_id]
+        """The smallest other leaf with no directive in flight: it keeps
+        sizes level and the merged leaf below the split threshold when it
+        can, and no two leaves are merged into each other."""
+        others = [l for l in self.state.leaves.values()
+                  if l.leaf_id != leaf_id and l.leaf_id not in self._directed]
         return min(others, key=lambda l: (l.size, l.leaf_id), default=None)
 
     def hot(self) -> List[LeafInfo]:

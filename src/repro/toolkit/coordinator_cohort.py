@@ -46,19 +46,12 @@ the set, a read to its coordinator.
 
 **Requests outlive their coordinator.**  A client that has heard nothing
 for a request after 1.25 times the p95 of its recent replies
-(:data:`HEDGE_SAMPLES`) sends the same request to the *next rank* of the set.
-- A read is answered there from the rank's own replica, the same
-  totally ordered state.  Each retry of a read, hedged or not, moves one
-  rank on.
-- A write is still executed by the coordinator only.  Rank 1 already
-  holds it pending, so a second copy is evidence that the coordinator is
-  silent.  Rank 1 probes it (``FailureDetector.probe``), and if the
-  probes go unanswered it suspects the coordinator.  Its own view change
-  then makes it coordinator, and the takeover runs the write once.  The
-  client's hedge never suspects anyone; only rank 1's failed probe does.
-  So a put caught by a crash waits about ``PROBES * interval / 4`` plus
-  one flush, not ``suspect_after`` (docs/hierarchy.md, "Requests during
-  a coordinator outage").
+(:data:`HEDGE_SAMPLES`) sends the same request to the *next rank* of the
+set.  A read is answered there from the rank's own replica (each retry
+of a read moves one rank on).  A write still runs on the coordinator
+only: rank 1 already holds it pending, so the second copy makes it probe
+the coordinator, whose failed probes lead to the view change and the
+takeover (docs/hierarchy.md, "Requests during a coordinator outage").
 
 **A request names itself once.**  Its id is an integer from one
 interpreter-wide counter, with no address prefix, so a server holds a
@@ -68,26 +61,19 @@ and only a member outside the set that passes a request on names the
 client there.  The result copy to the cohorts names the client too.
 
 **A result is kept until its client has the answer** (Birrell &
-Nelson's at-most-once RPC: a client's next call acknowledges its
-earlier results).  A set member keeps a write's result so that a retry
-or hedge is answered without running it again.  ``CCRequest.lag`` is
-the write's id minus the oldest id its client's process still waits
-on, so every id of the client below ``request_id - lag`` is finished.
-Per client, a member keeps that *floor* and the writes at or above it,
-pending or answered.  A write raises the floor and drops everything
-below it: a pending write there was answered by a coordinator whose
-result copy never arrived, so no takeover runs it.  A write below the
-floor, a late copy of a finished one, is neither run, answered nor
-held.  A client process that recovers from a crash gives up every call
-the crash stranded (their timers died with it), so no dead call pins
-its floor.  This relies on one invariant: no client address reuses a
-request id.  It holds on every engine here, as one counter per
-interpreter numbers every request and ``Process.recover`` does not
-reset it.  A read never moves a floor and is never kept.
+Nelson's at-most-once RPC).  ``CCRequest.lag`` is a write's id minus the
+oldest id its client's process still waits on: every id of the client
+below ``request_id - lag`` is finished.  Per client, a set member keeps
+that *floor* and the writes at or above it, pending or answered, and
+drops everything below it; a write below the floor is a late copy that
+nobody runs, answers or holds.  A recovered client gives up every call
+its crash stranded, so no dead call pins its floor.  The specs this
+keeps, and why the floor is safe, are in docs/protocols.md ("The
+coordinator–cohort tool").
 
-A process may host several servers (different groups) and several client
-stubs; a per-process :class:`_CCDispatch` demultiplexes the shared wire
-types.
+:class:`CohortCore` decides all of it; :class:`CoordinatorCohortServer`
+is its port on a process, where one :class:`_CCDispatch` demultiplexes
+the wire types for every server and client stub.
 """
 
 from __future__ import annotations
@@ -95,7 +81,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from weakref import WeakValueDictionary
 
 from repro.core.views import CohortSet
@@ -145,27 +131,6 @@ class _ClientRecord:
         # None while nothing is pending, as at most records most of the
         # time: a dict emptied of its last entry keeps its table.
         self.pending: Optional[Dict[int, CCRequest]] = None
-
-    def hold(self, request: CCRequest) -> None:
-        if self.pending is None:
-            self.pending = {}
-        self.pending[request.request_id] = request
-
-    def raise_floor(self, floor: int) -> None:
-        if floor > self.floor:
-            self.floor = floor
-            for held in (self.results, self.pending or {}):
-                for request_id in [i for i in held if i < floor]:
-                    del held[request_id]
-            self.pending = self.pending or None
-
-    def settle(self, request_id: int, result: Any) -> None:
-        """The write has a result: hold that instead of the request."""
-        if self.pending is not None:
-            self.pending.pop(request_id, None)
-            self.pending = self.pending or None
-        if request_id >= self.floor:
-            self.results[request_id] = result
 
 
 @dataclass
@@ -218,6 +183,162 @@ class GetMembers:
     reply is ``(view seq, cohort set, remaining members)``."""
 
     group: str
+
+
+def lag(request_id: int, outstanding: Iterable[int]) -> int:
+    """A write's ``CCRequest.lag``: its id minus the oldest id its process
+    still waits on.  ``outstanding`` is in id order, as one counter numbers
+    every request and a finished one leaves it."""
+    return request_id - next(iter(outstanding), request_id)
+
+
+class CohortCore:
+    """A group member's side of the tool, as one sans-IO core: the client
+    records, the cohort set of the last view, and the rules that run,
+    answer, hold, forward, drop as stale or take over each request.  It
+    performs nothing itself.  A subclass supplies the port: ``_send`` and
+    ``_multicast``, ``_run`` (the handler, with its trace spans),
+    ``_probe`` (check the acting coordinator) and the ``_is_coordinator``
+    query.  A process runs :class:`CoordinatorCohortServer`;
+    ``tests/test_cc_enumerated.py`` drives cores through a fake port."""
+
+    def __init__(self, me: Address, group: str, resiliency: Optional[int] = None,
+                 is_read: Optional[Callable[[Any], bool]] = None) -> None:
+        self.me = me
+        self.group = group
+        self.resiliency = resiliency
+        self.is_read = is_read
+        self.requests_executed = 0
+        self.takeovers = 0
+        # Writes only, held by cohort-set members only: client -> its
+        # unfinished writes, least recently heard first.
+        self._clients: "OrderedDict[Address, _ClientRecord]" = OrderedDict()
+        # The cohort set of the view this member last saw, and the rest
+        # of it as seen from here (who gets a result copy).
+        self.view_seq = 0
+        self.cohorts: Tuple[Address, ...] = ()
+        self._fellows: Tuple[Address, ...] = ()
+
+    def records(self) -> Dict[Address, Tuple[int, Dict[int, Any], Dict[int, CCRequest]]]:
+        """Each client's record, as a copy ``(floor, results, pending)``."""
+        return {
+            client: (record.floor, dict(record.results), dict(record.pending or {}))
+            for client, record in self._clients.items()
+        }
+
+    def on_request(self, request: CCRequest, sender: Address) -> None:
+        client = request.client or sender
+        read = type(request) is CCRead and self.is_read and self.is_read(request.payload)
+        if self.me not in self.cohorts:
+            # Outside the set (or out of the group, knowing the view that
+            # removed us): pass a client's request on — a write to the
+            # set, a read to its coordinator alone — whose reply corrects
+            # the client.  Never pass on a forwarded one.
+            if not request.client:
+                to = self.cohorts[:1] if read else self.cohorts
+                self._multicast(to, replace(request, client=sender))
+            return
+        if read:
+            self._execute(request, client, None)
+            return
+        request_id = request.request_id
+        record = self._record(client)
+        floor = request_id - request.lag
+        # A CCRead on the write path (a read this member does not
+        # declare) says nothing of the client's writes.
+        if floor > record.floor and type(request) is CCRequest:
+            # Every older write is finished at the client: a pending one
+            # was answered by a coordinator whose result copy never came.
+            record.floor = floor
+            for held in (record.results, record.pending or {}):
+                for stale in [i for i in held if i < floor]:
+                    del held[stale]
+            record.pending = record.pending or None
+        if request_id < record.floor:
+            return  # a late copy of a write its client has finished
+        if request_id in record.results:
+            # Retransmitted request already served: coordinator re-replies.
+            if self._is_coordinator():
+                self._reply(request, client, record.results[request_id])
+        elif self._is_coordinator():
+            self._execute(request, client, record)
+        elif record.pending and request_id in record.pending:
+            # A second copy is the client's hedge: the coordinator has
+            # left it unanswered.  Check the coordinator now; the takeover
+            # after the view change still runs the write, so nobody here
+            # does.
+            self._probe()
+        else:
+            if record.pending is None:
+                record.pending = {}
+            record.pending[request_id] = request
+
+    def on_result_note(self, note: CCResultNote) -> None:
+        self._settle(self._record(note.client), note.request_id, note.result)
+
+    def on_view(self, view: GroupView) -> None:
+        """Recompute the cohort set; then cohort takeover: if the
+        coordinator died holding writes we know about but never published
+        results for, the new coordinator runs them, in sorted
+        ``(client, id)`` order."""
+        self.view_seq = view.seq
+        self.cohorts = view.members[: self.resiliency]
+        self._fellows = tuple(c for c in self.cohorts if c != self.me)
+        if self.me not in self.cohorts:
+            # Never in the set and holding nothing, or — ranks only
+            # improve — out of the group now.  The rest of the old set is
+            # still in the new one and holds the same entries; if none of
+            # it is, a retry re-executes.
+            self._clients.clear()
+            return
+        if not self._is_coordinator():
+            return
+        clients = self._clients
+        for client, request_id in sorted(
+            (c, i) for c, record in clients.items() for i in record.pending or ()
+        ):
+            self.takeovers += 1
+            record = clients[client]
+            self._execute(record.pending[request_id], client, record, takeover=True)
+
+    def _execute(self, request: CCRequest, client: Address,
+                 record: Optional[_ClientRecord], takeover: bool = False) -> None:
+        """Run a request here and reply.  A write's result is kept, and
+        copied to the fellow cohorts so that no takeover runs it again."""
+        result = self._run(request, client, takeover)
+        self.requests_executed += 1
+        if record is not None:
+            self._settle(record, request.request_id, result)
+        self._reply(request, client, result)
+        if record is not None and self._fellows:
+            note = CCResultNote(self.group, request.request_id, result, client)
+            self._multicast(self._fellows, note)
+
+    def _reply(self, request: CCRequest, client: Address, result: Any) -> None:
+        behind = request.view_seq != self.view_seq
+        self._send(client, CCReply(
+            request.request_id, result, self.view_seq, self.cohorts if behind else (),
+        ))
+
+    def _settle(self, record: _ClientRecord, request_id: int, result: Any) -> None:
+        """The write has a result: hold that instead of the request."""
+        if record.pending is not None:
+            record.pending.pop(request_id, None)
+            record.pending = record.pending or None
+        if request_id >= record.floor:
+            record.results[request_id] = result
+
+    def _record(self, client: Address) -> _ClientRecord:
+        """The client's record, now the most recently heard."""
+        records = self._clients
+        record = records.get(client)
+        if record is None:
+            record = records[client] = _ClientRecord()
+            if len(records) > CLIENTS_KEPT:
+                records.popitem(last=False)
+        else:
+            records.move_to_end(client)
+        return record
 
 
 class _CCDispatch:
@@ -276,7 +397,7 @@ class _CCDispatch:
     def _on_request(self, request: CCRequest, sender: Address) -> None:
         server = self.servers.get(request.group)
         if server is not None:
-            server._on_request(request, sender)
+            server.on_request(request, sender)
 
     def _on_reply(self, reply: CCReply, sender: Address) -> None:
         client = self.outstanding.get(reply.request_id)
@@ -286,22 +407,19 @@ class _CCDispatch:
     def _on_result_note(self, note: CCResultNote, sender: Address) -> None:
         server = self.servers.get(note.group)
         if server is not None:
-            server._on_result_note(note, sender)
+            server.on_result_note(note)
 
     def _serve_members(self, body: GetMembers, sender: Address):
         server = self.servers.get(body.group)
         if server is None or not server.member.is_member:
             return None
-        cohorts = server._cohorts
-        return (
-            server._view_seq,
-            cohorts,
-            server.member.view.members[len(cohorts):],
-        )
+        cohorts = server.cohorts
+        return (server.view_seq, cohorts, server.member.view.members[len(cohorts):])
 
 
-class CoordinatorCohortServer:
-    """Attach to every member of the serving group.
+class CoordinatorCohortServer(CohortCore):
+    """Attach to every member of the serving group: the port of a
+    :class:`CohortCore`, which decides everything.
 
     ``resiliency`` is the size of the cohort set; ``None`` makes the
     group a small group, whose set is its whole view.  ``is_read(payload)``
@@ -316,162 +434,45 @@ class CoordinatorCohortServer:
         resiliency: Optional[int] = None,
         is_read: Optional[Callable[[Any], bool]] = None,
     ) -> None:
+        super().__init__(member.me, member.group, resiliency, is_read)
         self.member = member
         self.handler = handler
-        self.resiliency = resiliency
-        self.is_read = is_read
-        self.requests_executed = 0
-        self.takeovers = 0
-        # Writes only, held by cohort-set members only: client -> its
-        # unfinished writes, least recently heard first.
-        self._clients: "OrderedDict[Address, _ClientRecord]" = OrderedDict()
-        # The cohort set of the view this member last saw, and the rest
-        # of it as seen from here (who gets a result copy).
-        self._view_seq = 0
-        self._cohorts: Tuple[Address, ...] = ()
-        self._fellow_cohorts: Tuple[Address, ...] = ()
         self._dispatch = _CCDispatch.for_process(
             member.runtime.process, rpc=member.runtime.rpc
         )
         self._dispatch.servers[member.group] = self
-        member.add_view_listener(self._on_view)
+        member.add_view_listener(self._on_view_event)
         if member.view is not None:
-            self._derive_cohorts(member.view)
+            self.on_view(member.view)
 
-    # -- protocol ------------------------------------------------------------------
+    def _on_view_event(self, event: ViewEvent) -> None:
+        self.on_view(event.view)
 
-    def _derive_cohorts(self, view: GroupView) -> None:
-        self._view_seq = view.seq
-        self._cohorts = view.members[: self.resiliency]
-        self._fellow_cohorts = tuple(
-            c for c in self._cohorts if c != self.member.me
-        )
+    def _send(self, dst: Address, payload: Any) -> None:
+        self.member.runtime.process.send(dst, payload)
 
-    def _is_coordinator(self) -> bool:
-        return (
-            self.member.is_member
-            and self.member.acting_coordinator() == self.member.me
-        )
+    def _multicast(self, dsts: Tuple[Address, ...], payload: Any) -> None:
+        self.member.runtime.process.multicast(dsts, payload)
 
-    def _on_request(self, request: CCRequest, sender: Address) -> None:
-        client = request.client or sender
-        read = type(request) is CCRead and self.is_read and self.is_read(request.payload)
-        if self.member.me not in self._cohorts:
-            # Outside the set (or out of the group, knowing the view that
-            # removed us): pass a client's request on — a write to the
-            # set, a read to its coordinator alone — whose reply corrects
-            # the client.  Never pass on a forwarded one.
-            if not request.client:
-                to = self._cohorts[:1] if read else self._cohorts
-                self.member.runtime.process.multicast(to, replace(request, client=sender))
-            return
-        if read:
-            self._reply(request, client, self._run(request, client))
-            return
-        request_id = request.request_id
-        record = self._record(client)
-        if type(request) is CCRequest:
-            # A CCRead on the write path (a read this server does not
-            # declare) says nothing of the client's writes.
-            record.raise_floor(request_id - request.lag)
-        if request_id < record.floor:
-            return  # a late copy of a write its client has finished
-        if request_id in record.results:
-            # Retransmitted request already served: coordinator re-replies.
-            if self._is_coordinator():
-                self._reply(request, client, record.results[request_id])
-        elif self._is_coordinator():
-            self._execute(request, client, record)
-        elif record.pending and request_id in record.pending:
-            # A second copy is the client's hedge: the coordinator has
-            # left it unanswered.  Check the coordinator now; the takeover
-            # after the view change still runs the write, so nobody here
-            # does.
-            self.member.runtime.detector.probe(self.member.acting_coordinator())
-        else:
-            record.hold(request)
-
-    def _reply(self, request: CCRequest, client: Address, result: Any) -> None:
-        behind = request.view_seq != self._view_seq
-        self.member.runtime.process.send(
-            client,
-            CCReply(
-                request.request_id,
-                result,
-                self._view_seq,
-                self._cohorts if behind else (),
-            ),
-        )
-
-    def _run(self, request: CCRequest, client: Address) -> Any:
-        result = self.handler(request.payload, client)
-        self.requests_executed += 1
+    def _run(self, request: CCRequest, client: Address, takeover: bool) -> Any:
         trace = self.member.runtime.process.env.network.trace
-        if trace is not None:
-            trace.local(
-                "cc-execute", category="toolkit", process=self.member.me,
-                group=self.member.group, client=client,
-                request_id=request.request_id,
-            )
+        if trace is None:
+            return self.handler(request.payload, client)
+        span = dict(
+            category="toolkit", process=self.me, group=self.group,
+            client=client, request_id=request.request_id,
+        )
+        if takeover:
+            trace.local("cc-takeover", **span)
+        result = self.handler(request.payload, client)
+        trace.local("cc-execute", **span)
         return result
 
-    def _execute(
-        self, request: CCRequest, client: Address, record: _ClientRecord
-    ) -> None:
-        """Run a write here, reply, and send the result copy to the
-        fellow cohorts, so no takeover runs it again."""
-        result = self._run(request, client)
-        record.settle(request.request_id, result)
-        self._reply(request, client, result)
-        if self._fellow_cohorts:
-            self.member.runtime.process.multicast(
-                self._fellow_cohorts,
-                CCResultNote(self.member.group, request.request_id, result, client),
-            )
+    def _probe(self) -> None:
+        self.member.runtime.detector.probe(self.member.acting_coordinator())
 
-    def _record(self, client: Address) -> _ClientRecord:
-        """The client's record, now the most recently heard."""
-        records = self._clients
-        record = records.get(client)
-        if record is None:
-            record = records[client] = _ClientRecord()
-            if len(records) > CLIENTS_KEPT:
-                records.popitem(last=False)
-        else:
-            records.move_to_end(client)
-        return record
-
-    def _on_result_note(self, note: CCResultNote, sender: Address) -> None:
-        self._record(note.client).settle(note.request_id, note.result)
-
-    def _on_view(self, event: ViewEvent) -> None:
-        """Recompute the cohort set; then cohort takeover: if the
-        coordinator died holding writes we know about but never published
-        results for, the new coordinator re-executes them."""
-        self._derive_cohorts(event.view)
-        if self.member.me not in self._cohorts:
-            # Never in the set and holding nothing, or — ranks only
-            # improve — out of the group now.  The rest of the old set is
-            # still in the new one and holds the same entries; if none of
-            # it is, a retry re-executes.
-            self._clients.clear()
-            return
-        if not self._is_coordinator():
-            return
-        clients = self._clients
-        for client, request_id in sorted(
-            (c, i) for c, record in clients.items() for i in record.pending or ()
-        ):
-            self.takeovers += 1
-            trace = self.member.runtime.process.env.network.trace
-            if trace is not None:
-                trace.local(
-                    "cc-takeover", category="toolkit", process=self.member.me,
-                    group=self.member.group, client=client,
-                    request_id=request_id,
-                )
-            record = clients[client]
-            self._execute(record.pending[request_id], client, record)
+    def _is_coordinator(self) -> bool:
+        return self.member.is_member and self.member.acting_coordinator() == self.me
 
 
 @dataclass
@@ -578,12 +579,9 @@ class CoordinatorCohortClient:
     def _request(self, request_id: int, call: _Call) -> CCRequest:
         if call.read:
             return CCRead(self.group, request_id, call.payload, self._view_seq)
-        # ``outstanding`` is in id order: one counter numbers every
-        # request, and a finished one leaves it.
-        oldest = next(iter(self._dispatch.outstanding))
         return CCRequest(
             self.group, request_id, call.payload, self._view_seq,
-            request_id - oldest,
+            lag(request_id, self._dispatch.outstanding),
         )
 
     def _hedge(self, request_id: int, delay: float) -> None:

@@ -49,9 +49,9 @@ class HierarchicalServer:
 
     def _on_leaf_change(self, leaf_member: GroupMember) -> None:
         # A fresh per-leaf server; the old one dies with the old leaf
-        # group's listeners.  Results do not carry across leaves: a client
-        # retry after a reorganisation re-executes (at-least-once, as in
-        # classical ISIS).
+        # group's listeners.  Records do not carry across leaves, so a
+        # write is at-least-once across a reorganisation, in the window
+        # docs/protocols.md names ("The coordinator–cohort tool").
         self._current = CoordinatorCohortServer(
             leaf_member,
             self.handler,

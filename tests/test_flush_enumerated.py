@@ -21,12 +21,11 @@ After every event the test checks virtual synchrony (members of view 1
 that install view 2 delivered the same view-1 messages), total-order
 agreement, and that a joiner's state snapshot holds the flushed set.  A
 violation is shrunk to a minimal event list, which :func:`replay` runs
-again.
+again (:mod:`tests.enumeration` holds the search).
 """
 
 from __future__ import annotations
 
-import pickle
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.membership import (
@@ -41,8 +40,7 @@ from repro.membership import (
     SuspectReport,
     ViewCore,
 )
-
-Event = Tuple[str, ...]
+from tests.enumeration import Event, check
 
 HANDLERS = {
     GroupData: ViewCore._on_data,
@@ -213,6 +211,12 @@ class Scenario:
             initiator._flush_timeout()
         world.drain()
 
+    def violations(self, world: World) -> List[str]:
+        return violations(world)
+
+    def fingerprint(self, world: World) -> tuple:
+        return fingerprint(world)
+
 
 def violations(world: World) -> List[str]:
     """The three properties, on the state as it stands."""
@@ -296,60 +300,6 @@ def fingerprint(world: World) -> tuple:
     )
 
 
-def clone(world: World) -> World:
-    """A deep copy: one pickle round trip."""
-    return pickle.loads(pickle.dumps(world, pickle.HIGHEST_PROTOCOL))
-
-
-def replay(scenario: Scenario, trace: Sequence[Event]) -> Optional[World]:
-    """Run ``trace`` from the start; None if some event is not enabled."""
-    world = scenario.world()
-    done: List[Event] = []
-    for event in trace:
-        if event not in scenario.enabled(world, done):
-            return None
-        scenario.apply(world, event)
-        done.append(event)
-    return world
-
-
-def shrink(scenario: Scenario, trace: List[Event]) -> List[Event]:
-    """Drop events one at a time while the run still breaks a property."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(trace)):
-            shorter = trace[:i] + trace[i + 1:]
-            world = replay(scenario, shorter)
-            if world is not None and violations(world):
-                trace = shorter
-                changed = True
-                break
-    return trace
-
-
-def explore(scenario: Scenario) -> Tuple[int, Optional[List[Event]]]:
-    """Depth-first over every interleaving of the alphabet, each distinct
-    state once.  Returns the states seen and the first violating trace."""
-    seen: Set[tuple] = set()
-    stack: List[Tuple[World, List[Event]]] = [(scenario.world(), [])]
-    while stack:
-        world, trace = stack.pop()
-        key = fingerprint(world)
-        if key in seen:
-            continue
-        seen.add(key)
-        if violations(world):
-            return len(seen), trace
-        events = scenario.enabled(world, trace)
-        for i in range(len(events) - 1, -1, -1):
-            # The first event, popped next, takes the parent's state itself.
-            child = world if i == 0 else clone(world)
-            scenario.apply(child, events[i])
-            stack.append((child, trace + [events[i]]))
-    return len(seen), None
-
-
 JOIN = Scenario(
     members=("g-0", "g-1", "g-2"),
     joiners=("j",),
@@ -365,17 +315,6 @@ DROP = Scenario(
     start=("leave", "g-2"),
     victims=("g-1", "g-3"),
 )
-
-
-def check(scenario: Scenario) -> int:
-    states, trace = explore(scenario)
-    if trace is not None:
-        small = shrink(scenario, trace)
-        raise AssertionError(
-            f"after {states} states: {violations(replay(scenario, small))} "
-            f"on replay(scenario, {small})"
-        )
-    return states
 
 
 def test_every_flush_of_three_members_and_a_joiner():

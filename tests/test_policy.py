@@ -20,8 +20,7 @@ After every step these specs must hold:
   while each joiner routed to it came within ``FILL_GRACE`` of its birth
   or of the joiner before (a joiner routed after such a gap does not
   start a new fill);
-* **one pass** — one input sends each leaf at most one directive (a
-  merge's target may be named again: a strict xfail below);
+* **one pass** — one input sends each leaf at most one directive;
 * **cooldown** — in load mode, no hot split or cold merge touches a
   leaf that reorganised less than ``cooldown`` ago;
 * **no overfill** — no joiner is routed to a leaf whose members plus
@@ -50,6 +49,7 @@ from repro.core import (
     RemoveLeaf,
     ReorgPolicy,
     SplitDirective,
+    UpdateLeaf,
 )
 from repro.core.policy import FILL_GRACE
 from repro.core.views import HierarchyError, HierarchyState
@@ -308,12 +308,21 @@ def test_policy_specs_hold_on_any_input_sequence(params):
     run()
 
 
-@pytest.mark.xfail(strict=True, reason="a size merge's target may be merged too")
+def named_by_directives(recorder: Recorder) -> List[str]:
+    return [
+        leaf
+        for call in recorder.calls
+        if call[0] == "direct"
+        for leaf in (call[1].leaf_id, call[1].target_group)
+    ]
+
+
 def test_one_pass_names_each_leaf_in_one_directive():
-    """The "one pass" spec above counts the leaf a directive is sent to.
-    Counting merge targets too, it fails: two leaves below ``leaf_min``
-    and past any fill are merged into each other by one pass, since the
-    size rail checks its target for contacts only."""
+    """The "one pass" spec above counts the leaf a directive is sent to;
+    counting merge targets too, it holds as well.  Two leaves below
+    ``leaf_min`` and past any fill are not merged into each other by one
+    pass: the size rail takes its target among leaves with no directive
+    in flight."""
     recorder = Recorder()
     policy = Policy(ME, HierarchyState("svc", SIZE), recorder)
     policy.manager = True
@@ -322,13 +331,28 @@ def test_one_pass_names_each_leaf_in_one_directive():
         policy.state.apply(op)
         recorder.calls = []
         policy.on_op(op, None, 0.0)
-    named = [
-        leaf
-        for call in recorder.calls
-        if call[0] == "direct"
-        for leaf in (call[1].leaf_id, call[1].target_group)
-    ]
+    named = named_by_directives(recorder)
     assert len(named) == len(set(named)), named
+
+
+def test_a_leaf_whose_removal_is_in_flight_is_no_merge_target():
+    """A second pass while the first merge's ``RemoveLeaf`` is unapplied:
+    the absorbed leaf is still directed, so the size rail does not merge
+    the other leaf, shrunk below ``leaf_min`` since, into it."""
+    recorder = Recorder()
+    policy = Policy(ME, HierarchyState("svc", SIZE), recorder)
+    policy.manager = True
+    ops = (AddLeaf, f"{ME}/1", 1), (AddLeaf, f"{ME}/2", 4), (UpdateLeaf, f"{ME}/2", 1)
+    for kind, leaf_id, size in ops:
+        op = kind(leaf_id, size=size, contacts=(f"w-{leaf_id}",))
+        before = policy.state.leaves.get(leaf_id)
+        policy.state.apply(op)
+        recorder.calls = []
+        policy.on_op(op, before, 0.0)
+        if size == 4:
+            assert named_by_directives(recorder) == [f"{ME}/1", f"{ME}/2"]
+            assert ("propose", RemoveLeaf(leaf_id=f"{ME}/1")) in recorder.calls
+    assert named_by_directives(recorder) == []
 
 
 # -- a removed leaf keeps no mark ----------------------------------------------------

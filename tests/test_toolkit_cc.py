@@ -46,8 +46,8 @@ def held(server):
     """The (client, request id) of every result a server holds."""
     return {
         (client, request_id)
-        for client, record in server._clients.items()
-        for request_id in record.results
+        for client, (_, results, _) in server.records().items()
+        for request_id in results
     }
 
 
@@ -55,8 +55,8 @@ def pending(server):
     """The (client, request id) of every write a server holds unanswered."""
     return {
         (client, request_id)
-        for client, record in server._clients.items()
-        for request_id in record.pending or ()
+        for client, (_, _, writes) in server.records().items()
+        for request_id in writes
     }
 
 
@@ -65,7 +65,8 @@ def test_cohorts_store_results():
     rid = client.request("x", lambda r: None)
     env.run_for(3.0)
     for server in servers[1:]:
-        assert server._clients["client"].results == {rid: ("done", "x")}
+        _, results, _ = server.records()["client"]
+        assert results == {rid: ("done", "x")}
 
 
 def cc_counts(delta):
@@ -92,7 +93,7 @@ def test_resiliency_bounds_the_request_to_2r():
     holders = [i for i, s in enumerate(servers) if held(s) == {("client", rid)}]
     assert holders == [0, 1, 2]
     assert all(("client", warm_up) not in held(s) for s in servers)
-    assert all(not s._clients for s in servers[3:])
+    assert all(not s.records() for s in servers[3:])
 
 
 def test_a_flat_client_asks_for_the_set_before_its_first_request():
@@ -421,7 +422,7 @@ def test_stale_set_with_no_current_member_is_answered_without_the_timer():
     assert servers[3].requests_executed == 1
     assert client._members == ("svc-3", "svc-4", "svc-5")
     # Members that left the set dropped what they held for it.
-    assert all(not s._clients for s in servers[:3])
+    assert all(not s.records() for s in servers[:3])
 
 
 def test_a_finished_write_never_runs_again():
@@ -438,7 +439,9 @@ def test_a_finished_write_never_runs_again():
             env.run_for(0.05)
     env.run_for(1.0)
     assert servers[0].requests_executed == 10_000
-    assert all(0 < len(s._clients["client"].results) <= window for s in servers)
+    for server in servers:
+        _, results, _ = server.records()["client"]
+        assert 0 < len(results) <= window
     assert all(not pending(s) for s in servers)
     replies = []
 
@@ -547,16 +550,16 @@ def test_a_write_whose_result_copy_was_lost_is_not_taken_over_once_its_client_mo
     env, nodes, members, servers, client = build(3)
     client.request("warm-up", lambda r: None)
     env.run_for(1.0)
-    note = servers[1]._on_result_note
+    note = servers[1].on_result_note
     lost = []
 
-    def lose_first(result_note, sender):
+    def lose_first(result_note):
         if not lost:
             lost.append(result_note.request_id)
             return
-        note(result_note, sender)
+        note(result_note)
 
-    servers[1]._on_result_note = lose_first
+    servers[1].on_result_note = lose_first
     answers = []
     first = client.request("first", answers.append)
     env.run_for(0.1)
