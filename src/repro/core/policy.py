@@ -5,7 +5,7 @@ grown too large, and merging subgroups which are too small" (§3).
 :class:`Policy` makes every such decision for one leader replica: the
 leaf a joiner goes to, when a leaf splits or merges and into what, and
 which leaf to probe when a coordinator is suspected.  It reads the
-replicated :class:`~repro.core.views.HierarchyState` and six marks only
+replicated :class:`~repro.core.views.HierarchyState` and seven marks only
 the manager holds, and performs nothing itself.  Its port —
 :class:`~repro.core.leader.LeaderReplica` in a process, a recording fake
 in ``tests/test_policy.py`` — supplies ``_propose`` (abcast an op in the
@@ -56,8 +56,8 @@ def _by_id(leaf: LeafInfo) -> str:
 class Policy:
     """One replica's split, merge, join and probe decisions."""
 
-    MARKS = ("_creating", "_inflight", "_filling", "_directed", "_last_reorg",
-             "_split_started")
+    MARKS = ("_creating", "_inflight", "_filling", "_directed", "_merging",
+             "_last_reorg", "_split_started")
 
     def __init__(self, me: Address, state: HierarchyState, port: Any) -> None:
         self.me = me
@@ -81,6 +81,10 @@ class Policy:
         # A split or merge in flight: the coordinator told to split the
         # leaf, None for a merge.
         self._directed: Dict[str, Optional[Address]] = {}
+        # A merge in flight: the absorbed leaf -> its target, which is held
+        # like a directed leaf until the absorbed leaf's RemoveLeaf, so no
+        # pass merges it away while members are sent to it.
+        self._merging: Dict[str, str] = {}
         # Load mode: when each leaf last reorganised (its cooldown).
         self._last_reorg: Dict[str, float] = {}
         self._split_started: Dict[str, float] = {}  # split-born leaf -> when
@@ -267,11 +271,12 @@ class Policy:
         return self._leaves(lambda l: l.size < floor)
 
     def merge_target(self, leaf_id: str) -> Optional[LeafInfo]:
-        """The smallest other leaf with no directive in flight: it keeps
-        sizes level and the merged leaf below the split threshold when it
-        can, and no two leaves are merged into each other."""
+        """The smallest other leaf with no directive or merge into it in
+        flight: it keeps sizes level and the merged leaf below the split
+        threshold when it can, and no leaf is merged into one that is
+        itself being merged away."""
         others = [l for l in self.state.leaves.values()
-                  if l.leaf_id != leaf_id and l.leaf_id not in self._directed]
+                  if l.leaf_id != leaf_id and not self._busy(l.leaf_id)]
         return min(others, key=lambda l: (l.size, l.leaf_id), default=None)
 
     def hot(self) -> List[LeafInfo]:
@@ -304,12 +309,16 @@ class Policy:
                 taken.update((leaf_id, target.leaf_id))
         return pairs
 
+    def _busy(self, leaf_id: str) -> bool:
+        """A directive, or a merge into the leaf, is in flight."""
+        return leaf_id in self._directed or leaf_id in self._merging.values()
+
     def _free(self, now: float, *leaves: LeafInfo, cool: bool = True) -> bool:
-        """No directive is in flight for any of ``leaves``, each has
-        contacts to direct, and (with ``cool``) each is past its
+        """Nothing is in flight for any of ``leaves`` (:meth:`_busy`),
+        each has contacts to direct, and (with ``cool``) each is past its
         cooldown."""
         return all(
-            leaf.leaf_id not in self._directed
+            not self._busy(leaf.leaf_id)
             and leaf.contacts
             and (not cool or self._cooled(leaf.leaf_id, now))
             for leaf in leaves
@@ -362,6 +371,7 @@ class Policy:
 
     def _merge(self, leaf: LeafInfo, target: LeafInfo, reason: str, now: float) -> None:
         self._directed[leaf.leaf_id] = None
+        self._merging[leaf.leaf_id] = target.leaf_id
         self._cool(now, leaf.leaf_id, target.leaf_id)
         self.reorg_log.append({
             "t": now, "event": "merge-directed", "leaf": leaf.leaf_id,

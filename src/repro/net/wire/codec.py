@@ -5,21 +5,32 @@ Every datagram the socket backend puts on the wire is one *frame*:
 ====== ======== ==========================================================
 offset size     field
 ====== ======== ==========================================================
-0      2        magic ``b"RW"``
-2      1        wire version (:data:`WIRE_VERSION`)
-3      1        frame kind — :data:`FRAME_DATA` or :data:`FRAME_CONTROL`
-4      n        body, up to the end of the datagram
+0      1        wire version (:data:`WIRE_VERSION`)
+1      1        frame kind — :data:`FRAME_DATA` or :data:`FRAME_CONTROL`
+2      n        body, up to the end of the datagram
 ====== ======== ==========================================================
 
-The header carries no body length: UDP already delimits the datagram,
-and the body encoding is prefix-free, so a truncated frame overruns and
-a padded one leaves trailing bytes — both :class:`CodecError`.
+The header carries no magic and no body length: UDP already delimits
+the datagram, and the body encoding is prefix-free, so a truncated
+frame overruns and a padded one leaves trailing bytes — both
+:class:`CodecError`.  Every frame up to v23 began with the magic
+``b"RW"``, so an older peer's frame reads as version 0x52 and is
+refused at its first byte.
 
 A *data* body is ``varint count`` followed by ``count`` envelope records:
-src and dst (each a varint length plus UTF-8, untagged), then the
-payload value.  Nothing else of the envelope travels: each node runs its
-own clock, so the receiving fabric stamps send and deliver time at
-arrival, and ``size_bytes`` is the payload's size model
+src, dst, then the payload value, untagged.  The src is a varint length
+plus its UTF-8 bytes.  The dst is front-coded against the src's bytes:
+one varint, ``suffix length × (src length + 1) + shared``, then the
+dst's bytes past the ``shared`` bytes it has in common with the src
+(``svc-w-240`` → ``svc-w-241`` is one varint and ``1``).  The decoder
+takes ``divmod`` by ``src length + 1``, so no varint can name a prefix
+longer than the src.  A dst that shares nothing costs the plain length
+prefix v23 wrote whenever ``dst length × (src length + 1) < 128`` (any
+two addresses of up to 10 bytes), and past that at most one varint byte
+more for a src under 128 bytes, which the two header bytes v24 dropped
+pay for in a one-record frame.  Nothing else of the envelope travels:
+each node runs its own clock, so the receiving fabric stamps send and
+deliver time at arrival, and ``size_bytes`` is the payload's size model
 (:func:`repro.net.message.payload_size`), recomputed on decode.
 A *control* body is a single encoded value (the deploy tracker's
 register/peer-list/shutdown messages).
@@ -48,11 +59,10 @@ reader never needs the schema to skip a value) and versioned at the
 frame level; evolving a kind's field list bumps :data:`WIRE_VERSION`.
 
 Robustness contract: :func:`decode_frame` raises :class:`CodecError` —
-and nothing else — on any malformed input (bad magic, truncation, stray
-trailing bytes, unknown tags/kinds, invalid UTF-8, a back-reference past
-the table).  The socket fabric
-turns that into a counted drop; a byte-flipped datagram must never take
-a node down.
+and nothing else — on any malformed input (a version it does not speak,
+truncation, stray trailing bytes, unknown tags/kinds, invalid UTF-8, a
+back-reference past the table).  The socket fabric turns that into a
+counted drop; a byte-flipped datagram must never take a node down.
 """
 
 from __future__ import annotations
@@ -61,7 +71,6 @@ import struct
 from dataclasses import MISSING, fields as dataclass_fields, is_dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-MAGIC = b"RW"
 # v2: recursive-hierarchy refactor extended the field lists of the
 # hierarchy kinds (level-tagged directives, load-rate reports, AddLeaf
 # attach points) and added ResolvePlacement (id 90).
@@ -131,12 +140,15 @@ MAGIC = b"RW"
 # and a leaf group is named by its leaf id, ``<manager address>/<n>``,
 # not ``<service>::leaf-<manager address>-<n>``, so SplitDirective and
 # SplitCmd lose ``new_group``, which repeated ``new_leaf_id``.
-WIRE_VERSION = 23
+# v24: an address costs only what differs — a record's dst is
+# front-coded against its src — and the header loses the magic
+# ``b"RW"`` (4 -> 2 bytes), so a v23 frame reads as version 0x52.
+WIRE_VERSION = 24
 
 FRAME_DATA = 1
 FRAME_CONTROL = 2
 
-_HEADER = struct.Struct(">2sBB")
+_HEADER = struct.Struct(">BB")
 HEADER_BYTES = _HEADER.size
 
 # Safe single-datagram budget for UDP over loopback/LAN without relying
@@ -473,8 +485,16 @@ def _write_envelope(out: bytearray, envelope: Any) -> None:
     src, dst = envelope.src, envelope.dst
     if src.__class__ is not str or dst.__class__ is not str:
         raise CodecError("envelope src/dst must be addresses")
-    _write_utf8(out, src)
-    _write_utf8(out, dst)
+    raw_src = src.encode("utf-8")
+    raw_dst = dst.encode("utf-8")
+    _write_varint(out, len(raw_src))
+    out += raw_src
+    shared = 0
+    common = min(len(raw_src), len(raw_dst))
+    while shared < common and raw_src[shared] == raw_dst[shared]:
+        shared += 1
+    _write_varint(out, (len(raw_dst) - shared) * (len(raw_src) + 1) + shared)
+    out += raw_dst[shared:]
     strings = {src: 0} if src else {}
     if dst and dst not in strings:
         strings[dst] = len(strings)
@@ -487,8 +507,14 @@ def _read_envelope(reader: _Reader):
     the payload's size model, as the sender's network computed it."""
     from repro.net.message import Envelope, payload_size
 
-    src = _read_utf8(reader)
-    dst = _read_utf8(reader)
+    raw_src = reader.take(reader.length())
+    suffix, shared = divmod(reader.varint(), len(raw_src) + 1)
+    raw_dst = raw_src[:shared] + reader.take(suffix)
+    try:
+        src = raw_src.decode("utf-8")
+        dst = raw_dst.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"invalid utf-8 in address: {exc}") from None
     strings = [src] if src else []
     if dst and dst != src:
         strings.append(dst)
@@ -500,7 +526,7 @@ def _read_envelope(reader: _Reader):
 
 
 def _frame(kind: int, body: bytes) -> bytes:
-    return _HEADER.pack(MAGIC, WIRE_VERSION, kind) + body
+    return _HEADER.pack(WIRE_VERSION, kind) + body
 
 
 def encode_data_frames(
@@ -573,9 +599,7 @@ def decode_frame(data: bytes) -> Tuple[int, Any]:
     try:
         if len(data) < HEADER_BYTES:
             raise CodecError(f"frame shorter than header ({len(data)} bytes)")
-        magic, version, frame_kind = _HEADER.unpack_from(data)
-        if magic != MAGIC:
-            raise CodecError(f"bad magic {magic!r}")
+        version, frame_kind = _HEADER.unpack_from(data)
         if version != WIRE_VERSION:
             raise CodecError(f"unsupported wire version {version}")
         reader = _Reader(bytes(data), HEADER_BYTES, len(data))

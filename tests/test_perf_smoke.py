@@ -154,11 +154,25 @@ def test_scale_tree_stays_log_depth_and_splits_under_heat():
     assert disruption["max"] <= 0.01, disruption
 
 
+_CENSUS = """
+import json
+from repro.deploy.scenarios import HierScenario
+from tools.perf_report import _census_reference
+print(json.dumps(_census_reference(HierScenario(workers=%d))[1]))
+"""
+
+
 def test_the_wire_census_repeats_to_the_byte():
     """``--wire``'s census encodes every envelope of the sim reference
-    run, so two runs of the plan read the same bytes per category; the
-    committed BENCH_wire.json marks the UDP probe's counts, which follow
-    host timing, as not repeatable."""
+    run, so two runs of the plan read the same bytes per category, and a
+    fresh interpreter reads the bytes the committed BENCH_wire.json
+    records: a codec change that moves them fails here until ``make
+    bench-wire`` is re-run.  (Request ids come from interpreter-wide
+    counters and are varints, so only a fresh interpreter reads the
+    file's figure, and the 6-worker pair here repeats while its ids keep
+    one varint width.)
+    The file marks the UDP probe's counts, which follow host timing, as
+    not repeatable."""
     from repro.deploy.scenarios import HierScenario
 
     scenario = HierScenario(workers=6)
@@ -168,8 +182,23 @@ def test_the_wire_census_repeats_to_the_byte():
     assert not rejects and census and results["counters"]["deliveries_checked"]
     assert again == first
     report = json.loads((REPO / "BENCH_wire.json").read_text())
-    assert report["census"]["repeatable"] is True
+    recorded = report["census"]
+    assert recorded["repeatable"] is True
     assert report["udp_probe"]["repeatable"] is False
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO)])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CENSUS % report["scenario"]["workers"]],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    fresh = json.loads(proc.stdout.splitlines()[-1])
+    assert {
+        category: [entry["envelopes"], entry["bytes"]]
+        for category, entry in recorded["by_category"].items()
+    } == fresh
+    assert recorded["envelopes"] == sum(n for n, _ in fresh.values())
+    assert recorded["bytes"] == sum(b for _, b in fresh.values())
 
 
 def test_bench_core_json_holds_only_the_guard_reference():

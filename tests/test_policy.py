@@ -15,6 +15,9 @@ After every step these specs must hold:
 * **one directive** — no leaf gets a directive while one is in flight
   for it: a split until the leaf reports at most the split threshold or
   a new coordinator, a merge until the leaf's ``RemoveLeaf``;
+* **target held** — a merge's target gets no directive and is no other
+  merge's target until the absorbed leaf's ``RemoveLeaf`` applies, so
+  no leaf is merged away while members are sent to it;
 * **fill grace** — no leaf born for joiners is merged by the size rail
   while it fills: until it first reports ``leaf_min`` members, and
   while each joiner routed to it came within ``FILL_GRACE`` of its birth
@@ -125,6 +128,7 @@ class World(Recorder):
         self.fill_until: Dict[str, float] = {}
         self.merged_into: set = set()
         self.in_flight: Dict[str, Optional[str]] = {}
+        self.absorbing: Dict[str, str] = {}  # merge target -> absorbed leaf
         self.reorganised: Dict[str, float] = {}
         self.to_act: List = []
         self.directed_this_pass: List[str] = []
@@ -140,6 +144,9 @@ class World(Recorder):
         reason = self.calls[-2][3]  # the decision's record precedes it
         leaf_id = body.leaf_id
         assert leaf_id not in self.in_flight, f"second directive for {leaf_id}"
+        assert leaf_id not in self.absorbing, (
+            f"{leaf_id} directed while {self.absorbing.get(leaf_id)} merges into it"
+        )
         assert leaf_id not in self.directed_this_pass, f"{leaf_id} twice in a pass"
         self.directed_this_pass.append(leaf_id)
         if isinstance(body, SplitDirective):
@@ -149,7 +156,11 @@ class World(Recorder):
             touched = [leaf_id, body.new_leaf_id]
         else:
             involved = touched = [leaf_id, body.target_group]
+            assert body.target_group not in self.absorbing, (
+                f"{body.target_group} is the target of two merges in flight"
+            )
             self.in_flight[leaf_id] = None
+            self.absorbing[body.target_group] = leaf_id
             if reason == "size" and leaf_id not in self.reached_min:
                 assert self.now >= self.fill_until.get(leaf_id, self.now), (
                     f"{leaf_id} merged while it fills"
@@ -228,6 +239,10 @@ class World(Recorder):
         leaf_id = op.leaf_id
         if isinstance(op, RemoveLeaf):
             self.in_flight.pop(leaf_id, None)
+            self.absorbing = {
+                target: absorbed for target, absorbed in self.absorbing.items()
+                if leaf_id not in (target, absorbed)
+            }
         else:
             if op.size >= self.params.leaf_min:
                 self.reached_min.add(leaf_id)
@@ -353,6 +368,26 @@ def test_a_leaf_whose_removal_is_in_flight_is_no_merge_target():
             assert named_by_directives(recorder) == [f"{ME}/1", f"{ME}/2"]
             assert ("propose", RemoveLeaf(leaf_id=f"{ME}/1")) in recorder.calls
     assert named_by_directives(recorder) == []
+
+
+def test_a_merge_target_is_held_until_the_absorbed_leaf_is_removed():
+    """Three leaves below ``leaf_min``, added in turn.  The pass that adds
+    ``/2`` merges ``/1`` into it, and ``/2`` is then held as a directed
+    leaf is, so the pass that adds ``/3`` does not merge ``/2`` into
+    ``/3`` while ``/1``'s members are sent to ``/2``.  Once ``/1``'s
+    ``RemoveLeaf`` applies, ``/2`` is free again."""
+    recorder = Recorder()
+    policy = Policy(ME, HierarchyState("svc", SIZE), recorder)
+    policy.manager = True
+    directed = []
+    ops = [AddLeaf(f"{ME}/{i}", size=1, contacts=(f"w{i}",)) for i in (1, 2, 3)]
+    for op in ops + [RemoveLeaf(f"{ME}/1")]:
+        before = policy.state.leaves.get(op.leaf_id)
+        policy.state.apply(op)
+        recorder.calls = []
+        policy.on_op(op, before, 0.0)
+        directed.append(named_by_directives(recorder))
+    assert directed == [[], [f"{ME}/1", f"{ME}/2"], [], [f"{ME}/2", f"{ME}/3"]]
 
 
 # -- a removed leaf keeps no mark ----------------------------------------------------

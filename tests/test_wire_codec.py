@@ -22,7 +22,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.deploy.messages  # noqa: F401  -- registers control kinds 64-68
 from repro.clocks.vector import VectorClock
@@ -579,99 +579,107 @@ def _budget_cases():
     return {
         "heartbeat": (
             Envelope("svc-w-517", "svc-w-516", Heartbeat(), 0.0),
-            "5257170101097376632d772d353137097376632d772d3531360a2000",
+            18, "180101097376632d772d35313712360a2000",
         ),
         "group-data": (
             Envelope("svc-w-16", "svc-w-17", Segment(41, GroupData(
                 _LEAF, 16, "svc-w-16", 57, TOTAL, _PUT, global_seq=312,
             )), 0.0),
-            "5257170101087376632d772d3136087376632d772d31370a010203520a0a08"
-            "050b7376632d6c64722d302f3203200b00037203040703050370757405036b"
-            "313703220003f004",
+            61,
+            "180101087376632d772d313610370a010203520a0a08050b7376632d6c6472"
+            "2d302f3203200b00037203040703050370757405036b313703220003f004",
         ),
         "cc-request": (
             Envelope("client-0", "svc-w-16", CCRequest(_LEAF, 10, _PUT, 16), 0.0),
-            "525717010108636c69656e742d30087376632d772d31360a4604050b737663"
-            "2d6c64722d302f3203140703050370757405036b313703220320",
+            55,
+            "18010108636c69656e742d30487376632d772d31360a4604050b7376632d6c"
+            "64722d302f3203140703050370757405036b313703220320",
         ),
         "cc-request-lag": (
             Envelope("client-0", "svc-w-16", CCRequest(_LEAF, 10, _PUT, 16, 3), 0.0),
-            "525717010108636c69656e742d30087376632d772d31360a4605050b737663"
-            "2d6c64722d302f3203140703050370757405036b3137032203200306",
+            57,
+            "18010108636c69656e742d30487376632d772d31360a4605050b7376632d6c"
+            "64722d302f3203140703050370757405036b3137032203200306",
         ),
         "cc-read": (
             Envelope("client-0", "svc-w-16", CCRead(_LEAF, 4097, ("get", "k17"), 16), 0.0),
-            "525717010108636c69656e742d30087376632d772d31360a4e04050b737663"
-            "2d6c64722d302f320382400702050367657405036b31370320",
+            54,
+            "18010108636c69656e742d30487376632d772d31360a4e04050b7376632d6c"
+            "64722d302f320382400702050367657405036b31370320",
         ),
         "cc-reply": (
             Envelope("svc-w-16", "client-0", CCReply(4097, ("value", 17), 16), 0.0),
-            "5257170101087376632d772d313608636c69656e742d300a47030382400702"
-            "050576616c756503220320",
+            40,
+            "180101087376632d772d313648636c69656e742d300a470303824007020505"
+            "76616c756503220320",
         ),
         "transport-ack": (
             Envelope("svc-w-17", "svc-w-16", SegmentAck(cum_seq=41), 0.0),
-            "5257170101087376632d772d3137087376632d772d31360a02010352",
+            19, "180101087376632d772d313710360a02010352",
         ),
         "group-stability": (
             Envelope("svc-w-17", "svc-w-16", Segment(42, StabilityGossip(
                 _LEAF, 12, {"svc-w-17": 57, "svc-w-18": 12}, 311,
             )), 0.0),
-            "5257170101087376632d772d3137087376632d772d31360a010203540a0c04"
-            "050b7376632d6c64722d302f32031809020b00037205087376632d772d3138"
-            "031803ee04",
+            58,
+            "180101087376632d772d313710360a010203540a0c04050b7376632d6c6472"
+            "2d302f32031809020b00037205087376632d772d3138031803ee04",
         ),
         "group-new-view": (
             Envelope("svc-w-16", "svc-w-17", Segment(58, NewView(
                 GroupView(_LEAF, 13, _MEMBERS), unstable, orders, 308,
             )), 0.0),
-            "5257170101087376632d772d3136087376632d772d31370a010203740a0f04"
-            "0a1303050b7376632d6c64722d302f32031a07070b000b0105087376632d77"
-            "2d313805087376632d772d313905087376632d772d323005087376632d772d"
-            "323105087376632d772d323208080a0a080b0203180b000350030407030503"
-            "70757405036b323003000003d8040a0a080b0203180b010352030407030b08"
-            "05036b323103020003da040a0a080b0203180b030354030407030b0805036b"
-            "323203040003dc040a0a080b0203180b040356030407030b0805036b323303"
-            "060003de040a0a080b0203180b000358030407030b0805036b323403080003"
-            "e0040a0a080b0203180b01035a030407030b0805036b3235030a0003e2040a"
-            "0a080b0203180b03035c030407030b0805036b3236030c0003e4040a0a080b"
-            "0203180b04035e030407030b0805036b3237030e0003e6040808070203d804"
-            "07020b000350070203da0407020b010352070203dc0407020b030354070203"
-            "de0407020b040356070203e00407020b000358070203e20407020b01035a07"
-            "0203e40407020b03035c070203e60407020b04035e03e804",
+            418,
+            "180101087376632d772d313610370a010203740a0f040a1303050b7376632d"
+            "6c64722d302f32031a07070b000b0105087376632d772d313805087376632d"
+            "772d313905087376632d772d323005087376632d772d323105087376632d77"
+            "2d323208080a0a080b0203180b00035003040703050370757405036b323003"
+            "000003d8040a0a080b0203180b010352030407030b0805036b323103020003"
+            "da040a0a080b0203180b030354030407030b0805036b323203040003dc040a"
+            "0a080b0203180b040356030407030b0805036b323303060003de040a0a080b"
+            "0203180b000358030407030b0805036b323403080003e0040a0a080b020318"
+            "0b01035a030407030b0805036b3235030a0003e2040a0a080b0203180b0303"
+            "5c030407030b0805036b3236030c0003e4040a0a080b0203180b04035e0304"
+            "07030b0805036b3237030e0003e6040808070203d80407020b000350070203"
+            "da0407020b010352070203dc0407020b030354070203de0407020b04035607"
+            "0203e00407020b000358070203e20407020b01035a070203e40407020b0303"
+            "5c070203e60407020b04035e03e804",
         ),
         "group-flush-ok": (
             Envelope("svc-w-17", "svc-w-16", Segment(43, FlushOk(
                 _LEAF, 13, unstable, orders, 308,
             )), 0.0),
-            "5257170101087376632d772d3137087376632d772d31360a010203560a0e05"
-            "050b7376632d6c64722d302f32031a08080a0a080b0203180b010350030407"
-            "03050370757405036b323003000003d8040a0a080b0203180b000352030407"
-            "030b0305036b323103020003da040a0a080b02031805087376632d772d3138"
-            "0354030407030b0305036b323203040003dc040a0a080b0203180508737663"
-            "2d772d31390356030407030b0305036b323303060003de040a0a080b020318"
-            "0b010358030407030b0305036b323403080003e0040a0a080b0203180b0003"
-            "5a030407030b0305036b3235030a0003e2040a0a080b0203180b06035c0304"
-            "07030b0305036b3236030c0003e4040a0a080b0203180b08035e030407030b"
-            "0305036b3237030e0003e6040808070203d80407020b010350070203da0407"
-            "020b000352070203dc0407020b060354070203de0407020b080356070203e0"
-            "0407020b010358070203e20407020b00035a070203e40407020b06035c0702"
-            "03e60407020b08035e03e804",
+            375,
+            "180101087376632d772d313710360a010203560a0e05050b7376632d6c6472"
+            "2d302f32031a08080a0a080b0203180b01035003040703050370757405036b"
+            "323003000003d8040a0a080b0203180b000352030407030b0305036b323103"
+            "020003da040a0a080b02031805087376632d772d31380354030407030b0305"
+            "036b323203040003dc040a0a080b02031805087376632d772d313903560304"
+            "07030b0305036b323303060003de040a0a080b0203180b010358030407030b"
+            "0305036b323403080003e0040a0a080b0203180b00035a030407030b030503"
+            "6b3235030a0003e2040a0a080b0203180b06035c030407030b0305036b3236"
+            "030c0003e4040a0a080b0203180b08035e030407030b0305036b3237030e00"
+            "03e6040808070203d80407020b010350070203da0407020b000352070203dc"
+            "0407020b060354070203de0407020b080356070203e00407020b0103580702"
+            "03e20407020b00035a070203e40407020b06035c070203e60407020b08035e"
+            "03e804",
         ),
     }
 
 
-@pytest.mark.parametrize(
-    "name,size", [("heartbeat", 28), ("group-data", 70), ("cc-request", 57),
-                  ("cc-request-lag", 59), ("cc-read", 56), ("cc-reply", 42),
-                  ("transport-ack", 28), ("group-stability", 67),
-                  ("group-new-view", 427), ("group-flush-ok", 384)],
-)
-def test_wire_budget(name, size):
+_BUDGET = ("heartbeat", "group-data", "cc-request", "cc-request-lag", "cc-read",
+           "cc-reply", "transport-ack", "group-stability", "group-new-view",
+           "group-flush-ok")
+
+
+@pytest.mark.parametrize("name", _BUDGET)
+def test_wire_budget(name):
     """The exact bytes of the frames that dominate the e2e workloads, as a
     data frame of one record (v13 wrote the first four in 52, 140, 130
-    and 58 bytes).  A change that grows one fails here first: re-pin it
-    with the bytes it adds and why.  Wire v20 cut, against v19:
+    and 58 bytes); the case table holds each frame's size and hex, so a
+    re-pin changes the table, not the test's name.  A change that grows
+    one fails here first: re-pin it with the bytes it adds and why.
+    Wire v20 cut, against v19:
     ``group-data`` 109 -> 88 (5 B for the ordering, an int not the
     string ``"total"``; 16 B for the put as a tuple, not a dict);
     ``cc-request`` 106 -> 67 (13 B for the integer id, 10 B for the
@@ -690,14 +698,41 @@ def test_wire_budget(name, size):
     src); the three view-plane frames, new at v23, are the stability
     report (85 B at v22), and a churn view change's ``NewView`` (770)
     and ``FlushOk`` (695) of eight unstable abcasts by four senders,
-    whose group, senders and message ids each repeat one literal."""
-    envelope, expected = _budget_cases()[name]
+    whose group, senders and message ids each repeat one literal.
+    Wire v24 drops the header's magic (2 B off every frame) and
+    front-codes the dst against the src: between ring neighbours
+    (``svc-w-517`` -> ``svc-w-516``, ``svc-w-17`` -> ``svc-w-16``) the
+    dst is a varint and the one byte that differs, 2 B where it was 10
+    or 9, so the heartbeat 28 -> 18, ``transport-ack``
+    28 -> 19, ``group-data`` 70 -> 61, ``group-stability`` 67 -> 58,
+    ``group-new-view`` 427 -> 418 and ``group-flush-ok`` 384 -> 375; a
+    client's frames share nothing with the server's address and lose
+    the header bytes only (``cc-request`` 57 -> 55, ``cc-request-lag``
+    59 -> 57, ``cc-read`` 56 -> 54, ``cc-reply`` 42 -> 40)."""
+    envelope, size, expected = _budget_cases()[name]
     (frame,), rejects = encode_data_frames([envelope])
     assert not rejects
     assert len(frame) == size
     assert frame.hex() == expected
     (decoded,) = decode_frame(frame)[1]
     assert decoded.payload == envelope.payload
+
+
+def test_a_dst_sharing_nothing_costs_its_v23_bytes_less_the_header():
+    """A client and a server share no address prefix, so front coding
+    leaves the dst what v23 wrote, a one-byte length and its bytes
+    (``8 × (8 + 1) < 128``), and these frames lose the header's magic
+    alone.  The sizes on the right are v23's pins."""
+    cases = _budget_cases()
+    v23 = {"cc-read": 56, "cc-request": 57, "cc-request-lag": 59, "cc-reply": 42}
+    for name, size in v23.items():
+        envelope, pinned, expected = cases[name]
+        assert envelope.src[0] != envelope.dst[0]
+        assert pinned == size - 2, name
+        src, dst = envelope.src.encode(), envelope.dst.encode()
+        at = HEADER_BYTES + 2 + len(src)  # past the count and the src
+        record = bytes.fromhex(expected)[at:at + 1 + len(dst)]
+        assert record == bytes([len(dst) * (len(src) + 1)]) + dst
 
 
 def _directory_frame(leaf_count: int):
@@ -717,11 +752,13 @@ def _directory_frame(leaf_count: int):
     return Envelope("svc-ldr-0", "client-0", reply, 0.0)
 
 
-@pytest.mark.parametrize(
-    "leaf_count,size", [(64, 3094), (256, 12660), (1024, 53157)],
-)
-def test_directory_reply_budget(leaf_count, size):
-    """A directory fetch's exact bytes.  Wire v21 sends each leaf's id and
+_DIRECTORY = {64: 3092, 256: 12658, 1024: 53155}
+
+
+@pytest.mark.parametrize("leaf_count", sorted(_DIRECTORY))
+def test_directory_reply_budget(leaf_count):
+    """A directory fetch's exact bytes (``_DIRECTORY``, by leaf count).
+    Wire v21 sends each leaf's id and
     contacts and the fanout, depth and epoch; v20 also sent per-leaf size
     and load, the leader's totals and the branch tree a router now packs
     itself: 7,664 and 31,001 bytes at 64 and 256 leaves, and at 1,024 a
@@ -730,7 +767,9 @@ def test_directory_reply_budget(leaf_count, size):
     for ``leaf-svc-ldr-0-n``, take 5 B a leaf off v22's 3,414, 13,940 and
     58,277 B, and the largest directory one frame holds goes from 1,053
     leaves to 1,150 (nothing repeats in a reply, so the string table
-    saves nothing here)."""
+    saves nothing here).  Wire v24 takes the header's 2 B off each:
+    ``svc-ldr-0`` and ``client-0`` share no prefix."""
+    size = _DIRECTORY[leaf_count]
     envelope = _directory_frame(leaf_count)
     frames, rejects = encode_data_frames([envelope])
     assert not rejects
@@ -788,6 +827,16 @@ def _spelled_size(value) -> int:
     return len(out)
 
 
+def _dst_size(src: str, dst: str) -> int:
+    """The bytes a record's dst takes, front-coded against its src."""
+    raw_src, raw_dst = src.encode(), dst.encode()
+    shared = 0
+    while shared < min(len(raw_src), len(raw_dst)) and raw_src[shared] == raw_dst[shared]:
+        shared += 1
+    suffix = len(raw_dst) - shared
+    return _varint_size(suffix * (len(raw_src) + 1) + shared) + suffix
+
+
 @settings(max_examples=300, deadline=None)
 @given(_RECORDS)
 def test_repeated_strings_round_trip_and_never_grow_a_record(records):
@@ -802,7 +851,7 @@ def test_repeated_strings_round_trip_and_never_grow_a_record(records):
     assert [(e.src, e.dst, e.payload) for e in decoded] == records
     for src, dst, value in records:
         (frame,), _ = encode_data_frames([Envelope(src, dst, value, 0.0)])
-        payload = len(frame) - HEADER_BYTES - 1 - _utf8_size(src) - _utf8_size(dst)
+        payload = len(frame) - HEADER_BYTES - 1 - _utf8_size(src) - _dst_size(src, dst)
         assert payload <= _spelled_size(value)
 
 
@@ -823,9 +872,9 @@ def test_a_repeat_costs_a_back_reference_and_nothing_carries_across_records():
 
 
 def _data_frame(body: bytes) -> bytes:
-    """A one-record data frame from src ``a``, dst ``b`` and a raw
-    payload encoding."""
-    return bytes([0x52, 0x57, WIRE_VERSION, FRAME_DATA, 1, 1]) + b"a\x01b" + body
+    """A one-record data frame from src ``a``, dst ``b`` (a suffix of one
+    byte sharing none: ``1 × (1 + 1) + 0``) and a raw payload encoding."""
+    return bytes([WIRE_VERSION, FRAME_DATA, 1, 1]) + b"a\x02b" + body
 
 
 def test_a_back_reference_past_the_table_is_refused():
@@ -884,6 +933,79 @@ def test_the_table_stops_growing_so_an_index_stays_two_bytes():
         decode_frame(body + bytes([11, 0x80, 0x80, 0x01]))
 
 
+# -- front-coded addresses ------------------------------------------------------
+
+_STEMS = st.sampled_from(("", "svc-w-", "svc-w-24", "svc-ldr-0", "client-", "é", "ключ"))
+_PAIRS = st.tuples(_STEMS, st.text(max_size=12), st.text(max_size=12)).map(
+    lambda parts: (parts[0] + parts[1], parts[0] + parts[2])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PAIRS, min_size=1, max_size=4))
+@example([("é", "ê")])  # a shared byte prefix that splits a code point
+@example([("", "svc-w-16")])
+@example([("svc-w-16", "")])
+@example([("svc-w-240", "svc-w-240")])
+@example([("svc-w-240", "svc-w-241"), ("svc-w-24", "svc-w-240")])
+def test_a_dst_front_coded_against_its_src_round_trips(pairs):
+    """Wire v24 writes a record's dst as a varint, ``suffix length ×
+    (src length + 1) + shared``, and the dst's bytes past the prefix it
+    shares with the src, counted in bytes: such frames decode to the
+    addresses sent, a dst costs exactly that, and one sharing nothing
+    costs v23's length and bytes while ``dst length × (src length + 1)``
+    fits one varint byte."""
+    envelopes = [Envelope(src, dst, None, 0.0) for src, dst in pairs]
+    (frame,), rejects = encode_data_frames(envelopes)
+    assert not rejects
+    assert [(e.src, e.dst) for e in decode_frame(frame)[1]] == pairs
+    for src, dst in pairs:
+        (frame,), _ = encode_data_frames([Envelope(src, dst, None, 0.0)])
+        assert len(frame) == HEADER_BYTES + 1 + _utf8_size(src) + _dst_size(src, dst) + 1
+        raw_src, raw_dst = src.encode(), dst.encode()
+        if raw_src[:1] != raw_dst[:1] and len(raw_dst) * (len(raw_src) + 1) < 128:
+            assert _dst_size(src, dst) == _utf8_size(dst)
+
+
+def test_a_dst_varint_cannot_reach_past_the_src():
+    """The shared count is the varint modulo ``src length + 1``, so no
+    value names more of the src than it has; a suffix past the frame
+    overruns, and shared bytes that end mid code point with no suffix to
+    finish it are invalid UTF-8 — each a :class:`CodecError`."""
+    def record(src: bytes, dst_varint: int, suffix: bytes) -> bytes:
+        out = bytearray([WIRE_VERSION, FRAME_DATA, 1, len(src)]) + src
+        codec._write_varint(out, dst_varint)
+        return bytes(out + suffix + bytes([0]))  # payload None
+
+    for varint in range(12):
+        suffix, shared = divmod(varint, 3)
+        (decoded,) = decode_frame(record(b"ab", varint, b"x" * suffix))[1]
+        assert decoded.dst == "ab"[:shared] + "x" * suffix
+    with pytest.raises(CodecError, match="truncated"):
+        decode_frame(record(b"ab", 50 * 3, b""))
+    with pytest.raises(CodecError, match="utf-8"):
+        decode_frame(record("é".encode(), 1, b""))  # half of é, then the payload
+
+
+def test_every_v23_frame_is_refused_at_its_first_byte():
+    """Every frame up to v23 began with the magic ``b"RW"``; v24 has none,
+    so an old peer's frame reads as version 0x52 and goes no further,
+    whatever follows — the pinned v23 heartbeat included."""
+    v23_heartbeat = bytes.fromhex(
+        "5257170101097376632d772d353137097376632d772d3531360a2000"
+    )
+    with pytest.raises(CodecError, match="unsupported wire version 82"):
+        decode_frame(v23_heartbeat)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((FRAME_DATA, FRAME_CONTROL)), st.binary(max_size=64))
+    def refused(frame_kind, body):
+        with pytest.raises(CodecError, match="unsupported wire version 82"):
+            decode_frame(b"RW" + bytes([23, frame_kind]) + body)
+
+    refused()
+
+
 # -- rejection properties -----------------------------------------------------
 
 
@@ -895,9 +1017,10 @@ def test_truncated_frames_raise_codec_error_only():
 
 
 def test_corrupted_frames_never_raise_anything_else():
-    """A control frame, and a data frame whose records lean on their
-    string tables (a churn ``NewView`` and ``FlushOk``): a flipped bit
-    that lands on a back-reference must read as bad input too."""
+    """A control frame, a data frame whose records lean on their string
+    tables (a churn ``NewView`` and ``FlushOk``) and a heartbeat whose
+    dst is front-coded against its src: a flipped bit that lands on a
+    back-reference or on the dst's varint must read as bad input too."""
     rng = SimRandom(99)
     cases = _budget_cases()
     control = encode_control_frame(
@@ -906,7 +1029,8 @@ def test_corrupted_frames_never_raise_anything_else():
     (data,), _ = encode_data_frames(
         [cases["group-new-view"][0], cases["group-flush-ok"][0]]
     )
-    for original in (control, data):
+    (heartbeat,), _ = encode_data_frames([cases["heartbeat"][0]])
+    for original in (control, data, heartbeat):
         frame = bytearray(original)
         flips = 0
         for _ in range(400):
@@ -932,17 +1056,23 @@ def test_random_garbage_rejected():
 
 
 def test_bad_magic_version_kind_and_length():
+    """Since v24 the header is the version byte and the frame kind: a
+    frame that starts with the old magic, or with any other byte that is
+    not :data:`WIRE_VERSION`, is refused there."""
     good = encode_control_frame(1)
-    with pytest.raises(CodecError):
+    with pytest.raises(CodecError, match="version 88"):
         decode_frame(b"XX" + good[2:])
-    # Skew in either direction: a newer peer, and a v13 peer whose
-    # header still carries a body length.
-    for version in (WIRE_VERSION + 1, WIRE_VERSION - 1):
-        skewed = bytes([good[0], good[1], version]) + good[3:]
-        with pytest.raises(CodecError):
+    # Skew in either direction: a newer peer, and a v23 peer, which
+    # still writes the magic ``b"RW"`` before its version.
+    newer = bytes([WIRE_VERSION + 1]) + good[1:]
+    v23 = b"RW" + bytes([WIRE_VERSION - 1]) + good[1:]
+    for skewed in (newer, v23):
+        with pytest.raises(CodecError, match="unsupported wire version"):
             decode_frame(skewed)
     with pytest.raises(CodecError):
-        decode_frame(good[:3] + b"\x07" + good[4:])  # unknown frame kind
+        decode_frame(good[:1] + b"\x07" + good[2:])  # unknown frame kind
+    with pytest.raises(CodecError, match="shorter than header"):
+        decode_frame(good[:1])
     with pytest.raises(CodecError):
         decode_frame(good + b"\x00")  # padding: trailing bytes
     with pytest.raises(CodecError):
@@ -1092,8 +1222,10 @@ def test_wire_ids_are_unique_and_stable():
     # finished writes; it is not written when 0, so the pinned frames
     # changed only in the version byte.  v23: a data record spells each
     # string once (a per-record table, back-reference tag 11), and a leaf
-    # group is named by its leaf id, ``<manager address>/<n>``.
-    assert WIRE_VERSION == 23
+    # group is named by its leaf id, ``<manager address>/<n>``.  v24: a
+    # record's dst is front-coded against its src, and the header is the
+    # version and frame kind alone (no magic); no kind changed.
+    assert WIRE_VERSION == 24
 
 
 def test_the_v16_slimmed_kinds_round_trip():
@@ -1153,8 +1285,9 @@ def test_a_v9_segment_ack_is_refused_at_the_header():
     """A v9 peer's ack has three fields, and so, since v14, does an ack
     with no gap: ``high`` is left at its default and not written.  The
     count on the wire is the count written, so the v9 frame is turned
-    away by the version byte alone, and a body with more fields than the
-    kind declares is refused by the count."""
+    away by its header alone (since v24 at its first byte, the magic a v9
+    peer still writes), and a body with more fields than the kind
+    declares is refused by the count."""
     from repro.transport.channel import SegmentAck
 
     ack = SegmentAck(cum_seq=5, epoch=1)
@@ -1163,10 +1296,9 @@ def test_a_v9_segment_ack_is_refused_at_the_header():
     # incarnation (0) and epoch (zigzag 2) — ``high`` is not written.
     assert frame[HEADER_BYTES:] == bytes([10, 2, 3, 3, 10, 3, 0, 3, 2])
     assert decode_frame(bytes(frame)) == (FRAME_CONTROL, ack)
-    frame[2] = 9
+    v9 = b"RW" + bytes([9]) + frame[1:]  # a v9 peer's header: magic, version, kind
     with pytest.raises(CodecError, match="version"):
-        decode_frame(bytes(frame))
-    frame[2] = WIRE_VERSION
+        decode_frame(v9)
     five = frame[:HEADER_BYTES] + bytes([10, 2, 5]) + frame[HEADER_BYTES + 3:] + bytes([3, 0, 3, 0])
     with pytest.raises(CodecError, match="got 5 fields, expected 1 to 4"):
         decode_frame(bytes(five))
@@ -1175,8 +1307,9 @@ def test_a_v9_segment_ack_is_refused_at_the_header():
 def test_a_v13_frame_is_a_counted_decode_error():
     """A v13 peer still writes an 8-byte header (a u32 body length) and
     both clock readings and the size model in every record.  Its frame
-    is turned away at the version byte, and the socket fabric counts it
-    as a decode error and a drop."""
+    is turned away at its first byte — the magic, which reads as version
+    0x52 since v24 — and the socket fabric counts it as a decode error
+    and a drop."""
     from repro.net.latency import FixedLatency
     from repro.proc.env import Environment
     from repro.runtime.socket_backend import SocketRuntime
@@ -1187,7 +1320,7 @@ def test_a_v13_frame_is_a_counted_decode_error():
     body = (bytes([1]) + string("g-1") + string("g-0")
             + bytes(8) + bytes(8) + bytes([16, 10, 32, 0]))
     v13 = b"RW" + bytes([13, FRAME_DATA]) + len(body).to_bytes(4, "big") + body
-    with pytest.raises(CodecError, match="unsupported wire version 13"):
+    with pytest.raises(CodecError, match="unsupported wire version 82"):
         decode_frame(v13)
     runtime = SocketRuntime(seed=3)
     try:
@@ -1205,17 +1338,18 @@ def test_a_v13_frame_is_a_counted_decode_error():
 def test_a_v6_heartbeat_ack_is_refused_by_version_not_by_kind():
     """What a v6 peer still sends: kind 33, empty field list.  The frame
     is turned away at the header — nothing looks the kind up, so nothing
-    can mistake it for whatever v7 or later puts near that id."""
+    can mistake it for whatever v7 or later puts near that id.  A v6
+    peer writes the magic ``b"RW"``, its version and the frame kind."""
     from repro.failure.detector import Subscribe
 
     frame = bytearray(encode_control_frame(Subscribe()))
-    assert frame[2] == WIRE_VERSION and frame.count(34) == 1
+    assert frame[0] == WIRE_VERSION and frame.count(34) == 1
     frame[frame.index(34)] = 33
     with pytest.raises(CodecError, match="unknown wire kind id 33"):
         decode_frame(bytes(frame))
-    frame[2] = 6
+    v6 = b"RW" + bytes([6]) + frame[1:]
     with pytest.raises(CodecError, match="version"):
-        decode_frame(bytes(frame))
+        decode_frame(v6)
 
 
 def test_a_probe_round_trips_and_a_v10_frame_is_refused():
@@ -1231,9 +1365,9 @@ def test_a_probe_round_trips_and_a_v10_frame_is_refused():
     assert not rejects
     (decoded,) = decode_frame(frames[0])[1]
     assert decoded.payload == Probe()
-    frame[2] = 10
+    v10 = b"RW" + bytes([10]) + frame[1:]  # magic, version, kind, body
     with pytest.raises(CodecError, match="version"):
-        decode_frame(bytes(frame))
+        decode_frame(v10)
 
 
 def test_kind_11_is_unused_and_a_v11_frame_is_refused():
@@ -1250,6 +1384,6 @@ def test_kind_11_is_unused_and_a_v11_frame_is_refused():
     frame[HEADER_BYTES + 1] = 11
     with pytest.raises(CodecError, match="unknown wire kind id 11"):
         decode_frame(bytes(frame))
-    frame[2] = 11
+    v11 = b"RW" + bytes([11]) + frame[1:]  # magic, version, kind, body
     with pytest.raises(CodecError, match="version"):
-        decode_frame(bytes(frame))
+        decode_frame(v11)
