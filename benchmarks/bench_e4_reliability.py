@@ -28,7 +28,7 @@ from _common import ECHO, flat_service, hierarchical_client, hierarchical_servic
 from repro.failure import CrashInjector
 from repro.membership import GroupNode
 from repro.metrics import print_table
-from repro.proc import Environment, Rpc, RpcError
+from repro.proc import Environment, Process, Rpc, RpcError
 from repro.net import FixedLatency
 
 SIZES = (8, 16, 32)
@@ -49,14 +49,21 @@ def drive_requests(env, send_fn, duration, rate):
     return outcomes, count
 
 
+class Solo(Process):
+    """An unreplicated server: one ``Rpc`` that answers every request.
+    Its recovered incarnation is built the same way, so it serves again."""
+
+    def __init__(self, env, address):
+        super().__init__(env, address)
+        Rpc(self).serve(dict, lambda body, sender: ("ok",))
+
+
 def run_conventional(n, seed):
     """n independent unreplicated servers; a request must reach all of
     them (a barrier computation), so success probability decays like
     uptime**n — reliability *drops* as the system grows."""
     env = Environment(seed=seed, latency=FixedLatency(0.002))
-    servers = [GroupNode(env, f"solo-{i}") for i in range(n)]
-    for server in servers:
-        server.runtime.rpc.serve(dict, lambda body, sender: ("ok",))
+    servers = [Solo(env, f"solo-{i}") for i in range(n)]
     injector = CrashInjector(env)
     injector.poisson_crashes(
         [s.address for s in servers], CRASH_RATE, DURATION,

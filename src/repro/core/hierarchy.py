@@ -79,50 +79,26 @@ class LargeGroupMember:
         # leader folds the samples into its EWMA.
         self._deliveries = 0
         self._last_delivery_rate = -1.0  # negative = no sample yet
-        self._tick_gen = 0  # invalidates stale tick timers across recovery
 
         runtime = node.runtime
         runtime.rpc.serve(LeafProbe, self._serve_probe)
         runtime.rpc.serve(SplitDirective, self._serve_split)
         runtime.rpc.serve(MergeDirective, self._serve_merge)
-        node.add_recover_listener(self._after_recovery)
         if self.params.reorg.load_driven:
-            self._arm_tick()
-
-    def _after_recovery(self) -> None:
-        """Fail-stop recovery: the old incarnation's leaf membership died
-        with it (the runtime wiped the group state); this endpoint resets
-        so the application can simply call :meth:`join` again."""
-        self.leaf_id = None
-        self.leaf_member = None
-        self._joining = False
-        self._moving = False
-        self._deliveries = 0
-        self._last_delivery_rate = -1.0
-        if self.params.reorg.load_driven:
-            self._arm_tick()
+            node.set_timer(self.params.reorg.report_interval, self._load_tick)
 
     # ------------------------------------------------------------ load reports
 
-    def _arm_tick(self) -> None:
-        self._tick_gen += 1
-        gen = self._tick_gen
-        self.node.set_timer(
-            self.params.reorg.report_interval, lambda: self._load_tick(gen)
-        )
-
-    def _load_tick(self, gen: int) -> None:
+    def _load_tick(self) -> None:
         """Per-interval load sampling: turn the raw counter into a rate
         sample and, when this process is the leaf coordinator, report it
         to the leader (which folds it into its per-leaf EWMA)."""
-        if gen != self._tick_gen or not self.node.alive:
-            return
         interval = self.params.reorg.report_interval
         self._last_delivery_rate = self._deliveries / interval
         self._deliveries = 0
         if self.is_leaf_coordinator:
             self._report_status()
-        self.node.set_timer(interval, lambda: self._load_tick(gen))
+        self.node.set_timer(interval, self._load_tick)
 
     # ------------------------------------------------------------------ public
 

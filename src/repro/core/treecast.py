@@ -25,7 +25,6 @@ companion paper's "large scale atomic broadcast".
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -369,10 +368,9 @@ class TreecastRoot(_StageHost):
     root is the stage with no parent: when every child has acked, the
     broadcast completes."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, replica: LeaderReplica, ack_timeout: float = 5.0) -> None:
         super().__init__(replica.node)
+        self._ids = replica.node.env.ids["treecast"]
         self.replica = replica
         self.ack_timeout = ack_timeout
         self._pending: Dict[str, Dict[str, Any]] = {}

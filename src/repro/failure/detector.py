@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Set
 
 from repro.net.message import Address
-from repro.proc.env import Environment
 from repro.proc.process import Process
 
 SuspectFn = Callable[[Address], None]
@@ -174,20 +173,6 @@ class HeartbeatDetector(FailureDetector):
         process.on(Unsubscribe, self._on_unsubscribe)
         process.on(Probe, self._on_probe)
         process.every(interval, self._tick)
-        process.add_recover_listener(self._after_recovery)
-
-    def _after_recovery(self) -> None:
-        # Silence is measured from now: what was heard before the crash
-        # says nothing about who is alive after it.  The subscriber table
-        # died with the old incarnation; whoever still watches this
-        # process finds it quiet and subscribes again.  So did the probe
-        # timers: nothing is being probed any more.
-        now = self._process.env.now
-        for address in self._last_heard:
-            self._last_heard[address] = now
-        self._suspected.clear()
-        self._subscribers.clear()
-        self._probing.clear()
 
     def watch(self, address: Address) -> None:
         if address == self._process.address:
@@ -354,23 +339,20 @@ class HeartbeatDetector(FailureDetector):
 class OracleDetector(FailureDetector):
     """Zero-traffic detector fed by the simulator's crash hook."""
 
-    def __init__(
-        self,
-        env: Environment,
-        owner: Address,
-        detection_delay: float = 0.1,
-    ) -> None:
+    def __init__(self, process: Process, detection_delay: float = 0.1) -> None:
         if detection_delay < 0:
             raise ValueError("detection_delay must be nonnegative")
-        self._env = env
-        self._owner = owner
+        # The process served, not its address: a dead incarnation's
+        # detector must not find its live successor there.
+        self._process = process
+        self._env = env = process.env
         self._delay = detection_delay
         self._watched: Set[Address] = set()
         self._listeners: List[SuspectFn] = []
-        env.on_crash(self._on_crash)
+        env.add_crash_listener(self._on_crash)
 
     def watch(self, address: Address) -> None:
-        if address == self._owner:
+        if address == self._process.address:
             return
         self._watched.add(address)
         # A peer that is already dead when we start watching must still be
@@ -388,20 +370,22 @@ class OracleDetector(FailureDetector):
         self._listeners.append(fn)
 
     def _on_crash(self, address: Address) -> None:
+        process = self._process
+        if address == process.address:
+            # Dead for good: let the dead incarnation's stack be freed.
+            self._env.remove_crash_listener(self._on_crash)
+            return
         if address not in self._watched:
             return
-        owner = self._owner
 
         def report() -> None:
             # The watcher may itself have died in the interim.
-            if not self._env.has_process(owner) or not self._env.process(owner).alive:
-                return
-            if address in self._watched:
+            if process.alive and address in self._watched:
                 trace = self._env.network.trace
                 if trace is not None:
                     trace.local(
                         "suspicion", category="failure",
-                        process=owner, peer=address,
+                        process=process.address, peer=address,
                     )
                 for listener in list(self._listeners):
                     listener(address)

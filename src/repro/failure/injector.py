@@ -26,7 +26,9 @@ class InjectionRecord:
 
 
 class CrashInjector:
-    """Schedules crashes (and optional recoveries) against an environment."""
+    """Schedules crashes (and optional recoveries) against an environment.
+    Each step looks its process up by address when it runs, so a step
+    after a recovery acts on the successor."""
 
     def __init__(self, env: Environment, rng: Optional[SimRandom] = None) -> None:
         self._env = env

@@ -406,7 +406,7 @@ class GroupRuntime:
         # §5 extension: refuse minority view changes during partitions.
         self.primary_partition = primary_partition
         self.detector = detector if detector is not None else OracleDetector(
-            process.env, process.address, detection_delay=0.05
+            process, detection_delay=0.05
         )
         self.detector.add_listener(self._on_suspect)
         self._groups: Dict[str, GroupMember] = {}
@@ -429,19 +429,6 @@ class GroupRuntime:
             # floors: the acks for data and reports ride on those, or
             # leave on their own a round late (docs/comms.md).
             self.transport.hold_acks((GroupData, StabilityGossip), gossip_interval)
-        process.add_recover_listener(self._after_recovery)
-
-    def _after_recovery(self) -> None:
-        """Fail-stop recovery: group state died with the old incarnation.
-        The recovered process rejoins groups like a new member (the
-        classical ISIS recovery story)."""
-        for member in list(self._groups.values()):
-            member._end_join()
-            member._teardown_watches()
-        self._groups.clear()
-        for address in list(self._watch_refs):
-            self.detector.unwatch(address)
-        self._watch_refs.clear()
 
     # -- group lifecycle ----------------------------------------------------------
 

@@ -16,7 +16,9 @@ from repro.proc.process import Process
 
 
 class GroupNode(Process):
-    """A workstation process running the group-communication stack."""
+    """A workstation process running the group-communication stack.
+    :meth:`recover` builds the next incarnation with the same options,
+    so its stack is fresh, exactly as at start."""
 
     def __init__(
         self,
@@ -29,14 +31,19 @@ class GroupNode(Process):
         primary_partition: bool = False,
     ) -> None:
         super().__init__(env, address)
-        detector = detector_factory(self) if detector_factory else None
-        self.runtime = GroupRuntime(
-            self,
-            detector=detector,
+        self._detector_factory = detector_factory
+        self._options = dict(
             gossip_interval=gossip_interval,
             flush_timeout=flush_timeout,
             rto=rto,
             primary_partition=primary_partition,
+        )
+        detector = detector_factory(self) if detector_factory else None
+        self.runtime = GroupRuntime(self, detector=detector, **self._options)
+
+    def recover(self) -> "GroupNode":
+        return type(self)(
+            self.env, self.address, self._detector_factory, **self._options
         )
 
 

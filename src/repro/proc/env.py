@@ -19,7 +19,9 @@ it *is* the :class:`~repro.sim.scheduler.Scheduler`, so existing callers
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, TYPE_CHECKING
+import itertools
+from collections import defaultdict
+from typing import Dict, Iterable, Iterator, Optional, TYPE_CHECKING
 
 from repro.net.latency import LatencyModel
 from repro.net.network import Network
@@ -70,6 +72,12 @@ class Environment:
             bind_network(self.network)
         self._processes: Dict[str, "Process"] = {}
         self._crash_listeners: list = []
+        # One id counter per kind ("rpc", "cc", ...), each from 1, so a
+        # run draws the same ids whatever ran before it in the
+        # interpreter.  Ids outlive every incarnation: no address reuses
+        # one.  Kinds never share a counter, so each id stays a short
+        # varint on the wire.
+        self.ids: Dict[str, Iterator[int]] = defaultdict(lambda: itertools.count(1))
 
     # -- time ----------------------------------------------------------------
 
@@ -86,8 +94,14 @@ class Environment:
     # -- processes -------------------------------------------------------------
 
     def add_process(self, process: "Process") -> None:
-        if process.address in self._processes:
-            raise ValueError(f"duplicate process address {process.address!r}")
+        """Register ``process`` at its address.  At a dead process's
+        address it is that process's successor: it replaces it and takes
+        the next incarnation."""
+        dead = self._processes.get(process.address)
+        if dead is not None:
+            if dead.alive:
+                raise ValueError(f"duplicate process address {process.address!r}")
+            process.incarnation = dead.incarnation + 1
         self._processes[process.address] = process
 
     def remove_process(self, address: str) -> None:
@@ -112,13 +126,16 @@ class Environment:
         if process is not None and process.alive:
             process.crash()
 
-    def on_crash(self, listener) -> None:
+    def add_crash_listener(self, listener) -> None:
         """Register ``listener(address)`` to run whenever a process crashes.
 
         This is harness scaffolding (used by the oracle failure detector
         and test assertions), not a network facility.
         """
         self._crash_listeners.append(listener)
+
+    def remove_crash_listener(self, listener) -> None:
+        self._crash_listeners.remove(listener)
 
     def notify_crash(self, address: str) -> None:
         for listener in list(self._crash_listeners):

@@ -11,10 +11,22 @@ class knowing about any of it.
 
 Crash semantics follow the fail-stop model the paper assumes: a crashed
 process stops sending, stops receiving (its endpoint disappears from the
-network), and all of its timers stop.  Recovery creates fresh protocol
-state (a recovered process rejoins groups like a new member) and restarts
-the periodic timers of the layers attached to it; one-shot timers belong
-to the protocol state that died and are not revived.
+network), and every timer it armed, periodic or not, is cancelled.  A
+crash ends a :class:`Process` object for good, and with it every layer
+attached to it.  :meth:`Process.recover` returns the address's next
+incarnation: a new object of the same class, built as the first one was,
+whose constructor builds a fresh stack exactly as at start.  It rejoins
+like any newcomer; the application rebuilds what it layered above the
+node (a large-group endpoint, a coordinator–cohort client or server) on
+the successor, as it did at start.
+
+What survives a crash is the address, the incarnation number (the
+successor's is one higher, so peers can tell it from its previous life)
+and the environment's sinks: network statistics, taps and trace.  Nothing
+else does — not even the reliable transport's peer-incarnation table,
+which a fresh stack learns again from the first segment it hears.  A
+stale layer object is inert: its process stays dead, so each send,
+multicast and timer it asks for is a no-op.
 """
 
 from __future__ import annotations
@@ -59,9 +71,12 @@ class Timer:
         self._delay = delay
         self._fn = fn
         self._periodic = periodic
-        self._cancelled = False
+        # A dead process arms nothing: its timer is born cancelled.
+        self._cancelled = not process.alive
         self._handle: Optional[TimerHandle] = None
-        self._arm()
+        if process.alive:
+            process._timers[self] = None
+            self._arm()
 
     def _arm(self) -> None:
         scheduler = self._process.env.scheduler
@@ -75,22 +90,19 @@ class Timer:
         if self._cancelled:
             return
         if self._periodic:
-            if not self._process.alive:
-                return
             # Reschedule *before* running the callback (so events the
             # callback schedules at the same instant order after the next
             # tick, exactly as the closure-per-tick implementation did).
             self._process.env.scheduler.rearm(self._handle, self._delay)
             self._fn()
             return
-        # A fired one-shot timer is dead, whether or not it runs: mark it
-        # cancelled (so cancel() never touches the now-recycled engine
-        # handle) and drop it, and its callback, from the owner's live set.
+        # A fired one-shot timer is dead: mark it cancelled (so cancel()
+        # never touches the now-recycled engine handle) and drop it, and
+        # its callback, from the owner's live set before it runs.
         self._cancelled = True
         del self._process._timers[self]
         fn, self._fn = self._fn, None
-        if self._process.alive:
-            fn()
+        fn()
 
     def cancel(self) -> None:
         # Idempotent, and the sole guard keeping recycled one-shot
@@ -116,17 +128,17 @@ class Process:
         self.env = env
         self.address = address
         self.alive = True
-        # Incarnation number: bumped on every recovery, so a rebooted
-        # process is distinguishable from its previous life (classical
-        # ISIS tagged process ids the same way).  Protocol layers use it
-        # to discard channel state belonging to a dead incarnation.
+        # Incarnation number: the environment gives a recovered process
+        # one more than the dead one it succeeds, so a rebooted process is
+        # distinguishable from its previous life (classical ISIS tagged
+        # process ids the same way).  Protocol layers use it to discard
+        # channel state belonging to a dead incarnation.
         self.incarnation = 0
         self._handlers: Dict[Type, Handler] = {}
         # Live timers in arming order (a dict used as an ordered set): a
         # one-shot leaves when it fires or is cancelled, a periodic timer
         # when it is cancelled.
         self._timers: Dict[Timer, None] = {}
-        self._recover_listeners: List[Callable[[], None]] = []
         self._unhandled: List[Any] = []
         # env.network is assigned once in Environment.__init__ and never
         # replaced, so the per-send attribute chain can be cached here.
@@ -193,57 +205,29 @@ class Process:
 
     def set_timer(self, delay: float, fn: Callable[[], None]) -> Timer:
         """Run ``fn`` once after ``delay`` (unless crashed or cancelled)."""
-        timer = Timer(self, delay, fn, periodic=False)
-        self._timers[timer] = None
-        return timer
+        return Timer(self, delay, fn, periodic=False)
 
     def every(self, interval: float, fn: Callable[[], None]) -> Timer:
-        """Run ``fn`` every ``interval`` until cancelled; ticks stop while
-        the process is crashed and resume one interval after recovery."""
-        timer = Timer(self, interval, fn, periodic=True)
-        self._timers[timer] = None
-        return timer
+        """Run ``fn`` every ``interval`` until cancelled or the process
+        crashes; the crash ends it for good."""
+        return Timer(self, interval, fn, periodic=True)
 
     # -- lifecycle ---------------------------------------------------------------
 
     def crash(self) -> None:
-        """Fail-stop: stop sending, receiving and all timers."""
+        """Fail-stop: stop sending, receiving and every timer, for good."""
         if not self.alive:
             return
         self.alive = False
         self.env.network.unregister(self.address)
-        # One-shots die with the protocol state that armed them.  Periodic
-        # timers belong to the attached layers, which outlive the crash:
-        # only their engine handle is cancelled, and recover() re-arms them.
         for timer in list(self._timers):
-            if timer._periodic:
-                timer._handle.cancel()
-            else:
-                timer.cancel()
-        self.on_crash()
+            timer.cancel()
         self.env.notify_crash(self.address)
 
-    def recover(self) -> None:
-        """Come back up with fresh protocol state (fail-stop recovery)."""
-        if self.alive:
-            return
-        self.alive = True
-        self.incarnation += 1
-        self.env.network.register(self.address, self._on_envelope)
-        for timer in list(self._timers):
-            if timer._periodic:
-                timer._handle.cancel()  # idempotent; live only if armed while down
-                timer._arm()
-        self.on_recover()
-        for listener in list(self._recover_listeners):
-            listener()
-
-    def add_recover_listener(self, fn: Callable[[], None]) -> None:
-        """Attached protocol layers register cleanup to run on recovery."""
-        self._recover_listeners.append(fn)
-
-    def on_crash(self) -> None:
-        """Subclass hook invoked after a crash."""
-
-    def on_recover(self) -> None:
-        """Subclass hook invoked after recovery."""
+    def recover(self) -> "Process":
+        """Start this address's next incarnation and return it: a new
+        process of the same class, built with the same constructor
+        arguments (a subclass whose constructor takes more than the
+        environment and the address overrides this).  This object stays
+        dead.  ``ValueError`` if the address's process is alive."""
+        return type(self)(self.env, self.address)

@@ -6,15 +6,16 @@ ids, per-call timeouts, and a serving side that maps request bodies to reply
 values.  Protocol layers use it for control-plane conversations (join
 requests, name lookups, state transfer).
 
-A correlation id is an integer from one interpreter-wide counter, with
-no address prefix: it only has to be unique among its caller's calls,
-and a server answers each request as it comes, never de-duplicating,
-so nothing keys on it but the caller.
+A correlation id is an integer from the run's ``"rpc"`` counter
+(``Environment.ids``), with no address prefix: it only has to be unique
+among its caller's calls, and a server answers each request as it
+comes, never de-duplicating, so nothing keys on it but the caller.  A
+call that a crash strands dies with its incarnation: no reply reaches
+the dead process, and neither of its callbacks runs.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
@@ -60,17 +61,15 @@ class Rpc:
                   lambda body, sender: directory_reply(state, epoch))
     """
 
-    _ids = itertools.count(1)
-
     def __init__(self, process: Process) -> None:
         self._process = process
+        self._ids = process.env.ids["rpc"]
         # request id -> (reply callback, its timeout timer or None); the
         # reply cancels the timer, so no timeout outlives its call.
         self._pending: Dict[int, Tuple[ReplyFn, Optional[Timer]]] = {}
         self._servers: Dict[Type, ServeFn] = {}
         process.on(RpcRequest, self._on_request)
         process.on(RpcReply, self._on_reply)
-        process.add_recover_listener(self._after_recovery)
 
     # -- caller ----------------------------------------------------------------
 
@@ -97,13 +96,6 @@ class Rpc:
     def _expire(self, request_id: int, on_timeout: Optional[TimeoutFn]) -> None:
         if self._pending.pop(request_id, None) is not None and on_timeout:
             on_timeout()
-
-    def _after_recovery(self) -> None:
-        """No reply reaches a crashed process, so every call it had in
-        flight is dropped.  Like the one-shot timers the crash cancelled,
-        a call dies with the protocol state that made it: its
-        ``on_timeout`` belongs to the old incarnation and never runs."""
-        self._pending.clear()
 
     def _on_reply(self, reply: RpcReply, sender: Address) -> None:
         pending = self._pending.pop(reply.request_id, None)

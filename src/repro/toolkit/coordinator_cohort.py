@@ -53,12 +53,12 @@ only: rank 1 already holds it pending, so the second copy makes it probe
 the coordinator, whose failed probes lead to the view change and the
 takeover (docs/hierarchy.md, "Requests during a coordinator outage").
 
-**A request names itself once.**  Its id is an integer from one
-interpreter-wide counter, with no address prefix, so a server holds a
-write under its client and its id.  The client is the envelope's
-sender: ``CCRequest.client`` stays empty on the client's own copies,
-and only a member outside the set that passes a request on names the
-client there.  The result copy to the cohorts names the client too.
+**A request names itself once.**  Its id is an integer from the run's
+``"cc"`` counter (``Environment.ids``), with no address prefix, so a
+server holds a write under its client and its id.  The client is the
+envelope's sender: ``CCRequest.client`` stays empty on the client's own
+copies, and only a member outside the set that passes a request on
+names the client there.  The result copy to the cohorts names the client too.
 
 **A result is kept until its client has the answer** (Birrell &
 Nelson's at-most-once RPC).  ``CCRequest.lag`` is a write's id minus the
@@ -66,10 +66,11 @@ oldest id its client's process still waits on: every id of the client
 below ``request_id - lag`` is finished.  Per client, a set member keeps
 that *floor* and the writes at or above it, pending or answered, and
 drops everything below it; a write below the floor is a late copy that
-nobody runs, answers or holds.  A recovered client gives up every call
-its crash stranded, so no dead call pins its floor.  The specs this
-keeps, and why the floor is safe, are in docs/protocols.md ("The
-coordinator–cohort tool").
+nobody runs, answers or holds.  A call a client's crash strands dies
+with its incarnation, callbacks and all: the successor's dispatch starts
+empty, so no dead call pins its floor.  The specs this keeps, and why
+the floor is safe, are in docs/protocols.md ("The coordinator–cohort
+tool").
 
 :class:`CohortCore` decides all of it; :class:`CoordinatorCohortServer`
 is its port on a process, where one :class:`_CCDispatch` demultiplexes
@@ -78,7 +79,6 @@ the wire types for every server and client stub.
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -372,7 +372,6 @@ class _CCDispatch:
         process.on(CCRead, self._on_request)
         process.on(CCReply, self._on_reply)
         process.on(CCResultNote, self._on_result_note)
-        process.add_recover_listener(self._after_recovery)
         self.rpc = rpc if rpc is not None else Rpc(process)
         try:
             self.rpc.serve(GetMembers, self._serve_members)
@@ -386,13 +385,6 @@ class _CCDispatch:
             batch.sort()
             self.hedge_delay = 1.25 * batch[HEDGE_SAMPLES * 19 // 20]  # the p95
             batch.clear()
-
-    def _after_recovery(self) -> None:
-        """The crash cancelled every call's timer, and no reply reaches a
-        crashed process: give every outstanding call up, so that none
-        pins the oldest id the next write names (``CCRequest.lag``)."""
-        for request_id, client in list(self.outstanding.items()):
-            client._give_up(request_id)
 
     def _on_request(self, request: CCRequest, sender: Address) -> None:
         server = self.servers.get(request.group)
@@ -494,8 +486,6 @@ class CoordinatorCohortClient:
     """Client stub: cohort-set discovery + request to the set + retry.
     ``is_read`` is the serving group's own (see the module docstring)."""
 
-    _ids = itertools.count(1)
-
     def __init__(
         self,
         process: Process,
@@ -509,6 +499,7 @@ class CoordinatorCohortClient:
         self.process = process
         self.group = group
         self.is_read = is_read
+        self._ids = process.env.ids["cc"]
         self.contacts = tuple(contacts)
         if not any(self.contacts):
             raise ValueError("need contacts")

@@ -12,7 +12,6 @@ standard ISIS construction of transactions on top of resilient groups.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -159,11 +158,10 @@ class TransactionResource:
 class TransactionCoordinator:
     """Drives 2PC from any process against resource-group contacts."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, process: Process, rpc: Optional[Rpc] = None,
                  timeout: float = 1.0) -> None:
         self.process = process
+        self._ids = process.env.ids["tx"]
         self.rpc = rpc if rpc is not None else Rpc(process)
         self.timeout = timeout
         self.log: List[Tuple[str, str]] = []  # (txid, outcome)

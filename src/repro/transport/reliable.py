@@ -90,7 +90,6 @@ class ReliableTransport:
         self._ack_timers: Dict[Address, Tuple[float, Any]] = {}
         process.on(Segment, self._on_segment)
         process.on(SegmentAck, self._on_ack)
-        process.add_recover_listener(self.reset)
 
     @property
     def _incarnation(self) -> int:
@@ -201,23 +200,6 @@ class ReliableTransport:
         state.restart(self._process.env.now)
         for payload in kept:
             self.send(dst, payload)
-
-    def reset(self) -> None:
-        """Drop all channel state (fail-stop recovery: this process comes
-        back with fresh sequence numbers under a new incarnation)."""
-        self._send.clear()
-        self._inflight = 0
-        if self._sweep_timer is not None:
-            self._sweep_timer.cancel()
-            self._sweep_timer = None
-        self._recv.clear()
-        self._peer_incarnation.clear()
-        self._ack_pending.clear()
-        self._ack_due.clear()
-        self._gap_since.clear()
-        for _at, timer in self._ack_timers.values():
-            timer.cancel()
-        self._ack_timers.clear()
 
     def _note_inflight(self) -> None:
         """A channel gained its first unacked segment.  If it is the only
@@ -341,9 +323,8 @@ class ReliableTransport:
             # Raw engine timer, not process.set_timer: acks are armed per
             # inbound burst, and the Timer-object/closure per arm shows up
             # in allocation-heavy runs.  Crash safety is preserved without
-            # the process-owned cancel — a fire after crash finds the
-            # process dead, and recovery's ``reset`` drops all pending
-            # state first.
+            # the process-owned cancel: a fire after the crash finds the
+            # process dead for good, so the ack it sends goes nowhere.
             self._ack_timers[peer] = (
                 wake,
                 self._process.env.scheduler.at_call(wake, self._delayed_ack, peer),

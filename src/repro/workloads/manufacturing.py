@@ -19,7 +19,6 @@ Model:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -51,8 +50,6 @@ class Recipe:
 
 class ManufacturingWorkload:
     """Drives cell status traffic, order dispatch and inventory updates."""
-
-    _order_ids = itertools.count(1)
 
     def __init__(
         self,
@@ -119,7 +116,7 @@ class ManufacturingWorkload:
         return {"order": payload["order"], "part": part, "status": "done"}
 
     def _dispatch_order(self, client) -> None:
-        order_id = next(self._order_ids)
+        order_id = next(self.env.ids["order"])
         part = self.rng.choice(PARTS)
         sent_at = self.env.now
         self.result.requests_sent += 1

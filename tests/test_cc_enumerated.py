@@ -7,11 +7,11 @@ run here through a fake port, with no scheduler, network or process.
 Each client is a model of ``CoordinatorCohortClient``: it numbers its
 calls from one counter the clients share, computes each write's ``lag``
 with the module's :func:`~repro.toolkit.coordinator_cohort.lag`, and
-receives replies and recovers through a real ``_CCDispatch`` on a fake
-process.  Every message sent waits in one bag, but those to ``m2``
-arrive at once, in a fixed order: ``m2`` is a cohort like ``m1`` but never
-the one a takeover makes coordinator, and its races multiply the states
-without adding a case.  The alphabet:
+receives replies through a real ``_CCDispatch`` on a fake process.
+Every message sent waits in one bag, but those to ``m2`` arrive at once,
+in a fixed order: ``m2`` is a cohort like ``m1`` but never the one a
+takeover makes coordinator, and its races multiply the states without
+adding a case.  The alphabet:
 
 * ``("issue", client)`` — the client's next call in its plan goes out: a
   write to the set, a read to its coordinator;
@@ -30,8 +30,9 @@ without adding a case.  The alphabet:
 * ``("install", member)`` — a survivor installs the view without the
   crashed coordinator (rank 1 coordinates it and takes over);
 * ``("recover", client)`` — the client process crashes and recovers: its
-  replies in flight are lost and it gives up every call the crash
-  stranded.
+  replies in flight are lost, and the new incarnation's client, on a new
+  process and dispatch, starts with no call; those the crash stranded
+  died with the old one.
 
 Each fault has a budget per run, and each scenario below has at most
 two writes and one read and two kinds of fault: a write and a read with
@@ -114,17 +115,13 @@ class Member(CohortCore):
 class Process:
     """What ``_CCDispatch`` asks of a process: handlers, which the world
     does without (it hands a reply to ``dispatch._on_reply`` itself, and a
-    world with fewer bound methods clones faster), and a recovery hook."""
+    world with fewer bound methods clones faster)."""
 
     def __init__(self, address: str) -> None:
         self.address = address
-        self.recover_listeners: List = []
 
     def on(self, kind, handler) -> None:
         pass
-
-    def add_recover_listener(self, fn) -> None:
-        self.recover_listeners.append(fn)
 
 
 class Rpc:
@@ -140,11 +137,14 @@ class Client:
         self.world = world
         self.name = name
         self.plan = list(plan)
-        self.process = Process(name)
-        self.dispatch = _CCDispatch(self.process, rpc=Rpc())
+        self.start()
         # A directory entry: the set, as of no view.
         self.members = MEMBERS
         self.view_seq = 0
+
+    def start(self) -> None:
+        """A new incarnation: its process and dispatch, and no call."""
+        self.dispatch = _CCDispatch(Process(self.name), rpc=Rpc())
         # id -> [payload, read, attempt, hedged]
         self.calls: Dict[int, list] = {}
 
@@ -203,10 +203,6 @@ class Client:
             waiting = self.world.waiting[self.name]
             if reply.request_id in waiting:
                 waiting.remove(reply.request_id)
-
-    def _give_up(self, request_id: int) -> None:
-        self.dispatch.outstanding.pop(request_id, None)
-        self.calls.pop(request_id, None)
 
 
 class World:
@@ -373,8 +369,7 @@ class Scenario:
             name = event[1]
             world.bag = [e for e in world.bag if MESSAGES[e][1] != name]
             world.waiting[name] = []
-            for listener in world.clients[name].process.recover_listeners:
-                listener()
+            world.clients[name].start()
         world.drain()
 
     def violations(self, world: World) -> List[str]:

@@ -90,7 +90,7 @@ def test_heartbeat_traffic_categorised():
 
 def test_oracle_detects_with_delay_and_no_traffic():
     env, procs = make_cluster(2)
-    detector = OracleDetector(env, owner="p0", detection_delay=0.25)
+    detector = OracleDetector(procs[0], detection_delay=0.25)
     suspects = []
     detector.add_listener(lambda a: suspects.append((a, env.now)))
     detector.watch("p1")
@@ -102,7 +102,7 @@ def test_oracle_detects_with_delay_and_no_traffic():
 
 def test_oracle_ignores_unwatched():
     env, procs = make_cluster(3)
-    detector = OracleDetector(env, owner="p0")
+    detector = OracleDetector(procs[0])
     suspects = []
     detector.add_listener(suspects.append)
     detector.watch("p1")
@@ -114,7 +114,7 @@ def test_oracle_ignores_unwatched():
 def test_oracle_detects_already_dead_peer_on_watch():
     env, procs = make_cluster(2)
     procs[1].crash()
-    detector = OracleDetector(env, owner="p0", detection_delay=0.1)
+    detector = OracleDetector(procs[0], detection_delay=0.1)
     suspects = []
     detector.add_listener(suspects.append)
     detector.watch("p1")
@@ -124,7 +124,7 @@ def test_oracle_detects_already_dead_peer_on_watch():
 
 def test_oracle_suppresses_report_if_owner_died():
     env, procs = make_cluster(2)
-    detector = OracleDetector(env, owner="p0", detection_delay=0.5)
+    detector = OracleDetector(procs[0], detection_delay=0.5)
     suspects = []
     detector.add_listener(suspects.append)
     detector.watch("p1")
@@ -132,6 +132,26 @@ def test_oracle_suppresses_report_if_owner_died():
     procs[0].crash()  # owner dies before the detection delay elapses
     env.run_for(2.0)
     assert suspects == []
+
+
+def test_a_dead_incarnations_oracle_never_reports():
+    """The detector holds the process it serves, not its address: the
+    successor alive at that address does not bring it back to life."""
+    env, procs = make_cluster(3)
+    detector = OracleDetector(procs[0], detection_delay=0.5)
+    suspects = []
+    detector.add_listener(suspects.append)
+    detector.watch("p1")
+    detector.watch("p2")
+    procs[1].crash()  # its report falls due after the owner is back
+    procs[0].crash()
+    successor = procs[0].recover()
+    env.run_for(1.0)
+    procs[2].crash()
+    env.run_for(1.0)
+    assert suspects == []
+    assert successor.alive and env.process("p0") is successor
+    assert env._crash_listeners == []  # the dead detector stopped listening
 
 
 # -- crash injector ---------------------------------------------------------------
@@ -145,7 +165,7 @@ def test_scripted_crash_and_recovery():
     env.run(until=1.5)
     assert not procs[0].alive
     env.run(until=2.5)
-    assert procs[0].alive
+    assert not procs[0].alive and env.process("p0").alive  # its successor
     assert [(r.action, r.time) for r in injector.records] == [
         ("crash", 1.0),
         ("recover", 2.0),
@@ -181,7 +201,7 @@ def test_poisson_with_recovery_brings_processes_back():
         recover_after=1.0,
     )
     env.run(until=30.0)
-    assert all(p.alive for p in procs)
+    assert all(env.process(p.address).alive for p in procs)
 
 
 def test_crash_fraction():

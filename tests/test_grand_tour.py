@@ -11,7 +11,9 @@ The test then checks every subsystem's invariants at once.
 from dataclasses import dataclass
 
 from repro.core import (
+    LargeGroupMember,
     LargeGroupParams,
+    TreecastParticipant,
     TreecastRoot,
     attach_treecast,
     build_large_group,
@@ -72,7 +74,11 @@ def test_grand_tour():
     old_manager = next(r for r in leaders if r.is_manager)
     old_manager.node.crash()
     env.run_for(10.0)
-    members[5].node.recover()
+    # the application rebuilds worker 5's layers on its successor, as at start
+    dead = members[5]
+    members[5] = LargeGroupMember(dead.node.recover(), "svc", contacts, params=params)
+    participants[5] = TreecastParticipant(members[5])
+    stores[5] = PartitionedStoreServer(members[5])
     members[5].join()
     env.run_for(15.0)
 
@@ -96,6 +102,7 @@ def test_grand_tour():
     live = [m for m in members if m.node.alive]
     assert all(m.is_member for m in live)
     assert members[5].is_member  # recovered and rejoined
+    assert members[5].node is env.process("svc-w-5") and not dead.node.alive
 
     # leader state matches reality at the new manager
     manager = next(r for r in leaders if r.is_manager and r.node.alive)

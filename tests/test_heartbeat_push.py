@@ -157,7 +157,7 @@ def test_the_protocol_needs_two_silent_intervals_and_a_round_trip():
 
 def test_the_oracle_ignores_the_departure_hook():
     env = Environment(seed=1, latency=FixedLatency(HOP))
-    detector = OracleDetector(env, owner="a")
+    detector = OracleDetector(Process(env, "a"))
     detector.watch("b")
     detector.forget("b")
     assert detector.watched() == {"b"}
@@ -193,7 +193,7 @@ def test_a_target_that_recovers_lost_its_table_and_is_asked_again():
     env.run_for(1.05)
     procs["t"].crash()
     env.run_for(0.1)
-    procs["t"].recover()
+    detectors["t"] = hb(procs["t"].recover())
     recovered_at = env.now
     assert detectors["t"]._subscribers == {}
     times = {name: heard(env, name, "t") for name in watchers}
@@ -563,19 +563,17 @@ class DetectorSpec(RuleBasedStateMachine):
 
     *bounded leak* — nobody says "alive" to a peer that has not asked
     within one lease, except once to each probe; and no probe is still
-    running after its window, nor after the prober recovers.
+    running after its window.  A recovered process is a new one: it gets a
+    new detector, which watches again what the old one watched.
     """
 
     def __init__(self):
         super().__init__()
         self.env = Environment(seed=1, latency=FixedLatency(HOP))
-        self.procs = {name: Process(self.env, name) for name in NAMES}
-        self.detectors = {
-            name: HeartbeatDetector(
-                proc, interval=SPEC_INTERVAL, suspect_after=SPEC_SUSPECT_AFTER
-            )
-            for name, proc in self.procs.items()
-        }
+        self.procs = {}
+        self.detectors = {}
+        for name in NAMES:
+            self._start(Process(self.env, name))
         self.watching_since = {}  # (watcher, peer) -> time
         self.down_since = {}  # name -> time of the crash it is still in
         self.up_since = {name: 0.0 for name in NAMES}
@@ -590,13 +588,20 @@ class DetectorSpec(RuleBasedStateMachine):
         self.suspicions = []
         self.checked = 0
         self.leaks = []
-        for name, detector in self.detectors.items():
-            detector.add_listener(
-                lambda peer, name=name: self._on_suspect(name, peer)
-            )
         self.env.network.add_tap(self._on_send, events=("send",))
         self.env.network.add_tap(self._on_deliver, events=("deliver",))
         self.env.network.add_tap(self._on_drop, events=("drop",))
+
+    def _start(self, proc):
+        """Attach a detector to ``proc``, a process or its successor."""
+        name = proc.address
+        self.procs[name] = proc
+        self.detectors[name] = HeartbeatDetector(
+            proc, interval=SPEC_INTERVAL, suspect_after=SPEC_SUSPECT_AFTER
+        )
+        self.detectors[name].add_listener(
+            lambda peer: self._on_suspect(name, peer)
+        )
 
     # -- observation ---------------------------------------------------------
 
@@ -739,10 +744,15 @@ class DetectorSpec(RuleBasedStateMachine):
     @rule(data=st.data())
     def recover(self, data):
         name = data.draw(st.sampled_from(sorted(self.down_since)))
-        self.procs[name].recover()
+        self._start(self.procs[name].recover())
         self.down_spans[name].append((self.down_since.pop(name), self.env.now))
         self.up_since[name] = self.env.now
-        assert not self.detectors[name]._probing
+        # The new incarnation's detector watches nothing; its owner
+        # watches again what the old one watched, as the group layer
+        # does on rejoining.
+        for pair in sorted(p for p in self.watching_since if p[0] == name):
+            del self.watching_since[pair]
+            self.watch(pair)
 
     @rule(link=st.sampled_from(PAIRS), count=st.integers(1, 8))
     def drop_next(self, link, count):
@@ -830,7 +840,7 @@ class DetectorSpec(RuleBasedStateMachine):
         now = self.env.now
         for watcher, detector in self.detectors.items():
             if watcher in self.down_since:
-                continue  # its probe timers died with it; recover() clears
+                continue  # its probe timers died with it
             for peer in detector._probing:
                 assert now - self.probed[watcher, peer] <= PROBE_WINDOW + SLACK, (
                     watcher, peer, now

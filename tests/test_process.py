@@ -122,7 +122,7 @@ def test_crashed_process_does_not_send():
 def test_crash_is_idempotent_and_notifies_once():
     env = Environment()
     crashes = []
-    env.on_crash(crashes.append)
+    env.add_crash_listener(crashes.append)
     a = Echoer(env, "a")
     a.crash()
     a.crash()
@@ -134,7 +134,7 @@ def test_recover_restores_delivery():
     a = Echoer(env, "a")
     b = Echoer(env, "b")
     b.crash()
-    b.recover()
+    b = b.recover()
     a.send("b", Note("back"))
     env.run()
     assert b.inbox == [("back", "a")]
@@ -148,7 +148,7 @@ def test_message_to_crashed_process_dropped_then_flows_after_recover():
     a.send("b", Note("while-down"))
     env.run()
     assert b.inbox == []
-    b.recover()
+    b = b.recover()
     a.send("b", Note("after"))
     env.run()
     assert [t for t, _ in b.inbox] == ["after"]
@@ -175,7 +175,53 @@ def test_timer_cancelled_by_crash_does_not_fire_after_recover():
     a = Echoer(env, "a")
     fired = []
     a.set_timer(2.0, lambda: fired.append("x"))
+    a.every(1.0, lambda: fired.append("tick"))
     a.crash()
+    assert a._timers == {}  # periodic ones too
     a.recover()
     env.run(until=5.0)
     assert fired == []
+
+
+def test_recover_returns_a_new_incarnation_and_the_old_one_stays_dead():
+    env = Environment(latency=FixedLatency(0.01))
+    a = Echoer(env, "a")
+    b = Echoer(env, "b")
+    b.crash()
+    successor = b.recover()
+    assert type(successor) is Echoer and successor is not b
+    assert successor.alive and not b.alive
+    assert (b.incarnation, successor.incarnation) == (0, 1)
+    assert env.process("b") is successor
+    assert env.live_addresses() == ["a", "b"]
+    a.send("b", Note("x"))
+    env.run()
+    assert b.inbox == [] and successor.inbox == [("x", "a")]
+
+
+def test_recover_while_the_address_is_alive_raises():
+    env = Environment()
+    a = Echoer(env, "a")
+    with pytest.raises(ValueError):
+        a.recover()
+    a.crash()
+    a.recover()
+    with pytest.raises(ValueError):
+        a.recover()  # its successor is alive
+    assert env.process("a").incarnation == 1
+
+
+def test_a_dead_process_arms_no_timer_and_sends_nothing():
+    env = Environment()
+    a = Echoer(env, "a")
+    Echoer(env, "b")
+    a.crash()
+    fired = []
+    one = a.set_timer(0.5, lambda: fired.append("once"))
+    tick = a.every(0.5, lambda: fired.append("tick"))
+    a.send("b", Note("x"))
+    a.multicast(["b"], Note("y"))
+    env.run(until=3.0)
+    assert fired == [] and one.cancelled and tick.cancelled
+    assert a._timers == {}
+    assert env.network.stats.messages == 0

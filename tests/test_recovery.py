@@ -35,10 +35,10 @@ def test_incarnation_bumps_on_each_recovery():
     p = Peer(env, "p")
     assert p.incarnation == 0
     p.crash()
-    p.recover()
+    p = p.recover()
     assert p.incarnation == 1
     p.crash()
-    p.recover()
+    p = p.recover()
     assert p.incarnation == 2
 
 
@@ -54,7 +54,7 @@ def test_fast_reboot_receiver_not_blackholed():
     env.run_for(1.0)
     assert b.inbox == [0, 1, 2, 3, 4]
     b.crash()
-    b.recover()  # fast: a never suspects anything
+    b = b.recover()  # fast: a never suspects anything
     a.transport.send("b", AppMsg(99))
     env.run_for(3.0)
     assert 99 in b.inbox
@@ -70,7 +70,7 @@ def test_fast_reboot_sender_not_treated_as_duplicates():
         a.transport.send("b", AppMsg(i))
     env.run_for(1.0)
     a.crash()
-    a.recover()
+    a = a.recover()
     a.transport.send("b", AppMsg(77))
     env.run_for(3.0)
     assert b.inbox == [0, 1, 2, 3, 77]
@@ -88,9 +88,9 @@ def test_unacked_payloads_survive_receiver_reboot():
     a.transport.send("b", AppMsg(2))  # vanishes at the dead endpoint
     a.transport.send("b", AppMsg(3))
     env.run_for(0.2)
-    b.recover()
+    successor = b.recover()
     env.run_for(5.0)
-    assert b.inbox == [1, 2, 3]
+    assert (b.inbox, successor.inbox) == ([1], [2, 3])
 
 
 def test_recovered_node_rejoins_flat_group():
@@ -99,10 +99,10 @@ def test_recovered_node_rejoins_flat_group():
     nodes[2].crash()
     env.run_for(5.0)
     assert members[0].view.size == 3
-    nodes[2].recover()
-    # old group state was wiped by the recovery hook
-    assert not nodes[2].runtime.has_group("g")
-    rejoined = nodes[2].runtime.join_group("g", contact="g-0")
+    node = nodes[2].recover()
+    # a fresh stack: the old group state died with the old incarnation
+    assert not node.runtime.has_group("g")
+    rejoined = node.runtime.join_group("g", contact="g-0")
     env.run_for(5.0)
     assert rejoined.is_member
     assert members[0].view.size == 4
@@ -123,8 +123,8 @@ def test_recovered_worker_rejoins_large_group():
     victim = members[3]
     victim.node.crash()
     env.run_for(5.0)
-    victim.node.recover()
-    # the endpoint reset itself on recovery; just join again
+    # the application rebuilds its endpoint on the successor, as at start
+    victim = LargeGroupMember(victim.node.recover(), "svc", contacts, params=params)
     assert victim.leaf_member is None
     victim.join()
     env.run_for(15.0)
@@ -167,7 +167,7 @@ def test_a_join_in_flight_at_a_crash_is_not_resent_after_recovery():
     env.run_for(0.5)
     joiner.crash()
     env.network.partitions.restore_all_links()
-    joiner.recover()
+    joiner = joiner.recover()
     assert len(sent) == 1
     env.run_for(10.0)
     assert len(sent) == 1
@@ -192,7 +192,7 @@ def test_a_join_after_recovery_asks_the_leader_once():
     env.run_for(0.5 * worker.assign_retry)
     worker.node.crash()
     env.network.partitions.restore_all_links()
-    worker.node.recover()
+    worker = LargeGroupMember(worker.node.recover(), "svc", contacts, params=params)
     worker.join()
     env.run_for(15.0)
     assert len(sent) == 2  # the lost one and the new incarnation's
@@ -205,7 +205,7 @@ def test_repeated_crash_recover_cycles():
     env = Environment(seed=7, latency=FixedLatency(0.002))
     a = Peer(env, "a")
     b = Peer(env, "b")
-    expected = []
+    expected, got = [], []
     n = 0
     for cycle in range(4):
         for _ in range(3):
@@ -214,6 +214,7 @@ def test_repeated_crash_recover_cycles():
             n += 1
         env.run_for(1.0)
         b.crash()
-        b.recover()
+        got += b.inbox
+        b = b.recover()
     env.run_for(5.0)
-    assert b.inbox == expected
+    assert got + b.inbox == expected

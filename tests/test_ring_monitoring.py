@@ -1,8 +1,8 @@
 """Constant per-member background traffic in a flat group (docs/comms.md):
 ring failure monitoring is complete, stability gossip is quiescent, a
 removed member is neither retransmitted to nor black-holed, suspicion
-fires at the deadline, and a recovered process gets its periodic timers
-back."""
+fires at the deadline, and a recovered process's fresh stack arms its
+own periodic timers."""
 
 from dataclasses import dataclass
 from itertools import combinations
@@ -276,7 +276,7 @@ def test_recovered_member_monitors_again():
     env.run_for(0.5)
     nodes[1].crash()
     env.run_for(3.0)
-    nodes[1].recover()
+    nodes[1] = nodes[1].recover()
     assert len(nodes[1]._timers) >= 2  # heartbeat tick, gossip tick
     rejoined = nodes[1].runtime.rejoin_group("g", contact="g-0")
     env.run_for(3.0)
@@ -299,7 +299,9 @@ def test_recovered_detector_measures_silence_from_recovery():
     env.run_for(1.0)
     a.crash()
     env.run_for(5.0)  # far longer than suspect_after, and b was up throughout
-    a.recover()
+    detector = hb(a.recover())  # the application re-attaches, as at start
+    detector.add_listener(suspicions.append)
+    detector.watch("b")
     env.run_for(3.0)
     assert suspicions == []
     b.crash()
@@ -319,7 +321,7 @@ def test_recovered_process_retransmits_over_a_lossy_link():
     env = Environment(seed=4, latency=FixedLatency(0.005), drop_probability=0.4)
     a, b = Peer(env, "a"), Peer(env, "b")
     a.crash()
-    a.recover()
+    a = a.recover()
     tags = [f"m{i}" for i in range(20)]
     for tag in tags:
         a.transport.send("b", App(tag))

@@ -86,17 +86,17 @@ def test_timeout_fires_when_server_dead():
 
 def test_a_call_a_crash_stranded_is_dropped_on_recovery():
     """The crash cancels the call's timer and no reply reaches a crashed
-    process; on recovery the call leaves the table, and its callbacks,
-    which belong to the old incarnation, never run."""
+    process; the recovered client starts with no calls, and the stranded
+    call's callbacks, which belong to the old incarnation, never run."""
     env, server, client = setup()
     client.ask("server", Add(1, 1), timeout=1.0)
     client.crash()
     env.run_for(0.5)
-    client.recover()
+    old, client = client, client.recover()
     assert not client.rpc._pending
     env.run_for(6.0)
-    assert client.replies == []
-    assert client.timeouts == 0
+    assert old.replies == [] and client.replies == []
+    assert old.timeouts == 0 and client.timeouts == 0
     client.ask("server", Add(2, 2), timeout=1.0)
     env.run_for(1.0)
     assert client.replies == [4]

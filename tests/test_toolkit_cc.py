@@ -241,13 +241,19 @@ def two_clients_with_equal_ids():
         executed.append((client, payload))
         return (client, payload)
 
-    env, nodes, members, servers, a = build(5, resiliency=3, handler=handler)
-    b_node = GroupNode(env, "client-b")
-    b = CoordinatorCohortClient(
-        b_node, "svc", contacts=("svc-0",), rpc=b_node.runtime.rpc
-    )
+    env, nodes, members, servers, first = build(5, resiliency=3, handler=handler)
+
+    def numbered_from_6(node):
+        # Each deployed process numbers from its own environment's
+        # counter: build the client while the run's stands at 6.
+        env.ids["cc"] = itertools.count(6)
+        return CoordinatorCohortClient(
+            node, "svc", contacts=("svc-0",), rpc=node.runtime.rpc
+        )
+
+    a = numbered_from_6(first.process)
+    b = numbered_from_6(GroupNode(env, "client-b"))
     for client in (a, b):
-        client._ids = itertools.count(6)
         client.request("warm-up", lambda r: None)  # learns the set
     env.run_for(1.0)
     executed.clear()
@@ -513,9 +519,10 @@ def test_a_retried_and_hedged_write_is_answered_from_its_result_while_newer_writ
 def test_a_client_that_recovers_gives_up_the_writes_its_crash_stranded():
     """The client crashes with a write in flight: the coordinator runs
     it, and the answer finds the client down.  The crash cancelled the
-    write's retry timer, so on recovery the client gives the write up.
-    It pins no floor then: the next writes name nothing older, and the
-    set holds only their window."""
+    write's retry timer, and the write dies with its incarnation: neither
+    callback runs, and the client the application rebuilds on the
+    successor starts with nothing outstanding.  It pins no floor then: the
+    next writes name nothing older, and the set holds only their window."""
     env, nodes, members, servers, client = build(3)
     client.request("warm-up", lambda r: None)
     env.run_for(1.0)
@@ -523,8 +530,12 @@ def test_a_client_that_recovers_gives_up_the_writes_its_crash_stranded():
     client.request("stranded", answers.append, on_failure=lambda: failures.append(1))
     client.process.crash()
     env.run_for(1.0)
-    client.process.recover()
-    assert failures == [1] and answers == []
+    node = client.process.recover()
+    client = CoordinatorCohortClient(
+        node, "svc", contacts=client.contacts, rpc=node.runtime.rpc
+    )
+    env.run_for(1.0)
+    assert failures == [] and answers == []
     assert not client._dispatch.outstanding
     lags = []
 

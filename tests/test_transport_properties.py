@@ -222,7 +222,7 @@ def test_property_bidirectional_loss_and_reboot(seed):
         b.transport.send("a", AppMsg(100 + i))
     env.run_for(10.0)
     b.crash()
-    b.recover()
+    b = b.recover()
     for i in range(8, 12):
         a.transport.send("b", AppMsg(i))
     env.run_for(30.0)

@@ -46,7 +46,6 @@ CALLBACK_REGISTRARS = {
     "add_tap",
     "on",
     "replace_handler",
-    "add_recover_listener",
     "add_delivery_listener",
     "add_listener",
     "partial",
