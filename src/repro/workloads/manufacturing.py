@@ -66,6 +66,7 @@ class ManufacturingWorkload:
             "factory", cells, resiliency=resiliency, fanout=fanout, seed=seed
         )
         self.env: Environment = self.cluster.env
+        self._order_ids = self.env.ids["order"]
         self.status_rate = status_rate
         self.order_rate = order_rate
         # Seed hygiene: all workload draws fork off the run's root RNG
@@ -116,7 +117,7 @@ class ManufacturingWorkload:
         return {"order": payload["order"], "part": part, "status": "done"}
 
     def _dispatch_order(self, client) -> None:
-        order_id = next(self.env.ids["order"])
+        order_id = next(self._order_ids)
         part = self.rng.choice(PARTS)
         sent_at = self.env.now
         self.result.requests_sent += 1

@@ -166,7 +166,8 @@ def test_the_wire_census_repeats_to_the_byte():
     """``--wire``'s census encodes every envelope of the sim reference
     run, so each run of the plan reads the bytes per category that the
     committed BENCH_wire.json records, whether it is the first or the
-    second in this process or runs in a fresh interpreter: a codec change
+    second in this process or runs in a fresh interpreter, and the two
+    runs in this process reach the same outcomes: a codec change
     that moves them fails here until ``make bench-wire`` is re-run.
     (Request ids are varints, numbered per run by the environment.)
     The file marks the UDP probe's counts, which follow host timing, as
@@ -182,10 +183,13 @@ def test_the_wire_census_repeats_to_the_byte():
         for category, entry in recorded["by_category"].items()
     }
     scenario = HierScenario(workers=report["scenario"]["workers"])
-    for _run in range(2):
-        results, census, rejects = _census_reference(scenario)
+    first = _census_reference(scenario)
+    second = _census_reference(scenario)
+    for results, census, rejects in (first, second):
         assert not rejects and results["counters"]["deliveries_checked"]
         assert census == by_category
+    # The scenario's outcomes repeat too, not only the bytes.
+    assert second == first
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO)])
     proc = subprocess.run(
