@@ -26,6 +26,8 @@ from repro.membership.service import GroupNode
 from repro.net.message import Address
 from repro.proc.process import Timer
 
+REPORT_RETRY = 0.5  # s a leaf's report waits on a leader contact, then asks the next
+
 
 @dataclass
 class SplitCmd:
@@ -53,7 +55,6 @@ class LargeGroupMember:
         service: str,
         leader_contacts: Tuple[Address, ...],
         assign_retry: float = 1.0,
-        report_retry: float = 0.5,
         params: Optional[LargeGroupParams] = None,
     ) -> None:
         if not leader_contacts:
@@ -62,7 +63,6 @@ class LargeGroupMember:
         self.service = service
         self.leader_contacts = tuple(leader_contacts)
         self.assign_retry = assign_retry
-        self.report_retry = report_retry
         self.params = params if params is not None else LargeGroupParams()
 
         self.leaf_id: Optional[str] = None
@@ -142,7 +142,7 @@ class LargeGroupMember:
         if self._joining or self.is_member:
             return
         self._joining = True
-        self._request_assignment(0)
+        self._request_assignment()
 
     def leaf_multicast(self, payload: Any, ordering: int = FIFO) -> None:
         """Multicast to this member's leaf subgroup (the common case: the
@@ -154,58 +154,35 @@ class LargeGroupMember:
 
     # ------------------------------------------------------------ join protocol
 
-    def _request_assignment(self, contact_index: int) -> None:
-        if not self._joining or not self.node.alive:
-            return
-        contacts = self.leader_contacts
-        contact = contacts[contact_index % len(contacts)]
-        self.node.runtime.rpc.call(
-            contact,
+    def _request_assignment(self) -> None:
+        """Walk the leader contacts for a leaf, again after ``assign_retry``."""
+        self.node.runtime.rpc.walk(
+            self.leader_contacts,
             JoinLarge(service=self.service, joiner=self.me),
-            on_reply=lambda value, sender: self._assignment_reply(
-                value, contact_index
+            self._assignment_reply,
+            self.assign_retry,
+            stale=lambda: not self._joining,
+            exhausted=lambda: self.node.set_timer(
+                self.assign_retry, self._request_assignment
             ),
-            timeout=self.assign_retry,
-            on_timeout=lambda: self._request_assignment(contact_index + 1),
         )
 
-    def _assignment_reply(self, value: Any, contact_index: int) -> None:
-        if not self._joining:
-            return
-        if value is None:
-            self._retry_join(contact_index + 1)
-            return
-        kind = value[0]
-        if kind == "redirect":
-            target = value[1]
-            if target in self.leader_contacts:
-                index = self.leader_contacts.index(target)
-            else:
-                self.leader_contacts = self.leader_contacts + (target,)
-                index = len(self.leader_contacts) - 1
-            self._request_assignment(index)
-        elif kind == "create":
-            _, leaf_id = value
-            self._install_leaf(
-                leaf_id,
-                self.node.runtime.create_group(leaf_id, [self.me]),
-            )
+    def _assignment_reply(self, value: Any, sender: Address) -> bool:
+        """Take a ``create`` or ``join`` reply; refuse anything else."""
+        kind = value[0] if self._joining and value else None
+        runtime = self.node.runtime
+        if kind == "create":
+            self._install_leaf(value[1], runtime.create_group(value[1], [self.me]))
         elif kind == "join":
             _, leaf_id, contacts = value
-            if self.node.runtime.has_group(leaf_id):
-                self.node.runtime.forget_group(leaf_id)
-            member = self.node.runtime.join_group(
+            if runtime.has_group(leaf_id):
+                runtime.forget_group(leaf_id)
+            member = runtime.join_group(
                 leaf_id, contact=contacts[0], retry=self.assign_retry
             )
             self._install_leaf(leaf_id, member, pending=True)
             self._watch_placement(leaf_id)
-        else:
-            self._retry_join(contact_index + 1)
-
-    def _retry_join(self, next_index: int) -> None:
-        self.node.set_timer(
-            self.assign_retry, lambda: self._request_assignment(next_index)
-        )
+        return kind in ("create", "join")
 
     def _watch_placement(self, group_name: str) -> None:
         """If placement in ``group_name`` stalls (contact died, leaf
@@ -227,7 +204,7 @@ class LargeGroupMember:
             return
         if self.node.runtime.has_group(group_name):
             self.node.runtime.forget_group(group_name)
-        self._request_assignment(0)
+        self._request_assignment()
 
     def _install_leaf(
         self, leaf_id: str, member: GroupMember, pending: bool = False
@@ -267,7 +244,9 @@ class LargeGroupMember:
         if self.is_leaf_coordinator:
             self._report_status()
 
-    def _report_status(self, attempt: int = 0) -> None:
+    def _report_status(self) -> None:
+        """Up to three rounds of the leader contacts; dropped once this
+        process stops coordinating the leaf or its view moves on."""
         if not self.is_leaf_coordinator or self.leaf_id is None:
             return
         view = self.leaf_member.view
@@ -279,32 +258,14 @@ class LargeGroupMember:
             contacts=view.members[: self.params.resiliency],
             delivery_rate=self._last_delivery_rate if load_driven else -1.0,
         )
-        contacts = self.leader_contacts
-        contact = contacts[attempt % len(contacts)]
-        reported_seq = view.seq
-
-        def on_reply(value, sender) -> None:
-            if value is None or value[0] == "redirect":
-                self._retry_report(attempt + 1, reported_seq)
-
-        self.node.runtime.rpc.call(
-            contact,
+        self.node.runtime.rpc.walk(
+            3 * self.leader_contacts,
             body,
-            on_reply=on_reply,
-            timeout=self.report_retry,
-            on_timeout=lambda: self._retry_report(attempt + 1, reported_seq),
+            lambda value, sender: value is not None,
+            REPORT_RETRY,
+            stale=lambda: (not self.is_leaf_coordinator
+                           or self.leaf_member.view.seq != view.seq),
         )
-
-    def _retry_report(self, attempt: int, reported_seq: int) -> None:
-        if (
-            self.is_leaf_coordinator
-            and self.leaf_member.view is not None
-            and self.leaf_member.view.seq == reported_seq
-            and attempt < 3 * len(self.leader_contacts)
-        ):
-            self.node.set_timer(
-                self.report_retry, lambda: self._report_status(attempt)
-            )
 
     # -------------------------------------------------------------- directives
 
@@ -407,7 +368,7 @@ class LargeGroupMember:
             self.leaf_member = None
             self.leaf_id = None
             self._joining = True
-            self._request_assignment(0)
+            self._request_assignment()
             return
         member = self.node.runtime.join_group(
             cmd.target_group, contact=contact, retry=self.assign_retry

@@ -22,7 +22,7 @@ replica, which resumes from the replicated state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.params import LargeGroupParams
 from repro.core.policy import Policy
@@ -36,6 +36,9 @@ from repro.core.views import (
 from repro.membership.events import TOTAL, ViewEvent
 from repro.membership.service import GroupNode
 from repro.net.message import Address
+from repro.proc.rpc import redirect
+
+PROBE_TIMEOUT = 0.5  # s the manager waits on a leaf contact, then asks the next
 
 
 def leader_group_name(service: str) -> str:
@@ -127,12 +130,10 @@ class LeaderReplica:
         service: str,
         leader_members: Tuple[Address, ...],
         params: LargeGroupParams,
-        probe_timeout: float = 0.5,
     ) -> None:
         self.node = node
         self.service = service
         self.params = params
-        self.probe_timeout = probe_timeout
         self.state = HierarchyState(service, params)
         self.policy = Policy(node.address, self.state, self)
         # Manager-side reorganisation telemetry, kept apart from
@@ -202,12 +203,12 @@ class LeaderReplica:
 
     def _serve_join(self, body: JoinLarge, sender: Address):
         if not self.is_manager:
-            return ("redirect", self.member.acting_coordinator())
+            return redirect(self.member.acting_coordinator())
         return self.policy.on_join(body.joiner, self.node.env.now)
 
     def _serve_report(self, body: ReportLeafStatus, sender: Address):
         if not self.is_manager:
-            return ("redirect", self.member.acting_coordinator())
+            return redirect(self.member.acting_coordinator())
         return self.policy.on_report(body)
 
     # ---------------------------------------------------------- the port
@@ -243,7 +244,7 @@ class LeaderReplica:
 
     def _direct(self, contacts: Tuple[Address, ...], body: Any) -> None:
         """RPC a directive to the first live leaf contact."""
-        self._walk(contacts, body, lambda value: True)
+        self.node.runtime.rpc.walk(contacts, body, lambda *_: True, PROBE_TIMEOUT)
 
     def _probe(self, leaf_id: str, contacts: List[Address]) -> None:
         """Ask the leaf's other recorded contacts for its status.  If none
@@ -251,7 +252,7 @@ class LeaderReplica:
         needs to know — paper §3.  The walk ends once the leaf is gone or
         this replica no longer manages."""
 
-        def answered(value) -> bool:
+        def answered(value, sender) -> bool:
             if value is not None:
                 size, members = value
                 self._propose(
@@ -263,40 +264,12 @@ class LeaderReplica:
             self._record("leaf-lost", leaf_id, leaf_id=leaf_id)
             self._propose(RemoveLeaf(leaf_id=leaf_id))
 
-        self._walk(
+        self.node.runtime.rpc.walk(
             contacts, LeafProbe(service=self.service, leaf_id=leaf_id), answered,
+            PROBE_TIMEOUT,
             stale=lambda: leaf_id not in self.state.leaves or not self.is_manager,
             exhausted=lost,
         )
-
-    def _walk(
-        self,
-        contacts: Sequence[Address],
-        body: Any,
-        answered: Callable[[Any], bool],
-        stale: Callable[[], bool] = lambda: False,
-        exhausted: Callable[[], None] = lambda: None,
-    ) -> None:
-        """RPC ``body`` to each contact in turn until ``answered`` takes a
-        reply: a timeout, or a reply it refuses, moves to the next, and
-        past the last ``exhausted`` runs.  ``stale`` is asked before every
-        attempt and ends the walk."""
-
-        def attempt(index: int) -> None:
-            if stale():
-                return
-            if index >= len(contacts):
-                exhausted()
-                return
-            self.node.runtime.rpc.call(
-                contacts[index],
-                body,
-                on_reply=lambda value, sender: answered(value) or attempt(index + 1),
-                timeout=self.probe_timeout,
-                on_timeout=lambda: attempt(index + 1),
-            )
-
-        attempt(0)
 
 
 def build_leader_group(

@@ -22,7 +22,7 @@ its first request straight to the set, with no ``GetMembers``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.leader import GetHierarchyInfo
 from repro.core.views import CohortSet, pack_tree, walk_key
@@ -83,7 +83,14 @@ class ServiceRouter:
             self._tree = None  # empty, or the leaf is not routable yet
         self._tree_waiters.append((key, on_ready))
         if len(self._tree_waiters) == 1:
-            self._ask_tree(self._leader_contacts, 0)
+            self.placement_lookups += 1
+            self._rpc.walk(
+                3 * self._leader_contacts,
+                GetHierarchyInfo(service=self.service),
+                self._answered,
+                self._timeout,
+                exhausted=self._tree_fetched,
+            )
 
     def place(self, key: str) -> Optional[str]:
         """The leaf id the tree this router holds names for ``key``, with
@@ -99,27 +106,13 @@ class ServiceRouter:
 
     # -- internals ----------------------------------------------------------------
 
-    def _ask_tree(self, contacts: Tuple[Address, ...], index: int) -> None:
-        if not contacts or index >= 3 * len(contacts):
-            self._tree_fetched()
-            return
-        self.placement_lookups += 1
-        contact = contacts[index % len(contacts)]
-
-        def reply(value, sender) -> None:
-            if not isinstance(value, dict):
-                self._ask_tree(contacts, index + 1)
-                return
-            self._hold(value)
-            self._tree_fetched()
-
-        self._rpc.call(
-            contact,
-            GetHierarchyInfo(service=self.service),
-            on_reply=reply,
-            timeout=self._timeout,
-            on_timeout=lambda: self._ask_tree(contacts, index + 1),
-        )
+    def _answered(self, value: Any, sender: Address) -> bool:
+        """A directory ends the fetch; anything else is refused."""
+        if not isinstance(value, dict):
+            return False
+        self._hold(value)
+        self._tree_fetched()
+        return True
 
     def _hold(self, directory: Dict) -> None:
         """Take a ``GetHierarchyInfo`` reply

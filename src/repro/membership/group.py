@@ -67,7 +67,7 @@ from repro.membership.flush import NotMemberError, ViewCore
 from repro.membership.view import GroupView
 from repro.net.message import Address
 from repro.proc.process import Process
-from repro.proc.rpc import Rpc, RpcError
+from repro.proc.rpc import Rpc, RpcError, redirect
 from repro.transport.reliable import ReliableTransport
 
 DeliveryListener = Callable[[DeliveryEvent], None]
@@ -113,12 +113,12 @@ class GroupMember(ViewCore):
             self._pending_leaves.add(self.me)
             self._maybe_start_view_change()
         else:
-            self.runtime.rpc.call(
-                coordinator,
+            self.runtime.rpc.walk(
+                (coordinator,),
                 LeaveRequest(group=self.group, leaver=self.me),
-                on_reply=lambda value, sender: None,
-                timeout=2.0,
-                on_timeout=self._retry_leave,
+                lambda *_: True,
+                2.0,
+                exhausted=self._retry_leave,
             )
 
     def _retry_leave(self) -> None:
@@ -148,7 +148,7 @@ class GroupMember(ViewCore):
     def _start_join(self, contact: Address, retry: float) -> None:
         self.joining = True
         self._join_contact = contact
-        self._send_join(contact, retry)
+        self._send_join(retry)
 
     def _end_join(self) -> None:
         """Admitted, or given up on (``GroupRuntime.forget_group``): stop
@@ -159,36 +159,34 @@ class GroupMember(ViewCore):
             self._join_timer.cancel()
             self._join_timer = None
 
-    def _send_join(self, contact: Address, retry: float) -> None:
-        if not self.joining or not self.runtime.process.alive:
-            return
-        self.runtime.rpc.call(
-            contact,
+    def _send_join(self, retry: float) -> None:
+        self.runtime.rpc.walk(
+            (self._join_contact,),
             JoinRequest(group=self.group, joiner=self.me),
-            on_reply=lambda value, sender: self._join_reply(value, retry),
-            timeout=retry,
-            on_timeout=lambda: self._send_join(self._join_contact, retry),
+            lambda value, sender: self._join_reply(value, sender, retry),
+            retry,
+            stale=lambda: not self.joining,
+            exhausted=lambda: self._send_join(retry),
         )
 
-    def _join_reply(self, value: Any, retry: float) -> None:
+    def _join_reply(self, value: Any, sender: Address, retry: float) -> bool:
         if not self.joining:
-            return
-        if isinstance(value, tuple) and value and value[0] == "redirect":
-            self._join_contact = value[1]
-            self._send_join(self._join_contact, retry)
-        # "pending": NewView will arrive; the retry timer in _send_join's
-        # timeout path has been satisfied by this reply, so arm another
-        # guard in case the coordinator dies before installing us.
-        elif isinstance(value, tuple) and value and value[0] == "pending":
+            return True
+        self._join_contact = sender  # the contact, or its coordinator
+        # "pending": NewView will arrive; the walk has been satisfied by
+        # this reply, so arm another guard in case the coordinator dies
+        # before installing us.
+        if isinstance(value, tuple) and value and value[0] == "pending":
             self._join_timer = self.runtime.process.set_timer(
-                4 * retry, lambda: self._send_join(self._join_contact, retry)
+                4 * retry, lambda: self._send_join(retry)
             )
         elif value is None:
             # Contact answered but has no such group (yet) — e.g. a leaf
             # that is still being created.  Back off and retry.
             self._join_timer = self.runtime.process.set_timer(
-                retry, lambda: self._send_join(self._join_contact, retry)
+                retry, lambda: self._send_join(retry)
             )
+        return True
 
     # ---------------------------------------------------- stability plane
 
@@ -353,28 +351,24 @@ class GroupMember(ViewCore):
             if wanted != members[rank - 1]:  # the walk skipped a suspect
                 self.runtime.detector.probe(wanted)
 
-    def _handle_join_request(self, request: JoinRequest, sender: Address) -> Any:
+    def _handle_membership_request(self, request: Any) -> Any:
+        """A join or leave request: the acting coordinator queues it, and
+        any other member redirects the caller there."""
         if not self.is_member:
             raise RpcError(f"{self.me} not in group {request.group}")
         coordinator = self.acting_coordinator()
         if coordinator != self.me:
-            return ("redirect", coordinator)
+            return redirect(coordinator)
+        if isinstance(request, LeaveRequest):
+            if self.view.contains(request.leaver):
+                self._pending_leaves.add(request.leaver)
+                self._maybe_start_view_change()
+            return ("pending",)
         if self.view.contains(request.joiner):
             return ("member",)
         if request.joiner not in self._pending_joins:
             self._pending_joins.append(request.joiner)
         self._maybe_start_view_change()
-        return ("pending",)
-
-    def _handle_leave_request(self, request: LeaveRequest, sender: Address) -> Any:
-        if not self.is_member:
-            raise RpcError(f"{self.me} not in group {request.group}")
-        coordinator = self.acting_coordinator()
-        if coordinator != self.me:
-            return ("redirect", coordinator)
-        if self.view.contains(request.leaver):
-            self._pending_leaves.add(request.leaver)
-            self._maybe_start_view_change()
         return ("pending",)
 
     def _teardown_watches(self) -> None:
@@ -420,8 +414,8 @@ class GroupRuntime:
         process.on(FlushAbort, route)
         process.on(NewView, route)
         process.on(SuspectReport, route)
-        self.rpc.serve(JoinRequest, self._serve_join)
-        self.rpc.serve(LeaveRequest, self._serve_leave)
+        self.rpc.serve(JoinRequest, self._serve_membership)
+        self.rpc.serve(LeaveRequest, self._serve_membership)
         if gossip_interval is not None:
             process.every(gossip_interval, self._gossip_all)
             # Each round a member that delivered data reports it to the
@@ -503,17 +497,11 @@ class GroupRuntime:
         if member is not None:
             self._HANDLERS[payload.__class__](member, payload, sender)
 
-    def _serve_join(self, request: JoinRequest, sender: Address):
+    def _serve_membership(self, request: Any, sender: Address):
         member = self._groups.get(request.group)
         if member is None:
             raise RpcError(f"no such group here: {request.group}")
-        return member._handle_join_request(request, sender)
-
-    def _serve_leave(self, request: LeaveRequest, sender: Address):
-        member = self._groups.get(request.group)
-        if member is None:
-            raise RpcError(f"no such group here: {request.group}")
-        return member._handle_leave_request(request, sender)
+        return member._handle_membership_request(request)
 
     def _gossip_all(self) -> None:
         for member in self._groups.values():

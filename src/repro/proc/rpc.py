@@ -6,6 +6,10 @@ ids, per-call timeouts, and a serving side that maps request bodies to reply
 values.  Protocol layers use it for control-plane conversations (join
 requests, name lookups, state transfer).
 
+:meth:`Rpc.walk` is the stack's one "ask this member, or the next" loop
+(joins, leaves, leaf reports, tree fetches, directives, probes, 2PC), and
+:func:`redirect` its servers' one way to say "ask my coordinator".
+
 A correlation id is an integer from the run's ``"rpc"`` counter
 (``Environment.ids``), with no address prefix: it only has to be unique
 among its caller's calls, and a server answers each request as it
@@ -17,7 +21,7 @@ the dead process, and neither of its callbacks runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Type
 
 from repro.net.message import Address
 from repro.proc.process import Process, Timer
@@ -25,6 +29,11 @@ from repro.proc.process import Process, Timer
 ReplyFn = Callable[[Any, Address], None]
 TimeoutFn = Callable[[], None]
 ServeFn = Callable[[Any, Address], Any]
+
+
+def redirect(coordinator: Optional[Address]) -> Tuple[str, Optional[Address]]:
+    """A server's reply when it is not the coordinator: ask ``coordinator``."""
+    return ("redirect", coordinator)
 
 
 @dataclass
@@ -92,6 +101,44 @@ class Rpc:
             )
             self._pending[request_id] = (on_reply, timer)
         return request_id
+
+    def walk(
+        self,
+        contacts: Sequence[Address],
+        body: Any,
+        answered: Callable[[Any, Address], bool],
+        timeout: float,
+        stale: Callable[[], bool] = lambda: False,
+        exhausted: TimeoutFn = lambda: None,
+    ) -> None:
+        """Call each contact in turn until ``answered(value, sender)`` takes
+        a reply.  A timeout, or a reply it refuses, moves to the next at
+        once; a :func:`redirect` puts the member it names first among those
+        left, using up no place (one naming no one, or the replier, is a
+        refusal).  ``stale()``, asked before every attempt, ends the walk
+        silently; past the last contact ``exhausted()`` runs.
+
+        A chain of redirects ends: a server names its acting coordinator,
+        the lowest-ranked member of its view that it does not suspect, so
+        ranked below the replier; every view ranks members by seniority,
+        so each hop reaches a more senior member.
+        """
+        if stale() or not self._process.alive:
+            return
+        if not contacts:
+            return exhausted()
+        rest = tuple(contacts[1:])
+
+        def go_on(left: Tuple[Address, ...] = rest) -> None:
+            self.walk(left, body, answered, timeout, stale, exhausted)
+
+        def reply(value: Any, sender: Address) -> None:
+            if isinstance(value, tuple) and value[:1] == ("redirect",):
+                go_on(rest if value[1] in (None, sender) else value[1:] + rest)
+            elif not answered(value, sender):
+                go_on()
+
+        self.call(contacts[0], body, reply, timeout, go_on)
 
     def _expire(self, request_id: int, on_timeout: Optional[TimeoutFn]) -> None:
         if self._pending.pop(request_id, None) is not None and on_timeout:

@@ -19,7 +19,7 @@ from repro.membership.events import TOTAL, DeliveryEvent
 from repro.membership.group import GroupMember
 from repro.net.message import Address
 from repro.proc.process import Process
-from repro.proc.rpc import Rpc
+from repro.proc.rpc import Rpc, redirect
 
 
 @dataclass
@@ -78,7 +78,7 @@ class TransactionResource:
 
     def _serve_prepare(self, body: TxPrepare, sender: Address):
         if not self._is_group_coordinator():
-            return ("redirect", self.member.acting_coordinator())
+            return redirect(self.member.acting_coordinator())
         conflict = any(
             key in self.locked_keys or key in self._voting
             for key, _ in body.writes
@@ -101,7 +101,7 @@ class TransactionResource:
 
     def _serve_decision(self, body: TxDecision, sender: Address):
         if not self._is_group_coordinator():
-            return ("redirect", self.member.acting_coordinator())
+            return redirect(self.member.acting_coordinator())
         self.member.multicast(
             TxReplicatedOp(
                 resource=self.resource,
@@ -181,43 +181,36 @@ class TransactionCoordinator:
             self.log.append((txid, "commit" if commit else "abort"))
             remaining = [len(participants)]
 
-            def one_done(_value, _sender) -> None:
+            def one_done(*_reply) -> bool:
                 remaining[0] -= 1
                 if remaining[0] == 0:
                     on_done(commit)
+                return True
 
             for contact in participants:
-                self._call_with_redirect(
-                    contact,
+                self.rpc.walk(
+                    (contact,),
                     TxDecision(txid=txid, commit=commit),
                     one_done,
-                    on_timeout=lambda: one_done(None, None),
+                    self.timeout,
+                    exhausted=one_done,
                 )
 
-        def vote(contact: Address, value) -> None:
+        def vote(contact: Address, value) -> bool:
             votes[contact] = bool(value and value[0] == "yes")
             if any(v is False for v in votes.values()):
                 if all(v is not None for v in votes.values()):
                     decide_and_finish(False)
             elif all(v for v in votes.values()):
                 decide_and_finish(True)
+            return True
 
         for contact, writes in participants.items():
-            self._call_with_redirect(
-                contact,
+            self.rpc.walk(
+                (contact,),
                 TxPrepare(txid=txid, writes=tuple(writes)),
                 lambda value, sender, c=contact: vote(c, value),
-                on_timeout=lambda c=contact: vote(c, ("no",)),
+                self.timeout,
+                exhausted=lambda c=contact: vote(c, ("no",)),
             )
         return txid
-
-    def _call_with_redirect(self, contact, body, on_reply, on_timeout) -> None:
-        def reply(value, sender) -> None:
-            if value is not None and isinstance(value, tuple) and value[0] == "redirect":
-                self._call_with_redirect(value[1], body, on_reply, on_timeout)
-            else:
-                on_reply(value, sender)
-
-        self.rpc.call(
-            contact, body, on_reply=reply, timeout=self.timeout, on_timeout=on_timeout
-        )

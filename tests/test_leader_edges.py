@@ -4,6 +4,7 @@ membership corner cases."""
 from repro.core import (
     GetHierarchyInfo,
     JoinLarge,
+    LargeGroupMember,
     LargeGroupParams,
     ReportLeafStatus,
     build_large_group,
@@ -61,6 +62,59 @@ def test_non_manager_redirects_reports():
         ReportLeafStatus(service="svc", leaf_id="x", size=1, contacts=("probe",)),
     )
     assert replies and replies[0][0] == "redirect"
+
+
+def test_a_report_follows_the_redirect_to_the_manager():
+    """A leaf coordinator whose leader contacts list the manager last:
+    the first replica redirects its report to the manager, which gets it
+    on the second call, one round trip later."""
+    env = Environment(seed=1, latency=FixedLatency(0.002))
+    params = LargeGroupParams(resiliency=3, fanout=4)
+    leaders = build_leader_group(env, "svc", params)
+    contacts = tuple(r.node.address for r in leaders)
+    reports = []
+
+    def tap(_event, envelope):
+        if isinstance(getattr(envelope.payload, "body", None), ReportLeafStatus):
+            reports.append((env.now, envelope.dst))
+
+    env.network.add_tap(tap, events=("send",))
+    worker = LargeGroupMember(
+        GroupNode(env, "w"), "svc", contacts[::-1], params=params
+    )
+    worker.join()
+    env.run_for(2.0)
+    assert worker.is_leaf_coordinator
+    (first, _), (second, manager) = reports[:2]
+    assert manager == leaders[0].node.address and leaders[0].is_manager
+    assert second + 0.002 - first < 0.01
+    assert len(reports) == 2
+
+
+def test_a_join_redirected_to_its_replier_moves_on():
+    """A replica that suspects the manager before any view change names
+    itself as the coordinator it is not: the joiner takes that as a
+    refusal and asks the next contact, instead of asking it forever."""
+    env = Environment(seed=1, latency=FixedLatency(0.002))
+    params = LargeGroupParams(resiliency=3, fanout=4)
+    leaders = build_leader_group(env, "svc", params)
+    manager, replica, last = (r.node.address for r in leaders)
+    env.run_for(1.0)
+    leaders[1].member._suspects.add(manager)
+    asked = []
+    env.network.add_tap(
+        lambda _event, envelope: isinstance(
+            getattr(envelope.payload, "body", None), JoinLarge
+        ) and asked.append(envelope.dst),
+        events=("send",),
+    )
+    worker = LargeGroupMember(
+        GroupNode(env, "w"), "svc", (replica, last, manager), params=params
+    )
+    worker.join()
+    env.run_for(2.0)
+    assert asked == [replica, last, manager]
+    assert worker.is_member
 
 
 def test_stale_leaf_report_acknowledged_as_stale():

@@ -275,3 +275,18 @@ def test_late_old_view_data_is_held_after_the_flush_reply():
         assert m.view.members == ("g-0", "g-1", "g-3")
     assert logs["g-0"] == logs["g-1"] == logs["g-3"] == []
     sanitizer.check(at_quiescence=True)
+
+
+def test_a_redirected_leave_reaches_the_coordinator():
+    """The leaver takes ``g-1`` for the coordinator (it suspects ``g-0``);
+    ``g-1`` does not, and redirects the leave to ``g-0``, which must
+    carry it out."""
+    env, nodes, members, logs = make(4)
+    env.run_for(1.0)
+    members[3]._suspects.add("g-0")
+    assert members[3].acting_coordinator() == "g-1"
+    members[3].leave()
+    env.run_for(10.0)
+    for m in members[:3]:
+        assert m.view.members == ("g-0", "g-1", "g-2")
+    assert members[3].left

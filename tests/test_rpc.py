@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.net import FixedLatency
-from repro.proc import Environment, Process, Rpc, RpcError
+from repro.proc import Environment, Process, Rpc, RpcError, RpcRequest
+from repro.proc.rpc import redirect
 
 
 @dataclass
@@ -155,3 +156,71 @@ def test_two_clients_do_not_cross_replies():
     env.run()
     assert c1.replies == [1]
     assert c2.replies == [2]
+
+
+@dataclass
+class Ask:
+    pass
+
+
+class Replier(Process):
+    def __init__(self, env, address, reply):
+        super().__init__(env, address)
+        self.rpc = Rpc(self)
+        self.rpc.serve(Ask, lambda body, sender: reply)
+
+
+# (replies by address: a contact with none is not there and times out;
+#  contacts; "stale" / "dead" or None; who is asked, in order; who
+#  answered; how often ``exhausted`` ran)
+WALKS = [
+    pytest.param({"a": "no", "b": "no", "c": "no"}, "abc", None, "abc", "", 1,
+                 id="contacts-asked-in-order"),
+    pytest.param({"a": "no", "b": "yes", "c": "yes"}, "abc", None, "ab", "b", 0,
+                 id="a-refusal-moves-on"),
+    pytest.param({"b": "yes"}, "ab", None, "ab", "b", 0,
+                 id="a-timeout-moves-on"),
+    pytest.param({"a": redirect("c"), "b": "yes", "c": "no"}, "ab", None,
+                 "acb", "b", 0, id="a-redirect-asks-the-named-contact-next"),
+    pytest.param({"a": redirect(None), "b": "yes"}, "ab", None, "ab", "b", 0,
+                 id="a-redirect-naming-none-is-a-refusal"),
+    pytest.param({"a": redirect("a"), "b": "yes"}, "ab", None, "ab", "b", 0,
+                 id="a-redirect-naming-the-replier-is-a-refusal"),
+    pytest.param({"a": "yes"}, "a", "stale", "", "", 0,
+                 id="stale-ends-the-walk-before-an-attempt"),
+    pytest.param({"a": "no", "b": redirect("a")}, "ab", None, "aba", "", 1,
+                 id="exhausted-runs-once"),
+    pytest.param({"a": "yes"}, "a", "dead", "", "", 0,
+                 id="a-dead-process-walk-sends-nothing"),
+]
+
+
+@pytest.mark.parametrize("replies, contacts, mode, asked, taken, exhausted", WALKS)
+def test_walk(replies, contacts, mode, asked, taken, exhausted):
+    env = Environment(seed=1, latency=FixedLatency(0.01))
+    for address, reply in replies.items():
+        Replier(env, address, reply)
+    client = Client(env, "client")
+    sent, took, ran = [], [], []
+
+    def tap(_event, envelope):
+        if isinstance(envelope.payload, RpcRequest) and envelope.src == "client":
+            sent.append(envelope.dst)
+
+    def answered(value, sender):
+        if value == "yes":
+            took.append(sender)
+        return value == "yes"
+
+    env.network.add_tap(tap, events=("send",))
+    if mode == "dead":
+        client.crash()
+    client.rpc.walk(
+        tuple(contacts), Ask(), answered, 0.5,
+        stale=lambda: mode == "stale", exhausted=lambda: ran.append(env.now),
+    )
+    env.run_for(5.0)
+    assert "".join(sent) == asked
+    assert "".join(took) == taken
+    assert len(ran) == exhausted
+    assert not client.rpc._pending

@@ -27,8 +27,8 @@ from typing import Dict, Optional, Set, Tuple
 from tools.lint.flow.symbols import ClassInfo, FunctionInfo, Project, _dotted
 
 # Methods whose function-reference arguments are eventually invoked:
-# scheduler/timer entry points, network taps, process dispatch, and the
-# runtime's registration hooks.
+# scheduler/timer entry points, network taps, process dispatch, the
+# runtime's registration hooks, and RPC calls, walks and servers.
 CALLBACK_REGISTRARS = {
     "at",
     "after",
@@ -49,6 +49,9 @@ CALLBACK_REGISTRARS = {
     "add_delivery_listener",
     "add_listener",
     "partial",
+    "call",
+    "walk",
+    "serve",
 }
 
 
