@@ -118,10 +118,7 @@ class LargeGroupMember:
 
     @property
     def is_leaf_coordinator(self) -> bool:
-        return (
-            self.is_member
-            and self.leaf_member.acting_coordinator() == self.me
-        )
+        return self.leaf_member is not None and self.leaf_member.is_coordinator
 
     def add_delivery_listener(self, fn: Callable[[DeliveryEvent], None]) -> None:
         self._delivery_listeners.append(fn)
@@ -319,7 +316,7 @@ class LargeGroupMember:
     def _execute_split(self, cmd: SplitCmd) -> None:
         self.reorganisations += 1
         old_member = self.leaf_member
-        if old_member.acting_coordinator() == self.me:
+        if old_member.is_coordinator:
             self._trace_reorg(
                 "reorg-split-start",
                 leaf_id=self.leaf_id,
@@ -341,7 +338,7 @@ class LargeGroupMember:
             # fires, so also check directly.
             if not old_member.is_member:
                 self._form_new_leaf(cmd)
-        elif old_member.acting_coordinator() == self.me:
+        elif old_member.is_coordinator:
             old_member.request_removal(cmd.movers)
 
     def _form_new_leaf(self, cmd: SplitCmd) -> None:

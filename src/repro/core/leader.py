@@ -15,8 +15,9 @@ leaf reports, issues split/merge directives, watches leaf coordinators,
 and converts silence into total-failure handling, each as its
 :class:`~repro.core.policy.Policy` decides.  Any replica answers a
 router's ``GetHierarchyInfo`` from its copy of the leaves.  When the
-manager dies, the leader group's own view change promotes the next
-replica, which resumes from the replicated state.
+manager dies, the next replica manages from the moment it suspects it
+(the role is read, never cached) and resumes from the replicated state;
+the leader group's view change that follows removes the dead manager.
 """
 
 from __future__ import annotations
@@ -26,17 +27,10 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.params import LargeGroupParams
 from repro.core.policy import Policy
-from repro.core.views import (
-    AddLeaf,
-    HierarchyError,
-    HierarchyState,
-    RemoveLeaf,
-    UpdateLeaf,
-)
-from repro.membership.events import TOTAL, ViewEvent
+from repro.core.views import HierarchyState, RemoveLeaf, UpdateLeaf
+from repro.membership.events import TOTAL
 from repro.membership.service import GroupNode
 from repro.net.message import Address
-from repro.proc.rpc import redirect
 
 PROBE_TIMEOUT = 0.5  # s the manager waits on a leaf contact, then asks the next
 
@@ -120,9 +114,9 @@ class HOp:
 
 
 class LeaderReplica:
-    """One member of the resilient leader subgroup for one service: it
-    replicates the hierarchy and carries out what its
-    :class:`~repro.core.policy.Policy` decides, as that policy's port."""
+    """One member of the resilient leader subgroup for one service: the
+    port of its :class:`~repro.core.policy.Policy`, which applies the
+    replicated ops and makes every decision this replica carries out."""
 
     def __init__(
         self,
@@ -140,11 +134,6 @@ class LeaderReplica:
         # ``events`` so the protocol log stays stable for tests.
         self.reorg_log = self.policy.reorg_log
         self.events: List[Tuple[str, Any]] = []
-        # Structural version of the tree: bumps on every applied op that
-        # adds or removes a leaf (split, merge, total failure).  Routers
-        # hold the tree they place keys with as of one epoch (the
-        # ``GetHierarchyInfo`` reply carries the leaves and the epoch).
-        self.reorg_epoch = 0
         self._watched: Set[Address] = set()
 
         runtime = node.runtime
@@ -152,64 +141,31 @@ class LeaderReplica:
             leader_group_name(service), list(leader_members)
         )
         self.member.add_delivery_listener(self._on_delivery)
-        self.member.add_view_listener(self._on_leader_view)
-        runtime.rpc.serve(JoinLarge, self._serve_join)
-        runtime.rpc.serve(ReportLeafStatus, self._serve_report)
+        self.member.add_view_listener(lambda _event: self.policy.rewatch())
+        runtime.rpc.serve(
+            JoinLarge,
+            lambda body, sender: self.policy.on_join(body.joiner, node.env.now),
+        )
+        runtime.rpc.serve(
+            ReportLeafStatus, lambda body, sender: self.policy.on_report(body)
+        )
         runtime.rpc.serve(
             GetHierarchyInfo,
             lambda body, sender: directory_reply(self.state, self.reorg_epoch),
         )
         runtime.detector.add_listener(self.policy.on_suspect)
-        self._refresh_role()
 
     @property
     def is_manager(self) -> bool:
-        return self.policy.manager
+        return self.member.is_coordinator
 
-    # ------------------------------------------------------------------ role
-
-    def _on_leader_view(self, event: ViewEvent) -> None:
-        self._refresh_role()
-
-    def _refresh_role(self) -> None:
-        was_manager = self.is_manager
-        self.policy.manager = (
-            self.member.is_member
-            and self.member.acting_coordinator() == self.node.address
-        )
-        if self.is_manager and not was_manager:
-            self.events.append(("manager", self.node.address))
-            self.policy.rewatch()
-
-    # ------------------------------------------------------------------ inputs
+    @property
+    def reorg_epoch(self) -> int:
+        return self.policy.reorg_epoch
 
     def _on_delivery(self, event) -> None:
-        payload = event.payload
-        if not isinstance(payload, HOp):
-            return
-        op = payload.op
-        before = self.state.leaves.get(op.leaf_id)
-        try:
-            self.state.apply(op)
-        except HierarchyError:
-            # Deterministic skip: every replica sees the same op sequence,
-            # so every replica skips the same stale/duplicate ops.
-            self.events.append(("op-skipped", op))
-            return
-        self.events.append(("op", op))
-        if isinstance(op, (AddLeaf, RemoveLeaf)):
-            self.reorg_epoch += 1
-        self.policy.on_op(op, before, self.node.env.now)
-
-    def _serve_join(self, body: JoinLarge, sender: Address):
-        if not self.is_manager:
-            return redirect(self.member.acting_coordinator())
-        return self.policy.on_join(body.joiner, self.node.env.now)
-
-    def _serve_report(self, body: ReportLeafStatus, sender: Address):
-        if not self.is_manager:
-            return redirect(self.member.acting_coordinator())
-        return self.policy.on_report(body)
+        if isinstance(event.payload, HOp):
+            self.policy.on_op(event.payload.op, self.node.env.now)
 
     # ---------------------------------------------------------- the port
 
@@ -218,9 +174,10 @@ class LeaderReplica:
         self.member.multicast(HOp(group=self.member.group, op=op), TOTAL)
 
     def _record(self, name: str, *logged: Any, **span: Any) -> None:
-        """A manager decision: ``(name, *logged)`` joins the protocol log
-        when anything is logged, and it is a local trace span (no-op when
-        tracing is off; the guarded hook contract of repro.trace.api)."""
+        """An applied or skipped op, or a manager decision: ``(name,
+        *logged)`` joins the protocol log when anything is logged, and it
+        is a local trace span (no-op when tracing is off; the guarded hook
+        contract of repro.trace.api)."""
         if logged:
             self.events.append((name, *logged))
         trace = self.node.env.network.trace

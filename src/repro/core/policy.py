@@ -4,21 +4,23 @@ The group leader "is responsible for splitting subgroups which have
 grown too large, and merging subgroups which are too small" (§3).
 :class:`Policy` makes every such decision for one leader replica: the
 leaf a joiner goes to, when a leaf splits or merges and into what, and
-which leaf to probe when a coordinator is suspected.  It reads the
-replicated :class:`~repro.core.views.HierarchyState` and seven marks only
-the manager holds, and performs nothing itself.  Its port —
-:class:`~repro.core.leader.LeaderReplica` in a process, a recording fake
-in ``tests/test_policy.py`` — supplies ``_propose`` (abcast an op in the
-leader group), ``_direct`` (RPC a directive to a leaf's contacts),
-``_probe`` (ask a leaf's other contacts whether it lives),
+which leaf to probe when a coordinator is suspected.  It applies the
+replicated ops to a :class:`~repro.core.views.HierarchyState`, reads
+seven marks only the manager holds, and performs nothing itself.  Its
+port — :class:`~repro.core.leader.LeaderReplica` in a process, fakes in
+``tests/`` — supplies ``is_manager`` (the role), ``member`` (the leader
+group's :class:`~repro.membership.flush.ViewCore`), ``_propose`` (abcast
+an op in the leader group), ``_direct`` (RPC a directive to a leaf's
+contacts), ``_probe`` (ask a leaf's other contacts whether it lives),
 ``_rewatch`` (watch exactly these coordinators), ``_arm_fill_tick``
 (call :meth:`Policy.on_fill_tick` after a delay) and ``_record`` (an
-event for the protocol log and a trace span).
+op or a decision for the protocol log, and a trace span).
 
-Its inputs are an applied op, a join, a leaf's report, the fill tick
-and a suspicion.  Every replica feeds it every op, so a replica's marks
-follow the leaves it holds; only the manager (``manager``) routes,
-directs and probes.
+Its inputs are a delivered op, a join, a leaf's report, the fill tick,
+a suspicion and a leader view change.  Every replica takes every op, so
+its marks follow the leaves it holds; only the manager, the leader
+group's acting coordinator (``ViewCore.is_coordinator``, read where it
+is used), routes, directs, probes and watches.
 """
 
 from __future__ import annotations
@@ -26,8 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.views import AddLeaf, HierarchyState, LeafInfo, RemoveLeaf, UpdateLeaf
+from repro.core.views import (
+    AddLeaf,
+    HierarchyError,
+    HierarchyState,
+    LeafInfo,
+    RemoveLeaf,
+    UpdateLeaf,
+)
 from repro.net.message import Address
+from repro.proc.rpc import redirect
 
 # A leaf born for joiners that no joiner has been sent to for this long
 # (logical s) has stopped growing: below leaf_min, the size rail merges it.
@@ -64,7 +74,9 @@ class Policy:
         self.state = state
         self.params = state.params
         self.port = port
-        self.manager = False
+        # The tree's version: +1 per applied AddLeaf or RemoveLeaf.  A
+        # router places keys on the tree of one epoch (directory_reply).
+        self.reorg_epoch = 0
         # Reorganisation telemetry: directive times and the
         # routing-disruption window each split caused.
         self.reorg_log: List[Dict[str, Any]] = []
@@ -93,10 +105,19 @@ class Policy:
 
     # -- inputs ---------------------------------------------------------------
 
-    def on_op(self, op: Any, before: Optional[LeafInfo], now: float) -> None:
-        """``op`` was applied to the state; ``before`` is its leaf as it
-        was (None if new)."""
+    def on_op(self, op: Any, now: float) -> None:
+        """The leader group delivered ``op``: apply it, or skip it as every
+        replica does, since all see one op sequence."""
         leaf_id = op.leaf_id
+        before = self.state.leaves.get(leaf_id)
+        try:
+            self.state.apply(op)
+        except HierarchyError:
+            self.port._record("op-skipped", op)
+            return
+        self.port._record("op", op)
+        if isinstance(op, (AddLeaf, RemoveLeaf)):
+            self.reorg_epoch += 1
         if isinstance(op, RemoveLeaf):
             # Leaf ids are never reused: a removed leaf's marks go with it.
             for name in self.MARKS:
@@ -134,13 +155,16 @@ class Policy:
                 self.port._record(
                     "reorg-routing-converged", leaf_id=leaf_id, window=now - started
                 )
-        if self.manager:
+        if self.port.is_manager:
             self.rewatch()
             self._check(now)
 
     def on_join(self, joiner: Address, now: float) -> Tuple:
         """The reply to a ``JoinLarge``: ``("join", leaf, contacts)``, or
-        ``("create", leaf)`` when the joiner is to open a fresh leaf."""
+        ``("create", leaf)`` when the joiner is to open a fresh leaf, or a
+        redirect from a replica that does not manage."""
+        if not self.port.is_manager:
+            return self.redirect_to_manager()
         target = self._pick_leaf_for_join()
         if target is None:
             leaf_id = self._new_leaf_id()
@@ -157,7 +181,10 @@ class Policy:
         return ("join", leaf_id, contacts)
 
     def on_report(self, body: Any) -> Tuple:
-        """A leaf coordinator's ``ReportLeafStatus``: the op it becomes."""
+        """A leaf coordinator's ``ReportLeafStatus``: the op it becomes,
+        or a redirect from a replica that does not manage."""
+        if not self.port.is_manager:
+            return self.redirect_to_manager()
         leaf_id = body.leaf_id
         contacts = tuple(body.contacts)
         if leaf_id in self.state.leaves:
@@ -183,29 +210,41 @@ class Policy:
         ]
         for leaf_id in stopped:
             del self._filling[leaf_id]
-        if stopped and self.manager:
+        if stopped and self.port.is_manager:
             self._check(now)
         self._fill_armed = bool(self._filling)
         if self._fill_armed:
             self.port._arm_fill_tick(FILL_GRACE / 2)
 
     def on_suspect(self, address: Address) -> None:
-        """A watched coordinator is suspected.  It may be just one
-        casualty: probe the leaf's other recorded contacts."""
+        """A suspicion.  If it was of the manager, this replica may manage
+        now, so the watches follow the role.  If it was of a watched
+        coordinator, that may be just one casualty: probe the leaf's other
+        recorded contacts."""
+        self.rewatch()
         leaf_id = self._coordinator_of.get(address)
-        if self.manager and leaf_id in self.state.leaves:
+        if leaf_id in self.state.leaves:
             contacts = self.state.leaves[leaf_id].contacts
             self.port._probe(leaf_id, [c for c in contacts if c != address])
 
     def rewatch(self) -> None:
-        """Watch every leaf's coordinator (the manager's total-failure
-        watch)."""
+        """Watch every leaf's coordinator while this replica manages (the
+        manager's total-failure watch), and nothing otherwise.  Called
+        after every op the manager applies, every suspicion and every
+        leader view event: an excluded replica lets its watches go."""
         self._coordinator_of = {
             leaf.coordinator: leaf.leaf_id
             for leaf in self.state.leaves.values()
             if leaf.coordinator is not None
-        }
+        } if self.port.is_manager else {}
         self.port._rewatch(self._coordinator_of)
+
+    def redirect_to_manager(self) -> Tuple:
+        """The answer of a replica that does not manage: ask the acting
+        coordinator of its view, never itself; out of the leader group
+        (excluded), it names no one."""
+        member = self.port.member
+        return redirect(member.acting_coordinator() if member.is_member else None)
 
     # -- join placement -------------------------------------------------------
 

@@ -34,7 +34,7 @@ from repro.core.views import HierarchyState, ROOT_BRANCH
 from repro.membership.events import FIFO
 from repro.net.message import Address
 from repro.proc.process import Process
-from repro.proc.rpc import RpcError, redirect
+from repro.proc.rpc import RpcError
 
 
 # -- tree spec ---------------------------------------------------------------------
@@ -411,7 +411,7 @@ class TreecastRoot(_StageHost):
 
     def _serve_request(self, body: TreeBroadcastRequest, sender: Address):
         if not self.replica.is_manager:
-            return redirect(self.replica.member.acting_coordinator())
+            return self.replica.policy.redirect_to_manager()
         bid = self.broadcast(body.payload, atomic=body.atomic)
         if bid is None:
             raise RpcError("hierarchy is empty")

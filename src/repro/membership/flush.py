@@ -170,6 +170,12 @@ class ViewCore:
                 return member
         return None
 
+    @property
+    def is_coordinator(self) -> bool:
+        """In its view and its own acting coordinator: every coordinator's
+        rule, which moves with a suspicion, before any view change."""
+        return self.is_member and self.acting_coordinator() == self.me
+
     def multicast(self, payload: Any, ordering: int = FIFO) -> None:
         """Multicast ``payload`` to the group with the given ordering.
 
@@ -322,9 +328,7 @@ class ViewCore:
         return 2 * len(survivors) > self.view.size
 
     def _maybe_start_view_change(self) -> None:
-        if self._flush is not None or not self.is_member:
-            return
-        if self.acting_coordinator() != self.me:
+        if self._flush is not None or not self.is_coordinator:
             return
         view = self.view
         removes = [

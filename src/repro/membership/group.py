@@ -356,9 +356,8 @@ class GroupMember(ViewCore):
         any other member redirects the caller there."""
         if not self.is_member:
             raise RpcError(f"{self.me} not in group {request.group}")
-        coordinator = self.acting_coordinator()
-        if coordinator != self.me:
-            return redirect(coordinator)
+        if not self.is_coordinator:
+            return redirect(self.acting_coordinator())
         if isinstance(request, LeaveRequest):
             if self.view.contains(request.leaver):
                 self._pending_leaves.add(request.leaver)

@@ -464,7 +464,7 @@ class CoordinatorCohortServer(CohortCore):
         self.member.runtime.detector.probe(self.member.acting_coordinator())
 
     def _is_coordinator(self) -> bool:
-        return self.member.is_member and self.member.acting_coordinator() == self.me
+        return self.member.is_coordinator
 
 
 @dataclass

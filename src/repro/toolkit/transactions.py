@@ -74,10 +74,10 @@ class TransactionResource:
                 "one TransactionResource per process (shared RPC types)"
             )
 
-    # -- coordinator-facing RPCs (answered by the group's rank-0 member) --------------
+    # -- coordinator-facing RPCs (answered by the group's acting coordinator) ---------
 
     def _serve_prepare(self, body: TxPrepare, sender: Address):
-        if not self._is_group_coordinator():
+        if not self.member.is_coordinator:
             return redirect(self.member.acting_coordinator())
         conflict = any(
             key in self.locked_keys or key in self._voting
@@ -100,7 +100,7 @@ class TransactionResource:
         return ("yes",)
 
     def _serve_decision(self, body: TxDecision, sender: Address):
-        if not self._is_group_coordinator():
+        if not self.member.is_coordinator:
             return redirect(self.member.acting_coordinator())
         self.member.multicast(
             TxReplicatedOp(
@@ -111,12 +111,6 @@ class TransactionResource:
             TOTAL,
         )
         return ("ok",)
-
-    def _is_group_coordinator(self) -> bool:
-        return (
-            self.member.is_member
-            and self.member.acting_coordinator() == self.member.me
-        )
 
     # -- replicated application ---------------------------------------------------
 

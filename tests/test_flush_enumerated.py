@@ -109,16 +109,22 @@ def is_alphabet(src: str, payload, sequencer: str) -> bool:
 class World:
     """Cores, the FIFO channels between them, and who crashed."""
 
+    core = Core  # what each member runs
+
     def __init__(self, members: Sequence[str], joiners: Sequence[str] = ()) -> None:
         self.initial = tuple(members)
         self.channels: Dict[Tuple[str, str], List] = {}
         self.crashed: Set[str] = set()
         self.cores: Dict[str, Core] = {}
         for me in members:
-            self.cores[me] = Core(self, me, members)
+            self.cores[me] = self.core(self, me, members)
         for me in joiners:
-            self.cores[me] = Core(self, me, ())
+            self.cores[me] = self.core(self, me, ())
         self.suspicion_due = False
+
+    def ordered(self, src: str, payload) -> bool:
+        """Whether the enumeration orders this message's arrival."""
+        return is_alphabet(src, payload, self.initial[0])
 
     def post(self, src: str, dst: str, payload) -> None:
         if dst not in self.crashed:
@@ -138,7 +144,7 @@ class World:
         while moved:
             moved = False
             for (src, dst), queue in sorted(self.channels.items()):
-                if not is_alphabet(src, queue[0], self.initial[0]):
+                if not self.ordered(src, queue[0]):
                     self.deliver(src, dst)
                     moved = True
                     break

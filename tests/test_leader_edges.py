@@ -7,6 +7,10 @@ from repro.core import (
     LargeGroupMember,
     LargeGroupParams,
     ReportLeafStatus,
+    TreeBroadcastRequest,
+    TreecastRoot,
+    UpdateLeaf,
+    attach_treecast,
     build_large_group,
     build_leader_group,
 )
@@ -91,16 +95,30 @@ def test_a_report_follows_the_redirect_to_the_manager():
     assert len(reports) == 2
 
 
-def test_a_join_redirected_to_its_replier_moves_on():
-    """A replica that suspects the manager before any view change names
-    itself as the coordinator it is not: the joiner takes that as a
-    refusal and asks the next contact, instead of asking it forever."""
+def suspicion_window(n=0, with_treecast=False):
+    """A service whose ``svc-ldr-1`` suspects the manager ``svc-ldr-0``
+    with no view change: the window between a suspicion and the view that
+    removes the suspect, held open."""
     env = Environment(seed=1, latency=FixedLatency(0.002))
     params = LargeGroupParams(resiliency=3, fanout=4)
     leaders = build_leader_group(env, "svc", params)
-    manager, replica, last = (r.node.address for r in leaders)
-    env.run_for(1.0)
-    leaders[1].member._suspects.add(manager)
+    contacts = tuple(r.node.address for r in leaders)
+    members = build_large_group(env, "svc", n, params, contacts)
+    roots = [TreecastRoot(r) for r in leaders] if with_treecast else []
+    if with_treecast:
+        attach_treecast(members)
+    env.run_for(1.0 + 0.3 * n)
+    leaders[1].member._suspects.add(contacts[0])
+    return env, params, leaders, members, roots
+
+
+@pytest.mark.parametrize("contacts", [(1, 2, 0), (1,)], ids=["all", "successor"])
+def test_a_join_in_the_suspicion_window_is_placed_by_the_successor(contacts):
+    """A replica that suspects the manager is the leader group's acting
+    coordinator, so it manages: a joiner that asks it first is placed on
+    that call, with no ``assign_retry`` wait, even when it is the joiner's
+    only contact."""
+    env, params, leaders, _, _ = suspicion_window()
     asked = []
     env.network.add_tap(
         lambda _event, envelope: isinstance(
@@ -108,13 +126,67 @@ def test_a_join_redirected_to_its_replier_moves_on():
         ) and asked.append(envelope.dst),
         events=("send",),
     )
-    worker = LargeGroupMember(
-        GroupNode(env, "w"), "svc", (replica, last, manager), params=params
-    )
+    addresses = tuple(leaders[i].node.address for i in contacts)
+    worker = LargeGroupMember(GroupNode(env, "w"), "svc", addresses, params=params)
+    assert leaders[1].is_manager
     worker.join()
-    env.run_for(2.0)
-    assert asked == [replica, last, manager]
+    env.run_for(0.010)
+    assert asked == [leaders[1].node.address]
     assert worker.is_member
+
+
+def test_a_report_in_the_suspicion_window_is_applied():
+    """A leaf coordinator's report that reaches the manager's suspecting
+    successor is answered, not redirected back to its replier, and the
+    leader group applies it as an ``UpdateLeaf``."""
+    env, params, leaders, members, _ = suspicion_window(n=4)
+    successor = leaders[1]
+    (leaf,) = successor.state.leaves.values()
+    report = ReportLeafStatus(
+        service="svc", leaf_id=leaf.leaf_id, size=leaf.size, contacts=leaf.contacts
+    )
+    applied = len(successor.events)
+    replies = rpc_once(env, GroupNode(env, "probe"), successor.node.address, report)
+    assert replies == [("ok",)]
+    update = UpdateLeaf(leaf_id=leaf.leaf_id, size=leaf.size, contacts=leaf.contacts)
+    assert ("op", update) in successor.events[applied:]
+
+
+def test_a_treecast_request_in_the_suspicion_window_is_started():
+    """A ``TreeBroadcastRequest`` that reaches the manager's suspecting
+    successor is started there, not refused with a redirect to itself."""
+    env, params, leaders, members, roots = suspicion_window(n=4, with_treecast=True)
+    replies = rpc_once(
+        env, GroupNode(env, "probe"), leaders[1].node.address,
+        TreeBroadcastRequest(service="svc", payload="hello"),
+    )
+    assert replies and replies[0][0] == "started"
+    assert roots[1].completed and not roots[1].completed[0]["timed_out"]
+
+
+def leafwatches(replica):
+    """The leaf coordinators ``replica``'s process watches as a manager."""
+    tag = f"{replica.service}/leafwatch"
+    return sorted(
+        address for address, groups in replica.node.runtime._watch_refs.items()
+        if tag in groups
+    )
+
+
+def test_a_replica_excluded_from_the_leader_group_lets_its_leaf_watches_go():
+    """``svc-ldr-1`` falsely suspects the manager and installs a leader
+    view without it.  The excluded ``svc-ldr-0`` manages no more, so it
+    watches no leaf coordinator, and the successor watches all four."""
+    env, params, leaders, members = build_service(n=32)
+    manager, successor = leaders[0], leaders[1]
+    coordinators = sorted(l.coordinator for l in manager.state.leaves.values())
+    assert len(coordinators) == 4 and leafwatches(manager) == coordinators
+    for listener in successor.node.runtime.detector._listeners:
+        listener(manager.node.address)
+    env.run_for(3.0)
+    assert manager.member.excluded and not manager.is_manager
+    assert leafwatches(manager) == []
+    assert successor.is_manager and leafwatches(successor) == coordinators
 
 
 def test_stale_leaf_report_acknowledged_as_stale():
@@ -145,12 +217,11 @@ def test_hierarchy_info_served_by_any_replica():
     assert replies and list(replies[0]["leaves"]) == sorted(state.leaves)
 
 
-def test_leader_events_record_ops_and_manager():
+def test_leader_events_record_ops_and_decisions():
     env, params, leaders, members = build_service()
-    manager = leaders[0]
-    kinds = {e[0] for e in manager.events}
-    assert "manager" in kinds
-    assert "op" in kinds
+    kinds = {e[0] for e in leaders[0].events}
+    assert {"op", "leaf-created"} <= kinds
+    assert {e[0] for e in leaders[1].events} == {"op"}
 
 
 # -- runtime multi-group behaviour -----------------------------------------------------

@@ -55,7 +55,7 @@ from repro.core import (
     UpdateLeaf,
 )
 from repro.core.policy import FILL_GRACE
-from repro.core.views import HierarchyError, HierarchyState
+from repro.core.views import HierarchyState
 from tests.test_join_storm import PARAMS as STORM, manager_of, run_until_placed, storm
 from tests.test_reorg_load import run_scenario
 
@@ -82,9 +82,11 @@ class Report:
 
 
 class Recorder:
-    """A port that records every call, in order."""
+    """A port that records every call, in order.  Its replica manages
+    unless told otherwise."""
 
-    def __init__(self) -> None:
+    def __init__(self, is_manager: bool = True) -> None:
+        self.is_manager = is_manager
         self.calls: List[Tuple] = []
         self.tick_at: Optional[float] = None
         self.now = 0.0
@@ -117,7 +119,6 @@ class World(Recorder):
         self.params = params
         self.state = HierarchyState("svc", params)
         self.policy = Policy(ME, self.state, self)
-        self.policy.manager = True
         self.members: Dict[str, List[str]] = {}
         self.pending: Dict[str, List[str]] = {}
         self.queue: List = []
@@ -138,6 +139,11 @@ class World(Recorder):
     def _propose(self, op) -> None:
         super()._propose(op)
         self.queue.append(op)
+
+    def _record(self, name, *logged, **span) -> None:
+        super()._record(name, *logged, **span)
+        if name == "op":
+            self.applied(logged[0])
 
     def _direct(self, contacts, body) -> None:
         super()._direct(contacts, body)
@@ -228,14 +234,12 @@ class World(Recorder):
             names.pop(draw % len(names))
 
     def deliver(self, draw: int) -> None:
-        if not self.queue:
-            return
-        op = self.queue.pop(0)
-        before = self.state.leaves.get(op.leaf_id)
-        try:
-            self.state.apply(op)
-        except HierarchyError:
-            return
+        if self.queue:
+            self.policy.on_op(self.queue.pop(0), self.now)
+
+    def applied(self, op) -> None:
+        """The policy applied ``op``: the books follow it before the
+        policy's pass over the rails reads them."""
         leaf_id = op.leaf_id
         if isinstance(op, RemoveLeaf):
             self.in_flight.pop(leaf_id, None)
@@ -253,7 +257,6 @@ class World(Recorder):
                 or leaf.coordinator != split_at
             ):
                 del self.in_flight[leaf_id]
-        self.policy.on_op(op, before, self.now)
 
     def wait(self, draw: int) -> None:
         until = self.now + 0.25 * (1 + draw)
@@ -289,7 +292,8 @@ class World(Recorder):
             suspect = coordinators[draw % len(coordinators)]
             done = len(self.calls)
             self.policy.on_suspect(suspect)
-            for _, leaf_id, contacts in self.calls[done:]:
+            probes = [call[1:] for call in self.calls[done:] if call[0] == "probe"]
+            for leaf_id, contacts in probes:
                 assert self.state.leaves[leaf_id].coordinator == suspect
                 assert suspect not in contacts
 
@@ -340,12 +344,9 @@ def test_one_pass_names_each_leaf_in_one_directive():
     in flight."""
     recorder = Recorder()
     policy = Policy(ME, HierarchyState("svc", SIZE), recorder)
-    policy.manager = True
     for i in (1, 2):
-        op = AddLeaf(f"{ME}/{i}", size=1, contacts=(f"w{i}",))
-        policy.state.apply(op)
         recorder.calls = []
-        policy.on_op(op, None, 0.0)
+        policy.on_op(AddLeaf(f"{ME}/{i}", size=1, contacts=(f"w{i}",)), 0.0)
     named = named_by_directives(recorder)
     assert len(named) == len(set(named)), named
 
@@ -356,14 +357,10 @@ def test_a_leaf_whose_removal_is_in_flight_is_no_merge_target():
     the other leaf, shrunk below ``leaf_min`` since, into it."""
     recorder = Recorder()
     policy = Policy(ME, HierarchyState("svc", SIZE), recorder)
-    policy.manager = True
     ops = (AddLeaf, f"{ME}/1", 1), (AddLeaf, f"{ME}/2", 4), (UpdateLeaf, f"{ME}/2", 1)
     for kind, leaf_id, size in ops:
-        op = kind(leaf_id, size=size, contacts=(f"w-{leaf_id}",))
-        before = policy.state.leaves.get(leaf_id)
-        policy.state.apply(op)
         recorder.calls = []
-        policy.on_op(op, before, 0.0)
+        policy.on_op(kind(leaf_id, size=size, contacts=(f"w-{leaf_id}",)), 0.0)
         if size == 4:
             assert named_by_directives(recorder) == [f"{ME}/1", f"{ME}/2"]
             assert ("propose", RemoveLeaf(leaf_id=f"{ME}/1")) in recorder.calls
@@ -378,14 +375,11 @@ def test_a_merge_target_is_held_until_the_absorbed_leaf_is_removed():
     ``RemoveLeaf`` applies, ``/2`` is free again."""
     recorder = Recorder()
     policy = Policy(ME, HierarchyState("svc", SIZE), recorder)
-    policy.manager = True
     directed = []
     ops = [AddLeaf(f"{ME}/{i}", size=1, contacts=(f"w{i}",)) for i in (1, 2, 3)]
     for op in ops + [RemoveLeaf(f"{ME}/1")]:
-        before = policy.state.leaves.get(op.leaf_id)
-        policy.state.apply(op)
         recorder.calls = []
-        policy.on_op(op, before, 0.0)
+        policy.on_op(op, 0.0)
         directed.append(named_by_directives(recorder))
     assert directed == [[], [f"{ME}/1", f"{ME}/2"], [], [f"{ME}/2", f"{ME}/3"]]
 
@@ -418,6 +412,8 @@ class Tap:
 
     def __getattr__(self, name):
         method = getattr(self.port, name)
+        if not callable(method):
+            return method
 
         def call(*args, **kwargs):
             if name in ("_propose", "_direct"):
@@ -459,26 +455,21 @@ def _decisions_after(log: List, crash_at: float):
     """The live decisions after ``crash_at`` and a fresh policy's, input
     by input: a replica that followed the ops with no marks takes over
     as manager at the first input past the crash."""
-    recorder = Recorder()
+    recorder = Recorder(is_manager=False)
     fresh = Policy(ME, HierarchyState("svc", STORM), recorder)
     live: List = []
     replayed: List = []
     for entry in log:
         if entry[0] == "port":
-            if fresh.manager:
+            if recorder.is_manager:
                 live.append(entry[1:])
             continue
         _, name, args, now, counter = entry
-        if now >= crash_at and not fresh.manager:
-            fresh.manager = True
+        if now >= crash_at and not recorder.is_manager:
+            recorder.is_manager = True
             fresh._leaf_counter = counter
             fresh.rewatch()
-        if name == "on_op":
-            op = args[0]
-            before = fresh.state.leaves.get(op.leaf_id)
-            fresh.state.apply(op)
-            args = (op, before, now)
-        elif not fresh.manager:
+        if name != "on_op" and not recorder.is_manager:
             continue
         recorder.calls = []
         reply = getattr(fresh, name)(*args)
