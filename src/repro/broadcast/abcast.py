@@ -86,15 +86,22 @@ class TotalEngine(OrderingEngine):
     # -- every member ----------------------------------------------------------
 
     def on_receive(self, data: GroupData) -> List[GroupData]:
+        return [data] if self.admit(data) else []
+
+    def admit(self, data: GroupData) -> bool:
+        """:meth:`on_receive` for the delivery path, which needs no list:
+        stamped data arriving in position is delivered at once, alone,
+        and anything else is held (a relayed copy, or past a gap) or is a
+        duplicate — so whether ``data`` is deliverable now says it all."""
         global_seq = data.global_seq
         if global_seq == self._next_deliver:
             self._held.pop(data.message_id, None)
             self._history[global_seq] = data.message_id
             self._next_deliver = global_seq + 1
-            return [data]
+            return True
         if global_seq is not None:
             if global_seq < self._next_deliver:
-                return []  # a duplicate of data delivered past
+                return False  # a duplicate of data delivered past
             self._history.setdefault(global_seq, data.message_id)
         self._held.setdefault(data.message_id, data)
         trace = self._trace()
@@ -104,7 +111,7 @@ class TotalEngine(OrderingEngine):
                 group=self.view.group, sender=data.sender,
                 sender_seq=data.sender_seq,
             )
-        return []
+        return False
 
     def held(self) -> List[GroupData]:
         return list(self._held.values())
@@ -124,10 +131,10 @@ class TotalEngine(OrderingEngine):
     def forget_orders(self, through: int) -> None:
         """Drop assignments every member has delivered: no survivor of a
         view change can need them (``next_global_seq`` falls back to the
-        delivery frontier, which is above ``through`` everywhere)."""
-        history = self._history
-        for global_seq in [s for s in history if s <= through]:
-            del history[global_seq]
+        delivery frontier, which is above ``through`` everywhere).  The
+        table is rebuilt from what is kept, so one that a burst grew does
+        not stay that size once the burst is stable."""
+        self._history = {s: m for s, m in self._history.items() if s > through}
 
     @property
     def next_global_seq(self) -> int:

@@ -67,8 +67,9 @@ class LargeGroupMember:
 
         self.leaf_id: Optional[str] = None
         self.leaf_member: Optional[GroupMember] = None
-        self._delivery_listeners: List[Callable[[DeliveryEvent], None]] = []
-        self._view_listeners: List[Callable[[ViewEvent], None]] = []
+        # Copy-on-write tuples, as GroupMember keeps its own.
+        self._delivery_listeners: Tuple[Callable[[DeliveryEvent], None], ...] = ()
+        self._view_listeners: Tuple[Callable[[ViewEvent], None], ...] = ()
         self._leaf_change_listeners: List[Callable[[GroupMember], None]] = []
         self._joining = False
         self._moving = False  # split/merge transition in progress
@@ -121,10 +122,10 @@ class LargeGroupMember:
         return self.leaf_member is not None and self.leaf_member.is_coordinator
 
     def add_delivery_listener(self, fn: Callable[[DeliveryEvent], None]) -> None:
-        self._delivery_listeners.append(fn)
+        self._delivery_listeners += (fn,)
 
     def add_view_listener(self, fn: Callable[[ViewEvent], None]) -> None:
-        self._view_listeners.append(fn)
+        self._view_listeners += (fn,)
 
     def add_leaf_change_listener(self, fn: Callable[[GroupMember], None]) -> None:
         """``fn(new_leaf_member)`` whenever this process switches leaf
@@ -227,13 +228,13 @@ class LargeGroupMember:
             self._execute_merge(payload)
             return
         self._deliveries += 1
-        for listener in list(self._delivery_listeners):
+        for listener in self._delivery_listeners:
             listener(event)
 
     def _on_leaf_view(self, event: ViewEvent) -> None:
         if self._joining and event.view.contains(self.me):
             self._placed()
-        for listener in list(self._view_listeners):
+        for listener in self._view_listeners:
             listener(event)
         # "When a process fails, or leaves the large group, only the other
         # members of its leaf group need to be informed" — and the leaf's

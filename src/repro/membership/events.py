@@ -173,9 +173,14 @@ class ViewEvent:
     departed: Tuple[Address, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeliveryEvent:
-    """An application multicast delivered to the application layer."""
+    """An application multicast delivered to the application layer.
+
+    Built once per delivery at every member, so it is a plain slots
+    class: a frozen dataclass pays an ``object.__setattr__`` per field.
+    Listeners must treat it as read-only all the same.
+    """
 
     group: str
     view_seq: int

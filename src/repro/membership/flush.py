@@ -213,18 +213,15 @@ class ViewCore:
             # Relayed: the sequencer stamps it and sends it on, back to
             # this member too, which holds its own copy until then.
             self._send(view.coordinator, data)
-            engine.on_receive(data)
+            engine.admit(data)
             return
         others = view.others(self.me)
         if others:
             self._send_many(others, data)
-        if ordering in (FIFO, CAUSAL):
-            # ISIS delivers a process's own fbcast/cbcast locally at send.
+        # ISIS delivers a process's own fbcast/cbcast locally at send; the
+        # sequencer's stamp makes its own abcast deliverable now.
+        if ordering != TOTAL or engine.admit(data):
             self._deliver(data)
-        else:
-            # The sequencer's stamp makes its own abcast deliverable now.
-            for each in engine.on_receive(data):
-                self._deliver(each)
 
     def _on_data(self, data: GroupData, sender: Address) -> None:
         if self.left or self.excluded:
@@ -246,16 +243,19 @@ class ViewCore:
             return
         self._stability.record(data)
         engine = self._engines[data.ordering]
-        ready = engine.on_receive(data)
-        if data.global_seq is None and data.ordering == TOTAL:
+        if data.ordering != TOTAL:
+            for each in engine.on_receive(data):
+                self._deliver(each)
+            return
+        if data.global_seq is None:
             # Another member's abcast, relayed to this member, the
             # sequencer: a copy stamped with the next position goes to
             # every other member, the originator included.
-            stamped = engine.stamp(data)
-            self._send_many(view.others(self.me), stamped)
-            ready = engine.on_receive(stamped)
-        for each in ready:
-            self._deliver(each)
+            engine.admit(data)
+            data = engine.stamp(data)
+            self._send_many(view.others(self.me), data)
+        if engine.admit(data):
+            self._deliver(data)
 
     def _deliver(self, data: GroupData) -> None:
         delivered = self._delivered.get(data.view_seq)

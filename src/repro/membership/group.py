@@ -91,17 +91,20 @@ class GroupMember(ViewCore):
         self._join_contact: Optional[Address] = None
         self._join_timer = None
 
-        self._delivery_listeners: List[DeliveryListener] = []
-        self._view_listeners: List[ViewListener] = []
+        # Copy-on-write tuples: adding a listener builds a new tuple, so
+        # a pass over them sees the listeners of when it began without a
+        # copy per delivery.
+        self._delivery_listeners: Tuple[DeliveryListener, ...] = ()
+        self._view_listeners: Tuple[ViewListener, ...] = ()
         self.state_receiver: Optional[Callable[[Any], None]] = None
 
     # ------------------------------------------------------------------ public
 
     def add_delivery_listener(self, fn: DeliveryListener) -> None:
-        self._delivery_listeners.append(fn)
+        self._delivery_listeners += (fn,)
 
     def add_view_listener(self, fn: ViewListener) -> None:
-        self._view_listeners.append(fn)
+        self._view_listeners += (fn,)
 
     def leave(self) -> None:
         """Request a graceful departure via the acting coordinator."""
@@ -251,13 +254,9 @@ class GroupMember(ViewCore):
 
     def _emit(self, data: GroupData) -> None:
         event = DeliveryEvent(
-            group=self.group,
-            view_seq=data.view_seq,
-            sender=data.sender,
-            payload=data.payload,
-            ordering=data.ordering,
+            self.group, data.view_seq, data.sender, data.payload, data.ordering
         )
-        for listener in list(self._delivery_listeners):
+        for listener in self._delivery_listeners:
             listener(event)
 
     def _set_flush_timer(self, armed: bool) -> None:
@@ -315,7 +314,7 @@ class GroupMember(ViewCore):
         self._tell(ViewEvent(view=new_view, joined=(), departed=(self.me,)))
 
     def _tell(self, event: ViewEvent) -> None:
-        for listener in list(self._view_listeners):
+        for listener in self._view_listeners:
             listener(event)
 
     # --------------------------------------------------------- membership plane

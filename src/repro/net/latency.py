@@ -116,6 +116,10 @@ class LanLatency(LatencyModel):
         self.base = base
         self.per_byte = per_byte
         self.jitter = jitter
+        # random.uniform(lo, hi) is lo + (hi - lo) * random(): its two
+        # constants, taken once, so a draw is one frame and the same float.
+        self._low = 1.0 - jitter
+        self._span = (1.0 + jitter) - self._low
 
     def sample(
         self, rng: SimRandom, src: Address, dst: Address, size_bytes: int
@@ -123,4 +127,4 @@ class LanLatency(LatencyModel):
         nominal = self.base + self.per_byte * size_bytes
         if self.jitter == 0:
             return nominal
-        return nominal * rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
+        return nominal * (self._low + self._span * rng.random())

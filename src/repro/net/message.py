@@ -13,10 +13,11 @@ module).  Two optional attributes are respected network-wide:
     Defaults to :data:`DEFAULT_PAYLOAD_BYTES`.
 
 Both attributes are declared at *class* level — either as plain class
-attributes (``category = "heartbeat"``) or as properties for wrappers
-whose category depends on an inner payload (the transport's ``Segment``).
-The lookup is cached per payload class, so per-instance assignment of
-these names is not supported (and is used nowhere in the library).
+attributes (``category = "heartbeat"``) or as descriptors (a property,
+or a slot filled per instance, as the transport's ``Segment`` fills them
+from its inner payload).  The lookup is cached per payload class, so an
+instance-dict assignment of these names over a class constant is not
+supported (and is used nowhere in the library).
 """
 
 from __future__ import annotations

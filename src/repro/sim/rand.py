@@ -24,6 +24,9 @@ class SimRandom:
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._rng = random.Random(seed)
+        # The generator's own bound method: a draw is a C call with no
+        # Python frame (the network's jitter takes one per datagram).
+        self.random = self._rng.random
         self._fork_count = 0
 
     @property
@@ -48,9 +51,6 @@ class SimRandom:
 
     def expovariate(self, rate: float) -> float:
         return self._rng.expovariate(rate)
-
-    def random(self) -> float:
-        return self._rng.random()
 
     def randint(self, lo: int, hi: int) -> int:
         return self._rng.randint(lo, hi)

@@ -47,6 +47,8 @@ Performance notes (see docs/simulator.md, "Allocation discipline"):
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from typing import Any, Callable, Dict, List, Optional
 
 
@@ -141,7 +143,10 @@ class Scheduler:
         # Heap of (time, seq, event) tuples; (time, seq) is unique so the
         # event object is never compared.
         self._heap: List[tuple] = []
-        self._now = 0.0
+        # Current simulated time.  A plain attribute, not a property: the
+        # network and the transport read it per datagram.  Only the run
+        # loop moves it.
+        self.now = 0.0
         self._seq = 0
         self._events_processed = 0
         self._running = False
@@ -161,11 +166,6 @@ class Scheduler:
         self._fresh_events = 0
         self._fresh_lists = 0
         self._spare_list: list = []  # see _fire_ticks
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -211,9 +211,9 @@ class Scheduler:
 
     def at(self, time: float, fn: Callable[[], None]) -> _Event:
         """Schedule ``fn`` to run at absolute simulated time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at {time:.6f} < now {self._now:.6f}"
+                f"cannot schedule event at {time:.6f} < now {self.now:.6f}"
             )
         if self._bucket is not None and self._bucket_time == time:
             self._bucket = None  # seal: keep (time, seq) order exact
@@ -229,7 +229,7 @@ class Scheduler:
         """Schedule ``fn`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.at(self._now + delay, fn)
+        return self.at(self.now + delay, fn)
 
     def at_call(self, time: float, fn: Callable[[Any], None], arg: Any) -> _Event:
         """Fast path: schedule ``fn(arg)`` at ``time``.
@@ -238,9 +238,9 @@ class Scheduler:
         saves one closure allocation per event — the dominant allocation
         in message-heavy runs.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at {time:.6f} < now {self._now:.6f}"
+                f"cannot schedule event at {time:.6f} < now {self.now:.6f}"
             )
         if self._bucket is not None and self._bucket_time == time:
             self._bucket = None
@@ -256,7 +256,7 @@ class Scheduler:
         """Fast path: schedule ``fn(arg)`` to run ``delay`` from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.at_call(self._now + delay, fn, arg)
+        return self.at_call(self.now + delay, fn, arg)
 
     def at_call_once(self, time: float, fn: Callable[[Any], None], arg: Any) -> _Event:
         """Like :meth:`at_call`, but the event is drawn from the free
@@ -270,9 +270,9 @@ class Scheduler:
         process timers (:class:`repro.proc.process.Timer`) follow this
         discipline, which makes timer churn allocation-free.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at {time:.6f} < now {self._now:.6f}"
+                f"cannot schedule event at {time:.6f} < now {self.now:.6f}"
             )
         if self._bucket is not None and self._bucket_time == time:
             self._bucket = None
@@ -302,7 +302,7 @@ class Scheduler:
         :meth:`at_call_once` for the handle contract)."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.at_call_once(self._now + delay, fn, arg)
+        return self.at_call_once(self.now + delay, fn, arg)
 
     def at_call_grouped(
         self, time: float, fn: Callable[[list], None], arg: Any
@@ -330,9 +330,9 @@ class Scheduler:
             bucket.arg.append(arg)
             self._live += 1
             return
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at {time:.6f} < now {self._now:.6f}"
+                f"cannot schedule event at {time:.6f} < now {self.now:.6f}"
             )
         if time in self._ticks:
             del self._ticks[time]
@@ -389,7 +389,7 @@ class Scheduler:
             raise SimulationError("cannot rearm an event that is still queued")
         if handle.once:
             raise SimulationError("cannot rearm a recycled one-shot event")
-        time = self._now + delay
+        time = self.now + delay
         handle.time = time
         handle.cancelled = False
         handle.in_heap = True
@@ -436,40 +436,6 @@ class Scheduler:
 
     # -- running -------------------------------------------------------------
 
-    def _dispatch(self, time: float, event: _Event) -> int:
-        """Fire one popped heap entry; returns how many events it counted
-        as (a bucket counts each grouped call).  Shared by step() and the
-        bounded run loop; the unbounded loop inlines the same logic."""
-        arg = event.arg
-        if event.batch:
-            if event.fn is None:
-                return self._fire_ticks(time, event)
-            self._now = time
-            if self._bucket is event:
-                self._bucket = None
-            n = len(arg)
-            self._events_processed += n
-            self._live -= n
-            event.fn(arg)
-            arg.clear()
-            self._arg_pool.append(arg)
-            event.fn = None
-            event.arg = None
-            self._event_pool.append(event)
-            return n
-        self._now = time
-        self._events_processed += 1
-        self._live -= 1
-        if arg is _NO_ARG:
-            event.fn()
-        else:
-            event.fn(arg)
-        if event.once:
-            event.fn = None
-            event.arg = None
-            self._event_pool.append(event)
-        return 1
-
     def _fire_ticks(self, time: float, bucket: _Event) -> int:
         """Fire a tick bucket's handles in re-arm order; returns how many
         fired.  A handle cancelled while it waited is skipped and not
@@ -493,7 +459,7 @@ class Scheduler:
             handle.in_heap = False
             if handle.cancelled:
                 continue
-            self._now = time
+            self.now = time
             self._events_processed += 1
             self._live -= 1
             fired += 1
@@ -508,22 +474,9 @@ class Scheduler:
     def step(self) -> bool:
         """Fire the next event (an entire bucket counts as one step).
         Returns False when the queue is empty."""
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            entry = pop(heap)
-            event = entry[2]
-            event.in_heap = False
-            if event.cancelled:
-                self._cancelled_in_heap -= 1
-                if event.once:
-                    event.fn = None
-                    event.arg = None
-                    self._event_pool.append(event)
-                continue
-            if self._dispatch(entry[0], event):
-                return True
-        return False
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed != before
 
     def run(
         self,
@@ -539,70 +492,30 @@ class Scheduler:
         advance time monotonically even through quiet periods.
         ``max_events`` may overshoot by the tail of one bucket (a bucket
         fires atomically).
+
+        One loop serves every bound: the checks are a compare each, and
+        the firing is inlined, so no event pays a call frame of the
+        scheduler's own besides a tick bucket's.
         """
         if self._running:
             raise SimulationError("scheduler re-entered from within an event")
         self._running = True
+        bound = math.inf if until is None else until
+        stop_at = (
+            sys.maxsize if max_events is None else self._events_processed + max_events
+        )
         heap = self._heap
         pop = heapq.heappop
         no_arg = _NO_ARG
         event_pool = self._event_pool
         arg_pool = self._arg_pool
         try:
-            if until is None and max_events is None:
-                # Hot unbounded loop: no bound checks per iteration.
-                while heap:
-                    entry = pop(heap)
-                    event = entry[2]
-                    if event.cancelled:
-                        event.in_heap = False
-                        self._cancelled_in_heap -= 1
-                        if event.once:
-                            event.fn = None
-                            event.arg = None
-                            event_pool.append(event)
-                        continue
-                    event.in_heap = False
-                    arg = event.arg
-                    if event.batch:
-                        if event.fn is None:
-                            self._fire_ticks(entry[0], event)
-                            heap = self._heap
-                            continue
-                        self._now = entry[0]
-                        if self._bucket is event:
-                            self._bucket = None
-                        self._events_processed += len(arg)
-                        self._live -= len(arg)
-                        event.fn(arg)
-                        arg.clear()
-                        arg_pool.append(arg)
-                        event.fn = None
-                        event.arg = None
-                        event_pool.append(event)
-                    else:
-                        self._now = entry[0]
-                        self._events_processed += 1
-                        self._live -= 1
-                        if arg is no_arg:
-                            event.fn()
-                        else:
-                            event.fn(arg)
-                        if event.once:
-                            event.fn = None
-                            event.arg = None
-                            event_pool.append(event)
-                    # An event may cancel-and-compact, invalidating `heap`.
-                    heap = self._heap
-                return
-            fired = 0
             while heap:
-                if max_events is not None and fired >= max_events:
+                if self._events_processed >= stop_at:
                     return
-                entry = heap[0]
+                entry = pop(heap)
                 event = entry[2]
                 if event.cancelled:
-                    pop(heap)
                     event.in_heap = False
                     self._cancelled_in_heap -= 1
                     if event.once:
@@ -610,17 +523,47 @@ class Scheduler:
                         event.arg = None
                         event_pool.append(event)
                     continue
-                if until is not None and entry[0] > until:
+                time = entry[0]
+                if time > bound:
+                    heapq.heappush(heap, entry)
                     break
-                pop(heap)
                 event.in_heap = False
-                fired += self._dispatch(entry[0], event)
+                arg = event.arg
+                if event.batch:
+                    if event.fn is None:
+                        self._fire_ticks(time, event)
+                    else:
+                        self.now = time
+                        if self._bucket is event:
+                            self._bucket = None
+                        n = len(arg)
+                        self._events_processed += n
+                        self._live -= n
+                        event.fn(arg)
+                        arg.clear()
+                        arg_pool.append(arg)
+                        event.fn = None
+                        event.arg = None
+                        event_pool.append(event)
+                else:
+                    self.now = time
+                    self._events_processed += 1
+                    self._live -= 1
+                    if arg is no_arg:
+                        event.fn()
+                    else:
+                        event.fn(arg)
+                    if event.once:
+                        event.fn = None
+                        event.arg = None
+                        event_pool.append(event)
+                # An event may cancel-and-compact, invalidating `heap`.
                 heap = self._heap
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> None:
         """Run for ``duration`` simulated time units from now."""
-        self.run(until=self._now + duration, max_events=max_events)
+        self.run(until=self.now + duration, max_events=max_events)

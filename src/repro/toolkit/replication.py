@@ -10,7 +10,7 @@ receive a state snapshot through the membership layer's state transfer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.membership.events import TOTAL, DeliveryEvent
 from repro.membership.group import GroupMember
@@ -49,7 +49,8 @@ class ReplicatedStateMachine:
         self._snapshot_fn = snapshot_fn if snapshot_fn else lambda s: s
         self._restore_fn = restore_fn if restore_fn else lambda s: s
         self.commands_applied = 0
-        self._listeners: List[Callable[[Any, Any], None]] = []
+        # Copy-on-write, as the member's own delivery listeners.
+        self._listeners: Tuple[Callable[[Any, Any], None], ...] = ()
         member.add_delivery_listener(self._on_delivery)
         # State transfer for joiners (one machine per group may own the
         # transfer hooks; compose multiple machines with a dict if needed).
@@ -67,7 +68,7 @@ class ReplicatedStateMachine:
 
     def add_listener(self, fn: Callable[[Any, Any], None]) -> None:
         """``fn(command, result)`` after each applied command."""
-        self._listeners.append(fn)
+        self._listeners += (fn,)
 
     def _on_delivery(self, event: DeliveryEvent) -> None:
         payload = event.payload
@@ -75,7 +76,7 @@ class ReplicatedStateMachine:
             return
         result = self._apply_fn(self.state, payload.command)
         self.commands_applied += 1
-        for listener in list(self._listeners):
+        for listener in self._listeners:
             listener(payload.command, result)
 
     def _receive_state(self, snapshot: Any) -> None:

@@ -18,23 +18,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.net.message import payload_category, payload_size
+from repro.net.message import payload_meta
 
 
-@dataclass
-class Segment:
+class _SegmentMeta:
+    """The slots a :class:`Segment` fills from its payload when built.
+    Declared apart from its dataclass fields, so they never travel."""
+
+    __slots__ = ("category", "size_bytes")
+
+
+@dataclass(slots=True)
+class Segment(_SegmentMeta):
     """A reliably transmitted payload with a per-peer sequence number.
 
     Statistics transparency: a segment reports its *inner* payload's
     category and size, so protocol-level message accounting (flush
     messages, group data, ...) is unaffected by the transport wrapping.
+    Both are taken once, when the segment is built: the network reads
+    them on every send, where a property would cost a call each.
 
     A segment can additionally carry a piggybacked cumulative ack for
     the *reverse* channel (docs/comms.md) — ``ack_cum_seq``/``ack_epoch``
     mirror a standalone :class:`SegmentAck` and add its bytes to the
-    frame when present.
+    frame when present (:meth:`carry_ack`).
     """
 
     seq: int
@@ -44,20 +53,17 @@ class Segment:
     ack_cum_seq: Optional[int] = None
     ack_epoch: int = 0
 
-    @property
-    def category(self) -> str:
-        return payload_category(self.payload)
-
-    @property
-    def size_bytes(self) -> int:
-        size = payload_size(self.payload) + 16  # seq-number overhead
+    def __post_init__(self) -> None:
+        self.category, size = payload_meta(self.payload)
+        self.size_bytes = size + 16  # seq-number overhead
         if self.ack_cum_seq is not None:
-            size += SegmentAck.size_bytes  # ack riding in the header
-        return size
+            self.size_bytes += SegmentAck.size_bytes  # ack riding in the header
 
-    @property
-    def channel_id(self) -> Tuple[int, int]:
-        return (self.incarnation, self.epoch)
+    def carry_ack(self, cum_seq: int, epoch: int) -> None:
+        """Ride a cumulative ack for the reverse channel on this segment."""
+        self.ack_cum_seq = cum_seq
+        self.ack_epoch = epoch
+        self.size_bytes += SegmentAck.size_bytes
 
 
 @dataclass
@@ -114,12 +120,7 @@ class SendState:
     def admit(
         self, payload: Any, now: float, incarnation: int = 0, lazy: bool = False
     ) -> Segment:
-        segment = Segment(
-            seq=self.next_seq,
-            payload=payload,
-            incarnation=incarnation,
-            epoch=self.epoch,
-        )
+        segment = Segment(self.next_seq, payload, incarnation, self.epoch)
         self.unacked[segment.seq] = (payload, now, lazy)
         self.next_seq += 1
         if lazy:
@@ -131,7 +132,14 @@ class SendState:
 
     def acknowledge(self, cum_seq: int) -> None:
         unacked = self.unacked
-        for seq in range(self.first_unacked, min(cum_seq, self.next_seq - 1) + 1):
+        last = self.next_seq - 1
+        if cum_seq >= last:
+            # All acked: a fresh table gives back one sized for the
+            # biggest burst this channel ever held in flight.
+            if unacked:
+                self.unacked = {}
+            return
+        for seq in range(self.first_unacked, cum_seq + 1):
             del unacked[seq]
 
     def due_for_retransmit(
@@ -196,15 +204,25 @@ class ReceiveState:
     expected: int = 1
     out_of_order: Dict[int, Any] = field(default_factory=dict)
 
-    def accept(self, segment: Segment) -> List[Any]:
+    def accept(self, segment: Segment) -> Sequence[Any]:
         """Record a segment; return payloads now deliverable in order."""
-        if segment.seq < self.expected:
-            return []  # duplicate of something already delivered
-        self.out_of_order.setdefault(segment.seq, segment.payload)
+        seq = segment.seq
+        expected = self.expected
+        out_of_order = self.out_of_order
+        if seq == expected and not out_of_order:
+            # In order with no gap open, as nearly every segment arrives.
+            self.expected = seq + 1
+            return (segment.payload,)
+        if seq < expected:
+            return ()  # duplicate of something already delivered
+        out_of_order.setdefault(seq, segment.payload)
         ready: List[Any] = []
-        while self.expected in self.out_of_order:
-            ready.append(self.out_of_order.pop(self.expected))
-            self.expected += 1
+        while expected in out_of_order:
+            ready.append(out_of_order.pop(expected))
+            expected += 1
+        self.expected = expected
+        if ready and not out_of_order:
+            self.out_of_order = {}  # the gap closed: give its table back
         return ready
 
     @property

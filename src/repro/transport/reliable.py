@@ -63,6 +63,11 @@ class ReliableTransport:
         if rto <= 0:
             raise ValueError("rto must be positive")
         self._process = process
+        # The engine's timers: the clock the per-segment paths read, and
+        # the raw ack timers.
+        self._clock = process.env.scheduler
+        # Fixed for the process's life: a recovered one is a new process.
+        self._incarnation = process.incarnation
         self._rto = rto
         self._ack_delay = rto / 5
         # Payload classes whose acks may be held for ``_ack_hold``
@@ -91,10 +96,6 @@ class ReliableTransport:
         process.on(Segment, self._on_segment)
         process.on(SegmentAck, self._on_ack)
 
-    @property
-    def _incarnation(self) -> int:
-        return self._process.incarnation
-
     def hold_acks(self, kinds: Iterable[type], hold: float) -> None:
         """Make payloads of ``kinds`` lazy: a receiver may hold their ack
         for up to ``hold``, and a sender resends them only ``hold + rto``
@@ -116,7 +117,7 @@ class ReliableTransport:
         if not state.unacked:
             self._note_inflight()
         segment = state.admit(
-            payload, self._process.env.now, self._incarnation,
+            payload, self._clock.now, self._incarnation,
             payload.__class__ in self._lazy,
         )
         self._send_segment(dst, segment)
@@ -133,7 +134,7 @@ class ReliableTransport:
         dst_list = list(dsts)
         if not dst_list:
             return
-        now = self._process.env.now
+        now = self._clock.now
         lazy = payload.__class__ in self._lazy
         segments = []
         channels = self._send
@@ -144,8 +145,9 @@ class ReliableTransport:
             if not state.unacked:
                 self._note_inflight()
             segments.append((dst, state.admit(payload, now, self._incarnation, lazy)))
-        identities = {(s.seq, s.epoch) for _, s in segments}
-        if len(identities) == 1 and self._process.env.network.hardware_multicast:
+        if self._process.env.network.hardware_multicast and (
+            len({(s.seq, s.epoch) for _, s in segments}) == 1
+        ):
             # One shared segment object reaches every destination, so no
             # per-peer ack can ride on it.
             self._process.multicast([dst for dst, _ in segments], segments[0][1])
@@ -163,8 +165,7 @@ class ReliableTransport:
             self._rearm_ack_timer(dst)
             state = self._recv.get(dst)
             if state is not None:
-                segment.ack_cum_seq = state.cum_seq
-                segment.ack_epoch = state.channel_id[1]
+                segment.carry_ack(state.cum_seq, state.channel_id[1])
                 self._process.env.network.stats.acks_piggybacked += pending
         self._process.send(dst, segment)
 
@@ -197,7 +198,7 @@ class ReliableTransport:
         if len(kept) == len(state.unacked):
             return
         self._inflight -= 1
-        state.restart(self._process.env.now)
+        state.restart(self._clock.now)
         for payload in kept:
             self.send(dst, payload)
 
@@ -209,7 +210,7 @@ class ReliableTransport:
         whether or not the process was idle before."""
         self._inflight += 1
         if self._sweep_timer is None:
-            elapsed = self._process.env.now - self._sweep_origin
+            elapsed = self._clock.now - self._sweep_origin
             self._sweep_timer = self._process.set_timer(
                 self._rto - elapsed % self._rto, self._retransmit_sweep
             )
@@ -221,7 +222,7 @@ class ReliableTransport:
         self._sweep_timer = self._process.set_timer(
             self._rto, self._retransmit_sweep
         )
-        now = self._process.env.now
+        now = self._clock.now
         for dst, state in self._send.items():
             # Channels with nothing unacked (the steady-state majority)
             # skip the call entirely.
@@ -258,13 +259,14 @@ class ReliableTransport:
         if segment.ack_cum_seq is not None:
             self._apply_ack(sender, segment.ack_cum_seq, segment.ack_epoch)
         state = self._recv.get(sender)
-        if state is None or state.channel_id < segment.channel_id:
+        channel_id = (segment.incarnation, segment.epoch)
+        if state is None or state.channel_id != channel_id:
+            if state is not None and state.channel_id > channel_id:
+                return  # a straggler from a dead channel: ignore entirely
             # first contact, or the sender rebooted / restarted the
             # channel: fresh receive state for the new channel
-            state = ReceiveState(channel_id=segment.channel_id)
+            state = ReceiveState(channel_id=channel_id)
             self._recv[sender] = state
-        elif state.channel_id > segment.channel_id:
-            return  # a straggler from a dead channel: ignore entirely
         # A duplicate means the sender is (probably) retransmitting: it is
         # answered promptly whatever it carries.
         prompt = (
@@ -287,7 +289,7 @@ class ReliableTransport:
         has ridden meanwhile.  Nothing but a reboot of either end
         discards a pending ack — a peer we abandoned or that a view
         removed may be alive and needs the ack to stop retransmitting."""
-        now = self._process.env.now
+        now = self._clock.now
         self._ack_pending[peer] = self._ack_pending.get(peer, 0) + 1
         due = now + (self._ack_delay if prompt else self._ack_hold)
         held = self._ack_due.get(peer)
@@ -327,7 +329,7 @@ class ReliableTransport:
             # process dead for good, so the ack it sends goes nowhere.
             self._ack_timers[peer] = (
                 wake,
-                self._process.env.scheduler.at_call(wake, self._delayed_ack, peer),
+                self._clock.at_call(wake, self._delayed_ack, peer),
             )
 
     def _delayed_ack(self, peer: Address) -> None:
@@ -343,7 +345,7 @@ class ReliableTransport:
             return  # dead, or the peer rebooted meanwhile: that channel is gone
         high = 0
         if gap is not None:
-            if self._process.env.now < gap + self._ack_delay:
+            if self._clock.now < gap + self._ack_delay:
                 # The ack fell due first; the gap is reported on time.
                 self._gap_since[peer] = gap
                 self._rearm_ack_timer(peer)
@@ -374,7 +376,7 @@ class ReliableTransport:
                 self._retransmit(
                     sender,
                     state.resend_below(
-                        ack.high, self._process.env.now, self._incarnation
+                        ack.high, self._clock.now, self._incarnation
                     ),
                 )
 
@@ -405,7 +407,7 @@ class ReliableTransport:
             )
         state = self._send.get(peer)
         if state is not None:
-            now = self._process.env.now
+            now = self._clock.now
             for payload in state.restart(now):
                 segment = state.admit(
                     payload, now, self._incarnation,

@@ -1,0 +1,143 @@
+"""The delivery path keeps only what a delivery needs.
+
+A put is abcast to its leaf and delivered at every member, so the host
+cost of a write is the cost of one delivery times the leaf's size.  These
+tests pin what that path must not pay for (docs/simulator.md,
+"Allocation discipline"): a table that stays sized for a burst once the
+burst is stable, a call that does no work, and the behaviour that each
+shortcut must keep bit for bit — the jitter draw every trajectory
+depends on, and the transport's in-order fast path.
+"""
+
+import gc
+import random
+import sys
+
+from hypothesis import given, settings, strategies as st
+import pytest
+
+from repro.membership import build_group
+from repro.membership.events import TOTAL
+from repro.net import LanLatency
+from repro.proc import Environment
+from repro.sim.rand import SimRandom
+from repro.toolkit import ReplicatedDict
+from repro.transport import ReceiveState, Segment
+
+LEAF = 16  # the e2e store's leaf size
+
+
+def leaf(seed=1):
+    env = Environment(seed=seed, latency=LanLatency())
+    nodes, members = build_group(env, "leaf", LEAF)
+    return env, nodes, members, [ReplicatedDict(m) for m in members]
+
+
+# -- emptied tables are given back ----------------------------------------------
+
+
+def test_a_drained_burst_leaves_no_table_sized_for_it():
+    """300 puts from the coordinator in one burst, then a drain: every
+    member has delivered all of them and the stability plane has
+    announced it, so the abcast order history is empty, and so is every
+    channel's unacked table but for a gossip report whose ack is still
+    held.  An empty table holds no more memory than a new dict (before
+    the tables were rebuilt on emptying, both kept 9,304 bytes here)."""
+    env, nodes, members, dicts = leaf()
+    for i in range(300):
+        dicts[0].put(i, i)
+    env.run_for(3.0)
+    assert all(len(d) == 300 for d in dicts)
+    empty = sys.getsizeof({})
+    for member in members:
+        history = member._engines[TOTAL]._history
+        assert not history and sys.getsizeof(history) == empty
+    states = [s for node in nodes for s in node.runtime.transport._send.values()]
+    emptied = [s.unacked for s in states if not s.unacked]
+    assert len(emptied) >= len(states) - LEAF
+    assert all(sys.getsizeof(table) == empty for table in emptied)
+
+
+# -- the jitter draw is bit-identical ---------------------------------------------
+
+
+@pytest.mark.parametrize("jitter", [0.2, 0.05, 0.0])
+def test_the_jitter_draw_is_random_uniform_float_for_float(jitter):
+    """``LanLatency.sample`` spells ``random.uniform`` out; over 10,000
+    draws each delay is the float ``uniform`` gives, and a zero jitter
+    returns the nominal delay and draws nothing."""
+    seed = 20_240_857
+    lan = LanLatency(jitter=jitter)
+    ours, reference = SimRandom(seed), random.Random(seed)
+    for k in range(10_000):
+        size = (k * 37) % 1_500
+        nominal = lan.base + lan.per_byte * size
+        expected = nominal * reference.uniform(1.0 - jitter, 1.0 + jitter) if jitter else nominal
+        assert lan.sample(ours, "a", "b", size).hex() == expected.hex()
+    assert ours.random() == reference.random()  # the streams stayed in step
+
+
+# -- the transport's fast path against the old accept ----------------------------------
+
+
+def reference_accept(state, segment):
+    """``ReceiveState.accept`` before its in-order fast path."""
+    if segment.seq < state.expected:
+        return []
+    state.out_of_order.setdefault(segment.seq, segment.payload)
+    ready = []
+    while state.expected in state.out_of_order:
+        ready.append(state.out_of_order.pop(state.expected))
+        state.expected += 1
+    return ready
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=24), max_size=80))
+def test_accept_agrees_with_the_old_accept_on_any_arrival_order(arrivals):
+    """Arrivals with duplicates and gaps; a payload names its arrival, so
+    which copy of a duplicate is kept is compared too."""
+    ours, reference = ReceiveState(), ReceiveState()
+    for index, seq in enumerate(arrivals):
+        segment = Segment(seq, (seq, index))
+        assert list(ours.accept(segment)) == reference_accept(reference, segment)
+        assert (ours.expected, ours.out_of_order, ours.high) == (
+            reference.expected, reference.out_of_order, reference.high,
+        )
+
+
+# -- a call-count ceiling -------------------------------------------------------------
+
+CALL_CEILING = 91_504
+
+
+def test_a_delivered_put_costs_at_most_its_pinned_python_calls():
+    """200 puts from a 16-member leaf's coordinator, run 1 s: every
+    Python call (generator resumes included) under ``sys.setprofile``,
+    with the collector off so that no ``gc.callbacks`` hook is counted.
+    Host time cannot gate this path, an exact count can: 91,504 calls,
+    28.60 per delivered put, pinned as a ceiling.  Before the delivery
+    path was trimmed it made 126,131 (39.42 per delivered put)."""
+    env, _nodes, _members, dicts = leaf()
+    env.run_for(0.5)
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        for i in range(200):
+            dicts[0].put(i, i)
+        env.run_for(1.0)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    delivered = sum(d.commands_applied for d in dicts)
+    assert delivered == 200 * LEAF
+    assert calls <= CALL_CEILING, f"{calls} calls, {calls / delivered:.2f} per delivered put"

@@ -12,11 +12,18 @@ so that re-arms, grouped deliveries and one-shots keep landing on the
 same instants.  After every run slice the firing order, ``now``,
 ``events_processed`` and ``pending`` must be identical, and so must the
 per-call counts every handle callback sees.
+
+The scheduler has one run loop for every bound, so the same scripts run
+under each way of driving it: ``run(until=...)`` slices, one unbounded
+``run()``, ``run(max_events=...)`` slices and ``step()``.  A bucket fires
+whole, so ``max_events`` and ``step`` may overshoot the reference's
+slice by the tail of one bucket; only the firing order is compared there.
 """
 
 import heapq
 from dataclasses import dataclass
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import UniformLatency
@@ -82,9 +89,12 @@ class PlainHeap:
         assert not handle.queued
         return self._push(self.now + delay, handle)
 
-    def run(self, until=None):
+    def run(self, until=None, max_events=None):
         heap = self._heap
+        fired = 0
         while heap and (until is None or heap[0][0] <= until):
+            if max_events is not None and fired >= max_events:
+                return
             time, _seq, event = heapq.heappop(heap)
             event.queued = False
             if event.cancelled:
@@ -92,9 +102,15 @@ class PlainHeap:
             self.now = time
             self.events_processed += 1
             self.pending -= 1
+            fired += 1
             event.fn()
         if until is not None and until > self.now:
             self.now = until
+
+    def step(self):
+        before = self.events_processed
+        self.run(max_events=1)
+        return self.events_processed != before
 
 
 delay = st.sampled_from((0, 1, 2, 2))  # mostly one common period ahead
@@ -211,19 +227,35 @@ class Driver:
     def _grouped_other(self, labels):
         self._grouped(labels)
 
-    def drive(self):
-        for until in SLICES:
-            self.act()
-            self.s.run(until=until)
-            self.log.append(("slice", self.s.now, self.s.events_processed, self.s.pending))
-        self.s.run()
-        self.log.append(("drained", self.s.now, self.s.events_processed, self.s.pending))
+    def drive(self, mode="until"):
+        """Run the script to the end; ``mode`` names how the engine is
+        driven.  Only ``until`` slices consume an action per slice: the
+        other modes' slice edges differ between the engines."""
+        s = self.s
+        if mode == "until":
+            for until in SLICES:
+                self.act()
+                s.run(until=until)
+                self.log.append(("slice", s.now, s.events_processed, s.pending))
+        elif mode == "max_events":
+            before = -1
+            while s.events_processed != before:
+                before = s.events_processed
+                s.run(max_events=3)
+        elif mode == "step":
+            while s.step():
+                pass
+        s.run()
+        self.log.append(("drained", s.now, s.events_processed, s.pending))
         return self.log
 
 
-def run_both(script, periods):
-    ours = Driver(Scheduler(), script, periods).drive()
-    reference = Driver(PlainHeap(), script, periods).drive()
+MODES = ("until", "run", "max_events", "step")
+
+
+def run_both(script, periods, mode="until"):
+    ours = Driver(Scheduler(), script, periods).drive(mode)
+    reference = Driver(PlainHeap(), script, periods).drive(mode)
     return ours, reference
 
 
@@ -234,6 +266,17 @@ def run_both(script, periods):
 )
 def test_firing_order_and_counts_match_a_plain_heap(script, periods):
     ours, reference = run_both(script, periods)
+    assert ours == reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    script=st.lists(actions, max_size=80),
+    periods=st.lists(st.sampled_from((1, 2, 2)), min_size=2, max_size=6),
+    mode=st.sampled_from(MODES[1:]),
+)
+def test_every_way_of_running_fires_in_the_plain_heap_order(script, periods, mode):
+    ours, reference = run_both(script, periods, mode)
     assert ours == reference
 
 
@@ -267,6 +310,46 @@ def test_a_cancelled_handle_in_a_bucket_is_skipped_and_not_counted():
     assert fired_at(ours, 0.5) == [0, 2]
     # The drained run counted 2 handles a tick after the crash, not 3.
     assert ours[-1][2] == 3 + 2 * 11
+
+
+def test_max_events_and_step_fire_a_bucket_whole():
+    """Three calls grouped at 1.0, and three handles re-armed into one
+    tick bucket at 2.0, the middle one cancelled there.  ``run(max_events
+    =1)`` fires the grouped bucket whole, overshooting by its tail of two
+    calls; ``step()`` fires the tick bucket whole and skips the cancelled
+    handle without counting it; then nothing is left to step."""
+    s = Scheduler()
+    fired = []
+
+    def grouped(labels):
+        fired.extend(labels)
+
+    handles = [s.at_call(0.5, fired.append, label) for label in "xyz"]
+    s.run(until=0.5)
+    for label in "abc":
+        s.at_call_grouped(1.0, grouped, label)
+    for handle in handles:
+        s.rearm(handle, 1.5)
+    handles[1].cancel()
+    assert (s.heap_size, s.pending) == (2, 5)
+    s.run(max_events=1)
+    assert (fired[3:], s.now, s.events_processed, s.pending) == (["a", "b", "c"], 1.0, 6, 2)
+    assert s.step()
+    assert (fired[6:], s.now, s.events_processed, s.pending) == (["x", "z"], 2.0, 8, 0)
+    assert not s.step()
+    assert (s.now, s.heap_size) == (2.0, 0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_cancelled_handle_in_a_bucket_is_skipped_in_every_mode(mode):
+    """The crash scenario above, driven each way: the firing order and
+    the drained counts match the reference's.  Off ``until`` slices only
+    fires take actions, so the three at 0.25 idle and the first at 0.5
+    crashes owner 1 while its handle waits in that instant's bucket."""
+    idles = 5 if mode == "until" else 3
+    ours, reference = run_both([IDLE] * idles + [("crash", 0, 1)], [1, 1, 1], mode)
+    assert ours == reference
+    assert fired_at(ours, 0.5) == [0, 2]
 
 
 # -- an idle population pays once per instant ---------------------------------
