@@ -91,16 +91,12 @@ class Network:
         # hook below is guarded by one attribute load + None check, which
         # is the entire disabled-path cost.
         self.trace = None
-        # Batched dispatch (docs/simulator.md): when the fabric offers
-        # bucketed scheduling (the sim scheduler's at_call_grouped), all
-        # deliveries sharing a timestamp drain through one heap pop and
-        # one _deliver_batch fan-out.  The asyncio fabric doesn't, and
-        # falls back to one at_call per datagram.  The fan-out callback
-        # is bound ONCE here: bucket matching is by identity
-        # (``bucket.fn is fn``), and a fresh ``self._deliver_batch``
-        # bound-method object per send would seal the bucket every time.
-        self._group = getattr(self._fabric, "at_call_grouped", None)
-        self._fan_out = self._deliver_batch
+        # A delivery is one event: a pooled one-shot when the fabric
+        # recycles them (the sim scheduler's at_call_once), else at_call
+        # (the asyncio and socket fabrics).  Nobody holds the handle.
+        self._schedule = getattr(
+            self._fabric, "at_call_once", self._fabric.at_call
+        )
         # Envelope free list: a delivered (or dropped-in-transmit)
         # envelope is recycled for the next datagram, so the steady-state
         # send path allocates no envelope objects.
@@ -180,8 +176,8 @@ class Network:
         This is the hottest function in any run, so it trades a little
         repetition for speed: the payload meta lookup and the stats
         bookkeeping are inlined, the envelope is drawn from the free list,
-        and delivery is scheduled through the fabric's grouped bucket
-        when it offers one.
+        and delivery is one pooled one-shot event when the fabric offers
+        them.
         """
         try:
             category, size = _META_CACHE[payload.__class__]
@@ -254,13 +250,7 @@ class Network:
             delay = self._latency.sample(rng, src, dst, total)
         deliver_time = now + delay
         envelope.deliver_time = deliver_time
-        group = self._group
-        if group is not None:
-            # Sim fabric: all deliveries landing on one timestamp drain
-            # through a single heap pop and one _deliver_batch fan-out.
-            group(deliver_time, self._fan_out, envelope)
-        else:
-            fabric.at_call(deliver_time, self._deliver, envelope)
+        self._schedule(deliver_time, self._deliver, envelope)
         duplicate_probability = self.duplicate_probability
         if duplicate_probability and rng.chance(duplicate_probability):
             # The duplicate gets its own latency draw and envelope (the
@@ -270,10 +260,7 @@ class Network:
             duplicate = Envelope(src, dst, payload, now, now + delay, size)
             # Both copies stem from the same logical send span.
             duplicate.trace = envelope.trace
-            if group is not None:
-                group(duplicate.deliver_time, self._fan_out, duplicate)
-            else:
-                fabric.at_call(duplicate.deliver_time, self._deliver, duplicate)
+            self._schedule(duplicate.deliver_time, self._deliver, duplicate)
         return True
 
     def multicast(self, src: Address, dsts: Iterable[Address], payload: Any) -> None:
@@ -318,48 +305,6 @@ class Network:
         envelope.trace = None
         self._env_pool.append(envelope)
 
-    def _deliver_batch(self, envelopes: list) -> None:
-        """Fan a bucket of same-timestamp deliveries out of one event.
-
-        The scheduler's grouped bucket preserves exact per-call (time,
-        seq) order, so iterating the list here delivers in precisely the
-        order individual ``at_call`` events would have — taps, stats and
-        digests are byte-identical.  Endpoint table, stats recorder and
-        tap/trace guards are hoisted once per bucket instead of loaded
-        per delivery.
-        """
-        endpoints = self._endpoints
-        received_by = self.stats.received_by
-        taps = self._deliver_taps
-        trace = self.trace
-        pool = self._env_pool
-        for envelope in envelopes:
-            dst = envelope.dst
-            deliver = endpoints.get(dst)
-            if deliver is None:
-                self._drop(envelope)
-            else:
-                # record_delivery, inlined (try/except: the key exists
-                # after the destination's first delivery).
-                try:
-                    received_by[dst] += 1
-                except KeyError:
-                    received_by[dst] = 1
-                if taps:
-                    for fn in taps:
-                        fn("deliver", envelope)
-                if trace is None:
-                    deliver(envelope)
-                else:
-                    token = trace.on_deliver_begin(envelope)
-                    try:
-                        deliver(envelope)
-                    finally:
-                        trace.on_deliver_end(token)
-            envelope.payload = None
-            envelope.trace = None
-            pool.append(envelope)
-
     def deliver_inbound(self, envelope: Envelope) -> None:
         """Deliver a datagram that arrived from a remote fabric (the
         socket backend's receive path).  Runs the normal local delivery
@@ -369,26 +314,32 @@ class Network:
         self._deliver(envelope)
 
     def _deliver(self, envelope: Envelope) -> None:
-        deliver = self._endpoints.get(envelope.dst)
+        dst = envelope.dst
+        deliver = self._endpoints.get(dst)
         if deliver is None:
             # Destination crashed or never existed; the datagram vanishes,
             # exactly as on a real LAN.
             self._drop(envelope)
-            self._recycle(envelope)
-            return
-        self.stats.record_delivery(envelope.dst)
-        taps = self._deliver_taps
-        if taps:
-            for fn in taps:
-                fn("deliver", envelope)
-        trace = self.trace
-        if trace is None:
-            deliver(envelope)
-            self._recycle(envelope)
-            return
-        token = trace.on_deliver_begin(envelope)
-        try:
-            deliver(envelope)
-        finally:
-            trace.on_deliver_end(token)
-        self._recycle(envelope)
+        else:
+            # The key exists after the destination's first delivery.
+            received_by = self.stats.received_by
+            try:
+                received_by[dst] += 1
+            except KeyError:
+                received_by[dst] = 1
+            taps = self._deliver_taps
+            if taps:
+                for fn in taps:
+                    fn("deliver", envelope)
+            trace = self.trace
+            if trace is None:
+                deliver(envelope)
+            else:
+                token = trace.on_deliver_begin(envelope)
+                try:
+                    deliver(envelope)
+                finally:
+                    trace.on_deliver_end(token)
+        envelope.payload = None
+        envelope.trace = None
+        self._env_pool.append(envelope)

@@ -89,10 +89,6 @@ class NetworkStats:
         hardware-multicast send regardless of destination count)."""
         self.wire_packets += packets
 
-    def record_delivery(self, dst: Address) -> None:
-        received_by = self.received_by
-        received_by[dst] = received_by.get(dst, 0) + 1
-
     def record_drop(self) -> None:
         self.dropped += 1
 

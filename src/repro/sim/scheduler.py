@@ -18,26 +18,22 @@ Performance notes (see docs/simulator.md, "Allocation discipline"):
 * :meth:`Scheduler.at_call` / :meth:`after_call` carry a single argument
   alongside the callback, letting hot callers avoid allocating a closure
   per event.  The event object doubles as its own cancellation handle.
-* :meth:`Scheduler.at_call_grouped` batches same-timestamp calls to the
-  same function into one *bucket*: one heap entry, one pop and one
-  callback frame drain every delivery sharing a timestamp.  Buckets are
-  sealed exactly when a seq-consuming schedule lands on the same
-  timestamp, so the global (time, seq) order — and therefore every
-  frozen delivery digest — is byte-identical to the unbatched engine.
-* Bucket events and their argument lists, and the handle-free one-shot
-  events behind :meth:`after_call_once`, are drawn from free lists and
-  recycled on fire — the steady-state loop allocates ~nothing per event.
-  Events whose handles escape (``at`` / ``at_call``) are never recycled:
-  a retained handle may legally be cancelled or re-armed later, which
+* Tick-bucket events and their argument lists, and the one-shot events
+  behind :meth:`after_call_once`, are drawn from free lists and recycled
+  on fire — the steady-state loop allocates ~nothing per event.  Events
+  whose handles escape (``at`` / ``at_call``) are never recycled: a
+  retained handle may legally be cancelled or re-armed later, which
   would hijack a recycled event.
 * :meth:`Scheduler.rearm` re-queues a *fired* event object at a new time,
   so periodic timers reuse one event + handle for their whole life.  It
   queues the handle in a *tick bucket*, one per instant: every periodic
-  handle re-armed for one instant fires from a single heap entry, under
-  the same sealing rule, free lists and per-call count as
-  ``at_call_grouped``.  An idle population of n timers on k phases holds
-  k heap entries, not n.  A handle cancelled while it waits in a bucket
-  is skipped when the bucket fires and not counted.
+  handle re-armed for one instant fires from a single heap entry.  A
+  bucket is sealed exactly when another seq-consuming schedule lands on
+  its instant, so the global (time, seq) order — and therefore every
+  frozen delivery digest — is the one a heap entry per handle would
+  give.  An idle population of n timers on k phases holds k heap
+  entries, not n.  A handle cancelled while it waits in a bucket is
+  skipped when the bucket fires and not counted.
 * Cancellation stays lazy (O(1)), but the scheduler counts cancelled
   events still sitting in the heap and compacts the heap when they exceed
   :data:`COMPACT_MIN` *and* outnumber the live events — long churn runs
@@ -73,13 +69,12 @@ class _Event:
     tracks how many cancelled events are queued and compacts the heap
     when they dominate it.
 
-    ``once`` marks recyclable events (bucket events and
+    ``once`` marks recyclable events (tick buckets and
     ``after_call_once`` one-shots): they return to the scheduler's free
     list when they fire, so their handle must not be touched afterwards.
 
-    ``batch`` marks a bucket.  A grouped bucket's ``fn`` takes the list
-    of arguments; a tick bucket has ``fn`` None and ``arg`` the list of
-    re-armed handles, each fired with its own callback.  ``bucketed``
+    ``batch`` marks a tick bucket: its ``arg`` is the list of re-armed
+    handles, each fired with its own callback.  ``bucketed``
     marks a handle that ``rearm`` has queued in a tick bucket rather
     than as a heap entry of its own (``in_heap`` then means "queued").
     """
@@ -152,12 +147,8 @@ class Scheduler:
         self._running = False
         self._live = 0  # events queued and not cancelled
         self._cancelled_in_heap = 0  # lazily cancelled, awaiting pop/compact
-        # The open bucket (at_call_grouped) — at most one per scheduler,
-        # sealed by any same-timestamp seq assignment or by firing.
-        self._bucket: Optional[_Event] = None
-        self._bucket_time = -1.0
-        # The open tick buckets (rearm), one per instant, sealed the same
-        # way.  At most one bucket of either kind is open at an instant.
+        # The open tick buckets (rearm), one per instant, sealed by any
+        # other seq-consuming schedule at that instant or by firing.
         self._ticks: Dict[float, _Event] = {}
         # Free lists + fresh-construction counters (the allocation probe
         # in tools/perf_report.py reads alloc_stats).
@@ -165,13 +156,12 @@ class Scheduler:
         self._arg_pool: List[list] = []
         self._fresh_events = 0
         self._fresh_lists = 0
-        self._spare_list: list = []  # see _fire_ticks
 
     @property
     def events_processed(self) -> int:
-        """Total number of events that have fired.  Every call grouped
-        into a bucket counts as one event, exactly as if scheduled via
-        ``at_call`` — the batching is invisible to this counter."""
+        """Total number of events that have fired.  Every handle fired
+        from a tick bucket counts as one event, exactly as its own heap
+        entry would — the batching is invisible to this counter."""
         return self._events_processed
 
     @property
@@ -179,17 +169,22 @@ class Scheduler:
         """Number of queued live events, excluding lazily cancelled ones.
 
         O(1): maintained as a counter rather than scanned from the heap.
-        Each call held in an unfired bucket counts individually.
+        Each handle held in an unfired tick bucket counts individually.
         """
         return self._live
 
     @property
     def heap_size(self) -> int:
-        """Raw heap length, including lazily cancelled events.  A bucket
-        of grouped same-timestamp calls occupies a single entry, and so
-        do all the periodic handles re-armed for one instant (a tick
-        bucket), cancelled ones included until the bucket fires."""
+        """Raw heap length, including lazily cancelled events.  All the
+        periodic handles re-armed for one instant (a tick bucket) occupy
+        a single entry, cancelled ones included until the bucket fires."""
         return len(self._heap)
+
+    @property
+    def cancelled_in_heap(self) -> int:
+        """Lazily cancelled heap entries not yet popped or compacted
+        away — the count compaction keeps bounded."""
+        return self._cancelled_in_heap
 
     @property
     def alloc_stats(self) -> Dict[str, int]:
@@ -215,8 +210,6 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule event at {time:.6f} < now {self.now:.6f}"
             )
-        if self._bucket is not None and self._bucket_time == time:
-            self._bucket = None  # seal: keep (time, seq) order exact
         if time in self._ticks:
             del self._ticks[time]
         event = _Event(self, time, fn, _NO_ARG, False, False)
@@ -242,8 +235,6 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule event at {time:.6f} < now {self.now:.6f}"
             )
-        if self._bucket is not None and self._bucket_time == time:
-            self._bucket = None
         if time in self._ticks:
             del self._ticks[time]
         event = _Event(self, time, fn, arg, False, False)
@@ -274,8 +265,6 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule event at {time:.6f} < now {self.now:.6f}"
             )
-        if self._bucket is not None and self._bucket_time == time:
-            self._bucket = None
         if time in self._ticks:
             del self._ticks[time]
         pool = self._event_pool
@@ -304,63 +293,27 @@ class Scheduler:
             raise SimulationError(f"negative delay {delay!r}")
         return self.at_call_once(self.now + delay, fn, arg)
 
-    def at_call_grouped(
-        self, time: float, fn: Callable[[list], None], arg: Any
-    ) -> None:
-        """Batch ``fn`` calls sharing a timestamp into one bucket event.
-
-        All ``at_call_grouped(time, fn, ...)`` calls landing on the open
-        bucket are drained by a *single* heap pop that invokes
-        ``fn(args)`` once with the list of arguments, in scheduling
-        order.  The bucket is sealed (subsequent grouped calls open a new
-        one) whenever exactness demands a fresh seq: any ``at`` /
-        ``at_call`` / ``rearm`` on the same timestamp, a grouped call
-        with a different ``fn``, or the bucket firing.  Sealing keeps the
-        global (time, seq) execution order identical to per-call
-        ``at_call`` scheduling — batching is pure mechanics, invisible
-        to fingerprints.
-
-        No handle is returned: grouped events cannot be cancelled, which
-        is what makes their bucket event and argument list recyclable.
-        ``fn`` must consume ``args`` synchronously and not retain the
-        list.
-        """
-        bucket = self._bucket
-        if bucket is not None and self._bucket_time == time and bucket.fn is fn:
-            bucket.arg.append(arg)
-            self._live += 1
-            return
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at {time:.6f} < now {self.now:.6f}"
-            )
-        if time in self._ticks:
-            del self._ticks[time]
-        self._bucket = self._open_bucket(time, fn, arg)
-        self._bucket_time = time
-
-    def _open_bucket(self, time: float, fn: Optional[Callable], arg: Any) -> _Event:
-        """Push a new bucket holding ``arg``, drawn from the free lists.
-        The caller has sealed every other bucket open at ``time``."""
+    def _open_bucket(self, time: float, handle: _Event) -> _Event:
+        """Push a new tick bucket holding ``handle``, drawn from the free
+        lists."""
         pool = self._event_pool
         if pool:
             event = pool.pop()
             event.time = time
-            event.fn = fn
             event.cancelled = False
             event.in_heap = True
             event.batch = True
         else:
             self._fresh_events += 1
-            event = _Event(self, time, fn, None, True, True)
+            event = _Event(self, time, None, None, True, True)
         arg_pool = self._arg_pool
         if arg_pool:
-            args = arg_pool.pop()
+            handles = arg_pool.pop()
         else:
             self._fresh_lists += 1
-            args = []
-        args.append(arg)
-        event.arg = args
+            handles = []
+        handles.append(handle)
+        event.arg = handles
         heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
         self._live += 1
@@ -373,10 +326,10 @@ class Scheduler:
 
         The handle joins the tick bucket open at that instant, or opens
         one: every handle re-armed for one instant fires from a single
-        heap entry, in re-arm order.  The bucket is sealed exactly as an
-        ``at_call_grouped`` bucket is — by any other seq-consuming
-        schedule at the same instant, or by firing — so the global
-        (time, seq) order is the one a heap entry per handle would give.
+        heap entry, in re-arm order.  The bucket is sealed by any other
+        seq-consuming schedule at the same instant, or by firing, so the
+        global (time, seq) order is the one a heap entry per handle would
+        give.
 
         The event must not currently be queued; its cancelled flag is
         cleared (re-arming an event is scheduling it anew).  Recyclable
@@ -399,9 +352,7 @@ class Scheduler:
             bucket.arg.append(handle)
             self._live += 1
             return handle
-        if self._bucket is not None and self._bucket_time == time:
-            self._bucket = None
-        self._ticks[time] = self._open_bucket(time, None, handle)
+        self._ticks[time] = self._open_bucket(time, handle)
         return handle
 
     # -- cancellation bookkeeping --------------------------------------------
@@ -436,25 +387,17 @@ class Scheduler:
 
     # -- running -------------------------------------------------------------
 
-    def _fire_ticks(self, time: float, bucket: _Event) -> int:
-        """Fire a tick bucket's handles in re-arm order; returns how many
-        fired.  A handle cancelled while it waited is skipped and not
-        counted, and leaves ``now`` alone, as its own heap entry would."""
+    def _fire_ticks(self, time: float, bucket: _Event) -> None:
+        """Fire a tick bucket's handles in re-arm order, then return the
+        bucket and its list to the free lists.  A handle cancelled while
+        it waited is skipped and not counted, and leaves ``now`` alone,
+        as its own heap entry would."""
         ticks = self._ticks
         if ticks.get(time) is bucket:
             del ticks[time]
         handles = bucket.arg
         bucket.arg = None
         self._event_pool.append(bucket)
-        # Lend the free list the spare in place of the list being walked,
-        # so the callbacks find the pools as full as a heap entry per
-        # handle would leave them.  (The spare is only non-empty if an
-        # earlier bucket's callback raised.)
-        spare = self._spare_list
-        spare.clear()
-        self._arg_pool.append(spare)
-        self._spare_list = handles
-        fired = 0
         for handle in handles:
             handle.in_heap = False
             if handle.cancelled:
@@ -462,14 +405,13 @@ class Scheduler:
             self.now = time
             self._events_processed += 1
             self._live -= 1
-            fired += 1
             arg = handle.arg
             if arg is _NO_ARG:
                 handle.fn()
             else:
                 handle.fn(arg)
         handles.clear()
-        return fired
+        self._arg_pool.append(handles)
 
     def step(self) -> bool:
         """Fire the next event (an entire bucket counts as one step).
@@ -508,7 +450,6 @@ class Scheduler:
         pop = heapq.heappop
         no_arg = _NO_ARG
         event_pool = self._event_pool
-        arg_pool = self._arg_pool
         try:
             while heap:
                 if self._events_processed >= stop_at:
@@ -528,24 +469,10 @@ class Scheduler:
                     heapq.heappush(heap, entry)
                     break
                 event.in_heap = False
-                arg = event.arg
                 if event.batch:
-                    if event.fn is None:
-                        self._fire_ticks(time, event)
-                    else:
-                        self.now = time
-                        if self._bucket is event:
-                            self._bucket = None
-                        n = len(arg)
-                        self._events_processed += n
-                        self._live -= n
-                        event.fn(arg)
-                        arg.clear()
-                        arg_pool.append(arg)
-                        event.fn = None
-                        event.arg = None
-                        event_pool.append(event)
+                    self._fire_ticks(time, event)
                 else:
+                    arg = event.arg
                     self.now = time
                     self._events_processed += 1
                     self._live -= 1

@@ -1,15 +1,14 @@
 """The scheduler fires in exactly the order of a plain heap.
 
-``Scheduler`` batches work behind single heap entries: ``at_call_grouped``
-buckets and the tick buckets ``rearm`` fills, sealed whenever another
-seq-consuming schedule lands on their instant.  ``PlainHeap`` below is the
-engine those mechanisms must be indistinguishable from: one ``(time,
-seq)`` heap entry per call, lazy cancellation, nothing pooled.  A
-hypothesis script drives both through random interleavings of ``at``,
-``at_call``, ``at_call_once``, ``at_call_grouped``, ``rearm``, ``cancel``
-and a crash (cancel every periodic handle of one owner), on dyadic times
-so that re-arms, grouped deliveries and one-shots keep landing on the
-same instants.  After every run slice the firing order, ``now``,
+``Scheduler`` batches the periodic handles ``rearm`` queues for one
+instant behind a single heap entry, a tick bucket, sealed whenever another
+seq-consuming schedule lands on its instant.  ``PlainHeap`` below is the
+engine that mechanism must be indistinguishable from: one ``(time, seq)``
+heap entry per call, lazy cancellation, nothing pooled.  A hypothesis
+script drives both through random interleavings of ``at``, ``at_call``,
+``at_call_once``, ``rearm``, ``cancel`` and a crash (cancel every
+periodic handle of one owner), on dyadic times so that re-arms and
+one-shots keep landing on the same instants.  After every run slice the firing order, ``now``,
 ``events_processed`` and ``pending`` must be identical, and so must the
 per-call counts every handle callback sees.
 
@@ -26,12 +25,12 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net import UniformLatency
+from repro.net import FixedLatency, UniformLatency
 from repro.proc import Environment, Process
 from repro.sim.scheduler import Scheduler
 
-# Few dyadic delays: sums stay exact, so re-arms, one-shots and grouped
-# calls keep landing on the instants equal-period handles share.
+# Few dyadic delays: sums stay exact, so re-arms and one-shots keep
+# landing on the instants equal-period handles share.
 DELAYS = (0.0, 0.25, 0.5)
 HORIZON = 3.0  # periodic handles stop re-arming here, so a run drains
 SLICES = [0.125 * i for i in range(1, 33)]  # run(until=...) steps, to 4.0
@@ -56,7 +55,7 @@ class _RefEvent:
 
 class PlainHeap:
     """The reference engine: a heap entry per call, FIFO among equal
-    times, and a grouped call is just a call with a one-element list."""
+    times."""
 
     def __init__(self):
         self._heap = []
@@ -81,9 +80,6 @@ class PlainHeap:
         return self._push(time, _RefEvent(self, lambda: fn(arg)))
 
     at_call_once = at_call
-
-    def at_call_grouped(self, time, fn, arg):
-        self._push(time, _RefEvent(self, lambda: fn([arg])))
 
     def rearm(self, handle, delay):
         assert not handle.queued
@@ -118,7 +114,6 @@ actions = st.one_of(
     st.tuples(st.just("at"), delay, delay),  # the last field: period, 0 = none
     st.tuples(st.just("at_call"), delay, delay),
     st.tuples(st.just("once"), delay, st.just(0)),
-    st.tuples(st.just("grouped"), delay, st.sampled_from((0, 0, 1))),
     st.tuples(st.just("rearm"), delay, st.integers(0, 50)),
     st.tuples(st.just("cancel"), st.just(0), st.integers(0, 50)),
     st.tuples(st.just("crash"), st.just(0), st.integers(0, 2)),
@@ -139,12 +134,11 @@ class Driver:
         self.script = script
         self.cursor = 0
         self.log = []
-        self.kinds = {}  # label -> "plain" | "once" | "grouped"
+        self.kinds = {}  # label -> "plain" | "once"
         self.periods = {}  # label -> re-arm delay of a periodic handle
         self.handles = {}  # label -> handle, while it may be touched
         self.queued = {}  # cancellable queued labels, in queueing order
         self.fired = {}  # fired plain labels, free to re-arm
-        self.grouped = (self._grouped, self._grouped_other)  # stable fns
         for period in periods:
             self._schedule("at_call", DELAYS[period], period)
 
@@ -158,9 +152,6 @@ class Driver:
     def _schedule(self, kind, delay, period):
         s = self.s
         time = s.now + delay
-        if kind == "grouped":
-            s.at_call_grouped(time, self.grouped[period], self._label("grouped"))
-            return
         label = self._label("once" if kind == "once" else "plain")
         if kind == "at":
             handle = s.at(time, lambda: self.fire(label))
@@ -188,7 +179,7 @@ class Driver:
             return
         kind, delay, pick = self.script[self.cursor]
         self.cursor += 1
-        if kind in ("at", "at_call", "once", "grouped"):
+        if kind in ("at", "at_call", "once"):
             self._schedule(kind, DELAYS[delay], pick)
         elif kind == "rearm" and self.fired:
             self._rearm(list(self.fired)[pick % len(self.fired)], DELAYS[delay])
@@ -216,16 +207,6 @@ class Driver:
                 # Re-arm before the callback's work, as Process.every does.
                 self._rearm(label, period)
         self.act()
-
-    def _grouped(self, labels):
-        # A bucket counts all its calls up front; the per-call counts a
-        # grouped callback sees are not the per-call engine's.
-        for label in labels:
-            self.log.append((label, self.s.now))
-            self.act()
-
-    def _grouped_other(self, labels):
-        self._grouped(labels)
 
     def drive(self, mode="until"):
         """Run the script to the end; ``mode`` names how the engine is
@@ -289,13 +270,12 @@ IDLE = ("idle", 0, 0)
 
 def test_a_same_instant_schedule_seals_the_open_bucket():
     """Four periodic handles fire at 0.5 and re-arm for 1.0; after each
-    re-arm the handle's action lands a one-shot, a grouped call, a
-    second grouped call and an ``at_call`` on 1.0.  Each must fire right
-    after the handle that scheduled it, as a heap entry per call orders
-    it: every schedule seals the tick bucket open at 1.0, and the third
-    re-arm seals the grouped bucket open there.  (The four idles are the
-    slices' actions up to 0.5.)"""
-    script = [IDLE] * 4 + [("once", 2, 0), ("grouped", 2, 0), ("grouped", 2, 0), ("at_call", 2, 0)]
+    re-arm the handle's action lands a one-shot, an ``at``, a second
+    one-shot and an ``at_call`` on 1.0.  Each must fire right after the
+    handle that scheduled it, as a heap entry per call orders it: every
+    schedule seals the tick bucket open at 1.0, so the next re-arm opens
+    another.  (The four idles are the slices' actions up to 0.5.)"""
+    script = [IDLE] * 4 + [("once", 2, 0), ("at", 2, 0), ("once", 2, 0), ("at_call", 2, 0)]
     ours, reference = run_both(script, [2, 2, 2, 2])
     assert ours == reference
     assert fired_at(ours, 1.0) == [0, 4, 1, 5, 2, 6, 3, 7]
@@ -313,29 +293,26 @@ def test_a_cancelled_handle_in_a_bucket_is_skipped_and_not_counted():
 
 
 def test_max_events_and_step_fire_a_bucket_whole():
-    """Three calls grouped at 1.0, and three handles re-armed into one
-    tick bucket at 2.0, the middle one cancelled there.  ``run(max_events
-    =1)`` fires the grouped bucket whole, overshooting by its tail of two
-    calls; ``step()`` fires the tick bucket whole and skips the cancelled
+    """Three handles re-armed into one tick bucket at 1.0, and three into
+    another at 2.0, the middle one cancelled there.  ``run(max_events
+    =1)`` fires the first bucket whole, overshooting by its tail of two
+    handles; ``step()`` fires the second whole and skips the cancelled
     handle without counting it; then nothing is left to step."""
     s = Scheduler()
     fired = []
-
-    def grouped(labels):
-        fired.extend(labels)
-
-    handles = [s.at_call(0.5, fired.append, label) for label in "xyz"]
+    first = [s.at_call(0.5, fired.append, label) for label in "abc"]
+    second = [s.at_call(0.5, fired.append, label) for label in "xyz"]
     s.run(until=0.5)
-    for label in "abc":
-        s.at_call_grouped(1.0, grouped, label)
-    for handle in handles:
+    for handle in first:
+        s.rearm(handle, 0.5)
+    for handle in second:
         s.rearm(handle, 1.5)
-    handles[1].cancel()
+    second[1].cancel()
     assert (s.heap_size, s.pending) == (2, 5)
     s.run(max_events=1)
-    assert (fired[3:], s.now, s.events_processed, s.pending) == (["a", "b", "c"], 1.0, 6, 2)
+    assert (fired[6:], s.now, s.events_processed, s.pending) == (["a", "b", "c"], 1.0, 9, 2)
     assert s.step()
-    assert (fired[6:], s.now, s.events_processed, s.pending) == (["x", "z"], 2.0, 8, 0)
+    assert (fired[9:], s.now, s.events_processed, s.pending) == (["x", "z"], 2.0, 11, 0)
     assert not s.step()
     assert (s.now, s.heap_size) == (2.0, 0)
 
@@ -389,3 +366,36 @@ def test_an_idle_population_holds_one_heap_entry_per_instant():
     assert peak <= 64
     stats = sched.alloc_stats
     assert stats["fresh_events"] + stats["fresh_arg_lists"] == fresh
+
+
+def test_same_instant_datagrams_arrive_in_send_order_from_pooled_events():
+    """Under ``FixedLatency`` every datagram of a round lands on one
+    instant: 200 from 8 senders, to 8 receivers, arrive in the order they
+    were sent, each its own pooled one-shot event, back in the free list
+    once fired.  After the first round no event, argument list or
+    envelope is built fresh."""
+    env = Environment(seed=1, latency=FixedLatency(0.001))
+    network, sched = env.network, env.scheduler
+    arrived = []
+    for r in range(8):
+        network.register(f"r{r}", lambda envelope: arrived.append((envelope.src, envelope.payload)))
+    fresh = None
+    for round_ in range(5):
+        sent = [(f"s{i % 8}", Beat()) for i in range(200)]
+        for i, (src, beat) in enumerate(sent):
+            network.send(src, f"r{(3 * i) % 8}", beat)
+        before = sched.events_processed
+        env.run_for(0.01)
+        assert arrived == sent
+        assert sched.events_processed - before == 200
+        assert sched.alloc_stats["pooled_events"] >= 200
+        assert network.alloc_stats["pooled_envelopes"] >= 200
+        arrived.clear()
+        counts = (
+            sched.alloc_stats["fresh_events"],
+            sched.alloc_stats["fresh_arg_lists"],
+            network.alloc_stats["fresh_envelopes"],
+        )
+        if round_:
+            assert counts == fresh
+        fresh = counts

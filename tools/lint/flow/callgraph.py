@@ -36,7 +36,6 @@ CALLBACK_REGISTRARS = {
     "after_call",
     "at_call_once",
     "after_call_once",
-    "at_call_grouped",
     "call_at",
     "call_later",
     "call_soon",

@@ -146,15 +146,15 @@ def _write_report(report: Dict, out_path: str) -> None:
 
 
 class _HeapWatch:
-    """Samples the scheduler's live event count and raw heap length every
-    ``interval`` sim seconds (cheap probe events; identical overhead for
-    every label).
+    """Samples the scheduler's live event count, raw heap length and
+    lazily cancelled entries every ``interval`` sim seconds (cheap probe
+    events; identical overhead for every label).
 
     ``pending`` (live, non-cancelled events) is the honest backlog
     metric: the raw heap length also counts lazily cancelled entries and
-    counts a whole grouped or tick bucket as one, so cancellation-heavy
-    runs inflate it and batched runs deflate it.  That inflation is what
-    ``peak_raw`` is for: it stays flat only while cancelled timers are
+    counts a whole tick bucket as one, so cancellation-heavy runs inflate
+    it and periodic timers deflate it.  ``peak_cancelled`` is the count
+    compaction bounds: it stays flat only while cancelled timers are
     compacted away."""
 
     def __init__(self, scheduler: Scheduler, interval: float = 0.05) -> None:
@@ -162,11 +162,15 @@ class _HeapWatch:
         self._interval = interval
         self.peak = 0
         self.peak_raw = 0
+        self.peak_cancelled = 0
         scheduler.after(interval, self._probe)
 
     def _probe(self) -> None:
         self.peak = max(self.peak, self._scheduler.pending)
         self.peak_raw = max(self.peak_raw, self._scheduler.heap_size)
+        self.peak_cancelled = max(
+            self.peak_cancelled, self._scheduler.cancelled_in_heap
+        )
         self._scheduler.after(self._interval, self._probe)
 
 
@@ -222,6 +226,7 @@ def _timed_run(env: Environment, duration: float) -> Dict:
         "events_per_sec": round(events / wall) if wall > 0 else None,
         "peak_heap": watch.peak,
         "peak_raw_heap": watch.peak_raw,
+        "peak_cancelled": watch.peak_cancelled,
     }
     if before_allocs is not None:
         allocs = _fresh_allocs(env) - before_allocs
