@@ -64,7 +64,10 @@ class GroupView:
         return address in self.members
 
     def others(self, address: Address) -> Tuple[Address, ...]:
-        return tuple(m for m in self.members if m != address)
+        """Every member but ``address``, in rank order (no Python loop)."""
+        members = self.members
+        rank = members.index(address) if address in members else len(members)
+        return members[:rank] + members[rank + 1:]
 
     def successor(
         self,

@@ -25,7 +25,7 @@ Semantics:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.message import (
@@ -33,7 +33,7 @@ from repro.net.message import (
     Address,
     Envelope,
     HEADER_BYTES,
-    payload_meta,
+    _register,
 )
 from repro.net.partition import PartitionManager
 from repro.net.stats import NetworkStats
@@ -97,6 +97,9 @@ class Network:
         self._schedule = getattr(
             self._fabric, "at_call_once", self._fabric.at_call
         )
+        # What each delivery event calls, bound once: reading
+        # ``self._deliver`` per send would build a bound method each time.
+        self._deliver_bound = self._deliver
         # Envelope free list: a delivered (or dropped-in-transmit)
         # envelope is recycled for the next datagram, so the steady-state
         # send path allocates no envelope objects.
@@ -164,107 +167,114 @@ class Network:
 
     # -- sending -------------------------------------------------------------
 
-    def send(
-        self, src: Address, dst: Address, payload: Any, wire_packets: int = 1
-    ) -> bool:
-        """Send one datagram; counts one logical message + one wire packet
-        (hardware multicast passes ``wire_packets=0`` and accounts for the
-        shared packet itself).  Returns True if the datagram reached the
-        latency stage, i.e. was actually put in flight rather than
-        partitioned or lost.
+    def send(self, src: Address, dst: Address, payload: Any) -> None:
+        """Send one datagram; counts one logical message + one wire packet."""
+        self.send_each(src, (dst,), payload)
 
-        This is the hottest function in any run, so it trades a little
-        repetition for speed: the payload meta lookup and the stats
-        bookkeeping are inlined, the envelope is drawn from the free list,
-        and delivery is one pooled one-shot event when the fabric offers
-        them.
+    def send_each(
+        self,
+        src: Address,
+        dsts: Sequence[Address],
+        payload: Any,
+        copies: Optional[Sequence[Any]] = None,
+        wire_packets: int = 1,
+    ) -> None:
+        """Send ``payload`` to every destination, in order, as one
+        fan-out; or, given ``copies``, ``copies[i]`` to ``dsts[i]``: one
+        payload's per-destination copies (the transport's segments).
+        ``wire_packets`` per datagram: 0 under hardware multicast, which
+        counts its one shared packet itself.
+
+        Every send takes this path, the hottest in any run, so a unicast
+        is a fan-out of one.  The loop keeps what differs per
+        destination: the envelope (from the free list), taps and trace,
+        partition and loss, the latency draw, the duplicate, and the
+        delivery (a pooled one-shot event when the fabric offers them).
+        The meta lookup and the stats bookkeeping are done once per
+        fan-out, which sets two preconditions:
+
+        * every copy has ``payload``'s category, read once from it;
+        * ``stats`` is settled only when the call returns: a tap or a
+          trace hook that reads it mid-fan-out sees the counts from
+          before the call, except ``dropped``, bumped per drop.  They
+          end where one send per destination would leave them, also
+          when a hook raises.
         """
         try:
             category, size = _META_CACHE[payload.__class__]
-            if category is None:
-                category = payload.category
-            if size is None:
-                size = int(payload.size_bytes)
         except KeyError:
-            category, size = payload_meta(payload)  # cold: registers class
-        total = size + HEADER_BYTES
-        stats = self.stats
-        stats.messages += 1
-        stats.bytes += total
-        # Counter bumps use try/except rather than dict.get: after the
-        # first datagram of a (category, sender) the key always exists,
-        # so the exception path never runs in steady state and the
-        # bound-method call per counter is saved.
-        by_category = stats.by_category
-        try:
-            by_category[category] += 1
-        except KeyError:
-            by_category[category] = 1
-        bytes_by_category = stats.bytes_by_category
-        try:
-            bytes_by_category[category] += total
-        except KeyError:
-            bytes_by_category[category] = total
-        sent_by = stats.sent_by
-        try:
-            sent_by[src] += 1
-        except KeyError:
-            sent_by[src] = 1
-        stats.wire_packets += wire_packets
-        fabric = self._fabric
-        now = fabric.now
+            category, size = _register(payload.__class__)  # cold
+        if category is None:
+            category = payload.category
+        now = self._fabric.now
         pool = self._env_pool
-        if pool:
-            envelope = pool.pop()
-            envelope.src = src
-            envelope.dst = dst
-            envelope.payload = payload
-            envelope.send_time = now
-            envelope.deliver_time = 0.0
-            envelope.size_bytes = size
-        else:
-            self._fresh_envelopes += 1
-            envelope = Envelope(src, dst, payload, now, 0.0, size)
-        taps = self._send_taps
-        if taps:
-            for fn in taps:
-                fn("send", envelope)
-        trace = self.trace
-        if trace is not None:
-            trace.on_send(envelope, category)
-        partitions = self.partitions
-        if partitions.active and not partitions.reachable(src, dst):
-            self._drop(envelope)
-            self._recycle(envelope)
-            return False
         rng = self._rng
-        # The probability pre-checks are stream-neutral: SimRandom.chance
-        # draws nothing when p <= 0, so skipping the call entirely leaves
-        # the RNG stream byte-identical on lossless runs.
-        if self.drop_probability and rng.chance(self.drop_probability):
-            self._drop(envelope)
-            self._recycle(envelope)
-            return False
-        delay = self._fixed_delay
-        if delay is None:
-            delay = self._latency.sample(rng, src, dst, total)
-        deliver_time = now + delay
-        envelope.deliver_time = deliver_time
-        self._schedule(deliver_time, self._deliver, envelope)
-        duplicate_probability = self.duplicate_probability
-        if duplicate_probability and rng.chance(duplicate_probability):
-            # The duplicate gets its own latency draw and envelope (the
-            # two copies are independently in flight).
-            delay = self._latency.sample(rng, src, dst, total)
-            self._fresh_envelopes += 1
-            duplicate = Envelope(src, dst, payload, now, now + delay, size)
-            # Both copies stem from the same logical send span.
-            duplicate.trace = envelope.trace
-            self._schedule(duplicate.deliver_time, self._deliver, duplicate)
-        return True
+        schedule = self._schedule
+        deliver = self._deliver_bound
+        total_bytes = i = 0
+        try:
+            for dst in dsts:
+                if copies is not None:
+                    payload = copies[i]
+                i += 1
+                this_size = size if size is not None else int(payload.size_bytes)
+                total = this_size + HEADER_BYTES
+                total_bytes += total
+                if pool:
+                    envelope = pool.pop()
+                    envelope.src = src
+                    envelope.dst = dst
+                    envelope.payload = payload
+                    envelope.send_time = now
+                    envelope.deliver_time = 0.0
+                    envelope.size_bytes = this_size
+                else:
+                    self._fresh_envelopes += 1
+                    envelope = Envelope(src, dst, payload, now, 0.0, this_size)
+                if self._send_taps:
+                    for fn in self._send_taps:
+                        fn("send", envelope)
+                if self.trace is not None:
+                    self.trace.on_send(envelope, category)
+                # The probability pre-checks are stream-neutral:
+                # SimRandom.chance draws nothing when p <= 0, so skipping
+                # the call leaves the RNG stream byte-identical on
+                # lossless runs.
+                if (
+                    self.partitions.active
+                    and not self.partitions.reachable(src, dst)
+                ) or (self.drop_probability and rng.chance(self.drop_probability)):
+                    self._drop(envelope)
+                    self._recycle(envelope)
+                    continue
+                delay = self._fixed_delay
+                if delay is None:
+                    delay = self._latency.sample(rng, src, dst, total)
+                envelope.deliver_time = now + delay
+                schedule(envelope.deliver_time, deliver, envelope)
+                if self.duplicate_probability and rng.chance(
+                    self.duplicate_probability
+                ):
+                    # The duplicate gets its own latency draw and envelope
+                    # (the two copies are independently in flight).
+                    delay = self._latency.sample(rng, src, dst, total)
+                    self._fresh_envelopes += 1
+                    duplicate = Envelope(src, dst, payload, now, now + delay, this_size)
+                    # Both copies stem from the same logical send span.
+                    duplicate.trace = envelope.trace
+                    schedule(duplicate.deliver_time, deliver, duplicate)
+        finally:
+            stats = self.stats
+            stats.messages += i
+            stats.bytes += total_bytes
+            stats.by_category[category] += i
+            stats.bytes_by_category[category] += total_bytes
+            stats.sent_by[src] += i
+            stats.wire_packets += i * wire_packets
 
     def multicast(self, src: Address, dsts: Iterable[Address], payload: Any) -> None:
-        """Send the same payload to several destinations.
+        """Send the same payload to several destinations, in one
+        :meth:`send_each`.
 
         Counts one logical message per destination.  Wire packets: one per
         destination point-to-point, or one total under hardware multicast —
@@ -272,20 +282,16 @@ class Network:
         (a multicast with every destination partitioned away never makes
         it onto the wire).
         """
-        dst_list = list(dsts)
-        if not dst_list:
+        dsts = tuple(dsts)
+        if not dsts:
             return
-        send = self.send
         if self.hardware_multicast:
-            reached = False
-            for dst in dst_list:
-                if send(src, dst, payload, 0):
-                    reached = True
-            if reached:
+            dropped = self.stats.dropped  # partition and loss drop at send
+            self.send_each(src, dsts, payload, None, 0)
+            if self.stats.dropped - dropped < len(dsts):
                 self.stats.record_wire(1)
         else:
-            for dst in dst_list:
-                send(src, dst, payload, 1)
+            self.send_each(src, dsts, payload)
 
     def _drop(self, envelope: Envelope) -> None:
         self.stats.record_drop()

@@ -31,7 +31,7 @@ multicast and timer it asks for is a no-op.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Type
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Type
 
 from repro.net.message import Address, Envelope
 from repro.proc.env import Environment
@@ -154,14 +154,19 @@ class Process:
 
     def send(self, dst: Address, payload: Any) -> None:
         """Send a datagram (silently dropped if this process is crashed)."""
-        if not self.alive:
-            return
-        self._network.send(self.address, dst, payload)
+        if self.alive:
+            self._network.send_each(self.address, (dst,), payload)
+
+    def send_each(self, dsts: Sequence[Address], copies: Sequence[Any]) -> None:
+        """Send ``copies[i]`` to ``dsts[i]`` in one network call: one
+        payload's per-destination copies (the transport's segments)."""
+        if self.alive:
+            self._network.send_each(self.address, dsts, copies[0], copies)
 
     def multicast(self, dsts: Iterable[Address], payload: Any) -> None:
-        if not self.alive:
-            return
-        self._network.multicast(self.address, list(dsts), payload)
+        """Send one payload to every destination, in one network call."""
+        if self.alive:
+            self._network.multicast(self.address, dsts, payload)
 
     def on(self, payload_type: Type, handler: Handler) -> None:
         """Register ``handler(payload, sender)`` for a payload class."""

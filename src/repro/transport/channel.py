@@ -30,7 +30,7 @@ class _SegmentMeta:
     __slots__ = ("category", "size_bytes")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Segment(_SegmentMeta):
     """A reliably transmitted payload with a per-peer sequence number.
 
@@ -38,7 +38,8 @@ class Segment(_SegmentMeta):
     category and size, so protocol-level message accounting (flush
     messages, group data, ...) is unaffected by the transport wrapping.
     Both are taken once, when the segment is built: the network reads
-    them on every send, where a property would cost a call each.
+    them on every send, where a property would cost a call each (a
+    caller that has them passes ``meta``, the ``payload_meta``).
 
     A segment can additionally carry a piggybacked cumulative ack for
     the *reverse* channel (docs/comms.md) — ``ack_cum_seq``/``ack_epoch``
@@ -53,10 +54,20 @@ class Segment(_SegmentMeta):
     ack_cum_seq: Optional[int] = None
     ack_epoch: int = 0
 
-    def __post_init__(self) -> None:
-        self.category, size = payload_meta(self.payload)
+    def __init__(
+        self, seq: int, payload: Any, incarnation: int = 0, epoch: int = 0,
+        ack_cum_seq: Optional[int] = None, ack_epoch: int = 0,
+        meta: Optional[Tuple[str, int]] = None,
+    ) -> None:
+        self.seq = seq
+        self.payload = payload
+        self.incarnation = incarnation
+        self.epoch = epoch
+        self.ack_cum_seq = ack_cum_seq
+        self.ack_epoch = ack_epoch
+        self.category, size = meta or payload_meta(payload)
         self.size_bytes = size + 16  # seq-number overhead
-        if self.ack_cum_seq is not None:
+        if ack_cum_seq is not None:
             self.size_bytes += SegmentAck.size_bytes  # ack riding in the header
 
     def carry_ack(self, cum_seq: int, epoch: int) -> None:
@@ -120,15 +131,31 @@ class SendState:
     def admit(
         self, payload: Any, now: float, incarnation: int = 0, lazy: bool = False
     ) -> Segment:
-        segment = Segment(self.next_seq, payload, incarnation, self.epoch)
-        self.unacked[segment.seq] = (payload, now, lazy)
-        self.next_seq += 1
-        if lazy:
-            if now < self.lazy_since:
-                self.lazy_since = now
-        elif now < self.prompt_since:
-            self.prompt_since = now
-        return segment
+        return SendState.admit_many((self,), payload, now, incarnation, lazy)[0]
+
+    @staticmethod
+    def admit_many(
+        states: Sequence["SendState"], payload: Any, now: float,
+        incarnation: int = 0, lazy: bool = False,
+    ) -> List[Segment]:
+        """Number ``payload`` on each channel and hold it unacked there:
+        one segment per channel.  Its meta and its unacked entry are
+        taken once for every channel (tuples: a restamp replaces them)."""
+        meta = payload_meta(payload)
+        entry = (payload, now, lazy)
+        segments = []
+        for state in states:
+            seq = state.next_seq
+            state.unacked[seq] = entry
+            state.next_seq = seq + 1
+            if lazy:
+                if now < state.lazy_since:
+                    state.lazy_since = now
+            elif now < state.prompt_since:
+                state.prompt_since = now
+            # positional: a keyword argument costs the call ~90 ns
+            segments.append(Segment(seq, payload, incarnation, state.epoch, None, 0, meta))
+        return segments
 
     def acknowledge(self, cum_seq: int) -> None:
         unacked = self.unacked

@@ -66,6 +66,7 @@ class ReliableTransport:
         # The engine's timers: the clock the per-segment paths read, and
         # the raw ack timers.
         self._clock = process.env.scheduler
+        self._network = process.env.network
         # Fixed for the process's life: a recovered one is a new process.
         self._incarnation = process.incarnation
         self._rto = rto
@@ -111,19 +112,11 @@ class ReliableTransport:
 
     def send(self, dst: Address, payload: Any) -> None:
         """Reliably send ``payload`` to ``dst`` (FIFO per destination)."""
-        state = self._send.get(dst)
-        if state is None:
-            state = self._send[dst] = SendState()
-        if not state.unacked:
-            self._note_inflight()
-        segment = state.admit(
-            payload, self._clock.now, self._incarnation,
-            payload.__class__ in self._lazy,
-        )
-        self._send_segment(dst, segment)
+        self._transmit((dst,), payload, False)
 
     def send_many(self, dsts: Iterable[Address], payload: Any) -> None:
-        """Reliable 'multicast': an independent reliable send per peer.
+        """Reliable 'multicast': an independent reliable send per peer,
+        crossing to the process and the network in one call.
 
         Logical message counts match ISIS's point-to-point multicast; the
         hardware-multicast saving of E9 applies to the *first*
@@ -131,34 +124,45 @@ class ReliableTransport:
         multicast (when their channel positions align) and keep per-peer
         state for retransmission.
         """
-        dst_list = list(dsts)
-        if not dst_list:
-            return
-        now = self._clock.now
-        lazy = payload.__class__ in self._lazy
-        segments = []
+        dsts = tuple(dsts)
+        if dsts:
+            self._transmit(dsts, payload, self._network.hardware_multicast)
+
+    def _transmit(
+        self, dsts: Tuple[Address, ...], payload: Any, shared: bool
+    ) -> None:
+        """Admit ``payload`` on each destination's channel and send the
+        segments in one call.  ``shared``: one segment object may serve
+        every destination when their channel positions align."""
         channels = self._send
-        for dst in dst_list:
+        states = []
+        for dst in dsts:
             state = channels.get(dst)
             if state is None:
                 state = channels[dst] = SendState()
             if not state.unacked:
                 self._note_inflight()
-            segments.append((dst, state.admit(payload, now, self._incarnation, lazy)))
-        if self._process.env.network.hardware_multicast and (
-            len({(s.seq, s.epoch) for _, s in segments}) == 1
-        ):
+            states.append(state)
+        segments = SendState.admit_many(
+            states, payload, self._clock.now, self._incarnation,
+            payload.__class__ in self._lazy,
+        )
+        if shared and len({(s.seq, s.epoch) for s in segments}) == 1:
             # One shared segment object reaches every destination, so no
             # per-peer ack can ride on it.
-            self._process.multicast([dst for dst, _ in segments], segments[0][1])
-        else:
-            for dst, segment in segments:
-                self._send_segment(dst, segment)
+            self._process.multicast(dsts, segments[0])
+            return
+        ack_pending = self._ack_pending
+        if ack_pending:
+            for dst, segment in zip(dsts, segments):
+                if dst in ack_pending:
+                    self._ride_ack(dst, segment)
+        self._process.send_each(dsts, segments)
 
-    def _send_segment(self, dst: Address, segment: Segment) -> None:
-        """Put one segment on the wire, riding any pending ack for the
-        reverse channel on it (docs/comms.md).  A gap on that channel
-        keeps its own timer: only a standalone ack can report it."""
+    def _ride_ack(self, dst: Address, segment: Segment) -> None:
+        """Ride any pending ack for the reverse channel on a segment to
+        ``dst`` (docs/comms.md).  A gap on that channel keeps its own
+        timer: only a standalone ack can report it."""
         pending = self._ack_pending.pop(dst, 0)
         if pending:
             del self._ack_due[dst]
@@ -166,8 +170,7 @@ class ReliableTransport:
             state = self._recv.get(dst)
             if state is not None:
                 segment.carry_ack(state.cum_seq, state.channel_id[1])
-                self._process.env.network.stats.acks_piggybacked += pending
-        self._process.send(dst, segment)
+                self._network.stats.acks_piggybacked += pending
 
     def unacked_count(self, dst: Address) -> int:
         state = self._send.get(dst)
@@ -235,8 +238,9 @@ class ReliableTransport:
                 )
 
     def _retransmit(self, dst: Address, segments: List[Segment]) -> None:
-        trace = self._process.env.network.trace
+        trace = self._network.trace
         for segment in segments:
+            self._ride_ack(dst, segment)
             if trace is not None:
                 # Each retransmission gets its own span so traced runs
                 # separate first transmissions from recovery traffic.
@@ -245,9 +249,9 @@ class ReliableTransport:
                     process=self._process.address, peer=dst,
                     seq=segment.seq,
                 ):
-                    self._send_segment(dst, segment)
+                    self._process.send(dst, segment)
             else:
-                self._send_segment(dst, segment)
+                self._process.send(dst, segment)
 
     # -- receiving --------------------------------------------------------------
 
@@ -259,8 +263,13 @@ class ReliableTransport:
         if segment.ack_cum_seq is not None:
             self._apply_ack(sender, segment.ack_cum_seq, segment.ack_epoch)
         state = self._recv.get(sender)
-        channel_id = (segment.incarnation, segment.epoch)
-        if state is None or state.channel_id != channel_id:
+        # The channel id compared field by field: no tuple per segment.
+        if (
+            state is None
+            or state.channel_id[1] != segment.epoch
+            or state.channel_id[0] != segment.incarnation
+        ):
+            channel_id = (segment.incarnation, segment.epoch)
             if state is not None and state.channel_id > channel_id:
                 return  # a straggler from a dead channel: ignore entirely
             # first contact, or the sender rebooted / restarted the
@@ -355,7 +364,7 @@ class ReliableTransport:
         # ack actually sent were absorbed into it.  A gap report whose
         # ack has ridden already answers no segment of its own.
         if pending:
-            self._process.env.network.stats.acks_piggybacked += pending - 1
+            self._network.stats.acks_piggybacked += pending - 1
         self._process.send(
             peer,
             SegmentAck(
@@ -398,7 +407,7 @@ class ReliableTransport:
             return
         self._peer_incarnation[peer] = incarnation
         self._recv.pop(peer, None)  # its old outgoing channel died with it
-        trace = self._process.env.network.trace
+        trace = self._network.trace
         if trace is not None:
             trace.local(
                 "channel-restart", category="transport",
@@ -407,10 +416,8 @@ class ReliableTransport:
             )
         state = self._send.get(peer)
         if state is not None:
-            now = self._clock.now
-            for payload in state.restart(now):
-                segment = state.admit(
-                    payload, now, self._incarnation,
-                    payload.__class__ in self._lazy,
-                )
-                self._send_segment(peer, segment)
+            pending = state.restart(self._clock.now)
+            if pending:
+                self._inflight -= 1  # the first send counts it again
+                for payload in pending:
+                    self.send(peer, payload)

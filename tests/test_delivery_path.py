@@ -6,7 +6,8 @@ tests pin what that path must not pay for (docs/simulator.md,
 "Allocation discipline"): a table that stays sized for a burst once the
 burst is stable, a call that does no work, and the behaviour that each
 shortcut must keep bit for bit — the jitter draw every trajectory
-depends on, and the transport's in-order fast path.
+depends on, the transport's in-order fast path, and a multicast that
+crosses the network in one call.
 """
 
 import gc
@@ -18,8 +19,9 @@ import pytest
 
 from repro.membership import build_group
 from repro.membership.events import TOTAL
-from repro.net import LanLatency
+from repro.net import FixedLatency, LanLatency, Network
 from repro.proc import Environment
+from repro.sim import Scheduler
 from repro.sim.rand import SimRandom
 from repro.toolkit import ReplicatedDict
 from repro.transport import ReceiveState, Segment
@@ -106,19 +108,111 @@ def test_accept_agrees_with_the_old_accept_on_any_arrival_order(arrivals):
         )
 
 
+# -- a fan-out is its unicast sends ---------------------------------------------------
+
+
+class Ping:
+    category = "ping"
+    size_bytes = 40
+
+    def __init__(self, n):
+        self.n = n
+
+
+def network_run(latency, fan_out):
+    """Twenty rounds from ``src`` to eight peers, two of them partitioned
+    away, on a lossy, duplicating network with a tap attached: each round
+    one payload to all, then one segment each, every other one carrying
+    an ack (so their sizes differ).  ``fan_out`` sends each round as two
+    calls, else as one send per destination."""
+    scheduler = Scheduler()
+    rng = SimRandom(20_240_859)
+    network = Network(
+        scheduler, rng, latency=latency,
+        drop_probability=0.2, duplicate_probability=0.2,
+    )
+    dsts = tuple(f"m{i}" for i in range(8))
+    arrivals = []
+    for address in ("src",) + dsts:
+        network.register(
+            address, lambda env: arrivals.append((env.dst, env.deliver_time))
+        )
+    events = []
+    network.add_tap(lambda kind, env: events.append(
+        (kind, env.src, env.dst, env.size_bytes, env.send_time,
+         None if kind == "send" else env.deliver_time)
+    ))
+    network.partitions.partition(("m3", "m5"))
+    for n in range(20):
+        payload = Ping(n)
+        segments = [Segment(i, payload) for i in range(len(dsts))]
+        for segment in segments[::2]:
+            segment.carry_ack(n, 0)
+        if fan_out:
+            network.multicast("src", dsts, payload)
+            network.send_each("src", dsts, segments[0], segments)
+        else:
+            for dst in dsts:
+                network.send("src", dst, payload)
+            for dst, segment in zip(dsts, segments):
+                network.send("src", dst, segment)
+        scheduler.run_for(0.0007)
+    scheduler.run()
+    return network.stats.snapshot(), events, arrivals, rng._rng.getstate()
+
+
+@pytest.mark.parametrize(
+    "latency", [FixedLatency(0.001), LanLatency()], ids=["fixed", "lan"]
+)
+def test_a_fan_out_leaves_the_network_where_its_unicast_sends_do(latency):
+    """The same stats, tap events in the same order, the same (dst,
+    deliver time) sequence and the same random stream afterwards; and the
+    run is not vacuous: something was partitioned, lost and duplicated."""
+    fan_out = network_run(latency, fan_out=True)
+    assert fan_out == network_run(latency, fan_out=False)
+    stats, events, arrivals, _state = fan_out
+    assert stats.messages == 20 * 16 and stats.by_category["ping"] == 20 * 16
+    drops = sum(kind == "drop" for kind, *_ in events)
+    assert drops == stats.dropped > 20 * 4  # the partition's, and the losses
+    assert len(arrivals) > stats.messages - stats.dropped  # duplicates
+
+
+def test_a_raising_tap_leaves_the_counts_of_the_sends_it_saw():
+    """A send tap that raises on a multicast's second copy stops the
+    fan-out there, and the stats count the two copies it saw, as two
+    unicast sends would have."""
+    network = Network(Scheduler(), SimRandom(1))
+    seen = []
+
+    def tap(_kind, envelope):
+        seen.append(envelope.dst)
+        if len(seen) == 2:
+            raise RuntimeError("tap")
+
+    network.add_tap(tap, ("send",))
+    with pytest.raises(RuntimeError):
+        network.multicast("src", ("a", "b", "c"), Ping(0))
+    stats = network.stats
+    assert seen == ["a", "b"]
+    assert stats.messages == stats.by_category["ping"] == stats.sent_by["src"] == 2
+    assert stats.wire_packets == 2
+
+
 # -- a call-count ceiling -------------------------------------------------------------
 
-CALL_CEILING = 88_489
+CALL_CEILING = 72_000
 
 
 def test_a_delivered_put_costs_at_most_its_pinned_python_calls():
     """200 puts from a 16-member leaf's coordinator, run 1 s: every
     Python call (generator resumes included) under ``sys.setprofile``,
     with the collector off so that no ``gc.callbacks`` hook is counted.
-    Host time cannot gate this path, an exact count can: 88,489 calls,
-    27.65 per delivered put, pinned as a ceiling.  Before the delivery
-    path was trimmed it made 126,131 (39.42 per delivered put), and
-    91,504 (28.59) while same-instant deliveries still shared a bucket."""
+    Host time cannot gate this path, an exact count can: a ceiling of
+    72,000 calls, 22.5 per delivered put.  Before the delivery path was
+    trimmed it made 126,131 (39.42 per delivered put), 91,504 (28.59)
+    while same-instant deliveries still shared a bucket, and 88,489
+    (27.65) while each copy of a multicast crossed the transport, the
+    process and the network on its own."""
     env, _nodes, _members, dicts = leaf()
     env.run_for(0.5)
     calls = 0

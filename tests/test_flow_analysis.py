@@ -7,6 +7,8 @@ import re
 import time
 from pathlib import Path
 
+import pytest
+
 from tools.lint.__main__ import main
 from tools.lint.engine import read_sources
 from tools.lint.flow import analyze_sources
@@ -233,6 +235,43 @@ def test_rl013_census_covers_control_endpoint_sends():
         ]
     )
     assert _codes(findings) == []
+
+
+@pytest.mark.parametrize("send", [
+    "self._process.send_each(dsts, (PingProbe(1), PingProbe(2)))",
+    "self._network.send_each(self._address, dsts, PingProbe(1))",
+], ids=["process", "network"])
+def test_the_fan_out_entry_point_is_a_wire_send(send):
+    """``send_each`` hands a fan-out to the wire in one call: a kind in
+    it is still a sent kind, and a set-ordered destination list still
+    reaches the wire."""
+    layer = (
+        "from repro.proto.kinds import PingProbe\n"
+        "\n"
+        "\n"
+        "class Prober:\n"
+        "    def __init__(self, process):\n"
+        "        self._process = process\n"
+        "        self._network = process.network\n"
+        "        self._address = process.address\n"
+        "\n"
+        "    def probe(self, dsts):\n"
+        f"        {send}\n"
+    )
+    findings, _ = analyze_sources(
+        [("src/repro/proto/kinds.py", _KINDS), ("src/repro/proto/layer.py", layer)]
+    )
+    assert _codes(findings) == ["RL013"]
+    assert "PingProbe has no registered handler" in findings[0].message
+    assert "layer.py:11" in findings[0].message  # cited at the send_each call
+    process = (
+        "class Process:\n"
+        "    def send_each(self, dsts, copies):\n"
+        "        self._network.send_each(self.address, list(set(dsts)), copies[0], copies)\n"
+    )
+    findings, _ = analyze_sources([("src/repro/proc/process.py", process)])
+    assert _codes(findings) == ["RL012"]
+    assert "message payload of .send_each()" in findings[0].message
 
 
 # ------------------------------------------------------------ live tree

@@ -15,14 +15,15 @@ This pass extracts:
 
 * the **registry**: every ``.on(Kind, ...)`` / ``.replace_handler(Kind,
   ...)`` call whose first argument resolves to a project class;
-* **wire sends**: every ``.send`` / ``.multicast`` / ``.send_many`` call
-  whose receiver types as a wire endpoint (``Process`` subclass, the
+* **wire sends**: every ``.send`` / ``.multicast`` / ``.send_many`` /
+  ``.send_each`` call whose receiver types as a wire endpoint (``Process`` subclass, the
   ``Network``, the ``ReliableTransport``, or the deploy tracker's
   ``ControlEndpoint``) — by the symbol table's attribute/parameter types
   first, by conventional receiver names (``process``, ``node``,
   ``transport``, ``network``, ``endpoint``) second — and
   resolves the payload expression to a class through locals, parameter
-  annotations and module constants;
+  annotations and module constants (for the process's ``send_each``,
+  each item of a tuple or list display of copies);
 * **constructions**: every resolvable constructor call, anywhere.
 
 Findings:
@@ -75,7 +76,7 @@ _WIRE_RECEIVER_NAMES = {
 }
 _WIRE_CLASS_NAMES = {"Process", "Network", "ReliableTransport", "ControlEndpoint"}
 
-_SEND_METHODS = {"send", "multicast", "send_many"}
+_SEND_METHODS = {"send", "multicast", "send_many", "send_each"}
 
 
 @dataclass
@@ -138,19 +139,24 @@ def analyze(project: Project, resolver: Resolver) -> List[Finding]:
             if func.attr in _SEND_METHODS:
                 if not _receiver_is_wire(resolver, fn, func.value):
                     continue
-                payload_expr: Optional[ast.AST] = None
+                payload_exprs: List[ast.AST] = []
                 if func.attr == "send":
                     if len(node.args) == 2:
-                        payload_expr = node.args[1]
+                        payload_exprs = [node.args[1]]
                     elif len(node.args) == 3:  # Network.send(src, dst, payload)
-                        payload_expr = node.args[2]
+                        payload_exprs = [node.args[2]]
+                elif func.attr == "send_each":
+                    if len(node.args) == 2:  # Process.send_each(dsts, copies)
+                        if isinstance(node.args[1], (ast.Tuple, ast.List)):
+                            payload_exprs = node.args[1].elts
+                    elif len(node.args) >= 3:  # Network: (src, dsts, payload, ...)
+                        payload_exprs = [node.args[2]]
                 elif len(node.args) >= 2:  # multicast/send_many(dsts, payload)
-                    payload_expr = node.args[1]
-                if payload_expr is None:
-                    continue
-                kind = resolver.value_class(fn, payload_expr)
-                if kind is not None:
-                    use(kind.qname).sent.append((fn.path, node.lineno))
+                    payload_exprs = [node.args[1]]
+                for payload_expr in payload_exprs:
+                    kind = resolver.value_class(fn, payload_expr)
+                    if kind is not None:
+                        use(kind.qname).sent.append((fn.path, node.lineno))
 
     # module-level constants also construct kinds (_HEARTBEAT = Heartbeat())
     for mod in project.modules.values():

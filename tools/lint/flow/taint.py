@@ -18,7 +18,8 @@ behaviour):
   ``at_call`` / ``after_call`` (+ ``_once`` variants) / ``call_at`` /
   ``call_later`` / ``set_timer`` / ``every`` / ``rearm``;
 * message payloads — the payload argument of ``send`` / ``multicast`` /
-  ``send_many``, and any :class:`Envelope` constructor field;
+  ``send_many``, the destinations, payload and copies of
+  ``send_each``, and any :class:`Envelope` constructor field;
 * protocol-state mutations — ``self.x = <tainted>`` inside a protocol
   package;
 * delivery-digest inputs — arguments fed to a hash/digest ``update``.
@@ -436,6 +437,11 @@ class _FunctionPass:
         if name in ("multicast", "send_many") and isinstance(func, ast.Attribute):
             if len(node.args) >= 2:
                 self._sink_hit(node, f"message payload of .{name}()", args[1])
+        if name == "send_each" and isinstance(func, ast.Attribute):
+            # process (dsts, copies) / network (src, dsts, payload, copies)
+            first = 0 if len(node.args) == 2 else 1
+            for arg in args[first:first + 3]:
+                self._sink_hit(node, "message payload of .send_each()", arg)
         if name == "update" and receiver is not None:
             rdotted = _dotted(receiver) or ""
             low = rdotted.lower()
