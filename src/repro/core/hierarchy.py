@@ -74,7 +74,6 @@ class LargeGroupMember:
         self._joining = False
         self._moving = False  # split/merge transition in progress
         self._placement_check: Optional[Timer] = None  # _watch_placement
-        self.reorganisations = 0
         # Load accounting (load-driven policy only): a raw per-interval
         # counter, turned into a rate sample by the report tick; the
         # leader folds the samples into its EWMA.
@@ -315,7 +314,6 @@ class LargeGroupMember:
             )
 
     def _execute_split(self, cmd: SplitCmd) -> None:
-        self.reorganisations += 1
         old_member = self.leaf_member
         if old_member.is_coordinator:
             self._trace_reorg(
@@ -354,7 +352,6 @@ class LargeGroupMember:
         self._install_leaf(cmd.new_leaf_id, member)
 
     def _execute_merge(self, cmd: MergeCmd) -> None:
-        self.reorganisations += 1
         old_member = self.leaf_member
         old_group = old_member.group
         old_member.mark_departing()

@@ -174,7 +174,6 @@ class HierarchyState:
         self.branches: Dict[str, BranchInfo] = {
             ROOT_BRANCH: BranchInfo(ROOT_BRANCH, None, ())
         }
-        self.applied_ops = 0
         self._depth = 0
 
     # -- queries --------------------------------------------------------------------
@@ -271,7 +270,6 @@ class HierarchyState:
             raise HierarchyError(f"unknown op {op!r}")
         if not isinstance(op, UpdateLeaf):
             self._rebuild_tree()
-        self.applied_ops += 1
 
     # -- branch-tree derivation ---------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Order-sensitive digests of simulation behaviour.
 
 A :class:`DeliveryDigest` taps the network and folds every delivery into a
-rolling SHA-256 over ``(deliver_time, src, dst, category)`` tuples.  Two
-runs with the same digest delivered the same messages, between the same
-endpoints, in the same order, at the same simulated times — which is the
-property the perf work on the event core must preserve byte-for-byte.
+rolling SHA-256 over ``(time, src, dst, category)`` tuples, the time
+being the network's clock at delivery.  Two runs with the same digest
+delivered the same messages, between the same endpoints, in the same
+order, at the same simulated times — which is the property the perf
+work on the event core must preserve byte-for-byte.
 
 Usage::
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.net.message import _META_CACHE, payload_category
+from repro.net.message import payload_category
 
 
 class DeliveryDigest:
@@ -42,9 +43,9 @@ class DeliveryDigest:
     * lines are buffered and hashed in chunks (``update(a); update(b)``
       is definitionally ``update(a+b)`` for SHA-256);
     * ``repr(time)`` — float shortest-repr is surprisingly costly — is
-      cached across the runs of equal timestamps that batched delivery
-      produces (simulated times are never ``-0.0``, the one float where
-      equality would alias distinct reprs).
+      cached across runs of deliveries at one instant (simulated times
+      are never ``-0.0``, the one float where equality would alias
+      distinct reprs).
     """
 
     __slots__ = ("_hash", "_count", "_network", "_lines", "_time", "_time_repr")
@@ -59,28 +60,17 @@ class DeliveryDigest:
         self._time: float = None
         self._time_repr = ""
         if network is not None:
-            try:
-                network.add_tap(self._on_event, events=("deliver",))
-            except TypeError:  # taps without event filtering
-                network.add_tap(self._on_event)
+            network.add_tap(self._on_event, events=("deliver",))
 
     def _on_event(self, kind: str, envelope) -> None:
-        if kind != "deliver":
-            return
         # Only the behavioural fields are folded; observation-side state
         # (envelope.trace) must never reach the fingerprint.
-        time = envelope.deliver_time
+        time = self._network.now
         if time != self._time:
             self._time = time
             self._time_repr = repr(time)
         self._count += 1
-        # envelope.category, inlined (two call frames per delivery).
-        payload = envelope.payload
-        meta = _META_CACHE.get(payload.__class__)
-        if meta is None or meta[0] is None:
-            category = payload_category(payload)
-        else:
-            category = meta[0]
+        category = payload_category(envelope.payload)
         lines = self._lines
         lines.append(
             f"{self._time_repr}|{envelope.src}|{envelope.dst}|{category}\n"

@@ -15,7 +15,6 @@ from repro.net.message import (
     HEADER_BYTES,
     payload_category,
     payload_meta,
-    payload_size,
 )
 from repro.net.network import Network
 from repro.net.partition import PartitionManager
@@ -53,5 +52,4 @@ __all__ = [
     "register_kind",
     "payload_category",
     "payload_meta",
-    "payload_size",
 ]

@@ -17,7 +17,9 @@ attributes (``category = "heartbeat"``) or as descriptors (a property,
 or a slot filled per instance, as the transport's ``Segment`` fills them
 from its inner payload).  The lookup is cached per payload class, so an
 instance-dict assignment of these names over a class constant is not
-supported (and is used nowhere in the library).
+supported (and is used nowhere in the library).  The envelope carries
+neither: the network reads them when it sends, for its counts and its
+latency draw.
 """
 
 from __future__ import annotations
@@ -66,16 +68,6 @@ def payload_category(payload: Any) -> str:
     return category if category is not None else payload.category
 
 
-def payload_size(payload: Any) -> int:
-    """Approximate wire size of a payload in bytes (excluding header)."""
-    cls = payload.__class__
-    meta = _META_CACHE.get(cls)
-    if meta is None:
-        meta = _register(cls)
-    size = meta[1]
-    return size if size is not None else int(payload.size_bytes)
-
-
 def payload_meta(payload: Any) -> Tuple[str, int]:
     """(category, size) in one cached lookup — the network's send path."""
     cls = payload.__class__
@@ -91,37 +83,20 @@ def payload_meta(payload: Any) -> Tuple[str, int]:
 
 
 class Envelope:
-    """One datagram in flight between two endpoints.
+    """One datagram in flight between two endpoints: its source, its
+    destination and its payload.  The network reads the clock and the
+    payload's size model where it needs them; nothing else travels.
 
     A ``__slots__`` class (not a dataclass): envelopes are the most
     allocated object in any run, one per datagram.
     """
 
-    __slots__ = (
-        "src",
-        "dst",
-        "payload",
-        "send_time",
-        "deliver_time",
-        "size_bytes",
-        "trace",
-    )
+    __slots__ = ("src", "dst", "payload", "trace")
 
-    def __init__(
-        self,
-        src: Address,
-        dst: Address,
-        payload: Any,
-        send_time: float,
-        deliver_time: float = 0.0,
-        size_bytes: int = DEFAULT_PAYLOAD_BYTES,
-    ) -> None:
+    def __init__(self, src: Address, dst: Address, payload: Any) -> None:
         self.src = src
         self.dst = dst
         self.payload = payload
-        self.send_time = send_time
-        self.deliver_time = deliver_time
-        self.size_bytes = size_bytes
         # Causal-trace context piggybacked on the datagram: the send span
         # recorded by repro.trace when tracing is on, else None.  The
         # network fills it in; protocol code never touches it.
@@ -131,15 +106,10 @@ class Envelope:
     def category(self) -> str:
         return payload_category(self.payload)
 
-    @property
-    def total_bytes(self) -> int:
-        return self.size_bytes + HEADER_BYTES
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Envelope(src={self.src!r}, dst={self.dst!r}, "
-            f"payload={self.payload!r}, send_time={self.send_time!r}, "
-            f"deliver_time={self.deliver_time!r}, size_bytes={self.size_bytes!r})"
+            f"payload={self.payload!r})"
         )
 
     def __eq__(self, other: Any) -> bool:
@@ -149,7 +119,4 @@ class Envelope:
             self.src == other.src
             and self.dst == other.dst
             and self.payload == other.payload
-            and self.send_time == other.send_time
-            and self.deliver_time == other.deliver_time
-            and self.size_bytes == other.size_bytes
         )

@@ -116,6 +116,11 @@ class Network:
             "pooled_envelopes": len(self._env_pool),
         }
 
+    @property
+    def now(self) -> float:
+        """The clock the network sends and delivers by (its fabric's)."""
+        return self._fabric.now
+
     # -- observation -----------------------------------------------------------
 
     def add_tap(
@@ -128,10 +133,10 @@ class Network:
         a call per unwanted event.  Taps must not mutate the envelope,
         and must not retain it: the ``"send"`` and ``"deliver"`` events
         for a datagram share one envelope object (built once per
-        datagram), so ``deliver_time`` is filled in after the send tap
-        fires — and the envelope is *recycled* onto a free list the
+        datagram), and the envelope is *recycled* onto a free list the
         moment its delivery (or drop) completes, after which it will
-        carry a different datagram.  Copy out whatever fields you need."""
+        carry a different datagram.  Copy out whatever fields you need;
+        the time of an event is :attr:`now` when the tap runs."""
         self._tap_entries.append(
             (fn, None if events is None else frozenset(events))
         )
@@ -225,12 +230,9 @@ class Network:
                     envelope.src = src
                     envelope.dst = dst
                     envelope.payload = payload
-                    envelope.send_time = now
-                    envelope.deliver_time = 0.0
-                    envelope.size_bytes = this_size
                 else:
                     self._fresh_envelopes += 1
-                    envelope = Envelope(src, dst, payload, now, 0.0, this_size)
+                    envelope = Envelope(src, dst, payload)
                 if self._send_taps:
                     for fn in self._send_taps:
                         fn("send", envelope)
@@ -250,8 +252,7 @@ class Network:
                 delay = self._fixed_delay
                 if delay is None:
                     delay = self._latency.sample(rng, src, dst, total)
-                envelope.deliver_time = now + delay
-                schedule(envelope.deliver_time, deliver, envelope)
+                schedule(now + delay, deliver, envelope)
                 if self.duplicate_probability and rng.chance(
                     self.duplicate_probability
                 ):
@@ -259,17 +260,16 @@ class Network:
                     # (the two copies are independently in flight).
                     delay = self._latency.sample(rng, src, dst, total)
                     self._fresh_envelopes += 1
-                    duplicate = Envelope(src, dst, payload, now, now + delay, this_size)
+                    duplicate = Envelope(src, dst, payload)
                     # Both copies stem from the same logical send span.
                     duplicate.trace = envelope.trace
-                    schedule(duplicate.deliver_time, deliver, duplicate)
+                    schedule(now + delay, deliver, duplicate)
         finally:
             stats = self.stats
             stats.messages += i
             stats.bytes += total_bytes
             stats.by_category[category] += i
             stats.bytes_by_category[category] += total_bytes
-            stats.sent_by[src] += i
             stats.wire_packets += i * wire_packets
 
     def multicast(self, src: Address, dsts: Iterable[Address], payload: Any) -> None:

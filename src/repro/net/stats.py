@@ -2,7 +2,7 @@
 
 The paper's claims are phrased in *message counts* ("2n messages", "traffic
 grows as the square of the number of clients"), so the network counts every
-datagram exactly, bucketed by category, sender and receiver.  Wire packets
+datagram exactly, bucketed by category and by receiver.  Wire packets
 are counted separately from logical messages so the hardware-multicast
 experiment (E9) can show one wire packet carrying n logical deliveries.
 
@@ -48,7 +48,6 @@ class StatsSnapshot:
     bytes: int
     dropped: int
     by_category: Dict[str, int] = field(default_factory=dict)
-    sent_by: Dict[Address, int] = field(default_factory=dict)
     received_by: Dict[Address, int] = field(default_factory=dict)
     bytes_by_category: Dict[str, int] = field(default_factory=dict)
     acks_piggybacked: int = 0
@@ -63,7 +62,6 @@ class NetworkStats:
         "bytes",
         "dropped",
         "by_category",
-        "sent_by",
         "received_by",
         "bytes_by_category",
         "acks_piggybacked",
@@ -75,7 +73,6 @@ class NetworkStats:
         self.bytes = 0
         self.dropped = 0
         self.by_category: Tally = Tally()
-        self.sent_by: Tally = Tally()
         self.received_by: Tally = Tally()
         self.bytes_by_category: Tally = Tally()
         # Transport acks that cost no datagram of their own: they rode
@@ -99,7 +96,6 @@ class NetworkStats:
             bytes=self.bytes,
             dropped=self.dropped,
             by_category=dict(self.by_category),
-            sent_by=dict(self.sent_by),
             received_by=dict(self.received_by),
             bytes_by_category=dict(self.bytes_by_category),
             acks_piggybacked=self.acks_piggybacked,
@@ -114,7 +110,6 @@ class NetworkStats:
             bytes=now.bytes - before.bytes,
             dropped=now.dropped - before.dropped,
             by_category=_diff(now.by_category, before.by_category),
-            sent_by=_diff(now.sent_by, before.sent_by),
             received_by=_diff(now.received_by, before.received_by),
             bytes_by_category=_diff(
                 now.bytes_by_category, before.bytes_by_category

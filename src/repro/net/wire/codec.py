@@ -28,10 +28,8 @@ longer than the src.  A dst that shares nothing costs the plain length
 prefix v23 wrote whenever ``dst length × (src length + 1) < 128`` (any
 two addresses of up to 10 bytes), and past that at most one varint byte
 more for a src under 128 bytes, which the two header bytes v24 dropped
-pay for in a one-record frame.  Nothing else of the envelope travels:
-each node runs its own clock, so the receiving fabric stamps send and
-deliver time at arrival, and ``size_bytes`` is the payload's size model
-(:func:`repro.net.message.payload_size`), recomputed on decode.
+pay for in a one-record frame.  Nothing else travels: an envelope is
+its src, dst and payload (a trace context stays on the sending node).
 A *control* body is a single encoded value (the deploy tracker's
 register/peer-list/shutdown messages).
 
@@ -502,10 +500,8 @@ def _write_envelope(out: bytearray, envelope: Any) -> None:
 
 
 def _read_envelope(reader: _Reader):
-    """An envelope as its record left it: both times 0.0 until the
-    receiving fabric stamps them with its own clock, and ``size_bytes``
-    the payload's size model, as the sender's network computed it."""
-    from repro.net.message import Envelope, payload_size
+    """An envelope as its record left it."""
+    from repro.net.message import Envelope
 
     raw_src = reader.take(reader.length())
     suffix, shared = divmod(reader.varint(), len(raw_src) + 1)
@@ -519,7 +515,7 @@ def _read_envelope(reader: _Reader):
     if dst and dst != src:
         strings.append(dst)
     payload = _read_value(reader, strings)
-    return Envelope(src, dst, payload, 0.0, 0.0, payload_size(payload))
+    return Envelope(src, dst, payload)
 
 
 # -- frames ------------------------------------------------------------------

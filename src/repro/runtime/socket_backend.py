@@ -200,12 +200,7 @@ class SocketFabric:
             return
         self.envelopes_received += len(envelopes)
         record_error = self._timers._record_error
-        # The sender's clock readings never travel (each node runs its
-        # own clock): an envelope is sent and delivered, as far as this
-        # node can tell, when it arrives.
-        now = self._timers.now
         for envelope in envelopes:
-            envelope.send_time = envelope.deliver_time = now
             try:
                 network.deliver_inbound(envelope)
             except Exception as exc:

@@ -515,7 +515,6 @@ class CoordinatorCohortClient:
         self._view_seq = 0
         if isinstance(contacts, CohortSet):
             self._learn(0, self.contacts)
-        self.replies_received = 0
         self._calls: Dict[int, _Call] = {}
 
     def request(
@@ -660,7 +659,6 @@ class CoordinatorCohortClient:
         if call is not None:
             if call.sent_at is not None:
                 self._dispatch.note_latency(self.process.env.now - call.sent_at)
-            self.replies_received += 1
             call.on_reply(reply.result)
 
 

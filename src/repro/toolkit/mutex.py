@@ -36,7 +36,6 @@ class DistributedMutex:
         self._queue: List[Address] = []
         self._granted: Optional[Callable[[], None]] = None
         self._waiting = False
-        self.acquisitions = 0
         member.add_delivery_listener(self._on_delivery)
         member.add_view_listener(self._on_view)
 
@@ -97,7 +96,6 @@ class DistributedMutex:
     def _maybe_grant(self) -> None:
         if self.held_by_me and self._waiting:
             self._waiting = False
-            self.acquisitions += 1
             granted, self._granted = self._granted, None
             if granted is not None:
                 granted()

@@ -75,7 +75,7 @@ class TraceSink:
             category=category,
             src=envelope.src,
             dst=envelope.dst,
-            begin=envelope.send_time,
+            begin=self._scheduler.now,
             parent=self._current,
         )
         envelope.trace = span

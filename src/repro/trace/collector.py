@@ -28,7 +28,6 @@ class TraceCollector:
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive (or None for full capture)")
-        self.capacity = capacity
         self._spans = deque(maxlen=capacity) if capacity is not None else []
         self._next_span = 1
         self._next_trace = 1

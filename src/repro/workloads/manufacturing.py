@@ -76,10 +76,9 @@ class ManufacturingWorkload:
         self.recipes_applied: Dict[str, List[int]] = {}
 
         # Inventory control: a flat resilient group with a replicated table.
-        inv_nodes, inv_members = build_group(
+        _inv_nodes, inv_members = build_group(
             self.env, "inventory", inventory_replicas, prefix="inv"
         )
-        self.inventory_nodes = inv_nodes
         self.inventory = [ReplicatedDict(m, "stock") for m in inv_members]
         for part in PARTS:
             self.inventory[0].put(part, 1000)

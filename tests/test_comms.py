@@ -47,7 +47,7 @@ def make_net(**kwargs):
 
 
 def collector(inbox):
-    return lambda env: inbox.append((env.payload, env.src, env.deliver_time))
+    return lambda env: inbox.append((env.payload, env.src))
 
 
 def sends(env, category):

@@ -10,7 +10,7 @@ from repro.net import (
     Envelope,
     HEADER_BYTES,
     payload_category,
-    payload_size,
+    payload_meta,
 )
 from repro.proc import Environment, Process
 
@@ -40,16 +40,16 @@ def test_payload_category_defaults_to_class_name():
 
 
 def test_payload_size_defaults():
-    assert payload_size(Tagged()) == 50
-    assert payload_size(Bare()) == DEFAULT_PAYLOAD_BYTES
+    assert payload_meta(Tagged()) == ("tagged", 50)
+    assert payload_meta(Bare()) == ("Bare", DEFAULT_PAYLOAD_BYTES)
 
 
 def test_envelope_totals():
-    env = Envelope(
-        src="a", dst="b", payload=Tagged(), send_time=0.0, size_bytes=50
-    )
-    assert env.total_bytes == 50 + HEADER_BYTES
+    env = Envelope(src="a", dst="b", payload=Tagged())
     assert env.category == "tagged"
+    network = Environment(seed=1).network
+    network.send("a", "b", Tagged())
+    assert network.stats.bytes == 50 + HEADER_BYTES
 
 
 def test_environment_process_registry():
@@ -95,8 +95,7 @@ def test_stats_diff_drops_zero_entries():
     network.send("b", "a", InY())
     delta = stats.since(before)
     assert delta.by_category == {"y": 1}
-    assert "x" not in delta.sent_by.get("a", {}) if isinstance(delta.sent_by, dict) else True
-    assert delta.sent_by == {"b": 1}
+    assert delta.bytes_by_category == {"y": DEFAULT_PAYLOAD_BYTES + HEADER_BYTES}
 
 
 def test_process_repr_and_unhandled():

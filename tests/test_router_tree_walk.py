@@ -126,7 +126,7 @@ def router_holding(state):
     router = offline_router()
     (frame,), rejects = encode_data_frames([Envelope(
         "svc-ldr-0", "offline-client",
-        RpcReply(request_id=1, value=directory_reply(state, 0)), 0.0,
+        RpcReply(request_id=1, value=directory_reply(state, 0)),
     )])
     assert not rejects
     (envelope,) = decode_frame(frame)[1]

@@ -29,7 +29,7 @@ from repro.clocks.vector import VectorClock
 from repro.core.treecast import LeafTarget, RelaySpec
 from repro.membership.events import ORDERINGS, TOTAL, GroupData
 from repro.membership.view import GroupView
-from repro.net.message import Envelope, payload_size
+from repro.net.message import Envelope
 from repro.net.wire import (
     CodecError,
     FRAME_CONTROL,
@@ -465,18 +465,13 @@ def test_stamped_data_and_stability_plane_round_trip():
 
 
 def test_envelope_batch_round_trips():
-    """Only src, dst and payload travel: the decoded envelope's times are
-    left for the receiving fabric to stamp, and its ``size_bytes`` is the
-    payload's size model, whatever the sender's envelope said."""
+    """An envelope is its src, dst and payload, and all three travel."""
     rng = SimRandom(7)
     envelopes = [
         Envelope(
             _address(rng),
             _address(rng),
             _instance(rng, registered_kinds()[10]),  # GroupData
-            send_time=rng.uniform(0, 10),
-            deliver_time=rng.uniform(0, 10),
-            size_bytes=rng.randint(1, 4096),
         )
         for _ in range(8)
     ]
@@ -488,8 +483,6 @@ def test_envelope_batch_round_trips():
     assert len(decoded) == len(envelopes)
     for original, copy in zip(envelopes, decoded):
         assert (copy.src, copy.dst) == (original.src, original.dst)
-        assert (copy.send_time, copy.deliver_time) == (0.0, 0.0)
-        assert copy.size_bytes == payload_size(original.payload)
         assert copy.payload == original.payload
 
 
@@ -503,19 +496,16 @@ def test_the_receiving_fabric_stamps_arrival_with_its_own_clock():
         env = Environment(latency=FixedLatency(0.001), runtime=runtime)
         arrived = []
         env.network.register(
-            "b", lambda e: arrived.append(
-                (e.send_time, e.deliver_time, e.size_bytes, e.payload)
-            )
+            "b", lambda e: arrived.append((env.network.now, e.payload))
         )
-        sent = Envelope("a", "b", GroupView("g", 2, ("a", "b")),
-                        send_time=123.5, deliver_time=124.0, size_bytes=9999)
+        sent = Envelope("a", "b", GroupView("g", 2, ("a", "b")))
         (frame,), _ = encode_data_frames([sent])
         before = runtime.timers.now
         runtime.fabric._on_datagram(frame, ("127.0.0.1", 1))
         after = runtime.timers.now
-        ((send_time, deliver_time, size, payload),) = arrived
-        assert before <= send_time == deliver_time <= after < 1.0
-        assert (size, payload) == (payload_size(sent.payload), sent.payload)
+        ((delivered_at, payload),) = arrived
+        assert before <= delivered_at <= after < 1.0
+        assert payload == sent.payload
         assert runtime.timers.take_error() is None
     finally:
         runtime.close()
@@ -524,7 +514,7 @@ def test_the_receiving_fabric_stamps_arrival_with_its_own_clock():
 def test_oversized_batch_splits_into_frames():
     big = "x" * 9000
     envelopes = [
-        Envelope("a", "b", big, send_time=0.0, deliver_time=0.0)
+        Envelope("a", "b", big)
         for _ in range(10)
     ]
     frames, rejects = encode_data_frames(envelopes, max_bytes=30000)
@@ -540,10 +530,10 @@ def test_unencodable_and_oversized_records_reject_without_poisoning():
         pass
 
     envelopes = [
-        Envelope("a", "b", "fine", send_time=0.0, deliver_time=0.0),
-        Envelope("a", "b", Alien(), send_time=0.0, deliver_time=0.0),
-        Envelope("a", "b", "x" * 70000, send_time=0.0, deliver_time=0.0),
-        Envelope("a", "b", "also fine", send_time=0.0, deliver_time=0.0),
+        Envelope("a", "b", "fine"),
+        Envelope("a", "b", Alien()),
+        Envelope("a", "b", "x" * 70000),
+        Envelope("a", "b", "also fine"),
     ]
     frames, rejects = encode_data_frames(envelopes)
     assert len(rejects) == 2
@@ -578,49 +568,49 @@ def _budget_cases():
     orders = [(data.global_seq, data.message_id) for data in unstable]
     return {
         "heartbeat": (
-            Envelope("svc-w-517", "svc-w-516", Heartbeat(), 0.0),
+            Envelope("svc-w-517", "svc-w-516", Heartbeat()),
             18, "180101097376632d772d35313712360a2000",
         ),
         "group-data": (
             Envelope("svc-w-16", "svc-w-17", Segment(41, GroupData(
                 _LEAF, 16, "svc-w-16", 57, TOTAL, _PUT, global_seq=312,
-            )), 0.0),
+            ))),
             61,
             "180101087376632d772d313610370a010203520a0a08050b7376632d6c6472"
             "2d302f3203200b00037203040703050370757405036b313703220003f004",
         ),
         "cc-request": (
-            Envelope("client-0", "svc-w-16", CCRequest(_LEAF, 10, _PUT, 16), 0.0),
+            Envelope("client-0", "svc-w-16", CCRequest(_LEAF, 10, _PUT, 16)),
             55,
             "18010108636c69656e742d30487376632d772d31360a4604050b7376632d6c"
             "64722d302f3203140703050370757405036b313703220320",
         ),
         "cc-request-lag": (
-            Envelope("client-0", "svc-w-16", CCRequest(_LEAF, 10, _PUT, 16, 3), 0.0),
+            Envelope("client-0", "svc-w-16", CCRequest(_LEAF, 10, _PUT, 16, 3)),
             57,
             "18010108636c69656e742d30487376632d772d31360a4605050b7376632d6c"
             "64722d302f3203140703050370757405036b3137032203200306",
         ),
         "cc-read": (
-            Envelope("client-0", "svc-w-16", CCRead(_LEAF, 4097, ("get", "k17"), 16), 0.0),
+            Envelope("client-0", "svc-w-16", CCRead(_LEAF, 4097, ("get", "k17"), 16)),
             54,
             "18010108636c69656e742d30487376632d772d31360a4e04050b7376632d6c"
             "64722d302f320382400702050367657405036b31370320",
         ),
         "cc-reply": (
-            Envelope("svc-w-16", "client-0", CCReply(4097, ("value", 17), 16), 0.0),
+            Envelope("svc-w-16", "client-0", CCReply(4097, ("value", 17), 16)),
             40,
             "180101087376632d772d313648636c69656e742d300a470303824007020505"
             "76616c756503220320",
         ),
         "transport-ack": (
-            Envelope("svc-w-17", "svc-w-16", SegmentAck(cum_seq=41), 0.0),
+            Envelope("svc-w-17", "svc-w-16", SegmentAck(cum_seq=41)),
             19, "180101087376632d772d313710360a02010352",
         ),
         "group-stability": (
             Envelope("svc-w-17", "svc-w-16", Segment(42, StabilityGossip(
                 _LEAF, 12, {"svc-w-17": 57, "svc-w-18": 12}, 311,
-            )), 0.0),
+            ))),
             58,
             "180101087376632d772d313710360a010203540a0c04050b7376632d6c6472"
             "2d302f32031809020b00037205087376632d772d3138031803ee04",
@@ -628,7 +618,7 @@ def _budget_cases():
         "group-new-view": (
             Envelope("svc-w-16", "svc-w-17", Segment(58, NewView(
                 GroupView(_LEAF, 13, _MEMBERS), unstable, orders, 308,
-            )), 0.0),
+            ))),
             418,
             "180101087376632d772d313610370a010203740a0f040a1303050b7376632d"
             "6c64722d302f32031a07070b000b0105087376632d772d313805087376632d"
@@ -648,7 +638,7 @@ def _budget_cases():
         "group-flush-ok": (
             Envelope("svc-w-17", "svc-w-16", Segment(43, FlushOk(
                 _LEAF, 13, unstable, orders, 308,
-            )), 0.0),
+            ))),
             375,
             "180101087376632d772d313710360a010203560a0e05050b7376632d6c6472"
             "2d302f32031a08080a0a080b0203180b01035003040703050370757405036b"
@@ -749,7 +739,7 @@ def _directory_frame(leaf_count: int):
         contacts = tuple(f"svc-w-{3 * i + k}" for k in range(3))
         state.apply(AddLeaf(f"svc-ldr-0/{i + 1}", 8, contacts))
     reply = RpcReply(request_id=4097, value=directory_reply(state, 64))
-    return Envelope("svc-ldr-0", "client-0", reply, 0.0)
+    return Envelope("svc-ldr-0", "client-0", reply)
 
 
 _DIRECTORY = {64: 3092, 256: 12658, 1024: 53155}
@@ -844,29 +834,29 @@ def test_repeated_strings_round_trip_and_never_grow_a_record(records):
     and the records' src and dst (dict keys, empty and non-ASCII strings
     too) decodes to what was sent, and no record's payload is longer
     than the same value with every string spelled out."""
-    envelopes = [Envelope(src, dst, value, 0.0) for src, dst, value in records]
+    envelopes = [Envelope(src, dst, value) for src, dst, value in records]
     frames, rejects = encode_data_frames(envelopes)
     assert not rejects and len(frames) == 1
     decoded = decode_frame(frames[0])[1]
     assert [(e.src, e.dst, e.payload) for e in decoded] == records
     for src, dst, value in records:
-        (frame,), _ = encode_data_frames([Envelope(src, dst, value, 0.0)])
+        (frame,), _ = encode_data_frames([Envelope(src, dst, value)])
         payload = len(frame) - HEADER_BYTES - 1 - _utf8_size(src) - _dst_size(src, dst)
         assert payload <= _spelled_size(value)
 
 
 def test_a_repeat_costs_a_back_reference_and_nothing_carries_across_records():
     name = "svc-ldr-0/2"
-    once = encode_data_frames([Envelope("a", "b", (name,), 0.0)])[0][0]
-    twice = encode_data_frames([Envelope("a", "b", (name, name), 0.0)])[0][0]
+    once = encode_data_frames([Envelope("a", "b", (name,))])[0][0]
+    twice = encode_data_frames([Envelope("a", "b", (name, name))])[0][0]
     assert len(twice) - len(once) == 2  # the tag and a one-byte index
-    echo = encode_data_frames([Envelope("svc-w-16", "b", ("svc-w-16",), 0.0)])[0][0]
-    other = encode_data_frames([Envelope("svc-w-16", "b", ("svc-w-17",), 0.0)])[0][0]
+    echo = encode_data_frames([Envelope("svc-w-16", "b", ("svc-w-16",))])[0][0]
+    other = encode_data_frames([Envelope("svc-w-16", "b", ("svc-w-17",))])[0][0]
     assert len(other) - len(echo) == 8  # a 10-byte literal, a 2-byte reference
     # Each record starts a fresh table: the second record spells the name
     # again, so either one decodes alone.
     (frame,), _ = encode_data_frames(
-        [Envelope("a", "b", (name,), 0.0), Envelope("a", "b", (name,), 0.0)]
+        [Envelope("a", "b", (name,)), Envelope("a", "b", (name,))]
     )
     assert frame.count(name.encode()) == 2
 
@@ -907,7 +897,7 @@ def test_the_table_stops_growing_so_an_index_stays_two_bytes():
     record outgrows a UDP frame, so it is packed under a larger budget.)"""
     words = [f"w{i}" for i in range(STRING_TABLE_SIZE + 1)]
     (frame,), rejects = encode_data_frames(
-        [Envelope("a", "b", (words, words), 0.0)], max_bytes=1 << 20
+        [Envelope("a", "b", (words, words))], max_bytes=1 << 20
     )
     assert not rejects
     assert decode_frame(frame)[1][0].payload == (words, words)
@@ -924,7 +914,7 @@ def test_the_table_stops_growing_so_an_index_stays_two_bytes():
     # The decoder's table stops where the encoder's does: the last entry
     # is reachable, one past it is not, though more words were spelled.
     (frame,), _ = encode_data_frames(
-        [Envelope("a", "b", (words, "tail"), 0.0)], max_bytes=1 << 20
+        [Envelope("a", "b", (words, "tail"))], max_bytes=1 << 20
     )
     body = frame[: -len(b"\x05\x04tail")]
     last = decode_frame(body + bytes([11, 0xFF, 0x7F]))[1][0]
@@ -955,12 +945,12 @@ def test_a_dst_front_coded_against_its_src_round_trips(pairs):
     addresses sent, a dst costs exactly that, and one sharing nothing
     costs v23's length and bytes while ``dst length × (src length + 1)``
     fits one varint byte."""
-    envelopes = [Envelope(src, dst, None, 0.0) for src, dst in pairs]
+    envelopes = [Envelope(src, dst, None) for src, dst in pairs]
     (frame,), rejects = encode_data_frames(envelopes)
     assert not rejects
     assert [(e.src, e.dst) for e in decode_frame(frame)[1]] == pairs
     for src, dst in pairs:
-        (frame,), _ = encode_data_frames([Envelope(src, dst, None, 0.0)])
+        (frame,), _ = encode_data_frames([Envelope(src, dst, None)])
         assert len(frame) == HEADER_BYTES + 1 + _utf8_size(src) + _dst_size(src, dst) + 1
         raw_src, raw_dst = src.encode(), dst.encode()
         if raw_src[:1] != raw_dst[:1] and len(raw_dst) * (len(raw_src) + 1) < 128:
@@ -1115,7 +1105,7 @@ def test_no_exception_escapes_the_fabric_receive_path():
             encode_control_frame("control on the data plane"),
             bytes(rng.randint(0, 255) for _ in range(64)),
             encode_data_frames(
-                [Envelope("a", "b", "ok", send_time=0.0, deliver_time=0.0)]
+                [Envelope("a", "b", "ok")]
             )[0][0][:-3],  # truncated data frame
         ]
         for blob in blobs:
@@ -1256,7 +1246,7 @@ def test_the_v16_slimmed_kinds_round_trip():
         TreeAck(broadcast_id="svc-ldr-0/tb4", stage="svc/b2"),
     ):
         assert decode_frame(encode_control_frame(payload)) == (FRAME_CONTROL, payload)
-        envelope = Envelope("svc-w-3", "svc-w-4", payload, 0.0)
+        envelope = Envelope("svc-w-3", "svc-w-4", payload)
         (frame,), rejects = encode_data_frames([envelope])
         assert not rejects
         (decoded,) = decode_frame(frame)[1]
@@ -1272,9 +1262,7 @@ def test_a_gap_report_round_trips():
     ):
         kind, value = decode_frame(encode_control_frame(ack))
         assert (kind, value) == (FRAME_CONTROL, ack)
-    envelope = Envelope(
-        "a", "b", SegmentAck(cum_seq=7, high=9), send_time=1.0, deliver_time=1.5
-    )
+    envelope = Envelope("a", "b", SegmentAck(cum_seq=7, high=9))
     frames, rejects = encode_data_frames([envelope])
     assert not rejects
     (decoded,) = decode_frame(frames[0])[1]
@@ -1360,7 +1348,7 @@ def test_a_probe_round_trips_and_a_v10_frame_is_refused():
     frame = bytearray(encode_control_frame(Probe()))
     assert decode_frame(bytes(frame)) == (FRAME_CONTROL, Probe())
     assert frame[HEADER_BYTES:] == bytes([10, 36, 0])  # tag KIND, id 36, 0 fields
-    envelope = Envelope("g-1", "g-0", Probe(), send_time=1.0, deliver_time=1.002)
+    envelope = Envelope("g-1", "g-0", Probe())
     frames, rejects = encode_data_frames([envelope])
     assert not rejects
     (decoded,) = decode_frame(frames[0])[1]
