@@ -39,7 +39,10 @@ class TotalEngine(OrderingEngine):
         super().__init__(view, me)
         self.is_sequencer = view.coordinator == me
         self._next_assign = next_global_seq  # sequencer only
-        self._next_deliver = next_global_seq
+        # Highest global sequence number delivered here: the frontier
+        # this member reports to the stability plane, read on every
+        # gossip tick (a plain attribute, so a read costs no call).
+        self.delivered_through = next_global_seq - 1
         # Every assignment seen this view that some member may not have
         # delivered yet: flush must be able to report orders for messages
         # delivered *here*, otherwise a member that missed the assignment
@@ -94,13 +97,13 @@ class TotalEngine(OrderingEngine):
         and anything else is held (a relayed copy, or past a gap) or is a
         duplicate — so whether ``data`` is deliverable now says it all."""
         global_seq = data.global_seq
-        if global_seq == self._next_deliver:
+        if global_seq == self.delivered_through + 1:
             self._held.pop(data.message_id, None)
             self._history[global_seq] = data.message_id
-            self._next_deliver = global_seq + 1
+            self.delivered_through = global_seq
             return True
         if global_seq is not None:
-            if global_seq < self._next_deliver:
+            if global_seq <= self.delivered_through:
                 return False  # a duplicate of data delivered past
             self._history.setdefault(global_seq, data.message_id)
         self._held.setdefault(data.message_id, data)
@@ -122,12 +125,6 @@ class TotalEngine(OrderingEngine):
         """Every order assignment seen this view and not forgotten."""
         return sorted(self._history.items())
 
-    @property
-    def delivered_through(self) -> int:
-        """Highest global sequence number delivered here (the frontier
-        this member reports to the stability plane)."""
-        return self._next_deliver - 1
-
     def forget_orders(self, through: int) -> None:
         """Drop assignments every member has delivered: no survivor of a
         view change can need them (``next_global_seq`` falls back to the
@@ -139,7 +136,7 @@ class TotalEngine(OrderingEngine):
     @property
     def next_global_seq(self) -> int:
         """Highest frontier this member knows: orders seen or assigned."""
-        frontier = self._next_deliver
+        frontier = self.delivered_through + 1
         if self._history:
             frontier = max(frontier, max(self._history) + 1)
         if self.is_sequencer:

@@ -91,6 +91,9 @@ class StabilityTracker:
         # last report (announcement), and the frontier last sent.
         self._unsent: Set[Address] = set()
         self._ordered_sent = ordered
+        # The frontier of the last take, None once anything moved since:
+        # a take at this frontier would change and return nothing.
+        self.idle_at: Optional[int] = ordered
         # Coordinator only: every member's reported watermarks (our own
         # row *is* ``_delivered``) and delivery frontier.
         self._peer_view: Optional[Dict[Address, Dict[Address, int]]] = None
@@ -125,6 +128,7 @@ class StabilityTracker:
         self._delivered[sender] = seq
         if self._peer_view is None:
             self._unsent.add(sender)
+            self.idle_at = None
         elif old == self._floor[sender]:
             self._refloor(sender)
 
@@ -138,6 +142,7 @@ class StabilityTracker:
         that moved since the last report and this member's delivery
         frontier ``ordered`` — or None when nothing moved.  The caller
         must send it: it is not offered again."""
+        self.idle_at = ordered
         return self._take(self._delivered, ordered)
 
     def _take(self, values: Dict[Address, int], ordered: int) -> Optional[Moved]:
@@ -177,6 +182,7 @@ class StabilityTracker:
                     self._refloor(sender)
         if ordered > self._peer_ordered[peer]:
             self._peer_ordered[peer] = ordered
+            self.idle_at = None
         self._truncate()
 
     def take_floors(self, ordered: int) -> Optional[Moved]:
@@ -187,6 +193,7 @@ class StabilityTracker:
         self._truncate()
         self._peer_ordered[self._me] = ordered
         self.ordered_floor = min(self._peer_ordered.values())
+        self.idle_at = ordered
         return self._take(self._floor, self.ordered_floor)
 
     # -- queries ----------------------------------------------------------------
@@ -218,6 +225,7 @@ class StabilityTracker:
             self._floor[sender] = new
             self._dirty.add(sender)
             self._unsent.add(sender)
+            self.idle_at = None
 
     def _truncate(self) -> None:
         if not self._dirty:

@@ -155,6 +155,8 @@ class HeartbeatDetector(FailureDetector):
                 "must be able to answer before it is suspected"
             )
         self._process = process
+        # The engine clock, read per tick and per heartbeat.
+        self._clock = process.env.scheduler
         self._interval = interval
         self._suspect_after = suspect_after
         self._ticks = 0
@@ -186,7 +188,7 @@ class HeartbeatDetector(FailureDetector):
             # that started watching at different times renew at
             # different ticks; a later watch is renewed early, never late.
             self._renew_at = self._ticks + RENEW_TICKS
-        self._last_heard[address] = self._process.env.now
+        self._last_heard[address] = self._clock.now
         self._process.send(address, _SUBSCRIBE)
 
     def unwatch(self, address: Address) -> None:
@@ -252,7 +254,7 @@ class HeartbeatDetector(FailureDetector):
         # so nothing is sent, no listener can fire and nothing can mutate
         # our dicts — iterate them directly, no defensive copy, no
         # allocation.
-        now = process.env.now
+        now = self._clock.now
         last_heard = self._last_heard
         suspected = self._suspected
         renew = tick >= self._renew_at
@@ -305,7 +307,7 @@ class HeartbeatDetector(FailureDetector):
             trace.local(
                 "suspicion", category="failure",
                 process=process.address, peer=address,
-                silent_for=process.env.now - last,
+                silent_for=self._clock.now - last,
             )
         for listener in list(self._listeners):
             listener(address)
@@ -326,7 +328,7 @@ class HeartbeatDetector(FailureDetector):
 
     def _on_heartbeat(self, _heartbeat: Heartbeat, sender: Address) -> None:
         if sender in self._last_heard:
-            self._last_heard[sender] = self._process.env.now
+            self._last_heard[sender] = self._clock.now
             # Heard is alive: a peer suspected while a partition lasted
             # is watched again from here, so a later crash is reported.
             self._suspected.discard(sender)

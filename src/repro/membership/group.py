@@ -212,17 +212,25 @@ class GroupMember(ViewCore):
         the coordinator reports what moved to it, the coordinator announces
         the floors that moved to everyone else.  Channels are reliable and
         FIFO, so what was sent once in this view need never be repeated:
-        an idle group sends nothing in either direction."""
-        if not self.is_member or self._reported is not None:
+        an idle group sends nothing in either direction, and an idle
+        member's tick ends at the tracker's ``idle_at``."""
+        stability = self._stability
+        if stability is None:
+            return
+        engine: TotalEngine = self._engines[TOTAL]
+        if (
+            stability.idle_at == engine.delivered_through
+            or not self.is_member
+            or self._reported is not None
+        ):
             return
         view = self.view
-        engine: TotalEngine = self._engines[TOTAL]
         if view.coordinator == self.me:
-            moved = self._stability.take_floors(engine.delivered_through)
-            engine.forget_orders(self._stability.ordered_floor)
+            moved = stability.take_floors(engine.delivered_through)
+            engine.forget_orders(stability.ordered_floor)
             targets = view.others(self.me)
         else:
-            moved = self._stability.take_report(engine.delivered_through)
+            moved = stability.take_report(engine.delivered_through)
             targets = (view.coordinator,)
         if moved is None or not targets:
             return

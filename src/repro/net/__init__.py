@@ -16,7 +16,7 @@ from repro.net.message import (
     payload_category,
     payload_meta,
 )
-from repro.net.network import Network
+from repro.net.network import HandlerTable, Network
 from repro.net.partition import PartitionManager
 from repro.net.stats import NetworkStats, StatsSnapshot
 from repro.net.wire import (
@@ -36,6 +36,7 @@ __all__ = [
     "Envelope",
     "FixedLatency",
     "HEADER_BYTES",
+    "HandlerTable",
     "MAX_FRAME_BYTES",
     "WIRE_VERSION",
     "LanLatency",

@@ -39,7 +39,19 @@ from repro.net.partition import PartitionManager
 from repro.net.stats import NetworkStats
 from repro.runtime.api import MessageFabric, SimRandom, TimerService
 
-DeliverFn = Callable[[Envelope], None]
+
+class HandlerTable(dict):
+    """An endpoint: payload type -> ``handler(payload, sender)``, and
+    ``owner.unhandled`` for a type with none.  A process owns its table,
+    so a delivery is one lookup and one call, with no frame between."""
+
+    __slots__ = ("owner",)
+
+    def __init__(self, owner: Any) -> None:
+        self.owner = owner
+
+    def __missing__(self, kind: type) -> Callable[[Any, Address], None]:
+        return self.owner.unhandled
 
 
 class Network:
@@ -79,7 +91,7 @@ class Network:
         self.drop_probability = drop_probability
         self.duplicate_probability = duplicate_probability
         self.hardware_multicast = hardware_multicast
-        self._endpoints: Dict[Address, DeliverFn] = {}
+        self._endpoints: Dict[Address, HandlerTable] = {}
         self.partitions = PartitionManager()
         self.stats = NetworkStats()
         self._tap_entries: list = []
@@ -162,9 +174,10 @@ class Network:
 
     # -- endpoint management -------------------------------------------------
 
-    def register(self, address: Address, deliver: DeliverFn) -> None:
-        """Attach an endpoint.  Re-registering an address replaces it."""
-        self._endpoints[address] = deliver
+    def register(self, address: Address, handlers: HandlerTable) -> None:
+        """Attach an endpoint (a delivery calls ``handlers[type(payload)]
+        (payload, src)``).  Re-registering an address replaces it."""
+        self._endpoints[address] = handlers
 
     def unregister(self, address: Address) -> None:
         """Detach an endpoint; in-flight datagrams to it are dropped."""
@@ -321,29 +334,25 @@ class Network:
 
     def _deliver(self, envelope: Envelope) -> None:
         dst = envelope.dst
-        deliver = self._endpoints.get(dst)
-        if deliver is None:
+        handlers = self._endpoints.get(dst)
+        if handlers is None:
             # Destination crashed or never existed; the datagram vanishes,
             # exactly as on a real LAN.
             self._drop(envelope)
         else:
-            # The key exists after the destination's first delivery.
-            received_by = self.stats.received_by
-            try:
-                received_by[dst] += 1
-            except KeyError:
-                received_by[dst] = 1
+            self.stats.received_by[dst] += 1
             taps = self._deliver_taps
             if taps:
                 for fn in taps:
                     fn("deliver", envelope)
+            payload = envelope.payload
             trace = self.trace
             if trace is None:
-                deliver(envelope)
+                handlers[type(payload)](payload, envelope.src)
             else:
                 token = trace.on_deliver_begin(envelope)
                 try:
-                    deliver(envelope)
+                    handlers[type(payload)](payload, envelope.src)
                 finally:
                     trace.on_deliver_end(token)
         envelope.payload = None

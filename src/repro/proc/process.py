@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Type
 
-from repro.net.message import Address, Envelope
+from repro.net.message import Address
+from repro.net.network import HandlerTable
 from repro.proc.env import Environment
 from repro.runtime.api import TimerHandle
 
@@ -43,22 +44,21 @@ Handler = Callable[[Any, Address], None]
 class Timer:
     """A cancellable (optionally periodic) timer owned by a process.
 
-    A periodic timer owns exactly one engine timer handle for its whole
-    life: each tick *re-arms* the fired handle at the next deadline
-    (:meth:`~repro.runtime.api.TimerService.rearm`) instead of allocating
-    a fresh closure, event and handle per tick — the dominant allocation
-    in heartbeat-heavy runs.
+    A periodic timer holds one engine handle from
+    :meth:`~repro.runtime.api.TimerService.every` for its whole life: the
+    engine re-arms it each tick and calls the callback directly, so a
+    tick costs no frame of this class's.
 
     A one-shot timer uses the engine's recyclable handle-free path
-    (``after_call_once``) where available: the engine event returns to
-    the scheduler's free list the moment it fires, so timer-heavy
-    features (delayed acks) allocate no engine objects in steady state.
-    The recycled handle is never touched after firing — a one-shot marks
-    itself cancelled on fire, and :meth:`cancel` bails out on that flag
-    before ever reaching the engine handle.
+    (``after_call_once``): the engine event returns to the scheduler's
+    free list the moment it fires, so timer-heavy features (delayed acks)
+    allocate no engine objects in steady state.  The recycled handle is
+    never touched after firing — a one-shot marks itself cancelled on
+    fire, and :meth:`cancel` bails out on that flag before ever reaching
+    the engine handle.
     """
 
-    __slots__ = ("_process", "_delay", "_fn", "_periodic", "_cancelled", "_handle")
+    __slots__ = ("_process", "_fn", "_cancelled", "_handle")
 
     def __init__(
         self,
@@ -68,34 +68,19 @@ class Timer:
         periodic: bool,
     ) -> None:
         self._process = process
-        self._delay = delay
         self._fn = fn
-        self._periodic = periodic
         # A dead process arms nothing: its timer is born cancelled.
         self._cancelled = not process.alive
         self._handle: Optional[TimerHandle] = None
         if process.alive:
             process._timers[self] = None
-            self._arm()
-
-    def _arm(self) -> None:
-        scheduler = self._process.env.scheduler
-        if self._periodic:
-            self._handle = scheduler.after_call(self._delay, Timer._fire, self)
-        else:
-            once = getattr(scheduler, "after_call_once", scheduler.after_call)
-            self._handle = once(self._delay, Timer._fire, self)
+            timers = process.env.scheduler
+            if periodic:
+                self._handle = timers.every(delay, fn)
+            else:
+                self._handle = timers.after_call_once(delay, Timer._fire, self)
 
     def _fire(self) -> None:
-        if self._cancelled:
-            return
-        if self._periodic:
-            # Reschedule *before* running the callback (so events the
-            # callback schedules at the same instant order after the next
-            # tick, exactly as the closure-per-tick implementation did).
-            self._process.env.scheduler.rearm(self._handle, self._delay)
-            self._fn()
-            return
         # A fired one-shot timer is dead: mark it cancelled (so cancel()
         # never touches the now-recycled engine handle) and drop it, and
         # its callback, from the owner's live set before it runs.
@@ -134,7 +119,9 @@ class Process:
         # process ids the same way).  Protocol layers use it to discard
         # channel state belonging to a dead incarnation.
         self.incarnation = 0
-        self._handlers: Dict[Type, Handler] = {}
+        # The endpoint the network delivers to: payload type -> handler,
+        # and ``unhandled`` for a type with none.
+        self._handlers = HandlerTable(self)
         # Live timers in arming order (a dict used as an ordered set): a
         # one-shot leaves when it fires or is cancelled, a periodic timer
         # when it is cancelled.
@@ -144,7 +131,7 @@ class Process:
         # replaced, so the per-send attribute chain can be cached here.
         self._network = env.network
         env.add_process(self)
-        self._network.register(address, self._on_envelope)
+        self._network.register(address, self._handlers)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"
@@ -179,24 +166,9 @@ class Process:
     def replace_handler(self, payload_type: Type, handler: Handler) -> None:
         self._handlers[payload_type] = handler
 
-    def _on_envelope(self, envelope: Envelope) -> None:
-        if not self.alive:
-            return
-        # deliver(), inlined — this is the per-delivery hot path.
-        payload = envelope.payload
-        handler = self._handlers.get(type(payload))
-        if handler is None:
-            self.unhandled(payload, envelope.src)
-        else:
-            handler(payload, envelope.src)
-
     def deliver(self, payload: Any, sender: Address) -> None:
         """Dispatch a payload to its registered handler (or ``unhandled``)."""
-        handler = self._handlers.get(type(payload))
-        if handler is None:
-            self.unhandled(payload, sender)
-        else:
-            handler(payload, sender)
+        self._handlers[type(payload)](payload, sender)
 
     def unhandled(self, payload: Any, sender: Address) -> None:
         """Hook for payloads with no handler; default records them."""

@@ -20,11 +20,12 @@ and an *engine* (a :class:`Runtime` backend) is just one host for it:
 The contract has three parts:
 
 * :class:`TimerService` — the clock and timer API (``now``, ``at`` /
-  ``after`` / ``at_call`` / ``after_call`` returning cancellable
-  :class:`TimerHandle` objects, and the ``rearm`` fast path periodic
-  timers rely on).  ``Environment.scheduler`` is a ``TimerService``;
-  under the sim backend it *is* the ``Scheduler`` instance, so the hot
-  paths tuned in PR 1 pay nothing for the indirection.
+  ``after`` / ``at_call`` / ``after_call`` / ``after_call_once``
+  returning cancellable :class:`TimerHandle` objects, and ``every``, the
+  one handle a periodic timer holds for its whole life).
+  ``Environment.scheduler`` is a ``TimerService``; under the sim backend
+  it *is* the ``Scheduler`` instance, so the hot paths tuned in PR 1 pay
+  nothing for the indirection.
 * :class:`MessageFabric` — the hook the :class:`~repro.net.network.
   Network` binds to for deferred datagram delivery.  A fabric only needs
   ``now`` and ``at_call``; the socket fabric layers UDP transmission
@@ -74,9 +75,10 @@ class TimerService(Protocol):
     time starting at 0; under the asyncio backend it is elapsed wall
     time since the runtime was created (scaled by ``time_scale``).  The
     ``*_call`` variants carry one argument alongside the callback so hot
-    callers avoid allocating a closure per event; ``rearm`` re-schedules
-    a *fired* handle so periodic timers reuse one handle for their whole
-    life (see docs/simulator.md, "Event-loop internals").
+    callers avoid allocating a closure per event; ``after_call_once``'s
+    handle must not be touched once it fired or was cancelled.  ``every``
+    returns one handle for a periodic timer's whole life, re-armed before
+    each tick's call (docs/simulator.md, "Periodic ticks share a bucket").
     """
 
     @property
@@ -99,7 +101,12 @@ class TimerService(Protocol):
     ) -> TimerHandle:  # pragma: no cover - protocol signature
         ...
 
-    def rearm(self, handle: TimerHandle, delay: float) -> TimerHandle:  # pragma: no cover
+    def after_call_once(
+        self, delay: float, fn: Callable[[Any], None], arg: Any
+    ) -> TimerHandle:  # pragma: no cover - protocol signature
+        ...
+
+    def every(self, interval: float, fn: Callable[[], None]) -> TimerHandle:  # pragma: no cover
         ...
 
 

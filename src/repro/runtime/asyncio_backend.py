@@ -48,8 +48,7 @@ class WallClockError(RuntimeError):
 
 
 class AsyncioTimerHandle:
-    """Cancellable timer over ``loop.call_later``; re-armable like the
-    simulator's event handles so periodic timers reuse one object."""
+    """Cancellable timer over ``loop.call_later``."""
 
     __slots__ = ("_timers", "_when", "_fn", "_arg", "_loop_handle", "_queued", "_cancelled")
 
@@ -149,15 +148,22 @@ class AsyncioTimers:
             raise WallClockError(f"negative delay {delay!r}")
         return self._arm(AsyncioTimerHandle(self, self.now + delay, fn, arg))
 
-    def rearm(self, handle: AsyncioTimerHandle, delay: float) -> AsyncioTimerHandle:
-        """Re-schedule a *fired* handle at ``now + delay`` (periodic fast
-        path, mirroring :meth:`repro.sim.scheduler.Scheduler.rearm`)."""
-        if delay < 0:
-            raise WallClockError(f"negative delay {delay!r}")
-        if handle._queued:
-            raise WallClockError("cannot rearm a timer that is still queued")
-        handle._when = self.now + delay
-        handle._cancelled = False
+    # No free list on this engine: a one-shot is an ordinary handle.
+    after_call_once = after_call
+
+    def every(self, interval: float, fn: Callable[[], None]) -> AsyncioTimerHandle:
+        """Run ``fn()`` every ``interval`` until the handle is cancelled;
+        each tick re-arms the handle before calling ``fn``, as
+        :meth:`repro.sim.scheduler.Scheduler.every` does."""
+        if interval < 0:
+            raise WallClockError(f"negative interval {interval!r}")
+
+        def tick() -> None:
+            handle._when = self.now + interval
+            self._arm(handle)
+            fn()
+
+        handle = AsyncioTimerHandle(self, self.now + interval, tick, _NO_ARG)
         return self._arm(handle)
 
     def _arm(self, handle: AsyncioTimerHandle) -> AsyncioTimerHandle:

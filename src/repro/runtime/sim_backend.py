@@ -4,7 +4,7 @@ Zero behaviour change and zero hot-path cost by construction:
 
 * ``timers`` and ``fabric`` are the :class:`~repro.sim.scheduler.
   Scheduler` instance *itself* — the network and per-process timers call
-  the exact same bound methods (``at_call``, ``after_call``, ``rearm``)
+  the exact same bound methods (``at_call``, ``after_call``, ``every``)
   they called before the runtime layer existed, so the frozen
   determinism digests (tests/test_perf_determinism.py) and the
   BENCH_core.json numbers are definitionally unchanged.

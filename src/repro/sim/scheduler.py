@@ -22,16 +22,17 @@ Performance notes (see docs/simulator.md, "Allocation discipline"):
   behind :meth:`after_call_once`, are drawn from free lists and recycled
   on fire — the steady-state loop allocates ~nothing per event.  Events
   whose handles escape (``at`` / ``at_call``) are never recycled: a
-  retained handle may legally be cancelled or re-armed later, which
-  would hijack a recycled event.
-* :meth:`Scheduler.rearm` re-queues a *fired* event object at a new time,
-  so periodic timers reuse one event + handle for their whole life.  It
-  queues the handle in a *tick bucket*, one per instant: every periodic
-  handle re-armed for one instant fires from a single heap entry.  A
-  bucket is sealed exactly when another seq-consuming schedule lands on
-  its instant, so the global (time, seq) order — and therefore every
-  frozen delivery digest — is the one a heap entry per handle would
-  give.  An idle population of n timers on k phases holds k heap
+  retained handle may legally be cancelled later, which would hijack a
+  recycled event.
+* :meth:`Scheduler.every` returns a periodic handle that lives in *tick
+  buckets*, one per instant: every periodic handle due at one instant
+  fires from a single heap entry, and the bucket re-arms each handle one
+  period on, in place, before calling its callback — one event object
+  and one call frame per tick, for the handle's whole life.  A bucket is
+  sealed exactly when another seq-consuming schedule lands on its
+  instant, so the global (time, seq) order — and therefore every frozen
+  delivery digest — is the one a heap entry per handle and per tick
+  would give.  An idle population of n timers on k phases holds k heap
   entries, not n.  A handle cancelled while it waits in a bucket is
   skipped when the bucket fires and not counted.
 * Cancellation stays lazy (O(1)), but the scheduler counts cancelled
@@ -73,10 +74,11 @@ class _Event:
     ``after_call_once`` one-shots): they return to the scheduler's free
     list when they fire, so their handle must not be touched afterwards.
 
-    ``batch`` marks a tick bucket: its ``arg`` is the list of re-armed
-    handles, each fired with its own callback.  ``bucketed``
-    marks a handle that ``rearm`` has queued in a tick bucket rather
-    than as a heap entry of its own (``in_heap`` then means "queued").
+    ``batch`` marks a tick bucket: its ``arg`` is the list of periodic
+    handles due at its instant.  ``bucketed`` marks a periodic handle
+    (:meth:`Scheduler.every`): it only ever waits in tick buckets, never
+    as a heap entry of its own (``in_heap`` then means "queued"), and its
+    ``arg`` is its period, since its callback takes no argument.
     """
 
     __slots__ = (
@@ -147,7 +149,7 @@ class Scheduler:
         self._running = False
         self._live = 0  # events queued and not cancelled
         self._cancelled_in_heap = 0  # lazily cancelled, awaiting pop/compact
-        # The open tick buckets (rearm), one per instant, sealed by any
+        # The open tick buckets (every), one per instant, sealed by any
         # other seq-consuming schedule at that instant or by firing.
         self._ticks: Dict[float, _Event] = {}
         # Free lists + fresh-construction counters (the allocation probe
@@ -176,8 +178,8 @@ class Scheduler:
     @property
     def heap_size(self) -> int:
         """Raw heap length, including lazily cancelled events.  All the
-        periodic handles re-armed for one instant (a tick bucket) occupy
-        a single entry, cancelled ones included until the bucket fires."""
+        periodic handles due at one instant (a tick bucket) occupy a
+        single entry, cancelled ones included until the bucket fires."""
         return len(self._heap)
 
     @property
@@ -257,9 +259,9 @@ class Scheduler:
         Contract: the returned handle may be cancelled *before* the due
         time, but must never be touched after the event fires or after
         ``cancel()`` — the object is recycled and may already carry a
-        different callback.  ``rearm`` rejects these events.  One-shot
-        process timers (:class:`repro.proc.process.Timer`) follow this
-        discipline, which makes timer churn allocation-free.
+        different callback.  One-shot process timers
+        (:class:`repro.proc.process.Timer`) follow this discipline, which
+        makes timer churn allocation-free.
         """
         if time < self.now:
             raise SimulationError(
@@ -319,40 +321,23 @@ class Scheduler:
         self._live += 1
         return event
 
-    def rearm(self, handle: _Event, delay: float) -> _Event:
-        """Re-queue a *fired* event at ``now + delay``, reusing its event
-        object and handle (no allocation).  Periodic timers use this so a
-        million ticks cost one event object, not a million.
-
-        The handle joins the tick bucket open at that instant, or opens
-        one: every handle re-armed for one instant fires from a single
-        heap entry, in re-arm order.  The bucket is sealed by any other
-        seq-consuming schedule at the same instant, or by firing, so the
-        global (time, seq) order is the one a heap entry per handle would
-        give.
-
-        The event must not currently be queued; its cancelled flag is
-        cleared (re-arming an event is scheduling it anew).  Recyclable
-        (``once``) events are rejected: after firing they may already be
-        serving another caller.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        if handle.in_heap:
-            raise SimulationError("cannot rearm an event that is still queued")
-        if handle.once:
-            raise SimulationError("cannot rearm a recycled one-shot event")
-        time = self.now + delay
-        handle.time = time
-        handle.cancelled = False
-        handle.in_heap = True
+    def every(self, interval: float, fn: Callable[[], None]) -> _Event:
+        """Run ``fn()`` every ``interval`` from now until the returned
+        handle is cancelled: one handle for the timer's whole life.  It
+        waits in the tick bucket of its instant (a first arm joins an
+        open one, exactly where its own heap entry would fire), and each
+        tick re-arms it ``interval`` on before calling ``fn``."""
+        if interval < 0:
+            raise SimulationError(f"negative interval {interval!r}")
+        time = self.now + interval
+        handle = _Event(self, time, fn, interval, False, False)
         handle.bucketed = True
         bucket = self._ticks.get(time)
-        if bucket is not None:
+        if bucket is None:
+            self._ticks[time] = self._open_bucket(time, handle)
+        else:
             bucket.arg.append(handle)
             self._live += 1
-            return handle
-        self._ticks[time] = self._open_bucket(time, handle)
         return handle
 
     # -- cancellation bookkeeping --------------------------------------------
@@ -388,10 +373,11 @@ class Scheduler:
     # -- running -------------------------------------------------------------
 
     def _fire_ticks(self, time: float, bucket: _Event) -> None:
-        """Fire a tick bucket's handles in re-arm order, then return the
-        bucket and its list to the free lists.  A handle cancelled while
-        it waited is skipped and not counted, and leaves ``now`` alone,
-        as its own heap entry would."""
+        """Fire a tick bucket's handles in arming order, each re-armed one
+        period on before its call, then return the bucket and its list
+        to the free lists.  A handle cancelled while it waited is skipped
+        and not counted, and leaves ``now`` alone, as its own heap entry
+        would."""
         ticks = self._ticks
         if ticks.get(time) is bucket:
             del ticks[time]
@@ -399,17 +385,19 @@ class Scheduler:
         bucket.arg = None
         self._event_pool.append(bucket)
         for handle in handles:
-            handle.in_heap = False
             if handle.cancelled:
+                handle.in_heap = False
                 continue
             self.now = time
             self._events_processed += 1
-            self._live -= 1
-            arg = handle.arg
-            if arg is _NO_ARG:
-                handle.fn()
+            following = handle.time = time + handle.arg
+            queued = ticks.get(following)
+            if queued is None:
+                self._live -= 1
+                ticks[following] = self._open_bucket(following, handle)
             else:
-                handle.fn(arg)
+                queued.arg.append(handle)
+            handle.fn()
         handles.clear()
         self._arg_pool.append(handles)
 

@@ -553,7 +553,7 @@ class CoordinatorCohortClient:
         else:
             self.process.multicast(self._members, request)
         if call.retries_left == self.max_retries:
-            call.sent_at = self.process.env.now
+            call.sent_at = self.process.env.scheduler.now
             delay = self._dispatch.hedge_delay
             if delay is not None and delay < self.timeout and len(self._members) > 1:
                 # One timer at a time: the hedge, then the retry for the
@@ -658,7 +658,7 @@ class CoordinatorCohortClient:
         call = self._finish(reply.request_id)
         if call is not None:
             if call.sent_at is not None:
-                self._dispatch.note_latency(self.process.env.now - call.sent_at)
+                self._dispatch.note_latency(self.process.env.scheduler.now - call.sent_at)
             call.on_reply(reply.result)
 
 

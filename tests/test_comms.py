@@ -11,12 +11,13 @@ pending ack."""
 
 import hashlib
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
 from repro.membership import FIFO, TOTAL, build_group
 from repro.metrics.sanitizer import install_sanitizer
-from repro.net import FixedLatency, LanLatency, Network
+from repro.net import FixedLatency, HandlerTable, LanLatency, Network
 from repro.net.message import HEADER_BYTES
 from repro.proc import Environment, Process
 from repro.runtime import AsyncioRuntime
@@ -47,7 +48,10 @@ def make_net(**kwargs):
 
 
 def collector(inbox):
-    return lambda env: inbox.append((env.payload, env.src))
+    """An endpoint whose every payload lands in ``inbox``."""
+    return HandlerTable(
+        SimpleNamespace(unhandled=lambda payload, src: inbox.append((payload, src)))
+    )
 
 
 def sends(env, category):

@@ -13,13 +13,14 @@ crosses the network in one call.
 import gc
 import random
 import sys
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.membership import build_group
 from repro.membership.events import TOTAL
-from repro.net import FixedLatency, LanLatency, Network
+from repro.net import FixedLatency, HandlerTable, LanLatency, Network
 from repro.proc import Environment
 from repro.sim import Scheduler
 from repro.sim.rand import SimRandom
@@ -134,9 +135,9 @@ def network_run(latency, fan_out):
     dsts = tuple(f"m{i}" for i in range(8))
     arrivals = []
     for address in ("src",) + dsts:
-        network.register(
-            address, lambda env: arrivals.append((env.dst, scheduler.now))
-        )
+        network.register(address, HandlerTable(SimpleNamespace(
+            unhandled=lambda _payload, _src, dst=address: arrivals.append((dst, scheduler.now))
+        )))
     events = []
     network.add_tap(lambda kind, env: events.append(
         (kind, env.src, env.dst, scheduler.now)
@@ -199,21 +200,13 @@ def test_a_raising_tap_leaves_the_counts_of_the_sends_it_saw():
 
 # -- a call-count ceiling -------------------------------------------------------------
 
-CALL_CEILING = 72_000
+CALL_CEILING = 68_000
 
 
-def test_a_delivered_put_costs_at_most_its_pinned_python_calls():
-    """200 puts from a 16-member leaf's coordinator, run 1 s: every
-    Python call (generator resumes included) under ``sys.setprofile``,
-    with the collector off so that no ``gc.callbacks`` hook is counted.
-    Host time cannot gate this path, an exact count can: a ceiling of
-    72,000 calls, 22.5 per delivered put.  Before the delivery path was
-    trimmed it made 126,131 (39.42 per delivered put), 91,504 (28.59)
-    while same-instant deliveries still shared a bucket, and 88,489
-    (27.65) while each copy of a multicast crossed the transport, the
-    process and the network on its own."""
-    env, _nodes, _members, dicts = leaf()
-    env.run_for(0.5)
+def count_calls(run):
+    """Every Python call ``run()`` makes (generator resumes included),
+    ``run`` itself counted, under ``sys.setprofile``, with the collector
+    off so that no ``gc.callbacks`` hook is counted."""
     calls = 0
 
     def count(_frame, event, _arg):
@@ -225,13 +218,57 @@ def test_a_delivered_put_costs_at_most_its_pinned_python_calls():
     gc.disable()
     sys.setprofile(count)
     try:
-        for i in range(200):
-            dicts[0].put(i, i)
-        env.run_for(1.0)
+        run()
     finally:
         sys.setprofile(None)
         if collecting:
             gc.enable()
+    return calls
+
+
+def test_a_delivered_put_costs_at_most_its_pinned_python_calls():
+    """200 puts from a 16-member leaf's coordinator, run 1 s: a ceiling
+    of 68,000 calls, 21.25 per delivered put (65,018 made).  Host time
+    cannot gate this path, an exact count can.  Before the delivery path
+    was trimmed it made 126,131 (39.42 per delivered put), 91,504 (28.59)
+    while same-instant deliveries still shared a bucket, 88,489 (27.65)
+    while each copy of a multicast crossed the transport, the process and
+    the network on its own, and 68,257 (21.33) while every delivery
+    passed through a dispatch frame of the process's."""
+    env, _nodes, _members, dicts = leaf()
+    env.run_for(0.5)
+
+    def puts():
+        for i in range(200):
+            dicts[0].put(i, i)
+        env.run_for(1.0)
+
+    calls = count_calls(puts)
     delivered = sum(d.commands_applied for d in dicts)
     assert delivered == 200 * LEAF
     assert calls <= CALL_CEILING, f"{calls} calls, {calls / delivered:.2f} per delivered put"
+
+
+BACKGROUND_CEILING = 5_100
+
+
+def test_idle_background_costs_at_most_its_pinned_python_calls():
+    """A 64-worker heartbeat hierarchy (the guard's ``hier_steady``
+    build), idle for 2 logical seconds after 6 s of set-up: heartbeat
+    pushes, their deliveries, detector ticks and gossip ticks with
+    nothing to gossip, and nothing else.  A ceiling of 5,100 calls
+    (4,869 made) over exactly 1,664 events and 726 messages.  It made
+    10,519 while each periodic tick passed through a timer frame and a
+    re-arm call, each delivery through the process's dispatch frame, each
+    clock read through a property, and each idle gossip tick through the
+    stability tracker's take."""
+    from tools.perf_report import _build_hier
+
+    env = _build_hier(64, seed=1, join_stagger=0.02)
+    env.run_for(6.0)
+    events = env.scheduler.events_processed
+    messages = env.network.stats.messages
+    calls = count_calls(lambda: env.run_for(2.0))
+    assert env.scheduler.events_processed - events == 1_664
+    assert env.network.stats.messages - messages == 726
+    assert calls <= BACKGROUND_CEILING, f"{calls} calls"

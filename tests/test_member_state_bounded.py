@@ -73,7 +73,7 @@ def test_twenty_thousand_abcasts_leave_one_entry_per_sender():
         # Only live timers are kept, and a reply cancelled its timeout:
         # what remains at quiescence is the periodic gossip tick.
         assert all(not t.cancelled for t in node._timers)
-        assert [t for t in node._timers if not t._periodic] == []
+        assert [t for t in node._timers if not t._handle.bucketed] == []
         assert node.runtime.rpc._pending == {}
 
 
@@ -89,7 +89,7 @@ def test_a_crash_still_cancels_every_live_one_shot():
     early = list(fired)
     assert early == [i for i in range(25) if i % 3]
     nodes[0].crash()
-    assert [t for t in nodes[0]._timers if not t._periodic] == []
+    assert [t for t in nodes[0]._timers if not t._handle.bucketed] == []
     nodes[0].recover()  # before the rest fall due: none of them may fire
     env.run_for(5.0)
     assert fired == early

@@ -1,10 +1,11 @@
 """Unit tests for the simulated datagram network."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
-from repro.net import FixedLatency, LanLatency, Network, UniformLatency
+from repro.net import FixedLatency, HandlerTable, LanLatency, Network, UniformLatency
 from repro.sim import Scheduler, SimRandom
 
 
@@ -21,15 +22,20 @@ def make_net(**kwargs):
     return sched, net
 
 
+def endpoint(fn):
+    """An endpoint that hands every payload to ``fn(payload, src)``."""
+    return HandlerTable(SimpleNamespace(unhandled=fn))
+
+
 def collector(inbox):
-    return lambda env: inbox.append((env.payload, env.src))
+    return endpoint(lambda payload, src: inbox.append((payload, src)))
 
 
 def test_send_delivers_after_latency():
     sched, net = make_net(latency=FixedLatency(0.5))
     inbox = []
     net.register("a", collector([]))
-    net.register("b", lambda env: inbox.append((env.payload, env.src, net.now)))
+    net.register("b", endpoint(lambda payload, src: inbox.append((payload, src, net.now))))
     net.send("a", "b", Ping(1))
     sched.run()
     assert len(inbox) == 1

@@ -255,22 +255,6 @@ def test_cancel_during_callback_same_timestamp():
     assert sched.alloc_stats["pooled_events"] >= 1
 
 
-def test_rearm_after_recycle_raises():
-    """Re-arming a fired one-shot is rejected: its event object may
-    already be serving an unrelated caller from the free list."""
-    import pytest
-
-    from repro.sim import Scheduler, SimulationError
-
-    sched = Scheduler()
-    fired = []
-    handle = sched.after_call_once(0.1, fired.append, "x")
-    sched.run()
-    assert fired == ["x"]
-    with pytest.raises(SimulationError):
-        sched.rearm(handle, 0.1)
-
-
 def test_envelope_reuse_in_steady_state():
     """Delivered envelopes return to the free list: after warm-up a
     steady-state window constructs zero fresh envelopes.

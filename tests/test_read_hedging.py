@@ -324,7 +324,7 @@ def test_hedged_or_not_an_answered_request_leaves_no_timer_behind():
     warm_up(env, client)
 
     def one_shots():
-        return [t for t in client.process._timers if not t.cancelled and not t._periodic]
+        return [t for t in client.process._timers if not t.cancelled and not t._handle.bucketed]
 
     replies = []
     for _ in range(50):

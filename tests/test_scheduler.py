@@ -240,40 +240,41 @@ def test_at_call_interleaves_fifo_with_at():
     assert fired == ["a", "b", "c"]
 
 
-def test_rearm_reuses_event_object():
+def test_every_ticks_one_handle_for_its_whole_life():
+    sched = Scheduler()
+    ticks = []
+    handle = sched.every(1.0, lambda: ticks.append((sched.now, handle.time)))
+    assert handle.time == 1.0
+    sched.run(until=3.0)
+    # Each tick sees its handle already re-armed one period on.
+    assert ticks == [(1.0, 2.0), (2.0, 3.0), (3.0, 4.0)]
+    assert sched.events_processed == 3 and sched.pending == 1
+    handle.cancel()
+    assert handle.cancelled and sched.pending == 0
+    sched.run()
+    assert len(ticks) == 3
+
+
+def test_every_rejects_a_negative_interval():
+    sched = Scheduler()
+    with pytest.raises(SimulationError):
+        sched.every(-0.5, lambda: None)
+    assert sched.pending == 0 and sched.heap_size == 0
+
+
+def test_every_cancelled_in_its_own_callback_stops():
     sched = Scheduler()
     fired = []
-    handle = sched.at_call(1.0, fired.append, "tick")
-    sched.run()
-    assert fired == ["tick"]
-    assert sched.rearm(handle, 2.0) is handle
-    assert handle.time == 3.0
-    assert not handle.cancelled
-    sched.run()
-    assert fired == ["tick", "tick"]
-    assert sched.now == 3.0
 
+    def tick():
+        fired.append(sched.now)
+        if len(fired) == 2:
+            handle.cancel()
 
-def test_rearm_rejects_queued_event():
-    sched = Scheduler()
-    handle = sched.at(1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sched.rearm(handle, 1.0)
+    handle = sched.every(0.5, tick)
     sched.run()
-    with pytest.raises(SimulationError):
-        sched.rearm(handle, -0.5)
-
-
-def test_rearm_after_cancel_reschedules():
-    sched = Scheduler()
-    fired = []
-    handle = sched.at_call(1.0, fired.append, 1)
-    sched.run()
-    handle.cancel()  # cancel after fire
-    sched.rearm(handle, 1.0)  # re-arming clears the cancelled flag
-    assert not handle.cancelled
-    sched.run()
-    assert fired == [1, 1]
+    assert fired == [0.5, 1.0]
+    assert (sched.now, sched.events_processed, sched.pending) == (1.0, 2, 0)
 
 
 def test_heap_compaction_under_mass_cancellation():

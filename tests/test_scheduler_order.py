@@ -1,16 +1,20 @@
 """The scheduler fires in exactly the order of a plain heap.
 
-``Scheduler`` batches the periodic handles ``rearm`` queues for one
-instant behind a single heap entry, a tick bucket, sealed whenever another
-seq-consuming schedule lands on its instant.  ``PlainHeap`` below is the
-engine that mechanism must be indistinguishable from: one ``(time, seq)``
-heap entry per call, lazy cancellation, nothing pooled.  A hypothesis
-script drives both through random interleavings of ``at``, ``at_call``,
-``at_call_once``, ``rearm``, ``cancel`` and a crash (cancel every
-periodic handle of one owner), on dyadic times so that re-arms and
-one-shots keep landing on the same instants.  After every run slice the firing order, ``now``,
-``events_processed`` and ``pending`` must be identical, and so must the
-per-call counts every handle callback sees.
+``Scheduler`` keeps every periodic handle (``every``) in tick buckets:
+all the handles due at one instant wait behind a single heap entry,
+sealed whenever another seq-consuming schedule lands on its instant, and
+the bucket re-arms each handle one period on before calling it.
+``PlainHeap`` below is the engine that mechanism must be
+indistinguishable from: one ``(time, seq)`` heap entry per arm and per
+tick, lazy cancellation, nothing pooled.  A hypothesis script drives both
+through random interleavings of ``every``, ``at``, ``at_call``,
+``at_call_once``, ``cancel`` and a crash (cancel every periodic handle of
+one owner, also from a callback in the middle of a bucket), on dyadic
+times so that ticks, first arms and one-shots keep landing on the same
+instants.  A periodic handle that fires at or past ``HORIZON`` cancels
+itself in its own callback, so a run drains.  After every run slice the
+firing order, ``now``, ``events_processed`` and ``pending`` must be
+identical, and so must the per-call counts every handle callback sees.
 
 The scheduler has one run loop for every bound, so the same scripts run
 under each way of driving it: ``run(until=...)`` slices, one unbounded
@@ -21,27 +25,29 @@ slice by the tail of one bucket; only the firing order is compared there.
 
 import heapq
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net import FixedLatency, UniformLatency
+from repro.net import FixedLatency, HandlerTable, UniformLatency
 from repro.proc import Environment, Process
 from repro.sim.scheduler import Scheduler
 
-# Few dyadic delays: sums stay exact, so re-arms and one-shots keep
-# landing on the instants equal-period handles share.
+# Few dyadic delays: sums stay exact, so ticks, first arms and one-shots
+# keep landing on the instants equal-period handles share.
 DELAYS = (0.0, 0.25, 0.5)
-HORIZON = 3.0  # periodic handles stop re-arming here, so a run drains
+HORIZON = 3.0  # a periodic handle firing from here on cancels itself
 SLICES = [0.125 * i for i in range(1, 33)]  # run(until=...) steps, to 4.0
 
 
 class _RefEvent:
-    __slots__ = ("heap", "fn", "cancelled", "queued")
+    __slots__ = ("heap", "fn", "period", "cancelled", "queued")
 
-    def __init__(self, heap, fn):
+    def __init__(self, heap, fn, period=None):
         self.heap = heap
         self.fn = fn
+        self.period = period
         self.cancelled = False
         self.queued = False
 
@@ -54,8 +60,8 @@ class _RefEvent:
 
 
 class PlainHeap:
-    """The reference engine: a heap entry per call, FIFO among equal
-    times."""
+    """The reference engine: a heap entry per arm, FIFO among equal
+    times; a periodic event pushes its next tick before it runs."""
 
     def __init__(self):
         self._heap = []
@@ -67,7 +73,6 @@ class PlainHeap:
     def _push(self, time, event):
         assert time >= self.now
         event.queued = True
-        event.cancelled = False
         heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
         self.pending += 1
@@ -81,9 +86,8 @@ class PlainHeap:
 
     at_call_once = at_call
 
-    def rearm(self, handle, delay):
-        assert not handle.queued
-        return self._push(self.now + delay, handle)
+    def every(self, interval, fn):
+        return self._push(self.now + interval, _RefEvent(self, fn, interval))
 
     def run(self, until=None, max_events=None):
         heap = self._heap
@@ -99,6 +103,8 @@ class PlainHeap:
             self.events_processed += 1
             self.pending -= 1
             fired += 1
+            if event.period is not None:
+                self._push(time + event.period, event)
             event.fn()
         if until is not None and until > self.now:
             self.now = until
@@ -110,11 +116,12 @@ class PlainHeap:
 
 
 delay = st.sampled_from((0, 1, 2, 2))  # mostly one common period ahead
+period = st.sampled_from((1, 2, 2))
 actions = st.one_of(
-    st.tuples(st.just("at"), delay, delay),  # the last field: period, 0 = none
-    st.tuples(st.just("at_call"), delay, delay),
+    st.tuples(st.just("at"), delay, st.just(0)),
+    st.tuples(st.just("at_call"), delay, st.just(0)),
     st.tuples(st.just("once"), delay, st.just(0)),
-    st.tuples(st.just("rearm"), delay, st.integers(0, 50)),
+    st.tuples(st.just("every"), period, st.just(0)),
     st.tuples(st.just("cancel"), st.just(0), st.integers(0, 50)),
     st.tuples(st.just("crash"), st.just(0), st.integers(0, 2)),
     st.tuples(st.just("idle"), st.just(0), st.just(0)),
@@ -134,78 +141,64 @@ class Driver:
         self.script = script
         self.cursor = 0
         self.log = []
-        self.kinds = {}  # label -> "plain" | "once"
-        self.periods = {}  # label -> re-arm delay of a periodic handle
+        self.kinds = {}  # label -> "plain" | "once" | "every"
         self.handles = {}  # label -> handle, while it may be touched
         self.queued = {}  # cancellable queued labels, in queueing order
-        self.fired = {}  # fired plain labels, free to re-arm
-        for period in periods:
-            self._schedule("at_call", DELAYS[period], period)
+        for p in periods:
+            self._schedule("every", p)
 
     # -- scheduling -------------------------------------------------------------
 
-    def _label(self, kind):
-        label = len(self.kinds)
-        self.kinds[label] = kind
-        return label
-
-    def _schedule(self, kind, delay, period):
+    def _schedule(self, kind, delay):
         s = self.s
-        time = s.now + delay
-        label = self._label("once" if kind == "once" else "plain")
-        if kind == "at":
-            handle = s.at(time, lambda: self.fire(label))
+        label = len(self.kinds)
+        if kind == "every":
+            handle = s.every(DELAYS[delay], lambda: self.fire(label))
+        elif kind == "at":
+            handle = s.at(s.now + DELAYS[delay], lambda: self.fire(label))
         elif kind == "at_call":
-            handle = s.at_call(time, self.fire, label)
+            handle = s.at_call(s.now + DELAYS[delay], self.fire, label)
         else:
-            handle = s.at_call_once(time, self.fire, label)
-        if kind != "once" and period:
-            self.periods[label] = DELAYS[period]
+            handle = s.at_call_once(s.now + DELAYS[delay], self.fire, label)
+        self.kinds[label] = kind if kind in ("once", "every") else "plain"
         self.handles[label] = handle
-        self.queued[label] = None
-
-    def _rearm(self, label, delay):
-        del self.fired[label]
-        self.s.rearm(self.handles[label], delay)
         self.queued[label] = None
 
     def _cancel(self, label):
         self.handles.pop(label).cancel()
         del self.queued[label]
-        self.periods.pop(label, None)
 
     def act(self):
         if self.cursor >= len(self.script):
             return
         kind, delay, pick = self.script[self.cursor]
         self.cursor += 1
-        if kind in ("at", "at_call", "once"):
-            self._schedule(kind, DELAYS[delay], pick)
-        elif kind == "rearm" and self.fired:
-            self._rearm(list(self.fired)[pick % len(self.fired)], DELAYS[delay])
+        if kind in ("at", "at_call", "once", "every"):
+            self._schedule(kind, delay)
         elif kind == "cancel" and self.queued:
             self._cancel(list(self.queued)[pick % len(self.queued)])
         elif kind == "crash":
             # A crash cancels one owner's periodic handles wherever they
-            # wait: a heap entry of their own or a tick bucket.
+            # wait, the tail of the bucket firing now included.
             for label in list(self.queued):
-                if label % 3 == pick and label in self.periods:
+                if label % 3 == pick and self.kinds[label] == "every":
                     self._cancel(label)
 
     # -- firing -----------------------------------------------------------------
 
     def fire(self, label):
         s = self.s
-        del self.queued[label]
         self.log.append((label, s.now, s.events_processed, s.pending))
-        if self.kinds[label] == "once":
-            del self.handles[label]  # recycled once fired: never touched again
+        kind = self.kinds[label]
+        if kind == "every":
+            # Re-armed before its callback: still queued, and cancelled
+            # here once the horizon is reached.
+            if s.now >= HORIZON:
+                self._cancel(label)
         else:
-            self.fired[label] = None
-            period = self.periods.get(label)
-            if period is not None and s.now < HORIZON:
-                # Re-arm before the callback's work, as Process.every does.
-                self._rearm(label, period)
+            del self.queued[label]
+            if kind == "once":
+                del self.handles[label]  # recycled once fired: never touched again
         self.act()
 
     def drive(self, mode="until"):
@@ -243,7 +236,7 @@ def run_both(script, periods, mode="until"):
 @settings(max_examples=300, deadline=None)
 @given(
     script=st.lists(actions, max_size=80),
-    periods=st.lists(st.sampled_from((1, 2, 2)), min_size=2, max_size=6),
+    periods=st.lists(period, min_size=2, max_size=6),
 )
 def test_firing_order_and_counts_match_a_plain_heap(script, periods):
     ours, reference = run_both(script, periods)
@@ -253,7 +246,7 @@ def test_firing_order_and_counts_match_a_plain_heap(script, periods):
 @settings(max_examples=100, deadline=None)
 @given(
     script=st.lists(actions, max_size=80),
-    periods=st.lists(st.sampled_from((1, 2, 2)), min_size=2, max_size=6),
+    periods=st.lists(period, min_size=2, max_size=6),
     mode=st.sampled_from(MODES[1:]),
 )
 def test_every_way_of_running_fires_in_the_plain_heap_order(script, periods, mode):
@@ -293,28 +286,47 @@ def test_a_cancelled_handle_in_a_bucket_is_skipped_and_not_counted():
 
 
 def test_max_events_and_step_fire_a_bucket_whole():
-    """Three handles re-armed into one tick bucket at 1.0, and three into
-    another at 2.0, the middle one cancelled there.  ``run(max_events
-    =1)`` fires the first bucket whole, overshooting by its tail of two
-    handles; ``step()`` fires the second whole and skips the cancelled
-    handle without counting it; then nothing is left to step."""
+    """Three 1-s handles share one tick bucket at 1.0, and three 1.5-s
+    handles another at 1.5, the middle one cancelled there.
+    ``run(max_events=1)`` fires the first bucket whole, overshooting by
+    its tail of two handles, each re-armed for 2.0 before it runs;
+    ``step()`` fires the second whole and skips the cancelled handle
+    without counting it; with the rest cancelled, nothing is left to
+    step and the heap drains."""
     s = Scheduler()
     fired = []
-    first = [s.at_call(0.5, fired.append, label) for label in "abc"]
-    second = [s.at_call(0.5, fired.append, label) for label in "xyz"]
-    s.run(until=0.5)
-    for handle in first:
-        s.rearm(handle, 0.5)
-    for handle in second:
-        s.rearm(handle, 1.5)
+    first = [s.every(1.0, lambda label=label: fired.append(label)) for label in "abc"]
+    second = [s.every(1.5, lambda label=label: fired.append(label)) for label in "xyz"]
     second[1].cancel()
     assert (s.heap_size, s.pending) == (2, 5)
     s.run(max_events=1)
-    assert (fired[6:], s.now, s.events_processed, s.pending) == (["a", "b", "c"], 1.0, 9, 2)
+    assert (fired, s.now, s.events_processed, s.pending) == (["a", "b", "c"], 1.0, 3, 5)
+    assert [handle.time for handle in first] == [2.0, 2.0, 2.0]
     assert s.step()
-    assert (fired[9:], s.now, s.events_processed, s.pending) == (["x", "z"], 2.0, 11, 0)
+    assert (fired[3:], s.now, s.events_processed, s.pending) == (["x", "z"], 1.5, 5, 5)
+    for handle in first + second:
+        handle.cancel()
     assert not s.step()
-    assert (s.now, s.heap_size) == (2.0, 0)
+    assert (s.now, s.events_processed, s.pending, s.heap_size) == (1.5, 5, 0, 0)
+
+
+def test_a_first_arm_joins_the_bucket_open_at_its_instant():
+    """Three 0.5-s handles fire at 0.5; the first one's action arms a
+    fourth handle with the same period, whose first tick lands on 1.0,
+    where the first handle already waits in an open bucket.  It joins
+    that bucket — one heap entry holds all four — and fires exactly
+    where its own heap entry would: after the handle that armed it and
+    before the two that re-armed later."""
+    script = [IDLE] * 4 + [("every", 2, 0)]
+    ours, reference = run_both(script, [2, 2, 2])
+    assert ours == reference
+    assert fired_at(ours, 1.0) == [0, 3, 1, 2]
+
+    s = Scheduler()
+    s.every(0.5, lambda: None)
+    s.run(until=0.5)
+    s.every(0.5, lambda: None)
+    assert (s.heap_size, s.pending) == (1, 2)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -341,9 +353,8 @@ def test_an_idle_population_holds_one_heap_entry_per_instant():
     """1,024 processes tick ``every(0.2)`` on one phase and send one
     jittered heartbeat a tick.  Sampled mid-period from the first tick
     on, when no heartbeat is in flight, the heap holds the one tick
-    bucket, not 1,024 timers (each timer's first arm is a heap entry of
-    its own); and after the first second no event or argument list is
-    built fresh."""
+    bucket, not 1,024 timers; and after the first second no event or
+    argument list is built fresh."""
     env = Environment(seed=1, latency=UniformLatency(0.001, 0.004))
     n = 1024
     procs = [Process(env, f"p{i}") for i in range(n)]
@@ -378,7 +389,9 @@ def test_same_instant_datagrams_arrive_in_send_order_from_pooled_events():
     network, sched = env.network, env.scheduler
     arrived = []
     for r in range(8):
-        network.register(f"r{r}", lambda envelope: arrived.append((envelope.src, envelope.payload)))
+        network.register(f"r{r}", HandlerTable(SimpleNamespace(
+            unhandled=lambda payload, src: arrived.append((src, payload))
+        )))
     fresh = None
     for round_ in range(5):
         sent = [(f"s{i % 8}", Beat()) for i in range(200)]

@@ -487,6 +487,9 @@ def test_envelope_batch_round_trips():
 
 
 def test_the_receiving_fabric_stamps_arrival_with_its_own_clock():
+    from types import SimpleNamespace
+
+    from repro.net import HandlerTable
     from repro.net.latency import FixedLatency
     from repro.proc.env import Environment
     from repro.runtime.socket_backend import SocketRuntime
@@ -495,9 +498,9 @@ def test_the_receiving_fabric_stamps_arrival_with_its_own_clock():
     try:
         env = Environment(latency=FixedLatency(0.001), runtime=runtime)
         arrived = []
-        env.network.register(
-            "b", lambda e: arrived.append((env.network.now, e.payload))
-        )
+        env.network.register("b", HandlerTable(SimpleNamespace(
+            unhandled=lambda payload, _src: arrived.append((env.network.now, payload))
+        )))
         sent = Envelope("a", "b", GroupView("g", 2, ("a", "b")))
         (frame,), _ = encode_data_frames([sent])
         before = runtime.timers.now
@@ -1298,6 +1301,9 @@ def test_a_v13_frame_is_a_counted_decode_error():
     is turned away at its first byte — the magic, which reads as version
     0x52 since v24 — and the socket fabric counts it as a decode error
     and a drop."""
+    from types import SimpleNamespace
+
+    from repro.net import HandlerTable
     from repro.net.latency import FixedLatency
     from repro.proc.env import Environment
     from repro.runtime.socket_backend import SocketRuntime

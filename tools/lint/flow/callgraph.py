@@ -41,7 +41,6 @@ CALLBACK_REGISTRARS = {
     "call_soon",
     "set_timer",
     "every",
-    "rearm",
     "add_tap",
     "on",
     "replace_handler",

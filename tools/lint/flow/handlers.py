@@ -2,8 +2,8 @@
 
 Every protocol layer in the tree dispatches wire messages the same way:
 the receiving layer registers a handler per payload *class* with
-``process.on(Kind, handler)``, and :meth:`Process._on_envelope` routes
-by ``type(payload)``.  A payload class that is constructed and put on
+``process.on(Kind, handler)`` in the process's handler table, through
+which the network routes each delivery by ``type(payload)``.  A payload class that is constructed and put on
 the wire with no registered handler anywhere is a silent protocol hole —
 the message lands in ``Process.unhandled`` and the sender retries or
 times out (exactly the failure mode the membership/flush and treecast

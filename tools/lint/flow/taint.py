@@ -16,7 +16,7 @@ behaviour):
 
 * scheduler deadlines — the time/delay argument of ``at`` / ``after`` /
   ``at_call`` / ``after_call`` (+ ``_once`` variants) / ``call_at`` /
-  ``call_later`` / ``set_timer`` / ``every`` / ``rearm``;
+  ``call_later`` / ``set_timer`` / ``every``;
 * message payloads — the payload argument of ``send`` / ``multicast`` /
   ``send_many``, the destinations, payload and copies of
   ``send_each``, and any :class:`Envelope` constructor field;
@@ -83,7 +83,6 @@ SCHED_SINKS = {
     "call_later": 0,
     "set_timer": 0,
     "every": 0,
-    "rearm": 1,
 }
 
 # Consumers that make a value independent of set-iteration order.

@@ -160,7 +160,7 @@ IMPORT_BOUNDARIES = (
         ("heapq",),
         lambda ctx: ctx.path.endswith("sim/scheduler.py"),
         "the scheduler's heap module",
-        "go through the Scheduler API (at/after_call/rearm/run) — "
+        "go through the Scheduler API (at/after_call/every/run) — "
         "direct heap surgery breaks the lazy-cancel invariants",
     ),
     ImportBoundary(
