@@ -20,7 +20,7 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.core.leader import JoinLarge, LeafProbe, ReportLeafStatus
 from repro.core.params import LargeGroupParams
 from repro.core.policy import MergeDirective, SplitDirective
-from repro.membership.events import DeliveryEvent, FIFO, TOTAL, ViewEvent
+from repro.membership.events import FIFO, TOTAL, GroupData, ViewEvent
 from repro.membership.group import GroupMember
 from repro.membership.service import GroupNode
 from repro.net.message import Address
@@ -68,7 +68,7 @@ class LargeGroupMember:
         self.leaf_id: Optional[str] = None
         self.leaf_member: Optional[GroupMember] = None
         # Copy-on-write tuples, as GroupMember keeps its own.
-        self._delivery_listeners: Tuple[Callable[[DeliveryEvent], None], ...] = ()
+        self._delivery_listeners: Tuple[Callable[[GroupData], None], ...] = ()
         self._view_listeners: Tuple[Callable[[ViewEvent], None], ...] = ()
         self._leaf_change_listeners: List[Callable[[GroupMember], None]] = []
         self._joining = False
@@ -120,7 +120,7 @@ class LargeGroupMember:
     def is_leaf_coordinator(self) -> bool:
         return self.leaf_member is not None and self.leaf_member.is_coordinator
 
-    def add_delivery_listener(self, fn: Callable[[DeliveryEvent], None]) -> None:
+    def add_delivery_listener(self, fn: Callable[[GroupData], None]) -> None:
         self._delivery_listeners += (fn,)
 
     def add_view_listener(self, fn: Callable[[ViewEvent], None]) -> None:
@@ -218,7 +218,7 @@ class LargeGroupMember:
 
     # ---------------------------------------------------------------- leaf events
 
-    def _on_leaf_delivery(self, event: DeliveryEvent) -> None:
+    def _on_leaf_delivery(self, event: GroupData) -> None:
         payload = event.payload
         if isinstance(payload, SplitCmd):
             self._execute_split(payload)

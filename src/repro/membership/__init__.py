@@ -2,7 +2,6 @@
 
 from repro.membership.events import (
     CAUSAL,
-    DeliveryEvent,
     FIFO,
     Flush,
     FlushAbort,
@@ -24,7 +23,6 @@ from repro.membership.view import GroupView, ViewId
 
 __all__ = [
     "CAUSAL",
-    "DeliveryEvent",
     "FIFO",
     "Flush",
     "FlushAbort",

@@ -30,7 +30,11 @@ MessageId = Tuple[Address, int]
 
 @dataclass
 class GroupData:
-    """An application multicast within one view of one group.
+    """An application multicast within one view of one group, and what a
+    delivery hands each of the group's listeners: they read ``group``,
+    ``view_seq``, ``sender``, ``payload`` and ``ordering``, and must treat
+    it as read-only (on the sim engine every member is handed this one
+    object).
 
     ``message_id`` is built once, here: every member that logs, orders or
     de-duplicates the message keeps a reference to it, and on the sim
@@ -171,19 +175,3 @@ class ViewEvent:
     view: GroupView
     joined: Tuple[Address, ...]
     departed: Tuple[Address, ...]
-
-
-@dataclass(slots=True)
-class DeliveryEvent:
-    """An application multicast delivered to the application layer.
-
-    Built once per delivery at every member, so it is a plain slots
-    class: a frozen dataclass pays an ``object.__setattr__`` per field.
-    Listeners must treat it as read-only all the same.
-    """
-
-    group: str
-    view_seq: int
-    sender: Address
-    payload: Any
-    ordering: int

@@ -50,7 +50,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.broadcast.abcast import TotalEngine
 from repro.failure.detector import FailureDetector, OracleDetector
 from repro.membership.events import (
-    DeliveryEvent,
     Flush,
     FlushAbort,
     FlushOk,
@@ -70,7 +69,7 @@ from repro.proc.process import Process
 from repro.proc.rpc import Rpc, RpcError, redirect
 from repro.transport.reliable import ReliableTransport
 
-DeliveryListener = Callable[[DeliveryEvent], None]
+DeliveryListener = Callable[[GroupData], None]
 ViewListener = Callable[[ViewEvent], None]
 
 
@@ -261,11 +260,8 @@ class GroupMember(ViewCore):
         self.runtime.process.send(dst, payload)
 
     def _emit(self, data: GroupData) -> None:
-        event = DeliveryEvent(
-            self.group, data.view_seq, data.sender, data.payload, data.ordering
-        )
         for listener in self._delivery_listeners:
-            listener(event)
+            listener(data)
 
     def _set_flush_timer(self, armed: bool) -> None:
         if self._flush_timer is not None:

@@ -9,7 +9,7 @@ cost, and multiplicative jitter.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.net.message import Address
 from repro.runtime.api import SimRandom
@@ -24,6 +24,13 @@ class LatencyModel(ABC):
     ) -> float:
         """Return the one-way delay in seconds."""
 
+    def jitter_terms(self) -> Optional[Tuple[float, float, float, float, float]]:
+        """``(base, per_byte, jitter, low, span)`` if the delay is ``(base +
+        per_byte * size) * (low + span * rng.random())``, drawn only when
+        ``jitter`` is nonzero, so that the network can draw it inline;
+        else None, and the network calls ``sample``."""
+        return None
+
 
 class FixedLatency(LatencyModel):
     """Constant delay; useful for fully deterministic protocol tests."""
@@ -37,6 +44,9 @@ class FixedLatency(LatencyModel):
         self, rng: SimRandom, src: Address, dst: Address, size_bytes: int
     ) -> float:
         return self.delay
+
+    def jitter_terms(self) -> Tuple[float, float, float, float, float]:
+        return (self.delay, 0.0, 0.0, 1.0, 0.0)  # delay + 0.0 * size == delay
 
 
 class UniformLatency(LatencyModel):
@@ -128,3 +138,6 @@ class LanLatency(LatencyModel):
         if self.jitter == 0:
             return nominal
         return nominal * (self._low + self._span * rng.random())
+
+    def jitter_terms(self) -> Tuple[float, float, float, float, float]:
+        return (self.base, self.per_byte, self.jitter, self._low, self._span)

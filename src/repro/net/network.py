@@ -82,11 +82,14 @@ class Network:
         self._fabric = fabric if fabric is not None else timers
         self._rng = rng
         self._latency = latency if latency is not None else FixedLatency(0.001)
-        # Exact-FixedLatency fast path: the constant is read directly in
-        # the send loop, skipping a sample() call per datagram.  Exact
-        # type match, so subclasses overriding sample() are untouched.
-        self._fixed_delay = (
-            self._latency.delay if type(self._latency) is FixedLatency else None
+        # The one latency switch: a model whose delay is nominal(size) x
+        # uniform jitter (LanLatency, FixedLatency) hands over its terms
+        # once and the send loop draws inline, in ``LanLatency.sample``'s
+        # own expression order; any other model is sampled per datagram
+        # (``_base`` None).
+        terms = self._latency.jitter_terms()
+        self._base, self._per_byte, self._jitter, self._low, self._span = (
+            terms if terms is not None else (None, None, None, None, None)
         )
         self.drop_probability = drop_probability
         self.duplicate_probability = duplicate_probability
@@ -103,9 +106,9 @@ class Network:
         # hook below is guarded by one attribute load + None check, which
         # is the entire disabled-path cost.
         self.trace = None
-        # A delivery is one event: a pooled one-shot when the fabric
-        # recycles them (the sim scheduler's at_call_once), else at_call
-        # (the asyncio and socket fabrics).  Nobody holds the handle.
+        # A delivery is one post: the sim scheduler's at_call_once, a bare
+        # heap entry with no event object; else at_call (the asyncio and
+        # socket fabrics).  Nobody holds a handle.
         self._schedule = getattr(
             self._fabric, "at_call_once", self._fabric.at_call
         )
@@ -195,21 +198,19 @@ class Network:
         dsts: Sequence[Address],
         payload: Any,
         copies: Optional[Sequence[Any]] = None,
-        wire_packets: int = 1,
     ) -> None:
         """Send ``payload`` to every destination, in order, as one
         fan-out; or, given ``copies``, ``copies[i]`` to ``dsts[i]``: one
         payload's per-destination copies (the transport's segments).
-        ``wire_packets`` per datagram: 0 under hardware multicast, which
-        counts its one shared packet itself.
 
         Every send takes this path, the hottest in any run, so a unicast
         is a fan-out of one.  The loop keeps what differs per
         destination: the envelope (from the free list), taps and trace,
         partition and loss, the latency draw, the duplicate, and the
-        delivery (a pooled one-shot event when the fabric offers them).
-        The meta lookup and the stats bookkeeping are done once per
-        fan-out, which sets two preconditions:
+        delivery (a post when the fabric offers them).  The meta lookup
+        and the stats bookkeeping (two tallies by category, from which
+        ``NetworkStats`` derives its totals) are done once per fan-out,
+        which sets two preconditions:
 
         * every copy has ``payload``'s category, read once from it;
         * ``stats`` is settled only when the call returns: a tap or a
@@ -229,6 +230,7 @@ class Network:
         rng = self._rng
         schedule = self._schedule
         deliver = self._deliver_bound
+        base = self._base
         total_bytes = i = 0
         try:
             for dst in dsts:
@@ -262,9 +264,12 @@ class Network:
                     self._drop(envelope)
                     self._recycle(envelope)
                     continue
-                delay = self._fixed_delay
-                if delay is None:
+                if base is None:
                     delay = self._latency.sample(rng, src, dst, total)
+                else:
+                    delay = base + self._per_byte * total
+                    if self._jitter:
+                        delay *= self._low + self._span * rng.random()
                 schedule(now + delay, deliver, envelope)
                 if self.duplicate_probability and rng.chance(
                     self.duplicate_probability
@@ -279,11 +284,8 @@ class Network:
                     schedule(now + delay, deliver, duplicate)
         finally:
             stats = self.stats
-            stats.messages += i
-            stats.bytes += total_bytes
             stats.by_category[category] += i
             stats.bytes_by_category[category] += total_bytes
-            stats.wire_packets += i * wire_packets
 
     def multicast(self, src: Address, dsts: Iterable[Address], payload: Any) -> None:
         """Send the same payload to several destinations, in one
@@ -299,10 +301,16 @@ class Network:
         if not dsts:
             return
         if self.hardware_multicast:
-            dropped = self.stats.dropped  # partition and loss drop at send
-            self.send_each(src, dsts, payload, None, 0)
-            if self.stats.dropped - dropped < len(dsts):
-                self.stats.record_wire(1)
+            stats = self.stats
+            # Partition and loss drop at send, and every datagram sent
+            # shares the one packet.
+            sent, dropped = stats.messages, stats.dropped
+            try:
+                self.send_each(src, dsts, payload)
+            finally:
+                stats.shared_datagrams += stats.messages - sent
+            if stats.dropped - dropped < len(dsts):
+                stats.record_wire(1)
         else:
             self.send_each(src, dsts, payload)
 

@@ -27,9 +27,10 @@ from repro.net.message import Address
 class Tally(dict):
     """A plain dict that reads like a Counter (missing keys are 0).
 
-    Writes in the hot counting paths use ``d[k] = d.get(k, 0) + 1`` on the
-    exact ``dict`` C implementation — measurably cheaper per message than
-    ``collections.Counter`` — while reads keep the Counter-style
+    ``__missing__`` answers 0 without storing the key, so a hot write is
+    ``d[k] += n``: the C ``dict`` lookup, and a ``__missing__`` call only
+    the first time a key is counted — measurably cheaper per message
+    than ``collections.Counter`` — while reads keep the Counter-style
     zero-default the tests and experiments rely on.
     """
 
@@ -54,37 +55,57 @@ class StatsSnapshot:
 
 
 class NetworkStats:
-    """Mutable counters owned by a :class:`~repro.net.network.Network`."""
+    """Mutable counters owned by a :class:`~repro.net.network.Network`.
+
+    A send is counted once, in ``by_category`` and ``bytes_by_category``;
+    ``messages``, ``bytes`` and ``wire_packets`` are read from them.  A
+    datagram is one wire packet, except under hardware multicast, which
+    counts the datagrams that shared a packet (``shared_datagrams``) and
+    the shared packets (``record_wire``) itself.
+    """
 
     __slots__ = (
-        "messages",
-        "wire_packets",
-        "bytes",
         "dropped",
         "by_category",
         "received_by",
         "bytes_by_category",
         "acks_piggybacked",
+        "shared_datagrams",
+        "shared_packets",
     )
 
     def __init__(self) -> None:
-        self.messages = 0
-        self.wire_packets = 0
-        self.bytes = 0
         self.dropped = 0
         self.by_category: Tally = Tally()
         self.received_by: Tally = Tally()
         self.bytes_by_category: Tally = Tally()
+        self.shared_datagrams = 0
+        self.shared_packets = 0
         # Transport acks that cost no datagram of their own: they rode
         # on a reverse segment or were absorbed into one cumulative
         # standalone ack (docs/comms.md).  Segments received ==
         # standalone "transport-ack" messages + this counter.
         self.acks_piggybacked = 0
 
+    @property
+    def messages(self) -> int:
+        """Logical messages sent: one per destination."""
+        return sum(self.by_category.values())
+
+    @property
+    def bytes(self) -> int:
+        """Size-model bytes sent, headers included."""
+        return sum(self.bytes_by_category.values())
+
+    @property
+    def wire_packets(self) -> int:
+        """Physical packets on the wire: one per datagram, but one per
+        hardware-multicast send regardless of destination count."""
+        return self.messages - self.shared_datagrams + self.shared_packets
+
     def record_wire(self, packets: int = 1) -> None:
-        """Count physical packets on the wire (1 per unicast; 1 per
-        hardware-multicast send regardless of destination count)."""
-        self.wire_packets += packets
+        """Count packets that hardware multicast shared among datagrams."""
+        self.shared_packets += packets
 
     def record_drop(self) -> None:
         self.dropped += 1

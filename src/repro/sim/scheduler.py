@@ -11,13 +11,17 @@ a minimal priority-queue event loop that the rest of the library composes.
 
 Performance notes (see docs/simulator.md, "Allocation discipline"):
 
-* Heap entries are plain ``(time, seq, event)`` tuples.  ``(time, seq)``
-  is unique per entry, so every heap sift comparison resolves inside the
-  C tuple-compare loop without ever calling back into Python — roughly
-  3x cheaper than ordering ``__lt__``-bearing event objects.
+* Heap entries are plain ``(time, seq, fn, arg)`` tuples.  ``(time,
+  seq)`` is unique per entry, so every heap sift comparison resolves
+  inside the C tuple-compare loop without ever calling back into Python
+  — roughly 3x cheaper than ordering ``__lt__``-bearing event objects.
+* :meth:`Scheduler.at_call_once` is a *post* (every datagram's
+  delivery): fire-and-forget, its heap entry is all it builds, and the
+  loop fires it before it reads any event flag.  Anything cancellable is
+  an ``_Event``, its own handle, queued as ``(time, seq, None, event)``.
 * :meth:`Scheduler.at_call` / :meth:`after_call` carry a single argument
   alongside the callback, letting hot callers avoid allocating a closure
-  per event.  The event object doubles as its own cancellation handle.
+  per event.
 * Tick-bucket events and their argument lists, and the one-shot events
   behind :meth:`after_call_once`, are drawn from free lists and recycled
   on fire — the steady-state loop allocates ~nothing per event.  Events
@@ -46,6 +50,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+from heapq import heappush
 from typing import Any, Callable, Dict, List, Optional
 
 
@@ -62,8 +67,10 @@ COMPACT_MIN = 64
 
 
 class _Event:
-    """One scheduled callback.  Doubles as its own cancellation handle —
-    the object returned by ``at`` / ``at_call`` *is* the queued event.
+    """One cancellable scheduled callback.  Doubles as its own
+    cancellation handle — the object returned by ``at`` / ``at_call``
+    *is* the queued event.  (A post, :meth:`Scheduler.at_call_once`,
+    has no event: it cannot be cancelled.)
 
     Cancellation is lazy: the event stays in the heap but is skipped when
     it reaches the front, which keeps cancellation O(1).  The scheduler
@@ -137,8 +144,8 @@ class Scheduler:
     """
 
     def __init__(self) -> None:
-        # Heap of (time, seq, event) tuples; (time, seq) is unique so the
-        # event object is never compared.
+        # Heap of (time, seq, fn, arg) posts and (time, seq, None, event)
+        # events; (time, seq) is unique, so nothing after it is compared.
         self._heap: List[tuple] = []
         # Current simulated time.  A plain attribute, not a property: the
         # network and the transport read it per datagram.  Only the run
@@ -161,14 +168,16 @@ class Scheduler:
 
     @property
     def events_processed(self) -> int:
-        """Total number of events that have fired.  Every handle fired
-        from a tick bucket counts as one event, exactly as its own heap
-        entry would — the batching is invisible to this counter."""
+        """Total number of events that have fired, posts included.
+        Every handle fired from a tick bucket counts as one event,
+        exactly as its own heap entry would — the batching is invisible
+        to this counter."""
         return self._events_processed
 
     @property
     def pending(self) -> int:
-        """Number of queued live events, excluding lazily cancelled ones.
+        """Number of queued live events and posts, excluding lazily
+        cancelled events.
 
         O(1): maintained as a counter rather than scanned from the heap.
         Each handle held in an unfired tick bucket counts individually.
@@ -215,7 +224,7 @@ class Scheduler:
         if time in self._ticks:
             del self._ticks[time]
         event = _Event(self, time, fn, _NO_ARG, False, False)
-        heapq.heappush(self._heap, (time, self._seq, event))
+        heappush(self._heap, (time, self._seq, None, event))
         self._seq += 1
         self._live += 1
         return event
@@ -240,7 +249,7 @@ class Scheduler:
         if time in self._ticks:
             del self._ticks[time]
         event = _Event(self, time, fn, arg, False, False)
-        heapq.heappush(self._heap, (time, self._seq, event))
+        heappush(self._heap, (time, self._seq, None, event))
         self._seq += 1
         self._live += 1
         return event
@@ -251,10 +260,28 @@ class Scheduler:
             raise SimulationError(f"negative delay {delay!r}")
         return self.at_call(self.now + delay, fn, arg)
 
-    def at_call_once(self, time: float, fn: Callable[[Any], None], arg: Any) -> _Event:
-        """Like :meth:`at_call`, but the event is drawn from the free
-        list and recycled when it fires (or when a cancellation is
-        compacted away).
+    def at_call_once(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Post ``fn(arg)`` at ``time``: fire-and-forget, with no handle.
+        The heap entry is the tuple ``(time, seq, fn, arg)`` and no event
+        object is built, so a post cannot be cancelled; it takes its
+        ``(time, seq)`` place, and counts in ``pending`` and
+        ``events_processed``, exactly as an event would."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule event at {time:.6f} < now {self.now:.6f}"
+            )
+        if time in self._ticks:
+            del self._ticks[time]
+        heappush(self._heap, (time, self._seq, fn, arg))
+        self._seq += 1
+        self._live += 1
+
+    def after_call_once(
+        self, delay: float, fn: Callable[[Any], None], arg: Any
+    ) -> _Event:
+        """Recyclable one-shot: ``fn(arg)`` after ``delay``, as an event
+        drawn from the free list and recycled when it fires (or when a
+        cancellation is compacted away).
 
         Contract: the returned handle may be cancelled *before* the due
         time, but must never be touched after the event fires or after
@@ -263,10 +290,9 @@ class Scheduler:
         (:class:`repro.proc.process.Timer`) follow this discipline, which
         makes timer churn allocation-free.
         """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at {time:.6f} < now {self.now:.6f}"
-            )
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay!r}")
+        time = self.now + delay
         if time in self._ticks:
             del self._ticks[time]
         pool = self._event_pool
@@ -281,19 +307,10 @@ class Scheduler:
         else:
             self._fresh_events += 1
             event = _Event(self, time, fn, arg, False, True)
-        heapq.heappush(self._heap, (time, self._seq, event))
+        heappush(self._heap, (time, self._seq, None, event))
         self._seq += 1
         self._live += 1
         return event
-
-    def after_call_once(
-        self, delay: float, fn: Callable[[Any], None], arg: Any
-    ) -> _Event:
-        """Recyclable one-shot: ``fn(arg)`` after ``delay`` (see
-        :meth:`at_call_once` for the handle contract)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        return self.at_call_once(self.now + delay, fn, arg)
 
     def _open_bucket(self, time: float, handle: _Event) -> _Event:
         """Push a new tick bucket holding ``handle``, drawn from the free
@@ -316,7 +333,7 @@ class Scheduler:
             handles = []
         handles.append(handle)
         event.arg = handles
-        heapq.heappush(self._heap, (time, self._seq, event))
+        heappush(self._heap, (time, self._seq, None, event))
         self._seq += 1
         self._live += 1
         return event
@@ -352,13 +369,14 @@ class Scheduler:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop lazily cancelled events and re-heapify the survivors."""
+        """Drop lazily cancelled events and re-heapify the survivors
+        (posts among them: a post is never cancelled)."""
         live: List[tuple] = []
         append = live.append
         pool = self._event_pool
         for entry in self._heap:
-            event = entry[2]
-            if event.cancelled:
+            event = entry[3]
+            if entry[2] is None and event.cancelled:
                 event.in_heap = False
                 if event.once:
                     event.fn = None
@@ -425,7 +443,8 @@ class Scheduler:
 
         One loop serves every bound: the checks are a compare each, and
         the firing is inlined, so no event pays a call frame of the
-        scheduler's own besides a tick bucket's.
+        scheduler's own besides a tick bucket's.  A post fires before
+        any event flag is read.
         """
         if self._running:
             raise SimulationError("scheduler re-entered from within an event")
@@ -443,7 +462,19 @@ class Scheduler:
                 if self._events_processed >= stop_at:
                     return
                 entry = pop(heap)
-                event = entry[2]
+                time, _, fn, arg = entry
+                if fn is not None:  # a post
+                    if time > bound:
+                        heappush(heap, entry)
+                        break
+                    self.now = time
+                    self._events_processed += 1
+                    self._live -= 1
+                    fn(arg)
+                    # A callback may cancel-and-compact, replacing the heap.
+                    heap = self._heap
+                    continue
+                event = arg
                 if event.cancelled:
                     event.in_heap = False
                     self._cancelled_in_heap -= 1
@@ -452,9 +483,8 @@ class Scheduler:
                         event.arg = None
                         event_pool.append(event)
                     continue
-                time = entry[0]
                 if time > bound:
-                    heapq.heappush(heap, entry)
+                    heappush(heap, entry)
                     break
                 event.in_heap = False
                 if event.batch:

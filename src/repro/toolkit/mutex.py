@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.membership.events import TOTAL, DeliveryEvent, ViewEvent
+from repro.membership.events import TOTAL, GroupData, ViewEvent
 from repro.membership.group import GroupMember
 from repro.net.message import Address
 
@@ -73,7 +73,7 @@ class DistributedMutex:
 
     # -- replicated queue ---------------------------------------------------------
 
-    def _on_delivery(self, event: DeliveryEvent) -> None:
+    def _on_delivery(self, event: GroupData) -> None:
         payload = event.payload
         if not isinstance(payload, MutexOp) or payload.lock != self.lock:
             return

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.membership.events import TOTAL, DeliveryEvent
+from repro.membership.events import TOTAL, GroupData
 from repro.membership.group import GroupMember
 from repro.net.message import Address
 
@@ -70,7 +70,7 @@ class ReplicatedStateMachine:
         """``fn(command, result)`` after each applied command."""
         self._listeners += (fn,)
 
-    def _on_delivery(self, event: DeliveryEvent) -> None:
+    def _on_delivery(self, event: GroupData) -> None:
         payload = event.payload
         if not isinstance(payload, SMCommand) or payload.machine != self.machine:
             return

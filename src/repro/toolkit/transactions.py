@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.membership.events import TOTAL, DeliveryEvent
+from repro.membership.events import TOTAL, GroupData
 from repro.membership.group import GroupMember
 from repro.net.message import Address
 from repro.proc.process import Process
@@ -114,7 +114,7 @@ class TransactionResource:
 
     # -- replicated application ---------------------------------------------------
 
-    def _on_delivery(self, event: DeliveryEvent) -> None:
+    def _on_delivery(self, event: GroupData) -> None:
         payload = event.payload
         if not isinstance(payload, TxReplicatedOp) or payload.resource != self.resource:
             return

@@ -20,7 +20,7 @@ import pytest
 
 from repro.membership import build_group
 from repro.membership.events import TOTAL
-from repro.net import FixedLatency, HandlerTable, LanLatency, Network
+from repro.net import HEADER_BYTES, FixedLatency, HandlerTable, LanLatency, Network
 from repro.proc import Environment
 from repro.sim import Scheduler
 from repro.sim.rand import SimRandom
@@ -64,11 +64,28 @@ def test_a_drained_burst_leaves_no_table_sized_for_it():
 # -- the jitter draw is bit-identical ---------------------------------------------
 
 
+class Sized:
+    """A datagram whose size is its own (read per send)."""
+
+    category = "sized"
+
+    def __init__(self, k, size):
+        self.k = k
+        self._size = size
+
+    @property
+    def size_bytes(self):
+        return self._size
+
+
 @pytest.mark.parametrize("jitter", [0.2, 0.05, 0.0])
 def test_the_jitter_draw_is_random_uniform_float_for_float(jitter):
     """``LanLatency.sample`` spells ``random.uniform`` out; over 10,000
     draws each delay is the float ``uniform`` gives, and a zero jitter
-    returns the nominal delay and draws nothing."""
+    returns the nominal delay and draws nothing.  The network draws the
+    same delays inline: 2,000 datagrams of mixed sizes sent at 0 are
+    delivered at the times ``sample`` gives on a twin stream, float for
+    float, and the two streams end in step."""
     seed = 20_240_857
     lan = LanLatency(jitter=jitter)
     ours, reference = SimRandom(seed), random.Random(seed)
@@ -78,6 +95,21 @@ def test_the_jitter_draw_is_random_uniform_float_for_float(jitter):
         expected = nominal * reference.uniform(1.0 - jitter, 1.0 + jitter) if jitter else nominal
         assert lan.sample(ours, "a", "b", size).hex() == expected.hex()
     assert ours.random() == reference.random()  # the streams stayed in step
+
+    scheduler, rng, twin = Scheduler(), SimRandom(seed), SimRandom(seed)
+    network = Network(scheduler, rng, latency=lan)
+    arrivals = {}
+    network.register("b", HandlerTable(SimpleNamespace(
+        unhandled=lambda payload, _src: arrivals.__setitem__(payload.k, scheduler.now)
+    )))
+    expected = []
+    for k in range(2_000):
+        size = (k * 37) % 1_500
+        network.send("a", "b", Sized(k, size))
+        expected.append(lan.sample(twin, "a", "b", size + HEADER_BYTES).hex())
+    scheduler.run()
+    assert [arrivals[k].hex() for k in range(2_000)] == expected
+    assert rng.random() == twin.random()
 
 
 # -- the transport's fast path against the old accept ----------------------------------
@@ -198,9 +230,59 @@ def test_a_raising_tap_leaves_the_counts_of_the_sends_it_saw():
     assert stats.wire_packets == 2
 
 
+class Pong:
+    category = "pong"
+    size_bytes = 100
+
+
+def test_the_derived_counts_are_the_sends():
+    """``messages``, ``bytes`` and ``wire_packets`` are read from the two
+    per-category tallies (and hardware multicast's shared packets): a
+    scripted run of unicasts, a fan-out, a drop, a duplicate, a
+    partitioned destination and a hardware multicast with one
+    destination cut off reads the hand-counted values, in ``snapshot()``
+    and in ``since()`` alike.  A ping is 40 + 64 bytes, a pong 100 + 64."""
+    scheduler = Scheduler()
+    network = Network(scheduler, SimRandom(3))
+    arrivals = []
+    for address in "abcd":
+        network.register(address, HandlerTable(SimpleNamespace(
+            unhandled=lambda _payload, _src, dst=address: arrivals.append(dst)
+        )))
+    network.send("a", "b", Ping(0))
+    network.send("a", "gone", Pong())  # dropped at delivery: no endpoint
+    network.multicast("a", ("b", "c", "d"), Ping(1))  # three packets
+    scheduler.run()
+    before = network.stats.snapshot()
+    network.duplicate_probability = 0.9
+    network.send("a", "c", Pong())  # one message, delivered twice
+    network.duplicate_probability = 0.0
+    network.partitions.partition(("d",))
+    network.send("a", "d", Ping(2))  # dropped at send, still one packet
+    network.hardware_multicast = True
+    network.multicast("a", ("b", "c", "d"), Pong())  # one shared packet
+    scheduler.run()
+    assert arrivals == ["b", "b", "c", "d", "c", "c", "b", "c"]
+
+    expected = dict(
+        messages=10, bytes=5 * 104 + 5 * 164, wire_packets=7 + 1, dropped=3,
+        by_category={"ping": 5, "pong": 5},
+        bytes_by_category={"ping": 5 * 104, "pong": 5 * 164},
+    )
+    for stats in (network.stats, network.stats.snapshot()):
+        assert {key: getattr(stats, key) for key in expected} == expected
+    expected = dict(
+        messages=5, bytes=104 + 4 * 164, wire_packets=3, dropped=2,
+        by_category={"ping": 1, "pong": 4},
+        bytes_by_category={"ping": 104, "pong": 4 * 164},
+    )
+    since = network.stats.since(before)
+    assert {key: getattr(since, key) for key in expected} == expected
+
+
 # -- a call-count ceiling -------------------------------------------------------------
 
-CALL_CEILING = 68_000
+CALL_CEILING = 58_000
 
 
 def count_calls(run):
@@ -228,13 +310,16 @@ def count_calls(run):
 
 def test_a_delivered_put_costs_at_most_its_pinned_python_calls():
     """200 puts from a 16-member leaf's coordinator, run 1 s: a ceiling
-    of 68,000 calls, 21.25 per delivered put (65,018 made).  Host time
+    of 58,000 calls, 18.13 per delivered put (55,641 made).  Host time
     cannot gate this path, an exact count can.  Before the delivery path
     was trimmed it made 126,131 (39.42 per delivered put), 91,504 (28.59)
     while same-instant deliveries still shared a bucket, 88,489 (27.65)
     while each copy of a multicast crossed the transport, the process and
-    the network on its own, and 68,257 (21.33) while every delivery
-    passed through a dispatch frame of the process's."""
+    the network on its own, 68,257 (21.33) while every delivery passed
+    through a dispatch frame of the process's, and 65,018 (20.32) while
+    each delivery was a pooled event, each latency draw a ``sample``
+    frame and each group delivery a ``DeliveryEvent`` built for the
+    listeners."""
     env, _nodes, _members, dicts = leaf()
     env.run_for(0.5)
 

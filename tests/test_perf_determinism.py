@@ -235,8 +235,9 @@ def test_different_seeds_diverge():
 
 
 def test_cancel_during_callback_same_timestamp():
-    """A callback cancels a later event at the SAME timestamp: the victim
-    must not fire, and its (recyclable) event must reach the free list."""
+    """A callback cancels a later one-shot at the SAME timestamp: the
+    victim must not fire, and its (recyclable) event must reach the free
+    list."""
     from repro.sim import Scheduler
 
     sched = Scheduler()
@@ -248,7 +249,7 @@ def test_cancel_during_callback_same_timestamp():
         handles["victim"].cancel()
 
     sched.at_call(1.0, killer, None)
-    handles["victim"] = sched.at_call_once(1.0, fired.append, "victim")
+    handles["victim"] = sched.after_call_once(1.0, fired.append, "victim")
     sched.run()
     assert fired == ["killer"]
     assert sched.pending == 0

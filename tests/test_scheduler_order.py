@@ -7,11 +7,13 @@ the bucket re-arms each handle one period on before calling it.
 ``PlainHeap`` below is the engine that mechanism must be
 indistinguishable from: one ``(time, seq)`` heap entry per arm and per
 tick, lazy cancellation, nothing pooled.  A hypothesis script drives both
-through random interleavings of ``every``, ``at``, ``at_call``,
-``at_call_once``, ``cancel`` and a crash (cancel every periodic handle of
-one owner, also from a callback in the middle of a bucket), on dyadic
-times so that ticks, first arms and one-shots keep landing on the same
-instants.  A periodic handle that fires at or past ``HORIZON`` cancels
+through random interleavings of ``every``, ``at``, ``at_call``, posts
+(``at_call_once``, which returns no handle and is never cancelled),
+``after_call_once``, ``cancel`` (of any handle still queued, also from a
+callback at the instant it is due) and a crash (cancel every periodic
+handle of one owner, also from a callback in the middle of a bucket), on
+dyadic times so that ticks, first arms, posts and one-shots keep landing
+on the same instants.  A periodic handle that fires at or past ``HORIZON`` cancels
 itself in its own callback, so a run drains.  After every run slice the
 firing order, ``now``, ``events_processed`` and ``pending`` must be
 identical, and so must the per-call counts every handle callback sees.
@@ -84,7 +86,11 @@ class PlainHeap:
     def at_call(self, time, fn, arg):
         return self._push(time, _RefEvent(self, lambda: fn(arg)))
 
-    at_call_once = at_call
+    def at_call_once(self, time, fn, arg):
+        self.at_call(time, fn, arg)  # a post: no handle
+
+    def after_call_once(self, delay, fn, arg):
+        return self.at_call(self.now + delay, fn, arg)
 
     def every(self, interval, fn):
         return self._push(self.now + interval, _RefEvent(self, fn, interval))
@@ -120,6 +126,7 @@ period = st.sampled_from((1, 2, 2))
 actions = st.one_of(
     st.tuples(st.just("at"), delay, st.just(0)),
     st.tuples(st.just("at_call"), delay, st.just(0)),
+    st.tuples(st.just("post"), delay, st.just(0)),
     st.tuples(st.just("once"), delay, st.just(0)),
     st.tuples(st.just("every"), period, st.just(0)),
     st.tuples(st.just("cancel"), st.just(0), st.integers(0, 50)),
@@ -141,7 +148,7 @@ class Driver:
         self.script = script
         self.cursor = 0
         self.log = []
-        self.kinds = {}  # label -> "plain" | "once" | "every"
+        self.kinds = {}  # label -> "plain" | "post" | "once" | "every"
         self.handles = {}  # label -> handle, while it may be touched
         self.queued = {}  # cancellable queued labels, in queueing order
         for p in periods:
@@ -152,6 +159,10 @@ class Driver:
     def _schedule(self, kind, delay):
         s = self.s
         label = len(self.kinds)
+        self.kinds[label] = kind if kind in ("post", "once", "every") else "plain"
+        if kind == "post":
+            assert s.at_call_once(s.now + DELAYS[delay], self.fire, label) is None
+            return  # no handle: never cancelled
         if kind == "every":
             handle = s.every(DELAYS[delay], lambda: self.fire(label))
         elif kind == "at":
@@ -159,8 +170,7 @@ class Driver:
         elif kind == "at_call":
             handle = s.at_call(s.now + DELAYS[delay], self.fire, label)
         else:
-            handle = s.at_call_once(s.now + DELAYS[delay], self.fire, label)
-        self.kinds[label] = kind if kind in ("once", "every") else "plain"
+            handle = s.after_call_once(DELAYS[delay], self.fire, label)
         self.handles[label] = handle
         self.queued[label] = None
 
@@ -173,7 +183,7 @@ class Driver:
             return
         kind, delay, pick = self.script[self.cursor]
         self.cursor += 1
-        if kind in ("at", "at_call", "once", "every"):
+        if kind in ("at", "at_call", "post", "once", "every"):
             self._schedule(kind, delay)
         elif kind == "cancel" and self.queued:
             self._cancel(list(self.queued)[pick % len(self.queued)])
@@ -195,7 +205,7 @@ class Driver:
             # here once the horizon is reached.
             if s.now >= HORIZON:
                 self._cancel(label)
-        else:
+        elif kind != "post":
             del self.queued[label]
             if kind == "once":
                 del self.handles[label]  # recycled once fired: never touched again
@@ -263,15 +273,32 @@ IDLE = ("idle", 0, 0)
 
 def test_a_same_instant_schedule_seals_the_open_bucket():
     """Four periodic handles fire at 0.5 and re-arm for 1.0; after each
-    re-arm the handle's action lands a one-shot, an ``at``, a second
-    one-shot and an ``at_call`` on 1.0.  Each must fire right after the
+    re-arm the handle's action lands a one-shot, an ``at``, a post and
+    an ``at_call`` on 1.0.  Each must fire right after the
     handle that scheduled it, as a heap entry per call orders it: every
     schedule seals the tick bucket open at 1.0, so the next re-arm opens
     another.  (The four idles are the slices' actions up to 0.5.)"""
-    script = [IDLE] * 4 + [("once", 2, 0), ("at", 2, 0), ("once", 2, 0), ("at_call", 2, 0)]
+    script = [IDLE] * 4 + [("once", 2, 0), ("at", 2, 0), ("post", 2, 0), ("at_call", 2, 0)]
     ours, reference = run_both(script, [2, 2, 2, 2])
     assert ours == reference
     assert fired_at(ours, 1.0) == [0, 4, 1, 5, 2, 6, 3, 7]
+
+
+def test_a_one_shot_cancelled_at_its_own_instant_does_not_fire():
+    """Three periodic handles fire at 0.5; their actions queue an
+    ``after_call_once`` one-shot (3), a post (4) and an ``at`` (5) on
+    1.0.  At 1.0 the first handle fires first and cancels the one-shot,
+    due at that very instant and next in line: it is skipped and not
+    counted, and the post and the ``at`` fire in their places.  (The
+    idles are the slices' actions up to 0.5 and from 0.625 to 1.0; a
+    cancel picks among the handles still queued, 0, 1, 2, 3 and 5.)"""
+    script = (
+        [IDLE] * 4 + [("once", 2, 0), ("post", 2, 0), ("at", 2, 0)]
+        + [IDLE] * 4 + [("cancel", 0, 3)]
+    )
+    ours, reference = run_both(script, [2, 2, 2])
+    assert ours == reference
+    assert fired_at(ours, 1.0) == [0, 1, 4, 2, 5]
 
 
 def test_a_cancelled_handle_in_a_bucket_is_skipped_and_not_counted():
@@ -379,12 +406,14 @@ def test_an_idle_population_holds_one_heap_entry_per_instant():
     assert stats["fresh_events"] + stats["fresh_arg_lists"] == fresh
 
 
-def test_same_instant_datagrams_arrive_in_send_order_from_pooled_events():
+def test_a_datagram_builds_no_event():
     """Under ``FixedLatency`` every datagram of a round lands on one
     instant: 200 from 8 senders, to 8 receivers, arrive in the order they
-    were sent, each its own pooled one-shot event, back in the free list
-    once fired.  After the first round no event, argument list or
-    envelope is built fresh."""
+    were sent.  Each delivery is a post, a bare heap entry, so no event
+    is built or drawn from the free list: ``fresh_events`` and
+    ``pooled_events`` stay where they were before the first send.  The
+    envelopes go back to their free list, and after the first round none
+    is built fresh."""
     env = Environment(seed=1, latency=FixedLatency(0.001))
     network, sched = env.network, env.scheduler
     arrived = []
@@ -392,23 +421,20 @@ def test_same_instant_datagrams_arrive_in_send_order_from_pooled_events():
         network.register(f"r{r}", HandlerTable(SimpleNamespace(
             unhandled=lambda payload, src: arrived.append((src, payload))
         )))
+    events = (sched.alloc_stats["fresh_events"], sched.alloc_stats["pooled_events"])
     fresh = None
     for round_ in range(5):
         sent = [(f"s{i % 8}", Beat()) for i in range(200)]
         for i, (src, beat) in enumerate(sent):
             network.send(src, f"r{(3 * i) % 8}", beat)
+        assert (sched.pending, sched.heap_size) == (200, 200)
         before = sched.events_processed
         env.run_for(0.01)
         assert arrived == sent
         assert sched.events_processed - before == 200
-        assert sched.alloc_stats["pooled_events"] >= 200
+        assert (sched.alloc_stats["fresh_events"], sched.alloc_stats["pooled_events"]) == events
         assert network.alloc_stats["pooled_envelopes"] >= 200
         arrived.clear()
-        counts = (
-            sched.alloc_stats["fresh_events"],
-            sched.alloc_stats["fresh_arg_lists"],
-            network.alloc_stats["fresh_envelopes"],
-        )
         if round_:
-            assert counts == fresh
-        fresh = counts
+            assert network.alloc_stats["fresh_envelopes"] == fresh
+        fresh = network.alloc_stats["fresh_envelopes"]
