@@ -74,13 +74,10 @@ class ServiceRouter:
         tree walk assigns to ``key`` — the leaf the manager's
         ``place_key`` names, worked out here from the tree this router
         holds.  The tree is fetched when there is none."""
-        if self._tree is not None:
-            placement = self._placements.get(self.place(key))
-            if placement is not None:
-                self.placement_hits += 1
-                on_ready(placement)
-                return
-            self._tree = None  # empty, or the leaf is not routable yet
+        placement = self.placed(key)
+        if placement is not None:
+            on_ready(placement)
+            return
         self._tree_waiters.append((key, on_ready))
         if len(self._tree_waiters) == 1:
             self.placement_lookups += 1
@@ -91,6 +88,22 @@ class ServiceRouter:
                 self._timeout,
                 exhausted=self._tree_fetched,
             )
+
+    def placed(self, key: str) -> Optional[Placement]:
+        """The placement the tree this router holds gives ``key``, counted
+        as a hit, in one call and with no message sent.  ``None`` when
+        there is no tree to place it from, or its leaf is not routable;
+        the tree is dropped then, so that :meth:`resolve_key` fetches
+        it."""
+        tree = self._tree
+        if tree is None:
+            return None
+        placement = self._placements.get(walk_key(tree.get, key))
+        if placement is None:
+            self._tree = None  # empty, or the leaf is not routable yet
+            return None
+        self.placement_hits += 1
+        return placement
 
     def place(self, key: str) -> Optional[str]:
         """The leaf id the tree this router holds names for ``key``, with

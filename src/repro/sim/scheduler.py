@@ -119,11 +119,16 @@ class _Event:
             return
         self.cancelled = True
         if self.in_heap:
+            sched = self._sched
+            sched._live -= 1
             if self.bucketed:
-                # Not a heap entry: its bucket skips it within one period.
-                self._sched._live -= 1
-            else:
-                self._sched._note_cancelled()
+                return  # not a heap entry: its bucket skips it within one period
+            sched._cancelled_in_heap += 1
+            if (
+                sched._cancelled_in_heap > COMPACT_MIN
+                and sched._cancelled_in_heap * 2 > len(sched._heap)
+            ):
+                sched._compact()
 
 
 # Historical name: PR-1 returned a separate handle object; the event now
@@ -358,15 +363,6 @@ class Scheduler:
         return handle
 
     # -- cancellation bookkeeping --------------------------------------------
-
-    def _note_cancelled(self) -> None:
-        self._live -= 1
-        self._cancelled_in_heap += 1
-        if (
-            self._cancelled_in_heap > COMPACT_MIN
-            and self._cancelled_in_heap * 2 > len(self._heap)
-        ):
-            self._compact()
 
     def _compact(self) -> None:
         """Drop lazily cancelled events and re-heapify the survivors

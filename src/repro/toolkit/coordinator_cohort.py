@@ -89,7 +89,8 @@ from repro.membership.events import ViewEvent
 from repro.membership.group import GroupMember
 from repro.membership.view import GroupView
 from repro.net.message import Address
-from repro.proc.process import Process, Timer
+from repro.proc.process import Process
+from repro.runtime.api import TimerHandle
 
 Handler = Callable[[Any, Address], Any]
 
@@ -239,7 +240,13 @@ class CohortCore:
                 self._multicast(to, replace(request, client=sender))
             return
         if read:
-            self._execute(request, client, None)
+            # Run it and reply; a read keeps nothing.
+            result = self._run(request, client, False)
+            self.requests_executed += 1
+            self._send(client, CCReply(
+                request.request_id, result, self.view_seq,
+                () if request.view_seq == self.view_seq else self.cohorts,
+            ))
             return
         request_id = request.request_id
         record = self._record(client)
@@ -259,7 +266,10 @@ class CohortCore:
         if request_id in record.results:
             # Retransmitted request already served: coordinator re-replies.
             if self._is_coordinator():
-                self._reply(request, client, record.results[request_id])
+                self._send(client, CCReply(
+                    request_id, record.results[request_id], self.view_seq,
+                    () if request.view_seq == self.view_seq else self.cohorts,
+                ))
         elif self._is_coordinator():
             self._execute(request, client, record)
         elif record.pending and request_id in record.pending:
@@ -302,23 +312,20 @@ class CohortCore:
             self._execute(record.pending[request_id], client, record, takeover=True)
 
     def _execute(self, request: CCRequest, client: Address,
-                 record: Optional[_ClientRecord], takeover: bool = False) -> None:
-        """Run a request here and reply.  A write's result is kept, and
-        copied to the fellow cohorts so that no takeover runs it again."""
+                 record: _ClientRecord, takeover: bool = False) -> None:
+        """Run a write here and reply.  Its result is kept, and copied to
+        the fellow cohorts so that no takeover runs it again.  A reply to
+        a request addressed under another view carries the current set."""
         result = self._run(request, client, takeover)
         self.requests_executed += 1
-        if record is not None:
-            self._settle(record, request.request_id, result)
-        self._reply(request, client, result)
-        if record is not None and self._fellows:
-            note = CCResultNote(self.group, request.request_id, result, client)
-            self._multicast(self._fellows, note)
-
-    def _reply(self, request: CCRequest, client: Address, result: Any) -> None:
-        behind = request.view_seq != self.view_seq
+        request_id = request.request_id
+        self._settle(record, request_id, result)
         self._send(client, CCReply(
-            request.request_id, result, self.view_seq, self.cohorts if behind else (),
+            request_id, result, self.view_seq,
+            () if request.view_seq == self.view_seq else self.cohorts,
         ))
+        if self._fellows:
+            self._multicast(self._fellows, CCResultNote(self.group, request_id, result, client))
 
     def _settle(self, record: _ClientRecord, request_id: int, result: Any) -> None:
         """The write has a result: hold that instead of the request."""
@@ -467,16 +474,38 @@ class CoordinatorCohortServer(CohortCore):
         return self.member.is_coordinator
 
 
+def report_failure(
+    on_reply: Callable[[Any], None],
+    on_failure: Optional[Callable[[], None]],
+    answer: Optional[Callable[[Any], Any]],
+) -> None:
+    """A request given up on: ``on_reply(answer(None))`` for a call with
+    an ``answer``, else ``on_failure()`` if there is one."""
+    if answer is not None:
+        on_reply(answer(None))
+    elif on_failure is not None:
+        on_failure()
+
+
 @dataclass
 class _Call:
-    """One outstanding client request."""
+    """One outstanding client request, and all that its retry, hedge and
+    re-route need: no closure is built per request."""
 
     payload: Any
     on_reply: Callable[[Any], None]
     on_failure: Optional[Callable[[], None]]
+    answer: Optional[Callable[[Any], Any]]
+    # The key a KeyRoutedClient placed the call by, which it re-routes
+    # by if the leaf's stub gives up; None for a call that does not.
+    key: Optional[str]
     retries_left: int
     read: bool
-    timer: Optional[Timer] = None
+    # The engine one-shot armed for the call, its hedge or else its
+    # retry (one at a time), and the delay the hedge was armed with.
+    # A fire clears it first: a fired handle is recycled.
+    handle: Optional[TimerHandle] = None
+    hedge_delay: float = 0.0
     # When the first attempt went out; None past the hedge delay or once
     # retried, so that only clean replies feed the hedge delay.
     sent_at: Optional[float] = None
@@ -484,7 +513,12 @@ class _Call:
 
 class CoordinatorCohortClient:
     """Client stub: cohort-set discovery + request to the set + retry.
-    ``is_read`` is the serving group's own (see the module docstring)."""
+    ``is_read`` is the serving group's own (see the module docstring).
+
+    A call's hedge and retry timer is one engine one-shot, armed with a
+    bound method and the request id.  A crash cancels none of them: a fire
+    on a dead process does nothing, so the calls a crash strands run no
+    retry, hedge or callback and send nothing."""
 
     def __init__(
         self,
@@ -497,6 +531,7 @@ class CoordinatorCohortClient:
         is_read: Optional[Callable[[Any], bool]] = None,
     ) -> None:
         self.process = process
+        self._timers = process.env.scheduler
         self.group = group
         self.is_read = is_read
         self._ids = process.env.ids["cc"]
@@ -516,55 +551,69 @@ class CoordinatorCohortClient:
         if isinstance(contacts, CohortSet):
             self._learn(0, self.contacts)
         self._calls: Dict[int, _Call] = {}
+        # The KeyRoutedClient this stub is a leaf's stub of, if any: a
+        # call given up on goes back to it to be re-routed.
+        self.owner = None
 
     def request(
         self,
         payload: Any,
         on_reply: Callable[[Any], None],
         on_failure: Optional[Callable[[], None]] = None,
+        answer: Optional[Callable[[Any], Any]] = None,
+        key: Optional[str] = None,
     ) -> int:
+        """Send ``payload`` to the cohort set: ``on_reply(result)`` once
+        it is answered, ``on_failure()`` once every retry went unanswered.
+        With an ``answer``, ``on_reply`` gets ``answer(result)`` instead,
+        and ``answer(None)`` on failure.  ``key`` is the key a
+        :class:`~repro.toolkit.hierarchical_service.KeyRoutedClient`
+        re-routes the call by if this stub gives up on it."""
         request_id = next(self._ids)
         read = self.is_read is not None and self.is_read(payload)
-        self._calls[request_id] = _Call(
-            payload, on_reply, on_failure, self.max_retries, read
+        call = self._calls[request_id] = _Call(
+            payload, on_reply, on_failure, answer, key, self.max_retries, read
         )
         self._dispatch.outstanding[request_id] = self
-        self._send(request_id)
+        self._send(request_id, call)
         return request_id
 
     # -- internals ---------------------------------------------------------------
 
-    def _send(self, request_id: int) -> None:
-        call = self._calls.get(request_id)
-        if call is None:
+    def _send(self, request_id: int, call: _Call) -> None:
+        members = self._members
+        if members is None:
+
+            def then() -> None:
+                if request_id in self._calls:  # not answered meanwhile
+                    self._send(request_id, call)
+
+            self._fetch_members(then, lambda: self._maybe_retry(request_id))
             return
-        if self._members is None:
-            self._fetch_members(
-                lambda: self._send(request_id),
-                lambda: self._maybe_retry(request_id),
-            )
-            return
-        request = self._request(request_id, call)
+        process = self.process
         if call.read:
             # Each retry to the next rank: the last one may be silent
             # while the set this retry fetched still names it.
             attempt = self.max_retries - call.retries_left
-            self.process.send(self._members[attempt % len(self._members)], request)
+            process.send(
+                members[attempt % len(members)],
+                CCRead(self.group, request_id, call.payload, self._view_seq),
+            )
         else:
-            self.process.multicast(self._members, request)
+            process.multicast(members, self._request(request_id, call))
+        if not process.alive:
+            return  # a dead process arms nothing
+        timers = self._timers
         if call.retries_left == self.max_retries:
-            call.sent_at = self.process.env.scheduler.now
+            call.sent_at = timers.now
             delay = self._dispatch.hedge_delay
-            if delay is not None and delay < self.timeout and len(self._members) > 1:
+            if delay is not None and delay < self.timeout and len(members) > 1:
                 # One timer at a time: the hedge, then the retry for the
                 # rest of the timeout.
-                call.timer = self.process.set_timer(
-                    delay, lambda: self._hedge(request_id, delay)
-                )
+                call.hedge_delay = delay
+                call.handle = timers.after_call_once(delay, self._hedge, request_id)
                 return
-        call.timer = self.process.set_timer(
-            self.timeout, lambda: self._maybe_retry(request_id)
-        )
+        call.handle = timers.after_call_once(self.timeout, self._maybe_retry, request_id)
 
     def _request(self, request_id: int, call: _Call) -> CCRequest:
         if call.read:
@@ -574,22 +623,27 @@ class CoordinatorCohortClient:
             lag(request_id, self._dispatch.outstanding),
         )
 
-    def _hedge(self, request_id: int, delay: float) -> None:
+    def _hedge(self, request_id: int) -> None:
         """The same request goes to the next rank: a read is answered
         from its replica, a write makes it probe the coordinator."""
-        call = self._calls.get(request_id)
-        if call is None:
+        call = self._calls[request_id]
+        call.handle = None
+        if not self.process.alive:
             return
         call.sent_at = None
-        if self._members is not None and len(self._members) > 1:
-            self.process.send(self._members[1], self._request(request_id, call))
-        call.timer = self.process.set_timer(
-            self.timeout - delay, lambda: self._maybe_retry(request_id)
+        members = self._members
+        if members is not None and len(members) > 1:
+            self.process.send(members[1], self._request(request_id, call))
+        call.handle = self._timers.after_call_once(
+            self.timeout - call.hedge_delay, self._maybe_retry, request_id
         )
 
     def _maybe_retry(self, request_id: int) -> None:
         call = self._calls.get(request_id)
         if call is None:
+            return  # answered while its cohort set was being fetched
+        call.handle = None
+        if not self.process.alive:
             return
         call.sent_at = None
         if call.retries_left <= 0:
@@ -597,19 +651,15 @@ class CoordinatorCohortClient:
             return
         call.retries_left -= 1
         self._members = None  # refresh the set: it may have changed
-        self._send(request_id)
-
-    def _finish(self, request_id: int) -> Optional[_Call]:
-        self._dispatch.outstanding.pop(request_id, None)
-        call = self._calls.pop(request_id, None)
-        if call is not None and call.timer is not None:
-            call.timer.cancel()
-        return call
+        self._send(request_id, call)
 
     def _give_up(self, request_id: int) -> None:
-        call = self._finish(request_id)
-        if call is not None and call.on_failure is not None:
-            call.on_failure()
+        self._dispatch.outstanding.pop(request_id, None)
+        call = self._calls.pop(request_id)
+        if self.owner is not None:
+            self.owner.gave_up(self, call)
+        else:
+            report_failure(call.on_reply, call.on_failure, call.answer)
 
     def _learn(
         self,
@@ -655,11 +705,19 @@ class CoordinatorCohortClient:
     def _on_reply(self, reply: CCReply, sender: Address) -> None:
         if reply.cohorts:
             self._learn(reply.view_seq, reply.cohorts)
-        call = self._finish(reply.request_id)
-        if call is not None:
-            if call.sent_at is not None:
-                self._dispatch.note_latency(self.process.env.scheduler.now - call.sent_at)
+        request_id = reply.request_id
+        self._dispatch.outstanding.pop(request_id, None)
+        call = self._calls.pop(request_id, None)
+        if call is None:
+            return
+        if call.handle is not None:
+            call.handle.cancel()
+        if call.sent_at is not None:
+            self._dispatch.note_latency(self._timers.now - call.sent_at)
+        if call.answer is None:
             call.on_reply(reply.result)
+        else:
+            call.on_reply(call.answer(reply.result))
 
 
 def attach_service(

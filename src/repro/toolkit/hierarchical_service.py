@@ -27,6 +27,7 @@ from repro.toolkit.coordinator_cohort import (
     CoordinatorCohortClient,
     CoordinatorCohortServer,
     Handler,
+    report_failure,
 )
 
 
@@ -67,12 +68,15 @@ class HierarchicalServer:
 
 
 class KeyRoutedClient:
-    """Client stub for a hierarchical service: each key's leaf through
-    :meth:`ServiceRouter.resolve_key`, then one cached coordinator-cohort
-    stub per leaf group.  A client with no key of its own passes its
-    address, so that all its requests go to one leaf.  A request whose
-    leaf stops answering (dissolved, merged or partitioned away) re-routes
-    once over a freshly fetched tree; if that fails too, ``on_failure``."""
+    """Client stub for a hierarchical service: each key's leaf from the
+    tree its :class:`ServiceRouter` holds (fetched when it holds none),
+    then one cached coordinator-cohort stub per leaf group.  A client with
+    no key of its own passes its address, so that all its requests go to
+    one leaf.  A request whose leaf stops answering (dissolved, merged or
+    partitioned away) re-routes once over a freshly fetched tree; if that
+    fails too, ``on_failure`` (see :meth:`CoordinatorCohortClient.request`
+    for ``answer``).  A request placed from the held tree builds no
+    closure: what a re-route needs rides on the stub's call."""
 
     def __init__(
         self,
@@ -95,41 +99,58 @@ class KeyRoutedClient:
         payload: Any,
         on_reply: Callable[[Any], None],
         on_failure: Optional[Callable[[], None]] = None,
+        answer: Optional[Callable[[Any], Any]] = None,
     ) -> None:
-        self._route(key, payload, on_reply, on_failure or (lambda: None), rerouted=False)
+        placement = self.router.placed(key)
+        if placement is None:
+            self._fetch(key, payload, on_reply, on_failure, answer, key)
+            return
+        group, contacts = placement
+        cc = self._cc.get(group) or self._stub(group, contacts)
+        cc.request(payload, on_reply, on_failure, answer, key)
 
     def owner_leaf(self, key: str) -> Optional[str]:
         """The leaf ``key`` is routed to now, or ``None`` before the
         router holds a tree; no message is sent."""
         return self.router.place(key)
 
-    def _route(self, key, payload, on_reply, on_failure, rerouted: bool) -> None:
+    def gave_up(self, cc: CoordinatorCohortClient, call) -> None:
+        """``cc`` gave up on ``call``: drop the stub and, unless the call
+        was re-routed already, place its key again over a freshly fetched
+        tree."""
+        self._cc.pop(cc.group, None)
+        if call.key is None:
+            report_failure(call.on_reply, call.on_failure, call.answer)
+            return
+        self.router.invalidate()
+        self._fetch(call.key, call.payload, call.on_reply, call.on_failure, call.answer, None)
+
+    # -- internals ------------------------------------------------------------------
+
+    def _stub(self, group: str, contacts) -> CoordinatorCohortClient:
+        cc = self._cc[group] = CoordinatorCohortClient(
+            self.process,
+            group,
+            contacts=contacts,
+            rpc=self.router.rpc,
+            timeout=self.timeout,
+            max_retries=self.max_retries,
+            is_read=self.is_read,
+        )
+        cc.owner = self
+        return cc
+
+    def _fetch(self, key, payload, on_reply, on_failure, answer, reroute_key) -> None:
+        """Place ``key`` through :meth:`ServiceRouter.resolve_key`, which
+        fetches the tree; ``reroute_key`` is None for a re-routed request."""
+
         def placed(placement) -> None:
             if placement is None:
-                on_failure()
+                report_failure(on_reply, on_failure, answer)
                 return
             group, contacts = placement
-            cc = self._cc.get(group)
-            if cc is None:
-                cc = self._cc[group] = CoordinatorCohortClient(
-                    self.process,
-                    group,
-                    contacts=contacts,
-                    rpc=self.router.rpc,
-                    timeout=self.timeout,
-                    max_retries=self.max_retries,
-                    is_read=self.is_read,
-                )
-
-            def failed() -> None:
-                self._cc.pop(group, None)
-                if rerouted:
-                    on_failure()
-                    return
-                self.router.invalidate()
-                self._route(key, payload, on_reply, on_failure, rerouted=True)
-
-            cc.request(payload, on_reply, on_failure=failed)
+            cc = self._cc.get(group) or self._stub(group, contacts)
+            cc.request(payload, on_reply, on_failure, answer, reroute_key)
 
         self.router.resolve_key(key, placed)
 

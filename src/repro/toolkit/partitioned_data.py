@@ -42,6 +42,17 @@ def _is_get(payload: Any) -> bool:
     return payload[0] == "get"
 
 
+def _value(result: Any) -> Any:
+    """A get's answer: the value read, or None for an error or no reply."""
+    return result[1] if result and result[0] == "value" else None
+
+
+def _done(result: Any) -> bool:
+    """A put's or a delete's answer: whether it was applied (False for no
+    reply)."""
+    return bool(result and result[0] == "ok")
+
+
 class PartitionedStoreServer:
     """Per-worker server: a leaf-replicated table + a request handler."""
 
@@ -98,17 +109,10 @@ class PartitionedStoreClient(KeyRoutedClient):
         super().__init__(process, router, timeout=timeout, max_retries=3, is_read=_is_get)
 
     def put(self, key: str, value: Any, on_done: Callable[[bool], None]) -> None:
-        self.request(key, ("put", key, value),
-                     lambda result: on_done(bool(result and result[0] == "ok")),
-                     lambda: on_done(False))
+        self.request(key, ("put", key, value), on_done, answer=_done)
 
     def get(self, key: str, on_value: Callable[[Any], None]) -> None:
-        def unwrap(result) -> None:
-            on_value(result[1] if result and result[0] == "value" else None)
-
-        self.request(key, ("get", key), unwrap, lambda: on_value(None))
+        self.request(key, ("get", key), on_value, answer=_value)
 
     def delete(self, key: str, on_done: Callable[[bool], None]) -> None:
-        self.request(key, ("delete", key),
-                     lambda result: on_done(bool(result and result[0] == "ok")),
-                     lambda: on_done(False))
+        self.request(key, ("delete", key), on_done, answer=_done)

@@ -18,13 +18,14 @@ from types import SimpleNamespace
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from repro.membership import build_group
+from repro.core import LargeGroupParams, build_large_group, build_leader_group
+from repro.membership import GroupNode, build_group
 from repro.membership.events import TOTAL
 from repro.net import HEADER_BYTES, FixedLatency, HandlerTable, LanLatency, Network
 from repro.proc import Environment
 from repro.sim import Scheduler
 from repro.sim.rand import SimRandom
-from repro.toolkit import ReplicatedDict
+from repro.toolkit import PartitionedStoreClient, PartitionedStoreServer, ReplicatedDict
 from repro.transport import ReceiveState, Segment
 
 LEAF = 16  # the e2e store's leaf size
@@ -357,3 +358,51 @@ def test_idle_background_costs_at_most_its_pinned_python_calls():
     assert env.scheduler.events_processed - events == 1_664
     assert env.network.stats.messages - messages == 726
     assert calls <= BACKGROUND_CEILING, f"{calls} calls"
+
+
+GET_CEILING = 7_800
+GETS = 200
+
+
+def test_a_routed_get_costs_at_most_its_pinned_python_calls():
+    """200 gets through a ``PartitionedStoreClient`` whose router holds
+    the tree, on a 12-worker store, run 0.5 s: a ceiling of 7,800 calls
+    (7,511 made, 37.56 a get, the store's background included).  Each layer of the get path
+    is one frame and builds only what travels or is kept.  Before that it
+    made 9,721 (48.6 a get), while each call armed a ``Timer`` through a
+    closure and each reply cancelled it through two more frames, the
+    router placed a key through a callback and two more calls, the store
+    and the key router built four closures a get, and the server's reply
+    and the client's finish were frames of their own."""
+    env = Environment(seed=1, latency=FixedLatency(0.002))
+    params = LargeGroupParams(resiliency=2, fanout=4)
+    leaders = build_leader_group(env, "svc", params)
+    contacts = tuple(r.node.address for r in leaders)
+    members = build_large_group(env, "svc", 12, params, contacts)
+    for member in members:
+        PartitionedStoreServer(member)
+    env.run_for(5.0 + 0.3 * 12)
+    node = GroupNode(env, "store-client")
+    client = PartitionedStoreClient(node, node.runtime.rpc, contacts, "svc")
+    acked = []
+    for i in range(8):
+        client.put(f"k{i}", i, acked.append)
+    env.run_for(0.5)
+    for i in range(80):  # enough clean replies to arm hedges, as under load
+        client.get(f"k{i % 8}", acked.append)
+    env.run_for(0.5)
+    assert acked == [True] * 8 + [i % 8 for i in range(80)]
+    router = client.router
+    lookups, hits = router.placement_lookups, router.placement_hits
+
+    values = []
+
+    def gets():
+        for i in range(GETS):
+            client.get(f"k{i % 8}", values.append)
+        env.run_for(0.5)
+
+    calls = count_calls(gets)
+    assert values == [i % 8 for i in range(GETS)]
+    assert (router.placement_lookups, router.placement_hits) == (lookups, hits + GETS)
+    assert calls <= GET_CEILING, f"{calls} calls, {calls / GETS:.2f} per get"

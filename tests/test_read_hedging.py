@@ -30,6 +30,7 @@ from collections import Counter
 import pytest
 
 from repro.core import LargeGroupParams, build_large_group, build_leader_group
+from repro.core.views import CohortSet
 from repro.failure.detector import PROBES, HeartbeatDetector, Probe
 from repro.membership import GroupNode, build_group
 from repro.net import FixedLatency, LanLatency
@@ -318,24 +319,67 @@ def test_a_read_sent_outside_the_set_is_executed_once_and_answered_once():
 
 
 def test_hedged_or_not_an_answered_request_leaves_no_timer_behind():
-    """The hedge timer and the retry timer that follows it are one timer
-    at a time, and the reply cancels whichever is armed."""
+    """The hedge timer and the retry timer that follows it are one engine
+    handle at a time, and the reply cancels whichever is armed: once the
+    replies are in, no call is left and the scheduler's ``pending`` is
+    back to its count before the burst (the background being settled)."""
     env, members, servers, client = flat_store()
     warm_up(env, client)
+    env.run_for(2.0)  # past the warm-up's acks and sweeps
+    scheduler = env.scheduler
 
-    def one_shots():
-        return [t for t in client.process._timers if not t.cancelled and not t._handle.bucketed]
+    def burst(settle):
+        before = scheduler.pending
+        for _ in range(50):
+            client.request(("get", "k"), replies.append)
+        env.run_for(settle)
+        assert client._calls == {} and client._dispatch.outstanding == {}
+        assert scheduler.pending == before
 
     replies = []
-    for _ in range(50):
-        client.request(("get", "k"), replies.append)
-    env.run_for(0.5)
-    assert len(replies) == 50 and one_shots() == []
+    burst(1.0)
+    assert len(replies) == 50
     env.crash("svc-0")
-    for _ in range(50):
-        client.request(("get", "k"), replies.append)
-    env.run_for(0.1)  # every one hedged and answered by rank 1
-    assert len(replies) == 100 and one_shots() == []
+    env.run_for(3.0)  # the view change; the client still holds the old set
+    burst(1.0)  # every one hedged and answered by rank 1
+    assert len(replies) == 100
+    assert sum(s.requests_executed for s in servers[1:]) >= 50
+
+
+def test_a_crashed_client_runs_and_sends_nothing_for_its_outstanding_calls():
+    """A client crashes with calls outstanding: gets and puts whose hedge
+    is armed, and on a second stub of the same process, whose timeout is
+    below the hedge delay, gets whose retry is armed.  The crash cancels
+    none of their timers, but a fire on a dead process does nothing: no
+    hedge or retry runs, nothing is sent, and no ``on_failure`` or reply
+    runs, though every stub would give up at its first retry."""
+    env, members, servers, client = flat_store(max_retries=0)
+    delay = warm_up(env, client)
+    unhedged = CoordinatorCohortClient(
+        client.process, "svc", contacts=CohortSet(("svc-0", "svc-1", "svc-2")),
+        timeout=delay / 2, max_retries=0, is_read=is_get,
+    )
+    process = client.process
+    outcomes = []
+    for i in range(4):
+        client.request(("get", "k"), outcomes.append, lambda: outcomes.append("failed"))
+        client.request(("put", "k", i), outcomes.append, lambda: outcomes.append("failed"))
+        unhedged.request(("get", "k"), outcomes.append, lambda: outcomes.append("failed"))
+    handles = [c.handle for stub in (client, unhedged) for c in stub._calls.values()]
+    assert len(handles) == 12 and all(h is not None and not h.cancelled for h in handles)
+    process.crash()
+    attempts = []
+    process.send = lambda dst, payload: attempts.append((dst, payload))
+    process.multicast = lambda dsts, payload: attempts.append((dsts, payload))
+    sent = []
+    env.network.add_tap(
+        lambda _event, envelope: envelope.src == process.address and sent.append(envelope),
+        events=("send",),
+    )
+    env.run_for(3.0)
+    assert outcomes == [] and attempts == [] and sent == []
+    calls = [c for stub in (client, unhedged) for c in stub._calls.values()]
+    assert len(calls) == 12 and all(c.handle is None for c in calls)
 
 
 def test_a_service_that_declares_no_reads_waits_for_the_takeover():

@@ -224,6 +224,64 @@ def test_concurrent_first_resolves_share_one_fetch():
     ]
 
 
+def test_the_held_tree_and_the_fetch_place_and_count_alike():
+    """``placed``, the one call a request placed from the held tree makes,
+    and ``resolve_key``, through a fetch or from the held tree, name the
+    same leaf for every key, and the counts read what ``resolve_key``
+    alone counted: no tree, no count; one lookup and no hit for the
+    fetch twenty first resolves share; one hit per key placed from the
+    held tree, either way."""
+    env, manager, contacts = build_size_mode()
+    node = GroupNode(env, "count-client")
+    router = ServiceRouter(
+        node, "svc", rpc=node.runtime.rpc, leader_contacts=contacts
+    )
+    keys = [f"key-{i}" for i in range(20)]
+    assert [router.placed(key) for key in keys] == [None] * 20
+    assert (router.placement_lookups, router.placement_hits) == (0, 0)
+    fetched = []
+    for key in keys:
+        router.resolve_key(key, fetched.append)
+    env.run_for(1.0)
+    assert (router.placement_lookups, router.placement_hits) == (1, 0)
+    held = [router.placed(key) for key in keys]
+    assert (router.placement_lookups, router.placement_hits) == (1, 20)
+    resolved = []
+    for key in keys:
+        router.resolve_key(key, resolved.append)
+    assert (router.placement_lookups, router.placement_hits) == (1, 40)
+    leaves = manager.state.leaves
+    expected = [
+        (leaf_id, leaves[leaf_id].contacts)
+        for leaf_id in map(manager.state.place_key, keys)
+    ]
+    assert fetched == held == resolved == expected
+
+
+def test_a_key_on_a_leaf_with_no_contacts_drops_the_tree_and_counts_no_hit():
+    """Held, but the key's leaf has no contacts yet: ``placed`` names
+    nothing, counts nothing and drops the tree, so the next
+    ``resolve_key`` fetches (one more lookup), as it did by itself."""
+    state = HierarchyState("svc", LargeGroupParams(resiliency=3, fanout=4))
+    for i in range(8):
+        state.apply(AddLeaf(f"leaf-{i}", 1, (f"w-{i}",) if i else ()))
+    node = GroupNode(Environment(seed=0), "offline-client")
+    router = ServiceRouter(
+        node, "svc", rpc=node.runtime.rpc, leader_contacts=("svc-ldr-0",)
+    )
+    router._hold(directory_reply(state, 0))
+    keys = [f"key/{i}" for i in range(200)]
+    silent = next(k for k in keys if state.place_key(k) == "leaf-0")
+    routable = next(k for k in keys if state.place_key(k) != "leaf-0")
+    leaf_id = state.place_key(routable)
+    assert router.placed(routable) == (leaf_id, state.leaves[leaf_id].contacts)
+    assert router.placed(silent) is None and router._tree is None
+    assert router.placed(routable) is None
+    assert (router.placement_lookups, router.placement_hits) == (0, 1)
+    router.resolve_key(routable, lambda placement: None)
+    assert (router.placement_lookups, router.placement_hits) == (1, 1)
+
+
 def test_split_moves_the_epoch_and_the_router_fetches_again():
     env, manager, contacts = build_size_mode()
     router = warm_router(env, contacts, "split-client")
